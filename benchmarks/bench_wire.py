@@ -4,7 +4,8 @@ The wire-efficiency layer claims that the compact binary framing (tagged
 struct packing + zlib above the compression threshold) shrinks bulk transfers
 by at least 2x against the legacy JSON frames.  This bench *measures* that
 claim: it builds deterministic payloads shaped like the protocol's real
-traffic (single ops, batched ops, delta-sync entry lists) with
+traffic (single ops, batched ops, delta-sync entry lists, and the
+trace-bearing point replies that dominate a ``tcp_point`` run) with
 :mod:`repro.net.codec`, records the exact frame size of each under both
 formats, and fails when any bulk payload misses the improvement bar.
 
@@ -30,11 +31,15 @@ bulk-transfer improvement bar::
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import pathlib
 import sys
 from typing import Dict, Optional
 
+from repro.api.results import InsertResult, RetrieveResult
+from repro.core.timestamps import Timestamp
+from repro.dht.messages import MessageKind, OperationTrace
 from repro.net import codec
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
@@ -53,10 +58,62 @@ def _bulk_items(count: int, *, seed: int = 2007) -> list:
             for index in range(count)]
 
 
+def _point_trace(routes: list) -> OperationTrace:
+    """A hand-built trace: one lookup per ``(hops, request, reply)`` route.
+
+    Peer ids are a fixed multiplicative sequence over the 32-bit id space
+    the served clusters use, so the columns hold realistic bytes (varied
+    low-order, zero high-order) without any RNG.
+    """
+    ids = ((2654435761 * index) % (2 ** 32) for index in itertools.count(1))
+    trace = OperationTrace()
+    for hops, request, reply in routes:
+        path = [next(ids) for _ in range(hops + 1)]
+        trace.record_route(path)
+        trace.record_request_reply(request, reply, source=path[0],
+                                   dest=path[-1])
+    return trace
+
+
+def _point_replies() -> Dict[str, dict]:
+    """Single-key replies carrying the mean ``tcp_point`` traces.
+
+    A retrieve there averages 16 messages (the KTS ``last_ts`` route plus one
+    replica probe) and an insert 86 (``gen_ts`` plus ten replica writes, here
+    with two routing retries, one of them timed out).
+    """
+    retrieve_trace = _point_trace([
+        (6, MessageKind.LAST_TS_REQUEST, MessageKind.LAST_TS_REPLY),
+        (6, MessageKind.GET_REQUEST, MessageKind.GET_REPLY)])
+    insert_trace = _point_trace(
+        [(6, MessageKind.TSR, MessageKind.TSR_REPLY)]
+        + [(6 if replica < 6 else 5, MessageKind.PUT_REQUEST,
+            MessageKind.PUT_ACK) for replica in range(10)])
+    insert_trace.record_route([], retries=2, timeouts=1)
+    if (len(retrieve_trace), len(insert_trace)) != (16, 86):
+        raise AssertionError("hand-built traces drifted from 16/86 messages")
+    stamp = Timestamp(key="key-042", value=17)
+    retrieve = RetrieveResult(
+        key="key-042", data={"op": 17, "payload": "value-0017" * 4},
+        found=True, is_current=True, replicas_inspected=1,
+        trace=retrieve_trace, timestamp=stamp, latest_timestamp=stamp,
+        service="ums")
+    insert = InsertResult(key="key-042", replicas_written=10,
+                          replicas_attempted=10, trace=insert_trace,
+                          timestamp=stamp, service="ums")
+    return {
+        "retrieve_reply": {"id": 19, "ok": True,
+                           "result": codec.retrieve_result_to_dict(retrieve)},
+        "insert_reply": {"id": 23, "ok": True,
+                         "result": codec.insert_result_to_dict(insert)},
+    }
+
+
 def build_payloads(batch: int = 64) -> Dict[str, dict]:
     """The measured payload shapes, keyed by scenario name."""
     items = _bulk_items(batch)
     return {
+        **_point_replies(),
         "ping": {"id": 7, "op": "ping", "service": None},
         "retrieve": {"id": 11, "op": "retrieve", "key": "key-042",
                      "service": None, "origin": None, "unreachable": [],

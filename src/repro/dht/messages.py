@@ -162,6 +162,10 @@ class OperationTrace:
         self.record(request_kind, source=source, dest=dest)
         self.record(reply_kind, source=dest, dest=source)
 
+    def extend(self, messages: Iterable[Message]) -> None:
+        """Append already-built messages (how the wire codec rebuilds a trace)."""
+        self._messages.extend(messages)
+
     def merge(self, other: "OperationTrace") -> "OperationTrace":
         """Append all messages of ``other`` to this trace (returns ``self``)."""
         self._messages.extend(other._messages)

@@ -1,4 +1,4 @@
-"""repro.net — real-service mode: the asyncio transport behind Cluster/Session.
+"""repro.net — real-service mode: the socket transport behind Cluster/Session.
 
 Everything below :mod:`repro.api` runs in-process against the simulation
 substrate; this package is the step from *simulator* to *system serving
@@ -6,15 +6,16 @@ traffic*.  It keeps the exact client surface — the same
 :class:`~repro.api.cluster.Session` drives either substrate — and swaps the
 execution behind it:
 
-* :mod:`repro.net.codec` — the length-prefixed JSON wire codec for the
-  existing message/trace/result types, with measured per-message sizes;
+* :mod:`repro.net.codec` — the length-prefixed wire codec (JSON or binary
+  bodies) for the existing trace/result types, with measured frame sizes;
 * :mod:`repro.net.server` — the asyncio node server hosting an overlay
   population + :class:`~repro.dht.storage.LocalStore` replicas + KTS/UMS
   handlers over TCP and Unix domain sockets, with per-connection
   backpressure (bounded inflight queue) and graceful shutdown;
-* :mod:`repro.net.client` — the client transport: connection pool, request
-  timeouts and bounded retries mapped onto the existing retry/timeout
-  accounting (`LOOKUP_RETRY` trace messages + :class:`TransportCounters`);
+* :mod:`repro.net.client` — the client transport: pooled blocking sockets
+  used in the caller's thread, request deadlines and bounded retries mapped
+  onto the existing retry/timeout accounting (`LOOKUP_RETRY` trace messages
+  + :class:`TransportCounters`);
 * :mod:`repro.net.backends` — the name-keyed backend registry (``sim`` /
   ``tcp`` / ``uds``) that makes the substrate a configuration choice;
 * :mod:`repro.net.loadgen` — the load harness: scenario arrival models

@@ -10,14 +10,16 @@ sockets without changing a line.
 
 The transport internals:
 
-* a private asyncio event loop runs on a daemon thread; the synchronous
-  facade submits coroutines with ``run_coroutine_threadsafe`` (sessions stay
-  blocking, exactly like the in-process backend);
-* a **connection pool** (``pool_size`` persistent connections, created
-  lazily, reused round-robin) amortises connection setup across requests;
-* every request carries a **timeout**; a timed-out connection is torn down
-  (its reply can no longer be matched) and the request is retried on a fresh
-  connection, up to ``max_retries`` times, after which
+* every caller is synchronous, so the transport is too: a request is one
+  ``sendall`` and a ``recv`` loop on a blocking socket (``TCP_NODELAY``), run
+  in the caller's own thread — no event loop, no helper thread, no hand-over;
+* a thread-safe **connection pool** of ``pool_size`` slots, each opened
+  lazily and reused, amortises connection setup across requests and bounds
+  the open connections however many threads share the client;
+* every request carries a **timeout** that bounds the whole attempt, however
+  many ``recv`` calls the reply arrives in; a timed-out connection is torn
+  down (its reply can no longer be matched) and the request is retried on a
+  fresh connection, up to ``max_retries`` times, after which
   :class:`RequestTimeout` surfaces to the caller.
 
 Retries map onto the existing accounting: each timeout-retry is recorded in
@@ -32,10 +34,12 @@ makes inserts idempotent in effect).
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, FrozenSet, Optional, Sequence, Tuple, Union
+import time
+from dataclasses import asdict, dataclass
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.api.cluster import Session
 from repro.api.results import (
@@ -45,7 +49,6 @@ from repro.api.results import (
     InsertResult,
     RetrieveResult,
 )
-from repro.dht.messages import MessageKind, OperationTrace
 from repro.net import codec
 
 __all__ = ["NetClient", "RemoteCluster", "RemoteService", "RequestStats",
@@ -70,7 +73,8 @@ class TransportCounters:
     ``timeouts`` counts requests that waited out their timeout, ``retries``
     the re-sends those timeouts triggered (a timeout on the final permitted
     attempt raises instead of retrying, so ``retries <= timeouts``);
-    ``reconnects`` counts replacement connections, and the byte counters the
+    ``reconnects`` counts connections torn down for replacement (the slot is
+    re-opened by the next request that needs it), and the byte counters the
     measured frame sizes on the wire.
     """
 
@@ -96,59 +100,71 @@ class RequestStats:
     bytes_sent: int = 0
     bytes_received: int = 0
 
-    trace_messages: list = field(default_factory=list)
-
 
 class _Connection:
-    """One pooled connection: a stream pair plus its frame decoder."""
+    """One pooled connection: a blocking socket plus its frame decoder."""
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self.reader = reader
-        self.writer = writer
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
         self.decoder = codec.FrameDecoder()
-        self.closed = False
 
-    async def request(self, frame: bytes) -> Tuple[Dict[str, Any], int]:
+    def request(self, frame: bytes,
+                timeout_s: float) -> Tuple[Dict[str, Any], int]:
         """Send one encoded frame; return the reply payload and its wire bytes.
 
+        ``timeout_s`` bounds the whole exchange: the deadline is carried
+        across ``recv`` calls, so a reply dribbling in cannot stretch the
+        attempt (``socket.timeout`` is raised once the deadline passes).
         The byte count is *measured* (bytes read off the socket for this
         reply, header included), not recomputed from the payload — so the
         transport counters stay exact whichever format the server replied in.
         """
-        self.writer.write(frame)
-        await self.writer.drain()
-        received = self.decoder.pending_bytes
-        while True:
-            chunk = await self.reader.read(64 * 1024)
-            if not chunk:
-                raise TransportError("server closed the connection")
-            received += len(chunk)
-            frames = self.decoder.feed(chunk)
-            if frames:
-                if len(frames) != 1:
-                    raise TransportError(
-                        f"expected one reply frame, got {len(frames)}")
-                return frames[0], received - self.decoder.pending_bytes
+        # reprolint: allow[REP001] reason=a request timeout is wall-clock by definition and never reaches a result or a trace; the deadline semantics are pinned by tests/net/test_client_transport.py
+        deadline = time.monotonic() + timeout_s
+        received = 0
+        try:
+            self.sock.settimeout(timeout_s)
+            self.sock.sendall(frame)
+            while True:
+                chunk = self.sock.recv(64 * 1024)
+                if not chunk:
+                    raise TransportError("server closed the connection")
+                received += len(chunk)
+                frames = self.decoder.feed(chunk)
+                if frames:
+                    break
+                # reprolint: allow[REP001] reason=remaining share of the same wall-clock request deadline (tests/net/test_client_transport.py)
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise socket.timeout("request deadline passed")
+                self.sock.settimeout(remaining)
+        except socket.timeout:
+            raise
+        except (OSError, codec.CodecError) as error:
+            raise TransportError(f"connection failed: {error}") from error
+        if len(frames) != 1 or self.decoder.pending_bytes:
+            raise TransportError(
+                f"expected one reply frame, got {len(frames)} and "
+                f"{self.decoder.pending_bytes} stray bytes")
+        return frames[0], received
 
     def close(self) -> None:
         """Tear the connection down (a timed-out link cannot be reused)."""
-        if not self.closed:
-            self.closed = True
-            self.writer.close()
+        self.sock.close()
 
 
 class NetClient:
-    """Synchronous request facade over the pooled asyncio transport.
+    """Synchronous, thread-safe request facade over pooled blocking sockets.
 
     Parameters
     ----------
     address:
         ``(host, port)`` for TCP or a socket path (``str``) for UDS.
     pool_size:
-        Number of persistent connections kept open (created lazily).
+        Upper bound on open connections (each slot is opened lazily); a
+        thread that finds every slot in use waits for one to come back.
     timeout_s:
-        Per-attempt reply timeout.
+        Per-attempt reply timeout (also bounds opening a connection).
     max_retries:
         How many times a timed-out request is re-sent before
         :class:`RequestTimeout` is raised (total attempts =
@@ -176,74 +192,74 @@ class NetClient:
         self.wire_format = codec.normalize_wire_format(wire_format)
         self.counters = TransportCounters()
         self._next_id = 0
-        self._created = 0
         self._closed = False
-        self._lock = threading.Lock()
-        self._loop = asyncio.new_event_loop()
-        self._pool: Optional["asyncio.Queue"] = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run_loop, daemon=True,
-                                        name="repro-net-client")
-        self._thread.start()
-        self._ready.wait()
-
-    # ---------------------------------------------------------------- loop
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        # The pool queue must be created on the loop thread: on Python 3.9
-        # asyncio.Queue still binds the thread's current event loop.
-        self._pool = asyncio.Queue()
-        self._ready.set()
-        self._loop.run_forever()
-        self._loop.close()
-
-    def _submit(self, coroutine):
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result()
+        # Guards the ids, the counters and the pool (re-entrant, so holders
+        # may call ``_release``): ``_idle`` holds the open connections nobody
+        # is using, ``_leased`` counts the slots handed out, and
+        # ``len(_idle) + _leased`` never exceeds ``pool_size``.
+        self._slot_free = threading.Condition()
+        self._idle: List[_Connection] = []
+        self._leased = 0
 
     # ---------------------------------------------------------------- pool
-    async def _open_connection(self) -> _Connection:
+    def _open_connection(self) -> _Connection:
         try:
             if isinstance(self.address, str):
-                reader, writer = await asyncio.open_unix_connection(self.address)
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                try:
+                    sock.settimeout(self.timeout_s)
+                    sock.connect(self.address)
+                except OSError:
+                    sock.close()
+                    raise
             else:
-                host, port = self.address
-                reader, writer = await asyncio.open_connection(host, port)
+                sock = socket.create_connection(self.address,
+                                                timeout=self.timeout_s)
+                # One small frame per direction per request: Nagle would
+                # only ever delay it.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError as error:
             raise TransportError(f"cannot connect to {self.address!r}: "
                                  f"{error}") from error
-        return _Connection(reader, writer)
+        return _Connection(sock)
 
-    async def _acquire(self) -> _Connection:
-        while True:
-            try:
-                connection = self._pool.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if not connection.closed:
-                return connection
-        if self._created < self.pool_size:
-            self._created += 1
-            try:
-                return await self._open_connection()
-            except TransportError:
-                self._created -= 1
-                raise
-        connection = await self._pool.get()
-        if connection.closed:
-            self.counters.reconnects += 1
-            return await self._open_connection()
-        return connection
-
-    def _release(self, connection: _Connection) -> None:
-        self._pool.put_nowait(connection)
-
-    async def _replace(self, connection: _Connection) -> None:
-        connection.close()
-        self.counters.reconnects += 1
+    def _acquire(self) -> _Connection:
+        """Lease a slot: an idle connection, or a new one opened in it."""
+        with self._slot_free:
+            while True:
+                if self._closed:
+                    raise TransportError("client is closed")
+                if self._idle:
+                    self._leased += 1
+                    return self._idle.pop()
+                if self._leased < self.pool_size:
+                    self._leased += 1
+                    break
+                self._slot_free.wait()
         try:
-            self._pool.put_nowait(await self._open_connection())
+            return self._open_connection()
         except TransportError:
-            self._created -= 1  # re-open lazily on the next acquire
+            self._release(None)
+            raise
+
+    def _release(self, connection: Optional[_Connection], *,
+                 reuse: bool = True) -> None:
+        """Give a slot back (``None``: it never opened), pooling or closing it.
+
+        ``reuse=False`` tears the connection down: a link that timed out or
+        failed may still deliver half a reply, so its slot is re-opened by
+        the next request that needs it.
+        """
+        with self._slot_free:
+            self._leased -= 1
+            if connection is not None:
+                if reuse and not self._closed:
+                    self._idle.append(connection)
+                else:
+                    connection.close()
+                if not reuse:
+                    self.counters.reconnects += 1
+            self._slot_free.notify()
 
     # ------------------------------------------------------------- requests
     def request(self, op: str, **params: Any) -> Tuple[Any, RequestStats]:
@@ -253,52 +269,44 @@ class NetClient:
         exhausted, and :class:`TransportError` on a server-reported error or
         a protocol violation.
         """
-        with self._lock:
+        with self._slot_free:
             if self._closed:
                 raise TransportError("client is closed")
             request_id = self._next_id
             self._next_id += 1
+            self.counters.requests += 1
         payload = {"id": request_id, "op": op}
         payload.update(params)
         frame = codec.encode_frame(payload, wire_format=self.wire_format)
-        return self._submit(self._request_with_retries(request_id, frame))
-
-    async def _request_with_retries(self, request_id: int,
-                                    frame: bytes) -> Tuple[Any, RequestStats]:
         stats = RequestStats(attempts=0)
-        self.counters.requests += 1
-        for attempt in range(self.max_retries + 1):
+        while True:
             stats.attempts += 1
-            connection = await self._acquire()
+            connection = self._acquire()
             try:
-                reply, received = await asyncio.wait_for(
-                    connection.request(frame), timeout=self.timeout_s)
-            except asyncio.TimeoutError:
+                reply, received = connection.request(frame, self.timeout_s)
+            except socket.timeout:
+                retrying = stats.attempts <= self.max_retries
                 stats.timeouts += 1
-                self.counters.timeouts += 1
-                await self._replace(connection)
-                if attempt < self.max_retries:
-                    # Same convention as the simulator's routing retries:
-                    # one LOOKUP_RETRY message, flagged timed out.
-                    stats.retries += 1
-                    self.counters.retries += 1
-                    stats.trace_messages.append(
-                        {"kind": MessageKind.LOOKUP_RETRY, "timed_out": True})
-                    continue
-                raise RequestTimeout(
-                    f"request {request_id} ({self.max_retries + 1} attempts of "
-                    f"{self.timeout_s}s) got no reply") from None
-            except TransportError:
-                await self._replace(connection)
+                stats.retries += retrying
+                with self._slot_free:
+                    self.counters.timeouts += 1
+                    self.counters.retries += retrying
+                    self._release(connection, reuse=False)
+                if not retrying:
+                    raise RequestTimeout(
+                        f"request {request_id} ({stats.attempts} attempts of "
+                        f"{self.timeout_s}s) got no reply") from None
+            except BaseException:
+                self._release(connection, reuse=False)
                 raise
             else:
-                self._release(connection)
-                stats.bytes_sent += len(frame) * stats.attempts
-                stats.bytes_received += received
-                self.counters.bytes_sent += len(frame) * stats.attempts
-                self.counters.bytes_received += received
+                stats.bytes_sent = len(frame) * stats.attempts
+                stats.bytes_received = received
+                with self._slot_free:
+                    self.counters.bytes_sent += stats.bytes_sent
+                    self.counters.bytes_received += received
+                    self._release(connection)
                 return self._unwrap(request_id, reply), stats
-        raise RequestTimeout(f"request {request_id} got no reply")  # pragma: no cover
 
     @staticmethod
     def _unwrap(request_id: int, reply: Dict[str, Any]) -> Any:
@@ -311,22 +319,13 @@ class NetClient:
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Close every pooled connection and stop the loop thread."""
-        with self._lock:
-            if self._closed:
-                return
+        """Close every idle connection; leased ones close as they come back."""
+        with self._slot_free:
             self._closed = True
-
-        async def _drain() -> None:
-            while True:
-                try:
-                    self._pool.get_nowait().close()
-                except asyncio.QueueEmpty:
-                    return
-
-        self._submit(_drain())
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
+            idle, self._idle = self._idle, []
+            self._slot_free.notify_all()
+        for connection in idle:
+            connection.close()
 
     @property
     def closed(self) -> bool:
@@ -344,8 +343,8 @@ class RemoteService:
     """A :class:`~repro.api.services.CurrencyService` speaking the wire protocol.
 
     Each operation forwards to the server, decodes the shared result types
-    back from JSON, and appends the transport-level retry messages to the
-    result's trace — so ``Session.messages_sent`` keeps counting the way it
+    back from the reply payload, and appends the transport-level retry
+    messages to the result's trace — so ``Session.messages_sent`` keeps counting the way it
     does against the simulation backend, timeouts included.
     """
 
@@ -354,66 +353,56 @@ class RemoteService:
         self.client = client
         self.service_name = service_name
 
-    def _call(self, op: str, **params: Any) -> Any:
+    def _call(self, op: str, decode: Callable[[Dict[str, Any]], Any],
+              **params: Any) -> Any:
         params["service"] = self.service_name
-        result, stats = self.client.request(op, **params)
-        return result, stats
-
-    @staticmethod
-    def _account_transport(trace: OperationTrace, stats: RequestStats) -> None:
-        for message in stats.trace_messages:
-            trace.record(message["kind"], timed_out=message["timed_out"])
+        payload, stats = self.client.request(op, **params)
+        result = decode(payload)
+        if stats.retries:
+            # Same convention as the simulator's routing retries: one
+            # LOOKUP_RETRY message, flagged timed out, per re-send.
+            result.trace.record_route([], retries=stats.retries,
+                                      timeouts=stats.retries)
+        return result
 
     def insert(self, key: Any, data: Any, *, origin: Optional[int] = None,
                unreachable: FrozenSet[int] = frozenset()) -> InsertResult:
         """Write ``key`` to every replica holder, over the wire."""
-        payload, stats = self._call("insert", key=codec.encode_value(key),
-                                    data=codec.encode_value(data),
-                                    origin=origin,
-                                    unreachable=sorted(unreachable))
-        result = codec.insert_result_from_dict(payload)
-        self._account_transport(result.trace, stats)
-        return result
+        return self._call("insert", codec.insert_result_from_dict,
+                          key=codec.encode_value(key),
+                          data=codec.encode_value(data), origin=origin,
+                          unreachable=sorted(unreachable))
 
     def retrieve(self, key: Any, *, origin: Optional[int] = None,
                  unreachable: FrozenSet[int] = frozenset(),
                  consistency: str = Consistency.CURRENT,
                  max_probes: Optional[int] = None) -> RetrieveResult:
         """Read ``key`` under the requested consistency level, over the wire."""
-        payload, stats = self._call("retrieve", key=codec.encode_value(key),
-                                    origin=origin,
-                                    unreachable=sorted(unreachable),
-                                    consistency=consistency,
-                                    max_probes=max_probes)
-        result = codec.retrieve_result_from_dict(payload)
-        self._account_transport(result.trace, stats)
-        return result
+        return self._call("retrieve", codec.retrieve_result_from_dict,
+                          key=codec.encode_value(key), origin=origin,
+                          unreachable=sorted(unreachable),
+                          consistency=consistency, max_probes=max_probes)
 
     def insert_many(self, items: Sequence[Tuple[Any, Any]], *,
                     origin: Optional[int] = None,
                     unreachable: FrozenSet[int] = frozenset()) -> BatchInsertResult:
         """Write several keys in one wire exchange."""
-        payload, stats = self._call(
-            "insert_many",
+        return self._call(
+            "insert_many", codec.batch_insert_result_from_dict,
             items=[[codec.encode_value(key), codec.encode_value(data)]
                    for key, data in items],
             origin=origin, unreachable=sorted(unreachable))
-        result = codec.batch_insert_result_from_dict(payload)
-        self._account_transport(result.trace, stats)
-        return result
 
     def retrieve_many(self, keys: Sequence[Any], *, origin: Optional[int] = None,
                       unreachable: FrozenSet[int] = frozenset(),
                       consistency: str = Consistency.CURRENT,
                       max_probes: Optional[int] = None) -> BatchRetrieveResult:
         """Read several keys in one wire exchange."""
-        payload, stats = self._call(
-            "retrieve_many", keys=[codec.encode_value(key) for key in keys],
+        return self._call(
+            "retrieve_many", codec.batch_retrieve_result_from_dict,
+            keys=[codec.encode_value(key) for key in keys],
             origin=origin, unreachable=sorted(unreachable),
             consistency=consistency, max_probes=max_probes)
-        result = codec.batch_retrieve_result_from_dict(payload)
-        self._account_transport(result.trace, stats)
-        return result
 
 
 class RemoteCluster:

@@ -5,23 +5,23 @@ discriminates its format (see :mod:`repro.net.wire` for the binary layouts):
 ``{`` opens the legacy compact key-sorted JSON object, ``0x01`` a tagged
 struct-packed binary object, ``0x02`` a zlib-compressed binary object.  Both
 encoders are deterministic functions of the payload, so a frame's byte size
-is too — :func:`frame_size` *measures* the serialised size of any payload
-(and :func:`wire_size_of` that of one :class:`~repro.dht.messages.Message`),
+is too — :func:`frame_size` *measures* the serialised size of any payload,
 giving the bytes-per-op accounting the simulator's
 :class:`~repro.dht.messages.MessageSizes` only models.
 
-**Size convention**: :func:`frame_size` and :func:`wire_size_of` report the
-full on-the-wire cost of a frame — the 4-byte length prefix *plus* the body —
-matching what the transport counters in :mod:`repro.net.client` accumulate.
-Code that needs the body alone subtracts ``FRAME_HEADER_BYTES``.
+**Size convention**: :func:`frame_size` reports the full on-the-wire cost of
+a frame — the 4-byte length prefix *plus* the body — matching what the
+transport counters in :mod:`repro.net.client` accumulate.  Code that needs
+the body alone subtracts ``FRAME_HEADER_BYTES``.
 
 On top of the framing, the codec defines the JSON encoding of the existing
 in-process types so the client and the server exchange *exactly* the objects
 the simulation backend produces:
 
-* :class:`~repro.dht.messages.Message` and
-  :class:`~repro.dht.messages.OperationTrace`
-  (:func:`message_to_dict`/:func:`trace_to_dict` and their inverses);
+* :class:`~repro.dht.messages.OperationTrace` as one column per message
+  field (:func:`trace_to_dict`/:func:`trace_from_dict`) — a reply's trace is
+  most of its bytes, so it travels as a kind-code string and packed integer
+  arrays, never as one dict per message;
 * the shared result types of :mod:`repro.api.results`
   (:func:`insert_result_to_dict`, :func:`retrieve_result_to_dict`, the batch
   variants, and their inverses) — batched results rebuild the *shared* batch
@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from array import array
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.api.results import (
     BatchInsertResult,
@@ -82,19 +83,16 @@ __all__ = [
     "frame_size",
     "insert_result_from_dict",
     "insert_result_to_dict",
-    "message_from_dict",
-    "message_to_dict",
     "retrieve_result_from_dict",
     "retrieve_result_to_dict",
     "trace_from_dict",
     "trace_to_dict",
-    "wire_size_of",
 ]
 
 _HEADER = struct.Struct(">I")
 
-#: Size of the length prefix every frame carries; :func:`frame_size` and
-#: :func:`wire_size_of` include it (the header-inclusive convention).
+#: Size of the length prefix every frame carries; :func:`frame_size`
+#: includes it (the header-inclusive convention).
 FRAME_HEADER_BYTES = _HEADER.size
 
 #: Tag key marking an encoded :class:`Timestamp` inside a JSON payload.
@@ -116,8 +114,8 @@ def encode_frame(payload: Dict[str, Any], *, wire_format: str = FORMAT_JSON,
         body = pack_payload(payload, compress_min_bytes=compress_min_bytes)
     else:
         try:
-            body = json.dumps(payload, separators=(",", ":"),
-                              sort_keys=True).encode("utf-8")
+            body = json.dumps(payload, separators=(",", ":"), sort_keys=True,
+                              default=_json_default).encode("utf-8")
         except (TypeError, ValueError) as error:
             raise CodecError(
                 f"payload is not JSON-serialisable: {error}") from error
@@ -125,6 +123,13 @@ def encode_frame(payload: Dict[str, Any], *, wire_format: str = FORMAT_JSON,
         raise CodecError(f"frame body of {len(body)} bytes exceeds the "
                          f"{MAX_FRAME_BYTES}-byte limit")
     return _HEADER.pack(len(body)) + body
+
+
+def _json_default(value: Any) -> Any:
+    """JSON has no packed arrays: an ``array('q')`` column is a plain list."""
+    if isinstance(value, array) and value.typecode == "q":
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON-serialisable")
 
 
 def decode_frame(data: bytes) -> Dict[str, Any]:
@@ -149,14 +154,6 @@ def frame_size(payload: Dict[str, Any], *,
     return len(encode_frame(payload, wire_format=wire_format))
 
 
-def wire_size_of(message: Message, *, wire_format: str = FORMAT_JSON) -> int:
-    """The measured wire size of one :class:`Message`, in bytes.
-
-    Follows the same header-inclusive convention as :func:`frame_size`.
-    """
-    return frame_size(message_to_dict(message), wire_format=wire_format)
-
-
 class FrameDecoder:
     """Incremental frame decoder: feed byte chunks, collect decoded payloads.
 
@@ -179,7 +176,7 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> List[Dict[str, Any]]:
         """Append ``data`` to the buffer and return every completed payload."""
-        return [payload for payload, _format in self._drain_list(data)]
+        return [payload for payload, _format in self._drain(data)]
 
     def feed_with_formats(self, data: bytes) -> List[Tuple[Dict[str, Any], str]]:
         """Like :meth:`feed`, but pairs each payload with its body format.
@@ -187,13 +184,11 @@ class FrameDecoder:
         The format name (``"json"`` or ``"binary"``) lets a server reply in
         the same encoding the request arrived in.
         """
-        return self._drain_list(data)
+        return self._drain(data)
 
-    def _drain_list(self, data: bytes) -> List[Tuple[Dict[str, Any], str]]:
+    def _drain(self, data: bytes) -> List[Tuple[Dict[str, Any], str]]:
         self._buffer.extend(data)
-        return list(self._drain())
-
-    def _drain(self) -> Iterator[Tuple[Dict[str, Any], str]]:
+        frames = []
         while len(self._buffer) >= _HEADER.size:
             (length,) = _HEADER.unpack_from(self._buffer)
             if length > MAX_FRAME_BYTES:
@@ -201,10 +196,11 @@ class FrameDecoder:
                                  f"the {MAX_FRAME_BYTES}-byte limit")
             end = _HEADER.size + length
             if len(self._buffer) < end:
-                return
+                break
             body = bytes(self._buffer[_HEADER.size:end])
             del self._buffer[:end]
-            yield self._decode_body(body)
+            frames.append(self._decode_body(body))
+        return frames
 
     @staticmethod
     def _decode_body(body: bytes) -> Tuple[Dict[str, Any], str]:
@@ -248,42 +244,99 @@ def decode_value(value: Any) -> Any:
     return value
 
 
-# ----------------------------------------------------------------- messages
-def message_to_dict(message: Message) -> Dict[str, Any]:
-    """Encode one traced :class:`Message` as a JSON-ready dict."""
-    return {"kind": message.kind.value, "size_bytes": message.size_bytes,
-            "source": message.source, "dest": message.dest,
-            "timed_out": message.timed_out}
+# ------------------------------------------------------------------- traces
+#: One stable character per :class:`MessageKind`; the ``kinds`` column of an
+#: encoded trace is a string of them.  Codes are part of the wire protocol: a
+#: new kind appends a code, an existing one is never reassigned.
+_KIND_CODES: Dict[MessageKind, str] = {
+    MessageKind.LOOKUP_HOP: "h",
+    MessageKind.LOOKUP_RETRY: "r",
+    MessageKind.GET_REQUEST: "g",
+    MessageKind.GET_REPLY: "G",
+    MessageKind.PUT_REQUEST: "p",
+    MessageKind.PUT_ACK: "P",
+    MessageKind.TSR: "t",
+    MessageKind.TSR_REPLY: "T",
+    MessageKind.LAST_TS_REQUEST: "l",
+    MessageKind.LAST_TS_REPLY: "L",
+    MessageKind.COUNTER_TRANSFER: "c",
+    MessageKind.DATA_TRANSFER: "d",
+    MessageKind.CONTROL: "x",
+    MessageKind.SYNC_SUMMARY: "s",
+    MessageKind.SYNC_DELTA: "S",
+}
+_KIND_OF_CODE: Dict[str, MessageKind] = {
+    code: kind for kind, code in _KIND_CODES.items()}
 
 
-def message_from_dict(payload: Dict[str, Any]) -> Message:
-    """Rebuild a :class:`Message` encoded by :func:`message_to_dict`."""
+def _column(values: Iterable[Optional[int]]) -> Union["array[int]", List[int]]:
+    """``values`` as an ``array('q')``, ``-1`` standing for ``None``.
+
+    Peer ids of an overlay with ``bits > 63`` do not fit int64: the column
+    then stays a plain list, whose values the bigint tag still carries.
+    """
+    plain = [-1 if value is None else value for value in values]
     try:
-        kind = MessageKind(payload["kind"])
-    except (KeyError, ValueError) as error:
-        raise CodecError(f"bad message payload {payload!r}: {error}") from error
-    return Message(kind=kind, size_bytes=payload["size_bytes"],
-                   source=payload.get("source"), dest=payload.get("dest"),
-                   timed_out=bool(payload.get("timed_out", False)))
+        return array("q", plain)
+    except OverflowError:
+        return plain
 
 
 def trace_to_dict(trace: OperationTrace) -> Dict[str, Any]:
-    """Encode an :class:`OperationTrace` (sizes + ordered messages)."""
+    """Encode an :class:`OperationTrace` as sizes + one column per field.
+
+    ``kinds`` is a string of kind codes, ``size_bytes``/``sources``/``dests``
+    are integer columns (``-1`` for a ``None`` endpoint; ids are never
+    negative) and ``timed_out`` lists the indices of the flagged messages.
+    """
     return {"sizes": {"control_bytes": trace.sizes.control_bytes,
                       "data_bytes": trace.sizes.data_bytes},
-            "messages": [message_to_dict(message) for message in trace]}
+            "kinds": "".join([_KIND_CODES[message.kind] for message in trace]),
+            "size_bytes": _column([message.size_bytes for message in trace]),
+            "sources": _column([message.source for message in trace]),
+            "dests": _column([message.dest for message in trace]),
+            "timed_out": [index for index, message in enumerate(trace)
+                          if message.timed_out]}
 
 
 def trace_from_dict(payload: Dict[str, Any]) -> OperationTrace:
-    """Rebuild an :class:`OperationTrace` encoded by :func:`trace_to_dict`."""
-    sizes = payload.get("sizes", {})
-    trace = OperationTrace(sizes=MessageSizes(
-        control_bytes=sizes.get("control_bytes", 128),
-        data_bytes=sizes.get("data_bytes", 1024)))
-    for message in payload.get("messages", ()):
-        decoded = message_from_dict(message)
-        trace.record(decoded.kind, source=decoded.source, dest=decoded.dest,
-                     size_bytes=decoded.size_bytes, timed_out=decoded.timed_out)
+    """Rebuild an :class:`OperationTrace` encoded by :func:`trace_to_dict`.
+
+    The columns arrive as ``array('q')`` (binary frames) or lists (JSON
+    frames); anything that is not four equally long columns of known kind
+    codes and integers is a :class:`CodecError`.
+    """
+    kinds: str = payload.get("kinds", "")
+    size_bytes: Sequence[int] = payload.get("size_bytes", ())
+    sources: Sequence[int] = payload.get("sources", ())
+    dests: Sequence[int] = payload.get("dests", ())
+    try:
+        sizes = payload.get("sizes", {})
+        trace = OperationTrace(sizes=MessageSizes(
+            control_bytes=sizes.get("control_bytes", 128),
+            data_bytes=sizes.get("data_bytes", 1024)))
+        count = len(kinds)
+        if not len(size_bytes) == len(sources) == len(dests) == count:
+            raise CodecError(
+                f"trace columns differ in length: {count} kinds, "
+                f"{len(size_bytes)} sizes, {len(sources)} sources, "
+                f"{len(dests)} dests")
+        flags = [False] * count
+        for index in payload.get("timed_out", ()):
+            if not 0 <= index < count:
+                raise CodecError(f"timed_out index {index} is outside a "
+                                 f"trace of {count} messages")
+            flags[index] = True
+        trace.extend([
+            Message(_KIND_OF_CODE[code], size,
+                    None if source < 0 else source,
+                    None if dest < 0 else dest, flag)
+            for code, size, source, dest, flag
+            in zip(kinds, size_bytes, sources, dests, flags)])
+    except KeyError as error:
+        raise CodecError(f"unknown message kind code {error}") from error
+    except (TypeError, AttributeError) as error:
+        raise CodecError(f"malformed trace columns: {error}") from error
     return trace
 
 

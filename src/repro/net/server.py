@@ -385,6 +385,7 @@ class ServerThread:
         self._startup_error: Optional[BaseException] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
+        self._stop_task: Optional["asyncio.Task"] = None
 
     def start(self) -> "ServerThread":
         """Launch the loop thread and block until the server is listening."""
@@ -422,14 +423,22 @@ class ServerThread:
     def stop(self) -> None:
         """Request a graceful stop and join the loop thread."""
         loop = self._loop
-        if loop is not None and not loop.is_closed() and self._thread is not None \
+        if loop is not None and self._thread is not None \
                 and self._thread.is_alive():
             try:
-                asyncio.run_coroutine_threadsafe(self.server.stop(), loop)
+                # Only the callback crosses threads; the ``stop()`` coroutine
+                # is created on the loop when it runs.  A loop that a client's
+                # ``shutdown`` already stopped or closed drops the callback,
+                # so no never-awaited coroutine is left behind.
+                loop.call_soon_threadsafe(self._schedule_stop)
             except RuntimeError:
-                pass  # the loop stopped between the liveness check and the call
+                pass  # the loop closed between the liveness check and the call
         if self._thread is not None:
             self._thread.join(timeout=10)
+
+    def _schedule_stop(self) -> None:
+        self._stop_task = asyncio.get_running_loop().create_task(
+            self.server.stop())
 
     def __enter__(self) -> "ServerThread":
         return self.start()

@@ -15,7 +15,16 @@ marker    body
 The tagged encoding is a deterministic, self-delimiting value stream built
 from one tag byte plus big-endian fixed-width fields — the hot message shapes
 (timestamps, key digests, batch entries) pack far tighter than their JSON
-text.  Dict keys are emitted in sorted order, mirroring the JSON encoder's
+text.  The tags: ``N``/``T``/``F`` singletons, ``i`` int64, ``I`` a wider int
+as a decimal string, ``f`` float64, ``s`` string, ``l`` list, ``d`` dict,
+``t`` ``Timestamp`` and ``q`` a packed int64 array — a u32 count, then
+``count × 8`` bytes moved by one ``tobytes``/``frombytes`` call.  The ``q``
+tag carries a whole ``array('q')`` column (the per-field columns of an
+operation trace, :func:`repro.net.codec.trace_to_dict`, are its user) and
+decodes back to one; the JSON encoder writes the same column as a plain list,
+and arrays of any other typecode are refused at encode time.
+
+Dict keys are emitted in sorted order, mirroring the JSON encoder's
 ``sort_keys=True``, so equal payloads always produce identical bytes; tuples
 are encoded as lists, matching the JSON round-trip.  ``Timestamp`` values get
 a dedicated tag instead of the JSON tag-object, so they round-trip without
@@ -32,7 +41,9 @@ header.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
+from array import array
 from typing import Any, Dict, List, Tuple
 
 from repro.core.timestamps import Timestamp
@@ -83,6 +94,9 @@ _F64 = struct.Struct(">d")
 _I64_MIN = -(2 ** 63)
 _I64_MAX = 2 ** 63 - 1
 
+#: The ``q`` tag is big-endian on the wire like every other field.
+_SWAP_ARRAYS = sys.byteorder == "little"
+
 
 def normalize_wire_format(name: str) -> str:
     """Validate and canonicalise a wire-format name."""
@@ -124,6 +138,16 @@ def _encode_value(value: Any, out: List[bytes]) -> None:
     elif isinstance(value, str):
         out.append(b"s")
         _encode_str(value, out)
+    elif isinstance(value, array):
+        if value.typecode != "q":
+            raise CodecError(f"only array('q') is wire-serialisable, "
+                             f"got array({value.typecode!r})")
+        if _SWAP_ARRAYS:
+            value = array("q", value)
+            value.byteswap()
+        out.append(b"q")
+        out.append(_U32.pack(len(value)))
+        out.append(value.tobytes())
     elif isinstance(value, (list, tuple)):
         out.append(b"l")
         out.append(_U32.pack(len(value)))
@@ -223,6 +247,15 @@ class _Reader:
                 key = self.take_str()
                 result[key] = self.take_value()
             return result
+        if tag == b"q":
+            (count,) = _U32.unpack(self.take(_U32.size))
+            # ``take`` checks ``count * 8`` against the bytes actually left
+            # before anything is allocated, so a hostile count cannot.
+            column = array("q")
+            column.frombytes(self.take(count * _I64.size))
+            if _SWAP_ARRAYS:
+                column.byteswap()
+            return column
         if tag == b"t":
             key = self.take_value()
             (counter,) = _I64.unpack(self.take(_I64.size))

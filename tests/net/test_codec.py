@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import struct
+from array import array
 
 import pytest
 
 from repro.api.cluster import Cluster
 from repro.core.timestamps import Timestamp
-from repro.dht.messages import MessageKind, MessageSizes, OperationTrace
+from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrace
 from repro.net import codec
 
 
@@ -109,13 +110,6 @@ class TestBinaryFraming:
             assert codec.frame_size(payload, wire_format=wire_format) == \
                 len(frame)
 
-    def test_wire_size_of_supports_binary(self):
-        trace = OperationTrace()
-        message = trace.record(MessageKind.GET_REQUEST, source=1, dest=2)
-        assert codec.wire_size_of(message, wire_format=codec.FORMAT_BINARY) == \
-            codec.frame_size(codec.message_to_dict(message),
-                             wire_format=codec.FORMAT_BINARY)
-
     def test_timestamp_gets_a_native_binary_tag(self):
         payload = {"stamp": Timestamp(key="k", value=9)}
         frame = codec.encode_frame(payload, wire_format=codec.FORMAT_BINARY)
@@ -167,6 +161,36 @@ class TestBinaryFraming:
         assert decoder.feed(b"") == [good]
         assert decoder.pending_bytes == 0
 
+    def test_int64_arrays_round_trip_packed_and_as_json_lists(self):
+        column = array("q", [0, -1, 2 ** 63 - 1, -(2 ** 63), 1234567890123])
+        payload = {"column": column, "empty": array("q")}
+        binary = codec.decode_frame(
+            codec.encode_frame(payload, wire_format=codec.FORMAT_BINARY))
+        assert binary == payload
+        assert isinstance(binary["column"], array)
+        assert binary["column"].typecode == "q"
+        # JSON has no packed arrays: the same column is a plain list there.
+        assert codec.decode_frame(codec.encode_frame(payload)) == \
+            {"column": column.tolist(), "empty": []}
+
+    def test_int64_array_is_big_endian_on_the_wire(self):
+        frame = codec.encode_frame({"c": array("q", [1, -2])},
+                                   wire_format=codec.FORMAT_BINARY)
+        assert frame.endswith(b"q" + struct.pack(">I", 2)
+                              + struct.pack(">qq", 1, -2))
+
+    def test_encoding_an_array_leaves_the_callers_array_untouched(self):
+        column = array("q", [1, 2, 3])
+        codec.encode_frame({"c": column}, wire_format=codec.FORMAT_BINARY)
+        assert column == array("q", [1, 2, 3])
+
+    @pytest.mark.parametrize("typecode", ["b", "i", "L", "Q", "d"])
+    def test_arrays_of_other_typecodes_are_refused_at_encode(self, typecode):
+        for wire_format in codec.WIRE_FORMATS:
+            with pytest.raises(codec.CodecError, match="serialisable"):
+                codec.encode_frame({"c": array(typecode, [1])},
+                                   wire_format=wire_format)
+
     def test_non_string_dict_keys_are_rejected(self):
         with pytest.raises(codec.CodecError, match="keys must be strings"):
             codec.encode_frame({"outer": {1: "x"}},
@@ -196,30 +220,125 @@ class TestValueEncoding:
         assert codec.decode_value(codec.encode_value((1, 2))) == [1, 2]
 
 
-class TestMessageEncoding:
-    def test_trace_round_trip_preserves_order_sizes_and_timeouts(self):
-        trace = OperationTrace(sizes=MessageSizes(control_bytes=64,
-                                                  data_bytes=512))
-        trace.record_route([3, 7, 9], retries=2, timeouts=1)
-        trace.record(MessageKind.GET_REQUEST, source=9, dest=4)
-        rebuilt = codec.trace_from_dict(codec.trace_to_dict(trace))
-        assert rebuilt.message_count == trace.message_count
-        assert rebuilt.timeout_count == trace.timeout_count
+#: The kind codes as first shipped.  They are wire protocol: this table only
+#: ever grows at the end.
+PINNED_KIND_CODES = {
+    "lookup-hop": "h", "lookup-retry": "r", "get-request": "g",
+    "get-reply": "G", "put-request": "p", "put-ack": "P",
+    "timestamp-request": "t", "timestamp-reply": "T", "last-ts-request": "l",
+    "last-ts-reply": "L", "counter-transfer": "c", "data-transfer": "d",
+    "control": "x", "sync-summary": "s", "sync-delta": "S",
+}
+
+
+def sample_trace() -> OperationTrace:
+    trace = OperationTrace(sizes=MessageSizes(control_bytes=64,
+                                              data_bytes=512))
+    trace.record_route([3, 7, 9], retries=2, timeouts=1)
+    trace.record(MessageKind.GET_REQUEST, source=9, dest=4)
+    trace.record(MessageKind.GET_REPLY, source=4, dest=9, size_bytes=777)
+    return trace
+
+
+class TestTraceEncoding:
+    def test_trace_travels_as_one_column_per_field(self):
+        encoded = codec.trace_to_dict(sample_trace())
+        assert encoded == {
+            "sizes": {"control_bytes": 64, "data_bytes": 512},
+            "kinds": "hhrrgG",
+            "size_bytes": array("q", [64, 64, 64, 64, 64, 777]),
+            "sources": array("q", [3, 7, -1, -1, 9, 4]),
+            "dests": array("q", [7, 9, -1, -1, 4, 9]),
+            "timed_out": [2]}
+
+    @pytest.mark.parametrize("wire_format", codec.WIRE_FORMATS)
+    def test_trace_round_trip_is_message_for_message(self, wire_format):
+        trace = sample_trace()
+        frame = codec.encode_frame({"trace": codec.trace_to_dict(trace)},
+                                   wire_format=wire_format)
+        rebuilt = codec.trace_from_dict(codec.decode_frame(frame)["trace"])
+        assert rebuilt.messages == trace.messages
+        assert rebuilt.sizes == trace.sizes
+        assert rebuilt.timeout_count == 1
         assert rebuilt.total_bytes == trace.total_bytes
-        assert [m.kind for m in rebuilt.messages] == \
-            [m.kind for m in trace.messages]
-        assert [(m.source, m.dest) for m in rebuilt.messages] == \
-            [(m.source, m.dest) for m in trace.messages]
 
-    def test_message_from_dict_rejects_unknown_kinds(self):
-        with pytest.raises(codec.CodecError, match="bad message"):
-            codec.message_from_dict({"kind": "warp-drive", "size_bytes": 1})
-
-    def test_wire_size_of_measures_one_message(self):
+    @pytest.mark.parametrize("wire_format", codec.WIRE_FORMATS)
+    def test_ids_beyond_int64_fall_back_to_a_plain_list(self, wire_format):
         trace = OperationTrace()
-        message = trace.record(MessageKind.GET_REQUEST, source=1, dest=2)
-        assert codec.wire_size_of(message) == \
-            codec.frame_size(codec.message_to_dict(message))
+        trace.record(MessageKind.LOOKUP_HOP, source=2 ** 63, dest=2 ** 159 + 1)
+        trace.record(MessageKind.LOOKUP_HOP, source=5, dest=None)
+        encoded = codec.trace_to_dict(trace)
+        assert encoded["sources"] == [2 ** 63, 5]
+        assert encoded["dests"] == [2 ** 159 + 1, -1]
+        assert isinstance(encoded["size_bytes"], array)
+        frame = codec.encode_frame({"trace": encoded}, wire_format=wire_format)
+        rebuilt = codec.trace_from_dict(codec.decode_frame(frame)["trace"])
+        assert rebuilt.messages == trace.messages
+
+    def test_empty_trace_round_trips(self):
+        rebuilt = codec.trace_from_dict(codec.trace_to_dict(OperationTrace()))
+        assert rebuilt.messages == ()
+
+    def test_kind_code_table_is_pinned_and_complete(self):
+        codes = {kind.value: code for kind, code in codec._KIND_CODES.items()}
+        # Every shipped kind keeps its code ...
+        assert {value: codes[value] for value in PINNED_KIND_CODES} == \
+            PINNED_KIND_CODES
+        # ... every kind has one, and no two kinds share one.
+        assert set(codec._KIND_CODES) == set(MessageKind)
+        assert len(set(codes.values())) == len(codes)
+        assert all(len(code) == 1 for code in codes.values())
+        # New kinds append: the shipped codes stay a prefix of the table.
+        assert list(codes.items())[:len(PINNED_KIND_CODES)] == \
+            list(PINNED_KIND_CODES.items())
+
+    def test_unknown_kind_code_is_a_codec_error(self):
+        encoded = codec.trace_to_dict(sample_trace())
+        encoded["kinds"] = "hhrr?G"
+        with pytest.raises(codec.CodecError, match="unknown message kind"):
+            codec.trace_from_dict(encoded)
+
+    @pytest.mark.parametrize("column", ["size_bytes", "sources", "dests"])
+    def test_columns_of_unequal_length_are_a_codec_error(self, column):
+        encoded = codec.trace_to_dict(sample_trace())
+        encoded[column] = encoded[column][:-1]
+        with pytest.raises(codec.CodecError, match="differ in length"):
+            codec.trace_from_dict(encoded)
+        encoded = codec.trace_to_dict(sample_trace())
+        encoded["kinds"] += "h"
+        with pytest.raises(codec.CodecError, match="differ in length"):
+            codec.trace_from_dict(encoded)
+
+    @pytest.mark.parametrize("index", [-1, 6, 2 ** 40])
+    def test_timed_out_index_out_of_range_is_a_codec_error(self, index):
+        encoded = codec.trace_to_dict(sample_trace())
+        encoded["timed_out"] = [2, index]
+        with pytest.raises(codec.CodecError, match="timed_out index"):
+            codec.trace_from_dict(encoded)
+
+    @pytest.mark.parametrize("patch", [
+        {"sources": ["a", "b", "c", "d", "e", "f"]},
+        {"size_bytes": None},
+        {"timed_out": ["x"]},
+        {"kinds": [["h"]] * 6},
+        {"sizes": 5},
+    ])
+    def test_non_integer_columns_are_a_codec_error(self, patch):
+        encoded = codec.trace_to_dict(sample_trace())
+        encoded.update(patch)
+        with pytest.raises(codec.CodecError, match="malformed trace"):
+            codec.trace_from_dict(encoded)
+
+    def test_rebuilding_does_not_re_record(self, monkeypatch):
+        """One ``Message`` per message: no second pass through ``record``."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("trace_from_dict went through record()")
+
+        encoded = codec.trace_to_dict(sample_trace())
+        monkeypatch.setattr(OperationTrace, "record", forbidden)
+        rebuilt = codec.trace_from_dict(encoded)
+        assert rebuilt.messages[-1] == Message(MessageKind.GET_REPLY, 777,
+                                               source=4, dest=9)
 
 
 @pytest.fixture(scope="module")

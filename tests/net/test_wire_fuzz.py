@@ -4,18 +4,24 @@ The decoder must reassemble any stream of well-formed frames — JSON, binary,
 and compressed bodies freely interleaved — identically no matter how the
 bytes are split into chunks, and a malformed or oversized frame must raise
 :class:`~repro.net.codec.CodecError` without corrupting the decoder's state
-for the frames that follow.
+for the frames that follow.  The packed-int64-array tag and the columnar
+trace built on it get the same treatment: hostile counts and truncated
+bodies are refused before anything is allocated, and any trace survives both
+wire formats message for message.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.results import BatchInsertResult, InsertResult
 from repro.core.timestamps import Timestamp
+from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrace
 from repro.net import codec
 
 # JSON-compatible payload values; ints kept within int64 so JSON and binary
@@ -139,3 +145,127 @@ class TestMalformedFrames:
         decoder = codec.FrameDecoder()
         assert decoder.feed(truncated) == []
         assert decoder.pending_bytes == len(truncated)
+
+
+# ------------------------------------------------------ packed int64 arrays
+def _binary_frame(packed_value: bytes) -> bytes:
+    """A binary frame whose payload is ``{"c": <packed_value>}``."""
+    body = (b"\x01" + b"d" + struct.pack(">I", 1)
+            + struct.pack(">I", 1) + b"c" + packed_value)
+    return struct.pack(">I", len(body)) + body
+
+
+class TestPackedArrays:
+    @given(values=st.lists(st.integers(min_value=-(2 ** 63),
+                                       max_value=2 ** 63 - 1), max_size=40),
+           wire_format=_formats)
+    @settings(max_examples=200, deadline=None)
+    def test_int64_columns_survive_both_formats(self, values, wire_format):
+        frame = codec.encode_frame({"c": array("q", values)},
+                                   wire_format=wire_format,
+                                   compress_min_bytes=32)
+        assert list(codec.decode_frame(frame)["c"]) == values
+
+    def test_hand_packed_array_decodes(self):
+        frame = _binary_frame(b"q" + struct.pack(">I", 2)
+                              + struct.pack(">qq", 7, -7))
+        assert codec.decode_frame(frame) == {"c": array("q", [7, -7])}
+
+    @given(count=st.integers(min_value=1, max_value=64),
+           missing=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_array_body_is_rejected(self, count, missing):
+        frame = _binary_frame(b"q" + struct.pack(">I", count)
+                              + bytes(count * 8 - missing))
+        with pytest.raises(codec.CodecError, match="truncated"):
+            codec.FrameDecoder().feed(frame)
+
+    @pytest.mark.parametrize("count", [
+        3,                                  # 24 bytes wanted, 16 there
+        codec.MAX_FRAME_BYTES // 8 + 1,     # count x 8 over the frame limit
+        2 ** 32 - 1,                        # the largest count a header holds
+    ])
+    def test_count_larger_than_the_body_is_rejected_unallocated(self, count):
+        frame = _binary_frame(b"q" + struct.pack(">I", count) + bytes(16))
+        decoder = codec.FrameDecoder()
+        with pytest.raises(codec.CodecError, match="truncated"):
+            decoder.feed(frame)
+        # The bad frame was consumed whole; the decoder is still usable.
+        assert decoder.pending_bytes == 0
+        assert decoder.feed(codec.encode_frame({"id": 1})) == [{"id": 1}]
+
+
+# ---------------------------------------------------------- columnar traces
+_ids = st.one_of(st.none(),
+                 st.integers(min_value=0, max_value=2 ** 32),
+                 st.integers(min_value=2 ** 63 - 2, max_value=2 ** 160))
+
+_messages = st.builds(
+    Message,
+    kind=st.sampled_from(list(MessageKind)),
+    size_bytes=st.integers(min_value=0, max_value=2 ** 40),
+    source=_ids, dest=_ids, timed_out=st.booleans())
+
+
+def _trace_of(messages, control_bytes=128):
+    trace = OperationTrace(sizes=MessageSizes(control_bytes=control_bytes))
+    trace.extend(messages)
+    return trace
+
+
+class TestTraceRoundTrip:
+    @given(messages=st.lists(_messages, max_size=30),
+           control_bytes=st.integers(min_value=1, max_value=4096),
+           wire_format=_formats)
+    @settings(max_examples=200, deadline=None)
+    def test_any_trace_survives_the_wire_message_for_message(
+            self, messages, control_bytes, wire_format):
+        """None endpoints, timed-out retries, overridden sizes, ids >= 2**63
+        and the empty trace all come back equal, through either format."""
+        trace = _trace_of(messages, control_bytes)
+        frame = codec.encode_frame({"trace": codec.trace_to_dict(trace)},
+                                   wire_format=wire_format,
+                                   compress_min_bytes=32)
+        rebuilt = codec.trace_from_dict(codec.decode_frame(frame)["trace"])
+        assert rebuilt.messages == trace.messages
+        assert rebuilt.sizes == trace.sizes
+
+    @given(messages=st.lists(_messages, min_size=1, max_size=12),
+           junk=st.binary(min_size=1, max_size=24),
+           position=st.integers(min_value=0))
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_trace_frames_only_ever_raise_codec_error(
+            self, messages, junk, position):
+        """Overwriting bytes of a trace-bearing body decodes or raises
+        ``CodecError`` — at the frame or in ``trace_from_dict``."""
+        frame = bytearray(codec.encode_frame(
+            {"trace": codec.trace_to_dict(_trace_of(messages))},
+            wire_format=codec.FORMAT_BINARY, compress_min_bytes=1 << 30))
+        first = codec.FRAME_HEADER_BYTES + 1
+        start = first + position % (len(frame) - first)
+        junk = junk[:len(frame) - start]
+        frame[start:start + len(junk)] = junk
+        try:
+            trace = codec.decode_frame(bytes(frame)).get("trace")
+            if isinstance(trace, dict):
+                codec.trace_from_dict(trace)
+        except codec.CodecError:
+            pass
+
+    @given(messages=st.lists(_messages, max_size=20), wire_format=_formats)
+    @settings(max_examples=100, deadline=None)
+    def test_batched_results_share_one_rebuilt_trace(self, messages,
+                                                     wire_format):
+        trace = _trace_of(messages)
+        batch = BatchInsertResult(
+            results=tuple(InsertResult(key=f"k{index}", replicas_written=1,
+                                       replicas_attempted=1, trace=trace)
+                          for index in range(3)),
+            trace=trace)
+        frame = codec.encode_frame(
+            {"result": codec.batch_insert_result_to_dict(batch)},
+            wire_format=wire_format, compress_min_bytes=32)
+        rebuilt = codec.batch_insert_result_from_dict(
+            codec.decode_frame(frame)["result"])
+        assert all(item.trace is rebuilt.trace for item in rebuilt.results)
+        assert rebuilt.trace.messages == trace.messages
