@@ -38,6 +38,10 @@ from repro.dht.network import DHTNetwork, NetworkObserver
 
 __all__ = ["CounterInitialization", "KeyBasedTimestampService", "KtsStats"]
 
+#: The ``(request, reply)`` message kinds of the two timestamp exchanges.
+_TSR = (MessageKind.TSR, MessageKind.TSR_REPLY)
+_LAST_TS = (MessageKind.LAST_TS_REQUEST, MessageKind.LAST_TS_REPLY)
+
 
 class CounterInitialization:
     """How counters travel across responsibility changes."""
@@ -173,8 +177,8 @@ class KeyBasedTimestampService(NetworkObserver):
         initialises its counter if needed (Rule 2) and returns the incremented
         value.
         """
-        responsible = self._locate_responsible(key, origin, trace,
-                                               MessageKind.TSR, MessageKind.TSR_REPLY)
+        responsible = self.network.lookup(key, self.ts_hash, origin=origin,
+                                          trace=trace, exchange=_TSR).responsible
         counter = self._counter_for(responsible, key, trace)
         value = counter.generate()
         self.stats.timestamps_generated += 1
@@ -187,9 +191,8 @@ class KeyBasedTimestampService(NetworkObserver):
     def last_ts(self, key: Any, *, origin: Optional[int] = None,
                 trace: Optional[OperationTrace] = None) -> Optional[Timestamp]:
         """The last timestamp generated for ``key``, or ``None`` if none is known."""
-        responsible = self._locate_responsible(key, origin, trace,
-                                               MessageKind.LAST_TS_REQUEST,
-                                               MessageKind.LAST_TS_REPLY)
+        responsible = self.network.lookup(key, self.ts_hash, origin=origin,
+                                          trace=trace, exchange=_LAST_TS).responsible
         counter = self._counter_for(responsible, key, trace)
         self.stats.last_ts_requests += 1
         value = counter.last_generated()
@@ -214,8 +217,8 @@ class KeyBasedTimestampService(NetworkObserver):
         grouped = self._grouped_by_responsible(keys)
         out: List[Optional[Timestamp]] = [None] * len(keys)
         for responsible, indices in grouped.items():
-            self._record_batched_exchange(keys[indices[0]], origin, trace,
-                                          MessageKind.TSR, MessageKind.TSR_REPLY)
+            self.network.lookup(keys[indices[0]], self.ts_hash, origin=origin,
+                                trace=trace, exchange=_TSR)
             for index in indices:
                 key = keys[index]
                 counter = self._counter_for(responsible, key, trace)
@@ -237,9 +240,8 @@ class KeyBasedTimestampService(NetworkObserver):
         grouped = self._grouped_by_responsible(keys)
         out: Dict[Any, Optional[Timestamp]] = {}
         for responsible, indices in grouped.items():
-            self._record_batched_exchange(keys[indices[0]], origin, trace,
-                                          MessageKind.LAST_TS_REQUEST,
-                                          MessageKind.LAST_TS_REPLY)
+            self.network.lookup(keys[indices[0]], self.ts_hash, origin=origin,
+                                trace=trace, exchange=_LAST_TS)
             for index in indices:
                 key = keys[index]
                 if key in out:
@@ -258,27 +260,6 @@ class KeyBasedTimestampService(NetworkObserver):
         for index, key in enumerate(keys):
             grouped.setdefault(self.responsible_of_timestamping(key), []).append(index)
         return grouped
-
-    def _record_batched_exchange(self, representative_key: Any,
-                                 origin: Optional[int],
-                                 trace: Optional[OperationTrace],
-                                 request_kind: MessageKind,
-                                 reply_kind: MessageKind) -> None:
-        """Route once to the key's responsible and record one batched request/reply."""
-        lookup = self.network.lookup(representative_key, self.ts_hash,
-                                     origin=origin, trace=trace)
-        if trace is not None:
-            trace.record_request_reply(request_kind, reply_kind,
-                                       dest=lookup.responsible)
-
-    def _locate_responsible(self, key: Any, origin: Optional[int],
-                            trace: Optional[OperationTrace],
-                            request_kind: MessageKind,
-                            reply_kind: MessageKind) -> int:
-        lookup = self.network.lookup(key, self.ts_hash, origin=origin, trace=trace)
-        if trace is not None:
-            trace.record_request_reply(request_kind, reply_kind, dest=lookup.responsible)
-        return lookup.responsible
 
     # --------------------------------------------------------- counter handling
     def _counter_for(self, responsible: int, key: Any,

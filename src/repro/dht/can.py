@@ -120,6 +120,8 @@ class CanSpace(DHTProtocol):
             raise InvalidConfigurationError(
                 f"need at least 2 bits per dimension, got {bits} bits / {dimensions} dims")
         self.bits = bits
+        #: Number of points in the identifier space.
+        self.space_size = 1 << bits
         self.dimensions = dimensions
         self.bits_per_dimension = bits // dimensions
         self._rng = rng if rng is not None else random.Random(0)
@@ -132,10 +134,6 @@ class CanSpace(DHTProtocol):
         self._neighbors_cache.clear()
 
     # ------------------------------------------------------------------ helpers
-    @property
-    def space_size(self) -> int:
-        return 1 << self.bits
-
     @property
     def axis_size(self) -> int:
         """Number of coordinate values along each axis."""

@@ -47,6 +47,8 @@ class _FingerTable:
     """
 
     entries: Sequence[int]
+    #: ``(entry - node) mod 2^bits`` per entry, strictly ascending.
+    offsets: Sequence[int]
     refreshed_at: float
     version: int = 0
 
@@ -75,6 +77,8 @@ class ChordRing(DHTProtocol):
         if stabilization_interval < 0:
             raise InvalidConfigurationError("stabilization_interval must be >= 0")
         self.bits = bits
+        #: Number of identifier points on the ring.
+        self.space_size = 1 << bits
         self.stabilization_interval = stabilization_interval
         self._rng = rng if rng is not None else random.Random(0)
         # Sorted node identifiers.  Declared as a mutable sequence so the
@@ -84,17 +88,8 @@ class ChordRing(DHTProtocol):
         self._departed: Dict[int, Tuple[str, float]] = {}
         self._fingers: Dict[int, _FingerTable] = {}
         self._init_version_caches()
-        self._current_fingers: Dict[int, Sequence[int]] = {}
-
-    def _clear_version_caches(self) -> None:
-        self._current_fingers.clear()
 
     # ------------------------------------------------------------------ sizing
-    @property
-    def space_size(self) -> int:
-        """Number of identifier points on the ring."""
-        return 1 << self.bits
-
     def nodes(self) -> Sequence[int]:
         return self._cached_nodes(lambda: tuple(self._members))
 
@@ -190,7 +185,7 @@ class ChordRing(DHTProtocol):
             return set()
         neighbor_set = {self.successor(self._next_point(node_id)),
                         self.predecessor(node_id)}
-        neighbor_set.update(self._compute_fingers(node_id))
+        neighbor_set.update(self._compute_fingers(node_id)[0])
         neighbor_set.discard(node_id)
         return neighbor_set
 
@@ -212,48 +207,43 @@ class ChordRing(DHTProtocol):
 
     def refresh_fingers(self, node_id: int, *, now: float = 0.0) -> None:
         """Force an immediate stabilisation of ``node_id``'s finger table."""
-        if node_id not in self._member_set:
-            raise NoSuchPeerError(node_id)
-        self._fingers[node_id] = _FingerTable(entries=self._compute_fingers(node_id),
-                                              refreshed_at=now,
-                                              version=self.version)
+        self._fingers.pop(node_id, None)
+        self._finger_snapshot(node_id, now)
 
-    def _compute_fingers(self, node_id: int) -> Sequence[int]:
-        """Finger ``i`` is the successor of ``node_id + 2^i`` over live members.
+    def _compute_fingers(self, node_id: int) -> Tuple[Sequence[int], Sequence[int]]:
+        """The fingers of ``node_id`` over live members, and their offsets.
 
-        Results are memoised per membership version (shared with
-        :meth:`neighbors`); the scan only reruns after a join/leave/failure.
+        Finger ``i`` is the successor of ``node_id + 2^i``, deduplicated and
+        never ``node_id`` itself.  The targets climb clockwise from the node,
+        so do their successors: the clockwise offsets ``(finger - node_id)
+        mod 2^bits`` are strictly ascending, which is what lets
+        :meth:`_next_hop` bisect them.
         """
-        entries = self._current_fingers.get(node_id)
-        if entries is not None:
-            return entries
+        size = self.space_size
         entries: List[int] = []
-        seen: Set[int] = set()
+        offsets: List[int] = []
         for exponent in range(self.bits):
-            target = (node_id + (1 << exponent)) % self.space_size
-            finger = self.successor(target)
-            if finger != node_id and finger not in seen:
-                seen.add(finger)
+            finger = self.successor((node_id + (1 << exponent)) % size)
+            if finger != node_id and (not entries or finger != entries[-1]):
                 entries.append(finger)
-        self._current_fingers[node_id] = entries
-        return entries
+                offsets.append((finger - node_id) % size)
+        return entries, offsets
 
     def _finger_snapshot(self, node_id: int, now: float) -> _FingerTable:
+        table = self._fingers.get(node_id)
+        if table is not None and now - table.refreshed_at < self.stabilization_interval:
+            return table
         if node_id not in self._member_set:
             raise NoSuchPeerError(node_id)
-        table = self._fingers.get(node_id)
-        stale = (table is None or
-                 now - table.refreshed_at >= self.stabilization_interval)
-        if stale:
-            if table is not None and table.version == self.version:
-                # The membership is unchanged since the entries were computed:
-                # a recompute would produce the same fingers, so only the
-                # refresh clock moves.
-                table.refreshed_at = now
-            else:
-                table = _FingerTable(entries=self._compute_fingers(node_id),
-                                     refreshed_at=now, version=self.version)
-                self._fingers[node_id] = table
+        if table is not None and table.version == self.version:
+            # The membership is unchanged since the entries were computed: a
+            # recompute would produce the same fingers, so only the refresh
+            # clock moves.
+            table.refreshed_at = now
+        else:
+            entries, offsets = self._compute_fingers(node_id)
+            table = self._fingers[node_id] = _FingerTable(
+                entries=entries, offsets=offsets, refreshed_at=now, version=self.version)
         return table
 
     # ------------------------------------------------------------------ routing
@@ -287,45 +277,39 @@ class ChordRing(DHTProtocol):
 
         Returns ``(next_hop, retries, timeouts)`` where retries count fingers
         that turned out to be departed.
+
+        The candidates are the fingers strictly inside the clockwise interval
+        ``(current, point)`` — the whole ring but ``current`` when the two
+        coincide.  Offsets ascend, so they are exactly the prefix below the
+        target's own offset, and the closest preceding one is that prefix's
+        last live entry.  A table computed at the ring's current membership
+        version holds live members only: nothing to check there.
         """
-        retries = 0
-        timeouts = 0
         table = self._finger_snapshot(current, now)
-        # Closest preceding finger: the entry that lands strictly inside the
-        # clockwise interval (current, point) and is closest to point.
+        size = self.space_size
+        inside = bisect.bisect_left(table.offsets, (point - current) % size or size)
+        retries = timeouts = 0
         best: Optional[int] = None
-        best_distance: Optional[int] = None
-        for finger in table.entries:
-            if not self._in_open_interval(finger, current, point):
-                continue
-            if finger not in self._member_set:
-                reason = self._departed.get(finger, (DepartureReason.LEAVE, 0.0))[0]
-                retries += 1
-                if reason == DepartureReason.FAIL:
-                    timeouts += 1
-                continue
-            distance = self._clockwise_distance(finger, point)
-            if best_distance is None or distance < best_distance:
-                best = finger
-                best_distance = distance
-        if best is not None:
-            return best, retries, timeouts
-        # No usable finger strictly before the target: the live successor of
-        # current is the responsible (or at least strictly closer).
-        return self.successor(self._next_point(current)), retries, timeouts
+        if table.version == self.version:
+            if inside:
+                best = table.entries[inside - 1]
+        else:
+            for finger in table.entries[:inside]:
+                if finger in self._member_set:
+                    best = finger
+                else:
+                    retries += 1
+                    if self.departure_reason(finger) == DepartureReason.FAIL:
+                        timeouts += 1
+        if best is None:
+            # No usable finger strictly before the target: the live successor
+            # of current is the responsible (or at least strictly closer).
+            best = self.successor(self._next_point(current))
+        return best, retries, timeouts
 
     # ---------------------------------------------------------------- intervals
     def _next_point(self, node_id: int) -> int:
         return (node_id + 1) % self.space_size
-
-    def _clockwise_distance(self, start: int, end: int) -> int:
-        return (end - start) % self.space_size
-
-    def _in_open_interval(self, value: int, start: int, end: int) -> bool:
-        """Whether ``value`` lies in the clockwise-open interval ``(start, end)``."""
-        if start == end:
-            return value != start
-        return 0 < self._clockwise_distance(start, value) < self._clockwise_distance(start, end)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ChordRing(bits={self.bits}, nodes={len(self._members)})"

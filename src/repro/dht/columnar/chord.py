@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Optional, Sequence, Set
+from typing import Optional, Sequence, Tuple
 
 from repro.dht.chord import ChordRing
 from repro.dht.columnar import accel
@@ -51,30 +51,26 @@ class ColumnarChordRing(ChordRing):
         # insort operate on the packed column directly.
         self._members = array("Q")
 
-    def _compute_fingers(self, node_id: int) -> Sequence[int]:
-        """Finger ``i`` is the successor of ``node_id + 2^i``, packed.
+    def _compute_fingers(self, node_id: int) -> Tuple[Sequence[int], Sequence[int]]:
+        """The fingers of ``node_id`` and their clockwise offsets, packed.
 
         Identical entries in identical order to the base implementation
         (successor-per-exponent, deduplicated, self excluded) — only the
-        container changes, and all ``bits`` successor searches are answered in
+        containers change, and all ``bits`` successor searches are answered in
         one batched pass over the member column.
         """
-        cached = self._current_fingers.get(node_id)
-        if cached is not None:
-            return cached
         members = self._members
         size = self.space_size
         targets = [(node_id + (1 << exponent)) % size
                    for exponent in range(self.bits)]
         entries = array("Q")
-        seen: Set[int] = set()
+        offsets = array("Q")
         for position in accel.successor_positions(members, targets):
             finger = members[position]
-            if finger != node_id and finger not in seen:
-                seen.add(finger)
+            if finger != node_id and (not entries or finger != entries[-1]):
                 entries.append(finger)
-        self._current_fingers[node_id] = entries
-        return entries
+                offsets.append((finger - node_id) % size)
+        return entries, offsets
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnarChordRing(bits={self.bits}, nodes={len(self._members)})"

@@ -265,6 +265,8 @@ class KademliaOverlay(DHTProtocol):
         if alpha < 1:
             raise InvalidConfigurationError("lookup concurrency alpha must be >= 1")
         self.bits = bits
+        #: Number of points in the identifier space.
+        self.space_size = 1 << bits
         self.k = k
         self.alpha = alpha
         self._rng = rng if rng is not None else random.Random(0)
@@ -280,11 +282,6 @@ class KademliaOverlay(DHTProtocol):
         self._init_version_caches()
 
     # ------------------------------------------------------------------ sizing
-    @property
-    def space_size(self) -> int:
-        """Number of points in the identifier space."""
-        return 1 << self.bits
-
     def nodes(self) -> Sequence[int]:
         return self._cached_nodes(lambda: tuple(self._members))
 

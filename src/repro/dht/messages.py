@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, MutableSequence, NamedTuple, Optional, Tuple
 
-__all__ = ["Message", "MessageKind", "MessageSizes", "OperationTrace"]
+__all__ = ["KIND_CODES", "Message", "MessageKind", "MessageSizes", "OperationTrace"]
 
 
 class MessageKind(str, enum.Enum):
@@ -52,6 +52,11 @@ class MessageKind(str, enum.Enum):
     SYNC_DELTA = "sync-delta"
 
 
+#: The kinds that carry a data item (sized ``data_bytes``, not ``control_bytes``).
+_DATA_KINDS = frozenset((MessageKind.GET_REPLY, MessageKind.PUT_REQUEST,
+                        MessageKind.DATA_TRANSFER, MessageKind.SYNC_DELTA))
+
+
 @dataclass(frozen=True)
 class MessageSizes:
     """Message payload sizes in bytes used by the cost model.
@@ -65,17 +70,17 @@ class MessageSizes:
     control_bytes: int = 128
     data_bytes: int = 1024
 
-    def size_of(self, kind: MessageKind) -> int:
-        """Payload size for a message of ``kind``."""
-        if kind in (MessageKind.GET_REPLY, MessageKind.PUT_REQUEST,
-                    MessageKind.DATA_TRANSFER, MessageKind.SYNC_DELTA):
-            return self.data_bytes
-        return self.control_bytes
+    def size_of(self, kind: MessageKind, entries: int = 1) -> int:
+        """Payload size for a message of ``kind`` carrying ``entries`` data items."""
+        return self.data_bytes * entries if kind in _DATA_KINDS else self.control_bytes
 
 
-@dataclass(frozen=True)
-class Message:
-    """One network message recorded in an operation trace."""
+class Message(NamedTuple):
+    """One network message of an operation trace.
+
+    A read-only *view*: :class:`OperationTrace` stores columns and builds
+    these only for the readers that ask for them.
+    """
 
     kind: MessageKind
     size_bytes: int
@@ -84,100 +89,158 @@ class Message:
     timed_out: bool = False
 
 
+#: One stable character per :class:`MessageKind`, in declaration order: the
+#: byte a message is in a trace's ``kinds`` column, in memory and on the wire.
+#: Codes are wire protocol — a new kind is declared last and appends one, none
+#: is ever reassigned (pinned by ``tests/net/test_codec.py``).
+KIND_CODES: Dict[MessageKind, str] = dict(zip(MessageKind, "hrgGpPtTlLcdxsS"))
+_BYTE_OF_KIND = {kind: ord(code) for kind, code in KIND_CODES.items()}
+_KIND_OF_BYTE = {byte: kind for kind, byte in _BYTE_OF_KIND.items()}
+_HOP = KIND_CODES[MessageKind.LOOKUP_HOP].encode("ascii")
+_RETRY = KIND_CODES[MessageKind.LOOKUP_RETRY].encode("ascii")
+
+
+#: An integer column of a trace (a list, or an adopted ``array('q')``), and
+#: the five columns together: kinds, size_bytes, sources, dests, timed_out.
+Column = MutableSequence[int]
+Columns = Tuple[bytearray, Column, Column, Column, List[int]]
+
+
 class OperationTrace:
     """Accumulates the messages (and timeouts) caused by one service operation.
 
     Traces compose: a UMS ``retrieve`` merges the trace of its embedded KTS
     ``last_ts`` call with the traces of the ``get_h`` probes it performs.
+
+    One column per message field, row ``i`` of each describing message ``i``
+    — the layout the wire codec ships as is: ``kinds`` a ``bytearray`` of
+    :data:`KIND_CODES` bytes, ``size_bytes`` / ``sources`` / ``dests`` integer
+    columns (``-1`` stands for a ``None`` endpoint; peer ids are never
+    negative), ``timed_out`` the indices of the messages that timed out.
+    Readers (codec, cost model) use the columns directly; only the methods
+    below may grow them, because they also keep the running byte tally.
+    ``columns`` adopts five such columns uncopied: the caller vouches for
+    equal lengths, known kind bytes and in-range indices (the wire codec
+    checks what arrives from outside).
     """
 
-    def __init__(self, sizes: Optional[MessageSizes] = None) -> None:
+    def __init__(self, sizes: Optional[MessageSizes] = None,
+                 columns: Optional[Columns] = None) -> None:
         self.sizes = sizes if sizes is not None else MessageSizes()
-        self._messages: List[Message] = []
+        if columns is None:
+            columns = (bytearray(), [], [], [], [])
+        self.kinds, self.size_bytes, self.sources, self.dests, self.timed_out = columns
+        self._total_bytes = sum(self.size_bytes)
 
     # ------------------------------------------------------------------ basic
     @property
     def messages(self) -> Tuple[Message, ...]:
-        """The recorded messages, in the order they were sent."""
-        return tuple(self._messages)
+        """The recorded messages, in the order they were sent (a snapshot)."""
+        return tuple(self)
 
     @property
     def message_count(self) -> int:
         """Total number of messages (the paper's *communication cost*)."""
-        return len(self._messages)
+        return len(self.kinds)
 
     @property
     def total_bytes(self) -> int:
         """Total payload bytes across all messages."""
-        return sum(message.size_bytes for message in self._messages)
+        return self._total_bytes
 
     @property
     def timeout_count(self) -> int:
         """Number of messages that hit a dead peer and timed out."""
-        return sum(1 for message in self._messages if message.timed_out)
+        return len(self.timed_out)
 
     def __len__(self) -> int:
-        return len(self._messages)
+        return len(self.kinds)
 
     def __iter__(self) -> Iterator[Message]:
-        return iter(self._messages)
+        flags = [False] * len(self.kinds)
+        for index in self.timed_out:
+            flags[index] = True
+        return map(Message._make, zip(
+            map(_KIND_OF_BYTE.__getitem__, self.kinds), self.size_bytes,
+            [None if source < 0 else source for source in self.sources],
+            [None if dest < 0 else dest for dest in self.dests], flags))
 
     # -------------------------------------------------------------- recording
     def record(self, kind: MessageKind, *, source: Optional[int] = None,
                dest: Optional[int] = None, size_bytes: Optional[int] = None,
-               timed_out: bool = False) -> Message:
-        """Record a single message and return it."""
+               timed_out: bool = False) -> None:
+        """Record a single message."""
         if size_bytes is None:
             size_bytes = self.sizes.size_of(kind)
-        message = Message(kind=kind, size_bytes=size_bytes, source=source,
-                          dest=dest, timed_out=timed_out)
-        self._messages.append(message)
-        return message
+        if timed_out:
+            self.timed_out.append(len(self.kinds))
+        self.kinds.append(_BYTE_OF_KIND[kind])
+        self.size_bytes.append(size_bytes)
+        self.sources.append(-1 if source is None else source)
+        self.dests.append(-1 if dest is None else dest)
+        self._total_bytes += size_bytes
 
     def record_route(self, path: Iterable[int], *, retries: int = 0,
                      timeouts: int = 0) -> None:
-        """Record the hop messages of a routing path.
+        """Record the hop messages of a routing ``path`` (origin first).
 
-        Parameters
-        ----------
-        path:
-            The sequence of node identifiers visited, starting at the origin.
-            A path of ``n`` nodes costs ``n - 1`` hop messages.
-        retries:
-            Extra messages spent re-routing around departed fingers.
-        timeouts:
-            How many of those retries waited for a timeout (failed peers).
+        A path of ``n`` nodes costs ``n - 1`` hop messages; ``retries`` are the
+        extra messages spent re-routing around departed fingers, ``timeouts``
+        how many of those waited for a timeout (failed peers).
         """
-        nodes = list(path)
-        for source, dest in zip(nodes, nodes[1:]):
-            self.record(MessageKind.LOOKUP_HOP, source=source, dest=dest)
-        for index in range(retries):
-            self.record(MessageKind.LOOKUP_RETRY, timed_out=index < timeouts)
+        nodes = tuple(path)
+        hops = max(0, len(nodes) - 1)
+        retries = max(0, retries)
+        hop_bytes = self.sizes.size_of(MessageKind.LOOKUP_HOP)
+        retry_bytes = self.sizes.size_of(MessageKind.LOOKUP_RETRY)
+        first_retry = len(self.kinds) + hops
+        self.timed_out.extend(range(first_retry, first_retry + min(timeouts, retries)))
+        self.kinds.extend(_HOP * hops + _RETRY * retries)
+        self.size_bytes.extend([hop_bytes] * hops + [retry_bytes] * retries)
+        self.sources.extend(nodes[:hops] + (-1,) * retries)
+        self.dests.extend(nodes[1:] + (-1,) * retries)
+        self._total_bytes += hop_bytes * hops + retry_bytes * retries
 
-    def record_request_reply(self, request_kind: MessageKind,
-                             reply_kind: MessageKind, *,
-                             source: Optional[int] = None,
-                             dest: Optional[int] = None) -> None:
-        """Record a request message and its reply."""
-        self.record(request_kind, source=source, dest=dest)
-        self.record(reply_kind, source=dest, dest=source)
+    def record_request_reply(self, request_kind: MessageKind, reply_kind: MessageKind, *,
+                             source: Optional[int] = None, dest: Optional[int] = None,
+                             entries: int = 1) -> None:
+        """Record a request message and its reply.
+
+        A batched exchange carries ``entries`` items at once: its data-bearing
+        message (the request of a put, the reply of a get) is sized for all.
+        """
+        request_bytes = self.sizes.size_of(request_kind, entries)
+        reply_bytes = self.sizes.size_of(reply_kind, entries)
+        source = -1 if source is None else source
+        dest = -1 if dest is None else dest
+        self.kinds.extend((_BYTE_OF_KIND[request_kind], _BYTE_OF_KIND[reply_kind]))
+        self.size_bytes.extend((request_bytes, reply_bytes))
+        self.sources.extend((source, dest))
+        self.dests.extend((dest, source))
+        self._total_bytes += request_bytes + reply_bytes
 
     def extend(self, messages: Iterable[Message]) -> None:
-        """Append already-built messages (how the wire codec rebuilds a trace)."""
-        self._messages.extend(messages)
+        """Append already-built messages, sizes and flags as given."""
+        for kind, size_bytes, source, dest, timed_out in messages:
+            self.record(kind, source=source, dest=dest, size_bytes=size_bytes,
+                        timed_out=timed_out)
 
     def merge(self, other: "OperationTrace") -> "OperationTrace":
         """Append all messages of ``other`` to this trace (returns ``self``)."""
-        self._messages.extend(other._messages)
+        offset = len(self.kinds)
+        self.timed_out.extend([index + offset for index in other.timed_out])
+        self.kinds.extend(other.kinds)
+        self.size_bytes.extend(other.size_bytes)
+        self.sources.extend(other.sources)
+        self.dests.extend(other.dests)
+        self._total_bytes += other._total_bytes
         return self
 
     # -------------------------------------------------------------- reporting
-    def count_by_kind(self) -> dict:
+    def count_by_kind(self) -> Dict[MessageKind, int]:
         """Histogram of message kinds, useful for debugging and reporting."""
-        histogram: dict = {}
-        for message in self._messages:
-            histogram[message.kind] = histogram.get(message.kind, 0) + 1
-        return histogram
+        return {_KIND_OF_BYTE[byte]: self.kinds.count(byte)
+                for byte in dict.fromkeys(self.kinds)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"OperationTrace(messages={self.message_count}, "

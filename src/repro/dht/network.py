@@ -94,6 +94,10 @@ class NetworkStats:
     sync_entries_shipped: int = 0
 
 
+#: The ``(request, reply)`` message kinds of the two data exchanges.
+_GET = (MessageKind.GET_REQUEST, MessageKind.GET_REPLY)
+_PUT = (MessageKind.PUT_REQUEST, MessageKind.PUT_ACK)
+
 #: Modeled size of one per-entry token inside a SYNC_SUMMARY message: a key
 #: digest plus a timestamp/version counter.  Tiny next to ``data_bytes``,
 #: which is why shipping summaries beats shipping state.
@@ -401,39 +405,65 @@ class DHTNetwork:
 
     def lookup(self, key: Any, hash_fn: PairwiseIndependentHash, *,
                origin: Optional[int] = None,
-               trace: Optional[OperationTrace] = None) -> LookupResult:
+               trace: Optional[OperationTrace] = None,
+               exchange: Optional[Tuple[MessageKind, MessageKind]] = None
+               ) -> LookupResult:
         """Locate ``rsp(k, h)`` from ``origin`` through the overlay's routing.
 
         Records one message per routing hop (plus retries around departed
-        fingers) in ``trace`` when provided.  Without a trace nobody is
-        accounting for hops, so the responsible is resolved directly from the
-        overlay's (version-cached) responsibility map — same responsible,
-        same operation result, no hop-by-hop simulation.  The returned route
-        then only names the origin and the responsible; its ``hops`` are not
-        a cost measurement.  Note that skipping the walk also skips the
-        walk's routing-state upkeep (Kademlia lookups evict dead contacts and
-        learn fresh ones as they go), so experiments that *measure* stale-state
-        effects must not interleave untraced traffic with their traced
-        operations — the services always trace, so harness runs are
-        unaffected.
+        fingers) in ``trace`` when provided, then the ``exchange`` of
+        ``(request, reply)`` kinds with the responsible when the caller names
+        one.  An untraced lookup walks nothing (see :meth:`_locate`): its
+        route only names the origin and the responsible.
         """
         origin = self._resolve_origin(origin)
         point = hash_fn(key)
-        if trace is None:
-            responsible = self.protocol.responsible_for(point)
-            return LookupResult(key=key, hash_name=hash_fn.name, point=point,
-                                responsible=responsible,
-                                route=self._fast_route(origin, responsible))
-        route = self.protocol.route(origin, point, now=self.now)
-        trace.record_route(route.path, retries=route.retries,
-                           timeouts=route.timeouts)
+        responsible, route = self._locate(origin, point, trace, exchange)
+        if route is None:
+            route = self._fast_route(origin, responsible)
         return LookupResult(key=key, hash_name=hash_fn.name, point=point,
-                            responsible=route.responsible, route=route)
+                            responsible=responsible, route=route)
 
     def _resolve_origin(self, origin: Optional[int]) -> int:
         if origin is not None and origin in self._peers:
             return origin
         return self.random_alive_peer()
+
+    def _locate(self, origin: int, point: int, trace: Optional[OperationTrace],
+                exchange: Optional[Tuple[MessageKind, MessageKind]] = None,
+                unreachable: FrozenSet[int] = frozenset(), *,
+                source: Optional[int] = None, entries: int = 1
+                ) -> Tuple[int, Optional[RouteResult]]:
+        """The one place an operation finds its responsible — and is traced.
+
+        With a ``trace``, routes from ``origin`` to ``point``, records the
+        hops and, when an ``exchange`` of ``(request, reply)`` kinds is named,
+        the exchange between ``source`` and the responsible carrying
+        ``entries`` items — or a single timed-out request when the
+        responsible is ``unreachable``.  Returns it and the route walked.
+
+        Without a trace nobody is accounting for hops, so the responsible is
+        resolved directly from the overlay's (version-cached) responsibility
+        map — same responsible, same operation result — and the route is
+        ``None``.  Skipping the walk also skips its routing-state upkeep
+        (Kademlia lookups evict dead contacts and learn fresh ones as they
+        go), so experiments that *measure* stale-state effects must not
+        interleave untraced traffic with their traced operations; the
+        services always trace, so harness runs are unaffected.
+        """
+        if trace is None:
+            return self.protocol.responsible_for(point), None
+        route = self.protocol.route(origin, point, now=self.now)
+        responsible = route.responsible
+        trace.record_route(route.path, retries=route.retries,
+                           timeouts=route.timeouts)
+        if exchange is not None:
+            if responsible in unreachable:
+                trace.record(exchange[0], dest=responsible, timed_out=True)
+            else:
+                trace.record_request_reply(*exchange, source=source,
+                                           dest=responsible, entries=entries)
+        return responsible, route
 
     def _fast_route(self, origin: int, responsible: int) -> RouteResult:
         """The interned trace-free route for ``(origin, responsible)``.
@@ -466,23 +496,11 @@ class DHTNetwork:
         ``unreachable`` injects the paper's motivating fault scenario — an
         update that cannot reach one of the replica holders.
         """
-        if trace is None:
-            # Trace-free fast path: same origin resolution (identical RNG
-            # stream), same responsible, no result-object churn per hop.
-            self._resolve_origin(origin)
-            point = hash_fn(key)
-            responsible = self.protocol.responsible_for(point)
-            if responsible in unreachable:
-                return False
-        else:
-            lookup = self.lookup(key, hash_fn, origin=origin, trace=trace)
-            responsible = lookup.responsible
-            point = lookup.point
-            if responsible in unreachable:
-                trace.record(MessageKind.PUT_REQUEST, dest=responsible, timed_out=True)
-                return False
-            trace.record_request_reply(MessageKind.PUT_REQUEST, MessageKind.PUT_ACK,
-                                       dest=responsible)
+        origin = self._resolve_origin(origin)
+        point = hash_fn(key)
+        responsible, _ = self._locate(origin, point, trace, _PUT, unreachable)
+        if responsible in unreachable:
+            return False
         entry = StoredValue(key=key, data=data, timestamp=timestamp, version=version,
                             hash_name=hash_fn.name, point=point,
                             stored_at=self.now)
@@ -493,59 +511,36 @@ class DHTNetwork:
             origin: Optional[int] = None, trace: Optional[OperationTrace] = None,
             unreachable: FrozenSet[int] = frozenset()) -> Optional[StoredValue]:
         """The paper's ``get_h(k)``: fetch the replica stored at ``rsp(k, h)``."""
-        if trace is None:
-            self._resolve_origin(origin)
-            responsible = self.protocol.responsible_for(hash_fn(key))
-            if responsible in unreachable:
-                return None
-            return self._peers[responsible].store.get(hash_fn.name, key)
-        lookup = self.lookup(key, hash_fn, origin=origin, trace=trace)
-        responsible = lookup.responsible
+        origin = self._resolve_origin(origin)
+        responsible, _ = self._locate(origin, hash_fn(key), trace, _GET, unreachable)
         if responsible in unreachable:
-            trace.record(MessageKind.GET_REQUEST, dest=responsible, timed_out=True)
             return None
-        trace.record_request_reply(MessageKind.GET_REQUEST, MessageKind.GET_REPLY,
-                                   dest=responsible)
         return self._peers[responsible].store.get(hash_fn.name, key)
 
     # ------------------------------------------------------------ batched ops
     def _batched_exchanges(self, points: Sequence[int], origin: int,
                            trace: Optional[OperationTrace],
                            unreachable: FrozenSet[int],
-                           request_kind: MessageKind, reply_kind: MessageKind,
-                           *, data_on_request: bool):
+                           exchange: Tuple[MessageKind, MessageKind]):
         """Shared skeleton of the batched operations.
 
         Groups the request indices by the current responsible of their
         ``points``, routes once per distinct responsible, records the batched
         request/reply exchange (or a single timed-out request when the
-        responsible is unreachable) and yields ``(responsible, indices,
-        reachable)`` per group.  The data-bearing message — the request for
-        puts, the reply for gets — is sized per entry carried, so batching
-        saves round-trips and routing hops, never under-accounted bytes.
+        responsible is unreachable) and yields ``(responsible, indices)`` per
+        reachable group.  The data-bearing message — the request for puts,
+        the reply for gets — is sized per entry carried, so batching saves
+        round-trips and routing hops, never under-accounted bytes.
         """
         grouped: Dict[int, List[int]] = {}
         for index, point in enumerate(points):
             grouped.setdefault(self.protocol.responsible_for(point), []).append(index)
         for responsible, indices in grouped.items():
-            if trace is not None:
-                # Only routed when someone accounts for the hops; the
-                # responsible itself is already known from the grouping.
-                route = self.protocol.route(origin, points[indices[0]], now=self.now)
-                trace.record_route(route.path, retries=route.retries,
-                                   timeouts=route.timeouts)
-            if responsible in unreachable:
-                if trace is not None:
-                    trace.record(request_kind, dest=responsible, timed_out=True)
-                yield responsible, indices, False
-                continue
-            if trace is not None:
-                batch_bytes = self.message_sizes.data_bytes * len(indices)
-                trace.record(request_kind, source=origin, dest=responsible,
-                             size_bytes=(batch_bytes if data_on_request else None))
-                trace.record(reply_kind, source=responsible, dest=origin,
-                             size_bytes=(None if data_on_request else batch_bytes))
-            yield responsible, indices, True
+            if trace is not None:  # only to account: the grouping knows the responsible
+                self._locate(origin, points[indices[0]], trace, exchange, unreachable,
+                             source=origin, entries=len(indices))
+            if responsible not in unreachable:
+                yield responsible, indices
 
     def get_many(self, requests: Sequence[tuple], *,
                  origin: Optional[int] = None,
@@ -565,12 +560,8 @@ class DHTNetwork:
         origin = self._resolve_origin(origin)
         results: List[Optional[StoredValue]] = [None] * len(requests)
         points = [hash_fn(key) for key, hash_fn in requests]
-        for responsible, indices, reachable in self._batched_exchanges(
-                points, origin, trace, unreachable,
-                MessageKind.GET_REQUEST, MessageKind.GET_REPLY,
-                data_on_request=False):
-            if not reachable:
-                continue
+        for responsible, indices in self._batched_exchanges(
+                points, origin, trace, unreachable, _GET):
             store = self._peers[responsible].store
             for index in indices:
                 key, hash_fn = requests[index]
@@ -593,12 +584,8 @@ class DHTNetwork:
         results: List[bool] = [False] * len(requests)
         points = [hash_fn(key) for key, hash_fn, _data, _timestamp, _version
                   in requests]
-        for responsible, indices, reachable in self._batched_exchanges(
-                points, origin, trace, unreachable,
-                MessageKind.PUT_REQUEST, MessageKind.PUT_ACK,
-                data_on_request=True):
-            if not reachable:
-                continue
+        for responsible, indices in self._batched_exchanges(
+                points, origin, trace, unreachable, _PUT):
             for index in indices:
                 key, hash_fn, data, timestamp, version = requests[index]
                 entry = StoredValue(key=key, data=data, timestamp=timestamp,

@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import struct
 from array import array
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.results import (
     BatchInsertResult,
@@ -49,7 +49,7 @@ from repro.api.results import (
     RetrieveResult,
 )
 from repro.core.timestamps import Timestamp
-from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrace
+from repro.dht.messages import KIND_CODES, MessageSizes, OperationTrace
 from repro.net.wire import (
     COMPRESS_MIN_BYTES,
     FORMAT_BINARY,
@@ -245,45 +245,29 @@ def decode_value(value: Any) -> Any:
 
 
 # ------------------------------------------------------------------- traces
-#: One stable character per :class:`MessageKind`; the ``kinds`` column of an
-#: encoded trace is a string of them.  Codes are part of the wire protocol: a
-#: new kind appends a code, an existing one is never reassigned.
-_KIND_CODES: Dict[MessageKind, str] = {
-    MessageKind.LOOKUP_HOP: "h",
-    MessageKind.LOOKUP_RETRY: "r",
-    MessageKind.GET_REQUEST: "g",
-    MessageKind.GET_REPLY: "G",
-    MessageKind.PUT_REQUEST: "p",
-    MessageKind.PUT_ACK: "P",
-    MessageKind.TSR: "t",
-    MessageKind.TSR_REPLY: "T",
-    MessageKind.LAST_TS_REQUEST: "l",
-    MessageKind.LAST_TS_REPLY: "L",
-    MessageKind.COUNTER_TRANSFER: "c",
-    MessageKind.DATA_TRANSFER: "d",
-    MessageKind.CONTROL: "x",
-    MessageKind.SYNC_SUMMARY: "s",
-    MessageKind.SYNC_DELTA: "S",
-}
-_KIND_OF_CODE: Dict[str, MessageKind] = {
-    code: kind for kind, code in _KIND_CODES.items()}
+#: The trace's own kind codes are the wire's (see :data:`KIND_CODES`).
+_KIND_CODES = KIND_CODES
+_DROP_KNOWN_KINDS = str.maketrans("", "", "".join(KIND_CODES.values()))
+
+_Column = Union["array[int]", List[int]]
 
 
-def _column(values: Iterable[Optional[int]]) -> Union["array[int]", List[int]]:
-    """``values`` as an ``array('q')``, ``-1`` standing for ``None``.
+def _column(values: Sequence[int]) -> _Column:
+    """A trace column as an ``array('q')``.
 
     Peer ids of an overlay with ``bits > 63`` do not fit int64: the column
-    then stays a plain list, whose values the bigint tag still carries.
+    then travels as a plain list, whose values the bigint tag still carries.
     """
-    plain = [-1 if value is None else value for value in values]
+    if isinstance(values, array):
+        return values
     try:
-        return array("q", plain)
+        return array("q", values)
     except OverflowError:
-        return plain
+        return list(values)
 
 
 def trace_to_dict(trace: OperationTrace) -> Dict[str, Any]:
-    """Encode an :class:`OperationTrace` as sizes + one column per field.
+    """Encode an :class:`OperationTrace`: its sizes and its columns, as is.
 
     ``kinds`` is a string of kind codes, ``size_bytes``/``sources``/``dests``
     are integer columns (``-1`` for a ``None`` endpoint; ids are never
@@ -291,53 +275,57 @@ def trace_to_dict(trace: OperationTrace) -> Dict[str, Any]:
     """
     return {"sizes": {"control_bytes": trace.sizes.control_bytes,
                       "data_bytes": trace.sizes.data_bytes},
-            "kinds": "".join([_KIND_CODES[message.kind] for message in trace]),
-            "size_bytes": _column([message.size_bytes for message in trace]),
-            "sources": _column([message.source for message in trace]),
-            "dests": _column([message.dest for message in trace]),
-            "timed_out": [index for index, message in enumerate(trace)
-                          if message.timed_out]}
+            "kinds": trace.kinds.decode("ascii"),
+            "size_bytes": _column(trace.size_bytes),
+            "sources": _column(trace.sources),
+            "dests": _column(trace.dests),
+            "timed_out": list(trace.timed_out)}
+
+
+def _int_column(payload: Dict[str, Any], name: str) -> _Column:
+    """Column ``name`` of a received trace: an ``array('q')`` (binary frames)
+    or a JSON list, whose every element must be an ``int`` and not a ``bool``."""
+    values = payload.get(name, [])
+    if not (isinstance(values, array) and values.typecode == "q"
+            or isinstance(values, list) and set(map(type, values)) <= {int}):
+        raise CodecError(f"malformed trace columns: {name} is not a column of integers")
+    return values
 
 
 def trace_from_dict(payload: Dict[str, Any]) -> OperationTrace:
     """Rebuild an :class:`OperationTrace` encoded by :func:`trace_to_dict`.
 
-    The columns arrive as ``array('q')`` (binary frames) or lists (JSON
-    frames); anything that is not four equally long columns of known kind
-    codes and integers is a :class:`CodecError`.
+    The columns are adopted, not copied into per-message objects; anything
+    that is not four equally long columns of known kind codes, sizes ``>= 0``
+    and endpoints ``>= -1``, with in-range ``timed_out`` indices, is a
+    :class:`CodecError`.
     """
-    kinds: str = payload.get("kinds", "")
-    size_bytes: Sequence[int] = payload.get("size_bytes", ())
-    sources: Sequence[int] = payload.get("sources", ())
-    dests: Sequence[int] = payload.get("dests", ())
     try:
         sizes = payload.get("sizes", {})
-        trace = OperationTrace(sizes=MessageSizes(
+        message_sizes = MessageSizes(
             control_bytes=sizes.get("control_bytes", 128),
-            data_bytes=sizes.get("data_bytes", 1024)))
-        count = len(kinds)
-        if not len(size_bytes) == len(sources) == len(dests) == count:
-            raise CodecError(
-                f"trace columns differ in length: {count} kinds, "
-                f"{len(size_bytes)} sizes, {len(sources)} sources, "
-                f"{len(dests)} dests")
-        flags = [False] * count
-        for index in payload.get("timed_out", ()):
-            if not 0 <= index < count:
-                raise CodecError(f"timed_out index {index} is outside a "
-                                 f"trace of {count} messages")
-            flags[index] = True
-        trace.extend([
-            Message(_KIND_OF_CODE[code], size,
-                    None if source < 0 else source,
-                    None if dest < 0 else dest, flag)
-            for code, size, source, dest, flag
-            in zip(kinds, size_bytes, sources, dests, flags)])
-    except KeyError as error:
-        raise CodecError(f"unknown message kind code {error}") from error
+            data_bytes=sizes.get("data_bytes", 1024))
+        unknown = payload.get("kinds", "").translate(_DROP_KNOWN_KINDS)
     except (TypeError, AttributeError) as error:
         raise CodecError(f"malformed trace columns: {error}") from error
-    return trace
+    if unknown:
+        raise CodecError(f"unknown message kind code {unknown[0]!r}")
+    kinds = bytearray(payload.get("kinds", ""), "ascii")
+    size_bytes, sources, dests, marked = (_int_column(payload, name) for name in (
+        "size_bytes", "sources", "dests", "timed_out"))
+    timed_out = sorted(set(marked))
+    count = len(kinds)
+    if not len(size_bytes) == len(sources) == len(dests) == count:
+        raise CodecError(
+            f"trace columns differ in length: {count} kinds, "
+            f"{len(size_bytes)} sizes, {len(sources)} sources, "
+            f"{len(dests)} dests")
+    if count and (min(size_bytes) < 0 or min(sources) < -1 or min(dests) < -1):
+        raise CodecError("malformed trace columns: a size below 0 or an endpoint below -1")
+    if timed_out and not 0 <= timed_out[0] <= timed_out[-1] < count:
+        raise CodecError(f"timed_out index outside a trace of {count} "
+                         f"messages: {timed_out[0]}..{timed_out[-1]}")
+    return OperationTrace(message_sizes, (kinds, size_bytes, sources, dests, timed_out))
 
 
 # ------------------------------------------------------------------ results

@@ -115,9 +115,14 @@ class NetworkCostModel:
                    timeout_s=0.5, rng=random.Random(seed))
 
     # ---------------------------------------------------------------- sampling
-    def sample_latency(self) -> float:
-        """One per-message latency sample (truncated at a small positive floor)."""
-        sample = max(1e-4, self.rng.gauss(self.latency_mean_s, self.latency_std_s))
+    def sample_latency(self, mean_s: Optional[float] = None) -> float:
+        """One per-message latency sample (truncated at a small positive floor).
+
+        ``mean_s`` replaces the model's mean latency for the link sampled.
+        """
+        if mean_s is None:
+            mean_s = self.latency_mean_s
+        sample = max(1e-4, self.rng.gauss(mean_s, self.latency_std_s))
         return sample * self._latency_factor
 
     def sample_bandwidth(self) -> float:
@@ -129,13 +134,22 @@ class NetworkCostModel:
         return sample * self._bandwidth_factor
 
     # ---------------------------------------------------------------- durations
-    def message_delay(self, message: Message) -> float:
-        """Latency + transfer time (+ timeout) for a single message."""
-        delay = self.sample_latency()
-        delay += (message.size_bytes * 8) / self.sample_bandwidth()
-        if message.timed_out:
+    def link_latency_mean_s(self, source: Optional[int], dest: Optional[int]) -> float:
+        """Mean latency from ``source`` to ``dest``: uniform in this model."""
+        return self.latency_mean_s
+
+    def _delay(self, size_bytes: int, source: Optional[int],
+               dest: Optional[int], timed_out: bool) -> float:
+        delay = self.sample_latency(self.link_latency_mean_s(source, dest))
+        delay += (size_bytes * 8) / self.sample_bandwidth()
+        if timed_out:
             delay += self.timeout_s * self._timeout_factor
         return delay
+
+    def message_delay(self, message: Message) -> float:
+        """Latency + transfer time (+ timeout) for a single message."""
+        return self._delay(message.size_bytes, message.source, message.dest,
+                           message.timed_out)
 
     def duration(self, trace: OperationTrace) -> float:
         """Total response time of an operation whose messages are sent sequentially.
@@ -143,9 +157,14 @@ class NetworkCostModel:
         The services of the paper are sequential by construction: UMS probes
         replicas one at a time (stopping at the first current one) and KTS
         performs a lookup followed by a request/reply exchange, so summing the
-        per-message delays reproduces the SimJava accounting.
+        per-message delays reproduces the SimJava accounting — read off the
+        trace's columns, one latency and one bandwidth draw per message.
         """
-        return sum(self.message_delay(message) for message in trace)
+        late = set(trace.timed_out)
+        delay = self._delay
+        return sum(delay(size_bytes, source, dest, index in late)
+                   for index, (size_bytes, source, dest)
+                   in enumerate(zip(trace.size_bytes, trace.sources, trace.dests)))
 
     #: Per-message framing overhead charged by :meth:`traffic_bytes`.  Matches
     #: the 4-byte length prefix of the wire codec's frame format
@@ -245,10 +264,10 @@ class GeoLatencyCostModel(NetworkCostModel):
     def region_of(self, peer: Optional[int]) -> int:
         """The region of ``peer``: a seeded hash, stable across the run.
 
-        ``None`` (a client-side endpoint with no peer id) is pinned to
-        region 0 so every message prices deterministically.
+        ``None`` (a client-side endpoint with no peer id, ``-1`` in a trace
+        column) is pinned to region 0 so every message prices alike.
         """
-        if peer is None:
+        if peer is None or peer < 0:
             return 0
         region = self._region_cache.get(peer)
         if region is None:
@@ -262,21 +281,6 @@ class GeoLatencyCostModel(NetworkCostModel):
                             dest: Optional[int]) -> float:
         """Half the RTT between the regions of ``source`` and ``dest``."""
         return self.rtt_matrix[self.region_of(source)][self.region_of(dest)] / 2.0
-
-    # ------------------------------------------------------------ sampling
-    def message_delay(self, message: Message) -> float:
-        """Regional latency + transfer time (+ timeout) for a single message.
-
-        Identical draw accounting to the base model: one latency gauss (mean
-        set by the endpoint regions) and one bandwidth sample per message.
-        """
-        mean = self.link_latency_mean_s(message.source, message.dest)
-        delay = max(1e-4, self.rng.gauss(mean, self.latency_std_s))
-        delay *= self._latency_factor
-        delay += (message.size_bytes * 8) / self.sample_bandwidth()
-        if message.timed_out:
-            delay += self.timeout_s * self._timeout_factor
-        return delay
 
     def expected_message_delay(self, size_bytes: int = 128) -> float:
         """Expectation over uniformly random region pairs (no sampling)."""

@@ -159,6 +159,24 @@ class TestPutGet:
         result = network.lookup("k", hash_fn, origin=dead)
         assert network.is_alive(result.route.path[0])
 
+    def test_lookup_records_the_named_exchange_after_the_hops(self, network, hash_fn):
+        trace = network.new_trace()
+        result = network.lookup("k", hash_fn, trace=trace,
+                                exchange=(MessageKind.TSR, MessageKind.TSR_REPLY))
+        hops = result.route.hops + result.route.retries
+        assert trace.message_count == hops + 2
+        request, reply = trace.messages[-2:]
+        assert (request.kind, request.source, request.dest) == \
+            (MessageKind.TSR, None, result.responsible)
+        assert (reply.kind, reply.source, reply.dest) == \
+            (MessageKind.TSR_REPLY, result.responsible, None)
+        # An untraced lookup has nowhere to record it and walks nothing.
+        untraced = network.lookup("k", hash_fn, origin=result.route.path[0],
+                                  exchange=(MessageKind.TSR, MessageKind.TSR_REPLY))
+        assert untraced.responsible == result.responsible
+        assert untraced.route.path in ((result.responsible,),
+                                       (result.route.path[0], result.responsible))
+
     def test_store_locally_bypasses_routing(self, network, hash_fn):
         peer_id = network.random_alive_peer()
         entry = StoredValue(key="k", data="x", timestamp=Timestamp("k", 1),

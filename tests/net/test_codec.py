@@ -329,6 +329,60 @@ class TestTraceEncoding:
         with pytest.raises(codec.CodecError, match="malformed trace"):
             codec.trace_from_dict(encoded)
 
+    @pytest.mark.parametrize("wire_format", codec.WIRE_FORMATS)
+    def test_columns_are_adopted_and_shipped_again_as_they_are(self, wire_format):
+        trace = sample_trace()
+        frame = codec.encode_frame({"trace": codec.trace_to_dict(trace)},
+                                   wire_format=wire_format)
+        decoded = codec.decode_frame(frame)["trace"]
+        rebuilt = codec.trace_from_dict(decoded)
+        for name in ("size_bytes", "sources", "dests"):
+            assert getattr(rebuilt, name) is decoded[name]
+            assert list(getattr(rebuilt, name)) == list(getattr(trace, name))
+        assert rebuilt.kinds == trace.kinds == bytearray(b"hhrrgG")
+        assert rebuilt.timed_out == trace.timed_out == [2]
+        if wire_format == codec.FORMAT_BINARY:
+            assert isinstance(rebuilt.sources, array)
+            assert codec.trace_to_dict(rebuilt)["sources"] is rebuilt.sources
+        # The client's retry accounting records into the adopted columns.
+        rebuilt.record_route([], retries=2, timeouts=2)
+        assert (rebuilt.message_count, rebuilt.timeout_count) == (8, 3)
+        assert rebuilt.total_bytes == trace.total_bytes + 2 * 64
+        assert rebuilt.messages[:6] == trace.messages
+
+    @pytest.mark.parametrize("patch", [
+        {"size_bytes": [1.5, -7, 64, 64, 64, 777]},          # a float size
+        {"dests": [True, 3, -1, -1, 4, 9]},                  # a bool endpoint
+        {"sources": [3, 7, None, -1, 9, 4]},                 # a null endpoint
+        {"size_bytes": [64, 64, 64, 64, 64, -1]},            # a negative size
+        {"sources": [3, 7, -2, -1, 9, 4]},                   # an endpoint below -1
+        {"dests": array("q", [7, 9, -1, -5, 4, 9])},         # ... in a packed column
+        {"size_bytes": array("q", [64, 64, 64, -64, 64, 777])},
+        {"sources": array("Q", [3, 7, 1, 1, 9, 4])},         # not an int64 column
+        {"dests": (7, 9, -1, -1, 4, 9)},                     # not a column at all
+        {"timed_out": [2, 3.0]},
+        {"timed_out": [True]},
+    ])
+    def test_columns_that_are_not_sane_integers_are_a_codec_error(self, patch):
+        encoded = codec.trace_to_dict(sample_trace())
+        encoded.update(patch)
+        with pytest.raises(codec.CodecError, match="malformed trace columns"):
+            codec.trace_from_dict(encoded)
+
+    def test_a_json_frame_cannot_smuggle_a_negative_byte_total(self):
+        """The 1.8.0 decoder returned ``total_bytes == -5.5`` for this frame."""
+        frame = codec.encode_frame({"trace": {
+            "kinds": "hh", "size_bytes": [1.5, -7], "sources": [1, 2],
+            "dests": [True, 3]}})
+        with pytest.raises(codec.CodecError, match="size_bytes is not a column"):
+            codec.trace_from_dict(codec.decode_frame(frame)["trace"])
+
+    def test_repeated_timed_out_indices_count_once(self):
+        encoded = codec.trace_to_dict(sample_trace())
+        encoded["timed_out"] = [3, 2, 3, 2]
+        rebuilt = codec.trace_from_dict(encoded)
+        assert rebuilt.timed_out == [2, 3] and rebuilt.timeout_count == 2
+
     def test_rebuilding_does_not_re_record(self, monkeypatch):
         """One ``Message`` per message: no second pass through ``record``."""
         def forbidden(*args, **kwargs):

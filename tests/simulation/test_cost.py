@@ -198,3 +198,50 @@ class TestTrafficBytes:
         for _ in range(3):
             probed.traffic_bytes(trace)
         assert probed.duration(trace) == reference.duration(trace)
+
+
+class TestDrawOrderIsPinned:
+    """``duration`` reads the trace's columns; its RNG draws must not move.
+
+    The digests were taken at 1.8.0, where ``duration`` summed
+    ``message_delay`` over ``Message`` objects: one latency then one
+    bandwidth draw per message in message order, timeouts included.
+    """
+
+    @pytest.mark.parametrize("preset,protocol,digest,avg_response_time_s,avg_messages", [
+        ("wide-area", "chord", "e51c96cda5b43100", 4.300603953172324, 17.541666666666668),
+        ("geo", "chord", "36905275ada6e83b", 6.831853953172325, 17.541666666666668),
+        ("wide-area", "kademlia", "f76ade4ee928b0c2", 6.36490195562838, 12.75),
+        ("geo", "kademlia", "139c6511cb8b7cdf", 7.414901955628381, 12.75),
+    ])
+    def test_seeded_figure_point_is_bit_identical(self, preset, protocol, digest,
+                                                  avg_response_time_s, avg_messages):
+        import hashlib
+        import json
+
+        from repro.simulation import SimulationParameters
+        from repro.simulation.harness import run_simulation
+
+        result = run_simulation(SimulationParameters.quick(
+            seed=2007, protocol=protocol, num_peers=120, num_keys=6,
+            num_queries=24, duration_s=900.0, update_rate_per_hour=40.0,
+            churn_rate_per_s=0.2, failure_rate=0.5, cost_model_preset=preset))
+        queries = result.to_dict()["queries"]
+        assert any(query["response_time_s"] > 6 for query in queries)   # timeouts priced
+        assert hashlib.sha256(json.dumps(queries, sort_keys=True).encode()
+                              ).hexdigest()[:16] == digest
+        assert result.avg_response_time_s == avg_response_time_s
+        assert result.avg_messages == avg_messages
+
+    def test_duration_equals_the_sum_of_message_delays(self):
+        from repro.simulation.cost import GeoLatencyCostModel
+
+        trace = OperationTrace()
+        trace.record_route((3, 7, 9), retries=2, timeouts=1)
+        trace.record_request_reply(MessageKind.GET_REQUEST, MessageKind.GET_REPLY, dest=9)
+        for build in (lambda: NetworkCostModel.wide_area(seed=4),
+                      lambda: GeoLatencyCostModel(regions=3, assignment_seed=7,
+                                                  rng=random.Random(4))):
+            by_columns, by_views = build(), build()
+            assert by_columns.duration(trace) == \
+                sum(by_views.message_delay(message) for message in trace)
