@@ -13,9 +13,8 @@ representations of the same three protocols whose *hot* state lives in flat
   one packed 64-bit array searched with ``bisect``; finger tables are
   version-snapshotted packed arrays instead of per-node list-of-int graphs.
 * :class:`~repro.dht.columnar.kademlia.ColumnarKademliaOverlay` — the member
-  list is a packed array and every k-bucket is a packed ``array('Q')`` row;
-  XOR-nearest scans vectorise through :mod:`repro.dht.columnar.accel` when
-  numpy (the ``repro[fast]`` extra) is installed.
+  list is a packed array and every k-bucket is a packed ``array('Q')`` row
+  under the base class's own update rules and bucket-ordered ``closest``.
 * :class:`~repro.dht.columnar.can.ColumnarCanSpace` — a struct-of-arrays zone
   table (packed-coordinate key -> slot -> owner column) answers point
   ownership by descending the canonical split tree in ``O(log n)`` instead of

@@ -4,30 +4,24 @@ Two hot structures dominate the object overlay's footprint at scale:
 
 * the sorted member list (boxed ints) that the trie-descent responsibility
   search bisects, and
-* one :class:`~repro.dht.kademlia.KBucket` object *per populated bucket per
-  node* — each holding a ``List[int]`` of boxed contacts — mutated on every
-  observe/learn along every lookup path.
+* one ``List[int]`` row of boxed contacts *per populated bucket per node*,
+  mutated on every observe/learn along every lookup path.
 
 :class:`ColumnarKademliaOverlay` packs the member list into an ``array('Q')``
-and replaces the bucket objects with :class:`ArrayRoutingTable`, which keeps
-each k-bucket as a packed ``array('Q')`` row inside a single per-node dict.
-The least-recently-seen update rules are reproduced operation-for-operation,
-so bucket contents — and therefore lookup paths, retry counts and learn
-traffic — are bit-identical to the object representation.
-
-XOR-nearest scans (``closest``) go through :mod:`repro.dht.columnar.accel`,
-which vectorises the distance argsort when numpy (``repro[fast]``) is
-installed; XOR distances to a fixed target are unique per contact, so the
-accelerated order is the same total order as the pure-python sort.
+and :class:`ArrayRoutingTable` makes each bucket row a packed ``array('Q')``.
+The least-recently-seen update rules, ``learn_many`` and the bucket-ordered
+``closest`` are the base class's own code running over the packed rows, so
+bucket contents — and therefore lookup paths, retry counts and learn
+traffic — are bit-identical to the object representation, and nothing on
+this path crosses into numpy.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from typing import Callable, Dict, List, Optional
+from typing import MutableSequence, Optional
 
-from repro.dht.columnar import accel
 from repro.dht.errors import InvalidConfigurationError
 from repro.dht.kademlia import KademliaOverlay, KBucket, RoutingTable
 
@@ -41,16 +35,8 @@ class ArrayRoutingTable(RoutingTable):
     the least-recently-seen contact, the tail the most-recently-seen one.
     """
 
-    def __init__(self, owner: int, bits: int, k: int) -> None:
-        super().__init__(owner, bits, k)
-        self._rows: Dict[int, "array[int]"] = {}
-
-    def _row(self, index: int) -> "array[int]":
-        row = self._rows.get(index)
-        if row is None:
-            row = array("Q")
-            self._rows[index] = row
-        return row
+    def _new_row(self) -> MutableSequence[int]:
+        return array("Q")
 
     def bucket(self, index: int) -> KBucket:
         """A :class:`KBucket` *snapshot* of the packed row (diagnostics only).
@@ -61,76 +47,6 @@ class ArrayRoutingTable(RoutingTable):
         row = self._rows.get(index)
         return KBucket(capacity=self.k,
                        contacts=list(row) if row is not None else [])
-
-    def observe(self, contact: int, is_alive: Callable[[int], bool]) -> bool:
-        """Direct-communication update; same LRS rule as ``KBucket.observe``."""
-        if contact == self.owner:
-            return False
-        row = self._row(self.bucket_index(contact))
-        if contact in row:
-            row.remove(contact)
-            row.append(contact)
-            return True
-        if len(row) < self.k:
-            row.append(contact)
-            return True
-        least_recently_seen = row[0]
-        if is_alive(least_recently_seen):
-            # The LRS contact answered the ping: keep it (old contacts are the
-            # most likely to stay online) and drop the newcomer.
-            row.pop(0)
-            row.append(least_recently_seen)
-            return False
-        row.pop(0)
-        row.append(contact)
-        return True
-
-    def learn(self, contact: int) -> bool:
-        """Second-hand update; same append-if-room rule as ``KBucket.learn``."""
-        if contact == self.owner:
-            return False
-        row = self._row(self.bucket_index(contact))
-        if contact in row:
-            return True
-        if len(row) >= self.k:
-            return False
-        row.append(contact)
-        return True
-
-    def discard(self, contact: int) -> None:
-        """Drop ``contact`` from its row, if present."""
-        if contact == self.owner:
-            return
-        row = self._rows.get(self.bucket_index(contact))
-        if row is None:
-            return
-        try:
-            row.remove(contact)
-        except ValueError:
-            pass
-
-    def _packed_contacts(self) -> "array[int]":
-        """Every contact, concatenated over rows in bucket-index order."""
-        entries = array("Q")
-        for index in sorted(self._rows):
-            entries.extend(self._rows[index])
-        return entries
-
-    def contacts(self) -> List[int]:
-        """Every contact currently held, over all buckets."""
-        return list(self._packed_contacts())
-
-    def closest(self, point: int, count: int) -> List[int]:
-        """The ``count`` known contacts closest (XOR) to ``point``."""
-        return accel.xor_closest(self._packed_contacts(), point, count)
-
-    def __len__(self) -> int:
-        return sum(len(row) for row in self._rows.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        populated = sum(1 for row in self._rows.values() if len(row))
-        return (f"ArrayRoutingTable(owner={self.owner}, contacts={len(self)}, "
-                f"buckets={populated})")
 
 
 class ColumnarKademliaOverlay(KademliaOverlay):

@@ -53,9 +53,12 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import (
     Callable,
+    Container,
     Dict,
+    Iterable,
     List,
     MutableSequence,
     Optional,
@@ -99,11 +102,12 @@ class KBucket:
     """One k-bucket: up to ``capacity`` contacts in least-recently-seen order.
 
     ``contacts[0]`` is the least recently seen contact, ``contacts[-1]`` the
-    most recently seen one.
+    most recently seen one.  A :class:`RoutingTable` keeps bare rows and
+    wraps one in a ``KBucket`` to apply these rules to it.
     """
 
     capacity: int
-    contacts: List[int] = field(default_factory=list)
+    contacts: MutableSequence[int] = field(default_factory=list)
 
     def __contains__(self, contact: int) -> bool:
         return contact in self.contacts
@@ -169,14 +173,26 @@ class RoutingTable:
 
     Bucket ``i`` holds contacts at distance ``[2^i, 2^(i+1))`` from the owner,
     i.e. contacts whose common prefix with the owner is ``bits - 1 - i`` bits.
-    Buckets are created lazily; most of the ``bits`` buckets stay empty.
+    Each bucket is one row (a list here, a packed array in the columnar
+    table) under the :class:`KBucket` rules; rows are created lazily and most
+    of the ``bits`` buckets stay empty.
     """
 
     def __init__(self, owner: int, bits: int, k: int) -> None:
         self.owner = owner
         self.bits = bits
         self.k = k
-        self._buckets: Dict[int, KBucket] = {}
+        self._rows: Dict[int, MutableSequence[int]] = {}
+
+    def _new_row(self) -> MutableSequence[int]:
+        """Representation hook: the empty row of a bucket seen for the first time."""
+        return []
+
+    def _row(self, index: int) -> MutableSequence[int]:
+        row = self._rows.get(index)
+        if row is None:
+            row = self._rows[index] = self._new_row()
+        return row
 
     def bucket_index(self, contact: int) -> int:
         """Index of the bucket responsible for ``contact``."""
@@ -188,49 +204,81 @@ class RoutingTable:
 
     def bucket(self, index: int) -> KBucket:
         """The bucket at ``index`` (created empty on first access)."""
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = KBucket(capacity=self.k)
-            self._buckets[index] = bucket
-        return bucket
+        return KBucket(self.k, self._row(index))
 
     def observe(self, contact: int, is_alive: Callable[[int], bool]) -> bool:
         """Record direct communication with ``contact``."""
         if contact == self.owner:
             return False
-        return self.bucket(self.bucket_index(contact)).observe(contact, is_alive)
+        row = self._row((self.owner ^ contact).bit_length() - 1)
+        return KBucket(self.k, row).observe(contact, is_alive)
 
     def learn(self, contact: int) -> bool:
         """Record a contact learned from a lookup reply."""
         if contact == self.owner:
             return False
-        return self.bucket(self.bucket_index(contact)).learn(contact)
+        row = self._row((self.owner ^ contact).bit_length() - 1)
+        return KBucket(self.k, row).learn(contact)
+
+    def learn_many(self, contacts: Iterable[int], skip: Container[int]) -> None:
+        """Learn one lookup reply: :meth:`learn` each contact, in reply order.
+
+        The owner and the contacts in ``skip`` (those the running lookup found
+        dead) are passed over.  Order matters — two contacts of one bucket
+        compete for its last free slot — and a full bucket cannot change, so
+        its length is tested before the membership scan.
+        """
+        owner, k, rows = self.owner, self.k, self._rows
+        for contact in contacts:
+            if contact != owner and contact not in skip:
+                index = (owner ^ contact).bit_length() - 1
+                row = rows.get(index) or self._row(index)
+                if len(row) < k and contact not in row:
+                    row.append(contact)
 
     def discard(self, contact: int) -> None:
         """Drop ``contact`` from its bucket, if present."""
-        if contact == self.owner:
-            return
-        bucket = self._buckets.get(self.bucket_index(contact))
-        if bucket is not None:
-            bucket.discard(contact)
+        # The owner itself maps to index -1, which no row ever has.
+        row = self._rows.get((self.owner ^ contact).bit_length() - 1)
+        if row is not None and contact in row:
+            row.remove(contact)
 
     def contacts(self) -> List[int]:
         """Every contact currently held, over all buckets."""
         entries: List[int] = []
-        for index in sorted(self._buckets):
-            entries.extend(self._buckets[index].contacts)
+        for index in sorted(self._rows):
+            entries.extend(self._rows[index])
         return entries
 
     def closest(self, point: int, count: int) -> List[int]:
-        """The ``count`` known contacts closest (XOR) to ``point``."""
-        return sorted(self.contacts(), key=lambda contact: contact ^ point)[:count]
+        """The ``count`` known contacts closest (XOR) to ``point``, nearest first.
+
+        The buckets are read in XOR order and only sorted within: with
+        ``d = owner ^ point``, a contact of bucket ``i`` lies at distance
+        ``d`` with bit ``i`` flipped and the lower bits free.  Where bit ``i``
+        of ``d`` is set the flip clears it, so bucket ``i`` is nearer than
+        every lower bucket; elsewhere the flip sets it, so bucket ``i`` is
+        farther than every lower one.  Hence: set bits from the top down, then
+        the other buckets from the bottom up, stopping at ``count``.
+        """
+        rows = self._rows
+        delta = self.owner ^ point
+        ascending = sorted(rows)
+        order = [index for index in reversed(ascending) if delta >> index & 1]
+        order += [index for index in ascending if not delta >> index & 1]
+        found: List[int] = []
+        for index in order:
+            found.extend(sorted(rows[index], key=point.__xor__))
+            if len(found) >= count:
+                break
+        return found[:count]
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return sum(len(row) for row in self._rows.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        populated = sum(1 for bucket in self._buckets.values() if len(bucket))
-        return (f"RoutingTable(owner={self.owner}, contacts={len(self)}, "
+        populated = sum(1 for row in self._rows.values() if len(row))
+        return (f"{type(self).__name__}(owner={self.owner}, contacts={len(self)}, "
                 f"buckets={populated})")
 
 
@@ -248,9 +296,9 @@ class KademliaOverlay(DHTProtocol):
         simulated population sizes).
     alpha:
         Lookup concurrency of the original protocol.  The simulated lookup is
-        sequential (messages, not wall-clock, are what the cost model needs),
-        but ``alpha`` is kept as the number of fallback candidates retained
-        per iteration.
+        sequential (messages, not wall-clock, are what the cost model needs)
+        and never reads it: ``alpha`` is validated and stored so that
+        constructor calls written for the original protocol keep working.
     rng:
         Random source used for bootstrap-contact selection on joins.
     """
@@ -480,23 +528,28 @@ class KademliaOverlay(DHTProtocol):
         own identifier.
         """
         table = self._tables[origin]
-        shortlist: Set[int] = set(table.contacts())
-        shortlist.discard(origin)
-        queried: Set[int] = {origin}
+        # The shortlist is a heap of XOR distances: distances to one target
+        # are unique and ``distance ^ target`` is the contact.  The best
+        # distance only ever falls and a candidate at or beyond it ends the
+        # lookup, so only contacts nearer than it are worth keeping.
+        contacts = table.contacts()
+        if self_distance is not None:
+            contacts = [contact for contact in contacts
+                        if contact ^ target < self_distance]
+        shortlist = [contact ^ target for contact in contacts]
+        heapify(shortlist)
+        seen: Set[int] = {origin, *contacts}
         dead: Set[int] = set()
         path: List[int] = [origin]
         retries = 0
         timeouts = 0
         best_distance = self_distance
         limit = 4 * self.bits + len(self._members)
-        while len(path) + retries <= limit:
-            candidates = [contact for contact in shortlist if contact not in queried]
-            if not candidates:
-                break
-            candidate = min(candidates, key=lambda contact: contact ^ target)
-            if best_distance is not None and candidate ^ target >= best_distance:
+        while shortlist and len(path) + retries <= limit:
+            distance = heappop(shortlist)
+            if best_distance is not None and distance >= best_distance:
                 break  # converged: nobody known is closer than the best queried
-            queried.add(candidate)
+            candidate = distance ^ target
             if candidate not in self._member_set:
                 # Stale bucket entry: the query is wasted (a retry); failures
                 # additionally cost a timeout in the cost model.  The origin
@@ -507,7 +560,6 @@ class KademliaOverlay(DHTProtocol):
                     timeouts += 1
                 dead.add(candidate)
                 table.discard(candidate)
-                shortlist.discard(candidate)
                 continue
             path.append(candidate)
             # Direct communication updates both parties' buckets...
@@ -516,15 +568,18 @@ class KademliaOverlay(DHTProtocol):
             # ...and the reply carries the k contacts closest to the target
             # from the queried node's table, which the origin learns (except
             # contacts this very lookup already found to be dead).
-            for learned in self._tables[candidate].closest(target, self.k):
-                if learned != origin and learned not in dead:
-                    shortlist.add(learned)
-                    table.learn(learned)
-            distance = candidate ^ target
-            if best_distance is None or distance < best_distance:
-                best_distance = distance
+            reply = self._tables[candidate].closest(target, self.k)
+            table.learn_many(reply, dead)
+            best_distance = distance
             if distance == 0:
                 break
+            for learned in reply:
+                nearer = learned ^ target
+                if nearer >= distance:
+                    break  # the reply is nearest first
+                if learned not in seen:
+                    seen.add(learned)
+                    heappush(shortlist, nearer)
         return path, retries, timeouts
 
     def _observe(self, node_id: int, contact: int) -> None:

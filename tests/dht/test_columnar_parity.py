@@ -323,16 +323,6 @@ class TestColumnarCanIndex:
 
 
 class TestAccelHelpers:
-    def test_xor_closest_matches_the_sorted_reference(self):
-        rng = random.Random(13)
-        contacts = array("Q", sorted({rng.getrandbits(32) for _ in range(300)}))
-        for _ in range(25):
-            target = rng.getrandbits(32)
-            for count in (1, 5, 50, 500):
-                expected = sorted(contacts,
-                                  key=lambda contact: contact ^ target)[:count]
-                assert accel.xor_closest(contacts, target, count) == expected
-
     def test_successor_positions_match_bisect(self):
         import bisect
         rng = random.Random(14)
@@ -348,12 +338,8 @@ class TestAccelHelpers:
         rng = random.Random(15)
         contacts = array("Q", sorted({rng.getrandbits(48) for _ in range(512)}))
         targets = [rng.getrandbits(48) for _ in range(64)]
-        vector_closest = [accel.xor_closest(contacts, target, 20)
-                          for target in targets]
         vector_positions = accel.successor_positions(contacts, targets)
         monkeypatch.setattr(accel, "_np", None)
-        assert [accel.xor_closest(contacts, target, 20)
-                for target in targets] == vector_closest
         assert accel.successor_positions(contacts, targets) == vector_positions
 
     def test_numpy_flag_is_a_bool(self):
