@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--replicas", type=int, default=10, help="|Hr|")
     serve.add_argument("--seed", type=int, default=2007)
     serve.add_argument("--max-inflight", type=int, default=32,
-                       help="per-connection inflight-queue bound "
+                       help="requests that may wait on one connection "
+                            "before its socket stops being read "
                             "(the backpressure knob)")
 
     loadgen = subparsers.add_parser(

@@ -8,10 +8,15 @@ execution behind it:
 
 * :mod:`repro.net.codec` — the length-prefixed wire codec (JSON or binary
   bodies) for the existing trace/result types, with measured frame sizes;
+  :mod:`repro.net.wire` is the binary body: tagged values, one-byte codes
+  for the protocol's dict keys, zlib for the bulk ones;
 * :mod:`repro.net.server` — the asyncio node server hosting an overlay
   population + :class:`~repro.dht.storage.LocalStore` replicas + KTS/UMS
-  handlers over TCP and Unix domain sockets, with per-connection
-  backpressure (bounded inflight queue) and graceful shutdown;
+  handlers over TCP and Unix domain sockets; a connection is an
+  :class:`asyncio.Protocol` that runs each request inline in arrival order
+  (one loop turn per request), with backpressure on both sides (reading
+  pauses at ``max_inflight`` waiting requests, execution pauses while the
+  client leaves its replies unread) and graceful shutdown;
 * :mod:`repro.net.client` — the client transport: pooled blocking sockets
   used in the caller's thread, request deadlines and bounded retries mapped
   onto the existing retry/timeout accounting (`LOOKUP_RETRY` trace messages

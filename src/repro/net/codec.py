@@ -163,7 +163,10 @@ class FrameDecoder:
     interleave JSON and binary frames (that is how format negotiation stays a
     capability check instead of a handshake).  A malformed frame is consumed
     from the buffer *before* its :class:`CodecError` is raised, so the
-    decoder stays usable for the frames that follow it.
+    decoder stays usable for the frames that follow it.  Frames completed
+    ahead of it in the same call are not lost to it: the call returns them
+    and leaves the malformed frame at the head of the buffer, where the next
+    call (``feed(b"")`` will do) consumes it and raises.
     """
 
     def __init__(self) -> None:
@@ -187,19 +190,28 @@ class FrameDecoder:
         return self._drain(data)
 
     def _drain(self, data: bytes) -> List[Tuple[Dict[str, Any], str]]:
-        self._buffer.extend(data)
-        frames = []
-        while len(self._buffer) >= _HEADER.size:
-            (length,) = _HEADER.unpack_from(self._buffer)
+        buffer = self._buffer
+        buffer += data
+        frames: List[Tuple[Dict[str, Any], str]] = []
+        while len(buffer) >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(buffer)
             if length > MAX_FRAME_BYTES:
+                if frames:
+                    break  # what arrived intact first; the next call raises
                 raise CodecError(f"frame header announces {length} bytes, over "
                                  f"the {MAX_FRAME_BYTES}-byte limit")
             end = _HEADER.size + length
-            if len(self._buffer) < end:
+            if len(buffer) < end:
                 break
-            body = bytes(self._buffer[_HEADER.size:end])
-            del self._buffer[:end]
-            frames.append(self._decode_body(body))
+            try:
+                frame = self._decode_body(bytes(buffer[_HEADER.size:end]))
+            except CodecError:
+                if frames:
+                    break  # as above: it stays put until the next call
+                del buffer[:end]
+                raise
+            del buffer[:end]
+            frames.append(frame)
         return frames
 
     @staticmethod
@@ -208,7 +220,8 @@ class FrameDecoder:
             return unpack_payload(body), FORMAT_BINARY
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as error:
             raise CodecError(f"malformed frame body: {error}") from error
         if not isinstance(payload, dict):
             raise CodecError(f"frame body must be a JSON object, "

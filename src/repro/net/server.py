@@ -14,16 +14,28 @@ encoded in the same format the request arrived in.  Old JSON-only clients
 keep working unchanged; a binary-capable client simply starts sending binary
 frames after seeing the advertisement.
 
-Per-connection flow control is a **bounded inflight queue**: a reader task
-parses frames and ``await``\\ s them into an ``asyncio.Queue(max_inflight)``,
-and a worker task executes requests strictly in arrival order.  When a client
-floods requests faster than they execute, the queue fills, the reader stops
-reading, and backpressure propagates through the kernel socket buffers to the
-sender — the server's memory stays bounded no matter how fast clients write.
+A connection is an :class:`asyncio.Protocol`, not a pair of streams: the
+loop hands ``data_received`` the bytes it read, the frames they complete are
+decoded, and each request is executed **inline, in strict arrival order**,
+its reply written with ``transport.write`` before the callback returns — one
+event-loop turn per request, no queue hand-over, no per-connection task.
+Requests only *wait* while the line is held: a delayed reply is pending
+(``loop.call_later``; nothing behind it runs, so nothing overtakes it) or the
+transport called ``pause_writing`` because the client is not reading its
+replies.  Flow control is on both sides of that backlog: once ``max_inflight``
+requests wait the socket is no longer read (``pause_reading``, resumed below
+the bound), and backpressure propagates through the kernel socket buffers to
+the sender; while the write buffer is over its high-water mark nothing is
+executed, so replies never pile up either.  A chunk already read is decoded
+whole, so the backlog can exceed ``max_inflight`` by what one read held — the
+server's memory stays bounded no matter how fast clients write or how slowly
+they read.
 
 Shutdown is graceful: :meth:`NodeServer.stop` (or a client ``shutdown``
-request) stops accepting connections, lets every queued request finish,
-flushes the replies and only then closes the connections.
+request) stops accepting connections and stops reading; every connection
+answers the requests it had already read, flushes the replies and only then
+closes.  A malformed frame closes its connection the same way — after the
+intact requests ahead of it are answered.
 
 :class:`ServerThread` runs a server on a private event loop in a daemon
 thread — the harness tests, the load generator and the fault-injection suite
@@ -39,7 +51,9 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from collections import deque
+from typing import (Any, Deque, Dict, Iterable, List, Mapping, Optional, Tuple,
+                    cast)
 
 from repro import __version__
 from repro.api.cluster import Cluster
@@ -101,7 +115,8 @@ class NodeServer:
         exact ``Cluster.build`` path the simulation backend uses — same seed,
         same stack, which is what makes backend parity testable.
     max_inflight:
-        Bound of the per-connection inflight queue (the backpressure knob).
+        How many decoded requests may wait on one connection before its
+        socket stops being read (the backpressure knob).
     fault_schedule:
         Optional :class:`FaultSchedule` for transport-fault tests.
     """
@@ -126,6 +141,7 @@ class NodeServer:
         self._connections: set = set()
         self._stopping = False
         self._stopped: Optional[asyncio.Event] = None
+        self._drained: Optional[asyncio.Event] = None
         self._shutdown_task: Optional["asyncio.Task"] = None
         self._tcp_address: Optional[Tuple[str, int]] = None
         self._uds_path: Optional[str] = None
@@ -147,36 +163,35 @@ class NodeServer:
         if uds is None and host is None:
             raise ValueError("pass a TCP host/port, a UDS path, or both")
         self._stopped = asyncio.Event()
+        loop = asyncio.get_running_loop()
         if host is not None:
-            server = await asyncio.start_server(self._serve_connection,
-                                                host=host, port=port)
+            server = await loop.create_server(lambda: _Connection(self),
+                                              host=host, port=port)
             self._servers.append(server)
             self._tcp_address = server.sockets[0].getsockname()[:2]
         if uds is not None:
-            server = await asyncio.start_unix_server(self._serve_connection,
-                                                     path=uds)
+            server = await loop.create_unix_server(lambda: _Connection(self),
+                                                   path=uds)
             self._servers.append(server)
             self._uds_path = uds
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain every queue, close."""
+        """Graceful shutdown: stop accepting, answer every backlog, close."""
         if self._stopping:
             return
         self._stopping = True
+        self._drained = asyncio.Event()
         for server in self._servers:
             server.close()
+        # Each connection answers what it already read, flushes and closes.
+        for connection in list(self._connections):
+            connection.finish()
         for server in self._servers:
             await server.wait_closed()
-        # Let in-flight requests finish and their replies flush.
-        connections = list(self._connections)
-        for connection in connections:
-            await connection.drain_and_close()
-        # Wait for the connection tasks themselves, so the loop (and an
-        # enclosing asyncio.run) has nothing left to cancel at teardown.
-        tasks = [connection.task for connection in connections
-                 if connection.task is not None and not connection.task.done()]
-        if tasks:
-            await asyncio.wait(tasks, timeout=1.0)
+        # Wait until the last transport is gone, so the loop (and an
+        # enclosing asyncio.run) has nothing left open at teardown.
+        if self._connections:
+            await self._drained.wait()
         if self._stopped is not None:
             self._stopped.set()
 
@@ -187,15 +202,10 @@ class NodeServer:
         await self._stopped.wait()
 
     # ------------------------------------------------------------ connections
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        connection = _Connection(self, reader, writer)
-        connection.task = asyncio.current_task()
-        self._connections.add(connection)
-        try:
-            await connection.run()
-        finally:
-            self._connections.discard(connection)
+    def _connection_closed(self, connection: "_Connection") -> None:
+        self._connections.discard(connection)
+        if self._drained is not None and not self._connections:
+            self._drained.set()
 
     # -------------------------------------------------------------- handlers
     def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -269,100 +279,124 @@ class NodeServer:
         return codec.batch_retrieve_result_to_dict(result)
 
 
-class _Connection:
-    """One client connection: bounded-queue reader + in-order worker."""
+class _Connection(asyncio.Protocol):
+    """One client connection: requests run inline, in arrival order.
 
-    def __init__(self, server: NodeServer, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
+    They only *wait* (in ``_backlog``) while the line is held: a delayed
+    reply is pending, or the transport asked the writer to pause.
+    """
+
+    def __init__(self, server: NodeServer) -> None:
         self.server = server
-        self.reader = reader
-        self.writer = writer
-        self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=server.max_inflight)
-        self.task: Optional["asyncio.Task"] = None
-        self._eof = False
-        self._executing = 0
+        self._decoder = codec.FrameDecoder()
+        self._backlog: Deque[Tuple[Dict[str, Any], str]] = deque()
+        self._transport: asyncio.Transport  # set by connection_made
+        self._delayed: Optional[asyncio.TimerHandle] = None
+        self._write_paused = False
+        self._finishing = False
 
-    async def run(self) -> None:
-        """Drive the reader and worker tasks until EOF or shutdown."""
-        worker = asyncio.get_running_loop().create_task(self._work())
+    # ------------------------------------------------------ protocol callbacks
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = cast(asyncio.Transport, transport)
+        self.server._connections.add(self)
+        if self.server._stopping:  # accepted while the listeners were closing
+            self.finish()
+
+    def data_received(self, data: bytes) -> None:
+        decoder = self._decoder
+        requests: List[Tuple[Dict[str, Any], str]] = []
         try:
-            await self._read()
-        finally:
-            self._eof = True
-            await self.queue.put(None)  # wake the worker for the EOF marker
-            await worker
-            self.writer.close()
-            try:
-                await self.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            requests = decoder.feed_with_formats(data)
+            if requests and decoder.pending_bytes:
+                # Behind them: the start of the next frame, or a malformed
+                # one, which the decoder reports on the call after.
+                decoder.feed_with_formats(b"")
+        except codec.CodecError:
+            # A malformed frame ends the link, but only after everything that
+            # arrived intact ahead of it is answered.
+            self._finishing = True
+        server = self.server
+        backlog = self._backlog
+        for request in requests:
+            backlog.append(request)
+            if len(backlog) > server.max_observed_inflight:
+                server.max_observed_inflight = len(backlog)
+            self._pump()
+        if self._finishing:
+            self._pump()
 
-    async def _read(self) -> None:
-        decoder = codec.FrameDecoder()
-        while True:
-            try:
-                chunk = await self.reader.read(64 * 1024)
-            except (ConnectionError, OSError):
-                return
-            if not chunk:
-                return
-            for request_and_format in decoder.feed_with_formats(chunk):
-                # Backpressure point: a full queue blocks this ``put``, which
-                # stops the read loop until the worker catches up.
-                await self.queue.put(request_and_format)
-                depth = self.queue.qsize()
-                if depth > self.server.max_observed_inflight:
-                    self.server.max_observed_inflight = depth
+    def eof_received(self) -> bool:
+        # The client half-closed: answer what is queued, then close.
+        self.finish()
+        return True
 
-    async def _work(self) -> None:
-        while True:
-            item = await self.queue.get()
-            if item is None:
-                if self._eof and self.queue.empty():
-                    return
-                continue
-            request, wire_format = item
-            self._executing += 1
-            try:
-                await self._execute(request, wire_format)
-            finally:
-                self._executing -= 1
+    def pause_writing(self) -> None:
+        self._write_paused = True
 
-    async def _execute(self, request: Dict[str, Any],
-                       wire_format: str = codec.FORMAT_JSON) -> None:
-        schedule = self.server.fault_schedule
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._pump()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._backlog.clear()
+        if self._delayed is not None:
+            self._delayed.cancel()
+            self._delayed = None
+        self.server._connection_closed(self)
+
+    # -------------------------------------------------------------- execution
+    def finish(self) -> None:
+        """Stop reading; close once the backlog is answered and flushed."""
+        self._finishing = True
+        self._pump()
+
+    def _pump(self) -> None:
+        """Run waiting requests while the line is free; then set flow control."""
+        transport = self._transport
+        backlog = self._backlog
+        while backlog and self._delayed is None and not self._write_paused \
+                and not transport.is_closing():
+            self._execute(*backlog.popleft())
+        if transport.is_closing():
+            backlog.clear()  # reset under us: nobody is left to answer
+        elif self._finishing and not backlog and self._delayed is None:
+            transport.close()  # flushes the write buffer, then drops the link
+        elif self._finishing or len(backlog) >= self.server.max_inflight:
+            # Backpressure point: the socket is no longer read, and the
+            # kernel buffers push back on the sender.
+            transport.pause_reading()
+        else:
+            transport.resume_reading()
+
+    def _execute(self, request: Dict[str, Any], wire_format: str) -> None:
+        server = self.server
+        schedule = server.fault_schedule
         fault_index = None
         if schedule is not None and request.get("op") in _DATA_OPS:
             fault_index = schedule.next_index()
-        reply = self.server.handle_request(request)
-        self.server.requests_served += 1
+        reply = server.handle_request(request)
+        server.requests_served += 1
+        delay = 0.0
         if fault_index is not None:
             if schedule.should_drop(fault_index):
                 return  # executed, but the reply never leaves the server
             delay = schedule.delay_for(fault_index)
-            if delay > 0:
-                await asyncio.sleep(delay)
-        try:
-            # Reply in the format the request arrived in: negotiation stays a
-            # per-frame property, so JSON and binary clients share one server.
-            self.writer.write(codec.encode_frame(reply, wire_format=wire_format))
-            await self.writer.drain()
-        except (ConnectionError, OSError):
-            self._eof = True
+        # Reply in the format the request arrived in: negotiation stays a
+        # per-frame property, so JSON and binary clients share one server.
+        frame = codec.encode_frame(reply, wire_format=wire_format)
+        if delay > 0:
+            # The line is held until the timer fires: nothing behind this
+            # request runs, so no later reply can overtake the delayed one.
+            self._delayed = asyncio.get_running_loop().call_later(
+                delay, self._send_delayed, frame)
+        else:
+            self._transport.write(frame)
 
-    async def drain_and_close(self) -> None:
-        """Finish queued requests, flush replies, then close the link."""
-        while not self.queue.empty() or self._executing:
-            await asyncio.sleep(0)
-        self._eof = True
-        try:
-            await self.writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        self.writer.close()
-        # Wake the read loop (blocked in reader.read) so the connection task
-        # can unwind and finish instead of being cancelled at loop teardown.
-        self.reader.feed_eof()
+    def _send_delayed(self, frame: bytes) -> None:
+        self._delayed = None
+        if not self._transport.is_closing():
+            self._transport.write(frame)
+        self._pump()
 
 
 class ServerThread:
@@ -411,8 +445,8 @@ class ServerThread:
         self._ready.set()
         try:
             loop.run_until_complete(self.server.wait_stopped())
-            # Give connection tasks a moment to observe the closed writers,
-            # so the loop closes without destroying pending tasks.
+            # ``stop()`` saw every transport off; a task the loop started
+            # for a connection accepted in its last turn may still be pending.
             pending = [task for task in asyncio.all_tasks(loop)
                        if not task.done()]
             if pending:

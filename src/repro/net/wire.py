@@ -24,11 +24,17 @@ operation trace, :func:`repro.net.codec.trace_to_dict`, are its user) and
 decodes back to one; the JSON encoder writes the same column as a plain list,
 and arrays of any other typecode are refused at encode time.
 
-Dict keys are emitted in sorted order, mirroring the JSON encoder's
-``sort_keys=True``, so equal payloads always produce identical bytes; tuples
-are encoded as lists, matching the JSON round-trip.  ``Timestamp`` values get
-a dedicated tag instead of the JSON tag-object, so they round-trip without
-the ``__repro.timestamp__`` wrapper.
+A dict is a u32 count, then ``count`` keys each followed by its value.  A
+key listed in :data:`WIRE_KEYS` — the protocol's own field names — is **one
+byte**, its index in that table; any other key is ``0xFF`` plus a
+length-prefixed UTF-8 string.  The table is append-only (codes are wire
+protocol, like the trace's kind codes), and there is one key layout: no
+negotiation, no fallback.  Keys are emitted in sorted order *of the key
+strings*, mirroring the JSON encoder's ``sort_keys=True``, so equal payloads
+always produce identical bytes; tuples are encoded as lists, matching the
+JSON round-trip.  ``Timestamp`` values get a dedicated tag instead of the
+JSON tag-object, so they round-trip without the ``__repro.timestamp__``
+wrapper.
 
 Compression only replaces the uncompressed body when the packed encoding
 reaches ``compress_min_bytes`` *and* ``zlib`` actually shrinks it, so small
@@ -44,7 +50,7 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.core.timestamps import Timestamp
 
@@ -57,6 +63,7 @@ __all__ = [
     "MARKER_COMPRESSED",
     "MAX_FRAME_BYTES",
     "WIRE_FORMATS",
+    "WIRE_KEYS",
     "normalize_wire_format",
     "pack_payload",
     "unpack_payload",
@@ -87,15 +94,58 @@ MARKER_COMPRESSED = 0x02
 
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
-_F64 = struct.Struct(">d")
-
-#: Bounds of the fixed-width integer tag; wider integers fall back to the
-#: decimal-string tag so arbitrary Python ints survive the round trip.
-_I64_MIN = -(2 ** 63)
-_I64_MAX = 2 ** 63 - 1
+#: One tag byte and its fixed-width field, packed in one call: a count or
+#: length (``s``/``I``/``l``/``d``/``q``), an int64 (``i``), a float64 (``f``).
+_TAG_U32 = struct.Struct(">cI")
+_TAG_I64 = struct.Struct(">cq")
+_TAG_F64 = struct.Struct(">cd")
 
 #: The ``q`` tag is big-endian on the wire like every other field.
 _SWAP_ARRAYS = sys.byteorder == "little"
+
+#: Dict keys that travel as one byte: a key's index in this table *is* its
+#: wire code.  **Append-only and pinned** (``tests/net/test_codec.py`` spells
+#: the table out): a reorder or a removal silently renames every field a peer
+#: reads, so new protocol keys go at the end and nothing ever leaves.  The
+#: envelope, request, result and trace field names — whatever
+#: ``RemoteService`` sends and ``NodeServer.handle_request`` answers, through
+#: the ``*_to_dict`` encoders of :mod:`repro.net.codec`, for the data
+#: operations (the ``info``/``sync`` reports are sent once and stay spelled
+#: out).  At most 255 entries: code ``0xFF`` escapes to a length-prefixed
+#: string for any other key.
+WIRE_KEYS: Tuple[str, ...] = (
+    # envelope
+    "id", "ok", "result", "error", "op",
+    # request parameters
+    "service", "key", "data", "origin", "unreachable", "consistency",
+    "max_probes", "items", "keys",
+    # results
+    "replicas_written", "replicas_attempted", "timestamp", "version", "found",
+    "is_current", "replicas_inspected", "latest_timestamp", "ambiguous",
+    "results", "trace",
+    # trace columns
+    "sizes", "control_bytes", "data_bytes", "kinds", "size_bytes", "sources",
+    "dests", "timed_out",
+    # the JSON-compatible Timestamp tag object of ``codec.encode_value``
+    "__repro.timestamp__",
+)
+
+_RAW_KEY_CODE = 0xFF
+_RAW_KEY = bytes((_RAW_KEY_CODE,))
+_KEY_CODES: Dict[str, bytes] = {key: bytes((code,))
+                                for code, key in enumerate(WIRE_KEYS)}
+_KEY_COUNT = len(WIRE_KEYS)
+
+# Value tags as the integers that indexing a ``bytes`` body yields.  0x00 is
+# never one: a dict in the pre-1.11 layout (u32 key length first, so 0x00
+# 0x00 for any key under 64 KiB) then reads as key code 0 followed by value
+# tag 0x00 and is refused at its first key.
+(_TAG_NONE, _TAG_TRUE, _TAG_FALSE, _TAG_INT, _TAG_BIGINT, _TAG_FLOAT, _TAG_STR,
+ _TAG_LIST, _TAG_DICT, _TAG_ARRAY, _TAG_TIMESTAMP) = b"NTFiIfsldqt"
+
+_U32_AT = _U32.unpack_from
+_I64_AT = _I64.unpack_from
+_F64_AT = struct.Struct(">d").unpack_from
 
 
 def normalize_wire_format(name: str) -> str:
@@ -107,37 +157,73 @@ def normalize_wire_format(name: str) -> str:
 
 
 # ----------------------------------------------------------------- encoding
-def _encode_str(text: str, out: List[bytes]) -> None:
+def _encode_str(tag: bytes, text: str, out: bytearray) -> None:
     raw = text.encode("utf-8")
-    out.append(_U32.pack(len(raw)))
-    out.append(raw)
+    out += _TAG_U32.pack(tag, len(raw))
+    out += raw
 
 
-def _encode_value(value: Any, out: List[bytes]) -> None:
-    """Append the tagged encoding of ``value`` to ``out``."""
-    if value is None:
-        out.append(b"N")
-    elif value is True:
-        out.append(b"T")
-    elif value is False:
-        out.append(b"F")
-    elif isinstance(value, Timestamp):
-        out.append(b"t")
-        _encode_value(value.key, out)
-        out.append(_I64.pack(value.value))
-    elif isinstance(value, int):
-        if _I64_MIN <= value <= _I64_MAX:
-            out.append(b"i")
-            out.append(_I64.pack(value))
+def _encode_int(value: int, out: bytearray) -> None:
+    try:
+        out += _TAG_I64.pack(b"i", value)
+    except struct.error:
+        # Wider than int64: the decimal-string tag, so arbitrary Python ints
+        # survive the round trip.
+        _encode_str(b"I", str(value), out)
+
+
+def _encode_list(values: Sequence[Any], out: bytearray) -> None:
+    out += _TAG_U32.pack(b"l", len(values))
+    for item in values:
+        _encode_value(item, out)
+
+
+def _encode_dict(value: Dict[Any, Any], out: bytearray) -> None:
+    out += _TAG_U32.pack(b"d", len(value))
+    try:
+        keys = sorted(value)
+    except TypeError:
+        keys = list(value)  # mixed key types: the loop below names the culprit
+    for key in keys:
+        code = _KEY_CODES.get(key)
+        if code is not None:
+            out += code
+        elif isinstance(key, str):
+            _encode_str(_RAW_KEY, key, out)
         else:
-            out.append(b"I")
-            _encode_str(str(value), out)
-    elif isinstance(value, float):
-        out.append(b"f")
-        out.append(_F64.pack(value))
-    elif isinstance(value, str):
-        out.append(b"s")
-        _encode_str(value, out)
+            raise CodecError(f"binary payload dict keys must be strings, "
+                             f"got {type(key).__name__}")
+        _encode_value(value[key], out)
+
+
+def _encode_value(value: Any, out: bytearray) -> None:
+    """Append the tagged encoding of ``value`` to ``out``.
+
+    The exact types a payload is made of are dispatched on ``type(value)``;
+    subclasses (an ``IntEnum``, a ``str`` enum, a named tuple) take the
+    ``isinstance`` chain below them.
+    """
+    kind = type(value)
+    if kind is str:
+        _encode_str(b"s", value, out)
+    elif kind is int:
+        _encode_int(value, out)
+    elif kind is dict:
+        _encode_dict(value, out)
+    elif kind is list or kind is tuple:
+        _encode_list(value, out)
+    elif value is None:
+        out += b"N"
+    elif value is True:
+        out += b"T"
+    elif value is False:
+        out += b"F"
+    elif kind is float:
+        out += _TAG_F64.pack(b"f", value)
+    elif isinstance(value, Timestamp):
+        out += b"t"
+        _encode_value(value.key, out)
+        out += _I64.pack(value.value)
     elif isinstance(value, array):
         if value.typecode != "q":
             raise CodecError(f"only array('q') is wire-serialisable, "
@@ -145,23 +231,18 @@ def _encode_value(value: Any, out: List[bytes]) -> None:
         if _SWAP_ARRAYS:
             value = array("q", value)
             value.byteswap()
-        out.append(b"q")
-        out.append(_U32.pack(len(value)))
-        out.append(value.tobytes())
+        out += _TAG_U32.pack(b"q", len(value))
+        out += value.tobytes()
+    elif isinstance(value, int):
+        _encode_int(value, out)
+    elif isinstance(value, float):
+        out += _TAG_F64.pack(b"f", value)
+    elif isinstance(value, str):
+        _encode_str(b"s", value, out)
     elif isinstance(value, (list, tuple)):
-        out.append(b"l")
-        out.append(_U32.pack(len(value)))
-        for item in value:
-            _encode_value(item, out)
+        _encode_list(value, out)
     elif isinstance(value, dict):
-        out.append(b"d")
-        out.append(_U32.pack(len(value)))
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise CodecError(f"binary payload dict keys must be strings, "
-                                 f"got {type(key).__name__}")
-            _encode_str(key, out)
-            _encode_value(value[key], out)
+        _encode_dict(value, out)
     else:
         raise CodecError(f"value of type {type(value).__name__} is not "
                          f"wire-serialisable")
@@ -178,90 +259,104 @@ def pack_payload(payload: Dict[str, Any], *,
     if not isinstance(payload, dict):
         raise CodecError(f"frame payload must be a dict, "
                          f"got {type(payload).__name__}")
-    chunks: List[bytes] = []
-    _encode_value(payload, chunks)
-    packed = b"".join(chunks)
-    if len(packed) >= compress_min_bytes:
-        compressed = zlib.compress(packed, 6)
-        if len(compressed) < len(packed):
+    packed = bytearray((MARKER_BINARY,))
+    _encode_value(payload, packed)
+    if len(packed) > compress_min_bytes:  # the marker byte is not body
+        compressed = zlib.compress(memoryview(packed)[1:], 6)
+        if len(compressed) < len(packed) - 1:
             return bytes((MARKER_COMPRESSED,)) + compressed
-    return bytes((MARKER_BINARY,)) + packed
+    return bytes(packed)
 
 
 # ----------------------------------------------------------------- decoding
-class _Reader:
-    """Cursor over one packed body; every read is bounds-checked."""
+def _counted(data: bytes, pos: int, width: int) -> Tuple[int, int]:
+    """Bounds of the ``count × width`` bytes behind the u32 count at ``pos``.
 
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
+    Checked against the bytes actually there before anything is sliced (a
+    slice would silently come back short) or allocated (a hostile count).
+    """
+    start = pos + 4
+    end = start + _U32_AT(data, pos)[0] * width
+    if end > len(data):
+        raise CodecError(f"truncated binary body: wanted {end - start} bytes "
+                         f"at offset {start}, have {len(data)}")
+    return start, end
 
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == len(self._data)
 
-    def take(self, count: int) -> bytes:
-        end = self._pos + count
-        if end > len(self._data):
-            raise CodecError(f"truncated binary body: wanted {count} bytes at "
-                             f"offset {self._pos}, have {len(self._data)}")
-        chunk = self._data[self._pos:end]
-        self._pos = end
-        return chunk
+def _decode_str(data: bytes, pos: int) -> Tuple[str, int]:
+    """The length-prefixed UTF-8 string at ``pos`` and the offset behind it."""
+    start, end = _counted(data, pos, 1)
+    try:
+        return str(data[start:end], "utf-8"), end
+    except UnicodeDecodeError as error:
+        raise CodecError(f"malformed UTF-8 in binary body: {error}") from error
 
-    def take_str(self) -> str:
-        (length,) = _U32.unpack(self.take(_U32.size))
+
+def _decode_value(data: bytes, pos: int) -> Tuple[Any, int]:
+    """The tagged value at ``pos`` and the offset behind it.
+
+    Every read is bounds-checked: a tag, a key code or a fixed-width field
+    past the end raises ``IndexError``/``struct.error`` (``unpack_from``
+    checks the buffer itself), which :func:`unpack_payload` reports as a
+    truncated body; a counted field (string, array) goes through
+    :func:`_counted`.
+    """
+    tag = data[pos]
+    pos += 1
+    if tag == _TAG_STR:
+        return _decode_str(data, pos)
+    if tag == _TAG_INT:
+        return _I64_AT(data, pos)[0], pos + 8
+    if tag == _TAG_DICT:
+        count = _U32_AT(data, pos)[0]
+        pos += 4
+        result: Dict[str, Any] = {}
+        for _ in range(count):
+            code = data[pos]
+            if code < _KEY_COUNT:
+                key = WIRE_KEYS[code]
+                pos += 1
+            elif code == _RAW_KEY_CODE:
+                key, pos = _decode_str(data, pos + 1)
+            else:
+                raise CodecError(f"unknown dict key code {code:#04x} at "
+                                 f"offset {pos}")
+            result[key], pos = _decode_value(data, pos)
+        return result, pos
+    if tag == _TAG_LIST:
+        count = _U32_AT(data, pos)[0]
+        pos += 4
+        items = []
+        for _ in range(count):
+            item, pos = _decode_value(data, pos)
+            items.append(item)
+        return items, pos
+    if tag == _TAG_NONE:
+        return None, pos
+    if tag == _TAG_TRUE:
+        return True, pos
+    if tag == _TAG_FALSE:
+        return False, pos
+    if tag == _TAG_ARRAY:
+        start, end = _counted(data, pos, 8)
+        column = array("q")
+        column.frombytes(data[start:end])
+        if _SWAP_ARRAYS:
+            column.byteswap()
+        return column, end
+    if tag == _TAG_TIMESTAMP:
+        key, pos = _decode_value(data, pos)
+        return Timestamp(key=key, value=_I64_AT(data, pos)[0]), pos + 8
+    if tag == _TAG_FLOAT:
+        return _F64_AT(data, pos)[0], pos + 8
+    if tag == _TAG_BIGINT:
+        text, pos = _decode_str(data, pos)
         try:
-            return self.take(length).decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise CodecError(f"malformed UTF-8 in binary body: {error}") from error
-
-    def take_value(self) -> Any:
-        tag = self.take(1)
-        if tag == b"N":
-            return None
-        if tag == b"T":
-            return True
-        if tag == b"F":
-            return False
-        if tag == b"i":
-            (value,) = _I64.unpack(self.take(_I64.size))
-            return value
-        if tag == b"I":
-            try:
-                return int(self.take_str())
-            except ValueError as error:
-                raise CodecError(f"malformed big integer: {error}") from error
-        if tag == b"f":
-            (value,) = _F64.unpack(self.take(_F64.size))
-            return value
-        if tag == b"s":
-            return self.take_str()
-        if tag == b"l":
-            (count,) = _U32.unpack(self.take(_U32.size))
-            return [self.take_value() for _ in range(count)]
-        if tag == b"d":
-            (count,) = _U32.unpack(self.take(_U32.size))
-            result: Dict[str, Any] = {}
-            for _ in range(count):
-                key = self.take_str()
-                result[key] = self.take_value()
-            return result
-        if tag == b"q":
-            (count,) = _U32.unpack(self.take(_U32.size))
-            # ``take`` checks ``count * 8`` against the bytes actually left
-            # before anything is allocated, so a hostile count cannot.
-            column = array("q")
-            column.frombytes(self.take(count * _I64.size))
-            if _SWAP_ARRAYS:
-                column.byteswap()
-            return column
-        if tag == b"t":
-            key = self.take_value()
-            (counter,) = _I64.unpack(self.take(_I64.size))
-            return Timestamp(key=key, value=counter)
-        raise CodecError(f"unknown binary value tag {tag!r} at "
-                         f"offset {self._pos - 1}")
+            return int(text), pos
+        except ValueError as error:
+            raise CodecError(f"malformed big integer: {error}") from error
+    raise CodecError(f"unknown binary value tag {bytes((tag,))!r} at "
+                     f"offset {pos - 1}")
 
 
 def unpack_payload(body: bytes) -> Dict[str, Any]:
@@ -269,21 +364,26 @@ def unpack_payload(body: bytes) -> Dict[str, Any]:
     if not body:
         raise CodecError("empty frame body")
     marker = body[0]
-    packed = body[1:]
+    start = 1
     if marker == MARKER_COMPRESSED:
         decompressor = zlib.decompressobj()
         try:
-            packed = decompressor.decompress(packed, MAX_FRAME_BYTES)
+            body = decompressor.decompress(memoryview(body)[1:], MAX_FRAME_BYTES)
         except zlib.error as error:
             raise CodecError(f"malformed compressed body: {error}") from error
         if decompressor.unconsumed_tail or not decompressor.eof:
             raise CodecError("compressed body exceeds the frame size limit "
                              "or is truncated")
+        start = 0
     elif marker != MARKER_BINARY:
         raise CodecError(f"unknown binary body marker {marker:#04x}")
-    reader = _Reader(packed)
-    payload = reader.take_value()
-    if not reader.exhausted:
+    try:
+        payload, end = _decode_value(body, start)
+    except (IndexError, struct.error) as error:
+        raise CodecError(f"truncated binary body: {error}") from error
+    except RecursionError as error:
+        raise CodecError("binary body nests too deeply") from error
+    if end != len(body):
         raise CodecError("trailing bytes after the binary payload")
     if not isinstance(payload, dict):
         raise CodecError(f"frame body must decode to an object, "

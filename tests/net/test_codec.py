@@ -10,7 +10,9 @@ import pytest
 from repro.api.cluster import Cluster
 from repro.core.timestamps import Timestamp
 from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrace
-from repro.net import codec
+from repro.net import codec, wire
+from repro.net.client import TransportError, connect
+from repro.net.server import NodeServer
 
 
 class TestFraming:
@@ -161,6 +163,33 @@ class TestBinaryFraming:
         assert decoder.feed(b"") == [good]
         assert decoder.pending_bytes == 0
 
+    @pytest.mark.parametrize("bad_frame", [
+        struct.pack(">I", 5) + b"\x05junk",              # unknown body marker
+        struct.pack(">I", 3) + b"\x01d\x00",             # truncated binary body
+        struct.pack(">I", 2) + b"{]",                     # malformed JSON
+    ], ids=["marker", "truncated", "json"])
+    def test_frames_ahead_of_a_malformed_one_are_not_lost(self, bad_frame):
+        first, third = {"id": 1, "op": "ping"}, {"id": 3, "op": "ping"}
+        decoder = codec.FrameDecoder()
+        # The intact frame comes out; the bad one waits at the buffer's head,
+        assert decoder.feed(codec.encode_frame(first) + bad_frame
+                            + codec.encode_frame(third)) == [first]
+        assert decoder.pending_bytes > 0
+        # is consumed and reported by the next call,
+        with pytest.raises(codec.CodecError):
+            decoder.feed(b"")
+        # and the stream goes on behind it.
+        assert decoder.feed(b"") == [third]
+        assert decoder.pending_bytes == 0
+
+    def test_frames_ahead_of_an_oversize_header_are_not_lost(self):
+        first = {"id": 1, "op": "ping"}
+        decoder = codec.FrameDecoder()
+        assert decoder.feed(codec.encode_frame(first) + struct.pack(
+            ">I", codec.MAX_FRAME_BYTES + 1)) == [first]
+        with pytest.raises(codec.CodecError, match="limit"):
+            decoder.feed(b"")
+
     def test_int64_arrays_round_trip_packed_and_as_json_lists(self):
         column = array("q", [0, -1, 2 ** 63 - 1, -(2 ** 63), 1234567890123])
         payload = {"column": column, "empty": array("q")}
@@ -196,6 +225,55 @@ class TestBinaryFraming:
             codec.encode_frame({"outer": {1: "x"}},
                                wire_format=codec.FORMAT_BINARY)
 
+    def test_mixed_type_dict_keys_are_a_codec_error_too(self):
+        with pytest.raises(codec.CodecError, match="keys must be strings"):
+            codec.encode_frame({"outer": {1: "x", "id": 2}},
+                               wire_format=codec.FORMAT_BINARY)
+
+    def test_table_keys_travel_as_one_byte_and_others_escaped(self):
+        body = wire.pack_payload({"id": 7, "zz": None})
+        assert body == (b"\x01d" + struct.pack(">I", 2)
+                        + bytes((wire.WIRE_KEYS.index("id"),))
+                        + b"i" + struct.pack(">q", 7)
+                        + b"\xff" + struct.pack(">I", 2) + b"zz" + b"N")
+        assert wire.unpack_payload(body) == {"id": 7, "zz": None}
+
+    @pytest.mark.parametrize("code", [len(wire.WIRE_KEYS), 0x80, 0xFE])
+    def test_key_code_outside_the_table_is_rejected(self, code):
+        body = b"\x01d" + struct.pack(">I", 1) + bytes((code,)) + b"N"
+        with pytest.raises(codec.CodecError, match="key code"):
+            wire.unpack_payload(body)
+
+    @pytest.mark.parametrize("tail", [
+        b"",                                          # no key at all
+        b"\x00",                                      # right after a key code
+        b"\xff",                                      # right after the escape
+        b"\xff\x00\x00",                              # inside the key length
+        b"\xff" + struct.pack(">I", 5) + b"abc",      # inside the raw key
+        b"\xff" + struct.pack(">I", 2 ** 32 - 1),     # hostile key length
+    ], ids=["no-key", "after-code", "after-escape", "in-length", "in-key",
+            "hostile-length"])
+    def test_body_truncated_at_a_dict_key_is_rejected(self, tail):
+        body = b"\x01d" + struct.pack(">I", 1) + tail
+        with pytest.raises(codec.CodecError, match="truncated"):
+            wire.unpack_payload(body)
+
+    def test_malformed_utf8_in_a_raw_key_is_rejected(self):
+        body = (b"\x01d" + struct.pack(">I", 1)
+                + b"\xff" + struct.pack(">I", 1) + b"\xfe" + b"N")
+        with pytest.raises(codec.CodecError, match="UTF-8"):
+            wire.unpack_payload(body)
+
+    @pytest.mark.parametrize("key", ["id", "c", "a-key-outside-the-table"])
+    def test_a_dict_in_the_1_10_layout_fails_cleanly(self, key):
+        # The old layout put a u32 key length first: a new decoder reads its
+        # leading 0x00 as key code 0 and the next 0x00 as a value tag, which
+        # is not one -- a mismatched peer is refused at its first key.
+        body = (b"\x01d" + struct.pack(">I", 1)
+                + struct.pack(">I", len(key)) + key.encode() + b"N")
+        with pytest.raises(codec.CodecError, match="unknown binary value tag"):
+            wire.unpack_payload(body)
+
     def test_normalize_wire_format_rejects_unknown_names(self):
         assert codec.normalize_wire_format("binary") == "binary"
         with pytest.raises(codec.CodecError, match="unknown wire format"):
@@ -229,6 +307,34 @@ PINNED_KIND_CODES = {
     "last-ts-reply": "L", "counter-transfer": "c", "data-transfer": "d",
     "control": "x", "sync-summary": "s", "sync-delta": "S",
 }
+
+
+#: The one-byte dict-key codes as first shipped (1.11.0), in code order.
+PINNED_WIRE_KEYS = (
+    "id", "ok", "result", "error", "op",
+    "service", "key", "data", "origin", "unreachable", "consistency",
+    "max_probes", "items", "keys",
+    "replicas_written", "replicas_attempted", "timestamp", "version", "found",
+    "is_current", "replicas_inspected", "latest_timestamp", "ambiguous",
+    "results", "trace",
+    "sizes", "control_bytes", "data_bytes", "kinds", "size_bytes", "sources",
+    "dests", "timed_out",
+    "__repro.timestamp__",
+)
+
+#: Request/result fields whose *values* are the application's, not protocol.
+_USER_FIELDS = frozenset({"key", "data", "items", "keys"})
+
+
+def _protocol_keys(payload: dict) -> set:
+    """Every dict key of ``payload`` outside the application's own values."""
+    keys = set(payload)
+    for key, value in payload.items():
+        if key not in _USER_FIELDS:
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, dict):
+                    keys |= _protocol_keys(item)
+    return keys
 
 
 def sample_trace() -> OperationTrace:
@@ -291,6 +397,45 @@ class TestTraceEncoding:
         # New kinds append: the shipped codes stay a prefix of the table.
         assert list(codes.items())[:len(PINNED_KIND_CODES)] == \
             list(PINNED_KIND_CODES.items())
+
+    def test_wire_key_table_is_pinned_and_append_only(self):
+        # A key's index is its wire code: a reorder or a removal renames
+        # every field a peer reads, so the shipped table stays a prefix.
+        assert wire.WIRE_KEYS[:len(PINNED_WIRE_KEYS)] == PINNED_WIRE_KEYS
+        assert len(set(wire.WIRE_KEYS)) == len(wire.WIRE_KEYS)
+        assert len(wire.WIRE_KEYS) <= 0xFF  # 0xFF escapes to a raw key
+        assert all(isinstance(key, str) for key in wire.WIRE_KEYS)
+
+    def test_every_protocol_key_on_the_data_path_has_a_code(self, serve):
+        """What ``NetClient``/``RemoteService`` send and ``handle_request``
+        (with the ``*_to_dict`` encoders under it) answers, for the four
+        data operations, ``ping`` and an error reply.  ``info`` and ``sync``
+        replies are free-form reports sent once and stay spelled out."""
+        seen = []
+
+        class Recording(NodeServer):
+            def handle_request(self, request):
+                reply = super().handle_request(request)
+                if request.get("op") not in ("info", "sync"):
+                    seen.extend((request, reply))
+                return reply
+
+        server = serve(Recording(peers=16, replicas=4, seed=5))
+        with connect(server.tcp_address) as cluster:
+            with cluster.session() as session:
+                session.insert("k", {"v": 1})
+                session.retrieve("k", max_probes=3)
+                session.insert_many([("a", {"n": 1}), ("b", {"n": 2})])
+                session.retrieve_many(["a", "missing"])
+            cluster.ping()
+            with pytest.raises(TransportError, match="unknown service"):
+                cluster.client.request("insert", key="k", data={},
+                                       service="paxos")
+        assert len(seen) == 12
+        emitted = set().union(*map(_protocol_keys, seen))
+        assert emitted - set(wire.WIRE_KEYS) == set()
+        # ... and the table carries nothing the protocol does not use.
+        assert set(wire.WIRE_KEYS) - emitted == set()
 
     def test_unknown_kind_code_is_a_codec_error(self):
         encoded = codec.trace_to_dict(sample_trace())

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import socket
+import struct
+import threading
+import time
 
 import pytest
 
@@ -115,12 +118,108 @@ class TestBackpressure:
         # ... and the server never buffered more than the configured bound.
         assert 0 < server.max_observed_inflight <= 4
 
+    def test_a_client_that_never_reads_stalls_execution_not_memory(
+            self, dial, read_replies):
+        """Replies nobody reads stop the *execution*: once the transport
+        says ``pause_writing`` nothing more runs, so neither the write buffer
+        nor the backlog grows with what the client keeps sending."""
+        requests, blob = 1500, "x" * 16384
+        server = NodeServer(peers=16, replicas=4, seed=11, max_inflight=4)
+        with dial(server)() as raw:
+            raw.sendall(codec.encode_frame(
+                {"id": -1, "op": "insert", "key": "k", "data": blob}))
+            assert read_replies(raw, 1)[0]["ok"]
+            flood = b"".join(
+                codec.encode_frame({"id": index, "op": "retrieve", "key": "k"})
+                for index in range(requests))
+            # ~25 MB of replies against a few MB of socket buffers; the
+            # requests go out from a thread because the server stops reading.
+            sender = threading.Thread(target=raw.sendall, args=(flood,))
+            sender.start()
+            served = _wait_until_stalled(server)
+            assert 1 < served < requests
+            (connection,) = server._connections
+            transport = connection._transport
+            _low, high = transport.get_write_buffer_limits()
+            one_reply = len(blob) + 1024
+            assert high < transport.get_write_buffer_size() <= high + one_reply
+            assert not transport.is_reading()
+            assert server.max_inflight <= len(connection._backlog)
+            # Once the client reads, everything is delivered, in order.
+            replies = read_replies(raw, requests)
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+        assert [reply["id"] for reply in replies] == list(range(requests))
+        assert all(reply["result"]["data"] == blob for reply in replies)
+        assert server.requests_served == requests + 1
+
     def test_max_inflight_must_be_positive(self):
         with pytest.raises(ValueError, match="max_inflight"):
             NodeServer(peers=8, seed=1, max_inflight=0)
 
 
+def _wait_until_stalled(server: NodeServer, quiet_s: float = 0.3) -> int:
+    """Block until ``requests_served`` stops moving; return where it stopped."""
+    served, since = server.requests_served, time.monotonic()
+    while time.monotonic() - since < quiet_s:
+        time.sleep(0.02)
+        if server.requests_served != served:
+            served, since = server.requests_served, time.monotonic()
+    return served
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("garbage", [
+        struct.pack(">I", 5) + b"\x05junk",      # no such body marker
+        struct.pack(">I", 3) + b"\x01d\x00",     # truncated binary body
+        struct.pack(">I", codec.MAX_FRAME_BYTES + 1),
+    ], ids=["marker", "truncated", "oversize"])
+    def test_requests_ahead_of_a_malformed_frame_are_answered(
+            self, dial, read_replies, garbage):
+        """One ``sendall`` of [ping, garbage, ping]: the first ping is
+        answered, then the link is closed -- nothing behind the garbage runs."""
+        server = NodeServer(peers=16, replicas=4, seed=11)
+        with dial(server)() as raw:
+            raw.sendall(codec.encode_frame({"id": 1, "op": "ping"}) + garbage
+                        + codec.encode_frame({"id": 2, "op": "ping"}))
+            assert read_replies(raw) == [{"id": 1, "ok": True,
+                                         "result": "pong"}]
+        assert server.requests_served == 1
+
+    def test_a_malformed_first_frame_just_closes_the_link(self, dial,
+                                                          read_replies):
+        server = NodeServer(peers=16, replicas=4, seed=11)
+        with dial(server)() as raw:
+            raw.sendall(struct.pack(">I", 2) + b"{]"
+                        + codec.encode_frame({"id": 2, "op": "ping"}))
+            assert read_replies(raw) == []
+        assert server.requests_served == 0
+
+
 class TestShutdown:
+    def test_shutdown_answers_everything_read_before_closing(self, dial,
+                                                             read_replies):
+        """[ping x5, shutdown, ping x3] in one chunk: nine replies, then EOF."""
+        ops = ["ping"] * 5 + ["shutdown"] + ["ping"] * 3
+        server = NodeServer(peers=16, replicas=4, seed=11)
+        with dial(server)() as raw:
+            raw.sendall(b"".join(codec.encode_frame({"id": index, "op": op})
+                                 for index, op in enumerate(ops)))
+            replies = read_replies(raw)
+        assert [reply["id"] for reply in replies] == list(range(len(ops)))
+        assert [reply["result"] for reply in replies] == \
+            ["pong"] * 5 + ["stopping"] + ["pong"] * 3
+        assert server.requests_served == len(ops)
+
+    def test_a_half_closing_client_still_gets_its_answers(self, dial,
+                                                          read_replies):
+        server = NodeServer(peers=16, replicas=4, seed=11)
+        with dial(server)() as raw:
+            raw.sendall(b"".join(codec.encode_frame({"id": index, "op": "ping"})
+                                 for index in range(3)))
+            raw.shutdown(socket.SHUT_WR)
+            assert [reply["id"] for reply in read_replies(raw)] == [0, 1, 2]
+
     def test_client_initiated_graceful_shutdown(self, serve):
         server = serve(NodeServer(peers=16, replicas=4, seed=11))
         with connect(server.tcp_address) as cluster:

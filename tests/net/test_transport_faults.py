@@ -17,10 +17,17 @@ full value parity with the in-process backend.
 
 from __future__ import annotations
 
+import asyncio
+import select
+import socket
+import struct
+import time
+
 import pytest
 
 from repro.api.cluster import Cluster
 from repro.dht.messages import MessageKind, OperationTrace
+from repro.net import codec
 from repro.net.client import RequestTimeout, connect
 from repro.net.server import FaultSchedule, NodeServer
 
@@ -157,6 +164,107 @@ class TestDelayedReplies:
                 assert got.data == want.data
                 assert got.is_current == want.is_current
         assert actual_messages == expected_messages
+
+
+    def test_a_delayed_reply_holds_its_line_and_only_its_line(
+            self, dial, read_replies):
+        """The request behind a delayed reply does not overtake it, and the
+        loop goes on serving a second connection while the first one waits."""
+        delay = 0.8
+        server = NodeServer(peers=16, replicas=4, seed=11,
+                            fault_schedule=FaultSchedule(
+                                delay_replies={0: delay}))
+        connect_raw = dial(server)
+        with connect_raw() as held, connect_raw() as other:
+            started = time.monotonic()
+            held.sendall(
+                codec.encode_frame({"id": 0, "op": "insert", "key": "k",
+                                    "data": {"v": 1}})
+                + codec.encode_frame({"id": 1, "op": "ping"}))
+            for index in range(5):
+                other.sendall(codec.encode_frame({"id": index, "op": "ping"}))
+                assert read_replies(other, 1)[0]["id"] == index
+            # The second connection was served inside the delay, during which
+            # the first got nothing -- not even the ping's undelayed reply.
+            assert time.monotonic() - started < delay
+            assert select.select([held], [], [], 0)[0] == []
+            replies = read_replies(held, 2)
+            assert time.monotonic() - started >= delay
+        assert [reply["id"] for reply in replies] == [0, 1]
+        assert replies[1]["result"] == "pong"
+
+    def test_stop_waits_for_a_held_backlog(self, dial, read_replies):
+        """``stop()`` finds a connection whose line a delayed reply holds: the
+        delayed reply and the requests queued behind it still go out, in
+        order, before the link closes."""
+        server = NodeServer(peers=16, replicas=4, seed=11,
+                            fault_schedule=FaultSchedule(
+                                delay_replies={0: 0.3}))
+        connect_raw = dial(server)
+        with connect_raw() as held, connect_raw() as other:
+            held.sendall(
+                codec.encode_frame({"id": 0, "op": "insert", "key": "k",
+                                    "data": {"v": 1}})
+                + b"".join(codec.encode_frame({"id": index, "op": "ping"})
+                           for index in (1, 2, 3)))
+            deadline = time.monotonic() + 5
+            while not server.requests_served:  # the insert ran: line is held
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            other.sendall(codec.encode_frame({"id": 9, "op": "shutdown"}))
+            assert [reply["result"] for reply in read_replies(other)] == \
+                ["stopping"]
+            assert [reply["id"] for reply in read_replies(held)] == [0, 1, 2, 3]
+        assert server.requests_served == 5
+
+    @pytest.mark.parametrize("family", ["tcp", "uds"])
+    def test_a_reset_mid_backlog_leaves_nothing_behind(self, family, tmp_path):
+        """The client vanishes while a delayed reply holds fifty requests in
+        the backlog: they are dropped with the link, the timer is cancelled,
+        and no task, transport or un-retrieved exception outlives it."""
+        delay, loop_errors = 0.3, []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda _loop, context: loop_errors.append(context))
+            server = NodeServer(peers=16, replicas=4, seed=11,
+                                fault_schedule=FaultSchedule(
+                                    delay_replies={0: delay}))
+            if family == "tcp":
+                await server.start()
+                raw = socket.create_connection(server.tcp_address)
+            else:
+                path = str(tmp_path / "node.sock")
+                await server.start(host=None, uds=path)
+                raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                raw.connect(path)
+            raw.sendall(
+                codec.encode_frame({"id": 0, "op": "insert", "key": "k",
+                                    "data": {"v": 1}})
+                + b"".join(codec.encode_frame({"id": index, "op": "ping"})
+                           for index in range(1, 51)))
+            await asyncio.sleep(0.1)
+            (connection,) = server._connections
+            assert len(connection._backlog) == 50
+            assert connection._delayed is not None
+            # Close with a reset, not a FIN (SO_LINGER 0); a Unix socket has
+            # no reset, the server sees the link go as it writes.
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                           struct.pack("ii", 1, 0))
+            raw.close()
+            await asyncio.sleep(delay + 0.2)
+            assert not server._connections
+            assert not connection._backlog
+            assert connection._delayed is None
+            assert connection._transport.is_closing()
+            if family == "tcp":
+                assert server.requests_served == 1
+            await server.stop()
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+
+        asyncio.run(scenario())
+        assert loop_errors == []
 
 
 class TestFaultSchedule:

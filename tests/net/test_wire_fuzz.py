@@ -7,7 +7,9 @@ bytes are split into chunks, and a malformed or oversized frame must raise
 for the frames that follow.  The packed-int64-array tag and the columnar
 trace built on it get the same treatment: hostile counts and truncated
 bodies are refused before anything is allocated, and any trace survives both
-wire formats message for message.
+wire formats message for message.  So do the one-byte dict-key codes: any
+mix of table keys and escaped keys round-trips, byte-for-byte the same
+whatever order the keys were inserted in.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from repro.api.results import BatchInsertResult, InsertResult
 from repro.core.timestamps import Timestamp
 from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrace
-from repro.net import codec
+from repro.net import codec, wire
 
 # JSON-compatible payload values; ints kept within int64 so JSON and binary
 # frames carry the same payloads (bigger ints are binary-only tested in
@@ -106,6 +108,66 @@ class TestReassembly:
         assert codec.decode_value(decoded["v"]) == stamp
 
 
+# ------------------------------------------------------------ one-byte keys
+_dict_keys = st.one_of(
+    st.sampled_from(wire.WIRE_KEYS),                   # travel as their code
+    st.text(max_size=8),                               # escaped, "" included
+    st.text(alphabet="äßπ鍵🔑", min_size=1, max_size=6),
+    st.text(alphabet="k", min_size=255, max_size=300),  # longer than a byte
+)
+
+_keyed_values = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(_dict_keys, children, max_size=5)),
+    max_leaves=12)
+
+_keyed_payloads = st.dictionaries(_dict_keys, _keyed_values, max_size=6)
+
+
+def _reordered(value, rng):
+    """``value`` with the insertion order of every dict in it shuffled."""
+    if isinstance(value, dict):
+        items = [(key, _reordered(item, rng)) for key, item in value.items()]
+        rng.shuffle(items)
+        return dict(items)
+    if isinstance(value, list):
+        return [_reordered(item, rng) for item in value]
+    return value
+
+
+class TestKeyCodes:
+    @given(payload=_keyed_payloads, seed=st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_any_mix_of_keys_round_trips_deterministically(self, payload, seed):
+        body = wire.pack_payload(payload, compress_min_bytes=64)
+        assert wire.unpack_payload(body) == payload
+        # Equal payloads are equal bytes, whatever order their keys went in.
+        assert wire.pack_payload(_reordered(payload, seed),
+                                 compress_min_bytes=64) == body
+
+    @given(payload=_keyed_payloads, junk=st.binary(min_size=1, max_size=8),
+           position=st.integers(min_value=0))
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_keyed_bodies_only_ever_raise_codec_error(
+            self, payload, junk, position):
+        body = bytearray(wire.pack_payload(payload, compress_min_bytes=1 << 30))
+        start = 1 + position % len(body)
+        body[start:start + len(junk)] = junk
+        try:
+            wire.unpack_payload(bytes(body))
+        except codec.CodecError:
+            pass
+
+    @given(payload=_keyed_payloads, cut=st.integers(min_value=1))
+    @settings(max_examples=200, deadline=None)
+    def test_truncated_keyed_bodies_are_always_rejected(self, payload, cut):
+        body = wire.pack_payload(payload, compress_min_bytes=1 << 30)
+        with pytest.raises(codec.CodecError):
+            wire.unpack_payload(body[:-(1 + cut % (len(body) - 1))])
+
+
 class TestMalformedFrames:
     @given(junk=st.binary(min_size=1, max_size=64), payload=_payloads,
            wire_format=_formats)
@@ -151,7 +213,7 @@ class TestMalformedFrames:
 def _binary_frame(packed_value: bytes) -> bytes:
     """A binary frame whose payload is ``{"c": <packed_value>}``."""
     body = (b"\x01" + b"d" + struct.pack(">I", 1)
-            + struct.pack(">I", 1) + b"c" + packed_value)
+            + b"\xff" + struct.pack(">I", 1) + b"c" + packed_value)
     return struct.pack(">I", len(body)) + body
 
 
