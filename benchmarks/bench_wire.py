@@ -1,17 +1,23 @@
 """Wire-format efficiency suite: measured frame bytes, JSON vs binary.
 
 The wire-efficiency layer claims that the compact binary framing (tagged
-struct packing + zlib above the compression threshold) shrinks bulk transfers
-by at least 2x against the legacy JSON frames.  This bench *measures* that
-claim: it builds deterministic payloads shaped like the protocol's real
-traffic (single ops, batched ops, delta-sync entry lists, and the
-trace-bearing point replies that dominate a ``tcp_point`` run) with
-:mod:`repro.net.codec`, records the exact frame size of each under both
-formats, and fails when any bulk payload misses the improvement bar.
+struct packing, native result records, one deflate stream per connection)
+shrinks bulk transfers by at least 2x against the legacy JSON frames.  This
+bench *measures* that claim: it builds deterministic payloads shaped like
+the protocol's real traffic (single ops, batched ops, delta-sync entry
+lists, and the trace-bearing point replies that dominate a ``tcp_point``
+run) with :mod:`repro.net.codec`, records the exact frame size of each under
+both formats, and fails when any bulk payload misses the improvement bar.
 
-Frame sizes are deterministic functions of the payloads (no sampling, no
-wall-clock), so runs are bit-identical across machines and a stored baseline
-can be compared exactly.
+A binary frame is the next piece of its connection's deflate stream, so its
+size depends on the frames before it: the plain rows measure each payload
+as the first frame of a fresh stream, and the ``*_mid_stream`` rows the last
+request and reply of a seeded ``tcp_point``-like connection, where every
+earlier frame is history the stream can refer back to.
+
+Frame sizes are deterministic functions of the payloads and the seeded
+sequence (no sampling, no wall-clock), so runs are bit-identical across
+machines and a stored baseline can be compared exactly.
 
 Usage
 -----
@@ -34,9 +40,11 @@ import argparse
 import itertools
 import json
 import pathlib
+import random
 import sys
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from repro.api.cluster import Cluster
 from repro.api.results import InsertResult, RetrieveResult
 from repro.core.timestamps import Timestamp
 from repro.dht.messages import MessageKind, OperationTrace
@@ -47,6 +55,9 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 #: Payloads below this many JSON bytes are "control" traffic: binary helps but
 #: the 2x bulk-transfer bar only applies to the data-carrying shapes.
 _BULK_THRESHOLD_BYTES = 512
+
+#: Operations on the seeded connection of the ``*_mid_stream`` rows.
+_MID_STREAM_OPS = 20
 
 
 def _bulk_items(count: int, *, seed: int = 2007) -> list:
@@ -102,11 +113,48 @@ def _point_replies() -> Dict[str, dict]:
                           replicas_attempted=10, trace=insert_trace,
                           timestamp=stamp, service="ums")
     return {
-        "retrieve_reply": {"id": 19, "ok": True,
-                           "result": codec.retrieve_result_to_dict(retrieve)},
-        "insert_reply": {"id": 23, "ok": True,
-                         "result": codec.insert_result_to_dict(insert)},
+        "retrieve_reply": {"id": 19, "ok": True, "result": retrieve},
+        "insert_reply": {"id": 23, "ok": True, "result": insert},
     }
+
+
+def _mid_stream(ops: int = _MID_STREAM_OPS, *,
+                seed: int = 2007) -> Dict[str, Tuple[dict, int]]:
+    """The last request and reply of a seeded connection, each with its
+    binary frame size measured mid-stream.
+
+    ``ops`` operations of the ``tcp_point`` mix (80 % retrieves, the last
+    one too) over 16 pre-inserted keys, executed on a seeded in-process
+    cluster; requests and replies each go through one deflate stream, as
+    a client's and a server's connection send them.
+    """
+    rng = random.Random(seed)
+    cluster = Cluster.build(peers=64, replicas=10, seed=seed)
+    requests, replies = codec.DeflateStream(), codec.DeflateStream()
+    sizes = {}
+    with cluster.session() as session:
+        for index in range(16):
+            session.insert(f"key-{index:03d}", {"op": -index})
+        for index in range(ops):
+            key = f"key-{rng.randrange(16):03d}"
+            request = {"id": index, "key": key, "service": None,
+                       "origin": None, "unreachable": []}
+            if index == ops - 1 or rng.random() < 0.8:
+                request.update(op="retrieve", consistency="current",
+                               max_probes=None)
+                result = session.retrieve(key)
+            else:
+                data = {"op": index, "payload": f"value-{index:04d}" * 4}
+                request.update(op="insert", data=data)
+                result = session.insert(key, data)
+            reply = {"id": index, "ok": True, "result": result}
+            for name, payload, stream in (("retrieve_mid_stream", request, requests),
+                                          ("retrieve_reply_mid_stream", reply,
+                                           replies)):
+                frame = codec.encode_frame(payload, wire_format=codec.FORMAT_BINARY,
+                                           stream=stream)
+                sizes[name] = (payload, len(frame))
+    return sizes
 
 
 def build_payloads(batch: int = 64) -> Dict[str, dict]:
@@ -143,12 +191,15 @@ def run_suite(batch: int = 64) -> Dict:
     """Measure every payload under both formats; return the report dict."""
     report: Dict = {"harness": "bench_wire",
                     "meta": {"batch": batch,
-                             "compress_min_bytes": codec.COMPRESS_MIN_BYTES,
-                             "frame_header_bytes": codec.FRAME_HEADER_BYTES},
+                             "frame_header_bytes": codec.FRAME_HEADER_BYTES,
+                             "mid_stream_ops": _MID_STREAM_OPS},
                     "results": {}}
-    for name, payload in build_payloads(batch).items():
+    rows = {name: (payload, codec.frame_size(payload,
+                                             wire_format=codec.FORMAT_BINARY))
+            for name, payload in build_payloads(batch).items()}
+    rows.update(_mid_stream())
+    for name, (payload, binary_bytes) in rows.items():
         json_bytes = codec.frame_size(payload, wire_format=codec.FORMAT_JSON)
-        binary_bytes = codec.frame_size(payload, wire_format=codec.FORMAT_BINARY)
         cell = {"json_bytes": json_bytes, "binary_bytes": binary_bytes,
                 "improvement": json_bytes / binary_bytes,
                 "bulk": json_bytes >= _BULK_THRESHOLD_BYTES}

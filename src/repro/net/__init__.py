@@ -8,8 +8,10 @@ execution behind it:
 
 * :mod:`repro.net.codec` — the length-prefixed wire codec (JSON or binary
   bodies) for the existing trace/result types, with measured frame sizes;
-  :mod:`repro.net.wire` is the binary body: tagged values, one-byte codes
-  for the protocol's dict keys, zlib for the bulk ones;
+  :mod:`repro.net.wire` is the binary body: tagged values, native records
+  for the results and traces, one-byte codes for the protocol's dict keys,
+  and every frame a piece of one deflate stream per connection and
+  direction;
 * :mod:`repro.net.server` — the asyncio node server hosting an overlay
   population + :class:`~repro.dht.storage.LocalStore` replicas + KTS/UMS
   handlers over TCP and Unix domain sockets; a connection is an

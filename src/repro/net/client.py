@@ -20,7 +20,12 @@ The transport internals:
   many ``recv`` calls the reply arrives in; a timed-out connection is torn
   down (its reply can no longer be matched) and the request is retried on a
   fresh connection, up to ``max_retries`` times, after which
-  :class:`RequestTimeout` surfaces to the caller.
+  :class:`RequestTimeout` surfaces to the caller;
+* a binary connection's frames are one deflate stream per direction
+  (:class:`~repro.net.wire.DeflateStream` out, the
+  :class:`~repro.net.codec.FrameDecoder` in), so a request is encoded per
+  attempt, on the connection that sends it: a retry on a fresh link starts
+  fresh streams, and ``bytes_sent`` adds up the frames actually sent.
 
 Retries map onto the existing accounting: each timeout-retry is recorded in
 the operation's :class:`~repro.dht.messages.OperationTrace` as a
@@ -102,10 +107,12 @@ class RequestStats:
 
 
 class _Connection:
-    """One pooled connection: a blocking socket plus its frame decoder."""
+    """One pooled connection: a blocking socket, the deflate stream of what
+    it sends and the frame decoder of what it receives."""
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
+        self.stream = codec.DeflateStream()
         self.decoder = codec.FrameDecoder()
 
     def request(self, frame: bytes,
@@ -277,11 +284,21 @@ class NetClient:
             self.counters.requests += 1
         payload = {"id": request_id, "op": op}
         payload.update(params)
-        frame = codec.encode_frame(payload, wire_format=self.wire_format)
         stats = RequestStats(attempts=0)
         while True:
             stats.attempts += 1
             connection = self._acquire()
+            # Encoded per attempt, on the connection that sends it: a retry
+            # on a fresh link starts that link's stream afresh.
+            try:
+                frame = codec.encode_frame(payload, wire_format=self.wire_format,
+                                           stream=connection.stream)
+            except BaseException as error:
+                # A refused payload never touched the stream: keep the link.
+                self._release(connection,
+                              reuse=isinstance(error, codec.CodecError))
+                raise
+            stats.bytes_sent += len(frame)
             try:
                 reply, received = connection.request(frame, self.timeout_s)
             except socket.timeout:
@@ -300,7 +317,6 @@ class NetClient:
                 self._release(connection, reuse=False)
                 raise
             else:
-                stats.bytes_sent = len(frame) * stats.attempts
                 stats.bytes_received = received
                 with self._slot_free:
                     self.counters.bytes_sent += stats.bytes_sent
@@ -342,10 +358,12 @@ class NetClient:
 class RemoteService:
     """A :class:`~repro.api.services.CurrencyService` speaking the wire protocol.
 
-    Each operation forwards to the server, decodes the shared result types
-    back from the reply payload, and appends the transport-level retry
-    messages to the result's trace — so ``Session.messages_sent`` keeps counting the way it
-    does against the simulation backend, timeouts included.
+    Each operation forwards to the server, takes the shared result type
+    back from the reply (a binary reply carries the object itself, a JSON
+    one its ``*_to_dict`` form, decoded here), and appends the
+    transport-level retry messages to the result's trace — so
+    ``Session.messages_sent`` keeps counting the way it does against the
+    simulation backend, timeouts included.
     """
 
     def __init__(self, client: NetClient,
@@ -353,11 +371,16 @@ class RemoteService:
         self.client = client
         self.service_name = service_name
 
-    def _call(self, op: str, decode: Callable[[Dict[str, Any]], Any],
-              **params: Any) -> Any:
+    def _call(self, op: str, result_type: type,
+              decode: Callable[[Dict[str, Any]], Any], **params: Any) -> Any:
         params["service"] = self.service_name
         payload, stats = self.client.request(op, **params)
-        result = decode(payload)
+        # A binary reply carries the result object; a JSON one its dict form.
+        result = decode(payload) if isinstance(payload, dict) else payload
+        if not isinstance(result, result_type):
+            raise TransportError(f"{op} reply carried a "
+                                 f"{type(result).__name__}, not a "
+                                 f"{result_type.__name__}")
         if stats.retries:
             # Same convention as the simulator's routing retries: one
             # LOOKUP_RETRY message, flagged timed out, per re-send.
@@ -368,7 +391,8 @@ class RemoteService:
     def insert(self, key: Any, data: Any, *, origin: Optional[int] = None,
                unreachable: FrozenSet[int] = frozenset()) -> InsertResult:
         """Write ``key`` to every replica holder, over the wire."""
-        return self._call("insert", codec.insert_result_from_dict,
+        return self._call("insert", InsertResult,
+                          codec.insert_result_from_dict,
                           key=codec.encode_value(key),
                           data=codec.encode_value(data), origin=origin,
                           unreachable=sorted(unreachable))
@@ -378,7 +402,8 @@ class RemoteService:
                  consistency: str = Consistency.CURRENT,
                  max_probes: Optional[int] = None) -> RetrieveResult:
         """Read ``key`` under the requested consistency level, over the wire."""
-        return self._call("retrieve", codec.retrieve_result_from_dict,
+        return self._call("retrieve", RetrieveResult,
+                          codec.retrieve_result_from_dict,
                           key=codec.encode_value(key), origin=origin,
                           unreachable=sorted(unreachable),
                           consistency=consistency, max_probes=max_probes)
@@ -388,7 +413,8 @@ class RemoteService:
                     unreachable: FrozenSet[int] = frozenset()) -> BatchInsertResult:
         """Write several keys in one wire exchange."""
         return self._call(
-            "insert_many", codec.batch_insert_result_from_dict,
+            "insert_many", BatchInsertResult,
+            codec.batch_insert_result_from_dict,
             items=[[codec.encode_value(key), codec.encode_value(data)]
                    for key, data in items],
             origin=origin, unreachable=sorted(unreachable))
@@ -399,7 +425,8 @@ class RemoteService:
                       max_probes: Optional[int] = None) -> BatchRetrieveResult:
         """Read several keys in one wire exchange."""
         return self._call(
-            "retrieve_many", codec.batch_retrieve_result_from_dict,
+            "retrieve_many", BatchRetrieveResult,
+            codec.batch_retrieve_result_from_dict,
             keys=[codec.encode_value(key) for key in keys],
             origin=origin, unreachable=sorted(unreachable),
             consistency=consistency, max_probes=max_probes)

@@ -2,11 +2,13 @@
 
 Frames are ``4-byte big-endian length || body``.  The body's first byte
 discriminates its format (see :mod:`repro.net.wire` for the binary layouts):
-``{`` opens the legacy compact key-sorted JSON object, ``0x01`` a tagged
-struct-packed binary object, ``0x02`` a zlib-compressed binary object.  Both
-encoders are deterministic functions of the payload, so a frame's byte size
-is too — :func:`frame_size` *measures* the serialised size of any payload,
-giving the bytes-per-op accounting the simulator's
+``{`` opens the legacy compact key-sorted JSON object, ``0x02`` the next
+piece of the connection's deflate stream (the only binary body written),
+``0x01`` a plain tagged binary object (still read).  A JSON body is a
+deterministic function of its payload; a binary one of its payload and the
+frames its stream carried before — :func:`frame_size` *measures* the
+serialised size of any payload as the first frame of a fresh stream, giving
+the bytes-per-op accounting the simulator's
 :class:`~repro.dht.messages.MessageSizes` only models.
 
 **Size convention**: :func:`frame_size` reports the full on-the-wire cost of
@@ -16,17 +18,19 @@ the body alone subtracts ``FRAME_HEADER_BYTES``.
 
 On top of the framing, the codec defines the JSON encoding of the existing
 in-process types so the client and the server exchange *exactly* the objects
-the simulation backend produces:
+the simulation backend produces (the binary format carries the same objects
+as records of its own, see :mod:`repro.net.wire`):
 
 * :class:`~repro.dht.messages.OperationTrace` as one column per message
   field (:func:`trace_to_dict`/:func:`trace_from_dict`) — a reply's trace is
-  most of its bytes, so it travels as a kind-code string and packed integer
-  arrays, never as one dict per message;
+  most of its bytes, so it travels as a kind-code string and integer
+  columns, never as one dict per message;
 * the shared result types of :mod:`repro.api.results`
   (:func:`insert_result_to_dict`, :func:`retrieve_result_to_dict`, the batch
   variants, and their inverses) — batched results rebuild the *shared* batch
   trace so the in-process invariant (all per-key results reference one trace)
-  survives the wire;
+  survives the wire.  :func:`encode_frame` applies the ``*_to_dict``
+  encoders itself to the results and traces of a JSON payload;
 * :class:`~repro.core.timestamps.Timestamp` values, tagged so they round-trip
   losslessly inside otherwise plain-JSON payloads.
 
@@ -39,8 +43,9 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.results import (
     BatchInsertResult,
@@ -51,20 +56,22 @@ from repro.api.results import (
 from repro.core.timestamps import Timestamp
 from repro.dht.messages import KIND_CODES, MessageSizes, OperationTrace
 from repro.net.wire import (
-    COMPRESS_MIN_BYTES,
     FORMAT_BINARY,
     FORMAT_JSON,
+    MARKER_COMPRESSED,
     MAX_FRAME_BYTES,
     WIRE_FORMATS,
     CodecError,
+    DeflateStream,
     normalize_wire_format,
     pack_payload,
+    trace_from_columns,
     unpack_payload,
 )
 
 __all__ = [
-    "COMPRESS_MIN_BYTES",
     "CodecError",
+    "DeflateStream",
     "FORMAT_BINARY",
     "FORMAT_JSON",
     "FRAME_HEADER_BYTES",
@@ -101,17 +108,17 @@ _TIMESTAMP_TAG = "__repro.timestamp__"
 
 # ------------------------------------------------------------------- framing
 def encode_frame(payload: Dict[str, Any], *, wire_format: str = FORMAT_JSON,
-                 compress_min_bytes: int = COMPRESS_MIN_BYTES) -> bytes:
+                 stream: Optional[DeflateStream] = None) -> bytes:
     """Serialise ``payload`` as one length-prefixed frame.
 
     ``wire_format`` selects the body encoding: ``"json"`` (the legacy compact
-    key-sorted JSON object) or ``"binary"`` (the tagged struct-packed
-    encoding of :mod:`repro.net.wire`, zlib-compressed once the packed body
-    reaches ``compress_min_bytes``).  Either way the bytes are a
-    deterministic function of the payload.
+    key-sorted JSON object) or ``"binary"`` (the tagged encoding of
+    :mod:`repro.net.wire` as the next piece of ``stream``, the sending
+    connection's :class:`~repro.net.wire.DeflateStream`; without one, the
+    first frame of a fresh stream).  A JSON frame ignores ``stream``.
     """
     if normalize_wire_format(wire_format) == FORMAT_BINARY:
-        body = pack_payload(payload, compress_min_bytes=compress_min_bytes)
+        body = pack_payload(payload, stream=stream)
     else:
         try:
             body = json.dumps(payload, separators=(",", ":"), sort_keys=True,
@@ -119,16 +126,20 @@ def encode_frame(payload: Dict[str, Any], *, wire_format: str = FORMAT_JSON,
         except (TypeError, ValueError) as error:
             raise CodecError(
                 f"payload is not JSON-serialisable: {error}") from error
-    if len(body) > MAX_FRAME_BYTES:
-        raise CodecError(f"frame body of {len(body)} bytes exceeds the "
-                         f"{MAX_FRAME_BYTES}-byte limit")
+        if len(body) > MAX_FRAME_BYTES:
+            raise CodecError(f"frame body of {len(body)} bytes exceeds the "
+                             f"{MAX_FRAME_BYTES}-byte limit")
     return _HEADER.pack(len(body)) + body
 
 
 def _json_default(value: Any) -> Any:
-    """JSON has no packed arrays: an ``array('q')`` column is a plain list."""
+    """What JSON lacks: an ``array('q')`` column is a plain list, and a
+    result or trace object its ``*_to_dict`` form."""
     if isinstance(value, array) and value.typecode == "q":
         return value.tolist()
+    to_dict = _TO_DICT.get(type(value))
+    if to_dict is not None:
+        return to_dict(value)
     raise TypeError(f"{type(value).__name__} is not JSON-serialisable")
 
 
@@ -149,7 +160,7 @@ def frame_size(payload: Dict[str, Any], *,
     Header-inclusive by convention: the 4-byte length prefix
     (:data:`FRAME_HEADER_BYTES`) is counted, so the result is exactly the
     byte count a transport would put on the wire for this payload in
-    ``wire_format``.
+    ``wire_format`` — as a connection's first binary frame.
     """
     return len(encode_frame(payload, wire_format=wire_format))
 
@@ -161,16 +172,24 @@ class FrameDecoder:
     arbitrarily many chunks (or many frames inside one chunk).  Each frame's
     body format is detected from its first byte, so one connection may freely
     interleave JSON and binary frames (that is how format negotiation stays a
-    capability check instead of a handshake).  A malformed frame is consumed
-    from the buffer *before* its :class:`CodecError` is raised, so the
-    decoder stays usable for the frames that follow it.  Frames completed
-    ahead of it in the same call are not lost to it: the call returns them
-    and leaves the malformed frame at the head of the buffer, where the next
-    call (``feed(b"")`` will do) consumes it and raises.
+    capability check instead of a handshake).  It also owns the receiving
+    half of the connection's deflate stream, created at the first ``0x02``
+    frame: those frames must all arrive, in order.
+
+    A malformed frame is consumed from the buffer *before* its
+    :class:`CodecError` is raised, so the decoder stays usable for the JSON
+    and ``0x01`` frames that follow it — a bad ``0x02`` frame breaks the
+    stream, and every later ``0x02`` frame is refused (there is no resync).
+    Frames completed ahead of it in the same call are not lost to it: the
+    call returns them and leaves the malformed frame at the head of the
+    buffer, where the next call (``feed(b"")`` will do) consumes it and
+    raises.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
+        self._inflate: Optional["zlib._Decompress"] = None
+        self._stream_error: Optional[CodecError] = None
 
     @property
     def pending_bytes(self) -> int:
@@ -214,8 +233,18 @@ class FrameDecoder:
             frames.append(frame)
         return frames
 
-    @staticmethod
-    def _decode_body(body: bytes) -> Tuple[Dict[str, Any], str]:
+    def _decode_body(self, body: bytes) -> Tuple[Dict[str, Any], str]:
+        if body and body[0] == MARKER_COMPRESSED:
+            if self._stream_error is not None:
+                raise CodecError(f"binary stream broken by an earlier frame "
+                                 f"({self._stream_error}); there is no resync")
+            if self._inflate is None:
+                self._inflate = zlib.decompressobj(-zlib.MAX_WBITS)
+            try:
+                return unpack_payload(body, stream=self._inflate), FORMAT_BINARY
+            except CodecError as error:
+                self._stream_error = error
+                raise
         if body and body[0] < 0x20:  # binary markers sort below printable JSON
             return unpack_payload(body), FORMAT_BINARY
         try:
@@ -260,7 +289,6 @@ def decode_value(value: Any) -> Any:
 # ------------------------------------------------------------------- traces
 #: The trace's own kind codes are the wire's (see :data:`KIND_CODES`).
 _KIND_CODES = KIND_CODES
-_DROP_KNOWN_KINDS = str.maketrans("", "", "".join(KIND_CODES.values()))
 
 _Column = Union["array[int]", List[int]]
 
@@ -308,37 +336,25 @@ def _int_column(payload: Dict[str, Any], name: str) -> _Column:
 def trace_from_dict(payload: Dict[str, Any]) -> OperationTrace:
     """Rebuild an :class:`OperationTrace` encoded by :func:`trace_to_dict`.
 
-    The columns are adopted, not copied into per-message objects; anything
-    that is not four equally long columns of known kind codes, sizes ``>= 0``
-    and endpoints ``>= -1``, with in-range ``timed_out`` indices, is a
-    :class:`CodecError`.
+    The columns are adopted, not copied into per-message objects; they go
+    through :func:`repro.net.wire.trace_from_columns`, whose every failed
+    check is a :class:`CodecError`.
     """
     try:
         sizes = payload.get("sizes", {})
         message_sizes = MessageSizes(
             control_bytes=sizes.get("control_bytes", 128),
             data_bytes=sizes.get("data_bytes", 1024))
-        unknown = payload.get("kinds", "").translate(_DROP_KNOWN_KINDS)
+        kinds = bytearray(payload.get("kinds", ""), "ascii")
+    except UnicodeEncodeError as error:
+        raise CodecError(f"unknown message kind code "
+                         f"{error.object[error.start]!r}") from error
     except (TypeError, AttributeError) as error:
         raise CodecError(f"malformed trace columns: {error}") from error
-    if unknown:
-        raise CodecError(f"unknown message kind code {unknown[0]!r}")
-    kinds = bytearray(payload.get("kinds", ""), "ascii")
-    size_bytes, sources, dests, marked = (_int_column(payload, name) for name in (
+    size_bytes, sources, dests, timed_out = (_int_column(payload, name) for name in (
         "size_bytes", "sources", "dests", "timed_out"))
-    timed_out = sorted(set(marked))
-    count = len(kinds)
-    if not len(size_bytes) == len(sources) == len(dests) == count:
-        raise CodecError(
-            f"trace columns differ in length: {count} kinds, "
-            f"{len(size_bytes)} sizes, {len(sources)} sources, "
-            f"{len(dests)} dests")
-    if count and (min(size_bytes) < 0 or min(sources) < -1 or min(dests) < -1):
-        raise CodecError("malformed trace columns: a size below 0 or an endpoint below -1")
-    if timed_out and not 0 <= timed_out[0] <= timed_out[-1] < count:
-        raise CodecError(f"timed_out index outside a trace of {count} "
-                         f"messages: {timed_out[0]}..{timed_out[-1]}")
-    return OperationTrace(message_sizes, (kinds, size_bytes, sources, dests, timed_out))
+    return trace_from_columns(message_sizes, kinds, size_bytes, sources, dests,
+                              timed_out)
 
 
 # ------------------------------------------------------------------ results
@@ -437,3 +453,13 @@ def batch_retrieve_result_from_dict(payload: Dict[str, Any]) -> BatchRetrieveRes
                       for item in payload["results"]),
         trace=trace,
         consistency=payload.get("consistency", "current"))
+
+
+#: The JSON form of the objects the binary format carries as records.
+_TO_DICT: Dict[type, Callable[[Any], Dict[str, Any]]] = {
+    OperationTrace: trace_to_dict,
+    InsertResult: insert_result_to_dict,
+    RetrieveResult: retrieve_result_to_dict,
+    BatchInsertResult: batch_insert_result_to_dict,
+    BatchRetrieveResult: batch_retrieve_result_to_dict,
+}

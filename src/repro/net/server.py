@@ -10,7 +10,8 @@ domain socket.
 Wire-format negotiation is a capability check, not a handshake: the ``info``
 reply advertises the formats the server accepts (``wire_formats``), each
 request's body format is detected from its first byte, and the reply is
-encoded in the same format the request arrived in.  Old JSON-only clients
+encoded in the same format the request arrived in — binary replies as the
+next piece of the connection's own deflate stream.  Old JSON-only clients
 keep working unchanged; a binary-capable client simply starts sending binary
 frames after seeing the advertisement.
 
@@ -44,7 +45,12 @@ all drive a real socket server through it without an async caller.
 :class:`FaultSchedule` injects transport faults for the accounting tests:
 dropping a reply makes the client time out and retry (the request *was*
 executed — delivery, not execution, is what fails, exactly the semantics of
-the simulator's timed-out messages), delaying one models a slow peer.
+the simulator's timed-out messages), delaying one models a slow peer.  A
+dropped reply is never encoded, so it leaves no gap in the connection's
+deflate stream; a delayed one is encoded when its request executes and goes
+out before anything behind it, because it holds the line.  A reply that
+cannot be encoded (over the frame limit, say) is refused before it touches
+the stream and answered with a ``CodecError`` error reply instead.
 """
 
 from __future__ import annotations
@@ -211,10 +217,12 @@ class NodeServer:
     def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Execute one decoded request and return the reply payload.
 
-        Handlers run synchronously (the cluster substrate is plain Python) in
-        strict per-connection arrival order, which keeps the server-side RNG
-        stream a function of the request sequence — the property the backend
-        parity test pins.
+        A data operation's ``result`` is the result object itself: the
+        binary format carries it as a record, the JSON encoder as its
+        ``*_to_dict`` form.  Handlers run synchronously (the cluster
+        substrate is plain Python) in strict per-connection arrival order,
+        which keeps the server-side RNG stream a function of the request
+        sequence — the property the backend parity test pins.
         """
         op = request.get("op")
         request_id = request.get("id")
@@ -254,29 +262,25 @@ class NodeServer:
         origin = request.get("origin")
         unreachable = frozenset(request.get("unreachable", ()))
         if op == "insert":
-            result = service.insert(codec.decode_value(request["key"]),
-                                    codec.decode_value(request.get("data")),
-                                    origin=origin, unreachable=unreachable)
-            return codec.insert_result_to_dict(result)
+            return service.insert(codec.decode_value(request["key"]),
+                                  codec.decode_value(request.get("data")),
+                                  origin=origin, unreachable=unreachable)
         if op == "retrieve":
-            result = service.retrieve(codec.decode_value(request["key"]),
-                                      origin=origin, unreachable=unreachable,
-                                      consistency=request.get("consistency",
-                                                              "current"),
-                                      max_probes=request.get("max_probes"))
-            return codec.retrieve_result_to_dict(result)
+            return service.retrieve(codec.decode_value(request["key"]),
+                                    origin=origin, unreachable=unreachable,
+                                    consistency=request.get("consistency",
+                                                            "current"),
+                                    max_probes=request.get("max_probes"))
         if op == "insert_many":
             items = [(codec.decode_value(key), codec.decode_value(data))
                      for key, data in request["items"]]
-            result = service.insert_many(items, origin=origin,
-                                         unreachable=unreachable)
-            return codec.batch_insert_result_to_dict(result)
-        result = service.retrieve_many(
+            return service.insert_many(items, origin=origin,
+                                       unreachable=unreachable)
+        return service.retrieve_many(
             [codec.decode_value(key) for key in request["keys"]],
             origin=origin, unreachable=unreachable,
             consistency=request.get("consistency", "current"),
             max_probes=request.get("max_probes"))
-        return codec.batch_retrieve_result_to_dict(result)
 
 
 class _Connection(asyncio.Protocol):
@@ -289,6 +293,7 @@ class _Connection(asyncio.Protocol):
     def __init__(self, server: NodeServer) -> None:
         self.server = server
         self._decoder = codec.FrameDecoder()
+        self._stream = codec.DeflateStream()
         self._backlog: Deque[Tuple[Dict[str, Any], str]] = deque()
         self._transport: asyncio.Transport  # set by connection_made
         self._delayed: Optional[asyncio.TimerHandle] = None
@@ -383,7 +388,16 @@ class _Connection(asyncio.Protocol):
             delay = schedule.delay_for(fault_index)
         # Reply in the format the request arrived in: negotiation stays a
         # per-frame property, so JSON and binary clients share one server.
-        frame = codec.encode_frame(reply, wire_format=wire_format)
+        # Encoding here, in execution order, keeps the stream in write order.
+        try:
+            frame = codec.encode_frame(reply, wire_format=wire_format,
+                                       stream=self._stream)
+        except codec.CodecError as error:
+            # Refused before it touched the stream: answer, keep the link.
+            frame = codec.encode_frame(
+                {"id": reply.get("id"), "ok": False,
+                 "error": f"CodecError: {error}"},
+                wire_format=wire_format, stream=self._stream)
         if delay > 0:
             # The line is held until the timer fires: nothing behind this
             # request runs, so no later reply can overtake the delayed one.

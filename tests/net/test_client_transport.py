@@ -164,8 +164,9 @@ class TestSharedPool:
                         max_probes=None)
                     stats_seen[number].append(stats)
                     # Only this thread writes this key: anything else is a
-                    # reply matched to the wrong request.
-                    assert result["data"] == data and result["is_current"]
+                    # reply matched to the wrong request.  (A binary reply
+                    # carries the result object itself.)
+                    assert result.data == data and result.is_current
             except BaseException as error:  # noqa: B902 - reported below
                 failures.append(error)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import struct
+import zlib
 from array import array
 
 import pytest
@@ -13,6 +15,13 @@ from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrac
 from repro.net import codec, wire
 from repro.net.client import TransportError, connect
 from repro.net.server import NodeServer
+
+
+def packed_body(body: bytes) -> bytes:
+    """The tagged bytes a fresh-stream ``0x02`` body carries, inflated."""
+    assert body[0] == 0x02
+    return zlib.decompressobj(-zlib.MAX_WBITS).decompress(
+        body[1:] + b"\x00\x00\xff\xff")
 
 
 class TestFraming:
@@ -85,10 +94,12 @@ class TestBinaryFraming:
         frame = codec.encode_frame(payload, wire_format=codec.FORMAT_BINARY)
         assert codec.decode_frame(frame) == payload
 
-    def test_small_binary_body_is_uncompressed(self):
+    def test_every_binary_body_is_a_stream_frame(self):
+        # No size threshold: a ping is a piece of the deflate stream too.
         frame = codec.encode_frame({"op": "ping"},
                                    wire_format=codec.FORMAT_BINARY)
-        assert frame[codec.FRAME_HEADER_BYTES] == 0x01
+        assert frame[codec.FRAME_HEADER_BYTES] == 0x02
+        assert not hasattr(codec, "COMPRESS_MIN_BYTES")
 
     def test_bulk_binary_body_is_compressed(self):
         payload = {"items": [{"key": f"k{i}", "data": "v" * 32}
@@ -205,8 +216,8 @@ class TestBinaryFraming:
     def test_int64_array_is_big_endian_on_the_wire(self):
         frame = codec.encode_frame({"c": array("q", [1, -2])},
                                    wire_format=codec.FORMAT_BINARY)
-        assert frame.endswith(b"q" + struct.pack(">I", 2)
-                              + struct.pack(">qq", 1, -2))
+        assert packed_body(frame[4:]).endswith(
+            b"q" + struct.pack(">I", 2) + struct.pack(">qq", 1, -2))
 
     def test_encoding_an_array_leaves_the_callers_array_untouched(self):
         column = array("q", [1, 2, 3])
@@ -232,11 +243,13 @@ class TestBinaryFraming:
 
     def test_table_keys_travel_as_one_byte_and_others_escaped(self):
         body = wire.pack_payload({"id": 7, "zz": None})
-        assert body == (b"\x01d" + struct.pack(">I", 2)
-                        + bytes((wire.WIRE_KEYS.index("id"),))
-                        + b"i" + struct.pack(">q", 7)
-                        + b"\xff" + struct.pack(">I", 2) + b"zz" + b"N")
+        assert packed_body(body) == (
+            b"d" + struct.pack(">I", 2)
+            + bytes((wire.WIRE_KEYS.index("id"),)) + b"i" + struct.pack(">q", 7)
+            + b"\xff" + struct.pack(">I", 2) + b"zz" + b"N")
         assert wire.unpack_payload(body) == {"id": 7, "zz": None}
+        assert wire.unpack_payload(b"\x01" + packed_body(body)) == \
+            {"id": 7, "zz": None}
 
     @pytest.mark.parametrize("code", [len(wire.WIRE_KEYS), 0x80, 0xFE])
     def test_key_code_outside_the_table_is_rejected(self, code):
@@ -408,16 +421,19 @@ class TestTraceEncoding:
 
     def test_every_protocol_key_on_the_data_path_has_a_code(self, serve):
         """What ``NetClient``/``RemoteService`` send and ``handle_request``
-        (with the ``*_to_dict`` encoders under it) answers, for the four
-        data operations, ``ping`` and an error reply.  ``info`` and ``sync``
-        replies are free-form reports sent once and stay spelled out."""
+        answers, for the four data operations, ``ping`` and an error reply —
+        replies in their dict form, the ``*_to_dict`` encoders' (a binary
+        frame carries the result objects as records instead).  ``info`` and
+        ``sync`` replies are free-form reports sent once and stay spelled
+        out."""
         seen = []
 
         class Recording(NodeServer):
             def handle_request(self, request):
                 reply = super().handle_request(request)
                 if request.get("op") not in ("info", "sync"):
-                    seen.extend((request, reply))
+                    spelled_out = json.loads(codec.encode_frame(reply)[4:])
+                    seen.extend((request, spelled_out))
                 return reply
 
         server = serve(Recording(peers=16, replicas=4, seed=5))

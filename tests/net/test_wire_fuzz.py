@@ -1,10 +1,11 @@
 """Property-based fuzzing of the frame decoder (Hypothesis).
 
-The decoder must reassemble any stream of well-formed frames — JSON, binary,
-and compressed bodies freely interleaved — identically no matter how the
-bytes are split into chunks, and a malformed or oversized frame must raise
-:class:`~repro.net.codec.CodecError` without corrupting the decoder's state
-for the frames that follow.  The packed-int64-array tag and the columnar
+The decoder must reassemble any stream of well-formed frames — JSON bodies
+and the pieces of one deflate stream freely interleaved — identically no
+matter how the bytes are split into chunks, and a malformed or oversized
+frame must raise :class:`~repro.net.codec.CodecError` without corrupting the
+decoder's state for the frames that follow (a bad *stream* frame is the
+exception: see ``test_stream.py``).  The packed-int64-array tag and the columnar
 trace built on it get the same treatment: hostile counts and truncated
 bodies are refused before anything is allocated, and any trace survives both
 wire formats message for message.  So do the one-byte dict-key codes: any
@@ -15,10 +16,11 @@ whatever order the keys were inserted in.
 from __future__ import annotations
 
 import struct
+import zlib
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.api.results import BatchInsertResult, InsertResult
@@ -50,15 +52,19 @@ _formats = st.sampled_from(codec.WIRE_FORMATS)
 
 
 def _encode_stream(frames):
-    """Concatenate (payload, wire_format) pairs into one byte stream.
-
-    A tiny ``compress_min_bytes`` forces some binary bodies through the zlib
-    path, so all three body markers appear in the fuzzed streams.
-    """
+    """Concatenate (payload, wire_format) pairs into one connection's bytes:
+    the binary frames are consecutive pieces of one deflate stream."""
+    stream = codec.DeflateStream()
     return b"".join(
-        codec.encode_frame(payload, wire_format=wire_format,
-                           compress_min_bytes=32)
+        codec.encode_frame(payload, wire_format=wire_format, stream=stream)
         for payload, wire_format in frames)
+
+
+def _plain_body(payload):
+    """``payload``'s ``0x01`` body: its fresh-stream frame, inflated."""
+    body = wire.pack_payload(payload)
+    return b"\x01" + zlib.decompressobj(-zlib.MAX_WBITS).decompress(
+        body[1:] + b"\x00\x00\xff\xff")
 
 
 def _split_points(data, offsets):
@@ -79,6 +85,8 @@ class TestReassembly:
     @settings(max_examples=200, deadline=None)
     def test_any_chunking_reassembles_identically(self, frames, offsets):
         stream = _encode_stream(frames)
+        # A stream frame depends on the frames before it, deterministically.
+        assert _encode_stream(frames) == stream
         decoder = codec.FrameDecoder()
         decoded = []
         for chunk in _split_points(stream, offsets):
@@ -92,8 +100,7 @@ class TestReassembly:
     @given(payload=_payloads, wire_format=_formats)
     @settings(max_examples=200, deadline=None)
     def test_single_frame_round_trip(self, payload, wire_format):
-        frame = codec.encode_frame(payload, wire_format=wire_format,
-                                   compress_min_bytes=32)
+        frame = codec.encode_frame(payload, wire_format=wire_format)
         assert codec.decode_frame(frame) == payload
 
     @given(key=st.text(max_size=16),
@@ -141,18 +148,17 @@ class TestKeyCodes:
     @given(payload=_keyed_payloads, seed=st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
     def test_any_mix_of_keys_round_trips_deterministically(self, payload, seed):
-        body = wire.pack_payload(payload, compress_min_bytes=64)
+        body = wire.pack_payload(payload)
         assert wire.unpack_payload(body) == payload
         # Equal payloads are equal bytes, whatever order their keys went in.
-        assert wire.pack_payload(_reordered(payload, seed),
-                                 compress_min_bytes=64) == body
+        assert wire.pack_payload(_reordered(payload, seed)) == body
 
     @given(payload=_keyed_payloads, junk=st.binary(min_size=1, max_size=8),
            position=st.integers(min_value=0))
     @settings(max_examples=200, deadline=None)
     def test_corrupted_keyed_bodies_only_ever_raise_codec_error(
             self, payload, junk, position):
-        body = bytearray(wire.pack_payload(payload, compress_min_bytes=1 << 30))
+        body = bytearray(_plain_body(payload))
         start = 1 + position % len(body)
         body[start:start + len(junk)] = junk
         try:
@@ -163,7 +169,7 @@ class TestKeyCodes:
     @given(payload=_keyed_payloads, cut=st.integers(min_value=1))
     @settings(max_examples=200, deadline=None)
     def test_truncated_keyed_bodies_are_always_rejected(self, payload, cut):
-        body = wire.pack_payload(payload, compress_min_bytes=1 << 30)
+        body = _plain_body(payload)
         with pytest.raises(codec.CodecError):
             wire.unpack_payload(body[:-(1 + cut % (len(body) - 1))])
 
@@ -175,6 +181,7 @@ class TestMalformedFrames:
     def test_bad_frame_does_not_corrupt_decoder_state(self, junk, payload,
                                                       wire_format):
         """A malformed body raises, then the next good frame still decodes."""
+        assume(junk[0] != 0x02)  # a bad stream frame ends the stream for good
         bad_frame = struct.pack(">I", len(junk)) + junk
         good_frame = codec.encode_frame(payload, wire_format=wire_format)
         decoder = codec.FrameDecoder()
@@ -201,8 +208,7 @@ class TestMalformedFrames:
     @settings(max_examples=200, deadline=None)
     def test_truncated_stream_yields_no_phantom_frames(self, payload,
                                                        wire_format, drop):
-        frame = codec.encode_frame(payload, wire_format=wire_format,
-                                   compress_min_bytes=32)
+        frame = codec.encode_frame(payload, wire_format=wire_format)
         truncated = frame[:-min(drop, len(frame) - codec.FRAME_HEADER_BYTES)]
         decoder = codec.FrameDecoder()
         assert decoder.feed(truncated) == []
@@ -224,8 +230,7 @@ class TestPackedArrays:
     @settings(max_examples=200, deadline=None)
     def test_int64_columns_survive_both_formats(self, values, wire_format):
         frame = codec.encode_frame({"c": array("q", values)},
-                                   wire_format=wire_format,
-                                   compress_min_bytes=32)
+                                   wire_format=wire_format)
         assert list(codec.decode_frame(frame)["c"]) == values
 
     def test_hand_packed_array_decodes(self):
@@ -286,8 +291,7 @@ class TestTraceRoundTrip:
         and the empty trace all come back equal, through either format."""
         trace = _trace_of(messages, control_bytes)
         frame = codec.encode_frame({"trace": codec.trace_to_dict(trace)},
-                                   wire_format=wire_format,
-                                   compress_min_bytes=32)
+                                   wire_format=wire_format)
         rebuilt = codec.trace_from_dict(codec.decode_frame(frame)["trace"])
         assert rebuilt.messages == trace.messages
         assert rebuilt.sizes == trace.sizes
@@ -300,9 +304,8 @@ class TestTraceRoundTrip:
             self, messages, junk, position):
         """Overwriting bytes of a trace-bearing body decodes or raises
         ``CodecError`` — at the frame or in ``trace_from_dict``."""
-        frame = bytearray(codec.encode_frame(
-            {"trace": codec.trace_to_dict(_trace_of(messages))},
-            wire_format=codec.FORMAT_BINARY, compress_min_bytes=1 << 30))
+        body = _plain_body({"trace": codec.trace_to_dict(_trace_of(messages))})
+        frame = bytearray(struct.pack(">I", len(body)) + body)
         first = codec.FRAME_HEADER_BYTES + 1
         start = first + position % (len(frame) - first)
         junk = junk[:len(frame) - start]
@@ -326,7 +329,7 @@ class TestTraceRoundTrip:
             trace=trace)
         frame = codec.encode_frame(
             {"result": codec.batch_insert_result_to_dict(batch)},
-            wire_format=wire_format, compress_min_bytes=32)
+            wire_format=wire_format)
         rebuilt = codec.batch_insert_result_from_dict(
             codec.decode_frame(frame)["result"])
         assert all(item.trace is rebuilt.trace for item in rebuilt.results)
