@@ -38,9 +38,7 @@ bytes-per-peer for the network build, and mixed-workload ops/sec.  When
 ``tiny`` → 200, ``quick`` (default) → 1k and 10k, ``paper`` → 1k, 10k and
 100k peers.  ``--budget-seconds`` bounds the wall clock: once the budget is
 spent, remaining scaling points are skipped (and named in the report, so a
-truncated curve is never mistaken for a complete one).  ``--representation``
-selects the overlay storage layout (``columnar``, the default, or
-``object``).
+truncated curve is never mistaken for a complete one).
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ SCALE_PEER_COUNTS = {
 #: Meta keys that must match between a report and the baseline it is checked
 #: against — comparing ops/sec across different workload shapes is meaningless.
 _CONFIG_KEYS = ("peers", "ops", "keys", "replicas", "bits", "seed",
-                "batch_size", "representation")
+                "batch_size")
 
 
 def _calibrate(rounds: int = 30_000) -> float:
@@ -94,14 +92,11 @@ def _calibrate(rounds: int = 30_000) -> float:
     return rounds / elapsed
 
 
-def _build_network(overlay: str, peers: int, seed: int, bits: int,
-                   representation: str) -> DHTNetwork:
-    return DHTNetwork.build(peers, protocol=overlay, bits=bits, seed=seed,
-                            representation=representation)
+def _build_network(overlay: str, peers: int, seed: int, bits: int) -> DHTNetwork:
+    return DHTNetwork.build(peers, protocol=overlay, bits=bits, seed=seed)
 
 
-def _measure_build_memory(overlay: str, peers: int, seed: int, bits: int,
-                          representation: str) -> int:
+def _measure_build_memory(overlay: str, peers: int, seed: int, bits: int) -> int:
     """``tracemalloc`` peak bytes of one network build.
 
     Runs a *separate* build under tracing so the timed build stays untraced
@@ -110,7 +105,7 @@ def _measure_build_memory(overlay: str, peers: int, seed: int, bits: int,
     """
     tracemalloc.start()
     try:
-        _build_network(overlay, peers, seed, bits, representation)
+        _build_network(overlay, peers, seed, bits)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -164,7 +159,7 @@ def _run_operation(network: DHTNetwork, operation: str, schedule,
 
 def run_suite(*, peers: int, ops: int, keys: int, replicas: int, bits: int,
               seed: int, overlays, operations, batch_size: int,
-              label: str, representation: str = "columnar") -> Dict:
+              label: str) -> Dict:
     report: Dict = {
         "meta": {
             "label": label,
@@ -175,7 +170,6 @@ def run_suite(*, peers: int, ops: int, keys: int, replicas: int, bits: int,
             "bits": bits,
             "seed": seed,
             "batch_size": batch_size,
-            "representation": representation,
             "python": platform.python_version(),
             "calibration_ops_per_sec": _calibrate(),
         },
@@ -185,10 +179,9 @@ def run_suite(*, peers: int, ops: int, keys: int, replicas: int, bits: int,
         family = HashFamily(bits=bits, seed=seed)
         fns = family.sample_many(replicas)
         build_start = time.perf_counter()
-        network = _build_network(overlay, peers, seed, bits, representation)
+        network = _build_network(overlay, peers, seed, bits)
         build_seconds = time.perf_counter() - build_start
-        peak_bytes = _measure_build_memory(overlay, peers, seed, bits,
-                                           representation)
+        peak_bytes = _measure_build_memory(overlay, peers, seed, bits)
         schedule = _workload(ops, keys, fns)
         cells: Dict[str, Dict] = {
             "build": {"ops": peers, "seconds": build_seconds,
@@ -213,8 +206,7 @@ def run_suite(*, peers: int, ops: int, keys: int, replicas: int, bits: int,
 
 
 def run_scaling_point(*, peers: int, ops: int, keys: int, replicas: int,
-                      bits: int, seed: int, overlays, batch_size: int,
-                      representation: str) -> Dict:
+                      bits: int, seed: int, overlays, batch_size: int) -> Dict:
     """One point of the build/memory/mixed-throughput scaling curves.
 
     Records, per overlay: build seconds and build throughput (untraced),
@@ -226,10 +218,9 @@ def run_scaling_point(*, peers: int, ops: int, keys: int, replicas: int,
         family = HashFamily(bits=bits, seed=seed)
         fns = family.sample_many(replicas)
         build_start = time.perf_counter()
-        network = _build_network(overlay, peers, seed, bits, representation)
+        network = _build_network(overlay, peers, seed, bits)
         build_seconds = time.perf_counter() - build_start
-        peak_bytes = _measure_build_memory(overlay, peers, seed, bits,
-                                           representation)
+        peak_bytes = _measure_build_memory(overlay, peers, seed, bits)
         schedule = _workload(ops, keys, fns)
         mixed_seconds = _run_operation(network, "mixed", schedule, batch_size)
         point["overlays"][overlay] = {
@@ -361,9 +352,6 @@ def main(argv=None) -> int:
     parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument("--overlays", default=",".join(DEFAULT_OVERLAYS))
     parser.add_argument("--operations", default=",".join(DEFAULT_OPERATIONS))
-    parser.add_argument("--representation", default="columnar",
-                        choices=("columnar", "object"),
-                        help="overlay storage representation under test")
     parser.add_argument("--label", default="hotpath")
     parser.add_argument("--budget-seconds", type=float, default=None,
                         help="wall-clock budget for the scaling curves; "
@@ -386,14 +374,12 @@ def main(argv=None) -> int:
         replicas=args.replicas, bits=args.bits, seed=args.seed,
         overlays=overlays,
         operations=[name for name in args.operations.split(",") if name],
-        batch_size=args.batch_size, label=args.label,
-        representation=args.representation)
+        batch_size=args.batch_size, label=args.label)
     report["meta"]["peer_counts"] = peer_counts
     report["scaling"] = run_scaling_curves(
         peer_counts, budget_seconds=args.budget_seconds,
         ops=args.ops, keys=args.keys, replicas=args.replicas, bits=args.bits,
-        seed=args.seed, overlays=overlays, batch_size=args.batch_size,
-        representation=args.representation)
+        seed=args.seed, overlays=overlays, batch_size=args.batch_size)
 
     output = args.output
     if output is None:

@@ -15,8 +15,7 @@ InsertResult(...)
 True
 
 ``InsertResult``/``RetrieveResult`` are the shared result types of
-:mod:`repro.api.results`; the historical ``BricksInsertResult``/
-``BricksRetrieveResult`` names are deprecated aliases of the same types.
+:mod:`repro.api.results`.
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ from repro.dht.network import DHTNetwork
 
 __all__ = [
     "AuditReport",
-    "BricksInsertResult",
-    "BricksRetrieveResult",
     "BricksService",
     "Consistency",
     "CounterInitialization",
@@ -85,29 +82,6 @@ __all__ = [
     "replicas_needed_for_success",
     "retrieval_bound",
 ]
-
-
-def __getattr__(name: str):
-    """Forward the deprecated BRK result-type aliases (with their warning).
-
-    The warning is emitted here (not delegated to :mod:`repro.core.baseline`)
-    so it is attributed to the caller's import site rather than to this
-    forwarding frame.
-    """
-    from repro.core import baseline
-
-    alias = baseline._DEPRECATED_ALIASES.get(name)
-    if alias is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import warnings
-
-    warnings.warn(
-        f"{name} is deprecated; BRK returns the shared repro.api.results."
-        f"{alias.__name__} type since the unified client API. The shared "
-        "type's field order differs from the legacy one — construct it with "
-        "keyword arguments",
-        DeprecationWarning, stacklevel=2)
-    return alias
 
 
 @dataclass

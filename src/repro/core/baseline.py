@@ -15,9 +15,7 @@ the update metadata (versions vs. KTS timestamps) and the retrieval strategy.
 
 The service returns the **shared** result types of :mod:`repro.api.results`
 (``version`` and ``ambiguous`` set, ``is_current`` always ``False`` — BRICKS
-cannot certify currency, which is the paper's key criticism).  The historical
-``BricksInsertResult``/``BricksRetrieveResult`` names remain importable as
-deprecated aliases of the shared types.
+cannot certify currency, which is the paper's key criticism).
 
 Consistency levels map onto BRICKS as follows: ``Consistency.CURRENT`` is its
 best attempt (retrieve every replica, return the highest version),
@@ -28,7 +26,6 @@ bounds the probes and returns the highest version among them.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 # reprolint: allow[REP005] reason=shared result types deliberately live in repro.api so sim and service stacks return identical objects (tests/api/test_shared_results.py)
@@ -43,28 +40,9 @@ from repro.core.replication import ReplicationScheme
 from repro.dht.network import DHTNetwork
 from repro.dht.storage import StoredValue
 
-__all__ = ["BricksInsertResult", "BricksRetrieveResult", "BricksService"]
+__all__ = ["BricksService"]
 
 SERVICE_NAME = "brk"
-
-_DEPRECATED_ALIASES = {
-    "BricksInsertResult": InsertResult,
-    "BricksRetrieveResult": RetrieveResult,
-}
-
-
-def __getattr__(name: str):
-    """Deprecated aliases: the BRK result types folded into the shared ones."""
-    alias = _DEPRECATED_ALIASES.get(name)
-    if alias is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"{name} is deprecated; BRK returns the shared repro.api.results."
-        f"{alias.__name__} type since the unified client API. The shared "
-        "type's field order differs from the legacy one — construct it with "
-        "keyword arguments",
-        DeprecationWarning, stacklevel=2)
-    return alias
 
 
 class BricksService:

@@ -8,13 +8,10 @@ The public surface of this sub-package:
   functions used both for data placement (``Hr``) and timestamping (``h_ts``).
 * :class:`repro.dht.chord.ChordRing`, :class:`repro.dht.can.CanSpace` and
   :class:`repro.dht.kademlia.KademliaOverlay` — overlay protocols
-  implementing :class:`repro.dht.model.DHTProtocol`; the
-  :mod:`repro.dht.columnar` package holds their packed-array
-  representations (bit-identical behaviour, flat `array('Q')` state).
+  implementing :class:`repro.dht.model.DHTProtocol`, one class per overlay.
 * :mod:`repro.dht.registry` — the pluggable overlay registry that resolves
   ``protocol`` names (``"chord"``, ``"can"``, ``"kademlia"``, plus any
-  overlay registered at runtime) and representation names (``"object"`` /
-  ``"columnar"``) to factories.
+  overlay registered at runtime) to factories.
 * :class:`repro.dht.network.DHTNetwork` — a network of peers running one of
   the overlays, exposing the paper's ``put_h`` / ``get_h`` / lookup operations
   with message accounting and churn (join / leave / fail) with data handover.
@@ -39,17 +36,11 @@ from repro.dht.storage import LocalStore, StoredValue
 from repro.dht.chord import ChordRing
 from repro.dht.can import CanSpace
 from repro.dht.kademlia import KademliaOverlay
-from repro.dht.columnar import (
-    ColumnarCanSpace,
-    ColumnarChordRing,
-    ColumnarKademliaOverlay,
-)
 from repro.dht.registry import (
     create_overlay,
     is_registered,
     overlay_names,
     register_overlay,
-    representation_names,
     unregister_overlay,
 )
 from repro.dht.network import DHTNetwork, NetworkObserver, PeerState
@@ -57,9 +48,6 @@ from repro.dht.network import DHTNetwork, NetworkObserver, PeerState
 __all__ = [
     "CanSpace",
     "ChordRing",
-    "ColumnarCanSpace",
-    "ColumnarChordRing",
-    "ColumnarKademliaOverlay",
     "DHTError",
     "DHTNetwork",
     "DHTProtocol",
@@ -86,6 +74,5 @@ __all__ = [
     "key_digest",
     "overlay_names",
     "register_overlay",
-    "representation_names",
     "unregister_overlay",
 ]

@@ -14,6 +14,17 @@ which is what makes the direct counter-transfer algorithm O(1):
 The identifier space is the same ``[0, 2^bits)`` integer space used by Chord;
 a point is interpreted as *d* packed coordinates so that the same hash
 functions drive both overlays.
+
+Point ownership
+---------------
+Zones only ever arise from *canonical halving splits*: a zone is split along
+its longest axis at the midpoint (lowest axis on ties), halves are never
+merged, and a takeover reassigns zones intact.  Every live zone is therefore
+a node of one fixed binary tree rooted at the whole space, so the owner of a
+point is found by descending that tree — split, keep the half containing the
+point, stop at the first zone in the index — in ``O(log n)`` splits instead
+of a scan over every zone.  That keeps network construction (each join
+resolves an owner) at ``O(n log n)``.
 """
 
 from __future__ import annotations
@@ -126,6 +137,8 @@ class CanSpace(DHTProtocol):
         self.bits_per_dimension = bits // dimensions
         self._rng = rng if rng is not None else random.Random(0)
         self._zones: Dict[int, List[Zone]] = {}
+        # Packed bounds of every live zone -> its owner (see _pack_zone).
+        self._zone_owner: Dict[int, int] = {}
         self._departed: Dict[int, Tuple[str, float]] = {}
         self._init_version_caches()
         self._neighbors_cache: Dict[int, Set[int]] = {}
@@ -148,6 +161,19 @@ class CanSpace(DHTProtocol):
 
     def _whole_space(self) -> Zone:
         return Zone(lo=(0,) * self.dimensions, hi=(self.axis_size,) * self.dimensions)
+
+    def _pack_zone(self, zone: Zone) -> int:
+        """Pack a zone's ``2·d`` bounds into one integer key.
+
+        Each bound lies in ``[0, axis_size]`` (the upper bound at the space
+        edge is inclusive), so it takes ``bits_per_dimension + 1`` bits, and
+        distinct zones always pack to distinct keys.
+        """
+        width = self.bits_per_dimension + 1
+        packed = 0
+        for low, high in zip(zone.lo, zone.hi):
+            packed = (packed << (2 * width)) | (low << width) | high
+        return packed
 
     # ------------------------------------------------------------------ topology
     def nodes(self) -> Sequence[int]:
@@ -206,44 +232,53 @@ class CanSpace(DHTProtocol):
                     now: float = 0.0) -> None:
         if node_id not in self._zones:
             raise NoSuchPeerError(node_id)
-        abandoned = self._drop_node_zones(node_id)
+        takeovers = self._takeovers(node_id)
+        self._drop_node_zones(node_id)
         self._departed[node_id] = (reason, now)
         self._membership_changed()
-        if not self._zones:
-            return
-        for zone in abandoned:
-            takeover = self._takeover_candidate(zone)
+        for zone, takeover in takeovers:
             self._grant_zone(takeover, zone)
 
-    # --------------------------------------------------------- zone-table hooks
+    # -------------------------------------------------------------- zone table
     # Every mutation of the node -> zones table funnels through these three
-    # methods so alternative representations (the columnar packed zone table in
-    # :mod:`repro.dht.columnar.can`) can maintain their point-lookup indexes
-    # without re-implementing the join/leave protocol above.
+    # methods, which keep the point-ownership index in step with it.
 
     def _grant_zone(self, node_id: int, zone: Zone) -> None:
         """Assign ``zone`` to ``node_id`` (creating its entry on first grant)."""
-        zones = self._zones.get(node_id)
-        if zones is None:
-            self._zones[node_id] = [zone]
-        else:
-            zones.append(zone)
+        self._zones.setdefault(node_id, []).append(zone)
+        self._zone_owner[self._pack_zone(zone)] = node_id
 
     def _revoke_zone(self, node_id: int, zone: Zone) -> None:
         """Take ``zone`` away from ``node_id`` (it is about to be split)."""
         self._zones[node_id].remove(zone)
+        del self._zone_owner[self._pack_zone(zone)]
 
-    def _drop_node_zones(self, node_id: int) -> List[Zone]:
-        """Remove ``node_id`` from the zone table, returning its zones."""
-        return self._zones.pop(node_id)
+    def _drop_node_zones(self, node_id: int) -> None:
+        """Remove ``node_id`` and its zones from the zone table."""
+        for zone in self._zones.pop(node_id):
+            del self._zone_owner[self._pack_zone(zone)]
 
-    def _takeover_candidate(self, zone: Zone) -> int:
-        """The neighbour with the smallest owned volume takes over ``zone``."""
-        candidates = [node for node, zones in self._zones.items()
-                      if any(zone.touches(owned) for owned in zones)]
-        if not candidates:
-            candidates = list(self._zones)
-        return min(candidates, key=lambda node: (self.owned_volume(node), node))
+    def _takeovers(self, owner: int) -> List[Tuple[Zone, int]]:
+        """Who takes over each of ``owner``'s zones when it departs, in order.
+
+        Each zone goes to the neighbour with the smallest owned volume.  An
+        earlier grant adds a face and volume to its receiver, so it can change
+        who wins a later zone; departures and ``next_responsible`` both read
+        this one plan.
+        """
+        table = {node: list(zones) for node, zones in self._zones.items()
+                 if node != owner}
+        if not table:
+            return []
+        takeovers = []
+        for zone in self._zones[owner]:
+            candidates = [node for node, zones in table.items()
+                          if any(zone.touches(owned) for owned in zones)]
+            takeover = min(candidates or list(table), key=lambda node: (
+                sum(owned.volume for owned in table[node]), node))
+            table[takeover].append(zone)
+            takeovers.append((zone, takeover))
+        return takeovers
 
     def _largest_splittable_zone(self, owner: int) -> Zone:
         splittable = [zone for zone in self._zones[owner]
@@ -255,11 +290,21 @@ class CanSpace(DHTProtocol):
 
     # ----------------------------------------------------------- responsibility
     def _owner_of(self, coords: Sequence[int]) -> int:
-        for node_id, zones in self._zones.items():
-            for zone in zones:
-                if zone.contains(coords):
-                    return node_id
-        raise EmptyNetworkError("the CAN space has no live nodes")
+        """Descend the canonical split tree to the zone containing ``coords``.
+
+        The descent ends at an indexed zone after at most ``bits`` splits;
+        a zone too small to split (which only an index out of step with the
+        zone table could reach) raises instead of looping.
+        """
+        if not self._zones:
+            raise EmptyNetworkError("the CAN space has no live nodes")
+        zone = self._whole_space()
+        while True:
+            owner = self._zone_owner.get(self._pack_zone(zone))
+            if owner is not None:
+                return owner
+            first, second = zone.split()
+            zone = first if first.contains(coords) else second
 
     def _zone_containing(self, owner: int, coords: Sequence[int]) -> Zone:
         for zone in self._zones[owner]:
@@ -270,8 +315,8 @@ class CanSpace(DHTProtocol):
     def responsible_for(self, point: int) -> int:
         if not self._zones:
             raise EmptyNetworkError("the CAN space has no live nodes")
-        # The zone scan is O(peers); memoise per membership version so hot
-        # points resolve in a dictionary hit.
+        # Memoised per membership version so hot points resolve in a
+        # dictionary hit instead of a split-tree descent.
         return self._memoised_responsible(
             point, lambda p: self._owner_of(self.coordinates(p)))
 
@@ -280,12 +325,10 @@ class CanSpace(DHTProtocol):
             return None
         owner = self.responsible_for(point)
         coords = self.coordinates(point)
-        zone = self._zone_containing(owner, coords)
-        neighbors = [node for node in self.neighbors(owner)
-                     if any(zone.touches(owned) for owned in self._zones[node])]
-        if not neighbors:
-            neighbors = [node for node in self._zones if node != owner]
-        return min(neighbors, key=lambda node: (self.owned_volume(node), node))
+        for zone, takeover in self._takeovers(owner):
+            if zone.contains(coords):
+                return takeover
+        raise NoSuchPeerError(owner)
 
     def neighbors(self, node_id: int) -> Set[int]:
         if node_id not in self._zones:

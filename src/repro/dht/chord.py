@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import Dict, List, MutableSequence, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dht.errors import (
     EmptyNetworkError,
@@ -46,9 +46,9 @@ class _FingerTable:
     actually changed since the snapshot.
     """
 
-    entries: Sequence[int]
+    entries: List[int]
     #: ``(entry - node) mod 2^bits`` per entry, strictly ascending.
-    offsets: Sequence[int]
+    offsets: List[int]
     refreshed_at: float
     version: int = 0
 
@@ -81,9 +81,8 @@ class ChordRing(DHTProtocol):
         self.space_size = 1 << bits
         self.stabilization_interval = stabilization_interval
         self._rng = rng if rng is not None else random.Random(0)
-        # Sorted node identifiers.  Declared as a mutable sequence so the
-        # columnar subclass can swap in a packed array('Q') column.
-        self._members: MutableSequence[int] = []
+        # Sorted node identifiers.
+        self._members: List[int] = []
         self._member_set: Set[int] = set()
         self._departed: Dict[int, Tuple[str, float]] = {}
         self._fingers: Dict[int, _FingerTable] = {}
@@ -210,7 +209,7 @@ class ChordRing(DHTProtocol):
         self._fingers.pop(node_id, None)
         self._finger_snapshot(node_id, now)
 
-    def _compute_fingers(self, node_id: int) -> Tuple[Sequence[int], Sequence[int]]:
+    def _compute_fingers(self, node_id: int) -> Tuple[List[int], List[int]]:
         """The fingers of ``node_id`` over live members, and their offsets.
 
         Finger ``i`` is the successor of ``node_id + 2^i``, deduplicated and

@@ -54,18 +54,7 @@ import bisect
 import random
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import (
-    Callable,
-    Container,
-    Dict,
-    Iterable,
-    List,
-    MutableSequence,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.dht.errors import (
     EmptyNetworkError,
@@ -107,7 +96,7 @@ class KBucket:
     """
 
     capacity: int
-    contacts: MutableSequence[int] = field(default_factory=list)
+    contacts: List[int] = field(default_factory=list)
 
     def __contains__(self, contact: int) -> bool:
         return contact in self.contacts
@@ -173,25 +162,20 @@ class RoutingTable:
 
     Bucket ``i`` holds contacts at distance ``[2^i, 2^(i+1))`` from the owner,
     i.e. contacts whose common prefix with the owner is ``bits - 1 - i`` bits.
-    Each bucket is one row (a list here, a packed array in the columnar
-    table) under the :class:`KBucket` rules; rows are created lazily and most
-    of the ``bits`` buckets stay empty.
+    Each bucket is one list under the :class:`KBucket` rules; rows are
+    created lazily and most of the ``bits`` buckets stay empty.
     """
 
     def __init__(self, owner: int, bits: int, k: int) -> None:
         self.owner = owner
         self.bits = bits
         self.k = k
-        self._rows: Dict[int, MutableSequence[int]] = {}
+        self._rows: Dict[int, List[int]] = {}
 
-    def _new_row(self) -> MutableSequence[int]:
-        """Representation hook: the empty row of a bucket seen for the first time."""
-        return []
-
-    def _row(self, index: int) -> MutableSequence[int]:
+    def _row(self, index: int) -> List[int]:
         row = self._rows.get(index)
         if row is None:
-            row = self._rows[index] = self._new_row()
+            row = self._rows[index] = []
         return row
 
     def bucket_index(self, contact: int) -> int:
@@ -203,8 +187,12 @@ class RoutingTable:
         return distance.bit_length() - 1
 
     def bucket(self, index: int) -> KBucket:
-        """The bucket at ``index`` (created empty on first access)."""
-        return KBucket(self.k, self._row(index))
+        """A snapshot of the bucket at ``index`` (diagnostics only).
+
+        Mutating the returned bucket does not write back to the table; the
+        update paths are :meth:`observe`/:meth:`learn`/:meth:`discard`.
+        """
+        return KBucket(self.k, list(self._rows.get(index, ())))
 
     def observe(self, contact: int, is_alive: Callable[[int], bool]) -> bool:
         """Record direct communication with ``contact``."""
@@ -318,9 +306,8 @@ class KademliaOverlay(DHTProtocol):
         self.k = k
         self.alpha = alpha
         self._rng = rng if rng is not None else random.Random(0)
-        # Sorted live node identifiers.  Declared as a mutable sequence so the
-        # columnar subclass can swap in a packed array('Q') column.
-        self._members: MutableSequence[int] = []
+        # Sorted live node identifiers.
+        self._members: List[int] = []
         self._member_set: Set[int] = set()
         self._departed: Dict[int, Tuple[str, float]] = {}
         self._tables: Dict[int, RoutingTable] = {}
@@ -355,8 +342,7 @@ class KademliaOverlay(DHTProtocol):
         self._member_set.add(node_id)
         self._departed.pop(node_id, None)
         self._membership_changed()
-        table = self._new_table(node_id)
-        self._tables[node_id] = table
+        table = self._tables[node_id] = RoutingTable(node_id, self.bits, self.k)
         if affected:
             # Join protocol: seed the table with a bootstrap contact (a
             # uniformly random member other than the newcomer), then look up
@@ -371,16 +357,6 @@ class KademliaOverlay(DHTProtocol):
                 self._observe(node_id, previous_owner)
                 self._observe(previous_owner, node_id)
         return affected
-
-    def _new_table(self, node_id: int) -> RoutingTable:
-        """Representation hook: build the routing table of a joining node.
-
-        The columnar overlay (:mod:`repro.dht.columnar.kademlia`) overrides
-        this to return packed-array-backed buckets; the routing algorithms
-        above only use the :class:`RoutingTable` API, so the two
-        representations stay behaviourally identical.
-        """
-        return RoutingTable(node_id, self.bits, self.k)
 
     def _deepest_bucket_members(self, node_id: int) -> Set[int]:
         """The live nodes sharing the longest common prefix with ``node_id``.

@@ -102,13 +102,6 @@ class DHTProtocol(abc.ABC):
     #: number of bits of the identifier space
     bits: int
 
-    #: Storage representation of the overlay's hot state: ``"object"`` for the
-    #: reference object graphs, ``"columnar"`` for the packed-array classes in
-    #: :mod:`repro.dht.columnar`.  Representations are behaviourally
-    #: interchangeable; the attribute only serves diagnostics and bench
-    #: metadata.
-    representation: str = "object"
-
     #: Membership version counter.  Implementations increment it on every
     #: ``add_node``/``remove_node`` (via :meth:`_membership_changed`) so that
     #: responsibility and routing-state caches (both the overlay's own and any
@@ -119,17 +112,11 @@ class DHTProtocol(abc.ABC):
 
     @property
     def protocol_name(self) -> str:
-        """Representation-independent protocol name.
+        """The overlay's class name (``"ChordRing"``, ``"KademliaOverlay"``, ...).
 
-        The columnar classes subclass the object ones, so the *protocol* a
-        peer speaks is named by the deepest base class that directly
-        subclasses :class:`DHTProtocol` (``"ChordRing"`` whether the ring is
-        object-graph or columnar).  Wire-level info and experiment metadata
-        use this so artifacts stay comparable across representations.
+        The server's ``info`` reply and the adversary's capture-mode table
+        name overlays by it.
         """
-        for klass in type(self).__mro__:
-            if DHTProtocol in klass.__bases__:
-                return klass.__name__
         return type(self).__name__
 
     # --------------------------------------------- versioned-cache plumbing

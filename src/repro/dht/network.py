@@ -164,12 +164,6 @@ class DHTNetwork:
         Passed to the Chord overlay: how often (simulated seconds) peers
         refresh their finger tables.  Governs how strongly failures degrade
         routing (paper Figure 11).
-    representation:
-        Storage representation used when ``protocol`` is a string:
-        ``"columnar"`` (packed arrays, the default) or ``"object"`` (the
-        reference object graphs).  ``None`` defers to the
-        ``REPRO_OVERLAY_REPRESENTATION`` environment variable, then the
-        registry default; both representations behave bit-identically.
     seed / rng:
         Randomness source for peer identifiers and random origins.
     track_responsibility:
@@ -182,14 +176,12 @@ class DHTNetwork:
                  bits: int = 32, stabilization_interval: float = 30.0,
                  seed: Optional[int] = None, rng: Optional[random.Random] = None,
                  message_sizes: Optional[MessageSizes] = None,
-                 track_responsibility: bool = False,
-                 representation: Optional[str] = None) -> None:
+                 track_responsibility: bool = False) -> None:
         if rng is not None and seed is not None:
             raise ValueError("pass either 'seed' or 'rng', not both")
         self.rng = rng if rng is not None else random.Random(seed)
         if isinstance(protocol, str):
-            protocol = self._build_protocol(protocol, bits, stabilization_interval,
-                                            representation)
+            protocol = self._build_protocol(protocol, bits, stabilization_interval)
         self.protocol = protocol
         self.bits = protocol.bits
         self.message_sizes = message_sizes if message_sizes is not None else MessageSizes()
@@ -208,12 +200,10 @@ class DHTNetwork:
         self._route_cache_version = -1
 
     def _build_protocol(self, name: str, bits: int,
-                        stabilization_interval: float,
-                        representation: Optional[str] = None) -> DHTProtocol:
+                        stabilization_interval: float) -> DHTProtocol:
         return registry.create_overlay(
             name, bits=bits, stabilization_interval=stabilization_interval,
-            rng=random.Random(self.rng.getrandbits(64)),
-            representation=representation)
+            rng=random.Random(self.rng.getrandbits(64)))
 
     # ------------------------------------------------------------- construction
     @classmethod

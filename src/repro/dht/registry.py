@@ -7,8 +7,11 @@ single place where overlay implementations are registered by name; the
 network layer, the simulation configuration, the CLI and the benchmarks all
 resolve the ``protocol`` string through it.
 
-Three overlays ship registered: ``"chord"``, ``"can"`` and ``"kademlia"``.
-Adding a backend is one call::
+Three overlays ship registered, one class each: ``"chord"``
+(:class:`~repro.dht.chord.ChordRing`), ``"can"``
+(:class:`~repro.dht.can.CanSpace`) and ``"kademlia"``
+(:class:`~repro.dht.kademlia.KademliaOverlay`).  Adding a backend is one
+call::
 
     from repro.dht.registry import register_overlay
 
@@ -25,55 +28,24 @@ A factory is a callable taking keyword arguments ``bits``,
 returning a :class:`repro.dht.model.DHTProtocol`.  Factories are free to
 ignore knobs that do not apply to their overlay (CAN and Kademlia have no
 periodic stabilisation, for example).
-
-Representations
----------------
-Every overlay name can carry several *representations*: interchangeable
-implementations of the same protocol with different storage layouts.  Two
-ship built in:
-
-* ``"columnar"`` (the default) — flat ``array('Q')`` hot state from
-  :mod:`repro.dht.columnar`; bit-identical behaviour, built for 100k+-peer
-  populations, limited to 64-bit identifier spaces.
-* ``"object"`` — the original object-graph classes; works for any ``bits``
-  and remains the parity reference.
-
-Selection order: the ``representation`` argument of :func:`create_overlay`,
-then the ``REPRO_OVERLAY_REPRESENTATION`` environment variable, then the
-``columnar`` default.  Requesting ``columnar`` quietly falls back to
-``object`` when the overlay has no columnar factory (third-party overlays)
-or when ``bits`` exceeds the 64-bit packed-slot width, so existing callers
-never have to care.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.dht.can import CanSpace
 from repro.dht.chord import ChordRing
-from repro.dht.columnar import (
-    MAX_COLUMNAR_BITS,
-    ColumnarCanSpace,
-    ColumnarChordRing,
-    ColumnarKademliaOverlay,
-)
 from repro.dht.kademlia import KademliaOverlay
 from repro.dht.model import DHTProtocol
 
 __all__ = [
-    "COLUMNAR_REPRESENTATION",
-    "DEFAULT_REPRESENTATION",
-    "OBJECT_REPRESENTATION",
     "OverlayFactory",
-    "REPRESENTATION_ENV",
     "create_overlay",
     "is_registered",
     "overlay_names",
     "register_overlay",
-    "representation_names",
     "unregister_overlay",
 ]
 
@@ -81,45 +53,28 @@ __all__ = [
 #: ``stabilization_interval`` and ``rng`` plus overlay-specific extras.
 OverlayFactory = Callable[..., DHTProtocol]
 
-#: The object-graph reference representation (any ``bits``).
-OBJECT_REPRESENTATION = "object"
-#: The packed-array representation from :mod:`repro.dht.columnar`.
-COLUMNAR_REPRESENTATION = "columnar"
-#: Representation used when neither the argument nor the environment picks one.
-DEFAULT_REPRESENTATION = COLUMNAR_REPRESENTATION
-#: Environment variable overriding the default representation.
-REPRESENTATION_ENV = "REPRO_OVERLAY_REPRESENTATION"
-
-#: name -> representation -> factory.
-_FACTORIES: Dict[str, Dict[str, OverlayFactory]] = {}
+_FACTORIES: Dict[str, OverlayFactory] = {}
 
 
 def register_overlay(name: str, factory: OverlayFactory, *,
-                     representation: str = OBJECT_REPRESENTATION,
                      replace: bool = False) -> None:
     """Register ``factory`` under ``name`` (case-insensitive).
 
-    ``representation`` names the storage layout the factory builds; plain
-    overlays register the default ``"object"`` representation and work
-    everywhere.  Raises :class:`ValueError` when the (name, representation)
-    pair is already taken, unless ``replace=True`` is passed explicitly.
+    Raises :class:`ValueError` when the name is already taken, unless
+    ``replace=True`` is passed explicitly.
     """
     key = name.lower()
     if not key:
         raise ValueError("overlay name must be a non-empty string")
-    rep_key = representation.lower()
-    if not rep_key:
-        raise ValueError("representation must be a non-empty string")
-    representations = _FACTORIES.setdefault(key, {})
-    if rep_key in representations and not replace:
+    if key in _FACTORIES and not replace:
         raise ValueError(
-            f"overlay {key!r} is already registered "
-            f"(representation {rep_key!r}); pass replace=True to override it")
-    representations[rep_key] = factory
+            f"overlay {key!r} is already registered; pass replace=True to "
+            "override it")
+    _FACTORIES[key] = factory
 
 
 def unregister_overlay(name: str) -> None:
-    """Remove ``name`` (all its representations) from the registry."""
+    """Remove ``name`` from the registry."""
     key = name.lower()
     if key not in _FACTORIES:
         raise ValueError(f"overlay {key!r} is not registered")
@@ -136,31 +91,9 @@ def overlay_names() -> Tuple[str, ...]:
     return tuple(sorted(_FACTORIES))
 
 
-def representation_names(name: str) -> Tuple[str, ...]:
-    """The representations registered for overlay ``name``, sorted."""
-    key = name.lower()
-    if key not in _FACTORIES:
-        raise ValueError(f"overlay {key!r} is not registered")
-    return tuple(sorted(_FACTORIES[key]))
-
-
-def _resolve_representation(requested: Optional[str]) -> str:
-    """Explicit argument, else environment override, else the default."""
-    if requested is not None:
-        resolved = requested.lower()
-        if not resolved:
-            raise ValueError("representation must be a non-empty string")
-        return resolved
-    env_value = os.environ.get(REPRESENTATION_ENV, "").strip().lower()
-    if env_value:
-        return env_value
-    return DEFAULT_REPRESENTATION
-
-
 def create_overlay(name: str, *, bits: int = 32,
                    stabilization_interval: float = 30.0,
                    rng: Optional[random.Random] = None,
-                   representation: Optional[str] = None,
                    **extra) -> DHTProtocol:
     """Build the overlay registered under ``name``.
 
@@ -168,32 +101,12 @@ def create_overlay(name: str, *, bits: int = 32,
     caller (network layer, simulation parameters) provides; ``extra`` is
     forwarded verbatim for overlay-specific options (e.g. CAN's
     ``dimensions`` or Kademlia's ``k``).
-
-    ``representation`` picks the storage layout (see the module docstring for
-    the resolution order).  ``"columnar"`` falls back to ``"object"`` when no
-    columnar factory exists for the overlay or ``bits`` exceeds the packed
-    64-bit slot width; any other unknown representation raises
-    :class:`ValueError`.
     """
     key = name.lower()
-    representations = _FACTORIES.get(key)
-    if representations is None:
+    factory = _FACTORIES.get(key)
+    if factory is None:
         known = ", ".join(repr(known_name) for known_name in overlay_names())
         raise ValueError(f"unknown protocol {key!r}; registered overlays: {known}")
-    rep_key = _resolve_representation(representation)
-    factory = representations.get(rep_key)
-    if factory is None or (rep_key == COLUMNAR_REPRESENTATION
-                           and bits > MAX_COLUMNAR_BITS):
-        if rep_key == COLUMNAR_REPRESENTATION:
-            # Documented fallback: columnar is an optimisation, not a
-            # requirement, so overlays without one (or identifier spaces too
-            # wide to pack) silently build the reference objects.
-            factory = representations.get(OBJECT_REPRESENTATION)
-        if factory is None:
-            known = ", ".join(repr(rep) for rep in sorted(representations))
-            raise ValueError(
-                f"overlay {key!r} has no {rep_key!r} representation; "
-                f"registered representations: {known}")
     return factory(bits=bits, stabilization_interval=stabilization_interval,
                    rng=rng, **extra)
 
@@ -217,30 +130,6 @@ def _build_kademlia(*, bits: int, stabilization_interval: float,
     return KademliaOverlay(bits=bits, rng=rng, **extra)
 
 
-def _build_chord_columnar(*, bits: int, stabilization_interval: float,
-                          rng: Optional[random.Random], **extra) -> ChordRing:
-    return ColumnarChordRing(bits=bits,
-                             stabilization_interval=stabilization_interval,
-                             rng=rng, **extra)
-
-
-def _build_can_columnar(*, bits: int, stabilization_interval: float,
-                        rng: Optional[random.Random], **extra) -> CanSpace:
-    return ColumnarCanSpace(bits=bits, rng=rng, **extra)
-
-
-def _build_kademlia_columnar(*, bits: int, stabilization_interval: float,
-                             rng: Optional[random.Random],
-                             **extra) -> KademliaOverlay:
-    return ColumnarKademliaOverlay(bits=bits, rng=rng, **extra)
-
-
 register_overlay("chord", _build_chord)
 register_overlay("can", _build_can)
 register_overlay("kademlia", _build_kademlia)
-register_overlay("chord", _build_chord_columnar,
-                 representation=COLUMNAR_REPRESENTATION)
-register_overlay("can", _build_can_columnar,
-                 representation=COLUMNAR_REPRESENTATION)
-register_overlay("kademlia", _build_kademlia_columnar,
-                 representation=COLUMNAR_REPRESENTATION)

@@ -239,7 +239,6 @@ class NodeServer:
         if op == "info":
             return {"peers": self.cluster.size,
                     "protocol": self.cluster.network.protocol.protocol_name,
-                    "representation": self.cluster.network.protocol.representation,
                     "service": self.cluster.service_name,
                     "replicas": self.cluster.replication.factor,
                     "wire_formats": list(codec.WIRE_FORMATS),

@@ -5,8 +5,8 @@ unused: a scenario carrying a ``byzantine-timestamps`` fault at
 ``fraction=0`` must reproduce its honest twin (same workload, no fault
 entry) **bit for bit** — same query observations (times, response times,
 message counts), same aggregate metrics, and the same master RNG state
-after the run.  The property is pinned over every built-in overlay and
-both storage representations, with hypothesis choosing the seeds.
+after the run.  The property is pinned over every built-in overlay, with
+hypothesis choosing the seeds.
 
 The geo cost model has the matching degeneration contract: with one region
 its default RTT matrix collapses to the Table 1 wide-area parameters, so a
@@ -15,8 +15,6 @@ its default RTT matrix collapses to the Table 1 wide-area parameters, so a
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +25,6 @@ from repro.simulation.harness import SimulationHarness, run_simulation
 from repro.simulation.scenarios import Scenario, ScenarioSpec
 
 BUILTIN_OVERLAYS = ("chord", "can", "kademlia")
-REPRESENTATIONS = ("object", "columnar")
 
 HONEST_TWIN = ScenarioSpec(
     name="parity-honest",
@@ -45,37 +42,20 @@ def _parameters(seed: int, protocol: str) -> SimulationParameters:
         num_queries=8, duration_s=300.0, update_rate_per_hour=30.0)
 
 
-def _run_with_representation(spec, parameters, representation):
-    """One scenario run under a forced storage representation.
-
-    The environment override is set and restored manually (not via the
-    ``monkeypatch`` fixture) so the helper composes with hypothesis-driven
-    tests without function-scoped-fixture health-check issues.
-    """
-    previous = os.environ.get("REPRO_OVERLAY_REPRESENTATION")
-    os.environ["REPRO_OVERLAY_REPRESENTATION"] = representation
-    try:
-        harness = SimulationHarness(parameters, scenario=Scenario(spec))
-        result = harness.run()
-        return result, harness._master_rng.getstate()
-    finally:
-        if previous is None:
-            del os.environ["REPRO_OVERLAY_REPRESENTATION"]
-        else:
-            os.environ["REPRO_OVERLAY_REPRESENTATION"] = previous
+def _run(spec, parameters):
+    """One scenario run and the master RNG state it leaves behind."""
+    harness = SimulationHarness(parameters, scenario=Scenario(spec))
+    result = harness.run()
+    return result, harness._master_rng.getstate()
 
 
-@pytest.mark.parametrize("representation", REPRESENTATIONS)
 @pytest.mark.parametrize("protocol", BUILTIN_OVERLAYS)
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_zero_fraction_attack_is_bit_identical_to_the_honest_twin(
-        protocol, representation, seed):
+def test_zero_fraction_attack_is_bit_identical_to_the_honest_twin(protocol, seed):
     parameters = _parameters(seed, protocol)
-    honest, honest_rng = _run_with_representation(
-        HONEST_TWIN, parameters, representation)
-    attacked, attacked_rng = _run_with_representation(
-        ZERO_FRACTION_ATTACK, parameters, representation)
+    honest, honest_rng = _run(HONEST_TWIN, parameters)
+    attacked, attacked_rng = _run(ZERO_FRACTION_ATTACK, parameters)
 
     # Identical master RNG trajectory: the inert fault drew nothing.
     assert attacked_rng == honest_rng

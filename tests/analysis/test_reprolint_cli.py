@@ -84,6 +84,7 @@ def test_json_report_counts_suppressions_on_src(repo_root, tmp_path):
     report = json.loads(out_file.read_text(encoding="utf-8"))
     assert report["ok"] is True
     assert report["findings"] == []
+    assert 0 < report["line_budget"]["lines"] <= report["line_budget"]["budget"]
     # The real tree carries documented pragma suppressions (loadgen timing,
     # convenience RNG defaults, shared result types); each carries a reason.
     assert len(report["suppressed"]) >= 1

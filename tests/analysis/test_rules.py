@@ -1,4 +1,4 @@
-"""Per-rule fixture corpus for REP001–REP004.
+"""Per-rule fixture corpus for REP001–REP004, plus the REP007 line budget.
 
 Every rule gets known-bad snippets (must produce a finding) and known-good
 snippets (must stay silent).  Snippets are linted in memory through
@@ -6,11 +6,13 @@ snippets (must stay silent).  Snippets are linted in memory through
 layer would get, so layer- and package-scoped rules see realistic contexts.
 """
 
+import ast
 import textwrap
 
 import pytest
 
-from tools.reprolint import lint_source
+from tools.reprolint import FileContext, lint_source
+from tools.reprolint.rules import check_line_budget
 
 
 def rules_of(result):
@@ -299,3 +301,24 @@ def test_rep004_only_applies_to_repro_net():
     """
     result = lint(source, module="repro.experiments.fixture")
     assert "REP004" not in rules_of(result)
+
+
+# ------------------------------------------------------------------ REP007
+def context(module, line_count):
+    source = "\n".join(f"VALUE_{index} = {index}" for index in range(line_count))
+    return FileContext(path=f"{module}.py", module=module,
+                       tree=ast.parse(source), lines=source.splitlines())
+
+
+def test_rep007_flags_a_tree_over_its_budget():
+    contexts = [context("repro.alpha", 3), context("repro.beta", 2)]
+    findings, summary = check_line_budget(contexts, root="src", budget=4)
+    assert summary == {"lines": 5, "budget": 4}
+    assert [(f.rule, f.path) for f in findings] == [("REP007", "src")]
+    assert "5 lines" in findings[0].message
+
+
+def test_rep007_counts_only_repro_modules_and_allows_the_budget_itself():
+    contexts = [context("repro.alpha", 3), context(None, 50)]
+    findings, summary = check_line_budget(contexts, root="src", budget=3)
+    assert findings == [] and summary["lines"] == 3

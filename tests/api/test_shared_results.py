@@ -99,22 +99,15 @@ class TestBatchResults:
         assert not partial.fully_replicated
 
 
-class TestDeprecatedBricksAliases:
-    def test_baseline_module_aliases_warn_and_resolve(self):
+class TestRetiredBricksAliases:
+    def test_the_legacy_result_names_are_gone(self):
+        import repro.core as core
         import repro.core.baseline as baseline
 
-        with pytest.warns(DeprecationWarning, match="BricksInsertResult"):
-            assert baseline.BricksInsertResult is InsertResult
-        with pytest.warns(DeprecationWarning, match="BricksRetrieveResult"):
-            assert baseline.BricksRetrieveResult is RetrieveResult
-
-    def test_core_package_forwards_the_aliases(self):
-        import repro.core as core
-
-        with pytest.warns(DeprecationWarning):
-            assert core.BricksInsertResult is InsertResult
-        with pytest.warns(DeprecationWarning):
-            assert core.BricksRetrieveResult is RetrieveResult
+        for module in (core, baseline):
+            for name in ("BricksInsertResult", "BricksRetrieveResult"):
+                assert not hasattr(module, name)
+                assert name not in module.__all__
 
     def test_unknown_attributes_still_raise(self):
         import repro.core.baseline as baseline

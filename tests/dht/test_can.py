@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -168,6 +169,26 @@ class TestResponsibility:
         predicted = space.next_responsible(point)
         space.remove_node(space.responsible_for(point), reason=DepartureReason.FAIL)
         assert space.responsible_for(point) == predicted
+
+    def test_next_responsible_predicts_every_zone_of_a_multi_zone_owner(self):
+        # Departures leave some nodes owning several zones; a leaving owner
+        # hands them out in order, so an earlier grant can change who wins
+        # a later zone.  The prediction must follow that order.
+        space = build_space(30)
+        rng = random.Random(7)
+        for _ in range(12):
+            space.remove_node(space.random_node(rng))
+        owners = [node for node in space.nodes() if len(space.zones_of(node)) > 1]
+        assert owners
+        for owner in owners:
+            for zone in space.zones_of(owner):
+                point = sum(low << (axis * space.bits_per_dimension)
+                            for axis, low in enumerate(zone.lo))
+                assert space.responsible_for(point) == owner
+                predicted = space.next_responsible(point)
+                after = copy.deepcopy(space)
+                after.remove_node(owner)
+                assert after.responsible_for(point) == predicted, (owner, zone)
 
 
 class TestRouting:

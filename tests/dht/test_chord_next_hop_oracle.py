@@ -20,15 +20,12 @@ from repro.dht.model import DepartureReason
 from repro.dht.registry import create_overlay
 
 INTERVAL = 30.0
-RINGS = [("object", 8), ("object", 32), ("object", 64), ("object", 160),
-         ("columnar", 8), ("columnar", 32), ("columnar", 64)]
+BITS = [8, 32, 64, 160]
 
 
-def build_ring(representation, bits):
-    ring = create_overlay("chord", bits=bits, stabilization_interval=INTERVAL,
-                          rng=random.Random(1), representation=representation)
-    assert ring.representation == representation
-    return ring
+def build_ring(bits):
+    return create_overlay("chord", bits=bits, stabilization_interval=INTERVAL,
+                          rng=random.Random(1))
 
 
 def linear_next_hop(ring, current, point, now):
@@ -91,11 +88,11 @@ steps = st.lists(
     min_size=1, max_size=50)
 
 
-@pytest.mark.parametrize("representation,bits", RINGS)
+@pytest.mark.parametrize("bits", BITS)
 @given(steps=steps)
 @settings(max_examples=40, deadline=None)
-def test_next_hop_equals_the_linear_scan_under_churn(representation, bits, steps):
-    ring = build_ring(representation, bits)
+def test_next_hop_equals_the_linear_scan_under_churn(bits, steps):
+    ring = build_ring(bits)
     size = 1 << bits
     ring.add_node(steps[0][1] % size)
     departed = []
@@ -123,9 +120,9 @@ def test_next_hop_equals_the_linear_scan_under_churn(representation, bits, steps
                 assert_hops_agree(ring, current, point, now)
 
 
-@pytest.mark.parametrize("representation,bits", RINGS)
-def test_single_member_ring_hops_to_itself(representation, bits):
-    ring = build_ring(representation, bits)
+@pytest.mark.parametrize("bits", BITS)
+def test_single_member_ring_hops_to_itself(bits):
+    ring = build_ring(bits)
     ring.add_node(5)
     for point in (5, 6, 4, 0, (1 << bits) - 1):
         assert ring._next_hop(5, point, 0.0) == (5, 0, 0)
@@ -134,7 +131,7 @@ def test_single_member_ring_hops_to_itself(representation, bits):
 
 
 def test_a_stale_finger_counts_by_how_it_departed_and_a_rejoined_one_is_live():
-    ring = build_ring("object", 8)
+    ring = build_ring(8)
     for node in (0, 64, 128, 192):
         ring.add_node(node)
     assert ring.finger_table(0) == [64, 128]
@@ -148,12 +145,11 @@ def test_a_stale_finger_counts_by_how_it_departed_and_a_rejoined_one_is_live():
     assert ring._next_hop(0, 200, 4.0 + INTERVAL) == (192, 0, 0)   # refreshed
 
 
-@pytest.mark.parametrize("representation", ["object", "columnar"])
-def test_route_paths_equal_the_oracle_walk_on_a_seeded_1000_peer_ring(representation):
+def test_route_paths_equal_the_oracle_walk_on_a_seeded_1000_peer_ring():
     # Two rings fed the same seeded history: one routed by the ring, one by
     # the oracle, so the finger-table state each leaves behind is compared too.
     rng = random.Random(2007)
-    ring, twin = build_ring(representation, 32), build_ring(representation, 32)
+    ring, twin = build_ring(32), build_ring(32)
     for node in rng.sample(range(1 << 32), 1000):
         ring.add_node(node)
         twin.add_node(node)

@@ -141,6 +141,19 @@ class TestRoutingTable:
         assert set(table.contacts()) == {1, 2, 3, 128, 129}
         assert table.bucket(7).contacts == [128, 129]
 
+    def test_bucket_is_a_detached_snapshot(self):
+        table = RoutingTable(owner=0, bits=8, k=4)
+        for contact in (3, 5, 9, 130):
+            table.learn(contact)
+        snapshot = table.bucket(table.bucket_index(130))
+        assert snapshot.contacts == [130]
+        # Mutating a snapshot must not write back, and reading an empty
+        # bucket must not create a row.
+        snapshot.contacts.append(200)
+        assert 200 not in table.contacts()
+        assert table.bucket(6).contacts == []
+        assert 6 not in table._rows
+
     def test_closest_orders_by_xor_distance(self):
         table = RoutingTable(owner=0, bits=8, k=8)
         for contact in (1, 64, 130, 7):

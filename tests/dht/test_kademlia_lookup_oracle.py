@@ -22,14 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Cluster
-from repro.dht.columnar.kademlia import ArrayRoutingTable
 from repro.dht.kademlia import RoutingTable
 from repro.dht.messages import MessageKind
 from repro.dht.model import DepartureReason
 from repro.dht.registry import create_overlay
 
-OVERLAYS = [("object", 8), ("object", 32), ("object", 64), ("object", 160),
-            ("columnar", 8), ("columnar", 32), ("columnar", 64)]
+BITS = [8, 32, 64, 160]
 BUCKET_SIZES = [1, 4, 16]
 
 
@@ -82,11 +80,10 @@ def scan_lookup(overlay, origin, target, *, self_distance):
     return path, retries, timeouts
 
 
-def build_pair(representation, bits, k):
+def build_pair(bits, k):
     """The overlay under test and its twin, whose every lookup is the oracle's."""
-    pair = [create_overlay("kademlia", bits=bits, k=k, rng=random.Random(1),
-                           representation=representation) for _ in range(2)]
-    assert pair[0].representation == representation
+    pair = [create_overlay("kademlia", bits=bits, k=k, rng=random.Random(1))
+            for _ in range(2)]
     pair[1]._iterative_lookup = functools.partial(scan_lookup, pair[1])
     return pair
 
@@ -113,11 +110,11 @@ steps = st.lists(
 
 
 @pytest.mark.parametrize("k", BUCKET_SIZES)
-@pytest.mark.parametrize("representation,bits", OVERLAYS)
+@pytest.mark.parametrize("bits", BITS)
 @given(steps=steps)
 @settings(max_examples=40, deadline=None)
-def test_routes_and_buckets_equal_the_oracle_under_churn(representation, bits, k, steps):
-    overlay, twin = build_pair(representation, bits, k)
+def test_routes_and_buckets_equal_the_oracle_under_churn(bits, k, steps):
+    overlay, twin = build_pair(bits, k)
     size = 1 << bits
     departed = []
     for each in (overlay, twin):
@@ -146,9 +143,9 @@ def test_routes_and_buckets_equal_the_oracle_under_churn(representation, bits, k
         assert_tables_agree(overlay, twin)
 
 
-@pytest.mark.parametrize("representation,bits", OVERLAYS)
-def test_single_member_overlay_routes_to_itself(representation, bits):
-    overlay, twin = build_pair(representation, bits, 4)
+@pytest.mark.parametrize("bits", BITS)
+def test_single_member_overlay_routes_to_itself(bits):
+    overlay, twin = build_pair(bits, 4)
     for each in (overlay, twin):
         assert each.add_node(5) == set()
     for point in (5, 6, 0, (1 << bits) - 1):
@@ -157,10 +154,9 @@ def test_single_member_overlay_routes_to_itself(representation, bits):
     assert overlay.routing_table(5).contacts() == []
 
 
-@pytest.mark.parametrize("representation", ["object", "columnar"])
-def test_a_lookup_whose_nearest_contacts_all_departed(representation):
+def test_a_lookup_whose_nearest_contacts_all_departed():
     rng = random.Random(2007)
-    overlay, twin = build_pair(representation, 32, 16)
+    overlay, twin = build_pair(32, 16)
     for node in rng.sample(range(1 << 32), 300):
         for each in (overlay, twin):
             each.add_node(node)
@@ -180,10 +176,9 @@ def test_a_lookup_whose_nearest_contacts_all_departed(representation):
     assert_tables_agree(overlay, twin)
 
 
-@pytest.mark.parametrize("representation", ["object", "columnar"])
-def test_routes_equal_the_oracle_on_a_seeded_1000_peer_overlay(representation):
+def test_routes_equal_the_oracle_on_a_seeded_1000_peer_overlay():
     rng = random.Random(2007)
-    overlay, twin = build_pair(representation, 32, 16)
+    overlay, twin = build_pair(32, 16)
     for node in rng.sample(range(1 << 32), 1000):
         assert overlay.add_node(node) == twin.add_node(node)
     stale_routes = 0
@@ -209,18 +204,14 @@ def test_routes_equal_the_oracle_on_a_seeded_1000_peer_overlay(representation):
 
 
 # ------------------------------------------------------------ closest()
-TABLES = [(RoutingTable, 8), (RoutingTable, 32), (RoutingTable, 160),
-          (ArrayRoutingTable, 8), (ArrayRoutingTable, 32), (ArrayRoutingTable, 64)]
-
-
-@pytest.mark.parametrize("table_class,bits", TABLES)
+@pytest.mark.parametrize("bits", BITS)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_closest_equals_the_full_sort(table_class, bits, data):
+def test_closest_equals_the_full_sort(bits, data):
     ids = st.integers(min_value=0, max_value=(1 << bits) - 1)
     owner = data.draw(ids)
     k = data.draw(st.sampled_from(BUCKET_SIZES))
-    table = table_class(owner, bits, k)
+    table = RoutingTable(owner, bits, k)
     # Neighbours of the owner fill the low buckets, free ids overfill the
     # high ones (learn keeps the first k), and the rest stay empty.
     near = st.integers(min_value=0, max_value=min(63, (1 << bits) - 1))

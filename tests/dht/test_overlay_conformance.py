@@ -17,12 +17,10 @@ Covered here, per overlay:
 * service integration — a UMS insert/retrieve round-trip over a churning
   network returns the current replica with a recorded trace.
 
-The whole suite runs twice per overlay: once over the object representation
-and once over the columnar packed-array representation (selected through the
-``REPRO_OVERLAY_REPRESENTATION`` environment override), pinning that the two
-storage layouts are behaviourally interchangeable everywhere the services
-touch them.  Bit-exact equivalence (identical routes, traces and RNG
-streams) is pinned separately in ``test_columnar_parity.py``.
+The whole suite runs at three identifier widths per overlay: the default
+32 bits, 64 bits and a SHA-1-sized 160 bits.  Overlay state is plain lists
+and CAN's zone index is keyed by unbounded integers, so no width is special;
+the wide spaces pin that nothing silently assumes a machine word.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from repro.dht.network import DHTNetwork
 from repro.dht.registry import create_overlay, overlay_names
 
 BUILTIN_OVERLAYS = ("chord", "can", "kademlia")
+WIDTHS = (32, 64, 160)
 
 
 def test_suite_covers_every_registered_overlay():
@@ -44,27 +43,24 @@ def test_suite_covers_every_registered_overlay():
     assert set(BUILTIN_OVERLAYS) == set(overlay_names())
 
 
-@pytest.fixture(params=("object", "columnar"), autouse=True)
-def representation(request, monkeypatch) -> str:
-    # Route every overlay build in the test (fixtures, create_overlay calls,
-    # build_service_stack) through the requested representation.
-    monkeypatch.setenv("REPRO_OVERLAY_REPRESENTATION", request.param)
-    return request.param
-
-
 @pytest.fixture(params=BUILTIN_OVERLAYS)
 def protocol_name(request) -> str:
     return request.param
 
 
-@pytest.fixture
-def network(protocol_name) -> DHTNetwork:
-    return DHTNetwork.build(24, protocol=protocol_name, seed=404)
+@pytest.fixture(params=WIDTHS)
+def bits(request) -> int:
+    return request.param
 
 
 @pytest.fixture
-def hash_fns(protocol_name):
-    return HashFamily(bits=32, seed=77).sample_many(4, prefix="hr")
+def network(protocol_name, bits) -> DHTNetwork:
+    return DHTNetwork.build(24, protocol=protocol_name, bits=bits, seed=404)
+
+
+@pytest.fixture
+def hash_fns(protocol_name, bits):
+    return HashFamily(bits=bits, seed=77).sample_many(4, prefix="hr")
 
 
 class TestLookupCorrectness:
@@ -142,25 +138,26 @@ class TestChurnHandover:
                 entry = network.get(key, hash_fn)
                 assert entry is not None, (key, hash_fn.name)
 
-    def test_next_responsible_predicts_the_departure_takeover(self, protocol_name):
-        overlay = create_overlay(protocol_name, bits=16, rng=random.Random(2))
+    def test_next_responsible_predicts_the_departure_takeover(self, protocol_name,
+                                                              bits):
+        overlay = create_overlay(protocol_name, bits=bits, rng=random.Random(2))
         rng = random.Random(3)
         for _ in range(20):
-            node_id = rng.randrange(1 << 16)
+            node_id = rng.randrange(1 << bits)
             if node_id not in overlay:
                 overlay.add_node(node_id)
-        for point in (0, 513, 40_000, 65_535):
+        for point in (0, 513, 40_000, (1 << bits) - 1):
             predicted = overlay.next_responsible(point)
             assert predicted is not None
             overlay.remove_node(overlay.responsible_for(point))
             assert overlay.responsible_for(point) == predicted
 
-    def test_join_affected_set_names_only_live_nodes(self, protocol_name):
-        overlay = create_overlay(protocol_name, bits=16, rng=random.Random(4))
+    def test_join_affected_set_names_only_live_nodes(self, protocol_name, bits):
+        overlay = create_overlay(protocol_name, bits=bits, rng=random.Random(4))
         rng = random.Random(5)
         members = set()
         for _ in range(25):
-            node_id = rng.randrange(1 << 16)
+            node_id = rng.randrange(1 << bits)
             if node_id in overlay:
                 continue
             affected = overlay.add_node(node_id)
@@ -195,9 +192,9 @@ class TestMessageAccounting:
 
 
 class TestServiceIntegration:
-    def test_ums_round_trip_over_a_churning_network(self, protocol_name):
+    def test_ums_round_trip_over_a_churning_network(self, protocol_name, bits):
         stack = build_service_stack(num_peers=40, num_replicas=6,
-                                    protocol=protocol_name, seed=1234)
+                                    protocol=protocol_name, bits=bits, seed=1234)
         rng = random.Random(99)
         stack.ums.insert("the-doc", {"rev": 0})
         for revision in range(1, 4):
@@ -216,9 +213,9 @@ class TestServiceIntegration:
         assert result.is_current
         assert result.trace.message_count > 0
 
-    def test_kts_counters_survive_overlay_churn(self, protocol_name):
+    def test_kts_counters_survive_overlay_churn(self, protocol_name, bits):
         stack = build_service_stack(num_peers=30, num_replicas=5,
-                                    protocol=protocol_name, seed=77)
+                                    protocol=protocol_name, bits=bits, seed=77)
         first = stack.kts.gen_ts("a-key")
         for _ in range(10):
             stack.network.leave_peer(stack.network.random_alive_peer())

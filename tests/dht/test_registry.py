@@ -48,6 +48,45 @@ class TestBuiltins:
         assert not registry.is_registered("pastry")
 
 
+BUILTIN_CLASSES = {"chord": ChordRing, "can": CanSpace,
+                   "kademlia": KademliaOverlay}
+
+
+class TestOneClassPerOverlay:
+    # Each built-in overlay is one class with plain-list state, so every
+    # identifier width, either side of a machine word, builds that class.
+    @pytest.mark.parametrize("bits", [8, 32, 64, 65, 160])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CLASSES))
+    def test_every_width_builds_the_one_class(self, name, bits):
+        overlay = registry.create_overlay(name, bits=bits, rng=random.Random(1))
+        assert type(overlay) is BUILTIN_CLASSES[name]
+        assert overlay.bits == bits
+        overlay.add_node((1 << bits) - 1)
+        assert overlay.responsible_for(0) == (1 << bits) - 1
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CLASSES))
+    def test_protocol_name_is_the_class_name(self, name):
+        # The server's info reply and the adversary tables read this name.
+        overlay = registry.create_overlay(name, rng=random.Random(1))
+        assert overlay.protocol_name == BUILTIN_CLASSES[name].__name__
+
+    def test_create_overlay_takes_no_representation(self):
+        with pytest.raises(TypeError, match="representation"):
+            registry.create_overlay("chord", representation="object")
+
+    def test_network_takes_no_representation(self):
+        with pytest.raises(TypeError, match="representation"):
+            DHTNetwork.build(4, protocol="chord", representation="object")
+
+    def test_the_benchmark_alias_is_the_chord_ring_and_stays_private(self):
+        import repro.dht
+        from repro.dht.columnar import ColumnarChordRing
+
+        assert ColumnarChordRing is ChordRing
+        assert "ColumnarChordRing" not in repro.dht.__all__
+        assert not hasattr(repro.dht, "ColumnarChordRing")
+
+
 class TestRuntimeRegistration:
     @pytest.fixture
     def custom_overlay(self):

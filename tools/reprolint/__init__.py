@@ -33,6 +33,9 @@ REP006
     Public docstring coverage of the scanned tree stays at or above the
     pinned threshold (folds ``tools/check_docstrings.py`` into this
     analyzer's single JSON report).
+REP007
+    The scanned tree stays within the pinned ``src/`` line budget
+    (``SRC_LINE_BUDGET``); a change that raises it says why in CHANGES.md.
 
 Usage
 -----
@@ -48,6 +51,7 @@ from tools.reprolint.layers import LayerMap, parse_layer_map
 from tools.reprolint.pragmas import Pragma, parse_pragmas
 from tools.reprolint.rules import (
     DOCSTRING_COVERAGE_THRESHOLD,
+    SRC_LINE_BUDGET,
     Finding,
     Rule,
     Suppression,
@@ -63,6 +67,7 @@ __all__ = [
     "LintResult",
     "Pragma",
     "Rule",
+    "SRC_LINE_BUDGET",
     "Suppression",
     "all_rules",
     "get_rule",

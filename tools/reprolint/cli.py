@@ -30,6 +30,10 @@ def _human_report(result: LintResult) -> str:
             f"docstring coverage: {coverage['percent']}% "
             f"({coverage['documented']}/{coverage['total']} public objects, "
             f"threshold {coverage['threshold']}%)")
+    budget = result.line_budget
+    if budget:
+        lines.append(f"source lines: {budget['lines']} "
+                     f"(budget {budget['budget']})")
     lines.append(
         f"reprolint: {len(result.findings)} finding(s), "
         f"{len(result.suppressed)} suppressed by pragma, "
@@ -47,6 +51,7 @@ def _json_report(result: LintResult, paths: List[str]) -> str:
         "findings": [finding.to_dict() for finding in result.findings],
         "suppressed": [s.to_dict() for s in result.suppressed],
         "docstring_coverage": result.docstring_coverage,
+        "line_budget": result.line_budget,
         "rules": [
             {"id": rule.id, "summary": rule.summary, "layers": rule.layers,
              "findings": counts.get(rule.id, {}).get("findings", 0),
@@ -73,7 +78,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.reprolint",
         description="Static enforcement of the repo's determinism, async "
-                    "and layering invariants (REP001-REP006).")
+                    "and layering invariants (REP001-REP007).")
     parser.add_argument("paths", nargs="*",
                         help="files or directories to lint (e.g. src)")
     parser.add_argument("--format", choices=("human", "json"),

@@ -3,9 +3,10 @@
 :func:`lint_paths` is the entry point the CLI and CI use; :func:`lint_source`
 lints a single in-memory snippet and is what the fixture tests in
 ``tests/analysis/`` drive.  Pragma application is uniform across rules (the
-pragma must name the finding's rule and cover its line) with one exception:
-REP006 (aggregate docstring coverage) is a tree-level property and cannot be
-pragma'd away — fix the docstrings or change the pinned threshold.
+pragma must name the finding's rule and cover its line) with two exceptions:
+REP006 (aggregate docstring coverage) and REP007 (the line budget) are
+tree-level properties and cannot be pragma'd away — fix the tree or change
+the pinned number.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from tools.reprolint.rules import (
     check_async_hygiene,
     check_docstring_coverage,
     check_layering,
+    check_line_budget,
     check_order_dependence,
     check_wall_clock,
     collect_aliases,
@@ -54,6 +56,7 @@ class LintResult:
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Suppression] = field(default_factory=list)
     docstring_coverage: Dict[str, object] = field(default_factory=dict)
+    line_budget: Dict[str, object] = field(default_factory=dict)
     files_scanned: int = 0
 
     @property
@@ -205,6 +208,9 @@ def lint_paths(paths: Sequence[Union[str, pathlib.Path]],
     coverage_findings, summary = check_docstring_coverage(contexts)
     result.findings.extend(coverage_findings)  # never pragma-suppressible
     result.docstring_coverage = summary
+    budget_findings, result.line_budget = check_line_budget(
+        contexts, root=", ".join(str(entry) for entry in paths))
+    result.findings.extend(budget_findings)  # never pragma-suppressible
     result.files_scanned = len(contexts)
     result.findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return result

@@ -1,7 +1,7 @@
-"""The reprolint rule registry and the REP001–REP006 checkers.
+"""The reprolint rule registry and the REP001–REP007 checkers.
 
 Each rule is a pure function over a parsed :class:`~tools.reprolint.engine.
-FileContext` (REP006 aggregates over the whole scanned tree).  Checkers are
+FileContext` (REP006 and REP007 aggregate over the whole scanned tree).  Checkers are
 deliberately syntactic: they resolve dotted call names through the module's
 import aliases (``import time as t`` still trips REP001) but do no type
 inference — the dynamic test suite remains the semantic backstop, and the
@@ -21,6 +21,7 @@ __all__ = [
     "DETERMINISTIC_LAYERS",
     "DOCSTRING_COVERAGE_THRESHOLD",
     "Finding",
+    "SRC_LINE_BUDGET",
     "Rule",
     "Suppression",
     "all_rules",
@@ -36,6 +37,10 @@ DETERMINISTIC_LAYERS = ("repro.core", "repro.dht", "repro.simulation",
 #: number ``tools/check_docstrings.py`` and ``tests/test_docs.py`` pin; the
 #: three must stay in sync.
 DOCSTRING_COVERAGE_THRESHOLD = 91.0
+
+#: Most lines the scanned ``repro`` tree may hold (REP007), pinned at the
+#: measured size of ``src/``.  Raising it needs a reason in CHANGES.md.
+SRC_LINE_BUDGET = 15590
 
 #: Wall-clock reads forbidden by REP001 (resolved through import aliases).
 _WALL_CLOCK = frozenset({
@@ -464,6 +469,29 @@ def check_docstring_coverage(contexts) -> Tuple[List[Finding], Dict[str, object]
     return findings, summary
 
 
+# ---------------------------------------------------------------- REP007
+def check_line_budget(contexts, root: str,
+                      budget: int = SRC_LINE_BUDGET,
+                      ) -> Tuple[List[Finding], Dict[str, object]]:
+    """REP007: the scanned ``repro`` tree stays within its line budget.
+
+    Counts every line of every module (as ``wc -l`` does) and returns one
+    finding, reported against ``root``, when the total exceeds ``budget``;
+    the summary is embedded in the JSON report either way.
+    """
+    lines = sum(len(ctx.lines) for ctx in contexts if ctx.module is not None)
+    summary: Dict[str, object] = {"lines": lines, "budget": budget}
+    findings: List[Finding] = []
+    if lines > budget:
+        findings.append(Finding(
+            rule="REP007", path=root, line=1, column=0,
+            message=f"{lines} lines of source exceed the pinned budget of "
+                    f"{budget} (SRC_LINE_BUDGET in tools/reprolint/rules.py) "
+                    "— delete code, or raise the budget and say why in "
+                    "CHANGES.md"))
+    return findings, summary
+
+
 # ----------------------------------------------------------------- registry
 _RULES: Tuple[Rule, ...] = (
     Rule(id="REP000",
@@ -500,6 +528,10 @@ _RULES: Tuple[Rule, ...] = (
                  f"{DOCSTRING_COVERAGE_THRESHOLD:.1f}% over the scanned tree",
          layers="all of repro (aggregate, folded from "
                 "tools/check_docstrings.py)"),
+    Rule(id="REP007",
+         summary=f"source size <= {SRC_LINE_BUDGET} lines over the scanned "
+                 "tree (the src/ line budget)",
+         layers="all of repro (aggregate)"),
 )
 
 
