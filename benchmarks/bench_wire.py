@@ -1,17 +1,14 @@
-"""Wire-format efficiency suite: measured frame bytes, JSON vs binary.
+"""Wire efficiency suite: the measured frame bytes of the protocol's traffic.
 
-The wire-efficiency layer claims that the compact binary framing (tagged
-struct packing, native result records, one deflate stream per connection)
-shrinks bulk transfers by at least 2x against the legacy JSON frames.  This
-bench *measures* that claim: it builds deterministic payloads shaped like
-the protocol's real traffic (single ops, batched ops, delta-sync entry
-lists, and the trace-bearing point replies that dominate a ``tcp_point``
-run) with :mod:`repro.net.codec`, records the exact frame size of each under
-both formats, and fails when any bulk payload misses the improvement bar.
+It builds deterministic payloads shaped like the protocol's real traffic
+(single ops, batched ops, delta-sync entry lists, and the trace-bearing
+point replies that dominate a ``tcp_point`` run) with
+:mod:`repro.net.codec` and records the exact frame size of each, so a codec
+change that moves a byte shows against the committed baseline.
 
-A binary frame is the next piece of its connection's deflate stream, so its
-size depends on the frames before it: the plain rows measure each payload
-as the first frame of a fresh stream, and the ``*_mid_stream`` rows the last
+A frame is the next piece of its connection's deflate stream, so its size
+depends on the frames before it: the plain rows measure each payload as the
+first frame of a fresh stream, and the ``*_mid_stream`` rows the last
 request and reply of a seeded ``tcp_point``-like connection, where every
 earlier frame is history the stream can refer back to.
 
@@ -26,12 +23,10 @@ Measure and write a JSON report::
     PYTHONPATH=src python benchmarks/bench_wire.py \
         --output benchmarks/results/bench_wire.json
 
-Compare against the committed baseline (exact frame sizes) and enforce the
-bulk-transfer improvement bar::
+Compare against the committed baseline (exact frame sizes)::
 
     PYTHONPATH=src python benchmarks/bench_wire.py \
-        --check benchmarks/results/bench_wire_baseline.json \
-        --min-improvement 2.0
+        --check benchmarks/results/bench_wire_baseline.json
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ import json
 import pathlib
 import random
 import sys
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.api.cluster import Cluster
 from repro.api.results import InsertResult, RetrieveResult
@@ -51,10 +46,6 @@ from repro.dht.messages import MessageKind, OperationTrace
 from repro.net import codec
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
-
-#: Payloads below this many JSON bytes are "control" traffic: binary helps but
-#: the 2x bulk-transfer bar only applies to the data-carrying shapes.
-_BULK_THRESHOLD_BYTES = 512
 
 #: Operations on the seeded connection of the ``*_mid_stream`` rows.
 _MID_STREAM_OPS = 20
@@ -119,9 +110,9 @@ def _point_replies() -> Dict[str, dict]:
 
 
 def _mid_stream(ops: int = _MID_STREAM_OPS, *,
-                seed: int = 2007) -> Dict[str, Tuple[dict, int]]:
+                seed: int = 2007) -> Dict[str, int]:
     """The last request and reply of a seeded connection, each with its
-    binary frame size measured mid-stream.
+    frame size measured mid-stream.
 
     ``ops`` operations of the ``tcp_point`` mix (80 % retrieves, the last
     one too) over 16 pre-inserted keys, executed on a seeded in-process
@@ -151,9 +142,7 @@ def _mid_stream(ops: int = _MID_STREAM_OPS, *,
             for name, payload, stream in (("retrieve_mid_stream", request, requests),
                                           ("retrieve_reply_mid_stream", reply,
                                            replies)):
-                frame = codec.encode_frame(payload, wire_format=codec.FORMAT_BINARY,
-                                           stream=stream)
-                sizes[name] = (payload, len(frame))
+                sizes[name] = len(codec.encode_frame(payload, stream=stream))
     return sizes
 
 
@@ -188,61 +177,42 @@ def build_payloads(batch: int = 64) -> Dict[str, dict]:
 
 
 def run_suite(batch: int = 64) -> Dict:
-    """Measure every payload under both formats; return the report dict."""
+    """Measure every payload; return the report dict."""
     report: Dict = {"harness": "bench_wire",
                     "meta": {"batch": batch,
                              "frame_header_bytes": codec.FRAME_HEADER_BYTES,
                              "mid_stream_ops": _MID_STREAM_OPS},
                     "results": {}}
-    rows = {name: (payload, codec.frame_size(payload,
-                                             wire_format=codec.FORMAT_BINARY))
+    rows = {name: codec.frame_size(payload)
             for name, payload in build_payloads(batch).items()}
     rows.update(_mid_stream())
-    for name, (payload, binary_bytes) in rows.items():
-        json_bytes = codec.frame_size(payload, wire_format=codec.FORMAT_JSON)
-        cell = {"json_bytes": json_bytes, "binary_bytes": binary_bytes,
-                "improvement": json_bytes / binary_bytes,
-                "bulk": json_bytes >= _BULK_THRESHOLD_BYTES}
-        report["results"][name] = cell
-        print(f"{name:>22s}: json {json_bytes:>7d} B, binary "
-              f"{binary_bytes:>7d} B  (x{cell['improvement']:.2f}"
-              f"{', bulk' if cell['bulk'] else ''})")
+    for name, binary_bytes in rows.items():
+        report["results"][name] = {"binary_bytes": binary_bytes}
+        print(f"{name:>26s}: {binary_bytes:>7d} B")
     return report
 
 
-def check(report: Dict, *, min_improvement: float,
-          baseline_path: Optional[pathlib.Path] = None) -> int:
-    """Enforce the bulk improvement bar (and baseline equality); exit code."""
+def check(report: Dict, baseline_path: pathlib.Path) -> int:
+    """Compare the frame sizes against the baseline; exit code."""
+    baseline = json.loads(baseline_path.read_text())
+    if baseline.get("meta") != report["meta"]:
+        print(f"baseline {baseline_path} has different meta; skipping "
+              "the exact-size comparison", file=sys.stderr)
+        return 0
     failures = []
-    for name, cell in report["results"].items():
-        if cell["bulk"] and cell["improvement"] < min_improvement:
-            failures.append(f"{name}: x{cell['improvement']:.2f} < "
-                            f"x{min_improvement:.1f} bulk improvement bar")
-        if cell["binary_bytes"] >= cell["json_bytes"] and cell["bulk"]:
-            failures.append(f"{name}: binary frame not smaller than JSON")
-    if baseline_path is not None:
-        baseline = json.loads(baseline_path.read_text())
-        if baseline.get("meta") != report["meta"]:
-            print(f"baseline {baseline_path} has different meta; skipping "
-                  "the exact-size comparison", file=sys.stderr)
-        else:
-            for name, base_cell in baseline.get("results", {}).items():
-                cell = report["results"].get(name)
-                if cell is None:
-                    continue
-                for field in ("json_bytes", "binary_bytes"):
-                    if base_cell.get(field) not in (None, cell[field]):
-                        failures.append(
-                            f"{name}.{field}: baseline {base_cell[field]} "
-                            f"vs now {cell[field]} (frame sizes are "
-                            "deterministic; this is a codec change)")
+    for name, base_cell in baseline.get("results", {}).items():
+        cell = report["results"].get(name)
+        if cell is not None and base_cell["binary_bytes"] != cell["binary_bytes"]:
+            failures.append(
+                f"{name}.binary_bytes: baseline {base_cell['binary_bytes']} "
+                f"vs now {cell['binary_bytes']} (frame sizes are "
+                "deterministic; this is a codec change)")
     if failures:
         print("\nbench_wire FAILED:", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print(f"\nall bulk payloads beat the x{min_improvement:.1f} bar"
-          + (f"; sizes match {baseline_path}" if baseline_path else ""))
+    print(f"\nsizes match {baseline_path}")
     return 0
 
 
@@ -250,8 +220,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--batch", type=int, default=64,
                         help="items per bulk payload")
-    parser.add_argument("--min-improvement", type=float, default=2.0,
-                        help="required JSON/binary size ratio on bulk payloads")
     parser.add_argument("--output", type=pathlib.Path, default=None,
                         help="report path (default "
                              "benchmarks/results/bench_wire.json)")
@@ -264,8 +232,7 @@ def main(argv=None) -> int:
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {output}")
-    return check(report, min_improvement=args.min_improvement,
-                 baseline_path=args.check)
+    return check(report, args.check) if args.check else 0
 
 
 if __name__ == "__main__":

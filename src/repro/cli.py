@@ -329,11 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-request transport timeout (net backends)")
     loadgen.add_argument("--max-retries", type=int, default=2,
                          help="bounded transport retries (net backends)")
-    loadgen.add_argument("--wire-format", choices=("auto", "json", "binary"),
-                         default="auto",
-                         help="frame encoding for net backends: binary "
-                              "(compact, zlib above a size threshold) when "
-                              "the server advertises it, else json")
     loadgen.add_argument("--sync-round", action="store_true",
                          help="run one delta anti-entropy round "
                               "(sync_replicas) after the load and attach its "
@@ -485,8 +480,7 @@ def loadgen_command(arguments: argparse.Namespace, *, stream=None) -> int:
                        seed=arguments.seed)
     else:
         options = dict(address=arguments.address, timeout_s=arguments.timeout,
-                       max_retries=arguments.max_retries,
-                       wire_format=arguments.wire_format)
+                       max_retries=arguments.max_retries)
     try:
         cluster = build_backend(backend, **options)
     except (ValueError, OSError) as error:
@@ -527,8 +521,7 @@ def loadgen_command(arguments: argparse.Namespace, *, stream=None) -> int:
                      f"{report.transport['timeouts']} timeouts\n")
         if "bytes_per_op" in report.transport:
             stream.write(f"bytes per op         : "
-                         f"{report.transport['bytes_per_op']:.1f} "
-                         f"({report.transport['wire_format']} frames)\n")
+                         f"{report.transport['bytes_per_op']:.1f}\n")
     if report.sync is not None:
         stream.write(f"delta sync           : {report.sync['entries_shipped']} "
                      f"shipped / {report.sync['entries_skipped']} skipped, "

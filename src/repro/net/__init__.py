@@ -6,11 +6,11 @@ traffic*.  It keeps the exact client surface — the same
 :class:`~repro.api.cluster.Session` drives either substrate — and swaps the
 execution behind it:
 
-* :mod:`repro.net.codec` — the length-prefixed wire codec (JSON or binary
-  bodies) for the existing trace/result types, with measured frame sizes;
-  :mod:`repro.net.wire` is the binary body: tagged values, native records
-  for the results and traces, one-byte codes for the protocol's dict keys,
-  and every frame a piece of one deflate stream per connection and
+* :mod:`repro.net.codec` — the length-prefixed wire codec, with measured
+  frame sizes and a JSON view of any frame for humans (``describe``);
+  :mod:`repro.net.wire` is the frame body: tagged values, native records
+  for the results and traces, one-byte codes for the envelope and request
+  keys, and every frame a piece of one deflate stream per connection and
   direction;
 * :mod:`repro.net.server` — the asyncio node server hosting an overlay
   population + :class:`~repro.dht.storage.LocalStore` replicas + KTS/UMS

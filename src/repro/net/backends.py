@@ -89,24 +89,21 @@ def _build_sim(**options: Any) -> Any:
 
 
 def _build_tcp(*, address: Any, pool_size: int = 2, timeout_s: float = 5.0,
-               max_retries: int = 2, wire_format: str = "auto",
-               **_ignored: Any) -> Any:
+               max_retries: int = 2, **_ignored: Any) -> Any:
     """The TCP service backend; cluster-construction options are the server's."""
     from repro.net.client import connect
 
     return connect(parse_tcp_address(address), pool_size=pool_size,
-                   timeout_s=timeout_s, max_retries=max_retries,
-                   wire_format=wire_format)
+                   timeout_s=timeout_s, max_retries=max_retries)
 
 
 def _build_uds(*, address: str, pool_size: int = 2, timeout_s: float = 5.0,
-               max_retries: int = 2, wire_format: str = "auto",
-               **_ignored: Any) -> Any:
+               max_retries: int = 2, **_ignored: Any) -> Any:
     """The Unix-domain-socket service backend (``address`` is the path)."""
     from repro.net.client import connect
 
     return connect(str(address), pool_size=pool_size, timeout_s=timeout_s,
-                   max_retries=max_retries, wire_format=wire_format)
+                   max_retries=max_retries)
 
 
 register_backend("sim", _build_sim)

@@ -21,7 +21,7 @@ The transport internals:
   down (its reply can no longer be matched) and the request is retried on a
   fresh connection, up to ``max_retries`` times, after which
   :class:`RequestTimeout` surfaces to the caller;
-* a binary connection's frames are one deflate stream per direction
+* a connection's frames are one deflate stream per direction
   (:class:`~repro.net.wire.DeflateStream` out, the
   :class:`~repro.net.codec.FrameDecoder` in), so a request is encoded per
   attempt, on the connection that sends it: a retry on a fresh link starts
@@ -43,8 +43,7 @@ import socket
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.api.cluster import Session
 from repro.api.results import (
@@ -123,8 +122,7 @@ class _Connection:
         across ``recv`` calls, so a reply dribbling in cannot stretch the
         attempt (``socket.timeout`` is raised once the deadline passes).
         The byte count is *measured* (bytes read off the socket for this
-        reply, header included), not recomputed from the payload — so the
-        transport counters stay exact whichever format the server replied in.
+        reply, header included), not recomputed from the payload.
         """
         # reprolint: allow[REP001] reason=a request timeout is wall-clock by definition and never reaches a result or a trace; the deadline semantics are pinned by tests/net/test_client_transport.py
         deadline = time.monotonic() + timeout_s
@@ -176,16 +174,10 @@ class NetClient:
         How many times a timed-out request is re-sent before
         :class:`RequestTimeout` is raised (total attempts =
         ``max_retries + 1``).
-    wire_format:
-        Body encoding of outgoing frames (``"json"`` or ``"binary"``); the
-        server replies in kind.  :func:`connect` negotiates this from the
-        server's ``info`` advertisement — only set it directly against a
-        server known to accept the format.
     """
 
     def __init__(self, address: Address, *, pool_size: int = 2,
-                 timeout_s: float = 5.0, max_retries: int = 2,
-                 wire_format: str = codec.FORMAT_JSON) -> None:
+                 timeout_s: float = 5.0, max_retries: int = 2) -> None:
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         if max_retries < 0:
@@ -196,7 +188,6 @@ class NetClient:
         self.pool_size = pool_size
         self.timeout_s = timeout_s
         self.max_retries = max_retries
-        self.wire_format = codec.normalize_wire_format(wire_format)
         self.counters = TransportCounters()
         self._next_id = 0
         self._closed = False
@@ -291,8 +282,7 @@ class NetClient:
             # Encoded per attempt, on the connection that sends it: a retry
             # on a fresh link starts that link's stream afresh.
             try:
-                frame = codec.encode_frame(payload, wire_format=self.wire_format,
-                                           stream=connection.stream)
+                frame = codec.encode_frame(payload, stream=connection.stream)
             except BaseException as error:
                 # A refused payload never touched the stream: keep the link.
                 self._release(connection,
@@ -359,11 +349,10 @@ class RemoteService:
     """A :class:`~repro.api.services.CurrencyService` speaking the wire protocol.
 
     Each operation forwards to the server, takes the shared result type
-    back from the reply (a binary reply carries the object itself, a JSON
-    one its ``*_to_dict`` form, decoded here), and appends the
-    transport-level retry messages to the result's trace — so
-    ``Session.messages_sent`` keeps counting the way it does against the
-    simulation backend, timeouts included.
+    back from the reply (the reply carries the result object itself, as a
+    record), and appends the transport-level retry messages to the result's
+    trace — so ``Session.messages_sent`` keeps counting the way it does
+    against the simulation backend, timeouts included.
     """
 
     def __init__(self, client: NetClient,
@@ -371,12 +360,9 @@ class RemoteService:
         self.client = client
         self.service_name = service_name
 
-    def _call(self, op: str, result_type: type,
-              decode: Callable[[Dict[str, Any]], Any], **params: Any) -> Any:
+    def _call(self, op: str, result_type: type, **params: Any) -> Any:
         params["service"] = self.service_name
-        payload, stats = self.client.request(op, **params)
-        # A binary reply carries the result object; a JSON one its dict form.
-        result = decode(payload) if isinstance(payload, dict) else payload
+        result, stats = self.client.request(op, **params)
         if not isinstance(result, result_type):
             raise TransportError(f"{op} reply carried a "
                                  f"{type(result).__name__}, not a "
@@ -391,20 +377,15 @@ class RemoteService:
     def insert(self, key: Any, data: Any, *, origin: Optional[int] = None,
                unreachable: FrozenSet[int] = frozenset()) -> InsertResult:
         """Write ``key`` to every replica holder, over the wire."""
-        return self._call("insert", InsertResult,
-                          codec.insert_result_from_dict,
-                          key=codec.encode_value(key),
-                          data=codec.encode_value(data), origin=origin,
-                          unreachable=sorted(unreachable))
+        return self._call("insert", InsertResult, key=key, data=data,
+                          origin=origin, unreachable=sorted(unreachable))
 
     def retrieve(self, key: Any, *, origin: Optional[int] = None,
                  unreachable: FrozenSet[int] = frozenset(),
                  consistency: str = Consistency.CURRENT,
                  max_probes: Optional[int] = None) -> RetrieveResult:
         """Read ``key`` under the requested consistency level, over the wire."""
-        return self._call("retrieve", RetrieveResult,
-                          codec.retrieve_result_from_dict,
-                          key=codec.encode_value(key), origin=origin,
+        return self._call("retrieve", RetrieveResult, key=key, origin=origin,
                           unreachable=sorted(unreachable),
                           consistency=consistency, max_probes=max_probes)
 
@@ -412,24 +393,18 @@ class RemoteService:
                     origin: Optional[int] = None,
                     unreachable: FrozenSet[int] = frozenset()) -> BatchInsertResult:
         """Write several keys in one wire exchange."""
-        return self._call(
-            "insert_many", BatchInsertResult,
-            codec.batch_insert_result_from_dict,
-            items=[[codec.encode_value(key), codec.encode_value(data)]
-                   for key, data in items],
-            origin=origin, unreachable=sorted(unreachable))
+        return self._call("insert_many", BatchInsertResult, items=list(items),
+                          origin=origin, unreachable=sorted(unreachable))
 
     def retrieve_many(self, keys: Sequence[Any], *, origin: Optional[int] = None,
                       unreachable: FrozenSet[int] = frozenset(),
                       consistency: str = Consistency.CURRENT,
                       max_probes: Optional[int] = None) -> BatchRetrieveResult:
         """Read several keys in one wire exchange."""
-        return self._call(
-            "retrieve_many", BatchRetrieveResult,
-            codec.batch_retrieve_result_from_dict,
-            keys=[codec.encode_value(key) for key in keys],
-            origin=origin, unreachable=sorted(unreachable),
-            consistency=consistency, max_probes=max_probes)
+        return self._call("retrieve_many", BatchRetrieveResult,
+                          keys=list(keys), origin=origin,
+                          unreachable=sorted(unreachable),
+                          consistency=consistency, max_probes=max_probes)
 
 
 class RemoteCluster:
@@ -467,11 +442,6 @@ class RemoteCluster:
         """Number of live peers on the served cluster (at connect time)."""
         return self.info.get("peers", 0)
 
-    @property
-    def wire_format(self) -> str:
-        """The negotiated body encoding of this connection's frames."""
-        return self.client.wire_format
-
     def sync_replicas(self, keys: Optional[Sequence[Any]] = None) -> Dict[str, Any]:
         """Run one delta anti-entropy round on the server.
 
@@ -481,7 +451,7 @@ class RemoteCluster:
         """
         params: Dict[str, Any] = {}
         if keys is not None:
-            params["keys"] = [codec.encode_value(key) for key in keys]
+            params["keys"] = list(keys)
         result, _stats = self.client.request("sync", **params)
         return result
 
@@ -510,25 +480,13 @@ class RemoteCluster:
 
 
 def connect(address: Address, *, pool_size: int = 2, timeout_s: float = 5.0,
-            max_retries: int = 2, wire_format: str = "auto") -> RemoteCluster:
+            max_retries: int = 2) -> RemoteCluster:
     """Connect to a :class:`~repro.net.server.NodeServer` and return a cluster.
 
     ``address`` is ``(host, port)`` for TCP or a socket path for UDS.  The
-    handshake issues one ``info`` request (always in JSON, which every server
-    speaks), so a bad address fails fast here rather than on the first
-    operation — and the reply doubles as the wire-format negotiation: the
-    server advertises the frame encodings it accepts in ``wire_formats``.
-
-    ``wire_format`` selects the encoding of subsequent frames:
-
-    * ``"auto"`` (default) — binary when the server advertises it, JSON
-      otherwise;
-    * ``"binary"`` — binary when advertised, falling back to JSON against an
-      older server that never advertised formats (old servers keep working);
-    * ``"json"`` — always JSON.
+    handshake issues one ``info`` request, so a bad address fails fast here
+    rather than on the first operation.
     """
-    if wire_format != "auto":
-        codec.normalize_wire_format(wire_format)  # fail fast on typos
     client = NetClient(address, pool_size=pool_size, timeout_s=timeout_s,
                        max_retries=max_retries)
     try:
@@ -536,8 +494,4 @@ def connect(address: Address, *, pool_size: int = 2, timeout_s: float = 5.0,
     except TransportError:
         client.close()
         raise
-    advertised = info.get("wire_formats", [codec.FORMAT_JSON])
-    if wire_format in ("auto", codec.FORMAT_BINARY) \
-            and codec.FORMAT_BINARY in advertised:
-        client.wire_format = codec.FORMAT_BINARY
     return RemoteCluster(client, info)

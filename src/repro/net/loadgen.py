@@ -247,7 +247,6 @@ def run_load(cluster: Any, spec: LoadSpec, *, backend: str = "sim",
         # into each other's byte accounting.
         transport = {name: value - counters_before.get(name, 0)
                      for name, value in client.counters.as_dict().items()}
-        transport["wire_format"] = getattr(client, "wire_format", "json")
         if completed > 0:
             transport["bytes_per_op"] = (
                 (transport["bytes_sent"] + transport["bytes_received"])

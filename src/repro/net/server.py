@@ -5,15 +5,8 @@ in-process — an overlay population with per-peer
 :class:`~repro.dht.storage.LocalStore` replicas, the KTS timestamping service
 and the registered currency services (UMS/BRK handlers) — behind
 length-prefixed frames (:mod:`repro.net.codec`) over TCP and/or a Unix
-domain socket.
-
-Wire-format negotiation is a capability check, not a handshake: the ``info``
-reply advertises the formats the server accepts (``wire_formats``), each
-request's body format is detected from its first byte, and the reply is
-encoded in the same format the request arrived in — binary replies as the
-next piece of the connection's own deflate stream.  Old JSON-only clients
-keep working unchanged; a binary-capable client simply starts sending binary
-frames after seeing the advertisement.
+domain socket.  Every reply is the next piece of its connection's deflate
+stream; requests may be stream frames or self-contained ones.
 
 A connection is an :class:`asyncio.Protocol`, not a pair of streams: the
 loop hands ``data_received`` the bytes it read, the frames they complete are
@@ -217,9 +210,8 @@ class NodeServer:
     def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Execute one decoded request and return the reply payload.
 
-        A data operation's ``result`` is the result object itself: the
-        binary format carries it as a record, the JSON encoder as its
-        ``*_to_dict`` form.  Handlers run synchronously (the cluster
+        A data operation's ``result`` is the result object itself, which
+        the wire carries as a record.  Handlers run synchronously (the cluster
         substrate is plain Python) in strict per-connection arrival order,
         which keeps the server-side RNG stream a function of the request
         sequence — the property the backend parity test pins.
@@ -241,13 +233,9 @@ class NodeServer:
                     "protocol": self.cluster.network.protocol.protocol_name,
                     "service": self.cluster.service_name,
                     "replicas": self.cluster.replication.factor,
-                    "wire_formats": list(codec.WIRE_FORMATS),
                     "version": __version__}
         if op == "sync":
-            keys = request.get("keys")
-            if keys is not None:
-                keys = [codec.decode_value(key) for key in keys]
-            return self.cluster.sync_replicas(keys).to_dict()
+            return self.cluster.sync_replicas(request.get("keys")).to_dict()
         if op == "shutdown":
             self._shutdown_task = asyncio.get_running_loop().create_task(
                 self.stop())
@@ -261,23 +249,20 @@ class NodeServer:
         origin = request.get("origin")
         unreachable = frozenset(request.get("unreachable", ()))
         if op == "insert":
-            return service.insert(codec.decode_value(request["key"]),
-                                  codec.decode_value(request.get("data")),
+            return service.insert(request["key"], request.get("data"),
                                   origin=origin, unreachable=unreachable)
         if op == "retrieve":
-            return service.retrieve(codec.decode_value(request["key"]),
-                                    origin=origin, unreachable=unreachable,
+            return service.retrieve(request["key"], origin=origin,
+                                    unreachable=unreachable,
                                     consistency=request.get("consistency",
                                                             "current"),
                                     max_probes=request.get("max_probes"))
         if op == "insert_many":
-            items = [(codec.decode_value(key), codec.decode_value(data))
-                     for key, data in request["items"]]
+            items = [(key, data) for key, data in request["items"]]
             return service.insert_many(items, origin=origin,
                                        unreachable=unreachable)
         return service.retrieve_many(
-            [codec.decode_value(key) for key in request["keys"]],
-            origin=origin, unreachable=unreachable,
+            request["keys"], origin=origin, unreachable=unreachable,
             consistency=request.get("consistency", "current"),
             max_probes=request.get("max_probes"))
 
@@ -293,7 +278,7 @@ class _Connection(asyncio.Protocol):
         self.server = server
         self._decoder = codec.FrameDecoder()
         self._stream = codec.DeflateStream()
-        self._backlog: Deque[Tuple[Dict[str, Any], str]] = deque()
+        self._backlog: Deque[Dict[str, Any]] = deque()
         self._transport: asyncio.Transport  # set by connection_made
         self._delayed: Optional[asyncio.TimerHandle] = None
         self._write_paused = False
@@ -308,13 +293,13 @@ class _Connection(asyncio.Protocol):
 
     def data_received(self, data: bytes) -> None:
         decoder = self._decoder
-        requests: List[Tuple[Dict[str, Any], str]] = []
+        requests: List[Dict[str, Any]] = []
         try:
-            requests = decoder.feed_with_formats(data)
+            requests = decoder.feed(data)
             if requests and decoder.pending_bytes:
                 # Behind them: the start of the next frame, or a malformed
                 # one, which the decoder reports on the call after.
-                decoder.feed_with_formats(b"")
+                decoder.feed(b"")
         except codec.CodecError:
             # A malformed frame ends the link, but only after everything that
             # arrived intact ahead of it is answered.
@@ -360,7 +345,7 @@ class _Connection(asyncio.Protocol):
         backlog = self._backlog
         while backlog and self._delayed is None and not self._write_paused \
                 and not transport.is_closing():
-            self._execute(*backlog.popleft())
+            self._execute(backlog.popleft())
         if transport.is_closing():
             backlog.clear()  # reset under us: nobody is left to answer
         elif self._finishing and not backlog and self._delayed is None:
@@ -372,7 +357,7 @@ class _Connection(asyncio.Protocol):
         else:
             transport.resume_reading()
 
-    def _execute(self, request: Dict[str, Any], wire_format: str) -> None:
+    def _execute(self, request: Dict[str, Any]) -> None:
         server = self.server
         schedule = server.fault_schedule
         fault_index = None
@@ -385,18 +370,14 @@ class _Connection(asyncio.Protocol):
             if schedule.should_drop(fault_index):
                 return  # executed, but the reply never leaves the server
             delay = schedule.delay_for(fault_index)
-        # Reply in the format the request arrived in: negotiation stays a
-        # per-frame property, so JSON and binary clients share one server.
         # Encoding here, in execution order, keeps the stream in write order.
         try:
-            frame = codec.encode_frame(reply, wire_format=wire_format,
-                                       stream=self._stream)
+            frame = codec.encode_frame(reply, stream=self._stream)
         except codec.CodecError as error:
             # Refused before it touched the stream: answer, keep the link.
             frame = codec.encode_frame(
                 {"id": reply.get("id"), "ok": False,
-                 "error": f"CodecError: {error}"},
-                wire_format=wire_format, stream=self._stream)
+                 "error": f"CodecError: {error}"}, stream=self._stream)
         if delay > 0:
             # The line is held until the timer fires: nothing behind this
             # request runs, so no later reply can overtake the delayed one.

@@ -1,20 +1,20 @@
-"""Compact binary body encoding for the service-mode wire codec.
+"""The binary frame bodies of the service-mode wire protocol.
 
 The transport's frames are ``4-byte big-endian length || body`` (see
-:mod:`repro.net.codec`).  This module defines the *binary* bodies that sit
-beside the JSON body, discriminated by the body's first byte:
+:mod:`repro.net.codec`).  A body is the tagged encoding of one payload
+dict, behind a one-byte marker:
 
 ========  =============================================================
 marker    body
 ========  =============================================================
-``0x7b``  UTF-8 JSON object (``{`` — the legacy format)
-``0x01``  the tagged encoding of one payload object (read, never written)
+``0x01``  the tagged encoding itself: a self-contained frame, outside any
+          stream
 ``0x02``  the next piece of the connection's deflate stream, inflating to
           one tagged encoding
 ========  =============================================================
 
 **One deflate stream per connection and direction** — WebSocket's
-permessage-deflate with context takeover (RFC 7692).  Every binary frame a
+permessage-deflate with context takeover (RFC 7692).  Every frame a
 connection writes is the next piece of one raw-deflate stream
 (:class:`DeflateStream`, level 3, no zlib header), ended by a
 ``Z_SYNC_FLUSH`` whose constant ``00 00 FF FF`` tail the sender strips and
@@ -27,17 +27,18 @@ a frame that is corrupt, truncated, inflates past :data:`MAX_FRAME_BYTES` or
 ends the stream is a :class:`CodecError`, and there is no resync.  The
 sender bounds the *packed* size before deflating, so a payload it refuses
 never advances its stream.  Without a ``stream``, :func:`pack_payload`
-writes and :func:`unpack_payload` reads the first frame of a fresh stream —
-a deterministic function of the payload.
+writes a ``0x01`` body, and :func:`unpack_payload` reads a ``0x02`` body as
+the first frame of a fresh stream.
 
 The tagged encoding is a deterministic, self-delimiting value stream built
 from one tag byte plus big-endian fixed-width fields.  The tags: ``N``/``T``/
 ``F`` singletons, ``i`` int64, ``I`` a wider int as a decimal string, ``f``
 float64, ``s`` string, ``l`` list, ``d`` dict, ``t`` ``Timestamp`` and ``q``
 a packed int64 array — a u32 count, then ``count × 8`` bytes moved by one
-``tobytes``/``frombytes`` call, decoded back to an ``array('q')`` (the JSON
-encoder writes the same column as a plain list; arrays of any other typecode
-are refused at encode time).
+``tobytes``/``frombytes`` call, decoded back to an ``array('q')`` (arrays of
+any other typecode are refused at encode time).  Whatever an application
+puts in a key or a value comes back as the same value: there is no tag
+object to mistake user data for.
 
 **Records.**  The protocol's own objects travel natively, as ``Timestamp``
 does: ``o`` an :class:`~repro.dht.messages.OperationTrace`, ``w`` an
@@ -50,18 +51,17 @@ tagged encoding.  A trace record is its sizes, a message count, the kind
 bytes (:data:`~repro.dht.messages.KIND_CODES`), three packed int64 columns
 — a column holding an id outside int64 falls back to a tagged list — and
 the ``timed_out`` indices.  A batch carries its one shared trace once and
-its per-key records without one.  :func:`trace_from_columns` holds every
-check a received trace goes through, whichever format it came in.
+its per-key records without one.  A received trace is adopted as its
+columns, after the checks of :func:`_decode_trace`.
 
 A dict is a u32 count, then ``count`` keys each followed by its value.  A
-key listed in :data:`WIRE_KEYS` — the protocol's own field names — is **one
-byte**, its index in that table; any other key is ``0xFF`` plus a
-length-prefixed UTF-8 string.  The table is append-only (codes are wire
-protocol, like the trace's kind codes), and there is one key layout: no
-negotiation, no fallback.  Keys are emitted in sorted order *of the key
-strings*, mirroring the JSON encoder's ``sort_keys=True``, so equal payloads
-always produce identical bytes; tuples are encoded as lists, matching the
-JSON round-trip.
+key listed in :data:`WIRE_KEYS` — the envelope and request field names — is
+**one byte**, its index in that table; any other key is ``0xFF`` plus a
+length-prefixed UTF-8 string.  A code never moves (codes are wire protocol,
+like the trace's kind codes), and there is one key layout: no negotiation,
+no fallback.  Keys are emitted in sorted order *of the key
+strings*, so equal payloads always produce identical bytes; tuples are
+encoded as lists.
 """
 
 from __future__ import annotations
@@ -85,16 +85,11 @@ from repro.dht.messages import KIND_CODES, MessageSizes, OperationTrace
 __all__ = [
     "CodecError",
     "DeflateStream",
-    "FORMAT_BINARY",
-    "FORMAT_JSON",
     "MARKER_BINARY",
     "MARKER_COMPRESSED",
     "MAX_FRAME_BYTES",
-    "WIRE_FORMATS",
     "WIRE_KEYS",
-    "normalize_wire_format",
     "pack_payload",
-    "trace_from_columns",
     "unpack_payload",
 ]
 
@@ -107,16 +102,12 @@ class CodecError(ValueError):
 #: protecting both sides against a corrupt or hostile length prefix.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: Wire-format names as negotiated between client and server.
-FORMAT_JSON = "json"
-FORMAT_BINARY = "binary"
-WIRE_FORMATS: Tuple[str, ...] = (FORMAT_JSON, FORMAT_BINARY)
-
-#: First body byte of a tagged binary body (decoded, no longer written).
+#: First body byte of a self-contained frame: the tagged encoding follows.
 MARKER_BINARY = 0x01
-#: First body byte of a binary frame: the next piece of the deflate stream.
+#: First body byte of a connection's frame: the next piece of its stream.
 MARKER_COMPRESSED = 0x02
 
+_PLAIN_MARKER = bytes((MARKER_BINARY,))
 _STREAM_MARKER = bytes((MARKER_COMPRESSED,))
 #: What every ``Z_SYNC_FLUSH`` ends with (an empty stored block's lengths):
 #: stripped by the sender, put back by the receiver.
@@ -167,30 +158,19 @@ _KIND_BYTES = "".join(KIND_CODES.values()).encode("ascii")
 _SWAP_ARRAYS = sys.byteorder == "little"
 
 #: Dict keys that travel as one byte: a key's index in this table *is* its
-#: wire code.  **Append-only and pinned** (``tests/net/test_codec.py`` spells
-#: the table out): a reorder or a removal silently renames every field a peer
-#: reads, so new protocol keys go at the end and nothing ever leaves.  The
-#: envelope, request, result and trace field names — whatever
-#: ``RemoteService`` sends and ``NodeServer.handle_request`` answers in the
-#: dict form of :mod:`repro.net.codec`'s ``*_to_dict`` encoders, for the data
-#: operations (the ``info``/``sync`` reports are sent once and stay spelled
-#: out).  At most 255 entries: code ``0xFF`` escapes to a length-prefixed
-#: string for any other key.
+#: wire code.  **Pinned** (``tests/net/test_codec.py`` spells the table out):
+#: a code never moves, since a reorder silently renames every field a peer
+#: reads, so new protocol keys go at the end.  The envelope and request field
+#: names — whatever ``RemoteService`` sends and ``NodeServer.handle_request``
+#: answers around the records, for the data operations (the ``info``/``sync``
+#: reports are sent once and stay spelled out).  At most 255 entries: code
+#: ``0xFF`` escapes to a length-prefixed string for any other key.
 WIRE_KEYS: Tuple[str, ...] = (
     # envelope
     "id", "ok", "result", "error", "op",
     # request parameters
     "service", "key", "data", "origin", "unreachable", "consistency",
     "max_probes", "items", "keys",
-    # results
-    "replicas_written", "replicas_attempted", "timestamp", "version", "found",
-    "is_current", "replicas_inspected", "latest_timestamp", "ambiguous",
-    "results", "trace",
-    # trace columns
-    "sizes", "control_bytes", "data_bytes", "kinds", "size_bytes", "sources",
-    "dests", "timed_out",
-    # the JSON-compatible Timestamp tag object of ``codec.encode_value``
-    "__repro.timestamp__",
 )
 
 _RAW_KEY_CODE = 0xFF
@@ -212,14 +192,6 @@ _I64_AT = _I64.unpack_from
 _F64_AT = struct.Struct(">d").unpack_from
 
 _Column = Union["array[int]", List[int]]
-
-
-def normalize_wire_format(name: str) -> str:
-    """Validate and canonicalise a wire-format name."""
-    if name not in WIRE_FORMATS:
-        raise CodecError(f"unknown wire format {name!r}; "
-                         f"expected one of {WIRE_FORMATS}")
-    return name
 
 
 class DeflateStream:
@@ -262,7 +234,7 @@ def _encode_int(value: int, out: bytearray) -> None:
 def _encode_list(values: Sequence[Any], out: bytearray) -> None:
     out += _TAG_U32.pack(b"l", len(values))
     for item in values:
-        _encode_value(item, out)
+        _pack(item, out)
 
 
 def _encode_dict(value: Dict[Any, Any], out: bytearray) -> None:
@@ -280,7 +252,7 @@ def _encode_dict(value: Dict[Any, Any], out: bytearray) -> None:
         else:
             raise CodecError(f"binary payload dict keys must be strings, "
                              f"got {type(key).__name__}")
-        _encode_value(value[key], out)
+        _pack(value[key], out)
 
 
 def _encode_int64s(column: "array[int]", out: bytearray) -> None:
@@ -291,7 +263,7 @@ def _encode_int64s(column: "array[int]", out: bytearray) -> None:
 
 
 def _encode_timestamp(stamp: Timestamp, out: bytearray) -> None:
-    _encode_value(stamp.key, out)
+    _pack(stamp.key, out)
     out += _I64.pack(stamp.value)
 
 
@@ -345,11 +317,11 @@ def _encode_insert(result: InsertResult, out: bytearray, *,
     out += _INSERT_HEAD.pack(0 if stamp is None else _OWN_STAMP,
                              result.replicas_written, result.replicas_attempted,
                              stamp or 0)
-    _encode_value(key, out)
+    _pack(key, out)
     if stamp is None:
-        _encode_value(result.timestamp, out)
-    _encode_value(result.version, out)
-    _encode_value(result.service, out)
+        _pack(result.timestamp, out)
+    _pack(result.version, out)
+    _pack(result.service, out)
     if with_trace:
         _encode_trace(result.trace, out)
 
@@ -368,16 +340,16 @@ def _encode_retrieve(result: RetrieveResult, out: bytearray, *,
              | (0 if latest is None else _OWN_LATEST))
     out += _RETRIEVE_HEAD.pack(flags, code, result.replicas_inspected,
                                stamp or 0, latest or 0)
-    _encode_value(key, out)
-    _encode_value(result.data, out)
+    _pack(key, out)
+    _pack(result.data, out)
     if stamp is None:
-        _encode_value(result.timestamp, out)
+        _pack(result.timestamp, out)
     if latest is None:
-        _encode_value(result.latest_timestamp, out)
-    _encode_value(result.version, out)
-    _encode_value(result.service, out)
+        _pack(result.latest_timestamp, out)
+    _pack(result.version, out)
+    _pack(result.service, out)
     if code == _OTHER_LEVEL:
-        _encode_value(result.consistency, out)
+        _pack(result.consistency, out)
     if with_trace:
         _encode_trace(result.trace, out)
 
@@ -393,7 +365,7 @@ def _encode_batch_retrieve(batch: BatchRetrieveResult, out: bytearray) -> None:
     code = _CONSISTENCY_CODES.get(batch.consistency, _OTHER_LEVEL)
     out += _BATCH_HEAD.pack(code, len(batch.results))
     if code == _OTHER_LEVEL:
-        _encode_value(batch.consistency, out)
+        _pack(batch.consistency, out)
     _encode_trace(batch.trace, out)
     for result in batch.results:
         _encode_retrieve(result, out, with_trace=False)
@@ -411,7 +383,7 @@ _RECORDS: Dict[type, Tuple[int, Callable[[Any, bytearray], None]]] = {
 }
 
 
-def _encode_value(value: Any, out: bytearray) -> None:
+def _pack(value: Any, out: bytearray) -> None:
     """Append the tagged encoding of ``value`` to ``out``.
 
     The exact types a payload is made of are dispatched on ``type(value)``;
@@ -465,20 +437,20 @@ def _encode_value(value: Any, out: bytearray) -> None:
 
 def pack_payload(payload: Dict[str, Any], *,
                  stream: Optional[DeflateStream] = None) -> bytes:
-    """Encode ``payload`` as one binary frame body (marker included).
+    """Encode ``payload`` as one frame body (marker included).
 
-    The body is the next piece of ``stream`` — or, without one, the first
-    frame of a fresh stream.  A payload whose packed encoding could not fit
-    :data:`MAX_FRAME_BYTES` once deflated (the receiver's bound on both the
-    wire body and its inflated size) is refused before it is deflated, so
-    the stream stays usable.
+    The body is the next piece of ``stream`` — or, without one, the
+    self-contained ``0x01`` body.  A payload whose packed encoding could not
+    fit :data:`MAX_FRAME_BYTES` once deflated (the receiver's bound on both
+    the wire body and its inflated size) is refused before it is deflated,
+    so the stream stays usable.
     """
     if not isinstance(payload, dict):
         raise CodecError(f"frame payload must be a dict, "
                          f"got {type(payload).__name__}")
-    packed = bytearray()
+    packed = bytearray(_PLAIN_MARKER if stream is None else b"")
     try:
-        _encode_value(payload, packed)
+        _pack(payload, packed)
     except (struct.error, OverflowError, TypeError) as error:
         raise CodecError(f"payload is not wire-serialisable: {error}") from error
     except RecursionError as error:
@@ -489,9 +461,7 @@ def pack_payload(payload: Dict[str, Any], *,
     if size + (size >> 10) + 64 > MAX_FRAME_BYTES:
         raise CodecError(f"binary payload of {size} packed bytes exceeds the "
                          f"{MAX_FRAME_BYTES}-byte frame limit")
-    if stream is None:
-        stream = DeflateStream()
-    return stream.deflate(packed)
+    return bytes(packed) if stream is None else stream.deflate(packed)
 
 
 # ----------------------------------------------------------------- decoding
@@ -538,7 +508,7 @@ def _stamp(data: bytes, pos: int, key: Any, own: int,
     """A record's timestamp field: of its own key (``own``), or tagged."""
     if own:
         return _timestamp(key, counter), pos
-    return _decode_value(data, pos)
+    return _unpack(data, pos)
 
 
 def _level(data: bytes, pos: int, code: int) -> Tuple[Any, int]:
@@ -546,7 +516,7 @@ def _level(data: bytes, pos: int, code: int) -> Tuple[Any, int]:
     if code < len(_CONSISTENCY_LEVELS):
         return _CONSISTENCY_LEVELS[code], pos
     if code == _OTHER_LEVEL:
-        return _decode_value(data, pos)
+        return _unpack(data, pos)
     raise CodecError(f"unknown consistency code {code:#04x}")
 
 
@@ -555,36 +525,13 @@ def _check_flags(flags: int, known: int, record: str) -> None:
         raise CodecError(f"unknown {record} record flags {flags:#04x}")
 
 
-def trace_from_columns(sizes: MessageSizes, kinds: bytearray,
-                       size_bytes: _Column, sources: _Column, dests: _Column,
-                       timed_out: Sequence[int]) -> OperationTrace:
-    """Adopt received trace columns as an :class:`OperationTrace`.
-
-    The integer columns must already hold ints only; anything else that is
-    not four equally long columns of known kind codes, sizes ``>= 0`` and
-    endpoints ``>= -1``, with in-range ``timed_out`` indices (repeats count
-    once), is a :class:`CodecError`.
-    """
-    unknown = kinds.translate(None, _KIND_BYTES)
-    if unknown:
-        raise CodecError(f"unknown message kind code {chr(unknown[0])!r}")
-    marked = sorted(set(timed_out))
-    count = len(kinds)
-    if not len(size_bytes) == len(sources) == len(dests) == count:
-        raise CodecError(
-            f"trace columns differ in length: {count} kinds, "
-            f"{len(size_bytes)} sizes, {len(sources)} sources, "
-            f"{len(dests)} dests")
-    if count and (min(size_bytes) < 0 or min(sources) < -1 or min(dests) < -1):
-        raise CodecError("malformed trace columns: a size below 0 or an endpoint below -1")
-    if marked and not 0 <= marked[0] <= marked[-1] < count:
-        raise CodecError(f"timed_out index outside a trace of {count} "
-                         f"messages: {marked[0]}..{marked[-1]}")
-    return OperationTrace(sizes, (kinds, size_bytes, sources, dests, marked))
-
-
 def _decode_trace(data: bytes, pos: int) -> Tuple[OperationTrace, int]:
-    """The (untagged) trace record at ``pos`` and the offset behind it."""
+    """The (untagged) trace record at ``pos`` and the offset behind it.
+
+    Its columns are adopted as they are, once they are known kind codes,
+    sizes ``>= 0`` and endpoints ``>= -1`` with in-range ``timed_out``
+    indices (repeats count once); anything else is a :class:`CodecError`.
+    """
     control_bytes, data_bytes, count, lists = _TRACE_HEAD.unpack_from(data, pos)
     _check_flags(lists, sum(_LIST_COLUMNS), "trace")
     start, pos = _span(data, pos + _TRACE_HEAD.size, count)
@@ -592,7 +539,7 @@ def _decode_trace(data: bytes, pos: int) -> Tuple[OperationTrace, int]:
     columns: List[_Column] = []
     for flag in _LIST_COLUMNS:
         if lists & flag:
-            values, pos = _decode_value(data, pos)
+            values, pos = _unpack(data, pos)
             if type(values) is not list or not set(map(type, values)) <= {int}:
                 raise CodecError("malformed trace columns: a list column "
                                  "holds something other than integers")
@@ -602,8 +549,22 @@ def _decode_trace(data: bytes, pos: int) -> Tuple[OperationTrace, int]:
             columns.append(column)
     timed_out, pos = _decode_int64s(data, pos + 4, _U32_AT(data, pos)[0])
     size_bytes, sources, dests = columns
-    return trace_from_columns(MessageSizes(control_bytes, data_bytes), kinds,
-                              size_bytes, sources, dests, timed_out), pos
+    unknown = kinds.translate(None, _KIND_BYTES)
+    if unknown:
+        raise CodecError(f"unknown message kind code {chr(unknown[0])!r}")
+    if not len(size_bytes) == len(sources) == len(dests) == count:
+        raise CodecError(
+            f"trace columns differ in length: {count} kinds, "
+            f"{len(size_bytes)} sizes, {len(sources)} sources, "
+            f"{len(dests)} dests")
+    if count and (min(size_bytes) < 0 or min(sources) < -1 or min(dests) < -1):
+        raise CodecError("malformed trace columns: a size below 0 or an endpoint below -1")
+    marked = sorted(set(timed_out))
+    if marked and not 0 <= marked[0] <= marked[-1] < count:
+        raise CodecError(f"timed_out index outside a trace of {count} "
+                         f"messages: {marked[0]}..{marked[-1]}")
+    return OperationTrace(MessageSizes(control_bytes, data_bytes),
+                          (kinds, size_bytes, sources, dests, marked)), pos
 
 
 def _decode_insert(data: bytes, pos: int,
@@ -611,10 +572,10 @@ def _decode_insert(data: bytes, pos: int,
     """The insert record at ``pos``; ``trace`` is its batch's shared trace."""
     flags, written, attempted, counter = _INSERT_HEAD.unpack_from(data, pos)
     _check_flags(flags, _INSERT_FLAGS, "insert")
-    key, pos = _decode_value(data, pos + _INSERT_HEAD.size)
+    key, pos = _unpack(data, pos + _INSERT_HEAD.size)
     stamp, pos = _stamp(data, pos, key, flags & _OWN_STAMP, counter)
-    version, pos = _decode_value(data, pos)
-    service, pos = _decode_value(data, pos)
+    version, pos = _unpack(data, pos)
+    service, pos = _unpack(data, pos)
     if trace is None:
         trace, pos = _decode_trace(data, pos)
     return InsertResult(key=key, replicas_written=written,
@@ -628,12 +589,12 @@ def _decode_retrieve(data: bytes, pos: int, trace: Optional[OperationTrace]
     flags, code, inspected, counter, latest_counter = \
         _RETRIEVE_HEAD.unpack_from(data, pos)
     _check_flags(flags, _RETRIEVE_FLAGS, "retrieve")
-    key, pos = _decode_value(data, pos + _RETRIEVE_HEAD.size)
-    value, pos = _decode_value(data, pos)
+    key, pos = _unpack(data, pos + _RETRIEVE_HEAD.size)
+    value, pos = _unpack(data, pos)
     stamp, pos = _stamp(data, pos, key, flags & _OWN_STAMP, counter)
     latest, pos = _stamp(data, pos, key, flags & _OWN_LATEST, latest_counter)
-    version, pos = _decode_value(data, pos)
-    service, pos = _decode_value(data, pos)
+    version, pos = _unpack(data, pos)
+    service, pos = _unpack(data, pos)
     consistency, pos = _level(data, pos, code)
     if trace is None:
         trace, pos = _decode_trace(data, pos)
@@ -668,7 +629,7 @@ def _decode_batch_retrieve(data: bytes, pos: int
                                consistency=consistency), pos
 
 
-def _decode_value(data: bytes, pos: int) -> Tuple[Any, int]:
+def _unpack(data: bytes, pos: int) -> Tuple[Any, int]:
     """The tagged value at ``pos`` and the offset behind it.
 
     Every read is bounds-checked: a tag, a key code or a fixed-width field
@@ -697,14 +658,14 @@ def _decode_value(data: bytes, pos: int) -> Tuple[Any, int]:
             else:
                 raise CodecError(f"unknown dict key code {code:#04x} at "
                                  f"offset {pos}")
-            result[key], pos = _decode_value(data, pos)
+            result[key], pos = _unpack(data, pos)
         return result, pos
     if tag == _TAG_LIST:
         count = _U32_AT(data, pos)[0]
         pos += 4
         items = []
         for _ in range(count):
-            item, pos = _decode_value(data, pos)
+            item, pos = _unpack(data, pos)
             items.append(item)
         return items, pos
     if tag == _TAG_NONE:
@@ -726,7 +687,7 @@ def _decode_value(data: bytes, pos: int) -> Tuple[Any, int]:
     if tag == _TAG_ARRAY:
         return _decode_int64s(data, pos + 4, _U32_AT(data, pos)[0])
     if tag == _TAG_TIMESTAMP:
-        key, pos = _decode_value(data, pos)
+        key, pos = _unpack(data, pos)
         return _timestamp(key, _I64_AT(data, pos)[0]), pos + 8
     if tag == _TAG_FLOAT:
         return _F64_AT(data, pos)[0], pos + 8
@@ -761,7 +722,7 @@ def _inflate(body: bytes, stream: "zlib._Decompress") -> bytes:
 
 def unpack_payload(body: bytes, *,
                    stream: Optional["zlib._Decompress"] = None) -> Dict[str, Any]:
-    """Decode one binary frame body (``0x01`` or ``0x02`` marker) to its payload.
+    """Decode one frame body (``0x01`` or ``0x02`` marker) to its payload.
 
     A ``0x02`` body is inflated by ``stream``, its connection's inflater —
     or, without one, as the first frame of a fresh stream.
@@ -775,9 +736,9 @@ def unpack_payload(body: bytes, *,
                         if stream is None else stream)
         start = 0
     elif marker != MARKER_BINARY:
-        raise CodecError(f"unknown binary body marker {marker:#04x}")
+        raise CodecError(f"unknown body marker {marker:#04x}")
     try:
-        payload, end = _decode_value(body, start)
+        payload, end = _unpack(body, start)
     except (IndexError, struct.error) as error:
         raise CodecError(f"truncated binary body: {error}") from error
     except RecursionError as error:

@@ -1,10 +1,7 @@
-"""REP006: the docstring-coverage gate folded into reprolint."""
+"""REP006: the docstring-coverage gate of reprolint."""
 
-import importlib.util
-import pathlib
 import textwrap
 
-from tools import check_docstrings
 from tools.reprolint import DOCSTRING_COVERAGE_THRESHOLD, lint_paths
 
 
@@ -16,15 +13,6 @@ def write_module(tmp_path, name, source):
         init.write_text('"""Fixture package."""\n', encoding="utf-8")
     (package / name).write_text(textwrap.dedent(source), encoding="utf-8")
     return package
-
-
-def test_threshold_matches_the_dynamic_docs_gate(repo_root):
-    """reprolint, tools/check_docstrings and tests/test_docs.py must agree."""
-    docs_test = repo_root / "tests" / "test_docs.py"
-    spec = importlib.util.spec_from_file_location("docs_gate", docs_test)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.DOCSTRING_COVERAGE_THRESHOLD == DOCSTRING_COVERAGE_THRESHOLD
 
 
 def test_rep006_fires_below_threshold(tmp_path):
@@ -84,13 +72,3 @@ def test_rep006_cannot_be_suppressed_by_pragma(tmp_path):
     ''')
     result = lint_paths([package])
     assert any(f.rule == "REP006" for f in result.findings)
-
-
-def test_rep006_agrees_with_check_docstrings_on_src(repo_root):
-    """The folded rule measures exactly what the standalone tool measures."""
-    src = repo_root / "src" / "repro"
-    documented, total, _ = check_docstrings.coverage(pathlib.Path(src))
-    result = lint_paths([src])
-    assert result.docstring_coverage["documented"] == documented
-    assert result.docstring_coverage["total"] == total
-    assert [f for f in result.findings if f.rule == "REP006"] == []

@@ -57,10 +57,15 @@ def dial(request, serve, tmp_path):
 @pytest.fixture
 def read_replies():
     """Function: read reply payloads off a raw socket, ``count`` of them or
-    (``count=None``) all there are until the server closes the link."""
+    (``count=None``) all there are until the server closes the link.
+
+    The replies on one socket are one deflate stream, so every call on a
+    socket reads on with that socket's one :class:`~repro.net.codec.FrameDecoder`.
+    """
+    decoders: dict = {}
 
     def _read(sock: socket.socket, count=None) -> list:
-        decoder = codec.FrameDecoder()
+        decoder = decoders.setdefault(sock, codec.FrameDecoder())
         replies: list = []
         while count is None or len(replies) < count:
             chunk = sock.recv(256 * 1024)

@@ -117,7 +117,7 @@ class TestRunLoad:
         assert report.transport["requests"] == report.requests
         assert report.transport["bytes_sent"] > 0
         assert report.transport["bytes_per_op"] > 0
-        assert report.transport["wire_format"] in ("json", "binary")
+        assert "wire_format" not in report.transport
 
     def test_paced_run_respects_the_arrival_window(self):
         cluster = backends.build_backend("sim", peers=12, replicas=3, seed=9)

@@ -1,20 +1,22 @@
 """The protocol's objects as native binary records (repro.net.wire).
 
-Traces and the four result types travel as tagged records in a binary frame
-and as their ``*_to_dict`` form in a JSON frame.  Pinned here: both paths
-rebuild the same objects, leaf types included (a timestamp shares its
-result's key only when type and value are equal); JSON frames are
-byte-identical to encoding the dicts by hand; a batch still rebuilds one
+Traces and the four result types travel as tagged records.  Pinned here:
+what a frame carrying one says — as :func:`~repro.net.codec.describe`
+renders it, leaf types included (a timestamp shares its result's key only
+when type and value are equal) — is what the ``*_to_dict`` view of the
+object itself says, first on a connection or behind another frame; a
+rebuilt object packs to the bytes it came from; a batch still rebuilds one
 shared trace; and a corrupted record — a bad kind code, a count beyond the
-body, a cut at any offset, an unknown flag or code — only ever raises
+body, a cut at any offset, an unknown flag or code, a trace column that is
+not sane integers of the trace's length — only ever raises
 :class:`~repro.net.codec.CodecError`.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import json
 import struct
-import zlib
+from array import array
 from typing import Optional
 
 import pytest
@@ -32,14 +34,7 @@ from repro.core.timestamps import Timestamp
 from repro.dht.messages import MessageKind, MessageSizes, OperationTrace
 from repro.net import codec, wire
 
-_FROM_DICT = {
-    OperationTrace: codec.trace_from_dict,
-    InsertResult: codec.insert_result_from_dict,
-    RetrieveResult: codec.retrieve_result_from_dict,
-    BatchInsertResult: codec.batch_insert_result_from_dict,
-    BatchRetrieveResult: codec.batch_retrieve_result_from_dict,
-}
-_TO_DICT = {
+_VIEWS = {
     OperationTrace: codec.trace_to_dict,
     InsertResult: codec.insert_result_to_dict,
     RetrieveResult: codec.retrieve_result_to_dict,
@@ -48,38 +43,21 @@ _TO_DICT = {
 }
 
 
-def via_binary(value):
-    frame = codec.encode_frame({"result": value}, wire_format=codec.FORMAT_BINARY)
+def via_wire(value):
+    frame = codec.encode_frame({"result": value}, stream=codec.DeflateStream())
     return codec.decode_frame(frame)["result"]
 
 
-def via_json(value):
-    decoded = codec.decode_frame(codec.encode_frame({"result": value}))["result"]
-    return _FROM_DICT[type(value)](decoded)
+def described(value) -> str:
+    """Everything a frame carrying ``value`` says, as ``describe`` renders it:
+    JSON keeps ``1``, ``1.0``, ``true`` and ``"1"`` apart."""
+    return codec.describe(codec.encode_frame({"result": value}))
 
 
-def described(value):
-    """Everything ``value`` says, with the type of every leaf spelled out."""
-    if isinstance(value, OperationTrace):
-        return ("trace", described(value.sizes), described(value.messages),
-                tuple(value.timed_out), value.total_bytes)
-    if dataclasses.is_dataclass(value):
-        return (type(value).__name__,
-                tuple((field.name, described(getattr(value, field.name)))
-                      for field in dataclasses.fields(value)))
-    if isinstance(value, (list, tuple)):
-        return (type(value).__name__, tuple(map(described, value)))
-    if isinstance(value, dict):
-        return ("dict", tuple(sorted((key, described(item))
-                                     for key, item in value.items())))
-    return (type(value).__name__, repr(value))
-
-
-def plain_body(payload) -> bytes:
-    """``payload``'s ``0x01`` body: its fresh-stream frame, inflated."""
-    body = wire.pack_payload(payload)
-    return b"\x01" + zlib.decompressobj(-zlib.MAX_WBITS).decompress(
-        body[1:] + b"\x00\x00\xff\xff")
+def viewed(value) -> str:
+    """The same rendering of ``value`` itself, without the wire."""
+    return json.dumps({"result": _VIEWS[type(value)](value)}, indent=2,
+                      sort_keys=True)
 
 
 def trace(*, timeouts: int = 1, big_ids: bool = False) -> OperationTrace:
@@ -166,45 +144,58 @@ def served_results(request):
 
 class TestRoundTrip:
     @pytest.mark.parametrize("value", CASES.values(), ids=CASES.keys())
-    def test_binary_and_json_rebuild_the_same_objects(self, value):
-        rebuilt = via_binary(value)
+    def test_the_wire_rebuilds_the_same_objects(self, value):
+        assert type(via_wire(value)) is type(value)
+        assert described(value) == viewed(value)
+
+    @pytest.mark.parametrize("value", CASES.values(), ids=CASES.keys())
+    def test_a_mid_stream_frame_rebuilds_the_same_objects(self, value):
+        # Behind another record on the same connection, the frame's deflate
+        # piece may refer back to the first frame's bytes.
+        stream = codec.DeflateStream()
+        first = codec.encode_frame({"result": CASES["retrieve"]}, stream=stream)
+        second = codec.encode_frame({"result": value}, stream=stream)
+        rebuilt = codec.FrameDecoder().feed(first + second)[1]["result"]
         assert type(rebuilt) is type(value)
-        assert described(rebuilt) == described(via_json(value)) == \
-            described(value)
+        decoder = codec.FrameDecoder()
+        decoder.feed(first)
+        assert codec.describe(second, decoder) == viewed(value)
+
+    @pytest.mark.parametrize("value", CASES.values(), ids=CASES.keys())
+    def test_a_rebuilt_object_packs_to_the_same_bytes(self, value):
+        # Decoding loses nothing the encoder wrote: not a leaf type, not a
+        # shared counter, not a column's form.
+        assert wire.pack_payload({"result": via_wire(value)}) == \
+            wire.pack_payload({"result": value})
 
     def test_served_results_rebuild_the_same_objects(self, served_results):
         bits, made = served_results
         for value in made:
-            assert described(via_binary(value)) == described(via_json(value)) \
-                == described(value)
+            assert type(via_wire(value)) is type(value)
+            assert described(value) == viewed(value)
         if bits > 63:  # the list-column fallback was exercised
             assert any(peer >= 2 ** 63 for value in made
                        for peer in value.trace.sources)
 
     @pytest.mark.parametrize("name", ["batch-insert", "batch-retrieve"])
     def test_a_batch_rebuilds_one_shared_trace(self, name):
-        rebuilt = via_binary(CASES[name])
+        rebuilt = via_wire(CASES[name])
         assert len(rebuilt.results) == 2
         assert all(item.trace is rebuilt.trace for item in rebuilt.results)
 
-    @pytest.mark.parametrize("value", CASES.values(), ids=CASES.keys())
-    def test_json_frames_are_the_dict_encoders_bytes(self, value):
-        by_hand = {"result": _TO_DICT[type(value)](value)}
-        assert codec.encode_frame({"result": value}) == \
-            codec.encode_frame(by_hand)
-
     def test_only_an_equal_type_key_shares_its_counter(self):
         def packed_size(stamp_key):
-            return len(plain_body({"result": insert(
+            return len(wire.pack_payload({"result": insert(
                 key=1, timestamp=Timestamp(stamp_key, 3))}))
 
         shared = packed_size(1)
         assert shared < packed_size(True) and shared < packed_size(1.0)
         # Equal strings share whichever object the key came in.
         spelled = "".join(["k", "ey"])
-        assert len(plain_body({"result": insert(
-            key="key", timestamp=Timestamp(spelled, 3))})) < len(plain_body(
-                {"result": insert(key="key", timestamp=Timestamp("kez", 3))}))
+        assert len(wire.pack_payload({"result": insert(
+            key="key", timestamp=Timestamp(spelled, 3))})) < len(
+                wire.pack_payload({"result": insert(
+                    key="key", timestamp=Timestamp("kez", 3))}))
 
 
 # --------------------------------------------------------------- corruption
@@ -218,10 +209,62 @@ def _refused(body: bytes, match: Optional[str]) -> None:
         wire.unpack_payload(bytes(body))
 
 
+#: The columns of ``trace()``, as its record carries them.
+SIZES = (64, 64, 64, 64, 64, 777)
+SOURCES = (3, 7, -1, -1, 9, 4)
+DESTS = (7, 9, -1, -1, 4, -1)
+
+
+def trace_record(*, kinds: bytes = b"hhrrgG", size_bytes=SIZES,
+                 sources=SOURCES, dests=DESTS, timed_out=(2,)) -> bytes:
+    """The ``0x01`` body of ``{"result": trace()}``, spelled out field by
+    field: a column given as a tuple travels as packed int64s, anything else
+    as a tagged value with the column's list flag set."""
+    lists, columns = 0, b""
+    for flag, column in zip((1, 2, 4), (size_bytes, sources, dests)):
+        if isinstance(column, tuple):
+            columns += struct.pack(f">{len(column)}q", *column)
+        else:
+            lists |= flag
+            columns += wire.pack_payload({"result": column})[FIELDS - 1:]
+    return (wire.pack_payload({"result": None})[:FIELDS - 1] + b"o"
+            + struct.pack(">qqIB", 64, 512, len(kinds), lists) + kinds + columns
+            + struct.pack(f">I{len(timed_out)}q", len(timed_out), *timed_out))
+
+
+#: Trace records whose columns are not a trace, and what refuses each.
+COLUMN_CORRUPTIONS = {
+    # A list column (ids beyond int64 take that form) holds integers only.
+    "float-size": (dict(size_bytes=[1.5, 64, 64, 64, 64, 777]), "other than integers"),
+    "bool-endpoint": (dict(dests=[True, 9, -1, -1, 4, -1]), "other than integers"),
+    "null-endpoint": (dict(sources=[3, 7, None, -1, 9, 4]), "other than integers"),
+    "string-endpoint": (dict(sources=["a", 7, -1, -1, 9, 4]), "other than integers"),
+    "nested-endpoint": (dict(dests=[[7], 9, -1, -1, 4, -1]), "other than integers"),
+    "string-column": (dict(dests="7,9,-1,-1,4,-1"), "other than integers"),
+    "array-column": (dict(sources=array("q", SOURCES)), "other than integers"),
+    # Sizes are >= 0 and endpoints >= -1, packed or listed.
+    "negative-size": (dict(size_bytes=(64, 64, 64, -64, 64, 777)), "below"),
+    "negative-size-listed": (dict(size_bytes=[64, 64, 64, 64, 64, -1]), "below"),
+    "source-below-minus-one": (dict(sources=(3, 7, -2, -1, 9, 4)), "below"),
+    "dest-below-minus-one-listed": (dict(dests=[7, 9, -1, -5, 4, -1]), "below"),
+    # A list column carries a count of its own: it must be the trace's.
+    "short-sizes-list": (dict(size_bytes=[64, 64, 64, 64, 64]), "differ in length"),
+    "short-sources-list": (dict(sources=[3, 7, -1, -1, 9]), "differ in length"),
+    "long-dests-list": (dict(dests=[7, 9, -1, -1, 4, -1, 1]), "differ in length"),
+    # The timed-out indices lie inside the trace.
+    "timed-out-negative": (dict(timed_out=(2, -1)), "timed_out index"),
+    "timed-out-past-the-end": (dict(timed_out=(2, 6)), "timed_out index"),
+    "timed-out-far-past": (dict(timed_out=(2, 2 ** 40)), "timed_out index"),
+    # Every kind byte is a known code.
+    "unknown-kind": (dict(kinds=b"hhrr?G"), "unknown message kind"),
+    "nul-kind": (dict(kinds=b"hhrr\x00G"), "unknown message kind"),
+}
+
+
 class TestCorruptRecords:
     @pytest.mark.parametrize("value", CASES.values(), ids=CASES.keys())
     def test_a_cut_at_every_offset_is_refused(self, value):
-        body = plain_body({"result": value})
+        body = wire.pack_payload({"result": value})
         for end in range(1, len(body)):
             with pytest.raises(codec.CodecError):
                 wire.unpack_payload(body[:end])
@@ -232,7 +275,7 @@ class TestCorruptRecords:
     @settings(max_examples=300, deadline=None)
     def test_overwritten_bytes_only_ever_raise_codec_error(
             self, name, junk, position):
-        body = bytearray(plain_body({"result": CASES[name]}))
+        body = bytearray(wire.pack_payload({"result": CASES[name]}))
         start = 1 + position % (len(body) - 1)
         body[start:start + len(junk)] = junk
         try:
@@ -241,26 +284,26 @@ class TestCorruptRecords:
             pass
 
     def test_unknown_result_flags_are_refused(self):
-        body = bytearray(plain_body({"result": CASES["retrieve"]}))
+        body = bytearray(wire.pack_payload({"result": CASES["retrieve"]}))
         body[FIELDS] |= 0x80
         _refused(body, "unknown retrieve record flags")
-        body = bytearray(plain_body({"result": CASES["insert"]}))
+        body = bytearray(wire.pack_payload({"result": CASES["insert"]}))
         body[FIELDS] |= 0x02
         _refused(body, "unknown insert record flags")
 
     def test_an_unknown_consistency_code_is_refused(self):
-        body = bytearray(plain_body({"result": CASES["retrieve"]}))
+        body = bytearray(wire.pack_payload({"result": CASES["retrieve"]}))
         body[FIELDS + 1] = 0x07
         _refused(body, "unknown consistency code")
 
     def test_a_negative_shared_counter_is_refused(self):
-        body = bytearray(plain_body({"result": CASES["retrieve"]}))
+        body = bytearray(wire.pack_payload({"result": CASES["retrieve"]}))
         counter = FIELDS + 1 + 1 + 8  # flags, consistency, replicas inspected
         body[counter:counter + 8] = struct.pack(">q", -1)
         _refused(body, "negative timestamp counter")
 
     def test_trace_record_corruptions_are_refused(self):
-        good = plain_body({"result": CASES["trace-alone"]})
+        good = wire.pack_payload({"result": CASES["trace-alone"]})
         count, lists, kinds = FIELDS + 16, FIELDS + 20, FIELDS + 21
         for offset, patch, match in [
                 (kinds, b"?", "unknown message kind code"),
@@ -274,7 +317,23 @@ class TestCorruptRecords:
             body[offset:offset + len(patch)] = patch
             _refused(body, match)
 
+    def test_the_spelled_out_record_is_the_encoders(self):
+        assert trace_record() == wire.pack_payload({"result": CASES["trace-alone"]})
+
+    @pytest.mark.parametrize("column", ["size_bytes", "sources", "dests"])
+    def test_a_list_column_of_sane_integers_is_adopted(self, column):
+        fields = {"size_bytes": SIZES, "sources": SOURCES, "dests": DESTS}
+        body = trace_record(**{column: list(fields[column])})
+        rebuilt = wire.unpack_payload(body)["result"]
+        assert getattr(rebuilt, column) == list(fields[column])
+        assert rebuilt.messages == CASES["trace-alone"].messages
+
+    @pytest.mark.parametrize("fields, match", COLUMN_CORRUPTIONS.values(),
+                             ids=COLUMN_CORRUPTIONS.keys())
+    def test_columns_that_are_not_a_trace_are_refused(self, fields, match):
+        _refused(trace_record(**fields), match)
+
     def test_a_batch_count_beyond_the_body_is_refused(self):
-        body = bytearray(plain_body({"result": CASES["batch-insert"]}))
+        body = bytearray(wire.pack_payload({"result": CASES["batch-insert"]}))
         body[FIELDS:FIELDS + 4] = struct.pack(">I", 10 ** 6)
         _refused(body, "truncated")

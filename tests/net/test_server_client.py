@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import socket
 import struct
 import threading
@@ -94,6 +95,35 @@ class TestServerBasics:
             assert remote.info["protocol"] == "KademliaOverlay"
 
 
+class TestUserValues:
+    #: Data shaped like the tag object the retired JSON format wrapped
+    #: timestamps in: one well-formed, one the old tag walk choked on.
+    TAG_SHAPED = [{"__repro.timestamp__": ["x", 3]}, {"__repro.timestamp__": 5}]
+
+    def test_tag_shaped_values_come_back_as_the_simulator_returns_them(
+            self, serve):
+        """No user value is mistaken for a wire tag: data comes back as it
+        was written, and a key fails (unhashable) exactly as in-process."""
+        sim = Cluster.build(peers=16, replicas=4, seed=11)
+        server = serve(NodeServer(peers=16, replicas=4, seed=11))
+        outcomes = []
+        with connect(server.tcp_address) as remote:
+            for cluster in (sim, remote):
+                with cluster.session() as session:
+                    seen = []
+                    for index, data in enumerate(self.TAG_SHAPED):
+                        written = session.insert(f"k{index}", data)
+                        read = session.retrieve(f"k{index}")
+                        seen.append((read.data, read.timestamp == written.timestamp))
+                    try:
+                        session.insert(self.TAG_SHAPED[0], "v")
+                    except (TypeError, TransportError) as error:
+                        seen.append("unhashable" in str(error))
+                outcomes.append(seen)
+        assert outcomes[0] == outcomes[1] == \
+            [(data, True) for data in self.TAG_SHAPED] + [True]
+
+
 class TestBackpressure:
     def test_inflight_queue_stays_bounded_under_flood(self, serve):
         server = serve(NodeServer(peers=16, replicas=4, seed=11,
@@ -123,7 +153,11 @@ class TestBackpressure:
         """Replies nobody reads stop the *execution*: once the transport
         says ``pause_writing`` nothing more runs, so neither the write buffer
         nor the backlog grows with what the client keeps sending."""
-        requests, blob = 1500, "x" * 16384
+        # Random text longer than the 32 KiB deflate window: no reply can
+        # refer back to the one before it, so every reply costs ~33 KB.
+        rng = random.Random(11)
+        requests = 700
+        blob = "".join(chr(rng.randrange(0x21, 0x7F)) for _ in range(40000))
         server = NodeServer(peers=16, replicas=4, seed=11, max_inflight=4)
         with dial(server)() as raw:
             raw.sendall(codec.encode_frame(
@@ -132,7 +166,7 @@ class TestBackpressure:
             flood = b"".join(
                 codec.encode_frame({"id": index, "op": "retrieve", "key": "k"})
                 for index in range(requests))
-            # ~25 MB of replies against a few MB of socket buffers; the
+            # ~23 MB of replies against a few MB of socket buffers; the
             # requests go out from a thread because the server stops reading.
             sender = threading.Thread(target=raw.sendall, args=(flood,))
             sender.start()
@@ -150,7 +184,7 @@ class TestBackpressure:
             sender.join(timeout=10)
             assert not sender.is_alive()
         assert [reply["id"] for reply in replies] == list(range(requests))
-        assert all(reply["result"]["data"] == blob for reply in replies)
+        assert all(reply["result"].data == blob for reply in replies)
         assert server.requests_served == requests + 1
 
     def test_max_inflight_must_be_positive(self):

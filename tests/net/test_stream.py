@@ -54,8 +54,7 @@ def small_frames(monkeypatch):
 def _frames(payloads, stream=None):
     """``payloads`` as consecutive binary frames of one stream."""
     stream = stream or codec.DeflateStream()
-    return [codec.encode_frame(payload, wire_format=codec.FORMAT_BINARY,
-                               stream=stream) for payload in payloads]
+    return [codec.encode_frame(payload, stream=stream) for payload in payloads]
 
 
 def _frame(body: bytes) -> bytes:
@@ -78,7 +77,7 @@ class TestSenderBound:
         # Deflates to a few dozen bytes, but inflates to over the limit.
         with pytest.raises(codec.CodecError, match="limit"):
             codec.encode_frame({"blob": "x" * 5000},
-                               wire_format=codec.FORMAT_BINARY)
+                               stream=codec.DeflateStream())
 
     def test_what_the_encoder_emits_the_decoder_accepts(self, small_frames):
         small_frames(4096)
@@ -90,7 +89,7 @@ class TestSenderBound:
                 frame_bytes = None
                 try:
                     frame_bytes = codec.encode_frame(
-                        {"blob": blob}, wire_format=codec.FORMAT_BINARY)
+                        {"blob": blob}, stream=codec.DeflateStream())
                 except codec.CodecError:
                     refused += 1
                 if frame_bytes is not None:
@@ -101,13 +100,10 @@ class TestSenderBound:
     def test_a_refused_payload_leaves_the_stream_usable(self, small_frames):
         small_frames(4096)
         stream = codec.DeflateStream()
-        first = codec.encode_frame(PAYLOADS[1], wire_format=codec.FORMAT_BINARY,
-                                   stream=stream)
+        first = codec.encode_frame(PAYLOADS[1], stream=stream)
         with pytest.raises(codec.CodecError, match="limit"):
-            codec.encode_frame({"blob": "y" * 8000},
-                               wire_format=codec.FORMAT_BINARY, stream=stream)
-        last = codec.encode_frame(PAYLOADS[2], wire_format=codec.FORMAT_BINARY,
-                                  stream=stream)
+            codec.encode_frame({"blob": "y" * 8000}, stream=stream)
+        last = codec.encode_frame(PAYLOADS[2], stream=stream)
         assert codec.FrameDecoder().feed(first + last) == PAYLOADS[1:]
 
 
@@ -158,17 +154,17 @@ class TestBrokenStream:
     def test_a_bad_stream_frame_breaks_the_stream_for_good(self, build,
                                                            small_frames):
         first, bad, third = build(PAYLOADS, small_frames)
-        json_frame = codec.encode_frame({"id": 9, "op": "ping"})
+        plain_frame = codec.encode_frame({"id": 9, "op": "ping"})
         decoder = codec.FrameDecoder()
         # The frame ahead of the bad one comes out of the same chunk ...
-        assert decoder.feed(first + bad + third + json_frame) == [PAYLOADS[0]]
+        assert decoder.feed(first + bad + third + plain_frame) == [PAYLOADS[0]]
         # ... the bad one is reported by the next call ...
         with pytest.raises(codec.CodecError):
             decoder.feed(b"")
         # ... and the stream frame behind it is refused: there is no resync.
         with pytest.raises(codec.CodecError, match=BROKEN):
             decoder.feed(b"")
-        # JSON frames do not ride the stream and still decode.
+        # Self-contained frames do not ride the stream and still decode.
         assert decoder.feed(b"") == [{"id": 9, "op": "ping"}]
         assert decoder.pending_bytes == 0
         with pytest.raises(codec.CodecError, match=BROKEN):
@@ -194,14 +190,13 @@ class TestBrokenStream:
 
 # ------------------------------------------------------------- the transport
 class TestTransport:
-    @pytest.mark.parametrize("wire_format", codec.WIRE_FORMATS)
     def test_a_reply_over_the_frame_limit_is_answered_not_fatal(
-            self, listen, small_frames, wire_format):
+            self, listen, small_frames):
         """The retrieve runs, its reply cannot be encoded: the client gets a
         ``CodecError`` error reply, and the link carries on."""
         small_frames(300)
         server = NodeServer(peers=16, replicas=4, seed=11)
-        with connect(listen(server), wire_format=wire_format) as cluster:
+        with connect(listen(server)) as cluster:
             with cluster.session() as session:
                 with pytest.raises(TransportError, match="CodecError"):
                     session.retrieve("k")
@@ -215,19 +210,17 @@ class TestTransport:
         with connect(listen(server), pool_size=1, timeout_s=0.3,
                      max_retries=1) as cluster:
             client = cluster.client
-            assert client.wire_format == codec.FORMAT_BINARY
             client.request("retrieve", key="k")  # frame 1 of the first link
             before = client.counters.bytes_sent
             insert = {"op": "insert", "key": "k", "data": {"v": 1}}
             result, stats = client.request(**insert)
             # The retry went out as the first frame of a fresh link's
-            # stream; the dropped attempt was the second of the old one.
-            stream = codec.DeflateStream()
-            retrieve_frame, dropped = _frames(
-                [{"id": 1, "op": "retrieve", "key": "k"}, {"id": 2, **insert}],
-                stream)
-            retried = codec.encode_frame({"id": 2, **insert},
-                                         wire_format=codec.FORMAT_BINARY)
+            # stream; the dropped attempt was the third of the old one,
+            # behind the handshake and the retrieve.
+            *_before, dropped = _frames(
+                [{"id": 0, "op": "info"}, {"id": 1, "op": "retrieve", "key": "k"},
+                 {"id": 2, **insert}])
+            retried = _frames([{"id": 2, **insert}])[0]
             assert len(dropped) < len(retried)
             assert (stats.attempts, stats.retries) == (2, 1)
             assert stats.bytes_sent == len(dropped) + len(retried)
@@ -257,17 +250,16 @@ class TestTransport:
         assert [replies[index]["result"].data for index in (2, 4)] == \
             [{"v": 1}, {"v": 2}]
 
-    def test_json_and_binary_connections_interleave_on_one_server(self, listen):
+    def test_two_connections_interleave_on_one_server(self, listen):
+        """Each connection has streams of its own: frames interleaved across
+        two links on one event loop never reach the other's inflater."""
         address = listen(NodeServer(peers=16, replicas=4, seed=11))
-        with connect(address, wire_format="json") as plain, \
-                connect(address, wire_format="binary") as packed:
-            with plain.session() as by_json, packed.session() as by_binary:
+        with connect(address) as first, connect(address) as second:
+            with first.session() as one, second.session() as other:
                 for index in range(8):
-                    by_json.insert(f"j{index}", {"n": index})
-                    by_binary.insert(f"b{index}", {"n": -index})
-                    assert by_binary.retrieve(f"j{index}").data == {"n": index}
-                    assert by_json.retrieve(f"b{index}").data == {"n": -index}
-            for remote in (plain, packed):
+                    one.insert(f"a{index}", {"n": index})
+                    other.insert(f"b{index}", {"n": -index})
+                    assert other.retrieve(f"a{index}").data == {"n": index}
+                    assert one.retrieve(f"b{index}").data == {"n": -index}
+            for remote in (first, second):
                 assert remote.client.counters.reconnects == 0
-            assert packed.client.counters.bytes_received * 2 < \
-                plain.client.counters.bytes_received

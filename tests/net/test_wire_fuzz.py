@@ -1,14 +1,14 @@
 """Property-based fuzzing of the frame decoder (Hypothesis).
 
-The decoder must reassemble any stream of well-formed frames — JSON bodies
-and the pieces of one deflate stream freely interleaved — identically no
-matter how the bytes are split into chunks, and a malformed or oversized
+The decoder must reassemble any stream of well-formed frames — self-contained
+bodies and the pieces of one deflate stream freely interleaved — identically
+no matter how the bytes are split into chunks, and a malformed or oversized
 frame must raise :class:`~repro.net.codec.CodecError` without corrupting the
 decoder's state for the frames that follow (a bad *stream* frame is the
 exception: see ``test_stream.py``).  The packed-int64-array tag and the columnar
 trace built on it get the same treatment: hostile counts and truncated
-bodies are refused before anything is allocated, and any trace survives both
-wire formats message for message.  So do the one-byte dict-key codes: any
+bodies are refused before anything is allocated, and any trace survives the
+wire message for message.  So do the one-byte dict-key codes: any
 mix of table keys and escaped keys round-trips, byte-for-byte the same
 whatever order the keys were inserted in.
 """
@@ -16,7 +16,6 @@ whatever order the keys were inserted in.
 from __future__ import annotations
 
 import struct
-import zlib
 from array import array
 
 import pytest
@@ -28,8 +27,7 @@ from repro.core.timestamps import Timestamp
 from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrace
 from repro.net import codec, wire
 
-# JSON-compatible payload values; ints kept within int64 so JSON and binary
-# frames carry the same payloads (bigger ints are binary-only tested in
+# Payload values; ints kept within int64 (bigger ints are tested in
 # test_codec.py).
 _scalars = st.one_of(
     st.none(),
@@ -48,23 +46,23 @@ _values = st.recursive(
 
 _payloads = st.dictionaries(st.text(max_size=8), _values, max_size=6)
 
-_formats = st.sampled_from(codec.WIRE_FORMATS)
+#: Whether a frame rides a connection stream (``0x02``) or stands alone.
+_streamed = st.booleans()
+
+
+def _frame(payload, streamed):
+    """``payload`` as a self-contained frame or a fresh stream's first one."""
+    return codec.encode_frame(
+        payload, stream=codec.DeflateStream() if streamed else None)
 
 
 def _encode_stream(frames):
-    """Concatenate (payload, wire_format) pairs into one connection's bytes:
-    the binary frames are consecutive pieces of one deflate stream."""
+    """Concatenate (payload, streamed) pairs into one connection's bytes:
+    the streamed frames are consecutive pieces of one deflate stream."""
     stream = codec.DeflateStream()
     return b"".join(
-        codec.encode_frame(payload, wire_format=wire_format, stream=stream)
-        for payload, wire_format in frames)
-
-
-def _plain_body(payload):
-    """``payload``'s ``0x01`` body: its fresh-stream frame, inflated."""
-    body = wire.pack_payload(payload)
-    return b"\x01" + zlib.decompressobj(-zlib.MAX_WBITS).decompress(
-        body[1:] + b"\x00\x00\xff\xff")
+        codec.encode_frame(payload, stream=stream if streamed else None)
+        for payload, streamed in frames)
 
 
 def _split_points(data, offsets):
@@ -80,7 +78,7 @@ def _split_points(data, offsets):
 
 
 class TestReassembly:
-    @given(frames=st.lists(st.tuples(_payloads, _formats), max_size=6),
+    @given(frames=st.lists(st.tuples(_payloads, _streamed), max_size=6),
            offsets=st.lists(st.integers(min_value=0), max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_any_chunking_reassembles_identically(self, frames, offsets):
@@ -90,29 +88,22 @@ class TestReassembly:
         decoder = codec.FrameDecoder()
         decoded = []
         for chunk in _split_points(stream, offsets):
-            decoded.extend(decoder.feed_with_formats(chunk))
-        assert [payload for payload, _fmt in decoded] == \
-            [payload for payload, _fmt in frames]
-        assert [fmt for _payload, fmt in decoded] == \
-            [fmt for _payload, fmt in frames]
+            decoded.extend(decoder.feed(chunk))
+        assert decoded == [payload for payload, _streamed in frames]
         assert decoder.pending_bytes == 0
 
-    @given(payload=_payloads, wire_format=_formats)
+    @given(payload=_payloads, streamed=_streamed)
     @settings(max_examples=200, deadline=None)
-    def test_single_frame_round_trip(self, payload, wire_format):
-        frame = codec.encode_frame(payload, wire_format=wire_format)
-        assert codec.decode_frame(frame) == payload
+    def test_single_frame_round_trip(self, payload, streamed):
+        assert codec.decode_frame(_frame(payload, streamed)) == payload
 
     @given(key=st.text(max_size=16),
            counter=st.integers(min_value=0, max_value=2 ** 62),
-           wire_format=_formats)
+           streamed=_streamed)
     @settings(max_examples=100, deadline=None)
-    def test_timestamps_survive_both_formats(self, key, counter, wire_format):
+    def test_timestamps_survive_the_wire(self, key, counter, streamed):
         stamp = Timestamp(key=key, value=counter)
-        payload = {"v": codec.encode_value(stamp)}
-        decoded = codec.decode_frame(
-            codec.encode_frame(payload, wire_format=wire_format))
-        assert codec.decode_value(decoded["v"]) == stamp
+        assert codec.decode_frame(_frame({"v": stamp}, streamed)) == {"v": stamp}
 
 
 # ------------------------------------------------------------ one-byte keys
@@ -158,7 +149,7 @@ class TestKeyCodes:
     @settings(max_examples=200, deadline=None)
     def test_corrupted_keyed_bodies_only_ever_raise_codec_error(
             self, payload, junk, position):
-        body = bytearray(_plain_body(payload))
+        body = bytearray(wire.pack_payload(payload))
         start = 1 + position % len(body)
         body[start:start + len(junk)] = junk
         try:
@@ -169,21 +160,21 @@ class TestKeyCodes:
     @given(payload=_keyed_payloads, cut=st.integers(min_value=1))
     @settings(max_examples=200, deadline=None)
     def test_truncated_keyed_bodies_are_always_rejected(self, payload, cut):
-        body = _plain_body(payload)
+        body = wire.pack_payload(payload)
         with pytest.raises(codec.CodecError):
             wire.unpack_payload(body[:-(1 + cut % (len(body) - 1))])
 
 
 class TestMalformedFrames:
     @given(junk=st.binary(min_size=1, max_size=64), payload=_payloads,
-           wire_format=_formats)
+           streamed=_streamed)
     @settings(max_examples=200, deadline=None)
     def test_bad_frame_does_not_corrupt_decoder_state(self, junk, payload,
-                                                      wire_format):
+                                                      streamed):
         """A malformed body raises, then the next good frame still decodes."""
         assume(junk[0] != 0x02)  # a bad stream frame ends the stream for good
         bad_frame = struct.pack(">I", len(junk)) + junk
-        good_frame = codec.encode_frame(payload, wire_format=wire_format)
+        good_frame = _frame(payload, streamed)
         decoder = codec.FrameDecoder()
         try:
             decoded = decoder.feed(bad_frame)
@@ -203,12 +194,12 @@ class TestMalformedFrames:
         with pytest.raises(codec.CodecError, match="limit"):
             decoder.feed(struct.pack(">I", length) + tail)
 
-    @given(payload=_payloads, wire_format=_formats,
+    @given(payload=_payloads, streamed=_streamed,
            drop=st.integers(min_value=1, max_value=8))
     @settings(max_examples=200, deadline=None)
     def test_truncated_stream_yields_no_phantom_frames(self, payload,
-                                                       wire_format, drop):
-        frame = codec.encode_frame(payload, wire_format=wire_format)
+                                                       streamed, drop):
+        frame = _frame(payload, streamed)
         truncated = frame[:-min(drop, len(frame) - codec.FRAME_HEADER_BYTES)]
         decoder = codec.FrameDecoder()
         assert decoder.feed(truncated) == []
@@ -217,7 +208,7 @@ class TestMalformedFrames:
 
 # ------------------------------------------------------ packed int64 arrays
 def _binary_frame(packed_value: bytes) -> bytes:
-    """A binary frame whose payload is ``{"c": <packed_value>}``."""
+    """A frame whose payload is ``{"c": <packed_value>}``."""
     body = (b"\x01" + b"d" + struct.pack(">I", 1)
             + b"\xff" + struct.pack(">I", 1) + b"c" + packed_value)
     return struct.pack(">I", len(body)) + body
@@ -226,12 +217,11 @@ def _binary_frame(packed_value: bytes) -> bytes:
 class TestPackedArrays:
     @given(values=st.lists(st.integers(min_value=-(2 ** 63),
                                        max_value=2 ** 63 - 1), max_size=40),
-           wire_format=_formats)
+           streamed=_streamed)
     @settings(max_examples=200, deadline=None)
-    def test_int64_columns_survive_both_formats(self, values, wire_format):
-        frame = codec.encode_frame({"c": array("q", values)},
-                                   wire_format=wire_format)
-        assert list(codec.decode_frame(frame)["c"]) == values
+    def test_int64_columns_survive_the_wire(self, values, streamed):
+        frame = _frame({"c": array("q", values)}, streamed)
+        assert codec.decode_frame(frame)["c"] == array("q", values)
 
     def test_hand_packed_array_decodes(self):
         frame = _binary_frame(b"q" + struct.pack(">I", 2)
@@ -283,16 +273,14 @@ def _trace_of(messages, control_bytes=128):
 class TestTraceRoundTrip:
     @given(messages=st.lists(_messages, max_size=30),
            control_bytes=st.integers(min_value=1, max_value=4096),
-           wire_format=_formats)
+           streamed=_streamed)
     @settings(max_examples=200, deadline=None)
     def test_any_trace_survives_the_wire_message_for_message(
-            self, messages, control_bytes, wire_format):
+            self, messages, control_bytes, streamed):
         """None endpoints, timed-out retries, overridden sizes, ids >= 2**63
-        and the empty trace all come back equal, through either format."""
+        and the empty trace all come back equal."""
         trace = _trace_of(messages, control_bytes)
-        frame = codec.encode_frame({"trace": codec.trace_to_dict(trace)},
-                                   wire_format=wire_format)
-        rebuilt = codec.trace_from_dict(codec.decode_frame(frame)["trace"])
+        rebuilt = codec.decode_frame(_frame({"trace": trace}, streamed))["trace"]
         assert rebuilt.messages == trace.messages
         assert rebuilt.sizes == trace.sizes
 
@@ -303,34 +291,28 @@ class TestTraceRoundTrip:
     def test_corrupted_trace_frames_only_ever_raise_codec_error(
             self, messages, junk, position):
         """Overwriting bytes of a trace-bearing body decodes or raises
-        ``CodecError`` — at the frame or in ``trace_from_dict``."""
-        body = _plain_body({"trace": codec.trace_to_dict(_trace_of(messages))})
+        ``CodecError``."""
+        body = wire.pack_payload({"trace": _trace_of(messages)})
         frame = bytearray(struct.pack(">I", len(body)) + body)
         first = codec.FRAME_HEADER_BYTES + 1
         start = first + position % (len(frame) - first)
         junk = junk[:len(frame) - start]
         frame[start:start + len(junk)] = junk
         try:
-            trace = codec.decode_frame(bytes(frame)).get("trace")
-            if isinstance(trace, dict):
-                codec.trace_from_dict(trace)
+            codec.decode_frame(bytes(frame))
         except codec.CodecError:
             pass
 
-    @given(messages=st.lists(_messages, max_size=20), wire_format=_formats)
+    @given(messages=st.lists(_messages, max_size=20), streamed=_streamed)
     @settings(max_examples=100, deadline=None)
     def test_batched_results_share_one_rebuilt_trace(self, messages,
-                                                     wire_format):
+                                                     streamed):
         trace = _trace_of(messages)
         batch = BatchInsertResult(
             results=tuple(InsertResult(key=f"k{index}", replicas_written=1,
                                        replicas_attempted=1, trace=trace)
                           for index in range(3)),
             trace=trace)
-        frame = codec.encode_frame(
-            {"result": codec.batch_insert_result_to_dict(batch)},
-            wire_format=wire_format)
-        rebuilt = codec.batch_insert_result_from_dict(
-            codec.decode_frame(frame)["result"])
+        rebuilt = codec.decode_frame(_frame({"result": batch}, streamed))["result"]
         assert all(item.trace is rebuilt.trace for item in rebuilt.results)
         assert rebuilt.trace.messages == trace.messages

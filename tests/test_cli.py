@@ -372,15 +372,15 @@ class TestServeAndLoadgenCommands:
         # handshake (issued before the run) is not part of the run's count.
         assert payload["transport"]["requests"] == 20
 
-    def test_loadgen_wire_format_and_sync_round_defaults(self):
+    def test_loadgen_has_one_wire_format_and_no_sync_round_by_default(self):
         arguments = cli.build_parser().parse_args(["loadgen"])
-        assert arguments.wire_format == "auto"
         assert arguments.sync_round is False
+        assert not hasattr(arguments, "wire_format")
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(
-                ["loadgen", "--wire-format", "msgpack"])
+                ["loadgen", "--wire-format", "binary"])
 
-    def test_loadgen_binary_framing_with_a_sync_round(self, tmp_path):
+    def test_loadgen_with_a_sync_round(self, tmp_path):
         from repro.net.server import NodeServer, ServerThread
 
         output = tmp_path / "load.json"
@@ -390,14 +390,11 @@ class TestServeAndLoadgenCommands:
             arguments = cli.build_parser().parse_args(
                 ["loadgen", "--backend", "tcp", "--address", f"{host}:{port}",
                  "--ops", "20", "--duration", "0.2", "--no-pacing",
-                 "--wire-format", "binary", "--sync-round",
-                 "--output", str(output), "--shutdown"])
+                 "--sync-round", "--output", str(output), "--shutdown"])
             assert cli.loadgen_command(arguments, stream=stream) == 0
         text = stream.getvalue()
-        assert "bytes per op" in text and "binary frames" in text
-        assert "delta sync" in text
+        assert "bytes per op" in text and "delta sync" in text
         payload = json.loads(output.read_text())
-        assert payload["transport"]["wire_format"] == "binary"
         assert payload["transport"]["bytes_per_op"] > 0
         assert payload["sync"]["entries_shipped"] == 0  # loadgen writes converge
         assert payload["sync"]["transfer_ratio"] < 1.0

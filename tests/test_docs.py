@@ -4,8 +4,7 @@ These tests enforce the documentation contracts locally that CI's ``docs``
 job enforces on every push:
 
 * the public docstring coverage of ``src/repro`` stays at or above the
-  pinned threshold (``tools/check_docstrings.py``, the stdlib stand-in for
-  ``interrogate``);
+  threshold reprolint's REP006 pins (``tools.reprolint.rules``);
 * DESIGN.md's paper ↔ code cross-reference table covers every experiment id
   EXPERIMENTS.md says gets generated;
 * the README "Scenarios" quickstart commands are the ones CI smoke-tests,
@@ -14,55 +13,36 @@ job enforces on every push:
 
 from __future__ import annotations
 
-import importlib.util
 import pathlib
 import re
+import sys
 
 import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:  # ``tools`` lives at the root, not in src
+    sys.path.insert(0, str(REPO_ROOT))
 
-#: The pinned public-docstring coverage of ``src/repro`` (percent).  Raise it
-#: when coverage improves; lowering it needs a written justification in the
-#: commit.  CI runs ``tools/check_docstrings.py src/repro --fail-under`` with
-#: the same number.
-DOCSTRING_COVERAGE_THRESHOLD = 91.0
-
-
-def load_checker():
-    """Import ``tools/check_docstrings.py`` by path (``tools`` is not a package)."""
-    path = REPO_ROOT / "tools" / "check_docstrings.py"
-    spec = importlib.util.spec_from_file_location("check_docstrings", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from tools.reprolint import rules  # noqa: E402
 
 
 class TestDocstringCoverage:
     def test_coverage_meets_the_pinned_threshold(self):
-        checker = load_checker()
-        documented, total, missing = checker.coverage(REPO_ROOT / "src" / "repro")
+        documented, total, missing = rules.coverage(REPO_ROOT / "src" / "repro")
         assert total > 0
         percent = 100.0 * documented / total
-        assert percent >= DOCSTRING_COVERAGE_THRESHOLD, (
+        assert percent >= rules.DOCSTRING_COVERAGE_THRESHOLD, (
             f"docstring coverage {percent:.1f}% fell below the pinned "
-            f"{DOCSTRING_COVERAGE_THRESHOLD}%; undocumented: {missing[:10]}")
-
-    def test_ci_pins_the_same_threshold(self):
-        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
-        assert (f"check_docstrings.py src/repro --fail-under "
-                f"{DOCSTRING_COVERAGE_THRESHOLD}") in workflow
+            f"{rules.DOCSTRING_COVERAGE_THRESHOLD}%; undocumented: {missing[:10]}")
 
     def test_every_public_module_has_a_module_docstring(self):
-        checker = load_checker()
-        _, _, missing = checker.coverage(REPO_ROOT / "src" / "repro")
+        _, _, missing = rules.coverage(REPO_ROOT / "src" / "repro")
         module_misses = [name for name in missing if name.endswith(".py")]
         assert module_misses == []
 
     def test_scenario_modules_are_fully_documented(self):
-        checker = load_checker()
         scenarios = (REPO_ROOT / "src" / "repro" / "simulation" / "scenarios")
-        documented, total, missing = checker.coverage(scenarios)
+        documented, total, missing = rules.coverage(scenarios)
         assert missing == []
         assert documented == total
 

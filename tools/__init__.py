@@ -1,8 +1,7 @@
-"""Repository tooling: the docstring gate and the ``reprolint`` analyzer.
+"""Repository tooling: the ``reprolint`` analyzer.
 
 ``tools`` is a plain package so CI and the test suite can run the static
-analyzers as modules from the repository root::
+analyzer as a module from the repository root::
 
     python -m tools.reprolint src
-    python tools/check_docstrings.py src/repro --fail-under 91.0
 """

@@ -31,8 +31,7 @@ REP005
     ``repro.cli``/``repro.net`` importing ``repro.net``) fail the lint.
 REP006
     Public docstring coverage of the scanned tree stays at or above the
-    pinned threshold (folds ``tools/check_docstrings.py`` into this
-    analyzer's single JSON report).
+    pinned threshold (``rules.coverage`` measures it for any directory).
 REP007
     The scanned tree stays within the pinned ``src/`` line budget
     (``SRC_LINE_BUDGET``); a change that raises it says why in CHANGES.md.

@@ -12,10 +12,9 @@ justified exceptions.
 from __future__ import annotations
 
 import ast
+import pathlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
-
-from tools.check_docstrings import iter_public_objects
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 __all__ = [
     "DETERMINISTIC_LAYERS",
@@ -25,7 +24,9 @@ __all__ = [
     "Rule",
     "Suppression",
     "all_rules",
+    "coverage",
     "get_rule",
+    "iter_public_objects",
 ]
 
 #: Layers in which wall-clock/ambient-randomness findings are never expected
@@ -33,14 +34,13 @@ __all__ = [
 DETERMINISTIC_LAYERS = ("repro.core", "repro.dht", "repro.simulation",
                         "repro.api", "repro.execution")
 
-#: Public docstring coverage the scanned tree must keep (percent).  The same
-#: number ``tools/check_docstrings.py`` and ``tests/test_docs.py`` pin; the
-#: three must stay in sync.
+#: Public docstring coverage the scanned tree must keep (percent); REP006
+#: and ``tests/test_docs.py`` both read it from here.
 DOCSTRING_COVERAGE_THRESHOLD = 91.0
 
 #: Most lines the scanned ``repro`` tree may hold (REP007), pinned at the
 #: measured size of ``src/``.  Raising it needs a reason in CHANGES.md.
-SRC_LINE_BUDGET = 15590
+SRC_LINE_BUDGET = 15296
 
 #: Wall-clock reads forbidden by REP001 (resolved through import aliases).
 _WALL_CLOCK = frozenset({
@@ -433,6 +433,92 @@ def check_layering(ctx, layer_map) -> List[Finding]:
 
 
 # ---------------------------------------------------------------- REP006
+def _base_names(class_node: ast.ClassDef) -> List[str]:
+    """The plain names of a class's bases (``pkg.Base`` resolves to ``Base``)."""
+    names: List[str] = []
+    for base in class_node.bases:
+        if isinstance(base, ast.Name):
+            names.append(base.id)
+        elif isinstance(base, ast.Attribute):
+            names.append(base.attr)
+    return names
+
+
+def iter_public_objects(tree: ast.Module, module_label: str
+                        ) -> Iterator[Tuple[str, bool]]:
+    """Yield ``(qualified name, documented)`` for the module's public surface.
+
+    The surface is the module itself plus every public class, function and
+    method defined at module or class level (names starting with ``_`` —
+    dunders included — and bodies nested inside functions are skipped).  A
+    method without its own docstring counts as documented when it overrides
+    a documented method of a base class defined in the same module — the
+    same resolution ``help()`` performs through the MRO, so overrides of a
+    documented contract are not flagged as missing documentation.
+    """
+    yield module_label, ast.get_docstring(tree) is not None
+    # First pass: collect classes (any nesting level) and their methods.
+    classes: dict = {}
+    stack: List[Tuple[ast.AST, str]] = [(tree, module_label)]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                continue
+            if child.name.startswith("_"):
+                continue
+            qualified = f"{prefix}:{child.name}"
+            if isinstance(child, ast.ClassDef):
+                methods = {
+                    member.name: ast.get_docstring(member) is not None
+                    for member in child.body
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                }
+                classes[child.name] = (qualified, _base_names(child),
+                                       ast.get_docstring(child) is not None,
+                                       methods)
+                stack.append((child, qualified))
+            elif isinstance(node, ast.Module):
+                # Module-level function; methods are handled with their class.
+                yield qualified, ast.get_docstring(child) is not None
+
+    def inherited(method: str, bases: List[str], seen: frozenset) -> bool:
+        for base in bases:
+            if base in seen or base not in classes:
+                continue
+            _, base_bases, _, base_methods = classes[base]
+            if base_methods.get(method):
+                return True
+            if inherited(method, base_bases, seen | {base}):
+                return True
+        return False
+
+    for name, (qualified, bases, class_documented, methods) in classes.items():
+        yield qualified, class_documented
+        for method, documented in methods.items():
+            if method.startswith("_"):
+                continue
+            yield (f"{qualified}:{method}",
+                   documented or inherited(method, bases, frozenset({name})))
+
+
+def coverage(root: pathlib.Path) -> Tuple[int, int, List[str]]:
+    """``(documented, total, missing)`` over every ``*.py`` file under ``root``."""
+    documented = 0
+    total = 0
+    missing: List[str] = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, has_docstring in iter_public_objects(tree, str(path)):
+            total += 1
+            if has_docstring:
+                documented += 1
+            else:
+                missing.append(name)
+    return documented, total, missing
+
+
 def check_docstring_coverage(contexts) -> Tuple[List[Finding], Dict[str, object]]:
     """REP006: aggregate public docstring coverage of the scanned tree.
 
@@ -526,8 +612,7 @@ _RULES: Tuple[Rule, ...] = (
     Rule(id="REP006",
          summary=f"public docstring coverage >= "
                  f"{DOCSTRING_COVERAGE_THRESHOLD:.1f}% over the scanned tree",
-         layers="all of repro (aggregate, folded from "
-                "tools/check_docstrings.py)"),
+         layers="all of repro (aggregate)"),
     Rule(id="REP007",
          summary=f"source size <= {SRC_LINE_BUDGET} lines over the scanned "
                  "tree (the src/ line budget)",
