@@ -42,9 +42,9 @@ def grid_plan(scale: str, seed: int, overlays) -> RunPlan:
     for scenario in SCENARIOS:
         for service, algorithm in SERVICES:
             for protocol in overlays:
-                plan.add_scenario(
-                    get_scenario(scenario),
+                plan.add(
                     SimulationParameters(seed=seed, **parameters),
+                    scenario=get_scenario(scenario),
                     protocol=protocol, algorithm=algorithm,
                     label=f"{scenario}:{service}@{protocol}")
     return plan

@@ -3,8 +3,9 @@
 Seven entry points are provided (also installable as console scripts, and
 reachable as ``python -m repro``):
 
-* ``python -m repro simulate`` — run one simulation (one algorithm, one
-  parameter point) and print the measured response time / communication cost;
+* ``python -m repro simulate`` — run one simulation of the paper's workload
+  (the ``uniform`` scenario: one algorithm, one parameter point) and print
+  the measured response time / communication cost;
 * ``python -m repro scenario`` — the declarative scenario engine:
   ``list`` the registered scenarios, ``run`` one (with record/replay via
   ``--spec-out``/``--spec``), or ``compare`` scenarios × overlays × services
@@ -16,7 +17,7 @@ reachable as ``python -m repro``):
   insert/retrieve workload with a scenario arrival model against any backend
   (``sim``/``tcp``/``uds``) and report throughput + p50/p95/p99 latency;
 * ``python -m repro experiments`` — regenerate the paper's tables and
-  figures (thin wrapper over :mod:`repro.experiments.runner`);
+  figures (the flags and the run are :mod:`repro.experiments.runner`'s);
 * ``python -m repro attack-grid`` — sweep byzantine fractions × overlays
   through :mod:`repro.experiments.attack_grid` and report the
   currency-degradation curve (measured certified currency vs the
@@ -26,6 +27,11 @@ reachable as ``python -m repro``):
   :mod:`repro.api.services`, the scenarios of
   :mod:`repro.simulation.scenarios.registry` and the execution backends of
   :mod:`repro.net.backends`.
+
+Each sub-command's parser names its handler (``set_defaults(handler=...)``);
+:func:`main` only parses and dispatches.  ``simulate`` and ``scenario run``
+resolve their parameters and render their results the same way, so
+``simulate`` is ``scenario run --scenario uniform`` with its own defaults.
 
 Examples
 --------
@@ -54,14 +60,15 @@ skips already-executed points (``--no-cache`` forces re-execution).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 from repro.api.results import Consistency
 from repro.api.services import service_names
 from repro.dht.registry import overlay_names
-from repro.execution import Executor, RunPlan
+from repro.execution import RunPlan
 from repro.experiments import runner as experiments_runner
 from repro.experiments.attack_grid import (
     DEFAULT_FRACTIONS,
@@ -72,17 +79,19 @@ from repro.experiments.attack_grid import (
 from repro.experiments.reporting import comparison_tables
 from repro.simulation.adversary import STRATEGIES
 from repro.simulation.config import Algorithm, SimulationParameters
-from repro.simulation.harness import run_simulation
 from repro.simulation.scenarios import (
     ScenarioSpec,
     get_scenario,
     run_scenario,
     scenario_names,
 )
+from repro.simulation.scenarios.registry import UNIFORM_SCENARIO
 
 __all__ = ["attack_grid_command", "build_parser", "loadgen_command", "main",
-           "registry_command", "scenario_command", "serve_command",
-           "simulate_command"]
+           "registry_command", "scenario_compare_command", "scenario_list_command",
+           "scenario_run_command", "serve_command", "simulate_command"]
+
+_T = TypeVar("_T")
 
 #: Currency-service registry name -> harness algorithm, for ``--services``.
 _SERVICE_ALGORITHMS = {"ums": Algorithm.UMS_DIRECT, "brk": Algorithm.BRK}
@@ -96,6 +105,69 @@ def _algorithm_for(name: str) -> str:
     return Algorithm.validate(key)
 
 
+def _overlay(name: str) -> str:
+    """Validate one ``--protocols`` entry against the overlay registry."""
+    if name not in overlay_names():
+        raise ValueError(f"unknown protocol {name!r}; registered overlays: "
+                         f"{', '.join(overlay_names())}")
+    return name
+
+
+def _name_list(value: str, flag: str, resolve: Callable[[str], _T]) -> List[_T]:
+    """Parse a comma-separated ``flag`` value, resolving (and so validating) each item.
+
+    A bad item fails fast with a CLI error, before any grid point runs.
+    """
+    items = [item.strip() for item in value.split(",") if item.strip()]
+    if not items:
+        raise SystemExit(f"{flag} needs at least one value")
+    try:
+        return [resolve(item) for item in items]
+    except ValueError as error:
+        raise SystemExit(f"bad {flag}: {error}") from error
+
+
+def _add_simulation_arguments(command: argparse.ArgumentParser) -> None:
+    """Simulation knobs shared by ``simulate``, ``scenario run`` and ``scenario compare``.
+
+    They default to ``None``, "not typed": a scenario spec's overrides and
+    the command's own defaults fill them in (see :func:`_resolve_scenario_run`).
+    """
+    command.add_argument("--peers", type=int, default=None,
+                         help="number of peers (Table 1: 10000)")
+    command.add_argument("--replicas", type=int, default=None,
+                         help="|Hr| (Table 1: 10)")
+    command.add_argument("--keys", type=int, default=None,
+                         help="number of data items")
+    command.add_argument("--duration", type=float, default=None,
+                         help="simulated seconds (Table 1: 10800)")
+    command.add_argument("--queries", type=int, default=None,
+                         help="measured queries per run (paper: 30)")
+    command.add_argument("--churn-rate", type=float, default=None,
+                         help="departures per second (default: Table 1 "
+                              "intensity scaled to the population)")
+    command.add_argument("--update-rate", type=float, default=None,
+                         help="updates per data item per hour (before the "
+                              "scenario profile's multiplier)")
+    command.add_argument("--consistency", choices=Consistency.ALL, default=None,
+                         help="per-retrieve freshness contract: 'current' is the "
+                              "paper's certified retrieval, 'any' a first-replica "
+                              "read, 'best-effort' a bounded-probe read")
+    command.add_argument("--seed", type=int, default=2007)
+
+
+def _add_single_run_arguments(command: argparse.ArgumentParser) -> None:
+    """``--algorithm``, ``--protocol`` and ``--json`` of ``simulate`` and ``scenario run``."""
+    command.add_argument("--algorithm", choices=Algorithm.ALL, default=None,
+                         help="currency algorithm (default: ums-direct, unless "
+                              "the scenario overrides it)")
+    command.add_argument("--protocol", choices=overlay_names(), default=None,
+                         help="DHT overlay, any overlay registered in "
+                              "repro.dht.registry (default: chord, unless the "
+                              "scenario overrides it)")
+    command.add_argument("--json", action="store_true", help="print a JSON summary")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -104,35 +176,17 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     simulate = subparsers.add_parser(
-        "simulate", help="run one simulation and report response time / messages")
-    simulate.add_argument("--algorithm", choices=Algorithm.ALL, default=Algorithm.UMS_DIRECT)
-    simulate.add_argument("--peers", type=int, default=1000,
-                          help="number of peers (Table 1: 10000)")
-    simulate.add_argument("--replicas", type=int, default=10, help="|Hr| (Table 1: 10)")
-    simulate.add_argument("--keys", type=int, default=20, help="number of data items")
-    simulate.add_argument("--duration", type=float, default=1800.0,
-                          help="simulated seconds (Table 1: 10800)")
-    simulate.add_argument("--queries", type=int, default=30,
-                          help="measured queries per run (paper: 30)")
-    simulate.add_argument("--churn-rate", type=float, default=None,
-                          help="departures per second (default: Table 1 intensity "
-                               "scaled to the population)")
+        "simulate", help="run one simulation of the paper's workload and report "
+                         "response time / messages")
+    _add_simulation_arguments(simulate)
+    _add_single_run_arguments(simulate)
     simulate.add_argument("--failure-rate", type=float, default=5.0,
                           help="percentage of departures that are failures")
-    simulate.add_argument("--update-rate", type=float, default=1.0,
-                          help="updates per data item per hour")
-    simulate.add_argument("--protocol", choices=overlay_names(), default="chord",
-                          help="DHT overlay (any overlay registered in "
-                               "repro.dht.registry)")
-    simulate.add_argument("--consistency", choices=Consistency.ALL,
-                          default=Consistency.CURRENT,
-                          help="per-retrieve freshness contract: 'current' is the "
-                               "paper's certified retrieval, 'any' a first-replica "
-                               "read, 'best-effort' a bounded-probe read")
     simulate.add_argument("--cluster", action="store_true",
                           help="use the 64-node-cluster cost model instead of Table 1's WAN")
-    simulate.add_argument("--seed", type=int, default=2007)
-    simulate.add_argument("--json", action="store_true", help="print a JSON summary")
+    simulate.set_defaults(handler=simulate_command, algorithm=Algorithm.UMS_DIRECT,
+                          protocol="chord", peers=1000, replicas=10, keys=20,
+                          duration=1800.0, queries=30)
 
     scenario = subparsers.add_parser(
         "scenario", help="declarative workload & fault scenarios "
@@ -141,29 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
                                                   required=True)
 
     scenario_subparsers.add_parser(
-        "list", help="list the registered scenarios with their descriptions")
-
-    def add_run_parameters(command: argparse.ArgumentParser) -> None:
-        """Simulation knobs shared by ``scenario run`` and ``scenario compare``."""
-        command.add_argument("--peers", type=int, default=None,
-                             help="number of peers")
-        command.add_argument("--replicas", type=int, default=None, help="|Hr|")
-        command.add_argument("--keys", type=int, default=None,
-                             help="number of data items")
-        command.add_argument("--duration", type=float, default=None,
-                             help="simulated seconds")
-        command.add_argument("--queries", type=int, default=None,
-                             help="measured queries per run")
-        command.add_argument("--churn-rate", type=float, default=None,
-                             help="departures per second (default: Table 1 "
-                                  "intensity scaled to the population)")
-        command.add_argument("--update-rate", type=float, default=None,
-                             help="updates per data item per hour (before the "
-                                  "scenario profile's multiplier)")
-        command.add_argument("--consistency", choices=Consistency.ALL,
-                             default=None,
-                             help="per-retrieve freshness contract")
-        command.add_argument("--seed", type=int, default=2007)
+        "list", help="list the registered scenarios with their descriptions"
+    ).set_defaults(handler=scenario_list_command)
 
     run = scenario_subparsers.add_parser(
         "run", help="run one scenario and report its metrics")
@@ -176,14 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--spec-out", default=None, metavar="FILE",
                      help="record the resolved scenario + parameters as a "
                           "replayable JSON run spec")
-    run.add_argument("--algorithm", choices=Algorithm.ALL, default=None,
-                     help="currency algorithm (default: ums-direct, unless "
-                          "the scenario overrides it)")
-    run.add_argument("--protocol", choices=overlay_names(), default=None,
-                     help="DHT overlay (default: chord, unless the scenario "
-                          "overrides it)")
-    add_run_parameters(run)
-    run.add_argument("--json", action="store_true", help="print a JSON summary")
+    _add_simulation_arguments(run)
+    _add_single_run_arguments(run)
+    run.set_defaults(handler=scenario_run_command)
 
     compare = scenario_subparsers.add_parser(
         "compare", help="compare scenarios x overlays x services as "
@@ -195,35 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--services", default="ums,brk",
                          help="comma-separated currency services (or "
                               "algorithm names such as ums-indirect)")
-    add_run_parameters(compare)
+    _add_simulation_arguments(compare)
     compare.add_argument("--markdown", action="store_true",
                          help="render the tables as Markdown instead of text")
-    compare.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for the comparison grid "
-                              "(default: serial, or REPRO_EXECUTOR_JOBS); "
-                              "results are bit-identical to a serial run")
-    compare.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="on-disk run cache: grid cells already executed "
-                              "under DIR are skipped")
-    compare.add_argument("--no-cache", action="store_true",
-                         help="re-execute every cell even when cached")
+    experiments_runner.add_executor_arguments(compare)
+    compare.set_defaults(handler=scenario_compare_command)
 
     experiments = subparsers.add_parser(
         "experiments", help="regenerate the paper's tables and figures")
-    experiments.add_argument("--scale", choices=("tiny", "quick", "paper"), default="quick")
-    experiments.add_argument("--seed", type=int, default=2007)
-    experiments.add_argument("--protocol", choices=overlay_names(), default="chord",
-                             help="DHT overlay for figures 6-12 and the "
-                                  "probe-order ablation")
-    experiments.add_argument("--output", default=None)
-    experiments.add_argument("--no-ablations", action="store_true")
-    experiments.add_argument("--jobs", type=int, default=None,
-                             help="worker processes per sweep (bit-identical "
-                                  "to a serial run)")
-    experiments.add_argument("--cache-dir", default=None, metavar="DIR",
-                             help="on-disk run cache for the sweeps")
-    experiments.add_argument("--no-cache", action="store_true",
-                             help="re-execute cached points (refreshing them)")
+    experiments_runner.add_arguments(experiments)
+    experiments.set_defaults(handler=experiments_runner.run_command)
 
     attack = subparsers.add_parser(
         "attack-grid", help="sweep byzantine fractions x overlays and report "
@@ -252,19 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--update-rate", type=float, default=None,
                         help="per-key updates per hour (default 60)")
     attack.add_argument("--seed", type=int, default=2007)
-    attack.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the grid (default: serial, "
-                             "or REPRO_EXECUTOR_JOBS); bit-identical to a "
-                             "serial run")
-    attack.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="on-disk run cache: grid points already executed "
-                             "under DIR are skipped")
-    attack.add_argument("--no-cache", action="store_true",
-                        help="re-execute every point even when cached")
+    experiments_runner.add_executor_arguments(attack)
     attack.add_argument("--output", default=None, metavar="PATH",
                         help="write the attack-degradation JSON artifact here")
     attack.add_argument("--json", action="store_true",
                         help="print the JSON artifact instead of the table")
+    attack.set_defaults(handler=attack_grid_command)
 
     serve = subparsers.add_parser(
         "serve", help="host a cluster behind the repro.net asyncio transport "
@@ -289,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="requests that may wait on one connection "
                             "before its socket stops being read "
                             "(the backpressure knob)")
+    serve.set_defaults(handler=serve_command)
 
     loadgen = subparsers.add_parser(
         "loadgen", help="generate load against a backend and report "
@@ -341,57 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--shutdown", action="store_true",
                          help="ask the server to shut down gracefully after "
                               "the run (net backends)")
+    loadgen.set_defaults(handler=loadgen_command)
 
     subparsers.add_parser(
-        "registry", help="list the registered DHT overlays and currency services")
+        "registry", help="list the registered DHT overlays and currency services"
+    ).set_defaults(handler=registry_command)
     return parser
-
-
-def _parameters_from_args(arguments: argparse.Namespace) -> SimulationParameters:
-    churn_rate = arguments.churn_rate
-    if churn_rate is None:
-        # Preserve Table 1's churn intensity (1 departure/s across 10,000 peers
-        # over 3 hours) for whatever population/duration was requested.
-        churn_rate = 1.08 * arguments.peers / arguments.duration
-    return SimulationParameters(
-        num_peers=arguments.peers, num_replicas=arguments.replicas,
-        num_keys=arguments.keys, duration_s=arguments.duration,
-        num_queries=arguments.queries, churn_rate_per_s=churn_rate,
-        failure_rate=arguments.failure_rate / 100.0,
-        update_rate_per_hour=arguments.update_rate, protocol=arguments.protocol,
-        cost_model_preset="cluster" if arguments.cluster else "wide-area",
-        algorithm=arguments.algorithm, consistency=arguments.consistency,
-        seed=arguments.seed)
-
-
-def simulate_command(arguments: argparse.Namespace, *, stream=None) -> int:
-    """Run the ``simulate`` sub-command."""
-    stream = stream if stream is not None else sys.stdout
-    parameters = _parameters_from_args(arguments)
-    result = run_simulation(parameters)
-    summary = result.summary()
-    if arguments.json:
-        payload = {"algorithm": result.algorithm, "protocol": parameters.protocol,
-                   "service": Algorithm.service_name(result.algorithm),
-                   "consistency": parameters.consistency,
-                   "num_peers": result.num_peers,
-                   "num_replicas": result.num_replicas, **summary}
-        stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0
-    label = Algorithm.label(result.algorithm)
-    stream.write(f"algorithm            : {label}\n")
-    stream.write(f"service              : {Algorithm.service_name(result.algorithm)}\n")
-    stream.write(f"overlay              : {parameters.protocol}\n")
-    stream.write(f"consistency          : {parameters.consistency}\n")
-    stream.write(f"peers / replicas     : {result.num_peers} / {result.num_replicas}\n")
-    stream.write(f"queries measured     : {result.query_count}\n")
-    stream.write(f"avg response time    : {result.avg_response_time_s:.2f} s\n")
-    stream.write(f"avg messages / query : {result.avg_messages:.1f}\n")
-    stream.write(f"avg replicas probed  : {result.avg_replicas_inspected:.2f}\n")
-    stream.write(f"certified current    : {result.currency_rate:.0%}\n")
-    stream.write(f"churn events (fails) : {result.churn_events} ({result.failures})\n")
-    stream.write(f"updates performed    : {result.updates_performed}\n")
-    return 0
 
 
 def registry_command(arguments: argparse.Namespace, *, stream=None) -> int:
@@ -538,32 +496,26 @@ _SCENARIO_RUN_DEFAULTS = dict(num_peers=400, num_replicas=10, num_keys=20,
 _SCENARIO_COMPARE_DEFAULTS = dict(num_peers=120, num_replicas=5, num_keys=10,
                                   duration_s=600.0, num_queries=15)
 
-#: CLI flag -> :class:`SimulationParameters` field, for the scenario commands.
-_SCENARIO_FLAG_FIELDS = {
+#: CLI flag -> :class:`SimulationParameters` field, for the simulation commands.
+_FLAG_FIELDS = {
     "peers": "num_peers", "replicas": "num_replicas", "keys": "num_keys",
     "duration": "duration_s", "queries": "num_queries",
     "churn_rate": "churn_rate_per_s", "update_rate": "update_rate_per_hour",
-    "consistency": "consistency",
+    "consistency": "consistency", "algorithm": "algorithm", "protocol": "protocol",
 }
 
 
-def _explicit_scenario_flags(arguments: argparse.Namespace) -> dict:
-    """The simulation fields the user pinned explicitly on the command line.
+def _explicit_flags(arguments: argparse.Namespace) -> dict:
+    """The simulation fields the command line pins, as :class:`SimulationParameters` fields.
 
-    Every scenario parameter flag defaults to ``None``, so a non-``None``
-    value means the user typed it — these beat a scenario spec's
-    ``overrides`` (the caller-wins contract of :func:`run_scenario`).
+    The simulation flags of ``scenario run``/``compare`` and ``attack-grid``
+    default to ``None``, so a non-``None`` value means the user typed it —
+    these beat a scenario spec's ``overrides`` (the caller-wins contract of
+    :func:`run_scenario`).  ``simulate`` gives its flags parser defaults: the
+    ``uniform`` scenario has no overrides for them to beat.
     """
-    explicit = {}
-    for flag, field in _SCENARIO_FLAG_FIELDS.items():
-        value = getattr(arguments, flag, None)
-        if value is not None:
-            explicit[field] = value
-    for field in ("algorithm", "protocol"):
-        value = getattr(arguments, field, None)
-        if value is not None:
-            explicit[field] = value
-    return explicit
+    return {field: getattr(arguments, flag) for flag, field in _FLAG_FIELDS.items()
+            if getattr(arguments, flag, None) is not None}
 
 
 def _resolve_scenario_run(spec: ScenarioSpec, defaults: dict, explicit: dict,
@@ -580,172 +532,138 @@ def _resolve_scenario_run(spec: ScenarioSpec, defaults: dict, explicit: dict,
     merged.update(spec.overrides)
     merged.update(explicit)
     if merged.get("churn_rate_per_s") is None:
-        # Table 1's churn intensity, scaled to the *effective* population and
-        # duration (the same scaling the ``simulate`` sub-command applies).
-        merged.pop("churn_rate_per_s", None)
+        # Preserve Table 1's churn intensity (1 departure/s across 10,000
+        # peers over 3 hours) for the *effective* population and duration.
         merged["churn_rate_per_s"] = (1.08 * merged["num_peers"]
                                       / merged["duration_s"])
-    effective_spec = ScenarioSpec(name=spec.name, description=spec.description,
-                                  popularity=spec.popularity,
-                                  arrivals=spec.arrivals, profile=spec.profile,
-                                  faults=spec.faults, overrides={})
-    return effective_spec, SimulationParameters(**merged)
+    return dataclasses.replace(spec, overrides={}), SimulationParameters(**merged)
 
 
-def _write_scenario_result(result, *, as_json: bool, stream) -> None:
-    """Render one scenario run (text or JSON) to ``stream``.
+def _write_run_result(result, *, as_json: bool, stream) -> None:
+    """Render one run of ``simulate`` or ``scenario run`` (text or JSON) to ``stream``.
 
     Overlay/consistency are read from ``result.parameters`` — the knobs the
     run *actually* used, which matters when a scenario spec overrides them.
     """
-    summary = result.summary()
     protocol = result.parameters["protocol"]
     consistency = result.parameters["consistency"]
+    service = Algorithm.service_name(result.algorithm)
     if as_json:
         payload = {"scenario": result.scenario, "algorithm": result.algorithm,
-                   "protocol": protocol, "consistency": consistency,
-                   "num_peers": result.num_peers,
-                   "num_replicas": result.num_replicas, **summary}
+                   "service": service, "protocol": protocol,
+                   "consistency": consistency, "num_peers": result.num_peers,
+                   "num_replicas": result.num_replicas, **result.summary()}
         stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
     stream.write(f"scenario             : {result.scenario}\n")
     stream.write(f"algorithm            : {Algorithm.label(result.algorithm)}\n")
+    stream.write(f"service              : {service}\n")
     stream.write(f"overlay              : {protocol}\n")
     stream.write(f"consistency          : {consistency}\n")
     stream.write(f"peers / replicas     : {result.num_peers} / {result.num_replicas}\n")
     stream.write(f"queries measured     : {result.query_count}\n")
     stream.write(f"avg response time    : {result.avg_response_time_s:.2f} s\n")
     stream.write(f"avg messages / query : {result.avg_messages:.1f}\n")
+    stream.write(f"avg replicas probed  : {result.avg_replicas_inspected:.2f}\n")
     stream.write(f"certified current    : {result.currency_rate:.0%}\n")
     stream.write(f"churn events (fails) : {result.churn_events} ({result.failures})\n")
     stream.write(f"fault events fired   : {result.fault_events}\n")
     stream.write(f"updates performed    : {result.updates_performed}\n")
 
 
-def scenario_command(arguments: argparse.Namespace, *, stream=None) -> int:
-    """Run the ``scenario`` sub-commands (``list`` / ``run`` / ``compare``)."""
+def simulate_command(arguments: argparse.Namespace, *, stream=None) -> int:
+    """Run the ``simulate`` sub-command: the ``uniform`` scenario, one point."""
+    explicit = dict(_explicit_flags(arguments),
+                    failure_rate=arguments.failure_rate / 100.0,
+                    cost_model_preset="cluster" if arguments.cluster else "wide-area")
+    spec, parameters = _resolve_scenario_run(UNIFORM_SCENARIO, {}, explicit,
+                                             arguments.seed)
+    _write_run_result(run_scenario(spec, parameters), as_json=arguments.json,
+                      stream=stream if stream is not None else sys.stdout)
+    return 0
+
+
+def scenario_list_command(arguments: argparse.Namespace, *, stream=None) -> int:
+    """Run ``scenario list``: every registered scenario with its description."""
     stream = stream if stream is not None else sys.stdout
+    width = max(len(name) for name in scenario_names())
+    for name in scenario_names():
+        stream.write(f"{name.ljust(width)}  {get_scenario(name).description}\n")
+    return 0
 
-    if arguments.scenario_command == "list":
-        width = max(len(name) for name in scenario_names())
-        for name in scenario_names():
-            spec = get_scenario(name)
-            stream.write(f"{name.ljust(width)}  {spec.description}\n")
-        return 0
 
-    if arguments.scenario_command == "run":
-        explicit = _explicit_scenario_flags(arguments)
-        if arguments.spec is not None:
-            # A recorded spec replays exactly; any knob flag would silently
-            # lose, so reject the combination outright.
-            if arguments.scenario is not None:
-                raise SystemExit("pass either --scenario or --spec, not both")
-            if explicit:
-                raise SystemExit("--spec replays the recorded parameters "
-                                 "bit-for-bit; drop the parameter flags "
-                                 f"({', '.join(sorted(explicit))}) or re-run "
-                                 "with --scenario to change them")
-            with open(arguments.spec, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            spec = ScenarioSpec.from_dict(payload["scenario"])
-            parameters = SimulationParameters(**payload["parameters"])
-        else:
-            name = arguments.scenario if arguments.scenario is not None else "uniform"
-            spec, parameters = _resolve_scenario_run(
-                get_scenario(name), _SCENARIO_RUN_DEFAULTS, explicit,
-                arguments.seed)
-        if arguments.spec_out is not None:
-            record = {"scenario": spec.to_dict(),
-                      "parameters": parameters.describe()}
-            with open(arguments.spec_out, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        result = run_scenario(spec, parameters)
-        _write_scenario_result(result, as_json=arguments.json, stream=stream)
-        return 0
+def scenario_run_command(arguments: argparse.Namespace, *, stream=None) -> int:
+    """Run ``scenario run``: one scenario, resolved from flags or replayed from ``--spec``."""
+    explicit = _explicit_flags(arguments)
+    if arguments.spec is not None:
+        # A recorded spec replays exactly; any knob flag would silently
+        # lose, so reject the combination outright.
+        if arguments.scenario:
+            raise SystemExit("pass either --scenario or --spec, not both")
+        if explicit:
+            raise SystemExit("--spec replays the recorded parameters "
+                             "bit-for-bit; drop the parameter flags "
+                             f"({', '.join(sorted(explicit))}) or re-run "
+                             "with --scenario to change them")
+        with open(arguments.spec, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        spec = ScenarioSpec.from_dict(payload["scenario"])
+        parameters = SimulationParameters(**payload["parameters"])
+    else:
+        spec, parameters = _resolve_scenario_run(
+            get_scenario(arguments.scenario or UNIFORM_SCENARIO.name),
+            _SCENARIO_RUN_DEFAULTS, explicit, arguments.seed)
+    if arguments.spec_out is not None:
+        record = {"scenario": spec.to_dict(), "parameters": parameters.describe()}
+        with open(arguments.spec_out, "w", encoding="utf-8") as handle:
+            json.dump(record, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    _write_run_result(run_scenario(spec, parameters), as_json=arguments.json,
+                      stream=stream if stream is not None else sys.stdout)
+    return 0
 
-    if arguments.scenario_command == "compare":
-        scenarios = [name.strip() for name in arguments.scenarios.split(",")
-                     if name.strip()]
-        protocols = [name.strip() for name in arguments.protocols.split(",")
-                     if name.strip()]
-        services = [name.strip() for name in arguments.services.split(",")
-                    if name.strip()]
-        if not scenarios or not protocols or not services:
-            raise SystemExit("compare needs at least one scenario, one "
-                             "protocol and one service")
-        # Validate every axis up front: a typo must fail fast with a CLI
-        # error, not a traceback after half the grid has already run.
-        try:
-            specs = {name: get_scenario(name) for name in scenarios}
-            algorithms = {service: _algorithm_for(service)
-                          for service in services}
-        except ValueError as error:
-            raise SystemExit(str(error)) from error
-        unknown = [name for name in protocols if name not in overlay_names()]
-        if unknown:
-            raise SystemExit(f"unknown protocol(s) {', '.join(unknown)}; "
-                             f"registered overlays: {', '.join(overlay_names())}")
-        explicit = _explicit_scenario_flags(arguments)
-        # The whole grid is one run plan executed by the unified execution
-        # layer: --jobs parallelises it, --cache-dir skips executed cells.
-        plan = RunPlan(name="scenario-compare")
-        cells = []
-        for scenario_name in scenarios:
-            for service in services:
-                for protocol in protocols:
-                    # The grid axes are explicit by construction: they must
-                    # beat a scenario's own algorithm/protocol overrides.
-                    cell = dict(explicit, algorithm=algorithms[service],
-                                protocol=protocol)
-                    spec, parameters = _resolve_scenario_run(
-                        specs[scenario_name], _SCENARIO_COMPARE_DEFAULTS,
-                        cell, arguments.seed)
-                    label = f"{service.lower()}@{protocol}"
-                    plan.add(parameters, scenario=spec,
-                             label=f"{scenario_name}:{label}")
-                    cells.append((scenario_name, label))
-        executor = Executor(arguments.jobs, cache_dir=arguments.cache_dir,
-                            use_cache=not arguments.no_cache)
-        results = executor.run(plan)
-        records = [(scenario_name, label, result.summary())
-                   for (scenario_name, label), result in zip(cells, results)]
-        for table in comparison_tables(records):
-            rendered = (table.to_markdown() if arguments.markdown
-                        else table.to_text())
-            stream.write(rendered + "\n\n")
-        return 0
 
-    raise SystemExit(f"unknown scenario command {arguments.scenario_command!r}")
+def scenario_compare_command(arguments: argparse.Namespace, *, stream=None) -> int:
+    """Run ``scenario compare``: scenarios × services × overlays as per-metric tables."""
+    stream = stream if stream is not None else sys.stdout
+    specs = _name_list(arguments.scenarios, "--scenarios", get_scenario)
+    services = _name_list(arguments.services, "--services",
+                          lambda name: (name.lower(), _algorithm_for(name)))
+    protocols = _name_list(arguments.protocols, "--protocols", _overlay)
+    explicit = _explicit_flags(arguments)
+    # The whole grid is one run plan executed by the unified execution
+    # layer: --jobs parallelises it, --cache-dir skips executed cells.
+    plan = RunPlan(name="scenario-compare")
+    cells = []
+    for scenario in specs:
+        for service, algorithm in services:
+            for protocol in protocols:
+                # The grid axes are explicit by construction: they must
+                # beat a scenario's own algorithm/protocol overrides.
+                spec, parameters = _resolve_scenario_run(
+                    scenario, _SCENARIO_COMPARE_DEFAULTS,
+                    dict(explicit, algorithm=algorithm, protocol=protocol),
+                    arguments.seed)
+                label = f"{service}@{protocol}"
+                plan.add(parameters, scenario=spec, label=f"{scenario.name}:{label}")
+                cells.append((scenario.name, label))
+    results = experiments_runner.executor_from_arguments(arguments).run(plan)
+    records = [(scenario_name, label, result.summary())
+               for (scenario_name, label), result in zip(cells, results)]
+    for table in comparison_tables(records):
+        rendered = table.to_markdown() if arguments.markdown else table.to_text()
+        stream.write(rendered + "\n\n")
+    return 0
 
 
 def attack_grid_command(arguments: argparse.Namespace, *, stream=None) -> int:
     """Run the ``attack-grid`` command: the currency-degradation sweep."""
     stream = stream if stream is not None else sys.stdout
-    try:
-        fractions = [float(value) for value in arguments.fractions.split(",")
-                     if value.strip()]
-    except ValueError as error:
-        raise SystemExit(f"bad --fractions: {error}") from error
-    protocols = [name.strip() for name in arguments.protocols.split(",")
-                 if name.strip()]
-    if not fractions or not protocols:
-        raise SystemExit("attack-grid needs at least one fraction and one "
-                         "protocol")
-    unknown = [name for name in protocols if name not in overlay_names()]
-    if unknown:
-        raise SystemExit(f"unknown protocol(s) {', '.join(unknown)}; "
-                         f"registered overlays: {', '.join(overlay_names())}")
-    parameters = default_attack_parameters(seed=arguments.seed)
-    overrides = {key: value for key, value in (
-        ("num_peers", arguments.peers), ("num_replicas", arguments.replicas),
-        ("num_keys", arguments.keys), ("num_queries", arguments.queries),
-        ("duration_s", arguments.duration),
-        ("update_rate_per_hour", arguments.update_rate)) if value is not None}
-    if overrides:
-        parameters = parameters.with_overrides(**overrides)
-    executor = Executor(arguments.jobs, cache_dir=arguments.cache_dir,
-                        use_cache=not arguments.no_cache)
+    fractions = _name_list(arguments.fractions, "--fractions", float)
+    protocols = _name_list(arguments.protocols, "--protocols", _overlay)
+    parameters = default_attack_parameters(seed=arguments.seed).with_overrides(
+        **_explicit_flags(arguments))
+    executor = experiments_runner.executor_from_arguments(arguments)
     try:
         report = run_attack_grid(parameters, fractions=fractions,
                                  protocols=protocols,
@@ -779,37 +697,9 @@ def attack_grid_command(arguments: argparse.Namespace, *, stream=None) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
-    parser = build_parser()
-    arguments = parser.parse_args(argv)
-    if arguments.command == "simulate":
-        return simulate_command(arguments)
-    if arguments.command == "scenario":
-        return scenario_command(arguments)
-    if arguments.command == "registry":
-        return registry_command(arguments)
-    if arguments.command == "serve":
-        return serve_command(arguments)
-    if arguments.command == "loadgen":
-        return loadgen_command(arguments)
-    if arguments.command == "attack-grid":
-        return attack_grid_command(arguments)
-    if arguments.command == "experiments":
-        runner_args = ["--scale", arguments.scale, "--seed", str(arguments.seed),
-                       "--protocol", arguments.protocol]
-        if arguments.output:
-            runner_args += ["--output", arguments.output]
-        if arguments.no_ablations:
-            runner_args.append("--no-ablations")
-        if arguments.jobs is not None:
-            runner_args += ["--jobs", str(arguments.jobs)]
-        if arguments.cache_dir is not None:
-            runner_args += ["--cache-dir", arguments.cache_dir]
-        if arguments.no_cache:
-            runner_args.append("--no-cache")
-        return experiments_runner.main(runner_args)
-    parser.error(f"unknown command {arguments.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    """CLI entry point: parse ``argv`` and run the chosen command's handler."""
+    arguments = build_parser().parse_args(argv)
+    return arguments.handler(arguments)
 
 
 if __name__ == "__main__":  # pragma: no cover

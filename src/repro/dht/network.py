@@ -526,9 +526,9 @@ class DHTNetwork:
         for index, point in enumerate(points):
             grouped.setdefault(self.protocol.responsible_for(point), []).append(index)
         for responsible, indices in grouped.items():
-            if trace is not None:  # only to account: the grouping knows the responsible
-                self._locate(origin, points[indices[0]], trace, exchange, unreachable,
-                             source=origin, entries=len(indices))
+            # Only to account: the grouping already knows the responsible.
+            self._locate(origin, points[indices[0]], trace, exchange, unreachable,
+                         source=origin, entries=len(indices))
             if responsible not in unreachable:
                 yield responsible, indices
 

@@ -61,21 +61,19 @@ def run_repetition(point: RunPoint, repetition: int) -> RunResult:
     """Execute one repetition of one point (the pool's unit of work).
 
     Builds a fresh harness from the point's effective parameters (with the
-    deterministically derived repetition seed) and, for scenario points, a
-    fresh :class:`~repro.simulation.scenarios.Scenario` — no state is shared
-    with the parent process or other runs, which is what makes parallel
-    execution reproduce serial results bit-for-bit.
+    deterministically derived repetition seed) and a fresh
+    :class:`~repro.simulation.scenarios.Scenario` — no state is shared with
+    the parent process or other runs, which is what makes parallel execution
+    reproduce serial results bit-for-bit.
     """
     # Imported here so a forked/spawned worker resolves everything itself.
     from repro.simulation.harness import SimulationHarness
-    from repro.simulation.scenarios.engine import Scenario
 
     parameters = point.parameters
     seed = point.seed_for(repetition)
     if seed != parameters.seed:
         parameters = parameters.with_overrides(seed=seed)
-    scenario = Scenario(point.scenario) if point.scenario is not None else None
-    return SimulationHarness(parameters, scenario=scenario).run()
+    return SimulationHarness(parameters, scenario=point.scenario).run()
 
 
 def _run_job(job: Tuple[RunPoint, int]) -> RunResult:

@@ -14,7 +14,7 @@ scenario × overlay × service comparison, a benchmark).  Plans are pure data:
 * repetition seeds are **derived deterministically** from the point's base
   seed (:func:`derive_seed`): repetition 0 runs the parameters unchanged
   (keeping single-run plans bit-compatible with a direct
-  :func:`~repro.simulation.harness.run_simulation` call), repetition ``r``
+  :func:`~repro.simulation.scenarios.run_scenario` call), repetition ``r``
   hashes ``(base seed, r)`` into a fresh, reproducible seed.
 
 The points of a plan are independent by construction (each harness seeds its
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.simulation.config import SimulationParameters
+from repro.simulation.scenarios.registry import UNIFORM_SCENARIO
 from repro.simulation.scenarios.spec import ScenarioSpec
 
 __all__ = ["RunPlan", "RunPoint", "derive_seed", "plan_artifact_path"]
@@ -45,7 +46,7 @@ def derive_seed(base: Optional[int], repetition: int) -> Optional[int]:
     """Deterministic seed of repetition ``repetition`` for base seed ``base``.
 
     Repetition 0 *is* the base seed (so a one-repetition point reproduces a
-    plain run exactly); later repetitions hash ``(base, repetition)`` through
+    single run exactly); later repetitions hash ``(base, repetition)`` through
     BLAKE2s, giving independent but fully reproducible streams.  A ``None``
     base stays ``None`` — the run was never deterministic to begin with.
     """
@@ -69,25 +70,26 @@ def _stable_hash(payload: Dict[str, Any]) -> str:
 class RunPoint:
     """One independent simulation run of a plan.
 
-    ``scenario`` is an optional :class:`ScenarioSpec`; its parameter
-    ``overrides`` are folded into ``parameters`` at construction time (the
-    same precedence :func:`~repro.simulation.scenarios.run_scenario` applies
-    when given a spec and parameters), so the stored point is always the
-    *effective* configuration and its hash cannot lie about what runs.
+    ``scenario`` is the :class:`ScenarioSpec` that drives the run (the
+    paper's ``uniform`` workload by default); its parameter ``overrides``
+    are folded into ``parameters`` at construction time (the same precedence
+    :func:`~repro.simulation.scenarios.run_scenario` applies when given a
+    spec and parameters), so the stored point is always the *effective*
+    configuration and its hash cannot lie about what runs.
 
     ``label`` is a consumer-side tag (e.g. ``"1000/ums-direct"``) used for
     reporting; it does not participate in the content hash.
     """
 
     parameters: SimulationParameters
-    scenario: Optional[ScenarioSpec] = None
+    scenario: ScenarioSpec = UNIFORM_SCENARIO
     repetitions: int = 1
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.scenario is not None and self.scenario.overrides:
+        if self.scenario.overrides:
             object.__setattr__(
                 self, "parameters",
                 self.parameters.with_overrides(**self.scenario.overrides))
@@ -95,32 +97,12 @@ class RunPoint:
                 self, "scenario",
                 dataclasses.replace(self.scenario, overrides={}))
 
-    @classmethod
-    def for_scenario(cls, scenario: ScenarioSpec,
-                     parameters: SimulationParameters, *,
-                     repetitions: int = 1, label: Optional[str] = None,
-                     **overrides: Any) -> "RunPoint":
-        """A scenario point with :func:`run_scenario`'s override precedence.
-
-        The spec's ``overrides`` are applied over ``parameters`` and keyword
-        ``overrides`` (e.g. ``protocol="kademlia"``) win over both — exactly
-        what ``run_scenario(spec, parameters, **overrides)`` would execute.
-        """
-        merged = dict(scenario.overrides)
-        merged.update(overrides)
-        if merged:
-            parameters = parameters.with_overrides(**merged)
-        return cls(parameters=parameters,
-                   scenario=dataclasses.replace(scenario, overrides={}),
-                   repetitions=repetitions, label=label)
-
     # -------------------------------------------------------------- identity
     def content(self) -> Dict[str, Any]:
         """The hashed content: effective parameters, scenario, repetitions."""
         return {
             "parameters": self.parameters.describe(),
-            "scenario": (self.scenario.to_dict()
-                         if self.scenario is not None else None),
+            "scenario": self.scenario.to_dict(),
             "repetitions": self.repetitions,
         }
 
@@ -145,10 +127,8 @@ class RunPoint:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunPoint":
         """Rebuild a point recorded by :meth:`to_dict`."""
-        scenario = payload.get("scenario")
         return cls(parameters=SimulationParameters(**payload["parameters"]),
-                   scenario=(ScenarioSpec.from_dict(scenario)
-                             if scenario is not None else None),
+                   scenario=ScenarioSpec.from_dict(payload["scenario"]),
                    repetitions=payload.get("repetitions", 1),
                    label=payload.get("label"))
 
@@ -162,22 +142,19 @@ class RunPlan:
 
     # ------------------------------------------------------------------ build
     def add(self, parameters: SimulationParameters, *,
-            scenario: Optional[ScenarioSpec] = None, repetitions: int = 1,
-            label: Optional[str] = None) -> RunPoint:
-        """Append one point and return it."""
+            scenario: ScenarioSpec = UNIFORM_SCENARIO, repetitions: int = 1,
+            label: Optional[str] = None, **overrides: Any) -> RunPoint:
+        """Append one point and return it.
+
+        The spec's ``overrides`` are applied over ``parameters`` and keyword
+        ``overrides`` (e.g. ``protocol="kademlia"``) win over both — exactly
+        what ``run_scenario(scenario, parameters, **overrides)`` executes.
+        """
         point = RunPoint(parameters=parameters, scenario=scenario,
                          repetitions=repetitions, label=label)
-        self.points.append(point)
-        return point
-
-    def add_scenario(self, scenario: ScenarioSpec,
-                     parameters: SimulationParameters, *,
-                     repetitions: int = 1, label: Optional[str] = None,
-                     **overrides: Any) -> RunPoint:
-        """Append a scenario point (see :meth:`RunPoint.for_scenario`)."""
-        point = RunPoint.for_scenario(scenario, parameters,
-                                      repetitions=repetitions, label=label,
-                                      **overrides)
+        if overrides:
+            point = dataclasses.replace(
+                point, parameters=point.parameters.with_overrides(**overrides))
         self.points.append(point)
         return point
 

@@ -92,8 +92,8 @@ def build_attack_plan(parameters: SimulationParameters, *,
     for protocol in protocols:
         for fraction in _normalise_fractions(fractions):
             spec = byzantine_scenario_spec(fraction, strategy=strategy, lag=lag)
-            plan.add_scenario(spec, parameters, protocol=protocol,
-                              label=f"{protocol}@f{fraction:g}")
+            plan.add(parameters, scenario=spec, protocol=protocol,
+                     label=f"{protocol}@f{fraction:g}")
     return plan
 
 

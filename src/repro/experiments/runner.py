@@ -5,6 +5,9 @@ Usage::
     python -m repro.experiments.runner --scale quick
     python -m repro.experiments.runner --scale paper --output results.md
     python -m repro.experiments.runner --scale paper --jobs 4 --cache-dir .repro-cache
+    python -m repro.experiments.runner --scale tiny --no-ablations --charts --progress
+
+``repro experiments`` takes the same flags.
 
 All sweeps execute through the unified execution layer
 (:mod:`repro.execution`): ``--jobs N`` fans the grid out over a process pool
@@ -25,7 +28,8 @@ from repro.execution import Executor
 from repro.experiments import figures
 from repro.experiments.reporting import ExperimentTable
 
-__all__ = ["run_all_experiments", "write_experiments_report", "main"]
+__all__ = ["add_arguments", "add_executor_arguments", "executor_from_arguments",
+           "main", "run_all_experiments", "run_command", "write_experiments_report"]
 
 
 def run_all_experiments(scale: str = "quick", *, seed: int = 2007,
@@ -109,10 +113,32 @@ def _progress_printer(stream=None):
     return progress
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def add_executor_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--jobs``, ``--cache-dir`` and ``--no-cache``: how a grid executes."""
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes per grid (default: serial, or "
+                             "the REPRO_EXECUTOR_JOBS environment variable); "
+                             "results are bit-identical to a serial run")
+    parser.add_argument("--cache-dir", default=None, metavar="DIR",
+                        help="on-disk run cache: points already executed "
+                             "under DIR are skipped")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="re-execute every point even when cached "
+                             "(refreshing the cache entries)")
+
+
+def executor_from_arguments(arguments: argparse.Namespace, *,
+                            progress=None) -> Executor:
+    """The :class:`Executor` the :func:`add_executor_arguments` flags describe."""
+    return Executor(arguments.jobs, cache_dir=arguments.cache_dir,
+                    use_cache=not arguments.no_cache, progress=progress)
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The runner's flags, shared by this module's ``main`` and ``repro experiments``."""
     parser.add_argument("--scale", choices=sorted(figures.SCALE_PROFILES), default="quick",
-                        help="sweep scale: 'quick' (seconds) or 'paper' (full Table 1 scale)")
+                        help="sweep scale: 'tiny' (tests), 'quick' (seconds) or "
+                             "'paper' (full Table 1 scale)")
     parser.add_argument("--seed", type=int, default=2007, help="master random seed")
     parser.add_argument("--output", default=None,
                         help="write the Markdown report to this file (default: stdout)")
@@ -121,27 +147,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "ablation (the stabilisation ablation is "
                              "Chord-specific; the overlay ablation always "
                              "compares every registered overlay)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes per sweep (default: serial, or "
-                             "the REPRO_EXECUTOR_JOBS environment variable); "
-                             "results are bit-identical to a serial run")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="on-disk run cache: parameter points already "
-                             "executed under DIR are skipped")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="re-execute every point even when cached "
-                             "(refreshing the cache entries)")
+    add_executor_arguments(parser)
     parser.add_argument("--progress", action="store_true",
                         help="print per-run completions to stderr")
     parser.add_argument("--no-ablations", action="store_true",
                         help="skip the ablation studies")
     parser.add_argument("--charts", action="store_true",
                         help="append an ASCII chart under every figure table")
-    arguments = parser.parse_args(argv)
 
-    executor = Executor(arguments.jobs, cache_dir=arguments.cache_dir,
-                        use_cache=not arguments.no_cache,
-                        progress=_progress_printer() if arguments.progress else None)
+
+def run_command(arguments: argparse.Namespace, *, stream=None) -> int:
+    """Run every experiment the :func:`add_arguments` flags select; write the report."""
+    executor = executor_from_arguments(
+        arguments, progress=_progress_printer() if arguments.progress else None)
     # reprolint: allow[REP001] reason=report-only elapsed metadata; experiment values are seed-determined (tests/experiments/test_reporting.py)
     started = time.time()
     tables = run_all_experiments(arguments.scale, seed=arguments.seed,
@@ -155,9 +173,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             write_experiments_report(tables, handle, scale=arguments.scale,
                                      elapsed_s=elapsed, charts=arguments.charts)
     else:
-        write_experiments_report(tables, sys.stdout, scale=arguments.scale,
-                                 elapsed_s=elapsed, charts=arguments.charts)
+        write_experiments_report(tables, stream if stream is not None else sys.stdout,
+                                 scale=arguments.scale, elapsed_s=elapsed,
+                                 charts=arguments.charts)
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Entry point of ``python -m repro.experiments.runner``."""
+    parser = argparse.ArgumentParser(description=__doc__)
+    add_arguments(parser)
+    return run_command(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry point

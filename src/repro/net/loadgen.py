@@ -201,8 +201,8 @@ def run_load(cluster: Any, spec: LoadSpec, *, backend: str = "sim",
     from repro.net.client import TransportError
 
     rng = random.Random(spec.seed)
-    arrival_times = build_arrivals(spec.arrival).times(spec.ops, spec.duration_s,
-                                                       rng)
+    arrival_times = sorted(build_arrivals(spec.arrival).times(spec.ops,
+                                                              spec.duration_s, rng))
     operations = _build_schedule(spec, rng)[:len(arrival_times)]
 
     client = getattr(cluster, "client", None)

@@ -5,11 +5,12 @@ discrete-event engine and the Table 1 workload model (churn, per-key updates,
 uniformly spread queries), and produces per-query response times and message
 counts — the two metrics reported in Figures 6–12.
 
-Beyond the paper's single workload, :mod:`repro.simulation.scenarios` drives
-the same harness with declarative scenarios — skewed/shifting key
-popularity, bursty/diurnal arrivals, application read/write mixes and
-correlated fault profiles — registered by name and replayable from recorded
-specs (``repro scenario run/list/compare`` on the CLI).
+Every run is a declarative scenario of :mod:`repro.simulation.scenarios`.
+The paper's workload is the ``uniform`` scenario; the others reshape it —
+skewed/shifting key popularity, bursty/diurnal arrivals, application
+read/write mixes and correlated fault profiles — registered by name and
+replayable from recorded specs (``repro scenario run/list/compare`` on the
+CLI).
 
 The discrete-event substrate (the SimJava substitute) lives here too:
 :mod:`repro.simulation.engine` (event heap + generator processes),
@@ -35,12 +36,7 @@ from repro.simulation.scenarios import (
     run_scenario,
     scenario_names,
 )
-from repro.simulation.workload import (
-    QuerySchedule,
-    ScheduledEvent,
-    UpdateWorkload,
-    payload_for,
-)
+from repro.simulation.workload import ScheduledEvent, payload_for
 
 __all__ = [
     "Algorithm",
@@ -53,7 +49,6 @@ __all__ = [
     "PoissonProcess",
     "Process",
     "QueryObservation",
-    "QuerySchedule",
     "RunResult",
     "Scenario",
     "ScenarioSpec",
@@ -65,7 +60,6 @@ __all__ = [
     "Tally",
     "TimeSeries",
     "Timeout",
-    "UpdateWorkload",
     "get_scenario",
     "payload_for",
     "register_scenario",

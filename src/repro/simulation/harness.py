@@ -13,6 +13,10 @@ A run proceeds exactly as described in Section 5.1:
    time (via the network cost model) and the number of messages;
 5. report the averages.
 
+Steps 3 and 4 are the ``uniform`` scenario's schedules; any other
+:class:`~repro.simulation.scenarios.Scenario` reshapes them and may add
+fault profiles on top of the churn.
+
 The same harness runs UMS-Direct, UMS-Indirect and BRK — and any currency
 service registered in :mod:`repro.api.services` — so the algorithms face
 identical workloads (and, with the same seed, identical churn and update
@@ -23,7 +27,7 @@ per-algorithm normalisation is needed anywhere.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.api.cluster import Cluster, Session
 from repro.api.results import RetrieveResult
@@ -37,7 +41,10 @@ from repro.simulation.metrics import TimeSeries
 from repro.simulation.churn import ChurnProcess
 from repro.simulation.config import Algorithm, SimulationParameters
 from repro.simulation.results import QueryObservation, RunResult
-from repro.simulation.workload import QuerySchedule, UpdateWorkload, default_keys, payload_for
+from repro.simulation.scenarios.engine import Scenario
+from repro.simulation.scenarios.registry import UNIFORM_SCENARIO
+from repro.simulation.scenarios.spec import ScenarioSpec
+from repro.simulation.workload import default_keys, payload_for
 
 __all__ = ["SimulationHarness", "run_simulation"]
 
@@ -45,19 +52,18 @@ __all__ = ["SimulationHarness", "run_simulation"]
 class SimulationHarness:
     """Builds and runs one simulation described by :class:`SimulationParameters`.
 
-    ``scenario`` (a :class:`repro.simulation.scenarios.Scenario`) replaces
-    the paper's workload with a declarative one: the scenario supplies the
-    update and query schedules (popularity × arrivals × profile) and installs
-    its fault profiles on top of the background churn.  Without one, the run
-    is exactly the Section 5.1 setup described above, with an unchanged RNG
-    draw order — seeded plain runs are bit-for-bit identical to earlier
-    releases.
+    ``scenario`` (a :class:`~repro.simulation.scenarios.ScenarioSpec` or a
+    built :class:`~repro.simulation.scenarios.Scenario`) supplies the update
+    and query schedules (popularity × arrivals × profile) and installs its
+    fault profiles on top of the background churn.  It defaults to the
+    ``uniform`` scenario, which is the Section 5.1 setup described above.
     """
 
     def __init__(self, parameters: SimulationParameters,
-                 scenario=None) -> None:
+                 scenario: Union[ScenarioSpec, Scenario] = UNIFORM_SCENARIO) -> None:
         self.parameters = parameters
-        self.scenario = scenario
+        self.scenario = (scenario if isinstance(scenario, Scenario)
+                         else Scenario(scenario))
         self._master_rng = random.Random(parameters.seed)
         self.cluster: Optional[Cluster] = None
         self.session: Optional[Session] = None
@@ -147,43 +153,29 @@ class SimulationHarness:
                                   rng=random.Random(self._master_rng.getrandbits(64)),
                                   until=parameters.duration_s)
 
-        # Updates: per-key Poisson processes, materialised as a schedule
-        # (shaped by the scenario's profile/popularity when one is attached).
+        # Updates: per-key Poisson processes, shaped by the scenario's
+        # profile and popularity, materialised as a schedule.
         update_rng = random.Random(self._master_rng.getrandbits(64))
-        if self.scenario is None:
-            updates = UpdateWorkload(self.keys, parameters.update_rate_per_hour,
-                                     update_rng).schedule(parameters.duration_s)
-        else:
-            updates = self.scenario.update_schedule(
+        for event in self.scenario.update_schedule(
                 self.keys, parameters.update_rate_per_hour,
-                parameters.duration_s, update_rng)
-        for event in updates:
+                parameters.duration_s, update_rng):
             self.sim.schedule(event.time, self._make_update_callback(event.key))
 
-        # Queries: uniformly distributed over the run (or following the
-        # scenario's arrival and popularity models).
+        # Queries: the scenario's arrival times, each for a popularity-chosen key.
         query_rng = random.Random(self._master_rng.getrandbits(64))
-        if self.scenario is None:
-            queries = QuerySchedule(self.keys, parameters.num_queries,
-                                    query_rng).schedule(parameters.duration_s)
-        else:
-            queries = self.scenario.query_schedule(
+        for event in self.scenario.query_schedule(
                 self.keys, parameters.num_queries, parameters.duration_s,
-                query_rng)
-        for event in queries:
+                query_rng):
             self.sim.schedule(event.time, self._make_query_callback(event.key))
 
         # Fault profiles (correlated bursts, partitions, lossy windows) ride
-        # on a dedicated RNG stream drawn *after* the workload streams, so a
-        # scenario with no faults still matches a plain run's schedules.
-        if self.scenario is not None:
-            fault_rng = random.Random(self._master_rng.getrandbits(64))
-            self.scenario.install_faults(self.sim, network=self.network,
-                                         cost_model=self.cost_model,
-                                         rng=fault_rng,
-                                         duration_s=parameters.duration_s,
-                                         churn=self.churn,
-                                         cluster=self.cluster)
+        # on a dedicated RNG stream drawn *after* the workload streams, so
+        # they never move the workload's draws.
+        self.scenario.install_faults(self.sim, network=self.network,
+                                     cost_model=self.cost_model,
+                                     rng=random.Random(self._master_rng.getrandbits(64)),
+                                     duration_s=parameters.duration_s,
+                                     churn=self.churn, cluster=self.cluster)
 
         # Optional maintenance / instrumentation processes.
         if parameters.inspection_interval_s > 0 and parameters.algorithm != Algorithm.BRK:
@@ -199,9 +191,8 @@ class SimulationHarness:
         result.updates_performed = sum(self._update_sequence.values()) - len(self.keys)
         result.churn_events = self.churn.event_count
         result.failures = self.churn.failure_count
-        if self.scenario is not None:
-            result.scenario = self.scenario.name
-            result.fault_events = len(self.scenario.fault_log)
+        result.scenario = self.scenario.name
+        result.fault_events = len(self.scenario.fault_log)
         return result
 
     def _inspection_process(self, interval_s: float):
@@ -252,6 +243,5 @@ class SimulationHarness:
 
 
 def run_simulation(parameters: SimulationParameters) -> RunResult:
-    """Convenience wrapper: build a harness, run it, return the result."""
-    harness = SimulationHarness(parameters)
-    return harness.run()
+    """Run the paper's workload (the ``uniform`` scenario) and return the result."""
+    return SimulationHarness(parameters).run()

@@ -65,11 +65,12 @@ class RunResult:
     #: ``SimulationParameters.currency_sample_interval_s`` > 0.
     currency_series: Optional[TimeSeries] = None
     parameters: Optional[Dict[str, Any]] = None
-    #: Name of the scenario that drove this run (``None`` for the plain
-    #: Table 1 workload of :class:`~repro.simulation.harness.SimulationHarness`).
+    #: Name of the scenario that drove this run: ``"uniform"`` for the
+    #: paper's Table 1 workload, the harness default.  ``None`` only on a
+    #: result that no harness produced.
     scenario: Optional[str] = None
     #: Number of fault-profile events that fired during the run (bursts,
-    #: partitions, lossy-window transitions); 0 without a scenario.
+    #: partitions, lossy-window transitions); 0 for a fault-free scenario.
     fault_events: int = 0
 
     # ------------------------------------------------------------------ record

@@ -2,8 +2,9 @@
 
 The paper's evaluation (Section 5) runs one workload: uniformly popular keys,
 per-key Poisson updates, queries at uniformly distributed times, and
-uncorrelated Poisson churn.  This package opens the regimes that uniform
-workloads hide — skewed and shifting key popularity, bursty and diurnal
+uncorrelated Poisson churn.  That workload is the ``uniform`` scenario, the
+one every run gets unless it names another.  This package opens the regimes
+that uniform workloads hide — skewed and shifting key popularity, bursty and diurnal
 arrivals, application read/write mixes, and correlated failures — while
 keeping every run declarative, seeded and replayable.
 
@@ -24,7 +25,7 @@ Scenarios are registered by name exactly like overlays
 (:mod:`repro.dht.registry`) and currency services (:mod:`repro.api.services`)
 — see :mod:`~repro.simulation.scenarios.registry` — and run through
 :func:`~repro.simulation.scenarios.engine.run_scenario`, which drives the
-unchanged :class:`~repro.simulation.harness.SimulationHarness`.  The CLI
+:class:`~repro.simulation.harness.SimulationHarness`.  The CLI
 exposes the same surface as ``repro scenario list|run|compare``.
 
 >>> from repro.simulation.scenarios import run_scenario

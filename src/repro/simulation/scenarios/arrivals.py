@@ -13,15 +13,18 @@ update workload keeps its own clock.  Four models ship:
 * :class:`DiurnalArrivals` — a smooth sinusoidal intensity ramp (inverse-CDF
   sampled), modelling day/night load cycles.
 
-Every model returns a sorted list of times in ``[0, duration_s)`` and is a
-pure function of its configuration and the caller's RNG.
+Every model returns its times in ``[0, duration_s)`` in draw order, not
+sorted, and is a pure function of its configuration and the caller's RNG.
+The uniform model draws lazily, one time per step of the iteration, so a
+caller can interleave its own draws: the harness draws each query's key
+right after its time, which is the paper workload's draw order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from math import pi, sin
-from typing import Any, Dict, List, Mapping, Sequence, Tuple, Type
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Type
 
 from repro.simulation.processes import poisson_arrival_times
 
@@ -36,13 +39,13 @@ __all__ = [
 
 
 class ArrivalModel:
-    """Base class: generates sorted event times over ``[0, duration_s)``."""
+    """Base class: generates event times over ``[0, duration_s)``."""
 
     #: Registry key used by :func:`build_arrivals` and the scenario specs.
     kind: str = "base"
 
-    def times(self, num_events: int, duration_s: float, rng) -> List[float]:
-        """Sorted arrival times; ``num_events`` is a target, see each model."""
+    def times(self, num_events: int, duration_s: float, rng) -> Iterable[float]:
+        """Arrival times in draw order; ``num_events`` is a target, see each model."""
         raise NotImplementedError
 
     def to_config(self) -> Dict[str, Any]:
@@ -62,9 +65,9 @@ class UniformArrivals(ArrivalModel):
 
     kind = "uniform"
 
-    def times(self, num_events: int, duration_s: float, rng) -> List[float]:
+    def times(self, num_events: int, duration_s: float, rng) -> Iterable[float]:
         self._check(num_events, duration_s)
-        return sorted(rng.uniform(0.0, duration_s) for _ in range(num_events))
+        return (rng.uniform(0.0, duration_s) for _ in range(num_events))
 
 
 class PoissonArrivals(ArrivalModel):
@@ -133,7 +136,6 @@ class FlashCrowdArrivals(ArrivalModel):
             generated.extend(rng.uniform(start, stop) for _ in range(count))
         generated.extend(rng.uniform(0.0, duration_s)
                          for _ in range(num_events - allocated))
-        generated.sort()
         return generated
 
     def to_config(self) -> Dict[str, Any]:
@@ -198,7 +200,6 @@ class DiurnalArrivals(ArrivalModel):
             within = (u - lower) / span if span > 0 else 0.0
             fraction = (index + within) * step
             generated.append(min(fraction, 1.0 - 1e-12) * duration_s)
-        generated.sort()
         return generated
 
     def to_config(self) -> Dict[str, Any]:

@@ -57,37 +57,37 @@ class Scenario:
     # ----------------------------------------------------------- scheduling
     def query_schedule(self, keys: Sequence[Any], num_queries: int,
                        duration_s: float, rng) -> List[ScheduledEvent]:
-        """The measured queries: arrival times × popularity-chosen keys."""
+        """The measured queries: arrival times × popularity-chosen keys, sorted.
+
+        Each query's key is drawn right after its time, so the ``uniform``
+        scenario draws exactly the paper's query schedule.
+        """
         count = self.profile.scaled_queries(num_queries)
-        times = self.arrivals.times(count, duration_s, rng)
-        return [ScheduledEvent(time=time,
-                               key=self.popularity.choose(keys, time / duration_s, rng))
-                for time in times]
+        events = [ScheduledEvent(time=time,
+                                 key=self.popularity.choose(keys, time / duration_s, rng))
+                  for time in self.arrivals.times(count, duration_s, rng)]
+        events.sort(key=lambda event: event.time)
+        return events
 
     def update_schedule(self, keys: Sequence[Any], rate_per_hour: float,
                         duration_s: float, rng) -> List[ScheduledEvent]:
         """Per-key Poisson update schedules, shaped by the workload profile.
 
-        The total update budget is ``len(keys) * rate_per_hour`` scaled by the
-        profile's multiplier; with ``updates_follow_popularity`` it is
-        distributed over keys proportionally to the popularity weights at the
-        start of the run, otherwise uniformly (the paper's model).
+        Each key is updated at ``rate_per_hour`` scaled by the profile's
+        multiplier (the paper's model).  With ``updates_follow_popularity``
+        the same total budget is redistributed over keys proportionally to
+        the popularity weights at the start of the run.
         """
-        total_rate_per_s = (len(keys) * rate_per_hour / 3600.0
-                            * self.profile.update_rate_multiplier)
-        if total_rate_per_s <= 0 or not keys:
-            return []
-        if self.profile.updates_follow_popularity:
-            weights = self.popularity.weights(len(keys), 0.0)
-        else:
-            weights = [1.0 / len(keys)] * len(keys)
-        events: List[ScheduledEvent] = []
-        for key, weight in zip(keys, weights):
-            rate = total_rate_per_s * weight
-            if rate <= 0:
-                continue
-            for time in poisson_arrival_times(rate, duration_s, rng):
-                events.append(ScheduledEvent(time=time, key=key))
+        if rate_per_hour < 0:
+            raise ValueError("rate_per_hour must be >= 0")
+        rate_per_s = rate_per_hour / 3600.0 * self.profile.update_rate_multiplier
+        rates = [rate_per_s] * len(keys)
+        if self.profile.updates_follow_popularity and keys:
+            rates = [rate_per_s * len(keys) * weight
+                     for weight in self.popularity.weights(len(keys), 0.0)]
+        events = [ScheduledEvent(time=time, key=key)
+                  for key, rate in zip(keys, rates) if rate > 0
+                  for time in poisson_arrival_times(rate, duration_s, rng)]
         events.sort(key=lambda event: event.time)
         return events
 
@@ -138,7 +138,4 @@ def run_scenario(scenario: Union[str, ScenarioSpec, Scenario],
     merged.update(overrides)
     if merged:
         base = base.with_overrides(**merged)
-    harness = SimulationHarness(base, scenario=scenario)
-    result = harness.run()
-    result.scenario = scenario.name
-    return result
+    return SimulationHarness(base, scenario=scenario).run()

@@ -76,7 +76,7 @@ class UniformPopularity(KeyPopularityModel):
         return [1.0 / num_keys] * num_keys
 
     def choose(self, keys: Sequence[Any], time_fraction: float, rng) -> Any:
-        # Matches QuerySchedule's rng.choice: no cumulative-weight machinery.
+        # One rng.choice per query, the paper workload's key draw.
         if not keys:
             raise ValueError("cannot choose from an empty key population")
         return rng.choice(keys)

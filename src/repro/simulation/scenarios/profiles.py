@@ -55,6 +55,8 @@ class WorkloadProfile:
 
     def scaled_queries(self, num_queries: int) -> int:
         """The effective query count for this profile (at least 1)."""
+        if num_queries < 1:
+            raise ValueError("num_queries must be >= 1")
         return max(1, round(num_queries * self.query_multiplier))
 
     def to_config(self) -> Dict[str, Any]:

@@ -22,6 +22,7 @@ from typing import Dict, Tuple
 from repro.simulation.scenarios.spec import ScenarioSpec
 
 __all__ = [
+    "UNIFORM_SCENARIO",
     "get_scenario",
     "is_scenario_registered",
     "register_scenario",
@@ -76,11 +77,14 @@ def get_scenario(name: str) -> ScenarioSpec:
 
 
 # ------------------------------------------------------- shipped scenarios
+#: The paper's workload, and the scenario of every run that names no other.
+UNIFORM_SCENARIO = ScenarioSpec(
+    name="uniform",
+    description="The paper's Table 1 workload: uniform keys, uniform "
+                "query times, Poisson updates (the control scenario).")
+
 _BUILTIN_SCENARIOS = (
-    ScenarioSpec(
-        name="uniform",
-        description="The paper's Table 1 workload: uniform keys, uniform "
-                    "query times, Poisson updates (the control scenario)."),
+    UNIFORM_SCENARIO,
     ScenarioSpec(
         name="hotspot",
         description="Static Zipf(1.1) key popularity: a few hot keys draw "

@@ -1,21 +1,19 @@
-"""Update and query workload generators (Section 5.1).
+"""The workload's keys, payloads and scheduled events (Section 5.1).
 
 Each replicated data item is updated by a Poisson process (default rate
 1/hour, swept in Figure 12); queries requesting a key are issued at times
 uniformly distributed over the experiment and the reported metrics are the
-averages over those queries.
+averages over those queries.  The schedules themselves come from a
+:class:`~repro.simulation.scenarios.Scenario`: the paper's workload is the
+``uniform`` scenario.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Any, List, Sequence
+from typing import Any, List
 
-from repro.simulation.processes import poisson_arrival_times
-
-__all__ = ["QuerySchedule", "ScheduledEvent", "UpdateWorkload", "default_keys",
-           "payload_for"]
+__all__ = ["ScheduledEvent", "default_keys", "payload_for"]
 
 
 def default_keys(count: int, prefix: str = "item") -> List[str]:
@@ -36,59 +34,3 @@ class ScheduledEvent:
 
     time: float
     key: Any
-
-
-class UpdateWorkload:
-    """Per-key Poisson update schedules.
-
-    Parameters
-    ----------
-    keys:
-        The data items to update.
-    rate_per_hour:
-        Expected updates per hour for *each* key (Table 1: 1/hour).
-    rng:
-        Random source (one independent arrival sequence per key).
-    """
-
-    def __init__(self, keys: Sequence[Any], rate_per_hour: float,
-                 rng: random.Random) -> None:
-        if rate_per_hour < 0:
-            raise ValueError("rate_per_hour must be >= 0")
-        self.keys = list(keys)
-        self.rate_per_hour = rate_per_hour
-        self.rng = rng
-
-    def schedule(self, duration_s: float) -> List[ScheduledEvent]:
-        """All update events over ``[0, duration_s)``, sorted by time."""
-        if self.rate_per_hour == 0:
-            return []
-        rate_per_s = self.rate_per_hour / 3600.0
-        events: List[ScheduledEvent] = []
-        for key in self.keys:
-            for time in poisson_arrival_times(rate_per_s, duration_s, self.rng):
-                events.append(ScheduledEvent(time=time, key=key))
-        events.sort(key=lambda event: event.time)
-        return events
-
-
-class QuerySchedule:
-    """Queries issued at uniformly distributed times over the experiment."""
-
-    def __init__(self, keys: Sequence[Any], num_queries: int,
-                 rng: random.Random) -> None:
-        if num_queries < 1:
-            raise ValueError("num_queries must be >= 1")
-        if not keys:
-            raise ValueError("the query schedule needs at least one key")
-        self.keys = list(keys)
-        self.num_queries = num_queries
-        self.rng = rng
-
-    def schedule(self, duration_s: float) -> List[ScheduledEvent]:
-        """``num_queries`` events at uniform times, each for a random key, sorted."""
-        events = [ScheduledEvent(time=self.rng.uniform(0.0, duration_s),
-                                 key=self.rng.choice(self.keys))
-                  for _ in range(self.num_queries)]
-        events.sort(key=lambda event: event.time)
-        return events

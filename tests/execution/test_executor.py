@@ -13,7 +13,7 @@ import json
 import pytest
 
 import repro.execution.executor as executor_module
-from repro.execution import Executor, RunPlan, RunPoint, resolve_jobs
+from repro.execution import Executor, RunPlan, resolve_jobs
 from repro.experiments.reporting import comparison_tables
 from repro.simulation import SimulationParameters, run_simulation
 from repro.simulation.scenarios import get_scenario, run_scenario
@@ -73,7 +73,7 @@ class TestParity:
         parameters = quick()
         spec = get_scenario("hotspot")
         plan = RunPlan(name="scenario")
-        plan.add_scenario(spec, parameters, protocol="kademlia")
+        plan.add(parameters, scenario=spec, protocol="kademlia")
         (result,) = Executor(jobs=1).run(plan)
         expected = run_scenario(spec, parameters, protocol="kademlia")
         assert snapshot(result) == snapshot(expected)
@@ -213,7 +213,7 @@ def test_points_survive_pickling_for_the_pool():
     """The pool pickles points; scenario specs and parameters must survive."""
     import pickle
 
-    point = RunPoint.for_scenario(get_scenario("flashcrowd"), quick(),
-                                  protocol="kademlia", label="p")
+    point = RunPlan().add(quick(), scenario=get_scenario("flashcrowd"),
+                          protocol="kademlia", label="p")
     clone = pickle.loads(pickle.dumps(point))
     assert clone.content_hash == point.content_hash

@@ -47,8 +47,14 @@ class TestRunPoint:
         assert RunPoint(quick(seed=12)).content_hash != base
         assert RunPoint(quick(num_peers=61)).content_hash != base
         assert RunPoint(quick(), repetitions=2).content_hash != base
-        scenario = get_scenario("uniform")
+        scenario = get_scenario("hotspot")
         assert RunPoint(quick(), scenario=scenario).content_hash != base
+
+    def test_the_default_scenario_is_uniform(self):
+        point = RunPoint(quick())
+        assert point.scenario == get_scenario("uniform")
+        assert (point.content_hash
+                == RunPoint(quick(), scenario=get_scenario("uniform")).content_hash)
 
     def test_label_does_not_participate_in_the_hash(self):
         assert (RunPoint(quick(), label="a").content_hash
@@ -60,10 +66,11 @@ class TestRunPoint:
         assert point.parameters.num_peers == 90
         assert point.scenario.overrides == {}
 
-    def test_for_scenario_keyword_overrides_beat_the_spec(self):
+    def test_add_keyword_overrides_beat_the_spec(self):
         scenario = ScenarioSpec(name="pinned", overrides={"num_peers": 90})
-        point = RunPoint.for_scenario(scenario, quick(), num_peers=70)
+        point = RunPlan().add(quick(), scenario=scenario, num_peers=70)
         assert point.parameters.num_peers == 70
+        assert point.scenario.overrides == {}
 
     def test_seed_for_derives_per_repetition(self):
         point = RunPoint(quick(), repetitions=3)
@@ -114,7 +121,7 @@ class TestRunPlan:
 
     def test_round_trips_through_dict(self):
         plan = self.build()
-        plan.add_scenario(get_scenario("uniform"), quick(), label="scenario")
+        plan.add(quick(), scenario=get_scenario("hotspot"), label="scenario")
         rebuilt = RunPlan.from_dict(plan.to_dict())
         assert rebuilt.name == plan.name
         assert rebuilt.plan_hash == plan.plan_hash

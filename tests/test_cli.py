@@ -99,6 +99,21 @@ class TestSimulateCommand:
         assert exit_code == 0
         assert "avg response time" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("churn", ([], ["--churn-rate", "0.05"]))
+    def test_simulate_is_the_uniform_scenario_run(self, churn):
+        knobs = ["--peers", "80", "--keys", "5", "--duration", "300",
+                 "--queries", "6", "--replicas", "10", "--seed", "1", *churn,
+                 "--json"]
+        simulated, scenario = io.StringIO(), io.StringIO()
+        cli.simulate_command(cli.build_parser().parse_args(["simulate", *knobs]),
+                             stream=simulated)
+        cli.scenario_run_command(cli.build_parser().parse_args(
+            ["scenario", "run", "--scenario", "uniform", *knobs]), stream=scenario)
+        assert json.loads(simulated.getvalue()) == json.loads(scenario.getvalue())
+        payload = json.loads(simulated.getvalue())
+        assert payload["scenario"] == "uniform"
+        assert payload["service"] == "ums"
+
 
 class TestScenarioCommand:
     def _run_args(self, *extra):
@@ -109,7 +124,7 @@ class TestScenarioCommand:
     def test_list_shows_at_least_six_registered_scenarios(self):
         from repro.simulation.scenarios import scenario_names
         stream = io.StringIO()
-        exit_code = cli.scenario_command(
+        exit_code = cli.scenario_list_command(
             cli.build_parser().parse_args(["scenario", "list"]), stream=stream)
         output = stream.getvalue()
         assert exit_code == 0
@@ -119,7 +134,7 @@ class TestScenarioCommand:
 
     def test_run_reports_the_scenario_metrics(self):
         stream = io.StringIO()
-        exit_code = cli.scenario_command(
+        exit_code = cli.scenario_run_command(
             self._run_args("--scenario", "hotspot"), stream=stream)
         output = stream.getvalue()
         assert exit_code == 0
@@ -129,9 +144,9 @@ class TestScenarioCommand:
 
     def test_run_json_is_parseable_and_tagged(self):
         stream = io.StringIO()
-        cli.scenario_command(self._run_args("--scenario", "flashcrowd",
-                                            "--protocol", "kademlia", "--json"),
-                             stream=stream)
+        cli.scenario_run_command(self._run_args("--scenario", "flashcrowd",
+                                                "--protocol", "kademlia", "--json"),
+                                 stream=stream)
         payload = json.loads(stream.getvalue())
         assert payload["scenario"] == "flashcrowd"
         assert payload["protocol"] == "kademlia"
@@ -145,11 +160,11 @@ class TestScenarioCommand:
     def test_seeded_run_spec_replay_round_trip_is_identical(self, tmp_path):
         spec_file = tmp_path / "spec.json"
         recorded = io.StringIO()
-        cli.scenario_command(self._run_args("--scenario", "correlated-failures",
-                                            "--json", "--spec-out",
-                                            str(spec_file)), stream=recorded)
+        cli.scenario_run_command(self._run_args("--scenario", "correlated-failures",
+                                                "--json", "--spec-out",
+                                                str(spec_file)), stream=recorded)
         replayed = io.StringIO()
-        cli.scenario_command(
+        cli.scenario_run_command(
             cli.build_parser().parse_args(["scenario", "run", "--spec",
                                            str(spec_file), "--json"]),
             stream=replayed)
@@ -162,7 +177,7 @@ class TestScenarioCommand:
         spec_file = tmp_path / "spec.json"
         spec_file.write_text("{}")
         with pytest.raises(SystemExit):
-            cli.scenario_command(cli.build_parser().parse_args(
+            cli.scenario_run_command(cli.build_parser().parse_args(
                 ["scenario", "run", "--scenario", "hotspot",
                  "--spec", str(spec_file)]))
 
@@ -170,7 +185,7 @@ class TestScenarioCommand:
         spec_file = tmp_path / "spec.json"
         spec_file.write_text("{}")
         with pytest.raises(SystemExit, match="replays the recorded parameters"):
-            cli.scenario_command(cli.build_parser().parse_args(
+            cli.scenario_run_command(cli.build_parser().parse_args(
                 ["scenario", "run", "--spec", str(spec_file),
                  "--peers", "999"]))
 
@@ -183,7 +198,7 @@ class TestScenarioCommand:
         try:
             # Without the corresponding flags the spec's overrides apply...
             stream = io.StringIO()
-            cli.scenario_command(cli.build_parser().parse_args(
+            cli.scenario_run_command(cli.build_parser().parse_args(
                 ["scenario", "run", "--scenario", "pinned-queries",
                  "--peers", "80", "--keys", "5", "--duration", "300",
                  "--seed", "11", "--json"]), stream=stream)
@@ -192,9 +207,9 @@ class TestScenarioCommand:
             assert pinned["protocol"] == "kademlia"
             # ...but an explicitly typed flag must win over them.
             stream = io.StringIO()
-            cli.scenario_command(self._run_args("--scenario", "pinned-queries",
-                                                "--protocol", "chord", "--json"),
-                                 stream=stream)
+            cli.scenario_run_command(self._run_args("--scenario", "pinned-queries",
+                                                    "--protocol", "chord", "--json"),
+                                     stream=stream)
             overridden = json.loads(stream.getvalue())
             assert overridden["queries"] == 6.0  # --queries 6 from _run_args
             assert overridden["protocol"] == "chord"
@@ -206,12 +221,12 @@ class TestScenarioCommand:
                     ["--services", "umss"],
                     ["--protocols", "pastry"]):
             with pytest.raises(SystemExit):
-                cli.scenario_command(cli.build_parser().parse_args(
+                cli.scenario_compare_command(cli.build_parser().parse_args(
                     ["scenario", "compare"] + bad), stream=io.StringIO())
 
     def test_compare_emits_one_table_per_metric(self):
         stream = io.StringIO()
-        exit_code = cli.scenario_command(
+        exit_code = cli.scenario_compare_command(
             cli.build_parser().parse_args(
                 ["scenario", "compare", "--scenarios", "hotspot,flashcrowd",
                  "--protocols", "chord,kademlia", "--services", "ums,brk",
@@ -232,9 +247,9 @@ class TestScenarioCommand:
                 "--peers", "60", "--keys", "4", "--duration", "200",
                 "--queries", "4", "--seed", "13"]
         serial, parallel = io.StringIO(), io.StringIO()
-        assert cli.scenario_command(cli.build_parser().parse_args(base),
-                                    stream=serial) == 0
-        assert cli.scenario_command(
+        assert cli.scenario_compare_command(cli.build_parser().parse_args(base),
+                                            stream=serial) == 0
+        assert cli.scenario_compare_command(
             cli.build_parser().parse_args(base + ["--jobs", "2"]),
             stream=parallel) == 0
         assert serial.getvalue() == parallel.getvalue()
@@ -246,11 +261,11 @@ class TestScenarioCommand:
                 "--peers", "60", "--keys", "4", "--duration", "200",
                 "--queries", "4", "--seed", "13", "--cache-dir", str(cache)]
         first, second = io.StringIO(), io.StringIO()
-        assert cli.scenario_command(cli.build_parser().parse_args(base),
-                                    stream=first) == 0
+        assert cli.scenario_compare_command(cli.build_parser().parse_args(base),
+                                            stream=first) == 0
         assert len(list(cache.glob("*.json"))) == 1
-        assert cli.scenario_command(cli.build_parser().parse_args(base),
-                                    stream=second) == 0
+        assert cli.scenario_compare_command(cli.build_parser().parse_args(base),
+                                            stream=second) == 0
         assert first.getvalue() == second.getvalue()
 
     def test_main_dispatches_to_scenario(self, capsys):
@@ -292,6 +307,14 @@ class TestExperimentsCommand:
         assert len(list(cache.glob("*.json"))) > 0
         cached = report("--cache-dir", str(cache))
         assert cached == serial
+
+    def test_experiments_takes_the_runner_flags(self, tmp_path, capsys):
+        output = tmp_path / "report.md"
+        assert cli.main(["experiments", "--scale", "tiny", "--no-ablations",
+                         "--charts", "--progress", "--output", str(output),
+                         "--seed", "5"]) == 0
+        assert "```" in output.read_text()
+        assert "[1/" in capsys.readouterr().err
 
 
 class TestServeAndLoadgenCommands:
