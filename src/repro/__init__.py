@@ -56,7 +56,7 @@ from repro.execution import Executor, RunPlan
 from repro.simulation.cost import NetworkCostModel
 from repro.simulation.engine import Simulator
 
-__version__ = "4.0.0"
+__version__ = "4.1.0"
 
 __all__ = [
     "BricksService",

@@ -48,6 +48,13 @@ class Timestamp:
         self._check_comparable(other)
         return self.value < other.value
 
+    def __gt__(self, other: object) -> bool:
+        # Defined, not derived: replica reconciliation compares on every put.
+        if not isinstance(other, Timestamp):
+            return NotImplemented
+        self._check_comparable(other)
+        return self.value > other.value
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Timestamp):
             return NotImplemented

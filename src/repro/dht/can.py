@@ -177,7 +177,9 @@ class CanSpace(DHTProtocol):
 
     # ------------------------------------------------------------------ topology
     def nodes(self) -> Sequence[int]:
-        return self._cached_nodes(lambda: tuple(sorted(self._zones)))
+        if self._nodes_cache is None:
+            self._nodes_cache = tuple(sorted(self._zones))
+        return self._nodes_cache
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._zones

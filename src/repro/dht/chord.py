@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dht.errors import (
@@ -36,21 +35,22 @@ from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
 __all__ = ["ChordRing"]
 
 
-@dataclass
 class _FingerTable:
     """Snapshot of a node's fingers plus the time it was last refreshed.
 
-    ``version`` is the membership version the entries were computed at: a
-    refresh with an unchanged membership would recompute identical entries, so
-    stabilisation only pays the O(bits·log n) finger scan when the ring
-    actually changed since the snapshot.
+    ``offsets`` holds ``(entry - node) mod 2^bits`` per entry, strictly
+    ascending.  ``version`` is the membership version the entries were
+    computed at: a refresh with an unchanged membership would recompute
+    identical entries, so stabilisation only pays the O(bits·log n) finger
+    scan when the ring actually changed since the snapshot.
     """
 
-    entries: List[int]
-    #: ``(entry - node) mod 2^bits`` per entry, strictly ascending.
-    offsets: List[int]
-    refreshed_at: float
-    version: int = 0
+    __slots__ = ("entries", "offsets", "refreshed_at", "version")
+
+    def __init__(self, entries: List[int], offsets: List[int],
+                 refreshed_at: float, version: int) -> None:
+        self.entries, self.offsets = entries, offsets
+        self.refreshed_at, self.version = refreshed_at, version
 
 
 class ChordRing(DHTProtocol):
@@ -90,7 +90,9 @@ class ChordRing(DHTProtocol):
 
     # ------------------------------------------------------------------ sizing
     def nodes(self) -> Sequence[int]:
-        return self._cached_nodes(lambda: tuple(self._members))
+        if self._nodes_cache is None:
+            self._nodes_cache = tuple(self._members)
+        return self._nodes_cache
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._member_set
@@ -242,24 +244,36 @@ class ChordRing(DHTProtocol):
         else:
             entries, offsets = self._compute_fingers(node_id)
             table = self._fingers[node_id] = _FingerTable(
-                entries=entries, offsets=offsets, refreshed_at=now, version=self.version)
+                entries, offsets, now, self.version)
         return table
 
     # ------------------------------------------------------------------ routing
     def route(self, origin: int, point: int, *, now: float = 0.0) -> RouteResult:
         if origin not in self._member_set:
             raise NoSuchPeerError(origin)
-        point %= self.space_size
+        size = self.space_size
+        point %= size
         responsible = self.responsible_for(point)
         path: List[int] = [origin]
-        retries = 0
-        timeouts = 0
+        retries = timeouts = 0
         current = origin
         max_hops = 4 * self.bits + len(self._members)
+        fingers, version = self._fingers, self.version
+        interval, bisect_left = self.stabilization_interval, bisect.bisect_left
         while current != responsible and len(path) <= max_hops:
-            next_hop, hop_retries, hop_timeouts = self._next_hop(current, point, now)
-            retries += hop_retries
-            timeouts += hop_timeouts
+            # A table at the current version and inside its refresh window is
+            # read inline: _next_hop would neither refresh nor retry there, and
+            # its empty-prefix fallback, successor(current + 1), is finger 0.
+            # Any other table goes through _next_hop and its bookkeeping.
+            table = fingers.get(current)
+            if (table is not None and table.version == version
+                    and now - table.refreshed_at < interval):
+                inside = bisect_left(table.offsets, (point - current) % size or size)
+                next_hop = table.entries[inside - 1 if inside else 0]
+            else:
+                next_hop, hop_retries, hop_timeouts = self._next_hop(current, point, now)
+                retries += hop_retries
+                timeouts += hop_timeouts
             if next_hop == current:
                 break
             path.append(next_hop)

@@ -318,7 +318,9 @@ class KademliaOverlay(DHTProtocol):
 
     # ------------------------------------------------------------------ sizing
     def nodes(self) -> Sequence[int]:
-        return self._cached_nodes(lambda: tuple(self._members))
+        if self._nodes_cache is None:
+            self._nodes_cache = tuple(self._members)
+        return self._nodes_cache
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._member_set

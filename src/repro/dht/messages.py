@@ -128,9 +128,10 @@ class OperationTrace:
                  columns: Optional[Columns] = None) -> None:
         self.sizes = sizes if sizes is not None else MessageSizes()
         if columns is None:
-            columns = (bytearray(), [], [], [], [])
+            columns, self._total_bytes = (bytearray(), [], [], [], []), 0
+        else:
+            self._total_bytes = sum(columns[1])
         self.kinds, self.size_bytes, self.sources, self.dests, self.timed_out = columns
-        self._total_bytes = sum(self.size_bytes)
 
     # ------------------------------------------------------------------ basic
     @property
@@ -190,8 +191,15 @@ class OperationTrace:
         """
         nodes = tuple(path)
         hops = max(0, len(nodes) - 1)
-        retries = max(0, retries)
         hop_bytes = self.sizes.size_of(MessageKind.LOOKUP_HOP)
+        if retries <= 0:
+            # A walk over fresh routing state, the common case: hops only.
+            self.kinds.extend(_HOP * hops)
+            self.size_bytes.extend([hop_bytes] * hops)
+            self.sources.extend(nodes[:hops])
+            self.dests.extend(nodes[1:])
+            self._total_bytes += hop_bytes * hops
+            return
         retry_bytes = self.sizes.size_of(MessageKind.LOOKUP_RETRY)
         first_retry = len(self.kinds) + hops
         self.timed_out.extend(range(first_retry, first_retry + min(timeouts, retries)))

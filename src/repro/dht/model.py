@@ -10,7 +10,8 @@ This module provides:
 * :class:`ResponsibilityLog` — a record of responsibility periods
   (Definition 1 / Example 1), exposing ``rsp``, ``prsp`` and the list of
   ``[t0..t1)`` periods of responsibility for a key;
-* small result dataclasses shared by the overlays and the network layer.
+* :class:`RouteResult` and :class:`LookupResult`, the tuples the overlays and
+  the network layer return from a route and a lookup.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "DHTProtocol",
@@ -42,8 +43,7 @@ class DepartureReason:
 _RSP_CACHE_SIZE = 1 << 16
 
 
-@dataclass(frozen=True)
-class RouteResult:
+class RouteResult(NamedTuple):
     """Result of routing from an origin node towards an identifier point.
 
     Attributes
@@ -76,8 +76,7 @@ class RouteResult:
         return self.hops + self.retries
 
 
-@dataclass(frozen=True)
-class LookupResult:
+class LookupResult(NamedTuple):
     """Result of the DHT lookup service for ``rsp(k, h)`` seen from a peer."""
 
     key: object
@@ -123,9 +122,10 @@ class DHTProtocol(abc.ABC):
     # Shared by the overlay implementations so the invalidation protocol
     # lives in exactly one place: call ``_init_version_caches()`` during
     # construction, ``_membership_changed()`` after every membership
-    # mutation, and serve ``responsible_for``/``nodes`` through the memo
-    # helpers.  Subclasses with additional version-keyed caches clear them in
-    # ``_clear_version_caches``.
+    # mutation, serve ``responsible_for`` through the memo helper and
+    # ``nodes`` from ``_nodes_cache`` (read inline: every random origin draw
+    # calls it).  Subclasses with additional version-keyed caches clear them
+    # in ``_clear_version_caches``.
 
     def _init_version_caches(self) -> None:
         self.version = 0
@@ -152,13 +152,6 @@ class DHTProtocol(abc.ABC):
                 self._rsp_cache.clear()
             self._rsp_cache[point] = cached
         return cached
-
-    def _cached_nodes(self, materialise: Callable[[], Tuple[int, ...]]
-                      ) -> Tuple[int, ...]:
-        """Node tuple for the current version (random-origin draws are hot)."""
-        if self._nodes_cache is None:
-            self._nodes_cache = materialise()
-        return self._nodes_cache
 
     # --------------------------------------------------------------- topology
     @abc.abstractmethod
@@ -235,9 +228,8 @@ class DHTProtocol(abc.ABC):
 
     # ---------------------------------------------------------------- utilities
     def random_node(self, rng: random.Random) -> int:
-        """A uniformly random live node (raises ``IndexError`` when empty)."""
-        members = self.nodes()
-        return members[rng.randrange(len(members))]
+        """A uniformly random live node: one ``randrange(len(nodes))`` draw."""
+        return rng.choice(self.nodes())
 
 
 @dataclass(frozen=True)

@@ -192,12 +192,6 @@ class DHTNetwork:
         self._peers: Dict[int, PeerState] = {}
         self._departed_peers: Dict[int, PeerState] = {}
         self._observers: List[NetworkObserver] = []
-        # Interned trace-free routes: untraced lookups for the same
-        # (origin, responsible) pair return one shared frozen RouteResult
-        # instead of allocating a fresh path tuple + result pair per
-        # operation.  Version-keyed like every responsibility cache.
-        self._route_cache: Dict[Tuple[int, int], RouteResult] = {}
-        self._route_cache_version = -1
 
     def _build_protocol(self, name: str, bits: int,
                         stabilization_interval: float) -> DHTProtocol:
@@ -410,7 +404,8 @@ class DHTNetwork:
         point = hash_fn(key)
         responsible, route = self._locate(origin, point, trace, exchange)
         if route is None:
-            route = self._fast_route(origin, responsible)
+            route = RouteResult((origin,) if origin == responsible
+                                else (origin, responsible), responsible)
         return LookupResult(key=key, hash_name=hash_fn.name, point=point,
                             responsible=responsible, route=route)
 
@@ -444,9 +439,8 @@ class DHTNetwork:
         if trace is None:
             return self.protocol.responsible_for(point), None
         route = self.protocol.route(origin, point, now=self.now)
-        responsible = route.responsible
-        trace.record_route(route.path, retries=route.retries,
-                           timeouts=route.timeouts)
+        path, responsible, retries, timeouts = route
+        trace.record_route(path, retries=retries, timeouts=timeouts)
         if exchange is not None:
             if responsible in unreachable:
                 trace.record(exchange[0], dest=responsible, timed_out=True)
@@ -454,25 +448,6 @@ class DHTNetwork:
                 trace.record_request_reply(*exchange, source=source,
                                            dest=responsible, entries=entries)
         return responsible, route
-
-    def _fast_route(self, origin: int, responsible: int) -> RouteResult:
-        """The interned trace-free route for ``(origin, responsible)``.
-
-        The returned :class:`RouteResult` only names the endpoints (nobody is
-        accounting for hops on the trace-free path), so identical pairs can
-        share one frozen instance instead of allocating per operation.
-        """
-        if self.protocol.version != self._route_cache_version:
-            self._route_cache.clear()
-            self._route_cache_version = self.protocol.version
-        route = self._route_cache.get((origin, responsible))
-        if route is None:
-            path = (origin,) if origin == responsible else (origin, responsible)
-            route = RouteResult(path=path, responsible=responsible)
-            if len(self._route_cache) >= 65536:
-                self._route_cache.clear()
-            self._route_cache[(origin, responsible)] = route
-        return route
 
     # --------------------------------------------------------------------- put
     def put(self, key: Any, hash_fn: PairwiseIndependentHash, data: Any, *,

@@ -10,12 +10,16 @@ point at departed or re-joined ids) and require the two to agree hop for hop.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Cluster
+from repro.dht.chord import ChordRing
+from repro.dht.messages import MessageKind
 from repro.dht.model import DepartureReason
 from repro.dht.registry import create_overlay
 
@@ -173,3 +177,96 @@ def test_route_paths_equal_the_oracle_walk_on_a_seeded_1000_peer_ring():
                     each.add_node(newcomer, now=now)
         now += 7.0 if round_index % 4 else INTERVAL
     assert stale_routes > 20      # the stale-table branch really ran
+
+
+def table_states(ring):
+    """Every finger table's ``(entries, offsets, refreshed_at, version)``."""
+    return {node: (table.entries, table.offsets, table.refreshed_at, table.version)
+            for node, table in ring._fingers.items()}
+
+
+@pytest.mark.parametrize("bits", BITS)
+@given(steps=steps)
+@settings(max_examples=40, deadline=None)
+def test_routes_and_refresh_bookkeeping_equal_the_oracle_walk_under_churn(bits, steps):
+    # One ring routed by ChordRing.route, its twin by the oracle, both fed the
+    # same history: the routes must agree, and so must every table left
+    # behind — a walk that skips (or adds) a refresh bump shows up as a
+    # refreshed_at that differs from the twin's.
+    ring, twin = build_ring(bits), build_ring(bits)
+    size = 1 << bits
+    for each in (ring, twin):
+        each.add_node(steps[0][1] % size)
+    departed = []
+    now = 0.0
+    for action, first, second in steps:
+        members = list(ring.nodes())
+        if action == "join" and first % size not in ring:
+            joining = [first % size]
+        elif action == "rejoin" and departed:
+            joining = [departed.pop(first % len(departed))]
+        else:
+            joining = []
+        if action in ("leave", "fail") and len(members) > 1:
+            victim = members[first % len(members)]
+            for each in (ring, twin):
+                each.remove_node(victim, reason=action, now=now)
+            departed.append(victim)
+        elif action == "tick":
+            now += first % 45
+        for node in joining:
+            if node not in ring:
+                for each in (ring, twin):
+                    each.add_node(node, now=now)
+        members = list(ring.nodes())
+        for pick in (first, second, first ^ second):
+            origin = members[pick % len(members)]
+            for point in (second % size, members[second % len(members)],
+                          (origin - 1) % size):
+                route = ring.route(origin, point, now=now)
+                assert (route.path, route.responsible, route.retries, route.timeouts) == \
+                    linear_route(twin, origin, point, now)
+        assert table_states(ring) == table_states(twin)
+
+
+# ------------------------------------------------------------ golden pin
+def test_seeded_chord_cluster_under_churn_repeats_its_trace_digest(monkeypatch):
+    # Recorded at 4.0.0 (the parent of the inline walk): every column of every
+    # call's trace — hop endpoints, sizes, retries and timeouts, which is also
+    # what the wire ships — must repeat, not merely messages_per_key_op.  Eight
+    # departures and joins every fourth step, 12 s per step: tables go stale by
+    # version inside their refresh window (retries), and outlive the window at
+    # an unchanged membership (refresh bumps).
+    bumps = []
+    snapshot = ChordRing._finger_snapshot
+
+    def counting_snapshot(ring, node_id, now):
+        table = ring._fingers.get(node_id)
+        stamp = None if table is None else table.refreshed_at
+        result = snapshot(ring, node_id, now)
+        bumps.append(result is table and result.refreshed_at != stamp)
+        return result
+
+    monkeypatch.setattr(ChordRing, "_finger_snapshot", counting_snapshot)
+    cluster = Cluster.build(peers=1000, protocol="chord", seed=2007)
+    network, rng, digest = cluster.network, random.Random(23), hashlib.sha1()
+    retried_calls = 0
+    with cluster.session() as session:
+        for event in range(120):
+            for departure in range(8 if event % 4 == 0 else 0):
+                victim = network.random_alive_peer()
+                (network.fail_peer if departure % 2 else network.leave_peer)(victim)
+                network.join_peer()
+            network.now += 12.0
+            for call in range(3):
+                key = f"key-{rng.randrange(48)}"
+                result = (session.retrieve(key) if call else
+                          session.insert(key, {"event": event}))
+                trace = result.trace
+                retried_calls += MessageKind.LOOKUP_RETRY in trace.count_by_kind()
+                digest.update(bytes(trace.kinds))
+                for column in (trace.size_bytes, trace.sources, trace.dests,
+                               trace.timed_out):
+                    digest.update(repr(list(column)).encode("ascii"))
+    assert (retried_calls, sum(bumps)) == (42, 542)     # both branches ran
+    assert digest.hexdigest() == "208479d2505845f17e3453911ba0469b9e5a0c26"

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from repro.dht.model import ResponsibilityLog, ResponsibilityPeriod, RouteResult
+from repro.dht.model import (
+    LookupResult,
+    ResponsibilityLog,
+    ResponsibilityPeriod,
+    RouteResult,
+)
 
 
 class TestRouteResult:
@@ -17,6 +22,13 @@ class TestRouteResult:
     def test_message_count_includes_retries(self):
         route = RouteResult(path=(1, 2, 3), responsible=3, retries=2, timeouts=1)
         assert route.message_count == 4
+
+    def test_results_are_tuples_in_field_order(self):
+        route = RouteResult((1, 2), 2)
+        assert tuple(route) == ((1, 2), 2, 0, 0)
+        lookup = LookupResult("k", "h1", 5, 2, route)
+        assert tuple(lookup) == ("k", "h1", 5, 2, route)
+        assert lookup.hops == 1
 
 
 class TestResponsibilityPeriod:

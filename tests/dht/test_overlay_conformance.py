@@ -90,6 +90,16 @@ class TestLookupCorrectness:
             point = rng.randrange(1 << network.bits)
             assert network.protocol.responsible_for(point) in network.protocol
 
+    def test_origin_draw_is_one_randrange_over_the_node_tuple(self, network):
+        # Which origin an operation starts from is part of every seeded trace:
+        # one draw of ``randrange(len(nodes))`` per origin, nothing more.
+        twin = random.Random()
+        twin.setstate(network.rng.getstate())
+        nodes = network.protocol.nodes()
+        for _ in range(1000):
+            assert network.random_alive_peer() == nodes[twin.randrange(len(nodes))]
+        assert network.rng.getstate() == twin.getstate()
+
 
 class TestPutGet:
     def test_put_then_get_round_trips(self, network, hash_fns):
