@@ -11,14 +11,14 @@ CAN).
 from __future__ import annotations
 
 from repro.dht.registry import overlay_names
-from repro.experiments import figures
+from repro.experiments.figures import run_experiments
 
 
 def test_overlay_ablation(benchmark, bench_scale, bench_seed,
                           bench_executor, record_table):
-    table = benchmark.pedantic(
-        lambda: figures.ablation_overlay(bench_scale, seed=bench_seed,
-                                         executor=bench_executor),
+    (table,) = benchmark.pedantic(
+        lambda: run_experiments(["ablation-overlay"], bench_scale,
+                                seed=bench_seed, executor=bench_executor),
         rounds=1, iterations=1)
     record_table(table, benchmark)
 

@@ -8,14 +8,14 @@ stay within the Theorem 1 envelope.
 
 from __future__ import annotations
 
-from repro.experiments import figures
+from repro.experiments.figures import run_experiments
 
 
 def test_probe_order_ablation(benchmark, bench_scale, bench_seed,
                               bench_executor, record_table):
-    table = benchmark.pedantic(
-        lambda: figures.ablation_probe_order(bench_scale, seed=bench_seed,
-                                             executor=bench_executor),
+    (table,) = benchmark.pedantic(
+        lambda: run_experiments(["ablation-probe-order"], bench_scale,
+                                seed=bench_seed, executor=bench_executor),
         rounds=1, iterations=1)
     record_table(table, benchmark)
 

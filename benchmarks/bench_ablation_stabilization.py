@@ -7,22 +7,21 @@ intervals mean more routing retries and timeouts under the same churn.
 
 from __future__ import annotations
 
-from repro.experiments import figures
+from repro.experiments.figures import STABILIZATION_INTERVALS_S, run_experiments
 
 
 def test_stabilization_interval_ablation(benchmark, bench_scale, bench_seed,
                                          bench_executor, record_table):
-    intervals = (0.0, 60.0, 600.0)
-    table = benchmark.pedantic(
-        lambda: figures.ablation_stabilization(bench_scale, seed=bench_seed,
-                                               executor=bench_executor,
-                                               intervals=intervals),
+    (table,) = benchmark.pedantic(
+        lambda: run_experiments(["ablation-stabilization"], bench_scale,
+                                seed=bench_seed, executor=bench_executor),
         rounds=1, iterations=1)
     record_table(table, benchmark)
 
     response_times = table.series_values("response time (s)")
     messages = table.series_values("messages")
-    assert table.x_values() == list(intervals)
+    assert table.x_values() == list(STABILIZATION_INTERVALS_S)
+    assert (STABILIZATION_INTERVALS_S[0], STABILIZATION_INTERVALS_S[-1]) == (0.0, 600.0)
     # Perfectly fresh routing state (interval 0) is at least as fast as the
     # slowest-refresh configuration under a 50 % failure churn.
     assert response_times[0] <= response_times[-1]

@@ -1,7 +1,8 @@
 """Executor benchmark — serial vs parallel wall-clock on a Figure-7-style grid.
 
-Builds the peer-count × algorithm grid behind Figure 7 (≥ 12 points by
-default) as one named :class:`repro.execution.RunPlan`, executes it twice —
+Builds the ``figure-7`` experiment's peer-count × algorithm grid (≥ 12
+points by default) as one named :class:`repro.execution.RunPlan`, with the
+peer counts, duration, queries and keys the flags set, executes it twice —
 once serially, once on a ``multiprocessing`` pool (``--jobs``, default 4) —
 verifies the two executions are **bit-identical** (the execution layer's
 parity guarantee), and records both wall-clock times plus the speedup as a
@@ -25,7 +26,7 @@ import sys
 import time
 
 from repro.execution import Executor, RunPlan, plan_artifact_path
-from repro.simulation.config import Algorithm, SimulationParameters
+from repro.experiments.figures import EXPERIMENTS, SCALE_PROFILES
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
@@ -39,17 +40,11 @@ DEFAULT_PEER_COUNTS = (400, 600, 800, 1000)
 
 def build_plan(peer_counts, *, seed: int, duration_s: float,
                num_queries: int, num_keys: int) -> RunPlan:
-    """The Figure-7-style grid: Table 1 structure over peers × algorithms."""
-    plan = RunPlan(name="bench-executor-fig7-grid")
-    for num_peers in peer_counts:
-        for algorithm in Algorithm.ALL:
-            plan.add(SimulationParameters.table1(
-                num_peers=num_peers, algorithm=algorithm, seed=seed,
-                num_keys=num_keys, duration_s=duration_s,
-                num_queries=num_queries,
-                churn_rate_per_s=1.08 * num_peers / duration_s),
-                label=f"{num_peers}/{algorithm}")
-    return plan
+    """The ``figure-7`` grid (peers × algorithms) over a resized quick profile."""
+    profile = dict(SCALE_PROFILES["quick"], peer_counts=tuple(peer_counts),
+                   duration_s=duration_s, num_queries=num_queries, num_keys=num_keys)
+    points = EXPERIMENTS["figure-7"].points(profile, seed=seed, protocol="chord")
+    return RunPlan(name="bench-executor-fig7-grid", points=list(points.values()))
 
 
 def timed_run(plan: RunPlan, jobs: int):

@@ -2,24 +2,15 @@
 
 from __future__ import annotations
 
-from repro.experiments import figures
+from repro.experiments.figures import run_experiments
 
 
 def test_figure10_messages_vs_replicas(benchmark, bench_scale, bench_seed, bench_executor,
-                                       sweep_cache, record_table,
-                                       record_cost_json):
-    def run():
-        data = sweep_cache.get(("replicas", bench_scale, bench_seed))
-        if data is None:
-            data = figures.replica_sweep_results(bench_scale, seed=bench_seed,
-                                                 executor=bench_executor)
-            sweep_cache[("replicas", bench_scale, bench_seed)] = data
-        return (figures.figure10_replicas_messages(bench_scale, seed=bench_seed,
-                                                   precomputed=data),
-                figures.figure10_replicas_bytes(bench_scale, seed=bench_seed,
-                                                precomputed=data))
-
-    table, bytes_table = benchmark.pedantic(run, rounds=1, iterations=1)
+                                       record_table, record_cost_json):
+    table, bytes_table = benchmark.pedantic(
+        lambda: run_experiments(["figure-10", "figure-10-bytes"], bench_scale,
+                                seed=bench_seed, executor=bench_executor),
+        rounds=1, iterations=1)
     record_table(table, benchmark)
     record_table(bytes_table, benchmark)
     record_cost_json(table.experiment_id, table, bytes_table,

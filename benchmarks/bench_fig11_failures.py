@@ -8,14 +8,14 @@ counter transfer can no longer happen.
 
 from __future__ import annotations
 
-from repro.experiments import figures
+from repro.experiments.figures import run_experiments
 
 
 def test_figure11_response_time_vs_failure_rate(benchmark, bench_scale, bench_seed,
                                                 bench_executor, record_table):
-    table = benchmark.pedantic(
-        lambda: figures.figure11_failure_rate(bench_scale, seed=bench_seed,
-                                              executor=bench_executor),
+    (table,) = benchmark.pedantic(
+        lambda: run_experiments(["figure-11"], bench_scale, seed=bench_seed,
+                                executor=bench_executor),
         rounds=1, iterations=1)
     record_table(table, benchmark)
 

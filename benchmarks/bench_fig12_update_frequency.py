@@ -7,14 +7,14 @@ availability, so UMS retrieves fewer replicas and responds faster.
 
 from __future__ import annotations
 
-from repro.experiments import figures
+from repro.experiments.figures import run_experiments
 
 
 def test_figure12_response_time_vs_update_frequency(benchmark, bench_scale, bench_seed,
                                                     bench_executor, record_table):
-    table = benchmark.pedantic(
-        lambda: figures.figure12_update_frequency(bench_scale, seed=bench_seed,
-                                                  executor=bench_executor),
+    (table,) = benchmark.pedantic(
+        lambda: run_experiments(["figure-12"], bench_scale, seed=bench_seed,
+                                executor=bench_executor),
         rounds=1, iterations=1)
     record_table(table, benchmark)
 

@@ -7,14 +7,14 @@ the number of peers and UMS-Direct < UMS-Indirect < BRK.
 
 from __future__ import annotations
 
-from repro.experiments import figures
+from repro.experiments.figures import run_experiments
 
 
 def test_figure6_cluster_response_time(benchmark, bench_scale, bench_seed,
                                         bench_executor, record_table):
-    table = benchmark.pedantic(
-        lambda: figures.figure6_cluster_scaleup(bench_scale, seed=bench_seed,
-                                                executor=bench_executor),
+    (table,) = benchmark.pedantic(
+        lambda: run_experiments(["figure-6"], bench_scale, seed=bench_seed,
+                                executor=bench_executor),
         rounds=1, iterations=1)
     record_table(table, benchmark)
 

@@ -11,22 +11,16 @@ the same cost curves exist for every registered routing substrate.
 
 from __future__ import annotations
 
-from repro.experiments import figures
+from repro.experiments.figures import run_experiments
 
 
 def test_figure7_response_time_vs_peers(benchmark, bench_scale, bench_seed,
                                         bench_overlays, bench_executor,
-                                        sweep_cache, record_table):
+                                        record_table):
     def run():
-        tables = {}
-        for overlay in bench_overlays:
-            data = figures.scaleup_results(bench_scale, seed=bench_seed,
-                                           protocol=overlay,
-                                           executor=bench_executor)
-            sweep_cache[("scaleup", bench_scale, bench_seed, overlay)] = data
-            tables[overlay] = figures.figure7_simulated_scaleup(
-                bench_scale, seed=bench_seed, protocol=overlay, precomputed=data)
-        return tables
+        return {overlay: run_experiments(["figure-7"], bench_scale, seed=bench_seed,
+                                         protocol=overlay, executor=bench_executor)[0]
+                for overlay in bench_overlays}
 
     tables = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -1,8 +1,9 @@
 """Figure 8 — communication cost (total messages per query) vs number of peers.
 
-Uses the same sweeps as Figure 7 (cached when the Figure 7 benchmark ran
-first in the session) and checks that BRK pays roughly |Hr| lookups per query
-while UMS needs only the KTS lookup plus a couple of replica probes.
+Runs the Figure 7 sweep (served by the session's run cache when the Figure 7
+benchmark ran first), with its byte-denominated twin in the same plan, and
+checks that BRK pays roughly |Hr| lookups per query while UMS needs only
+the KTS lookup plus a couple of replica probes.
 
 One series per overlay in ``bench_overlays`` (default: Chord and Kademlia;
 ``REPRO_BENCH_OVERLAYS`` selects others).
@@ -10,29 +11,16 @@ One series per overlay in ``bench_overlays`` (default: Chord and Kademlia;
 
 from __future__ import annotations
 
-from repro.experiments import figures
+from repro.experiments.figures import run_experiments
 
 
 def test_figure8_messages_vs_peers(benchmark, bench_scale, bench_seed, bench_executor,
-                                   bench_overlays, sweep_cache, record_table,
-                                   record_cost_json):
+                                   bench_overlays, record_table, record_cost_json):
     def run():
-        tables = {}
-        for overlay in bench_overlays:
-            data = sweep_cache.get(("scaleup", bench_scale, bench_seed, overlay))
-            if data is None:
-                data = figures.scaleup_results(bench_scale, seed=bench_seed,
-                                               protocol=overlay,
-                                               executor=bench_executor)
-                sweep_cache[("scaleup", bench_scale, bench_seed, overlay)] = data
-            tables[overlay] = (
-                figures.figure8_messages_vs_peers(
-                    bench_scale, seed=bench_seed, protocol=overlay,
-                    precomputed=data),
-                figures.figure8_bytes_vs_peers(
-                    bench_scale, seed=bench_seed, protocol=overlay,
-                    precomputed=data))
-        return tables
+        return {overlay: run_experiments(["figure-8", "figure-8-bytes"], bench_scale,
+                                         seed=bench_seed, protocol=overlay,
+                                         executor=bench_executor)
+                for overlay in bench_overlays}
 
     tables = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -7,20 +7,15 @@ systematic effect on UMS-Direct.
 
 from __future__ import annotations
 
-from repro.experiments import figures
+from repro.experiments.figures import run_experiments
 
 
 def test_figure9_response_time_vs_replicas(benchmark, bench_scale, bench_seed,
-                                           bench_executor, sweep_cache,
-                                           record_table):
-    def run():
-        data = figures.replica_sweep_results(bench_scale, seed=bench_seed,
-                                             executor=bench_executor)
-        sweep_cache[("replicas", bench_scale, bench_seed)] = data
-        return figures.figure9_replicas_response_time(bench_scale, seed=bench_seed,
-                                                      precomputed=data)
-
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+                                           bench_executor, record_table):
+    (table,) = benchmark.pedantic(
+        lambda: run_experiments(["figure-9"], bench_scale, seed=bench_seed,
+                                executor=bench_executor),
+        rounds=1, iterations=1)
     record_table(table, benchmark)
 
     replicas = table.x_values()

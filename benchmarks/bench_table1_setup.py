@@ -8,13 +8,13 @@ parameter values actually used.
 
 from __future__ import annotations
 
-from repro.experiments import figures
+from repro.experiments.figures import SCALE_PROFILES, table1_parameters
 from repro.simulation.config import Algorithm, SimulationParameters
 from repro.simulation.harness import SimulationHarness
 
 
 def test_table1_parameters_and_setup_cost(benchmark, bench_scale, bench_seed, record_table):
-    profile = figures.SCALE_PROFILES[bench_scale]
+    profile = SCALE_PROFILES[bench_scale]
     parameters = SimulationParameters.table1(
         num_peers=int(profile["base_peers"]), num_keys=int(profile["num_keys"]),
         duration_s=float(profile["duration_s"]), algorithm=Algorithm.UMS_DIRECT,
@@ -26,7 +26,7 @@ def test_table1_parameters_and_setup_cost(benchmark, bench_scale, bench_seed, re
         return harness
 
     harness = benchmark.pedantic(build, rounds=1, iterations=1)
-    table = figures.table1_parameters(bench_scale)
+    table = table1_parameters(bench_scale)
     record_table(table, benchmark)
 
     assert harness.network.size == parameters.num_peers

@@ -31,11 +31,6 @@ import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
-#: The experiment sweeps behind Figures 7/8 and 9/10 are shared; benches cache
-#: them here so the second figure of each pair does not re-run the simulation.
-_SWEEP_CACHE: dict = {}
-
-
 @pytest.fixture(scope="session")
 def bench_scale() -> str:
     """The sweep scale: ``quick`` (default) or ``paper`` via REPRO_BENCH_SCALE."""
@@ -80,22 +75,19 @@ def bench_jobs() -> int:
 
 
 @pytest.fixture(scope="session")
-def bench_executor(bench_jobs):
+def bench_executor(bench_jobs, tmp_path_factory):
     """The shared :class:`repro.execution.Executor` driving every bench grid.
 
-    ``REPRO_BENCH_CACHE_DIR`` enables the on-disk run cache (skip-if-cached
-    across benchmark sessions); without it the executor only parallelises.
+    Its run cache serves a point shared by several benches (the Figure 7/8
+    and 9/10 sweeps, the Table 1 base point) from the first bench that ran
+    it.  The cache lives in a session temporary directory unless
+    ``REPRO_BENCH_CACHE_DIR`` names one that persists across sessions.
     """
     from repro.execution import Executor
 
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR") or None
+    cache_dir = (os.environ.get("REPRO_BENCH_CACHE_DIR")
+                 or tmp_path_factory.mktemp("run-cache"))
     return Executor(bench_jobs, cache_dir=cache_dir)
-
-
-@pytest.fixture(scope="session")
-def sweep_cache() -> dict:
-    """Session-wide cache of shared sweeps (Figures 7/8 and 9/10)."""
-    return _SWEEP_CACHE
 
 
 @pytest.fixture(scope="session")

@@ -19,12 +19,7 @@ import argparse
 import time
 
 from repro.core import analysis
-from repro.experiments import (
-    expected_retrievals_table,
-    figure7_simulated_scaleup,
-    figure8_messages_vs_peers,
-    scaleup_results,
-)
+from repro.experiments import expected_retrievals_table, run_experiments
 
 
 def main() -> None:
@@ -37,9 +32,9 @@ def main() -> None:
 
     print(f"scale profile: {scale}")
     started = time.time()
-    shared = scaleup_results(scale, seed=arguments.seed)
-    response_time = figure7_simulated_scaleup(scale, seed=arguments.seed, precomputed=shared)
-    messages = figure8_messages_vs_peers(scale, seed=arguments.seed, precomputed=shared)
+    # Figures 7 and 8 share one sweep, which the single plan runs once.
+    response_time, messages = run_experiments(["figure-7", "figure-8"], scale,
+                                              seed=arguments.seed)
     elapsed = time.time() - started
 
     print()

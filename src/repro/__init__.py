@@ -16,7 +16,8 @@ The package provides:
   (Table 1 parameters, churn/update/query workloads) in :mod:`repro.simulation`,
   plus the declarative scenario engine (skewed/bursty workloads, correlated
   fault profiles, record/replay) in :mod:`repro.simulation.scenarios`;
-* per-figure experiment generators in :mod:`repro.experiments`;
+* the experiment table (every figure and ablation as a declared sweep, run
+  as one plan) in :mod:`repro.experiments`;
 * the unified execution layer — serialisable :class:`~repro.execution.RunPlan`
   grids, the parallel :class:`~repro.execution.Executor` and the on-disk run
   cache — in :mod:`repro.execution`;
@@ -56,7 +57,7 @@ from repro.execution import Executor, RunPlan
 from repro.simulation.cost import NetworkCostModel
 from repro.simulation.engine import Simulator
 
-__version__ = "4.1.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "BricksService",

@@ -78,7 +78,7 @@ from repro.experiments.attack_grid import (
 )
 from repro.experiments.reporting import comparison_tables
 from repro.simulation.adversary import STRATEGIES
-from repro.simulation.config import Algorithm, SimulationParameters
+from repro.simulation.config import Algorithm, SimulationParameters, table1_churn_rate
 from repro.simulation.scenarios import (
     ScenarioSpec,
     get_scenario,
@@ -532,10 +532,9 @@ def _resolve_scenario_run(spec: ScenarioSpec, defaults: dict, explicit: dict,
     merged.update(spec.overrides)
     merged.update(explicit)
     if merged.get("churn_rate_per_s") is None:
-        # Preserve Table 1's churn intensity (1 departure/s across 10,000
-        # peers over 3 hours) for the *effective* population and duration.
-        merged["churn_rate_per_s"] = (1.08 * merged["num_peers"]
-                                      / merged["duration_s"])
+        # Table 1's churn intensity, for the *effective* population and duration.
+        merged["churn_rate_per_s"] = table1_churn_rate(merged["num_peers"],
+                                                       merged["duration_s"])
     return dataclasses.replace(spec, overrides={}), SimulationParameters(**merged)
 
 

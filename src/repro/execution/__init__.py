@@ -20,20 +20,12 @@ Guarantees:
   run derives all randomness from its own point);
 * **reproducible caching** — with a ``cache_dir``, results are stored under
   the point's content hash and a cached re-run returns identical metrics
-  without invoking the harness;
-* **deterministic repetition seeds** — repetition seeds are a pure function
-  of the point's base seed (:func:`derive_seed`).
+  without invoking the harness.
 """
 
 from repro.execution.cache import RunCache
-from repro.execution.executor import (
-    JOBS_ENV,
-    Executor,
-    execute_point,
-    resolve_jobs,
-    run_repetition,
-)
-from repro.execution.plan import RunPlan, RunPoint, derive_seed, plan_artifact_path
+from repro.execution.executor import JOBS_ENV, Executor, resolve_jobs, run_point
+from repro.execution.plan import RunPlan, RunPoint, plan_artifact_path
 
 __all__ = [
     "Executor",
@@ -41,9 +33,7 @@ __all__ = [
     "RunCache",
     "RunPlan",
     "RunPoint",
-    "derive_seed",
-    "execute_point",
     "plan_artifact_path",
     "resolve_jobs",
-    "run_repetition",
+    "run_point",
 ]

@@ -1,7 +1,7 @@
 """On-disk run cache keyed by :attr:`RunPoint.content_hash`.
 
-One JSON file per point, storing the point's own record next to the
-serialised :class:`~repro.simulation.results.RunResult` of every repetition.
+One JSON file per point, storing the point's own record next to its
+serialised :class:`~repro.simulation.results.RunResult`.
 A hit requires the stored point content *and* the recording package version
 to match exactly (guarding against hash collisions, stale/corrupt files and
 results produced by an older implementation — any mismatch or parse failure
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from repro.execution.plan import RunPoint
 from repro.simulation.results import RunResult
@@ -43,8 +43,8 @@ class RunCache:
         """The cache file of ``point`` (exists only after :meth:`store`)."""
         return self.directory / f"{point.content_hash}.json"
 
-    def load(self, point: RunPoint) -> Optional[List[RunResult]]:
-        """The cached repetition results of ``point``, or ``None`` on a miss."""
+    def load(self, point: RunPoint) -> Optional[RunResult]:
+        """The cached result of ``point``, or ``None`` on a miss."""
         path = self.path_for(point)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
@@ -59,20 +59,17 @@ class RunCache:
         expected = json.loads(json.dumps(point.content(), default=str))
         if payload.get("point") != expected:
             return None
-        results = payload.get("results")
-        if not isinstance(results, list) or len(results) != point.repetitions:
-            return None
         try:
-            return [RunResult.from_dict(result) for result in results]
+            return RunResult.from_dict(payload["result"])
         except (KeyError, TypeError, ValueError):
             return None
 
-    def store(self, point: RunPoint, results: List[RunResult]) -> pathlib.Path:
-        """Write the executed results of ``point``; returns the file path."""
+    def store(self, point: RunPoint, result: RunResult) -> pathlib.Path:
+        """Write the executed result of ``point``; returns the file path."""
         path = self.path_for(point)
         payload = {"version": _current_version(),
                    "point": point.content(),
-                   "results": [result.to_dict() for result in results]}
+                   "result": result.to_dict()}
         path.write_text(json.dumps(payload, sort_keys=True) + "\n",
                         encoding="utf-8")
         return path

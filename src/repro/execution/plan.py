@@ -1,21 +1,17 @@
 """Run plans: explicit, serialisable grids of simulation points.
 
 A :class:`RunPlan` is an ordered list of :class:`RunPoint` entries — one
-``(SimulationParameters, scenario, seed, repetitions)`` tuple per independent
-simulation run of an experiment grid (a figure sweep, an ablation, a
-scenario × overlay × service comparison, a benchmark).  Plans are pure data:
+``(SimulationParameters, scenario)`` pair per independent simulation run of
+an experiment grid (the paper's figures and ablations, a scenario × overlay
+× service comparison, a benchmark).  Plans are pure data:
 
 * every point has a **stable content hash** (:attr:`RunPoint.content_hash`)
-  over its parameters, scenario spec and repetition count — the key of the
-  on-disk run cache and the identity used by benchmark artifacts;
+  over its parameters and scenario spec — the key of the on-disk run cache,
+  the identity under which an experiment plan holds a shared point once,
+  and the identity used by benchmark artifacts;
 * plans round-trip through JSON (:meth:`RunPlan.to_dict` /
   :meth:`RunPlan.from_dict`), so a grid can be recorded next to its results
-  and re-executed bit-for-bit later;
-* repetition seeds are **derived deterministically** from the point's base
-  seed (:func:`derive_seed`): repetition 0 runs the parameters unchanged
-  (keeping single-run plans bit-compatible with a direct
-  :func:`~repro.simulation.scenarios.run_scenario` call), repetition ``r``
-  hashes ``(base seed, r)`` into a fresh, reproducible seed.
+  and re-executed bit-for-bit later.
 
 The points of a plan are independent by construction (each harness seeds its
 own RNG streams from its parameters), which is what lets the
@@ -36,27 +32,7 @@ from repro.simulation.config import SimulationParameters
 from repro.simulation.scenarios.registry import UNIFORM_SCENARIO
 from repro.simulation.scenarios.spec import ScenarioSpec
 
-__all__ = ["RunPlan", "RunPoint", "derive_seed", "plan_artifact_path"]
-
-#: Derived seeds stay inside ``random.Random``'s comfortable integer range.
-_SEED_BITS = 63
-
-
-def derive_seed(base: Optional[int], repetition: int) -> Optional[int]:
-    """Deterministic seed of repetition ``repetition`` for base seed ``base``.
-
-    Repetition 0 *is* the base seed (so a one-repetition point reproduces a
-    single run exactly); later repetitions hash ``(base, repetition)`` through
-    BLAKE2s, giving independent but fully reproducible streams.  A ``None``
-    base stays ``None`` — the run was never deterministic to begin with.
-    """
-    if base is None or repetition == 0:
-        return base
-    if repetition < 0:
-        raise ValueError("repetition must be >= 0")
-    digest = hashlib.blake2s(
-        f"repro-run-seed:{base}:{repetition}".encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big") % (2 ** _SEED_BITS)
+__all__ = ["RunPlan", "RunPoint", "plan_artifact_path"]
 
 
 def _stable_hash(payload: Dict[str, Any]) -> str:
@@ -83,12 +59,9 @@ class RunPoint:
 
     parameters: SimulationParameters
     scenario: ScenarioSpec = UNIFORM_SCENARIO
-    repetitions: int = 1
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
         if self.scenario.overrides:
             object.__setattr__(
                 self, "parameters",
@@ -99,23 +72,16 @@ class RunPoint:
 
     # -------------------------------------------------------------- identity
     def content(self) -> Dict[str, Any]:
-        """The hashed content: effective parameters, scenario, repetitions."""
+        """The hashed content: effective parameters and scenario."""
         return {
             "parameters": self.parameters.describe(),
             "scenario": self.scenario.to_dict(),
-            "repetitions": self.repetitions,
         }
 
     @property
     def content_hash(self) -> str:
         """Stable BLAKE2s hex digest of :meth:`content` (the cache key)."""
         return _stable_hash(self.content())
-
-    def seed_for(self, repetition: int) -> Optional[int]:
-        """The derived seed of one repetition (see :func:`derive_seed`)."""
-        if not 0 <= repetition < self.repetitions:
-            raise ValueError(f"repetition must be in [0, {self.repetitions})")
-        return derive_seed(self.parameters.seed, repetition)
 
     # --------------------------------------------------------- serialisation
     def to_dict(self) -> Dict[str, Any]:
@@ -129,7 +95,6 @@ class RunPoint:
         """Rebuild a point recorded by :meth:`to_dict`."""
         return cls(parameters=SimulationParameters(**payload["parameters"]),
                    scenario=ScenarioSpec.from_dict(payload["scenario"]),
-                   repetitions=payload.get("repetitions", 1),
                    label=payload.get("label"))
 
 
@@ -142,7 +107,7 @@ class RunPlan:
 
     # ------------------------------------------------------------------ build
     def add(self, parameters: SimulationParameters, *,
-            scenario: ScenarioSpec = UNIFORM_SCENARIO, repetitions: int = 1,
+            scenario: ScenarioSpec = UNIFORM_SCENARIO,
             label: Optional[str] = None, **overrides: Any) -> RunPoint:
         """Append one point and return it.
 
@@ -150,8 +115,7 @@ class RunPlan:
         ``overrides`` (e.g. ``protocol="kademlia"``) win over both — exactly
         what ``run_scenario(scenario, parameters, **overrides)`` executes.
         """
-        point = RunPoint(parameters=parameters, scenario=scenario,
-                         repetitions=repetitions, label=label)
+        point = RunPoint(parameters=parameters, scenario=scenario, label=label)
         if overrides:
             point = dataclasses.replace(
                 point, parameters=point.parameters.with_overrides(**overrides))
@@ -159,11 +123,6 @@ class RunPlan:
         return point
 
     # ---------------------------------------------------------------- queries
-    @property
-    def total_runs(self) -> int:
-        """Number of individual simulation runs (points × repetitions)."""
-        return sum(point.repetitions for point in self.points)
-
     @property
     def plan_hash(self) -> str:
         """Stable digest over the point hashes, in plan order."""
@@ -179,11 +138,9 @@ class RunPlan:
         return {
             "name": self.name,
             "plan_hash": self.plan_hash,
-            "total_runs": self.total_runs,
             "points": [{"label": point.label,
                         "content_hash": point.content_hash,
-                        "seed": point.parameters.seed,
-                        "repetitions": point.repetitions}
+                        "seed": point.parameters.seed}
                        for point in self.points],
         }
 

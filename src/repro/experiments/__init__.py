@@ -1,9 +1,12 @@
-"""Experiment generators reproducing every table and figure of the paper.
+"""Experiments reproducing every table and figure of the paper.
 
-Each function returns an :class:`~repro.experiments.reporting.ExperimentTable`
-whose rows mirror the corresponding figure's series.  ``scale="quick"``
-produces reduced sweeps for fast runs; ``scale="paper"`` runs the full
-Table 1 configuration (up to 10,000 peers, 3 simulated hours).
+Every simulated figure and ablation is one declared sweep in
+:data:`EXPERIMENTS`; :func:`run_experiments` runs any of them as one
+deduplicated plan and returns an
+:class:`~repro.experiments.reporting.ExperimentTable` per experiment, whose
+rows mirror the figure's series.  ``scale="quick"`` produces reduced sweeps
+for fast runs; ``scale="paper"`` runs the full Table 1 configuration (up to
+10,000 peers, 3 simulated hours).
 
 Run everything from the command line with::
 
@@ -11,22 +14,11 @@ Run everything from the command line with::
 """
 
 from repro.experiments.figures import (
+    EXPERIMENTS,
     SCALE_PROFILES,
-    ablation_overlay,
-    ablation_probe_order,
-    ablation_stabilization,
+    Experiment,
     expected_retrievals_table,
-    figure6_cluster_scaleup,
-    figure7_simulated_scaleup,
-    figure8_bytes_vs_peers,
-    figure8_messages_vs_peers,
-    figure9_replicas_response_time,
-    figure10_replicas_bytes,
-    figure10_replicas_messages,
-    figure11_failure_rate,
-    figure12_update_frequency,
-    replica_sweep_results,
-    scaleup_results,
+    run_experiments,
     table1_parameters,
 )
 from repro.experiments.plots import ascii_chart, render_all
@@ -34,26 +26,15 @@ from repro.experiments.reporting import ExperimentTable
 from repro.experiments.runner import run_all_experiments, write_experiments_report
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentTable",
     "ascii_chart",
     "render_all",
     "SCALE_PROFILES",
-    "ablation_overlay",
-    "ablation_probe_order",
-    "ablation_stabilization",
     "expected_retrievals_table",
-    "figure6_cluster_scaleup",
-    "figure7_simulated_scaleup",
-    "figure8_bytes_vs_peers",
-    "figure8_messages_vs_peers",
-    "figure9_replicas_response_time",
-    "figure10_replicas_bytes",
-    "figure10_replicas_messages",
-    "figure11_failure_rate",
-    "figure12_update_frequency",
-    "replica_sweep_results",
     "run_all_experiments",
-    "scaleup_results",
+    "run_experiments",
     "table1_parameters",
     "write_experiments_report",
 ]

@@ -1,64 +1,58 @@
-"""Per-figure experiment generators (Section 5 of the paper).
+"""The experiment table: every figure and ablation of Section 5 as a declared sweep.
 
-Every public function regenerates one table or figure of the paper's
-evaluation as an :class:`~repro.experiments.reporting.ExperimentTable`.  Each
-accepts a ``scale`` argument:
+The paper's evaluation (Table 1, Figures 6-12) is a family of one-axis sweeps
+over the Table 1 workload, and so are the reproduction's ablations.  Each is
+one :class:`Experiment` record in :data:`EXPERIMENTS`: the swept
+:class:`~repro.simulation.config.SimulationParameters` field with its values
+(from :data:`SCALE_PROFILES`, or fixed), the series (one algorithm per curve of a
+figure, one metric column per ablation), the preset and the fixed overrides.
+:func:`run_experiments` runs any subset of the table as **one**
+:class:`~repro.execution.RunPlan` holding each distinct parameter point once
+(keyed by :attr:`~repro.execution.RunPoint.content_hash`) and builds every
+:class:`~repro.experiments.reporting.ExperimentTable` from the shared results.
 
+Every sweep has three scales:
+
+* ``"tiny"`` — two points per sweep and a short horizon (the unit tests);
 * ``"quick"`` (default) — a reduced sweep that preserves the qualitative
-  shape (who wins, how curves trend) and completes in seconds; used by the
-  test suite and the default benchmark run;
+  shape (who wins, how curves trend) and completes in seconds;
 * ``"paper"`` — the full Table 1 scale (up to 10,000 peers, 3 simulated
   hours), matching the parameter ranges of the original figures.
 
-All functions are deterministic for a given ``seed``.  Every sweep runs
-through the unified execution layer: the grid is materialised as a
-:class:`~repro.execution.RunPlan` and executed by an
-:class:`~repro.execution.Executor` — pass ``executor=Executor(jobs=4,
-cache_dir=...)`` to any generator to parallelise and cache the runs
-(bit-identical to the default serial executor for a fixed seed).
+Results are deterministic for a given ``seed``; pass ``executor=Executor(
+jobs=4, cache_dir=...)`` to parallelise and cache the runs (bit-identical to
+the default serial executor).  :func:`table1_parameters` and
+:func:`expected_retrievals_table` are analytic and run no simulation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import dataclasses
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.results import Consistency
 from repro.core import analysis
 from repro.dht.registry import overlay_names
-from repro.execution import Executor, RunPlan
+from repro.execution import Executor, RunPlan, RunPoint
 from repro.experiments.reporting import ExperimentTable
-from repro.simulation.config import Algorithm, SimulationParameters
+from repro.simulation.config import Algorithm, SimulationParameters, table1_churn_rate
 from repro.simulation.results import RunResult
 
 __all__ = [
+    "EXPERIMENTS",
     "SCALE_PROFILES",
-    "ablation_consistency",
-    "ablation_overlay",
-    "ablation_probe_order",
-    "ablation_stabilization",
+    "STABILIZATION_INTERVALS_S",
+    "Experiment",
     "expected_retrievals_table",
-    "figure6_cluster_scaleup",
-    "figure7_simulated_scaleup",
-    "figure8_bytes_vs_peers",
-    "figure8_messages_vs_peers",
-    "figure9_replicas_response_time",
-    "figure10_replicas_bytes",
-    "figure10_replicas_messages",
-    "figure11_failure_rate",
-    "figure12_update_frequency",
-    "scaleup_results",
+    "run_experiments",
     "table1_parameters",
 ]
 
-#: Sweep ranges for the two scales.  "paper" mirrors the figures' x axes;
+#: Sweep ranges for the three scales.  "paper" mirrors the figures' x axes;
 #: "quick" keeps the same span with fewer/smaller points.
-#:
-#: ``departures_per_peer`` keeps the churn *intensity* of Table 1 constant when
-#: an experiment scales the population or the duration down: Table 1 runs
-#: 1 departure/second across 10,000 peers for ~3 hours, i.e. ~1.08 departures
-#: per peer over the experiment.  The network-wide churn rate of a run is then
-#: ``departures_per_peer * num_peers / duration`` (exactly 1/s at paper scale).
-SCALE_PROFILES: Dict[str, Dict[str, object]] = {
+SCALE_PROFILES: Dict[str, Dict[str, Any]] = {
     "tiny": {
         # Minimal sweeps used by the unit tests: every experiment still runs
         # end-to-end, but each sweep has only two points and a short horizon.
@@ -71,7 +65,6 @@ SCALE_PROFILES: Dict[str, Dict[str, object]] = {
         "num_keys": 6,
         "duration_s": 400.0,
         "num_queries": 8,
-        "departures_per_peer": 1.08,
     },
     "quick": {
         "cluster_peer_counts": (10, 20, 30, 40, 50, 60),
@@ -83,7 +76,6 @@ SCALE_PROFILES: Dict[str, Dict[str, object]] = {
         "num_keys": 20,
         "duration_s": 1800.0,
         "num_queries": 30,
-        "departures_per_peer": 1.08,
     },
     "paper": {
         "cluster_peer_counts": (10, 20, 30, 40, 50, 60),
@@ -95,69 +87,223 @@ SCALE_PROFILES: Dict[str, Dict[str, object]] = {
         "num_keys": 50,
         "duration_s": 3 * 3600.0,
         "num_queries": 30,
-        "departures_per_peer": 1.0 * (3 * 3600.0) / 10000.0,
     },
 }
 
+#: The stabilisation ablation's intervals (s), the same at every scale.
+STABILIZATION_INTERVALS_S = (0.0, 30.0, 120.0, 600.0)
 
-def _profile(scale: str) -> Dict[str, object]:
+#: One column of an experiment table: (column name, algorithm whose runs
+#: fill it, :class:`~repro.simulation.results.RunResult` attribute read).
+Series = Tuple[str, str, str]
+
+
+def _profile(scale: str) -> Dict[str, Any]:
     if scale not in SCALE_PROFILES:
         raise ValueError(f"unknown scale {scale!r}; expected one of {sorted(SCALE_PROFILES)}")
     return SCALE_PROFILES[scale]
 
 
-def _churn_rate(profile: Dict[str, object], num_peers: int) -> float:
-    """Network-wide churn rate preserving Table 1's per-peer churn intensity."""
-    return (float(profile["departures_per_peer"]) * num_peers
-            / float(profile["duration_s"]))
+@dataclass(frozen=True)
+class Experiment:
+    """One declared sweep: a row per swept value, a run per (value, algorithm).
+
+    ``title`` and ``notes`` are format strings over the first run's
+    parameters (``{protocol}``, ``{num_peers}``, ...) and ``{values}``, the
+    swept values joined by " vs ".  The requested ``protocol`` drives every
+    run, and a non-Chord one suffixes the table id, unless the experiment
+    sweeps or fixes the overlay itself.
+    """
+
+    id: str
+    title: str
+    x_label: str
+    #: The :class:`SimulationParameters` field the rows sweep.
+    swept: str
+    #: The swept values at a scale profile.
+    values: Callable[[Mapping[str, Any]], Sequence[Any]]
+    series: Tuple[Series, ...]
+    notes: str = ""
+    #: The :class:`SimulationParameters` preset: ``table1``, ``cluster`` or ``quick``.
+    preset: str = "table1"
+    fixed: Mapping[str, Any] = dataclasses.field(default_factory=dict)
+    #: Maps a row's x value to the swept field's value (identity when ``None``).
+    to_field: Optional[Callable[[Any], Any]] = None
+
+    def table_id(self, protocol: str) -> str:
+        """The table's id: suffixed by a non-Chord overlay the sweep runs on."""
+        if protocol == "chord" or self.swept == "protocol" or "protocol" in self.fixed:
+            return self.id
+        return f"{self.id}-{protocol}"
+
+    def parameters(self, profile: Mapping[str, Any], x: Any, algorithm: str, *,
+                   seed: int, protocol: str) -> SimulationParameters:
+        """The parameters of one run: the preset, the profile, the fixed overrides, ``x``."""
+        knobs: Dict[str, Any] = dict(algorithm=algorithm, seed=seed, protocol=protocol,
+                                     num_queries=int(profile["num_queries"]))
+        if self.preset == "table1":
+            knobs.update(num_peers=int(profile["base_peers"]),
+                         num_keys=int(profile["num_keys"]),
+                         duration_s=float(profile["duration_s"]))
+        elif self.preset == "quick":
+            # CAN routing is O(n^(1/d)) and the responsibility search is
+            # linear in the number of zones, so the quick preset's overlay
+            # comparison runs on a smaller population.
+            knobs.update(num_peers=min(200, int(profile["base_peers"])))
+        knobs.update(self.fixed)
+        knobs[self.swept] = x if self.to_field is None else self.to_field(x)
+        parameters: SimulationParameters = getattr(SimulationParameters, self.preset)(**knobs)
+        if self.preset == "quick":
+            return parameters  # the quick preset keeps its own light churn
+        return parameters.with_overrides(churn_rate_per_s=table1_churn_rate(
+            parameters.num_peers, parameters.duration_s))
+
+    def points(self, profile: Mapping[str, Any], *, seed: int, protocol: str
+               ) -> Dict[Tuple[Any, str], RunPoint]:
+        """One run point per (swept value, algorithm), in row order."""
+        algorithms = list(dict.fromkeys(algorithm for _, algorithm, _ in self.series))
+        table_id = self.table_id(protocol)
+        return {(x, algorithm): RunPoint(
+                    self.parameters(profile, x, algorithm, seed=seed, protocol=protocol),
+                    label=f"{table_id}:{x}/{algorithm}")
+                for x in self.values(profile) for algorithm in algorithms}
+
+    def table(self, points: Mapping[Tuple[Any, str], RunPoint],
+              results: Mapping[str, RunResult], protocol: str) -> ExperimentTable:
+        """The table of :meth:`points`, read from ``results`` (content hash -> result)."""
+        x_values = list(dict.fromkeys(x for x, _ in points))
+        text = dict(next(iter(points.values())).parameters.describe(),
+                    values=" vs ".join(map(str, x_values)))
+        table = ExperimentTable(experiment_id=self.table_id(protocol),
+                                title=self.title.format(**text), x_label=self.x_label,
+                                series=[column for column, _, _ in self.series],
+                                notes=self.notes.format(**text))
+        for x in x_values:
+            table.add_row(x, {column: getattr(results[points[x, algorithm].content_hash],
+                                              attribute)
+                              for column, algorithm, attribute in self.series})
+        return table
 
 
-def _experiment_id(base: str, protocol: str) -> str:
-    """Experiment identifier, suffixed when run over a non-default overlay."""
-    return base if protocol == "chord" else f"{base}-{protocol}"
+def _curves(attribute: str, algorithms: Sequence[str] = Algorithm.ALL) -> Tuple[Series, ...]:
+    """A figure's series: one curve of ``attribute`` per algorithm."""
+    return tuple((Algorithm.label(algorithm), algorithm, attribute)
+                 for algorithm in algorithms)
 
 
-def _metric(result: RunResult, metric: str) -> float:
-    if metric == "response_time":
-        return result.avg_response_time_s
-    if metric == "messages":
-        return result.avg_messages
-    if metric == "bytes":
-        return result.avg_bytes
-    if metric == "replicas_inspected":
-        return result.avg_replicas_inspected
-    raise ValueError(f"unknown metric {metric!r}")
+def _columns(*columns: Tuple[str, str]) -> Tuple[Series, ...]:
+    """An ablation's series: (column, attribute) pairs of UMS-Direct runs."""
+    return tuple((column, Algorithm.UMS_DIRECT, attribute) for column, attribute in columns)
 
 
-def _executor(executor: Optional[Executor]) -> Executor:
-    """The given executor, or a fresh default one (serial unless
-    ``REPRO_EXECUTOR_JOBS`` says otherwise)."""
-    return executor if executor is not None else Executor()
+_RESPONSE_TIME = ("response time (s)", "avg_response_time_s")
+_MESSAGES = ("messages", "avg_messages")
+_REPLICAS_INSPECTED = ("replicas inspected", "avg_replicas_inspected")
+
+#: Every simulated experiment, by id, in report order.
+EXPERIMENTS: Dict[str, Experiment] = {experiment.id: experiment for experiment in (
+    Experiment(
+        "figure-6", "Response time vs number of peers (cluster, {protocol})", "peers",
+        "num_peers", itemgetter("cluster_peer_counts"), _curves("avg_response_time_s"),
+        notes="Cluster cost model (LAN); all three algorithms grow logarithmically, "
+              "UMS-Direct < UMS-Indirect < BRK.",
+        preset="cluster"),
+    Experiment(
+        "figure-7", "Response time vs number of peers (simulation, {protocol})", "peers",
+        "num_peers", itemgetter("peer_counts"), _curves("avg_response_time_s"),
+        notes="Table 1 parameters; response time grows logarithmically with peers."),
+    Experiment(
+        "figure-8", "Communication cost vs number of peers ({protocol})", "peers",
+        "num_peers", itemgetter("peer_counts"), _curves("avg_messages"),
+        notes="BRK retrieves every replica (≈|Hr| lookups); UMS needs the KTS lookup "
+              "plus a couple of probes."),
+    Experiment(
+        "figure-8-bytes", "Communication cost (bytes) vs number of peers ({protocol})",
+        "peers", "num_peers", itemgetter("peer_counts"), _curves("avg_bytes"),
+        notes="Byte-denominated twin of Figure 8: data-carrying replies dominate, "
+              "so BRK's full-replica sweep costs the most bytes too."),
+    Experiment(
+        "figure-9", "Response time vs number of replicas ({protocol})", "replicas",
+        "num_replicas", itemgetter("replica_counts"), _curves("avg_response_time_s"),
+        notes="The replica count strongly affects BRK, slightly affects UMS-Indirect "
+              "and has no systematic effect on UMS-Direct."),
+    Experiment(
+        "figure-10", "Communication cost vs number of replicas ({protocol})", "replicas",
+        "num_replicas", itemgetter("replica_counts"), _curves("avg_messages"),
+        notes="BRK's message count grows linearly with |Hr|."),
+    Experiment(
+        "figure-10-bytes", "Communication cost (bytes) vs number of replicas ({protocol})",
+        "replicas", "num_replicas", itemgetter("replica_counts"), _curves("avg_bytes"),
+        notes="Byte-denominated twin of Figure 10: BRK ships a data-sized reply "
+              "per replica, so its byte cost grows linearly with |Hr| as well."),
+    Experiment(
+        "figure-11", "Response time vs failure rate ({protocol})", "failure rate (%)",
+        "failure_rate", itemgetter("failure_rates_percent"), _curves("avg_response_time_s"),
+        notes="Failures leave stale routing state and lost counters; at high failure "
+              "rates UMS-Direct converges towards UMS-Indirect.",
+        to_field=lambda percent: percent / 100.0),
+    Experiment(
+        "figure-12", "Response time vs frequency of updates ({protocol})", "updates/hour",
+        "update_rate_per_hour", itemgetter("update_rates_per_hour"),
+        _curves("avg_response_time_s", (Algorithm.UMS_INDIRECT, Algorithm.UMS_DIRECT)),
+        notes="More frequent updates raise the probability of currency and availability, "
+              "so fewer replicas need to be retrieved."),
+    Experiment(
+        "ablation-probe-order", "UMS probe order ablation ({protocol})", "probe order",
+        "probe_order", lambda profile: ("random", "fixed"),
+        _columns(_RESPONSE_TIME, _MESSAGES, _REPLICAS_INSPECTED),
+        notes="Random order matches the geometric analysis of Section 3.3."),
+    Experiment(
+        "ablation-stabilization", "Stabilisation interval ablation",
+        "stabilisation interval (s)", "stabilization_interval_s",
+        lambda profile: STABILIZATION_INTERVALS_S, _columns(_RESPONSE_TIME, _MESSAGES),
+        notes="Longer intervals leave more stale fingers after failures, inflating "
+              "routing retries and timeouts (the mechanism behind Figure 11).",
+        fixed={"protocol": "chord", "failure_rate": 0.5}),
+    Experiment(
+        "ablation-overlay", "Overlay ablation ({values})", "overlay",
+        "protocol", lambda profile: overlay_names(),
+        _columns(_RESPONSE_TIME, _MESSAGES, ("currency rate", "currency_rate")),
+        notes="UMS-Direct over {num_peers} peers; the routing cost differs "
+              "(O(log n) for Chord/Kademlia, O(n^1/d) for CAN) but the currency "
+              "guarantees are identical on every overlay.",
+        preset="quick"),
+    Experiment(
+        "ablation-consistency", "Retrieve consistency-level ablation ({protocol})",
+        "consistency", "consistency", lambda profile: Consistency.ALL,
+        _columns(_RESPONSE_TIME, _MESSAGES, _REPLICAS_INSPECTED,
+                 ("certified current", "currency_rate")),
+        notes="UMS-Direct; 'current' is the paper's Figure 2 retrieval, 'any' a "
+              "first-replica read without the KTS lookup, 'best-effort' a "
+              "bounded-probe read returning the freshest replica found."),
+)}
 
 
-def _run_sweep(x_values: Sequence, parameters_for: Callable[[object, str], SimulationParameters],
-               algorithms: Sequence[str], *, executor: Optional[Executor] = None,
-               name: str = "sweep") -> Dict[Tuple[object, str], RunResult]:
-    """Run every (x, algorithm) combination through the execution layer."""
-    plan = RunPlan(name=name)
-    order = [(x, algorithm) for x in x_values for algorithm in algorithms]
-    for x, algorithm in order:
-        plan.add(parameters_for(x, algorithm), label=f"{x}/{algorithm}")
-    results = _executor(executor).run(plan)
-    return dict(zip(order, results))
+def run_experiments(ids: Sequence[str], scale: str = "quick", *, seed: int = 2007,
+                    protocol: str = "chord",
+                    executor: Optional[Executor] = None) -> List[ExperimentTable]:
+    """Run the experiments ``ids`` (keys of :data:`EXPERIMENTS`); one table each.
 
-
-def _table_from_results(experiment_id: str, title: str, x_label: str,
-                        x_values: Sequence, algorithms: Sequence[str],
-                        results: Dict[Tuple[object, str], RunResult],
-                        metric: str, notes: str = "") -> ExperimentTable:
-    table = ExperimentTable(experiment_id=experiment_id, title=title, x_label=x_label,
-                            series=[Algorithm.label(algorithm) for algorithm in algorithms],
-                            notes=notes)
-    for x in x_values:
-        table.add_row(x, {Algorithm.label(algorithm): _metric(results[(x, algorithm)], metric)
-                          for algorithm in algorithms})
-    return table
+    All their points go into one :class:`~repro.execution.RunPlan`, which
+    holds a point shared by several experiments (the Table 1 base point
+    recurs in most sweeps) once.  ``protocol`` selects the overlay of every
+    experiment that does not sweep or fix its own.  ``executor`` defaults to
+    a serial :class:`~repro.execution.Executor`.
+    """
+    profile = _profile(scale)
+    unknown = [experiment_id for experiment_id in ids if experiment_id not in EXPERIMENTS]
+    if unknown:
+        raise ValueError(f"unknown experiments {unknown}; expected some of {list(EXPERIMENTS)}")
+    grids = [EXPERIMENTS[experiment_id].points(profile, seed=seed, protocol=protocol)
+             for experiment_id in ids]
+    distinct: Dict[str, RunPoint] = {}
+    for grid in grids:
+        for point in grid.values():
+            distinct.setdefault(point.content_hash, point)
+    plan = RunPlan(name=f"experiments-{scale}", points=list(distinct.values()))
+    results = dict(zip(distinct, (executor or Executor()).run(plan)))
+    return [EXPERIMENTS[experiment_id].table(grid, results, protocol)
+            for experiment_id, grid in zip(ids, grids)]
 
 
 # --------------------------------------------------------------------- Table 1
@@ -208,366 +354,4 @@ def expected_retrievals_table(pt_values: Sequence[float] = (0.1, 0.2, 0.35, 0.5,
             "1/pt bound": analysis.expected_retrievals_upper_bound(pt),
             "min(1/pt, |Hr|)": analysis.retrieval_bound(pt, num_replicas),
         })
-    return table
-
-
-# ------------------------------------------------------------------- Figure 6
-def figure6_cluster_scaleup(scale: str = "quick", *, seed: int = 2007,
-                            protocol: str = "chord",
-                            metric: str = "response_time",
-                            executor: Optional[Executor] = None) -> ExperimentTable:
-    """Figure 6: response time vs number of peers on the 64-node cluster."""
-    profile = _profile(scale)
-    peer_counts = list(profile["cluster_peer_counts"])
-    algorithms = list(Algorithm.ALL)
-
-    def parameters_for(num_peers: int, algorithm: str) -> SimulationParameters:
-        return SimulationParameters.cluster(
-            num_peers=num_peers, algorithm=algorithm, seed=seed, protocol=protocol,
-            num_queries=int(profile["num_queries"]),
-            churn_rate_per_s=_churn_rate(profile, num_peers))
-
-    results = _run_sweep(peer_counts, parameters_for, algorithms,
-                         executor=executor,
-                         name=_experiment_id("figure-6", protocol))
-    return _table_from_results(
-        _experiment_id("figure-6", protocol),
-        f"Response time vs number of peers (cluster, {protocol})", "peers",
-        peer_counts, algorithms, results, metric,
-        notes="Cluster cost model (LAN); all three algorithms grow logarithmically, "
-              "UMS-Direct < UMS-Indirect < BRK.")
-
-
-# --------------------------------------------------------------- Figures 7 & 8
-def scaleup_results(scale: str = "quick", *, seed: int = 2007, protocol: str = "chord",
-                    executor: Optional[Executor] = None
-                    ) -> Tuple[List[int], List[str], Dict[Tuple[object, str], RunResult]]:
-    """The shared sweep behind Figures 7 and 8 (response time & messages vs peers).
-
-    ``protocol`` selects the overlay (any name registered in
-    :mod:`repro.dht.registry`), so the same cost curves can be produced for
-    Chord, CAN, Kademlia or a runtime-registered backend.
-    """
-    profile = _profile(scale)
-    peer_counts = list(profile["peer_counts"])
-    algorithms = list(Algorithm.ALL)
-
-    def parameters_for(num_peers: int, algorithm: str) -> SimulationParameters:
-        return SimulationParameters.table1(
-            num_peers=num_peers, algorithm=algorithm, seed=seed, protocol=protocol,
-            num_keys=int(profile["num_keys"]), duration_s=float(profile["duration_s"]),
-            num_queries=int(profile["num_queries"]),
-            churn_rate_per_s=_churn_rate(profile, num_peers))
-
-    return peer_counts, algorithms, _run_sweep(
-        peer_counts, parameters_for, algorithms, executor=executor,
-        name=_experiment_id("figure-7-8", protocol))
-
-
-def figure7_simulated_scaleup(scale: str = "quick", *, seed: int = 2007,
-                              protocol: str = "chord", precomputed=None,
-                              executor: Optional[Executor] = None) -> ExperimentTable:
-    """Figure 7: response time vs number of peers (wide-area simulation)."""
-    peer_counts, algorithms, results = (precomputed or
-                                        scaleup_results(scale, seed=seed,
-                                                        protocol=protocol,
-                                                        executor=executor))
-    return _table_from_results(
-        _experiment_id("figure-7", protocol),
-        f"Response time vs number of peers (simulation, {protocol})", "peers",
-        peer_counts, algorithms, results, "response_time",
-        notes="Table 1 parameters; response time grows logarithmically with peers.")
-
-
-def figure8_messages_vs_peers(scale: str = "quick", *, seed: int = 2007,
-                              protocol: str = "chord", precomputed=None,
-                              executor: Optional[Executor] = None) -> ExperimentTable:
-    """Figure 8: communication cost (total messages) vs number of peers."""
-    peer_counts, algorithms, results = (precomputed or
-                                        scaleup_results(scale, seed=seed,
-                                                        protocol=protocol,
-                                                        executor=executor))
-    return _table_from_results(
-        _experiment_id("figure-8", protocol),
-        f"Communication cost vs number of peers ({protocol})", "peers",
-        peer_counts, algorithms, results, "messages",
-        notes="BRK retrieves every replica (≈|Hr| lookups); UMS needs the KTS lookup "
-              "plus a couple of probes.")
-
-
-def figure8_bytes_vs_peers(scale: str = "quick", *, seed: int = 2007,
-                           protocol: str = "chord", precomputed=None,
-                           executor: Optional[Executor] = None) -> ExperimentTable:
-    """Figure 8 companion: communication cost in *bytes* per query vs peers.
-
-    Same sweep as :func:`figure8_messages_vs_peers`, priced through the cost
-    model's ``traffic_bytes`` (payload sizes plus per-message framing
-    overhead) — the byte-denominated curve of the wire-efficiency layer.
-    """
-    peer_counts, algorithms, results = (precomputed or
-                                        scaleup_results(scale, seed=seed,
-                                                        protocol=protocol,
-                                                        executor=executor))
-    return _table_from_results(
-        _experiment_id("figure-8-bytes", protocol),
-        f"Communication cost (bytes) vs number of peers ({protocol})", "peers",
-        peer_counts, algorithms, results, "bytes",
-        notes="Byte-denominated twin of Figure 8: data-carrying replies dominate, "
-              "so BRK's full-replica sweep costs the most bytes too.")
-
-
-# -------------------------------------------------------------- Figures 9 & 10
-def replica_sweep_results(scale: str = "quick", *, seed: int = 2007,
-                          protocol: str = "chord",
-                          executor: Optional[Executor] = None
-                          ) -> Tuple[List[int], List[str], Dict[Tuple[object, str], RunResult]]:
-    """The shared sweep behind Figures 9 and 10 (|Hr| sweep at the base population)."""
-    profile = _profile(scale)
-    replica_counts = list(profile["replica_counts"])
-    algorithms = list(Algorithm.ALL)
-
-    def parameters_for(num_replicas: int, algorithm: str) -> SimulationParameters:
-        return SimulationParameters.table1(
-            num_peers=int(profile["base_peers"]), num_replicas=num_replicas,
-            algorithm=algorithm, seed=seed, protocol=protocol,
-            num_keys=int(profile["num_keys"]),
-            duration_s=float(profile["duration_s"]),
-            num_queries=int(profile["num_queries"]),
-            churn_rate_per_s=_churn_rate(profile, int(profile["base_peers"])))
-
-    return replica_counts, algorithms, _run_sweep(
-        replica_counts, parameters_for, algorithms, executor=executor,
-        name=_experiment_id("figure-9-10", protocol))
-
-
-def figure9_replicas_response_time(scale: str = "quick", *, seed: int = 2007,
-                                   protocol: str = "chord", precomputed=None,
-                                   executor: Optional[Executor] = None) -> ExperimentTable:
-    """Figure 9: response time vs number of replicas (|Hr| from 5 to 40)."""
-    replica_counts, algorithms, results = (precomputed or
-                                           replica_sweep_results(scale, seed=seed,
-                                                                 protocol=protocol,
-                                                                 executor=executor))
-    return _table_from_results(
-        _experiment_id("figure-9", protocol),
-        f"Response time vs number of replicas ({protocol})", "replicas",
-        replica_counts, algorithms, results, "response_time",
-        notes="The replica count strongly affects BRK, slightly affects UMS-Indirect "
-              "and has no systematic effect on UMS-Direct.")
-
-
-def figure10_replicas_messages(scale: str = "quick", *, seed: int = 2007,
-                               protocol: str = "chord", precomputed=None,
-                               executor: Optional[Executor] = None) -> ExperimentTable:
-    """Figure 10: communication cost vs number of replicas."""
-    replica_counts, algorithms, results = (precomputed or
-                                           replica_sweep_results(scale, seed=seed,
-                                                                 protocol=protocol,
-                                                                 executor=executor))
-    return _table_from_results(
-        _experiment_id("figure-10", protocol),
-        f"Communication cost vs number of replicas ({protocol})", "replicas",
-        replica_counts, algorithms, results, "messages",
-        notes="BRK's message count grows linearly with |Hr|.")
-
-
-def figure10_replicas_bytes(scale: str = "quick", *, seed: int = 2007,
-                            protocol: str = "chord", precomputed=None,
-                            executor: Optional[Executor] = None) -> ExperimentTable:
-    """Figure 10 companion: communication cost in *bytes* vs number of replicas."""
-    replica_counts, algorithms, results = (precomputed or
-                                           replica_sweep_results(scale, seed=seed,
-                                                                 protocol=protocol,
-                                                                 executor=executor))
-    return _table_from_results(
-        _experiment_id("figure-10-bytes", protocol),
-        f"Communication cost (bytes) vs number of replicas ({protocol})",
-        "replicas", replica_counts, algorithms, results, "bytes",
-        notes="Byte-denominated twin of Figure 10: BRK ships a data-sized reply "
-              "per replica, so its byte cost grows linearly with |Hr| as well.")
-
-
-# ------------------------------------------------------------------- Figure 11
-def figure11_failure_rate(scale: str = "quick", *, seed: int = 2007,
-                          protocol: str = "chord",
-                          metric: str = "response_time",
-                          executor: Optional[Executor] = None) -> ExperimentTable:
-    """Figure 11: response time vs failure rate (percentage of departures that fail)."""
-    profile = _profile(scale)
-    failure_rates = list(profile["failure_rates_percent"])
-    algorithms = list(Algorithm.ALL)
-
-    def parameters_for(failure_percent: float, algorithm: str) -> SimulationParameters:
-        return SimulationParameters.table1(
-            num_peers=int(profile["base_peers"]), failure_rate=failure_percent / 100.0,
-            algorithm=algorithm, seed=seed, protocol=protocol,
-            num_keys=int(profile["num_keys"]),
-            duration_s=float(profile["duration_s"]),
-            num_queries=int(profile["num_queries"]),
-            churn_rate_per_s=_churn_rate(profile, int(profile["base_peers"])))
-
-    results = _run_sweep(failure_rates, parameters_for, algorithms,
-                         executor=executor,
-                         name=_experiment_id("figure-11", protocol))
-    return _table_from_results(
-        _experiment_id("figure-11", protocol),
-        f"Response time vs failure rate ({protocol})", "failure rate (%)",
-        failure_rates, algorithms, results, metric,
-        notes="Failures leave stale routing state and lost counters; at high failure "
-              "rates UMS-Direct converges towards UMS-Indirect.")
-
-
-# ------------------------------------------------------------------- Figure 12
-def figure12_update_frequency(scale: str = "quick", *, seed: int = 2007,
-                              protocol: str = "chord",
-                              metric: str = "response_time",
-                              executor: Optional[Executor] = None) -> ExperimentTable:
-    """Figure 12: response time vs update frequency (updates per hour, UMS only)."""
-    profile = _profile(scale)
-    update_rates = list(profile["update_rates_per_hour"])
-    algorithms = [Algorithm.UMS_INDIRECT, Algorithm.UMS_DIRECT]
-
-    def parameters_for(rate_per_hour: float, algorithm: str) -> SimulationParameters:
-        return SimulationParameters.table1(
-            num_peers=int(profile["base_peers"]), update_rate_per_hour=rate_per_hour,
-            algorithm=algorithm, seed=seed, protocol=protocol,
-            num_keys=int(profile["num_keys"]),
-            duration_s=float(profile["duration_s"]),
-            num_queries=int(profile["num_queries"]),
-            churn_rate_per_s=_churn_rate(profile, int(profile["base_peers"])))
-
-    results = _run_sweep(update_rates, parameters_for, algorithms,
-                         executor=executor,
-                         name=_experiment_id("figure-12", protocol))
-    return _table_from_results(
-        _experiment_id("figure-12", protocol),
-        f"Response time vs frequency of updates ({protocol})", "updates/hour",
-        update_rates, algorithms, results, metric,
-        notes="More frequent updates raise the probability of currency and availability, "
-              "so fewer replicas need to be retrieved.")
-
-
-# ------------------------------------------------------------------- Ablations
-def ablation_probe_order(scale: str = "quick", *, seed: int = 2007,
-                         protocol: str = "chord",
-                         executor: Optional[Executor] = None) -> ExperimentTable:
-    """Ablation: random vs fixed replica probe order in UMS.retrieve."""
-    profile = _profile(scale)
-    orders = ["random", "fixed"]
-    table = ExperimentTable(
-        experiment_id=_experiment_id("ablation-probe-order", protocol),
-        title=f"UMS probe order ablation ({protocol})",
-        x_label="probe order", series=["response time (s)", "messages", "replicas inspected"],
-        notes="Random order matches the geometric analysis of Section 3.3.")
-    plan = RunPlan(name=table.experiment_id)
-    for order in orders:
-        plan.add(SimulationParameters.table1(
-            num_peers=int(profile["base_peers"]), algorithm=Algorithm.UMS_DIRECT,
-            probe_order=order, seed=seed, protocol=protocol,
-            num_keys=int(profile["num_keys"]),
-            duration_s=float(profile["duration_s"]), num_queries=int(profile["num_queries"]),
-            churn_rate_per_s=_churn_rate(profile, int(profile["base_peers"]))),
-            label=order)
-    for order, result in zip(orders, _executor(executor).run(plan)):
-        table.add_row(order, {"response time (s)": result.avg_response_time_s,
-                              "messages": result.avg_messages,
-                              "replicas inspected": result.avg_replicas_inspected})
-    return table
-
-
-def ablation_stabilization(scale: str = "quick", *, seed: int = 2007,
-                           intervals: Sequence[float] = (0.0, 30.0, 120.0, 600.0),
-                           executor: Optional[Executor] = None
-                           ) -> ExperimentTable:
-    """Ablation: Chord finger-table stabilisation interval under the default churn."""
-    profile = _profile(scale)
-    table = ExperimentTable(
-        experiment_id="ablation-stabilization", title="Stabilisation interval ablation",
-        x_label="stabilisation interval (s)", series=["response time (s)", "messages"],
-        notes="Longer intervals leave more stale fingers after failures, inflating "
-              "routing retries and timeouts (the mechanism behind Figure 11).")
-    plan = RunPlan(name=table.experiment_id)
-    for interval in intervals:
-        plan.add(SimulationParameters.table1(
-            num_peers=int(profile["base_peers"]), algorithm=Algorithm.UMS_DIRECT,
-            stabilization_interval_s=interval, failure_rate=0.5, seed=seed,
-            num_keys=int(profile["num_keys"]), duration_s=float(profile["duration_s"]),
-            num_queries=int(profile["num_queries"]),
-            churn_rate_per_s=_churn_rate(profile, int(profile["base_peers"]))),
-            label=str(interval))
-    for interval, result in zip(intervals, _executor(executor).run(plan)):
-        table.add_row(interval, {"response time (s)": result.avg_response_time_s,
-                                 "messages": result.avg_messages})
-    return table
-
-
-def ablation_consistency(scale: str = "quick", *, seed: int = 2007,
-                         protocol: str = "chord",
-                         executor: Optional[Executor] = None) -> ExperimentTable:
-    """Ablation: the per-retrieve consistency levels of the client API.
-
-    Runs the identical UMS-Direct workload with the queries issued at each
-    :class:`~repro.api.results.Consistency` level.  ``current`` pays the KTS
-    lookup and probes until the certificate; ``any`` reads the first replica
-    found (cheapest, never certified); ``best-effort`` bounds the probes.
-    """
-    profile = _profile(scale)
-    table = ExperimentTable(
-        experiment_id=_experiment_id("ablation-consistency", protocol),
-        title=f"Retrieve consistency-level ablation ({protocol})",
-        x_label="consistency",
-        series=["response time (s)", "messages", "replicas inspected",
-                "certified current"],
-        notes="UMS-Direct; 'current' is the paper's Figure 2 retrieval, 'any' a "
-              "first-replica read without the KTS lookup, 'best-effort' a "
-              "bounded-probe read returning the freshest replica found.")
-    plan = RunPlan(name=table.experiment_id)
-    for level in Consistency.ALL:
-        plan.add(SimulationParameters.table1(
-            num_peers=int(profile["base_peers"]), algorithm=Algorithm.UMS_DIRECT,
-            consistency=level, seed=seed, protocol=protocol,
-            num_keys=int(profile["num_keys"]),
-            duration_s=float(profile["duration_s"]),
-            num_queries=int(profile["num_queries"]),
-            churn_rate_per_s=_churn_rate(profile, int(profile["base_peers"]))),
-            label=level)
-    for level, result in zip(Consistency.ALL, _executor(executor).run(plan)):
-        table.add_row(level, {"response time (s)": result.avg_response_time_s,
-                              "messages": result.avg_messages,
-                              "replicas inspected": result.avg_replicas_inspected,
-                              "certified current": result.currency_rate})
-    return table
-
-
-def ablation_overlay(scale: str = "quick", *, seed: int = 2007,
-                     overlays: Optional[Sequence[str]] = None,
-                     executor: Optional[Executor] = None) -> ExperimentTable:
-    """Ablation: every registered overlay under an identical UMS workload.
-
-    By default the comparison covers every overlay in
-    :mod:`repro.dht.registry` (Chord, CAN, Kademlia and anything registered at
-    runtime); pass ``overlays`` to restrict or reorder the rows.
-    """
-    profile = _profile(scale)
-    if overlays is None:
-        overlays = overlay_names()
-    # CAN routing is O(n^(1/d)) and the responsibility search is linear in the
-    # number of zones, so the overlay comparison runs on a smaller population.
-    num_peers = min(200, int(profile["base_peers"]))
-    table = ExperimentTable(
-        experiment_id="ablation-overlay",
-        title=f"Overlay ablation ({' vs '.join(overlays)})",
-        x_label="overlay", series=["response time (s)", "messages", "currency rate"],
-        notes=f"UMS-Direct over {num_peers} peers; the routing cost differs "
-              "(O(log n) for Chord/Kademlia, O(n^1/d) for CAN) but the currency "
-              "guarantees are identical on every overlay.")
-    plan = RunPlan(name=table.experiment_id)
-    for protocol in overlays:
-        plan.add(SimulationParameters.quick(
-            num_peers=num_peers, algorithm=Algorithm.UMS_DIRECT, protocol=protocol,
-            seed=seed, num_queries=int(profile["num_queries"])), label=protocol)
-    for protocol, result in zip(overlays, _executor(executor).run(plan)):
-        table.add_row(protocol, {"response time (s)": result.avg_response_time_s,
-                                 "messages": result.avg_messages,
-                                 "currency rate": result.currency_rate})
     return table

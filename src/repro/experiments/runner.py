@@ -9,7 +9,7 @@ Usage::
 
 ``repro experiments`` takes the same flags.
 
-All sweeps execute through the unified execution layer
+All sweeps execute as one plan through the unified execution layer
 (:mod:`repro.execution`): ``--jobs N`` fans the grid out over a process pool
 (bit-identical results to a serial run for the same seed) and ``--cache-dir``
 skips any parameter point that was already executed and cached there
@@ -38,49 +38,20 @@ def run_all_experiments(scale: str = "quick", *, seed: int = 2007,
                         executor: Optional[Executor] = None) -> List[ExperimentTable]:
     """Regenerate every table/figure of the paper (plus the ablations).
 
-    The shared sweeps behind Figures 7/8 and 9/10 are each run once and reused
-    for both tables.  ``protocol`` selects the overlay the simulated sweeps
-    run on (any name registered in :mod:`repro.dht.registry`); it applies to
-    Figures 6-12 and the probe-order ablation, while the stabilisation
-    ablation stays on Chord (it ablates a Chord-specific knob) and the
-    overlay ablation compares every registered overlay by design.
-
-    ``executor`` runs every sweep (one :class:`~repro.execution.RunPlan` per
-    experiment); the default is a serial :class:`~repro.execution.Executor`.
+    Table 1 and Theorem 1, then every declared experiment of
+    :data:`~repro.experiments.figures.EXPERIMENTS` (the ``ablation-*`` ones
+    only with ``include_ablations``), run by
+    :func:`~repro.experiments.figures.run_experiments` as one plan.
+    ``protocol`` selects the overlay the simulated sweeps run on (any name
+    registered in :mod:`repro.dht.registry`); the stabilisation ablation
+    stays on Chord (it ablates a Chord-specific knob) and the overlay
+    ablation compares every registered overlay by design.
     """
-    tables: List[ExperimentTable] = [
-        figures.table1_parameters(scale),
-        figures.expected_retrievals_table(),
-        figures.figure6_cluster_scaleup(scale, seed=seed, protocol=protocol,
-                                        executor=executor),
-    ]
-    scaleup = figures.scaleup_results(scale, seed=seed, protocol=protocol,
-                                      executor=executor)
-    tables.append(figures.figure7_simulated_scaleup(scale, seed=seed, protocol=protocol,
-                                                    precomputed=scaleup))
-    tables.append(figures.figure8_messages_vs_peers(scale, seed=seed, protocol=protocol,
-                                                    precomputed=scaleup))
-    replica_sweep = figures.replica_sweep_results(scale, seed=seed, protocol=protocol,
-                                                  executor=executor)
-    tables.append(figures.figure9_replicas_response_time(scale, seed=seed,
-                                                         protocol=protocol,
-                                                         precomputed=replica_sweep))
-    tables.append(figures.figure10_replicas_messages(scale, seed=seed,
-                                                     protocol=protocol,
-                                                     precomputed=replica_sweep))
-    tables.append(figures.figure11_failure_rate(scale, seed=seed, protocol=protocol,
-                                                executor=executor))
-    tables.append(figures.figure12_update_frequency(scale, seed=seed, protocol=protocol,
-                                                    executor=executor))
-    if include_ablations:
-        tables.append(figures.ablation_probe_order(scale, seed=seed, protocol=protocol,
-                                                   executor=executor))
-        tables.append(figures.ablation_stabilization(scale, seed=seed,
-                                                     executor=executor))
-        tables.append(figures.ablation_overlay(scale, seed=seed, executor=executor))
-        tables.append(figures.ablation_consistency(scale, seed=seed, protocol=protocol,
-                                                   executor=executor))
-    return tables
+    ids = [experiment_id for experiment_id in figures.EXPERIMENTS
+           if include_ablations or not experiment_id.startswith("ablation-")]
+    return [figures.table1_parameters(scale), figures.expected_retrievals_table(),
+            *figures.run_experiments(ids, scale, seed=seed, protocol=protocol,
+                                     executor=executor)]
 
 
 def write_experiments_report(tables: List[ExperimentTable], stream: TextIO, *,
@@ -143,10 +114,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None,
                         help="write the Markdown report to this file (default: stdout)")
     parser.add_argument("--protocol", choices=overlay_names(), default="chord",
-                        help="DHT overlay for figures 6-12 and the probe-order "
-                             "ablation (the stabilisation ablation is "
-                             "Chord-specific; the overlay ablation always "
-                             "compares every registered overlay)")
+                        help="DHT overlay for every experiment except the "
+                             "stabilisation ablation (Chord-specific) and the "
+                             "overlay ablation (which compares every registered "
+                             "overlay)")
     add_executor_arguments(parser)
     parser.add_argument("--progress", action="store_true",
                         help="print per-run completions to stderr")

@@ -1,4 +1,4 @@
-"""Executor guarantees: serial/parallel parity, caching, seed derivation.
+"""Executor guarantees: serial/parallel parity, caching, progress.
 
 These tests pin the execution layer's contract: ``--jobs N`` reproduces
 serial execution bit-for-bit (per-point metrics *and* the aggregate
@@ -80,30 +80,6 @@ class TestParity:
         assert result.scenario == "hotspot"
 
 
-class TestRepetitions:
-    def test_repetitions_are_deterministic_and_seed_distinct(self):
-        plan = RunPlan(name="reps")
-        plan.add(quick(), repetitions=3)
-        first = Executor(jobs=1).execute(plan)
-        second = Executor(jobs=4).execute(plan)
-        assert [snapshot(result) for result in first[0]] \
-            == [snapshot(result) for result in second[0]]
-        # Derived seeds give each repetition its own workload realisation.
-        assert len({snapshot(result) for result in first[0]}) == 3
-
-    def test_repetition_zero_matches_a_single_run(self):
-        plan = RunPlan(name="reps")
-        point = plan.add(quick(), repetitions=2)
-        groups = Executor(jobs=1).execute(plan)
-        assert snapshot(groups[0][0]) == snapshot(run_simulation(point.parameters))
-
-    def test_run_rejects_multi_repetition_plans(self):
-        plan = RunPlan(name="reps")
-        plan.add(quick(), repetitions=2)
-        with pytest.raises(ValueError):
-            Executor(jobs=1).run(plan)
-
-
 class TestCache:
     def test_cached_rerun_is_identical_without_invoking_the_harness(
             self, tmp_path, monkeypatch):
@@ -111,10 +87,10 @@ class TestCache:
         first = Executor(jobs=1, cache_dir=tmp_path).run(plan)
         assert len(list(tmp_path.glob("*.json"))) == len(plan)
 
-        def forbidden(point, repetition):
+        def forbidden(point):
             raise AssertionError("harness invoked despite a warm cache")
 
-        monkeypatch.setattr(executor_module, "run_repetition", forbidden)
+        monkeypatch.setattr(executor_module, "run_point", forbidden)
         cached = Executor(jobs=1, cache_dir=tmp_path).run(plan)
         assert [snapshot(result) for result in first] \
             == [snapshot(result) for result in cached]
@@ -126,15 +102,15 @@ class TestCache:
         Executor(jobs=1, cache_dir=tmp_path).run(plan)
 
         calls = []
-        original = executor_module.run_repetition
+        original = executor_module.run_point
 
-        def counting(point, repetition):
-            calls.append(repetition)
-            return original(point, repetition)
+        def counting(point):
+            calls.append(point.label)
+            return original(point)
 
-        monkeypatch.setattr(executor_module, "run_repetition", counting)
+        monkeypatch.setattr(executor_module, "run_point", counting)
         Executor(jobs=1, cache_dir=tmp_path, use_cache=False).run(plan)
-        assert calls == [0]
+        assert calls == [None]
 
     def test_corrupt_or_mismatched_entries_are_treated_as_misses(
             self, tmp_path):
@@ -171,26 +147,25 @@ class TestCache:
         assert len(list(tmp_path.glob("*.json"))) == 2
 
 
-class TestStreaming:
-    def test_progress_counts_every_run_and_on_result_every_point(self):
+class TestProgress:
+    def test_progress_counts_every_point_in_plan_order(self):
         plan = small_grid()
         progressed = []
-        finished = []
         executor = Executor(jobs=1,
                             progress=lambda done, total, point:
-                            progressed.append((done, total)))
-        executor.run(plan, on_result=lambda index, point, results:
-                     finished.append(index))
-        assert progressed == [(done, len(plan)) for done in range(1, len(plan) + 1)]
-        assert finished == list(range(len(plan)))
+                            progressed.append((done, total, point.label)))
+        executor.run(plan)
+        assert progressed == [(done, len(plan), label)
+                              for done, label in enumerate(plan.labels(), start=1)]
 
-    def test_cached_points_still_stream(self, tmp_path):
+    def test_cached_points_still_report_progress(self, tmp_path):
         plan = small_grid()
         Executor(jobs=1, cache_dir=tmp_path).run(plan)
-        finished = []
-        Executor(jobs=1, cache_dir=tmp_path).run(
-            plan, on_result=lambda index, point, results: finished.append(index))
-        assert finished == list(range(len(plan)))
+        labels = []
+        Executor(jobs=1, cache_dir=tmp_path,
+                 progress=lambda done, total, point: labels.append(point.label)
+                 ).run(plan)
+        assert labels == plan.labels()
 
 
 class TestJobsResolution:

@@ -1,10 +1,8 @@
-"""Tests of run plans: content hashing, serialisation, seed derivation."""
+"""Tests of run plans: content hashing, serialisation."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.execution import RunPlan, RunPoint, derive_seed, plan_artifact_path
+from repro.execution import RunPlan, RunPoint, plan_artifact_path
 from repro.simulation import SimulationParameters
 from repro.simulation.scenarios import ScenarioSpec, get_scenario
 
@@ -16,27 +14,6 @@ def quick(**overrides) -> SimulationParameters:
     return SimulationParameters.quick(**defaults)
 
 
-class TestDeriveSeed:
-    def test_repetition_zero_is_the_base_seed(self):
-        assert derive_seed(2007, 0) == 2007
-
-    def test_later_repetitions_are_deterministic_and_distinct(self):
-        seeds = [derive_seed(2007, repetition) for repetition in range(5)]
-        assert seeds == [derive_seed(2007, repetition) for repetition in range(5)]
-        assert len(set(seeds)) == len(seeds)
-
-    def test_different_bases_diverge(self):
-        assert derive_seed(1, 3) != derive_seed(2, 3)
-
-    def test_none_base_stays_none(self):
-        assert derive_seed(None, 0) is None
-        assert derive_seed(None, 4) is None
-
-    def test_negative_repetition_rejected(self):
-        with pytest.raises(ValueError):
-            derive_seed(7, -1)
-
-
 class TestRunPoint:
     def test_content_hash_is_stable_across_equal_constructions(self):
         assert (RunPoint(quick()).content_hash
@@ -46,7 +23,6 @@ class TestRunPoint:
         base = RunPoint(quick()).content_hash
         assert RunPoint(quick(seed=12)).content_hash != base
         assert RunPoint(quick(num_peers=61)).content_hash != base
-        assert RunPoint(quick(), repetitions=2).content_hash != base
         scenario = get_scenario("hotspot")
         assert RunPoint(quick(), scenario=scenario).content_hash != base
 
@@ -72,24 +48,13 @@ class TestRunPoint:
         assert point.parameters.num_peers == 70
         assert point.scenario.overrides == {}
 
-    def test_seed_for_derives_per_repetition(self):
-        point = RunPoint(quick(), repetitions=3)
-        assert point.seed_for(0) == point.parameters.seed
-        assert point.seed_for(1) == derive_seed(point.parameters.seed, 1)
-        with pytest.raises(ValueError):
-            point.seed_for(3)
-
-    def test_repetitions_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RunPoint(quick(), repetitions=0)
-
     def test_round_trips_through_dict(self):
         scenario = get_scenario("hotspot")
-        point = RunPoint(quick(), scenario=scenario, repetitions=2, label="x")
+        point = RunPoint(quick(), scenario=scenario, label="x")
         rebuilt = RunPoint.from_dict(point.to_dict())
         assert rebuilt.parameters == point.parameters
         assert rebuilt.scenario == point.scenario
-        assert rebuilt.repetitions == 2 and rebuilt.label == "x"
+        assert rebuilt.label == "x"
         assert rebuilt.content_hash == point.content_hash
 
 
@@ -106,11 +71,6 @@ class TestRunPlan:
         assert [point.label for point in plan] == ["60", "80"]
         assert plan[1].parameters.num_peers == 80
         assert plan.labels() == ["60", "80"]
-
-    def test_total_runs_counts_repetitions(self):
-        plan = self.build()
-        plan.add(quick(num_peers=100), repetitions=3)
-        assert plan.total_runs == 5
 
     def test_plan_hash_tracks_points_and_order(self):
         assert self.build().plan_hash == self.build().plan_hash
@@ -130,7 +90,6 @@ class TestRunPlan:
     def test_manifest_names_the_grid(self):
         manifest = self.build().manifest()
         assert manifest["name"] == "unit"
-        assert manifest["total_runs"] == 2
         assert [entry["seed"] for entry in manifest["points"]] == [11, 11]
         assert all(len(entry["content_hash"]) == 64
                    for entry in manifest["points"])
