@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -65,7 +64,6 @@ from repro.dht.errors import (
 from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
 
 __all__ = [
-    "KBucket",
     "KademliaOverlay",
     "RoutingTable",
     "common_prefix_length",
@@ -86,84 +84,15 @@ def common_prefix_length(first: int, second: int, bits: int) -> int:
     return bits - distance.bit_length()
 
 
-@dataclass
-class KBucket:
-    """One k-bucket: up to ``capacity`` contacts in least-recently-seen order.
-
-    ``contacts[0]`` is the least recently seen contact, ``contacts[-1]`` the
-    most recently seen one.  A :class:`RoutingTable` keeps bare rows and
-    wraps one in a ``KBucket`` to apply these rules to it.
-    """
-
-    capacity: int
-    contacts: List[int] = field(default_factory=list)
-
-    def __contains__(self, contact: int) -> bool:
-        return contact in self.contacts
-
-    def __len__(self) -> int:
-        return len(self.contacts)
-
-    @property
-    def full(self) -> bool:
-        return len(self.contacts) >= self.capacity
-
-    def observe(self, contact: int, is_alive: Callable[[int], bool]) -> bool:
-        """Record direct communication with ``contact`` (Kademlia's update rule).
-
-        A known contact moves to the most-recently-seen end.  A new contact is
-        appended while there is room; when the bucket is full the
-        least-recently-seen entry is pinged: if it answers it moves to the
-        tail and the newcomer is dropped, otherwise it is evicted and the
-        newcomer takes its place.  Returns ``True`` when ``contact`` is in the
-        bucket afterwards.
-        """
-        if contact in self.contacts:
-            self.contacts.remove(contact)
-            self.contacts.append(contact)
-            return True
-        if not self.full:
-            self.contacts.append(contact)
-            return True
-        least_recently_seen = self.contacts[0]
-        if is_alive(least_recently_seen):
-            # The LRS contact answered the ping: keep it (old contacts are the
-            # most likely to stay online) and drop the newcomer.
-            self.contacts.pop(0)
-            self.contacts.append(least_recently_seen)
-            return False
-        self.contacts.pop(0)
-        self.contacts.append(contact)
-        return True
-
-    def learn(self, contact: int) -> bool:
-        """Record a contact learned second-hand (from a lookup reply).
-
-        Passively learned contacts never displace existing entries and do not
-        refresh recency; they are only appended when there is room.
-        """
-        if contact in self.contacts:
-            return True
-        if self.full:
-            return False
-        self.contacts.append(contact)
-        return True
-
-    def discard(self, contact: int) -> None:
-        """Drop ``contact`` (e.g. after it failed to answer a lookup)."""
-        try:
-            self.contacts.remove(contact)
-        except ValueError:
-            pass
-
-
 class RoutingTable:
     """The k-buckets of one node, indexed by XOR-distance magnitude.
 
     Bucket ``i`` holds contacts at distance ``[2^i, 2^(i+1))`` from the owner,
     i.e. contacts whose common prefix with the owner is ``bits - 1 - i`` bits.
-    Each bucket is one list under the :class:`KBucket` rules; rows are
-    created lazily and most of the ``bits`` buckets stay empty.
+    Each bucket is one bare list in least-recently-seen order (``row[0]`` the
+    least, ``row[-1]`` the most recently seen contact), updated in place by
+    :meth:`observe`/:meth:`learn`/:meth:`discard`.  Rows are created lazily,
+    never deleted, and most of the ``bits`` buckets stay empty.
     """
 
     def __init__(self, owner: int, bits: int, k: int) -> None:
@@ -171,11 +100,14 @@ class RoutingTable:
         self.bits = bits
         self.k = k
         self._rows: Dict[int, List[int]] = {}
+        # The keys of ``_rows`` in ascending order, kept as rows are created.
+        self._indices: List[int] = []
 
     def _row(self, index: int) -> List[int]:
         row = self._rows.get(index)
         if row is None:
             row = self._rows[index] = []
+            bisect.insort(self._indices, index)
         return row
 
     def bucket_index(self, contact: int) -> int:
@@ -186,27 +118,55 @@ class RoutingTable:
                 f"node {self.owner} cannot keep itself in its routing table")
         return distance.bit_length() - 1
 
-    def bucket(self, index: int) -> KBucket:
-        """A snapshot of the bucket at ``index`` (diagnostics only).
+    def bucket(self, index: int) -> List[int]:
+        """A copy of the bucket at ``index``, least recently seen first.
 
-        Mutating the returned bucket does not write back to the table; the
+        Mutating the returned list does not write back to the table; the
         update paths are :meth:`observe`/:meth:`learn`/:meth:`discard`.
         """
-        return KBucket(self.k, list(self._rows.get(index, ())))
+        return list(self._rows.get(index, ()))
 
     def observe(self, contact: int, is_alive: Callable[[int], bool]) -> bool:
-        """Record direct communication with ``contact``."""
+        """Record direct communication with ``contact`` (Kademlia's update rule).
+
+        A known contact moves to the most-recently-seen end.  A new contact is
+        appended while there is room; when the bucket is full the
+        least-recently-seen entry is pinged: if it answers it moves to the
+        tail and the newcomer is dropped (old contacts are the most likely to
+        stay online), otherwise it is evicted and the newcomer appended.
+        Returns ``True`` when ``contact`` is in the bucket afterwards.
+        """
         if contact == self.owner:
             return False
         row = self._row((self.owner ^ contact).bit_length() - 1)
-        return KBucket(self.k, row).observe(contact, is_alive)
+        if contact in row:
+            row.remove(contact)
+            row.append(contact)
+            return True
+        if len(row) < self.k:
+            row.append(contact)
+            return True
+        answered = is_alive(row[0])
+        least_recently_seen = row.pop(0)
+        row.append(least_recently_seen if answered else contact)
+        return not answered
 
     def learn(self, contact: int) -> bool:
-        """Record a contact learned from a lookup reply."""
+        """Record a contact learned second-hand (from a lookup reply).
+
+        Passively learned contacts never displace existing entries and do not
+        refresh recency; they are only appended when there is room.  Returns
+        ``True`` when ``contact`` is in the bucket afterwards.
+        """
         if contact == self.owner:
             return False
         row = self._row((self.owner ^ contact).bit_length() - 1)
-        return KBucket(self.k, row).learn(contact)
+        if contact in row:
+            return True
+        if len(row) >= self.k:
+            return False
+        row.append(contact)
+        return True
 
     def learn_many(self, contacts: Iterable[int], skip: Container[int]) -> None:
         """Learn one lookup reply: :meth:`learn` each contact, in reply order.
@@ -233,32 +193,53 @@ class RoutingTable:
 
     def contacts(self) -> List[int]:
         """Every contact currently held, over all buckets."""
+        rows = self._rows
         entries: List[int] = []
-        for index in sorted(self._rows):
-            entries.extend(self._rows[index])
+        for index in self._indices:
+            entries += rows[index]
+        return entries
+
+    def nearer_than_owner(self, point: int) -> List[int]:
+        """Every contact XOR-nearer to ``point`` than the owner, in bucket order.
+
+        By the bucket order of :meth:`closest` these are exactly the contacts
+        of the buckets at the set bits of ``owner ^ point``.
+        """
+        rows, delta = self._rows, self.owner ^ point
+        entries: List[int] = []
+        for index in self._indices:
+            if delta >> index & 1:
+                entries += rows[index]
         return entries
 
     def closest(self, point: int, count: int) -> List[int]:
         """The ``count`` known contacts closest (XOR) to ``point``, nearest first.
 
-        The buckets are read in XOR order and only sorted within: with
+        The buckets are read in XOR order and never the whole table: with
         ``d = owner ^ point``, a contact of bucket ``i`` lies at distance
         ``d`` with bit ``i`` flipped and the lower bits free.  Where bit ``i``
         of ``d`` is set the flip clears it, so bucket ``i`` is nearer than
         every lower bucket; elsewhere the flip sets it, so bucket ``i`` is
         farther than every lower one.  Hence: set bits from the top down, then
-        the other buckets from the bottom up, stopping at ``count``.
+        the other buckets from the bottom up, stopping at ``count``.  Every
+        contact of a bucket read earlier is nearer than every contact of one
+        read later, so one sort of the rows read (fewer than ``count + k``
+        contacts) orders them.
         """
-        rows = self._rows
-        delta = self.owner ^ point
-        ascending = sorted(rows)
-        order = [index for index in reversed(ascending) if delta >> index & 1]
-        order += [index for index in ascending if not delta >> index & 1]
+        rows, indices, delta = self._rows, self._indices, self.owner ^ point
         found: List[int] = []
-        for index in order:
-            found.extend(sorted(rows[index], key=point.__xor__))
-            if len(found) >= count:
-                break
+        for index in reversed(indices):
+            if delta >> index & 1:
+                found += rows[index]
+                if len(found) >= count:
+                    break
+        else:
+            for index in indices:
+                if not delta >> index & 1:
+                    found += rows[index]
+                    if len(found) >= count:
+                        break
+        found.sort(key=point.__xor__)
         return found[:count]
 
     def __len__(self) -> int:
@@ -282,29 +263,21 @@ class KademliaOverlay(DHTProtocol):
         Bucket capacity (the system-wide replication/bucket parameter of the
         Kademlia paper; 20 there, a smaller default here to match the
         simulated population sizes).
-    alpha:
-        Lookup concurrency of the original protocol.  The simulated lookup is
-        sequential (messages, not wall-clock, are what the cost model needs)
-        and never reads it: ``alpha`` is validated and stored so that
-        constructor calls written for the original protocol keep working.
     rng:
         Random source used for bootstrap-contact selection on joins.
     """
 
-    def __init__(self, bits: int = 32, *, k: int = 16, alpha: int = 3,
+    def __init__(self, bits: int = 32, *, k: int = 16,
                  rng: Optional[random.Random] = None) -> None:
         if not 3 <= bits <= 160:
             raise InvalidConfigurationError(
                 f"kademlia identifier space must use between 3 and 160 bits, got {bits}")
         if k < 1:
             raise InvalidConfigurationError("bucket capacity k must be >= 1")
-        if alpha < 1:
-            raise InvalidConfigurationError("lookup concurrency alpha must be >= 1")
         self.bits = bits
         #: Number of points in the identifier space.
         self.space_size = 1 << bits
         self.k = k
-        self.alpha = alpha
         self._rng = rng if rng is not None else random.Random(0)
         # Sorted live node identifiers.
         self._members: List[int] = []
@@ -505,15 +478,16 @@ class KademliaOverlay(DHTProtocol):
         round of queries even though the origin is trivially closest to its
         own identifier.
         """
-        table = self._tables[origin]
+        tables, k = self._tables, self.k
+        is_live = self._member_set.__contains__
+        table = tables[origin]
         # The shortlist is a heap of XOR distances: distances to one target
         # are unique and ``distance ^ target`` is the contact.  The best
         # distance only ever falls and a candidate at or beyond it ends the
-        # lookup, so only contacts nearer than it are worth keeping.
-        contacts = table.contacts()
-        if self_distance is not None:
-            contacts = [contact for contact in contacts
-                        if contact ^ target < self_distance]
+        # lookup, so only contacts nearer than it are worth keeping — at the
+        # start, those nearer than the origin (all of them for a bootstrap).
+        contacts = (table.contacts() if self_distance is None
+                    else table.nearer_than_owner(target))
         shortlist = [contact ^ target for contact in contacts]
         heapify(shortlist)
         seen: Set[int] = {origin, *contacts}
@@ -528,7 +502,7 @@ class KademliaOverlay(DHTProtocol):
             if best_distance is not None and distance >= best_distance:
                 break  # converged: nobody known is closer than the best queried
             candidate = distance ^ target
-            if candidate not in self._member_set:
+            if not is_live(candidate):
                 # Stale bucket entry: the query is wasted (a retry); failures
                 # additionally cost a timeout in the cost model.  The origin
                 # drops the unresponsive contact from its table.
@@ -540,13 +514,15 @@ class KademliaOverlay(DHTProtocol):
                 table.discard(candidate)
                 continue
             path.append(candidate)
-            # Direct communication updates both parties' buckets...
-            self._observe(origin, candidate)
-            self._observe(candidate, origin)
+            # Direct communication updates both parties' buckets (both are
+            # live, and the origin was never pushed)...
+            table.observe(candidate, is_live)
+            queried = tables[candidate]
+            queried.observe(origin, is_live)
             # ...and the reply carries the k contacts closest to the target
             # from the queried node's table, which the origin learns (except
             # contacts this very lookup already found to be dead).
-            reply = self._tables[candidate].closest(target, self.k)
+            reply = queried.closest(target, k)
             table.learn_many(reply, dead)
             best_distance = distance
             if distance == 0:

@@ -340,9 +340,10 @@ class DHTNetwork:
 
         On overlays with contiguous responsibility (Chord) the moving entries
         are found with a range scan of the store's point index over the
-        newcomer's claimed interval; otherwise the store's distinct points are
-        checked against the (version-cached) responsibility map.  Either way
-        the cost scales with the data actually moving, not the store size.
+        newcomer's claimed interval, so the cost scales with the data moving.
+        Otherwise (Kademlia, CAN) every distinct point in the previous owner's
+        store is checked against the responsibility memo, which the join has
+        just cleared: the cost scales with that store's size.
 
         The transfer itself is *delta-based*: entries the destination already
         holds a same-or-newer copy of (per

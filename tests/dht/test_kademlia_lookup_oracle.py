@@ -9,6 +9,12 @@ and learns a reply in one pass; these tests feed two identically seeded
 overlays the same churn — one routed by the overlay, one by the oracle — and
 require equal routes *and* equal bucket contents, in order, for every live
 node after every step.
+
+The bucket rules are kept the same way: the 5.0.0 ``KBucket`` update rules,
+verbatim on a plain list, are the reference for the rules ``RoutingTable``
+now applies to its bare rows.  Golden digests of every routing table, after
+a seeded churn session and after a 10 000-peer build, pin bucket contents
+and order that no route has read yet.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from repro.api import Cluster
 from repro.dht.kademlia import RoutingTable
 from repro.dht.messages import MessageKind
 from repro.dht.model import DepartureReason
+from repro.dht.network import DHTNetwork
 from repro.dht.registry import create_overlay
 
 BITS = [8, 32, 64, 160]
@@ -78,6 +85,43 @@ def scan_lookup(overlay, origin, target, *, self_distance):
         if distance == 0:
             break
     return path, retries, timeouts
+
+
+def reference_observe(contacts, capacity, contact, is_alive):
+    """5.0.0 ``KBucket.observe`` on a plain list, verbatim."""
+    if contact in contacts:
+        contacts.remove(contact)
+        contacts.append(contact)
+        return True
+    if len(contacts) < capacity:
+        contacts.append(contact)
+        return True
+    least_recently_seen = contacts[0]
+    if is_alive(least_recently_seen):
+        contacts.pop(0)
+        contacts.append(least_recently_seen)
+        return False
+    contacts.pop(0)
+    contacts.append(contact)
+    return True
+
+
+def reference_learn(contacts, capacity, contact):
+    """5.0.0 ``KBucket.learn`` on a plain list, verbatim."""
+    if contact in contacts:
+        return True
+    if len(contacts) >= capacity:
+        return False
+    contacts.append(contact)
+    return True
+
+
+def reference_discard(contacts, contact):
+    """5.0.0 ``KBucket.discard`` on a plain list, verbatim."""
+    try:
+        contacts.remove(contact)
+    except ValueError:
+        pass
 
 
 def build_pair(bits, k):
@@ -228,7 +272,77 @@ def test_closest_equals_the_full_sort(bits, data):
                 sorted(contacts, key=lambda contact: contact ^ point)[:count]
 
 
-# ------------------------------------------------------------ golden pin
+# ------------------------------------------------------------ bucket rules
+#: One bucket-rule step: an action, then a contact, a reply and the few
+#: contacts that are dead, all as indices into the example's contact pool.
+pool_indices = st.integers(min_value=0, max_value=63)
+rule_steps = st.lists(
+    st.tuples(st.sampled_from(["observe", "observe", "learn", "learn_many", "discard"]),
+              pool_indices, st.lists(pool_indices, max_size=18),
+              st.lists(pool_indices, max_size=4)),
+    min_size=1, max_size=80)
+
+
+@pytest.mark.parametrize("k", BUCKET_SIZES)
+@pytest.mark.parametrize("bits", [8, 32, 160])
+@given(data=st.data(), steps=rule_steps)
+@settings(max_examples=60, deadline=None)
+def test_bucket_rules_equal_the_reference_on_plain_lists(bits, k, data, steps):
+    ids = st.integers(min_value=0, max_value=(1 << bits) - 1)
+    owner = data.draw(ids)
+    # A small pool, so contacts recur and rows fill: more than k contacts of
+    # one bucket (so it overflows and pings), a few neighbours of the owner
+    # in the low buckets, free ids, and the owner itself, which every rule
+    # must refuse.
+    crowded = data.draw(st.integers(min_value=5, max_value=bits - 1))
+    crowd = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << crowded) - 1),
+                               min_size=k + 1, max_size=k + 3, unique=True))
+    near = st.integers(min_value=1, max_value=31).map(owner.__xor__)
+    others = data.draw(st.lists(st.one_of(ids, near, st.just(owner)), max_size=6))
+    pool = list(dict.fromkeys([owner ^ (1 << crowded) ^ low for low in crowd] + others))
+    table = RoutingTable(owner, bits, k)
+    rows = {}                    # bucket index -> the reference's plain list
+    # Learning the whole pool first fills the crowded bucket, so that the
+    # drawn steps start right at the overflow rules.
+    prefix = [("learn", which, [], []) for which in range(len(pool))]
+    for action, which, replied, died in prefix + steps:
+        contact = pool[which % len(pool)]
+        reply = [pool[each % len(pool)] for each in replied[:k + 2]]
+        # The liveness predicate of this step: who would answer a ping.
+        dead = {pool[each % len(pool)] for each in died}
+        row = (rows.setdefault((owner ^ contact).bit_length() - 1, [])
+               if contact != owner else None)
+        if action == "observe":
+            expected = (reference_observe(row, k, contact, lambda c: c not in dead)
+                        if row is not None else False)
+            assert table.observe(contact, lambda c: c not in dead) == expected
+        elif action == "learn":
+            expected = reference_learn(row, k, contact) if row is not None else False
+            assert table.learn(contact) == expected
+        elif action == "learn_many":
+            for learned in reply:
+                if learned != owner and learned not in dead:
+                    reference_learn(rows.setdefault((owner ^ learned).bit_length() - 1, []),
+                                    k, learned)
+            table.learn_many(reply, dead)
+        elif row is not None:
+            reference_discard(row, contact)
+            table.discard(contact)
+        for index, contacts in rows.items():
+            assert table.bucket(index) == contacts, index
+        assert table.contacts() == [contact for index in sorted(rows)
+                                    for contact in rows[index]]
+
+
+# ------------------------------------------------------------ golden pins
+def routing_tables_digest(overlay):
+    """SHA-1 over every live node's contacts, in node then bucket order."""
+    digest = hashlib.sha1()
+    for node in overlay.nodes():
+        digest.update(repr(overlay.routing_table(node).contacts()).encode("ascii"))
+    return digest.hexdigest()
+
+
 def test_seeded_cluster_under_churn_repeats_its_per_call_digest():
     # Recorded at 1.9.0 (the parent of the heap-shortlist lookup): a change of
     # lookup order must fail here, not merely shift messages_per_key_op.
@@ -249,3 +363,29 @@ def test_seeded_cluster_under_churn_repeats_its_per_call_digest():
                 digest.update(f"{result.message_count}:{retries};".encode("ascii"))
     assert total_retries == 827
     assert digest.hexdigest() == "9d1156e117eaaf13b61a93ad0f930f5bada1753a"
+
+
+def test_seeded_cluster_under_churn_repeats_its_routing_tables():
+    # Recorded at 5.0.0, on the session of the per-call digest above: the
+    # per-call digest only sees message and retry counts, so a bucket order
+    # no route has read yet must fail here.
+    cluster = Cluster.build(peers=1000, protocol="kademlia", seed=2007)
+    network, rng = cluster.network, random.Random(23)
+    with cluster.session() as session:
+        for event in range(200):
+            victim = network.random_alive_peer()
+            (network.fail_peer if event % 2 else network.leave_peer)(victim)
+            network.join_peer()
+            for call in range(3):
+                key = f"key-{rng.randrange(48)}"
+                (session.retrieve(key) if call else
+                 session.insert(key, {"event": event}))
+    assert routing_tables_digest(network.protocol) == \
+        "fbd1ed7ad2455ba670d6a8ab6cab9086cf953dca"
+
+
+def test_a_10000_peer_build_repeats_its_routing_tables():
+    # Recorded at 5.0.0: one bootstrap self-lookup per join builds them.
+    network = DHTNetwork.build(10000, protocol="kademlia", seed=2007)
+    assert routing_tables_digest(network.protocol) == \
+        "f5fa6820f052a6b2a972069036df5f359b4ecaae"

@@ -8,12 +8,16 @@ job enforces on every push:
 * DESIGN.md's paper ↔ code cross-reference table covers every experiment id
   EXPERIMENTS.md says gets generated;
 * the README "Scenarios" quickstart commands are the ones CI smoke-tests,
-  and they actually run.
+  and they actually run;
+* the code names the prose documents mention in backticks still resolve.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import pathlib
+import pkgutil
 import re
 import sys
 
@@ -99,6 +103,88 @@ class TestScenariosQuickstart:
     def test_readme_mentions_the_scenario_gallery(self):
         readme = (REPO_ROOT / "README.md").read_text()
         assert "Scenario gallery" in readme
+
+
+def _repro_classes():
+    """Class name -> the classes of that name defined in a ``repro`` module."""
+    import repro
+    classes = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if inspect.isclass(value) and value.__module__ == info.name:
+                classes.setdefault(name, []).append(value)
+    return classes
+
+
+def _resolves(path):
+    """Whether a dotted ``repro.…`` path imports, then ``getattr``s, to something."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def _has_attribute(cls, attr):
+    """A class attribute, or a ``self.attr`` assignment in a repro class of the MRO."""
+    if hasattr(cls, attr):
+        return True
+    assignment = re.compile(rf"\bself\.{re.escape(attr)}\s*(?::[^=\n]+)?=[^=]")
+    return any(assignment.search(inspect.getsource(base))
+               for base in cls.__mro__ if base.__module__.startswith("repro."))
+
+
+class TestNamesResolve:
+    """Backticked code names in the prose documents name code that exists.
+
+    Two kinds are checked in inline code spans (fenced blocks are commands):
+    dotted ``repro.…`` paths, and ``Class.attr`` where ``Class`` is a class
+    defined in a ``repro`` module (``Class.record_*`` globs are skipped).
+    """
+
+    DOCUMENTS = ["DESIGN.md", "EXPERIMENTS.md", "README.md"]
+    DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+    CLASS_ATTRIBUTE = re.compile(r"(?<![\w.])([A-Z]\w*)\.([A-Za-z_]\w*)(?![\w*])")
+
+    def _names(self, pattern, document):
+        text = (REPO_ROOT / document).read_text()
+        text = re.sub(r"^```.*?^```", "", text, flags=re.MULTILINE | re.DOTALL)
+        return {name for span in re.findall(r"`([^`\n]+)`", text)
+                for name in pattern.findall(span)}
+
+    @pytest.mark.parametrize("document", DOCUMENTS)
+    def test_dotted_repro_paths_import(self, document):
+        paths = self._names(self.DOTTED, document)
+        assert [path for path in sorted(paths) if not _resolves(path)] == []
+
+    @pytest.mark.parametrize("document", DOCUMENTS)
+    def test_class_attributes_exist(self, document):
+        classes = _repro_classes()
+        missing = [f"{owner}.{attr}"
+                   for owner, attr in sorted(self._names(self.CLASS_ATTRIBUTE, document))
+                   if owner in classes
+                   and not any(_has_attribute(cls, attr) for cls in classes[owner])]
+        assert missing == []
+
+    def test_the_scan_has_names_to_check_and_catches_stale_ones(self):
+        classes = _repro_classes()
+        paths = set().union(*(self._names(self.DOTTED, d) for d in self.DOCUMENTS))
+        pairs = set().union(*(self._names(self.CLASS_ATTRIBUTE, d) for d in self.DOCUMENTS))
+        assert len(paths) >= 30
+        assert len({pair for pair in pairs if pair[0] in classes}) >= 30
+        local_store = classes["LocalStore"][0]
+        assert _has_attribute(local_store, "_point_slots")      # set in __init__
+        assert not _has_attribute(local_store, "_by_point")     # renamed away
+        assert _resolves("repro.dht.kademlia.RoutingTable.closest")
+        assert not _resolves("repro.dht.kademlia.KBucket")      # deleted in 6.0.0
 
 
 @pytest.mark.parametrize("document", ["README.md", "DESIGN.md",
