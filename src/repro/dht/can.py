@@ -206,7 +206,7 @@ class CanSpace(DHTProtocol):
         self._departed.pop(node_id, None)
         if not self._zones:
             self._grant_zone(node_id, self._whole_space())
-            self._membership_changed()
+            self._membership_changed(())
             return set()
         # The newcomer picks a random point; the owner of the zone containing
         # that point splits it in half and keeps one half.
@@ -227,7 +227,7 @@ class CanSpace(DHTProtocol):
             newcomer_zone, owner_zone = second, first
         self._grant_zone(owner, owner_zone)
         self._grant_zone(node_id, newcomer_zone)
-        self._membership_changed()
+        self._membership_changed((owner,))
         return {owner}
 
     def remove_node(self, node_id: int, *, reason: str = DepartureReason.LEAVE,
@@ -237,7 +237,7 @@ class CanSpace(DHTProtocol):
         takeovers = self._takeovers(node_id)
         self._drop_node_zones(node_id)
         self._departed[node_id] = (reason, now)
-        self._membership_changed()
+        self._membership_changed((node_id,))
         for zone, takeover in takeovers:
             self._grant_zone(takeover, zone)
 
@@ -317,7 +317,7 @@ class CanSpace(DHTProtocol):
     def responsible_for(self, point: int) -> int:
         if not self._zones:
             raise EmptyNetworkError("the CAN space has no live nodes")
-        # Memoised per membership version so hot points resolve in a
+        # Memoised (evicted per moved node) so hot points resolve in a
         # dictionary hit instead of a split-tree descent.
         return self._memoised_responsible(
             point, lambda p: self._owner_of(self.coordinates(p)))

@@ -110,13 +110,13 @@ class ChordRing(DHTProtocol):
         bisect.insort(self._members, node_id)
         self._member_set.add(node_id)
         self._departed.pop(node_id, None)
-        self._membership_changed()
         # The only node that can lose responsibility to the newcomer is its
         # successor: keys in (predecessor(new), new] move from it to the new
         # node (Section 4.2.1, the Chord join argument).
-        if len(self._members) == 1:
-            return set()
-        return {self.successor(self._next_point(node_id))}
+        affected: Set[int] = ({self.successor(self._next_point(node_id))}
+                              if len(self._members) > 1 else set())
+        self._membership_changed(affected)
+        return affected
 
     def remove_node(self, node_id: int, *, reason: str = DepartureReason.LEAVE,
                     now: float = 0.0) -> None:
@@ -127,7 +127,7 @@ class ChordRing(DHTProtocol):
         self._member_set.discard(node_id)
         self._fingers.pop(node_id, None)
         self._departed[node_id] = (reason, now)
-        self._membership_changed()
+        self._membership_changed((node_id,))
 
     def departure_reason(self, node_id: int) -> Optional[str]:
         """How a departed node left (``"leave"``/``"fail"``), if known."""
@@ -153,8 +153,8 @@ class ChordRing(DHTProtocol):
         return self._members[index - 1] if index > 0 else self._members[-1]
 
     def responsible_for(self, point: int) -> int:
-        # Memoised per membership version (the successor of a point only
-        # changes when the ring does).
+        # Memoised (the successor of a point only changes when a join or a
+        # departure lands next to it, which evicts it).
         return self._memoised_responsible(point, self.successor)
 
     def claimed_span(self, node_id: int) -> Optional[Tuple[int, int]]:

@@ -286,7 +286,7 @@ class KademliaOverlay(DHTProtocol):
         self._tables: Dict[int, RoutingTable] = {}
         # Routing *tables* mutate continuously with lookup traffic, but XOR
         # responsibility depends only on the live membership, so the
-        # point -> closest-member memo keys on the version counter alone.
+        # point -> closest-member memo changes only with it.
         self._init_version_caches()
 
     # ------------------------------------------------------------------ sizing
@@ -316,7 +316,8 @@ class KademliaOverlay(DHTProtocol):
         self._members.insert(index, node_id)
         self._member_set.add(node_id)
         self._departed.pop(node_id, None)
-        self._membership_changed()
+        self._reassign_memo(node_id, affected)
+        self._membership_changed(())
         table = self._tables[node_id] = RoutingTable(node_id, self.bits, self.k)
         if affected:
             # Join protocol: seed the table with a bootstrap contact (a
@@ -360,6 +361,30 @@ class KademliaOverlay(DHTProtocol):
                 hi = split
         return set(members[lo:hi])
 
+    def _reassign_memo(self, node_id: int, affected: Set[int]) -> None:
+        """Move the memoised points that the newcomer ``node_id`` now owns.
+
+        Only the ``affected`` nodes lose points to a join, and a point of
+        ``displaced`` moves exactly when it is XOR-nearer to the newcomer, so
+        one comparison per memoised point keeps the whole memo exact.
+        """
+        cache, index = self._rsp_cache, self._rsp_points
+        stolen: List[int] = []
+        for displaced in affected:
+            points = index.get(displaced)
+            if not points:
+                continue
+            kept: List[int] = []
+            for point in points:
+                if point ^ node_id < point ^ displaced:
+                    stolen.append(point)
+                    cache[point] = node_id
+                else:
+                    kept.append(point)
+            index[displaced] = kept
+        if stolen:
+            index[node_id] = stolen
+
     def remove_node(self, node_id: int, *, reason: str = DepartureReason.LEAVE,
                     now: float = 0.0) -> None:
         if node_id not in self._member_set:
@@ -369,7 +394,7 @@ class KademliaOverlay(DHTProtocol):
         self._member_set.discard(node_id)
         self._tables.pop(node_id, None)
         self._departed[node_id] = (reason, now)
-        self._membership_changed()
+        self._membership_changed((node_id,))
         # Other nodes keep the departed contact in their buckets until a
         # lookup runs into it (stale-state realism; there is no oracle purge).
 
@@ -481,6 +506,10 @@ class KademliaOverlay(DHTProtocol):
         tables, k = self._tables, self.k
         is_live = self._member_set.__contains__
         table = tables[origin]
+        # A reply XOR-nearer to the target than ``2^top`` lies entirely in
+        # the origin's bucket ``top``, which learning cannot change once full.
+        rows, top = table._rows, (origin ^ target).bit_length() - 1
+        inside = 1 << top if top >= 0 else 0
         # The shortlist is a heap of XOR distances: distances to one target
         # are unique and ``distance ^ target`` is the contact.  The best
         # distance only ever falls and a candidate at or beyond it ends the
@@ -523,7 +552,8 @@ class KademliaOverlay(DHTProtocol):
             # from the queried node's table, which the origin learns (except
             # contacts this very lookup already found to be dead).
             reply = queried.closest(target, k)
-            table.learn_many(reply, dead)
+            if reply[-1] ^ target >= inside or len(rows.get(top, ())) < k:
+                table.learn_many(reply, dead)
             best_distance = distance
             if distance == 0:
                 break

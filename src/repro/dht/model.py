@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "DHTProtocol",
@@ -38,8 +38,8 @@ class DepartureReason:
     FAIL = "fail"
 
 
-#: Bound of the per-overlay point -> responsible memo (cleared on membership
-#: changes and when full).
+#: Bound of the per-overlay point -> responsible memo.  Membership changes
+#: evict only the moved nodes' entries; reaching the bound clears it whole.
 _RSP_CACHE_SIZE = 1 << 16
 
 
@@ -121,7 +121,7 @@ class DHTProtocol(abc.ABC):
     # --------------------------------------------- versioned-cache plumbing
     # Shared by the overlay implementations so the invalidation protocol
     # lives in exactly one place: call ``_init_version_caches()`` during
-    # construction, ``_membership_changed()`` after every membership
+    # construction, ``_membership_changed(moved)`` after every membership
     # mutation, serve ``responsible_for`` through the memo helper and
     # ``nodes`` from ``_nodes_cache`` (read inline: every random origin draw
     # calls it).  Subclasses with additional version-keyed caches clear them
@@ -130,12 +130,24 @@ class DHTProtocol(abc.ABC):
     def _init_version_caches(self) -> None:
         self.version = 0
         self._rsp_cache: Dict[int, int] = {}
+        # The reverse index of ``_rsp_cache``: responsible -> its memoised
+        # points, each point listed once, so eviction costs what it evicts.
+        self._rsp_points: Dict[int, List[int]] = {}
         self._nodes_cache: Optional[Tuple[int, ...]] = None
 
-    def _membership_changed(self) -> None:
-        """Advance the membership version and drop every version-keyed cache."""
+    def _membership_changed(self, moved: Iterable[int]) -> None:
+        """Advance the membership version and evict the moved nodes' points.
+
+        ``moved`` holds every node that can have lost points to the change:
+        on a join the nodes ``add_node`` returns (the Responsibility Loss
+        Aware contract), on a departure the departed node.  No other memo
+        entry changes owner, so the rest of the memo stays valid.
+        """
         self.version += 1
-        self._rsp_cache.clear()
+        cache, index = self._rsp_cache, self._rsp_points
+        for node in moved:
+            for point in index.pop(node, ()):
+                del cache[point]
         self._nodes_cache = None
         self._clear_version_caches()
 
@@ -150,7 +162,9 @@ class DHTProtocol(abc.ABC):
             cached = compute(point)
             if len(self._rsp_cache) >= _RSP_CACHE_SIZE:
                 self._rsp_cache.clear()
+                self._rsp_points.clear()
             self._rsp_cache[point] = cached
+            self._rsp_points.setdefault(cached, []).append(point)
         return cached
 
     # --------------------------------------------------------------- topology

@@ -342,8 +342,9 @@ class DHTNetwork:
         are found with a range scan of the store's point index over the
         newcomer's claimed interval, so the cost scales with the data moving.
         Otherwise (Kademlia, CAN) every distinct point in the previous owner's
-        store is checked against the responsibility memo, which the join has
-        just cleared: the cost scales with that store's size.
+        store is checked against the responsibility memo: the cost scales
+        with that store's size, though a Kademlia join has already moved the
+        memoised points it stole to the newcomer, so those checks hit.
 
         The transfer itself is *delta-based*: entries the destination already
         holds a same-or-newer copy of (per

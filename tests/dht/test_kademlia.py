@@ -326,6 +326,50 @@ class TestRouting:
         assert victim not in overlay.routing_table(origin).contacts()
 
 
+def hand_built_overlay(tables, *, k=3):
+    """An 8-bit overlay whose routing tables hold exactly ``tables``, in order."""
+    overlay = KademliaOverlay(bits=8, k=k, rng=random.Random(0))
+    for node_id in sorted({*tables, *(c for row in tables.values() for c in row)}):
+        overlay.add_node(node_id)
+    for node_id in overlay.nodes():
+        table = overlay._tables[node_id] = RoutingTable(node_id, 8, k)
+        for contact in tables.get(node_id, ()):
+            assert table.observe(contact, overlay.__contains__)
+    return overlay
+
+
+class TestFullBucketSkip:
+    """A reply inside the origin's target bucket is learned unless that bucket is full.
+
+    The origin is 0 and every target has its top bit set, so the origin's
+    bucket 7 holds every contact nearer to the target than ``2^7``.  Node 192
+    answers with 193, 194 and 195, all inside that bucket.
+    """
+
+    REPLIER = {192: [193, 194, 195]}
+
+    def test_a_bucket_one_short_of_full_learns_the_reply(self):
+        overlay = hand_built_overlay({0: [160, 192], **self.REPLIER})
+        path, retries, _ = overlay._iterative_lookup(0, 192, self_distance=192)
+        assert (path, retries) == ([0, 192], 0)
+        assert overlay.routing_table(0).bucket(7) == [160, 192, 193]
+
+    def test_a_full_bucket_is_left_unchanged(self):
+        overlay = hand_built_overlay({0: [160, 161, 192], **self.REPLIER})
+        path, retries, _ = overlay._iterative_lookup(0, 192, self_distance=192)
+        assert (path, retries) == ([0, 192], 0)
+        assert overlay.routing_table(0).contacts() == [160, 161, 192]
+
+    def test_a_bucket_emptied_mid_lookup_learns_the_next_reply(self):
+        # 197 is the nearest contact to the target 196; it has failed, so the
+        # lookup discards it from the full bucket before querying 192.
+        overlay = hand_built_overlay({0: [197, 160, 192], **self.REPLIER})
+        overlay.remove_node(197, reason=DepartureReason.FAIL)
+        path, retries, timeouts = overlay._iterative_lookup(0, 196, self_distance=196)
+        assert (path, retries, timeouts) == ([0, 192], 1, 1)
+        assert overlay.routing_table(0).contacts() == [160, 192, 193]
+
+
 class TestKademliaProperties:
     @given(node_ids=node_sets, point=points)
     @settings(max_examples=60, deadline=None)
