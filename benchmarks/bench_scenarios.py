@@ -1,12 +1,9 @@
 """Scenario comparison benchmark — the what-if engine beyond the figures.
 
-Materialises a scenario × overlay × service grid as a named
-:class:`repro.execution.RunPlan` and executes it through the shared bench
-executor (``REPRO_BENCH_JOBS`` parallelises it, bit-identically), records
-the per-metric comparison tables (the same pivot ``repro scenario compare``
-prints) under ``benchmarks/results/scenario-compare-*.md`` plus a JSON
-artifact named after the plan, and asserts the qualitative claims the
-scenario gallery in EXPERIMENTS.md documents:
+Runs the ``scenario-compare-*`` records (scenarios × services × overlays,
+one table per metric) through the shared bench executor, records their
+tables under ``benchmarks/results/scenario-compare-*.md``, and asserts the
+qualitative claims the scenario gallery in EXPERIMENTS.md documents:
 
 * UMS certifies currency on every scenario, BRK never can;
 * the lossy-network scenario is slower than the uniform baseline on every
@@ -16,68 +13,23 @@ scenario gallery in EXPERIMENTS.md documents:
 
 from __future__ import annotations
 
-from repro.execution import Executor, RunPlan
-from repro.experiments.reporting import comparison_tables
+from repro.experiments.figures import SCALE_PROFILES, run_experiments
+from repro.experiments.runner import select_experiments
 from repro.simulation import SimulationParameters
-from repro.simulation.scenarios import get_scenario, run_scenario
-
-#: Scenario grid: the control, a skew regime, and two fault regimes.
-SCENARIOS = ("uniform", "hotspot", "correlated-failures", "lossy-network")
-SERVICES = (("ums", "ums-direct"), ("brk", "brk"))
-
-SCALE_PARAMETERS = {
-    "tiny": dict(num_peers=60, num_keys=5, duration_s=300.0, num_queries=6,
-                 churn_rate_per_s=0.1),
-    "quick": dict(num_peers=150, num_keys=10, duration_s=900.0,
-                  num_queries=20, churn_rate_per_s=0.15),
-    "paper": dict(num_peers=2000, num_keys=50, duration_s=10800.0,
-                  num_queries=30, churn_rate_per_s=1.0),
-}
+from repro.simulation.scenarios import run_scenario
 
 
-def grid_plan(scale: str, seed: int, overlays) -> RunPlan:
-    """The scenario × service × overlay grid, as one named run plan."""
-    parameters = SCALE_PARAMETERS[scale]
-    plan = RunPlan(name=f"scenario-grid-{scale}")
-    for scenario in SCENARIOS:
-        for service, algorithm in SERVICES:
-            for protocol in overlays:
-                plan.add(
-                    SimulationParameters(seed=seed, **parameters),
-                    scenario=get_scenario(scenario),
-                    protocol=protocol, algorithm=algorithm,
-                    label=f"{scenario}:{service}@{protocol}")
-    return plan
-
-
-def run_grid(plan: RunPlan, executor=None) -> list:
-    """One summary record per scenario × service × overlay cell of ``plan``."""
-    executor = executor if executor is not None else Executor()
-    records = []
-    for point, result in zip(plan, executor.run(plan)):
-        scenario, label = point.label.split(":", 1)
-        records.append((scenario, label, result.summary()))
-    return records
-
-
-def test_scenario_comparison_grid(benchmark, bench_scale, bench_seed,
-                                  bench_overlays, bench_executor,
-                                  record_table, record_plan_json):
-    plan = grid_plan(bench_scale, bench_seed, bench_overlays)
-    records = benchmark.pedantic(
-        lambda: run_grid(plan, executor=bench_executor),
+def test_scenario_comparison_grid(benchmark, bench_scale, bench_seed, bench_executor,
+                                  record_table):
+    tables = benchmark.pedantic(
+        lambda: run_experiments(select_experiments(["scenario-compare"]), bench_scale,
+                                seed=bench_seed, executor=bench_executor),
         rounds=1, iterations=1)
-    tables = comparison_tables(records)
     for table in tables:
-        record_table(table)
-    record_plan_json(
-        plan,
-        {"records": [{"scenario": scenario, "series": label, **summary}
-                     for scenario, label, summary in records]},
-        benchmark)
+        record_table(table, benchmark)
 
     currency, response_time, messages = tables
-    for protocol in bench_overlays:
+    for protocol in ("chord", "kademlia"):
         ums = f"ums@{protocol}"
         brk = f"brk@{protocol}"
         # UMS certifies currency on every scenario; BRK's version vectors
@@ -95,9 +47,8 @@ def test_scenario_comparison_grid(benchmark, bench_scale, bench_seed,
                                          messages.series_values(brk)))
 
 
-def test_correlated_failures_fire_and_land_in_churn_accounting(bench_scale,
-                                                               bench_seed):
-    parameters = SCALE_PARAMETERS[bench_scale]
+def test_correlated_failures_fire_and_land_in_churn_accounting(bench_scale, bench_seed):
+    parameters = SCALE_PROFILES[bench_scale]["compare_workload"]
     burst = run_scenario("correlated-failures",
                          SimulationParameters(seed=bench_seed, **parameters))
     control = run_scenario("uniform",

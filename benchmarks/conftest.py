@@ -15,10 +15,8 @@ seconds per figure.
 
 Execution: every grid runs through the unified execution layer
 (:mod:`repro.execution`).  ``REPRO_BENCH_JOBS=N`` fans the sweeps out over a
-process pool (bit-identical results), ``REPRO_BENCH_CACHE_DIR=...`` caches
-executed points on disk, and JSON artifacts are named after the plan that
-produced them (``<plan>-<hash12>.json``), so the seed and the output path are
-both functions of the plan — not re-derived per benchmark file.
+process pool (bit-identical results) and ``REPRO_BENCH_CACHE_DIR=...`` caches
+executed points on disk.
 """
 
 from __future__ import annotations
@@ -164,26 +162,3 @@ def record_cost_json(results_dir):
 
     return _record
 
-
-@pytest.fixture
-def record_plan_json(results_dir):
-    """Write a JSON artifact of a named plan: ``<plan.name>-<hash12>.json``.
-
-    The file embeds the plan manifest (name, plan hash, per-point seeds and
-    content hashes), making the artifact a reproducible function of the grid
-    that produced it — re-running the same plan overwrites the same file,
-    changing the grid produces a distinguishable new one.
-    """
-    from repro.execution import plan_artifact_path
-
-    def _record(plan, payload, benchmark=None):
-        path = plan_artifact_path(results_dir, plan)
-        record = {"plan": plan.manifest(), **payload}
-        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        if benchmark is not None:
-            benchmark.extra_info["plan"] = plan.name
-            benchmark.extra_info["plan_hash"] = plan.plan_hash
-        return path
-
-    return _record

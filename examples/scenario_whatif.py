@@ -4,10 +4,11 @@
 The paper's evaluation runs one workload (Table 1).  The scenario engine
 turns the harness into a what-if machine: this example
 
-1. runs the paper's baseline workload and a correlated-failure regime on
-   two overlays through ``run_scenario``,
-2. pivots the results into the per-metric comparison tables the
-   ``repro scenario compare`` CLI prints, and
+1. runs the scenario comparison (the paper's baseline workload, a hotspot,
+   correlated failures and a lossy network, for UMS and BRK on two
+   overlays) as the experiment table's ``scenario-compare-*`` records,
+2. prints their per-metric tables, the ones
+   ``repro experiments --only scenario-compare`` reports, and
 3. declares a brand-new scenario inline (a flash crowd hammering Zipf-hot
    auction items during a lossy network window), registers it, records its
    spec to a dict and replays it — demonstrating that a seeded run is
@@ -20,7 +21,8 @@ Run with::
 
 from __future__ import annotations
 
-from repro.experiments.reporting import comparison_tables
+from repro.experiments.figures import run_experiments
+from repro.experiments.runner import select_experiments
 from repro.simulation import SimulationParameters
 from repro.simulation.scenarios import (
     ScenarioSpec,
@@ -29,21 +31,14 @@ from repro.simulation.scenarios import (
     unregister_scenario,
 )
 
-#: One small parameter point, shared by every run (fair comparison).
+#: One small parameter point for the custom scenario.
 PARAMETERS = dict(num_peers=90, num_keys=8, duration_s=600.0, num_queries=12,
                   churn_rate_per_s=0.08)
 
 
 def compare_scenarios() -> None:
-    """Scenario x overlay sweep, reported as per-metric tables."""
-    records = []
-    for scenario in ("uniform", "correlated-failures"):
-        for protocol in ("chord", "kademlia"):
-            result = run_scenario(
-                scenario, SimulationParameters(seed=2007, **PARAMETERS),
-                protocol=protocol)
-            records.append((scenario, f"ums@{protocol}", result.summary()))
-    for table in comparison_tables(records):
+    """Scenario x service x overlay sweep (tiny scale), reported as per-metric tables."""
+    for table in run_experiments(select_experiments(["scenario-compare"]), "tiny"):
         print(table.to_text())
         print()
 
@@ -75,7 +70,7 @@ def declare_register_replay() -> None:
 
 def main() -> None:
     """Run the comparison sweep, then the declare/register/replay round-trip."""
-    print("= Scenario x overlay comparison (uniform vs correlated failures) =")
+    print("= Scenario x service x overlay comparison =")
     compare_scenarios()
     print("= Declaring, recording and replaying a custom scenario =")
     declare_register_replay()

@@ -57,7 +57,7 @@ from repro.execution import Executor, RunPlan
 from repro.simulation.cost import NetworkCostModel
 from repro.simulation.engine import Simulator
 
-__version__ = "6.1.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "BricksService",

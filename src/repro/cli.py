@@ -1,15 +1,14 @@
 """Command-line interface.
 
-Seven entry points are provided (also installable as console scripts, and
+Six entry points are provided (also installable as console scripts, and
 reachable as ``python -m repro``):
 
 * ``python -m repro simulate`` — run one simulation of the paper's workload
   (the ``uniform`` scenario: one algorithm, one parameter point) and print
   the measured response time / communication cost;
 * ``python -m repro scenario`` — the declarative scenario engine:
-  ``list`` the registered scenarios, ``run`` one (with record/replay via
-  ``--spec-out``/``--spec``), or ``compare`` scenarios × overlays × services
-  as per-metric tables;
+  ``list`` the registered scenarios or ``run`` one (with record/replay via
+  ``--spec-out``/``--spec``);
 * ``python -m repro serve`` — real-service mode: host a cluster (overlay +
   stores + KTS/UMS handlers) behind the :mod:`repro.net` asyncio transport,
   over TCP and/or a Unix domain socket;
@@ -17,11 +16,8 @@ reachable as ``python -m repro``):
   insert/retrieve workload with a scenario arrival model against any backend
   (``sim``/``tcp``/``uds``) and report throughput + p50/p95/p99 latency;
 * ``python -m repro experiments`` — regenerate the paper's tables and
-  figures (the flags and the run are :mod:`repro.experiments.runner`'s);
-* ``python -m repro attack-grid`` — sweep byzantine fractions × overlays
-  through :mod:`repro.experiments.attack_grid` and report the
-  currency-degradation curve (measured certified currency vs the
-  honest-baseline analytical guarantee, with per-overlay thresholds);
+  figures, the ablations, the byzantine attack grid and the scenario
+  comparison (the flags and the run are :mod:`repro.experiments.runner`'s);
 * ``python -m repro registry`` — list the pluggable backends: the DHT
   overlays of :mod:`repro.dht.registry`, the currency services of
   :mod:`repro.api.services`, the scenarios of
@@ -41,20 +37,17 @@ Examples
     python -m repro simulate --algorithm brk --peers 500 --replicas 20 --json
     python -m repro scenario list
     python -m repro scenario run --scenario flashcrowd --protocol kademlia
-    python -m repro scenario compare --scenarios hotspot,flashcrowd \
-        --protocols chord,kademlia --services ums,brk --jobs 4
     python -m repro serve --port 9207 --peers 200 --seed 2007
     python -m repro loadgen --backend tcp --address 127.0.0.1:9207 \
         --arrival poisson --ops 500 --duration 5
     python -m repro experiments --scale quick --output results.md
     python -m repro experiments --scale paper --jobs 4 --cache-dir .repro-cache
-    python -m repro attack-grid --fractions 0,0.1,0.3 --protocols chord,kademlia \
-        --jobs 2 --output attack-degradation.json
+    python -m repro experiments --scale tiny --seed 3 --only attack --jobs 2
 
-``scenario compare``, ``experiments`` and ``attack-grid`` execute their
-grids through the unified execution layer (:mod:`repro.execution`): ``--jobs N`` runs the grid
-on a process pool with bit-identical results, ``--cache-dir`` caches and
-skips already-executed points (``--no-cache`` forces re-execution).
+``experiments`` executes its one plan through the unified execution layer
+(:mod:`repro.execution`): ``--jobs N`` runs it on a process pool with
+bit-identical results, ``--cache-dir`` caches and skips already-executed
+points (``--no-cache`` forces re-execution).
 """
 
 from __future__ import annotations
@@ -63,21 +56,12 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Callable, List, Optional, TypeVar
+from typing import List, Optional
 
 from repro.api.results import Consistency
 from repro.api.services import service_names
 from repro.dht.registry import overlay_names
-from repro.execution import RunPlan
 from repro.experiments import runner as experiments_runner
-from repro.experiments.attack_grid import (
-    DEFAULT_FRACTIONS,
-    DEFAULT_PROTOCOLS,
-    default_attack_parameters,
-    run_attack_grid,
-)
-from repro.experiments.reporting import comparison_tables
-from repro.simulation.adversary import STRATEGIES
 from repro.simulation.config import Algorithm, SimulationParameters, table1_churn_rate
 from repro.simulation.scenarios import (
     ScenarioSpec,
@@ -87,48 +71,13 @@ from repro.simulation.scenarios import (
 )
 from repro.simulation.scenarios.registry import UNIFORM_SCENARIO
 
-__all__ = ["attack_grid_command", "build_parser", "loadgen_command", "main",
-           "registry_command", "scenario_compare_command", "scenario_list_command",
-           "scenario_run_command", "serve_command", "simulate_command"]
-
-_T = TypeVar("_T")
-
-#: Currency-service registry name -> harness algorithm, for ``--services``.
-_SERVICE_ALGORITHMS = {"ums": Algorithm.UMS_DIRECT, "brk": Algorithm.BRK}
-
-
-def _algorithm_for(name: str) -> str:
-    """Resolve a ``--services`` entry: a service name or an algorithm name."""
-    key = name.strip().lower()
-    if key in _SERVICE_ALGORITHMS:
-        return _SERVICE_ALGORITHMS[key]
-    return Algorithm.validate(key)
-
-
-def _overlay(name: str) -> str:
-    """Validate one ``--protocols`` entry against the overlay registry."""
-    if name not in overlay_names():
-        raise ValueError(f"unknown protocol {name!r}; registered overlays: "
-                         f"{', '.join(overlay_names())}")
-    return name
-
-
-def _name_list(value: str, flag: str, resolve: Callable[[str], _T]) -> List[_T]:
-    """Parse a comma-separated ``flag`` value, resolving (and so validating) each item.
-
-    A bad item fails fast with a CLI error, before any grid point runs.
-    """
-    items = [item.strip() for item in value.split(",") if item.strip()]
-    if not items:
-        raise SystemExit(f"{flag} needs at least one value")
-    try:
-        return [resolve(item) for item in items]
-    except ValueError as error:
-        raise SystemExit(f"bad {flag}: {error}") from error
+__all__ = ["build_parser", "loadgen_command", "main", "registry_command",
+           "scenario_list_command", "scenario_run_command", "serve_command",
+           "simulate_command"]
 
 
 def _add_simulation_arguments(command: argparse.ArgumentParser) -> None:
-    """Simulation knobs shared by ``simulate``, ``scenario run`` and ``scenario compare``.
+    """Simulation knobs shared by ``simulate`` and ``scenario run``.
 
     They default to ``None``, "not typed": a scenario spec's overrides and
     the command's own defaults fill them in (see :func:`_resolve_scenario_run`).
@@ -189,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                           duration=1800.0, queries=30)
 
     scenario = subparsers.add_parser(
-        "scenario", help="declarative workload & fault scenarios "
-                         "(list / run / compare)")
+        "scenario", help="declarative workload & fault scenarios (list / run)")
     scenario_subparsers = scenario.add_subparsers(dest="scenario_command",
                                                   required=True)
 
@@ -213,60 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_single_run_arguments(run)
     run.set_defaults(handler=scenario_run_command)
 
-    compare = scenario_subparsers.add_parser(
-        "compare", help="compare scenarios x overlays x services as "
-                        "per-metric tables")
-    compare.add_argument("--scenarios", default="uniform,hotspot",
-                         help="comma-separated registered scenario names")
-    compare.add_argument("--protocols", default="chord",
-                         help="comma-separated overlay names")
-    compare.add_argument("--services", default="ums,brk",
-                         help="comma-separated currency services (or "
-                              "algorithm names such as ums-indirect)")
-    _add_simulation_arguments(compare)
-    compare.add_argument("--markdown", action="store_true",
-                         help="render the tables as Markdown instead of text")
-    experiments_runner.add_executor_arguments(compare)
-    compare.set_defaults(handler=scenario_compare_command)
-
     experiments = subparsers.add_parser(
         "experiments", help="regenerate the paper's tables and figures")
     experiments_runner.add_arguments(experiments)
     experiments.set_defaults(handler=experiments_runner.run_command)
-
-    attack = subparsers.add_parser(
-        "attack-grid", help="sweep byzantine fractions x overlays and report "
-                            "the currency-degradation curve")
-    attack.add_argument("--fractions",
-                        default=",".join(str(value) for value in DEFAULT_FRACTIONS),
-                        help="comma-separated byzantine fractions in [0, 1); "
-                             "the 0.0 honest baseline is always included")
-    attack.add_argument("--protocols", default=",".join(DEFAULT_PROTOCOLS),
-                        help="comma-separated overlay names")
-    attack.add_argument("--strategy", choices=STRATEGIES,
-                        default="stale-replay",
-                        help="how byzantine responsibles falsify timestamps")
-    attack.add_argument("--lag", type=int, default=1,
-                        help="timestamp lag of the max-lag / random-lie "
-                             "strategies")
-    attack.add_argument("--peers", type=int, default=None,
-                        help="cluster size per grid point (default 120)")
-    attack.add_argument("--replicas", type=int, default=None, help="|Hr|")
-    attack.add_argument("--keys", type=int, default=None,
-                        help="number of data items (default 6)")
-    attack.add_argument("--queries", type=int, default=None,
-                        help="measured queries per run (default 60)")
-    attack.add_argument("--duration", type=float, default=None,
-                        help="simulated seconds per run (default 600)")
-    attack.add_argument("--update-rate", type=float, default=None,
-                        help="per-key updates per hour (default 60)")
-    attack.add_argument("--seed", type=int, default=2007)
-    experiments_runner.add_executor_arguments(attack)
-    attack.add_argument("--output", default=None, metavar="PATH",
-                        help="write the attack-degradation JSON artifact here")
-    attack.add_argument("--json", action="store_true",
-                        help="print the JSON artifact instead of the table")
-    attack.set_defaults(handler=attack_grid_command)
 
     serve = subparsers.add_parser(
         "serve", help="host a cluster behind the repro.net asyncio transport "
@@ -488,13 +386,9 @@ def loadgen_command(arguments: argparse.Namespace, *, stream=None) -> int:
     return 0
 
 
-#: Default simulation knobs of ``scenario run`` (single, closer look) and
-#: ``scenario compare`` (many runs, so smaller per-run cost), as
-#: :class:`SimulationParameters` fields.
+#: Default simulation knobs of ``scenario run``, as :class:`SimulationParameters` fields.
 _SCENARIO_RUN_DEFAULTS = dict(num_peers=400, num_replicas=10, num_keys=20,
                               duration_s=1800.0, num_queries=40)
-_SCENARIO_COMPARE_DEFAULTS = dict(num_peers=120, num_replicas=5, num_keys=10,
-                                  duration_s=600.0, num_queries=15)
 
 #: CLI flag -> :class:`SimulationParameters` field, for the simulation commands.
 _FLAG_FIELDS = {
@@ -508,8 +402,8 @@ _FLAG_FIELDS = {
 def _explicit_flags(arguments: argparse.Namespace) -> dict:
     """The simulation fields the command line pins, as :class:`SimulationParameters` fields.
 
-    The simulation flags of ``scenario run``/``compare`` and ``attack-grid``
-    default to ``None``, so a non-``None`` value means the user typed it —
+    The simulation flags of ``scenario run`` default to ``None``, so a
+    non-``None`` value means the user typed it —
     these beat a scenario spec's ``overrides`` (the caller-wins contract of
     :func:`run_scenario`).  ``simulate`` gives its flags parser defaults: the
     ``uniform`` scenario has no overrides for them to beat.
@@ -619,79 +513,6 @@ def scenario_run_command(arguments: argparse.Namespace, *, stream=None) -> int:
             handle.write("\n")
     _write_run_result(run_scenario(spec, parameters), as_json=arguments.json,
                       stream=stream if stream is not None else sys.stdout)
-    return 0
-
-
-def scenario_compare_command(arguments: argparse.Namespace, *, stream=None) -> int:
-    """Run ``scenario compare``: scenarios × services × overlays as per-metric tables."""
-    stream = stream if stream is not None else sys.stdout
-    specs = _name_list(arguments.scenarios, "--scenarios", get_scenario)
-    services = _name_list(arguments.services, "--services",
-                          lambda name: (name.lower(), _algorithm_for(name)))
-    protocols = _name_list(arguments.protocols, "--protocols", _overlay)
-    explicit = _explicit_flags(arguments)
-    # The whole grid is one run plan executed by the unified execution
-    # layer: --jobs parallelises it, --cache-dir skips executed cells.
-    plan = RunPlan(name="scenario-compare")
-    cells = []
-    for scenario in specs:
-        for service, algorithm in services:
-            for protocol in protocols:
-                # The grid axes are explicit by construction: they must
-                # beat a scenario's own algorithm/protocol overrides.
-                spec, parameters = _resolve_scenario_run(
-                    scenario, _SCENARIO_COMPARE_DEFAULTS,
-                    dict(explicit, algorithm=algorithm, protocol=protocol),
-                    arguments.seed)
-                label = f"{service}@{protocol}"
-                plan.add(parameters, scenario=spec, label=f"{scenario.name}:{label}")
-                cells.append((scenario.name, label))
-    results = experiments_runner.executor_from_arguments(arguments).run(plan)
-    records = [(scenario_name, label, result.summary())
-               for (scenario_name, label), result in zip(cells, results)]
-    for table in comparison_tables(records):
-        rendered = table.to_markdown() if arguments.markdown else table.to_text()
-        stream.write(rendered + "\n\n")
-    return 0
-
-
-def attack_grid_command(arguments: argparse.Namespace, *, stream=None) -> int:
-    """Run the ``attack-grid`` command: the currency-degradation sweep."""
-    stream = stream if stream is not None else sys.stdout
-    fractions = _name_list(arguments.fractions, "--fractions", float)
-    protocols = _name_list(arguments.protocols, "--protocols", _overlay)
-    parameters = default_attack_parameters(seed=arguments.seed).with_overrides(
-        **_explicit_flags(arguments))
-    executor = experiments_runner.executor_from_arguments(arguments)
-    try:
-        report = run_attack_grid(parameters, fractions=fractions,
-                                 protocols=protocols,
-                                 strategy=arguments.strategy,
-                                 lag=arguments.lag, executor=executor)
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
-    if arguments.output:
-        with open(arguments.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if arguments.json:
-        json.dump(report, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-        return 0
-    stream.write(f"attack-degradation ({report['strategy']}), "
-                 f"plan {report['plan_hash'][:12]}\n")
-    for protocol in report["protocols"]:
-        entry = report["overlays"][protocol]
-        threshold = entry["threshold"]
-        shown = f"{threshold:g}" if threshold is not None else "not reached"
-        stream.write(f"\n{protocol}: guarantee "
-                     f"{entry['baseline_currency']:.3f}, "
-                     f"threshold {shown}\n")
-        for point in entry["points"]:
-            stream.write(f"  f={point['fraction']:<5g} "
-                         f"currency={point['currency']:.3f} "
-                         f"detected_lies={point['detected_lies']:>3d} "
-                         f"violations={point['violations']:d}\n")
     return 0
 
 

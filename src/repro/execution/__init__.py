@@ -1,8 +1,8 @@
 """The unified execution layer: run plans, the parallel executor, the run cache.
 
-Every experiment grid in the repo — the figure sweeps and ablations of
-:mod:`repro.experiments`, the ``repro scenario compare`` and ``repro
-experiments`` CLI commands, and the benchmark grids — is expressed as a
+Every experiment grid in the repo — the figure sweeps, ablations, attack
+grid and scenario comparison of :mod:`repro.experiments` (``repro
+experiments``), and the benchmark grids — is expressed as a
 :class:`RunPlan` (an explicit, serialisable list of content-hashed run
 points) and executed by one :class:`Executor`:
 

@@ -2,8 +2,8 @@
 
 A :class:`RunPlan` is an ordered list of :class:`RunPoint` entries — one
 ``(SimulationParameters, scenario)`` pair per independent simulation run of
-an experiment grid (the paper's figures and ablations, a scenario × overlay
-× service comparison, a benchmark).  Plans are pure data:
+an experiment grid (the paper's figures and ablations, the attack grid, the
+scenario × overlay × service comparison, a benchmark).  Plans are pure data:
 
 * every point has a **stable content hash** (:attr:`RunPoint.content_hash`)
   over its parameters and scenario spec — the key of the on-disk run cache,

@@ -1,10 +1,9 @@
 """Experiments reproducing every table and figure of the paper.
 
-Every simulated figure and ablation is one declared sweep in
-:data:`EXPERIMENTS`; :func:`run_experiments` runs any of them as one
-deduplicated plan and returns an
-:class:`~repro.experiments.reporting.ExperimentTable` per experiment, whose
-rows mirror the figure's series.  ``scale="quick"`` produces reduced sweeps
+Every simulated figure, ablation and grid (the attack grid, the scenario
+comparison) is one declared sweep in :data:`EXPERIMENTS`;
+:func:`run_experiments` runs any of them as one deduplicated plan and returns
+an :class:`~repro.experiments.reporting.ExperimentTable` per experiment.  ``scale="quick"`` produces reduced sweeps
 for fast runs; ``scale="paper"`` runs the full Table 1 configuration (up to
 10,000 peers, 3 simulated hours).
 

@@ -1,11 +1,14 @@
-"""The experiment table: every figure and ablation of Section 5 as a declared sweep.
+"""The experiment table: every figure, ablation and grid as a declared sweep.
 
 The paper's evaluation (Table 1, Figures 6-12) is a family of one-axis sweeps
-over the Table 1 workload, and so are the reproduction's ablations.  Each is
-one :class:`Experiment` record in :data:`EXPERIMENTS`: the swept
-:class:`~repro.simulation.config.SimulationParameters` field with its values
-(from :data:`SCALE_PROFILES`, or fixed), the series (one algorithm per curve of a
-figure, one metric column per ablation), the preset and the fixed overrides.
+over the Table 1 workload, and so are the reproduction's ablations, its
+byzantine attack grid and its scenario comparison.  Each is one
+:class:`Experiment` record in :data:`EXPERIMENTS`: the swept
+:class:`~repro.simulation.config.SimulationParameters` field (or the run's
+scenario) with its values (from :data:`SCALE_PROFILES`, or fixed), the series
+(one set of parameter overrides and one metric per column: an algorithm per
+curve of a figure, an overlay per attack column), the preset and the fixed
+overrides.
 :func:`run_experiments` runs any subset of the table as **one**
 :class:`~repro.execution.RunPlan` holding each distinct parameter point once
 (keyed by :attr:`~repro.execution.RunPoint.content_hash`) and builds every
@@ -37,21 +40,27 @@ from repro.core import analysis
 from repro.dht.registry import overlay_names
 from repro.execution import Executor, RunPlan, RunPoint
 from repro.experiments.reporting import ExperimentTable
+from repro.simulation.adversary import byzantine_scenario_spec
 from repro.simulation.config import Algorithm, SimulationParameters, table1_churn_rate
 from repro.simulation.results import RunResult
+from repro.simulation.scenarios import ScenarioSpec, get_scenario
+from repro.simulation.scenarios.registry import UNIFORM_SCENARIO
 
 __all__ = [
     "EXPERIMENTS",
     "SCALE_PROFILES",
     "STABILIZATION_INTERVALS_S",
     "Experiment",
+    "degradation_thresholds",
     "expected_retrievals_table",
     "run_experiments",
     "table1_parameters",
 ]
 
 #: Sweep ranges for the three scales.  "paper" mirrors the figures' x axes;
-#: "quick" keeps the same span with fewer/smaller points.
+#: "quick" keeps the same span with fewer/smaller points.  A ``*_workload``
+#: entry holds the parameter fields of a grid beyond the paper (the records
+#: that name it as their ``workload``).
 SCALE_PROFILES: Dict[str, Dict[str, Any]] = {
     "tiny": {
         # Minimal sweeps used by the unit tests: every experiment still runs
@@ -65,6 +74,11 @@ SCALE_PROFILES: Dict[str, Dict[str, Any]] = {
         "num_keys": 6,
         "duration_s": 400.0,
         "num_queries": 8,
+        # The attack grid's test grid (seed 3 is its calibration).
+        "attack_fractions": (0.0, 0.2, 0.5),
+        "attack_workload": {"num_peers": 100, "num_queries": 40},
+        "compare_workload": {"num_peers": 60, "num_keys": 5, "duration_s": 300.0,
+                             "num_queries": 6, "churn_rate_per_s": 0.1},
     },
     "quick": {
         "cluster_peer_counts": (10, 20, 30, 40, 50, 60),
@@ -76,6 +90,10 @@ SCALE_PROFILES: Dict[str, Dict[str, Any]] = {
         "num_keys": 20,
         "duration_s": 1800.0,
         "num_queries": 30,
+        "attack_fractions": (0.0, 0.1, 0.2, 0.3, 0.5),
+        "attack_workload": {"num_peers": 120, "num_queries": 60},
+        "compare_workload": {"num_peers": 150, "num_keys": 10, "duration_s": 900.0,
+                             "num_queries": 20, "churn_rate_per_s": 0.15},
     },
     "paper": {
         "cluster_peer_counts": (10, 20, 30, 40, 50, 60),
@@ -87,15 +105,20 @@ SCALE_PROFILES: Dict[str, Dict[str, Any]] = {
         "num_keys": 50,
         "duration_s": 3 * 3600.0,
         "num_queries": 30,
+        "attack_fractions": (0.0, 0.1, 0.2, 0.3, 0.5),
+        "attack_workload": {"num_peers": 120, "num_queries": 60},
+        "compare_workload": {"num_peers": 2000, "num_keys": 50, "duration_s": 10800.0,
+                             "num_queries": 30, "churn_rate_per_s": 1.0},
     },
 }
 
 #: The stabilisation ablation's intervals (s), the same at every scale.
 STABILIZATION_INTERVALS_S = (0.0, 30.0, 120.0, 600.0)
 
-#: One column of an experiment table: (column name, algorithm whose runs
-#: fill it, :class:`~repro.simulation.results.RunResult` attribute read).
-Series = Tuple[str, str, str]
+#: One column of an experiment table: (column name, the parameter overrides
+#: of the runs that fill it, :class:`~repro.simulation.results.RunResult`
+#: attribute read).
+Series = Tuple[str, Mapping[str, Any], str]
 
 
 def _profile(scale: str) -> Dict[str, Any]:
@@ -106,19 +129,23 @@ def _profile(scale: str) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One declared sweep: a row per swept value, a run per (value, algorithm).
+    """One declared sweep: a row per swept value, a run per (value, series).
 
     ``title`` and ``notes`` are format strings over the first run's
     parameters (``{protocol}``, ``{num_peers}``, ...) and ``{values}``, the
     swept values joined by " vs ".  The requested ``protocol`` drives every
     run, and a non-Chord one suffixes the table id, unless the experiment
-    sweeps or fixes the overlay itself.
+    sweeps, fixes or sets the overlay per series itself.  A run's parameters
+    are the preset, the profile and ``fixed``, then the scenario spec's
+    overrides, then its series' overrides.
     """
 
     id: str
     title: str
     x_label: str
-    #: The :class:`SimulationParameters` field the rows sweep.
+    #: The :class:`SimulationParameters` field the rows sweep, or ``"scenario"``:
+    #: then ``to_field`` maps each row's value to the run's
+    #: :class:`~repro.simulation.scenarios.ScenarioSpec`.
     swept: str
     #: The swept values at a scale profile.
     values: Callable[[Mapping[str, Any]], Sequence[Any]]
@@ -129,44 +156,66 @@ class Experiment:
     fixed: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     #: Maps a row's x value to the swept field's value (identity when ``None``).
     to_field: Optional[Callable[[Any], Any]] = None
+    #: The profile key of the sweep's own parameter fields; ``None`` reads the
+    #: profile's base peers, keys, duration and queries.
+    workload: Optional[str] = None
+    #: A value derived from the built table, appended to its notes.
+    derived: Optional[Callable[[ExperimentTable], str]] = None
 
     def table_id(self, protocol: str) -> str:
         """The table's id: suffixed by a non-Chord overlay the sweep runs on."""
-        if protocol == "chord" or self.swept == "protocol" or "protocol" in self.fixed:
+        if (protocol == "chord" or self.swept == "protocol" or "protocol" in self.fixed
+                or any("protocol" in overrides for _, overrides, _ in self.series)):
             return self.id
         return f"{self.id}-{protocol}"
 
-    def parameters(self, profile: Mapping[str, Any], x: Any, algorithm: str, *,
-                   seed: int, protocol: str) -> SimulationParameters:
-        """The parameters of one run: the preset, the profile, the fixed overrides, ``x``."""
-        knobs: Dict[str, Any] = dict(algorithm=algorithm, seed=seed, protocol=protocol,
-                                     num_queries=int(profile["num_queries"]))
-        if self.preset == "table1":
-            knobs.update(num_peers=int(profile["base_peers"]),
-                         num_keys=int(profile["num_keys"]),
-                         duration_s=float(profile["duration_s"]))
-        elif self.preset == "quick":
-            # CAN routing is O(n^(1/d)) and the responsibility search is
-            # linear in the number of zones, so the quick preset's overlay
-            # comparison runs on a smaller population.
-            knobs.update(num_peers=min(200, int(profile["base_peers"])))
+    def parameters(self, profile: Mapping[str, Any], x: Any, *, seed: int, protocol: str
+                   ) -> Tuple[SimulationParameters, ScenarioSpec]:
+        """The row's parameters and scenario: the preset, the profile, the fixed overrides, ``x``."""
+        knobs: Dict[str, Any] = dict(seed=seed, protocol=protocol)
+        if self.workload is not None:
+            knobs.update(profile[self.workload])
+        else:
+            knobs.update(num_queries=int(profile["num_queries"]))
+            if self.preset == "table1":
+                knobs.update(num_peers=int(profile["base_peers"]),
+                             num_keys=int(profile["num_keys"]),
+                             duration_s=float(profile["duration_s"]))
+            elif self.preset == "quick":
+                # CAN routing is O(n^(1/d)) and the responsibility search is
+                # linear in the number of zones, so the quick preset's overlay
+                # comparison runs on a smaller population.
+                knobs.update(num_peers=min(200, int(profile["base_peers"])))
         knobs.update(self.fixed)
-        knobs[self.swept] = x if self.to_field is None else self.to_field(x)
+        value = x if self.to_field is None else self.to_field(x)
+        scenario = UNIFORM_SCENARIO
+        if self.swept == "scenario":
+            scenario = value
+        else:
+            knobs[self.swept] = value
         parameters: SimulationParameters = getattr(SimulationParameters, self.preset)(**knobs)
-        if self.preset == "quick":
-            return parameters  # the quick preset keeps its own light churn
+        if self.preset == "quick" or "churn_rate_per_s" in knobs:
+            return parameters, scenario  # the preset or the profile sets its own churn
         return parameters.with_overrides(churn_rate_per_s=table1_churn_rate(
-            parameters.num_peers, parameters.duration_s))
+            parameters.num_peers, parameters.duration_s)), scenario
 
     def points(self, profile: Mapping[str, Any], *, seed: int, protocol: str
                ) -> Dict[Tuple[Any, str], RunPoint]:
-        """One run point per (swept value, algorithm), in row order."""
-        algorithms = list(dict.fromkeys(algorithm for _, algorithm, _ in self.series))
+        """One run point per (swept value, column), in row order.
+
+        Columns with the same overrides (an ablation's metrics) get equal
+        points, which :func:`run_experiments` runs once.
+        """
         table_id = self.table_id(protocol)
-        return {(x, algorithm): RunPoint(
-                    self.parameters(profile, x, algorithm, seed=seed, protocol=protocol),
-                    label=f"{table_id}:{x}/{algorithm}")
-                for x in self.values(profile) for algorithm in algorithms}
+        grid = RunPlan(name=table_id)
+        points = {}
+        for x in self.values(profile):
+            parameters, scenario = self.parameters(profile, x, seed=seed, protocol=protocol)
+            for column, overrides, _ in self.series:
+                label = f"{table_id}:{x}/{'@'.join(map(str, overrides.values()))}"
+                points[x, column] = grid.add(parameters, scenario=scenario, label=label,
+                                             **overrides)
+        return points
 
     def table(self, points: Mapping[Tuple[Any, str], RunPoint],
               results: Mapping[str, RunResult], protocol: str) -> ExperimentTable:
@@ -179,21 +228,80 @@ class Experiment:
                                 series=[column for column, _, _ in self.series],
                                 notes=self.notes.format(**text))
         for x in x_values:
-            table.add_row(x, {column: getattr(results[points[x, algorithm].content_hash],
-                                              attribute)
-                              for column, algorithm, attribute in self.series})
+            table.add_row(x, {column: getattr(results[points[x, column].content_hash], attribute)
+                              for column, _, attribute in self.series})
+        if self.derived is not None:
+            table.notes = f"{table.notes} {self.derived(table)}".strip()
         return table
+
+
+def degradation_thresholds(table: ExperimentTable) -> Dict[str, Optional[float]]:
+    """Per column, the first row whose value falls below the first row's (``None``: never).
+
+    Over the attack grid's certified-currency table: each overlay's smallest
+    byzantine fraction whose certified currency falls below the honest
+    fraction-0 baseline, the rate the paper's crash-stop analysis certifies.
+    """
+    thresholds: Dict[str, Optional[float]] = {}
+    for column in table.series:
+        (_, baseline), *rows = zip(table.x_values(), table.series_values(column))
+        thresholds[column] = next((x for x, value in rows if value < baseline), None)
+    return thresholds
+
+
+def _threshold_note(table: ExperimentTable) -> str:
+    return "Threshold (first fraction below the guarantee): " + ", ".join(
+        f"{column} {'never' if threshold is None else f'{threshold:g}'}"
+        for column, threshold in degradation_thresholds(table).items()) + "."
 
 
 def _curves(attribute: str, algorithms: Sequence[str] = Algorithm.ALL) -> Tuple[Series, ...]:
     """A figure's series: one curve of ``attribute`` per algorithm."""
-    return tuple((Algorithm.label(algorithm), algorithm, attribute)
+    return tuple((Algorithm.label(algorithm), {"algorithm": algorithm}, attribute)
                  for algorithm in algorithms)
 
 
 def _columns(*columns: Tuple[str, str]) -> Tuple[Series, ...]:
     """An ablation's series: (column, attribute) pairs of UMS-Direct runs."""
-    return tuple((column, Algorithm.UMS_DIRECT, attribute) for column, attribute in columns)
+    return tuple((column, {"algorithm": Algorithm.UMS_DIRECT}, attribute)
+                 for column, attribute in columns)
+
+
+def _overlays(attribute: str) -> Tuple[Series, ...]:
+    """The attack grid's series: one column of ``attribute`` per built-in overlay."""
+    return tuple((protocol, {"protocol": protocol}, attribute)
+                 for protocol in ("chord", "can", "kademlia"))
+
+
+def _services(attribute: str) -> Tuple[Series, ...]:
+    """The scenario comparison's series: a ``service@overlay`` column each."""
+    return tuple((f"{service}@{protocol}", {"algorithm": algorithm, "protocol": protocol},
+                  attribute)
+                 for service, algorithm in (("ums", Algorithm.UMS_DIRECT), ("brk", Algorithm.BRK))
+                 for protocol in ("chord", "kademlia"))
+
+
+def _attack(id: str, title: str, attribute: str, notes: str,
+            derived: Optional[Callable[[ExperimentTable], str]] = None) -> Experiment:
+    """A record of the attack grid: byzantine fractions x overlays, one metric.
+
+    The workload is deliberately repetitive (few keys, many queries, a high
+    update rate), so that repeated queries of a key straddle updates, which
+    is when a frozen (stale-replay) timestamp claim becomes observable.
+    """
+    return Experiment(
+        id, title, "byzantine fraction", "scenario", itemgetter("attack_fractions"),
+        _overlays(attribute), notes=notes, preset="quick",
+        fixed={"num_keys": 6, "duration_s": 600.0, "update_rate_per_hour": 60.0},
+        to_field=byzantine_scenario_spec, workload="attack_workload", derived=derived)
+
+
+def _comparison(attribute: str, title: str) -> Experiment:
+    """A record of the scenario comparison: scenarios x services x overlays, one metric."""
+    return Experiment(
+        f"scenario-compare-{attribute.replace('_', '-')}", title, "scenario", "scenario",
+        lambda profile: ("uniform", "hotspot", "correlated-failures", "lossy-network"),
+        _services(attribute), to_field=get_scenario, workload="compare_workload")
 
 
 _RESPONSE_TIME = ("response time (s)", "avg_response_time_s")
@@ -276,6 +384,20 @@ EXPERIMENTS: Dict[str, Experiment] = {experiment.id: experiment for experiment i
         notes="UMS-Direct; 'current' is the paper's Figure 2 retrieval, 'any' a "
               "first-replica read without the KTS lookup, 'best-effort' a "
               "bounded-probe read returning the freshest replica found."),
+    _attack(
+        "attack-degradation", "Certified currency vs byzantine fraction (stale-replay)",
+        "currency_rate",
+        "UMS-Direct over {num_peers} peers; the fraction-0 row is the guarantee, the "
+        "honest-responsible rate the paper's crash-stop analysis certifies.",
+        derived=_threshold_note),
+    _attack(
+        "attack-detected-lies", "Detected timestamp lies vs byzantine fraction (stale-replay)",
+        "detected_lies",
+        "Responsible claims the cross-check detector flagged as older than a replica "
+        "seen in the same retrieve."),
+    _comparison("currency_rate", "certified-current retrieval rate"),
+    _comparison("avg_response_time_s", "average response time (s)"),
+    _comparison("avg_messages", "average messages per query"),
 )}
 
 
@@ -286,9 +408,10 @@ def run_experiments(ids: Sequence[str], scale: str = "quick", *, seed: int = 200
 
     All their points go into one :class:`~repro.execution.RunPlan`, which
     holds a point shared by several experiments (the Table 1 base point
-    recurs in most sweeps) once.  ``protocol`` selects the overlay of every
-    experiment that does not sweep or fix its own.  ``executor`` defaults to
-    a serial :class:`~repro.execution.Executor`.
+    recurs in most sweeps; the attack records share all theirs) once.
+    ``protocol`` selects the overlay of every experiment that does not sweep,
+    fix or set per series its own.  ``executor`` defaults to a serial
+    :class:`~repro.execution.Executor`.
     """
     profile = _profile(scale)
     unknown = [experiment_id for experiment_id in ids if experiment_id not in EXPERIMENTS]

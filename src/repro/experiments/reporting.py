@@ -4,25 +4,14 @@ Every figure/table of the paper is regenerated as an :class:`ExperimentTable`:
 an x-axis (number of peers, number of replicas, failure rate, ...), one column
 per algorithm/series, and one row per x value.  Tables render to plain text
 (for benchmark output) and Markdown (for EXPERIMENTS.md).
-
-:func:`comparison_tables` pivots scenario×overlay×service run summaries into
-one :class:`ExperimentTable` per metric — the output format of
-``repro scenario compare``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List
 
-__all__ = ["ExperimentTable", "comparison_tables"]
-
-#: Default metrics of :func:`comparison_tables`: summary key -> table title.
-COMPARISON_METRICS: Tuple[Tuple[str, str], ...] = (
-    ("currency_rate", "certified-current retrieval rate"),
-    ("avg_response_time_s", "average response time (s)"),
-    ("avg_messages", "average messages per query"),
-)
+__all__ = ["ExperimentTable"]
 
 
 @dataclass
@@ -106,38 +95,3 @@ class ExperimentTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-
-def comparison_tables(
-        records: Iterable[Tuple[str, str, Mapping[str, Any]]], *,
-        metrics: Sequence[Tuple[str, str]] = COMPARISON_METRICS,
-        experiment_prefix: str = "scenario-compare") -> List[ExperimentTable]:
-    """Pivot ``(scenario, series, summary)`` records into per-metric tables.
-
-    Each record is one run: the scenario name becomes the row (x value), the
-    series label (e.g. ``"ums@chord"``) the column, and ``summary`` the
-    :meth:`repro.simulation.results.RunResult.summary` dict the metric values
-    are read from.  One table is produced per ``(summary key, title)`` pair
-    in ``metrics``; rows and columns keep first-seen order, and missing cells
-    render as ``None``.
-    """
-    materialised = list(records)
-    scenarios: List[str] = []
-    series: List[str] = []
-    values: Dict[Tuple[str, str], Mapping[str, Any]] = {}
-    for scenario, label, summary in materialised:
-        if scenario not in scenarios:
-            scenarios.append(scenario)
-        if label not in series:
-            series.append(label)
-        values[(scenario, label)] = summary
-    tables: List[ExperimentTable] = []
-    for metric_key, title in metrics:
-        table = ExperimentTable(
-            experiment_id=f"{experiment_prefix}-{metric_key.replace('_', '-')}",
-            title=title, x_label="scenario", series=list(series))
-        for scenario in scenarios:
-            row = {label: values[(scenario, label)].get(metric_key)
-                   for label in series if (scenario, label) in values}
-            table.add_row(scenario, row)
-        tables.append(table)
-    return tables

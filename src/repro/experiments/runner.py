@@ -5,7 +5,8 @@ Usage::
     python -m repro.experiments.runner --scale quick
     python -m repro.experiments.runner --scale paper --output results.md
     python -m repro.experiments.runner --scale paper --jobs 4 --cache-dir .repro-cache
-    python -m repro.experiments.runner --scale tiny --no-ablations --charts --progress
+    python -m repro.experiments.runner --scale tiny --only figure --charts --progress
+    python -m repro.experiments.runner --scale tiny --seed 3 --only attack
 
 ``repro experiments`` takes the same flags.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional, TextIO
+from typing import List, Optional, Sequence, TextIO
 
 from repro.dht.registry import overlay_names
 from repro.execution import Executor
@@ -29,29 +30,46 @@ from repro.experiments import figures
 from repro.experiments.reporting import ExperimentTable
 
 __all__ = ["add_arguments", "add_executor_arguments", "executor_from_arguments",
-           "main", "run_all_experiments", "run_command", "write_experiments_report"]
+           "main", "run_all_experiments", "run_command", "select_experiments",
+           "write_experiments_report"]
+
+
+def select_experiments(only: Sequence[str] = ()) -> List[str]:
+    """The ids of :data:`~repro.experiments.figures.EXPERIMENTS` that ``only`` names.
+
+    Each entry selects the id it names or, naming none, every id it
+    prefixes (``figure``, ``attack``, ``scenario-compare``); an empty
+    ``only`` selects every id.  Ids keep their table order.
+    """
+    selected = set()
+    for entry in only:
+        matches = ([entry] if entry in figures.EXPERIMENTS else
+                   [name for name in figures.EXPERIMENTS if name.startswith(entry)])
+        if not matches:
+            raise ValueError(f"{entry!r} names no experiment; expected an id or id "
+                             f"prefix of {list(figures.EXPERIMENTS)}")
+        selected.update(matches)
+    return [name for name in figures.EXPERIMENTS if not only or name in selected]
 
 
 def run_all_experiments(scale: str = "quick", *, seed: int = 2007,
-                        protocol: str = "chord",
-                        include_ablations: bool = True,
+                        protocol: str = "chord", only: Sequence[str] = (),
                         executor: Optional[Executor] = None) -> List[ExperimentTable]:
-    """Regenerate every table/figure of the paper (plus the ablations).
+    """Regenerate every table/figure of the paper, the ablations and the grids.
 
-    Table 1 and Theorem 1, then every declared experiment of
-    :data:`~repro.experiments.figures.EXPERIMENTS` (the ``ablation-*`` ones
-    only with ``include_ablations``), run by
+    Table 1 and Theorem 1, then the declared experiments of
+    :data:`~repro.experiments.figures.EXPERIMENTS` that ``only`` selects
+    (:func:`select_experiments`; default all), run by
     :func:`~repro.experiments.figures.run_experiments` as one plan.
     ``protocol`` selects the overlay the simulated sweeps run on (any name
     registered in :mod:`repro.dht.registry`); the stabilisation ablation
-    stays on Chord (it ablates a Chord-specific knob) and the overlay
-    ablation compares every registered overlay by design.
+    stays on Chord (it ablates a Chord-specific knob), and the overlay
+    ablation, the attack grid and the scenario comparison choose their
+    overlays themselves.
     """
-    ids = [experiment_id for experiment_id in figures.EXPERIMENTS
-           if include_ablations or not experiment_id.startswith("ablation-")]
     return [figures.table1_parameters(scale), figures.expected_retrievals_table(),
-            *figures.run_experiments(ids, scale, seed=seed, protocol=protocol,
-                                     executor=executor)]
+            *figures.run_experiments(select_experiments(only), scale, seed=seed,
+                                     protocol=protocol, executor=executor)]
 
 
 def write_experiments_report(tables: List[ExperimentTable], stream: TextIO, *,
@@ -105,6 +123,18 @@ def executor_from_arguments(arguments: argparse.Namespace, *,
                     use_cache=not arguments.no_cache, progress=progress)
 
 
+def _experiment_ids(value: str) -> List[str]:
+    """Parse ``--only``: comma-separated ids or id prefixes, checked against the table."""
+    entries = [entry.strip() for entry in value.split(",") if entry.strip()]
+    if not entries:
+        raise argparse.ArgumentTypeError("needs at least one id or id prefix")
+    try:
+        select_experiments(entries)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from error
+    return entries
+
+
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """The runner's flags, shared by this module's ``main`` and ``repro experiments``."""
     parser.add_argument("--scale", choices=sorted(figures.SCALE_PROFILES), default="quick",
@@ -115,14 +145,17 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="write the Markdown report to this file (default: stdout)")
     parser.add_argument("--protocol", choices=overlay_names(), default="chord",
                         help="DHT overlay for every experiment except the "
-                             "stabilisation ablation (Chord-specific) and the "
-                             "overlay ablation (which compares every registered "
-                             "overlay)")
+                             "stabilisation ablation (Chord-specific) and those "
+                             "that choose their overlays (the overlay ablation, "
+                             "the attack grid, the scenario comparison)")
     add_executor_arguments(parser)
     parser.add_argument("--progress", action="store_true",
                         help="print per-run completions to stderr")
-    parser.add_argument("--no-ablations", action="store_true",
-                        help="skip the ablation studies")
+    parser.add_argument("--only", type=_experiment_ids, default=(), metavar="ID[,ID...]",
+                        help="run only these experiments: ids or id prefixes "
+                             "such as 'figure', 'ablation', 'attack' or "
+                             "'scenario-compare' (Table 1 and Theorem 1 are "
+                             "always reported)")
     parser.add_argument("--charts", action="store_true",
                         help="append an ASCII chart under every figure table")
 
@@ -134,8 +167,7 @@ def run_command(arguments: argparse.Namespace, *, stream=None) -> int:
     # reprolint: allow[REP001] reason=report-only elapsed metadata; experiment values are seed-determined (tests/experiments/test_reporting.py)
     started = time.time()
     tables = run_all_experiments(arguments.scale, seed=arguments.seed,
-                                 protocol=arguments.protocol,
-                                 include_ablations=not arguments.no_ablations,
+                                 protocol=arguments.protocol, only=arguments.only,
                                  executor=executor)
     # reprolint: allow[REP001] reason=report-only elapsed metadata; experiment values are seed-determined (tests/experiments/test_reporting.py)
     elapsed = time.time() - started

@@ -351,9 +351,10 @@ def byzantine_scenario_spec(fraction: float, *,
                             name: Optional[str] = None) -> ScenarioSpec:
     """A ``byzantine-timestamps`` scenario spec at an explicit ``fraction``.
 
-    The attack grid (:mod:`repro.experiments.attack_grid`) builds one spec
-    per grid cell with this helper so every cell shares the baseline
-    workload and differs only in the byzantine knobs.
+    The attack grid's records (``attack-*`` in
+    :data:`repro.experiments.figures.EXPERIMENTS`) build one spec per swept
+    fraction with this helper, so every cell shares the baseline workload
+    and differs only in the byzantine knobs.
     """
     return ScenarioSpec(
         name=name if name is not None else "byzantine-timestamps",

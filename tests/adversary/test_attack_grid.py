@@ -1,4 +1,4 @@
-"""The attack grid: plan shape, artifact schema and the degradation guarantee.
+"""The attack grid: table shape, CLI report and the degradation guarantee.
 
 The acceptance property lives here: per overlay, the measured certified
 currency equals the analytical guarantee (the honest fraction-0 baseline)
@@ -9,139 +9,94 @@ reported point, never before.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.cli import main as cli_main
 from repro.execution import Executor
-from repro.experiments.attack_grid import (
-    DEFAULT_FRACTIONS,
-    DEFAULT_PROTOCOLS,
-    build_attack_plan,
-    default_attack_parameters,
-    degradation_report,
-    run_attack_grid,
-)
+from repro.experiments.figures import (EXPERIMENTS, SCALE_PROFILES, degradation_thresholds,
+                                       run_experiments)
+from repro.simulation import run_simulation
 
-FRACTIONS = (0.0, 0.2, 0.5)
+IDS = ["attack-degradation", "attack-detected-lies"]
+OVERLAYS = ["chord", "can", "kademlia"]
+FRACTIONS = [0.0, 0.2, 0.5]
 
 
 @pytest.fixture(scope="module")
-def report():
-    """One shared tiny grid (serial executor) for the schema/guarantee tests."""
-    parameters = default_attack_parameters(seed=3).with_overrides(
-        num_peers=100, num_queries=40)
-    return run_attack_grid(parameters, fractions=FRACTIONS)
+def tables():
+    """The tiny grid at its calibration seed (serial executor)."""
+    return run_experiments(IDS, "tiny", seed=3, executor=Executor(jobs=1))
 
 
-class TestPlanStructure:
-    def test_grid_is_protocols_by_fractions(self):
-        plan = build_attack_plan(default_attack_parameters(),
-                                 fractions=FRACTIONS)
-        assert len(plan) == len(DEFAULT_PROTOCOLS) * len(FRACTIONS)
-        assert plan.labels()[:3] == ["chord@f0", "chord@f0.2", "chord@f0.5"]
-        for point in plan:
-            assert point.scenario is not None
-            assert point.scenario.faults[0]["kind"] == "byzantine-timestamps"
+class TestTableShape:
+    def test_grid_is_fractions_by_overlays(self, tables):
+        for table in tables:
+            assert table.x_values() == FRACTIONS == list(SCALE_PROFILES["tiny"]["attack_fractions"])
+            assert table.series == OVERLAYS
 
-    def test_zero_baseline_is_always_included(self):
-        plan = build_attack_plan(default_attack_parameters(),
-                                 fractions=(0.3,), protocols=("chord",))
-        assert plan.labels() == ["chord@f0", "chord@f0.3"]
-
-    def test_bad_inputs_rejected(self):
-        with pytest.raises(ValueError, match="strategy"):
-            build_attack_plan(default_attack_parameters(), strategy="nope")
-        with pytest.raises(ValueError, match="fraction"):
-            build_attack_plan(default_attack_parameters(), fractions=(1.0,))
-
-    def test_default_fractions_start_at_the_honest_baseline(self):
-        assert DEFAULT_FRACTIONS[0] == 0.0
-        assert DEFAULT_FRACTIONS == tuple(sorted(DEFAULT_FRACTIONS))
-
-
-class TestArtifactSchema:
-    def test_top_level_schema(self, report):
-        assert report["experiment"] == "attack-degradation"
-        assert report["strategy"] == "stale-replay"
-        assert report["fractions"] == sorted(FRACTIONS)
-        assert sorted(report["protocols"]) == sorted(DEFAULT_PROTOCOLS)
-        assert report["parameters"]["num_peers"] == 100
-        json.dumps(report)  # artifact must be JSON-serialisable as-is
-
-    def test_per_overlay_schema(self, report):
-        for protocol in DEFAULT_PROTOCOLS:
-            entry = report["overlays"][protocol]
-            fractions = [point["fraction"] for point in entry["points"]]
-            assert fractions == sorted(FRACTIONS)
-            for point in entry["points"]:
-                for field in ("currency", "true_currency", "guarantee",
-                              "violations", "detected_lies",
-                              "undetected_stale_rate", "stale_results"):
-                    assert field in point
-
-    def test_results_length_mismatch_rejected(self):
-        plan = build_attack_plan(default_attack_parameters(),
-                                 fractions=(0.0,), protocols=("chord",))
-        with pytest.raises(ValueError, match="results"):
-            degradation_report(plan, [], strategy="stale-replay")
+    def test_every_point_runs_a_byzantine_scenario(self):
+        points = EXPERIMENTS["attack-degradation"].points(SCALE_PROFILES["tiny"], seed=3,
+                                                          protocol="chord")
+        assert len(points) == len(FRACTIONS) * len(OVERLAYS)
+        for (fraction, _), point in points.items():
+            (fault,) = point.scenario.faults
+            assert fault["kind"] == "byzantine-timestamps"
+            assert fault["fraction"] == fraction
+            assert point.parameters.num_peers == 100
+            assert point.parameters.num_queries == 40
 
 
 class TestDegradationGuarantee:
-    def test_baseline_point_meets_the_guarantee_exactly(self, report):
-        for protocol in DEFAULT_PROTOCOLS:
-            entry = report["overlays"][protocol]
-            baseline = entry["points"][0]
-            assert baseline["fraction"] == 0.0
-            assert baseline["currency"] == entry["baseline_currency"]
-            assert baseline["currency"] == baseline["guarantee"]
+    def test_baseline_point_meets_the_guarantee_exactly(self, tables):
+        # The guarantee is the certified currency of honest responsibles on
+        # the same workload: the fraction-0 row must be exactly that rate.
+        currency, lies = tables
+        assert currency.x_values()[0] == 0.0
+        points = EXPERIMENTS["attack-degradation"].points(SCALE_PROFILES["tiny"], seed=3,
+                                                          protocol="chord")
+        for protocol in OVERLAYS:
+            honest = run_simulation(points[0.0, protocol].parameters)
+            assert currency.series_values(protocol)[0] == honest.currency_rate
+            assert lies.series_values(protocol)[0] == 0
 
-    def test_currency_falls_below_the_guarantee_only_past_the_threshold(
-            self, report):
-        for protocol in DEFAULT_PROTOCOLS:
-            entry = report["overlays"][protocol]
-            threshold = entry["threshold"]
-            for point in entry["points"]:
-                if threshold is None or point["fraction"] < threshold:
-                    assert point["currency"] >= point["guarantee"]
-                elif point["fraction"] == threshold:
-                    assert point["currency"] < point["guarantee"]
+    def test_currency_falls_below_the_guarantee_only_past_the_threshold(self, tables):
+        currency, _ = tables
+        thresholds = degradation_thresholds(currency)
+        for protocol in OVERLAYS:
+            threshold = thresholds[protocol]
+            guarantee, *_ = values = currency.series_values(protocol)
+            for fraction, value in zip(currency.x_values(), values):
+                if threshold is None or fraction < threshold:
+                    assert value >= guarantee
+                elif fraction == threshold:
+                    assert value < guarantee
 
-    def test_the_attack_lands_on_every_overlay_at_this_seed(self, report):
+    def test_the_attack_lands_on_every_overlay_at_this_seed(self, tables):
         # Calibrated: seed 3 with 40 repetitive queries degrades certified
         # currency on all three overlays by fraction 0.5.
-        for protocol in DEFAULT_PROTOCOLS:
-            entry = report["overlays"][protocol]
-            assert entry["threshold"] is not None
-            worst = entry["points"][-1]
-            assert worst["fraction"] == 0.5
-            assert worst["currency"] < entry["baseline_currency"]
-            assert worst["detected_lies"] > 0
+        currency, lies = tables
+        thresholds = degradation_thresholds(currency)
+        assert currency.x_values()[-1] == 0.5
+        for protocol in OVERLAYS:
+            assert thresholds[protocol] is not None
+            values = currency.series_values(protocol)
+            assert values[-1] < values[0]
+            assert lies.series_values(protocol)[-1] > 0
 
 
 class TestExecutionLayerIntegration:
-    def test_parallel_run_is_bit_identical_to_serial(self, report):
-        parameters = default_attack_parameters(seed=3).with_overrides(
-            num_peers=100, num_queries=40)
-        parallel = run_attack_grid(parameters, fractions=FRACTIONS,
-                                   executor=Executor(2))
-        assert parallel == report
+    def test_parallel_run_is_bit_identical_to_serial(self, tables):
+        parallel = run_experiments(IDS, "tiny", seed=3, executor=Executor(2))
+        assert [table.to_markdown(float_format="%r") for table in parallel] \
+            == [table.to_markdown(float_format="%r") for table in tables]
 
-    def test_cli_writes_the_artifact(self, tmp_path, capsys):
-        artifact = tmp_path / "attack.json"
-        code = cli_main([
-            "attack-grid", "--fractions", "0,0.5", "--protocols", "chord",
-            "--peers", "80", "--queries", "20", "--seed", "3", "--jobs", "2",
-            "--output", str(artifact)])
+    def test_cli_writes_the_report(self, tmp_path):
+        report = tmp_path / "attack-degradation.md"
+        code = cli_main(["experiments", "--scale", "tiny", "--seed", "3", "--only", "attack",
+                         "--jobs", "2", "--output", str(report)])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "attack-degradation" in out
-        assert "chord" in out
-        payload = json.loads(artifact.read_text())
-        assert payload["experiment"] == "attack-degradation"
-        assert payload["overlays"]["chord"]["points"][0]["fraction"] == 0.0
-
-    def test_cli_rejects_unknown_protocols(self):
-        with pytest.raises(SystemExit, match="unknown protocol"):
-            cli_main(["attack-grid", "--protocols", "ring-of-power"])
+        content = report.read_text()
+        for experiment_id in IDS:
+            assert f"### {experiment_id}:" in content
+        assert "figure-7" not in content
+        assert "chord 0.5, can 0.5, kademlia 0.2." in content

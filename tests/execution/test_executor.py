@@ -14,7 +14,8 @@ import pytest
 
 import repro.execution.executor as executor_module
 from repro.execution import Executor, RunPlan, resolve_jobs
-from repro.experiments.reporting import comparison_tables
+from repro.experiments.figures import run_experiments
+from repro.experiments.runner import select_experiments
 from repro.simulation import SimulationParameters, run_simulation
 from repro.simulation.scenarios import get_scenario, run_scenario
 
@@ -50,17 +51,13 @@ class TestParity:
             == [snapshot(result) for result in parallel]
 
     def test_parallel_comparison_tables_match_serial(self):
-        plan = small_grid()
-        serial = Executor(jobs=1).run(plan)
-        parallel = Executor(jobs=4).run(plan)
+        ids = select_experiments(["scenario-compare"])
 
-        def tables(results):
-            records = [(point.label.split("/")[0], point.label.split("/")[1],
-                        result.summary())
-                       for point, result in zip(plan, results)]
-            return [table.to_markdown() for table in comparison_tables(records)]
+        def tables(jobs):
+            return [table.to_markdown(float_format="%r") for table in
+                    run_experiments(ids, "tiny", seed=11, executor=Executor(jobs=jobs))]
 
-        assert tables(serial) == tables(parallel)
+        assert tables(1) == tables(4)
 
     def test_executor_matches_a_direct_harness_run(self):
         parameters = quick()

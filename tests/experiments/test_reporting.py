@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.reporting import ExperimentTable, comparison_tables
+from repro.experiments.reporting import ExperimentTable
 
 
 def sample_table():
@@ -61,43 +61,3 @@ class TestExperimentTable:
         assert "empty" in table.to_text()
         assert "| x | A |" in table.to_markdown()
 
-
-def sample_records():
-    summary_a = {"currency_rate": 1.0, "avg_response_time_s": 3.0,
-                 "avg_messages": 12.0}
-    summary_b = {"currency_rate": 0.0, "avg_response_time_s": 7.0,
-                 "avg_messages": 30.0}
-    return [("hotspot", "ums@chord", summary_a),
-            ("hotspot", "brk@chord", summary_b),
-            ("flashcrowd", "ums@chord", summary_a),
-            ("flashcrowd", "brk@chord", summary_b)]
-
-
-class TestComparisonTables:
-    def test_one_table_per_metric_with_scenario_rows(self):
-        tables = comparison_tables(sample_records())
-        assert [table.experiment_id for table in tables] == [
-            "scenario-compare-currency-rate",
-            "scenario-compare-avg-response-time-s",
-            "scenario-compare-avg-messages"]
-        for table in tables:
-            assert table.x_values() == ["hotspot", "flashcrowd"]
-            assert table.series == ["ums@chord", "brk@chord"]
-
-    def test_values_are_pivoted_from_the_summaries(self):
-        messages = comparison_tables(sample_records())[2]
-        assert messages.series_values("ums@chord") == [12.0, 12.0]
-        assert messages.series_values("brk@chord") == [30.0, 30.0]
-
-    def test_missing_cells_render_as_none(self):
-        records = sample_records()[:3]  # no brk@chord run for flashcrowd
-        table = comparison_tables(records)[0]
-        assert table.series_values("brk@chord") == [0.0, None]
-
-    def test_custom_metrics_and_prefix(self):
-        tables = comparison_tables(
-            sample_records(), metrics=(("avg_messages", "messages"),),
-            experiment_prefix="what-if")
-        assert len(tables) == 1
-        assert tables[0].experiment_id == "what-if-avg-messages"
-        assert tables[0].title == "messages"

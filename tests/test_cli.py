@@ -216,58 +216,6 @@ class TestScenarioCommand:
         finally:
             unregister_scenario("pinned-queries")
 
-    def test_compare_rejects_unknown_names_before_running(self):
-        for bad in (["--scenarios", "hotspo"],
-                    ["--services", "umss"],
-                    ["--protocols", "pastry"]):
-            with pytest.raises(SystemExit):
-                cli.scenario_compare_command(cli.build_parser().parse_args(
-                    ["scenario", "compare"] + bad), stream=io.StringIO())
-
-    def test_compare_emits_one_table_per_metric(self):
-        stream = io.StringIO()
-        exit_code = cli.scenario_compare_command(
-            cli.build_parser().parse_args(
-                ["scenario", "compare", "--scenarios", "hotspot,flashcrowd",
-                 "--protocols", "chord,kademlia", "--services", "ums,brk",
-                 "--peers", "60", "--keys", "5", "--duration", "300",
-                 "--queries", "5", "--replicas", "4", "--seed", "13"]),
-            stream=stream)
-        output = stream.getvalue()
-        assert exit_code == 0
-        for metric in ("currency-rate", "avg-response-time-s", "avg-messages"):
-            assert f"scenario-compare-{metric}" in output
-        for series in ("ums@chord", "ums@kademlia", "brk@chord", "brk@kademlia"):
-            assert series in output
-        assert "hotspot" in output and "flashcrowd" in output
-
-    def test_compare_with_jobs_matches_the_serial_output(self):
-        base = ["scenario", "compare", "--scenarios", "uniform,hotspot",
-                "--protocols", "chord", "--services", "ums,brk",
-                "--peers", "60", "--keys", "4", "--duration", "200",
-                "--queries", "4", "--seed", "13"]
-        serial, parallel = io.StringIO(), io.StringIO()
-        assert cli.scenario_compare_command(cli.build_parser().parse_args(base),
-                                            stream=serial) == 0
-        assert cli.scenario_compare_command(
-            cli.build_parser().parse_args(base + ["--jobs", "2"]),
-            stream=parallel) == 0
-        assert serial.getvalue() == parallel.getvalue()
-
-    def test_compare_cache_dir_skips_executed_cells(self, tmp_path):
-        cache = tmp_path / "cache"
-        base = ["scenario", "compare", "--scenarios", "uniform",
-                "--protocols", "chord", "--services", "ums",
-                "--peers", "60", "--keys", "4", "--duration", "200",
-                "--queries", "4", "--seed", "13", "--cache-dir", str(cache)]
-        first, second = io.StringIO(), io.StringIO()
-        assert cli.scenario_compare_command(cli.build_parser().parse_args(base),
-                                            stream=first) == 0
-        assert len(list(cache.glob("*.json"))) == 1
-        assert cli.scenario_compare_command(cli.build_parser().parse_args(base),
-                                            stream=second) == 0
-        assert first.getvalue() == second.getvalue()
-
     def test_main_dispatches_to_scenario(self, capsys):
         exit_code = cli.main(["scenario", "list"])
         assert exit_code == 0
@@ -283,7 +231,7 @@ class TestScenarioCommand:
 class TestExperimentsCommand:
     def test_main_dispatches_to_experiments_runner(self, tmp_path, capsys):
         output = tmp_path / "report.md"
-        exit_code = cli.main(["experiments", "--scale", "tiny", "--no-ablations",
+        exit_code = cli.main(["experiments", "--scale", "tiny", "--only", "figure",
                               "--output", str(output), "--seed", "5"])
         assert exit_code == 0
         content = output.read_text()
@@ -293,7 +241,7 @@ class TestExperimentsCommand:
     def test_experiments_jobs_and_cache_reproduce_the_serial_report(self, tmp_path):
         def report(*extra) -> str:
             output = tmp_path / "report.md"
-            assert cli.main(["experiments", "--scale", "tiny", "--no-ablations",
+            assert cli.main(["experiments", "--scale", "tiny", "--only", "figure",
                              "--output", str(output), "--seed", "5",
                              *extra]) == 0
             # Strip the wall-clock line: it differs between invocations.
@@ -308,9 +256,28 @@ class TestExperimentsCommand:
         cached = report("--cache-dir", str(cache))
         assert cached == serial
 
+    @pytest.mark.parametrize("only, message", [("attack-of-the-clones", "names no experiment"),
+                                               (",", "at least one id")])
+    def test_experiments_only_rejects_what_names_no_experiment(self, only, message, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["experiments", "--only", only])
+        assert message in capsys.readouterr().err
+
+    def test_experiments_only_scenario_compare_emits_one_table_per_metric(self, tmp_path):
+        output = tmp_path / "report.md"
+        assert cli.main(["experiments", "--scale", "tiny", "--only", "scenario-compare",
+                         "--output", str(output)]) == 0
+        content = output.read_text()
+        for metric in ("currency-rate", "avg-response-time-s", "avg-messages"):
+            assert f"### scenario-compare-{metric}:" in content
+        for series in ("ums@chord", "ums@kademlia", "brk@chord", "brk@kademlia"):
+            assert series in content
+        assert "| hotspot |" in content and "| lossy-network |" in content
+        assert "figure-7" not in content and "table-1" in content
+
     def test_experiments_takes_the_runner_flags(self, tmp_path, capsys):
         output = tmp_path / "report.md"
-        assert cli.main(["experiments", "--scale", "tiny", "--no-ablations",
+        assert cli.main(["experiments", "--scale", "tiny", "--only", "figure",
                          "--charts", "--progress", "--output", str(output),
                          "--seed", "5"]) == 0
         assert "```" in output.read_text()

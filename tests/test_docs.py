@@ -5,8 +5,9 @@ job enforces on every push:
 
 * the public docstring coverage of ``src/repro`` stays at or above the
   threshold reprolint's REP006 pins (``tools.reprolint.rules``);
-* DESIGN.md's paper ↔ code cross-reference table covers every experiment id
-  EXPERIMENTS.md says gets generated;
+* EXPERIMENTS.md's "What gets generated" table has a row per declared
+  experiment, and DESIGN.md's paper ↔ code cross-reference table covers
+  every id it lists;
 * the README "Scenarios" quickstart commands are the ones CI smoke-tests,
   and they actually run;
 * the code names the prose documents mention in backticks still resolve.
@@ -66,6 +67,12 @@ class TestCrossReference:
         for experiment_id in self._experiment_ids():
             assert f"`{experiment_id}`" in table, (
                 f"DESIGN.md cross-reference table is missing {experiment_id!r}")
+
+    def test_every_declared_experiment_has_its_own_row(self):
+        from repro.experiments.figures import EXPERIMENTS
+        ids = self._experiment_ids()
+        assert [name for name in EXPERIMENTS if name not in ids] == []
+        assert len(ids) == len(set(ids))
 
     def test_every_figure_of_the_paper_is_cross_referenced(self):
         design = (REPO_ROOT / "DESIGN.md").read_text()
