@@ -11,23 +11,24 @@ timestamp for a key right after its responsible of timestamping changed.
 
 from __future__ import annotations
 
-from repro.core import CounterInitialization, build_service_stack
+from repro.api import Cluster
+from repro.core import CounterInitialization
 
 
 def timestamp_messages_after_departure(initialization: str, *, fail: bool,
                                        seed: int = 5, num_replicas: int = 10) -> float:
     """Messages of the first gen_ts after the responsible of timestamping departs."""
-    stack = build_service_stack(num_peers=128, num_replicas=num_replicas, seed=seed,
-                                initialization=initialization)
-    stack.ums.insert("k", "v0")
-    responsible = stack.kts.responsible_of_timestamping("k")
+    cluster = Cluster.build(peers=128, replicas=num_replicas, seed=seed,
+                            initialization=initialization)
+    cluster.service("ums").insert("k", "v0")
+    responsible = cluster.kts.responsible_of_timestamping("k")
     if fail:
-        stack.network.fail_peer(responsible)
+        cluster.network.fail_peer(responsible)
     else:
-        stack.network.leave_peer(responsible)
-    stack.network.join_peer()
-    trace = stack.network.new_trace()
-    stack.kts.gen_ts("k", trace=trace)
+        cluster.network.leave_peer(responsible)
+    cluster.network.join_peer()
+    trace = cluster.network.new_trace()
+    cluster.kts.gen_ts("k", trace=trace)
     return trace.message_count
 
 

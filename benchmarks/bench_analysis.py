@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from repro.core import analysis, build_service_stack
+from repro.api import Cluster
+from repro.core import analysis
 from repro.experiments import figures
 
 
@@ -22,22 +23,23 @@ def measured_probe_count(pt: float, num_replicas: int = 10, queries: int = 300,
     from repro.core.timestamps import Timestamp
     from repro.dht.storage import StoredValue
 
-    stack = build_service_stack(num_peers=64, num_replicas=num_replicas, seed=seed)
+    cluster = Cluster.build(peers=64, replicas=num_replicas, seed=seed)
+    ums = cluster.service("ums")
     rng = random.Random(seed)
-    stack.ums.insert("k", "v0")
-    stack.ums.insert("k", "v1")
+    ums.insert("k", "v0")
+    ums.insert("k", "v1")
     # Make exactly (1 - pt)·|Hr| replicas stale by rolling them back to the old
     # timestamp in place (bypassing reconciliation), so the probability of
     # currency and availability equals the target pt.
     stale_count = round((1.0 - pt) * num_replicas)
-    for hash_fn in rng.sample(list(stack.replication), stale_count):
-        responsible = stack.network.responsible_peer("k", hash_fn)
+    for hash_fn in rng.sample(list(cluster.replication), stale_count):
+        responsible = cluster.network.responsible_peer("k", hash_fn)
         stale = StoredValue(key="k", data="v0", timestamp=Timestamp("k", 1),
                             hash_name=hash_fn.name, point=hash_fn("k"))
-        stack.network.peer(responsible).store.put(stale, reconcile=False)
+        cluster.network.peer(responsible).store.put(stale, reconcile=False)
     total = 0
     for _ in range(queries):
-        total += stack.ums.retrieve("k").replicas_inspected
+        total += ums.retrieve("k").replicas_inspected
     return total / queries
 
 

@@ -12,40 +12,40 @@ import random
 
 import pytest
 
-from repro.core import build_service_stack
+from repro.api import Cluster
 from repro.dht.chord import ChordRing
 from repro.dht.can import CanSpace
 
 
 @pytest.fixture(scope="module")
-def stack():
-    built = build_service_stack(num_peers=256, num_replicas=10, seed=99)
-    built.ums.insert("warm-key", {"body": "warm"})
-    built.brk.insert("warm-key-brk", {"body": "warm"})
+def cluster():
+    built = Cluster.build(peers=256, replicas=10, seed=99)
+    built.service("ums").insert("warm-key", {"body": "warm"})
+    built.service("brk").insert("warm-key-brk", {"body": "warm"})
     return built
 
 
-def test_ums_insert_throughput(benchmark, stack):
+def test_ums_insert_throughput(benchmark, cluster):
     counter = iter(range(10**9))
 
     def insert():
-        stack.ums.insert(f"bench-insert-{next(counter)}", {"body": "payload"})
+        cluster.service("ums").insert(f"bench-insert-{next(counter)}", {"body": "payload"})
 
     benchmark(insert)
 
 
-def test_ums_retrieve_throughput(benchmark, stack):
-    result = benchmark(lambda: stack.ums.retrieve("warm-key"))
+def test_ums_retrieve_throughput(benchmark, cluster):
+    result = benchmark(lambda: cluster.service("ums").retrieve("warm-key"))
     assert result.is_current
 
 
-def test_brk_retrieve_throughput(benchmark, stack):
-    result = benchmark(lambda: stack.brk.retrieve("warm-key-brk"))
+def test_brk_retrieve_throughput(benchmark, cluster):
+    result = benchmark(lambda: cluster.service("brk").retrieve("warm-key-brk"))
     assert result.found
 
 
-def test_kts_gen_ts_throughput(benchmark, stack):
-    benchmark(lambda: stack.kts.gen_ts("warm-key"))
+def test_kts_gen_ts_throughput(benchmark, cluster):
+    benchmark(lambda: cluster.kts.gen_ts("warm-key"))
 
 
 def test_chord_routing_throughput(benchmark):
@@ -77,10 +77,10 @@ def test_can_routing_throughput(benchmark):
     benchmark(route)
 
 
-def test_network_churn_throughput(benchmark, stack):
+def test_network_churn_throughput(benchmark, cluster):
     def churn_once():
-        victim = stack.network.random_alive_peer()
-        stack.network.leave_peer(victim)
-        stack.network.join_peer()
+        victim = cluster.network.random_alive_peer()
+        cluster.network.leave_peer(victim)
+        cluster.network.join_peer()
 
     benchmark(churn_once)

@@ -47,17 +47,15 @@ from repro.core import (
     CounterInitialization,
     KeyBasedTimestampService,
     ReplicationScheme,
-    ServiceStack,
     Timestamp,
     UpdateManagementService,
-    build_service_stack,
 )
 from repro.dht import CanSpace, ChordRing, DHTNetwork, HashFamily
 from repro.execution import Executor, RunPlan
 from repro.simulation.cost import NetworkCostModel
 from repro.simulation.engine import Simulator
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "BricksService",
@@ -76,13 +74,11 @@ __all__ = [
     "ReplicationScheme",
     "RetrieveResult",
     "RunPlan",
-    "ServiceStack",
     "Session",
     "Simulator",
     "Timestamp",
     "UpdateManagementService",
     "__version__",
-    "build_service_stack",
     "register_service",
     "service_names",
 ]

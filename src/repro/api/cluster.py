@@ -14,15 +14,20 @@ algorithm through their registries::
         result = session.retrieve("meeting-room")
         assert result.is_current
 
+    # The service objects themselves, sharing the cluster's substrate:
+    ums, brk = cluster.service("ums"), cluster.service("brk")
+    assert ums.retrieve("meeting-room").is_current
+    assert brk.network is cluster.network
+
 Sessions are the operation handles: they bind an origin peer (or float on a
 random live peer per operation), default a consistency level, expose the
 batched ``insert_many``/``retrieve_many`` operations, and keep running
 message/operation tallies so applications can account for their own traffic.
 
-The RNG consumption order of ``Cluster.build`` deliberately matches the
-legacy ``build_service_stack``/harness wiring (network, hash family, KTS,
-then one seed per built-in service), so a fixed seed reproduces the exact
-same stack across the old and new construction paths.
+``Cluster.build`` draws its random stream in a fixed order (network, hash
+family, KTS, then one seed per built-in service): the experiment digests
+pinned in ``tests/experiments`` and the committed benchmark tables depend on
+it, so a new draw goes after the existing ones, never between them.
 """
 
 from __future__ import annotations
@@ -207,7 +212,6 @@ class Cluster:
               initialization: Optional[str] = None,
               probe_order: str = "random",
               stabilization_interval: float = 30.0,
-              track_responsibility: bool = False,
               seed: Optional[int] = None,
               rng: Optional[random.Random] = None,
               service_options: Optional[Dict[str, Dict[str, Any]]] = None
@@ -240,15 +244,22 @@ class Cluster:
                              f"{service_registry.service_names()}")
         if initialization is None:
             initialization = CounterInitialization.DIRECT
+        options = dict(service_options or {})
+        if probe_order != "random":
+            ums_options = dict(options.get("ums", {}))
+            if ums_options.get("probe_order", probe_order) != probe_order:
+                raise ValueError(f"probe_order={probe_order!r} conflicts with "
+                                 f"service_options['ums']['probe_order']="
+                                 f"{ums_options['probe_order']!r}")
+            ums_options["probe_order"] = probe_order
+            options["ums"] = ums_options
         master = rng if rng is not None else random.Random(seed)
 
-        # The draw order below intentionally matches the legacy wiring
-        # (network, hash family, KTS, UMS seed, BRK seed): same seed, same
-        # stack, whichever construction path built it.
+        # The draw order is fixed (see the module docstring): network, hash
+        # family, KTS, UMS seed, BRK seed.
         network = DHTNetwork.build(peers, protocol=protocol, bits=bits,
                                    stabilization_interval=stabilization_interval,
-                                   seed=master.getrandbits(64),
-                                   track_responsibility=track_responsibility)
+                                   seed=master.getrandbits(64))
         family = HashFamily(bits=bits, seed=master.getrandbits(64))
         replication = ReplicationScheme(family.sample_many(replicas, prefix="hr"))
         kts = KeyBasedTimestampService(network, replication,
@@ -257,11 +268,6 @@ class Cluster:
                                        seed=master.getrandbits(64))
         service_seeds = {"ums": master.getrandbits(64),
                         "brk": master.getrandbits(64)}
-        options = dict(service_options or {})
-        if probe_order != "random":
-            ums_options = dict(options.get("ums", {}))
-            ums_options.setdefault("probe_order", probe_order)
-            options["ums"] = ums_options
         return cls(network=network, replication=replication, kts=kts,
                    service_name=service, service_seeds=service_seeds,
                    service_options=options)

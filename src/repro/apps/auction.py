@@ -54,11 +54,6 @@ class Auction:
         self.minimum_increment = minimum_increment
 
     @property
-    def ums(self):
-        """Deprecated alias of :attr:`service` (kept for the pre-API callers)."""
-        return self.service
-
-    @property
     def key(self) -> str:
         """The DHT key under which the auction state is replicated."""
         return f"auction:{self.auction_id}"

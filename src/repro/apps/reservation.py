@@ -46,11 +46,6 @@ class ReservationBook:
         self.seats = list(seats)
 
     @property
-    def ums(self):
-        """Deprecated alias of :attr:`service` (kept for the pre-API callers)."""
-        return self.service
-
-    @property
     def key(self) -> str:
         """The DHT key under which the reservation book is replicated."""
         return f"reservation:{self.resource_id}"

@@ -28,8 +28,6 @@ from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrac
 from repro.dht.model import (
     DHTProtocol,
     LookupResult,
-    ResponsibilityLog,
-    ResponsibilityPeriod,
     RouteResult,
 )
 from repro.dht.storage import LocalStore, StoredValue
@@ -65,8 +63,6 @@ __all__ = [
     "PairwiseIndependentHash",
     "PeerState",
     "PeerUnreachableError",
-    "ResponsibilityLog",
-    "ResponsibilityPeriod",
     "RouteResult",
     "StoredValue",
     "create_overlay",

@@ -7,9 +7,6 @@ This module provides:
 * :class:`DHTProtocol` — the interface the overlay implementations (Chord,
   CAN) provide to the network layer: membership changes, responsibility
   resolution (``rsp(k, h)``) and greedy routing paths;
-* :class:`ResponsibilityLog` — a record of responsibility periods
-  (Definition 1 / Example 1), exposing ``rsp``, ``prsp`` and the list of
-  ``[t0..t1)`` periods of responsibility for a key;
 * :class:`RouteResult` and :class:`LookupResult`, the tuples the overlays and
   the network layer return from a route and a lookup.
 """
@@ -18,15 +15,12 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "DHTProtocol",
     "DepartureReason",
     "LookupResult",
-    "ResponsibilityLog",
-    "ResponsibilityPeriod",
     "RouteResult",
 ]
 
@@ -244,76 +238,3 @@ class DHTProtocol(abc.ABC):
     def random_node(self, rng: random.Random) -> int:
         """A uniformly random live node: one ``randrange(len(nodes))`` draw."""
         return rng.choice(self.nodes())
-
-
-@dataclass(frozen=True)
-class ResponsibilityPeriod:
-    """A half-open interval ``[start..end)`` during which ``peer`` was
-    responsible for a key (``end`` is ``None`` while the period is open)."""
-
-    peer: int
-    start: float
-    end: Optional[float] = None
-
-    def contains(self, time: float) -> bool:
-        """Whether ``time`` falls inside the period."""
-        if time < self.start:
-            return False
-        return self.end is None or time < self.end
-
-
-class ResponsibilityLog:
-    """History of the mapping function ``m(k, h, t)`` for a set of tracked keys.
-
-    The network layer records a transition every time the responsible for a
-    tracked ``(key, hash)`` pair changes.  The log then answers the queries the
-    paper defines in Section 2.1: current responsible ``rsp``, previous
-    responsible ``prsp`` and the periods of responsibility.
-    """
-
-    def __init__(self) -> None:
-        self._periods: Dict[Tuple[object, str], List[ResponsibilityPeriod]] = {}
-
-    def record(self, key: object, hash_name: str, peer: int, time: float) -> None:
-        """Record that ``peer`` became responsible for ``(key, hash_name)`` at ``time``.
-
-        Recording the same peer twice in a row is a no-op (the responsibility
-        did not actually change).
-        """
-        history = self._periods.setdefault((key, hash_name), [])
-        if history and history[-1].peer == peer and history[-1].end is None:
-            return
-        if history and history[-1].end is None:
-            history[-1] = ResponsibilityPeriod(peer=history[-1].peer,
-                                               start=history[-1].start, end=time)
-        history.append(ResponsibilityPeriod(peer=peer, start=time))
-
-    def periods(self, key: object, hash_name: str) -> List[ResponsibilityPeriod]:
-        """All recorded periods of responsibility for ``(key, hash_name)``."""
-        return list(self._periods.get((key, hash_name), []))
-
-    def rsp(self, key: object, hash_name: str) -> Optional[int]:
-        """The peer currently responsible for the key (paper's ``rsp(k,h)``)."""
-        history = self._periods.get((key, hash_name))
-        if not history:
-            return None
-        return history[-1].peer
-
-    def prsp(self, key: object, hash_name: str) -> Optional[int]:
-        """The peer that was responsible just before the current one."""
-        history = self._periods.get((key, hash_name))
-        if not history or len(history) < 2:
-            return None
-        return history[-2].peer
-
-    def responsible_at(self, key: object, hash_name: str,
-                       time: float) -> Optional[int]:
-        """Evaluate the mapping function ``m(k, h, t)`` from the log."""
-        for period in self._periods.get((key, hash_name), []):
-            if period.contains(time):
-                return period.peer
-        return None
-
-    def tracked(self) -> List[Tuple[object, str]]:
-        """The ``(key, hash_name)`` pairs with at least one recorded period."""
-        return list(self._periods.keys())

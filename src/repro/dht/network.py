@@ -38,7 +38,6 @@ from repro.dht.model import (
     DepartureReason,
     DHTProtocol,
     LookupResult,
-    ResponsibilityLog,
     RouteResult,
 )
 from repro.dht.storage import LocalStore, StoredValue
@@ -166,17 +165,12 @@ class DHTNetwork:
         routing (paper Figure 11).
     seed / rng:
         Randomness source for peer identifiers and random origins.
-    track_responsibility:
-        When ``True`` the network records responsibility transitions in
-        :attr:`responsibility_log` (Definition 1).  Off by default because the
-        log grows with churn.
     """
 
     def __init__(self, protocol: Union[str, DHTProtocol] = "chord", *,
                  bits: int = 32, stabilization_interval: float = 30.0,
-                 seed: Optional[int] = None, rng: Optional[random.Random] = None,
-                 message_sizes: Optional[MessageSizes] = None,
-                 track_responsibility: bool = False) -> None:
+                 seed: Optional[int] = None,
+                 rng: Optional[random.Random] = None) -> None:
         if rng is not None and seed is not None:
             raise ValueError("pass either 'seed' or 'rng', not both")
         self.rng = rng if rng is not None else random.Random(seed)
@@ -184,9 +178,7 @@ class DHTNetwork:
             protocol = self._build_protocol(protocol, bits, stabilization_interval)
         self.protocol = protocol
         self.bits = protocol.bits
-        self.message_sizes = message_sizes if message_sizes is not None else MessageSizes()
-        self.track_responsibility = track_responsibility
-        self.responsibility_log = ResponsibilityLog()
+        self.message_sizes = MessageSizes()
         self.now: float = 0.0
         self.stats = NetworkStats()
         self._peers: Dict[int, PeerState] = {}
@@ -312,7 +304,7 @@ class DHTNetwork:
                     # its reconciliation — skip the transfer entirely.
                     self.stats.handover_entries_skipped += 1
                     continue
-                self._store_entry(new_owner, entry, record_responsibility=True)
+                self._peers[new_owner].store.put(entry)
                 self.stats.maintenance_messages += 1
                 self.stats.handover_entries += 1
         else:
@@ -373,16 +365,9 @@ class DHTNetwork:
             if existing is not None and not entry.is_newer_than(existing):
                 self.stats.handover_entries_skipped += 1
                 continue
-            self._store_entry(to_peer, entry, record_responsibility=True)
+            self._peers[to_peer].store.put(entry)
             self.stats.maintenance_messages += 1
             self.stats.handover_entries += 1
-
-    def _store_entry(self, peer_id: int, entry: StoredValue, *,
-                     record_responsibility: bool = False) -> bool:
-        stored = self._peers[peer_id].store.put(entry)
-        if record_responsibility and self.track_responsibility:
-            self.responsibility_log.record(entry.key, entry.hash_name, peer_id, self.now)
-        return stored
 
     # ------------------------------------------------------------------ lookup
     def responsible_peer(self, key: Any, hash_fn: PairwiseIndependentHash) -> int:
@@ -471,7 +456,7 @@ class DHTNetwork:
         entry = StoredValue(key=key, data=data, timestamp=timestamp, version=version,
                             hash_name=hash_fn.name, point=point,
                             stored_at=self.now)
-        return self._store_entry(responsible, entry, record_responsibility=True)
+        return self._peers[responsible].store.put(entry)
 
     # --------------------------------------------------------------------- get
     def get(self, key: Any, hash_fn: PairwiseIndependentHash, *,
@@ -558,8 +543,7 @@ class DHTNetwork:
                 entry = StoredValue(key=key, data=data, timestamp=timestamp,
                                     version=version, hash_name=hash_fn.name,
                                     point=points[index], stored_at=self.now)
-                results[index] = self._store_entry(responsible, entry,
-                                                   record_responsibility=True)
+                results[index] = self._peers[responsible].store.put(entry)
         return results
 
     # -------------------------------------------------------------- delta sync
@@ -596,10 +580,8 @@ class DHTNetwork:
                          size_bytes=summary_bytes)
             trace.record(MessageKind.SYNC_DELTA, source=source, dest=dest,
                          size_bytes=delta_bytes)
-        applied = 0
-        for entry in delta:
-            if self._store_entry(dest, entry):
-                applied += 1
+        dest_store = self._peers[dest].store
+        applied = sum(dest_store.put(entry) for entry in delta)
         self.stats.maintenance_messages += 2
         self.stats.sync_rounds += 1
         self.stats.sync_entries_shipped += len(delta)
@@ -615,7 +597,7 @@ class DHTNetwork:
     def store_locally(self, peer_id: int, entry: StoredValue) -> bool:
         """Store an entry directly at ``peer_id`` without routing (handover, tests)."""
         self.peer(peer_id)
-        return self._store_entry(peer_id, entry)
+        return self._peers[peer_id].store.put(entry)
 
     def stored_replicas(self, key: Any,
                         hash_fns: Iterable[PairwiseIndependentHash]) -> List[StoredValue]:

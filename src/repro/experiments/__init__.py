@@ -9,7 +9,7 @@ for fast runs; ``scale="paper"`` runs the full Table 1 configuration (up to
 
 Run everything from the command line with::
 
-    python -m repro.experiments.runner --scale quick
+    repro experiments --scale quick
 """
 
 from repro.experiments.figures import (

@@ -1,14 +1,13 @@
 """Run every reproduced experiment and render a Markdown report.
 
-Usage::
+The ``repro experiments`` command takes this module's flags
+(:func:`add_arguments`) and runs :func:`run_command`::
 
-    python -m repro.experiments.runner --scale quick
-    python -m repro.experiments.runner --scale paper --output results.md
-    python -m repro.experiments.runner --scale paper --jobs 4 --cache-dir .repro-cache
-    python -m repro.experiments.runner --scale tiny --only figure --charts --progress
-    python -m repro.experiments.runner --scale tiny --seed 3 --only attack
-
-``repro experiments`` takes the same flags.
+    repro experiments --scale quick
+    repro experiments --scale paper --output results.md
+    repro experiments --scale paper --jobs 4 --cache-dir .repro-cache
+    repro experiments --scale tiny --only figure --charts --progress
+    repro experiments --scale tiny --seed 3 --only attack
 
 All sweeps execute as one plan through the unified execution layer
 (:mod:`repro.execution`): ``--jobs N`` fans the grid out over a process pool
@@ -30,7 +29,7 @@ from repro.experiments import figures
 from repro.experiments.reporting import ExperimentTable
 
 __all__ = ["add_arguments", "add_executor_arguments", "executor_from_arguments",
-           "main", "run_all_experiments", "run_command", "select_experiments",
+           "run_all_experiments", "run_command", "select_experiments",
            "write_experiments_report"]
 
 
@@ -136,7 +135,7 @@ def _experiment_ids(value: str) -> List[str]:
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """The runner's flags, shared by this module's ``main`` and ``repro experiments``."""
+    """The flags of ``repro experiments``."""
     parser.add_argument("--scale", choices=sorted(figures.SCALE_PROFILES), default="quick",
                         help="sweep scale: 'tiny' (tests), 'quick' (seconds) or "
                              "'paper' (full Table 1 scale)")
@@ -181,13 +180,3 @@ def run_command(arguments: argparse.Namespace, *, stream=None) -> int:
                                  charts=arguments.charts)
     return 0
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of ``python -m repro.experiments.runner``."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    return run_command(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry point
-    sys.exit(main())

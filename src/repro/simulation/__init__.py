@@ -9,14 +9,14 @@ Every run is a declarative scenario of :mod:`repro.simulation.scenarios`.
 The paper's workload is the ``uniform`` scenario; the others reshape it —
 skewed/shifting key popularity, bursty/diurnal arrivals, application
 read/write mixes and correlated fault profiles — registered by name and
-replayable from recorded specs (``repro scenario run/list/compare`` on the
+replayable from recorded specs (``repro scenario run`` and ``list`` on the
 CLI).
 
 The discrete-event substrate (the SimJava substitute) lives here too:
 :mod:`repro.simulation.engine` (event heap + generator processes),
 :mod:`repro.simulation.processes` (Poisson arrivals),
 :mod:`repro.simulation.cost` (the Table 1 network cost model) and
-:mod:`repro.simulation.metrics` (tallies, counters, time series).  The stack
+:mod:`repro.simulation.metrics` (the sampled ``p_t`` time series).  The stack
 reads engine → workload/scenarios → harness → :mod:`repro.execution`.
 """
 
@@ -24,7 +24,7 @@ from repro.simulation.config import Algorithm, SimulationParameters
 from repro.simulation.churn import ChurnEvent, ChurnProcess
 from repro.simulation.cost import GeoLatencyCostModel, NetworkCostModel
 from repro.simulation.engine import Event, Process, SimulationError, Simulator, Timeout
-from repro.simulation.metrics import Counter, Tally, TimeSeries
+from repro.simulation.metrics import TimeSeries
 from repro.simulation.processes import PoissonProcess, poisson_arrival_times
 from repro.simulation.harness import SimulationHarness, run_simulation
 from repro.simulation.results import QueryObservation, RunResult
@@ -42,7 +42,6 @@ __all__ = [
     "Algorithm",
     "ChurnEvent",
     "ChurnProcess",
-    "Counter",
     "Event",
     "GeoLatencyCostModel",
     "NetworkCostModel",
@@ -57,7 +56,6 @@ __all__ = [
     "SimulationHarness",
     "SimulationParameters",
     "Simulator",
-    "Tally",
     "TimeSeries",
     "Timeout",
     "get_scenario",

@@ -113,17 +113,6 @@ class SimulationHarness:
                                  parameters=parameters.describe())
         self._is_setup = True
 
-    # ------------------------------------------------- legacy service handles
-    @property
-    def ums(self):
-        """The UMS instance of the cluster (shared placement with the baseline)."""
-        return self.cluster.service("ums") if self.cluster is not None else None
-
-    @property
-    def brk(self):
-        """The BRK baseline instance of the cluster."""
-        return self.cluster.service("brk") if self.cluster is not None else None
-
     # --------------------------------------------------------------- operations
     def _insert(self, key: str) -> None:
         """Write the next version of ``key`` through the session."""

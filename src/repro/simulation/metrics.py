@@ -1,123 +1,10 @@
-"""Lightweight metric collectors used by the simulation harness and benchmarks."""
+"""The time-series collector of the simulation harness (sampled ``p_t``)."""
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Counter", "Tally", "TimeSeries"]
-
-
-class Counter:
-    """A named set of monotonically increasing integer counters."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def increment(self, name: str, amount: int = 1) -> int:
-        """Add ``amount`` to counter ``name`` and return the new value."""
-        if amount < 0:
-            raise ValueError("counters only increase; use a Tally for signed data")
-        self._counts[name] = self._counts.get(name, 0) + amount
-        return self._counts[name]
-
-    def get(self, name: str) -> int:
-        """Current value of counter ``name`` (0 if never incremented)."""
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        """Snapshot of all counters."""
-        return dict(self._counts)
-
-    def __getitem__(self, name: str) -> int:
-        return self.get(name)
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-
-class Tally:
-    """Streaming summary statistics (count / mean / std / min / max / percentiles).
-
-    Observations are kept so percentiles are exact; the simulation records at
-    most a few thousand observations per run, so memory is not a concern.
-    """
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._values: List[float] = []
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self._values.append(float(value))
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Record many observations."""
-        for value in values:
-            self.observe(value)
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    @property
-    def total(self) -> float:
-        return sum(self._values)
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean (0.0 when empty)."""
-        return self.total / self.count if self._values else 0.0
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation (0.0 when fewer than 2 observations)."""
-        if self.count < 2:
-            return 0.0
-        mean = self.mean
-        return math.sqrt(sum((value - mean) ** 2 for value in self._values) / self.count)
-
-    @property
-    def minimum(self) -> Optional[float]:
-        return min(self._values) if self._values else None
-
-    @property
-    def maximum(self) -> Optional[float]:
-        return max(self._values) if self._values else None
-
-    def percentile(self, fraction: float) -> Optional[float]:
-        """Exact percentile by linear interpolation, ``fraction`` in [0, 1]."""
-        if not self._values:
-            return None
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        ordered = sorted(self._values)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = fraction * (len(ordered) - 1)
-        lower = int(math.floor(position))
-        upper = int(math.ceil(position))
-        if lower == upper:
-            return ordered[lower]
-        weight = position - lower
-        return ordered[lower] * (1 - weight) + ordered[upper] * weight
-
-    def values(self) -> Tuple[float, ...]:
-        """The raw observations, in insertion order."""
-        return tuple(self._values)
-
-    def summary(self) -> Dict[str, float]:
-        """Dictionary summary used by result reporting."""
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum if self.minimum is not None else 0.0,
-            "max": self.maximum if self.maximum is not None else 0.0,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Tally({self.name!r}, count={self.count}, mean={self.mean:.3f})"
+__all__ = ["TimeSeries"]
 
 
 class TimeSeries:

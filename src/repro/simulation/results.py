@@ -5,9 +5,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.simulation.metrics import Tally, TimeSeries
+from repro.simulation.metrics import TimeSeries
 
 __all__ = ["QueryObservation", "RunResult"]
+
+
+def _mean(values: List[float]) -> float:
+    """Arithmetic mean, 0.0 when there are no values."""
+    return sum(values) / len(values) if values else 0.0
 
 
 @dataclass(frozen=True)
@@ -84,51 +89,24 @@ class RunResult:
         return len(self.queries)
 
     @property
-    def response_time(self) -> Tally:
-        """Tally of per-query response times (seconds)."""
-        tally = Tally("response_time_s")
-        tally.extend(observation.response_time_s for observation in self.queries)
-        return tally
-
-    @property
-    def messages(self) -> Tally:
-        """Tally of per-query message counts (communication cost)."""
-        tally = Tally("messages")
-        tally.extend(float(observation.messages) for observation in self.queries)
-        return tally
-
-    @property
-    def bytes_sent(self) -> Tally:
-        """Tally of per-query wire bytes (the byte-denominated cost curve)."""
-        tally = Tally("bytes_sent")
-        tally.extend(float(observation.bytes_sent) for observation in self.queries)
-        return tally
-
-    @property
-    def replicas_inspected(self) -> Tally:
-        """Tally of the number of replicas each query retrieved."""
-        tally = Tally("replicas_inspected")
-        tally.extend(float(observation.replicas_inspected) for observation in self.queries)
-        return tally
-
-    @property
     def avg_response_time_s(self) -> float:
         """Average response time over the measured queries (the paper's metric)."""
-        return self.response_time.mean
+        return _mean([observation.response_time_s for observation in self.queries])
 
     @property
     def avg_messages(self) -> float:
         """Average total messages per query (the paper's communication cost)."""
-        return self.messages.mean
+        return _mean([observation.messages for observation in self.queries])
 
     @property
     def avg_bytes(self) -> float:
         """Average wire bytes per query (bytes-per-op, the byte cost curve)."""
-        return self.bytes_sent.mean
+        return _mean([observation.bytes_sent for observation in self.queries])
 
     @property
     def avg_replicas_inspected(self) -> float:
-        return self.replicas_inspected.mean
+        """Average number of replicas each query retrieved."""
+        return _mean([observation.replicas_inspected for observation in self.queries])
 
     @property
     def currency_rate(self) -> float:

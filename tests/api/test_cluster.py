@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from repro.api import Cluster, Consistency
-from repro.core import CounterInitialization, build_service_stack
+from repro.core import CounterInitialization
 
 
 class TestClusterBuild:
@@ -16,6 +17,8 @@ class TestClusterBuild:
         assert cluster.size == 24
         assert cluster.replication.factor == 5
         assert cluster.kts.network is cluster.network
+        assert cluster.kts.replication is cluster.replication
+        assert cluster.service("ums").kts is cluster.kts
         assert cluster.service_name == "ums"
 
     def test_unknown_service_is_rejected(self):
@@ -39,6 +42,14 @@ class TestClusterBuild:
         cluster = Cluster.build(peers=8, seed=1, probe_order="fixed")
         assert cluster.service("ums").probe_order == "fixed"
 
+    def test_probe_order_and_service_options_must_agree(self):
+        with pytest.raises(ValueError, match="conflicts"):
+            Cluster.build(peers=8, seed=1, probe_order="fixed",
+                          service_options={"ums": {"probe_order": "random"}})
+        cluster = Cluster.build(peers=8, seed=1, probe_order="fixed",
+                                service_options={"ums": {"probe_order": "fixed"}})
+        assert cluster.service("ums").probe_order == "fixed"
+
     def test_invalid_probe_order_fails_at_build_time(self):
         # Regression: the error must surface at build time (not at first
         # session), and even when the primary service never constructs UMS.
@@ -46,17 +57,59 @@ class TestClusterBuild:
             Cluster.build(peers=8, seed=1, service="brk",
                           probe_order="alphabetical")
 
-    def test_same_seed_reproduces_the_legacy_stack(self):
-        """Cluster.build and build_service_stack draw the same random stream."""
-        cluster = Cluster.build(peers=16, replicas=4, seed=99)
-        stack = build_service_stack(num_peers=16, num_replicas=4, seed=99)
-        assert cluster.network.alive_peer_ids() == stack.network.alive_peer_ids()
-        assert [h.name for h in cluster.replication] == \
-            [h.name for h in stack.replication]
-        assert cluster.kts.ts_hash.name == stack.kts.ts_hash.name
-        key_hash = cluster.replication[0]
-        assert cluster.network.responsible_peer("k", key_hash) == \
-            stack.network.responsible_peer("k", stack.replication[0])
+    @pytest.mark.parametrize("protocol, digest", [
+        ("chord", "aa7c93ebd9c5bd14935257c95b5595b813e4374d"),
+        ("kademlia", "21c2985bb0ee432582681c05b0c3b8cc4cdd8078"),
+        ("can", "9f83f155e522d6d22f3776c69c6fd8eb270d4174"),
+    ], ids=["chord", "kademlia", "can"])
+    def test_a_seed_pins_the_whole_stack(self, protocol, digest):
+        """Peer ids, the Hr and h_ts parameters, the service seeds and rsp(k, h).
+
+        The digests were taken when ``Cluster.build`` had a second
+        construction path; a change of the draw order changes them.
+        """
+        cluster = Cluster.build(peers=32, replicas=6, seed=2024, protocol=protocol)
+        network, ts_hash = cluster.network, cluster.kts.ts_hash
+        parts = [sorted(network.alive_peer_ids()),
+                 [(h.name, h.a, h.b, h.bits) for h in cluster.replication],
+                 (ts_hash.name, ts_hash.a, ts_hash.b, ts_hash.bits),
+                 [cluster.service(name).rng.getrandbits(64) for name in ("ums", "brk")],
+                 [[network.responsible_peer(f"key-{i}", h) for h in cluster.replication]
+                  for i in range(8)]]
+        assert hashlib.sha1(repr(parts).encode("ascii")).hexdigest() == digest
+
+    @pytest.mark.parametrize("protocol", ["chord", "kademlia", "can"])
+    def test_population_and_replication_factor(self, protocol):
+        cluster = Cluster.build(peers=20, replicas=7, seed=1, protocol=protocol)
+        assert cluster.size == cluster.network.size == 20
+        assert cluster.replication.factor == 7
+        assert len(set(cluster.replication.names)) == 7
+        assert cluster.kts.ts_hash.name not in cluster.replication.names
+
+    @pytest.mark.parametrize("protocol", ["chord", "kademlia", "can"])
+    def test_same_seed_is_reproducible(self, protocol):
+        first, second = (Cluster.build(peers=16, replicas=4, seed=99, protocol=protocol)
+                         for _ in range(2))
+        assert first.network.alive_peer_ids() == second.network.alive_peer_ids()
+        assert [(h.a, h.b) for h in first.replication] == \
+            [(h.a, h.b) for h in second.replication]
+        for h_first, h_second in zip(first.replication, second.replication):
+            assert first.network.responsible_peer("k", h_first) == \
+                second.network.responsible_peer("k", h_second)
+
+    def test_different_seeds_differ(self):
+        first = Cluster.build(peers=16, seed=1)
+        second = Cluster.build(peers=16, seed=2)
+        assert first.network.alive_peer_ids() != second.network.alive_peer_ids()
+
+    def test_ts_hash_is_distinct_from_replication_hashes(self, small_stack):
+        assert small_stack.kts.ts_hash.name not in small_stack.replication.names
+
+    def test_can_cluster_works_end_to_end(self, can_stack):
+        can_stack.service("ums").insert("k", "payload")
+        result = can_stack.service("ums").retrieve("k")
+        assert result.data == "payload"
+        assert result.is_current
 
     def test_services_are_cached_and_share_the_substrate(self):
         cluster = Cluster.build(peers=16, seed=2)

@@ -13,7 +13,6 @@ from repro.api.services import (
     service_names,
     unregister_service,
 )
-from repro.core import build_service_stack
 from repro.core.baseline import BricksService
 from repro.core.ums import UpdateManagementService
 
@@ -37,8 +36,8 @@ class TestBuiltinRegistrations:
         assert isinstance(brk, BricksService)
 
     def test_both_builtins_satisfy_the_protocol(self, small_stack):
-        assert isinstance(small_stack.ums, CurrencyService)
-        assert isinstance(small_stack.brk, CurrencyService)
+        assert isinstance(small_stack.service("ums"), CurrencyService)
+        assert isinstance(small_stack.service("brk"), CurrencyService)
 
     def test_ums_requires_a_kts(self, small_stack):
         with pytest.raises(ValueError, match="KTS"):
@@ -103,10 +102,10 @@ class TestRuntimeRegistration:
 
 
 class TestSharedStack:
-    def test_build_service_stack_services_share_the_substrate(self):
-        stack = build_service_stack(num_peers=24, num_replicas=4, seed=3)
-        assert stack.ums.network is stack.brk.network
-        assert stack.ums.replication is stack.brk.replication
-        assert stack.cluster is not None
-        assert stack.cluster.service("ums") is stack.ums
-        assert stack.cluster.service("brk") is stack.brk
+    def test_cluster_services_share_the_substrate(self):
+        cluster = Cluster.build(peers=24, replicas=4, seed=3)
+        ums, brk = cluster.service("ums"), cluster.service("brk")
+        assert ums.network is brk.network is cluster.network
+        assert ums.replication is brk.replication is cluster.replication
+        assert cluster.service("ums") is ums
+        assert cluster.service("brk") is brk

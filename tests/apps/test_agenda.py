@@ -9,7 +9,7 @@ from repro.apps.agenda import AgendaEntry, SharedAgenda, StaleAgendaError
 
 @pytest.fixture
 def agenda(small_stack):
-    return SharedAgenda(small_stack.ums, "team")
+    return SharedAgenda(small_stack.service("ums"), "team")
 
 
 class TestAgendaEntry:
@@ -77,23 +77,23 @@ class TestSharedAgenda:
         # no replica holder.
         holders = frozenset(small_stack.network.responsible_peer(agenda.key, h)
                             for h in small_stack.replication)
-        small_stack.ums.insert(agenda.key, {"entries": [], "next_id": 9},
+        small_stack.service("ums").insert(agenda.key, {"entries": [], "next_id": 9},
                                unreachable=holders)
         with pytest.raises(StaleAgendaError):
             agenda.add_entry("should-fail", 11.0, 12.0)
 
     def test_stale_snapshot_allowed_when_not_required_current(self, small_stack):
-        agenda = SharedAgenda(small_stack.ums, "relaxed", require_current=False)
+        agenda = SharedAgenda(small_stack.service("ums"), "relaxed", require_current=False)
         agenda.add_entry("a", 9.0, 10.0)
         holders = frozenset(small_stack.network.responsible_peer(agenda.key, h)
                             for h in small_stack.replication)
-        small_stack.ums.insert(agenda.key, {"entries": [], "next_id": 9},
+        small_stack.service("ums").insert(agenda.key, {"entries": [], "next_id": 9},
                                unreachable=holders)
         entry = agenda.add_entry("allowed", 11.0, 12.0)
         assert entry.title == "allowed"
 
     def test_two_agendas_are_independent(self, small_stack):
-        first = SharedAgenda(small_stack.ums, "team-a")
-        second = SharedAgenda(small_stack.ums, "team-b")
+        first = SharedAgenda(small_stack.service("ums"), "team-a")
+        second = SharedAgenda(small_stack.service("ums"), "team-b")
         first.add_entry("only-in-a", 1.0, 2.0)
         assert len(second) == 0

@@ -9,7 +9,7 @@ from repro.apps.auction import Auction, Bid, BidRejected
 
 @pytest.fixture
 def auction(small_stack):
-    auction = Auction(small_stack.ums, "lot-1", seller="house", reserve_price=50.0,
+    auction = Auction(small_stack.service("ums"), "lot-1", seller="house", reserve_price=50.0,
                       minimum_increment=5.0)
     auction.open()
     return auction
@@ -59,15 +59,15 @@ class TestAuction:
         assert auction.close() is None
 
     def test_bidding_on_unknown_auction_rejected(self, small_stack):
-        ghost = Auction(small_stack.ums, "missing")
+        ghost = Auction(small_stack.service("ums"), "missing")
         with pytest.raises(BidRejected):
             ghost.place_bid("alice", 10.0)
 
     def test_invalid_configuration_rejected(self, small_stack):
         with pytest.raises(ValueError):
-            Auction(small_stack.ums, "bad", reserve_price=-1.0)
+            Auction(small_stack.service("ums"), "bad", reserve_price=-1.0)
         with pytest.raises(ValueError):
-            Auction(small_stack.ums, "bad", minimum_increment=0.0)
+            Auction(small_stack.service("ums"), "bad", minimum_increment=0.0)
 
     def test_auction_survives_churn(self, small_stack, auction):
         auction.place_bid("alice", 75.0)
@@ -82,7 +82,7 @@ class TestAuction:
         auction.place_bid("alice", 75.0)
         holders = frozenset(small_stack.network.responsible_peer(auction.key, h)
                             for h in small_stack.replication)
-        small_stack.ums.insert(auction.key, {"status": "open", "reserve_price": 50.0,
+        small_stack.service("ums").insert(auction.key, {"status": "open", "reserve_price": 50.0,
                                              "bids": []}, unreachable=holders)
         with pytest.raises(BidRejected):
             auction.place_bid("bob", 100.0)

@@ -9,34 +9,34 @@ from repro.apps.reservation import ReservationBook, ReservationError, SeatAlread
 
 @pytest.fixture
 def book(small_stack):
-    book = ReservationBook(small_stack.ums, "venue", capacity=5)
+    book = ReservationBook(small_stack.service("ums"), "venue", capacity=5)
     book.initialize()
     return book
 
 
 class TestConfiguration:
     def test_capacity_builds_sequential_seats(self, small_stack):
-        book = ReservationBook(small_stack.ums, "v", capacity=3)
+        book = ReservationBook(small_stack.service("ums"), "v", capacity=3)
         assert book.seats == ["seat-0", "seat-1", "seat-2"]
 
     def test_explicit_seat_list(self, small_stack):
-        book = ReservationBook(small_stack.ums, "v", seats=["A1", "A2"])
+        book = ReservationBook(small_stack.service("ums"), "v", seats=["A1", "A2"])
         assert book.seats == ["A1", "A2"]
 
     def test_missing_configuration_rejected(self, small_stack):
         with pytest.raises(ValueError):
-            ReservationBook(small_stack.ums, "v")
+            ReservationBook(small_stack.service("ums"), "v")
         with pytest.raises(ValueError):
-            ReservationBook(small_stack.ums, "v", capacity=0)
+            ReservationBook(small_stack.service("ums"), "v", capacity=0)
 
     def test_duplicate_seats_rejected(self, small_stack):
         with pytest.raises(ValueError):
-            ReservationBook(small_stack.ums, "v", seats=["A1", "A1"])
+            ReservationBook(small_stack.service("ums"), "v", seats=["A1", "A1"])
 
 
 class TestReservations:
     def test_uninitialised_book_rejects_operations(self, small_stack):
-        book = ReservationBook(small_stack.ums, "ghost", capacity=2)
+        book = ReservationBook(small_stack.service("ums"), "ghost", capacity=2)
         with pytest.raises(ReservationError):
             book.reserve("alice")
 
@@ -89,7 +89,7 @@ class TestReservations:
         book.reserve("alice")
         holders = frozenset(small_stack.network.responsible_peer(book.key, h)
                             for h in small_stack.replication)
-        small_stack.ums.insert(book.key, {"seats": book.seats, "reservations": {}},
+        small_stack.service("ums").insert(book.key, {"seats": book.seats, "reservations": {}},
                                unreachable=holders)
         with pytest.raises(ReservationError):
             book.reserve("bob")

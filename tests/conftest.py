@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro.core import CounterInitialization, build_service_stack
+from repro.api import Cluster
+from repro.core import CounterInitialization
 from repro.dht.hashing import HashFamily
 
 
@@ -25,17 +26,17 @@ def hash_family() -> HashFamily:
 @pytest.fixture
 def small_stack():
     """A 32-peer Chord network with |Hr| = 6 and direct counter initialisation."""
-    return build_service_stack(num_peers=32, num_replicas=6, seed=2024)
+    return Cluster.build(peers=32, replicas=6, seed=2024)
 
 
 @pytest.fixture
 def indirect_stack():
     """A 32-peer stack whose KTS uses the indirect initialisation algorithm."""
-    return build_service_stack(num_peers=32, num_replicas=6, seed=2024,
-                               initialization=CounterInitialization.INDIRECT)
+    return Cluster.build(peers=32, replicas=6, seed=2024,
+                         initialization=CounterInitialization.INDIRECT)
 
 
 @pytest.fixture
 def can_stack():
     """A CAN-based stack (smaller population; CAN lookups are linear scans)."""
-    return build_service_stack(num_peers=24, num_replicas=5, seed=77, protocol="can")
+    return Cluster.build(peers=24, replicas=5, seed=77, protocol="can")

@@ -2,67 +2,68 @@
 
 from __future__ import annotations
 
+from repro.api import Cluster
 from repro.dht.messages import MessageKind
 
 
 class TestInsert:
     def test_versions_increase_with_sequential_updates(self, small_stack):
-        first = small_stack.brk.insert("k", "a")
-        second = small_stack.brk.insert("k", "b")
+        first = small_stack.service("brk").insert("k", "a")
+        second = small_stack.service("brk").insert("k", "b")
         assert first.version == 1
         assert second.version == 2
 
     def test_insert_writes_every_replica(self, small_stack):
-        result = small_stack.brk.insert("k", "a")
+        result = small_stack.service("brk").insert("k", "a")
         assert result.replicas_written == small_stack.replication.factor
         replicas = small_stack.network.stored_replicas("k", small_stack.replication)
         assert all(entry.version == 1 for entry in replicas)
 
     def test_insert_reads_before_writing(self, small_stack):
-        result = small_stack.brk.insert("k", "a")
+        result = small_stack.service("brk").insert("k", "a")
         kinds = [message.kind for message in result.trace]
         assert kinds.count(MessageKind.GET_REQUEST) == small_stack.replication.factor
         assert kinds.count(MessageKind.PUT_REQUEST) == small_stack.replication.factor
 
     def test_observed_version_skips_the_read_phase(self, small_stack):
-        small_stack.brk.insert("k", "a")
-        result = small_stack.brk.insert("k", "b", observed_version=1)
+        small_stack.service("brk").insert("k", "a")
+        result = small_stack.service("brk").insert("k", "b", observed_version=1)
         kinds = [message.kind for message in result.trace]
         assert kinds.count(MessageKind.GET_REQUEST) == 0
         assert result.version == 2
 
     def test_concurrent_updates_can_share_a_version_number(self, small_stack):
-        base = small_stack.brk.insert("k", "base")
-        first = small_stack.brk.insert("k", "from-A", observed_version=base.version)
-        second = small_stack.brk.insert("k", "from-B", observed_version=base.version)
+        base = small_stack.service("brk").insert("k", "base")
+        first = small_stack.service("brk").insert("k", "from-A", observed_version=base.version)
+        second = small_stack.service("brk").insert("k", "from-B", observed_version=base.version)
         assert first.version == second.version == base.version + 1
 
 
 class TestRetrieve:
     def test_retrieve_returns_highest_version(self, small_stack):
-        small_stack.brk.insert("k", "old")
-        small_stack.brk.insert("k", "new")
-        result = small_stack.brk.retrieve("k")
+        small_stack.service("brk").insert("k", "old")
+        small_stack.service("brk").insert("k", "new")
+        result = small_stack.service("brk").retrieve("k")
         assert result.found
         assert result.data == "new"
         assert result.version == 2
         assert not result.ambiguous
 
     def test_retrieve_always_reads_every_replica(self, small_stack):
-        small_stack.brk.insert("k", "v")
-        result = small_stack.brk.retrieve("k")
+        small_stack.service("brk").insert("k", "v")
+        result = small_stack.service("brk").retrieve("k")
         assert result.replicas_inspected == small_stack.replication.factor
         kinds = [message.kind for message in result.trace]
         assert kinds.count(MessageKind.GET_REQUEST) == small_stack.replication.factor
 
     def test_retrieve_unknown_key(self, small_stack):
-        result = small_stack.brk.retrieve("missing")
+        result = small_stack.service("brk").retrieve("missing")
         assert not result.found
         assert result.version is None
         assert result.data is None
 
     def test_concurrent_updates_are_ambiguous(self, small_stack):
-        network, brk = small_stack.network, small_stack.brk
+        network, brk = small_stack.network, small_stack.service("brk")
         base = brk.insert("k", "base")
         holders = sorted({network.responsible_peer("k", h) for h in small_stack.replication})
         # Both updaters observed version 1; their writes reach different
@@ -75,15 +76,14 @@ class TestRetrieve:
         assert result.ambiguous
 
     def test_message_cost_scales_with_replication_factor(self):
-        from repro.core import build_service_stack
-        small = build_service_stack(num_peers=32, num_replicas=4, seed=10)
-        large = build_service_stack(num_peers=32, num_replicas=16, seed=10)
-        small.brk.insert("k", "v")
-        large.brk.insert("k", "v")
-        assert large.brk.retrieve("k").message_count > small.brk.retrieve("k").message_count
+        small = Cluster.build(peers=32, replicas=4, seed=10).service("brk")
+        large = Cluster.build(peers=32, replicas=16, seed=10).service("brk")
+        small.insert("k", "v")
+        large.insert("k", "v")
+        assert large.retrieve("k").message_count > small.retrieve("k").message_count
 
     def test_stale_update_does_not_overwrite_newer_version(self, small_stack):
-        brk = small_stack.brk
+        brk = small_stack.service("brk")
         brk.insert("k", "v1")
         brk.insert("k", "v2")
         # A laggard updater writes with an old observed version: its version (2)

@@ -4,39 +4,39 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import build_service_stack
+from repro.api import Cluster
 from repro.dht.messages import MessageKind
 
 
 class TestInsert:
     def test_insert_writes_every_replica(self, small_stack):
-        result = small_stack.ums.insert("k", {"v": 1})
+        result = small_stack.service("ums").insert("k", {"v": 1})
         assert result.replicas_attempted == small_stack.replication.factor
         assert result.replicas_written == small_stack.replication.factor
         assert result.fully_replicated
 
     def test_insert_attaches_a_fresh_timestamp(self, small_stack):
-        first = small_stack.ums.insert("k", "a")
-        second = small_stack.ums.insert("k", "b")
+        first = small_stack.service("ums").insert("k", "a")
+        second = small_stack.service("ums").insert("k", "b")
         assert second.timestamp.value == first.timestamp.value + 1
 
     def test_replicas_carry_the_timestamp(self, small_stack):
-        result = small_stack.ums.insert("k", "payload")
+        result = small_stack.service("ums").insert("k", "payload")
         replicas = small_stack.network.stored_replicas("k", small_stack.replication)
         assert len(replicas) == small_stack.replication.factor
         assert all(entry.timestamp == result.timestamp for entry in replicas)
 
     def test_insert_with_unreachable_holders_is_partial(self, small_stack):
-        small_stack.ums.insert("k", "v0")
+        small_stack.service("ums").insert("k", "v0")
         holders = {small_stack.network.responsible_peer("k", h)
                    for h in small_stack.replication}
         skipped = frozenset(list(holders)[:1])
-        result = small_stack.ums.insert("k", "v1", unreachable=skipped)
+        result = small_stack.service("ums").insert("k", "v1", unreachable=skipped)
         assert not result.fully_replicated
         assert result.replicas_written < result.replicas_attempted
 
     def test_insert_trace_contains_puts_and_timestamping(self, small_stack):
-        result = small_stack.ums.insert("k", "payload")
+        result = small_stack.service("ums").insert("k", "payload")
         kinds = [message.kind for message in result.trace]
         assert kinds.count(MessageKind.PUT_REQUEST) == small_stack.replication.factor
         assert MessageKind.TSR in kinds
@@ -44,51 +44,51 @@ class TestInsert:
 
 class TestRetrieve:
     def test_retrieve_returns_latest_insert(self, small_stack):
-        small_stack.ums.insert("k", "old")
-        small_stack.ums.insert("k", "new")
-        result = small_stack.ums.retrieve("k")
+        small_stack.service("ums").insert("k", "old")
+        small_stack.service("ums").insert("k", "new")
+        result = small_stack.service("ums").retrieve("k")
         assert result.data == "new"
         assert result.is_current
         assert result.found
 
     def test_retrieve_unknown_key(self, small_stack):
-        result = small_stack.ums.retrieve("never-inserted")
+        result = small_stack.service("ums").retrieve("never-inserted")
         assert not result.found
         assert result.data is None
         assert not result.is_current
         assert result.latest_timestamp is None
 
     def test_retrieve_stops_at_the_first_current_replica(self, small_stack):
-        small_stack.ums.insert("k", "v")
-        result = small_stack.ums.retrieve("k")
+        small_stack.service("ums").insert("k", "v")
+        result = small_stack.service("ums").retrieve("k")
         assert result.replicas_inspected == 1
 
     def test_retrieve_probes_at_most_all_replicas(self, small_stack):
-        small_stack.ums.insert("k", "v")
-        result = small_stack.ums.retrieve("k")
+        small_stack.service("ums").insert("k", "v")
+        result = small_stack.service("ums").retrieve("k")
         assert result.replicas_inspected <= small_stack.replication.factor
 
     def test_partial_update_still_returns_current(self, small_stack):
-        small_stack.ums.insert("k", "v0")
+        small_stack.service("ums").insert("k", "v0")
         holders = sorted({small_stack.network.responsible_peer("k", h)
                           for h in small_stack.replication})
         skipped = frozenset(holders[: len(holders) // 2])
-        small_stack.ums.insert("k", "v1", unreachable=skipped)
-        result = small_stack.ums.retrieve("k")
+        small_stack.service("ums").insert("k", "v1", unreachable=skipped)
+        result = small_stack.service("ums").retrieve("k")
         assert result.data == "v1"
         assert result.is_current
 
     def test_concurrent_updates_converge_to_the_latest_timestamp(self, small_stack):
         # Two "concurrent" inserts: whichever obtains the later KTS timestamp
         # wins at every replica, regardless of message arrival order.
-        first = small_stack.ums.insert("k", "from-peer-A")
-        second = small_stack.ums.insert("k", "from-peer-B")
+        first = small_stack.service("ums").insert("k", "from-peer-A")
+        second = small_stack.service("ums").insert("k", "from-peer-B")
         assert second.timestamp > first.timestamp
         replicas = small_stack.network.stored_replicas("k", small_stack.replication)
         assert all(entry.data == "from-peer-B" for entry in replicas)
 
     def test_stale_read_is_flagged_when_no_current_replica_is_available(self, small_stack):
-        network, ums = small_stack.network, small_stack.ums
+        network, ums = small_stack.network, small_stack.service("ums")
         ums.insert("k", "old")
         # The next update reaches NO replica holder (all unreachable), so only
         # the timestamp advances; every stored replica is now stale.
@@ -101,7 +101,7 @@ class TestRetrieve:
         assert result.replicas_inspected == small_stack.replication.factor
 
     def test_retrieve_returns_most_recent_available_replica(self, small_stack):
-        network, ums = small_stack.network, small_stack.ums
+        network, ums = small_stack.network, small_stack.service("ums")
         ums.insert("k", "v1")
         holders = sorted({network.responsible_peer("k", h) for h in small_stack.replication})
         # v2 reaches only a subset; v3 reaches nothing.
@@ -113,14 +113,14 @@ class TestRetrieve:
         assert result.data == "v2"
 
     def test_message_cost_is_much_lower_than_retrieving_all_replicas(self, small_stack):
-        small_stack.ums.insert("k", "v")
-        ums_messages = small_stack.ums.retrieve("k").trace.message_count
-        brk_messages = small_stack.brk.retrieve("k").trace.message_count
+        small_stack.service("ums").insert("k", "v")
+        ums_messages = small_stack.service("ums").retrieve("k").trace.message_count
+        brk_messages = small_stack.service("brk").retrieve("k").trace.message_count
         # BRK has to read all |Hr| replicas; UMS needs the KTS lookup plus one get.
         assert ums_messages < brk_messages
 
     def test_currency_probability_reflects_partial_updates(self, small_stack):
-        ums = small_stack.ums
+        ums = small_stack.service("ums")
         ums.insert("k", "v0")
         assert ums.currency_probability("k") == pytest.approx(1.0)
         holders = sorted({small_stack.network.responsible_peer("k", h)
@@ -129,17 +129,18 @@ class TestRetrieve:
         assert 0.0 < ums.currency_probability("k") < 1.0
 
     def test_currency_probability_for_unknown_key_is_zero(self, small_stack):
-        assert small_stack.ums.currency_probability("missing") == 0.0
+        assert small_stack.service("ums").currency_probability("missing") == 0.0
 
 
 class TestProbeOrder:
     def test_fixed_probe_order_follows_hr(self):
-        stack = build_service_stack(num_peers=16, num_replicas=5, seed=3,
-                                    probe_order="fixed")
-        assert [fn.name for fn in stack.ums._probe_sequence()] == stack.replication.names
+        cluster = Cluster.build(peers=16, replicas=5, seed=3,
+                                probe_order="fixed")
+        probes = cluster.service("ums")._probe_sequence()
+        assert [fn.name for fn in probes] == cluster.replication.names
 
     def test_random_probe_order_is_a_permutation(self, small_stack):
-        names = sorted(fn.name for fn in small_stack.ums._probe_sequence())
+        names = sorted(fn.name for fn in small_stack.service("ums")._probe_sequence())
         assert names == sorted(small_stack.replication.names)
 
     def test_unknown_probe_order_rejected(self, small_stack):
@@ -151,7 +152,7 @@ class TestProbeOrder:
 
 class TestChurnResilience:
     def test_retrieve_survives_leaves_and_joins(self, small_stack):
-        network, ums = small_stack.network, small_stack.ums
+        network, ums = small_stack.network, small_stack.service("ums")
         ums.insert("k", "durable")
         for _ in range(20):
             network.leave_peer(network.random_alive_peer())
@@ -161,7 +162,7 @@ class TestChurnResilience:
         assert result.is_current
 
     def test_retrieve_survives_a_minority_of_failures(self, small_stack):
-        network, ums = small_stack.network, small_stack.ums
+        network, ums = small_stack.network, small_stack.service("ums")
         ums.insert("k", "durable")
         for _ in range(5):
             network.fail_peer(network.random_alive_peer())
@@ -171,7 +172,7 @@ class TestChurnResilience:
         assert result.data == "durable"
 
     def test_update_after_churn_restores_full_currency(self, small_stack):
-        network, ums = small_stack.network, small_stack.ums
+        network, ums = small_stack.network, small_stack.service("ums")
         ums.insert("k", "v0")
         for _ in range(10):
             network.fail_peer(network.random_alive_peer())

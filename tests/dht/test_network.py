@@ -321,16 +321,77 @@ class TestObservers:
         assert order == ["a", "c"]
 
 
-class TestResponsibilityTracking:
-    def test_responsibility_log_records_on_put_and_churn(self, hash_fn):
-        network = DHTNetwork.build(16, seed=9, track_responsibility=True)
-        network.put("k", hash_fn, "x", timestamp=Timestamp("k", 1))
-        first_owner = network.responsibility_log.rsp("k", hash_fn.name)
-        assert first_owner == network.responsible_peer("k", hash_fn)
-        network.leave_peer(first_owner)
-        assert network.responsibility_log.rsp("k", hash_fn.name) == \
-            network.responsible_peer("k", hash_fn)
+@pytest.fixture(params=["chord", "kademlia", "can"])
+def overlay_network(request):
+    return DHTNetwork.build(24, protocol=request.param, seed=9)
 
-    def test_tracking_disabled_by_default(self, network, hash_fn):
-        network.put("k", hash_fn, "x", timestamp=Timestamp("k", 1))
-        assert network.responsibility_log.rsp("k", hash_fn.name) is None
+
+def holders(network, key, hash_fn):
+    """Live peers whose store holds ``key`` under ``hash_fn``."""
+    return [peer_id for peer_id in network.alive_peer_ids()
+            if network.peer(peer_id).store.get(hash_fn.name, key) is not None]
+
+
+class TestResponsibility:
+    """``rsp(k, h)`` on every overlay: the one live holder of ``(k, h)``."""
+
+    def test_put_stores_only_at_rsp(self, overlay_network, hash_fn):
+        overlay_network.put("k", hash_fn, "x", timestamp=Timestamp("k", 1))
+        assert holders(overlay_network, "k", hash_fn) == \
+            [overlay_network.responsible_peer("k", hash_fn)]
+
+    def test_a_leave_hands_the_entry_to_the_next_rsp(self, overlay_network, hash_fn):
+        overlay_network.put("k", hash_fn, "x", timestamp=Timestamp("k", 1))
+        previous = overlay_network.responsible_peer("k", hash_fn)
+        overlay_network.leave_peer(previous)
+        current = overlay_network.responsible_peer("k", hash_fn)
+        assert current != previous and overlay_network.is_alive(current)
+        assert holders(overlay_network, "k", hash_fn) == [current]
+        assert overlay_network.peer(current).store.get(hash_fn.name, "k").data == "x"
+
+    def test_a_join_that_takes_the_key_moves_the_entry(self, overlay_network, hash_fn):
+        overlay_network.put("k", hash_fn, "x", timestamp=Timestamp("k", 1))
+        previous = overlay_network.responsible_peer("k", hash_fn)
+        for _ in range(500):
+            newcomer = overlay_network.join_peer()
+            if overlay_network.responsible_peer("k", hash_fn) == newcomer:
+                break
+        assert overlay_network.responsible_peer("k", hash_fn) == newcomer != previous
+        assert holders(overlay_network, "k", hash_fn) == [newcomer]
+
+    def test_a_failed_rsp_loses_the_entry(self, overlay_network, hash_fn):
+        overlay_network.put("k", hash_fn, "x", timestamp=Timestamp("k", 1))
+        previous = overlay_network.responsible_peer("k", hash_fn)
+        overlay_network.fail_peer(previous)
+        assert overlay_network.responsible_peer("k", hash_fn) != previous
+        assert holders(overlay_network, "k", hash_fn) == []
+        assert overlay_network.get("k", hash_fn) is None
+
+    def test_responsibility_is_per_hash_function(self, overlay_network):
+        family = HashFamily(bits=32, seed=7)
+        first, second = family.sample("hr-0"), family.sample("hr-1")
+        overlay_network.put("k", first, "one", timestamp=Timestamp("k", 1))
+        assert overlay_network.get("k", second) is None
+        overlay_network.put("k", second, "two", timestamp=Timestamp("k", 1))
+        assert holders(overlay_network, "k", first) == \
+            [overlay_network.responsible_peer("k", first)]
+        assert holders(overlay_network, "k", second) == \
+            [overlay_network.responsible_peer("k", second)]
+        assert overlay_network.get("k", first).data == "one"
+        assert overlay_network.get("k", second).data == "two"
+
+    def test_every_entry_stays_at_rsp_through_joins_and_leaves(self, overlay_network,
+                                                               hash_fn):
+        keys = [f"key-{i}" for i in range(20)]
+        for key in keys:
+            overlay_network.put(key, hash_fn, key, timestamp=Timestamp(key, 1))
+        rng = random.Random(3)
+        for _ in range(30):
+            if rng.random() < 0.5:
+                overlay_network.join_peer()
+            else:
+                overlay_network.leave_peer(overlay_network.random_alive_peer())
+        for key in keys:
+            assert holders(overlay_network, key, hash_fn) == \
+                [overlay_network.responsible_peer(key, hash_fn)]
+            assert overlay_network.get(key, hash_fn).data == key

@@ -29,7 +29,7 @@ import random
 
 import pytest
 
-from repro.core import build_service_stack
+from repro.api import Cluster
 from repro.dht.hashing import HashFamily
 from repro.dht.network import DHTNetwork
 from repro.dht.registry import create_overlay, overlay_names
@@ -203,32 +203,32 @@ class TestMessageAccounting:
 
 class TestServiceIntegration:
     def test_ums_round_trip_over_a_churning_network(self, protocol_name, bits):
-        stack = build_service_stack(num_peers=40, num_replicas=6,
-                                    protocol=protocol_name, bits=bits, seed=1234)
+        cluster = Cluster.build(peers=40, replicas=6,
+                                protocol=protocol_name, bits=bits, seed=1234)
         rng = random.Random(99)
-        stack.ums.insert("the-doc", {"rev": 0})
+        cluster.service("ums").insert("the-doc", {"rev": 0})
         for revision in range(1, 4):
             # Mixed churn between updates: leaves, joins and a failure.
             for _ in range(5):
-                victim = stack.network.random_alive_peer()
+                victim = cluster.network.random_alive_peer()
                 if rng.random() < 0.2:
-                    stack.network.fail_peer(victim)
+                    cluster.network.fail_peer(victim)
                 else:
-                    stack.network.leave_peer(victim)
-                stack.network.join_peer()
-            stack.ums.insert("the-doc", {"rev": revision})
-        result = stack.ums.retrieve("the-doc")
+                    cluster.network.leave_peer(victim)
+                cluster.network.join_peer()
+            cluster.service("ums").insert("the-doc", {"rev": revision})
+        result = cluster.service("ums").retrieve("the-doc")
         assert result.found
         assert result.data == {"rev": 3}
         assert result.is_current
         assert result.trace.message_count > 0
 
     def test_kts_counters_survive_overlay_churn(self, protocol_name, bits):
-        stack = build_service_stack(num_peers=30, num_replicas=5,
-                                    protocol=protocol_name, bits=bits, seed=77)
-        first = stack.kts.gen_ts("a-key")
+        cluster = Cluster.build(peers=30, replicas=5,
+                                protocol=protocol_name, bits=bits, seed=77)
+        first = cluster.kts.gen_ts("a-key")
         for _ in range(10):
-            stack.network.leave_peer(stack.network.random_alive_peer())
-            stack.network.join_peer()
-        second = stack.kts.gen_ts("a-key")
+            cluster.network.leave_peer(cluster.network.random_alive_peer())
+            cluster.network.join_peer()
+        second = cluster.kts.gen_ts("a-key")
         assert second.value > first.value

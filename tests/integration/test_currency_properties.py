@@ -19,7 +19,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CounterInitialization, build_service_stack
+from repro.api import Cluster
+from repro.core import CounterInitialization
 
 # One workload step: either an update, or a churn action.
 steps = st.lists(
@@ -27,18 +28,18 @@ steps = st.lists(
     min_size=1, max_size=40)
 
 
-def apply_step(stack, rng, step, key, sequence):
+def apply_step(cluster, rng, step, key, sequence):
     if step == "update":
-        stack.ums.insert(key, sequence)
+        cluster.service("ums").insert(key, sequence)
         return sequence + 1
     if step == "leave":
-        stack.network.leave_peer(stack.network.random_alive_peer())
-        stack.network.join_peer()
+        cluster.network.leave_peer(cluster.network.random_alive_peer())
+        cluster.network.join_peer()
     elif step == "fail":
-        stack.network.fail_peer(stack.network.random_alive_peer())
-        stack.network.join_peer()
+        cluster.network.fail_peer(cluster.network.random_alive_peer())
+        cluster.network.join_peer()
     elif step == "join":
-        stack.network.join_peer()
+        cluster.network.join_peer()
     return sequence
 
 
@@ -46,15 +47,15 @@ class TestCurrencyProperties:
     @given(script=steps, seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_retrieve_returns_latest_value_when_current_replicas_exist(self, script, seed):
-        stack = build_service_stack(num_peers=40, num_replicas=6, seed=seed)
+        cluster = Cluster.build(peers=40, replicas=6, seed=seed)
         rng = random.Random(seed)
         sequence = 0
         for step in script:
-            sequence = apply_step(stack, rng, step, "prop-key", sequence)
+            sequence = apply_step(cluster, rng, step, "prop-key", sequence)
         if sequence == 0:
             return  # no update ever happened
-        result = stack.ums.retrieve("prop-key")
-        if stack.ums.currency_probability("prop-key") > 0.0:
+        result = cluster.service("ums").retrieve("prop-key")
+        if cluster.service("ums").currency_probability("prop-key") > 0.0:
             assert result.found
             assert result.is_current
             assert result.data == sequence - 1
@@ -64,15 +65,15 @@ class TestCurrencyProperties:
     @given(script=steps, seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
     def test_insert_timestamps_are_strictly_increasing(self, script, seed):
-        stack = build_service_stack(num_peers=40, num_replicas=6, seed=seed)
+        cluster = Cluster.build(peers=40, replicas=6, seed=seed)
         rng = random.Random(seed)
         values = []
         sequence = 0
         for step in script:
             before = sequence
-            sequence = apply_step(stack, rng, step, "mono-key", sequence)
+            sequence = apply_step(cluster, rng, step, "mono-key", sequence)
             if sequence != before:
-                values.append(stack.kts.last_ts("mono-key").value)
+                values.append(cluster.kts.last_ts("mono-key").value)
         assert values == sorted(values)
         assert len(set(values)) == len(values)
 
@@ -81,14 +82,14 @@ class TestCurrencyProperties:
     @settings(max_examples=20, deadline=None)
     def test_reads_never_go_backwards(self, script, seed, indirect):
         mode = CounterInitialization.INDIRECT if indirect else CounterInitialization.DIRECT
-        stack = build_service_stack(num_peers=40, num_replicas=6, seed=seed,
-                                    initialization=mode)
+        cluster = Cluster.build(peers=40, replicas=6, seed=seed,
+                                initialization=mode)
         rng = random.Random(seed)
         sequence = 0
         last_observed = -1
         for step in script:
-            sequence = apply_step(stack, rng, step, "session-key", sequence)
-            result = stack.ums.retrieve("session-key")
+            sequence = apply_step(cluster, rng, step, "session-key", sequence)
+            result = cluster.service("ums").retrieve("session-key")
             if result.found:
                 assert result.data >= last_observed
                 last_observed = result.data
@@ -96,11 +97,11 @@ class TestCurrencyProperties:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
     def test_probe_count_respects_the_replica_bound(self, seed):
-        stack = build_service_stack(num_peers=40, num_replicas=8, seed=seed)
+        cluster = Cluster.build(peers=40, replicas=8, seed=seed)
         rng = random.Random(seed)
-        stack.ums.insert("bound-key", "value")
+        cluster.service("ums").insert("bound-key", "value")
         for _ in range(10):
-            stack.network.fail_peer(stack.network.random_alive_peer())
-            stack.network.join_peer()
-        result = stack.ums.retrieve("bound-key")
-        assert 1 <= result.replicas_inspected <= stack.replication.factor
+            cluster.network.fail_peer(cluster.network.random_alive_peer())
+            cluster.network.join_peer()
+        result = cluster.service("ums").retrieve("bound-key")
+        assert 1 <= result.replicas_inspected <= cluster.replication.factor

@@ -6,34 +6,35 @@ import random
 
 import pytest
 
-from repro.core import CounterInitialization, build_service_stack
+from repro.api import Cluster
+from repro.core import CounterInitialization
 from repro.simulation.engine import Simulator
 from repro.simulation.churn import ChurnProcess
 
 
 class TestTimestampingResponsibleFailures:
     def test_failing_the_timestamping_responsible_does_not_block_updates(self, small_stack):
-        small_stack.ums.insert("k", "v0")
+        small_stack.service("ums").insert("k", "v0")
         responsible = small_stack.kts.responsible_of_timestamping("k")
         small_stack.network.fail_peer(responsible)
         small_stack.network.join_peer()
-        result = small_stack.ums.insert("k", "v1")
+        result = small_stack.service("ums").insert("k", "v1")
         assert result.fully_replicated
-        retrieved = small_stack.ums.retrieve("k")
+        retrieved = small_stack.service("ums").retrieve("k")
         assert retrieved.data == "v1"
         assert retrieved.is_current
 
     def test_repeated_failures_of_the_responsible_keep_timestamps_monotonic(self, small_stack):
         values = []
         for sequence in range(8):
-            values.append(small_stack.ums.insert("k", sequence).timestamp.value)
+            values.append(small_stack.service("ums").insert("k", sequence).timestamp.value)
             small_stack.network.fail_peer(small_stack.kts.responsible_of_timestamping("k"))
             small_stack.network.join_peer()
         assert values == sorted(values)
         assert len(set(values)) == len(values)
 
     def test_uncommitted_timestamp_is_repaired_by_recovery(self, small_stack):
-        network, kts, ums = small_stack.network, small_stack.kts, small_stack.ums
+        network, kts, ums = small_stack.network, small_stack.kts, small_stack.service("ums")
         ums.insert("k", "committed")
         # A timestamp is generated but never committed (e.g. the requesting
         # peer crashed before issuing the puts), then the responsible fails.
@@ -48,7 +49,7 @@ class TestTimestampingResponsibleFailures:
         assert next_ts.value > orphan.value
 
     def test_periodic_inspection_fixes_counters_after_partial_loss(self, small_stack):
-        network, kts, ums = small_stack.network, small_stack.kts, small_stack.ums
+        network, kts, ums = small_stack.network, small_stack.kts, small_stack.service("ums")
         ums.insert("k", "v0")
         ums.insert("k", "v1")
         responsible = kts.responsible_of_timestamping("k")
@@ -68,81 +69,80 @@ class TestCorrelatedBursts:
     """
 
     def _burst_stack(self, *, num_peers=60, num_replicas=6, seed=2025):
-        stack = build_service_stack(num_peers=num_peers,
-                                    num_replicas=num_replicas, seed=seed)
-        churn = ChurnProcess(Simulator(), stack.network, rate_per_s=0.0,
+        cluster = Cluster.build(peers=num_peers, replicas=num_replicas, seed=seed)
+        churn = ChurnProcess(Simulator(), cluster.network, rate_per_s=0.0,
                              failure_rate=1.0, rng=random.Random(seed))
-        return stack, churn
+        return cluster, churn
 
-    def _key_holders(self, stack, key):
-        holders = {stack.network.responsible_peer(key, hash_fn)
-                   for hash_fn in stack.replication}
-        holders.add(stack.kts.responsible_of_timestamping(key))
+    def _key_holders(self, cluster, key):
+        holders = {cluster.network.responsible_peer(key, hash_fn)
+                   for hash_fn in cluster.replication}
+        holders.add(cluster.kts.responsible_of_timestamping(key))
         return holders
 
     def test_burst_sparing_one_replica_keeps_timestamps_strictly_monotonic(self):
-        stack, churn = self._burst_stack()
+        cluster, churn = self._burst_stack()
         values = []
         for sequence in range(6):
-            values.append(stack.ums.insert("k", sequence).timestamp.value)
+            values.append(cluster.service("ums").insert("k", sequence).timestamp.value)
             # One correlated burst: the timestamping responsible AND all but
             # one replica holder of "k" fail at the same instant (no
             # interleaved joins).  Direct counter initialisation rebuilds the
             # new responsible's counter from the surviving replica, so the
             # timestamps must keep strictly increasing.
-            holders = self._key_holders(stack, "k")
-            survivor = max(holders - {stack.kts.responsible_of_timestamping("k")})
+            holders = self._key_holders(cluster, "k")
+            survivor = max(holders - {cluster.kts.responsible_of_timestamping("k")})
             churn.fail_together(sorted(holders - {survivor}), rejoin=True)
         assert values == sorted(values)
         assert len(set(values)) == len(values)
-        final = stack.ums.insert("k", "final")
+        final = cluster.service("ums").insert("k", "final")
         assert final.timestamp.value > values[-1]
 
     def test_burst_on_responsible_and_all_replicas_keeps_timestamps_monotonic(self):
-        stack, churn = self._burst_stack()
+        cluster, churn = self._burst_stack()
         values = []
         for sequence in range(6):
-            values.append(stack.ums.insert("k", sequence).timestamp.value)
+            values.append(cluster.service("ums").insert("k", sequence).timestamp.value)
             # The worst case: the responsible AND every replica holder fail in
             # the same burst.  All state about "k" is gone, so the counter may
             # legitimately restart (the paper's guarantee needs one survivor:
             # with |Hr|+1 simultaneous failures there is no source for the old
             # value) — but the sequence must never go *backwards*.
-            churn.fail_together(sorted(self._key_holders(stack, "k")),
+            churn.fail_together(sorted(self._key_holders(cluster, "k")),
                                 rejoin=True)
         assert values == sorted(values)
         # After the last burst a fresh insert must still yield a certified
         # current retrieval of the latest value.
-        stack.ums.insert("k", "final")
-        result = stack.ums.retrieve("k")
+        cluster.service("ums").insert("k", "final")
+        result = cluster.service("ums").retrieve("k")
         assert result.is_current
         assert result.data == "final"
 
     def test_burst_losing_every_replica_is_not_found_until_rewritten(self):
-        stack, churn = self._burst_stack(num_replicas=4, seed=2026)
-        stack.ums.insert("k", "precious")
-        churn.fail_together(sorted(self._key_holders(stack, "k")), rejoin=True)
-        result = stack.ums.retrieve("k")
+        cluster, churn = self._burst_stack(num_replicas=4, seed=2026)
+        cluster.service("ums").insert("k", "precious")
+        churn.fail_together(sorted(self._key_holders(cluster, "k")), rejoin=True)
+        result = cluster.service("ums").retrieve("k")
         assert not result.found
-        restored = stack.ums.insert("k", "restored")
+        restored = cluster.service("ums").insert("k", "restored")
         assert restored.fully_replicated
-        assert stack.ums.retrieve("k").data == "restored"
+        assert cluster.service("ums").retrieve("k").data == "restored"
 
     def test_repeated_bursts_without_rejoin_keep_monotonicity(self):
-        stack, churn = self._burst_stack(num_peers=80, seed=2027)
+        cluster, churn = self._burst_stack(num_peers=80, seed=2027)
         values = []
         for sequence in range(4):
-            values.append(stack.ums.insert("k", sequence).timestamp.value)
-            holders = self._key_holders(stack, "k")
-            survivor = max(holders - {stack.kts.responsible_of_timestamping("k")})
+            values.append(cluster.service("ums").insert("k", sequence).timestamp.value)
+            holders = self._key_holders(cluster, "k")
+            survivor = max(holders - {cluster.kts.responsible_of_timestamping("k")})
             churn.fail_together(sorted(holders - {survivor}), rejoin=False)
         assert values == sorted(values)
         assert len(set(values)) == len(values)
 
     def test_burst_events_are_recorded_as_simultaneous_failures(self):
-        stack, churn = self._burst_stack()
-        stack.ums.insert("k", "v0")
-        executed = churn.fail_together(sorted(self._key_holders(stack, "k")),
+        cluster, churn = self._burst_stack()
+        cluster.service("ums").insert("k", "v0")
+        executed = churn.fail_together(sorted(self._key_holders(cluster, "k")),
                                        rejoin=True)
         assert executed
         assert all(event.failed for event in executed)
@@ -152,52 +152,52 @@ class TestCorrelatedBursts:
 
 class TestMassFailures:
     def test_data_survives_as_long_as_one_replica_does(self):
-        stack = build_service_stack(num_peers=60, num_replicas=10, seed=37)
-        stack.ums.insert("k", "precious")
-        holders = sorted({stack.network.responsible_peer("k", h) for h in stack.replication})
+        cluster = Cluster.build(peers=60, replicas=10, seed=37)
+        cluster.service("ums").insert("k", "precious")
+        holders = sorted({cluster.network.responsible_peer("k", h) for h in cluster.replication})
         # Fail all but one replica holder.
         for holder in holders[:-1]:
-            if stack.network.is_alive(holder):
-                stack.network.fail_peer(holder)
-                stack.network.join_peer()
-        result = stack.ums.retrieve("k")
+            if cluster.network.is_alive(holder):
+                cluster.network.fail_peer(holder)
+                cluster.network.join_peer()
+        result = cluster.service("ums").retrieve("k")
         assert result.found
         assert result.data == "precious"
 
     def test_total_replica_loss_is_reported_as_not_found(self):
-        stack = build_service_stack(num_peers=60, num_replicas=4, seed=41)
-        stack.ums.insert("k", "doomed")
-        for hash_fn in stack.replication:
-            holder = stack.network.responsible_peer("k", hash_fn)
-            if stack.network.is_alive(holder):
-                stack.network.fail_peer(holder)
-        result = stack.ums.retrieve("k")
+        cluster = Cluster.build(peers=60, replicas=4, seed=41)
+        cluster.service("ums").insert("k", "doomed")
+        for hash_fn in cluster.replication:
+            holder = cluster.network.responsible_peer("k", hash_fn)
+            if cluster.network.is_alive(holder):
+                cluster.network.fail_peer(holder)
+        result = cluster.service("ums").retrieve("k")
         assert not result.found
         assert result.data is None
 
     def test_update_after_total_loss_restores_availability(self):
-        stack = build_service_stack(num_peers=60, num_replicas=4, seed=43)
-        stack.ums.insert("k", "lost")
-        for hash_fn in stack.replication:
-            holder = stack.network.responsible_peer("k", hash_fn)
-            if stack.network.is_alive(holder):
-                stack.network.fail_peer(holder)
-        stack.ums.insert("k", "restored")
-        result = stack.ums.retrieve("k")
+        cluster = Cluster.build(peers=60, replicas=4, seed=43)
+        cluster.service("ums").insert("k", "lost")
+        for hash_fn in cluster.replication:
+            holder = cluster.network.responsible_peer("k", hash_fn)
+            if cluster.network.is_alive(holder):
+                cluster.network.fail_peer(holder)
+        cluster.service("ums").insert("k", "restored")
+        result = cluster.service("ums").retrieve("k")
         assert result.found
         assert result.data == "restored"
-        assert stack.ums.currency_probability("k") == pytest.approx(1.0)
+        assert cluster.service("ums").currency_probability("k") == pytest.approx(1.0)
 
     def test_heavy_failure_churn_with_indirect_initialisation(self):
-        stack = build_service_stack(num_peers=80, num_replicas=10, seed=47,
-                                    initialization=CounterInitialization.INDIRECT)
+        cluster = Cluster.build(peers=80, replicas=10, seed=47,
+                                initialization=CounterInitialization.INDIRECT)
         rng = random.Random(47)
         for sequence in range(10):
-            stack.ums.insert("k", sequence)
+            cluster.service("ums").insert("k", sequence)
             for _ in range(4):
-                stack.network.fail_peer(stack.network.random_alive_peer())
-                stack.network.join_peer()
-        result = stack.ums.retrieve("k")
+                cluster.network.fail_peer(cluster.network.random_alive_peer())
+                cluster.network.join_peer()
+        result = cluster.service("ums").retrieve("k")
         assert result.found
         # The last write always reaches all current responsibles, so even under
         # heavy failures the returned value is the latest one.

@@ -1,91 +1,10 @@
-"""Unit tests for the metric collectors."""
+"""Unit tests for the sampled time series."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.simulation.metrics import Counter, Tally, TimeSeries
-
-
-class TestCounter:
-    def test_increment_and_get(self):
-        counter = Counter()
-        assert counter.increment("queries") == 1
-        assert counter.increment("queries", 4) == 5
-        assert counter.get("queries") == 5
-        assert counter["queries"] == 5
-
-    def test_unknown_counter_is_zero(self):
-        assert Counter().get("nothing") == 0
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            Counter().increment("x", -1)
-
-    def test_as_dict_snapshot(self):
-        counter = Counter()
-        counter.increment("a")
-        counter.increment("b", 2)
-        assert counter.as_dict() == {"a": 1, "b": 2}
-        assert len(counter) == 2
-
-
-class TestTally:
-    def test_mean_and_total(self):
-        tally = Tally()
-        tally.extend([1.0, 2.0, 3.0])
-        assert tally.count == 3
-        assert tally.total == 6.0
-        assert tally.mean == 2.0
-
-    def test_empty_tally_defaults(self):
-        tally = Tally()
-        assert tally.mean == 0.0
-        assert tally.std == 0.0
-        assert tally.minimum is None
-        assert tally.maximum is None
-        assert tally.percentile(0.5) is None
-
-    def test_std_population_formula(self):
-        tally = Tally()
-        tally.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert tally.std == pytest.approx(2.0)
-
-    def test_min_max(self):
-        tally = Tally()
-        tally.extend([5.0, -1.0, 3.0])
-        assert tally.minimum == -1.0
-        assert tally.maximum == 5.0
-
-    def test_percentiles_interpolate(self):
-        tally = Tally()
-        tally.extend([0.0, 10.0])
-        assert tally.percentile(0.0) == 0.0
-        assert tally.percentile(0.5) == 5.0
-        assert tally.percentile(1.0) == 10.0
-
-    def test_percentile_single_value(self):
-        tally = Tally()
-        tally.observe(7.0)
-        assert tally.percentile(0.9) == 7.0
-
-    def test_percentile_out_of_range_rejected(self):
-        tally = Tally()
-        tally.observe(1.0)
-        with pytest.raises(ValueError):
-            tally.percentile(1.5)
-
-    def test_summary_keys(self):
-        tally = Tally("rt")
-        tally.extend([1.0, 3.0])
-        summary = tally.summary()
-        assert set(summary) == {"count", "mean", "std", "min", "max"}
-        assert summary["count"] == 2.0
-
-    def test_values_preserve_order(self):
-        tally = Tally()
-        tally.extend([3.0, 1.0, 2.0])
-        assert tally.values() == (3.0, 1.0, 2.0)
+from repro.simulation.metrics import TimeSeries
 
 
 class TestTimeSeries:

@@ -9,7 +9,7 @@ from repro.dht import errors as dht_errors
 
 class TestTopLevelExports:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "7.0.0"
+        assert repro.__version__ == "8.0.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -41,8 +41,10 @@ class TestTopLevelExports:
 
     def test_main_entry_points_are_importable(self):
         from repro.cli import main as cli_main
-        from repro.experiments.runner import main as runner_main
-        assert callable(cli_main) and callable(runner_main)
+        from repro.experiments import runner
+        assert callable(cli_main)
+        assert callable(runner.add_arguments) and callable(runner.run_command)
+        assert not hasattr(runner, "main")
 
 
 class TestErrorHierarchy:
