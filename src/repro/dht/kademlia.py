@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import bisect
 import random
-from heapq import heapify, heappop, heappush
 from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.dht.errors import (
@@ -497,39 +496,43 @@ class KademliaOverlay(DHTProtocol):
         (starting at ``origin``), the number of queries that hit departed
         contacts, and how many of those had *failed* (timeout cost).
 
-        ``self_distance`` is the origin's own distance to the target; a
-        lookup stops once no known contact improves on the best node queried
-        so far.  Passing ``None`` (bootstrap self-lookup) forces at least one
-        round of queries even though the origin is trivially closest to its
-        own identifier.
+        ``self_distance`` is the origin's own distance to the target
+        (``origin ^ target``); a lookup stops once no known contact improves
+        on the best node queried so far.  Passing ``None`` (bootstrap
+        self-lookup) forces at least one round of queries even though the
+        origin is trivially closest to its own identifier.
         """
         tables, k = self._tables, self.k
         is_live = self._member_set.__contains__
         table = tables[origin]
-        # A reply XOR-nearer to the target than ``2^top`` lies entirely in
-        # the origin's bucket ``top``, which learning cannot change once full.
         rows, top = table._rows, (origin ^ target).bit_length() - 1
-        inside = 1 << top if top >= 0 else 0
-        # The shortlist is a heap of XOR distances: distances to one target
-        # are unique and ``distance ^ target`` is the contact.  The best
-        # distance only ever falls and a candidate at or beyond it ends the
-        # lookup, so only contacts nearer than it are worth keeping — at the
-        # start, those nearer than the origin (all of them for a bootstrap).
-        contacts = (table.contacts() if self_distance is None
-                    else table.nearer_than_owner(target))
-        shortlist = [contact ^ target for contact in contacts]
-        heapify(shortlist)
-        seen: Set[int] = {origin, *contacts}
-        dead: Set[int] = set()
+        # The shortlist is a run of XOR distances, farthest first (distances
+        # to one target are unique, and ``distance ^ target`` is the contact).
+        # A lookup stops at the first contact not nearer than the best node
+        # queried, so only contacts nearer than that are worth keeping.  At
+        # the start these are the rows at the set bits of ``self_distance``
+        # (every contact for a bootstrap), whose distance ranges are disjoint
+        # and ordered, nearest last in ``groups``: the next row is sorted in
+        # only when the run is empty, and until a node answers, the lookup
+        # changes no row but the one it runs.  A node that answers is the
+        # nearest contact left, so the run becomes its reply's contacts
+        # nearer than itself, and once those are spent the lookup is over.
+        groups = ([table.contacts()] if self_distance is None else
+                  [rows[index] for index in table._indices if self_distance >> index & 1])
+        run: List[int] = []
+        # Never queried (again): the origin and the contacts found dead.
+        skip: Set[int] = {origin}
         path: List[int] = [origin]
         retries = 0
         timeouts = 0
-        best_distance = self_distance
         limit = 4 * self.bits + len(self._members)
-        while shortlist and len(path) + retries <= limit:
-            distance = heappop(shortlist)
-            if best_distance is not None and distance >= best_distance:
-                break  # converged: nobody known is closer than the best queried
+        while len(path) + retries <= limit:
+            if not run:
+                if len(path) > 1 or not groups:
+                    break
+                run = sorted([contact ^ target for contact in groups.pop()], reverse=True)
+                continue
+            distance = run.pop()
             candidate = distance ^ target
             if not is_live(candidate):
                 # Stale bucket entry: the query is wasted (a retry); failures
@@ -539,31 +542,41 @@ class KademliaOverlay(DHTProtocol):
                 retries += 1
                 if reason == DepartureReason.FAIL:
                     timeouts += 1
-                dead.add(candidate)
+                skip.add(candidate)
                 table.discard(candidate)
                 continue
             path.append(candidate)
             # Direct communication updates both parties' buckets (both are
-            # live, and the origin was never pushed)...
+            # live, and the origin is never in the run)...
             table.observe(candidate, is_live)
             queried = tables[candidate]
             queried.observe(origin, is_live)
             # ...and the reply carries the k contacts closest to the target
             # from the queried node's table, which the origin learns (except
-            # contacts this very lookup already found to be dead).
-            reply = queried.closest(target, k)
-            if reply[-1] ^ target >= inside or len(rows.get(top, ())) < k:
-                table.learn_many(reply, dead)
-            best_distance = distance
-            if distance == 0:
-                break
-            for learned in reply:
-                nearer = learned ^ target
-                if nearer >= distance:
-                    break  # the reply is nearest first
-                if learned not in seen:
-                    seen.add(learned)
-                    heappush(shortlist, nearer)
+            # contacts this very lookup already found to be dead).  While the
+            # origin's bucket ``top`` is full, the queried node lies within
+            # ``2^top`` of the target: that bucket's contacts are nearer than
+            # any other, so passing them means finding them all dead and
+            # emptying it.  When the queried node's buckets below ``top`` then
+            # hold k contacts, the whole reply falls in the full bucket, so
+            # learning is a no-op and the run needs only the k nearest
+            # contacts nearer than the queried node.
+            held, count = queried._rows, 0
+            if len(rows.get(top, ())) >= k:
+                for index in reversed(queried._indices):
+                    if index < top:
+                        count += len(held[index])
+                        if count >= k:
+                            break
+            if count < k:
+                reply = queried.closest(target, k)
+                table.learn_many(reply, skip)
+            else:
+                reply = queried.nearer_than_owner(target)
+                reply.sort(key=target.__xor__)
+                del reply[k:]
+            run = [nearer for contact in reversed(reply)
+                   if (nearer := contact ^ target) < distance and contact not in skip]
         return path, retries, timeouts
 
     def _observe(self, node_id: int, contact: int) -> None:

@@ -3,9 +3,10 @@
 The oracle below is the lookup the overlay shipped until 1.9.0: keep every
 contact ever heard of in a set, rescan it for the unqueried minimum each
 iteration, learn a reply one contact at a time, and answer ``closest`` by
-sorting the whole table.  The overlay itself now keeps a heap of the
-distances that can still improve the lookup, reads its buckets in XOR order
-and learns a reply in one pass; these tests feed two identically seeded
+sorting the whole table.  The overlay itself now keeps a sorted run of the
+distances that can still improve the lookup, seeded one bucket row at a time,
+reads its buckets in XOR order, and learns a reply in one pass or, when that
+cannot change the table, not at all; these tests feed two identically seeded
 overlays the same churn — one routed by the overlay, one by the oracle — and
 require equal routes *and* equal bucket contents, in order, for every live
 node after every step.
@@ -218,6 +219,131 @@ def test_a_lookup_whose_nearest_contacts_all_departed():
     assert route == twin.route(origin, point)
     assert not set(nearest) & set(overlay.routing_table(origin).contacts())
     assert_tables_agree(overlay, twin)
+
+
+# ------------------------------------------------------------ named branches
+def hand_built_pair(bits, k, tables, departed=()):
+    """``build_pair`` whose routing tables hold exactly ``tables``, in order.
+
+    Every node named in ``tables`` joins both overlays; then each table is
+    replaced by one that has observed the listed contacts in order, and the
+    ``departed`` nodes leave, alternately gracefully and by failure.
+    """
+    pair = build_pair(bits, k)
+    named = {*tables, *(contact for row in tables.values() for contact in row)}
+    for overlay in pair:
+        for node in sorted(named):
+            overlay.add_node(node)
+        for node in overlay.nodes():
+            table = overlay._tables[node] = RoutingTable(node, bits, k)
+            for contact in tables.get(node, ()):
+                assert table.observe(contact, overlay.__contains__)
+        for index, node in enumerate(departed):
+            overlay.remove_node(node, reason=(DepartureReason.FAIL if index % 2
+                                              else DepartureReason.LEAVE))
+    return pair
+
+
+def lookup_from_zero(bits):
+    """Origin 0 and a target ``T`` with its top two bits set.
+
+    The origin's bucket ``t = bits - 1`` holds the contacts within ``2^t`` of
+    ``T``; its bucket ``bits - 2`` is the next nearest group.  ``at(d)`` is
+    the node at distance ``d`` from ``T``: ``d < 2^t`` lands in bucket ``t``.
+    """
+    target = 3 << (bits - 2)
+    return target, target.__xor__
+
+
+def route_both(overlay, twin, target):
+    route = overlay.route(0, target)
+    assert route == twin.route(0, target)
+    assert_tables_agree(overlay, twin)
+    return route
+
+
+@pytest.mark.parametrize("k", BUCKET_SIZES)
+@pytest.mark.parametrize("bits", BITS)
+def test_a_dead_nearest_group_seeds_the_next(bits, k):
+    # Every contact of the origin's bucket t has departed, so the lookup
+    # must go on to the row at the next set bit, whose node knows the
+    # responsible; stopping after the first row forces a hop instead.
+    target, at = lookup_from_zero(bits)
+    dead = [at(64 + index) for index in range(k)]
+    middle, responsible = at((1 << (bits - 1)) | 5), at(1)
+    overlay, twin = hand_built_pair(bits, k, {0: dead + [middle], middle: [responsible]},
+                                    departed=dead)
+    route = route_both(overlay, twin, target)
+    assert (route.path, route.retries) == ((0, middle, responsible), k)
+
+
+@pytest.mark.parametrize("k", BUCKET_SIZES)
+@pytest.mark.parametrize("bits", BITS)
+def test_a_reply_keeps_only_the_k_nearest_nearer_contacts(bits, k):
+    # The queried node (distance 48) holds k + 1 contacts nearer than itself:
+    # k departed ones at distances 1..k in its bucket 5 and a live one at 33
+    # in its bucket 4.  Its reply is the k nearest, so the live one is never
+    # queried and the route ends with a forced hop to the target itself.
+    target, at = lookup_from_zero(bits)
+    queried, dead, live = at(48), [at(1 + index) for index in range(k)], at(33)
+    others = [at(64 + index) for index in range(k - 1)]   # fill bucket t
+    overlay, twin = hand_built_pair(
+        bits, k, {0: others + [queried], queried: dead + [live], target: []},
+        departed=dead)
+    route = route_both(overlay, twin, target)
+    assert (route.path, route.retries) == ((0, queried, target), k)
+
+
+@pytest.mark.parametrize("k", BUCKET_SIZES)
+@pytest.mark.parametrize("bits", BITS)
+def test_a_bucket_with_room_learns_the_whole_reply(bits, k):
+    # The queried node's bucket 6 holds k contacts, all within 2^t of the
+    # target but farther than itself, so none is queried; the origin's bucket
+    # t is one short of full and learns the nearest of them.  (With k = 1 the
+    # queried node alone fills that bucket, and the reply is not learned.)
+    target, at = lookup_from_zero(bits)
+    queried, farther = at(48), [at(96 + index) for index in range(k)]
+    others = [at(64 + index) for index in range(k - 2)]
+    overlay, twin = hand_built_pair(bits, k, {0: others + [queried], queried: farther})
+    route = route_both(overlay, twin, target)
+    assert route.path == (0, queried)
+    assert (farther[0] in overlay.routing_table(0).contacts()) == (k > 1)
+
+
+@pytest.mark.parametrize("k", BUCKET_SIZES)
+@pytest.mark.parametrize("bits", BITS)
+def test_a_node_queried_beyond_2_to_the_t_has_its_reply_learned(bits, k):
+    # The origin's bucket t starts full of departed contacts, which the
+    # lookup empties before it queries a node at distance >= 2^t; that node's
+    # k contacts in its buckets below t, farther still, are then learned into
+    # the origin's bucket bits - 2 (full with k = 1).
+    target, at = lookup_from_zero(bits)
+    dead = [at(64 + index) for index in range(k)]
+    middle = at((1 << (bits - 1)) | 5)
+    farther = [at((1 << (bits - 1)) | (16 + index)) for index in range(k)]
+    overlay, twin = hand_built_pair(bits, k, {0: dead + [middle], middle: farther},
+                                    departed=dead)
+    route = route_both(overlay, twin, target)
+    assert (route.path, route.retries) == ((0, middle), k)
+    assert len(overlay.routing_table(0).bucket(bits - 2)) == k
+
+
+@pytest.mark.parametrize("k", BUCKET_SIZES)
+@pytest.mark.parametrize("bits", BITS)
+def test_k_minus_one_contacts_within_2_to_the_t_learn_the_reply(bits, k):
+    # The origin's bucket t is full, but the queried node holds only k - 1
+    # contacts within 2^t of the target (its bucket 6), so its reply also
+    # carries ``outside`` from its own bucket t, which the origin learns into
+    # its empty bucket bits - 2.  Counting one contact too many skips that.
+    target, at = lookup_from_zero(bits)
+    queried, outside = at(48), at((1 << (bits - 1)) | 7)
+    inside = [at(96 + index) for index in range(k - 1)]
+    others = [at(64 + index) for index in range(k - 1)]
+    overlay, twin = hand_built_pair(bits, k,
+                                    {0: others + [queried], queried: inside + [outside]})
+    route = route_both(overlay, twin, target)
+    assert route.path == (0, queried)
+    assert overlay.routing_table(0).bucket(bits - 2) == [outside]
 
 
 def test_routes_equal_the_oracle_on_a_seeded_1000_peer_overlay():
