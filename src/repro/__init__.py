@@ -22,9 +22,9 @@ The package provides:
   grids, the parallel :class:`~repro.execution.Executor` and the on-disk run
   cache — in :mod:`repro.execution`;
 * **real-service mode** — the length-prefixed wire codec, the asyncio node
-  server (``repro serve``), the pooled client transport with bounded retries,
-  the ``sim``/``tcp``/``uds`` backend registry and the latency-percentile
-  load harness (``repro loadgen``) — in :mod:`repro.net`;
+  server (``repro serve``) and the pooled client transport with bounded
+  retries (``connect``, handing out the same ``Session``) — in
+  :mod:`repro.net`;
 * example applications (agenda, auction, reservation management) in
   :mod:`repro.apps`.
 
@@ -55,7 +55,7 @@ from repro.execution import Executor, RunPlan
 from repro.simulation.cost import NetworkCostModel
 from repro.simulation.engine import Simulator
 
-__version__ = "8.1.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "BricksService",

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Six entry points are provided (also installable as console scripts, and
+Five entry points are provided (also installable as console scripts, and
 reachable as ``python -m repro``):
 
 * ``python -m repro simulate`` — run one simulation of the paper's workload
@@ -11,18 +11,14 @@ reachable as ``python -m repro``):
   ``--spec-out``/``--spec``);
 * ``python -m repro serve`` — real-service mode: host a cluster (overlay +
   stores + KTS/UMS handlers) behind the :mod:`repro.net` asyncio transport,
-  over TCP and/or a Unix domain socket;
-* ``python -m repro loadgen`` — the load harness: pace a mixed
-  insert/retrieve workload with a scenario arrival model against any backend
-  (``sim``/``tcp``/``uds``) and report throughput + p50/p95/p99 latency;
+  over TCP and/or a Unix domain socket, for :func:`repro.net.connect`;
 * ``python -m repro experiments`` — regenerate the paper's tables and
   figures, the ablations, the byzantine attack grid and the scenario
   comparison (the flags and the run are :mod:`repro.experiments.runner`'s);
-* ``python -m repro registry`` — list the pluggable backends: the DHT
+* ``python -m repro registry`` — list what is pluggable: the DHT
   overlays of :mod:`repro.dht.registry`, the currency services of
-  :mod:`repro.api.services`, the scenarios of
-  :mod:`repro.simulation.scenarios.registry` and the execution backends of
-  :mod:`repro.net.backends`.
+  :mod:`repro.api.services` and the scenarios of
+  :mod:`repro.simulation.scenarios.registry`.
 
 Each sub-command's parser names its handler (``set_defaults(handler=...)``);
 :func:`main` only parses and dispatches.  ``simulate`` and ``scenario run``
@@ -38,8 +34,6 @@ Examples
     python -m repro scenario list
     python -m repro scenario run --scenario flashcrowd --protocol kademlia
     python -m repro serve --port 9207 --peers 200 --seed 2007
-    python -m repro loadgen --backend tcp --address 127.0.0.1:9207 \
-        --arrival poisson --ops 500 --duration 5
     python -m repro experiments --scale quick --output results.md
     python -m repro experiments --scale paper --jobs 4 --cache-dir .repro-cache
     python -m repro experiments --scale tiny --seed 3 --only attack --jobs 2
@@ -71,7 +65,7 @@ from repro.simulation.scenarios import (
 )
 from repro.simulation.scenarios.registry import UNIFORM_SCENARIO
 
-__all__ = ["build_parser", "loadgen_command", "main", "registry_command",
+__all__ = ["build_parser", "main", "registry_command",
            "scenario_list_command", "scenario_run_command", "serve_command",
            "simulate_command"]
 
@@ -191,59 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(the backpressure knob)")
     serve.set_defaults(handler=serve_command)
 
-    loadgen = subparsers.add_parser(
-        "loadgen", help="generate load against a backend and report "
-                        "throughput + p50/p95/p99 latency")
-    loadgen.add_argument("--backend", default="sim",
-                         help="execution backend: sim (in-process), tcp or "
-                              "uds (a running `repro serve` node)")
-    loadgen.add_argument("--address", default=None,
-                         help="server address: host:port for tcp, socket "
-                              "path for uds")
-    loadgen.add_argument("--arrival", default="poisson",
-                         help="arrival model: uniform, poisson, flash-crowd "
-                              "or diurnal")
-    loadgen.add_argument("--ops", type=int, default=200,
-                         help="target operation count")
-    loadgen.add_argument("--duration", type=float, default=2.0,
-                         help="wall-clock pacing window in seconds")
-    loadgen.add_argument("--read-fraction", type=float, default=0.8,
-                         help="fraction of operations that are retrieves")
-    loadgen.add_argument("--keys", type=int, default=16,
-                         help="distinct keys in the workload")
-    loadgen.add_argument("--consistency", choices=Consistency.ALL,
-                         default=Consistency.CURRENT)
-    loadgen.add_argument("--no-pacing", action="store_true",
-                         help="issue back-to-back (closed loop) instead of "
-                              "following the arrival schedule")
-    loadgen.add_argument("--peers", type=int, default=64,
-                         help="cluster size (sim backend only)")
-    loadgen.add_argument("--protocol", choices=overlay_names(), default="chord",
-                         help="overlay (sim backend only)")
-    loadgen.add_argument("--service", default="ums",
-                         help="currency service (sim backend only)")
-    loadgen.add_argument("--replicas", type=int, default=10,
-                         help="|Hr| (sim backend only)")
-    loadgen.add_argument("--seed", type=int, default=2007,
-                         help="workload seed (and cluster seed for sim)")
-    loadgen.add_argument("--timeout", type=float, default=5.0,
-                         help="per-request transport timeout (net backends)")
-    loadgen.add_argument("--max-retries", type=int, default=2,
-                         help="bounded transport retries (net backends)")
-    loadgen.add_argument("--sync-round", action="store_true",
-                         help="run one delta anti-entropy round "
-                              "(sync_replicas) after the load and attach its "
-                              "report to the artifact")
-    loadgen.add_argument("--output", default=None, metavar="FILE",
-                         help="report path (default: benchmarks/results/"
-                              "loadgen-<arrival>-<backend>-<hash12>.json)")
-    loadgen.add_argument("--json", action="store_true",
-                         help="print the full JSON report to stdout")
-    loadgen.add_argument("--shutdown", action="store_true",
-                         help="ask the server to shut down gracefully after "
-                              "the run (net backends)")
-    loadgen.set_defaults(handler=loadgen_command)
-
     subparsers.add_parser(
         "registry", help="list the registered DHT overlays and currency services"
     ).set_defaults(handler=registry_command)
@@ -251,15 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def registry_command(arguments: argparse.Namespace, *, stream=None) -> int:
-    """Run the ``registry`` sub-command: list the pluggable backends."""
+    """Run the ``registry`` sub-command: one line per registry."""
     stream = stream if stream is not None else sys.stdout
     stream.write(f"overlays (repro.dht.registry) : {', '.join(overlay_names())}\n")
     stream.write(f"services (repro.api.services) : {', '.join(service_names())}\n")
     stream.write(f"consistency levels            : {', '.join(Consistency.ALL)}\n")
     stream.write(f"scenarios (repro scenario)    : {', '.join(scenario_names())}\n")
-    from repro.net.backends import backend_names
-
-    stream.write(f"backends (repro.net.backends) : {', '.join(backend_names())}\n")
     return 0
 
 
@@ -303,86 +241,6 @@ def serve_command(arguments: argparse.Namespace, *, stream=None) -> int:
 
     asyncio.run(_serve())
     stream.write(f"stopped after {server.requests_served} requests\n")
-    return 0
-
-
-def loadgen_command(arguments: argparse.Namespace, *, stream=None) -> int:
-    """Run the ``loadgen`` sub-command: paced load + latency percentiles."""
-    stream = stream if stream is not None else sys.stdout
-    import pathlib
-
-    from repro.net.backends import backend_names, build_backend
-    from repro.net.loadgen import LoadSpec, run_load, write_report
-
-    backend = arguments.backend.lower()
-    if backend not in backend_names():
-        raise SystemExit(f"unknown backend {backend!r}; registered backends: "
-                         f"{', '.join(backend_names())}")
-    if backend != "sim" and arguments.address is None:
-        raise SystemExit(f"--backend {backend} requires --address "
-                         "(host:port for tcp, a socket path for uds)")
-    try:
-        spec = LoadSpec(ops=arguments.ops, duration_s=arguments.duration,
-                        arrival={"model": arguments.arrival},
-                        read_fraction=arguments.read_fraction,
-                        keys=arguments.keys, consistency=arguments.consistency,
-                        seed=arguments.seed)
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
-
-    if backend == "sim":
-        options = dict(peers=arguments.peers, protocol=arguments.protocol,
-                       service=arguments.service, replicas=arguments.replicas,
-                       seed=arguments.seed)
-    else:
-        options = dict(address=arguments.address, timeout_s=arguments.timeout,
-                       max_retries=arguments.max_retries)
-    try:
-        cluster = build_backend(backend, **options)
-    except (ValueError, OSError) as error:
-        raise SystemExit(f"could not build backend {backend!r}: {error}") from error
-
-    try:
-        report = run_load(cluster, spec, backend=backend,
-                          paced=not arguments.no_pacing)
-        if arguments.sync_round:
-            sync_report = cluster.sync_replicas()
-            report.sync = (sync_report if isinstance(sync_report, dict)
-                           else sync_report.to_dict())
-        if arguments.shutdown and hasattr(cluster, "shutdown_server"):
-            cluster.shutdown_server()
-    finally:
-        close = getattr(cluster, "close", None)
-        if close is not None:
-            close()
-
-    output = pathlib.Path(arguments.output) if arguments.output else None
-    path = write_report(report, output)
-    if arguments.json:
-        stream.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        stream.write(f"report written to {path}\n")
-        return 0
-    latency = report.to_dict()["latency_ms"]
-    stream.write(f"backend              : {backend}\n")
-    stream.write(f"arrival model        : {spec.arrival_model}\n")
-    stream.write(f"operations           : {report.operations} "
-                 f"({report.errors} errors)\n")
-    stream.write(f"elapsed              : {report.elapsed_s:.2f} s\n")
-    stream.write(f"throughput           : {report.throughput_ops_per_s:.1f} ops/s\n")
-    stream.write(f"latency p50/p95/p99  : {latency['p50']:.2f} / "
-                 f"{latency['p95']:.2f} / {latency['p99']:.2f} ms\n")
-    if report.transport is not None:
-        stream.write(f"transport            : {report.transport['requests']} "
-                     f"requests, {report.transport['retries']} retries, "
-                     f"{report.transport['timeouts']} timeouts\n")
-        if "bytes_per_op" in report.transport:
-            stream.write(f"bytes per op         : "
-                         f"{report.transport['bytes_per_op']:.1f}\n")
-    if report.sync is not None:
-        stream.write(f"delta sync           : {report.sync['entries_shipped']} "
-                     f"shipped / {report.sync['entries_skipped']} skipped, "
-                     f"transfer ratio {report.sync['transfer_ratio']:.3f}\n")
-    stream.write(f"report written to {path}\n")
     return 0
 
 

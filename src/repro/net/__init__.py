@@ -22,24 +22,23 @@ execution behind it:
 * :mod:`repro.net.client` — the client transport: pooled blocking sockets
   used in the caller's thread, request deadlines and bounded retries mapped
   onto the existing retry/timeout accounting (`LOOKUP_RETRY` trace messages
-  + :class:`TransportCounters`);
-* :mod:`repro.net.backends` — the name-keyed backend registry (``sim`` /
-  ``tcp`` / ``uds``) that makes the substrate a configuration choice;
-* :mod:`repro.net.loadgen` — the load harness: scenario arrival models
-  pacing an open-loop workload, reporting throughput and p50/p95/p99
-  latency percentiles as spec-named bench JSON.
+  + :class:`TransportCounters`).
 
-Quickstart (one process serving, another loading)::
+:func:`connect` (a :class:`RemoteCluster`) and
+:meth:`repro.api.cluster.Cluster.build` are the two constructors; both hand
+out the same ``Session``.  Quickstart (one process serving, another
+driving a session)::
 
     # terminal 1
     python -m repro serve --port 9207 --peers 200 --seed 2007
 
     # terminal 2
-    python -m repro loadgen --backend tcp --address 127.0.0.1:9207 \\
-        --arrival poisson --ops 500 --duration 5
+    from repro.net import connect
+    with connect(("127.0.0.1", 9207)) as cluster, cluster.session() as session:
+        session.insert("k", {"v": 1})
+        print(session.retrieve("k").data)
 """
 
-from repro.net.backends import backend_names, build_backend, register_backend
 from repro.net.client import (
     NetClient,
     RemoteCluster,
@@ -49,13 +48,10 @@ from repro.net.client import (
     TransportError,
     connect,
 )
-from repro.net.loadgen import LoadReport, LoadSpec, run_load
 from repro.net.server import FaultSchedule, NodeServer, ServerThread
 
 __all__ = [
     "FaultSchedule",
-    "LoadReport",
-    "LoadSpec",
     "NetClient",
     "NodeServer",
     "RemoteCluster",
@@ -64,9 +60,5 @@ __all__ = [
     "ServerThread",
     "TransportCounters",
     "TransportError",
-    "backend_names",
-    "build_backend",
     "connect",
-    "register_backend",
-    "run_load",
 ]

@@ -5,7 +5,7 @@
 :class:`~repro.api.cluster.Session` handles the simulation backend does —
 the session's service is a :class:`RemoteService` satisfying the
 :class:`~repro.api.services.CurrencyService` protocol, so every caller written
-against ``Cluster``/``Session`` (apps, load generator, tests) drives real
+against ``Cluster``/``Session`` (apps, the benchmark, tests) drives real
 sockets without changing a line.
 
 The transport internals:
@@ -42,7 +42,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.api.cluster import Session
@@ -53,6 +53,7 @@ from repro.api.results import (
     InsertResult,
     RetrieveResult,
 )
+from repro.core.replication import ReplicaSyncReport
 from repro.net import codec
 
 __all__ = ["NetClient", "RemoteCluster", "RemoteService", "RequestStats",
@@ -442,18 +443,19 @@ class RemoteCluster:
         """Number of live peers on the served cluster (at connect time)."""
         return self.info.get("peers", 0)
 
-    def sync_replicas(self, keys: Optional[Sequence[Any]] = None) -> Dict[str, Any]:
+    def sync_replicas(self, keys: Optional[Sequence[Any]] = None) -> ReplicaSyncReport:
         """Run one delta anti-entropy round on the server.
 
-        Mirrors :meth:`repro.api.cluster.Cluster.sync_replicas`; returns the
-        :class:`~repro.core.replication.ReplicaSyncReport` as a plain dict
-        (the wire form of ``report.to_dict()``).
+        Mirrors :meth:`repro.api.cluster.Cluster.sync_replicas`: the wire
+        carries ``report.to_dict()``, and its fields rebuild the same
+        :class:`~repro.core.replication.ReplicaSyncReport`.
         """
         params: Dict[str, Any] = {}
         if keys is not None:
             params["keys"] = list(keys)
         result, _stats = self.client.request("sync", **params)
-        return result
+        return ReplicaSyncReport(**{field.name: result[field.name]
+                                    for field in fields(ReplicaSyncReport)})
 
     def ping(self) -> bool:
         """Round-trip liveness check."""

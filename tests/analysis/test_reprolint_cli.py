@@ -85,7 +85,7 @@ def test_json_report_counts_suppressions_on_src(repo_root, tmp_path):
     assert report["ok"] is True
     assert report["findings"] == []
     assert 0 < report["line_budget"]["lines"] <= report["line_budget"]["budget"]
-    # The real tree carries documented pragma suppressions (loadgen timing,
+    # The real tree carries documented pragma suppressions (client deadlines,
     # convenience RNG defaults, shared result types); each carries a reason.
     assert len(report["suppressed"]) >= 1
     assert all(entry["reason"] for entry in report["suppressed"])

@@ -13,6 +13,8 @@ must all be equal.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.api.cluster import Cluster
@@ -99,6 +101,48 @@ def test_sim_and_tcp_backends_are_value_identical(protocol):
 
     assert_results_identical(expected, actual)
     assert actual_messages == expected_messages
+
+
+def run_seeded_stream(session, seed=2007, ops=120, keys=16):
+    """An 80/20 retrieve/insert stream over ``keys`` keys, drawn from ``seed``."""
+    rng = random.Random(seed)
+    for index in range(ops):
+        key = f"k{rng.randrange(keys)}"
+        if rng.random() < 0.8:
+            session.retrieve(key)
+        else:
+            session.insert(key, {"op": index})
+
+
+def drop_first_replica(cluster, key):
+    """Delete ``key``'s replica under the first hash, so a sync re-ships it."""
+    hash_fn = cluster.replication.hashes[0]
+    holder = cluster.network.responsible_peer(key, hash_fn)
+    cluster.network.peer(holder).store.delete(hash_fn.name, key)
+
+
+@pytest.mark.parametrize("keys", [None, ["k0", "k5"]], ids=["all", "subset"])
+@pytest.mark.parametrize("protocol", overlay_names())
+def test_sim_and_tcp_sync_rounds_report_the_same(protocol, keys):
+    build = dict(protocol=protocol, peers=64, replicas=10, seed=2007)
+    sim = Cluster.build(**build)
+    with sim.session() as session:
+        run_seeded_stream(session)
+    drop_first_replica(sim, "k0")
+    expected = sim.sync_replicas(keys)
+
+    with ServerThread(NodeServer(**build)) as thread:
+        with connect(thread.server.tcp_address) as remote:
+            with remote.session() as session:
+                run_seeded_stream(session)
+            # Every reply is in, so the server's loop is idle.
+            drop_first_replica(thread.server.cluster, "k0")
+            actual = remote.sync_replicas(keys)
+
+    assert actual == expected
+    assert expected.entries_shipped > 0 and expected.entries_skipped > 0
+    if keys is not None:
+        assert expected.keys == len(keys)
 
 
 def test_both_services_agree_across_backends():

@@ -292,6 +292,10 @@ class TestClientValidation:
         with pytest.raises(TransportError, match="cannot connect"):
             connect(dead_address)
 
+    def test_connecting_to_a_missing_socket_path_fails_fast(self, tmp_path):
+        with pytest.raises(TransportError, match="cannot connect"):
+            connect(str(tmp_path / "no-such.sock"))
+
     def test_requests_after_close_are_rejected(self, serve):
         server = serve(NodeServer(peers=16, replicas=4, seed=11))
         cluster = connect(server.tcp_address)

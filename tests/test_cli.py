@@ -4,10 +4,23 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import repro
 from repro import cli
+from repro.api.results import Consistency
+from repro.api.services import service_names
+from repro.dht.registry import overlay_names
+from repro.net.client import connect
+from repro.simulation.scenarios import scenario_names
 
 
 class TestParser:
@@ -225,7 +238,12 @@ class TestScenarioCommand:
         stream = io.StringIO()
         cli.registry_command(cli.build_parser().parse_args(["registry"]),
                              stream=stream)
-        assert "scenarios" in stream.getvalue()
+        assert stream.getvalue().splitlines() == [
+            f"overlays (repro.dht.registry) : {', '.join(overlay_names())}",
+            f"services (repro.api.services) : {', '.join(service_names())}",
+            f"consistency levels            : {', '.join(Consistency.ALL)}",
+            f"scenarios (repro scenario)    : {', '.join(scenario_names())}",
+        ]
 
 
 class TestExperimentsCommand:
@@ -284,7 +302,93 @@ class TestExperimentsCommand:
         assert "[1/" in capsys.readouterr().err
 
 
-class TestServeAndLoadgenCommands:
+class _BannerStream(io.StringIO):
+    """A stream that flags once ``serve`` has printed its banner."""
+
+    def __init__(self):
+        super().__init__()
+        self.ready = threading.Event()
+
+    def write(self, text):
+        count = super().write(text)
+        if text.startswith("serving "):
+            self.ready.set()
+        return count
+
+
+def start_serve(argv):
+    """Run ``repro serve argv`` on a thread; return its stream, thread, outcome.
+
+    Returns once the banner is printed (or the command failed), so every
+    listener it names is bound.
+    """
+    stream = _BannerStream()
+    outcome = {}
+    arguments = cli.build_parser().parse_args(["serve", *argv])
+
+    def _run():
+        try:
+            outcome["exit"] = cli.serve_command(arguments, stream=stream)
+        except BaseException as error:  # noqa: B902 - reported to the test
+            outcome["error"] = error
+        finally:
+            stream.ready.set()
+
+    thread = threading.Thread(target=_run, daemon=True)
+    thread.start()
+    assert stream.ready.wait(30), "serve printed no banner"
+    assert "error" not in outcome, outcome
+    return stream, thread, outcome
+
+
+def tcp_address(text):
+    host, port = re.search(r"listening on tcp://(\S+):(\d+)", text).groups()
+    return host, int(port)
+
+
+def drive(cluster, ops):
+    """``ops`` single writes and reads through one session over ``cluster``."""
+    with cluster.session() as session:
+        for index in range(ops):
+            key = f"k{index // 2 % 4}"
+            if index % 2:
+                assert session.retrieve(key).found
+            else:
+                session.insert(key, {"op": index})
+
+
+def stop_serve(cluster, thread, outcome, stream):
+    """Shut the served cluster down from ``cluster``; the command's last line."""
+    cluster.shutdown_server()
+    cluster.close()
+    thread.join(30)
+    assert not thread.is_alive()
+    assert outcome == {"exit": 0}, outcome
+    return stream.getvalue().splitlines()[-1]
+
+
+def serve_subprocess(*argv):
+    """``python -m repro serve --port 0 argv`` with the banner read; the process."""
+    package_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    banner = []
+    for line in process.stdout:
+        banner.append(line)
+        if line.startswith("serving "):
+            break
+    else:  # pragma: no cover - the process died before its banner
+        process.kill()
+        _out, err = process.communicate(timeout=30)
+        pytest.fail(f"serve exited without a banner: {err}")
+    return process, "".join(banner)
+
+
+class TestServeCommand:
     def test_serve_parser_defaults(self):
         arguments = cli.build_parser().parse_args(["serve"])
         assert arguments.command == "serve"
@@ -297,94 +401,103 @@ class TestServeAndLoadgenCommands:
         with pytest.raises(SystemExit, match="--uds"):
             cli.serve_command(arguments, stream=io.StringIO())
 
-    def test_loadgen_parser_defaults(self):
-        arguments = cli.build_parser().parse_args(["loadgen"])
-        assert arguments.backend == "sim"
-        assert arguments.arrival == "poisson"
-        assert arguments.ops == 200
+    @pytest.mark.parametrize("protocol", overlay_names())
+    def test_serve_hosts_a_cluster_until_a_client_shuts_it_down(self,
+                                                                 protocol):
+        stream, thread, outcome = start_serve(
+            ["--port", "0", "--peers", "16", "--replicas", "4",
+             "--protocol", protocol, "--seed", "5"])
+        banner = stream.getvalue()
+        assert f"serving 16 peers ({protocol}, service=ums, seed=5)" in banner
+        cluster = connect(tcp_address(banner))
+        assert cluster.size == 16 and cluster.info["replicas"] == 4
+        drive(cluster, 20)
+        # The handshake, twenty operations and the shutdown request.
+        assert stop_serve(cluster, thread, outcome, stream) == \
+            "stopped after 22 requests"
 
-    def test_loadgen_net_backend_requires_an_address(self):
-        arguments = cli.build_parser().parse_args(
-            ["loadgen", "--backend", "tcp"])
-        with pytest.raises(SystemExit, match="--address"):
-            cli.loadgen_command(arguments, stream=io.StringIO())
+    def test_serve_on_a_unix_socket_only(self, tmp_path):
+        path = str(tmp_path / "node.sock")
+        stream, thread, outcome = start_serve(
+            ["--no-tcp", "--uds", path, "--peers", "16", "--replicas", "4"])
+        banner = stream.getvalue()
+        assert "tcp://" not in banner
+        assert f"listening on uds://{path}" in banner
+        cluster = connect(path)
+        drive(cluster, 6)
+        assert stop_serve(cluster, thread, outcome, stream) == \
+            "stopped after 8 requests"
 
-    def test_loadgen_rejects_unknown_backend_and_arrival(self):
-        arguments = cli.build_parser().parse_args(
-            ["loadgen", "--backend", "carrier-pigeon"])
-        with pytest.raises(SystemExit, match="unknown backend"):
-            cli.loadgen_command(arguments, stream=io.StringIO())
-        arguments = cli.build_parser().parse_args(
-            ["loadgen", "--arrival", "tsunami"])
-        with pytest.raises(SystemExit, match="arrival model"):
-            cli.loadgen_command(arguments, stream=io.StringIO())
+    def test_serve_on_tcp_and_a_unix_socket_is_one_cluster(self, tmp_path):
+        path = str(tmp_path / "node.sock")
+        stream, thread, outcome = start_serve(
+            ["--port", "0", "--uds", path, "--peers", "16", "--replicas", "4"])
+        banner = stream.getvalue()
+        over_tcp = connect(tcp_address(banner))
+        over_uds = connect(path)
+        try:
+            with over_tcp.session() as session:
+                written = session.insert("shared", {"via": "tcp"})
+            with over_uds.session() as session:
+                read = session.retrieve("shared")
+        finally:
+            over_uds.close()
+        assert read.found and read.data == {"via": "tcp"}
+        assert read.timestamp == written.timestamp
+        # Two handshakes, one write, one read and the shutdown request.
+        assert stop_serve(over_tcp, thread, outcome, stream) == \
+            "stopped after 5 requests"
 
-    def test_loadgen_sim_writes_the_percentile_artifact(self, tmp_path):
-        output = tmp_path / "load.json"
-        stream = io.StringIO()
-        arguments = cli.build_parser().parse_args(
-            ["loadgen", "--ops", "30", "--duration", "0.2", "--peers", "16",
-             "--no-pacing", "--output", str(output)])
-        assert cli.loadgen_command(arguments, stream=stream) == 0
-        text = stream.getvalue()
-        assert "throughput" in text and "p50/p95/p99" in text
-        payload = json.loads(output.read_text())
-        assert payload["backend"] == "sim"
-        assert payload["operations"] == 30
-        assert {"p50", "p95", "p99"} <= set(payload["latency_ms"])
+    def test_serve_hosts_the_named_service(self):
+        stream, thread, outcome = start_serve(
+            ["--port", "0", "--peers", "16", "--replicas", "4",
+             "--service", "brk"])
+        banner = stream.getvalue()
+        assert "service=brk" in banner
+        cluster = connect(tcp_address(banner))
+        assert cluster.service_name == "brk"
+        drive(cluster, 4)
+        assert stop_serve(cluster, thread, outcome, stream) == \
+            "stopped after 6 requests"
 
-    def test_loadgen_json_output_matches_the_artifact(self, tmp_path, capsys):
-        output = tmp_path / "load.json"
-        exit_code = cli.main(
-            ["loadgen", "--ops", "20", "--duration", "0.2", "--peers", "12",
-             "--no-pacing", "--json", "--output", str(output)])
-        assert exit_code == 0
-        stdout = capsys.readouterr().out
-        printed = json.loads(stdout[:stdout.rindex("}") + 1])
-        assert printed == json.loads(output.read_text())
-
-    def test_loadgen_drives_a_served_cluster_end_to_end(self, tmp_path):
-        from repro.net.server import NodeServer, ServerThread
-
-        output = tmp_path / "load.json"
-        with ServerThread(NodeServer(peers=16, replicas=4, seed=9)) as thread:
-            host, port = thread.server.tcp_address
+    def test_serve_on_a_port_in_use_fails_at_startup(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
             arguments = cli.build_parser().parse_args(
-                ["loadgen", "--backend", "tcp", "--address", f"{host}:{port}",
-                 "--ops", "20", "--duration", "0.2", "--no-pacing",
-                 "--output", str(output), "--shutdown"])
-            assert cli.loadgen_command(arguments, stream=io.StringIO()) == 0
-            # --shutdown stopped the server gracefully.
-            thread.server.cluster  # still usable in-process
-        payload = json.loads(output.read_text())
-        assert payload["backend"] == "tcp"
-        # Per-run deltas: one request per scheduled op; the connect-time
-        # handshake (issued before the run) is not part of the run's count.
-        assert payload["transport"]["requests"] == 20
+                ["serve", "--port", str(taken.getsockname()[1]),
+                 "--peers", "8", "--replicas", "3"])
+            stream = io.StringIO()
+            with pytest.raises(OSError):
+                cli.serve_command(arguments, stream=stream)
+        assert "listening" not in stream.getvalue()
 
-    def test_loadgen_has_one_wire_format_and_no_sync_round_by_default(self):
-        arguments = cli.build_parser().parse_args(["loadgen"])
-        assert arguments.sync_round is False
-        assert not hasattr(arguments, "wire_format")
-        with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(
-                ["loadgen", "--wire-format", "binary"])
+    def test_serve_as_a_process_exits_zero_after_a_client_shutdown(self):
+        process, banner = serve_subprocess("--peers", "16", "--replicas", "4")
+        try:
+            cluster = connect(tcp_address(banner))
+            drive(cluster, 10)
+            cluster.shutdown_server()
+            cluster.close()
+            out, err = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:  # pragma: no cover - a failed test
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, err
+        assert out.splitlines()[-1] == "stopped after 12 requests"
 
-    def test_loadgen_with_a_sync_round(self, tmp_path):
-        from repro.net.server import NodeServer, ServerThread
-
-        output = tmp_path / "load.json"
-        stream = io.StringIO()
-        with ServerThread(NodeServer(peers=16, replicas=4, seed=9)) as thread:
-            host, port = thread.server.tcp_address
-            arguments = cli.build_parser().parse_args(
-                ["loadgen", "--backend", "tcp", "--address", f"{host}:{port}",
-                 "--ops", "20", "--duration", "0.2", "--no-pacing",
-                 "--sync-round", "--output", str(output), "--shutdown"])
-            assert cli.loadgen_command(arguments, stream=stream) == 0
-        text = stream.getvalue()
-        assert "bytes per op" in text and "delta sync" in text
-        payload = json.loads(output.read_text())
-        assert payload["transport"]["bytes_per_op"] > 0
-        assert payload["sync"]["entries_shipped"] == 0  # loadgen writes converge
-        assert payload["sync"]["transfer_ratio"] < 1.0
+    def test_serve_as_a_process_stops_gracefully_on_sigterm(self):
+        process, banner = serve_subprocess("--peers", "16", "--replicas", "4")
+        try:
+            with connect(tcp_address(banner)) as cluster:
+                assert cluster.ping()
+            process.send_signal(signal.SIGTERM)
+            out, err = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:  # pragma: no cover - a failed test
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, err
+        # The handshake and the ping.
+        assert out.splitlines()[-1] == "stopped after 2 requests"
