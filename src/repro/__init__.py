@@ -55,7 +55,7 @@ from repro.execution import Executor, RunPlan
 from repro.simulation.cost import NetworkCostModel
 from repro.simulation.engine import Simulator
 
-__version__ = "9.0.0"
+__version__ = "9.1.0"
 
 __all__ = [
     "BricksService",

@@ -108,7 +108,12 @@ class AuditReport:
 
 
 def audit_key(network: DHTNetwork, replication: ReplicationScheme, key: Any) -> KeyAudit:
-    """Audit the replicas of one key at their current responsibles."""
+    """Audit the replicas of one key at their current responsibles.
+
+    A view of storage: *current* is the newest stamp stored anywhere, where
+    ``UpdateManagementService.currency_probability`` measures ``pt`` against
+    the latest *certified* one (they differ when no replica holds that).
+    """
     entries = {}
     for hash_fn in replication:
         responsible = network.responsible_peer(key, hash_fn)

@@ -33,14 +33,10 @@ from repro.core.counters import KeyCounter, ValidCounterSet
 from repro.core.replication import ReplicationScheme
 from repro.core.timestamps import Timestamp
 from repro.dht.hashing import HashFamily, PairwiseIndependentHash
-from repro.dht.messages import MessageKind, OperationTrace
+from repro.dht.messages import OperationTrace
 from repro.dht.network import DHTNetwork, NetworkObserver
 
 __all__ = ["CounterInitialization", "KeyBasedTimestampService", "KtsStats"]
-
-#: The ``(request, reply)`` message kinds of the two timestamp exchanges.
-_TSR = (MessageKind.TSR, MessageKind.TSR_REPLY)
-_LAST_TS = (MessageKind.LAST_TS_REQUEST, MessageKind.LAST_TS_REPLY)
 
 
 class CounterInitialization:
@@ -168,6 +164,16 @@ class KeyBasedTimestampService(NetworkObserver):
         """Snapshot of the counters currently valid at ``peer_id``."""
         return self.peer_state(peer_id).vcs.counters()
 
+    def peek_last_ts(self, key: Any) -> Optional[int]:
+        """``last_generated()`` of ``key``'s counter at ``rsp(k, h_ts)``, if it holds one.
+
+        The honest ``last_ts`` value, read in place: it creates no KTS state,
+        records no message and draws no random number.
+        """
+        state = self._states.get(self.responsible_of_timestamping(key))
+        counter = None if state is None else state.vcs.get(key)
+        return None if counter is None else counter.last_generated()
+
     # ------------------------------------------------------------- main ops
     def gen_ts(self, key: Any, *, origin: Optional[int] = None,
                trace: Optional[OperationTrace] = None) -> Timestamp:
@@ -175,10 +181,10 @@ class KeyBasedTimestampService(NetworkObserver):
 
         Routes a timestamp request to ``rsp(k, h_ts)``; the responsible
         initialises its counter if needed (Rule 2) and returns the incremented
-        value.
+        value.  It locates the responsible the way ``put_h``/``get_h`` do.
         """
-        responsible = self.network.lookup(key, self.ts_hash, origin=origin,
-                                          trace=trace, exchange=_TSR).responsible
+        responsible, _ = self.network._locate(self.network._resolve_origin(origin),
+                                              self.ts_hash(key), trace, "tsr")
         counter = self._counter_for(responsible, key, trace)
         value = counter.generate()
         self.stats.timestamps_generated += 1
@@ -191,8 +197,8 @@ class KeyBasedTimestampService(NetworkObserver):
     def last_ts(self, key: Any, *, origin: Optional[int] = None,
                 trace: Optional[OperationTrace] = None) -> Optional[Timestamp]:
         """The last timestamp generated for ``key``, or ``None`` if none is known."""
-        responsible = self.network.lookup(key, self.ts_hash, origin=origin,
-                                          trace=trace, exchange=_LAST_TS).responsible
+        responsible, _ = self.network._locate(self.network._resolve_origin(origin),
+                                              self.ts_hash(key), trace, "last_ts")
         counter = self._counter_for(responsible, key, trace)
         self.stats.last_ts_requests += 1
         value = counter.last_generated()
@@ -217,8 +223,8 @@ class KeyBasedTimestampService(NetworkObserver):
         grouped = self._grouped_by_responsible(keys)
         out: List[Optional[Timestamp]] = [None] * len(keys)
         for responsible, indices in grouped.items():
-            self.network.lookup(keys[indices[0]], self.ts_hash, origin=origin,
-                                trace=trace, exchange=_TSR)
+            self.network._locate(self.network._resolve_origin(origin),
+                                 self.ts_hash(keys[indices[0]]), trace, "tsr")
             for index in indices:
                 key = keys[index]
                 counter = self._counter_for(responsible, key, trace)
@@ -240,8 +246,8 @@ class KeyBasedTimestampService(NetworkObserver):
         grouped = self._grouped_by_responsible(keys)
         out: Dict[Any, Optional[Timestamp]] = {}
         for responsible, indices in grouped.items():
-            self.network.lookup(keys[indices[0]], self.ts_hash, origin=origin,
-                                trace=trace, exchange=_LAST_TS)
+            self.network._locate(self.network._resolve_origin(origin),
+                                 self.ts_hash(keys[indices[0]]), trace, "last_ts")
             for index in indices:
                 key = keys[index]
                 if key in out:

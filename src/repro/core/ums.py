@@ -291,16 +291,18 @@ class UpdateManagementService:
         """Empirical probability of currency and availability ``pt`` for ``key``.
 
         The fraction of replication hash functions whose *current* responsible
-        holds a replica stamped with the latest timestamp stored anywhere.
-        This is the quantity the cost analysis of Section 3.3 is expressed in.
+        holds a replica stamped with the latest *certified* timestamp, which
+        ``kts.peek_last_ts`` reads in place; when the responsible of
+        timestamping holds no counter for the key, the newest timestamp stored
+        stands in.  Reading it changes no state.  This is the quantity the
+        cost analysis of Section 3.3 is expressed in.
         """
         replicas = self.network.stored_replicas(key, self.replication)
-        stamped = [entry for entry in replicas if entry.timestamp is not None]
-        if not stamped:
-            return 0.0
-        newest = max(entry.timestamp.value for entry in stamped)
-        current = sum(1 for entry in stamped if entry.timestamp.value == newest)
-        return current / self.replication.factor
+        stamps = [entry.timestamp.value for entry in replicas if entry.timestamp is not None]
+        certified = self.kts.peek_last_ts(key)
+        if certified is None:
+            certified = max(stamps, default=None)
+        return stamps.count(certified) / self.replication.factor
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"UpdateManagementService(replicas={self.replication.factor}, "

@@ -39,6 +39,7 @@ from repro.dht.errors import (
     NodeAlreadyPresentError,
     NoSuchPeerError,
 )
+from repro.dht.messages import OperationTrace
 from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
 
 __all__ = ["CanSpace", "Zone"]
@@ -353,13 +354,9 @@ class CanSpace(DHTProtocol):
         self._neighbors_cache[node_id] = neighbor_set
         return set(neighbor_set)
 
-    def departure_reason(self, node_id: int) -> Optional[str]:
-        """How a departed node left (``"leave"``/``"fail"``), if known."""
-        record = self._departed.get(node_id)
-        return record[0] if record else None
-
     # ------------------------------------------------------------------ routing
-    def route(self, origin: int, point: int, *, now: float = 0.0) -> RouteResult:
+    def route(self, origin: int, point: int, *, now: float = 0.0,
+              trace: Optional[OperationTrace] = None) -> RouteResult:
         if origin not in self._zones:
             raise NoSuchPeerError(origin)
         coords = self.coordinates(point)
@@ -383,13 +380,16 @@ class CanSpace(DHTProtocol):
                     best_distance = distance
             if best is None:
                 break
+            if trace is not None:
+                trace.record_hop(current, best)
             path.append(best)
             visited.add(best)
             current = best
-        if path[-1] != responsible:
+        if current != responsible:
+            if trace is not None:
+                trace.record_hop(current, responsible)
             path.append(responsible)
-        return RouteResult(path=tuple(path), responsible=responsible,
-                           retries=0, timeouts=0)
+        return RouteResult(tuple(path), responsible)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CanSpace(bits={self.bits}, dimensions={self.dimensions}, "

@@ -30,6 +30,7 @@ from repro.dht.errors import (
     NodeAlreadyPresentError,
     NoSuchPeerError,
 )
+from repro.dht.messages import OperationTrace
 from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
 
 __all__ = ["ChordRing"]
@@ -128,11 +129,6 @@ class ChordRing(DHTProtocol):
         self._fingers.pop(node_id, None)
         self._departed[node_id] = (reason, now)
         self._membership_changed((node_id,))
-
-    def departure_reason(self, node_id: int) -> Optional[str]:
-        """How a departed node left (``"leave"``/``"fail"``), if known."""
-        record = self._departed.get(node_id)
-        return record[0] if record else None
 
     # ----------------------------------------------------------- responsibility
     def successor(self, point: int) -> int:
@@ -248,7 +244,8 @@ class ChordRing(DHTProtocol):
         return table
 
     # ------------------------------------------------------------------ routing
-    def route(self, origin: int, point: int, *, now: float = 0.0) -> RouteResult:
+    def route(self, origin: int, point: int, *, now: float = 0.0,
+              trace: Optional[OperationTrace] = None) -> RouteResult:
         if origin not in self._member_set:
             raise NoSuchPeerError(origin)
         size = self.space_size
@@ -276,14 +273,19 @@ class ChordRing(DHTProtocol):
                 timeouts += hop_timeouts
             if next_hop == current:
                 break
+            if trace is not None:
+                trace.record_hop(current, next_hop)
             path.append(next_hop)
             current = next_hop
-        if path[-1] != responsible:
+        if current != responsible:
             # Safety net: should not trigger, but guarantees a valid route even
             # if stale state confused the greedy walk.
+            if trace is not None:
+                trace.record_hop(current, responsible)
             path.append(responsible)
-        return RouteResult(path=tuple(path), responsible=responsible,
-                           retries=retries, timeouts=timeouts)
+        if trace is not None and retries:
+            trace.record_route((), retries=retries, timeouts=timeouts)
+        return RouteResult(tuple(path), responsible, retries, timeouts)
 
     def _next_hop(self, current: int, point: int, now: float) -> Tuple[int, int, int]:
         """Choose the next hop from ``current`` towards ``point``.

@@ -60,6 +60,7 @@ from repro.dht.errors import (
     NodeAlreadyPresentError,
     NoSuchPeerError,
 )
+from repro.dht.messages import OperationTrace
 from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
 
 __all__ = [
@@ -300,9 +301,6 @@ class KademliaOverlay(DHTProtocol):
     def __len__(self) -> int:
         return len(self._members)
 
-    def _is_live(self, node_id: int) -> bool:
-        return node_id in self._member_set
-
     # -------------------------------------------------------------- membership
     def add_node(self, node_id: int, *, now: float = 0.0) -> Set[int]:
         if not 0 <= node_id < self.space_size:
@@ -324,7 +322,7 @@ class KademliaOverlay(DHTProtocol):
             # the own identifier to populate the buckets near it.
             draw = self._rng.randrange(len(self._members) - 1)
             bootstrap = self._members[draw if draw < index else draw + 1]
-            table.observe(bootstrap, self._is_live)
+            table.observe(bootstrap, self._member_set.__contains__)
             self._iterative_lookup(node_id, node_id, self_distance=None)
             # The newcomer and the nodes it displaces exchange the handover
             # traffic, so they learn about each other directly.
@@ -397,11 +395,6 @@ class KademliaOverlay(DHTProtocol):
         # Other nodes keep the departed contact in their buckets until a
         # lookup runs into it (stale-state realism; there is no oracle purge).
 
-    def departure_reason(self, node_id: int) -> Optional[str]:
-        """How a departed node left (``"leave"``/``"fail"``), if known."""
-        record = self._departed.get(node_id)
-        return record[0] if record else None
-
     # ----------------------------------------------------------- responsibility
     def _descend(self, point: int, lo: int, hi: int
                  ) -> Tuple[int, Optional[Tuple[int, int]]]:
@@ -468,33 +461,38 @@ class KademliaOverlay(DHTProtocol):
 
     def neighbors(self, node_id: int) -> Set[int]:
         """The live contacts currently held in ``node_id``'s k-buckets."""
-        table = self._table_of(node_id)
+        table = self.routing_table(node_id)
         return {contact for contact in table.contacts() if contact in self._member_set}
 
     # ------------------------------------------------------------------ routing
-    def route(self, origin: int, point: int, *, now: float = 0.0) -> RouteResult:
+    def route(self, origin: int, point: int, *, now: float = 0.0,
+              trace: Optional[OperationTrace] = None) -> RouteResult:
         if origin not in self._member_set:
             raise NoSuchPeerError(origin)
         point %= self.space_size
         responsible = self.responsible_for(point)
         path, retries, timeouts = self._iterative_lookup(
-            origin, point, self_distance=origin ^ point)
+            origin, point, self_distance=origin ^ point, trace=trace)
         if path[-1] != responsible:
             # Safety net (as in the other overlays): very sparse or very stale
             # tables may leave the iterative search short of the true closest
             # node; the final forced hop keeps the route well-defined and is
             # charged as a normal message.
+            if trace is not None:
+                trace.record_hop(path[-1], responsible)
             path.append(responsible)
-        return RouteResult(path=tuple(path), responsible=responsible,
-                           retries=retries, timeouts=timeouts)
+        if trace is not None and retries:
+            trace.record_route((), retries=retries, timeouts=timeouts)
+        return RouteResult(tuple(path), responsible, retries, timeouts)
 
-    def _iterative_lookup(self, origin: int, target: int, *,
-                          self_distance: Optional[int]) -> Tuple[List[int], int, int]:
+    def _iterative_lookup(self, origin: int, target: int, *, self_distance: Optional[int],
+                          trace: Optional[OperationTrace] = None) -> Tuple[List[int], int, int]:
         """Kademlia's iterative node lookup, with message accounting.
 
         Returns ``(path, retries, timeouts)``: the nodes queried in order
         (starting at ``origin``), the number of queries that hit departed
-        contacts, and how many of those had *failed* (timeout cost).
+        contacts, and how many of those had *failed* (timeout cost).  Each
+        query is a hop recorded into ``trace``, if given, as it is sent.
 
         ``self_distance`` is the origin's own distance to the target
         (``origin ^ target``); a lookup stops once no known contact improves
@@ -545,6 +543,8 @@ class KademliaOverlay(DHTProtocol):
                 skip.add(candidate)
                 table.discard(candidate)
                 continue
+            if trace is not None:
+                trace.record_hop(path[-1], candidate)
             path.append(candidate)
             # Direct communication updates both parties' buckets (both are
             # live, and the origin is never in the run)...
@@ -582,14 +582,11 @@ class KademliaOverlay(DHTProtocol):
     def _observe(self, node_id: int, contact: int) -> None:
         table = self._tables.get(node_id)
         if table is not None and contact != node_id:
-            table.observe(contact, self._is_live)
+            table.observe(contact, self._member_set.__contains__)
 
     # ---------------------------------------------------------------- utilities
     def routing_table(self, node_id: int) -> RoutingTable:
         """The k-buckets of a live node (read access for tests/diagnostics)."""
-        return self._table_of(node_id)
-
-    def _table_of(self, node_id: int) -> RoutingTable:
         table = self._tables.get(node_id)
         if table is None:
             raise NoSuchPeerError(node_id)

@@ -74,6 +74,12 @@ class MessageSizes:
         """Payload size for a message of ``kind`` carrying ``entries`` data items."""
         return self.data_bytes * entries if kind in _DATA_KINDS else self.control_bytes
 
+    def exchange_row(self, request: MessageKind, reply: MessageKind,
+                     entries: int = 1) -> "ExchangeRow":
+        """The kind bytes, sizes and byte total of a request/reply carrying ``entries``."""
+        sizes = (self.size_of(request, entries), self.size_of(reply, entries))
+        return bytes((_BYTE_OF_KIND[request], _BYTE_OF_KIND[reply])), sizes, sum(sizes)
+
 
 class Message(NamedTuple):
     """One network message of an operation trace.
@@ -96,7 +102,7 @@ class Message(NamedTuple):
 KIND_CODES: Dict[MessageKind, str] = dict(zip(MessageKind, "hrgGpPtTlLcdxsS"))
 _BYTE_OF_KIND = {kind: ord(code) for kind, code in KIND_CODES.items()}
 _KIND_OF_BYTE = {byte: kind for kind, byte in _BYTE_OF_KIND.items()}
-_HOP = KIND_CODES[MessageKind.LOOKUP_HOP].encode("ascii")
+_HOP_BYTE = _BYTE_OF_KIND[MessageKind.LOOKUP_HOP]
 _RETRY = KIND_CODES[MessageKind.LOOKUP_RETRY].encode("ascii")
 
 
@@ -104,6 +110,8 @@ _RETRY = KIND_CODES[MessageKind.LOOKUP_RETRY].encode("ascii")
 #: the five columns together: kinds, size_bytes, sources, dests, timed_out.
 Column = MutableSequence[int]
 Columns = Tuple[bytearray, Column, Column, Column, List[int]]
+#: A request/reply exchange as :meth:`OperationTrace.record_exchange` records it.
+ExchangeRow = Tuple[bytes, Tuple[int, int], int]
 
 
 class OperationTrace:
@@ -181,33 +189,45 @@ class OperationTrace:
         self.dests.append(-1 if dest is None else dest)
         self._total_bytes += size_bytes
 
+    def record_hop(self, source: int, dest: int) -> None:
+        """Record one routing hop: the append primitive of a route's walk."""
+        size = self.sizes.control_bytes  # a hop is a control message
+        self.kinds.append(_HOP_BYTE)
+        self.size_bytes.append(size)
+        self.sources.append(source)
+        self.dests.append(dest)
+        self._total_bytes += size
+
     def record_route(self, path: Iterable[int], *, retries: int = 0,
                      timeouts: int = 0) -> None:
         """Record the hop messages of a routing ``path`` (origin first).
 
         A path of ``n`` nodes costs ``n - 1`` hop messages; ``retries`` are the
         extra messages spent re-routing around departed fingers, ``timeouts``
-        how many of those waited for a timeout (failed peers).
+        how many of those waited for a timeout (failed peers), after the hops
+        (an overlay walk records its own hops, then only its retries here).
         """
-        nodes = tuple(path)
-        hops = max(0, len(nodes) - 1)
-        hop_bytes = self.sizes.size_of(MessageKind.LOOKUP_HOP)
-        if retries <= 0:
-            # A walk over fresh routing state, the common case: hops only.
-            self.kinds.extend(_HOP * hops)
-            self.size_bytes.extend([hop_bytes] * hops)
-            self.sources.extend(nodes[:hops])
-            self.dests.extend(nodes[1:])
-            self._total_bytes += hop_bytes * hops
-            return
-        retry_bytes = self.sizes.size_of(MessageKind.LOOKUP_RETRY)
-        first_retry = len(self.kinds) + hops
-        self.timed_out.extend(range(first_retry, first_retry + min(timeouts, retries)))
-        self.kinds.extend(_HOP * hops + _RETRY * retries)
-        self.size_bytes.extend([hop_bytes] * hops + [retry_bytes] * retries)
-        self.sources.extend(nodes[:hops] + (-1,) * retries)
-        self.dests.extend(nodes[1:] + (-1,) * retries)
-        self._total_bytes += hop_bytes * hops + retry_bytes * retries
+        nodes = list(path)
+        for source, dest in zip(nodes, nodes[1:]):
+            self.record_hop(source, dest)
+        if retries > 0:
+            size = self.sizes.size_of(MessageKind.LOOKUP_RETRY)
+            first = len(self.kinds)
+            self.timed_out.extend(range(first, first + min(timeouts, retries)))
+            self.kinds.extend(_RETRY * retries)
+            self.size_bytes.extend([size] * retries)
+            self.sources.extend([-1] * retries)
+            self.dests.extend([-1] * retries)
+            self._total_bytes += size * retries
+
+    def record_exchange(self, row: ExchangeRow, dest: int, source: int = -1) -> None:
+        """Record a request ``source`` -> ``dest`` and its reply from an exchange row."""
+        kinds, sizes, total = row
+        self.kinds.extend(kinds)
+        self.size_bytes.extend(sizes)
+        self.sources.extend((source, dest))
+        self.dests.extend((dest, source))
+        self._total_bytes += total
 
     def record_request_reply(self, request_kind: MessageKind, reply_kind: MessageKind, *,
                              source: Optional[int] = None, dest: Optional[int] = None,
@@ -217,15 +237,8 @@ class OperationTrace:
         A batched exchange carries ``entries`` items at once: its data-bearing
         message (the request of a put, the reply of a get) is sized for all.
         """
-        request_bytes = self.sizes.size_of(request_kind, entries)
-        reply_bytes = self.sizes.size_of(reply_kind, entries)
-        source = -1 if source is None else source
-        dest = -1 if dest is None else dest
-        self.kinds.extend((_BYTE_OF_KIND[request_kind], _BYTE_OF_KIND[reply_kind]))
-        self.size_bytes.extend((request_bytes, reply_bytes))
-        self.sources.extend((source, dest))
-        self.dests.extend((dest, source))
-        self._total_bytes += request_bytes + reply_bytes
+        self.record_exchange(self.sizes.exchange_row(request_kind, reply_kind, entries),
+                             -1 if dest is None else dest, -1 if source is None else source)
 
     def extend(self, messages: Iterable[Message]) -> None:
         """Append already-built messages, sizes and flags as given."""

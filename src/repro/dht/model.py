@@ -17,6 +17,8 @@ import abc
 import random
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from repro.dht.messages import OperationTrace
+
 __all__ = [
     "DHTProtocol",
     "DepartureReason",
@@ -102,6 +104,9 @@ class DHTProtocol(abc.ABC):
     #: incrementally instead of recomputed per query.  Overlays that never
     #: change membership may leave it at 0.
     version: int = 0
+
+    #: Departed node -> ``(reason, time)``, kept by the implementations.
+    _departed: Dict[int, Tuple[str, float]]
 
     @property
     def protocol_name(self) -> str:
@@ -211,6 +216,11 @@ class DHTProtocol(abc.ABC):
     def neighbors(self, node_id: int) -> Set[int]:
         """The overlay neighbours of ``node_id`` (routing-table peers)."""
 
+    def departure_reason(self, node_id: int) -> Optional[str]:
+        """How a departed node left (``"leave"``/``"fail"``), if known."""
+        record = self._departed.get(node_id)
+        return record[0] if record else None
+
     def claimed_span(self, node_id: int) -> Optional[Tuple[int, int]]:
         """The contiguous identifier interval owned by ``node_id``, if any.
 
@@ -226,12 +236,14 @@ class DHTProtocol(abc.ABC):
 
     # ------------------------------------------------------------------ routing
     @abc.abstractmethod
-    def route(self, origin: int, point: int, *, now: float = 0.0) -> RouteResult:
+    def route(self, origin: int, point: int, *, now: float = 0.0,
+              trace: Optional[OperationTrace] = None) -> RouteResult:
         """Greedy-route from ``origin`` towards ``point``.
 
         The returned path ends at ``responsible_for(point)``.  Implementations
         model routing-state staleness (e.g. Chord fingers pointing at departed
         peers) through the ``retries``/``timeouts`` fields of the result.
+        Given a ``trace``, the walk records its hops as it goes, then retries.
         """
 
     # ---------------------------------------------------------------- utilities

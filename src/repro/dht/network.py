@@ -93,9 +93,11 @@ class NetworkStats:
     sync_entries_shipped: int = 0
 
 
-#: The ``(request, reply)`` message kinds of the two data exchanges.
-_GET = (MessageKind.GET_REQUEST, MessageKind.GET_REPLY)
-_PUT = (MessageKind.PUT_REQUEST, MessageKind.PUT_ACK)
+#: The ``(request, reply)`` kinds of the located exchanges: data, then KTS.
+_EXCHANGE_KINDS = {"get": (MessageKind.GET_REQUEST, MessageKind.GET_REPLY),
+                   "put": (MessageKind.PUT_REQUEST, MessageKind.PUT_ACK),
+                   "tsr": (MessageKind.TSR, MessageKind.TSR_REPLY),
+                   "last_ts": (MessageKind.LAST_TS_REQUEST, MessageKind.LAST_TS_REPLY)}
 
 #: Modeled size of one per-entry token inside a SYNC_SUMMARY message: a key
 #: digest plus a timestamp/version counter.  Tiny next to ``data_bytes``,
@@ -175,21 +177,20 @@ class DHTNetwork:
             raise ValueError("pass either 'seed' or 'rng', not both")
         self.rng = rng if rng is not None else random.Random(seed)
         if isinstance(protocol, str):
-            protocol = self._build_protocol(protocol, bits, stabilization_interval)
+            protocol = registry.create_overlay(
+                protocol, bits=bits, stabilization_interval=stabilization_interval,
+                rng=random.Random(self.rng.getrandbits(64)))
         self.protocol = protocol
         self.bits = protocol.bits
         self.message_sizes = MessageSizes()
+        # Each located exchange's one-entry trace row, by name.
+        self._rows = {name: self.message_sizes.exchange_row(*kinds)
+                      for name, kinds in _EXCHANGE_KINDS.items()}
         self.now: float = 0.0
         self.stats = NetworkStats()
         self._peers: Dict[int, PeerState] = {}
         self._departed_peers: Dict[int, PeerState] = {}
         self._observers: List[NetworkObserver] = []
-
-    def _build_protocol(self, name: str, bits: int,
-                        stabilization_interval: float) -> DHTProtocol:
-        return registry.create_overlay(
-            name, bits=bits, stabilization_interval=stabilization_interval,
-            rng=random.Random(self.rng.getrandbits(64)))
 
     # ------------------------------------------------------------- construction
     @classmethod
@@ -235,9 +236,7 @@ class DHTNetwork:
 
     def random_alive_peer(self) -> int:
         """A uniformly random live peer identifier."""
-        if not self._peers:
-            raise EmptyNetworkError("the network has no live peers")
-        return self.protocol.random_node(self.rng)
+        return self._resolve_origin(None)
 
     def new_peer_id(self) -> int:
         """Draw an unused identifier from the overlay's identifier space.
@@ -295,18 +294,7 @@ class DHTNetwork:
         self.stats.leaves += 1
         if self._peers:
             for entry in entries:
-                new_owner = self.protocol.responsible_for(entry.point)
-                existing = self._peers[new_owner].store.get(entry.hash_name,
-                                                            entry.key)
-                if existing is not None and not entry.is_newer_than(existing):
-                    # Delta handover: the new owner's copy has not fallen
-                    # behind, so shipping the entry would only be rejected by
-                    # its reconciliation — skip the transfer entirely.
-                    self.stats.handover_entries_skipped += 1
-                    continue
-                self._peers[new_owner].store.put(entry)
-                self.stats.maintenance_messages += 1
-                self.stats.handover_entries += 1
+                self._ship(entry, self.protocol.responsible_for(entry.point))
         else:
             self.stats.lost_entries += len(entries)
         state.store.clear()
@@ -337,12 +325,6 @@ class DHTNetwork:
         store is checked against the responsibility memo: the cost scales
         with that store's size, though a Kademlia join has already moved the
         memoised points it stole to the newcomer, so those checks hit.
-
-        The transfer itself is *delta-based*: entries the destination already
-        holds a same-or-newer copy of (per
-        :meth:`~repro.dht.storage.StoredValue.is_newer_than`) are dropped at
-        the source instead of shipped — its reconciliation would reject them
-        anyway, so only the skip counter observes the difference.
         """
         if previous_owner not in self._peers or previous_owner == to_peer:
             return
@@ -358,16 +340,23 @@ class DHTNetwork:
             for point in source.points():
                 if responsible_for(point) == to_peer:
                     moving.extend(source.entries_at(point))
-        dest = self._peers[to_peer].store
         for entry in moving:
             source.delete(entry.hash_name, entry.key)
-            existing = dest.get(entry.hash_name, entry.key)
-            if existing is not None and not entry.is_newer_than(existing):
-                self.stats.handover_entries_skipped += 1
-                continue
-            self._peers[to_peer].store.put(entry)
-            self.stats.maintenance_messages += 1
-            self.stats.handover_entries += 1
+            self._ship(entry, to_peer)
+
+    def _ship(self, entry: StoredValue, to_peer: int) -> None:
+        """Hand ``entry`` over to ``to_peer`` unless the copy there is as new.
+
+        A delta handover: the destination's reconciliation would reject it.
+        """
+        store = self._peers[to_peer].store
+        existing = store.get(entry.hash_name, entry.key)
+        if existing is not None and not entry.is_newer_than(existing):
+            self.stats.handover_entries_skipped += 1
+            return
+        store.put(entry)
+        self.stats.maintenance_messages += 1
+        self.stats.handover_entries += 1
 
     # ------------------------------------------------------------------ lookup
     def responsible_peer(self, key: Any, hash_fn: PairwiseIndependentHash) -> int:
@@ -389,7 +378,9 @@ class DHTNetwork:
         """
         origin = self._resolve_origin(origin)
         point = hash_fn(key)
-        responsible, route = self._locate(origin, point, trace, exchange)
+        responsible, route = self._locate(origin, point, trace)
+        if trace is not None and exchange is not None:
+            trace.record_request_reply(*exchange, dest=responsible)
         if route is None:
             route = RouteResult((origin,) if origin == responsible
                                 else (origin, responsible), responsible)
@@ -399,40 +390,41 @@ class DHTNetwork:
     def _resolve_origin(self, origin: Optional[int]) -> int:
         if origin is not None and origin in self._peers:
             return origin
-        return self.random_alive_peer()
+        if not self._peers:
+            raise EmptyNetworkError("the network has no live peers")
+        return self.rng.choice(self.protocol.nodes())  # random_node's draw, inline
 
     def _locate(self, origin: int, point: int, trace: Optional[OperationTrace],
-                exchange: Optional[Tuple[MessageKind, MessageKind]] = None,
+                exchange: Optional[str] = None,
                 unreachable: FrozenSet[int] = frozenset(), *,
                 source: Optional[int] = None, entries: int = 1
                 ) -> Tuple[int, Optional[RouteResult]]:
         """The one place an operation finds its responsible — and is traced.
 
-        With a ``trace``, routes from ``origin`` to ``point``, records the
-        hops and, when an ``exchange`` of ``(request, reply)`` kinds is named,
-        the exchange between ``source`` and the responsible carrying
-        ``entries`` items — or a single timed-out request when the
-        responsible is ``unreachable``.  Returns it and the route walked.
+        With a ``trace``, routes from ``origin`` to ``point`` (the route
+        records its hops as it walks) and records the ``exchange`` named by
+        its key in ``_EXCHANGE_KINDS`` between ``source`` and the responsible,
+        carrying ``entries`` items — a point exchange (no source, one entry)
+        from its precomputed row — or a single timed-out request when the
+        responsible is ``unreachable``.  Returns the responsible and the route.
 
-        Without a trace nobody is accounting for hops, so the responsible is
-        resolved directly from the overlay's (version-cached) responsibility
-        map — same responsible, same operation result — and the route is
-        ``None``.  Skipping the walk also skips its routing-state upkeep
-        (Kademlia lookups evict dead contacts and learn fresh ones as they
-        go), so experiments that *measure* stale-state effects must not
-        interleave untraced traffic with their traced operations; the
-        services always trace, so harness runs are unaffected.
+        Without a trace the responsible comes from the overlay's memoised
+        map and the route is ``None``.  Skipping the walk skips its
+        routing-state upkeep (Kademlia lookups evict and learn contacts), so
+        experiments that *measure* stale state must not interleave untraced
+        traffic with traced operations; the services always trace.
         """
         if trace is None:
             return self.protocol.responsible_for(point), None
-        route = self.protocol.route(origin, point, now=self.now)
-        path, responsible, retries, timeouts = route
-        trace.record_route(path, retries=retries, timeouts=timeouts)
+        route = self.protocol.route(origin, point, now=self.now, trace=trace)
+        responsible = route.responsible
         if exchange is not None:
             if responsible in unreachable:
-                trace.record(exchange[0], dest=responsible, timed_out=True)
+                trace.record(_EXCHANGE_KINDS[exchange][0], dest=responsible, timed_out=True)
+            elif source is None and trace.sizes is self.message_sizes:
+                trace.record_exchange(self._rows[exchange], responsible)
             else:
-                trace.record_request_reply(*exchange, source=source,
+                trace.record_request_reply(*_EXCHANGE_KINDS[exchange], source=source,
                                            dest=responsible, entries=entries)
         return responsible, route
 
@@ -450,7 +442,7 @@ class DHTNetwork:
         """
         origin = self._resolve_origin(origin)
         point = hash_fn(key)
-        responsible, _ = self._locate(origin, point, trace, _PUT, unreachable)
+        responsible, _ = self._locate(origin, point, trace, "put", unreachable)
         if responsible in unreachable:
             return False
         entry = StoredValue(key=key, data=data, timestamp=timestamp, version=version,
@@ -464,7 +456,7 @@ class DHTNetwork:
             unreachable: FrozenSet[int] = frozenset()) -> Optional[StoredValue]:
         """The paper's ``get_h(k)``: fetch the replica stored at ``rsp(k, h)``."""
         origin = self._resolve_origin(origin)
-        responsible, _ = self._locate(origin, hash_fn(key), trace, _GET, unreachable)
+        responsible, _ = self._locate(origin, hash_fn(key), trace, "get", unreachable)
         if responsible in unreachable:
             return None
         return self._peers[responsible].store.get(hash_fn.name, key)
@@ -473,7 +465,7 @@ class DHTNetwork:
     def _batched_exchanges(self, points: Sequence[int], origin: int,
                            trace: Optional[OperationTrace],
                            unreachable: FrozenSet[int],
-                           exchange: Tuple[MessageKind, MessageKind]):
+                           exchange: str):
         """Shared skeleton of the batched operations.
 
         Groups the request indices by the current responsible of their
@@ -513,7 +505,7 @@ class DHTNetwork:
         results: List[Optional[StoredValue]] = [None] * len(requests)
         points = [hash_fn(key) for key, hash_fn in requests]
         for responsible, indices in self._batched_exchanges(
-                points, origin, trace, unreachable, _GET):
+                points, origin, trace, unreachable, "get"):
             store = self._peers[responsible].store
             for index in indices:
                 key, hash_fn = requests[index]
@@ -537,7 +529,7 @@ class DHTNetwork:
         points = [hash_fn(key) for key, hash_fn, _data, _timestamp, _version
                   in requests]
         for responsible, indices in self._batched_exchanges(
-                points, origin, trace, unreachable, _PUT):
+                points, origin, trace, unreachable, "put"):
             for index in indices:
                 key, hash_fn, data, timestamp, version = requests[index]
                 entry = StoredValue(key=key, data=data, timestamp=timestamp,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Cluster
+from repro.core.audit import audit_key
 from repro.dht.messages import MessageKind
 
 
@@ -180,3 +181,47 @@ class TestChurnResilience:
         ums.insert("k", "v1")
         assert ums.currency_probability("k") == pytest.approx(1.0)
         assert ums.retrieve("k").data == "v1"
+
+
+class TestCurrencyProbability:
+    """``pt`` is measured against the latest certified timestamp."""
+
+    def holders(self, stack, key):
+        return frozenset(stack.network.responsible_peer(key, hash_fn)
+                         for hash_fn in stack.replication)
+
+    def test_an_update_no_replica_received_leaves_no_current_replica(self, small_stack):
+        ums = small_stack.service("ums")
+        ums.insert("k", "v0")
+        assert ums.currency_probability("k") == pytest.approx(1.0)
+        ums.insert("k", "v1", unreachable=self.holders(small_stack, "k"))
+        # Storage alone still reads every replica current (newest stored).
+        assert audit_key(small_stack.network, small_stack.replication,
+                         "k").currency_probability == pytest.approx(1.0)
+        assert ums.currency_probability("k") == 0.0
+        result = ums.retrieve("k")
+        assert result.found and result.data == "v0" and not result.is_current
+
+    def test_reading_pt_changes_no_state(self, small_stack):
+        network, kts, ums = small_stack.network, small_stack.kts, small_stack.service("ums")
+        ums.insert("k", "v0")
+        states = dict(kts._states)
+        rngs = [each.rng.getstate() for each in (network, kts, ums)]
+        counters = {peer: list(state.vcs.keys()) for peer, state in kts._states.items()}
+        maintenance = network.stats.maintenance_messages
+        for key in ("k", "never-inserted"):
+            ums.currency_probability(key)
+        assert network.stats.maintenance_messages == maintenance
+        assert kts._states == states
+        assert {peer: list(state.vcs.keys()) for peer, state in kts._states.items()} == counters
+        assert [each.rng.getstate() for each in (network, kts, ums)] == rngs
+
+    def test_without_a_counter_the_newest_stored_stamp_stands_in(self, small_stack):
+        network, kts, ums = small_stack.network, small_stack.kts, small_stack.service("ums")
+        ums.insert("k", "v0")
+        ums.insert("k", "v1")
+        # The counter is lost with its peer's state, as on a failure.
+        kts._states.pop(kts.responsible_of_timestamping("k"))
+        assert kts.peek_last_ts("k") is None
+        assert ums.currency_probability("k") == pytest.approx(1.0)
+        assert ums.currency_probability("never-inserted") == 0.0

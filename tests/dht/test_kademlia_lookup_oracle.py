@@ -44,8 +44,12 @@ def sorted_closest(table, point, count):
     return sorted(table.contacts(), key=lambda contact: contact ^ point)[:count]
 
 
-def scan_lookup(overlay, origin, target, *, self_distance):
-    """1.9.0 ``KademliaOverlay._iterative_lookup``, verbatim."""
+def scan_lookup(overlay, origin, target, *, self_distance, trace=None):
+    """1.9.0 ``KademliaOverlay._iterative_lookup``, verbatim.
+
+    Then the hops go into ``trace``, when given, as the lookup under test
+    records them.
+    """
     table = overlay._tables[origin]
     shortlist = set(table.contacts())
     shortlist.discard(origin)
@@ -85,6 +89,8 @@ def scan_lookup(overlay, origin, target, *, self_distance):
             best_distance = distance
         if distance == 0:
             break
+    if trace is not None:
+        trace.record_route(path)
     return path, retries, timeouts
 
 
