@@ -220,7 +220,7 @@ class OperationTrace:
             self.dests.extend([-1] * retries)
             self._total_bytes += size * retries
 
-    def record_exchange(self, row: ExchangeRow, dest: int, source: int = -1) -> None:
+    def record_exchange(self, row: ExchangeRow, source: int, dest: int) -> None:
         """Record a request ``source`` -> ``dest`` and its reply from an exchange row."""
         kinds, sizes, total = row
         self.kinds.extend(kinds)
@@ -238,7 +238,7 @@ class OperationTrace:
         message (the request of a put, the reply of a get) is sized for all.
         """
         self.record_exchange(self.sizes.exchange_row(request_kind, reply_kind, entries),
-                             -1 if dest is None else dest, -1 if source is None else source)
+                             -1 if source is None else source, -1 if dest is None else dest)
 
     def extend(self, messages: Iterable[Message]) -> None:
         """Append already-built messages, sizes and flags as given."""

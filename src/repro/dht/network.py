@@ -33,7 +33,7 @@ from repro.dht.errors import (
     NoSuchPeerError,
 )
 from repro.dht.hashing import PairwiseIndependentHash
-from repro.dht.messages import MessageKind, MessageSizes, OperationTrace
+from repro.dht.messages import ExchangeRow, MessageKind, MessageSizes, OperationTrace
 from repro.dht.model import (
     DepartureReason,
     DHTProtocol,
@@ -183,9 +183,8 @@ class DHTNetwork:
         self.protocol = protocol
         self.bits = protocol.bits
         self.message_sizes = MessageSizes()
-        # Each located exchange's one-entry trace row, by name.
-        self._rows = {name: self.message_sizes.exchange_row(*kinds)
-                      for name, kinds in _EXCHANGE_KINDS.items()}
+        # The trace row of each located (exchange, entries), computed once.
+        self._rows: Dict[Tuple[str, int], ExchangeRow] = {}
         self.now: float = 0.0
         self.stats = NetworkStats()
         self._peers: Dict[int, PeerState] = {}
@@ -345,10 +344,7 @@ class DHTNetwork:
             self._ship(entry, to_peer)
 
     def _ship(self, entry: StoredValue, to_peer: int) -> None:
-        """Hand ``entry`` over to ``to_peer`` unless the copy there is as new.
-
-        A delta handover: the destination's reconciliation would reject it.
-        """
+        """Hand ``entry`` to ``to_peer`` unless its copy there is as new (delta handover)."""
         store = self._peers[to_peer].store
         existing = store.get(entry.hash_name, entry.key)
         if existing is not None and not entry.is_newer_than(existing):
@@ -404,9 +400,9 @@ class DHTNetwork:
         With a ``trace``, routes from ``origin`` to ``point`` (the route
         records its hops as it walks) and records the ``exchange`` named by
         its key in ``_EXCHANGE_KINDS`` between ``source`` and the responsible,
-        carrying ``entries`` items — a point exchange (no source, one entry)
-        from its precomputed row — or a single timed-out request when the
-        responsible is ``unreachable``.  Returns the responsible and the route.
+        carrying ``entries`` items, from a row computed once per exchange and
+        entry count — or a single timed-out request when the responsible is
+        ``unreachable``.  Returns the responsible and the route.
 
         Without a trace the responsible comes from the overlay's memoised
         map and the route is ``None``.  Skipping the walk skips its
@@ -419,13 +415,17 @@ class DHTNetwork:
         route = self.protocol.route(origin, point, now=self.now, trace=trace)
         responsible = route.responsible
         if exchange is not None:
+            kinds = _EXCHANGE_KINDS[exchange]
             if responsible in unreachable:
-                trace.record(_EXCHANGE_KINDS[exchange][0], dest=responsible, timed_out=True)
-            elif source is None and trace.sizes is self.message_sizes:
-                trace.record_exchange(self._rows[exchange], responsible)
+                trace.record(kinds[0], dest=responsible, timed_out=True)
+            elif trace.sizes is not self.message_sizes:
+                trace.record_request_reply(*kinds, source=source, dest=responsible, entries=entries)
             else:
-                trace.record_request_reply(*_EXCHANGE_KINDS[exchange], source=source,
-                                           dest=responsible, entries=entries)
+                row = self._rows.get((exchange, entries))
+                if row is None:
+                    row = self._rows[exchange, entries] = self.message_sizes.exchange_row(
+                        *kinds, entries)
+                trace.record_exchange(row, -1 if source is None else source, responsible)
         return responsible, route
 
     # --------------------------------------------------------------------- put
