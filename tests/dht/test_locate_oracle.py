@@ -1,11 +1,11 @@
 """The one-pass locate against the two-step reference, under churn.
 
 ``DHTNetwork._locate`` routes with the trace in hand — the overlay records
-each hop as its walk takes it — and replays a point exchange from the
-network's precomputed row.  The reference kept here is the two-step locate
-it replaced: route without a trace, then record the path and the exchange
-(``record_route`` verbatim as it was, column slices and all), with the origin
-drawn through ``DHTProtocol.random_node``.  Two clusters are built from one
+each hop as its walk takes it — and replays each exchange from a row the
+network computed once.  The reference kept here is the two-step locate it
+replaced: route without a trace, then record the path and the exchange
+(``record_route`` and ``record_request_reply`` verbatim as they were), with
+the origin drawn through ``DHTProtocol.random_node``.  Two clusters are built from one
 seed and the reference is patched into one of them; one stream of point and
 batched operations, ``unreachable`` sets, joins, leaves, failures and clock
 advances drives both, and after every step the two traces must be equal
@@ -59,6 +59,20 @@ def reference_record_route(trace, path, *, retries=0, timeouts=0):
     trace._total_bytes += hop_bytes * hops + retry_bytes * retries
 
 
+def reference_record_request_reply(trace, request_kind, reply_kind, *, source=None,
+                                    dest=None, entries=1):
+    """9.0.0 ``OperationTrace.record_request_reply``, verbatim."""
+    request_bytes = trace.sizes.size_of(request_kind, entries)
+    reply_bytes = trace.sizes.size_of(reply_kind, entries)
+    source = -1 if source is None else source
+    dest = -1 if dest is None else dest
+    trace.kinds.extend((ord(KIND_CODES[request_kind]), ord(KIND_CODES[reply_kind])))
+    trace.size_bytes.extend((request_bytes, reply_bytes))
+    trace.sources.extend((source, dest))
+    trace.dests.extend((dest, source))
+    trace._total_bytes += request_bytes + reply_bytes
+
+
 def reference_locate(network, origin, point, trace, exchange=None,
                      unreachable=frozenset(), *, source=None, entries=1):
     """9.0.0 ``DHTNetwork._locate``: route, then record what it walked.
@@ -75,8 +89,8 @@ def reference_locate(network, origin, point, trace, exchange=None,
         if responsible in unreachable:
             trace.record(request, dest=responsible, timed_out=True)
         else:
-            trace.record_request_reply(request, reply, source=source,
-                                       dest=responsible, entries=entries)
+            reference_record_request_reply(trace, request, reply, source=source,
+                                           dest=responsible, entries=entries)
     return responsible, route
 
 
