@@ -13,7 +13,7 @@ from repro.dht.errors import (
     NoSuchPeerError,
 )
 from repro.dht.hashing import HashFamily
-from repro.dht.messages import MessageKind
+from repro.dht.messages import MessageKind, MessageSizes, OperationTrace
 from repro.dht.network import DHTNetwork, NetworkObserver
 from repro.dht.storage import StoredValue
 
@@ -147,6 +147,20 @@ class TestPutGet:
         kinds = [message.kind for message in trace]
         assert kinds.count(MessageKind.GET_REQUEST) == 1
         assert kinds.count(MessageKind.GET_REPLY) == 1
+
+    def test_a_trace_of_other_sizes_prices_its_exchanges_itself(self, network, hash_fn):
+        # The network replays exchange rows computed from its own sizes; a
+        # caller's trace of other sizes is priced at its own.
+        sizes = MessageSizes(control_bytes=64, data_bytes=512)
+        for entries in (1, 3):
+            trace = OperationTrace(sizes=sizes)
+            if entries == 1:
+                network.get("k", hash_fn, trace=trace)
+            else:
+                network.get_many([("k", hash_fn)] * entries, trace=trace)
+            priced = [message.size_bytes for message in trace]
+            assert priced == [64] * (len(priced) - 1) + [512 * entries]
+            assert trace.total_bytes == sum(priced)
 
     def test_lookup_origin_respected(self, network, hash_fn):
         origin = network.random_alive_peer()
