@@ -111,8 +111,7 @@ def audit_key(network: DHTNetwork, replication: ReplicationScheme, key: Any) -> 
     """Audit the replicas of one key at their current responsibles.
 
     A view of storage: *current* is the newest stamp stored anywhere, where
-    ``UpdateManagementService.currency_probability`` measures ``pt`` against
-    the latest *certified* one (they differ when no replica holds that).
+    ``pt`` (``UpdateManagementService.currency_probability``) takes the certified one.
     """
     entries = {}
     for hash_fn in replication:

@@ -27,16 +27,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.counters import KeyCounter, ValidCounterSet
 from repro.core.replication import ReplicationScheme
 from repro.core.timestamps import Timestamp
 from repro.dht.hashing import HashFamily, PairwiseIndependentHash
-from repro.dht.messages import OperationTrace
+from repro.dht.messages import MessageKind, OperationTrace
 from repro.dht.network import DHTNetwork, NetworkObserver
 
 __all__ = ["CounterInitialization", "KeyBasedTimestampService", "KtsStats"]
+
+#: The ``(request, reply)`` message kinds of the two timestamp exchanges.
+_TSR = (MessageKind.TSR, MessageKind.TSR_REPLY)
+_LAST_TS = (MessageKind.LAST_TS_REQUEST, MessageKind.LAST_TS_REPLY)
 
 
 class CounterInitialization:
@@ -167,8 +171,7 @@ class KeyBasedTimestampService(NetworkObserver):
     def peek_last_ts(self, key: Any) -> Optional[int]:
         """``last_generated()`` of ``key``'s counter at ``rsp(k, h_ts)``, if it holds one.
 
-        The honest ``last_ts`` value, read in place: it creates no KTS state,
-        records no message and draws no random number.
+        The honest ``last_ts``, read in place: no KTS state, message or random draw.
         """
         state = self._states.get(self.responsible_of_timestamping(key))
         counter = None if state is None else state.vcs.get(key)
@@ -181,10 +184,9 @@ class KeyBasedTimestampService(NetworkObserver):
 
         Routes a timestamp request to ``rsp(k, h_ts)``; the responsible
         initialises its counter if needed (Rule 2) and returns the incremented
-        value.  It locates the responsible the way ``put_h``/``get_h`` do.
+        value.  It locates the responsible through :meth:`DHTNetwork.locate`.
         """
-        responsible, _ = self.network._locate(self.network._resolve_origin(origin),
-                                              self.ts_hash(key), trace, "tsr")
+        responsible = self.network.locate(key, self.ts_hash, _TSR, origin=origin, trace=trace)
         counter = self._counter_for(responsible, key, trace)
         value = counter.generate()
         self.stats.timestamps_generated += 1
@@ -197,8 +199,7 @@ class KeyBasedTimestampService(NetworkObserver):
     def last_ts(self, key: Any, *, origin: Optional[int] = None,
                 trace: Optional[OperationTrace] = None) -> Optional[Timestamp]:
         """The last timestamp generated for ``key``, or ``None`` if none is known."""
-        responsible, _ = self.network._locate(self.network._resolve_origin(origin),
-                                              self.ts_hash(key), trace, "last_ts")
+        responsible = self.network.locate(key, self.ts_hash, _LAST_TS, origin=origin, trace=trace)
         counter = self._counter_for(responsible, key, trace)
         self.stats.last_ts_requests += 1
         value = counter.last_generated()
@@ -220,11 +221,8 @@ class KeyBasedTimestampService(NetworkObserver):
         two distinct, increasing timestamps — only the message accounting is
         amortised.  Returns the timestamps aligned with the input order.
         """
-        grouped = self._grouped_by_responsible(keys)
         out: List[Optional[Timestamp]] = [None] * len(keys)
-        for responsible, indices in grouped.items():
-            self.network._locate(self.network._resolve_origin(origin),
-                                 self.ts_hash(keys[indices[0]]), trace, "tsr")
+        for responsible, indices in self._located_groups(keys, _TSR, origin, trace):
             for index in indices:
                 key = keys[index]
                 counter = self._counter_for(responsible, key, trace)
@@ -243,11 +241,8 @@ class KeyBasedTimestampService(NetworkObserver):
         N keys usually maps to far fewer than N responsibles of timestamping,
         so the ``last_ts`` lookups collapse accordingly.
         """
-        grouped = self._grouped_by_responsible(keys)
         out: Dict[Any, Optional[Timestamp]] = {}
-        for responsible, indices in grouped.items():
-            self.network._locate(self.network._resolve_origin(origin),
-                                 self.ts_hash(keys[indices[0]]), trace, "last_ts")
+        for responsible, indices in self._located_groups(keys, _LAST_TS, origin, trace):
             for index in indices:
                 key = keys[index]
                 if key in out:
@@ -260,12 +255,16 @@ class KeyBasedTimestampService(NetworkObserver):
                 out[key] = None if value is None else Timestamp(key=key, value=value)
         return out
 
-    def _grouped_by_responsible(self, keys: List[Any]) -> Dict[int, List[int]]:
-        """Input indices grouped by the key's responsible of timestamping."""
+    def _located_groups(self, keys: List[Any], kinds: Tuple[MessageKind, MessageKind],
+                        origin: Optional[int], trace: Optional[OperationTrace]
+                        ) -> Iterator[Tuple[int, List[int]]]:
+        """Input indices by the key's responsible of timestamping, each group located once."""
         grouped: Dict[int, List[int]] = {}
         for index, key in enumerate(keys):
             grouped.setdefault(self.responsible_of_timestamping(key), []).append(index)
-        return grouped
+        for responsible, indices in grouped.items():
+            self.network.locate(keys[indices[0]], self.ts_hash, kinds, origin=origin, trace=trace)
+            yield responsible, indices
 
     # --------------------------------------------------------- counter handling
     def _counter_for(self, responsible: int, key: Any,

@@ -291,11 +291,9 @@ class UpdateManagementService:
         """Empirical probability of currency and availability ``pt`` for ``key``.
 
         The fraction of replication hash functions whose *current* responsible
-        holds a replica stamped with the latest *certified* timestamp, which
-        ``kts.peek_last_ts`` reads in place; when the responsible of
-        timestamping holds no counter for the key, the newest timestamp stored
-        stands in.  Reading it changes no state.  This is the quantity the
-        cost analysis of Section 3.3 is expressed in.
+        holds the latest *certified* timestamp (``kts.peek_last_ts``, read in
+        place; the newest one stored when ``rsp(k, h_ts)`` holds no counter):
+        the quantity the cost analysis of Section 3.3 is expressed in.
         """
         replicas = self.network.stored_replicas(key, self.replication)
         stamps = [entry.timestamp.value for entry in replicas if entry.timestamp is not None]

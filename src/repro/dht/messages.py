@@ -18,7 +18,7 @@ simulation harness schedules the completion of the operation accordingly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, MutableSequence, NamedTuple, Optional, Tuple
 
 __all__ = ["KIND_CODES", "Message", "MessageKind", "MessageSizes", "OperationTrace"]
@@ -69,6 +69,9 @@ class MessageSizes:
 
     control_bytes: int = 128
     data_bytes: int = 1024
+    #: :meth:`exchange_row` by ``(request, reply, entries)``, each computed once.
+    _rows: Dict[Tuple[MessageKind, MessageKind, int], "ExchangeRow"] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def size_of(self, kind: MessageKind, entries: int = 1) -> int:
         """Payload size for a message of ``kind`` carrying ``entries`` data items."""
@@ -77,8 +80,12 @@ class MessageSizes:
     def exchange_row(self, request: MessageKind, reply: MessageKind,
                      entries: int = 1) -> "ExchangeRow":
         """The kind bytes, sizes and byte total of a request/reply carrying ``entries``."""
-        sizes = (self.size_of(request, entries), self.size_of(reply, entries))
-        return bytes((_BYTE_OF_KIND[request], _BYTE_OF_KIND[reply])), sizes, sum(sizes)
+        row = self._rows.get((request, reply, entries))
+        if row is None:
+            sizes = (self.size_of(request, entries), self.size_of(reply, entries))
+            row = self._rows[request, reply, entries] = (
+                bytes((_BYTE_OF_KIND[request], _BYTE_OF_KIND[reply])), sizes, sum(sizes))
+        return row
 
 
 class Message(NamedTuple):
@@ -200,12 +207,13 @@ class OperationTrace:
 
     def record_route(self, path: Iterable[int], *, retries: int = 0,
                      timeouts: int = 0) -> None:
-        """Record the hop messages of a routing ``path`` (origin first).
+        """Record the hop messages of a routing ``path`` (origin first), then retries.
 
         A path of ``n`` nodes costs ``n - 1`` hop messages; ``retries`` are the
         extra messages spent re-routing around departed fingers, ``timeouts``
-        how many of those waited for a timeout (failed peers), after the hops
-        (an overlay walk records its own hops, then only its retries here).
+        how many of those waited for a timeout (failed peers).  The overlays'
+        walks record their own hops and pass an empty path for their retries,
+        as the network client does for its re-sends.
         """
         nodes = list(path)
         for source, dest in zip(nodes, nodes[1:]):

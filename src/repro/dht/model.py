@@ -105,8 +105,7 @@ class DHTProtocol(abc.ABC):
     #: change membership may leave it at 0.
     version: int = 0
 
-    #: Departed node -> ``(reason, time)``, kept by the implementations.
-    _departed: Dict[int, Tuple[str, float]]
+    _departed: Dict[int, Tuple[str, float]]  # departed node -> (reason, time)
 
     @property
     def protocol_name(self) -> str:
@@ -248,5 +247,5 @@ class DHTProtocol(abc.ABC):
 
     # ---------------------------------------------------------------- utilities
     def random_node(self, rng: random.Random) -> int:
-        """A uniformly random live node: one ``randrange(len(nodes))`` draw."""
+        """A uniformly random live node: the ``rng.choice`` ``DHTNetwork`` makes inline."""
         return rng.choice(self.nodes())

@@ -33,7 +33,7 @@ from repro.dht.errors import (
     NoSuchPeerError,
 )
 from repro.dht.hashing import PairwiseIndependentHash
-from repro.dht.messages import ExchangeRow, MessageKind, MessageSizes, OperationTrace
+from repro.dht.messages import MessageKind, MessageSizes, OperationTrace
 from repro.dht.model import (
     DepartureReason,
     DHTProtocol,
@@ -93,11 +93,9 @@ class NetworkStats:
     sync_entries_shipped: int = 0
 
 
-#: The ``(request, reply)`` kinds of the located exchanges: data, then KTS.
-_EXCHANGE_KINDS = {"get": (MessageKind.GET_REQUEST, MessageKind.GET_REPLY),
-                   "put": (MessageKind.PUT_REQUEST, MessageKind.PUT_ACK),
-                   "tsr": (MessageKind.TSR, MessageKind.TSR_REPLY),
-                   "last_ts": (MessageKind.LAST_TS_REQUEST, MessageKind.LAST_TS_REPLY)}
+#: The ``(request, reply)`` message kinds of the two data exchanges.
+_GET = (MessageKind.GET_REQUEST, MessageKind.GET_REPLY)
+_PUT = (MessageKind.PUT_REQUEST, MessageKind.PUT_ACK)
 
 #: Modeled size of one per-entry token inside a SYNC_SUMMARY message: a key
 #: digest plus a timestamp/version counter.  Tiny next to ``data_bytes``,
@@ -183,8 +181,6 @@ class DHTNetwork:
         self.protocol = protocol
         self.bits = protocol.bits
         self.message_sizes = MessageSizes()
-        # The trace row of each located (exchange, entries), computed once.
-        self._rows: Dict[Tuple[str, int], ExchangeRow] = {}
         self.now: float = 0.0
         self.stats = NetworkStats()
         self._peers: Dict[int, PeerState] = {}
@@ -344,7 +340,11 @@ class DHTNetwork:
             self._ship(entry, to_peer)
 
     def _ship(self, entry: StoredValue, to_peer: int) -> None:
-        """Hand ``entry`` to ``to_peer`` unless its copy there is as new (delta handover)."""
+        """Hand ``entry`` to ``to_peer`` unless its copy there is as new (delta handover).
+
+        The receiver's reconciliation would reject a same-or-newer copy's
+        rival anyway, so only the skip counter observes the difference.
+        """
         store = self._peers[to_peer].store
         existing = store.get(entry.hash_name, entry.key)
         if existing is not None and not entry.is_newer_than(existing):
@@ -374,14 +374,18 @@ class DHTNetwork:
         """
         origin = self._resolve_origin(origin)
         point = hash_fn(key)
-        responsible, route = self._locate(origin, point, trace)
-        if trace is not None and exchange is not None:
-            trace.record_request_reply(*exchange, dest=responsible)
+        responsible, route = self._locate(origin, point, trace, exchange)
         if route is None:
             route = RouteResult((origin,) if origin == responsible
                                 else (origin, responsible), responsible)
         return LookupResult(key=key, hash_name=hash_fn.name, point=point,
                             responsible=responsible, route=route)
+
+    def locate(self, key: Any, hash_fn: PairwiseIndependentHash,
+               exchange: Tuple[MessageKind, MessageKind], *, origin: Optional[int] = None,
+               trace: Optional[OperationTrace] = None) -> int:
+        """``rsp(k, h)``, routed and traced as :meth:`lookup` does, without its result."""
+        return self._locate(self._resolve_origin(origin), hash_fn(key), trace, exchange)[0]
 
     def _resolve_origin(self, origin: Optional[int]) -> int:
         if origin is not None and origin in self._peers:
@@ -391,41 +395,34 @@ class DHTNetwork:
         return self.rng.choice(self.protocol.nodes())  # random_node's draw, inline
 
     def _locate(self, origin: int, point: int, trace: Optional[OperationTrace],
-                exchange: Optional[str] = None,
+                exchange: Optional[Tuple[MessageKind, MessageKind]] = None,
                 unreachable: FrozenSet[int] = frozenset(), *,
                 source: Optional[int] = None, entries: int = 1
                 ) -> Tuple[int, Optional[RouteResult]]:
         """The one place an operation finds its responsible — and is traced.
 
         With a ``trace``, routes from ``origin`` to ``point`` (the route
-        records its hops as it walks) and records the ``exchange`` named by
-        its key in ``_EXCHANGE_KINDS`` between ``source`` and the responsible,
-        carrying ``entries`` items, from a row computed once per exchange and
-        entry count — or a single timed-out request when the responsible is
-        ``unreachable``.  Returns the responsible and the route.
+        records its hops as it walks) and records the named ``exchange`` of
+        ``(request, reply)`` kinds between ``source`` and the responsible,
+        carrying ``entries`` items, as the trace's ``sizes.exchange_row`` —
+        or a single timed-out request when the responsible is ``unreachable``.
 
-        Without a trace the responsible comes from the overlay's memoised
-        map and the route is ``None``.  Skipping the walk skips its
-        routing-state upkeep (Kademlia lookups evict and learn contacts), so
-        experiments that *measure* stale state must not interleave untraced
-        traffic with traced operations; the services always trace.
+        Returns the responsible and the route.  Without a trace the route is
+        ``None`` and the responsible comes from the overlay's memoised map:
+        no walk, so no routing-state upkeep (Kademlia lookups evict and learn
+        contacts), and experiments that *measure* stale state must not mix
+        untraced traffic into traced operations; the services always trace.
         """
         if trace is None:
             return self.protocol.responsible_for(point), None
         route = self.protocol.route(origin, point, now=self.now, trace=trace)
         responsible = route.responsible
         if exchange is not None:
-            kinds = _EXCHANGE_KINDS[exchange]
             if responsible in unreachable:
-                trace.record(kinds[0], dest=responsible, timed_out=True)
-            elif trace.sizes is not self.message_sizes:
-                trace.record_request_reply(*kinds, source=source, dest=responsible, entries=entries)
+                trace.record(exchange[0], dest=responsible, timed_out=True)
             else:
-                row = self._rows.get((exchange, entries))
-                if row is None:
-                    row = self._rows[exchange, entries] = self.message_sizes.exchange_row(
-                        *kinds, entries)
-                trace.record_exchange(row, -1 if source is None else source, responsible)
+                trace.record_exchange(trace.sizes.exchange_row(*exchange, entries),
+                                      -1 if source is None else source, responsible)
         return responsible, route
 
     # --------------------------------------------------------------------- put
@@ -442,7 +439,7 @@ class DHTNetwork:
         """
         origin = self._resolve_origin(origin)
         point = hash_fn(key)
-        responsible, _ = self._locate(origin, point, trace, "put", unreachable)
+        responsible, _ = self._locate(origin, point, trace, _PUT, unreachable)
         if responsible in unreachable:
             return False
         entry = StoredValue(key=key, data=data, timestamp=timestamp, version=version,
@@ -456,7 +453,7 @@ class DHTNetwork:
             unreachable: FrozenSet[int] = frozenset()) -> Optional[StoredValue]:
         """The paper's ``get_h(k)``: fetch the replica stored at ``rsp(k, h)``."""
         origin = self._resolve_origin(origin)
-        responsible, _ = self._locate(origin, hash_fn(key), trace, "get", unreachable)
+        responsible, _ = self._locate(origin, hash_fn(key), trace, _GET, unreachable)
         if responsible in unreachable:
             return None
         return self._peers[responsible].store.get(hash_fn.name, key)
@@ -465,7 +462,7 @@ class DHTNetwork:
     def _batched_exchanges(self, points: Sequence[int], origin: int,
                            trace: Optional[OperationTrace],
                            unreachable: FrozenSet[int],
-                           exchange: str):
+                           exchange: Tuple[MessageKind, MessageKind]):
         """Shared skeleton of the batched operations.
 
         Groups the request indices by the current responsible of their
@@ -505,7 +502,7 @@ class DHTNetwork:
         results: List[Optional[StoredValue]] = [None] * len(requests)
         points = [hash_fn(key) for key, hash_fn in requests]
         for responsible, indices in self._batched_exchanges(
-                points, origin, trace, unreachable, "get"):
+                points, origin, trace, unreachable, _GET):
             store = self._peers[responsible].store
             for index in indices:
                 key, hash_fn = requests[index]
@@ -529,7 +526,7 @@ class DHTNetwork:
         points = [hash_fn(key) for key, hash_fn, _data, _timestamp, _version
                   in requests]
         for responsible, indices in self._batched_exchanges(
-                points, origin, trace, unreachable, "put"):
+                points, origin, trace, unreachable, _PUT):
             for index in indices:
                 key, hash_fn, data, timestamp, version = requests[index]
                 entry = StoredValue(key=key, data=data, timestamp=timestamp,

@@ -1,8 +1,8 @@
 """The one-pass locate against the two-step reference, under churn.
 
 ``DHTNetwork._locate`` routes with the trace in hand — the overlay records
-each hop as its walk takes it — and replays each exchange from a row the
-network computed once.  The reference kept here is the two-step locate it
+each hop as its walk takes it — and replays each exchange from the row
+the trace's ``MessageSizes`` computed once for it.  The reference kept here is the two-step locate it
 replaced: route without a trace, then record the path and the exchange
 (``record_route`` and ``record_request_reply`` verbatim as they were), with
 the origin drawn through ``DHTProtocol.random_node``.  Two clusters are built from one
@@ -30,11 +30,6 @@ from repro.dht.network import DHTNetwork
 OVERLAYS = ["chord", "kademlia", "can"]
 _HOP = KIND_CODES[MessageKind.LOOKUP_HOP].encode("ascii")
 _RETRY = KIND_CODES[MessageKind.LOOKUP_RETRY].encode("ascii")
-#: The exchanges ``_locate`` is handed, by name: ``(request, reply)`` kinds.
-EXCHANGES = {"get": (MessageKind.GET_REQUEST, MessageKind.GET_REPLY),
-             "put": (MessageKind.PUT_REQUEST, MessageKind.PUT_ACK),
-             "tsr": (MessageKind.TSR, MessageKind.TSR_REPLY),
-             "last_ts": (MessageKind.LAST_TS_REQUEST, MessageKind.LAST_TS_REPLY)}
 
 
 def reference_record_route(trace, path, *, retries=0, timeouts=0):
@@ -75,21 +70,17 @@ def reference_record_request_reply(trace, request_kind, reply_kind, *, source=No
 
 def reference_locate(network, origin, point, trace, exchange=None,
                      unreachable=frozenset(), *, source=None, entries=1):
-    """9.0.0 ``DHTNetwork._locate``: route, then record what it walked.
-
-    ``exchange`` names the kinds, as the callers pass it now.
-    """
+    """9.0.0 ``DHTNetwork._locate``, verbatim: route, then record what it walked."""
     if trace is None:
         return network.protocol.responsible_for(point), None
     route = network.protocol.route(origin, point, now=network.now)
     path, responsible, retries, timeouts = route
     reference_record_route(trace, path, retries=retries, timeouts=timeouts)
     if exchange is not None:
-        request, reply = EXCHANGES[exchange]
         if responsible in unreachable:
-            trace.record(request, dest=responsible, timed_out=True)
+            trace.record(exchange[0], dest=responsible, timed_out=True)
         else:
-            reference_record_request_reply(trace, request, reply, source=source,
+            reference_record_request_reply(trace, *exchange, source=source,
                                            dest=responsible, entries=entries)
     return responsible, route
 

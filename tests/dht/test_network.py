@@ -149,7 +149,7 @@ class TestPutGet:
         assert kinds.count(MessageKind.GET_REPLY) == 1
 
     def test_a_trace_of_other_sizes_prices_its_exchanges_itself(self, network, hash_fn):
-        # The network replays exchange rows computed from its own sizes; a
+        # Exchange rows are kept on the trace's sizes, not the network's: a
         # caller's trace of other sizes is priced at its own.
         sizes = MessageSizes(control_bytes=64, data_bytes=512)
         for entries in (1, 3):
