@@ -69,22 +69,21 @@ class MessageSizes:
 
     control_bytes: int = 128
     data_bytes: int = 1024
-    #: :meth:`exchange_row` by ``(request, reply, entries)``, each computed once.
-    _rows: Dict[Tuple[MessageKind, MessageKind, int], "ExchangeRow"] = field(
+    #: :meth:`exchange_row` by ``((request, reply), entries)``, each computed once.
+    _rows: Dict[Tuple["Exchange", int], "ExchangeRow"] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def size_of(self, kind: MessageKind, entries: int = 1) -> int:
         """Payload size for a message of ``kind`` carrying ``entries`` data items."""
         return self.data_bytes * entries if kind in _DATA_KINDS else self.control_bytes
 
-    def exchange_row(self, request: MessageKind, reply: MessageKind,
-                     entries: int = 1) -> "ExchangeRow":
-        """The kind bytes, sizes and byte total of a request/reply carrying ``entries``."""
-        row = self._rows.get((request, reply, entries))
+    def exchange_row(self, exchange: "Exchange", entries: int = 1) -> "ExchangeRow":
+        """The kind bytes, sizes and byte total of a ``(request, reply)`` carrying ``entries``."""
+        row = self._rows.get((exchange, entries))
         if row is None:
-            sizes = (self.size_of(request, entries), self.size_of(reply, entries))
-            row = self._rows[request, reply, entries] = (
-                bytes((_BYTE_OF_KIND[request], _BYTE_OF_KIND[reply])), sizes, sum(sizes))
+            sizes = (self.size_of(exchange[0], entries), self.size_of(exchange[1], entries))
+            row = self._rows[exchange, entries] = (
+                bytes(_BYTE_OF_KIND[kind] for kind in exchange), sizes, sum(sizes))
         return row
 
 
@@ -117,7 +116,8 @@ _RETRY = KIND_CODES[MessageKind.LOOKUP_RETRY].encode("ascii")
 #: the five columns together: kinds, size_bytes, sources, dests, timed_out.
 Column = MutableSequence[int]
 Columns = Tuple[bytearray, Column, Column, Column, List[int]]
-#: A request/reply exchange as :meth:`OperationTrace.record_exchange` records it.
+#: A request/reply exchange by its ``(request, reply)`` kinds, and its trace row.
+Exchange = Tuple[MessageKind, MessageKind]
 ExchangeRow = Tuple[bytes, Tuple[int, int], int]
 
 
@@ -228,9 +228,10 @@ class OperationTrace:
             self.dests.extend([-1] * retries)
             self._total_bytes += size * retries
 
-    def record_exchange(self, row: ExchangeRow, source: int, dest: int) -> None:
-        """Record a request ``source`` -> ``dest`` and its reply from an exchange row."""
-        kinds, sizes, total = row
+    def record_exchange(self, exchange: Exchange, source: int, dest: int, entries: int = 1) -> None:
+        """Record ``exchange`` ``source`` <-> ``dest`` carrying ``entries``, from a memoised row."""
+        kinds, sizes, total = (self.sizes._rows.get((exchange, entries))
+                               or self.sizes.exchange_row(exchange, entries))
         self.kinds.extend(kinds)
         self.size_bytes.extend(sizes)
         self.sources.extend((source, dest))
@@ -245,8 +246,8 @@ class OperationTrace:
         A batched exchange carries ``entries`` items at once: its data-bearing
         message (the request of a put, the reply of a get) is sized for all.
         """
-        self.record_exchange(self.sizes.exchange_row(request_kind, reply_kind, entries),
-                             -1 if source is None else source, -1 if dest is None else dest)
+        self.record_exchange((request_kind, reply_kind), -1 if source is None else source,
+                             -1 if dest is None else dest, entries)
 
     def extend(self, messages: Iterable[Message]) -> None:
         """Append already-built messages, sizes and flags as given."""

@@ -404,7 +404,7 @@ class DHTNetwork:
         With a ``trace``, routes from ``origin`` to ``point`` (the route
         records its hops as it walks) and records the named ``exchange`` of
         ``(request, reply)`` kinds between ``source`` and the responsible,
-        carrying ``entries`` items, as the trace's ``sizes.exchange_row`` —
+        carrying ``entries`` items, in its sizes' memoised ``exchange_row`` —
         or a single timed-out request when the responsible is ``unreachable``.
 
         Returns the responsible and the route.  Without a trace the route is
@@ -421,8 +421,8 @@ class DHTNetwork:
             if responsible in unreachable:
                 trace.record(exchange[0], dest=responsible, timed_out=True)
             else:
-                trace.record_exchange(trace.sizes.exchange_row(*exchange, entries),
-                                      -1 if source is None else source, responsible)
+                trace.record_exchange(exchange, -1 if source is None else source,
+                                      responsible, entries)
         return responsible, route
 
     # --------------------------------------------------------------------- put
