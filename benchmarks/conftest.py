@@ -50,16 +50,16 @@ def bench_overlays() -> tuple:
 
     Defaults to a Chord series plus a Kademlia series; set
     ``REPRO_BENCH_OVERLAYS=chord,can,kademlia`` (any comma-separated subset of
-    the registered overlays) to change the sweep.
+    the overlays in ``repro.dht.registry.OVERLAYS``) to change the sweep.
     """
-    from repro.dht.registry import overlay_names
+    from repro.dht.registry import OVERLAYS
 
     raw = os.environ.get("REPRO_BENCH_OVERLAYS", "chord,kademlia")
     overlays = tuple(name.strip().lower() for name in raw.split(",") if name.strip())
-    unknown = [name for name in overlays if name not in overlay_names()]
+    unknown = [name for name in overlays if name not in OVERLAYS]
     if not overlays or unknown:
-        raise ValueError(f"REPRO_BENCH_OVERLAYS must name registered overlays "
-                         f"{overlay_names()}, got {raw!r}")
+        raise ValueError(f"REPRO_BENCH_OVERLAYS must name overlays "
+                         f"{sorted(OVERLAYS)}, got {raw!r}")
     return overlays
 
 

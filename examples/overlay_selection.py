@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Overlay selection through the pluggable registry.
+"""Overlay selection through the overlay table.
 
 The UMS/KTS services are DHT-agnostic: they only need the lookup service,
 ``put_h``/``get_h`` and responsibility notifications.  This example runs the
-exact same insert/retrieve workload over every overlay registered in
-:mod:`repro.dht.registry` (Chord, CAN and Kademlia out of the box), then
-registers a custom overlay at runtime and drives it through the same stack —
+exact same insert/retrieve workload over every overlay in
+:data:`repro.dht.registry.OVERLAYS` (Chord, CAN and Kademlia out of the box),
+then adds a custom overlay at runtime and drives it through the same stack —
 no service code changes anywhere.
 
 Run with::
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.api import Cluster
 from repro.dht.chord import ChordRing
-from repro.dht.registry import overlay_names, register_overlay, unregister_overlay
+from repro.dht.registry import OVERLAYS
 
 
 def exercise(protocol: str) -> None:
@@ -38,26 +38,26 @@ def exercise(protocol: str) -> None:
 
 
 def main() -> None:
-    print(f"registered overlays: {', '.join(overlay_names())}")
+    print(f"overlays: {', '.join(sorted(OVERLAYS))}")
     print()
 
-    print("== the same UMS workload over every registered overlay ==")
-    for protocol in overlay_names():
+    print("== the same UMS workload over every overlay ==")
+    for protocol in sorted(OVERLAYS):
         exercise(protocol)
     print()
 
-    print("== registering a custom overlay at runtime ==")
+    print("== adding a custom overlay at runtime ==")
 
     def build_eager_chord(*, bits, stabilization_interval, rng, **extra):
         # A Chord variant with instant stabilisation (no stale fingers).
         return ChordRing(bits=bits, stabilization_interval=0.0, rng=rng)
 
-    register_overlay("chord-eager", build_eager_chord)
+    OVERLAYS["chord-eager"] = build_eager_chord
     try:
-        print(f"registered overlays: {', '.join(overlay_names())}")
+        print(f"overlays: {', '.join(sorted(OVERLAYS))}")
         exercise("chord-eager")
     finally:
-        unregister_overlay("chord-eager")
+        del OVERLAYS["chord-eager"]
 
 
 if __name__ == "__main__":

@@ -18,9 +18,9 @@ Run with::
 
     python examples/quickstart.py
 
-The cluster runs unchanged over any overlay registered in
-``repro.dht.registry`` (pass ``protocol="can"`` / ``"kademlia"``), and any
-currency service registered in ``repro.api.services``; see
+The cluster runs unchanged over any overlay in ``repro.dht.registry``'s
+``OVERLAYS`` (pass ``protocol="can"`` / ``"kademlia"``), and any currency
+service in ``repro.api.services``'s ``SERVICES``; see
 ``examples/overlay_selection.py`` and ``examples/batched_operations.py``.
 """
 

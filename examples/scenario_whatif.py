@@ -10,9 +10,9 @@ turns the harness into a what-if machine: this example
 2. prints their per-metric tables, the ones
    ``repro experiments --only scenario-compare`` reports, and
 3. declares a brand-new scenario inline (a flash crowd hammering Zipf-hot
-   auction items during a lossy network window), registers it, records its
-   spec to a dict and replays it — demonstrating that a seeded run is
-   reproducible bit-for-bit from its serialised spec.
+   auction items during a lossy network window), adds it to the scenario
+   table, records its spec to a dict and replays it — demonstrating that a
+   seeded run is reproducible bit-for-bit from its serialised spec.
 
 Run with::
 
@@ -24,12 +24,7 @@ from __future__ import annotations
 from repro.experiments.figures import run_experiments
 from repro.experiments.runner import select_experiments
 from repro.simulation import SimulationParameters
-from repro.simulation.scenarios import (
-    ScenarioSpec,
-    register_scenario,
-    run_scenario,
-    unregister_scenario,
-)
+from repro.simulation.scenarios import SCENARIOS, ScenarioSpec, run_scenario
 
 #: One small parameter point for the custom scenario.
 PARAMETERS = dict(num_peers=90, num_keys=8, duration_s=600.0, num_queries=12,
@@ -43,8 +38,8 @@ def compare_scenarios() -> None:
         print()
 
 
-def declare_register_replay() -> None:
-    """A custom scenario: declared, registered, recorded and replayed."""
+def declare_add_replay() -> None:
+    """A custom scenario: declared, added to the table, recorded and replayed."""
     spec = ScenarioSpec(
         name="black-friday",
         description="Flash crowd on hot auction items over a lossy network.",
@@ -53,7 +48,7 @@ def declare_register_replay() -> None:
         profile={"archetype": "auction"},
         faults=({"kind": "lossy-period", "start": 0.4, "end": 0.6,
                  "latency_factor": 4.0},))
-    register_scenario(spec)
+    SCENARIOS[spec.name] = spec.validate()
     try:
         parameters = SimulationParameters(seed=41, **PARAMETERS)
         recorded = run_scenario("black-friday", parameters)
@@ -65,15 +60,15 @@ def declare_register_replay() -> None:
         print(f"spec replay reproduces the metrics bit-for-bit: "
               f"{replayed.summary() == recorded.summary()}")
     finally:
-        unregister_scenario("black-friday")
+        del SCENARIOS["black-friday"]
 
 
 def main() -> None:
-    """Run the comparison sweep, then the declare/register/replay round-trip."""
+    """Run the comparison sweep, then the declare/add/replay round-trip."""
     print("= Scenario x service x overlay comparison =")
     compare_scenarios()
     print("= Declaring, recording and replaying a custom scenario =")
-    declare_register_replay()
+    declare_add_replay()
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ The package provides:
 
 * the **unified client API** — ``Cluster.build(...)`` + ``Session`` handles,
   shared result types, per-retrieve consistency levels and the name-keyed
-  currency-service registry — in :mod:`repro.api`;
+  currency-service table — in :mod:`repro.api`;
 * a simulated DHT substrate (Chord, CAN and Kademlia overlays, replica storage, churn,
   message accounting) in :mod:`repro.dht`;
 * a discrete-event simulation engine and network cost models in
@@ -41,7 +41,7 @@ Quickstart
 
 from repro.api.cluster import Cluster, Session
 from repro.api.results import Consistency, InsertResult, RetrieveResult
-from repro.api.services import CurrencyService, register_service, service_names
+from repro.api.services import SERVICES, CurrencyService
 from repro.core import (
     BricksService,
     CounterInitialization,
@@ -55,7 +55,7 @@ from repro.execution import Executor, RunPlan
 from repro.simulation.cost import NetworkCostModel
 from repro.simulation.engine import Simulator
 
-__version__ = "9.1.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "BricksService",
@@ -74,11 +74,10 @@ __all__ = [
     "ReplicationScheme",
     "RetrieveResult",
     "RunPlan",
+    "SERVICES",
     "Session",
     "Simulator",
     "Timestamp",
     "UpdateManagementService",
     "__version__",
-    "register_service",
-    "service_names",
 ]

@@ -8,9 +8,8 @@ This package is the caller-facing surface that every layer above
   pair for every algorithm, so UMS and the BRK baseline are comparable field
   by field;
 * the :class:`CurrencyService` protocol and the name-keyed **service
-  registry** (:mod:`repro.api.services`) — ``"ums"`` and ``"brk"`` ship
-  registered, :func:`register_service` adds more, mirroring the overlay
-  registry one layer up;
+  table** ``SERVICES`` (:mod:`repro.api.services`) — ``"ums"`` and ``"brk"``
+  ship, an assignment adds more, mirroring the overlay table one layer up;
 * the :class:`Cluster` builder and origin-bound :class:`Session` context
   managers (:mod:`repro.api.cluster`) — the single construction path used by
   the apps, the simulation harness, the experiment generators, the CLI, the
@@ -44,13 +43,10 @@ __all__ = [
     "CurrencyService",
     "InsertResult",
     "RetrieveResult",
+    "SERVICES",
     "ServiceFactory",
     "Session",
     "create_service",
-    "is_service_registered",
-    "register_service",
-    "service_names",
-    "unregister_service",
 ]
 
 _EXPORTS = {
@@ -60,12 +56,9 @@ _EXPORTS = {
     "InsertResult": "repro.api.results",
     "RetrieveResult": "repro.api.results",
     "CurrencyService": "repro.api.services",
+    "SERVICES": "repro.api.services",
     "ServiceFactory": "repro.api.services",
     "create_service": "repro.api.services",
-    "is_service_registered": "repro.api.services",
-    "register_service": "repro.api.services",
-    "service_names": "repro.api.services",
-    "unregister_service": "repro.api.services",
     "Cluster": "repro.api.cluster",
     "Session": "repro.api.cluster",
 }

@@ -3,7 +3,7 @@
 ``Cluster.build`` is the one construction path of the client API: it owns the
 wiring that every caller used to hand-assemble (``DHTNetwork`` + replication
 scheme + KTS + currency service) and resolves both the overlay *and* the
-algorithm through their registries::
+algorithm through their name tables::
 
     from repro.api import Cluster, Consistency
 
@@ -47,7 +47,6 @@ from typing import (
     cast,
 )
 
-from repro.api import services as service_registry
 from repro.api.results import (
     BatchInsertResult,
     BatchRetrieveResult,
@@ -55,7 +54,8 @@ from repro.api.results import (
     InsertResult,
     RetrieveResult,
 )
-from repro.api.services import CurrencyService
+from repro.api.services import SERVICES, CurrencyService, create_service
+from repro.dht.registry import lookup
 
 if TYPE_CHECKING:
     from repro.core.kts import KeyBasedTimestampService
@@ -239,9 +239,7 @@ class Cluster:
         if probe_order not in ("random", "fixed"):
             raise ValueError(f"probe_order must be 'random' or 'fixed', "
                              f"got {probe_order!r}")
-        if not service_registry.is_service_registered(service):
-            raise ValueError(f"unknown service {service!r}; registered services: "
-                             f"{service_registry.service_names()}")
+        lookup(SERVICES, service.lower(), "service")
         if initialization is None:
             initialization = CounterInitialization.DIRECT
         options = dict(service_options or {})
@@ -282,7 +280,7 @@ class Cluster:
         key = (self.service_name if name is None else name).lower()
         instance = self._services.get(key)
         if instance is None:
-            instance = service_registry.create_service(
+            instance = create_service(
                 key, network=self.network, replication=self.replication,
                 kts=self.kts, seed=self._service_seed(key),
                 **self._service_options.get(key, {}))

@@ -1,26 +1,26 @@
-"""The :class:`CurrencyService` protocol and the name-keyed service registry.
+"""The :class:`CurrencyService` protocol and the name-keyed service table.
 
 The paper's point is that UMS turns a DHT into a *service*: currency-aware
 ``insert``/``retrieve`` over any overlay.  This module lifts the pluggable
 pattern of :mod:`repro.dht.registry` one layer up: currency algorithms are
-registered by name and resolved through one interface, so the harness, the
-CLI, the apps and the benchmarks can swap ``"ums"`` for ``"brk"`` (or a
-runtime-registered algorithm) exactly the way they already swap overlays.
+named in :data:`SERVICES` and resolved through one interface, so the harness,
+the CLI, the apps and the benchmarks can swap ``"ums"`` for ``"brk"`` (or an
+algorithm added at runtime) exactly the way they already swap overlays.
 
-Two services ship registered:
+Two services ship:
 
 * ``"ums"`` — the paper's Update Management Service (timestamps via KTS,
   certified-current retrieval, Figure 2);
 * ``"brk"`` — the BRICKS baseline (version numbers, retrieve-all, Section 5).
 
-Adding an algorithm is one call::
+Adding an algorithm is one assignment::
 
-    from repro.api import register_service
+    from repro.api import SERVICES
 
     def build_quorum(*, network, replication, kts, rng, **extra):
         return QuorumService(network, replication, rng=rng, **extra)
 
-    register_service("quorum", build_quorum)
+    SERVICES["quorum"] = build_quorum
 
 after which ``Cluster.build(..., service="quorum")``, the simulation harness
 and the conformance suite all accept the new name.  A factory is a callable
@@ -29,7 +29,7 @@ taking keyword arguments ``network``, ``replication``, ``kts`` and ``rng``
 :class:`CurrencyService`; factories are free to ignore ``kts`` when the
 algorithm does not use timestamps (BRK does).
 
-Every registered service must return the **shared** result types of
+Every service in the table must return the **shared** result types of
 :mod:`repro.api.results` and honour the :class:`~repro.api.results.Consistency`
 levels, which is what makes costs comparable across algorithms.
 """
@@ -62,16 +62,9 @@ from repro.api.results import (
     InsertResult,
     RetrieveResult,
 )
+from repro.dht.registry import lookup
 
-__all__ = [
-    "CurrencyService",
-    "ServiceFactory",
-    "create_service",
-    "is_service_registered",
-    "register_service",
-    "service_names",
-    "unregister_service",
-]
+__all__ = ["CurrencyService", "SERVICES", "ServiceFactory", "create_service"]
 
 
 @runtime_checkable
@@ -116,42 +109,6 @@ class CurrencyService(Protocol):
 #: ``kts`` and ``rng`` plus service-specific extras.
 ServiceFactory = Callable[..., CurrencyService]
 
-_FACTORIES: Dict[str, ServiceFactory] = {}
-
-
-def register_service(name: str, factory: ServiceFactory, *,
-                     replace: bool = False) -> None:
-    """Register ``factory`` under ``name`` (case-insensitive).
-
-    Raises :class:`ValueError` when the name is already taken, unless
-    ``replace=True`` is passed explicitly.
-    """
-    key = name.lower()
-    if not key:
-        raise ValueError("service name must be a non-empty string")
-    if key in _FACTORIES and not replace:
-        raise ValueError(f"service {key!r} is already registered; "
-                         "pass replace=True to override it")
-    _FACTORIES[key] = factory
-
-
-def unregister_service(name: str) -> None:
-    """Remove ``name`` from the registry (raises ``ValueError`` if absent)."""
-    key = name.lower()
-    if key not in _FACTORIES:
-        raise ValueError(f"service {key!r} is not registered")
-    del _FACTORIES[key]
-
-
-def is_service_registered(name: str) -> bool:
-    """Whether ``name`` resolves to a registered service factory."""
-    return name.lower() in _FACTORIES
-
-
-def service_names() -> Tuple[str, ...]:
-    """The registered service names, sorted."""
-    return tuple(sorted(_FACTORIES))
-
 
 def create_service(name: str, *, network: "DHTNetwork",
                    replication: "ReplicationScheme",
@@ -159,18 +116,14 @@ def create_service(name: str, *, network: "DHTNetwork",
                    seed: Optional[int] = None,
                    rng: Optional[random.Random] = None,
                    **extra: Any) -> CurrencyService:
-    """Build the currency service registered under ``name``.
+    """Build the currency service named ``name`` in :data:`SERVICES`.
 
     ``network``, ``replication`` and ``kts`` are the substrate every caller
     (:class:`~repro.api.cluster.Cluster`, the harness, tests) provides;
     ``extra`` is forwarded verbatim for service-specific options (e.g. UMS's
     ``probe_order``).
     """
-    key = name.lower()
-    factory = _FACTORIES.get(key)
-    if factory is None:
-        known = ", ".join(repr(known_name) for known_name in service_names())
-        raise ValueError(f"unknown service {key!r}; registered services: {known}")
+    factory = lookup(SERVICES, name, "service")
     if rng is None:
         rng = random.Random(seed)
     return factory(network=network, replication=replication, kts=kts, rng=rng,
@@ -209,5 +162,5 @@ def _build_brk(*, network: "DHTNetwork", replication: "ReplicationScheme",
     return BricksService(network, replication, rng=rng, **extra)
 
 
-register_service("ums", _build_ums)
-register_service("brk", _build_brk)
+#: Service name -> factory, resolved by :func:`create_service`.
+SERVICES: Dict[str, ServiceFactory] = {"ums": _build_ums, "brk": _build_brk}

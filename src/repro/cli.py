@@ -7,7 +7,7 @@ reachable as ``python -m repro``):
   (the ``uniform`` scenario: one algorithm, one parameter point) and print
   the measured response time / communication cost;
 * ``python -m repro scenario`` — the declarative scenario engine:
-  ``list`` the registered scenarios or ``run`` one (with record/replay via
+  ``list`` the scenarios or ``run`` one (with record/replay via
   ``--spec-out``/``--spec``);
 * ``python -m repro serve`` — real-service mode: host a cluster (overlay +
   stores + KTS/UMS handlers) behind the :mod:`repro.net` asyncio transport,
@@ -15,9 +15,10 @@ reachable as ``python -m repro``):
 * ``python -m repro experiments`` — regenerate the paper's tables and
   figures, the ablations, the byzantine attack grid and the scenario
   comparison (the flags and the run are :mod:`repro.experiments.runner`'s);
-* ``python -m repro registry`` — list what is pluggable: the DHT
-  overlays of :mod:`repro.dht.registry`, the currency services of
-  :mod:`repro.api.services` and the scenarios of
+* ``python -m repro registry`` — list the name tables: the DHT overlays
+  of :mod:`repro.dht.registry`, the currency services of
+  :mod:`repro.api.services`, the consistency levels of
+  :mod:`repro.api.results` and the scenarios of
   :mod:`repro.simulation.scenarios.registry`.
 
 Each sub-command's parser names its handler (``set_defaults(handler=...)``);
@@ -53,16 +54,11 @@ import sys
 from typing import List, Optional
 
 from repro.api.results import Consistency
-from repro.api.services import service_names
-from repro.dht.registry import overlay_names
+from repro.api.services import SERVICES
+from repro.dht.registry import OVERLAYS
 from repro.experiments import runner as experiments_runner
 from repro.simulation.config import Algorithm, SimulationParameters, table1_churn_rate
-from repro.simulation.scenarios import (
-    ScenarioSpec,
-    get_scenario,
-    run_scenario,
-    scenario_names,
-)
+from repro.simulation.scenarios import SCENARIOS, ScenarioSpec, run_scenario
 from repro.simulation.scenarios.registry import UNIFORM_SCENARIO
 
 __all__ = ["build_parser", "main", "registry_command",
@@ -104,10 +100,10 @@ def _add_single_run_arguments(command: argparse.ArgumentParser) -> None:
     command.add_argument("--algorithm", choices=Algorithm.ALL, default=None,
                          help="currency algorithm (default: ums-direct, unless "
                               "the scenario overrides it)")
-    command.add_argument("--protocol", choices=overlay_names(), default=None,
-                         help="DHT overlay, any overlay registered in "
-                              "repro.dht.registry (default: chord, unless the "
-                              "scenario overrides it)")
+    command.add_argument("--protocol", choices=sorted(OVERLAYS), default=None,
+                         help="DHT overlay, any name in repro.dht.registry's "
+                              "OVERLAYS (default: chord, unless the scenario "
+                              "overrides it)")
     command.add_argument("--json", action="store_true", help="print a JSON summary")
 
 
@@ -137,13 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
                                                   required=True)
 
     scenario_subparsers.add_parser(
-        "list", help="list the registered scenarios with their descriptions"
+        "list", help="list the scenarios with their descriptions"
     ).set_defaults(handler=scenario_list_command)
 
     run = scenario_subparsers.add_parser(
         "run", help="run one scenario and report its metrics")
-    run.add_argument("--scenario", choices=scenario_names(), default=None,
-                     help="registered scenario name")
+    run.add_argument("--scenario", choices=sorted(SCENARIOS), default=None,
+                     help="scenario name (see 'repro scenario list')")
     run.add_argument("--spec", default=None, metavar="FILE",
                      help="replay a run spec recorded with --spec-out "
                           "(mutually exclusive with --scenario and the "
@@ -173,10 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-tcp", action="store_true",
                        help="do not open a TCP listener (requires --uds)")
     serve.add_argument("--peers", type=int, default=64, help="cluster size")
-    serve.add_argument("--protocol", choices=overlay_names(), default="chord")
-    serve.add_argument("--service", default="ums",
-                       help="primary currency service "
-                            f"(registered: {', '.join(service_names())})")
+    serve.add_argument("--protocol", choices=sorted(OVERLAYS), default="chord")
+    serve.add_argument("--service", choices=sorted(SERVICES), default="ums",
+                       help="primary currency service")
     serve.add_argument("--replicas", type=int, default=10, help="|Hr|")
     serve.add_argument("--seed", type=int, default=2007)
     serve.add_argument("--max-inflight", type=int, default=32,
@@ -186,18 +181,22 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(handler=serve_command)
 
     subparsers.add_parser(
-        "registry", help="list the registered DHT overlays and currency services"
+        "registry", help="list the name tables: DHT overlays, currency "
+                         "services, consistency levels and scenarios"
     ).set_defaults(handler=registry_command)
     return parser
 
 
 def registry_command(arguments: argparse.Namespace, *, stream=None) -> int:
-    """Run the ``registry`` sub-command: one line per registry."""
+    """Run the ``registry`` sub-command: one line per name table."""
     stream = stream if stream is not None else sys.stdout
-    stream.write(f"overlays (repro.dht.registry) : {', '.join(overlay_names())}\n")
-    stream.write(f"services (repro.api.services) : {', '.join(service_names())}\n")
-    stream.write(f"consistency levels            : {', '.join(Consistency.ALL)}\n")
-    stream.write(f"scenarios (repro scenario)    : {', '.join(scenario_names())}\n")
+    tables = {"overlays (repro.dht.registry)": sorted(OVERLAYS),
+              "services (repro.api.services)": sorted(SERVICES),
+              "consistency levels (repro.api.results)": Consistency.ALL,
+              "scenarios (repro.simulation.scenarios.registry)": sorted(SCENARIOS)}
+    width = max(len(label) for label in tables)
+    for label, names in tables.items():
+        stream.write(f"{label.ljust(width)} : {', '.join(names)}\n")
     return 0
 
 
@@ -335,11 +334,11 @@ def simulate_command(arguments: argparse.Namespace, *, stream=None) -> int:
 
 
 def scenario_list_command(arguments: argparse.Namespace, *, stream=None) -> int:
-    """Run ``scenario list``: every registered scenario with its description."""
+    """Run ``scenario list``: every scenario with its description."""
     stream = stream if stream is not None else sys.stdout
-    width = max(len(name) for name in scenario_names())
-    for name in scenario_names():
-        stream.write(f"{name.ljust(width)}  {get_scenario(name).description}\n")
+    width = max(len(name) for name in SCENARIOS)
+    for name in sorted(SCENARIOS):
+        stream.write(f"{name.ljust(width)}  {SCENARIOS[name].description}\n")
     return 0
 
 
@@ -362,7 +361,7 @@ def scenario_run_command(arguments: argparse.Namespace, *, stream=None) -> int:
         parameters = SimulationParameters(**payload["parameters"])
     else:
         spec, parameters = _resolve_scenario_run(
-            get_scenario(arguments.scenario or UNIFORM_SCENARIO.name),
+            SCENARIOS[arguments.scenario or UNIFORM_SCENARIO.name],
             _SCENARIO_RUN_DEFAULTS, explicit, arguments.seed)
     if arguments.spec_out is not None:
         record = {"scenario": spec.to_dict(), "parameters": parameters.describe()}

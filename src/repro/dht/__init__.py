@@ -9,9 +9,9 @@ The public surface of this sub-package:
 * :class:`repro.dht.chord.ChordRing`, :class:`repro.dht.can.CanSpace` and
   :class:`repro.dht.kademlia.KademliaOverlay` — overlay protocols
   implementing :class:`repro.dht.model.DHTProtocol`, one class per overlay.
-* :mod:`repro.dht.registry` — the pluggable overlay registry that resolves
-  ``protocol`` names (``"chord"``, ``"can"``, ``"kademlia"``, plus any
-  overlay registered at runtime) to factories.
+* :mod:`repro.dht.registry` — the :data:`~repro.dht.registry.OVERLAYS`
+  table that resolves ``protocol`` names (``"chord"``, ``"can"``,
+  ``"kademlia"``, plus any overlay added at runtime) to factories.
 * :class:`repro.dht.network.DHTNetwork` — a network of peers running one of
   the overlays, exposing the paper's ``put_h`` / ``get_h`` / lookup operations
   with message accounting and churn (join / leave / fail) with data handover.
@@ -34,13 +34,7 @@ from repro.dht.storage import LocalStore, StoredValue
 from repro.dht.chord import ChordRing
 from repro.dht.can import CanSpace
 from repro.dht.kademlia import KademliaOverlay
-from repro.dht.registry import (
-    create_overlay,
-    is_registered,
-    overlay_names,
-    register_overlay,
-    unregister_overlay,
-)
+from repro.dht.registry import OVERLAYS, create_overlay
 from repro.dht.network import DHTNetwork, NetworkObserver, PeerState
 
 __all__ = [
@@ -59,6 +53,7 @@ __all__ = [
     "MessageSizes",
     "NetworkObserver",
     "NoSuchPeerError",
+    "OVERLAYS",
     "OperationTrace",
     "PairwiseIndependentHash",
     "PeerState",
@@ -66,9 +61,5 @@ __all__ = [
     "RouteResult",
     "StoredValue",
     "create_overlay",
-    "is_registered",
     "key_digest",
-    "overlay_names",
-    "register_overlay",
-    "unregister_overlay",
 ]

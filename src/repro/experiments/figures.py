@@ -37,13 +37,13 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.results import Consistency
 from repro.core import analysis
-from repro.dht.registry import overlay_names
+from repro.dht.registry import OVERLAYS
 from repro.execution import Executor, RunPlan, RunPoint
 from repro.experiments.reporting import ExperimentTable
 from repro.simulation.adversary import byzantine_scenario_spec
 from repro.simulation.config import Algorithm, SimulationParameters, table1_churn_rate
 from repro.simulation.results import RunResult
-from repro.simulation.scenarios import ScenarioSpec, get_scenario
+from repro.simulation.scenarios import SCENARIOS, ScenarioSpec
 from repro.simulation.scenarios.registry import UNIFORM_SCENARIO
 
 __all__ = [
@@ -301,7 +301,7 @@ def _comparison(attribute: str, title: str) -> Experiment:
     return Experiment(
         f"scenario-compare-{attribute.replace('_', '-')}", title, "scenario", "scenario",
         lambda profile: ("uniform", "hotspot", "correlated-failures", "lossy-network"),
-        _services(attribute), to_field=get_scenario, workload="compare_workload")
+        _services(attribute), to_field=SCENARIOS.__getitem__, workload="compare_workload")
 
 
 _RESPONSE_TIME = ("response time (s)", "avg_response_time_s")
@@ -370,7 +370,7 @@ EXPERIMENTS: Dict[str, Experiment] = {experiment.id: experiment for experiment i
         fixed={"protocol": "chord", "failure_rate": 0.5}),
     Experiment(
         "ablation-overlay", "Overlay ablation ({values})", "overlay",
-        "protocol", lambda profile: overlay_names(),
+        "protocol", lambda profile: sorted(OVERLAYS),
         _columns(_RESPONSE_TIME, _MESSAGES, ("currency rate", "currency_rate")),
         notes="UMS-Direct over {num_peers} peers; the routing cost differs "
               "(O(log n) for Chord/Kademlia, O(n^1/d) for CAN) but the currency "

@@ -23,7 +23,7 @@ import sys
 import time
 from typing import List, Optional, Sequence, TextIO
 
-from repro.dht.registry import overlay_names
+from repro.dht.registry import OVERLAYS
 from repro.execution import Executor
 from repro.experiments import figures
 from repro.experiments.reporting import ExperimentTable
@@ -142,7 +142,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2007, help="master random seed")
     parser.add_argument("--output", default=None,
                         help="write the Markdown report to this file (default: stdout)")
-    parser.add_argument("--protocol", choices=overlay_names(), default="chord",
+    parser.add_argument("--protocol", choices=sorted(OVERLAYS), default="chord",
                         help="DHT overlay for every experiment except the "
                              "stabilisation ablation (Chord-specific) and those "
                              "that choose their overlays (the overlay ablation, "

@@ -28,14 +28,7 @@ from repro.simulation.metrics import TimeSeries
 from repro.simulation.processes import PoissonProcess, poisson_arrival_times
 from repro.simulation.harness import SimulationHarness, run_simulation
 from repro.simulation.results import QueryObservation, RunResult
-from repro.simulation.scenarios import (
-    Scenario,
-    ScenarioSpec,
-    get_scenario,
-    register_scenario,
-    run_scenario,
-    scenario_names,
-)
+from repro.simulation.scenarios import SCENARIOS, Scenario, ScenarioSpec, run_scenario
 from repro.simulation.workload import ScheduledEvent, payload_for
 
 __all__ = [
@@ -49,6 +42,7 @@ __all__ = [
     "Process",
     "QueryObservation",
     "RunResult",
+    "SCENARIOS",
     "Scenario",
     "ScenarioSpec",
     "ScheduledEvent",
@@ -58,10 +52,7 @@ __all__ = [
     "Simulator",
     "TimeSeries",
     "Timeout",
-    "get_scenario",
     "payload_for",
-    "register_scenario",
     "run_scenario",
     "run_simulation",
-    "scenario_names",
 ]

@@ -8,7 +8,7 @@ responsible of timestamping that *answers* ``last_ts`` with a stale or
 fabricated value, or an adversary that captures the overlay neighbourhood
 around a key so every timestamp request lands on a colluding peer.
 
-Two fault profiles (registered in
+Two fault profiles (entries of
 :data:`repro.simulation.scenarios.faults.FAULT_PROFILES` like the
 crash-stop ones) implement that regime:
 
@@ -32,7 +32,8 @@ honest twin (pinned by ``tests/adversary/test_honest_parity.py``).  Lies
 target the *retrieval* side (``last_ts``) because that is where the paper's
 currency guarantee lives; ``gen_ts`` stays honest.
 
-Three adversarial scenarios register alongside the honest eleven:
+Three adversarial scenarios join the honest eleven in
+:data:`~repro.simulation.scenarios.registry.SCENARIOS`:
 ``byzantine-timestamps``, ``eclipse`` and ``geo-latency`` (the latter pins
 the per-region RTT cost model of
 :class:`repro.simulation.cost.GeoLatencyCostModel` as a scenario override).
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.simulation.scenarios.faults import FAULT_PROFILES, FaultProfile
-from repro.simulation.scenarios.registry import register_scenario
+from repro.simulation.scenarios.registry import SCENARIOS
 from repro.simulation.scenarios.spec import ScenarioSpec
 
 __all__ = [
@@ -370,8 +371,9 @@ def byzantine_scenario_spec(fraction: float, *,
 FAULT_PROFILES[ByzantineTimestamps.kind] = ByzantineTimestamps
 FAULT_PROFILES[EclipseAttack.kind] = EclipseAttack
 
-#: The adversarial scenarios shipped by this module (registered below).
-_ADVERSARIAL_SCENARIOS = (
+# The adversarial scenarios shipped by this module, validated like the
+# honest ones.
+SCENARIOS.update((spec.name, spec.validate()) for spec in (
     ScenarioSpec(
         name="byzantine-timestamps",
         description="10% of the peers serve stale-replay last_ts lies from "
@@ -389,8 +391,4 @@ _ADVERSARIAL_SCENARIOS = (
         description="Baseline workload priced by the 3-region geo RTT "
                     "matrix instead of the uniform Table 1 WAN.",
         overrides={"cost_model_preset": "geo", "geo_regions": 3}),
-)
-
-for _spec in _ADVERSARIAL_SCENARIOS:
-    register_scenario(_spec)
-del _spec
+))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.api.results import Consistency
-from repro.dht.registry import is_registered, overlay_names
+from repro.dht.registry import OVERLAYS, lookup
 from repro.simulation.cost import GeoLatencyCostModel, NetworkCostModel
 
 __all__ = ["Algorithm", "SimulationParameters", "table1_churn_rate"]
@@ -164,9 +164,7 @@ class SimulationParameters:
     def __post_init__(self) -> None:
         Algorithm.validate(self.algorithm)
         Consistency.validate(self.consistency)
-        if not is_registered(self.protocol):
-            raise ValueError(f"unknown protocol {self.protocol!r}; registered "
-                             f"overlays: {overlay_names()}")
+        lookup(OVERLAYS, self.protocol, "protocol")
         if self.num_peers < 2:
             raise ValueError("num_peers must be >= 2")
         if self.num_replicas < 1:

@@ -21,7 +21,7 @@ named, dict-serialisable composition of four orthogonal components:
   layered on top of the background churn (correlated failure bursts,
   regional partitions of the identifier space, lossy network windows).
 
-Scenarios are registered by name exactly like overlays
+Scenarios are named in the :data:`SCENARIOS` table exactly like overlays
 (:mod:`repro.dht.registry`) and currency services (:mod:`repro.api.services`)
 — see :mod:`~repro.simulation.scenarios.registry` — and run through
 :func:`~repro.simulation.scenarios.engine.run_scenario`, which drives the
@@ -63,18 +63,12 @@ from repro.simulation.scenarios.profiles import (
     WorkloadProfile,
     build_profile,
 )
-from repro.simulation.scenarios.registry import (
-    get_scenario,
-    is_scenario_registered,
-    register_scenario,
-    scenario_names,
-    unregister_scenario,
-)
+from repro.simulation.scenarios.registry import SCENARIOS
 from repro.simulation.scenarios.spec import ScenarioSpec
 
-# Imported last: registers the byzantine fault profiles and the adversarial
-# scenarios (byzantine-timestamps, eclipse, geo-latency) into the same
-# registries the imports above populated.
+# Imported last: adds the byzantine fault profiles and the adversarial
+# scenarios (byzantine-timestamps, eclipse, geo-latency) to the same
+# tables the imports above filled.
 from repro.simulation.adversary import (
     ByzantineTimestamps,
     EclipseAttack,
@@ -95,6 +89,7 @@ __all__ = [
     "LossyPeriod",
     "PoissonArrivals",
     "RegionalPartition",
+    "SCENARIOS",
     "Scenario",
     "ScenarioSpec",
     "ShiftingHotspotPopularity",
@@ -108,10 +103,5 @@ __all__ = [
     "build_popularity",
     "eclipse_capture_set",
     "build_profile",
-    "get_scenario",
-    "is_scenario_registered",
-    "register_scenario",
     "run_scenario",
-    "scenario_names",
-    "unregister_scenario",
 ]

@@ -26,6 +26,7 @@ from bisect import bisect_right
 from math import pi, sin
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Type
 
+from repro.dht.registry import lookup
 from repro.simulation.processes import poisson_arrival_times
 
 __all__ = [
@@ -225,8 +226,4 @@ def build_arrivals(config: Mapping[str, Any]) -> ArrivalModel:
     """
     options = dict(config)
     name = options.pop("model", "uniform")
-    model_cls = ARRIVAL_MODELS.get(name)
-    if model_cls is None:
-        known = ", ".join(sorted(ARRIVAL_MODELS))
-        raise ValueError(f"unknown arrival model {name!r}; known models: {known}")
-    return model_cls(**options)
+    return lookup(ARRIVAL_MODELS, name, "arrival model")(**options)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.dht.registry import lookup
 from repro.simulation.processes import poisson_arrival_times
 from repro.simulation.config import SimulationParameters
 from repro.simulation.results import RunResult
@@ -119,18 +120,18 @@ def run_scenario(scenario: Union[str, ScenarioSpec, Scenario],
                  **overrides) -> RunResult:
     """Run one scenario and return its :class:`RunResult`.
 
-    ``scenario`` is a registered name, a :class:`ScenarioSpec` or a built
+    ``scenario`` is a name in ``SCENARIOS``, a :class:`ScenarioSpec` or a built
     :class:`Scenario`.  ``parameters`` defaults to the Table 1 configuration;
     the spec's ``overrides`` are applied on top of it, and keyword
     ``overrides`` (e.g. ``protocol="kademlia"``, ``seed=7``) win over both.
     """
-    # Imported here: the registry registers (and validates) specs at import
-    # time, which builds Scenario objects from this module.
+    # Imported here: the registry validates its specs at import time, which
+    # builds Scenario objects from this module.
     from repro.simulation.harness import SimulationHarness
-    from repro.simulation.scenarios.registry import get_scenario
+    from repro.simulation.scenarios.registry import SCENARIOS
 
     if isinstance(scenario, str):
-        scenario = Scenario(get_scenario(scenario))
+        scenario = Scenario(lookup(SCENARIOS, scenario, "scenario"))
     elif isinstance(scenario, ScenarioSpec):
         scenario = Scenario(scenario)
     base = parameters if parameters is not None else SimulationParameters()

@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Type
 
+from repro.dht.registry import lookup
+
 __all__ = [
     "CorrelatedFailureBurst",
     "FaultProfile",
@@ -296,8 +298,4 @@ def build_fault(config: Mapping[str, Any]) -> FaultProfile:
     """
     options = dict(config)
     name = options.pop("kind", None)
-    profile_cls = FAULT_PROFILES.get(name)
-    if profile_cls is None:
-        known = ", ".join(sorted(FAULT_PROFILES))
-        raise ValueError(f"unknown fault kind {name!r}; known kinds: {known}")
-    return profile_cls(**options)
+    return lookup(FAULT_PROFILES, name, "fault kind")(**options)

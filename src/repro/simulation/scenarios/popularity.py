@@ -25,6 +25,8 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Type
 
+from repro.dht.registry import lookup
+
 __all__ = [
     "KeyPopularityModel",
     "ShiftingHotspotPopularity",
@@ -170,8 +172,4 @@ def build_popularity(config: Mapping[str, Any]) -> KeyPopularityModel:
     """
     options = dict(config)
     name = options.pop("model", "uniform")
-    model_cls = POPULARITY_MODELS.get(name)
-    if model_cls is None:
-        known = ", ".join(sorted(POPULARITY_MODELS))
-        raise ValueError(f"unknown popularity model {name!r}; known models: {known}")
-    return model_cls(**options)
+    return lookup(POPULARITY_MODELS, name, "popularity model")(**options)

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping
 
+from repro.dht.registry import lookup
+
 __all__ = ["ARCHETYPES", "WorkloadProfile", "build_profile"]
 
 
@@ -90,9 +92,6 @@ def build_profile(config: Mapping[str, Any]) -> WorkloadProfile:
     options = dict(config)
     archetype = options.pop("archetype", None)
     if archetype is not None:
-        base = ARCHETYPES.get(archetype)
-        if base is None:
-            known = ", ".join(sorted(ARCHETYPES))
-            raise ValueError(f"unknown archetype {archetype!r}; known: {known}")
+        base = lookup(ARCHETYPES, archetype, "archetype")
         return replace(base, **options) if options else base
     return WorkloadProfile(**options)

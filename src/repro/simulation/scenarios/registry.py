@@ -1,79 +1,28 @@
-"""The name-keyed scenario registry, and the shipped scenario library.
+"""The name-keyed scenario table, and the shipped scenario library.
 
-Scenarios are registered by name exactly like overlays
-(:mod:`repro.dht.registry`) and currency services
-(:mod:`repro.api.services`): ``register_scenario`` makes a
-:class:`~repro.simulation.scenarios.spec.ScenarioSpec` reachable from the
-harness, the CLI (``repro scenario run/compare``), the benchmarks and the
-tests, all through the one name string.  Registering validates the spec by
-building every component once, so a bad declaration fails at registration
-time, not mid-experiment.
+:data:`SCENARIOS` maps names to
+:class:`~repro.simulation.scenarios.spec.ScenarioSpec` objects exactly like
+:data:`~repro.dht.registry.OVERLAYS` and
+:data:`~repro.api.services.SERVICES` map names to factories: the harness, the
+CLI (``repro scenario run``), the benchmarks and the tests all reach a
+scenario through its name.  The shipped specs are validated (every component
+built once) when this module loads, so a bad declaration fails at import, not
+mid-experiment; a spec added at runtime is validated when it first runs.
 
-Eleven scenarios ship (see ``repro scenario list`` or the "Scenario gallery"
-in EXPERIMENTS.md): the paper's baseline workload, skewed and shifting
-hotspots, flash-crowd and diurnal arrival shapes, the three application
-archetypes, and three correlated-fault regimes.
+Eleven scenarios ship here (see ``repro scenario list`` or the "Scenario
+gallery" in EXPERIMENTS.md): the paper's baseline workload, skewed and
+shifting hotspots, flash-crowd and diurnal arrival shapes, the three
+application archetypes, and three correlated-fault regimes.
+:mod:`repro.simulation.adversary` adds three adversarial ones.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.simulation.scenarios.spec import ScenarioSpec
 
-__all__ = [
-    "UNIFORM_SCENARIO",
-    "get_scenario",
-    "is_scenario_registered",
-    "register_scenario",
-    "scenario_names",
-    "unregister_scenario",
-]
-
-_SCENARIOS: Dict[str, ScenarioSpec] = {}
-
-
-def register_scenario(spec: ScenarioSpec, *, replace: bool = False) -> None:
-    """Register ``spec`` under its name (case-insensitive).
-
-    The spec is validated (every component is built once) before it becomes
-    visible.  Raises :class:`ValueError` when the name is already taken,
-    unless ``replace=True`` is passed explicitly.
-    """
-    key = spec.name.lower()
-    if key in _SCENARIOS and not replace:
-        raise ValueError(f"scenario {key!r} is already registered; "
-                         "pass replace=True to override it")
-    spec.validate()
-    _SCENARIOS[key] = spec
-
-
-def unregister_scenario(name: str) -> None:
-    """Remove ``name`` from the registry (raises ``ValueError`` if absent)."""
-    key = name.lower()
-    if key not in _SCENARIOS:
-        raise ValueError(f"scenario {key!r} is not registered")
-    del _SCENARIOS[key]
-
-
-def is_scenario_registered(name: str) -> bool:
-    """Whether ``name`` resolves to a registered scenario."""
-    return name.lower() in _SCENARIOS
-
-
-def scenario_names() -> Tuple[str, ...]:
-    """The registered scenario names, sorted."""
-    return tuple(sorted(_SCENARIOS))
-
-
-def get_scenario(name: str) -> ScenarioSpec:
-    """The spec registered under ``name``."""
-    spec = _SCENARIOS.get(name.lower())
-    if spec is None:
-        known = ", ".join(repr(known_name) for known_name in scenario_names())
-        raise ValueError(f"unknown scenario {name.lower()!r}; "
-                         f"registered scenarios: {known}")
-    return spec
+__all__ = ["SCENARIOS", "UNIFORM_SCENARIO"]
 
 
 # ------------------------------------------------------- shipped scenarios
@@ -83,7 +32,9 @@ UNIFORM_SCENARIO = ScenarioSpec(
     description="The paper's Table 1 workload: uniform keys, uniform "
                 "query times, Poisson updates (the control scenario).")
 
-_BUILTIN_SCENARIOS = (
+#: Scenario name -> spec, the table every scenario name resolves through.
+#: Each shipped spec is validated as it goes in.
+SCENARIOS: Dict[str, ScenarioSpec] = {spec.name: spec.validate() for spec in (
     UNIFORM_SCENARIO,
     ScenarioSpec(
         name="hotspot",
@@ -142,8 +93,4 @@ _BUILTIN_SCENARIOS = (
                     "bandwidth between 25% and 75% of the run.",
         faults=({"kind": "lossy-period", "start": 0.25, "end": 0.75,
                  "latency_factor": 5.0, "bandwidth_factor": 0.25},)),
-)
-
-for _spec in _BUILTIN_SCENARIOS:
-    register_scenario(_spec)
-del _spec
+)}

@@ -14,7 +14,7 @@ from repro.simulation.adversary import (
     TimestampLiar,
     byzantine_scenario_spec,
 )
-from repro.simulation.scenarios import ScenarioSpec, build_fault, scenario_names
+from repro.simulation.scenarios import SCENARIOS, ScenarioSpec, build_fault
 from repro.simulation.scenarios.faults import FAULT_PROFILES
 
 
@@ -106,7 +106,7 @@ class TestRegistration:
         assert rebuilt == profile
 
     def test_adversarial_scenarios_registered(self):
-        names = scenario_names()
+        names = sorted(SCENARIOS)
         for name in ("byzantine-timestamps", "eclipse", "geo-latency"):
             assert name in names
 

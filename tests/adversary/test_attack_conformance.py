@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.api.cluster import Cluster
-from repro.dht.registry import overlay_names
+from repro.dht.registry import OVERLAYS
 from repro.simulation import SimulationParameters
 from repro.simulation.adversary import (
     CAPTURE_MODES,
@@ -41,7 +41,7 @@ EXPECTED_MODES = {
 def test_suite_covers_every_registered_overlay():
     # A newly registered overlay must be given a capture-set construction
     # (or the eclipse auto mode will refuse it) and added here.
-    assert set(BUILTIN_OVERLAYS) == set(overlay_names())
+    assert set(BUILTIN_OVERLAYS) == set(OVERLAYS)
     assert set(EXPECTED_MODES) == set(BUILTIN_OVERLAYS)
     assert set(EXPECTED_MODES.values()) == set(CAPTURE_MODES)
 

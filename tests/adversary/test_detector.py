@@ -19,7 +19,7 @@ from repro.core.detector import CrossCheckDetector
 from repro.simulation import SimulationParameters
 from repro.simulation.adversary import byzantine_scenario_spec
 from repro.simulation.results import QueryObservation, RunResult
-from repro.simulation.scenarios import run_scenario, scenario_names
+from repro.simulation.scenarios import SCENARIOS, run_scenario
 
 BUILTIN_OVERLAYS = ("chord", "can", "kademlia")
 
@@ -116,7 +116,7 @@ class TestRunResultAdversarialMetrics:
 
 class TestHonestRunsHaveZeroFalsePositives:
     @pytest.mark.parametrize("scenario", sorted(
-        set(scenario_names()) - set(ADVERSARIAL_SCENARIOS)))
+        set(SCENARIOS) - set(ADVERSARIAL_SCENARIOS)))
     def test_full_registry_is_clean(self, scenario):
         parameters = SimulationParameters.quick(
             seed=2007, num_peers=80, num_keys=6, num_queries=20,

@@ -118,9 +118,9 @@ class TestClusterBuild:
         assert cluster.service("brk").network is cluster.service("ums").network
 
     def test_every_overlay_builds(self):
-        from repro.dht.registry import overlay_names
+        from repro.dht.registry import OVERLAYS
 
-        for protocol in overlay_names():
+        for protocol in sorted(OVERLAYS):
             cluster = Cluster.build(peers=12, replicas=3, protocol=protocol,
                                     seed=7)
             with cluster.session() as session:

@@ -16,8 +16,8 @@ import pytest
 from repro.api import Cluster, Consistency
 from repro.api.results import BatchInsertResult, BatchRetrieveResult
 from repro.api.results import InsertResult, RetrieveResult
-from repro.api.services import CurrencyService, service_names
-from repro.dht.registry import overlay_names
+from repro.api.services import CurrencyService, SERVICES
+from repro.dht.registry import OVERLAYS
 
 BUILTIN_SERVICES = ("ums", "brk")
 BUILTIN_OVERLAYS = ("chord", "can", "kademlia")
@@ -25,8 +25,8 @@ BUILTIN_OVERLAYS = ("chord", "can", "kademlia")
 
 def test_suite_covers_every_registered_service_and_overlay():
     # If a new service/overlay is registered, add it to the matrix below.
-    assert set(BUILTIN_SERVICES) == set(service_names())
-    assert set(BUILTIN_OVERLAYS) == set(overlay_names())
+    assert set(BUILTIN_SERVICES) == set(SERVICES)
+    assert set(BUILTIN_OVERLAYS) == set(OVERLAYS)
 
 
 @pytest.fixture(params=[(service, overlay)

@@ -1,30 +1,18 @@
-"""Tests of the currency-service registry (repro.api.services)."""
+"""Tests of the currency-service table (repro.api.services)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.api import Cluster
-from repro.api.services import (
-    CurrencyService,
-    create_service,
-    is_service_registered,
-    register_service,
-    service_names,
-    unregister_service,
-)
+from repro.api.services import CurrencyService, SERVICES, create_service
 from repro.core.baseline import BricksService
 from repro.core.ums import UpdateManagementService
 
 
 class TestBuiltinRegistrations:
     def test_ums_and_brk_ship_registered(self):
-        assert set(service_names()) >= {"ums", "brk"}
-
-    def test_is_service_registered_is_case_insensitive(self):
-        assert is_service_registered("UMS")
-        assert is_service_registered("Brk")
-        assert not is_service_registered("paxos")
+        assert set(SERVICES) >= {"ums", "brk"}
 
     def test_create_service_builds_the_right_types(self, small_stack):
         ums = create_service("ums", network=small_stack.network,
@@ -55,23 +43,21 @@ class TestRuntimeRegistration:
         def build_alias(*, network, replication, kts, rng, **extra):
             return UpdateManagementService(network, kts, replication, rng=rng)
 
-        register_service("ums-alias", build_alias)
+        SERVICES["ums-alias"] = build_alias
         try:
-            assert "ums-alias" in service_names()
             service = create_service("ums-alias", network=small_stack.network,
                                      replication=small_stack.replication,
                                      kts=small_stack.kts, seed=5)
             service.insert("k", "v")
             assert service.retrieve("k").data == "v"
         finally:
-            unregister_service("ums-alias")
-        assert not is_service_registered("ums-alias")
+            del SERVICES["ums-alias"]
 
     def test_registered_service_resolves_through_cluster_build(self):
         def build_alias(*, network, replication, kts, rng, **extra):
             return UpdateManagementService(network, kts, replication, rng=rng)
 
-        register_service("ums-alias", build_alias)
+        SERVICES["ums-alias"] = build_alias
         try:
             cluster = Cluster.build(peers=24, replicas=4, service="ums-alias",
                                     seed=9)
@@ -79,26 +65,7 @@ class TestRuntimeRegistration:
                 session.insert("k", "v")
                 assert session.retrieve("k").is_current
         finally:
-            unregister_service("ums-alias")
-
-    def test_duplicate_registration_is_rejected_without_replace(self):
-        def factory(**kwargs):  # pragma: no cover - never built
-            raise AssertionError
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_service("ums", factory)
-        # replace=True is the explicit escape hatch; restore the original after.
-        from repro.api.services import _build_ums
-
-        register_service("ums", _build_ums, replace=True)
-
-    def test_empty_name_is_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            register_service("", lambda **kwargs: None)
-
-    def test_unregistering_an_unknown_name_fails(self):
-        with pytest.raises(ValueError, match="not registered"):
-            unregister_service("paxos")
+            del SERVICES["ums-alias"]
 
 
 class TestSharedStack:

@@ -32,7 +32,7 @@ import pytest
 from repro.api import Cluster
 from repro.dht.hashing import HashFamily
 from repro.dht.network import DHTNetwork
-from repro.dht.registry import create_overlay, overlay_names
+from repro.dht.registry import OVERLAYS, create_overlay
 
 BUILTIN_OVERLAYS = ("chord", "can", "kademlia")
 WIDTHS = (32, 64, 160)
@@ -40,7 +40,7 @@ WIDTHS = (32, 64, 160)
 
 def test_suite_covers_every_registered_overlay():
     # If a new overlay is registered, add it to the parameterisation below.
-    assert set(BUILTIN_OVERLAYS) == set(overlay_names())
+    assert set(BUILTIN_OVERLAYS) == set(OVERLAYS)
 
 
 @pytest.fixture(params=BUILTIN_OVERLAYS)

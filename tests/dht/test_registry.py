@@ -1,25 +1,65 @@
-"""Tests for the pluggable overlay registry."""
+"""Tests for the overlay table and the one lookup of every name table."""
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
+from repro.api.services import SERVICES, create_service
 from repro.dht import registry
 from repro.dht.can import CanSpace
 from repro.dht.chord import ChordRing
 from repro.dht.kademlia import KademliaOverlay
 from repro.dht.network import DHTNetwork
 from repro.simulation.config import SimulationParameters
+from repro.simulation.scenarios import (
+    ARCHETYPES,
+    SCENARIOS,
+    build_arrivals,
+    build_fault,
+    build_popularity,
+    build_profile,
+    run_scenario,
+)
+from repro.simulation.scenarios.arrivals import ARRIVAL_MODELS
+from repro.simulation.scenarios.faults import FAULT_PROFILES
+from repro.simulation.scenarios.popularity import POPULARITY_MODELS
+
+#: Every name table: (table, the word its error uses, its public resolver).
+NAME_TABLES = {
+    "overlays": (registry.OVERLAYS, "protocol", registry.create_overlay),
+    "services": (SERVICES, "service",
+                 lambda name: create_service(name, network=None, replication=None)),
+    "scenarios": (SCENARIOS, "scenario", run_scenario),
+    "popularity": (POPULARITY_MODELS, "popularity model",
+                   lambda name: build_popularity({"model": name})),
+    "arrivals": (ARRIVAL_MODELS, "arrival model",
+                 lambda name: build_arrivals({"model": name})),
+    "faults": (FAULT_PROFILES, "fault kind", lambda name: build_fault({"kind": name})),
+    "archetypes": (ARCHETYPES, "archetype",
+                   lambda name: build_profile({"archetype": name})),
+}
+
+
+@pytest.mark.parametrize("table_name", sorted(NAME_TABLES))
+@pytest.mark.parametrize("shape", ["unknown", "other-case"])
+def test_an_unknown_name_is_named_and_every_known_name_listed(table_name, shape):
+    table, what, resolve = NAME_TABLES[table_name]
+    # Names match exactly: a known name in another case is unknown too.
+    name = "black-friday" if shape == "unknown" else min(table).upper()
+    with pytest.raises(ValueError) as raised:
+        resolve(name)
+    message = str(raised.value)
+    assert message.startswith(f"unknown {what} {name!r}; known: ")
+    listed = re.findall(r"'([^']*)'", message.split("; known: ", 1)[1])
+    assert listed == sorted(table)
 
 
 class TestBuiltins:
     def test_builtin_overlays_are_registered(self):
-        assert {"chord", "can", "kademlia"} <= set(registry.overlay_names())
-
-    def test_names_are_sorted(self):
-        assert list(registry.overlay_names()) == sorted(registry.overlay_names())
+        assert {"chord", "can", "kademlia"} <= set(registry.OVERLAYS)
 
     @pytest.mark.parametrize("name, expected_type", [
         ("chord", ChordRing),
@@ -31,11 +71,6 @@ class TestBuiltins:
         assert isinstance(overlay, expected_type)
         assert overlay.bits == 16
 
-    def test_names_are_case_insensitive(self):
-        assert registry.is_registered("CHORD")
-        overlay = registry.create_overlay("Kademlia", bits=16)
-        assert isinstance(overlay, KademliaOverlay)
-
     def test_overlay_specific_extras_are_forwarded(self):
         can = registry.create_overlay("can", bits=16, dimensions=4)
         assert can.dimensions == 4
@@ -45,7 +80,7 @@ class TestBuiltins:
     def test_unknown_overlay_raises_with_the_known_names(self):
         with pytest.raises(ValueError, match="chord"):
             registry.create_overlay("pastry")
-        assert not registry.is_registered("pastry")
+        assert "pastry" not in registry.OVERLAYS
 
 
 BUILTIN_CLASSES = {"chord": ChordRing, "can": CanSpace,
@@ -93,9 +128,9 @@ class TestRuntimeRegistration:
         def build(*, bits, stabilization_interval, rng, **extra):
             return ChordRing(bits=bits, stabilization_interval=0.0, rng=rng)
 
-        registry.register_overlay("test-custom", build)
+        registry.OVERLAYS["test-custom"] = build
         yield "test-custom"
-        registry.unregister_overlay("test-custom")
+        del registry.OVERLAYS["test-custom"]
 
     def test_registered_overlay_is_creatable(self, custom_overlay):
         overlay = registry.create_overlay(custom_overlay, bits=16)
@@ -109,20 +144,6 @@ class TestRuntimeRegistration:
     def test_simulation_parameters_accept_runtime_overlays(self, custom_overlay):
         parameters = SimulationParameters.quick(protocol=custom_overlay)
         assert parameters.protocol == custom_overlay
-
-    def test_duplicate_registration_requires_replace(self, custom_overlay):
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register_overlay(custom_overlay, lambda **kwargs: None)
-        registry.register_overlay(custom_overlay, lambda **kwargs: None,
-                                  replace=True)
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            registry.register_overlay("", lambda **kwargs: None)
-
-    def test_unregister_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            registry.unregister_overlay("never-registered")
 
 
 class TestValidationWiring:

@@ -17,7 +17,7 @@ from repro.execution import Executor, RunPlan, resolve_jobs
 from repro.experiments.figures import run_experiments
 from repro.experiments.runner import select_experiments
 from repro.simulation import SimulationParameters, run_simulation
-from repro.simulation.scenarios import get_scenario, run_scenario
+from repro.simulation.scenarios import SCENARIOS, run_scenario
 
 
 def quick(**overrides) -> SimulationParameters:
@@ -68,7 +68,7 @@ class TestParity:
 
     def test_scenario_points_match_run_scenario(self):
         parameters = quick()
-        spec = get_scenario("hotspot")
+        spec = SCENARIOS["hotspot"]
         plan = RunPlan(name="scenario")
         plan.add(parameters, scenario=spec, protocol="kademlia")
         (result,) = Executor(jobs=1).run(plan)
@@ -185,7 +185,7 @@ def test_points_survive_pickling_for_the_pool():
     """The pool pickles points; scenario specs and parameters must survive."""
     import pickle
 
-    point = RunPlan().add(quick(), scenario=get_scenario("flashcrowd"),
+    point = RunPlan().add(quick(), scenario=SCENARIOS["flashcrowd"],
                           protocol="kademlia", label="p")
     clone = pickle.loads(pickle.dumps(point))
     assert clone.content_hash == point.content_hash

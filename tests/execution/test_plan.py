@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.execution import RunPlan, RunPoint, plan_artifact_path
 from repro.simulation import SimulationParameters
-from repro.simulation.scenarios import ScenarioSpec, get_scenario
+from repro.simulation.scenarios import SCENARIOS, ScenarioSpec
 
 
 def quick(**overrides) -> SimulationParameters:
@@ -23,14 +23,14 @@ class TestRunPoint:
         base = RunPoint(quick()).content_hash
         assert RunPoint(quick(seed=12)).content_hash != base
         assert RunPoint(quick(num_peers=61)).content_hash != base
-        scenario = get_scenario("hotspot")
+        scenario = SCENARIOS["hotspot"]
         assert RunPoint(quick(), scenario=scenario).content_hash != base
 
     def test_the_default_scenario_is_uniform(self):
         point = RunPoint(quick())
-        assert point.scenario == get_scenario("uniform")
+        assert point.scenario == SCENARIOS["uniform"]
         assert (point.content_hash
-                == RunPoint(quick(), scenario=get_scenario("uniform")).content_hash)
+                == RunPoint(quick(), scenario=SCENARIOS["uniform"]).content_hash)
 
     def test_label_does_not_participate_in_the_hash(self):
         assert (RunPoint(quick(), label="a").content_hash
@@ -49,7 +49,7 @@ class TestRunPoint:
         assert point.scenario.overrides == {}
 
     def test_round_trips_through_dict(self):
-        scenario = get_scenario("hotspot")
+        scenario = SCENARIOS["hotspot"]
         point = RunPoint(quick(), scenario=scenario, label="x")
         rebuilt = RunPoint.from_dict(point.to_dict())
         assert rebuilt.parameters == point.parameters
@@ -81,7 +81,7 @@ class TestRunPlan:
 
     def test_round_trips_through_dict(self):
         plan = self.build()
-        plan.add(quick(), scenario=get_scenario("hotspot"), label="scenario")
+        plan.add(quick(), scenario=SCENARIOS["hotspot"], label="scenario")
         rebuilt = RunPlan.from_dict(plan.to_dict())
         assert rebuilt.name == plan.name
         assert rebuilt.plan_hash == plan.plan_hash

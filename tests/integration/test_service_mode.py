@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.api.cluster import Cluster
-from repro.dht.registry import overlay_names
+from repro.dht.registry import OVERLAYS
 from repro.net.client import connect
 from repro.net.server import NodeServer, ServerThread
 
@@ -85,7 +85,7 @@ def assert_single_identical(want, got):
         assert got.replicas_attempted == want.replicas_attempted
 
 
-@pytest.mark.parametrize("protocol", overlay_names())
+@pytest.mark.parametrize("protocol", sorted(OVERLAYS))
 def test_sim_and_tcp_backends_are_value_identical(protocol):
     sim = Cluster.build(protocol=protocol, **BUILD)
     with sim.session() as session:
@@ -122,7 +122,7 @@ def drop_first_replica(cluster, key):
 
 
 @pytest.mark.parametrize("keys", [None, ["k0", "k5"]], ids=["all", "subset"])
-@pytest.mark.parametrize("protocol", overlay_names())
+@pytest.mark.parametrize("protocol", sorted(OVERLAYS))
 def test_sim_and_tcp_sync_rounds_report_the_same(protocol, keys):
     build = dict(protocol=protocol, peers=64, replicas=10, seed=2007)
     sim = Cluster.build(**build)

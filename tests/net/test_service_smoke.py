@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.replication import ReplicaSyncReport
-from repro.dht.registry import overlay_names
+from repro.dht.registry import OVERLAYS
 from repro.net.client import connect
 from repro.net.server import NodeServer, ServerThread
 
@@ -108,7 +108,7 @@ def test_the_stream_has_the_shape_it_promises():
 
 
 @pytest.mark.parametrize("family", ["tcp", "uds"])
-@pytest.mark.parametrize("protocol", overlay_names())
+@pytest.mark.parametrize("protocol", sorted(OVERLAYS))
 def test_a_stream_is_one_request_per_op_with_bytes_on_the_wire(
         protocol, family, serve, tmp_path):
     address = served_address(serve, smoke_server(protocol), family, tmp_path)
@@ -140,7 +140,7 @@ def test_the_secondary_service_stream_is_one_request_per_op(serve):
         assert cluster.client.counters.requests - before == OPS
 
 
-@pytest.mark.parametrize("protocol", overlay_names())
+@pytest.mark.parametrize("protocol", sorted(OVERLAYS))
 def test_a_sync_round_after_the_stream_ships_nothing(protocol, serve):
     server = serve(smoke_server(protocol))
     with connect(server.tcp_address) as cluster:

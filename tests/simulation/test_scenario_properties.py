@@ -21,13 +21,12 @@ from hypothesis import strategies as st
 
 from repro.simulation import SimulationParameters
 from repro.simulation.scenarios import (
+    SCENARIOS,
     Scenario,
     ScenarioSpec,
     build_arrivals,
     build_popularity,
-    get_scenario,
     run_scenario,
-    scenario_names,
 )
 
 KEYS = [f"item-{index}" for index in range(12)]
@@ -81,7 +80,7 @@ class TestSeedDeterminism:
                 == list(build_arrivals(config).times(30, 900.0,
                                                      random.Random(seed))))
 
-    @given(name=st.sampled_from(sorted(scenario_names())),
+    @given(name=st.sampled_from(sorted(SCENARIOS)),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_scenario_schedules_are_deterministic_under_a_fixed_seed(self, name,
@@ -91,8 +90,8 @@ class TestSeedDeterminism:
             return (scenario.query_schedule(KEYS, 10, 600.0, rng),
                     scenario.update_schedule(KEYS, 2.0, 600.0, rng))
 
-        assert (schedules(Scenario(get_scenario(name)))
-                == schedules(Scenario(get_scenario(name))))
+        assert (schedules(Scenario(SCENARIOS[name]))
+                == schedules(Scenario(SCENARIOS[name])))
 
 
 class TestGeneratorBounds:
@@ -146,7 +145,7 @@ class TestGeneratorBounds:
 
 
 class TestRecordReplay:
-    @given(name=st.sampled_from(sorted(scenario_names())),
+    @given(name=st.sampled_from(sorted(SCENARIOS)),
            seed=st.integers(0, 2**16))
     @settings(max_examples=8, deadline=None)
     def test_spec_replay_reproduces_identical_metrics(self, name, seed):
@@ -154,7 +153,7 @@ class TestRecordReplay:
                                           duration_s=300.0, num_queries=6,
                                           churn_rate_per_s=0.05, seed=seed)
         recorded = run_scenario(name, parameters)
-        payload = json.dumps(get_scenario(name).to_dict())
+        payload = json.dumps(SCENARIOS[name].to_dict())
         replayed = run_scenario(ScenarioSpec.from_dict(json.loads(payload)),
                                 parameters)
         assert replayed.summary() == recorded.summary()

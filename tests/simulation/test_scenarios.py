@@ -17,18 +17,14 @@ from repro.simulation.scenarios import (
     CorrelatedFailureBurst,
     LossyPeriod,
     RegionalPartition,
+    SCENARIOS,
     Scenario,
     ScenarioSpec,
     build_arrivals,
     build_fault,
     build_popularity,
     build_profile,
-    get_scenario,
-    is_scenario_registered,
-    register_scenario,
     run_scenario,
-    scenario_names,
-    unregister_scenario,
 )
 
 QUICK = dict(num_peers=80, num_keys=6, duration_s=400.0, num_queries=8,
@@ -212,7 +208,7 @@ class TestFaultProfiles:
 
 class TestSpecSerialisation:
     def test_round_trip_through_json(self):
-        spec = get_scenario("flashcrowd")
+        spec = SCENARIOS["flashcrowd"]
         restored = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored == spec
 
@@ -232,33 +228,11 @@ class TestSpecSerialisation:
 
 class TestRegistry:
     def test_at_least_six_scenarios_ship(self):
-        assert len(scenario_names()) >= 6
+        assert len(SCENARIOS) >= 6
         for required in ("uniform", "hotspot", "shifting-hotspot", "flashcrowd",
                          "correlated-failures", "lossy-network"):
-            assert is_scenario_registered(required)
-
-    def test_registration_is_name_keyed_and_guarded(self):
-        spec = ScenarioSpec(name="test-registry-entry",
-                            popularity={"model": "zipf"})
-        register_scenario(spec)
-        try:
-            assert get_scenario("TEST-REGISTRY-ENTRY") == spec
-            with pytest.raises(ValueError, match="already registered"):
-                register_scenario(spec)
-            register_scenario(spec, replace=True)
-        finally:
-            unregister_scenario("test-registry-entry")
-        assert not is_scenario_registered("test-registry-entry")
-
-    def test_registering_an_invalid_spec_fails_loudly(self):
-        bad = ScenarioSpec(name="bad-spec", faults=({"kind": "meteor"},))
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            register_scenario(bad)
-        assert not is_scenario_registered("bad-spec")
-
-    def test_unknown_scenario_lookup_lists_the_known_names(self):
-        with pytest.raises(ValueError, match="registered scenarios"):
-            get_scenario("black-friday")
+            assert required in SCENARIOS
+            assert SCENARIOS[required].name == required
 
 
 class TestScenarioRuns:
@@ -291,7 +265,7 @@ class TestScenarioRuns:
         assert lossy.avg_response_time_s > base.avg_response_time_s
 
     def test_auction_profile_concentrates_updates_on_hot_keys(self):
-        scenario = Scenario(get_scenario("auction"))
+        scenario = Scenario(SCENARIOS["auction"])
         keys = [f"item-{index}" for index in range(6)]
         events = scenario.update_schedule(keys, rate_per_hour=30.0,
                                           duration_s=3600.0,

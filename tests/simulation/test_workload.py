@@ -10,12 +10,12 @@ import random
 
 import pytest
 
-from repro.simulation.scenarios import Scenario, get_scenario
+from repro.simulation.scenarios import SCENARIOS, Scenario
 from repro.simulation.workload import default_keys, payload_for
 
 
 def uniform() -> Scenario:
-    return Scenario(get_scenario("uniform"))
+    return Scenario(SCENARIOS["uniform"])
 
 
 class TestKeysAndPayloads:

@@ -17,10 +17,10 @@ import pytest
 import repro
 from repro import cli
 from repro.api.results import Consistency
-from repro.api.services import service_names
-from repro.dht.registry import overlay_names
+from repro.api.services import SERVICES
+from repro.dht.registry import OVERLAYS
 from repro.net.client import connect
-from repro.simulation.scenarios import scenario_names
+from repro.simulation.scenarios import SCENARIOS
 
 
 class TestParser:
@@ -40,8 +40,8 @@ class TestParser:
             cli.build_parser().parse_args(["simulate", "--algorithm", "paxos"])
 
     def test_simulate_accepts_every_registered_overlay(self):
-        from repro.dht.registry import overlay_names
-        for protocol in overlay_names():
+        from repro.dht.registry import OVERLAYS
+        for protocol in sorted(OVERLAYS):
             arguments = cli.build_parser().parse_args(
                 ["simulate", "--protocol", protocol])
             assert arguments.protocol == protocol
@@ -135,7 +135,7 @@ class TestScenarioCommand:
         return cli.build_parser().parse_args(base + list(extra))
 
     def test_list_shows_at_least_six_registered_scenarios(self):
-        from repro.simulation.scenarios import scenario_names
+        from repro.simulation.scenarios import SCENARIOS
         stream = io.StringIO()
         exit_code = cli.scenario_list_command(
             cli.build_parser().parse_args(["scenario", "list"]), stream=stream)
@@ -143,7 +143,7 @@ class TestScenarioCommand:
         assert exit_code == 0
         listed = [line.split()[0] for line in output.splitlines() if line.strip()]
         assert len(listed) >= 6
-        assert set(listed) == set(scenario_names())
+        assert set(listed) == set(SCENARIOS)
 
     def test_run_reports_the_scenario_metrics(self):
         stream = io.StringIO()
@@ -203,11 +203,9 @@ class TestScenarioCommand:
                  "--peers", "999"]))
 
     def test_explicit_flags_beat_scenario_spec_overrides(self):
-        from repro.simulation.scenarios import (ScenarioSpec, register_scenario,
-                                                unregister_scenario)
-        register_scenario(ScenarioSpec(name="pinned-queries",
-                                       overrides={"num_queries": 3,
-                                                  "protocol": "kademlia"}))
+        from repro.simulation.scenarios import ScenarioSpec
+        SCENARIOS["pinned-queries"] = ScenarioSpec(
+            name="pinned-queries", overrides={"num_queries": 3, "protocol": "kademlia"})
         try:
             # Without the corresponding flags the spec's overrides apply...
             stream = io.StringIO()
@@ -227,7 +225,7 @@ class TestScenarioCommand:
             assert overridden["queries"] == 6.0  # --queries 6 from _run_args
             assert overridden["protocol"] == "chord"
         finally:
-            unregister_scenario("pinned-queries")
+            del SCENARIOS["pinned-queries"]
 
     def test_main_dispatches_to_scenario(self, capsys):
         exit_code = cli.main(["scenario", "list"])
@@ -239,10 +237,10 @@ class TestScenarioCommand:
         cli.registry_command(cli.build_parser().parse_args(["registry"]),
                              stream=stream)
         assert stream.getvalue().splitlines() == [
-            f"overlays (repro.dht.registry) : {', '.join(overlay_names())}",
-            f"services (repro.api.services) : {', '.join(service_names())}",
-            f"consistency levels            : {', '.join(Consistency.ALL)}",
-            f"scenarios (repro scenario)    : {', '.join(scenario_names())}",
+            f"overlays (repro.dht.registry)                   : {', '.join(sorted(OVERLAYS))}",
+            f"services (repro.api.services)                   : {', '.join(sorted(SERVICES))}",
+            f"consistency levels (repro.api.results)          : {', '.join(Consistency.ALL)}",
+            f"scenarios (repro.simulation.scenarios.registry) : {', '.join(sorted(SCENARIOS))}",
         ]
 
 
@@ -396,12 +394,18 @@ class TestServeCommand:
         assert arguments.max_inflight == 32
         assert not arguments.no_tcp
 
+    def test_serve_rejects_an_unknown_service_as_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["serve", "--service", "paxos", "--port", "0"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'paxos'" in capsys.readouterr().err
+
     def test_serve_without_listeners_is_rejected(self):
         arguments = cli.build_parser().parse_args(["serve", "--no-tcp"])
         with pytest.raises(SystemExit, match="--uds"):
             cli.serve_command(arguments, stream=io.StringIO())
 
-    @pytest.mark.parametrize("protocol", overlay_names())
+    @pytest.mark.parametrize("protocol", sorted(OVERLAYS))
     def test_serve_hosts_a_cluster_until_a_client_shuts_it_down(self,
                                                                  protocol):
         stream, thread, outcome = start_serve(

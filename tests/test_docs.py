@@ -80,15 +80,20 @@ class TestCrossReference:
             assert f"`figure-{figure}`" in design
 
     def test_gallery_documents_every_registered_scenario(self):
-        from repro.simulation.scenarios import scenario_names
+        from repro.simulation.scenarios import SCENARIOS
         experiments = (REPO_ROOT / "EXPERIMENTS.md").read_text()
         assert "## Scenario gallery" in experiments
-        for name in scenario_names():
+        for name in sorted(SCENARIOS):
             assert f"--scenario {name}" in experiments or f"### {name}" in experiments, (
                 f"EXPERIMENTS.md scenario gallery is missing {name!r}")
 
 
 class TestScenariosQuickstart:
+    def test_readme_counts_the_shipped_scenarios(self):
+        from repro.simulation.scenarios import SCENARIOS
+        readme = (REPO_ROOT / "README.md").read_text()
+        assert f"({len(SCENARIOS)} ship out of the box" in readme
+
     def test_readme_has_a_scenarios_section_with_the_ci_smoked_commands(self):
         readme = (REPO_ROOT / "README.md").read_text()
         workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()

@@ -9,7 +9,7 @@ from repro.dht import errors as dht_errors
 
 class TestTopLevelExports:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "9.1.0"
+        assert repro.__version__ == "10.0.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:

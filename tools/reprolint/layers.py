@@ -15,8 +15,8 @@ The contract checked by REP005:
 * a module may import its own layer or any layer *below* it; importing a
   layer above is an upward import and a finding;
 * ``repro.net`` plugs in beside the stack (see DESIGN.md): only
-  ``repro.cli`` (and :mod:`repro.net` itself, e.g. its backend registry)
-  may import it, regardless of rank;
+  ``repro.cli`` (and :mod:`repro.net` itself, e.g. the client importing the
+  codec) may import it, regardless of rank;
 * importing the bare package root ``repro`` (for ``__version__``) is
   rank-exempt — the root is version metadata plus re-exports;
 * a parent package not named in the map inherits the *lowest* (bottom-most)
