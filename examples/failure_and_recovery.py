@@ -20,7 +20,7 @@ Run with::
 from __future__ import annotations
 
 from repro.api import Cluster
-from repro.simulation import Algorithm, SimulationParameters, run_simulation
+from repro.simulation import Algorithm, SimulationParameters, run_scenario
 
 
 def lost_counter_walkthrough() -> None:
@@ -70,7 +70,7 @@ def inspection_under_heavy_failures() -> None:
         num_peers=300, num_keys=12, duration_s=1200.0, num_queries=20,
         churn_rate_per_s=0.25, failure_rate=0.6, algorithm=Algorithm.UMS_DIRECT,
         inspection_interval_s=120.0, currency_sample_interval_s=60.0, seed=9)
-    result = run_simulation(parameters)
+    result = run_scenario("uniform", parameters)
     print(f"churn events: {result.churn_events} ({result.failures} failures)")
     print(f"periodic inspections: {result.inspections_performed} "
           f"(corrections applied: {result.counter_corrections})")

@@ -24,9 +24,7 @@ The package provides:
 * **real-service mode** — the length-prefixed wire codec, the asyncio node
   server (``repro serve``) and the pooled client transport with bounded
   retries (``connect``, handing out the same ``Session``) — in
-  :mod:`repro.net`;
-* example applications (agenda, auction, reservation management) in
-  :mod:`repro.apps`.
+  :mod:`repro.net`.
 
 Quickstart
 ----------
@@ -55,7 +53,7 @@ from repro.execution import Executor, RunPlan
 from repro.simulation.cost import NetworkCostModel
 from repro.simulation.engine import Simulator
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "BricksService",

@@ -1,14 +1,13 @@
 """Command-line interface.
 
-Five entry points are provided (also installable as console scripts, and
+Four entry points are provided (also installable as console scripts, and
 reachable as ``python -m repro``):
 
-* ``python -m repro simulate`` — run one simulation of the paper's workload
-  (the ``uniform`` scenario: one algorithm, one parameter point) and print
-  the measured response time / communication cost;
 * ``python -m repro scenario`` — the declarative scenario engine:
-  ``list`` the scenarios or ``run`` one (with record/replay via
-  ``--spec-out``/``--spec``);
+  ``list`` the scenarios or ``run`` one simulation point (the paper's
+  ``uniform`` workload unless ``--scenario`` names another; record/replay
+  via ``--spec-out``/``--spec``) and print its response time, messages and
+  currency;
 * ``python -m repro serve`` — real-service mode: host a cluster (overlay +
   stores + KTS/UMS handlers) behind the :mod:`repro.net` asyncio transport,
   over TCP and/or a Unix domain socket, for :func:`repro.net.connect`;
@@ -22,16 +21,15 @@ reachable as ``python -m repro``):
   :mod:`repro.simulation.scenarios.registry`.
 
 Each sub-command's parser names its handler (``set_defaults(handler=...)``);
-:func:`main` only parses and dispatches.  ``simulate`` and ``scenario run``
-resolve their parameters and render their results the same way, so
-``simulate`` is ``scenario run --scenario uniform`` with its own defaults.
+:func:`main` only parses and dispatches, and reports a flag value that the
+object it configures rejects as a usage error (exit 2).
 
 Examples
 --------
 ::
 
-    python -m repro simulate --algorithm ums-direct --peers 2000 --duration 1800
-    python -m repro simulate --algorithm brk --peers 500 --replicas 20 --json
+    python -m repro scenario run --algorithm ums-direct --peers 2000 --duration 1800
+    python -m repro scenario run --algorithm brk --peers 500 --replicas 20 --json
     python -m repro scenario list
     python -m repro scenario run --scenario flashcrowd --protocol kademlia
     python -m repro serve --port 9207 --peers 200 --seed 2007
@@ -48,7 +46,6 @@ points (``--no-cache`` forces re-execution).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -56,55 +53,61 @@ from typing import List, Optional
 from repro.api.results import Consistency
 from repro.api.services import SERVICES
 from repro.dht.registry import OVERLAYS
+from repro.execution.plan import RunPoint
 from repro.experiments import runner as experiments_runner
 from repro.simulation.config import Algorithm, SimulationParameters, table1_churn_rate
-from repro.simulation.scenarios import SCENARIOS, ScenarioSpec, run_scenario
-from repro.simulation.scenarios.registry import UNIFORM_SCENARIO
+from repro.simulation.scenarios import SCENARIOS, ScenarioSpec, fold_overrides, run_scenario
 
 __all__ = ["build_parser", "main", "registry_command",
-           "scenario_list_command", "scenario_run_command", "serve_command",
-           "simulate_command"]
+           "scenario_list_command", "scenario_run_command", "serve_command"]
 
 
-def _add_simulation_arguments(command: argparse.ArgumentParser) -> None:
-    """Simulation knobs shared by ``simulate`` and ``scenario run``.
+def _percent(text: str) -> float:
+    """A ``--failure-rate`` percentage as the fraction the parameters hold."""
+    return float(text) / 100.0
 
-    They default to ``None``, "not typed": a scenario spec's overrides and
-    the command's own defaults fill them in (see :func:`_resolve_scenario_run`).
+
+def _knobs() -> dict:
+    """``scenario run``'s knob flags: flag -> (field, ``add_argument`` options).
+
+    Each names a :class:`SimulationParameters` field and defaults to
+    ``None``, "not typed": the command's defaults and a scenario spec's
+    overrides fill it in, and a typed flag beats both (see
+    :func:`_resolve_scenario_run`).  Built per call, so ``--protocol`` offers
+    the overlays in the table at the time.
     """
-    command.add_argument("--peers", type=int, default=None,
-                         help="number of peers (Table 1: 10000)")
-    command.add_argument("--replicas", type=int, default=None,
-                         help="|Hr| (Table 1: 10)")
-    command.add_argument("--keys", type=int, default=None,
-                         help="number of data items")
-    command.add_argument("--duration", type=float, default=None,
-                         help="simulated seconds (Table 1: 10800)")
-    command.add_argument("--queries", type=int, default=None,
-                         help="measured queries per run (paper: 30)")
-    command.add_argument("--churn-rate", type=float, default=None,
-                         help="departures per second (default: Table 1 "
-                              "intensity scaled to the population)")
-    command.add_argument("--update-rate", type=float, default=None,
-                         help="updates per data item per hour (before the "
-                              "scenario profile's multiplier)")
-    command.add_argument("--consistency", choices=Consistency.ALL, default=None,
-                         help="per-retrieve freshness contract: 'current' is the "
-                              "paper's certified retrieval, 'any' a first-replica "
-                              "read, 'best-effort' a bounded-probe read")
-    command.add_argument("--seed", type=int, default=2007)
-
-
-def _add_single_run_arguments(command: argparse.ArgumentParser) -> None:
-    """``--algorithm``, ``--protocol`` and ``--json`` of ``simulate`` and ``scenario run``."""
-    command.add_argument("--algorithm", choices=Algorithm.ALL, default=None,
-                         help="currency algorithm (default: ums-direct, unless "
-                              "the scenario overrides it)")
-    command.add_argument("--protocol", choices=sorted(OVERLAYS), default=None,
-                         help="DHT overlay, any name in repro.dht.registry's "
-                              "OVERLAYS (default: chord, unless the scenario "
-                              "overrides it)")
-    command.add_argument("--json", action="store_true", help="print a JSON summary")
+    return {
+        "--peers": ("num_peers", dict(type=int, help="number of peers (Table 1: 10000)")),
+        "--replicas": ("num_replicas", dict(type=int, help="|Hr| (Table 1: 10)")),
+        "--keys": ("num_keys", dict(type=int, help="number of data items")),
+        "--duration": ("duration_s", dict(type=float,
+                                          help="simulated seconds (Table 1: 10800)")),
+        "--queries": ("num_queries", dict(type=int,
+                                          help="measured queries per run (paper: 30)")),
+        "--churn-rate": ("churn_rate_per_s", dict(
+            type=float, help="departures per second (default: Table 1 intensity "
+                             "scaled to the population)")),
+        "--failure-rate": ("failure_rate", dict(
+            type=_percent, help="percentage of departures that are failures (Table 1: 5)")),
+        "--update-rate": ("update_rate_per_hour", dict(
+            type=float, help="updates per data item per hour (before the scenario "
+                             "profile's multiplier)")),
+        "--cluster": ("cost_model_preset", dict(
+            action="store_const", const="cluster",
+            help="use the 64-node-cluster cost model instead of Table 1's WAN")),
+        "--consistency": ("consistency", dict(
+            choices=Consistency.ALL,
+            help="per-retrieve freshness contract: 'current' is the paper's certified "
+                 "retrieval, 'any' a first-replica read, 'best-effort' a bounded-probe read")),
+        "--algorithm": ("algorithm", dict(
+            choices=Algorithm.ALL,
+            help="currency algorithm (default: ums-direct, unless the scenario overrides it)")),
+        "--protocol": ("protocol", dict(
+            choices=sorted(OVERLAYS),
+            help="DHT overlay, any name in repro.dht.registry's OVERLAYS (default: chord, "
+                 "unless the scenario overrides it)")),
+        "--seed": ("seed", dict(type=int, help="run seed (default: 2007)")),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,19 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Reproduction of 'Data Currency in Replicated DHTs' (SIGMOD 2007)")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    simulate = subparsers.add_parser(
-        "simulate", help="run one simulation of the paper's workload and report "
-                         "response time / messages")
-    _add_simulation_arguments(simulate)
-    _add_single_run_arguments(simulate)
-    simulate.add_argument("--failure-rate", type=float, default=5.0,
-                          help="percentage of departures that are failures")
-    simulate.add_argument("--cluster", action="store_true",
-                          help="use the 64-node-cluster cost model instead of Table 1's WAN")
-    simulate.set_defaults(handler=simulate_command, algorithm=Algorithm.UMS_DIRECT,
-                          protocol="chord", peers=1000, replicas=10, keys=20,
-                          duration=1800.0, queries=30)
 
     scenario = subparsers.add_parser(
         "scenario", help="declarative workload & fault scenarios (list / run)")
@@ -137,9 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     ).set_defaults(handler=scenario_list_command)
 
     run = scenario_subparsers.add_parser(
-        "run", help="run one scenario and report its metrics")
+        "run", help="run one simulation point of a scenario (default: the "
+                    "paper's uniform workload) and report its metrics")
     run.add_argument("--scenario", choices=sorted(SCENARIOS), default=None,
-                     help="scenario name (see 'repro scenario list')")
+                     help="scenario name (see 'repro scenario list'; "
+                          "default: uniform)")
     run.add_argument("--spec", default=None, metavar="FILE",
                      help="replay a run spec recorded with --spec-out "
                           "(mutually exclusive with --scenario and the "
@@ -147,8 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--spec-out", default=None, metavar="FILE",
                      help="record the resolved scenario + parameters as a "
                           "replayable JSON run spec")
-    _add_simulation_arguments(run)
-    _add_single_run_arguments(run)
+    for flag, (field, options) in _knobs().items():
+        run.add_argument(flag, dest=field, default=None, **options)
+    run.add_argument("--json", action="store_true", help="print a JSON summary")
     run.set_defaults(handler=scenario_run_command)
 
     experiments = subparsers.add_parser(
@@ -210,9 +203,12 @@ def serve_command(arguments: argparse.Namespace, *, stream=None) -> int:
 
     if arguments.no_tcp and arguments.uds is None:
         raise SystemExit("--no-tcp requires --uds (nothing left to listen on)")
-    server = NodeServer(peers=arguments.peers, protocol=arguments.protocol,
-                        service=arguments.service, replicas=arguments.replicas,
-                        seed=arguments.seed, max_inflight=arguments.max_inflight)
+    try:
+        server = NodeServer(peers=arguments.peers, protocol=arguments.protocol,
+                            service=arguments.service, replicas=arguments.replicas,
+                            seed=arguments.seed, max_inflight=arguments.max_inflight)
+    except ValueError as error:
+        raise argparse.ArgumentError(None, str(error)) from error
 
     async def _serve() -> None:
         await server.start(host=None if arguments.no_tcp else arguments.host,
@@ -243,54 +239,33 @@ def serve_command(arguments: argparse.Namespace, *, stream=None) -> int:
     return 0
 
 
-#: Default simulation knobs of ``scenario run``, as :class:`SimulationParameters` fields.
+#: Default knobs of ``scenario run``, as :class:`SimulationParameters` fields.
 _SCENARIO_RUN_DEFAULTS = dict(num_peers=400, num_replicas=10, num_keys=20,
-                              duration_s=1800.0, num_queries=40)
-
-#: CLI flag -> :class:`SimulationParameters` field, for the simulation commands.
-_FLAG_FIELDS = {
-    "peers": "num_peers", "replicas": "num_replicas", "keys": "num_keys",
-    "duration": "duration_s", "queries": "num_queries",
-    "churn_rate": "churn_rate_per_s", "update_rate": "update_rate_per_hour",
-    "consistency": "consistency", "algorithm": "algorithm", "protocol": "protocol",
-}
+                              duration_s=1800.0, num_queries=40, seed=2007)
 
 
-def _explicit_flags(arguments: argparse.Namespace) -> dict:
-    """The simulation fields the command line pins, as :class:`SimulationParameters` fields.
+def _resolve_scenario_run(spec: ScenarioSpec, explicit: dict) -> RunPoint:
+    """Materialise one run: defaults < ``spec.overrides`` < ``explicit``.
 
-    The simulation flags of ``scenario run`` default to ``None``, so a
-    non-``None`` value means the user typed it —
-    these beat a scenario spec's ``overrides`` (the caller-wins contract of
-    :func:`run_scenario`).  ``simulate`` gives its flags parser defaults: the
-    ``uniform`` scenario has no overrides for them to beat.
+    Returns the :class:`RunPoint` — its spec has no overrides left, so
+    recording it and replaying it cannot re-apply them over a typed flag.
+    Unless pinned, the churn rate is Table 1's intensity for the *effective*
+    population and duration.  A value the parameters reject raises
+    :class:`argparse.ArgumentError`.
     """
-    return {field: getattr(arguments, flag) for flag, field in _FLAG_FIELDS.items()
-            if getattr(arguments, flag, None) is not None}
-
-
-def _resolve_scenario_run(spec: ScenarioSpec, defaults: dict, explicit: dict,
-                          seed: int):
-    """Materialise one run: ``defaults`` < ``spec.overrides`` < ``explicit``.
-
-    Returns ``(spec without overrides, SimulationParameters)`` — the
-    overrides are folded into the parameters, so recording the pair and
-    replaying it cannot re-apply them over an explicitly pinned flag.
-    """
-    merged = dict(update_rate_per_hour=1.0, consistency=Consistency.CURRENT,
-                  algorithm=Algorithm.UMS_DIRECT, protocol="chord", seed=seed)
-    merged.update(defaults)
-    merged.update(spec.overrides)
-    merged.update(explicit)
-    if merged.get("churn_rate_per_s") is None:
-        # Table 1's churn intensity, for the *effective* population and duration.
-        merged["churn_rate_per_s"] = table1_churn_rate(merged["num_peers"],
-                                                       merged["duration_s"])
-    return dataclasses.replace(spec, overrides={}), SimulationParameters(**merged)
+    try:
+        base = SimulationParameters(**_SCENARIO_RUN_DEFAULTS)
+        _, sized = fold_overrides(spec, base, **explicit)
+        base = base.with_overrides(churn_rate_per_s=table1_churn_rate(
+            sized.num_peers, sized.duration_s))
+        spec, parameters = fold_overrides(spec, base, **explicit)
+    except ValueError as error:
+        raise argparse.ArgumentError(None, str(error)) from error
+    return RunPoint(parameters=parameters, scenario=spec)
 
 
 def _write_run_result(result, *, as_json: bool, stream) -> None:
-    """Render one run of ``simulate`` or ``scenario run`` (text or JSON) to ``stream``.
+    """Render one ``scenario run`` result (text or JSON) to ``stream``.
 
     Overlay/consistency are read from ``result.parameters`` — the knobs the
     run *actually* used, which matters when a scenario spec overrides them.
@@ -321,18 +296,6 @@ def _write_run_result(result, *, as_json: bool, stream) -> None:
     stream.write(f"updates performed    : {result.updates_performed}\n")
 
 
-def simulate_command(arguments: argparse.Namespace, *, stream=None) -> int:
-    """Run the ``simulate`` sub-command: the ``uniform`` scenario, one point."""
-    explicit = dict(_explicit_flags(arguments),
-                    failure_rate=arguments.failure_rate / 100.0,
-                    cost_model_preset="cluster" if arguments.cluster else "wide-area")
-    spec, parameters = _resolve_scenario_run(UNIFORM_SCENARIO, {}, explicit,
-                                             arguments.seed)
-    _write_run_result(run_scenario(spec, parameters), as_json=arguments.json,
-                      stream=stream if stream is not None else sys.stdout)
-    return 0
-
-
 def scenario_list_command(arguments: argparse.Namespace, *, stream=None) -> int:
     """Run ``scenario list``: every scenario with its description."""
     stream = stream if stream is not None else sys.stdout
@@ -343,8 +306,9 @@ def scenario_list_command(arguments: argparse.Namespace, *, stream=None) -> int:
 
 
 def scenario_run_command(arguments: argparse.Namespace, *, stream=None) -> int:
-    """Run ``scenario run``: one scenario, resolved from flags or replayed from ``--spec``."""
-    explicit = _explicit_flags(arguments)
+    """Run ``scenario run``: one point, resolved from flags or replayed from ``--spec``."""
+    explicit = {field: getattr(arguments, field) for field, _ in _knobs().values()
+                if getattr(arguments, field) is not None}
     if arguments.spec is not None:
         # A recorded spec replays exactly; any knob flag would silently
         # lose, so reject the combination outright.
@@ -356,27 +320,32 @@ def scenario_run_command(arguments: argparse.Namespace, *, stream=None) -> int:
                              f"({', '.join(sorted(explicit))}) or re-run "
                              "with --scenario to change them")
         with open(arguments.spec, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        spec = ScenarioSpec.from_dict(payload["scenario"])
-        parameters = SimulationParameters(**payload["parameters"])
+            point = RunPoint.from_dict(json.load(handle))
     else:
-        spec, parameters = _resolve_scenario_run(
-            SCENARIOS[arguments.scenario or UNIFORM_SCENARIO.name],
-            _SCENARIO_RUN_DEFAULTS, explicit, arguments.seed)
+        point = _resolve_scenario_run(SCENARIOS[arguments.scenario or "uniform"],
+                                      explicit)
     if arguments.spec_out is not None:
-        record = {"scenario": spec.to_dict(), "parameters": parameters.describe()}
         with open(arguments.spec_out, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
+            json.dump(point.content(), handle, indent=2, sort_keys=True)
             handle.write("\n")
-    _write_run_result(run_scenario(spec, parameters), as_json=arguments.json,
+    _write_run_result(run_scenario(point.scenario, point.parameters),
+                      as_json=arguments.json,
                       stream=stream if stream is not None else sys.stdout)
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point: parse ``argv`` and run the chosen command's handler."""
-    arguments = build_parser().parse_args(argv)
-    return arguments.handler(arguments)
+    """CLI entry point: parse ``argv`` and run the chosen command's handler.
+
+    A flag value the object it configures rejects (``--peers 1``,
+    ``serve --max-inflight 0``) is reported as a usage error, exit 2.
+    """
+    parser = build_parser()
+    arguments = parser.parse_args(argv)
+    try:
+        return arguments.handler(arguments)
+    except argparse.ArgumentError as error:
+        parser.error(str(error))
 
 
 if __name__ == "__main__":  # pragma: no cover

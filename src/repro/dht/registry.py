@@ -19,8 +19,8 @@ assignment::
 
     OVERLAYS["pastry"] = build_pastry
 
-after which ``DHTNetwork(protocol="pastry")``, ``repro simulate --protocol
-pastry`` and every experiment sweep accept the new name.
+after which ``DHTNetwork(protocol="pastry")``, ``repro scenario run
+--protocol pastry`` and every experiment sweep accept the new name.
 
 A factory is a callable taking keyword arguments ``bits``,
 ``stabilization_interval`` and ``rng`` (plus any overlay-specific extras) and

@@ -21,7 +21,6 @@ process pool with bit-identical results.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import pathlib
@@ -30,7 +29,7 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.simulation.config import SimulationParameters
 from repro.simulation.scenarios.registry import UNIFORM_SCENARIO
-from repro.simulation.scenarios.spec import ScenarioSpec
+from repro.simulation.scenarios.spec import ScenarioSpec, fold_overrides
 
 __all__ = ["RunPlan", "RunPoint", "plan_artifact_path"]
 
@@ -48,10 +47,11 @@ class RunPoint:
 
     ``scenario`` is the :class:`ScenarioSpec` that drives the run (the
     paper's ``uniform`` workload by default); its parameter ``overrides``
-    are folded into ``parameters`` at construction time (the same precedence
-    :func:`~repro.simulation.scenarios.run_scenario` applies when given a
-    spec and parameters), so the stored point is always the *effective*
-    configuration and its hash cannot lie about what runs.
+    are folded into ``parameters`` at construction time
+    (:func:`~repro.simulation.scenarios.spec.fold_overrides`, as
+    :func:`~repro.simulation.scenarios.run_scenario` does), so the stored
+    point is always the *effective* configuration and its hash cannot lie
+    about what runs.
 
     ``label`` is a consumer-side tag (e.g. ``"1000/ums-direct"``) used for
     reporting; it does not participate in the content hash.
@@ -62,13 +62,9 @@ class RunPoint:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.scenario.overrides:
-            object.__setattr__(
-                self, "parameters",
-                self.parameters.with_overrides(**self.scenario.overrides))
-            object.__setattr__(
-                self, "scenario",
-                dataclasses.replace(self.scenario, overrides={}))
+        scenario, parameters = fold_overrides(self.scenario, self.parameters)
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "parameters", parameters)
 
     # -------------------------------------------------------------- identity
     def content(self) -> Dict[str, Any]:
@@ -115,10 +111,8 @@ class RunPlan:
         ``overrides`` (e.g. ``protocol="kademlia"``) win over both — exactly
         what ``run_scenario(scenario, parameters, **overrides)`` executes.
         """
+        scenario, parameters = fold_overrides(scenario, parameters, **overrides)
         point = RunPoint(parameters=parameters, scenario=scenario, label=label)
-        if overrides:
-            point = dataclasses.replace(
-                point, parameters=point.parameters.with_overrides(**overrides))
         self.points.append(point)
         return point
 

@@ -26,7 +26,7 @@ from repro.simulation.cost import GeoLatencyCostModel, NetworkCostModel
 from repro.simulation.engine import Event, Process, SimulationError, Simulator, Timeout
 from repro.simulation.metrics import TimeSeries
 from repro.simulation.processes import PoissonProcess, poisson_arrival_times
-from repro.simulation.harness import SimulationHarness, run_simulation
+from repro.simulation.harness import SimulationHarness
 from repro.simulation.results import QueryObservation, RunResult
 from repro.simulation.scenarios import SCENARIOS, Scenario, ScenarioSpec, run_scenario
 from repro.simulation.workload import ScheduledEvent, payload_for
@@ -54,5 +54,4 @@ __all__ = [
     "Timeout",
     "payload_for",
     "run_scenario",
-    "run_simulation",
 ]

@@ -46,7 +46,7 @@ from repro.simulation.scenarios.registry import UNIFORM_SCENARIO
 from repro.simulation.scenarios.spec import ScenarioSpec
 from repro.simulation.workload import default_keys, payload_for
 
-__all__ = ["SimulationHarness", "run_simulation"]
+__all__ = ["SimulationHarness"]
 
 
 class SimulationHarness:
@@ -229,8 +229,3 @@ class SimulationHarness:
                 flagged=self.detector.flag_count > flags_before,
                 bytes_sent=self.cost_model.traffic_bytes(outcome.trace)))
         return callback
-
-
-def run_simulation(parameters: SimulationParameters) -> RunResult:
-    """Run the paper's workload (the ``uniform`` scenario) and return the result."""
-    return SimulationHarness(parameters).run()

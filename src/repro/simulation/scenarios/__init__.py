@@ -26,7 +26,7 @@ Scenarios are named in the :data:`SCENARIOS` table exactly like overlays
 — see :mod:`~repro.simulation.scenarios.registry` — and run through
 :func:`~repro.simulation.scenarios.engine.run_scenario`, which drives the
 :class:`~repro.simulation.harness.SimulationHarness`.  The CLI
-exposes the same surface as ``repro scenario list|run|compare``.
+exposes the same surface as ``repro scenario list|run``.
 
 >>> from repro.simulation.scenarios import run_scenario
 >>> from repro.simulation import SimulationParameters
@@ -64,7 +64,7 @@ from repro.simulation.scenarios.profiles import (
     build_profile,
 )
 from repro.simulation.scenarios.registry import SCENARIOS
-from repro.simulation.scenarios.spec import ScenarioSpec
+from repro.simulation.scenarios.spec import ScenarioSpec, fold_overrides
 
 # Imported last: adds the byzantine fault profiles and the adversarial
 # scenarios (byzantine-timestamps, eclipse, geo-latency) to the same
@@ -101,7 +101,8 @@ __all__ = [
     "build_arrivals",
     "build_fault",
     "build_popularity",
-    "eclipse_capture_set",
     "build_profile",
+    "eclipse_capture_set",
+    "fold_overrides",
     "run_scenario",
 ]

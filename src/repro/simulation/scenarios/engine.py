@@ -32,7 +32,7 @@ from repro.simulation.scenarios.arrivals import build_arrivals
 from repro.simulation.scenarios.faults import build_fault
 from repro.simulation.scenarios.popularity import build_popularity
 from repro.simulation.scenarios.profiles import build_profile
-from repro.simulation.scenarios.spec import ScenarioSpec
+from repro.simulation.scenarios.spec import ScenarioSpec, fold_overrides
 from repro.simulation.workload import ScheduledEvent
 
 __all__ = ["Scenario", "run_scenario"]
@@ -122,8 +122,9 @@ def run_scenario(scenario: Union[str, ScenarioSpec, Scenario],
 
     ``scenario`` is a name in ``SCENARIOS``, a :class:`ScenarioSpec` or a built
     :class:`Scenario`.  ``parameters`` defaults to the Table 1 configuration;
-    the spec's ``overrides`` are applied on top of it, and keyword
-    ``overrides`` (e.g. ``protocol="kademlia"``, ``seed=7``) win over both.
+    the spec's ``overrides`` and then keyword ``overrides`` (e.g.
+    ``protocol="kademlia"``, ``seed=7``) apply on top of it
+    (:func:`~repro.simulation.scenarios.spec.fold_overrides`).
     """
     # Imported here: the registry validates its specs at import time, which
     # builds Scenario objects from this module.
@@ -134,9 +135,7 @@ def run_scenario(scenario: Union[str, ScenarioSpec, Scenario],
         scenario = Scenario(lookup(SCENARIOS, scenario, "scenario"))
     elif isinstance(scenario, ScenarioSpec):
         scenario = Scenario(scenario)
-    base = parameters if parameters is not None else SimulationParameters()
-    merged = dict(scenario.spec.overrides)
-    merged.update(overrides)
-    if merged:
-        base = base.with_overrides(**merged)
-    return SimulationHarness(base, scenario=scenario).run()
+    _, parameters = fold_overrides(
+        scenario.spec, parameters if parameters is not None else SimulationParameters(),
+        **overrides)
+    return SimulationHarness(parameters, scenario=scenario).run()

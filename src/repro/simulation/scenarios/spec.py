@@ -11,10 +11,12 @@ and the exact parameters, and replaying it reproduces the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
-__all__ = ["ScenarioSpec"]
+from repro.simulation.config import SimulationParameters
+
+__all__ = ["ScenarioSpec", "fold_overrides"]
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,8 @@ class ScenarioSpec:
         :func:`~repro.simulation.scenarios.faults.build_fault`.
     overrides:
         ``SimulationParameters`` fields this scenario pins (e.g. a higher
-        ``failure_rate``); explicit caller overrides still win over these.
+        ``failure_rate``); explicit caller overrides still win over these
+        (:func:`fold_overrides`).
     """
 
     name: str
@@ -105,3 +108,21 @@ class ScenarioSpec:
 
         Scenario(self)
         return self
+
+
+def fold_overrides(spec: ScenarioSpec, parameters: SimulationParameters,
+                   **overrides: Any) -> Tuple[ScenarioSpec, SimulationParameters]:
+    """The run ``spec`` and ``parameters`` make, as ``(spec, effective parameters)``.
+
+    This is the one override rule: the spec's ``overrides`` apply over
+    ``parameters`` and keyword ``overrides`` (e.g. ``protocol="kademlia"``,
+    or the flags a user typed) win over both.  The returned spec has no
+    overrides left, so recording the pair and replaying it cannot re-apply
+    them over a pinned value.
+    """
+    merged = {**spec.overrides, **overrides}
+    if merged:
+        parameters = parameters.with_overrides(**merged)
+    if spec.overrides:
+        spec = replace(spec, overrides={})
+    return spec, parameters

@@ -15,7 +15,7 @@ from repro.cli import main as cli_main
 from repro.execution import Executor
 from repro.experiments.figures import (EXPERIMENTS, SCALE_PROFILES, degradation_thresholds,
                                        run_experiments)
-from repro.simulation import run_simulation
+from repro.simulation import run_scenario
 
 IDS = ["attack-degradation", "attack-detected-lies"]
 OVERLAYS = ["chord", "can", "kademlia"]
@@ -55,7 +55,7 @@ class TestDegradationGuarantee:
         points = EXPERIMENTS["attack-degradation"].points(SCALE_PROFILES["tiny"], seed=3,
                                                           protocol="chord")
         for protocol in OVERLAYS:
-            honest = run_simulation(points[0.0, protocol].parameters)
+            honest = run_scenario("uniform", points[0.0, protocol].parameters)
             assert currency.series_values(protocol)[0] == honest.currency_rate
             assert lies.series_values(protocol)[0] == 0
 

@@ -127,9 +127,7 @@ class TestHonestRunsHaveZeroFalsePositives:
 
     @pytest.mark.parametrize("protocol", BUILTIN_OVERLAYS)
     def test_plain_paper_workload_is_clean(self, protocol):
-        from repro.simulation.harness import run_simulation
-
-        result = run_simulation(SimulationParameters.quick(
+        result = run_scenario("uniform", SimulationParameters.quick(
             seed=2007, protocol=protocol, update_rate_per_hour=30.0))
         assert result.detected_lies == 0
         assert result.currency_violations == 0

@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation import SimulationParameters
-from repro.simulation.harness import SimulationHarness, run_simulation
-from repro.simulation.scenarios import Scenario, ScenarioSpec
+from repro.simulation.harness import SimulationHarness
+from repro.simulation.scenarios import Scenario, ScenarioSpec, run_scenario
 
 BUILTIN_OVERLAYS = ("chord", "can", "kademlia")
 
@@ -77,8 +77,8 @@ def test_zero_fraction_attack_is_bit_identical_to_the_honest_twin(protocol, seed
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_single_region_geo_pricing_degenerates_to_wide_area(protocol, seed):
-    wide = run_simulation(_parameters(seed, protocol))
-    geo = run_simulation(_parameters(seed, protocol).with_overrides(
+    wide = run_scenario("uniform", _parameters(seed, protocol))
+    geo = run_scenario("uniform", _parameters(seed, protocol).with_overrides(
         cost_model_preset="geo", geo_regions=1))
     assert [q.to_dict() for q in geo.queries] == \
         [q.to_dict() for q in wide.queries]

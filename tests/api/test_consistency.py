@@ -124,13 +124,13 @@ class TestBrkConsistency:
 
 class TestHarnessConsistency:
     def test_simulation_accepts_consistency_levels(self):
-        from repro.simulation import SimulationParameters, run_simulation
+        from repro.simulation import SimulationParameters, run_scenario
 
         base = dict(num_peers=80, num_keys=6, duration_s=300.0, num_queries=8,
                     churn_rate_per_s=0.01, seed=17)
-        current = run_simulation(SimulationParameters(
+        current = run_scenario("uniform", SimulationParameters(
             consistency=Consistency.CURRENT, **base))
-        any_level = run_simulation(SimulationParameters(
+        any_level = run_scenario("uniform", SimulationParameters(
             consistency=Consistency.ANY, **base))
         assert current.currency_rate > 0.0
         assert any_level.currency_rate == 0.0  # ANY never certifies

@@ -1,10 +1,15 @@
-"""Tests for the shared agenda application."""
+"""Tests for the shared agenda application of ``examples/agenda_sharing.py``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.apps.agenda import AgendaEntry, SharedAgenda, StaleAgendaError
+from test_examples import load_example
+
+example = load_example("agenda_sharing.py")
+AgendaEntry = example.AgendaEntry
+SharedAgenda = example.SharedAgenda
+StaleAgendaError = example.StaleAgendaError
 
 
 @pytest.fixture

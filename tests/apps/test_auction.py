@@ -1,10 +1,15 @@
-"""Tests for the cooperative auction application."""
+"""Tests for the cooperative auction application of ``examples/cooperative_auction.py``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.apps.auction import Auction, Bid, BidRejected
+from test_examples import load_example
+
+example = load_example("cooperative_auction.py")
+Auction = example.Auction
+Bid = example.Bid
+BidRejected = example.BidRejected
 
 
 @pytest.fixture

@@ -1,10 +1,15 @@
-"""Tests for the reservation book application."""
+"""Tests for the reservation book application of ``examples/reservation_management.py``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.apps.reservation import ReservationBook, ReservationError, SeatAlreadyTaken
+from test_examples import load_example
+
+example = load_example("reservation_management.py")
+ReservationBook = example.ReservationBook
+ReservationError = example.ReservationError
+SeatAlreadyTaken = example.SeatAlreadyTaken
 
 
 @pytest.fixture

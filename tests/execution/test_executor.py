@@ -16,7 +16,7 @@ import repro.execution.executor as executor_module
 from repro.execution import Executor, RunPlan, resolve_jobs
 from repro.experiments.figures import run_experiments
 from repro.experiments.runner import select_experiments
-from repro.simulation import SimulationParameters, run_simulation
+from repro.simulation import SimulationParameters
 from repro.simulation.scenarios import SCENARIOS, run_scenario
 
 
@@ -64,7 +64,7 @@ class TestParity:
         plan = RunPlan(name="single")
         plan.add(parameters)
         (result,) = Executor(jobs=1).run(plan)
-        assert snapshot(result) == snapshot(run_simulation(parameters))
+        assert snapshot(result) == snapshot(run_scenario("uniform", parameters))
 
     def test_scenario_points_match_run_scenario(self):
         parameters = quick()

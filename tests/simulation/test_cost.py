@@ -220,9 +220,9 @@ class TestDrawOrderIsPinned:
         import json
 
         from repro.simulation import SimulationParameters
-        from repro.simulation.harness import run_simulation
+        from repro.simulation.scenarios import run_scenario
 
-        result = run_simulation(SimulationParameters.quick(
+        result = run_scenario("uniform", SimulationParameters.quick(
             seed=2007, protocol=protocol, num_peers=120, num_keys=6,
             num_queries=24, duration_s=900.0, update_rate_per_hour=40.0,
             churn_rate_per_s=0.2, failure_rate=0.5, cost_model_preset=preset))

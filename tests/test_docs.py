@@ -10,7 +10,8 @@ job enforces on every push:
   every id it lists;
 * the README "Scenarios" quickstart commands are the ones CI smoke-tests,
   and they actually run;
-* the code names the prose documents mention in backticks still resolve.
+* the code names the prose documents mention in backticks still resolve;
+* every documented ``repro`` command line parses with ``cli.build_parser()``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import inspect
 import pathlib
 import pkgutil
 import re
+import shlex
 import sys
 
 import pytest
@@ -197,6 +199,60 @@ class TestNamesResolve:
         assert not _has_attribute(local_store, "_by_point")     # renamed away
         assert _resolves("repro.dht.kademlia.RoutingTable.closest")
         assert not _resolves("repro.dht.kademlia.KBucket")      # deleted in 6.0.0
+
+
+class TestCommandLinesParse:
+    """Every ``python -m repro …`` / ``repro …`` command line in the docs parses.
+
+    Markdown contributes its fenced blocks and its one-line inline code
+    spans, the CI workflow every line.  A command ends at the first shell
+    operator or comment; help requests are skipped.
+    """
+
+    SOURCES = ["README.md", "EXPERIMENTS.md", "DESIGN.md",
+               ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"]
+    START = re.compile(r"(?:^|\s)python3?\s+-m\s+repro(?:\.cli)?\s+"
+                       r"|^\s*(?:[A-Z_]+=\S*\s+)*repro\s+")
+    SHELL_OPERATOR = re.compile(r"^(?:\|\|?|&&?|;|\d?>.*|<.*)$")
+
+    def _commands(self, source):
+        text = (REPO_ROOT / source).read_text()
+        if source.endswith(".md"):
+            fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+            prose = fence.sub("", text)
+            text = "\n".join(fence.findall(text) + re.findall(r"`([^`\n]+)`", prose))
+        for line in re.sub(r"\\\n", " ", text).splitlines():
+            match = self.START.search(line)
+            if match is None:
+                continue
+            argv = []
+            for token in shlex.split(line[match.end():], comments=True):
+                if self.SHELL_OPERATOR.match(token):
+                    break
+                argv.append(token)
+            if "--help" not in argv:
+                yield argv
+
+    @staticmethod
+    def _parses(argv):
+        from repro import cli
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return False
+        return True
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_every_command_line_parses(self, source, capsys):
+        commands = list(self._commands(source))
+        assert commands, f"no repro command lines found in {source}"
+        assert [" ".join(argv) for argv in commands if not self._parses(argv)] == []
+
+    def test_the_scan_catches_a_deleted_command(self, capsys):
+        commands = [argv for source in self.SOURCES for argv in self._commands(source)]
+        assert len(commands) >= 40
+        assert self._parses(["scenario", "run", "--cluster", "--failure-rate", "20"])
+        assert not self._parses(["attack-grid", "--scale", "tiny"])
 
 
 @pytest.mark.parametrize("document", ["README.md", "DESIGN.md",

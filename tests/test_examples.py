@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -22,9 +23,15 @@ FAST_EXAMPLES = [
 
 
 def load_example(name):
+    """Import ``examples/<name>`` as the module ``example_<stem>``.
+
+    The module is registered in ``sys.modules`` before it runs, as
+    ``dataclass`` needs to resolve the annotations of the classes it defines.
+    """
     path = EXAMPLES_DIR / name
     spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 

@@ -9,7 +9,7 @@ from repro.dht import errors as dht_errors
 
 class TestTopLevelExports:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "10.0.0"
+        assert repro.__version__ == "11.0.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -32,12 +32,10 @@ class TestTopLevelExports:
             for name in module.__all__:
                 assert getattr(module, name) is not None
 
-    def test_experiments_and_apps_all_names_resolve(self):
-        import repro.apps as apps
+    def test_experiments_all_names_resolve(self):
         import repro.experiments as experiments
-        for module in (apps, experiments):
-            for name in module.__all__:
-                assert getattr(module, name) is not None
+        for name in experiments.__all__:
+            assert getattr(experiments, name) is not None
 
     def test_main_entry_points_are_importable(self):
         from repro.cli import main as cli_main
@@ -94,7 +92,7 @@ class TestDocumentationArtifacts:
             "repro.simulation.engine", "repro.simulation.cost", "repro.simulation.harness",
             "repro.execution", "repro.execution.plan", "repro.execution.executor",
             "repro.execution.cache",
-            "repro.experiments.figures", "repro.apps.agenda",
+            "repro.experiments.figures",
         ]
         for name in modules:
             module = importlib.import_module(name)
