@@ -42,8 +42,9 @@ class _FingerTable:
     ``offsets`` holds ``(entry - node) mod 2^bits`` per entry, strictly
     ascending.  ``version`` is the membership version the entries were
     computed at: a refresh with an unchanged membership would recompute
-    identical entries, so stabilisation only pays the O(bits·log n) finger
-    scan when the ring actually changed since the snapshot.
+    identical entries, so stabilisation only pays the finger scan (one
+    successor search per distinct finger) when the ring actually changed
+    since the snapshot.
     """
 
     __slots__ = ("entries", "offsets", "refreshed_at", "version")
@@ -214,16 +215,23 @@ class ChordRing(DHTProtocol):
         never ``node_id`` itself.  The targets climb clockwise from the node,
         so do their successors: the clockwise offsets ``(finger - node_id)
         mod 2^bits`` are strictly ascending, which is what lets
-        :meth:`_next_hop` bisect them.
+        :meth:`_next_hop` bisect them.  A finger at offset ``o`` is also the
+        successor of every target up to ``o``, so the scan jumps to exponent
+        ``o.bit_length()``; once a target's successor is the node itself, so
+        is every later one's.
         """
         size = self.space_size
         entries: List[int] = []
         offsets: List[int] = []
-        for exponent in range(self.bits):
+        exponent = 0
+        while exponent < self.bits:
             finger = self.successor((node_id + (1 << exponent)) % size)
-            if finger != node_id and (not entries or finger != entries[-1]):
-                entries.append(finger)
-                offsets.append((finger - node_id) % size)
+            if finger == node_id:
+                break
+            offset = (finger - node_id) % size
+            entries.append(finger)
+            offsets.append(offset)
+            exponent = offset.bit_length()
         return entries, offsets
 
     def _finger_snapshot(self, node_id: int, now: float) -> _FingerTable:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, MutableSequence, NamedTuple, Optional, Tuple
 
 __all__ = ["KIND_CODES", "Message", "MessageKind", "MessageSizes", "OperationTrace"]
@@ -86,6 +87,20 @@ class MessageSizes:
                 bytes(_BYTE_OF_KIND[kind] for kind in exchange), sizes, sum(sizes))
         return row
 
+    @cached_property
+    def kind_sizes(self) -> Tuple[int, ...]:
+        """Every kind's single-entry size, indexed by its kind byte (0 at the
+        bytes that are no kind's); computed once, like the exchange rows."""
+        row = [0] * 256
+        for kind, byte in _BYTE_OF_KIND.items():
+            row[byte] = self.size_of(kind)
+        return tuple(row)
+
+    def single_entry_total(self, kinds: bytes) -> int:
+        """The byte total of messages of ``kinds`` (kind bytes), one entry each."""
+        data = len(kinds) - len(kinds.translate(None, _DATA_KIND_BYTES))
+        return self.control_bytes * (len(kinds) - data) + self.data_bytes * data
+
 
 class Message(NamedTuple):
     """One network message of an operation trace.
@@ -108,6 +123,7 @@ class Message(NamedTuple):
 KIND_CODES: Dict[MessageKind, str] = dict(zip(MessageKind, "hrgGpPtTlLcdxsS"))
 _BYTE_OF_KIND = {kind: ord(code) for kind, code in KIND_CODES.items()}
 _KIND_OF_BYTE = {byte: kind for kind, byte in _BYTE_OF_KIND.items()}
+_DATA_KIND_BYTES = bytes(map(_BYTE_OF_KIND.__getitem__, _DATA_KINDS))
 _HOP_BYTE = _BYTE_OF_KIND[MessageKind.LOOKUP_HOP]
 _RETRY = KIND_CODES[MessageKind.LOOKUP_RETRY].encode("ascii")
 

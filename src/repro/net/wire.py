@@ -47,12 +47,21 @@ does: ``o`` an :class:`~repro.dht.messages.OperationTrace`, ``w`` an
 A result record packs its fixed fields (flags, counts, the consistency
 code) in one ``struct`` call; a timestamp of the result's own key carries
 only its counter; key, data and the other optional fields follow in the
-tagged encoding.  A trace record is its sizes, a message count, the kind
-bytes (:data:`~repro.dht.messages.KIND_CODES`), three packed int64 columns
-— a column holding an id outside int64 falls back to a tagged list — and
-the ``timed_out`` indices.  A batch carries its one shared trace once and
-its per-key records without one.  A received trace is adopted as its
-columns, after the checks of :func:`_decode_trace`.
+tagged encoding.  A trace record is its control and data sizes, a message
+count, a flags byte and the kind bytes
+(:data:`~repro.dht.messages.KIND_CODES`), then its integer columns, each in
+the narrowest form that holds it: big-endian u32s (``-1`` as
+``0xFFFFFFFF``, so a real ``0xFFFFFFFF`` takes the next form), int64s, or a
+tagged list for ids beyond int64.  What the receiver can rebuild stays
+home: ``size_bytes`` is left out under a flag when every message has its
+kind's single-entry size (rebuilt from ``kinds`` through
+:attr:`~repro.dht.messages.MessageSizes.kind_sizes`), and ``sources`` is a
+u32 count, one 0/1 byte per message — set where the source is not the
+previous message's dest (``-1`` before the first) — and the flagged sources
+only.  ``dests`` and the ``timed_out`` indices close the record.  A batch
+carries its one shared trace once and its per-key records without one.  A
+received trace is rebuilt as list columns, after the checks of
+:func:`_decode_trace`.
 
 A dict is a u32 count, then ``count`` keys each followed by its value.  A
 key listed in :data:`WIRE_KEYS` — the envelope and request field names — is
@@ -70,6 +79,9 @@ import struct
 import sys
 import zlib
 from array import array
+from functools import lru_cache
+from itertools import chain, compress
+from operator import ne
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.results import (
@@ -130,7 +142,7 @@ _TAG_F64 = struct.Struct(">cd")
 #: The fixed fields of the records: flags, replicas written and attempted,
 #: the own-key timestamp counter (insert); flags, consistency code, replicas
 #: inspected, the two own-key counters (retrieve); control and data sizes,
-#: message count, list-column flags (trace).
+#: message count, column flags (trace).
 _INSERT_HEAD = struct.Struct(">Bqqq")
 _RETRIEVE_HEAD = struct.Struct(">BBqqq")
 _TRACE_HEAD = struct.Struct(">qqIB")
@@ -140,8 +152,16 @@ _BATCH_HEAD = struct.Struct(">BI")
 _FOUND, _CURRENT, _AMBIGUOUS, _OWN_STAMP, _OWN_LATEST = 1, 2, 4, 8, 16
 _INSERT_FLAGS = _OWN_STAMP
 _RETRIEVE_FLAGS = _FOUND | _CURRENT | _AMBIGUOUS | _OWN_STAMP | _OWN_LATEST
-#: Trace column flag bits: which of size_bytes/sources/dests is a list.
-_LIST_COLUMNS = (1, 2, 4)
+#: Trace column forms, two flag bits each (size_bytes at bit 0, sources at
+#: bit 2, dests at bit 4): big-endian u32s with ``-1`` as ``0xFFFFFFFF``,
+#: int64s, or a tagged list; form 3 is refused.
+_NARROW, _WIDE, _LISTED = 0, 1, 2
+#: Trace flag bit: every size is its kind's single-entry size, and the
+#: size_bytes column is left out (rebuilt from ``kinds``).
+_DEFAULT_SIZES = 64
+_TRACE_FLAGS = _DEFAULT_SIZES | 0b111111
+#: The one u32 that is not a narrow value: ``-1`` on the wire.
+_MINUS_ONE_U32 = 0xFFFFFFFF
 
 #: Consistency levels as one-byte codes, append-only like the kind codes;
 #: ``0xFF`` escapes to a tagged value for any other level.
@@ -153,6 +173,8 @@ _OTHER_LEVEL = 0xFF
 #: The known kind bytes, deleted from a received ``kinds`` column to find
 #: the unknown ones.
 _KIND_BYTES = "".join(KIND_CODES.values()).encode("ascii")
+#: The bytes a source-flag column may hold.
+_FLAG_BYTES = b"\x00\x01"
 
 #: The ``q`` tag and the trace columns are big-endian on the wire.
 _SWAP_ARRAYS = sys.byteorder == "little"
@@ -190,8 +212,6 @@ _KEY_COUNT = len(WIRE_KEYS)
 _U32_AT = _U32.unpack_from
 _I64_AT = _I64.unpack_from
 _F64_AT = struct.Struct(">d").unpack_from
-
-_Column = Union["array[int]", List[int]]
 
 
 class DeflateStream:
@@ -255,7 +275,7 @@ def _encode_dict(value: Dict[Any, Any], out: bytearray) -> None:
         _pack(value[key], out)
 
 
-def _encode_int64s(column: "array[int]", out: bytearray) -> None:
+def _encode_array(column: "array[int]", out: bytearray) -> None:
     """Append ``column``'s bytes, big-endian (``column`` is a scratch copy)."""
     if _SWAP_ARRAYS:
         column.byteswap()
@@ -282,31 +302,65 @@ def _own_counter(stamp: Any, key: Any) -> Optional[int]:
     return None
 
 
+def _replaced(values: List[int], old: int, new: int) -> List[int]:
+    """``values`` with each ``old`` replaced by ``new``, in place: one scan,
+    and a loop over the matches only."""
+    index = -1
+    try:
+        while True:
+            index = values.index(old, index + 1)
+            values[index] = new
+    except ValueError:
+        return values
+
+
+def _encode_column(values: Sequence[int], out: bytearray) -> int:
+    """Append ``values`` in the narrowest form that holds them; return the form."""
+    if _MINUS_ONE_U32 not in values:
+        try:
+            _encode_array(array("I", _replaced(list(values), -1, _MINUS_ONE_U32)
+                                 if -1 in values else values), out)
+            return _NARROW
+        except OverflowError:
+            pass  # a value beyond 32 bits, or below -1
+    try:
+        _encode_array(array("q", values), out)
+        return _WIDE
+    except OverflowError:
+        # An id beyond int64 (``bits > 63``): the bigint tag carries it.
+        _encode_list(values, out)
+        return _LISTED
+
+
 def _encode_trace(trace: OperationTrace, out: bytearray) -> None:
-    """Append a trace record (untagged): sizes, count, kinds, columns, timeouts."""
+    """Append a trace record (untagged): sizes, count, flags, kinds, columns,
+    timeouts."""
     if not isinstance(trace, OperationTrace):
         raise CodecError(f"a result's trace must be an OperationTrace, "
                          f"got {type(trace).__name__}")
-    columns = (trace.size_bytes, trace.sources, trace.dests)
-    packed: List[Optional["array[int]"]] = []
-    lists = 0
-    for flag, values in zip(_LIST_COLUMNS, columns):
-        try:
-            packed.append(array("q", values))
-        except OverflowError:
-            # An id beyond int64 (``bits > 63``): the bigint tag carries it.
-            packed.append(None)
-            lists |= flag
-    out += _TRACE_HEAD.pack(trace.sizes.control_bytes, trace.sizes.data_bytes,
-                            len(trace.kinds), lists)
-    out += trace.kinds
-    for column, values in zip(packed, columns):
-        if column is None:
-            _encode_list(values, out)
-        else:
-            _encode_int64s(column, out)
+    kinds, sizes, dests = trace.kinds, trace.sizes, trace.dests
+    head = len(out)
+    out += _TRACE_HEAD.pack(sizes.control_bytes, sizes.data_bytes, len(kinds), 0)
+    out += kinds
+    # Sizes: left out when each is its kind's single-entry size.  The byte
+    # total rules most other traces out (a batch's multi-entry messages)
+    # before any element-wise compare.
+    if (sizes.single_entry_total(kinds) == trace.total_bytes
+            and list(map(sizes.kind_sizes.__getitem__, kinds)) == list(trace.size_bytes)):
+        flags = _DEFAULT_SIZES
+    else:
+        flags = _encode_column(trace.size_bytes, out)
+    # Sources: a flag byte per message, set where the source is not the
+    # previous message's dest (-1 before the first), then those sources.
+    chained = bytes(map(ne, trace.sources, chain((-1,), dests)))
+    unchained = list(compress(trace.sources, chained))
+    out += _U32.pack(len(unchained))
+    out += chained
+    flags |= _encode_column(unchained, out) << 2
+    flags |= _encode_column(dests, out) << 4
+    out[head + _TRACE_HEAD.size - 1] = flags
     out += _U32.pack(len(trace.timed_out))
-    _encode_int64s(array("q", trace.timed_out), out)
+    _encode_array(array("q", trace.timed_out), out)
 
 
 def _encode_insert(result: InsertResult, out: bytearray, *,
@@ -419,7 +473,7 @@ def _pack(value: Any, out: bytearray) -> None:
             raise CodecError(f"only array('q') is wire-serialisable, "
                              f"got array({value.typecode!r})")
         out += _TAG_U32.pack(b"q", len(value))
-        _encode_int64s(array("q", value), out)
+        _encode_array(array("q", value), out)
     elif isinstance(value, int):
         _encode_int(value, out)
     elif isinstance(value, float):
@@ -525,46 +579,95 @@ def _check_flags(flags: int, known: int, record: str) -> None:
         raise CodecError(f"unknown {record} record flags {flags:#04x}")
 
 
+def _decode_column(data: bytes, pos: int, form: int, count: int,
+                   floor: int) -> Tuple[List[int], int]:
+    """The column of ``count`` values ``>= floor`` in ``form`` at ``pos``, as
+    a list, and the offset behind it."""
+    if form == _NARROW:
+        start, end = _span(data, pos, count * 4)
+        column = array("I")
+        column.frombytes(data[start:end])
+        if _SWAP_ARRAYS:
+            column.byteswap()
+        values = column.tolist()
+        if floor < 0:
+            return _replaced(values, _MINUS_ONE_U32, -1), end
+        if _MINUS_ONE_U32 in values:
+            raise CodecError("malformed trace columns: a size below 0")
+        return values, end
+    if form == _WIDE:
+        column, pos = _decode_int64s(data, pos, count)
+        values = column.tolist()
+    elif form == _LISTED:
+        values, pos = _unpack(data, pos)
+        if type(values) is not list or not set(map(type, values)) <= {int}:
+            raise CodecError("malformed trace columns: a list column "
+                             "holds something other than integers")
+        if len(values) != count:
+            raise CodecError(f"trace columns differ in length: a list of "
+                             f"{len(values)} where {count} belong")
+    else:
+        raise CodecError(f"unknown trace column form {form}")
+    if values and min(values) < floor:
+        raise CodecError(f"malformed trace columns: a value below {floor}")
+    return values, pos
+
+
+#: A received trace's sizes, shared by the traces that name the same two
+#: (so each pair's memoised rows are computed once).
+_shared_sizes = lru_cache(maxsize=16)(MessageSizes)
+
+
 def _decode_trace(data: bytes, pos: int) -> Tuple[OperationTrace, int]:
     """The (untagged) trace record at ``pos`` and the offset behind it.
 
-    Its columns are adopted as they are, once they are known kind codes,
-    sizes ``>= 0`` and endpoints ``>= -1`` with in-range ``timed_out``
-    indices (repeats count once); anything else is a :class:`CodecError`.
+    Its columns are rebuilt as lists, as a recorded trace's are, and adopted
+    once they are known kind codes, sizes ``>= 0`` and endpoints ``>= -1``
+    with in-range ``timed_out`` indices (repeats count once); anything else
+    is a :class:`CodecError`.
     """
-    control_bytes, data_bytes, count, lists = _TRACE_HEAD.unpack_from(data, pos)
-    _check_flags(lists, sum(_LIST_COLUMNS), "trace")
+    control_bytes, data_bytes, count, flags = _TRACE_HEAD.unpack_from(data, pos)
+    _check_flags(flags, _TRACE_FLAGS, "trace")
     start, pos = _span(data, pos + _TRACE_HEAD.size, count)
     kinds = bytearray(data[start:pos])
-    columns: List[_Column] = []
-    for flag in _LIST_COLUMNS:
-        if lists & flag:
-            values, pos = _unpack(data, pos)
-            if type(values) is not list or not set(map(type, values)) <= {int}:
-                raise CodecError("malformed trace columns: a list column "
-                                 "holds something other than integers")
-            columns.append(values)
-        else:
-            column, pos = _decode_int64s(data, pos, count)
-            columns.append(column)
-    timed_out, pos = _decode_int64s(data, pos + 4, _U32_AT(data, pos)[0])
-    size_bytes, sources, dests = columns
     unknown = kinds.translate(None, _KIND_BYTES)
     if unknown:
         raise CodecError(f"unknown message kind code {chr(unknown[0])!r}")
-    if not len(size_bytes) == len(sources) == len(dests) == count:
-        raise CodecError(
-            f"trace columns differ in length: {count} kinds, "
-            f"{len(size_bytes)} sizes, {len(sources)} sources, "
-            f"{len(dests)} dests")
-    if count and (min(size_bytes) < 0 or min(sources) < -1 or min(dests) < -1):
-        raise CodecError("malformed trace columns: a size below 0 or an endpoint below -1")
-    marked = sorted(set(timed_out))
-    if marked and not 0 <= marked[0] <= marked[-1] < count:
-        raise CodecError(f"timed_out index outside a trace of {count} "
-                         f"messages: {marked[0]}..{marked[-1]}")
-    return OperationTrace(MessageSizes(control_bytes, data_bytes),
-                          (kinds, size_bytes, sources, dests, marked)), pos
+    if control_bytes < 0 or data_bytes < 0:
+        raise CodecError("malformed trace record: a message size below 0")
+    sizes = _shared_sizes(control_bytes, data_bytes)
+    if not flags & _DEFAULT_SIZES:
+        size_bytes, pos = _decode_column(data, pos, flags & 3, count, 0)
+    elif flags & 3:
+        raise CodecError(f"unknown trace record flags {flags:#04x}")
+    else:
+        size_bytes = list(map(sizes.kind_sizes.__getitem__, kinds))
+    unchained_count = _U32_AT(data, pos)[0]
+    start, pos = _span(data, pos + 4, count)
+    chained = data[start:pos]
+    if chained.translate(None, _FLAG_BYTES):
+        raise CodecError("malformed trace columns: a source flag other than 0 or 1")
+    flagged = chained.count(1)
+    if flagged != unchained_count:
+        raise CodecError(f"malformed trace columns: {unchained_count} unchained "
+                         f"sources for {flagged} set source flags")
+    unchained, pos = _decode_column(data, pos, flags >> 2 & 3, flagged, -1)
+    dests, pos = _decode_column(data, pos, flags >> 4 & 3, count, -1)
+    timeouts = _U32_AT(data, pos)[0]
+    marked: List[int] = []
+    if timeouts:
+        timed_out, pos = _decode_int64s(data, pos + 4, timeouts)
+        marked = sorted(set(timed_out))
+        if not 0 <= marked[0] <= marked[-1] < count:
+            raise CodecError(f"timed_out index outside a trace of {count} "
+                             f"messages: {marked[0]}..{marked[-1]}")
+    else:
+        pos += 4
+    sources = [-1, *dests]
+    sources.pop()
+    for index, source in zip(compress(range(count), chained), unchained):
+        sources[index] = source
+    return OperationTrace(sizes, (kinds, size_bytes, sources, dests, marked)), pos
 
 
 def _decode_insert(data: bytes, pos: int,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrace
+from repro.dht.messages import KIND_CODES, Message, MessageKind, MessageSizes, OperationTrace
 
 
 class TestMessageSizes:
@@ -32,6 +32,21 @@ class TestMessageSizes:
         sizes = MessageSizes(control_bytes=10, data_bytes=500)
         assert sizes.size_of(MessageKind.PUT_REQUEST, 7) == 3500
         assert sizes.size_of(MessageKind.PUT_ACK, 7) == 10
+
+    def test_the_kind_row_is_each_kinds_single_entry_size_computed_once(self):
+        sizes = MessageSizes(control_bytes=10, data_bytes=500)
+        row = sizes.kind_sizes
+        assert row is sizes.kind_sizes and len(row) == 256
+        expected = {ord(KIND_CODES[kind]): sizes.size_of(kind) for kind in MessageKind}
+        assert {byte: row[byte] for byte in expected} == expected
+        assert set(row[byte] for byte in range(256) if byte not in expected) == {0}
+
+    @given(kinds=st.lists(st.sampled_from(list(MessageKind)), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_the_single_entry_total_is_the_sum_of_the_kinds_sizes(self, kinds):
+        sizes = MessageSizes(control_bytes=10, data_bytes=500)
+        codes = "".join(KIND_CODES[kind] for kind in kinds).encode("ascii")
+        assert sizes.single_entry_total(codes) == sum(map(sizes.size_of, kinds))
 
 
 class TestOperationTrace:

@@ -347,7 +347,7 @@ class TestTraceEncoding:
         assert rebuilt.messages == trace.messages
         assert rebuilt.sources == [2 ** 63, 5]
         assert rebuilt.dests == [2 ** 159 + 1, -1]
-        assert isinstance(rebuilt.size_bytes, array)
+        assert rebuilt.size_bytes == [128, 128]
 
     def test_empty_trace_round_trips(self):
         assert via_wire(OperationTrace()).messages == ()
@@ -408,7 +408,8 @@ class TestTraceEncoding:
     def test_columns_are_adopted_and_recorded_into(self):
         trace = sample_trace()
         rebuilt = via_wire(trace)
-        assert isinstance(rebuilt.sources, array)
+        # Rebuilt as lists, the columns of a recorded trace.
+        assert type(rebuilt.sources) is type(trace.sources) is list
         assert rebuilt.kinds == trace.kinds == bytearray(b"hhrrgG")
         assert rebuilt.timed_out == trace.timed_out == [2]
         # The client's retry accounting records into the adopted columns.
