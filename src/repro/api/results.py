@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Tuple
 
 from repro.dht.messages import OperationTrace
+from repro.dht.model import slotted_init
 
 __all__ = [
     "BatchInsertResult",
@@ -94,7 +95,8 @@ class Consistency:
         return replication_factor
 
 
-@dataclass(frozen=True)
+@slotted_init
+@dataclass(frozen=True, slots=True)
 class InsertResult:
     """Outcome of an insert, shared by every currency service.
 
@@ -124,7 +126,8 @@ class InsertResult:
         return self.trace.message_count
 
 
-@dataclass(frozen=True)
+@slotted_init
+@dataclass(frozen=True, slots=True)
 class RetrieveResult:
     """Outcome of a retrieve, shared by every currency service.
 
@@ -157,6 +160,8 @@ class RetrieveResult:
 class _BatchResult:
     """Common behaviour of the batched result containers."""
 
+    __slots__ = ()
+
     results: Tuple[Any, ...]
     trace: OperationTrace
 
@@ -180,7 +185,8 @@ class _BatchResult:
         return self.trace.message_count
 
 
-@dataclass(frozen=True)
+@slotted_init
+@dataclass(frozen=True, slots=True)
 class BatchInsertResult(_BatchResult):
     """Outcome of ``insert_many``: per-key results plus the shared batch trace.
 
@@ -198,7 +204,8 @@ class BatchInsertResult(_BatchResult):
         return all(result.fully_replicated for result in self.results)
 
 
-@dataclass(frozen=True)
+@slotted_init
+@dataclass(frozen=True, slots=True)
 class BatchRetrieveResult(_BatchResult):
     """Outcome of ``retrieve_many``: per-key results plus the shared batch trace."""
 

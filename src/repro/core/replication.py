@@ -82,6 +82,9 @@ class ReplicationScheme:
         if len(set(names)) != len(names):
             raise ReplicationConfigurationError(f"duplicate hash function names in Hr: {names}")
         self._hashes: List[PairwiseIndependentHash] = list(hashes)
+        # ``rng.shuffle``'s swaps, last index first: (index, bound, bits of bound).
+        self._swaps = tuple((index, index + 1, (index + 1).bit_length())
+                            for index in range(len(hashes) - 1, 0, -1))
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -154,10 +157,16 @@ class ReplicationScheme:
         UMS probes replicas one by one; probing in random order makes the
         number of probes follow the geometric model of the paper's cost
         analysis (Section 3.3) even when stale replicas cluster on particular
-        hash functions.
+        hash functions.  The draws are ``rng.shuffle``'s own (the rejection
+        loop of ``Random._randbelow`` over ``getrandbits``), made inline.
         """
         order = list(self._hashes)
-        rng.shuffle(order)
+        getrandbits = rng.getrandbits
+        for index, bound, bits in self._swaps:
+            pick = getrandbits(bits)
+            while pick >= bound:
+                pick = getrandbits(bits)
+            order[index], order[pick] = order[pick], order[index]
         return order
 
     # -------------------------------------------------------------- delta sync

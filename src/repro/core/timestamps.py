@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.errors import IncomparableTimestampsError
+from repro.dht.model import slotted_init
 
 __all__ = ["Timestamp"]
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
+@slotted_init
+@dataclass(frozen=True, slots=True)
 class Timestamp:
     """A logical timestamp for one key.
 

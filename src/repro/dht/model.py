@@ -8,14 +8,18 @@ This module provides:
   CAN) provide to the network layer: membership changes, responsibility
   resolution (``rsp(k, h)``) and greedy routing paths;
 * :class:`RouteResult` and :class:`LookupResult`, the tuples the overlays and
-  the network layer return from a route and a lookup.
+  the network layer return from a route and a lookup;
+* :func:`slotted_init`, the cheaper ``__init__`` every frozen record on the
+  core path (stored replicas, timestamps, service results) is built through.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from dataclasses import MISSING, fields
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple, Type, TypeVar, cast)
 
 from repro.dht.messages import OperationTrace
 
@@ -24,6 +28,7 @@ __all__ = [
     "DepartureReason",
     "LookupResult",
     "RouteResult",
+    "slotted_init",
 ]
 
 
@@ -247,5 +252,43 @@ class DHTProtocol(abc.ABC):
 
     # ---------------------------------------------------------------- utilities
     def random_node(self, rng: random.Random) -> int:
-        """A uniformly random live node: the ``rng.choice`` ``DHTNetwork`` makes inline."""
+        """A uniformly random live node: the draw ``DHTNetwork`` makes inline."""
         return rng.choice(self.nodes())
+
+
+_Record = TypeVar("_Record")
+
+
+def slotted_init(cls: Type[_Record]) -> Type[_Record]:
+    """Give a ``dataclass(frozen=True, slots=True)`` class a cheaper ``__init__``.
+
+    A frozen dataclass's generated ``__init__`` calls ``object.__setattr__``
+    once per field, which looks the name up on the type each time.  The
+    replacement keeps its parameters, defaults, annotations and
+    ``__post_init__`` call, but fills each slot through the slot's member
+    descriptor ``__set__``, bound once here.
+    """
+    namespace: Dict[str, Any] = {}
+    parameters: List[str] = []
+    annotations: Dict[str, Any] = {}
+    body: List[str] = []
+    for field in fields(cast(Any, cls)):
+        name = field.name
+        if field.default_factory is not MISSING or not field.init:
+            raise TypeError(f"{cls.__name__}.{name}: slotted_init takes plain fields only")
+        namespace[f"_set_{name}"] = getattr(cls, name).__set__
+        if field.default is MISSING:
+            parameters.append(name)
+        else:
+            namespace[f"_default_{name}"] = field.default
+            parameters.append(f"{name}=_default_{name}")
+        annotations[name] = field.type
+        body.append(f"    _set_{name}(self, {name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(parameters)}):\n" + "\n".join(body), namespace)
+    init = namespace["__init__"]
+    init.__annotations__ = {**annotations, "return": None}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    setattr(cls, "__init__", init)
+    return cls

@@ -392,7 +392,15 @@ class DHTNetwork:
             return origin
         if not self._peers:
             raise EmptyNetworkError("the network has no live peers")
-        return self.rng.choice(self.protocol.nodes())  # random_node's draw, inline
+        # random_node's ``rng.choice``, inline: ``Random._randbelow``'s draws.
+        nodes = self.protocol.nodes()
+        count = len(nodes)
+        bits = count.bit_length()
+        getrandbits = self.rng.getrandbits
+        index = getrandbits(bits)
+        while index >= count:
+            index = getrandbits(bits)
+        return nodes[index]
 
     def _locate(self, origin: int, point: int, trace: Optional[OperationTrace],
                 exchange: Optional[Tuple[MessageKind, MessageKind]] = None,
@@ -442,9 +450,7 @@ class DHTNetwork:
         responsible, _ = self._locate(origin, point, trace, _PUT, unreachable)
         if responsible in unreachable:
             return False
-        entry = StoredValue(key=key, data=data, timestamp=timestamp, version=version,
-                            hash_name=hash_fn.name, point=point,
-                            stored_at=self.now)
+        entry = StoredValue(key, data, timestamp, version, hash_fn.name, point, self.now)
         return self._peers[responsible].store.put(entry)
 
     # --------------------------------------------------------------------- get
@@ -529,9 +535,8 @@ class DHTNetwork:
                 points, origin, trace, unreachable, _PUT):
             for index in indices:
                 key, hash_fn, data, timestamp, version = requests[index]
-                entry = StoredValue(key=key, data=data, timestamp=timestamp,
-                                    version=version, hash_name=hash_fn.name,
-                                    point=points[index], stored_at=self.now)
+                entry = StoredValue(key, data, timestamp, version, hash_fn.name,
+                                    points[index], self.now)
                 results[index] = self._peers[responsible].store.put(entry)
         return results
 

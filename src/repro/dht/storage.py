@@ -15,10 +15,13 @@ from array import array
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.dht.model import slotted_init
+
 __all__ = ["LocalStore", "StoredValue", "advanced_past", "reconciliation_token"]
 
 
-@dataclass(frozen=True)
+@slotted_init
+@dataclass(frozen=True, slots=True)
 class StoredValue:
     """One replica stored at a peer.
 
