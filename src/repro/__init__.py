@@ -53,7 +53,7 @@ from repro.execution import Executor, RunPlan
 from repro.simulation.cost import NetworkCostModel
 from repro.simulation.engine import Simulator
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "BricksService",

@@ -2,9 +2,9 @@
 
 Every experiment grid in the repo — the figure sweeps, ablations, attack
 grid and scenario comparison of :mod:`repro.experiments` (``repro
-experiments``), and the benchmark grids — is expressed as a
-:class:`RunPlan` (an explicit, serialisable list of content-hashed run
-points) and executed by one :class:`Executor`:
+experiments``) — is expressed as a :class:`RunPlan` (an explicit,
+serialisable list of content-hashed run points) and executed by one
+:class:`Executor`:
 
 >>> from repro.execution import Executor, RunPlan
 >>> from repro.simulation import SimulationParameters
@@ -25,7 +25,7 @@ Guarantees:
 
 from repro.execution.cache import RunCache
 from repro.execution.executor import JOBS_ENV, Executor, resolve_jobs, run_point
-from repro.execution.plan import RunPlan, RunPoint, plan_artifact_path
+from repro.execution.plan import RunPlan, RunPoint
 
 __all__ = [
     "Executor",
@@ -33,7 +33,6 @@ __all__ = [
     "RunCache",
     "RunPlan",
     "RunPoint",
-    "plan_artifact_path",
     "resolve_jobs",
     "run_point",
 ]

@@ -1,8 +1,8 @@
 """The executor: run a :class:`~repro.execution.plan.RunPlan`, serially or in parallel.
 
 One :class:`Executor` replaces the grid loops that used to live separately in
-``experiments/runner.py``, ``experiments/figures.py``, the ``repro scenario
-compare`` CLI path and the ``benchmarks/bench_*.py`` scripts:
+``experiments/runner.py``, ``experiments/figures.py`` and the ``repro
+scenario compare`` CLI path:
 
 * ``jobs=1`` (default) runs the points in plan order in-process;
 * ``jobs=N`` fans the points out over a ``multiprocessing`` pool.  Every run

@@ -3,12 +3,11 @@
 A :class:`RunPlan` is an ordered list of :class:`RunPoint` entries — one
 ``(SimulationParameters, scenario)`` pair per independent simulation run of
 an experiment grid (the paper's figures and ablations, the attack grid, the
-scenario × overlay × service comparison, a benchmark).  Plans are pure data:
+scenario × overlay × service comparison).  Plans are pure data:
 
 * every point has a **stable content hash** (:attr:`RunPoint.content_hash`)
-  over its parameters and scenario spec — the key of the on-disk run cache,
-  the identity under which an experiment plan holds a shared point once,
-  and the identity used by benchmark artifacts;
+  over its parameters and scenario spec — the key of the on-disk run cache
+  and the identity under which an experiment plan holds a shared point once;
 * plans round-trip through JSON (:meth:`RunPlan.to_dict` /
   :meth:`RunPlan.from_dict`), so a grid can be recorded next to its results
   and re-executed bit-for-bit later.
@@ -23,15 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.simulation.config import SimulationParameters
 from repro.simulation.scenarios.registry import UNIFORM_SCENARIO
 from repro.simulation.scenarios.spec import ScenarioSpec, fold_overrides
 
-__all__ = ["RunPlan", "RunPoint", "plan_artifact_path"]
+__all__ = ["RunPlan", "RunPoint"]
 
 
 def _stable_hash(payload: Dict[str, Any]) -> str:
@@ -161,13 +159,3 @@ class RunPlan:
     def __getitem__(self, index: int) -> RunPoint:
         return self.points[index]
 
-
-def plan_artifact_path(directory: Union[str, pathlib.Path], plan: RunPlan,
-                       suffix: str = ".json") -> pathlib.Path:
-    """The canonical artifact path of a plan: ``<name>-<hash12><suffix>``.
-
-    Benchmarks write their JSON outputs here so an artifact is a reproducible
-    function of the named plan: same grid → same file name, changed grid →
-    a new, distinguishable one.
-    """
-    return pathlib.Path(directory) / f"{plan.name}-{plan.plan_hash[:12]}{suffix}"

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.api import Cluster, Consistency
 
 KEYS = [f"item-{index}" for index in range(10)]
+#: Batch sizes of the amortisation tests.
+SIZES = (8, 16, 32, 64)
 
 
 @pytest.fixture(params=["ums", "brk"])
@@ -14,9 +18,59 @@ def service_name(request) -> str:
     return request.param
 
 
+def build(service_name, protocol="chord"):
+    return Cluster.build(peers=64, replicas=8, service=service_name, protocol=protocol,
+                         seed=404)
+
+
 @pytest.fixture
 def cluster(service_name):
-    return Cluster.build(peers=64, replicas=8, service=service_name, seed=404)
+    return build(service_name)
+
+
+def insert_messages(service_name, protocol, size):
+    """(batch, per-key loop) messages of inserting ``size`` keys on twin clusters."""
+    keys = [f"item-{index}" for index in range(size)]
+    with build(service_name, protocol).session() as session:
+        batch = session.insert_many((key, {"k": key}) for key in keys)
+    assert batch.fully_replicated
+    with build(service_name, protocol).session() as session:
+        for key in keys:
+            session.insert(key, {"k": key})
+        return batch.message_count, session.messages_sent
+
+
+def retrieve_messages(service_name, protocol, size):
+    """(batch, per-key loop) messages of retrieving ``size`` inserted keys."""
+    keys = [f"item-{index}" for index in range(size)]
+    cluster = build(service_name, protocol)
+    with cluster.session() as session:
+        session.insert_many((key, {"k": key}) for key in keys)
+    with cluster.session() as session:
+        batch = session.retrieve_many(keys)
+    assert batch.found_count == size
+    assert batch.current_count == size or service_name == "brk"
+    with cluster.session() as session:
+        for key in keys:
+            single = session.retrieve(key)
+            assert single.is_current or service_name == "brk"
+        return batch.message_count, session.messages_sent
+
+
+def assert_amortised(messages, size):
+    """A batch of ``size`` keys sends fewer messages than the per-key loop,
+    saves no less than the next smaller batch, and over 25 % at 64 keys."""
+
+    def savings(batch_size):
+        batch, singles = messages(batch_size)
+        assert batch < singles, batch_size
+        return 1.0 - batch / singles
+
+    saved = savings(size)
+    if size > SIZES[0]:
+        assert saved >= savings(SIZES[SIZES.index(size) - 1])
+    if size == SIZES[-1]:
+        assert saved > 0.25
 
 
 class TestInsertMany:
@@ -29,17 +83,13 @@ class TestInsertMany:
             with cluster.session() as session:
                 assert session.retrieve(key).data == {"k": key}
 
-    def test_batch_insert_sends_fewer_messages_than_singles(self, cluster,
-                                                            service_name):
-        with cluster.session() as session:
-            batch = session.insert_many((key, {"k": key}) for key in KEYS)
-        # The same workload on an identical twin cluster, one key at a time.
-        twin = Cluster.build(peers=64, replicas=8, service=service_name, seed=404)
-        with twin.session() as session:
-            for key in KEYS:
-                session.insert(key, {"k": key})
-            singles = session.messages_sent
-        assert batch.message_count < singles
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("protocol", ["chord", "kademlia"])
+    def test_batch_insert_sends_fewer_messages_than_singles(self, service_name, protocol,
+                                                            size):
+        # The TSR exchanges amortise per responsible of timestamping and the
+        # replica writes coalesce per holder.
+        assert_amortised(partial(insert_messages, service_name, protocol), size)
 
     def test_batch_insert_timestamps_are_distinct_per_key(self):
         cluster = Cluster.build(peers=32, replicas=4, seed=1)
@@ -93,16 +143,13 @@ class TestRetrieveMany:
             assert batched.found and single.found
             assert batched.is_current == single.is_current
 
-    def test_batch_retrieve_sends_fewer_messages_than_singles(self, cluster):
-        with cluster.session() as session:
-            session.insert_many((key, {"k": key}) for key in KEYS)
-        with cluster.session() as session:
-            batch = session.retrieve_many(KEYS)
-        with cluster.session() as session:
-            for key in KEYS:
-                session.retrieve(key)
-            singles = session.messages_sent
-        assert batch.message_count < singles
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("protocol", ["chord", "kademlia"])
+    def test_batch_retrieve_sends_fewer_messages_than_singles(self, service_name, protocol,
+                                                              size):
+        # The KTS lookups amortise per responsible of timestamping and the
+        # replica probes of a round coalesce per destination peer.
+        assert_amortised(partial(retrieve_messages, service_name, protocol), size)
 
     def test_ums_batch_certifies_currency(self):
         cluster = Cluster.build(peers=64, replicas=8, seed=404)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Cluster
 from repro.core import analysis
+from repro.core.timestamps import Timestamp
+from repro.dht.storage import StoredValue
 
 
 class TestGeometricDistribution:
@@ -81,6 +85,36 @@ class TestExpectedRetrievals:
             analysis.expected_retrievals(0.5, 0)
         with pytest.raises(ValueError):
             analysis.expected_probes(0.5, 0)
+
+
+def measured_probe_count(pt: float, num_replicas: int = 10, queries: int = 300,
+                         seed: int = 7) -> float:
+    """Average number of replicas UMS probes when a fraction ``pt`` is current.
+
+    Exactly ``(1 - pt)·|Hr|`` replicas of one key are rolled back in place to
+    the older timestamp (bypassing reconciliation), so the probability of
+    currency and availability equals ``pt``.
+    """
+    cluster = Cluster.build(peers=64, replicas=num_replicas, seed=seed)
+    ums = cluster.service("ums")
+    ums.insert("k", "v0")
+    ums.insert("k", "v1")
+    stale_count = round((1.0 - pt) * num_replicas)
+    for hash_fn in random.Random(seed).sample(list(cluster.replication), stale_count):
+        responsible = cluster.network.responsible_peer("k", hash_fn)
+        stale = StoredValue(key="k", data="v0", timestamp=Timestamp("k", 1),
+                            hash_name=hash_fn.name, point=hash_fn("k"))
+        cluster.network.peer(responsible).store.put(stale, reconcile=False)
+    return sum(ums.retrieve("k").replicas_inspected for _ in range(queries)) / queries
+
+
+class TestMeasuredProbes:
+    @pytest.mark.parametrize("pt", [0.3, 0.5, 0.8, 1.0])
+    def test_measured_probes_match_the_geometric_model(self, pt):
+        measured = measured_probe_count(pt)
+        # Within the theorem's bound and close to the model's expectation.
+        assert measured <= min(1.0 / pt, 10.0) + 0.75
+        assert measured == pytest.approx(analysis.expected_probes(pt, 10), rel=0.35, abs=0.75)
 
 
 class TestIndirectSuccessProbability:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Cluster
 from repro.core.kts import CounterInitialization, KeyBasedTimestampService
 from repro.core.replication import ReplicationScheme
 from repro.core.timestamps import Timestamp
@@ -186,6 +187,41 @@ class TestIndirectInitialization:
             network.put("k", hash_fn, "payload", timestamp=latest)
         network.fail_peer(kts.responsible_of_timestamping("k"))
         assert kts.gen_ts("k").value == latest.value + 3 + 1
+
+
+def messages_of_the_first_gen_ts_after_departure(initialization, *, fail):
+    """Messages of the first ``gen_ts`` after the responsible of timestamping
+    of an inserted key leaves (or fails) and one peer joins."""
+    cluster = Cluster.build(peers=128, replicas=10, seed=5, initialization=initialization)
+    cluster.service("ums").insert("k", "v0")
+    responsible = cluster.kts.responsible_of_timestamping("k")
+    (cluster.network.fail_peer if fail else cluster.network.leave_peer)(responsible)
+    cluster.network.join_peer()
+    trace = cluster.network.new_trace()
+    cluster.kts.gen_ts("k", trace=trace)
+    return trace.message_count
+
+
+class TestCounterInitializationAblation:
+    """The paper's own ablation: what the two modes cost right after the
+    responsible of timestamping changes."""
+
+    def test_direct_transfer_makes_post_leave_timestamping_cheap(self):
+        direct = messages_of_the_first_gen_ts_after_departure(
+            CounterInitialization.DIRECT, fail=False)
+        indirect = messages_of_the_first_gen_ts_after_departure(
+            CounterInitialization.INDIRECT, fail=False)
+        # The indirect mode reads all |Hr| replicas.
+        assert indirect > 2 * direct
+
+    def test_both_modes_pay_indirect_initialisation_after_a_failure(self):
+        direct = messages_of_the_first_gen_ts_after_departure(
+            CounterInitialization.DIRECT, fail=True)
+        indirect = messages_of_the_first_gen_ts_after_departure(
+            CounterInitialization.INDIRECT, fail=True)
+        # A failed peer transfers nothing, so the costs are of one order
+        # (Figure 11's convergence at high failure rates).
+        assert direct > 0.5 * indirect
 
 
 class TestRluMode:

@@ -9,12 +9,14 @@ invoking the harness.
 from __future__ import annotations
 
 import json
+import os
+import time
 
 import pytest
 
 import repro.execution.executor as executor_module
 from repro.execution import Executor, RunPlan, resolve_jobs
-from repro.experiments.figures import run_experiments
+from repro.experiments.figures import EXPERIMENTS, SCALE_PROFILES, run_experiments
 from repro.experiments.runner import select_experiments
 from repro.simulation import SimulationParameters
 from repro.simulation.scenarios import SCENARIOS, run_scenario
@@ -75,6 +77,24 @@ class TestParity:
         expected = run_scenario(spec, parameters, protocol="kademlia")
         assert snapshot(result) == snapshot(expected)
         assert result.scenario == "hotspot"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="the speedup needs 4 CPUs")
+def test_four_jobs_run_a_figure7_grid_at_least_twice_as_fast():
+    """The pool pays for itself: Figure 7's 4 peer counts x 3 algorithms."""
+    profile = dict(SCALE_PROFILES["quick"], peer_counts=(400, 600, 800, 1000),
+                   duration_s=1800.0, num_queries=30, num_keys=20)
+    plan = RunPlan(name="fig7-grid", points=list(
+        EXPERIMENTS["figure-7"].points(profile, seed=2007, protocol="chord").values()))
+    assert len(plan) == 12
+    seconds, snapshots = {}, {}
+    for jobs in (1, 4):
+        start = time.perf_counter()
+        results = Executor(jobs=jobs).run(plan)
+        seconds[jobs] = time.perf_counter() - start
+        snapshots[jobs] = [snapshot(result) for result in results]
+    assert snapshots[1] == snapshots[4]
+    assert seconds[1] / seconds[4] >= 2.0, seconds
 
 
 class TestCache:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.execution import RunPlan, RunPoint, plan_artifact_path
+from repro.execution import RunPlan, RunPoint
 from repro.simulation import SimulationParameters
 from repro.simulation.scenarios import SCENARIOS, ScenarioSpec
 
@@ -93,9 +93,3 @@ class TestRunPlan:
         assert [entry["seed"] for entry in manifest["points"]] == [11, 11]
         assert all(len(entry["content_hash"]) == 64
                    for entry in manifest["points"])
-
-    def test_artifact_path_is_a_function_of_name_and_hash(self, tmp_path):
-        plan = self.build()
-        path = plan_artifact_path(tmp_path, plan)
-        assert path.name == f"unit-{plan.plan_hash[:12]}.json"
-        assert plan_artifact_path(tmp_path, plan) == path

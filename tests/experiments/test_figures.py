@@ -1,27 +1,42 @@
-"""Tests of the experiment table and its one-plan runner (tiny scale).
+"""Tests of the experiment table and its one-plan runner.
 
 These tests run the full tiny-scale report once, pin its bytes and count its
-simulations, pin the points and values of the attack grid and the scenario
-comparison, and assert the *qualitative* claims of the paper (who wins, how
-curves trend) rather than absolute values.
+simulations, and pin the points and values of the attack grid and the
+scenario comparison.  They also run the figures, ablations and scenario
+comparison once at ``quick`` scale (seed 2007, Chord, plus Kademlia for
+Figures 7 and 8) and pin those tables' bytes too.  The *qualitative* claims
+of the paper (who wins, how curves trend) are written once and asserted at
+both scales, rather than absolute values.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple
 
 import pytest
 
 import repro.execution.executor as executor_module
+from repro.dht.registry import OVERLAYS
 from repro.execution import Executor
 from repro.experiments import figures
 from repro.experiments.figures import (EXPERIMENTS, SCALE_PROFILES, STABILIZATION_INTERVALS_S,
                                        degradation_thresholds, run_experiments)
 from repro.experiments.runner import (run_all_experiments, select_experiments,
                                       write_experiments_report)
+from repro.simulation import SimulationParameters
+from repro.simulation.config import Algorithm
+from repro.simulation.harness import SimulationHarness
 from repro.simulation.results import RunResult
+from repro.simulation.scenarios import run_scenario
 
 SEED = 424242
+#: The quick-scale report's seed (the paper's year).
+QUICK_SEED = 2007
+#: The quick-scale records (the whole report minus the attack grid), and the
+#: figures whose sweep also runs on Kademlia.
+QUICK_ONLY = ("figure", "ablation", "scenario-compare")
+KADEMLIA_IDS = ["figure-7", "figure-8", "figure-8-bytes"]
 
 #: Report order of the paper's tables, figures and ablations.
 PAPER_IDS = ["table-1", "theorem-1", "figure-6", "figure-7", "figure-8", "figure-8-bytes",
@@ -70,6 +85,41 @@ def tables(report):
     return {table.experiment_id: table for table in report[0]}
 
 
+@pytest.fixture(scope="module")
+def quick_report():
+    """The quick-scale Chord figures, ablations and comparison, then Kademlia's
+    Figures 7 and 8 (~15 s serially)."""
+    return (run_all_experiments("quick", seed=QUICK_SEED, only=QUICK_ONLY)
+            + run_experiments(KADEMLIA_IDS, "quick", seed=QUICK_SEED, protocol="kademlia"))
+
+
+class Scaled(NamedTuple):
+    """One scale's tables by id, with the scale and seed that made them."""
+
+    scale: str
+    seed: int
+    tables: dict
+
+    def overlay_tables(self, experiment_id):
+        """The Chord table of ``experiment_id`` and any other overlay's twin."""
+        return [self.tables[table_id] for table_id in
+                (experiment_id, f"{experiment_id}-kademlia") if table_id in self.tables]
+
+
+@pytest.fixture(scope="module", params=["tiny", "quick"])
+def scaled(request):
+    """Each claim below runs once on the tiny report and once on the quick one."""
+    if request.param == "tiny":
+        report = request.getfixturevalue("report")[0]
+        return Scaled("tiny", SEED, {table.experiment_id: table for table in report})
+    report = request.getfixturevalue("quick_report")
+    return Scaled("quick", QUICK_SEED, {table.experiment_id: table for table in report})
+
+
+def mean(values):
+    return sum(values) / len(values)
+
+
 class PlanRecorder:
     """An executor that records the plan it is given and simulates nothing."""
 
@@ -102,6 +152,14 @@ class TestReportIdentity:
         assert digest([table for table in tables
                        if table.experiment_id != "figure-6-kademlia"]) \
             == "a7831158e30d5e9f4f286379bf4f1318e26d38db"
+
+    def test_quick_report_bytes_are_pinned(self, quick_report):
+        # Every quick table byte for byte: the Figure 8 and 10 cost curves
+        # with their byte twins, Kademlia's sweep and the comparison tables.
+        assert [table.experiment_id for table in quick_report] == (
+            ["table-1", "theorem-1"] + select_experiments(QUICK_ONLY)
+            + [f"{experiment_id}-kademlia" for experiment_id in KADEMLIA_IDS])
+        assert digest(quick_report) == "ff32e4471acf8b92af4f65ba237bdbea93b7dde2"
 
 
 class TestOnePlan:
@@ -241,7 +299,22 @@ class TestStaticTables:
         assert rows["bandwidth (kbps, mean)"] == pytest.approx(56.0)
         assert rows["failure rate (% of departures)"] == pytest.approx(5.0)
 
-    def test_theorem1_table_reproduces_the_headline_example(self):
+    def test_table1_setup_builds_the_profiles_base_point(self, scaled):
+        profile = SCALE_PROFILES[scaled.scale]
+        parameters = SimulationParameters.table1(
+            num_peers=int(profile["base_peers"]), num_keys=int(profile["num_keys"]),
+            duration_s=float(profile["duration_s"]), algorithm=Algorithm.UMS_DIRECT,
+            seed=scaled.seed)
+        harness = SimulationHarness(parameters)
+        harness.setup()
+        assert harness.network.size == parameters.num_peers
+        assert harness.replication.factor == parameters.num_replicas
+        table = scaled.tables["table-1"]
+        rows = dict(zip(table.x_values(), table.series_values("value")))
+        assert rows["peer departure rate (1/s)"] == 1.0
+        assert rows["failure rate (% of departures)"] == 5.0
+
+    def test_theorem1_table_reproduces_the_headline_example_and_bound(self):
         table = figures.expected_retrievals_table()
         row = {x: dict(zip(["E[X] (Eq. 1)", "E[probes]", "1/pt bound", "min(1/pt, |Hr|)"],
                            [table.rows[index][name] for name in table.series]))
@@ -249,68 +322,176 @@ class TestStaticTables:
         assert row[0.35]["E[X] (Eq. 1)"] < 3.0
         assert row[0.35]["1/pt bound"] < 3.0
         assert row[1.0]["E[X] (Eq. 1)"] == pytest.approx(1.0)
+        for pt, values in row.items():
+            if pt > 0:
+                assert values["E[X] (Eq. 1)"] <= 1.0 / pt + 1e-9, pt
 
 
 class TestFigureShapes:
-    def test_figure6_ums_direct_beats_brk_on_the_cluster(self, tables):
-        table = tables["figure-6"]
-        for brk, direct in zip(table.series_values("BRK"), table.series_values("UMS-Direct")):
-            assert direct < brk
+    """The paper's claim per figure, at tiny and at quick scale.
 
-    def test_figure7_ordering_matches_the_paper(self, tables):
-        for row in tables["figure-7"].rows:
-            assert row["UMS-Direct"] <= row["UMS-Indirect"]
-            assert row["UMS-Direct"] < row["BRK"]
+    A check that needs a wider sweep than the tiny profile's two points is
+    guarded by the sweep it needs.
+    """
 
-    def test_figure8_brk_sends_many_more_messages(self, tables):
-        for row in tables["figure-8"].rows:
-            assert row["BRK"] > 2 * row["UMS-Direct"]
-
-    def test_byte_twins_share_their_figures_rows(self, tables):
-        for figure in ("figure-8", "figure-10"):
-            twin = tables[f"{figure}-bytes"]
-            assert twin.x_values() == tables[figure].x_values()
-            assert all(row["BRK"] > row["UMS-Direct"] > 0 for row in twin.rows)
-
-    def test_figure9_replicas_strongly_affect_brk_not_ums_direct(self, tables):
-        table = tables["figure-9"]
+    def test_figure6_ums_direct_beats_brk_on_the_cluster(self, scaled):
+        table = scaled.tables["figure-6"]
         brk = table.series_values("BRK")
         direct = table.series_values("UMS-Direct")
-        # BRK's response time grows roughly linearly with the replica count;
-        # UMS-Direct stays in the same ballpark.
-        assert brk[-1] > brk[0] * 1.5
-        assert direct[-1] < direct[0] * 2.0
+        indirect = table.series_values("UMS-Indirect")
+        assert all(d < b for d, b in zip(direct, brk))
+        if scaled.scale != "tiny":
+            # Two points x 8 queries are too few samples for the mean
+            # ordering (UMS-Indirect's variance spans BRK).
+            assert mean(indirect) < mean(brk)
+            assert mean(direct) <= mean(indirect)
+        # Response times on the cluster stay in the paper's low-seconds range.
+        assert max(brk) < 10.0
 
-    def test_figure10_brk_messages_scale_with_replicas(self, tables):
-        table = tables["figure-10"]
+    def test_figure7_ordering_matches_the_paper(self, scaled):
+        for table in scaled.overlay_tables("figure-7"):
+            for row in table.rows:
+                assert row["UMS-Direct"] <= row["UMS-Indirect"] < row["BRK"], table.experiment_id
+            assert mean(table.series_values("UMS-Direct")) \
+                <= mean(table.series_values("UMS-Indirect")), table.experiment_id
+            self.assert_sublinear_growth(table)
+
+    def test_figure8_brk_sends_many_more_messages(self, scaled):
+        for table in scaled.overlay_tables("figure-8"):
+            for row in table.rows:
+                # BRK retrieves every replica: several times UMS-Direct's traffic.
+                assert row["BRK"] > 2.5 * row["UMS-Direct"], table.experiment_id
+                assert row["UMS-Indirect"] <= row["BRK"], table.experiment_id
+            self.assert_sublinear_growth(table)
+        for table in scaled.overlay_tables("figure-8-bytes"):
+            assert all(row["BRK"] > row["UMS-Direct"] > 0 for row in table.rows), \
+                table.experiment_id
+
+    @staticmethod
+    def assert_sublinear_growth(table):
+        """Logarithmic routing: BRK grows far less than the population, on
+        every overlay, once the sweep spans at least 4x in peers."""
+        peers = table.x_values()
         brk = table.series_values("BRK")
+        if peers[-1] / peers[0] >= 4:
+            assert brk[-1] / brk[0] < 2.0, table.experiment_id
+
+    def test_byte_twins_share_their_figures_rows(self, scaled):
+        for figure in ("figure-8", "figure-10"):
+            twin = scaled.tables[f"{figure}-bytes"]
+            assert twin.x_values() == scaled.tables[figure].x_values()
+            assert all(row["BRK"] > row["UMS-Direct"] > 0 for row in twin.rows)
+
+    def test_figure9_replicas_strongly_affect_brk_not_ums_direct(self, scaled):
+        table = scaled.tables["figure-9"]
+        brk = table.series_values("BRK")
+        direct = table.series_values("UMS-Direct")
+        span = table.x_values()[-1] / table.x_values()[0]
+        # BRK's response time grows roughly linearly with the replica count
+        # (it retrieves every replica); UMS-Direct stays comparatively flat.
+        assert brk[-1] > brk[0] * 1.5
+        assert brk[-1] / brk[0] > 0.4 * span
+        assert direct[-1] / direct[0] < 0.5 * (brk[-1] / brk[0])
+        if span <= 3:
+            # An absolute bound only over the tiny sweep's 3x span: quick's
+            # 30-query points read 3.7, 4.8, 4.7, 3.6 and then 8.7 s at 40
+            # replicas, noise rather than a trend, but 2.4x the first.
+            assert direct[-1] < direct[0] * 2.0
+        assert all(d < b for d, b in zip(direct, brk))
+
+    def test_figure10_brk_messages_scale_with_replicas(self, scaled):
+        table = scaled.tables["figure-10"]
+        brk = table.series_values("BRK")
+        direct = table.series_values("UMS-Direct")
         replicas = table.x_values()
-        assert brk[-1] / brk[0] == pytest.approx(replicas[-1] / replicas[0], rel=0.5)
+        span = replicas[-1] / replicas[0]
+        assert brk[-1] / brk[0] == pytest.approx(span, rel=0.5)
+        assert brk[-1] / brk[0] > 0.5 * span
+        # UMS-Direct's traffic is the KTS lookup plus a couple of probes.
+        assert direct[-1] / direct[0] < 0.5 * (brk[-1] / brk[0])
+        assert all(d < b for d, b in zip(direct, brk))
+        # Each extra replica costs BRK a data-sized reply.
+        brk_bytes = scaled.tables["figure-10-bytes"].series_values("BRK")
+        direct_bytes = scaled.tables["figure-10-bytes"].series_values("UMS-Direct")
+        assert brk_bytes[-1] > brk_bytes[0]
+        assert all(d < b for d, b in zip(direct_bytes, brk_bytes))
 
-    def test_figure11_failures_hurt_response_time(self, tables):
-        direct = tables["figure-11"].series_values("UMS-Direct")
+    def test_figure11_failures_hurt_response_time(self, scaled):
+        table = scaled.tables["figure-11"]
+        brk = table.series_values("BRK")
+        direct = table.series_values("UMS-Direct")
+        indirect = table.series_values("UMS-Indirect")
         assert direct[-1] > direct[0]
+        assert all(d < b for d, b in zip(direct, brk))
+        # At high failure rates UMS-Direct approaches UMS-Indirect: there is
+        # no counter left to transfer directly.
+        low_gap = (indirect[0] - direct[0]) / max(indirect[0], 1e-9)
+        high_gap = (indirect[-1] - direct[-1]) / max(indirect[-1], 1e-9)
+        assert high_gap <= low_gap + 0.15
 
-    def test_figure12_only_reports_the_two_ums_variants(self, tables):
-        table = tables["figure-12"]
+    def test_figure12_only_reports_the_two_ums_variants(self, scaled):
+        table = scaled.tables["figure-12"]
         assert set(table.series) == {"UMS-Direct", "UMS-Indirect"}
-        assert len(table.rows) == len(SCALE_PROFILES["tiny"]["update_rates_per_hour"])
+        assert len(table.rows) == len(SCALE_PROFILES[scaled.scale]["update_rates_per_hour"])
+        direct = table.series_values("UMS-Direct")
+        indirect = table.series_values("UMS-Indirect")
+        # More frequent updates do not slow retrieval down.
+        assert direct[-1] <= direct[0] * 1.15
+        assert indirect[-1] <= indirect[0] * 1.15
+        assert mean(direct) <= mean(indirect) * 1.05
 
 
-class TestAblationsAndRunner:
-    def test_ablation_probe_order_has_both_rows(self, tables):
-        assert tables["ablation-probe-order"].x_values() == ["random", "fixed"]
+class TestAblationsAndScenarios:
+    def test_ablation_probe_order_stays_near_one_probe(self, scaled):
+        table = scaled.tables["ablation-probe-order"]
+        assert table.x_values() == ["random", "fixed"]
+        for row in table.rows:
+            assert 1.0 <= row["replicas inspected"] < 3.0
+            assert row["response time (s)"] > 0.0
 
-    def test_ablation_overlay_compares_every_registered_overlay(self, tables):
-        table = tables["ablation-overlay"]
-        assert table.x_values() == ["can", "chord", "kademlia"]
+    def test_ablation_overlay_compares_every_registered_overlay(self, scaled):
+        table = scaled.tables["ablation-overlay"]
+        assert table.x_values() == ["can", "chord", "kademlia"] == sorted(OVERLAYS)
         assert table.title == "Overlay ablation (can vs chord vs kademlia)"
-        assert all(value > 0 for value in table.series_values("messages"))
+        for row in table.rows:
+            assert row["messages"] > 0
+            assert row["response time (s)"] > 0
+            assert row["currency rate"] >= 0.8
 
-    def test_ablation_stabilization_rows_are_the_declared_intervals(self, tables):
-        assert tables["ablation-stabilization"].x_values() \
-            == list(STABILIZATION_INTERVALS_S) == [0.0, 30.0, 120.0, 600.0]
+    def test_ablation_stabilization_fresh_routing_is_no_slower(self, scaled):
+        table = scaled.tables["ablation-stabilization"]
+        assert table.x_values() == list(STABILIZATION_INTERVALS_S) == [0.0, 30.0, 120.0, 600.0]
+        response_times = table.series_values("response time (s)")
+        messages = table.series_values("messages")
+        assert response_times[0] <= response_times[-1]
+        assert messages[0] <= messages[-1] * 1.05
 
+    def test_scenario_comparison_claims(self, scaled):
+        currency, response_time, messages = (scaled.tables[table_id]
+                                             for table_id in COMPARISON_IDS)
+        for protocol in ("chord", "kademlia"):
+            ums, brk = f"ums@{protocol}", f"brk@{protocol}"
+            # UMS certifies currency on every scenario; BRK never can.
+            assert all(rate > 0.8 for rate in currency.series_values(ums))
+            assert all(rate == 0.0 for rate in currency.series_values(brk))
+            # The lossy window covers half of each run.
+            by_scenario = dict(zip(response_time.x_values(),
+                                   response_time.series_values(ums)))
+            assert by_scenario["lossy-network"] > by_scenario["uniform"]
+            # Retrieve-all pays more messages than probe-until-current.
+            assert all(b > u for u, b in zip(messages.series_values(ums),
+                                             messages.series_values(brk)))
+
+    def test_correlated_failures_fire_and_land_in_churn_accounting(self, scaled):
+        workload = SCALE_PROFILES[scaled.scale]["compare_workload"]
+        burst = run_scenario("correlated-failures",
+                             SimulationParameters(seed=scaled.seed, **workload))
+        control = run_scenario("uniform", SimulationParameters(seed=scaled.seed, **workload))
+        assert burst.fault_events == 2
+        assert burst.failures > control.failures
+
+
+class TestRunner:
     def test_only_selects_ids_and_id_prefixes_in_table_order(self):
         assert select_experiments(()) == list(EXPERIMENTS)
         assert select_experiments(["scenario-compare", "attack"]) \

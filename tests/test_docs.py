@@ -11,7 +11,8 @@ job enforces on every push:
 * the README "Scenarios" quickstart commands are the ones CI smoke-tests,
   and they actually run;
 * the code names the prose documents mention in backticks still resolve;
-* every documented ``repro`` command line parses with ``cli.build_parser()``.
+* every documented ``repro`` command line parses with ``cli.build_parser()``,
+  and every repo path the same sources name exists.
 """
 
 from __future__ import annotations
@@ -201,12 +202,24 @@ class TestNamesResolve:
         assert not _resolves("repro.dht.kademlia.KBucket")      # deleted in 6.0.0
 
 
+def _code(source):
+    """The code in ``source``: a Markdown file's fenced blocks (the fences
+    may be indented) and its inline spans, one line each, or the whole of
+    any other file."""
+    text = (REPO_ROOT / source).read_text()
+    if not source.endswith(".md"):
+        return text
+    fence = re.compile(r"^[ \t]*```[^\n]*\n(.*?)^[ \t]*```", re.MULTILINE | re.DOTALL)
+    spans = re.findall(r"`([^`]+)`", fence.sub("", text))
+    return "\n".join(fence.findall(text) + [span.replace("\n", " ") for span in spans])
+
+
 class TestCommandLinesParse:
     """Every ``python -m repro …`` / ``repro …`` command line in the docs parses.
 
-    Markdown contributes its fenced blocks and its one-line inline code
-    spans, the CI workflow every line.  A command ends at the first shell
-    operator or comment; help requests are skipped.
+    Markdown contributes its fenced blocks and its inline code spans, the
+    CI workflow every line.  A command ends at the first shell operator or
+    comment; help requests are skipped.
     """
 
     SOURCES = ["README.md", "EXPERIMENTS.md", "DESIGN.md",
@@ -216,12 +229,7 @@ class TestCommandLinesParse:
     SHELL_OPERATOR = re.compile(r"^(?:\|\|?|&&?|;|\d?>.*|<.*)$")
 
     def _commands(self, source):
-        text = (REPO_ROOT / source).read_text()
-        if source.endswith(".md"):
-            fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
-            prose = fence.sub("", text)
-            text = "\n".join(fence.findall(text) + re.findall(r"`([^`\n]+)`", prose))
-        for line in re.sub(r"\\\n", " ", text).splitlines():
+        for line in re.sub(r"\\\n", " ", _code(source)).splitlines():
             match = self.START.search(line)
             if match is None:
                 continue
@@ -253,6 +261,57 @@ class TestCommandLinesParse:
         assert len(commands) >= 40
         assert self._parses(["scenario", "run", "--cluster", "--failure-rate", "20"])
         assert not self._parses(["attack-grid", "--scale", "tiny"])
+
+
+class TestPathsResolve:
+    """Every repo path the command-line sources name in code exists.
+
+    The code is what the command-line scan reads.  A path starts with one of
+    ``PREFIXES`` (``repro/`` is under ``src/``); a ``{a,b}`` group expands,
+    a glob must match, and a ``<placeholder>`` path is skipped.
+    """
+
+    PREFIXES = ("benchmarks", "bench", "tests", "src", "examples", "tools", "repro")
+    PATH = re.compile(rf"(?<![\w./-])(?:{'|'.join(PREFIXES)})/"
+                      r"(?:\{[^{}\s]*\}|[^\s`'\"(){},;:])*")
+    BRACES = re.compile(r"\{([^{}]*)\}")
+
+    def _paths(self, source):
+        return {path.rstrip(".") for path in self.PATH.findall(_code(source))}
+
+    def _expand(self, path):
+        match = self.BRACES.search(path)
+        if match is None:
+            return [path]
+        return [expanded for choice in match.group(1).split(",")
+                for expanded in self._expand(path[:match.start()] + choice
+                                             + path[match.end():])]
+
+    def _resolves(self, path):
+        if "<" in path:
+            return True
+        root = REPO_ROOT / "src" if path.startswith("repro/") else REPO_ROOT
+        for expanded in self._expand(path):
+            if any(char in expanded for char in "*?["):
+                if not any(root.glob(expanded.rstrip("/"))):
+                    return False
+            elif not (root / expanded).exists():
+                return False
+        return True
+
+    @pytest.mark.parametrize("source", TestCommandLinesParse.SOURCES)
+    def test_every_named_path_exists(self, source):
+        assert [path for path in sorted(self._paths(source)) if not self._resolves(path)] == []
+
+    def test_the_scan_has_paths_to_check_and_catches_stale_ones(self):
+        paths = set().union(*(self._paths(source) for source in TestCommandLinesParse.SOURCES))
+        assert len(paths) >= 40
+        assert self._resolves("repro/dht/{chord,kademlia}.py")
+        assert self._resolves("tests/dht/test_*.py")
+        assert self._resolves("tests/<file>")
+        assert not self._resolves("bench/bench_wire.py")
+        assert not self._resolves("tests/dht/test_*_retired.py")
+        assert not self._resolves("repro/dht/{chord,pastry}.py")
 
 
 @pytest.mark.parametrize("document", ["README.md", "DESIGN.md",

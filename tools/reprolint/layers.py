@@ -4,8 +4,8 @@ The architecture document is the single source of truth for which layer sits
 where; this module parses the fenced diagram under the ``## Layer map``
 heading rather than duplicating the ranking in code.  A diagram line defines
 a layer when (after stripping indentation) it *starts* with a module token —
-``repro.<something>``, ``examples/`` or ``benchmarks/`` — so the box-drawing
-connector lines and wrapped parenthetical descriptions are ignored.  Brace
+``repro.<something>`` or ``examples/`` — so the box-drawing connector lines
+and wrapped parenthetical descriptions are ignored.  Brace
 groups expand (``repro.dht.{chord,can,kademlia}`` names three modules), and
 every module named on the same diagram line shares one rank (rank 0 is the
 top of the stack).
@@ -36,7 +36,7 @@ __all__ = ["LayerMap", "parse_layer_map"]
 #: Modules that may import ``repro.net`` from outside the package itself.
 NET_IMPORTERS = ("repro.cli", "repro.net")
 
-_TOKEN_RE = re.compile(r"^(repro\.[\w.{},]+|examples/|benchmarks/)")
+_TOKEN_RE = re.compile(r"^(repro\.[\w.{},]+|examples/)")
 _BRACE_RE = re.compile(r"^(?P<head>[\w.]+)\.\{(?P<group>[\w,]+)\}$")
 
 
@@ -115,8 +115,7 @@ def parse_layer_map(design_path: Union[str, pathlib.Path]) -> LayerMap:
             continue  # connector / description line
         found_any = False
         for word in re.split(r"[\s─►│]+", line):
-            if not (word.startswith("repro.") or word in ("examples/",
-                                                          "benchmarks/")):
+            if not (word.startswith("repro.") or word == "examples/"):
                 continue
             for module in _expand(word.rstrip("/")):
                 layer_map.ranks.setdefault(module, rank)
