@@ -37,6 +37,10 @@ Quickstart
 ({'high_bid': 100}, True)
 """
 
+from __future__ import annotations
+
+from typing import Any, Tuple
+
 from repro.api.cluster import Cluster, Session
 from repro.api.results import Consistency, InsertResult, RetrieveResult
 from repro.api.services import SERVICES, CurrencyService
@@ -49,11 +53,8 @@ from repro.core import (
     UpdateManagementService,
 )
 from repro.dht import CanSpace, ChordRing, DHTNetwork, HashFamily
-from repro.execution import Executor, RunPlan
-from repro.simulation.cost import NetworkCostModel
-from repro.simulation.engine import Simulator
 
-__version__ = "13.0.0"
+__version__ = "13.1.0"
 
 __all__ = [
     "BricksService",
@@ -79,3 +80,25 @@ __all__ = [
     "UpdateManagementService",
     "__version__",
 ]
+
+#: The exports a process that builds or reaches a cluster does not load
+#: anyway, imported on first use (PEP 562): a client or a server never loads
+#: the simulation engine or the executor's ``multiprocessing``.
+_EXPORTS = {"Executor": "repro.execution", "RunPlan": "repro.execution",
+            "NetworkCostModel": "repro.simulation.cost",
+            "Simulator": "repro.simulation.engine"}
+
+
+def __getattr__(name: str) -> Any:
+    """PEP 562 lazy loader for the re-exported names."""
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache for subsequent lookups
+    return value
+
+
+def __dir__() -> Tuple[str, ...]:
+    return tuple(sorted(set(globals()) | set(__all__)))

@@ -39,16 +39,9 @@ driving a session)::
         print(session.retrieve("k").data)
 """
 
-from repro.net.client import (
-    NetClient,
-    RemoteCluster,
-    RemoteService,
-    RequestTimeout,
-    TransportCounters,
-    TransportError,
-    connect,
-)
-from repro.net.server import FaultSchedule, NodeServer, ServerThread
+from __future__ import annotations
+
+from typing import Any, Tuple
 
 __all__ = [
     "FaultSchedule",
@@ -62,3 +55,27 @@ __all__ = [
     "TransportError",
     "connect",
 ]
+
+#: Where each exported name lives; it is imported on first use (PEP 562), so
+#: a client process never loads the server's ``asyncio``.
+_EXPORTS = {name: module for module, names in (
+    ("repro.net.client", ("NetClient", "RemoteCluster", "RemoteService",
+                          "RequestTimeout", "TransportCounters",
+                          "TransportError", "connect")),
+    ("repro.net.server", ("FaultSchedule", "NodeServer", "ServerThread")),
+) for name in names}
+
+
+def __getattr__(name: str) -> Any:
+    """PEP 562 lazy loader for the re-exported names."""
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache for subsequent lookups
+    return value
+
+
+def __dir__() -> Tuple[str, ...]:
+    return tuple(sorted(set(globals()) | set(__all__)))

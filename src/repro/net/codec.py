@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 from array import array
 from typing import Any, Callable, Dict, List, Optional
 
@@ -44,6 +43,7 @@ from repro.net.wire import (
     MAX_FRAME_BYTES,
     CodecError,
     DeflateStream,
+    InflateStream,
     pack_payload,
     unpack_payload,
 )
@@ -114,8 +114,9 @@ class FrameDecoder:
 
     The decoder owns a reassembly buffer, so frames may arrive split across
     arbitrarily many chunks (or many frames inside one chunk).  It also owns
-    the receiving half of the connection's deflate stream, created at the
-    first ``0x02`` frame: those frames must all arrive, in order.
+    the receiving half of the connection's stream — its inflater and peer-id
+    table (:class:`~repro.net.wire.InflateStream`), created at the first
+    ``0x02`` frame: those frames must all arrive, in order.
 
     A malformed frame is consumed from the buffer *before* its
     :class:`CodecError` is raised, so the decoder stays usable for the
@@ -128,7 +129,7 @@ class FrameDecoder:
 
     def __init__(self) -> None:
         self._buffer = bytearray()
-        self._inflate: Optional["zlib._Decompress"] = None
+        self._stream: Optional[InflateStream] = None
         self._stream_error: Optional[CodecError] = None
 
     @property
@@ -168,10 +169,10 @@ class FrameDecoder:
         if self._stream_error is not None:
             raise CodecError(f"binary stream broken by an earlier frame "
                              f"({self._stream_error}); there is no resync")
-        if self._inflate is None:
-            self._inflate = zlib.decompressobj(-zlib.MAX_WBITS)
+        if self._stream is None:
+            self._stream = InflateStream()
         try:
-            return unpack_payload(body, stream=self._inflate)
+            return unpack_payload(body, stream=self._stream)
         except CodecError as error:
             self._stream_error = error
             raise

@@ -63,6 +63,18 @@ carries its one shared trace once and its per-key records without one.  A
 received trace is rebuilt as list columns, after the checks of
 :func:`_decode_trace`.
 
+**Peer ids travel once per stream** — HPACK's dynamic table (RFC 7541) for
+trace columns.  Each stream's sender and receiver keep the same table of the
+peer ids its flagged ``sources`` and its ``dests`` columns have carried, in
+column order (index 0 is ``-1``; at most :data:`PEER_TABLE_SIZE` ids).  In a
+``0x02`` frame, once the table holds an id, a peer-id column whose ids are
+all in it travels in a fourth form: big-endian u16 indices.  Any other
+column takes one of the three forms above, and both sides append its new ids
+once the whole frame has gone through — the sender after the size check, so
+a refused payload leaves the table as it was.  A stream's first frame, a
+``0x01`` frame and ``size_bytes`` never use the fourth form; the receiver
+refuses it in the last two, and any index past the end of its table.
+
 A dict is a u32 count, then ``count`` keys each followed by its value.  A
 key listed in :data:`WIRE_KEYS` — the envelope and request field names — is
 **one byte**, its index in that table; any other key is ``0xFF`` plus a
@@ -79,8 +91,9 @@ import struct
 import sys
 import zlib
 from array import array
+from contextvars import ContextVar
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, filterfalse, islice
 from operator import ne
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -97,9 +110,11 @@ from repro.dht.messages import KIND_CODES, MessageSizes, OperationTrace
 __all__ = [
     "CodecError",
     "DeflateStream",
+    "InflateStream",
     "MARKER_BINARY",
     "MARKER_COMPRESSED",
     "MAX_FRAME_BYTES",
+    "PEER_TABLE_SIZE",
     "WIRE_KEYS",
     "pack_payload",
     "unpack_payload",
@@ -131,6 +146,7 @@ _EMPTY_FINAL_BLOCK = b"\x03\x00"
 #: protocol's frames (DESIGN.md "Wire efficiency").
 _LEVEL = 3
 
+_U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 #: One tag byte and its fixed-width field, packed in one call: a count or
@@ -154,8 +170,9 @@ _INSERT_FLAGS = _OWN_STAMP
 _RETRIEVE_FLAGS = _FOUND | _CURRENT | _AMBIGUOUS | _OWN_STAMP | _OWN_LATEST
 #: Trace column forms, two flag bits each (size_bytes at bit 0, sources at
 #: bit 2, dests at bit 4): big-endian u32s with ``-1`` as ``0xFFFFFFFF``,
-#: int64s, or a tagged list; form 3 is refused.
-_NARROW, _WIDE, _LISTED = 0, 1, 2
+#: int64s, a tagged list, or (peer ids in a stream only) big-endian u16
+#: indices into the stream's peer-id table.
+_NARROW, _WIDE, _LISTED, _INDEXED = 0, 1, 2, 3
 #: Trace flag bit: every size is its kind's single-entry size, and the
 #: size_bytes column is left out (rebuilt from ``kinds``).
 _DEFAULT_SIZES = 64
@@ -213,6 +230,53 @@ _U32_AT = _U32.unpack_from
 _I64_AT = _I64.unpack_from
 _F64_AT = struct.Struct(">d").unpack_from
 
+#: Most peer ids one stream's table holds: u16 index 0 is ``-1``, and
+#: 1..65 535 are the ids in the order the stream first carried them.
+PEER_TABLE_SIZE = 65_535
+
+
+class _PeerTable:
+    """The peer ids one stream's trace columns have carried, in column order.
+
+    Sender and receiver each keep one per stream and grow it the same way:
+    the ids of every ``sources``/``dests`` column that did *not* travel as
+    indices are noted while a frame is packed or unpacked, and appended
+    (first occurrence first, at most :data:`PEER_TABLE_SIZE`) only once the
+    whole frame went through.  Within a frame, both sides see the table as
+    it was before it.
+    """
+
+    __slots__ = ("codes", "ids", "pending")
+
+    def __init__(self) -> None:
+        #: Each id's index as it travels (big-endian u16), and each index's id.
+        self.codes: Dict[int, bytes] = {-1: _U16.pack(0)}
+        self.ids: List[int] = [-1]
+        self.pending: Dict[int, None] = {}
+
+    def note(self, values: Sequence[int]) -> None:
+        """Mark the ids of ``values`` that the table lacks for appending."""
+        self.pending.update(dict.fromkeys(filterfalse(self.codes.__contains__,
+                                                      values)))
+
+    def commit(self) -> None:
+        """Append the noted ids, as far as the table has room."""
+        pending, ids = self.pending, self.ids
+        if pending:
+            new = list(islice(pending, PEER_TABLE_SIZE + 1 - len(ids)))
+            self.codes.update(zip(new, map(_U16.pack, range(len(ids),
+                                                            len(ids) + len(new)))))
+            ids += new
+            pending.clear()
+
+
+#: The peer-id table of the frame being packed or unpacked; ``None`` outside
+#: a stream (a ``0x01`` frame), where no column travels as indices.  Set for
+#: the length of one :func:`pack_payload`/:func:`unpack_payload` call, so a
+#: thread or task sees only its own frame's, without the recursive coders
+#: passing it along.
+_PEERS: ContextVar[Optional[_PeerTable]] = ContextVar("peers", default=None)
+
 
 class DeflateStream:
     """The sending half of one connection's binary stream, in one direction.
@@ -220,11 +284,13 @@ class DeflateStream:
     Each :meth:`deflate` call is the next frame: its bytes may refer back to
     everything deflated before, so the frames must reach one receiver, all
     of them and in order — a connection owns its stream, and a link that is
-    torn down takes its stream with it.  About 256 KB of zlib state.
+    torn down takes its stream with it.  About 256 KB of zlib state, plus
+    the stream's peer-id table (:func:`pack_payload` keeps it).
     """
 
     def __init__(self) -> None:
         self._deflate = zlib.compressobj(_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+        self.peers = _PeerTable()
 
     def deflate(self, packed: Union[bytes, bytearray]) -> bytes:
         """The ``0x02`` body carrying ``packed``: the stream's next piece,
@@ -332,6 +398,23 @@ def _encode_column(values: Sequence[int], out: bytearray) -> int:
         return _LISTED
 
 
+def _encode_ids(values: Sequence[int], out: bytearray,
+                peers: Optional[_PeerTable]) -> int:
+    """Append a peer-id column: as indices when the stream's table holds
+    every id (and any id at all), else in :func:`_encode_column`'s form, its
+    new ids noted; return the form."""
+    if peers is not None:
+        codes = peers.codes
+        if len(codes) > 1:
+            try:
+                out += b"".join(map(codes.__getitem__, values))
+                return _INDEXED
+            except KeyError:
+                pass  # an id the table lacks
+        peers.note(values)
+    return _encode_column(values, out)
+
+
 def _encode_trace(trace: OperationTrace, out: bytearray) -> None:
     """Append a trace record (untagged): sizes, count, flags, kinds, columns,
     timeouts."""
@@ -356,8 +439,9 @@ def _encode_trace(trace: OperationTrace, out: bytearray) -> None:
     unchained = list(compress(trace.sources, chained))
     out += _U32.pack(len(unchained))
     out += chained
-    flags |= _encode_column(unchained, out) << 2
-    flags |= _encode_column(dests, out) << 4
+    peers = _PEERS.get()
+    flags |= _encode_ids(unchained, out, peers) << 2
+    flags |= _encode_ids(dests, out, peers) << 4
     out[head + _TRACE_HEAD.size - 1] = flags
     out += _U32.pack(len(trace.timed_out))
     _encode_array(array("q", trace.timed_out), out)
@@ -497,25 +581,37 @@ def pack_payload(payload: Dict[str, Any], *,
     self-contained ``0x01`` body.  A payload whose packed encoding could not
     fit :data:`MAX_FRAME_BYTES` once deflated (the receiver's bound on both
     the wire body and its inflated size) is refused before it is deflated,
-    so the stream stays usable.
+    so the stream stays usable; so is one that fails mid-pack.  Either way
+    the stream's peer-id table is left as it was: the frame's new ids join
+    it only once the frame is deflated.
     """
     if not isinstance(payload, dict):
         raise CodecError(f"frame payload must be a dict, "
                          f"got {type(payload).__name__}")
     packed = bytearray(_PLAIN_MARKER if stream is None else b"")
+    peers = None if stream is None else stream.peers
+    if peers is not None:
+        peers.pending.clear()  # what a refused payload noted
+    token = _PEERS.set(peers)
     try:
         _pack(payload, packed)
     except (struct.error, OverflowError, TypeError) as error:
         raise CodecError(f"payload is not wire-serialisable: {error}") from error
     except RecursionError as error:
         raise CodecError("payload nests too deeply") from error
+    finally:
+        _PEERS.reset(token)
     # Deflate's worst case (stored blocks) adds 5 bytes per 16 KiB and the
     # flush a few more: bound the packed size so both sides of it fit.
     size = len(packed)
     if size + (size >> 10) + 64 > MAX_FRAME_BYTES:
         raise CodecError(f"binary payload of {size} packed bytes exceeds the "
                          f"{MAX_FRAME_BYTES}-byte frame limit")
-    return bytes(packed) if stream is None else stream.deflate(packed)
+    if stream is None:
+        return bytes(packed)
+    body = stream.deflate(packed)
+    stream.peers.commit()
+    return body
 
 
 # ----------------------------------------------------------------- decoding
@@ -607,10 +703,37 @@ def _decode_column(data: bytes, pos: int, form: int, count: int,
             raise CodecError(f"trace columns differ in length: a list of "
                              f"{len(values)} where {count} belong")
     else:
-        raise CodecError(f"unknown trace column form {form}")
+        raise CodecError("malformed trace columns: peer-id indices in the "
+                         "size_bytes column")
     if values and min(values) < floor:
         raise CodecError(f"malformed trace columns: a value below {floor}")
     return values, pos
+
+
+def _decode_ids(data: bytes, pos: int, form: int, count: int,
+                peers: Optional[_PeerTable]) -> Tuple[List[int], int]:
+    """The peer-id column of ``count`` ids in ``form`` at ``pos`` — indices
+    looked up in the stream's table, any other form noted in it — and the
+    offset behind it."""
+    if form != _INDEXED:
+        values, pos = _decode_column(data, pos, form, count, -1)
+        if peers is not None:
+            peers.note(values)
+        return values, pos
+    if peers is None:
+        raise CodecError("malformed trace columns: peer-id indices outside "
+                         "a stream")
+    start, end = _span(data, pos, count * 2)
+    column = array("H")
+    column.frombytes(data[start:end])
+    if _SWAP_ARRAYS:
+        column.byteswap()
+    ids = peers.ids
+    try:
+        return [ids[index] for index in column], end
+    except IndexError:
+        raise CodecError(f"malformed trace columns: a peer-id index past a "
+                         f"table of {len(ids)}") from None
 
 
 #: A received trace's sizes, shared by the traces that name the same two
@@ -651,8 +774,9 @@ def _decode_trace(data: bytes, pos: int) -> Tuple[OperationTrace, int]:
     if flagged != unchained_count:
         raise CodecError(f"malformed trace columns: {unchained_count} unchained "
                          f"sources for {flagged} set source flags")
-    unchained, pos = _decode_column(data, pos, flags >> 2 & 3, flagged, -1)
-    dests, pos = _decode_column(data, pos, flags >> 4 & 3, count, -1)
+    peers = _PEERS.get()
+    unchained, pos = _decode_ids(data, pos, flags >> 2 & 3, flagged, peers)
+    dests, pos = _decode_ids(data, pos, flags >> 4 & 3, count, peers)
     timeouts = _U32_AT(data, pos)[0]
     marked: List[int] = []
     if timeouts:
@@ -823,32 +947,54 @@ def _inflate(body: bytes, stream: "zlib._Decompress") -> bytes:
     return packed
 
 
+class InflateStream:
+    """The receiving half of one connection's binary stream, in one direction:
+    its inflater and its peer-id table (:func:`unpack_payload` keeps both).
+
+    It must be fed every ``0x02`` body of its connection, in order; once one
+    fails, the stream is lost (:class:`~repro.net.codec.FrameDecoder` then
+    refuses the rest).
+    """
+
+    def __init__(self) -> None:
+        self.inflater = zlib.decompressobj(-zlib.MAX_WBITS)
+        self.peers = _PeerTable()
+
+
 def unpack_payload(body: bytes, *,
-                   stream: Optional["zlib._Decompress"] = None) -> Dict[str, Any]:
+                   stream: Optional[InflateStream] = None) -> Dict[str, Any]:
     """Decode one frame body (``0x01`` or ``0x02`` marker) to its payload.
 
-    A ``0x02`` body is inflated by ``stream``, its connection's inflater —
+    A ``0x02`` body is read by ``stream``, its connection's receiving half —
     or, without one, as the first frame of a fresh stream.
     """
     if not body:
         raise CodecError("empty frame body")
     marker = body[0]
     start = 1
+    peers: Optional[_PeerTable] = None
     if marker == MARKER_COMPRESSED:
-        body = _inflate(body, zlib.decompressobj(-zlib.MAX_WBITS)
-                        if stream is None else stream)
+        if stream is None:
+            stream = InflateStream()
+        body = _inflate(body, stream.inflater)
+        peers = stream.peers
         start = 0
     elif marker != MARKER_BINARY:
         raise CodecError(f"unknown body marker {marker:#04x}")
+    token = _PEERS.set(peers)
     try:
         payload, end = _unpack(body, start)
     except (IndexError, struct.error) as error:
         raise CodecError(f"truncated binary body: {error}") from error
     except RecursionError as error:
         raise CodecError("binary body nests too deeply") from error
+    finally:
+        _PEERS.reset(token)
     if end != len(body):
         raise CodecError("trailing bytes after the binary payload")
     if not isinstance(payload, dict):
         raise CodecError(f"frame body must decode to an object, "
                          f"got {type(payload).__name__}")
+    if peers is not None:
+        peers.commit()
     return payload

@@ -10,7 +10,9 @@ A frame is the next piece of its connection's deflate stream, so its size
 depends on the frames before it.  The plain rows measure each payload as
 the first frame of a fresh stream, and the ``*_mid_stream`` rows the last
 request and reply of a seeded connection, where every earlier frame is
-history the stream can refer back to.
+history the stream can refer back to.  ``point_replies_warm`` adds up the
+last replies of a longer connection, whose peer-id table holds every peer
+by then, so their trace columns travel as table indices.
 """
 
 from __future__ import annotations
@@ -24,19 +26,22 @@ from repro.core.timestamps import Timestamp
 from repro.dht.messages import MessageKind, OperationTrace
 from repro.net import codec
 
-#: Items per bulk payload, and operations on the mid-stream connection.
+#: Items per bulk payload, operations on the mid-stream connection, and on
+#: the warm one with the replies of its last ``WARM_TAIL`` operations pinned.
 BATCH = 64
 MID_STREAM_OPS = 20
+WARM_OPS, WARM_TAIL = 200, 20
 
 FRAME_BYTES = {
     "insert_many": 1214,
     "insert_reply": 460,
     "ping": 29,
+    "point_replies_warm": 1059,
     "retrieve": 62,
     "retrieve_many_reply": 1862,
     "retrieve_mid_stream": 14,
     "retrieve_reply": 180,
-    "retrieve_reply_mid_stream": 46,
+    "retrieve_reply_mid_stream": 50,
     "sync_delta": 1988,
 }
 
@@ -123,26 +128,27 @@ def payloads() -> dict:
     }
 
 
-def mid_stream_sizes(*, seed: int = 2007) -> dict:
-    """Frame sizes of the last request and reply of a seeded connection.
+def connection_sizes(ops: int, *, seed: int = 2007) -> tuple:
+    """Frame sizes of each request and reply of a seeded connection, and the
+    peer ids its reply stream's table holds at the end.
 
-    ``MID_STREAM_OPS`` operations of an 80/20 retrieve/insert mix (the last
-    one a retrieve) over 16 pre-inserted keys run on an in-process cluster;
-    requests and replies each go through one deflate stream, as a client's
-    and a server's connection send them.
+    ``ops`` operations of an 80/20 retrieve/insert mix (the last one a
+    retrieve) over 16 pre-inserted keys run on an in-process cluster of 64
+    peers; requests and replies each go through one deflate stream, as a
+    client's and a server's connection send them.
     """
     rng = random.Random(seed)
     cluster = Cluster.build(peers=64, replicas=10, seed=seed)
     requests, replies = codec.DeflateStream(), codec.DeflateStream()
-    sizes = {}
+    sizes = []
     with cluster.session() as session:
         for index in range(16):
             session.insert(f"key-{index:03d}", {"op": -index})
-        for index in range(MID_STREAM_OPS):
+        for index in range(ops):
             key = f"key-{rng.randrange(16):03d}"
             request = {"id": index, "key": key, "service": None,
                        "origin": None, "unreachable": []}
-            if index == MID_STREAM_OPS - 1 or rng.random() < 0.8:
+            if index == ops - 1 or rng.random() < 0.8:
                 request.update(op="retrieve", consistency="current", max_probes=None)
                 result = session.retrieve(key)
             else:
@@ -150,10 +156,20 @@ def mid_stream_sizes(*, seed: int = 2007) -> dict:
                 request.update(op="insert", data=data)
                 result = session.insert(key, data)
             reply = {"id": index, "ok": True, "result": result}
-            sizes["retrieve_mid_stream"] = len(codec.encode_frame(request, stream=requests))
-            sizes["retrieve_reply_mid_stream"] = len(codec.encode_frame(reply,
-                                                                        stream=replies))
-    return sizes
+            sizes.append((len(codec.encode_frame(request, stream=requests)),
+                          len(codec.encode_frame(reply, stream=replies))))
+    return sizes, len(replies.peers.ids) - 1
+
+
+def mid_stream_sizes() -> dict:
+    """The last request and reply of a short connection, and the last
+    replies of a warm one."""
+    short, _peers = connection_sizes(MID_STREAM_OPS)
+    request, reply = short[-1]
+    warm, peers = connection_sizes(WARM_OPS)
+    assert peers == 64  # the table holds every peer: the replies are warm
+    return {"retrieve_mid_stream": request, "retrieve_reply_mid_stream": reply,
+            "point_replies_warm": sum(reply for _request, reply in warm[-WARM_TAIL:])}
 
 
 def test_every_frame_size_is_pinned():

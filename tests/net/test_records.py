@@ -358,10 +358,11 @@ COLUMN_CORRUPTIONS = {
     # Every kind byte is a known code.
     "unknown-kind": (dict(kinds=b"hhrr?G"), "unknown message kind"),
     "nul-kind": (dict(kinds=b"hhrr\x00G"), "unknown message kind"),
-    # The head's flags: no unknown bit, no fourth column form, and no sizes
-    # column form under the default-sizes flag.
+    # The head's flags: no unknown bit, no peer-id indices outside a stream
+    # (the fourth column form), and no sizes column form under the
+    # default-sizes flag.
     "unknown-head-bit": (dict(extra_flags=0x80), "unknown trace record flags"),
-    "fourth-dests-form": (dict(extra_flags=3 << 4), "unknown trace column form"),
+    "fourth-dests-form": (dict(extra_flags=3 << 4), "indices outside a stream"),
     "sizes-form-with-default-sizes": (dict(size_bytes=None, extra_flags=1),
                                       "unknown trace record flags"),
 }

@@ -10,12 +10,16 @@ trace built on it get the same treatment: hostile counts and truncated
 bodies are refused before anything is allocated, and any trace survives the
 wire message for message.  So do the one-byte dict-key codes: any
 mix of table keys and escaped keys round-trips, byte-for-byte the same
-whatever order the keys were inserted in.
+whatever order the keys were inserted in.  A peer-id column sent as indices
+into its stream's table is refused past the receiver's table, outside a
+stream, in the sizes column and cut short; a full table sends new ids raw
+on both sides.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from array import array
 
 import pytest
@@ -24,7 +28,13 @@ from hypothesis import strategies as st
 
 from repro.api.results import BatchInsertResult, InsertResult
 from repro.core.timestamps import Timestamp
-from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrace
+from repro.dht.messages import (
+    KIND_CODES,
+    Message,
+    MessageKind,
+    MessageSizes,
+    OperationTrace,
+)
 from repro.net import codec, wire
 
 # Payload values; ints kept within int64 (bigger ints are tested in
@@ -316,3 +326,107 @@ class TestTraceRoundTrip:
         rebuilt = codec.decode_frame(_frame({"result": batch}, streamed))["result"]
         assert all(item.trace is rebuilt.trace for item in rebuilt.results)
         assert rebuilt.trace.messages == trace.messages
+
+
+# ------------------------------------------------------------ peer-id indices
+#: The packed ``{"t": <trace>}`` up to the trace record, and where the trace
+#: head's flags byte sits in it (after control and data sizes and the count).
+_TRACE_PREFIX = b"d" + struct.pack(">I", 1) + b"\xff" + struct.pack(">I", 1) + b"to"
+_FLAGS_AT = len(_TRACE_PREFIX) + 20
+#: One message kind throughout, at its single-entry size.
+_KIND = KIND_CODES[MessageKind.GET_REQUEST].encode("ascii")
+
+
+def _frame_of(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+def _indexed_trace(indices, *, indexed_sizes=False, cut=0) -> bytes:
+    """The packed (marker-less) ``{"t": <trace>}`` whose dests travel as the
+    u16 ``indices`` (every source chained); ``indexed_sizes`` sends its sizes
+    column as indices too, and ``cut`` drops the last bytes of the record,
+    inside the index column."""
+    count = len(indices)
+    flags = 3 << 4 | (3 if indexed_sizes else 64)
+    sizes = bytes(count * 2) if indexed_sizes else b""
+    dests = struct.pack(f">{count}H", *indices)
+    packed = (_TRACE_PREFIX + struct.pack(">qqIB", 64, 512, count, flags)
+              + _KIND * count + sizes + struct.pack(">I", 0) + bytes(count) + dests)
+    return packed[:len(packed) - cut] if cut else packed + struct.pack(">I", 0)
+
+
+def _warm(ids):
+    """A sender and a receiver whose tables hold ``ids`` after one frame,
+    and that frame."""
+    trace = OperationTrace()
+    trace.record_route([-1, *ids])
+    sender, receiver = codec.DeflateStream(), codec.FrameDecoder()
+    frame = codec.encode_frame({"t": trace}, stream=sender)
+    assert receiver.feed(frame)
+    return sender, receiver, frame
+
+
+class TestPeerIndices:
+    @given(ids=st.lists(st.integers(min_value=0, max_value=2 ** 70), min_size=1,
+                        max_size=12, unique=True),
+           picks=st.lists(st.integers(min_value=0), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_indices_within_the_table_decode_to_its_ids(self, ids, picks):
+        sender, receiver, _first = _warm(ids)
+        table = [-1, *ids]
+        indices = [pick % len(table) for pick in picks]
+        (payload,) = receiver.feed(_frame_of(sender.deflate(_indexed_trace(indices))))
+        assert list(payload["t"].dests) == [table[index] for index in indices]
+
+    @given(ids=st.lists(st.integers(min_value=0, max_value=2 ** 40), min_size=1,
+                        max_size=12, unique=True),
+           past=st.integers(min_value=0, max_value=2 ** 16 - 14),
+           position=st.integers(min_value=0))
+    @settings(max_examples=100, deadline=None)
+    def test_an_index_past_the_receivers_table_is_refused(self, ids, past, position):
+        sender, receiver, _first = _warm(ids)
+        indices = [1] * 3
+        indices[position % 3] = len(ids) + 1 + past
+        with pytest.raises(codec.CodecError, match="past a table"):
+            receiver.feed(_frame_of(sender.deflate(_indexed_trace(indices))))
+
+    @given(indices=st.lists(st.integers(min_value=0, max_value=2 ** 16 - 1),
+                            max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_indices_outside_a_stream_are_refused(self, indices):
+        with pytest.raises(codec.CodecError, match="outside a stream"):
+            codec.decode_frame(_frame_of(b"\x01" + _indexed_trace(indices)))
+
+    def test_indices_in_the_sizes_column_are_refused(self):
+        sender, receiver, _first = _warm([5, 6])
+        with pytest.raises(codec.CodecError, match="size_bytes"):
+            receiver.feed(_frame_of(sender.deflate(_indexed_trace([1, 2], indexed_sizes=True))))
+
+    @given(count=st.integers(min_value=1, max_value=12),
+           cut=st.integers(min_value=1))
+    @settings(max_examples=100, deadline=None)
+    def test_a_truncated_index_column_is_refused(self, count, cut):
+        sender, receiver, _first = _warm([5, 6])
+        packed = _indexed_trace([1] * count, cut=1 + cut % (2 * count))
+        with pytest.raises(codec.CodecError, match="truncated"):
+            receiver.feed(_frame_of(sender.deflate(packed)))
+
+    def test_a_full_table_sends_new_ids_raw_the_same_way_on_both_sides(self):
+        full = wire.PEER_TABLE_SIZE
+        sender, receiver, first = _warm(range(full + 10))  # ten past the table
+        table = [-1, *range(full)]
+        assert sender.peers.ids == receiver._stream.peers.ids == table
+        # A third inflater reads the dests column's form off each frame.
+        probe = zlib.decompressobj(-zlib.MAX_WBITS)
+        probe.decompress(first[5:] + b"\x00\x00\xff\xff")
+        known, new = [0, full - 1, -1], [full + 3, 7]
+        for dests, form in ((known, 3), (new, 0), (new, 0), (known, 3)):
+            trace = OperationTrace()
+            for dest in dests:
+                trace.record(MessageKind.GET_REQUEST, source=-1, dest=dest)
+            frame = codec.encode_frame({"t": trace}, stream=sender)
+            (payload,) = receiver.feed(frame)
+            assert list(payload["t"].dests) == dests
+            packed = probe.decompress(frame[5:] + b"\x00\x00\xff\xff")
+            assert packed[_FLAGS_AT] >> 4 & 3 == form
+        assert sender.peers.ids == receiver._stream.peers.ids == table

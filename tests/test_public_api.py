@@ -9,7 +9,7 @@ from repro.dht import errors as dht_errors
 
 class TestTopLevelExports:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "13.0.0"
+        assert repro.__version__ == "13.1.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -43,6 +43,32 @@ class TestTopLevelExports:
         assert callable(cli_main)
         assert callable(runner.add_arguments) and callable(runner.run_command)
         assert not hasattr(runner, "main")
+
+
+class TestLazyExports:
+    def test_a_client_imports_neither_asyncio_nor_multiprocessing(self):
+        """The packages resolve their exports on first use: a process that
+        builds a cluster and connects to a server loads neither the
+        server's event loop nor the executor's process pool."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+        source = pathlib.Path(repro.__file__).resolve().parents[1]
+        script = ("import sys\n"
+                  "from repro.api import Cluster\n"
+                  "from repro.net import connect\n"
+                  "print(sorted({'asyncio', 'multiprocessing'} & set(sys.modules)))")
+        loaded = subprocess.run([sys.executable, "-c", script], check=True,
+                                capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(source)}).stdout
+        assert loaded.strip() == "[]"
+
+    def test_net_all_names_resolve(self):
+        import repro.net as net
+        for name in net.__all__:
+            assert getattr(net, name) is not None
+        assert set(dir(net)) >= set(net.__all__)
 
 
 class TestErrorHierarchy:
