@@ -53,6 +53,7 @@ from repro.api.results import (
     Consistency,
     InsertResult,
     RetrieveResult,
+    Trace,
 )
 from repro.api.services import SERVICES, CurrencyService, create_service
 from repro.dht.registry import lookup
@@ -61,7 +62,6 @@ if TYPE_CHECKING:
     from repro.core.kts import KeyBasedTimestampService
     from repro.core.replication import ReplicationScheme
     from repro.core.ums import UpdateManagementService
-    from repro.dht.messages import OperationTrace
     from repro.dht.network import DHTNetwork
 
 __all__ = ["Cluster", "Session"]
@@ -124,7 +124,7 @@ class Session:
         if self._closed:
             raise RuntimeError("operation on a closed Session")
 
-    def _account(self, trace: "OperationTrace") -> None:
+    def _account(self, trace: Trace) -> None:
         self.operations += 1
         self.messages_sent += trace.message_count
 

@@ -8,7 +8,8 @@ costs field by field:
 
 * :class:`InsertResult` — outcome of a write: how many replicas accepted the
   new value, the KTS timestamp (UMS) or the version number (BRK) it carries,
-  and the full :class:`~repro.dht.messages.OperationTrace`;
+  and the trace — the full :class:`~repro.dht.messages.OperationTrace` in
+  process, its :class:`~repro.dht.messages.TraceSummary` over the wire;
 * :class:`RetrieveResult` — outcome of a read: the data, whether a replica was
   found, whether it is *certified current* (only UMS can certify), how many
   replicas were probed, and the trace;
@@ -28,9 +29,9 @@ network layers beyond the message-trace type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple, Union
 
-from repro.dht.messages import OperationTrace
+from repro.dht.messages import OperationTrace, TraceSummary
 from repro.dht.model import slotted_init
 
 __all__ = [
@@ -40,6 +41,9 @@ __all__ = [
     "InsertResult",
     "RetrieveResult",
 ]
+
+#: A result's trace: the full trace in process, its summary off the wire.
+Trace = Union[OperationTrace, TraceSummary]
 
 
 class Consistency:
@@ -110,7 +114,7 @@ class InsertResult:
     key: Any
     replicas_written: int
     replicas_attempted: int
-    trace: OperationTrace
+    trace: Trace
     timestamp: Any = None
     version: Optional[int] = None
     service: Optional[str] = None
@@ -143,7 +147,7 @@ class RetrieveResult:
     found: bool
     is_current: bool
     replicas_inspected: int
-    trace: OperationTrace
+    trace: Trace
     timestamp: Any = None
     latest_timestamp: Any = None
     version: Optional[int] = None
@@ -163,7 +167,7 @@ class _BatchResult:
     __slots__ = ()
 
     results: Tuple[Any, ...]
-    trace: OperationTrace
+    trace: Trace
 
     def __len__(self) -> int:
         return len(self.results)
@@ -196,7 +200,7 @@ class BatchInsertResult(_BatchResult):
     """
 
     results: Tuple[InsertResult, ...]
-    trace: OperationTrace
+    trace: Trace
 
     @property
     def fully_replicated(self) -> bool:
@@ -210,7 +214,7 @@ class BatchRetrieveResult(_BatchResult):
     """Outcome of ``retrieve_many``: per-key results plus the shared batch trace."""
 
     results: Tuple[RetrieveResult, ...]
-    trace: OperationTrace
+    trace: Trace
     consistency: str = Consistency.CURRENT
 
     @property

@@ -24,7 +24,13 @@ from repro.dht.errors import (
     PeerUnreachableError,
 )
 from repro.dht.hashing import HashFamily, PairwiseIndependentHash, key_digest
-from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrace
+from repro.dht.messages import (
+    Message,
+    MessageKind,
+    MessageSizes,
+    OperationTrace,
+    TraceSummary,
+)
 from repro.dht.model import (
     DHTProtocol,
     LookupResult,
@@ -60,6 +66,7 @@ __all__ = [
     "PeerUnreachableError",
     "RouteResult",
     "StoredValue",
+    "TraceSummary",
     "create_overlay",
     "key_digest",
 ]

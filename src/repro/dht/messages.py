@@ -13,16 +13,19 @@ Rather than duplicating the UMS/KTS/BRK algorithms for an "analytical" and an
 sequence of messages it caused into an :class:`OperationTrace`.  A cost model
 (:mod:`repro.simulation.cost`) then converts a trace into a duration, and the
 simulation harness schedules the completion of the operation accordingly.
+
+Off the process, a trace travels as its :class:`TraceSummary` — the counts a
+client reads of it — since only the cost model needs the columns.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, MutableSequence, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-__all__ = ["KIND_CODES", "Message", "MessageKind", "MessageSizes", "OperationTrace"]
+__all__ = ["KIND_CODES", "Message", "MessageKind", "MessageSizes", "OperationTrace",
+           "TraceSummary"]
 
 
 class MessageKind(str, enum.Enum):
@@ -87,20 +90,6 @@ class MessageSizes:
                 bytes(_BYTE_OF_KIND[kind] for kind in exchange), sizes, sum(sizes))
         return row
 
-    @cached_property
-    def kind_sizes(self) -> Tuple[int, ...]:
-        """Every kind's single-entry size, indexed by its kind byte (0 at the
-        bytes that are no kind's); computed once, like the exchange rows."""
-        row = [0] * 256
-        for kind, byte in _BYTE_OF_KIND.items():
-            row[byte] = self.size_of(kind)
-        return tuple(row)
-
-    def single_entry_total(self, kinds: bytes) -> int:
-        """The byte total of messages of ``kinds`` (kind bytes), one entry each."""
-        data = len(kinds) - len(kinds.translate(None, _DATA_KIND_BYTES))
-        return self.control_bytes * (len(kinds) - data) + self.data_bytes * data
-
 
 class Message(NamedTuple):
     """One network message of an operation trace.
@@ -117,24 +106,50 @@ class Message(NamedTuple):
 
 
 #: One stable character per :class:`MessageKind`, in declaration order: the
-#: byte a message is in a trace's ``kinds`` column, in memory and on the wire.
-#: Codes are wire protocol — a new kind is declared last and appends one, none
-#: is ever reassigned (pinned by ``tests/net/test_codec.py``).
+#: byte a message is in a trace's ``kinds`` column.  The trace pins digest that
+#: column, so a new kind is declared last and appends one, and none is ever
+#: reassigned (pinned by ``tests/net/test_codec.py``).
 KIND_CODES: Dict[MessageKind, str] = dict(zip(MessageKind, "hrgGpPtTlLcdxsS"))
 _BYTE_OF_KIND = {kind: ord(code) for kind, code in KIND_CODES.items()}
 _KIND_OF_BYTE = {byte: kind for kind, byte in _BYTE_OF_KIND.items()}
-_DATA_KIND_BYTES = bytes(map(_BYTE_OF_KIND.__getitem__, _DATA_KINDS))
 _HOP_BYTE = _BYTE_OF_KIND[MessageKind.LOOKUP_HOP]
 _RETRY = KIND_CODES[MessageKind.LOOKUP_RETRY].encode("ascii")
 
 
-#: An integer column of a trace (a list, or an adopted ``array('q')``), and
-#: the five columns together: kinds, size_bytes, sources, dests, timed_out.
-Column = MutableSequence[int]
-Columns = Tuple[bytearray, Column, Column, Column, List[int]]
 #: A request/reply exchange by its ``(request, reply)`` kinds, and its trace row.
 Exchange = Tuple[MessageKind, MessageKind]
 ExchangeRow = Tuple[bytes, Tuple[int, int], int]
+
+
+@dataclass(slots=True)
+class TraceSummary:
+    """What a remote result carries of its trace: the counts its reader needs.
+
+    ``message_count``, ``total_bytes`` and ``timeout_count`` answer as the
+    same properties of the :class:`OperationTrace` it summarises
+    (:meth:`OperationTrace.summary`); ``retry_bytes`` is the size a
+    ``LOOKUP_RETRY`` message has on that trace, so the network client can add
+    its re-sends (:meth:`record_retries`) exactly as the simulator's
+    ``record_route([], retries=r, timeouts=r)`` would have.  Mutable like a
+    trace: the items of a batch share their batch's one summary.
+    """
+
+    message_count: int
+    total_bytes: int
+    timeout_count: int
+    retry_bytes: int
+
+    def summary(self) -> "TraceSummary":
+        """The summary itself (a trace and its summary answer alike)."""
+        return self
+
+    def record_retries(self, retries: int, timeouts: int) -> None:
+        """Count ``retries`` ``LOOKUP_RETRY`` messages, ``timeouts`` of them
+        timed out, as :meth:`OperationTrace.record_route` with an empty path."""
+        if retries > 0:
+            self.message_count += retries
+            self.total_bytes += self.retry_bytes * retries
+            self.timeout_count += min(timeouts, retries)
 
 
 class OperationTrace:
@@ -143,26 +158,23 @@ class OperationTrace:
     Traces compose: a UMS ``retrieve`` merges the trace of its embedded KTS
     ``last_ts`` call with the traces of the ``get_h`` probes it performs.
 
-    One column per message field, row ``i`` of each describing message ``i``
-    — the layout the wire codec ships as is: ``kinds`` a ``bytearray`` of
-    :data:`KIND_CODES` bytes, ``size_bytes`` / ``sources`` / ``dests`` integer
-    columns (``-1`` stands for a ``None`` endpoint; peer ids are never
-    negative), ``timed_out`` the indices of the messages that timed out.
-    Readers (codec, cost model) use the columns directly; only the methods
-    below may grow them, because they also keep the running byte tally.
-    ``columns`` adopts five such columns uncopied: the caller vouches for
-    equal lengths, known kind bytes and in-range indices (the wire codec
-    checks what arrives from outside).
+    One column per message field, row ``i`` of each describing message ``i``:
+    ``kinds`` a ``bytearray`` of :data:`KIND_CODES` bytes, ``size_bytes`` /
+    ``sources`` / ``dests`` integer lists (``-1`` stands for a ``None``
+    endpoint; peer ids are never negative), ``timed_out`` the indices of the
+    messages that timed out.  Readers (the cost model, the trace pins) use
+    the columns directly; only the methods below may grow them, because they
+    also keep the running byte tally.
     """
 
-    def __init__(self, sizes: Optional[MessageSizes] = None,
-                 columns: Optional[Columns] = None) -> None:
+    def __init__(self, sizes: Optional[MessageSizes] = None) -> None:
         self.sizes = sizes if sizes is not None else MessageSizes()
-        if columns is None:
-            columns, self._total_bytes = (bytearray(), [], [], [], []), 0
-        else:
-            self._total_bytes = sum(columns[1])
-        self.kinds, self.size_bytes, self.sources, self.dests, self.timed_out = columns
+        self._total_bytes = 0
+        self.kinds = bytearray()
+        self.size_bytes: List[int] = []
+        self.sources: List[int] = []
+        self.dests: List[int] = []
+        self.timed_out: List[int] = []
 
     # ------------------------------------------------------------------ basic
     @property
@@ -184,6 +196,11 @@ class OperationTrace:
     def timeout_count(self) -> int:
         """Number of messages that hit a dead peer and timed out."""
         return len(self.timed_out)
+
+    def summary(self) -> TraceSummary:
+        """The counts of this trace, as a remote result carries them."""
+        return TraceSummary(len(self.kinds), self._total_bytes, len(self.timed_out),
+                            self.sizes.size_of(MessageKind.LOOKUP_RETRY))
 
     def __len__(self) -> int:
         return len(self.kinds)

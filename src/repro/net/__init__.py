@@ -9,9 +9,9 @@ execution behind it:
 * :mod:`repro.net.codec` — the length-prefixed wire codec, with measured
   frame sizes and a JSON view of any frame for humans (``describe``);
   :mod:`repro.net.wire` is the frame body: tagged values, native records
-  for the results and traces, one-byte codes for the envelope and request
-  keys, and every frame a piece of one deflate stream per connection and
-  direction;
+  for the results (each trace as its summary), one-byte codes for the
+  envelope and request keys, and every frame a piece of one deflate stream
+  per connection and direction;
 * :mod:`repro.net.server` — the asyncio node server hosting an overlay
   population + :class:`~repro.dht.storage.LocalStore` replicas + KTS/UMS
   handlers over TCP and Unix domain sockets; a connection is an

@@ -27,11 +27,12 @@ The transport internals:
   attempt, on the connection that sends it: a retry on a fresh link starts
   fresh streams, and ``bytes_sent`` adds up the frames actually sent.
 
-Retries map onto the existing accounting: each timeout-retry is recorded in
-the operation's :class:`~repro.dht.messages.OperationTrace` as a
-``LOOKUP_RETRY`` message with ``timed_out=True`` — byte-for-byte the
-convention :meth:`OperationTrace.record_route` uses for the simulator's
-routing retries — and tallied in :class:`TransportCounters`.  Note the
+Retries map onto the existing accounting: a remote result's trace is the
+:class:`~repro.dht.messages.TraceSummary` of the server's trace, and each
+timeout-retry adds one timed-out ``LOOKUP_RETRY`` message to it
+(:meth:`TraceSummary.record_retries`) — the counts and bytes
+:meth:`OperationTrace.record_route` gives the simulator's routing retries —
+and is tallied in :class:`TransportCounters`.  Note the
 at-least-once consequence: a dropped *reply* does not undo the executed
 request, so a retried insert simply stamps a newer timestamp (newest-wins
 makes inserts idempotent in effect).
@@ -351,9 +352,10 @@ class RemoteService:
 
     Each operation forwards to the server, takes the shared result type
     back from the reply (the reply carries the result object itself, as a
-    record), and appends the transport-level retry messages to the result's
-    trace — so ``Session.messages_sent`` keeps counting the way it does
-    against the simulation backend, timeouts included.
+    record, its trace as a :class:`~repro.dht.messages.TraceSummary`), and
+    adds the transport-level retry messages to that summary — so
+    ``Session.messages_sent`` keeps counting the way it does against the
+    simulation backend, timeouts included.
     """
 
     def __init__(self, client: NetClient,
@@ -368,11 +370,9 @@ class RemoteService:
             raise TransportError(f"{op} reply carried a "
                                  f"{type(result).__name__}, not a "
                                  f"{result_type.__name__}")
-        if stats.retries:
-            # Same convention as the simulator's routing retries: one
-            # LOOKUP_RETRY message, flagged timed out, per re-send.
-            result.trace.record_route([], retries=stats.retries,
-                                      timeouts=stats.retries)
+        # Same convention as the simulator's routing retries: one
+        # LOOKUP_RETRY message, flagged timed out, per re-send.
+        result.trace.record_retries(stats.retries, stats.retries)
         return result
 
     def insert(self, key: Any, data: Any, *, origin: Optional[int] = None,

@@ -3,11 +3,13 @@
 Frames are ``4-byte big-endian length || body``, and a body is the tagged
 binary encoding of :mod:`repro.net.wire` behind a one-byte marker: ``0x02``
 the next piece of the connection's deflate stream (every frame a connection
-writes), ``0x01`` a self-contained body outside any stream.  The protocol's
-objects — :class:`~repro.dht.messages.OperationTrace` and the four result
-types of :mod:`repro.api.results` — travel as records, so the client and the
-server exchange *exactly* the objects the simulation backend produces, and
-keys and data come back as the values they were.
+writes), ``0x01`` a self-contained body outside any stream.  The four
+result types of :mod:`repro.api.results` travel as records, so the client
+gets the result objects the simulation backend produces, and keys and data
+come back as the values they were — all but the trace, which travels as its
+:class:`~repro.dht.messages.TraceSummary`: the message count, byte total and
+timeouts a client reads, without the per-message columns only the
+simulator's cost model needs.
 
 :func:`frame_size` *measures* the serialised size of any payload as the first
 frame of a fresh stream, giving the bytes-per-op accounting the simulator's
@@ -27,8 +29,9 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from array import array
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.api.results import (
     BatchInsertResult,
@@ -37,13 +40,12 @@ from repro.api.results import (
     RetrieveResult,
 )
 from repro.core.timestamps import Timestamp
-from repro.dht.messages import OperationTrace
+from repro.dht.messages import OperationTrace, TraceSummary
 from repro.net.wire import (
     MARKER_COMPRESSED,
     MAX_FRAME_BYTES,
     CodecError,
     DeflateStream,
-    InflateStream,
     pack_payload,
     unpack_payload,
 )
@@ -114,9 +116,9 @@ class FrameDecoder:
 
     The decoder owns a reassembly buffer, so frames may arrive split across
     arbitrarily many chunks (or many frames inside one chunk).  It also owns
-    the receiving half of the connection's stream — its inflater and peer-id
-    table (:class:`~repro.net.wire.InflateStream`), created at the first
-    ``0x02`` frame: those frames must all arrive, in order.
+    the receiving half of the connection's deflate stream, a raw-deflate
+    inflater created at the first ``0x02`` frame: those frames must all
+    arrive, in order.
 
     A malformed frame is consumed from the buffer *before* its
     :class:`CodecError` is raised, so the decoder stays usable for the
@@ -129,7 +131,7 @@ class FrameDecoder:
 
     def __init__(self) -> None:
         self._buffer = bytearray()
-        self._stream: Optional[InflateStream] = None
+        self._inflate: Optional["zlib._Decompress"] = None
         self._stream_error: Optional[CodecError] = None
 
     @property
@@ -169,10 +171,10 @@ class FrameDecoder:
         if self._stream_error is not None:
             raise CodecError(f"binary stream broken by an earlier frame "
                              f"({self._stream_error}); there is no resync")
-        if self._stream is None:
-            self._stream = InflateStream()
+        if self._inflate is None:
+            self._inflate = zlib.decompressobj(-zlib.MAX_WBITS)
         try:
-            return unpack_payload(body, stream=self._stream)
+            return unpack_payload(body, stream=self._inflate)
         except CodecError as error:
             self._stream_error = error
             raise
@@ -193,7 +195,7 @@ FrameDecoder.feed_with_formats = _retired  # type: ignore[attr-defined]
 def describe(frame: bytes, decoder: Optional[FrameDecoder] = None) -> str:
     """``frame`` (header + body) as indented, key-sorted JSON, for humans.
 
-    Traces and results appear in their ``*_to_dict`` forms, timestamps as
+    Trace summaries and results appear in their ``*_to_dict`` forms, timestamps as
     ``{"key": ..., "value": ...}`` and int64 columns as lists.  A mid-stream
     ``0x02`` frame needs ``decoder``, the :class:`FrameDecoder` that read
     its connection's frames before it; the decoder is fed the frame.
@@ -218,20 +220,14 @@ def _stamp(stamp: Optional[Timestamp]) -> Optional[Dict[str, Any]]:
     return None if stamp is None else {"key": stamp.key, "value": stamp.value}
 
 
-def trace_to_dict(trace: OperationTrace) -> Dict[str, Any]:
-    """The view of an :class:`OperationTrace`: its sizes and its columns.
-
-    ``kinds`` is a string of kind codes, ``size_bytes``/``sources``/``dests``
-    are integer columns (``-1`` for a ``None`` endpoint; ids are never
-    negative) and ``timed_out`` lists the indices of the flagged messages.
-    """
-    return {"sizes": {"control_bytes": trace.sizes.control_bytes,
-                      "data_bytes": trace.sizes.data_bytes},
-            "kinds": trace.kinds.decode("ascii"),
-            "size_bytes": list(trace.size_bytes),
-            "sources": list(trace.sources),
-            "dests": list(trace.dests),
-            "timed_out": list(trace.timed_out)}
+def trace_to_dict(trace: Union[OperationTrace, TraceSummary]) -> Dict[str, Any]:
+    """The view of a trace: its :class:`~repro.dht.messages.TraceSummary`,
+    which is all of it the wire carries."""
+    summary = trace.summary()
+    return {"message_count": summary.message_count,
+            "total_bytes": summary.total_bytes,
+            "timeout_count": summary.timeout_count,
+            "retry_bytes": summary.retry_bytes}
 
 
 def insert_result_to_dict(result: InsertResult, *,
@@ -279,7 +275,7 @@ def batch_retrieve_result_to_dict(result: BatchRetrieveResult) -> Dict[str, Any]
 
 #: The view of each object the wire carries as a record.
 _TO_DICT: Dict[type, Callable[[Any], Dict[str, Any]]] = {
-    OperationTrace: trace_to_dict,
+    TraceSummary: trace_to_dict,
     InsertResult: insert_result_to_dict,
     RetrieveResult: retrieve_result_to_dict,
     BatchInsertResult: batch_insert_result_to_dict,

@@ -19,8 +19,8 @@ connection writes is the next piece of one raw-deflate stream
 (:class:`DeflateStream`, level 3, no zlib header), ended by a
 ``Z_SYNC_FLUSH`` whose constant ``00 00 FF FF`` tail the sender strips and
 the receiver puts back.  A frame can back-reference everything its
-connection sent before it — the record layout, the keys and peer ids of
-earlier frames — and no frame pays for setting up zlib state.  The
+connection sent before it — the record layout and the keys of earlier
+frames — and no frame pays for setting up zlib state.  The
 receiver keeps one inflater per connection (in
 :class:`~repro.net.codec.FrameDecoder`) and must see every frame, in order:
 a frame that is corrupt, truncated, inflates past :data:`MAX_FRAME_BYTES` or
@@ -41,45 +41,26 @@ puts in a key or a value comes back as the same value: there is no tag
 object to mistake user data for.
 
 **Records.**  The protocol's own objects travel natively, as ``Timestamp``
-does: ``o`` an :class:`~repro.dht.messages.OperationTrace`, ``w`` an
-:class:`~repro.api.results.InsertResult`, ``r`` a
-:class:`~repro.api.results.RetrieveResult`, ``W``/``R`` the batch results.
-A result record packs its fixed fields (flags, counts, the consistency
-code) in one ``struct`` call; a timestamp of the result's own key carries
-only its counter; key, data and the other optional fields follow in the
-tagged encoding.  A trace record is its control and data sizes, a message
-count, a flags byte and the kind bytes
-(:data:`~repro.dht.messages.KIND_CODES`), then its integer columns, each in
-the narrowest form that holds it: big-endian u32s (``-1`` as
-``0xFFFFFFFF``, so a real ``0xFFFFFFFF`` takes the next form), int64s, or a
-tagged list for ids beyond int64.  What the receiver can rebuild stays
-home: ``size_bytes`` is left out under a flag when every message has its
-kind's single-entry size (rebuilt from ``kinds`` through
-:attr:`~repro.dht.messages.MessageSizes.kind_sizes`), and ``sources`` is a
-u32 count, one 0/1 byte per message — set where the source is not the
-previous message's dest (``-1`` before the first) — and the flagged sources
-only.  ``dests`` and the ``timed_out`` indices close the record.  A batch
-carries its one shared trace once and its per-key records without one.  A
-received trace is rebuilt as list columns, after the checks of
-:func:`_decode_trace`.
-
-**Peer ids travel once per stream** — HPACK's dynamic table (RFC 7541) for
-trace columns.  Each stream's sender and receiver keep the same table of the
-peer ids its flagged ``sources`` and its ``dests`` columns have carried, in
-column order (index 0 is ``-1``; at most :data:`PEER_TABLE_SIZE` ids).  In a
-``0x02`` frame, once the table holds an id, a peer-id column whose ids are
-all in it travels in a fourth form: big-endian u16 indices.  Any other
-column takes one of the three forms above, and both sides append its new ids
-once the whole frame has gone through — the sender after the size check, so
-a refused payload leaves the table as it was.  A stream's first frame, a
-``0x01`` frame and ``size_bytes`` never use the fourth form; the receiver
-refuses it in the last two, and any index past the end of its table.
+does: ``w`` an :class:`~repro.api.results.InsertResult`, ``r`` a
+:class:`~repro.api.results.RetrieveResult`, ``W``/``R`` the batch results,
+and ``o`` a trace.  A result record packs its fixed fields (flags, counts,
+the consistency code) in one ``struct`` call; a timestamp of the result's
+own key carries only its counter; key, data and the other optional fields
+follow in the tagged encoding.  A trace travels as its
+:class:`~repro.dht.messages.TraceSummary` — what a client reads of it — in
+one fixed-size record: the message count, the total bytes, the timeout count
+and the retry size, as int32, int64, int32 and int64.  An
+:class:`~repro.dht.messages.OperationTrace` is packed as its summary and
+comes back as one; its columns stay with the process that recorded them.  A
+batch carries its one shared summary once and its per-key records without
+one.  A received summary is checked: no field below 0, and no more timeouts
+than messages.
 
 A dict is a u32 count, then ``count`` keys each followed by its value.  A
 key listed in :data:`WIRE_KEYS` — the envelope and request field names — is
 **one byte**, its index in that table; any other key is ``0xFF`` plus a
 length-prefixed UTF-8 string.  A code never moves (codes are wire protocol,
-like the trace's kind codes), and there is one key layout: no negotiation,
+like the value tags), and there is one key layout: no negotiation,
 no fallback.  Keys are emitted in sorted order *of the key
 strings*, so equal payloads always produce identical bytes; tuples are
 encoded as lists.
@@ -91,11 +72,7 @@ import struct
 import sys
 import zlib
 from array import array
-from contextvars import ContextVar
-from functools import lru_cache
-from itertools import chain, compress, filterfalse, islice
-from operator import ne
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.api.results import (
     BatchInsertResult,
@@ -105,16 +82,14 @@ from repro.api.results import (
     RetrieveResult,
 )
 from repro.core.timestamps import Timestamp
-from repro.dht.messages import KIND_CODES, MessageSizes, OperationTrace
+from repro.dht.messages import OperationTrace, TraceSummary
 
 __all__ = [
     "CodecError",
     "DeflateStream",
-    "InflateStream",
     "MARKER_BINARY",
     "MARKER_COMPRESSED",
     "MAX_FRAME_BYTES",
-    "PEER_TABLE_SIZE",
     "WIRE_KEYS",
     "pack_payload",
     "unpack_payload",
@@ -146,7 +121,6 @@ _EMPTY_FINAL_BLOCK = b"\x03\x00"
 #: protocol's frames (DESIGN.md "Wire efficiency").
 _LEVEL = 3
 
-_U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 #: One tag byte and its fixed-width field, packed in one call: a count or
@@ -157,43 +131,26 @@ _TAG_F64 = struct.Struct(">cd")
 
 #: The fixed fields of the records: flags, replicas written and attempted,
 #: the own-key timestamp counter (insert); flags, consistency code, replicas
-#: inspected, the two own-key counters (retrieve); control and data sizes,
-#: message count, column flags (trace).
+#: inspected, the two own-key counters (retrieve); message count, total
+#: bytes, timeout count and retry size (trace summary).
 _INSERT_HEAD = struct.Struct(">Bqqq")
 _RETRIEVE_HEAD = struct.Struct(">BBqqq")
-_TRACE_HEAD = struct.Struct(">qqIB")
+_SUMMARY = struct.Struct(">iqiq")
 _BATCH_HEAD = struct.Struct(">BI")
 
 #: Result flag bits; a record with any other bit set is refused.
 _FOUND, _CURRENT, _AMBIGUOUS, _OWN_STAMP, _OWN_LATEST = 1, 2, 4, 8, 16
 _INSERT_FLAGS = _OWN_STAMP
 _RETRIEVE_FLAGS = _FOUND | _CURRENT | _AMBIGUOUS | _OWN_STAMP | _OWN_LATEST
-#: Trace column forms, two flag bits each (size_bytes at bit 0, sources at
-#: bit 2, dests at bit 4): big-endian u32s with ``-1`` as ``0xFFFFFFFF``,
-#: int64s, a tagged list, or (peer ids in a stream only) big-endian u16
-#: indices into the stream's peer-id table.
-_NARROW, _WIDE, _LISTED, _INDEXED = 0, 1, 2, 3
-#: Trace flag bit: every size is its kind's single-entry size, and the
-#: size_bytes column is left out (rebuilt from ``kinds``).
-_DEFAULT_SIZES = 64
-_TRACE_FLAGS = _DEFAULT_SIZES | 0b111111
-#: The one u32 that is not a narrow value: ``-1`` on the wire.
-_MINUS_ONE_U32 = 0xFFFFFFFF
 
-#: Consistency levels as one-byte codes, append-only like the kind codes;
+#: Consistency levels as one-byte codes, append-only like the key codes;
 #: ``0xFF`` escapes to a tagged value for any other level.
 _CONSISTENCY_LEVELS = (Consistency.CURRENT, Consistency.ANY,
                        Consistency.BEST_EFFORT)
 _CONSISTENCY_CODES = {level: code for code, level in enumerate(_CONSISTENCY_LEVELS)}
 _OTHER_LEVEL = 0xFF
 
-#: The known kind bytes, deleted from a received ``kinds`` column to find
-#: the unknown ones.
-_KIND_BYTES = "".join(KIND_CODES.values()).encode("ascii")
-#: The bytes a source-flag column may hold.
-_FLAG_BYTES = b"\x00\x01"
-
-#: The ``q`` tag and the trace columns are big-endian on the wire.
+#: The ``q`` tag is big-endian on the wire.
 _SWAP_ARRAYS = sys.byteorder == "little"
 
 #: Dict keys that travel as one byte: a key's index in this table *is* its
@@ -230,53 +187,6 @@ _U32_AT = _U32.unpack_from
 _I64_AT = _I64.unpack_from
 _F64_AT = struct.Struct(">d").unpack_from
 
-#: Most peer ids one stream's table holds: u16 index 0 is ``-1``, and
-#: 1..65 535 are the ids in the order the stream first carried them.
-PEER_TABLE_SIZE = 65_535
-
-
-class _PeerTable:
-    """The peer ids one stream's trace columns have carried, in column order.
-
-    Sender and receiver each keep one per stream and grow it the same way:
-    the ids of every ``sources``/``dests`` column that did *not* travel as
-    indices are noted while a frame is packed or unpacked, and appended
-    (first occurrence first, at most :data:`PEER_TABLE_SIZE`) only once the
-    whole frame went through.  Within a frame, both sides see the table as
-    it was before it.
-    """
-
-    __slots__ = ("codes", "ids", "pending")
-
-    def __init__(self) -> None:
-        #: Each id's index as it travels (big-endian u16), and each index's id.
-        self.codes: Dict[int, bytes] = {-1: _U16.pack(0)}
-        self.ids: List[int] = [-1]
-        self.pending: Dict[int, None] = {}
-
-    def note(self, values: Sequence[int]) -> None:
-        """Mark the ids of ``values`` that the table lacks for appending."""
-        self.pending.update(dict.fromkeys(filterfalse(self.codes.__contains__,
-                                                      values)))
-
-    def commit(self) -> None:
-        """Append the noted ids, as far as the table has room."""
-        pending, ids = self.pending, self.ids
-        if pending:
-            new = list(islice(pending, PEER_TABLE_SIZE + 1 - len(ids)))
-            self.codes.update(zip(new, map(_U16.pack, range(len(ids),
-                                                            len(ids) + len(new)))))
-            ids += new
-            pending.clear()
-
-
-#: The peer-id table of the frame being packed or unpacked; ``None`` outside
-#: a stream (a ``0x01`` frame), where no column travels as indices.  Set for
-#: the length of one :func:`pack_payload`/:func:`unpack_payload` call, so a
-#: thread or task sees only its own frame's, without the recursive coders
-#: passing it along.
-_PEERS: ContextVar[Optional[_PeerTable]] = ContextVar("peers", default=None)
-
 
 class DeflateStream:
     """The sending half of one connection's binary stream, in one direction.
@@ -284,13 +194,11 @@ class DeflateStream:
     Each :meth:`deflate` call is the next frame: its bytes may refer back to
     everything deflated before, so the frames must reach one receiver, all
     of them and in order — a connection owns its stream, and a link that is
-    torn down takes its stream with it.  About 256 KB of zlib state, plus
-    the stream's peer-id table (:func:`pack_payload` keeps it).
+    torn down takes its stream with it.  About 256 KB of zlib state.
     """
 
     def __init__(self) -> None:
         self._deflate = zlib.compressobj(_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
-        self.peers = _PeerTable()
 
     def deflate(self, packed: Union[bytes, bytearray]) -> bytes:
         """The ``0x02`` body carrying ``packed``: the stream's next piece,
@@ -368,83 +276,17 @@ def _own_counter(stamp: Any, key: Any) -> Optional[int]:
     return None
 
 
-def _replaced(values: List[int], old: int, new: int) -> List[int]:
-    """``values`` with each ``old`` replaced by ``new``, in place: one scan,
-    and a loop over the matches only."""
-    index = -1
-    try:
-        while True:
-            index = values.index(old, index + 1)
-            values[index] = new
-    except ValueError:
-        return values
-
-
-def _encode_column(values: Sequence[int], out: bytearray) -> int:
-    """Append ``values`` in the narrowest form that holds them; return the form."""
-    if _MINUS_ONE_U32 not in values:
-        try:
-            _encode_array(array("I", _replaced(list(values), -1, _MINUS_ONE_U32)
-                                 if -1 in values else values), out)
-            return _NARROW
-        except OverflowError:
-            pass  # a value beyond 32 bits, or below -1
-    try:
-        _encode_array(array("q", values), out)
-        return _WIDE
-    except OverflowError:
-        # An id beyond int64 (``bits > 63``): the bigint tag carries it.
-        _encode_list(values, out)
-        return _LISTED
-
-
-def _encode_ids(values: Sequence[int], out: bytearray,
-                peers: Optional[_PeerTable]) -> int:
-    """Append a peer-id column: as indices when the stream's table holds
-    every id (and any id at all), else in :func:`_encode_column`'s form, its
-    new ids noted; return the form."""
-    if peers is not None:
-        codes = peers.codes
-        if len(codes) > 1:
-            try:
-                out += b"".join(map(codes.__getitem__, values))
-                return _INDEXED
-            except KeyError:
-                pass  # an id the table lacks
-        peers.note(values)
-    return _encode_column(values, out)
-
-
-def _encode_trace(trace: OperationTrace, out: bytearray) -> None:
-    """Append a trace record (untagged): sizes, count, flags, kinds, columns,
-    timeouts."""
-    if not isinstance(trace, OperationTrace):
-        raise CodecError(f"a result's trace must be an OperationTrace, "
-                         f"got {type(trace).__name__}")
-    kinds, sizes, dests = trace.kinds, trace.sizes, trace.dests
-    head = len(out)
-    out += _TRACE_HEAD.pack(sizes.control_bytes, sizes.data_bytes, len(kinds), 0)
-    out += kinds
-    # Sizes: left out when each is its kind's single-entry size.  The byte
-    # total rules most other traces out (a batch's multi-entry messages)
-    # before any element-wise compare.
-    if (sizes.single_entry_total(kinds) == trace.total_bytes
-            and list(map(sizes.kind_sizes.__getitem__, kinds)) == list(trace.size_bytes)):
-        flags = _DEFAULT_SIZES
-    else:
-        flags = _encode_column(trace.size_bytes, out)
-    # Sources: a flag byte per message, set where the source is not the
-    # previous message's dest (-1 before the first), then those sources.
-    chained = bytes(map(ne, trace.sources, chain((-1,), dests)))
-    unchained = list(compress(trace.sources, chained))
-    out += _U32.pack(len(unchained))
-    out += chained
-    peers = _PEERS.get()
-    flags |= _encode_ids(unchained, out, peers) << 2
-    flags |= _encode_ids(dests, out, peers) << 4
-    out[head + _TRACE_HEAD.size - 1] = flags
-    out += _U32.pack(len(trace.timed_out))
-    _encode_array(array("q", trace.timed_out), out)
+def _encode_summary(trace: Union[OperationTrace, TraceSummary],
+                    out: bytearray) -> None:
+    """Append a trace's summary record (untagged)."""
+    kind = type(trace)
+    if kind is OperationTrace:
+        trace = trace.summary()
+    elif kind is not TraceSummary:
+        raise CodecError(f"a result's trace must be an OperationTrace or a "
+                         f"TraceSummary, got {kind.__name__}")
+    out += _SUMMARY.pack(trace.message_count, trace.total_bytes,
+                         trace.timeout_count, trace.retry_bytes)
 
 
 def _encode_insert(result: InsertResult, out: bytearray, *,
@@ -461,7 +303,7 @@ def _encode_insert(result: InsertResult, out: bytearray, *,
     _pack(result.version, out)
     _pack(result.service, out)
     if with_trace:
-        _encode_trace(result.trace, out)
+        _encode_summary(result.trace, out)
 
 
 def _encode_retrieve(result: RetrieveResult, out: bytearray, *,
@@ -489,12 +331,12 @@ def _encode_retrieve(result: RetrieveResult, out: bytearray, *,
     if code == _OTHER_LEVEL:
         _pack(result.consistency, out)
     if with_trace:
-        _encode_trace(result.trace, out)
+        _encode_summary(result.trace, out)
 
 
 def _encode_batch_insert(batch: BatchInsertResult, out: bytearray) -> None:
     out += _U32.pack(len(batch.results))
-    _encode_trace(batch.trace, out)
+    _encode_summary(batch.trace, out)
     for result in batch.results:
         _encode_insert(result, out, with_trace=False)
 
@@ -504,7 +346,7 @@ def _encode_batch_retrieve(batch: BatchRetrieveResult, out: bytearray) -> None:
     out += _BATCH_HEAD.pack(code, len(batch.results))
     if code == _OTHER_LEVEL:
         _pack(batch.consistency, out)
-    _encode_trace(batch.trace, out)
+    _encode_summary(batch.trace, out)
     for result in batch.results:
         _encode_retrieve(result, out, with_trace=False)
 
@@ -513,7 +355,8 @@ def _encode_batch_retrieve(batch: BatchRetrieveResult, out: bytearray) -> None:
 #: encoder of what follows it.
 _RECORDS: Dict[type, Tuple[int, Callable[[Any, bytearray], None]]] = {
     Timestamp: (_TAG_TIMESTAMP, _encode_timestamp),
-    OperationTrace: (_TAG_TRACE, _encode_trace),
+    OperationTrace: (_TAG_TRACE, _encode_summary),
+    TraceSummary: (_TAG_TRACE, _encode_summary),
     InsertResult: (_TAG_INSERT, _encode_insert),
     RetrieveResult: (_TAG_RETRIEVE, _encode_retrieve),
     BatchInsertResult: (_TAG_BATCH_INSERT, _encode_batch_insert),
@@ -581,26 +424,18 @@ def pack_payload(payload: Dict[str, Any], *,
     self-contained ``0x01`` body.  A payload whose packed encoding could not
     fit :data:`MAX_FRAME_BYTES` once deflated (the receiver's bound on both
     the wire body and its inflated size) is refused before it is deflated,
-    so the stream stays usable; so is one that fails mid-pack.  Either way
-    the stream's peer-id table is left as it was: the frame's new ids join
-    it only once the frame is deflated.
+    so the stream stays usable; so is one that fails mid-pack.
     """
     if not isinstance(payload, dict):
         raise CodecError(f"frame payload must be a dict, "
                          f"got {type(payload).__name__}")
     packed = bytearray(_PLAIN_MARKER if stream is None else b"")
-    peers = None if stream is None else stream.peers
-    if peers is not None:
-        peers.pending.clear()  # what a refused payload noted
-    token = _PEERS.set(peers)
     try:
         _pack(payload, packed)
     except (struct.error, OverflowError, TypeError) as error:
         raise CodecError(f"payload is not wire-serialisable: {error}") from error
     except RecursionError as error:
         raise CodecError("payload nests too deeply") from error
-    finally:
-        _PEERS.reset(token)
     # Deflate's worst case (stored blocks) adds 5 bytes per 16 KiB and the
     # flush a few more: bound the packed size so both sides of it fit.
     size = len(packed)
@@ -609,9 +444,7 @@ def pack_payload(payload: Dict[str, Any], *,
                          f"{MAX_FRAME_BYTES}-byte frame limit")
     if stream is None:
         return bytes(packed)
-    body = stream.deflate(packed)
-    stream.peers.commit()
-    return body
+    return stream.deflate(packed)
 
 
 # ----------------------------------------------------------------- decoding
@@ -675,128 +508,24 @@ def _check_flags(flags: int, known: int, record: str) -> None:
         raise CodecError(f"unknown {record} record flags {flags:#04x}")
 
 
-def _decode_column(data: bytes, pos: int, form: int, count: int,
-                   floor: int) -> Tuple[List[int], int]:
-    """The column of ``count`` values ``>= floor`` in ``form`` at ``pos``, as
-    a list, and the offset behind it."""
-    if form == _NARROW:
-        start, end = _span(data, pos, count * 4)
-        column = array("I")
-        column.frombytes(data[start:end])
-        if _SWAP_ARRAYS:
-            column.byteswap()
-        values = column.tolist()
-        if floor < 0:
-            return _replaced(values, _MINUS_ONE_U32, -1), end
-        if _MINUS_ONE_U32 in values:
-            raise CodecError("malformed trace columns: a size below 0")
-        return values, end
-    if form == _WIDE:
-        column, pos = _decode_int64s(data, pos, count)
-        values = column.tolist()
-    elif form == _LISTED:
-        values, pos = _unpack(data, pos)
-        if type(values) is not list or not set(map(type, values)) <= {int}:
-            raise CodecError("malformed trace columns: a list column "
-                             "holds something other than integers")
-        if len(values) != count:
-            raise CodecError(f"trace columns differ in length: a list of "
-                             f"{len(values)} where {count} belong")
-    else:
-        raise CodecError("malformed trace columns: peer-id indices in the "
-                         "size_bytes column")
-    if values and min(values) < floor:
-        raise CodecError(f"malformed trace columns: a value below {floor}")
-    return values, pos
+def _decode_summary(data: bytes, pos: int) -> Tuple[TraceSummary, int]:
+    """The (untagged) summary record at ``pos`` and the offset behind it.
 
-
-def _decode_ids(data: bytes, pos: int, form: int, count: int,
-                peers: Optional[_PeerTable]) -> Tuple[List[int], int]:
-    """The peer-id column of ``count`` ids in ``form`` at ``pos`` — indices
-    looked up in the stream's table, any other form noted in it — and the
-    offset behind it."""
-    if form != _INDEXED:
-        values, pos = _decode_column(data, pos, form, count, -1)
-        if peers is not None:
-            peers.note(values)
-        return values, pos
-    if peers is None:
-        raise CodecError("malformed trace columns: peer-id indices outside "
-                         "a stream")
-    start, end = _span(data, pos, count * 2)
-    column = array("H")
-    column.frombytes(data[start:end])
-    if _SWAP_ARRAYS:
-        column.byteswap()
-    ids = peers.ids
-    try:
-        return [ids[index] for index in column], end
-    except IndexError:
-        raise CodecError(f"malformed trace columns: a peer-id index past a "
-                         f"table of {len(ids)}") from None
-
-
-#: A received trace's sizes, shared by the traces that name the same two
-#: (so each pair's memoised rows are computed once).
-_shared_sizes = lru_cache(maxsize=16)(MessageSizes)
-
-
-def _decode_trace(data: bytes, pos: int) -> Tuple[OperationTrace, int]:
-    """The (untagged) trace record at ``pos`` and the offset behind it.
-
-    Its columns are rebuilt as lists, as a recorded trace's are, and adopted
-    once they are known kind codes, sizes ``>= 0`` and endpoints ``>= -1``
-    with in-range ``timed_out`` indices (repeats count once); anything else
-    is a :class:`CodecError`.
+    Adopted once no field is below 0 and its timeouts are among its
+    messages; anything else is a :class:`CodecError`.
     """
-    control_bytes, data_bytes, count, flags = _TRACE_HEAD.unpack_from(data, pos)
-    _check_flags(flags, _TRACE_FLAGS, "trace")
-    start, pos = _span(data, pos + _TRACE_HEAD.size, count)
-    kinds = bytearray(data[start:pos])
-    unknown = kinds.translate(None, _KIND_BYTES)
-    if unknown:
-        raise CodecError(f"unknown message kind code {chr(unknown[0])!r}")
-    if control_bytes < 0 or data_bytes < 0:
-        raise CodecError("malformed trace record: a message size below 0")
-    sizes = _shared_sizes(control_bytes, data_bytes)
-    if not flags & _DEFAULT_SIZES:
-        size_bytes, pos = _decode_column(data, pos, flags & 3, count, 0)
-    elif flags & 3:
-        raise CodecError(f"unknown trace record flags {flags:#04x}")
-    else:
-        size_bytes = list(map(sizes.kind_sizes.__getitem__, kinds))
-    unchained_count = _U32_AT(data, pos)[0]
-    start, pos = _span(data, pos + 4, count)
-    chained = data[start:pos]
-    if chained.translate(None, _FLAG_BYTES):
-        raise CodecError("malformed trace columns: a source flag other than 0 or 1")
-    flagged = chained.count(1)
-    if flagged != unchained_count:
-        raise CodecError(f"malformed trace columns: {unchained_count} unchained "
-                         f"sources for {flagged} set source flags")
-    peers = _PEERS.get()
-    unchained, pos = _decode_ids(data, pos, flags >> 2 & 3, flagged, peers)
-    dests, pos = _decode_ids(data, pos, flags >> 4 & 3, count, peers)
-    timeouts = _U32_AT(data, pos)[0]
-    marked: List[int] = []
-    if timeouts:
-        timed_out, pos = _decode_int64s(data, pos + 4, timeouts)
-        marked = sorted(set(timed_out))
-        if not 0 <= marked[0] <= marked[-1] < count:
-            raise CodecError(f"timed_out index outside a trace of {count} "
-                             f"messages: {marked[0]}..{marked[-1]}")
-    else:
-        pos += 4
-    sources = [-1, *dests]
-    sources.pop()
-    for index, source in zip(compress(range(count), chained), unchained):
-        sources[index] = source
-    return OperationTrace(sizes, (kinds, size_bytes, sources, dests, marked)), pos
+    messages, total, timeouts, retry = _SUMMARY.unpack_from(data, pos)
+    if min(messages, total, timeouts, retry) < 0:
+        raise CodecError("malformed trace summary: a field below 0")
+    if timeouts > messages:
+        raise CodecError(f"malformed trace summary: {timeouts} timeouts in "
+                         f"{messages} messages")
+    return TraceSummary(messages, total, timeouts, retry), pos + _SUMMARY.size
 
 
 def _decode_insert(data: bytes, pos: int,
-                   trace: Optional[OperationTrace]) -> Tuple[InsertResult, int]:
-    """The insert record at ``pos``; ``trace`` is its batch's shared trace."""
+                   trace: Optional[TraceSummary]) -> Tuple[InsertResult, int]:
+    """The insert record at ``pos``; ``trace`` is its batch's shared summary."""
     flags, written, attempted, counter = _INSERT_HEAD.unpack_from(data, pos)
     _check_flags(flags, _INSERT_FLAGS, "insert")
     key, pos = _unpack(data, pos + _INSERT_HEAD.size)
@@ -804,15 +533,15 @@ def _decode_insert(data: bytes, pos: int,
     version, pos = _unpack(data, pos)
     service, pos = _unpack(data, pos)
     if trace is None:
-        trace, pos = _decode_trace(data, pos)
+        trace, pos = _decode_summary(data, pos)
     return InsertResult(key=key, replicas_written=written,
                         replicas_attempted=attempted, trace=trace,
                         timestamp=stamp, version=version, service=service), pos
 
 
-def _decode_retrieve(data: bytes, pos: int, trace: Optional[OperationTrace]
+def _decode_retrieve(data: bytes, pos: int, trace: Optional[TraceSummary]
                      ) -> Tuple[RetrieveResult, int]:
-    """The retrieve record at ``pos``; ``trace`` is its batch's shared trace."""
+    """The retrieve record at ``pos``; ``trace`` is its batch's shared summary."""
     flags, code, inspected, counter, latest_counter = \
         _RETRIEVE_HEAD.unpack_from(data, pos)
     _check_flags(flags, _RETRIEVE_FLAGS, "retrieve")
@@ -824,7 +553,7 @@ def _decode_retrieve(data: bytes, pos: int, trace: Optional[OperationTrace]
     service, pos = _unpack(data, pos)
     consistency, pos = _level(data, pos, code)
     if trace is None:
-        trace, pos = _decode_trace(data, pos)
+        trace, pos = _decode_summary(data, pos)
     return RetrieveResult(key=key, data=value, found=bool(flags & _FOUND),
                           is_current=bool(flags & _CURRENT),
                           replicas_inspected=inspected, trace=trace,
@@ -835,7 +564,7 @@ def _decode_retrieve(data: bytes, pos: int, trace: Optional[OperationTrace]
 
 def _decode_batch_insert(data: bytes, pos: int) -> Tuple[BatchInsertResult, int]:
     count = _U32_AT(data, pos)[0]
-    trace, pos = _decode_trace(data, pos + 4)
+    trace, pos = _decode_summary(data, pos + 4)
     results = []
     for _ in range(count):
         result, pos = _decode_insert(data, pos, trace)
@@ -847,7 +576,7 @@ def _decode_batch_retrieve(data: bytes, pos: int
                            ) -> Tuple[BatchRetrieveResult, int]:
     code, count = _BATCH_HEAD.unpack_from(data, pos)
     consistency, pos = _level(data, pos + _BATCH_HEAD.size, code)
-    trace, pos = _decode_trace(data, pos)
+    trace, pos = _decode_summary(data, pos)
     results = []
     for _ in range(count):
         result, pos = _decode_retrieve(data, pos, trace)
@@ -862,7 +591,7 @@ def _unpack(data: bytes, pos: int) -> Tuple[Any, int]:
     Every read is bounds-checked: a tag, a key code or a fixed-width field
     past the end raises ``IndexError``/``struct.error`` (``unpack_from``
     checks the buffer itself), which :func:`unpack_payload` reports as a
-    truncated body; a counted field (string, array, column) goes through
+    truncated body; a counted field (string, array) goes through
     :func:`_span`.
     """
     tag = data[pos]
@@ -910,7 +639,7 @@ def _unpack(data: bytes, pos: int) -> Tuple[Any, int]:
     if tag == _TAG_BATCH_INSERT:
         return _decode_batch_insert(data, pos)
     if tag == _TAG_TRACE:
-        return _decode_trace(data, pos)
+        return _decode_summary(data, pos)
     if tag == _TAG_ARRAY:
         return _decode_int64s(data, pos + 4, _U32_AT(data, pos)[0])
     if tag == _TAG_TIMESTAMP:
@@ -947,54 +676,32 @@ def _inflate(body: bytes, stream: "zlib._Decompress") -> bytes:
     return packed
 
 
-class InflateStream:
-    """The receiving half of one connection's binary stream, in one direction:
-    its inflater and its peer-id table (:func:`unpack_payload` keeps both).
-
-    It must be fed every ``0x02`` body of its connection, in order; once one
-    fails, the stream is lost (:class:`~repro.net.codec.FrameDecoder` then
-    refuses the rest).
-    """
-
-    def __init__(self) -> None:
-        self.inflater = zlib.decompressobj(-zlib.MAX_WBITS)
-        self.peers = _PeerTable()
-
-
 def unpack_payload(body: bytes, *,
-                   stream: Optional[InflateStream] = None) -> Dict[str, Any]:
+                   stream: Optional["zlib._Decompress"] = None) -> Dict[str, Any]:
     """Decode one frame body (``0x01`` or ``0x02`` marker) to its payload.
 
-    A ``0x02`` body is read by ``stream``, its connection's receiving half —
-    or, without one, as the first frame of a fresh stream.
+    A ``0x02`` body is inflated by ``stream``, its connection's raw-deflate
+    inflater — or, without one, as the first frame of a fresh stream.
     """
     if not body:
         raise CodecError("empty frame body")
     marker = body[0]
     start = 1
-    peers: Optional[_PeerTable] = None
     if marker == MARKER_COMPRESSED:
-        if stream is None:
-            stream = InflateStream()
-        body = _inflate(body, stream.inflater)
-        peers = stream.peers
+        body = _inflate(body, zlib.decompressobj(-zlib.MAX_WBITS)
+                        if stream is None else stream)
         start = 0
     elif marker != MARKER_BINARY:
         raise CodecError(f"unknown body marker {marker:#04x}")
-    token = _PEERS.set(peers)
     try:
         payload, end = _unpack(body, start)
     except (IndexError, struct.error) as error:
         raise CodecError(f"truncated binary body: {error}") from error
     except RecursionError as error:
         raise CodecError("binary body nests too deeply") from error
-    finally:
-        _PEERS.reset(token)
     if end != len(body):
         raise CodecError("trailing bytes after the binary payload")
     if not isinstance(payload, dict):
         raise CodecError(f"frame body must decode to an object, "
                          f"got {type(payload).__name__}")
-    if peers is not None:
-        peers.commit()
     return payload

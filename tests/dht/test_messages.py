@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dht.messages import KIND_CODES, Message, MessageKind, MessageSizes, OperationTrace
+from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrace, TraceSummary
 
 
 class TestMessageSizes:
@@ -32,21 +32,6 @@ class TestMessageSizes:
         sizes = MessageSizes(control_bytes=10, data_bytes=500)
         assert sizes.size_of(MessageKind.PUT_REQUEST, 7) == 3500
         assert sizes.size_of(MessageKind.PUT_ACK, 7) == 10
-
-    def test_the_kind_row_is_each_kinds_single_entry_size_computed_once(self):
-        sizes = MessageSizes(control_bytes=10, data_bytes=500)
-        row = sizes.kind_sizes
-        assert row is sizes.kind_sizes and len(row) == 256
-        expected = {ord(KIND_CODES[kind]): sizes.size_of(kind) for kind in MessageKind}
-        assert {byte: row[byte] for byte in expected} == expected
-        assert set(row[byte] for byte in range(256) if byte not in expected) == {0}
-
-    @given(kinds=st.lists(st.sampled_from(list(MessageKind)), max_size=40))
-    @settings(max_examples=100, deadline=None)
-    def test_the_single_entry_total_is_the_sum_of_the_kinds_sizes(self, kinds):
-        sizes = MessageSizes(control_bytes=10, data_bytes=500)
-        codes = "".join(KIND_CODES[kind] for kind in kinds).encode("ascii")
-        assert sizes.single_entry_total(codes) == sum(map(sizes.size_of, kinds))
 
 
 class TestOperationTrace:
@@ -246,3 +231,32 @@ class TestColumns:
         trace.extend(messages)
         assert list(trace) == messages
         assert (trace.total_bytes, trace.timeout_count) == (16, 1)
+
+
+class TestTraceSummary:
+    """A summary answers as its trace does, and the client's retries add up
+    as the simulator records its own: ``record_route([], retries=r,
+    timeouts=t)``."""
+
+    @given(parts=st.lists(calls, max_size=3),
+           retries=st.integers(min_value=-1, max_value=5),
+           timeouts=st.integers(min_value=0, max_value=7))
+    @settings(max_examples=150, deadline=None)
+    def test_retries_add_up_as_the_simulators_record_route(self, parts, retries,
+                                                          timeouts):
+        trace = OperationTrace(sizes=SIZES)
+        for part in parts:
+            for call in part:
+                play(trace, [], call)
+        summary = trace.summary()
+        assert summary == TraceSummary(trace.message_count, trace.total_bytes,
+                                       trace.timeout_count, SIZES.control_bytes)
+        summary.record_retries(retries, timeouts)
+        trace.record_route([], retries=retries, timeouts=timeouts)
+        assert summary == trace.summary()
+
+    def test_a_summary_is_its_own_summary(self):
+        summary = OperationTrace().summary()
+        assert summary.summary() is summary
+        assert summary == TraceSummary(0, 0, 0, MessageSizes().control_bytes)
+

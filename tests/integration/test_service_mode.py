@@ -7,8 +7,8 @@ the asyncio transport (``repro serve`` + ``connect``), for every registered
 overlay.  Both substrates are built by the same ``Cluster.build`` path with
 the same seed, and the server executes requests in strict arrival order, so
 the server-side RNG stream matches the in-process run operation for
-operation: timestamps, payloads, currency flags and per-op message counts
-must all be equal.
+operation: timestamps, payloads, currency flags and per-op trace summaries
+(message count, byte total, timeouts) must all be equal.
 """
 
 from __future__ import annotations
@@ -60,11 +60,12 @@ def assert_results_identical(expected, actual):
     for want, got in zip(expected, actual):
         if hasattr(want, "results"):  # batched: compare element-wise
             assert len(want.results) == len(got.results)
-            assert want.trace.message_count == got.trace.message_count
+            assert want.trace.summary() == got.trace
             for item_want, item_got in zip(want.results, got.results):
                 assert_single_identical(item_want, item_got)
+                assert item_got.trace is got.trace
             continue
-        assert want.trace.message_count == got.trace.message_count
+        assert want.trace.summary() == got.trace
         assert_single_identical(want, got)
 
 
@@ -173,4 +174,4 @@ def test_consistency_levels_survive_the_wire():
 
     assert actual.consistency == expected.consistency == "best-effort"
     assert_single_identical(expected, actual)
-    assert actual.trace.message_count == expected.trace.message_count
+    assert actual.trace == expected.trace.summary()

@@ -12,10 +12,10 @@ from repro.api.cluster import Cluster
 from repro.core.timestamps import Timestamp
 from repro.dht.messages import (
     KIND_CODES,
-    Message,
     MessageKind,
     MessageSizes,
     OperationTrace,
+    TraceSummary,
 )
 from repro.net import codec, wire
 from repro.net.client import TransportError, connect
@@ -317,40 +317,27 @@ def sample_trace() -> OperationTrace:
     return trace
 
 
-def via_wire(trace: OperationTrace) -> OperationTrace:
+def via_wire(trace: OperationTrace) -> TraceSummary:
     return codec.decode_frame(stream_frame({"trace": trace}))["trace"]
 
 
 class TestTraceEncoding:
-    def test_the_trace_view_is_one_column_per_field(self):
-        assert codec.trace_to_dict(sample_trace()) == {
-            "sizes": {"control_bytes": 64, "data_bytes": 512},
-            "kinds": "hhrrgG",
-            "size_bytes": [64, 64, 64, 64, 64, 777],
-            "sources": [3, 7, -1, -1, 9, 4],
-            "dests": [7, 9, -1, -1, 4, 9],
-            "timed_out": [2]}
+    def test_the_trace_view_is_its_summary(self):
+        view = {"message_count": 6, "total_bytes": 5 * 64 + 777,
+                "timeout_count": 1, "retry_bytes": 64}
+        assert codec.trace_to_dict(sample_trace()) == view
+        assert codec.trace_to_dict(sample_trace().summary()) == view
 
-    def test_trace_round_trip_is_message_for_message(self):
+    def test_a_trace_comes_back_as_its_summary(self):
         trace = sample_trace()
         rebuilt = via_wire(trace)
-        assert rebuilt.messages == trace.messages
-        assert rebuilt.sizes == trace.sizes
-        assert rebuilt.timeout_count == 1
-        assert rebuilt.total_bytes == trace.total_bytes
-
-    def test_ids_beyond_int64_fall_back_to_a_plain_list(self):
-        trace = OperationTrace()
-        trace.record(MessageKind.LOOKUP_HOP, source=2 ** 63, dest=2 ** 159 + 1)
-        trace.record(MessageKind.LOOKUP_HOP, source=5, dest=None)
-        rebuilt = via_wire(trace)
-        assert rebuilt.messages == trace.messages
-        assert rebuilt.sources == [2 ** 63, 5]
-        assert rebuilt.dests == [2 ** 159 + 1, -1]
-        assert rebuilt.size_bytes == [128, 128]
+        assert type(rebuilt) is TraceSummary
+        assert rebuilt == trace.summary() == TraceSummary(6, 5 * 64 + 777, 1, 64)
+        assert (rebuilt.message_count, rebuilt.total_bytes, rebuilt.timeout_count) \
+            == (trace.message_count, trace.total_bytes, trace.timeout_count)
 
     def test_empty_trace_round_trips(self):
-        assert via_wire(OperationTrace()).messages == ()
+        assert via_wire(OperationTrace()) == TraceSummary(0, 0, 0, 128)
 
     def test_kind_code_table_is_pinned_and_complete(self):
         codes = {kind.value: code for kind, code in KIND_CODES.items()}
@@ -405,37 +392,13 @@ class TestTraceEncoding:
         # ... and the table carries nothing the protocol does not use.
         assert set(wire.WIRE_KEYS) - emitted == set()
 
-    def test_columns_are_adopted_and_recorded_into(self):
+    def test_the_clients_retries_add_up_on_a_received_summary(self):
         trace = sample_trace()
         rebuilt = via_wire(trace)
-        # Rebuilt as lists, the columns of a recorded trace.
-        assert type(rebuilt.sources) is type(trace.sources) is list
-        assert rebuilt.kinds == trace.kinds == bytearray(b"hhrrgG")
-        assert rebuilt.timed_out == trace.timed_out == [2]
-        # The client's retry accounting records into the adopted columns.
-        rebuilt.record_route([], retries=2, timeouts=2)
+        rebuilt.record_retries(2, 2)
         assert (rebuilt.message_count, rebuilt.timeout_count) == (8, 3)
-        assert rebuilt.total_bytes == trace.total_bytes + 2 * 64
-        assert rebuilt.messages[:6] == trace.messages
-
-    def test_repeated_timed_out_indices_count_once(self):
-        trace = sample_trace()
-        repeated = OperationTrace(trace.sizes, (
-            trace.kinds, trace.size_bytes, trace.sources, trace.dests,
-            [3, 2, 3, 2]))
-        rebuilt = via_wire(repeated)
-        assert rebuilt.timed_out == [2, 3] and rebuilt.timeout_count == 2
-
-    def test_rebuilding_does_not_re_record(self, monkeypatch):
-        """One ``Message`` per message: no second pass through ``record``."""
-        def forbidden(*args, **kwargs):
-            raise AssertionError("decoding went through record()")
-
-        frame = stream_frame({"trace": sample_trace()})
-        monkeypatch.setattr(OperationTrace, "record", forbidden)
-        rebuilt = codec.decode_frame(frame)["trace"]
-        assert rebuilt.messages[-1] == Message(MessageKind.GET_REPLY, 777,
-                                               source=4, dest=9)
+        trace.record_route([], retries=2, timeouts=2)
+        assert rebuilt == trace.summary()
 
 
 class TestDescribe:

@@ -1,18 +1,19 @@
 """Golden frame sizes: the exact bytes of the protocol's typical frames.
 
 Deterministic payloads shaped like the protocol's real traffic (single ops,
-batched ops, delta-sync entry lists, and the trace-bearing point replies
-that dominate a point workload) are encoded with :mod:`repro.net.codec`.
-Frame sizes are pure functions of the payloads and the seeded sequence, so
-they are pinned exactly: a codec change that moves one byte fails here.
+batched ops, delta-sync entry lists, and the point replies that dominate a
+point workload, each with its trace's summary) are encoded with
+:mod:`repro.net.codec`.  Frame sizes are pure functions of the payloads and
+the seeded sequence, so they are pinned exactly: a codec change that moves
+one byte fails here.
 
 A frame is the next piece of its connection's deflate stream, so its size
 depends on the frames before it.  The plain rows measure each payload as
 the first frame of a fresh stream, and the ``*_mid_stream`` rows the last
 request and reply of a seeded connection, where every earlier frame is
 history the stream can refer back to.  ``point_replies_warm`` adds up the
-last replies of a longer connection, whose peer-id table holds every peer
-by then, so their trace columns travel as table indices.
+last replies of a longer connection, where the stream has long seen every
+key, the record layout and summaries like theirs.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ WARM_OPS, WARM_TAIL = 200, 20
 
 FRAME_BYTES = {
     "insert_many": 1214,
-    "insert_reply": 460,
+    "insert_reply": 57,
     "ping": 29,
-    "point_replies_warm": 1059,
+    "point_replies_warm": 412,
     "retrieve": 62,
     "retrieve_many_reply": 1862,
     "retrieve_mid_stream": 14,
-    "retrieve_reply": 180,
-    "retrieve_reply_mid_stream": 50,
+    "retrieve_reply": 92,
+    "retrieve_reply_mid_stream": 19,
     "sync_delta": 1988,
 }
 
@@ -128,9 +129,8 @@ def payloads() -> dict:
     }
 
 
-def connection_sizes(ops: int, *, seed: int = 2007) -> tuple:
-    """Frame sizes of each request and reply of a seeded connection, and the
-    peer ids its reply stream's table holds at the end.
+def connection_sizes(ops: int, *, seed: int = 2007) -> list:
+    """Frame sizes of each request and reply of a seeded connection.
 
     ``ops`` operations of an 80/20 retrieve/insert mix (the last one a
     retrieve) over 16 pre-inserted keys run on an in-process cluster of 64
@@ -158,16 +158,14 @@ def connection_sizes(ops: int, *, seed: int = 2007) -> tuple:
             reply = {"id": index, "ok": True, "result": result}
             sizes.append((len(codec.encode_frame(request, stream=requests)),
                           len(codec.encode_frame(reply, stream=replies))))
-    return sizes, len(replies.peers.ids) - 1
+    return sizes
 
 
 def mid_stream_sizes() -> dict:
     """The last request and reply of a short connection, and the last
     replies of a warm one."""
-    short, _peers = connection_sizes(MID_STREAM_OPS)
-    request, reply = short[-1]
-    warm, peers = connection_sizes(WARM_OPS)
-    assert peers == 64  # the table holds every peer: the replies are warm
+    request, reply = connection_sizes(MID_STREAM_OPS)[-1]
+    warm = connection_sizes(WARM_OPS)
     return {"retrieve_mid_stream": request, "retrieve_reply_mid_stream": reply,
             "point_replies_warm": sum(reply for _request, reply in warm[-WARM_TAIL:])}
 

@@ -1,11 +1,12 @@
 """Timeout/retry accounting under injected transport faults (repro.net).
 
 The contract under test: the net client's bounded retries must land in the
-**same accounting** the simulator uses for routing retries — one
-``LOOKUP_RETRY`` trace message with ``timed_out=True`` per retry, exactly
-what :meth:`OperationTrace.record_route(retries=k, timeouts=k)` records — so
-``Session.messages_sent`` and the transport counters stay comparable across
-backends for a known fault schedule.
+**same accounting** the simulator uses for routing retries — one timed-out
+``LOOKUP_RETRY`` message per retry added to the result's trace summary,
+exactly the counts and bytes :meth:`OperationTrace.record_route(retries=k,
+timeouts=k)` adds to a trace — so ``Session.messages_sent`` and the
+transport counters stay comparable across backends for a known fault
+schedule.
 
 Fault-index semantics (see :class:`FaultSchedule`): indices count *executed*
 data-plane requests, retried executions included.  Dropping a reply does not
@@ -26,7 +27,7 @@ import time
 import pytest
 
 from repro.api.cluster import Cluster
-from repro.dht.messages import MessageKind, OperationTrace
+from repro.dht.messages import OperationTrace, TraceSummary
 from repro.net import codec
 from repro.net.client import RequestTimeout, connect
 from repro.net.server import FaultSchedule, NodeServer
@@ -35,19 +36,40 @@ from repro.net.server import FaultSchedule, NodeServer
 FAST = dict(timeout_s=0.2, max_retries=2)
 
 
-def reference_retry_tail(retries: int) -> list:
-    """What the simulator records for ``retries`` timed-out routing retries."""
-    trace = OperationTrace()
-    trace.record_route([], retries=retries, timeouts=retries)
-    return [(message.kind, message.timed_out) for message in trace.messages]
+class Recording(NodeServer):
+    """A server that keeps the summary of every data-op result it executes,
+    in execution order — dropped replies' included."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.summaries: list = []
+
+    def handle_request(self, request):
+        reply = super().handle_request(request)
+        trace = getattr(reply.get("result"), "trace", None)
+        if trace is not None:
+            self.summaries.append(trace.summary())
+        return reply
+
+
+def with_retries(summary: TraceSummary, retries: int) -> TraceSummary:
+    """``summary`` plus what the simulator records for ``retries`` timed-out
+    routing retries: ``record_route([], retries=r, timeouts=r)``."""
+    reference = OperationTrace()
+    reference.record_route([], retries=retries, timeouts=retries)
+    added = reference.summary()
+    return TraceSummary(summary.message_count + added.message_count,
+                        summary.total_bytes + added.total_bytes,
+                        summary.timeout_count + added.timeout_count,
+                        summary.retry_bytes)
 
 
 class TestDroppedReplies:
     def test_single_drop_is_one_retry_one_timeout(self, serve):
         # Data-plane execution index 0 is dropped; the retry (index 1) lands.
-        server = serve(NodeServer(peers=16, replicas=4, seed=11,
-                                  fault_schedule=FaultSchedule(
-                                      drop_replies={0})))
+        server = serve(Recording(peers=16, replicas=4, seed=11,
+                                 fault_schedule=FaultSchedule(
+                                     drop_replies={0})))
         with connect(server.tcp_address, **FAST) as cluster:
             with cluster.session() as session:
                 result = session.insert("k", {"v": 1})
@@ -55,20 +77,20 @@ class TestDroppedReplies:
         assert counters.timeouts == 1
         assert counters.retries == 1
         assert counters.reconnects == 1
-        # The retry shows up in the result trace under the simulator's
+        # The retry shows up in the result's summary under the simulator's
         # convention: a LOOKUP_RETRY message flagged timed out.
-        tail = [(message.kind, message.timed_out)
-                for message in result.trace.messages][-1:]
-        assert tail == reference_retry_tail(1)
+        _dropped, delivered = server.summaries
+        assert result.trace == with_retries(delivered, 1)
+        assert result.trace.timeout_count == delivered.timeout_count + 1
         # At-least-once: both executions ran on the server.
         assert server.fault_schedule._sequence == 2
 
     def test_multi_drop_schedule_accounts_every_retry(self, serve):
         # Executed-request indices: op0 -> 0 (ok), op1 -> 1 (dropped),
         # retry of op1 -> 2 (ok), op2 -> 3 (dropped), retry -> 4 (ok).
-        server = serve(NodeServer(peers=16, replicas=4, seed=11,
-                                  fault_schedule=FaultSchedule(
-                                      drop_replies={1, 3})))
+        server = serve(Recording(peers=16, replicas=4, seed=11,
+                                 fault_schedule=FaultSchedule(
+                                     drop_replies={1, 3})))
         with connect(server.tcp_address, **FAST) as cluster:
             with cluster.session() as session:
                 results = [session.insert(f"k{index}", {"op": index})
@@ -76,14 +98,11 @@ class TestDroppedReplies:
             counters = cluster.client.counters
         assert counters.timeouts == 2
         assert counters.retries == 2
-        traces = [[(message.kind, message.timed_out)
-                   for message in result.trace.messages
-                   if message.kind is MessageKind.LOOKUP_RETRY
-                   and message.timed_out]
-                  for result in results]
-        assert traces[0] == []
-        assert traces[1] == reference_retry_tail(1)
-        assert traces[2] == reference_retry_tail(1)
+        # Delivered: executions 0, 2 and 4, the last two after one retry.
+        delivered = server.summaries[::2]
+        assert [result.trace for result in results] == [
+            with_retries(summary, retries)
+            for summary, retries in zip(delivered, (0, 1, 1))]
         # The retried operations still completed and are readable.
         with connect(server.tcp_address, **FAST) as cluster:
             with cluster.session() as session:
@@ -92,19 +111,18 @@ class TestDroppedReplies:
 
     def test_retries_count_into_session_accounting(self, serve):
         """Session totals include the transport retries, trace-accounted."""
-        server = serve(NodeServer(peers=16, replicas=4, seed=11,
-                                  fault_schedule=FaultSchedule(
-                                      drop_replies={0})))
+        server = serve(Recording(peers=16, replicas=4, seed=11,
+                                 fault_schedule=FaultSchedule(
+                                     drop_replies={0})))
         with connect(server.tcp_address, **FAST) as cluster:
             with cluster.session() as session:
                 result = session.insert("k", {"v": 1})
-                # The session counts exactly what the trace records — the
+                # The session counts exactly what the summary counts — the
                 # transport retry included, not tallied anywhere on the side.
                 assert session.messages_sent == result.trace.message_count
-            retried = [message for message in result.trace.messages
-                       if message.kind is MessageKind.LOOKUP_RETRY
-                       and message.timed_out]
-            assert len(retried) == cluster.client.counters.retries == 1
+            retries = cluster.client.counters.retries
+            assert retries == 1
+            assert result.trace == with_retries(server.summaries[-1], retries)
 
     def test_exhausted_retries_raise_request_timeout(self, serve):
         server = serve(NodeServer(peers=16, replicas=4, seed=11,
@@ -159,7 +177,7 @@ class TestDelayedReplies:
 
         for want, got in zip(expected, actual):
             assert got.timestamp == want.timestamp
-            assert got.trace.message_count == want.trace.message_count
+            assert got.trace == want.trace.summary()
             if hasattr(want, "data"):
                 assert got.data == want.data
                 assert got.is_current == want.is_current

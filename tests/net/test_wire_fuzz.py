@@ -5,21 +5,18 @@ bodies and the pieces of one deflate stream freely interleaved — identically
 no matter how the bytes are split into chunks, and a malformed or oversized
 frame must raise :class:`~repro.net.codec.CodecError` without corrupting the
 decoder's state for the frames that follow (a bad *stream* frame is the
-exception: see ``test_stream.py``).  The packed-int64-array tag and the columnar
-trace built on it get the same treatment: hostile counts and truncated
-bodies are refused before anything is allocated, and any trace survives the
-wire message for message.  So do the one-byte dict-key codes: any
-mix of table keys and escaped keys round-trips, byte-for-byte the same
-whatever order the keys were inserted in.  A peer-id column sent as indices
-into its stream's table is refused past the receiver's table, outside a
-stream, in the sizes column and cut short; a full table sends new ids raw
-on both sides.
+exception: see ``test_stream.py``).  The packed-int64-array tag gets the
+same treatment: hostile counts and truncated bodies are refused before
+anything is allocated.  Any trace comes back as its summary, and every
+single-byte mutation of a summary record is refused or round-trips.  So do
+the one-byte dict-key codes: any mix of table keys and escaped keys
+round-trips, byte-for-byte the same whatever order the keys were inserted
+in.
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 from array import array
 
 import pytest
@@ -29,11 +26,11 @@ from hypothesis import strategies as st
 from repro.api.results import BatchInsertResult, InsertResult
 from repro.core.timestamps import Timestamp
 from repro.dht.messages import (
-    KIND_CODES,
     Message,
     MessageKind,
     MessageSizes,
     OperationTrace,
+    TraceSummary,
 )
 from repro.net import codec, wire
 
@@ -262,7 +259,7 @@ class TestPackedArrays:
         assert decoder.feed(codec.encode_frame({"id": 1})) == [{"id": 1}]
 
 
-# ---------------------------------------------------------- columnar traces
+# ------------------------------------------------------------ trace summaries
 _ids = st.one_of(st.none(),
                  st.integers(min_value=0, max_value=2 ** 32),
                  st.integers(min_value=2 ** 63 - 2, max_value=2 ** 160))
@@ -285,14 +282,13 @@ class TestTraceRoundTrip:
            control_bytes=st.integers(min_value=1, max_value=4096),
            streamed=_streamed)
     @settings(max_examples=200, deadline=None)
-    def test_any_trace_survives_the_wire_message_for_message(
+    def test_any_trace_comes_back_as_its_summary(
             self, messages, control_bytes, streamed):
-        """None endpoints, timed-out retries, overridden sizes, ids >= 2**63
-        and the empty trace all come back equal."""
+        """None endpoints, timed-out messages, overridden sizes, ids >= 2**63
+        and the empty trace: whatever the columns, the counts survive."""
         trace = _trace_of(messages, control_bytes)
         rebuilt = codec.decode_frame(_frame({"trace": trace}, streamed))["trace"]
-        assert rebuilt.messages == trace.messages
-        assert rebuilt.sizes == trace.sizes
+        assert rebuilt == trace.summary()
 
     @given(messages=st.lists(_messages, min_size=1, max_size=12),
            junk=st.binary(min_size=1, max_size=24),
@@ -325,108 +321,61 @@ class TestTraceRoundTrip:
             trace=trace)
         rebuilt = codec.decode_frame(_frame({"result": batch}, streamed))["result"]
         assert all(item.trace is rebuilt.trace for item in rebuilt.results)
-        assert rebuilt.trace.messages == trace.messages
+        assert rebuilt.trace == trace.summary()
 
 
-# ------------------------------------------------------------ peer-id indices
-#: The packed ``{"t": <trace>}`` up to the trace record, and where the trace
-#: head's flags byte sits in it (after control and data sizes and the count).
-_TRACE_PREFIX = b"d" + struct.pack(">I", 1) + b"\xff" + struct.pack(">I", 1) + b"to"
-_FLAGS_AT = len(_TRACE_PREFIX) + 20
-#: One message kind throughout, at its single-entry size.
-_KIND = KIND_CODES[MessageKind.GET_REQUEST].encode("ascii")
+# ------------------------------------------------------- summary records
+#: The packed ``{"t": <summary>}`` up to the summary record's fields.
+_SUMMARY_PREFIX = (b"\x01d" + struct.pack(">I", 1) + b"\xff" + struct.pack(">I", 1)
+                   + b"to")
+_SUMMARY = struct.Struct(">iqiq")
 
 
-def _frame_of(body: bytes) -> bytes:
-    return struct.pack(">I", len(body)) + body
+def _sane(fields) -> bool:
+    messages, total, timeouts, retry = fields
+    return min(fields) >= 0 and timeouts <= messages
 
 
-def _indexed_trace(indices, *, indexed_sizes=False, cut=0) -> bytes:
-    """The packed (marker-less) ``{"t": <trace>}`` whose dests travel as the
-    u16 ``indices`` (every source chained); ``indexed_sizes`` sends its sizes
-    column as indices too, and ``cut`` drops the last bytes of the record,
-    inside the index column."""
-    count = len(indices)
-    flags = 3 << 4 | (3 if indexed_sizes else 64)
-    sizes = bytes(count * 2) if indexed_sizes else b""
-    dests = struct.pack(f">{count}H", *indices)
-    packed = (_TRACE_PREFIX + struct.pack(">qqIB", 64, 512, count, flags)
-              + _KIND * count + sizes + struct.pack(">I", 0) + bytes(count) + dests)
-    return packed[:len(packed) - cut] if cut else packed + struct.pack(">I", 0)
+#: Summaries whose records hold every kind of byte: zeros, small and large
+#: counts, fields at their widths' limits.
+SUMMARIES = [TraceSummary(0, 0, 0, 0), TraceSummary(16, 4224, 2, 128),
+             TraceSummary(2 ** 31 - 1, 2 ** 63 - 1, 2 ** 31 - 1, 2 ** 63 - 1),
+             TraceSummary(700, 0x7F00FF80, 255, 0x80)]
 
 
-def _warm(ids):
-    """A sender and a receiver whose tables hold ``ids`` after one frame,
-    and that frame."""
-    trace = OperationTrace()
-    trace.record_route([-1, *ids])
-    sender, receiver = codec.DeflateStream(), codec.FrameDecoder()
-    frame = codec.encode_frame({"t": trace}, stream=sender)
-    assert receiver.feed(frame)
-    return sender, receiver, frame
+class TestSummaryRecord:
+    @pytest.mark.parametrize("summary", SUMMARIES, ids=repr)
+    def test_every_single_byte_mutation_is_refused_or_round_trips(self, summary):
+        body = wire.pack_payload({"t": summary})
+        assert body == _SUMMARY_PREFIX + _SUMMARY.pack(
+            summary.message_count, summary.total_bytes, summary.timeout_count,
+            summary.retry_bytes)
+        for offset in range(1, len(body)):
+            for value in range(256):
+                mutated = bytearray(body)
+                mutated[offset] = value
+                try:
+                    payload = wire.unpack_payload(bytes(mutated))
+                except codec.CodecError:
+                    continue
+                assert wire.pack_payload(payload) == mutated
 
+    @given(fields=st.tuples(st.integers(-(2 ** 31), 2 ** 31 - 1),
+                            st.integers(-(2 ** 63), 2 ** 63 - 1),
+                            st.integers(-(2 ** 31), 2 ** 31 - 1),
+                            st.integers(-(2 ** 63), 2 ** 63 - 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_a_record_decodes_exactly_when_it_is_a_summarys(self, fields):
+        body = _SUMMARY_PREFIX + _SUMMARY.pack(*fields)
+        if _sane(fields):
+            assert wire.unpack_payload(body) == {"t": TraceSummary(*fields)}
+        else:
+            with pytest.raises(codec.CodecError, match="malformed trace summary"):
+                wire.unpack_payload(body)
 
-class TestPeerIndices:
-    @given(ids=st.lists(st.integers(min_value=0, max_value=2 ** 70), min_size=1,
-                        max_size=12, unique=True),
-           picks=st.lists(st.integers(min_value=0), max_size=12))
-    @settings(max_examples=100, deadline=None)
-    def test_indices_within_the_table_decode_to_its_ids(self, ids, picks):
-        sender, receiver, _first = _warm(ids)
-        table = [-1, *ids]
-        indices = [pick % len(table) for pick in picks]
-        (payload,) = receiver.feed(_frame_of(sender.deflate(_indexed_trace(indices))))
-        assert list(payload["t"].dests) == [table[index] for index in indices]
-
-    @given(ids=st.lists(st.integers(min_value=0, max_value=2 ** 40), min_size=1,
-                        max_size=12, unique=True),
-           past=st.integers(min_value=0, max_value=2 ** 16 - 14),
-           position=st.integers(min_value=0))
-    @settings(max_examples=100, deadline=None)
-    def test_an_index_past_the_receivers_table_is_refused(self, ids, past, position):
-        sender, receiver, _first = _warm(ids)
-        indices = [1] * 3
-        indices[position % 3] = len(ids) + 1 + past
-        with pytest.raises(codec.CodecError, match="past a table"):
-            receiver.feed(_frame_of(sender.deflate(_indexed_trace(indices))))
-
-    @given(indices=st.lists(st.integers(min_value=0, max_value=2 ** 16 - 1),
-                            max_size=8))
+    @given(cut=st.integers(min_value=1, max_value=_SUMMARY.size))
     @settings(max_examples=50, deadline=None)
-    def test_indices_outside_a_stream_are_refused(self, indices):
-        with pytest.raises(codec.CodecError, match="outside a stream"):
-            codec.decode_frame(_frame_of(b"\x01" + _indexed_trace(indices)))
-
-    def test_indices_in_the_sizes_column_are_refused(self):
-        sender, receiver, _first = _warm([5, 6])
-        with pytest.raises(codec.CodecError, match="size_bytes"):
-            receiver.feed(_frame_of(sender.deflate(_indexed_trace([1, 2], indexed_sizes=True))))
-
-    @given(count=st.integers(min_value=1, max_value=12),
-           cut=st.integers(min_value=1))
-    @settings(max_examples=100, deadline=None)
-    def test_a_truncated_index_column_is_refused(self, count, cut):
-        sender, receiver, _first = _warm([5, 6])
-        packed = _indexed_trace([1] * count, cut=1 + cut % (2 * count))
+    def test_a_truncated_record_is_refused(self, cut):
+        body = wire.pack_payload({"t": SUMMARIES[1]})
         with pytest.raises(codec.CodecError, match="truncated"):
-            receiver.feed(_frame_of(sender.deflate(packed)))
-
-    def test_a_full_table_sends_new_ids_raw_the_same_way_on_both_sides(self):
-        full = wire.PEER_TABLE_SIZE
-        sender, receiver, first = _warm(range(full + 10))  # ten past the table
-        table = [-1, *range(full)]
-        assert sender.peers.ids == receiver._stream.peers.ids == table
-        # A third inflater reads the dests column's form off each frame.
-        probe = zlib.decompressobj(-zlib.MAX_WBITS)
-        probe.decompress(first[5:] + b"\x00\x00\xff\xff")
-        known, new = [0, full - 1, -1], [full + 3, 7]
-        for dests, form in ((known, 3), (new, 0), (new, 0), (known, 3)):
-            trace = OperationTrace()
-            for dest in dests:
-                trace.record(MessageKind.GET_REQUEST, source=-1, dest=dest)
-            frame = codec.encode_frame({"t": trace}, stream=sender)
-            (payload,) = receiver.feed(frame)
-            assert list(payload["t"].dests) == dests
-            packed = probe.decompress(frame[5:] + b"\x00\x00\xff\xff")
-            assert packed[_FLAGS_AT] >> 4 & 3 == form
-        assert sender.peers.ids == receiver._stream.peers.ids == table
+            wire.unpack_payload(body[:-cut])
