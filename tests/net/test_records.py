@@ -15,6 +15,7 @@ field below 0 or more timeouts than messages — only ever raises
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from typing import Optional
@@ -146,14 +147,15 @@ def summaries(draw) -> TraceSummary:
                         draw(st.integers(0, 2 ** 63 - 1)))
 
 
-@pytest.fixture(scope="module")
-def served_results():
-    """Real results of each type from an in-process cluster."""
-    cluster = Cluster.build(peers=16, replicas=4, seed=5)
+@pytest.fixture(scope="module", params=[32, 64, 160], ids=lambda bits: f"bits{bits}")
+def served_results(request):
+    """Real results of each type from an in-process cluster of ``bits``."""
+    cluster = Cluster.build(peers=16, replicas=4, seed=5, bits=request.param)
     with cluster.session() as session:
-        return [session.insert("k", {"v": 1}), session.retrieve("k"),
+        made = [session.insert("k", {"v": 1}), session.retrieve("k"),
                 session.insert_many([("a", {"n": 1}), ("b", {"n": 2})]),
                 session.retrieve_many(["a", "b", "missing"])]
+    return request.param, made
 
 
 class TestRoundTrip:
@@ -183,13 +185,17 @@ class TestRoundTrip:
             wire.pack_payload({"result": value})
 
     def test_served_results_rebuild_the_same_objects(self, served_results):
-        for value in served_results:
+        bits, made = served_results
+        for value in made:
             rebuilt = via_wire(value)
             assert type(rebuilt) is type(value)
             assert rebuilt.trace == value.trace.summary()
             assert described(value) == viewed(value)
             assert wire.pack_payload({"result": rebuilt}) == \
                 wire.pack_payload({"result": value})
+        if bits > 63:  # peer ids past int64 stay with the trace that has them
+            assert any(peer >= 2 ** 63 for value in made
+                       for peer in value.trace.sources)
 
     @given(made=summaries())
     @settings(max_examples=200, deadline=None)
@@ -253,7 +259,34 @@ SUMMARY_CORRUPTIONS = {
     "negative-timeouts": ((3, 192, -1, 64), "below 0"),
     "negative-retry": ((3, 192, 1, -64), "below 0"),
     "more-timeouts-than-messages": ((2, 128, 3, 64), "3 timeouts in 2 messages"),
+    "timeouts-without-messages": ((0, 0, 1, 64), "1 timeouts in 0 messages"),
+    "lowest-messages": ((-2 ** 31, 0, 0, 64), "below 0"),
+    "lowest-retry": ((0, 0, 0, -2 ** 63), "below 0"),
 }
+
+#: Summary records at the edges of what a trace's may be: each is adopted.
+SUMMARY_EDGES = {
+    "all-zero": (0, 0, 0, 0),
+    "every-message-timed-out": (5, 320, 5, 64),
+    "widest": (2 ** 31 - 1, 2 ** 63 - 1, 2 ** 31 - 1, 2 ** 63 - 1),
+}
+
+
+def _hosted(name: str, summary: TraceSummary):
+    """The record ``name`` with ``summary`` as its (shared) trace."""
+    if name == "insert":
+        return insert(trace=summary)
+    if name == "retrieve":
+        return retrieve(trace=summary)
+    batch = CASES[name]
+    return dataclasses.replace(
+        batch, trace=summary,
+        results=tuple(dataclasses.replace(item, trace=summary)
+                      for item in batch.results))
+
+
+#: The records a summary rides in: alone in a result, or once for a batch.
+HOSTS = ("insert", "retrieve", "batch-insert", "batch-retrieve")
 
 
 class TestCorruptRecords:
@@ -307,6 +340,23 @@ class TestCorruptRecords:
                              ids=SUMMARY_CORRUPTIONS.keys())
     def test_a_summary_that_is_no_traces_is_refused(self, fields, match):
         _refused(summary_record(*fields), match)
+
+    @pytest.mark.parametrize("host", HOSTS)
+    @pytest.mark.parametrize("fields, match", SUMMARY_CORRUPTIONS.values(),
+                             ids=SUMMARY_CORRUPTIONS.keys())
+    def test_a_summary_that_is_no_traces_is_refused_in_any_record(
+            self, fields, match, host):
+        # The encoder packs any fields that fit their widths; the receiver
+        # checks them wherever the summary rides.
+        _refused(wire.pack_payload({"result": _hosted(host, TraceSummary(*fields))}),
+                 match)
+
+    @pytest.mark.parametrize("fields", SUMMARY_EDGES.values(),
+                             ids=SUMMARY_EDGES.keys())
+    def test_a_summary_at_its_bounds_is_adopted(self, fields):
+        body = summary_record(*fields)
+        assert wire.unpack_payload(body) == {"result": TraceSummary(*fields)}
+        assert wire.pack_payload(wire.unpack_payload(body)) == body
 
     def test_a_summary_cut_short_is_refused(self):
         record = summary_record(6, 5 * 64 + 777, 1, 64)
