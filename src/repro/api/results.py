@@ -218,6 +218,7 @@ class BatchRetrieveResult(_BatchResult):
     consistency: str = Consistency.CURRENT
 
     @property
+    # reprolint: allow[REP008] reason=read view: tests/api/test_batched.py observes batch results through it
     def found_count(self) -> int:
         """How many keys returned a replica."""
         return sum(1 for result in self.results if result.found)

@@ -21,12 +21,11 @@ from repro.core.analysis import (
     replicas_needed_for_success,
     retrieval_bound,
 )
-from repro.core.audit import AuditReport, KeyAudit, ReplicaStatus, audit_key, audit_keys
+from repro.core.audit import KeyAudit, ReplicaStatus, audit_key
 from repro.core.baseline import BricksService
 from repro.core.counters import KeyCounter, ValidCounterSet
 from repro.core.errors import (
     IncomparableTimestampsError,
-    NoReplicaFoundError,
     ReplicationConfigurationError,
     ServiceError,
 )
@@ -36,7 +35,6 @@ from repro.core.timestamps import Timestamp
 from repro.core.ums import UpdateManagementService
 
 __all__ = [
-    "AuditReport",
     "BricksService",
     "Consistency",
     "CounterInitialization",
@@ -47,7 +45,6 @@ __all__ = [
     "KeyCounter",
     "KtsStats",
     "ReplicaStatus",
-    "NoReplicaFoundError",
     "ReplicationConfigurationError",
     "ReplicationScheme",
     "RetrieveResult",
@@ -56,7 +53,6 @@ __all__ = [
     "UpdateManagementService",
     "ValidCounterSet",
     "audit_key",
-    "audit_keys",
     "expected_probes",
     "expected_retrievals",
     "expected_retrievals_upper_bound",

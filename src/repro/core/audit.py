@@ -3,20 +3,18 @@
 ``audit_key`` classifies the replicas of one key as *current*, *stale* or
 *missing* relative to the highest timestamp stored anywhere, and reports the
 empirical probability of currency and availability ``pt`` — the quantity the
-paper's cost analysis is written in.  ``audit_keys`` aggregates over a key set
-and is used by operators (and the test suite) to understand what churn did to
-the data.
+paper's cost analysis is written in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from repro.core.replication import ReplicationScheme
 from repro.dht.network import DHTNetwork
 
-__all__ = ["KeyAudit", "ReplicaStatus", "AuditReport", "audit_key", "audit_keys"]
+__all__ = ["KeyAudit", "ReplicaStatus", "audit_key"]
 
 
 class ReplicaStatus:
@@ -45,12 +43,9 @@ class KeyAudit:
         return sum(1 for status in self.statuses.values() if status == ReplicaStatus.CURRENT)
 
     @property
+    # reprolint: allow[REP008] reason=read view: tests/core/test_audit.py observes stale replicas through it
     def stale_count(self) -> int:
         return sum(1 for status in self.statuses.values() if status == ReplicaStatus.STALE)
-
-    @property
-    def missing_count(self) -> int:
-        return sum(1 for status in self.statuses.values() if status == ReplicaStatus.MISSING)
 
     @property
     def currency_probability(self) -> float:
@@ -59,54 +54,8 @@ class KeyAudit:
             return 0.0
         return self.current_count / self.replica_count
 
-    @property
-    def is_available(self) -> bool:
-        """At least one replica (current or stale) is stored somewhere."""
-        return self.current_count + self.stale_count > 0
 
-
-@dataclass
-class AuditReport:
-    """Aggregate audit over a set of keys."""
-
-    audits: List[KeyAudit] = field(default_factory=list)
-
-    @property
-    def key_count(self) -> int:
-        return len(self.audits)
-
-    @property
-    def mean_currency_probability(self) -> float:
-        """Average empirical ``pt`` over the audited keys."""
-        if not self.audits:
-            return 0.0
-        return sum(audit.currency_probability for audit in self.audits) / len(self.audits)
-
-    @property
-    def fully_current_keys(self) -> int:
-        """Keys whose every replica is current."""
-        return sum(1 for audit in self.audits
-                   if audit.current_count == audit.replica_count)
-
-    @property
-    def unavailable_keys(self) -> int:
-        """Keys with no replica stored anywhere (all holders failed)."""
-        return sum(1 for audit in self.audits if not audit.is_available)
-
-    def keys_with_stale_replicas(self) -> List[Any]:
-        """Keys that currently expose at least one stale replica."""
-        return [audit.key for audit in self.audits if audit.stale_count > 0]
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "keys": float(self.key_count),
-            "mean_pt": self.mean_currency_probability,
-            "fully_current_keys": float(self.fully_current_keys),
-            "unavailable_keys": float(self.unavailable_keys),
-            "keys_with_stale_replicas": float(len(self.keys_with_stale_replicas())),
-        }
-
-
+# reprolint: allow[REP008] reason=read view: tests/core/test_ums.py and tests/core/test_audit.py observe stored replica states through it
 def audit_key(network: DHTNetwork, replication: ReplicationScheme, key: Any) -> KeyAudit:
     """Audit the replicas of one key at their current responsibles.
 
@@ -130,8 +79,3 @@ def audit_key(network: DHTNetwork, replication: ReplicationScheme, key: Any) -> 
             statuses[name] = ReplicaStatus.STALE
     return KeyAudit(key=key, statuses=statuses, latest_timestamp=latest)
 
-
-def audit_keys(network: DHTNetwork, replication: ReplicationScheme,
-               keys: Iterable[Any]) -> AuditReport:
-    """Audit several keys and return the aggregate report."""
-    return AuditReport(audits=[audit_key(network, replication, key) for key in keys])

@@ -83,11 +83,6 @@ class CrossCheckDetector:
         """Number of flagged retrievals so far."""
         return len(self.flags)
 
-    def reset(self) -> None:
-        """Clear all recorded checks and flags."""
-        self.checks = 0
-        self.flags = []
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CrossCheckDetector(window={self.window}, "
                 f"checks={self.checks}, flags={self.flag_count})")

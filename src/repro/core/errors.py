@@ -19,13 +19,5 @@ class IncomparableTimestampsError(ServiceError):
         self.second_key = second_key
 
 
-class NoReplicaFoundError(ServiceError):
-    """A retrieve found no replica of the requested key at all."""
-
-    def __init__(self, key):
-        super().__init__(f"no replica of key {key!r} is available in the DHT")
-        self.key = key
-
-
 class ReplicationConfigurationError(ServiceError):
     """The replication scheme is malformed (empty, duplicate names, ...)."""

@@ -164,6 +164,7 @@ class KeyBasedTimestampService(NetworkObserver):
             self._states[peer_id] = state
         return state
 
+    # reprolint: allow[REP008] reason=read view: tests/core/test_kts.py observes counter transfer through it
     def counters_at(self, peer_id: int) -> List[KeyCounter]:
         """Snapshot of the counters currently valid at ``peer_id``."""
         return self.peer_state(peer_id).vcs.counters()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.errors import ReplicationConfigurationError
-from repro.dht.hashing import HashFamily, PairwiseIndependentHash
+from repro.dht.hashing import PairwiseIndependentHash
 from repro.dht.messages import MessageKind, OperationTrace
 from repro.dht.network import SYNC_SUMMARY_ENTRY_BYTES, DHTNetwork
 from repro.dht.storage import advanced_past, reconciliation_token
@@ -85,17 +85,6 @@ class ReplicationScheme:
         # ``rng.shuffle``'s swaps, last index first: (index, bound, bits of bound).
         self._swaps = tuple((index, index + 1, (index + 1).bit_length())
                             for index in range(len(hashes) - 1, 0, -1))
-
-    # ------------------------------------------------------------ construction
-    @classmethod
-    def create(cls, count: int = 10, *, bits: int = 32, seed: Optional[int] = None,
-               family: Optional[HashFamily] = None) -> "ReplicationScheme":
-        """Sample ``count`` replication hash functions from a (new) family."""
-        if count < 1:
-            raise ReplicationConfigurationError(f"replication factor must be >= 1, got {count}")
-        if family is None:
-            family = HashFamily(bits=bits, seed=seed)
-        return cls(family.sample_many(count, prefix="hr"))
 
     # ---------------------------------------------------------------- access
     @property

@@ -21,7 +21,6 @@ from repro.dht.errors import (
     DHTError,
     EmptyNetworkError,
     NoSuchPeerError,
-    PeerUnreachableError,
 )
 from repro.dht.hashing import HashFamily, PairwiseIndependentHash, key_digest
 from repro.dht.messages import (
@@ -63,7 +62,6 @@ __all__ = [
     "OperationTrace",
     "PairwiseIndependentHash",
     "PeerState",
-    "PeerUnreachableError",
     "RouteResult",
     "StoredValue",
     "TraceSummary",

@@ -168,6 +168,7 @@ class ChordRing(DHTProtocol):
             return None
         return (self.predecessor(node_id), node_id)
 
+    # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list
     def next_responsible(self, point: int) -> Optional[int]:
         """``nrsp``: the node that takes over ``point`` if its responsible departs."""
         if len(self._members) < 2:
@@ -187,26 +188,11 @@ class ChordRing(DHTProtocol):
         neighbor_set.discard(node_id)
         return neighbor_set
 
-    def successor_list(self, node_id: int, count: int = 4) -> List[int]:
-        """The ``count`` nodes following ``node_id`` clockwise (fault tolerance)."""
-        if node_id not in self._member_set:
-            raise NoSuchPeerError(node_id)
-        successors: List[int] = []
-        current = node_id
-        for _ in range(min(count, max(0, len(self._members) - 1))):
-            current = self.successor(self._next_point(current))
-            successors.append(current)
-        return successors
-
     # ------------------------------------------------------------------ fingers
+    # reprolint: allow[REP008] reason=read view: tests/dht/test_chord_next_hop_oracle.py reads finger state through it
     def finger_table(self, node_id: int, *, now: float = 0.0) -> List[int]:
         """The (possibly stale) finger entries of ``node_id`` at time ``now``."""
         return list(self._finger_snapshot(node_id, now).entries)
-
-    def refresh_fingers(self, node_id: int, *, now: float = 0.0) -> None:
-        """Force an immediate stabilisation of ``node_id``'s finger table."""
-        self._fingers.pop(node_id, None)
-        self._finger_snapshot(node_id, now)
 
     def _compute_fingers(self, node_id: int) -> Tuple[List[int], List[int]]:
         """The fingers of ``node_id`` over live members, and their offsets.

@@ -17,14 +17,6 @@ class NoSuchPeerError(DHTError):
         self.peer_id = peer_id
 
 
-class PeerUnreachableError(DHTError):
-    """A peer could not be contacted (used for fault injection in tests)."""
-
-    def __init__(self, peer_id):
-        super().__init__(f"peer {peer_id!r} is unreachable")
-        self.peer_id = peer_id
-
-
 class NodeAlreadyPresentError(DHTError):
     """A node identifier was added twice to the same overlay."""
 

@@ -16,11 +16,10 @@ digest plays the role of ``x``).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Iterable, Iterator, List, Optional
 
 __all__ = [
     "DIGEST_BITS",
@@ -164,6 +163,7 @@ class PairwiseIndependentHash:
             points[(type(key), key)] = cached
         return cached
 
+    # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list
     def points_many(self, keys: Iterable[Any]) -> List[int]:
         """Batch evaluation: the identifier-space point of every key, in order.
 
@@ -203,11 +203,6 @@ class HashFamily:
         self._rng = rng if rng is not None else random.Random(seed)
         self._sampled: List[PairwiseIndependentHash] = []
 
-    @property
-    def sampled(self) -> Sequence[PairwiseIndependentHash]:
-        """All hash functions sampled from this family so far, in order."""
-        return tuple(self._sampled)
-
     def sample(self, name: Optional[str] = None) -> PairwiseIndependentHash:
         """Draw a fresh hash function from the family.
 
@@ -239,46 +234,3 @@ class HashFamily:
     def __len__(self) -> int:
         return len(self._sampled)
 
-
-def collision_probability(functions: Iterable[PairwiseIndependentHash],
-                          keys: Iterable[Any], *,
-                          max_pairs: int = 200_000,
-                          seed: int = 0) -> float:
-    """Empirical probability that two distinct keys collide under one function.
-
-    Utility used by tests and the analysis notebook-style example to sanity
-    check the pairwise-independence construction: for a family over ``2^bits``
-    points the collision probability of a random pair should be ~``2^-bits``.
-
-    Pairs are enumerated with :func:`itertools.combinations`.  When a key set
-    is large enough that one function would have to examine more than
-    ``max_pairs`` pairs, the estimate switches to a deterministic sample:
-    ``max_pairs`` index pairs drawn by a ``random.Random(seed)``, so large key
-    sets cost O(``max_pairs``) per function instead of O(n²) while the result
-    stays reproducible for a given ``seed``.
-    """
-    functions = list(functions)
-    keys = list(keys)
-    if len(keys) < 2 or not functions:
-        return 0.0
-    total_pairs = len(keys) * (len(keys) - 1) // 2
-    sample_rng = random.Random(seed) if total_pairs > max_pairs else None
-    collisions = 0
-    pairs = 0
-    for fn in functions:
-        points = fn.points_many(keys)
-        if sample_rng is None:
-            for first, second in itertools.combinations(points, 2):
-                pairs += 1
-                if first == second:
-                    collisions += 1
-        else:
-            indices = range(len(points))
-            for _ in range(max_pairs):
-                # ``sample`` draws two distinct indices uniformly, so every
-                # unordered pair is equally likely.
-                i, j = sample_rng.sample(indices, 2)
-                pairs += 1
-                if points[i] == points[j]:
-                    collisions += 1
-    return collisions / pairs if pairs else 0.0

@@ -63,25 +63,7 @@ from repro.dht.errors import (
 from repro.dht.messages import OperationTrace
 from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
 
-__all__ = [
-    "KademliaOverlay",
-    "RoutingTable",
-    "common_prefix_length",
-    "xor_distance",
-]
-
-
-def xor_distance(first: int, second: int) -> int:
-    """The Kademlia distance ``d(a, b) = a XOR b``."""
-    return first ^ second
-
-
-def common_prefix_length(first: int, second: int, bits: int) -> int:
-    """Number of leading bits shared by two ``bits``-wide identifiers."""
-    distance = first ^ second
-    if distance == 0:
-        return bits
-    return bits - distance.bit_length()
+__all__ = ["KademliaOverlay", "RoutingTable"]
 
 
 class RoutingTable:
@@ -110,14 +92,7 @@ class RoutingTable:
             bisect.insort(self._indices, index)
         return row
 
-    def bucket_index(self, contact: int) -> int:
-        """Index of the bucket responsible for ``contact``."""
-        distance = self.owner ^ contact
-        if distance == 0:
-            raise InvalidConfigurationError(
-                f"node {self.owner} cannot keep itself in its routing table")
-        return distance.bit_length() - 1
-
+    # reprolint: allow[REP008] reason=read view: tests/dht/test_kademlia.py reads one bucket through it
     def bucket(self, index: int) -> List[int]:
         """A copy of the bucket at ``index``, least recently seen first.
 
@@ -151,6 +126,7 @@ class RoutingTable:
         row.append(least_recently_seen if answered else contact)
         return not answered
 
+    # reprolint: allow[REP008] reason=the one-contact rule learn_many applies; the bucket-rule oracle in tests/dht/test_kademlia_lookup_oracle.py drives it
     def learn(self, contact: int) -> bool:
         """Record a contact learned second-hand (from a lookup reply).
 
@@ -444,6 +420,7 @@ class KademliaOverlay(DHTProtocol):
             point,
             lambda p: self._members[self._descend(p, 0, len(self._members))[0]])
 
+    # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list
     def next_responsible(self, point: int) -> Optional[int]:
         """``nrsp``: the second XOR-closest live node to ``point``.
 

@@ -271,6 +271,7 @@ class OperationTrace:
         self.dests.extend((dest, source))
         self._total_bytes += total
 
+    # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list; tests/dht/test_locate_oracle.py replays it
     def record_request_reply(self, request_kind: MessageKind, reply_kind: MessageKind, *,
                              source: Optional[int] = None, dest: Optional[int] = None,
                              entries: int = 1) -> None:
@@ -282,24 +283,8 @@ class OperationTrace:
         self.record_exchange((request_kind, reply_kind), -1 if source is None else source,
                              -1 if dest is None else dest, entries)
 
-    def extend(self, messages: Iterable[Message]) -> None:
-        """Append already-built messages, sizes and flags as given."""
-        for kind, size_bytes, source, dest, timed_out in messages:
-            self.record(kind, source=source, dest=dest, size_bytes=size_bytes,
-                        timed_out=timed_out)
-
-    def merge(self, other: "OperationTrace") -> "OperationTrace":
-        """Append all messages of ``other`` to this trace (returns ``self``)."""
-        offset = len(self.kinds)
-        self.timed_out.extend([index + offset for index in other.timed_out])
-        self.kinds.extend(other.kinds)
-        self.size_bytes.extend(other.size_bytes)
-        self.sources.extend(other.sources)
-        self.dests.extend(other.dests)
-        self._total_bytes += other._total_bytes
-        return self
-
     # -------------------------------------------------------------- reporting
+    # reprolint: allow[REP008] reason=read view: the accounting tests (tests/api/test_accounting_parity.py, tests/dht/test_trace_pins.py) count kinds through it
     def count_by_kind(self) -> Dict[MessageKind, int]:
         """Histogram of message kinds, useful for debugging and reporting."""
         return {_KIND_OF_BYTE[byte]: self.kinds.count(byte)

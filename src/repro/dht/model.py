@@ -16,7 +16,6 @@ This module provides:
 from __future__ import annotations
 
 import abc
-import random
 from dataclasses import MISSING, fields
 from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set,
                     Tuple, Type, TypeVar, cast)
@@ -208,6 +207,7 @@ class DHTProtocol(abc.ABC):
         """
 
     @abc.abstractmethod
+    # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list
     def next_responsible(self, point: int) -> Optional[int]:
         """The node that would take over ``point`` if its responsible departed.
 
@@ -251,10 +251,6 @@ class DHTProtocol(abc.ABC):
         """
 
     # ---------------------------------------------------------------- utilities
-    def random_node(self, rng: random.Random) -> int:
-        """A uniformly random live node: the draw ``DHTNetwork`` makes inline."""
-        return rng.choice(self.nodes())
-
 
 _Record = TypeVar("_Record")
 

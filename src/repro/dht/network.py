@@ -255,13 +255,6 @@ class DHTNetwork:
         """Register a membership observer (e.g. the KTS service)."""
         self._observers.append(observer)
 
-    def remove_observer(self, observer: NetworkObserver) -> None:
-        """Unregister an observer; a no-op when it was never registered."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
-
     # ------------------------------------------------------------------ churn
     def join_peer(self, peer_id: Optional[int] = None) -> int:
         """Add a peer to the network, handing over the keys it now owns."""
@@ -392,7 +385,7 @@ class DHTNetwork:
             return origin
         if not self._peers:
             raise EmptyNetworkError("the network has no live peers")
-        # random_node's ``rng.choice``, inline: ``Random._randbelow``'s draws.
+        # ``self.rng.choice(nodes)``, inline: ``Random._randbelow``'s draws.
         nodes = self.protocol.nodes()
         count = len(nodes)
         bits = count.bit_length()
@@ -541,6 +534,7 @@ class DHTNetwork:
         return results
 
     # -------------------------------------------------------------- delta sync
+    # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list
     def sync_span(self, source: int, dest: int, lo: int, hi: int, *,
                   trace: Optional[OperationTrace] = None) -> SyncReport:
         """One pull-based delta-sync exchange over the span ``(lo, hi]``.
@@ -588,11 +582,6 @@ class DHTNetwork:
                           full_bytes=full_bytes)
 
     # ----------------------------------------------------------------- storage
-    def store_locally(self, peer_id: int, entry: StoredValue) -> bool:
-        """Store an entry directly at ``peer_id`` without routing (handover, tests)."""
-        self.peer(peer_id)
-        return self._peers[peer_id].store.put(entry)
-
     def stored_replicas(self, key: Any,
                         hash_fns: Iterable[PairwiseIndependentHash]) -> List[StoredValue]:
         """All replicas of ``key`` currently held at their responsibles.

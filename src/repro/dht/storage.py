@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.dht.model import slotted_init
@@ -241,6 +241,7 @@ class LocalStore:
     def __contains__(self, index: Tuple[str, Any]) -> bool:
         return index in self._index
 
+    # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list
     def replicas_of(self, key: Any) -> List[StoredValue]:
         """All replicas of ``key`` held by this peer, across hash functions."""
         slab = self._slab
@@ -323,14 +324,6 @@ class LocalStore:
             if token is None or advanced_past(entry, token):
                 selected.append(entry)
         return selected
-
-    def touch(self, hash_name: str, key: Any, stored_at: float) -> None:
-        """Update the ``stored_at`` time of an entry (used by handover)."""
-        slot = self._index.get((hash_name, key))
-        if slot is not None:
-            entry = self._slab[slot]
-            assert entry is not None
-            self._slab[slot] = replace(entry, stored_at=stored_at)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LocalStore(entries={len(self._index)})"

@@ -116,25 +116,16 @@ class RunPlan:
 
     # ---------------------------------------------------------------- queries
     @property
+    # reprolint: allow[REP008] reason=read view: tests/experiments/test_figures.py compares deduplicated plans through it
     def plan_hash(self) -> str:
         """Stable digest over the point hashes, in plan order."""
         return _stable_hash({"points": [point.content_hash
                                         for point in self.points]})
 
+    # reprolint: allow[REP008] reason=read view: tests/execution/test_executor.py checks progress order through it
     def labels(self) -> List[Optional[str]]:
         """The point labels, in plan order."""
         return [point.label for point in self.points]
-
-    def manifest(self) -> Dict[str, Any]:
-        """Identity record for artifacts: name, hashes, per-point seeds."""
-        return {
-            "name": self.name,
-            "plan_hash": self.plan_hash,
-            "points": [{"label": point.label,
-                        "content_hash": point.content_hash,
-                        "seed": point.parameters.seed}
-                       for point in self.points],
-        }
 
     # --------------------------------------------------------- serialisation
     def to_dict(self) -> Dict[str, Any]:

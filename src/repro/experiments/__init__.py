@@ -20,7 +20,7 @@ from repro.experiments.figures import (
     run_experiments,
     table1_parameters,
 )
-from repro.experiments.plots import ascii_chart, render_all
+from repro.experiments.plots import ascii_chart
 from repro.experiments.reporting import ExperimentTable
 from repro.experiments.runner import run_all_experiments, write_experiments_report
 
@@ -29,7 +29,6 @@ __all__ = [
     "Experiment",
     "ExperimentTable",
     "ascii_chart",
-    "render_all",
     "SCALE_PROFILES",
     "expected_retrievals_table",
     "run_all_experiments",

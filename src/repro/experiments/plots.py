@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence
 
 from repro.experiments.reporting import ExperimentTable
 
-__all__ = ["ascii_chart", "render_all"]
+__all__ = ["ascii_chart"]
 
 #: Fallback marks used when a series' initial letter is already taken.
 _FALLBACK_MARKS = "0123456789*#@"
@@ -91,9 +91,3 @@ def ascii_chart(table: ExperimentTable, *, width: int = 60, height: int = 16) ->
     legend = "  ".join(f"{marks[name]}={name}" for name in table.series)
     lines.append(" " * (y_label_width + 2) + legend)
     return "\n".join(lines)
-
-
-def render_all(tables: Sequence[ExperimentTable], *, width: int = 60,
-               height: int = 16) -> str:
-    """Render several tables, separated by blank lines."""
-    return "\n\n".join(ascii_chart(table, width=width, height=height) for table in tables)

@@ -91,6 +91,7 @@ class TransportCounters:
     bytes_sent: int = 0
     bytes_received: int = 0
 
+    # reprolint: allow[REP008] reason=bench/backends.py reads the client counters through it; ROADMAP item 1
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain dict (for reports and bench JSON)."""
         return asdict(self)
@@ -462,6 +463,7 @@ class RemoteCluster:
         result, _stats = self.client.request("ping")
         return result == "pong"
 
+    # reprolint: allow[REP008] reason=bench/backends.py stops its server through it; ROADMAP item 1
     def shutdown_server(self) -> None:
         """Ask the server to shut down gracefully."""
         self.client.request("shutdown")

@@ -1,12 +1,12 @@
 """Length-prefixed wire codec for the service-mode transport.
 
 Frames are ``4-byte big-endian length || body``, and a body is the tagged
-binary encoding of :mod:`repro.net.wire` behind a one-byte marker: ``0x02``
-the next piece of the connection's deflate stream (every frame a connection
-writes), ``0x01`` a self-contained body outside any stream.  The four
-result types of :mod:`repro.api.results` travel as records, so the client
-gets the result objects the simulation backend produces, and keys and data
-come back as the values they were — all but the trace, which travels as its
+binary encoding of :mod:`repro.net.wire` behind the one-byte marker
+``0x02``: the next piece of the connection's deflate stream (every frame a
+connection writes).  The four result types of :mod:`repro.api.results`
+travel as records, so the client gets the result objects the simulation
+backend produces, and keys and data come back as the values they were —
+all but the trace, which travels as its
 :class:`~repro.dht.messages.TraceSummary`: the message count, byte total and
 timeouts a client reads, without the per-message columns only the
 simulator's cost model needs.
@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from array import array
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.api.results import (
@@ -80,13 +79,14 @@ def encode_frame(payload: Dict[str, Any], *,
     """Serialise ``payload`` as one length-prefixed frame.
 
     The body is the next piece of ``stream``, the sending connection's
-    :class:`~repro.net.wire.DeflateStream` — or, without one, the
-    self-contained ``0x01`` body.
+    :class:`~repro.net.wire.DeflateStream` — or, without one, the first
+    frame of a fresh stream.
     """
     body = pack_payload(payload, stream=stream)
     return _HEADER.pack(len(body)) + body
 
 
+# reprolint: allow[REP008] reason=read view: the wire tests (tests/net/test_codec.py, tests/net/test_records.py) decode one frame through it
 def decode_frame(data: bytes) -> Dict[str, Any]:
     """Decode exactly one complete frame (header + body) back to its payload."""
     return _only_frame(FrameDecoder(), data)
@@ -100,6 +100,7 @@ def _only_frame(decoder: "FrameDecoder", data: bytes) -> Dict[str, Any]:
     return frames[0]
 
 
+# reprolint: allow[REP008] reason=read view: tests/net/test_frame_sizes.py pins the golden frame sizes through it
 def frame_size(payload: Dict[str, Any]) -> int:
     """The measured wire size of ``payload``, in bytes.
 
@@ -108,7 +109,7 @@ def frame_size(payload: Dict[str, Any]) -> int:
     byte count a transport would put on the wire for this payload as a
     connection's first frame.
     """
-    return len(encode_frame(payload, stream=DeflateStream()))
+    return len(encode_frame(payload))
 
 
 class FrameDecoder:
@@ -121,10 +122,10 @@ class FrameDecoder:
     arrive, in order.
 
     A malformed frame is consumed from the buffer *before* its
-    :class:`CodecError` is raised, so the decoder stays usable for the
-    ``0x01`` frames that follow it — a bad ``0x02`` frame breaks the stream,
-    and every later ``0x02`` frame is refused (there is no resync).  Frames
-    completed ahead of it in the same call are not lost to it: the call
+    :class:`CodecError` is raised.  One refused before inflating (an empty
+    body, an unknown marker) leaves the stream as it was; a bad ``0x02``
+    frame breaks it, and every later frame is refused (there is no resync).
+    Frames completed ahead of it in the same call are not lost to it: the call
     returns them and leaves the malformed frame at the head of the buffer,
     where the next call (``feed(b"")`` will do) consumes it and raises.
     """
@@ -167,7 +168,7 @@ class FrameDecoder:
 
     def _decode_body(self, body: bytes) -> Dict[str, Any]:
         if not body or body[0] != MARKER_COMPRESSED:
-            return unpack_payload(body)
+            return unpack_payload(body)  # refuses it, the stream untouched
         if self._stream_error is not None:
             raise CodecError(f"binary stream broken by an earlier frame "
                              f"({self._stream_error}); there is no resync")
@@ -195,8 +196,8 @@ FrameDecoder.feed_with_formats = _retired  # type: ignore[attr-defined]
 def describe(frame: bytes, decoder: Optional[FrameDecoder] = None) -> str:
     """``frame`` (header + body) as indented, key-sorted JSON, for humans.
 
-    Trace summaries and results appear in their ``*_to_dict`` forms, timestamps as
-    ``{"key": ..., "value": ...}`` and int64 columns as lists.  A mid-stream
+    Trace summaries and results appear in their ``*_to_dict`` forms and
+    timestamps as ``{"key": ..., "value": ...}``.  A mid-stream
     ``0x02`` frame needs ``decoder``, the :class:`FrameDecoder` that read
     its connection's frames before it; the decoder is fed the frame.
     """
@@ -205,14 +206,12 @@ def describe(frame: bytes, decoder: Optional[FrameDecoder] = None) -> str:
 
 
 def _view(value: Any) -> Any:
-    """What JSON lacks: the view of a record, a timestamp or a column."""
+    """What JSON lacks: the view of a record or a timestamp."""
     to_dict = _TO_DICT.get(type(value))
     if to_dict is not None:
         return to_dict(value)
     if isinstance(value, Timestamp):
         return _stamp(value)
-    if isinstance(value, array):
-        return value.tolist()
     raise TypeError(f"{type(value).__name__} has no JSON view")
 
 

@@ -5,8 +5,8 @@ in-process — an overlay population with per-peer
 :class:`~repro.dht.storage.LocalStore` replicas, the KTS timestamping service
 and the registered currency services (UMS/BRK handlers) — behind
 length-prefixed frames (:mod:`repro.net.codec`) over TCP and/or a Unix
-domain socket.  Every reply is the next piece of its connection's deflate
-stream; requests may be stream frames or self-contained ones.
+domain socket.  Every request and every reply is the next piece of its
+connection's deflate stream, one per direction.
 
 A connection is an :class:`asyncio.Protocol`, not a pair of streams: the
 loop hands ``data_received`` the bytes it read, the frames they complete are

@@ -7,11 +7,11 @@ dict, behind a one-byte marker:
 ========  =============================================================
 marker    body
 ========  =============================================================
-``0x01``  the tagged encoding itself: a self-contained frame, outside any
-          stream
 ``0x02``  the next piece of the connection's deflate stream, inflating to
           one tagged encoding
 ========  =============================================================
+
+Any other marker is refused.
 
 **One deflate stream per connection and direction** — WebSocket's
 permessage-deflate with context takeover (RFC 7692).  Every frame a
@@ -27,18 +27,15 @@ a frame that is corrupt, truncated, inflates past :data:`MAX_FRAME_BYTES` or
 ends the stream is a :class:`CodecError`, and there is no resync.  The
 sender bounds the *packed* size before deflating, so a payload it refuses
 never advances its stream.  Without a ``stream``, :func:`pack_payload`
-writes a ``0x01`` body, and :func:`unpack_payload` reads a ``0x02`` body as
-the first frame of a fresh stream.
+writes, and :func:`unpack_payload` reads, the first frame of a fresh stream.
 
 The tagged encoding is a deterministic, self-delimiting value stream built
 from one tag byte plus big-endian fixed-width fields.  The tags: ``N``/``T``/
 ``F`` singletons, ``i`` int64, ``I`` a wider int as a decimal string, ``f``
-float64, ``s`` string, ``l`` list, ``d`` dict, ``t`` ``Timestamp`` and ``q``
-a packed int64 array — a u32 count, then ``count × 8`` bytes moved by one
-``tobytes``/``frombytes`` call, decoded back to an ``array('q')`` (arrays of
-any other typecode are refused at encode time).  Whatever an application
-puts in a key or a value comes back as the same value: there is no tag
-object to mistake user data for.
+float64, ``s`` string, ``l`` list, ``d`` dict and ``t`` ``Timestamp``; any
+other type (``bytes``, an ``array``) is refused at encode time.  Whatever
+an application puts in a key or a value comes back as the same value: there
+is no tag object to mistake user data for.
 
 **Records.**  The protocol's own objects travel natively, as ``Timestamp``
 does: ``w`` an :class:`~repro.api.results.InsertResult`, ``r`` a
@@ -69,9 +66,7 @@ encoded as lists.
 from __future__ import annotations
 
 import struct
-import sys
 import zlib
-from array import array
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.api.results import (
@@ -87,7 +82,6 @@ from repro.dht.messages import OperationTrace, TraceSummary
 __all__ = [
     "CodecError",
     "DeflateStream",
-    "MARKER_BINARY",
     "MARKER_COMPRESSED",
     "MAX_FRAME_BYTES",
     "WIRE_KEYS",
@@ -104,12 +98,9 @@ class CodecError(ValueError):
 #: protecting both sides against a corrupt or hostile length prefix.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: First body byte of a self-contained frame: the tagged encoding follows.
-MARKER_BINARY = 0x01
 #: First body byte of a connection's frame: the next piece of its stream.
 MARKER_COMPRESSED = 0x02
 
-_PLAIN_MARKER = bytes((MARKER_BINARY,))
 _STREAM_MARKER = bytes((MARKER_COMPRESSED,))
 #: What every ``Z_SYNC_FLUSH`` ends with (an empty stored block's lengths):
 #: stripped by the sender, put back by the receiver.
@@ -124,7 +115,7 @@ _LEVEL = 3
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 #: One tag byte and its fixed-width field, packed in one call: a count or
-#: length (``s``/``I``/``l``/``d``/``q``), an int64 (``i``), a float64 (``f``).
+#: length (``s``/``I``/``l``/``d``), an int64 (``i``), a float64 (``f``).
 _TAG_U32 = struct.Struct(">cI")
 _TAG_I64 = struct.Struct(">cq")
 _TAG_F64 = struct.Struct(">cd")
@@ -149,9 +140,6 @@ _CONSISTENCY_LEVELS = (Consistency.CURRENT, Consistency.ANY,
                        Consistency.BEST_EFFORT)
 _CONSISTENCY_CODES = {level: code for code, level in enumerate(_CONSISTENCY_LEVELS)}
 _OTHER_LEVEL = 0xFF
-
-#: The ``q`` tag is big-endian on the wire.
-_SWAP_ARRAYS = sys.byteorder == "little"
 
 #: Dict keys that travel as one byte: a key's index in this table *is* its
 #: wire code.  **Pinned** (``tests/net/test_codec.py`` spells the table out):
@@ -180,8 +168,8 @@ _KEY_COUNT = len(WIRE_KEYS)
 # 0x00 for any key under 64 KiB) then reads as key code 0 followed by value
 # tag 0x00 and is refused at its first key.
 (_TAG_NONE, _TAG_TRUE, _TAG_FALSE, _TAG_INT, _TAG_BIGINT, _TAG_FLOAT, _TAG_STR,
- _TAG_LIST, _TAG_DICT, _TAG_ARRAY, _TAG_TIMESTAMP, _TAG_TRACE, _TAG_INSERT,
- _TAG_RETRIEVE, _TAG_BATCH_INSERT, _TAG_BATCH_RETRIEVE) = b"NTFiIfsldqtowrWR"
+ _TAG_LIST, _TAG_DICT, _TAG_TIMESTAMP, _TAG_TRACE, _TAG_INSERT,
+ _TAG_RETRIEVE, _TAG_BATCH_INSERT, _TAG_BATCH_RETRIEVE) = b"NTFiIfsldtowrWR"
 
 _U32_AT = _U32.unpack_from
 _I64_AT = _I64.unpack_from
@@ -247,13 +235,6 @@ def _encode_dict(value: Dict[Any, Any], out: bytearray) -> None:
             raise CodecError(f"binary payload dict keys must be strings, "
                              f"got {type(key).__name__}")
         _pack(value[key], out)
-
-
-def _encode_array(column: "array[int]", out: bytearray) -> None:
-    """Append ``column``'s bytes, big-endian (``column`` is a scratch copy)."""
-    if _SWAP_ARRAYS:
-        column.byteswap()
-    out += column
 
 
 def _encode_timestamp(stamp: Timestamp, out: bytearray) -> None:
@@ -395,12 +376,6 @@ def _pack(value: Any, out: bytearray) -> None:
     elif isinstance(value, Timestamp):
         out.append(_TAG_TIMESTAMP)
         _encode_timestamp(value, out)
-    elif isinstance(value, array):
-        if value.typecode != "q":
-            raise CodecError(f"only array('q') is wire-serialisable, "
-                             f"got array({value.typecode!r})")
-        out += _TAG_U32.pack(b"q", len(value))
-        _encode_array(array("q", value), out)
     elif isinstance(value, int):
         _encode_int(value, out)
     elif isinstance(value, float):
@@ -420,8 +395,8 @@ def pack_payload(payload: Dict[str, Any], *,
                  stream: Optional[DeflateStream] = None) -> bytes:
     """Encode ``payload`` as one frame body (marker included).
 
-    The body is the next piece of ``stream`` — or, without one, the
-    self-contained ``0x01`` body.  A payload whose packed encoding could not
+    The body is the next piece of ``stream`` — or, without one, the first
+    frame of a fresh stream.  A payload whose packed encoding could not
     fit :data:`MAX_FRAME_BYTES` once deflated (the receiver's bound on both
     the wire body and its inflated size) is refused before it is deflated,
     so the stream stays usable; so is one that fails mid-pack.
@@ -429,7 +404,7 @@ def pack_payload(payload: Dict[str, Any], *,
     if not isinstance(payload, dict):
         raise CodecError(f"frame payload must be a dict, "
                          f"got {type(payload).__name__}")
-    packed = bytearray(_PLAIN_MARKER if stream is None else b"")
+    packed = bytearray()
     try:
         _pack(payload, packed)
     except (struct.error, OverflowError, TypeError) as error:
@@ -442,9 +417,7 @@ def pack_payload(payload: Dict[str, Any], *,
     if size + (size >> 10) + 64 > MAX_FRAME_BYTES:
         raise CodecError(f"binary payload of {size} packed bytes exceeds the "
                          f"{MAX_FRAME_BYTES}-byte frame limit")
-    if stream is None:
-        return bytes(packed)
-    return stream.deflate(packed)
+    return (DeflateStream() if stream is None else stream).deflate(packed)
 
 
 # ----------------------------------------------------------------- decoding
@@ -459,16 +432,6 @@ def _span(data: bytes, start: int, size: int) -> Tuple[int, int]:
         raise CodecError(f"truncated binary body: wanted {size} bytes "
                          f"at offset {start}, have {len(data)}")
     return start, end
-
-
-def _decode_int64s(data: bytes, start: int, count: int) -> Tuple["array[int]", int]:
-    """The ``count`` big-endian int64s at ``start`` and the offset behind them."""
-    start, end = _span(data, start, count * 8)
-    column = array("q")
-    column.frombytes(data[start:end])
-    if _SWAP_ARRAYS:
-        column.byteswap()
-    return column, end
 
 
 def _decode_str(data: bytes, pos: int) -> Tuple[str, int]:
@@ -591,7 +554,7 @@ def _unpack(data: bytes, pos: int) -> Tuple[Any, int]:
     Every read is bounds-checked: a tag, a key code or a fixed-width field
     past the end raises ``IndexError``/``struct.error`` (``unpack_from``
     checks the buffer itself), which :func:`unpack_payload` reports as a
-    truncated body; a counted field (string, array) goes through
+    truncated body; a counted field (a string) goes through
     :func:`_span`.
     """
     tag = data[pos]
@@ -640,8 +603,6 @@ def _unpack(data: bytes, pos: int) -> Tuple[Any, int]:
         return _decode_batch_insert(data, pos)
     if tag == _TAG_TRACE:
         return _decode_summary(data, pos)
-    if tag == _TAG_ARRAY:
-        return _decode_int64s(data, pos + 4, _U32_AT(data, pos)[0])
     if tag == _TAG_TIMESTAMP:
         key, pos = _unpack(data, pos)
         return _timestamp(key, _I64_AT(data, pos)[0]), pos + 8
@@ -678,23 +639,19 @@ def _inflate(body: bytes, stream: "zlib._Decompress") -> bytes:
 
 def unpack_payload(body: bytes, *,
                    stream: Optional["zlib._Decompress"] = None) -> Dict[str, Any]:
-    """Decode one frame body (``0x01`` or ``0x02`` marker) to its payload.
+    """Decode one ``0x02`` frame body to its payload.
 
-    A ``0x02`` body is inflated by ``stream``, its connection's raw-deflate
+    The body is inflated by ``stream``, its connection's raw-deflate
     inflater — or, without one, as the first frame of a fresh stream.
     """
     if not body:
         raise CodecError("empty frame body")
-    marker = body[0]
-    start = 1
-    if marker == MARKER_COMPRESSED:
-        body = _inflate(body, zlib.decompressobj(-zlib.MAX_WBITS)
-                        if stream is None else stream)
-        start = 0
-    elif marker != MARKER_BINARY:
-        raise CodecError(f"unknown body marker {marker:#04x}")
+    if body[0] != MARKER_COMPRESSED:
+        raise CodecError(f"unknown body marker {body[0]:#04x}")
+    body = _inflate(body, zlib.decompressobj(-zlib.MAX_WBITS)
+                    if stream is None else stream)
     try:
-        payload, end = _unpack(body, start)
+        payload, end = _unpack(body, 0)
     except (IndexError, struct.error) as error:
         raise CodecError(f"truncated binary body: {error}") from error
     except RecursionError as error:

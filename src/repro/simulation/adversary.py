@@ -121,11 +121,6 @@ class TimestampLiar:
         for peer in peers:
             self._byzantine[peer] = (strategy, lag, rng)
 
-    @property
-    def byzantine_peers(self) -> Tuple[int, ...]:
-        """The currently corrupted peer ids, sorted."""
-        return tuple(sorted(self._byzantine))
-
     def __call__(self, responsible: int, key: Any,
                  value: Optional[int]) -> Optional[int]:
         """The KTS reply interceptor: falsify ``value`` if ``responsible`` lies."""
@@ -221,11 +216,6 @@ class ByzantineTimestamps(FaultProfile):
                         "byzantine": count, "strategy": self.strategy})
 
         sim.schedule(self.at * duration_s, fire)
-
-    def to_config(self) -> Dict[str, Any]:
-        """The dict that rebuilds this profile via ``build_fault``."""
-        return {"kind": self.kind, "fraction": self.fraction,
-                "strategy": self.strategy, "lag": self.lag, "at": self.at}
 
 
 def eclipse_capture_set(mode: str, alive_ids: Sequence[int], *, bits: int,
@@ -339,11 +329,6 @@ class EclipseAttack(FaultProfile):
                         "captured": len(captured), "point": target})
 
         sim.schedule(self.at * duration_s, fire)
-
-    def to_config(self) -> Dict[str, Any]:
-        """The dict that rebuilds this profile via ``build_fault``."""
-        return {"kind": self.kind, "point": self.point, "count": self.count,
-                "at": self.at, "mode": self.mode}
 
 
 def byzantine_scenario_spec(fraction: float, *,

@@ -226,11 +226,6 @@ class SimulationParameters:
         return cls(**defaults)
 
     # ------------------------------------------------------------------ helpers
-    @property
-    def update_rate_per_s(self) -> float:
-        """Per-key update rate in events per second."""
-        return self.update_rate_per_hour / 3600.0
-
     def with_overrides(self, **overrides) -> "SimulationParameters":
         """A copy of the parameters with some fields replaced."""
         return dataclasses.replace(self, **overrides)

@@ -7,11 +7,10 @@ an operation is the accumulation of its messages' latency plus transfer
 delays; messages that hit a failed peer additionally wait for a timeout before
 the sender retries.
 
-Two presets mirror the paper's two testbeds:
-
-* :meth:`NetworkCostModel.wide_area` — Table 1 (the SimJava simulation);
-* :meth:`NetworkCostModel.cluster` — the 64-node, 1 Gbps cluster of Section
-  5.2, modelled as a small per-message processing latency and LAN bandwidth.
+The defaults are Table 1 (the SimJava simulation); the
+:meth:`NetworkCostModel.cluster` preset is the 64-node, 1 Gbps cluster of
+Section 5.2, modelled as a small per-message processing latency and LAN
+bandwidth.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.dht.messages import Message, OperationTrace
+from repro.dht.messages import OperationTrace
 
 __all__ = ["GeoLatencyCostModel", "NetworkCostModel"]
 
@@ -88,18 +87,7 @@ class NetworkCostModel:
         self._bandwidth_factor = 1.0
         self._timeout_factor = 1.0
 
-    @property
-    def degraded(self) -> bool:
-        """Whether a degradation is currently in effect."""
-        return (self._latency_factor, self._bandwidth_factor,
-                self._timeout_factor) != (1.0, 1.0, 1.0)
-
     # --------------------------------------------------------------- presets
-    @classmethod
-    def wide_area(cls, seed: Optional[int] = None) -> "NetworkCostModel":
-        """The Table 1 wide-area network (200 ms latency, 56 kbps)."""
-        return cls(rng=random.Random(seed))
-
     @classmethod
     def cluster(cls, seed: Optional[int] = None) -> "NetworkCostModel":
         """The 64-node cluster of Section 5.2.
@@ -146,11 +134,6 @@ class NetworkCostModel:
             delay += self.timeout_s * self._timeout_factor
         return delay
 
-    def message_delay(self, message: Message) -> float:
-        """Latency + transfer time (+ timeout) for a single message."""
-        return self._delay(message.size_bytes, message.source, message.dest,
-                           message.timed_out)
-
     def duration(self, trace: OperationTrace) -> float:
         """Total response time of an operation whose messages are sent sequentially.
 
@@ -179,10 +162,6 @@ class NetworkCostModel:
         message-count communication cost, used for the bytes-per-op curves.
         """
         return trace.total_bytes + self.frame_overhead_bytes * trace.message_count
-
-    def expected_message_delay(self, size_bytes: int = 128) -> float:
-        """Deterministic expectation of a message delay (no sampling); handy in tests."""
-        return self.latency_mean_s + (size_bytes * 8) / self.bandwidth_mean_bps
 
 
 @dataclass
@@ -281,9 +260,3 @@ class GeoLatencyCostModel(NetworkCostModel):
                             dest: Optional[int]) -> float:
         """Half the RTT between the regions of ``source`` and ``dest``."""
         return self.rtt_matrix[self.region_of(source)][self.region_of(dest)] / 2.0
-
-    def expected_message_delay(self, size_bytes: int = 128) -> float:
-        """Expectation over uniformly random region pairs (no sampling)."""
-        total = sum(sum(row) for row in self.rtt_matrix)
-        mean_rtt = total / (self.regions * self.regions)
-        return mean_rtt / 2.0 + (size_bytes * 8) / self.bandwidth_mean_bps

@@ -42,13 +42,6 @@ class Event:
         else:
             self._callbacks.append(callback)
 
-    def succeed(self, value: Any = None, *, delay: float = 0.0) -> "Event":
-        """Schedule the event to fire ``delay`` simulated seconds from now."""
-        if self.triggered:
-            raise SimulationError("event already triggered")
-        self.sim._schedule_event(self, value, delay)
-        return self
-
     def _fire(self, value: Any) -> None:
         self.triggered = True
         self.value = value
@@ -107,13 +100,8 @@ class Simulator:
         self.now = float(start_time)
         self._heap: List[Tuple[float, int, Event, Any]] = []
         self._sequence = itertools.count()
-        self._processed = 0
 
     # ----------------------------------------------------------------- events
-    def event(self) -> Event:
-        """A fresh untriggered event."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` seconds from the current time."""
         return Timeout(self, delay, value)
@@ -142,11 +130,6 @@ class Simulator:
         """Number of events still waiting to fire."""
         return len(self._heap)
 
-    @property
-    def processed_events(self) -> int:
-        """Number of events fired since the simulator was created."""
-        return self._processed
-
     def step(self) -> bool:
         """Fire the next event; return ``False`` when the heap is empty."""
         if not self._heap:
@@ -155,7 +138,6 @@ class Simulator:
         if time < self.now:
             raise SimulationError("event scheduled in the past")
         self.now = time
-        self._processed += 1
         event._fire(value)
         return True
 

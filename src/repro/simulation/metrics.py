@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["TimeSeries"]
 
@@ -28,10 +28,6 @@ class TimeSeries:
 
     def times(self) -> Tuple[float, ...]:
         return tuple(time for time, _ in self._samples)
-
-    @property
-    def last(self) -> Optional[Tuple[float, float]]:
-        return self._samples[-1] if self._samples else None
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable snapshot (used by the execution-layer run cache)."""

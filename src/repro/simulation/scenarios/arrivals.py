@@ -49,10 +49,6 @@ class ArrivalModel:
         """Arrival times in draw order; ``num_events`` is a target, see each model."""
         raise NotImplementedError
 
-    def to_config(self) -> Dict[str, Any]:
-        """The dict configuration that rebuilds this model via :func:`build_arrivals`."""
-        return {"model": self.kind}
-
     @staticmethod
     def _check(num_events: int, duration_s: float) -> None:
         if num_events < 1:
@@ -90,9 +86,6 @@ class PoissonArrivals(ArrivalModel):
         self._check(num_events, duration_s)
         rate = self.rate_per_s if self.rate_per_s > 0 else num_events / duration_s
         return poisson_arrival_times(rate, duration_s, rng)
-
-    def to_config(self) -> Dict[str, Any]:
-        return {"model": self.kind, "rate_per_s": self.rate_per_s}
 
 
 class FlashCrowdArrivals(ArrivalModel):
@@ -138,10 +131,6 @@ class FlashCrowdArrivals(ArrivalModel):
         generated.extend(rng.uniform(0.0, duration_s)
                          for _ in range(num_events - allocated))
         return generated
-
-    def to_config(self) -> Dict[str, Any]:
-        return {"model": self.kind,
-                "bursts": [list(burst) for burst in self.bursts]}
 
 
 class DiurnalArrivals(ArrivalModel):
@@ -202,10 +191,6 @@ class DiurnalArrivals(ArrivalModel):
             fraction = (index + within) * step
             generated.append(min(fraction, 1.0 - 1e-12) * duration_s)
         return generated
-
-    def to_config(self) -> Dict[str, Any]:
-        return {"model": self.kind, "cycles": self.cycles,
-                "amplitude": self.amplitude, "resolution": self.resolution}
 
 
 #: Model name -> class, the dispatch table of :func:`build_arrivals`.

@@ -73,10 +73,6 @@ class FaultProfile:
         """
         raise NotImplementedError
 
-    def to_config(self) -> Dict[str, Any]:
-        """The dict configuration that rebuilds this profile via :func:`build_fault`."""
-        return {"kind": self.kind}
-
     @staticmethod
     def _fail_batch(network, victims, *, rejoin: bool) -> int:
         """Fail ``victims`` together, then (optionally) join replacements."""
@@ -149,16 +145,6 @@ class CorrelatedFailureBurst(FaultProfile):
 
         sim.schedule(self.at * duration_s, fire)
 
-    def to_config(self) -> Dict[str, Any]:
-        config: Dict[str, Any] = {"kind": self.kind, "at": self.at,
-                                  "rejoin": self.rejoin,
-                                  "min_population": self.min_population}
-        if self.size is not None:
-            config["size"] = self.size
-        else:
-            config["fraction"] = self.fraction
-        return config
-
 
 @dataclass
 class RegionalPartition(FaultProfile):
@@ -220,14 +206,6 @@ class RegionalPartition(FaultProfile):
 
         sim.schedule(self.at * duration_s, fire)
 
-    def to_config(self) -> Dict[str, Any]:
-        config: Dict[str, Any] = {"kind": self.kind, "at": self.at,
-                                  "start": self.start, "span": self.span,
-                                  "min_population": self.min_population}
-        if self.heal_after is not None:
-            config["heal_after"] = self.heal_after
-        return config
-
 
 @dataclass
 class LossyPeriod(FaultProfile):
@@ -274,12 +252,6 @@ class LossyPeriod(FaultProfile):
 
         sim.schedule(self.start * duration_s, degrade)
         sim.schedule(self.end * duration_s, restore)
-
-    def to_config(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "start": self.start, "end": self.end,
-                "latency_factor": self.latency_factor,
-                "bandwidth_factor": self.bandwidth_factor,
-                "timeout_factor": self.timeout_factor}
 
 
 #: Profile kind -> class, the dispatch table of :func:`build_fault`.

@@ -62,10 +62,6 @@ class KeyPopularityModel:
         """Cumulative weights (cached per ``(num_keys, phase)`` by subclasses)."""
         return list(accumulate(self.weights(num_keys, time_fraction)))
 
-    def to_config(self) -> Dict[str, Any]:
-        """The dict configuration that rebuilds this model via :func:`build_popularity`."""
-        return {"model": self.kind}
-
 
 class UniformPopularity(KeyPopularityModel):
     """Every key is equally likely — the paper's Section 5.1 query model."""
@@ -124,10 +120,6 @@ class ZipfPopularity(KeyPopularityModel):
             self._cache[key] = cumulative
         return cumulative
 
-    def to_config(self) -> Dict[str, Any]:
-        return {"model": self.kind, "exponent": self.exponent,
-                "hot_offset": self.hot_offset}
-
 
 class ShiftingHotspotPopularity(ZipfPopularity):
     """A Zipf hotspot that rotates through the key population over time.
@@ -151,9 +143,6 @@ class ShiftingHotspotPopularity(ZipfPopularity):
         clamped = min(max(time_fraction, 0.0), 1.0)
         phase = min(self.phases - 1, int(clamped * self.phases))
         return (phase * num_keys // self.phases) % num_keys
-
-    def to_config(self) -> Dict[str, Any]:
-        return {"model": self.kind, "exponent": self.exponent, "phases": self.phases}
 
 
 #: Model name -> class, the dispatch table of :func:`build_popularity`.

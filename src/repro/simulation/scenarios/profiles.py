@@ -61,15 +61,6 @@ class WorkloadProfile:
             raise ValueError("num_queries must be >= 1")
         return max(1, round(num_queries * self.query_multiplier))
 
-    def to_config(self) -> Dict[str, Any]:
-        """The dict configuration that rebuilds this profile via :func:`build_profile`."""
-        if ARCHETYPES.get(self.name) == self:
-            return {"archetype": self.name}
-        return {"name": self.name,
-                "update_rate_multiplier": self.update_rate_multiplier,
-                "updates_follow_popularity": self.updates_follow_popularity,
-                "query_multiplier": self.query_multiplier}
-
 
 #: The shipped application archetypes (Section 6 of the paper).
 ARCHETYPES: Dict[str, WorkloadProfile] = {

@@ -61,13 +61,6 @@ class TestDetectorUnit:
         with pytest.raises(ValueError):
             CrossCheckDetector(window=-1)
 
-    def test_reset_clears_state(self):
-        detector = CrossCheckDetector()
-        detector.observe("k", 0, [5])
-        detector.reset()
-        assert detector.checks == 0
-        assert detector.flags == []
-
 
 class TestRunResultAdversarialMetrics:
     @staticmethod

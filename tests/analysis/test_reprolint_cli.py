@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, JSON report shape, --list-rules."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -16,15 +17,21 @@ def run_reprolint(args, cwd):
 
 
 def write_fixture_tree(tmp_path, source):
-    """A minimal ``repro``-shaped tree holding one (documented) module."""
+    """A minimal ``repro``-shaped tree holding one (documented) module, and
+    an ``examples/`` script beside it that calls each of its functions."""
     package = tmp_path / "repro" / "core"
     package.mkdir(parents=True)
     (tmp_path / "repro" / "__init__.py").write_text(
         '"""Fixture package."""\n', encoding="utf-8")
     (package / "__init__.py").write_text(
         '"""Fixture subpackage."""\n', encoding="utf-8")
-    (package / "fixture.py").write_text(textwrap.dedent(source),
-                                        encoding="utf-8")
+    source = textwrap.dedent(source)
+    (package / "fixture.py").write_text(source, encoding="utf-8")
+    calls = [f"{node.name}()\n" for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)]
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text("".join(calls),
+                                                   encoding="utf-8")
     return tmp_path / "repro"
 
 

@@ -1,9 +1,11 @@
-"""Per-rule fixture corpus for REP001–REP004, plus the REP007 line budget.
+"""Per-rule fixture corpus for REP001–REP004 and REP008, plus the REP007
+line budget.
 
 Every rule gets known-bad snippets (must produce a finding) and known-good
 snippets (must stay silent).  Snippets are linted in memory through
 :func:`tools.reprolint.lint_source` with the module name a real file in that
-layer would get, so layer- and package-scoped rules see realistic contexts.
+layer would get, so layer- and package-scoped rules see realistic contexts;
+REP008 reads a whole tree, so its snippets are written to a temporary one.
 """
 
 import ast
@@ -11,7 +13,8 @@ import textwrap
 
 import pytest
 
-from tools.reprolint import FileContext, lint_source
+from tools.reprolint import FileContext, lint_paths, lint_source
+from tools.reprolint.cli import main
 from tools.reprolint.rules import check_line_budget
 
 
@@ -322,3 +325,143 @@ def test_rep007_counts_only_repro_modules_and_allows_the_budget_itself():
     contexts = [context("repro.alpha", 3), context(None, 50)]
     findings, summary = check_line_budget(contexts, root="src", budget=3)
     assert findings == [] and summary["lines"] == 3
+
+
+# ------------------------------------------------------------------ REP008
+def lint_tree(tmp_path, modules, examples=(), tests=()):
+    """Lint a ``repro`` package under ``tmp_path/src`` built from ``modules``
+    (file name -> source), with ``examples/`` and ``tests/`` scripts beside
+    ``src/``; the tests are scanned too, and still call nothing."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    modules = {"__init__.py": '"""Fixture package."""\n', **modules}
+    for name, source in modules.items():
+        (package / name).write_text(textwrap.dedent(source), encoding="utf-8")
+    for folder, scripts in (("examples", examples), ("tests", tests)):
+        (tmp_path / folder).mkdir()
+        for index, source in enumerate(scripts):
+            (tmp_path / folder / f"script_{index}.py").write_text(
+                textwrap.dedent(source), encoding="utf-8")
+    return lint_paths([tmp_path / "src", tmp_path / "tests"])
+
+
+def uncalled(result):
+    """The sorted names REP008 flags in a lint result."""
+    return sorted(finding.message.split()[1] for finding in result.findings
+                  if finding.rule == "REP008")
+
+
+REP008_BAD = {
+    "no-reference": ({"fixture.py": """
+        def orphan():
+            return 1
+        """}, (), (), ["orphan"]),
+    "test-only": ({"fixture.py": """
+        def tested():
+            return 1
+        """}, (), ("""
+        from repro.fixture import tested
+
+        assert tested() == 1
+        """,), ["tested"]),
+    "all-only": ({"fixture.py": """
+        __all__ = ["exported"]
+
+
+        def exported():
+            return 1
+        """}, (), (), ["exported"]),
+    "package-re-export-only": ({
+        "__init__.py": "from repro.fixture import reexported\n",
+        "fixture.py": """
+        def reexported():
+            return 1
+        """}, (), (), ["reexported"]),
+}
+
+REP008_GOOD = {
+    "src-reference": {"fixture.py": """
+        def helper():
+            return 1
+
+
+        VALUE = helper()
+        """},
+    "dunder-and-private-class": {"fixture.py": """
+        class Thing:
+            def __repr__(self):
+                return "thing"
+
+
+        class _Connection:
+            def data_received(self, data):
+                return data
+
+
+        THING = Thing()
+        """},
+    "override-kept-by-a-base-call": {"fixture.py": """
+        class Base:
+            def run(self):
+                raise NotImplementedError
+
+
+        class Child(Base):
+            def run(self):
+                return 1
+
+
+        def drive(node: Base):
+            return node.run()
+
+
+        DRIVEN = drive(Child())
+        """},
+}
+
+
+@pytest.mark.parametrize("modules, examples, tests, flagged",
+                         REP008_BAD.values(), ids=REP008_BAD.keys())
+def test_rep008_flags_a_public_name_without_a_caller(tmp_path, modules,
+                                                     examples, tests, flagged):
+    assert uncalled(lint_tree(tmp_path, modules, examples, tests)) == flagged
+
+
+@pytest.mark.parametrize("modules", REP008_GOOD.values(), ids=REP008_GOOD.keys())
+def test_rep008_allows_a_name_with_a_caller(tmp_path, modules):
+    assert uncalled(lint_tree(tmp_path, modules)) == []
+
+
+def test_rep008_counts_an_examples_script_as_a_caller(tmp_path):
+    result = lint_tree(tmp_path, {"fixture.py": """
+        def shown():
+            return 1
+        """}, examples=("""
+        from repro.fixture import shown
+
+        print(shown())
+        """,))
+    assert uncalled(result) == []
+
+
+def test_rep008_pragma_needs_a_reason(tmp_path):
+    source = '''
+    """Fixture module."""
+
+
+    # reprolint: allow[REP008]{reason}
+    def kept():
+        """Documented, but called by nothing in the tree."""
+        return 1
+    '''
+    bare = lint_tree(tmp_path / "bare", {"fixture.py": source.format(reason="")})
+    assert rules_of(bare) == ["REP000", "REP008"] and uncalled(bare) == ["kept"]
+    reasoned = lint_tree(tmp_path / "reasoned", {"fixture.py": source.format(
+        reason=" reason=bench/layers.py wraps it")})
+    assert rules_of(reasoned) == []
+    assert [s.finding.rule for s in reasoned.suppressed] == ["REP008"]
+
+
+def test_rep008_is_listed(repo_root, capsys):
+    assert main([str(repo_root / "src"), "--list-rules"]) == 0
+    assert "REP008" in capsys.readouterr().out

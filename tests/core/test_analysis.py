@@ -141,19 +141,6 @@ class TestIndirectSuccessProbability:
             analysis.replicas_needed_for_success(0.5, 1.5)
 
 
-class TestHelpers:
-    def test_empirical_expected_probes(self):
-        assert analysis.empirical_expected_probes([1, 2, 3]) == pytest.approx(2.0)
-        assert analysis.empirical_expected_probes([]) == 0.0
-
-    def test_theory_table_rows(self):
-        rows = analysis.theory_table((0.2, 0.5), 10)
-        assert len(rows) == 2
-        assert set(rows[0]) == {"pt", "expected_retrievals", "expected_probes",
-                                "upper_bound", "bounded", "indirect_success"}
-        assert rows[1]["pt"] == 0.5
-
-
 class TestAnalysisProperties:
     @given(pt=st.floats(min_value=0.01, max_value=1.0),
            replicas=st.integers(min_value=1, max_value=60))

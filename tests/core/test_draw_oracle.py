@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.replication import ReplicationScheme
+from repro.dht.hashing import HashFamily
 from repro.dht.errors import EmptyNetworkError
 from repro.dht.network import DHTNetwork
 
@@ -29,7 +30,7 @@ MEMBERSHIPS = (1, 2, 3, 1023, 1024, 1025)
 
 @lru_cache(maxsize=None)
 def _scheme(factor: int) -> ReplicationScheme:
-    return ReplicationScheme.create(factor, seed=factor)
+    return ReplicationScheme(HashFamily(bits=32, seed=factor).sample_many(factor))
 
 
 @lru_cache(maxsize=None)

@@ -287,18 +287,18 @@ class TestRepairStrategies:
 class TestConfiguration:
     def test_unknown_initialization_rejected(self):
         network = DHTNetwork.build(4, seed=1)
-        replication = ReplicationScheme.create(2, seed=2)
+        replication = ReplicationScheme(HashFamily(bits=32, seed=2).sample_many(2))
         with pytest.raises(ValueError):
             KeyBasedTimestampService(network, replication, initialization="magic")
 
     def test_negative_safety_margin_rejected(self):
         network = DHTNetwork.build(4, seed=1)
-        replication = ReplicationScheme.create(2, seed=2)
+        replication = ReplicationScheme(HashFamily(bits=32, seed=2).sample_many(2))
         with pytest.raises(ValueError):
             KeyBasedTimestampService(network, replication, indirect_safety_margin=-1)
 
     def test_default_ts_hash_is_sampled_when_missing(self):
         network = DHTNetwork.build(4, seed=1)
-        replication = ReplicationScheme.create(2, seed=2)
+        replication = ReplicationScheme(HashFamily(bits=32, seed=2).sample_many(2))
         kts = KeyBasedTimestampService(network, replication, seed=3)
         assert kts.ts_hash.name == "h-ts"

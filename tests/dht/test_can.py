@@ -95,7 +95,7 @@ class TestMembership:
         space = build_space(30)
         rng = random.Random(9)
         for _ in range(10):
-            victim = space.random_node(rng)
+            victim = rng.choice(space.nodes())
             space.remove_node(victim, reason=DepartureReason.FAIL)
         total = sum(space.owned_volume(node) for node in space.nodes())
         assert total == space.axis_size ** 2
@@ -177,7 +177,7 @@ class TestResponsibility:
         space = build_space(30)
         rng = random.Random(7)
         for _ in range(12):
-            space.remove_node(space.random_node(rng))
+            space.remove_node(rng.choice(space.nodes()))
         owners = [node for node in space.nodes() if len(space.zones_of(node)) > 1]
         assert owners
         for owner in owners:
@@ -196,7 +196,7 @@ class TestRouting:
         space = build_space(40)
         rng = random.Random(7)
         for _ in range(40):
-            origin = space.random_node(rng)
+            origin = rng.choice(space.nodes())
             point = rng.randrange(space.space_size)
             route = space.route(origin, point)
             assert route.path[0] == origin

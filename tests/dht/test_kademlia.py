@@ -14,12 +14,7 @@ from repro.dht.errors import (
     NodeAlreadyPresentError,
     NoSuchPeerError,
 )
-from repro.dht.kademlia import (
-    KademliaOverlay,
-    RoutingTable,
-    common_prefix_length,
-    xor_distance,
-)
+from repro.dht.kademlia import KademliaOverlay, RoutingTable
 from repro.dht.model import DepartureReason
 
 BITS = 12
@@ -34,41 +29,6 @@ def build_overlay(node_ids, *, bits=BITS, k=4, seed=0):
     for node_id in sorted(node_ids):
         overlay.add_node(node_id)
     return overlay
-
-
-class TestXorMetric:
-    def test_identity(self):
-        assert xor_distance(13, 13) == 0
-
-    def test_symmetry(self):
-        assert xor_distance(5, 9) == xor_distance(9, 5)
-
-    def test_triangle_inequality(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            a, b, c = (rng.randrange(SPACE) for _ in range(3))
-            assert xor_distance(a, c) <= xor_distance(a, b) + xor_distance(b, c)
-
-    def test_unidirectionality(self):
-        # For any point and distance there is exactly one identifier at that
-        # distance — the property behind unique responsibility assignment.
-        point = 0b1010
-        distances = {xor_distance(point, other) for other in range(SPACE)}
-        assert len(distances) == SPACE
-
-    def test_common_prefix_length(self):
-        assert common_prefix_length(0, 0, bits=8) == 8
-        assert common_prefix_length(0b10000000, 0b10000001, bits=8) == 7
-        assert common_prefix_length(0b10000000, 0b00000000, bits=8) == 0
-
-    def test_prefix_length_and_distance_are_consistent(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            a, b = rng.randrange(SPACE), rng.randrange(SPACE)
-            if a == b:
-                continue
-            shared = common_prefix_length(a, b, bits=BITS)
-            assert (a ^ b).bit_length() == BITS - shared
 
 
 class TestBucketRules:
@@ -137,16 +97,8 @@ class TestBucketRules:
 
 
 class TestRoutingTable:
-    def test_bucket_index_is_the_distance_magnitude(self):
-        table = RoutingTable(owner=0, bits=8, k=4)
-        assert table.bucket_index(1) == 0
-        assert table.bucket_index(0b10000000) == 7
-        assert table.bucket_index(0b10000001) == 7
-
     def test_own_identifier_is_rejected(self):
         table = RoutingTable(owner=5, bits=8, k=4)
-        with pytest.raises(InvalidConfigurationError):
-            table.bucket_index(5)
         assert not table.observe(5, lambda contact: True)
         assert len(table) == 0
 
@@ -161,7 +113,7 @@ class TestRoutingTable:
         table = RoutingTable(owner=0, bits=8, k=4)
         for contact in (3, 5, 9, 130):
             table.learn(contact)
-        snapshot = table.bucket(table.bucket_index(130))
+        snapshot = table.bucket(7)  # 130 is at distance [128, 256)
         assert snapshot == [130]
         # Mutating a snapshot must not write back, and reading an empty
         # bucket must not create a row.
@@ -265,7 +217,7 @@ class TestRouting:
         overlay = build_overlay(random.Random(5).sample(range(SPACE), 30))
         rng = random.Random(6)
         for _ in range(50):
-            origin = overlay.random_node(rng)
+            origin = rng.choice(overlay.nodes())
             point = rng.randrange(SPACE)
             route = overlay.route(origin, point)
             assert route.path[0] == origin
@@ -285,7 +237,7 @@ class TestRouting:
                                     seed=population)
             hops = []
             for _ in range(40):
-                origin = overlay.random_node(rng)
+                origin = rng.choice(overlay.nodes())
                 hops.append(overlay.route(origin, rng.randrange(SPACE)).hops)
             averages[population] = sum(hops) / len(hops)
         # A 16x larger population must not cost anywhere near 16x the hops.
@@ -302,7 +254,7 @@ class TestRouting:
         retries = 0
         timeouts = 0
         for _ in range(60):
-            origin = overlay.random_node(rng)
+            origin = rng.choice(overlay.nodes())
             point = rng.randrange(SPACE)
             route = overlay.route(origin, point)
             retries += route.retries

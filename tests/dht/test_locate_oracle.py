@@ -5,7 +5,7 @@ each hop as its walk takes it — and replays each exchange from the row
 the trace's ``MessageSizes`` computed once for it.  The reference kept here is the two-step locate it
 replaced: route without a trace, then record the path and the exchange
 (``record_route`` and ``record_request_reply`` verbatim as they were), with
-the origin drawn through ``DHTProtocol.random_node``.  Two clusters are built from one
+the origin drawn as ``rng.choice(protocol.nodes())``.  Two clusters are built from one
 seed and the reference is patched into one of them; one stream of point and
 batched operations, ``unreachable`` sets, joins, leaves, failures and clock
 advances drives both, and after every step the two traces must be equal
@@ -86,12 +86,12 @@ def reference_locate(network, origin, point, trace, exchange=None,
 
 
 def reference_resolve_origin(network, origin):
-    """9.0.0 ``DHTNetwork._resolve_origin``, through ``random_node``."""
+    """9.0.0 ``DHTNetwork._resolve_origin``, through ``rng.choice``."""
     if origin is not None and origin in network._peers:
         return origin
     if not network._peers:
         raise EmptyNetworkError("the network has no live peers")
-    return network.protocol.random_node(network.rng)
+    return network.rng.choice(network.protocol.nodes())
 
 
 def build_pair(name, seed):

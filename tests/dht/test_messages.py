@@ -79,14 +79,6 @@ class TestOperationTrace:
         assert kinds == [MessageKind.GET_REQUEST, MessageKind.GET_REPLY]
         assert trace.messages[1].source == 9 and trace.messages[1].dest == 1
 
-    def test_merge_appends_other_trace(self):
-        first, second = OperationTrace(), OperationTrace()
-        first.record(MessageKind.TSR)
-        second.record(MessageKind.TSR_REPLY)
-        merged = first.merge(second)
-        assert merged is first
-        assert first.message_count == 2
-
     def test_count_by_kind(self):
         trace = OperationTrace()
         trace.record(MessageKind.TSR)
@@ -161,34 +153,13 @@ def assert_trace_equals(trace, model):
 
 
 class TestColumns:
-    @given(parts=st.lists(calls, min_size=1, max_size=4))
+    @given(part=calls)
     @settings(max_examples=150, deadline=None)
-    def test_tallies_and_views_match_the_model_after_any_mix(self, parts):
-        """Each part is recorded into its own trace, then merged into the first."""
-        merged, merged_model = OperationTrace(sizes=SIZES), []
-        for index, part in enumerate(parts):
-            trace, model = OperationTrace(sizes=SIZES), []
-            for call in part:
-                play(trace, model, call)
+    def test_tallies_and_views_match_the_model_after_any_mix(self, part):
+        trace, model = OperationTrace(sizes=SIZES), []
+        for call in part:
+            play(trace, model, call)
             assert_trace_equals(trace, model)
-            if index:
-                assert merged.merge(trace) is merged
-                merged_model.extend(model)
-            else:
-                merged, merged_model = trace, model
-            assert_trace_equals(merged, merged_model)
-
-    def test_merge_offsets_the_timed_out_indices(self):
-        first, second = OperationTrace(), OperationTrace()
-        first.record_route([1, 2, 3], retries=2, timeouts=1)
-        second.record(MessageKind.GET_REQUEST, dest=9, timed_out=True)
-        second.record_route([4, 5], retries=1, timeouts=1)
-        first.merge(second)
-        assert first.timed_out == [2, 4, 6]
-        assert second.timed_out == [0, 2]
-        assert [message.timed_out for message in first] == \
-            [False, False, True, False, True, False, True]
-        assert first.total_bytes == 7 * first.sizes.control_bytes
 
     def test_scripted_operation_materialises_the_golden_messages(self):
         trace = OperationTrace(sizes=SIZES)
@@ -223,14 +194,6 @@ class TestColumns:
         assert first == second == Message(kind=MessageKind.TSR, size_bytes=128,
                                           source=1, dest=2, timed_out=False)
         assert first is not second
-
-    def test_extend_appends_built_messages_as_given(self):
-        trace = OperationTrace()
-        messages = [Message(MessageKind.CONTROL, 7, source=1),
-                    Message(MessageKind.GET_REPLY, 9, dest=2, timed_out=True)]
-        trace.extend(messages)
-        assert list(trace) == messages
-        assert (trace.total_bytes, trace.timeout_count) == (16, 1)
 
 
 class TestTraceSummary:

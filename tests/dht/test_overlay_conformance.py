@@ -69,7 +69,7 @@ class TestLookupCorrectness:
         for index in range(20):
             key = f"key-{index}"
             hash_fn = hash_fns[index % len(hash_fns)]
-            origin = network.protocol.random_node(rng)
+            origin = rng.choice(network.protocol.nodes())
             result = network.lookup(key, hash_fn, origin=origin)
             assert result.responsible == network.protocol.responsible_for(result.point)
             assert result.route.path[0] == origin

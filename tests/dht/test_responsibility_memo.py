@@ -110,7 +110,7 @@ def test_a_seeded_churn_keeps_the_memo_exact_and_warm(name):
     for point in pool:
         overlay.responsible_for(point)
     for event in range(40):
-        victim = overlay.random_node(rng)
+        victim = rng.choice(overlay.nodes())
         overlay.remove_node(victim, reason=(DepartureReason.FAIL if event % 2
                                             else DepartureReason.LEAVE))
         overlay.add_node(rng.randrange(1 << 32))
@@ -119,6 +119,6 @@ def test_a_seeded_churn_keeps_the_memo_exact_and_warm(name):
             overlay.responsible_for(point)
     # Two changes touch a few nodes' points: most of the memo survives them.
     before = len(overlay._rsp_cache)
-    overlay.remove_node(overlay.random_node(rng))
+    overlay.remove_node(rng.choice(overlay.nodes()))
     overlay.add_node(rng.randrange(1 << 32))
     assert len(overlay._rsp_cache) > before // 2

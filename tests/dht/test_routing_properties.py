@@ -87,7 +87,7 @@ class TestCanProperties:
             while node_id in space:
                 node_id = rng.randrange(SPACE)
             space.add_node(node_id)
-        origin = space.random_node(rng)
+        origin = rng.choice(space.nodes())
         route = space.route(origin, point)
         assert route.path[-1] == space.responsible_for(point)
 

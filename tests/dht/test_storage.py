@@ -124,16 +124,6 @@ class TestLocalStore:
         store.put(ts_entry(hash_name="hr-1"))
         assert sorted(entry.hash_name for entry in store) == ["hr-0", "hr-1"]
 
-    def test_touch_updates_stored_at(self):
-        store = LocalStore()
-        store.put(ts_entry())
-        store.touch("hr-0", "k", stored_at=99.0)
-        assert store.get("hr-0", "k").stored_at == 99.0
-
-    def test_touch_missing_entry_is_noop(self):
-        store = LocalStore()
-        store.touch("hr-0", "k", stored_at=99.0)
-        assert store.get("hr-0", "k") is None
 
 
 def point_entry(key, point, hash_name="hr-0", version=1):
@@ -201,12 +191,6 @@ class TestPointIndex:
         assert not store.put(point_entry("a", 10, version=3))
         assert store.points() == [10]
         assert len(store.entries_at(10)) == 1
-
-    def test_touch_keeps_point_index_in_sync(self):
-        store = LocalStore()
-        store.put(point_entry("a", 10))
-        store.touch("hr-0", "a", stored_at=42.0)
-        assert store.entries_at(10)[0].stored_at == 42.0
 
 
 class TestDeltaSyncPrimitives:

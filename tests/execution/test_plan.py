@@ -86,10 +86,3 @@ class TestRunPlan:
         assert rebuilt.name == plan.name
         assert rebuilt.plan_hash == plan.plan_hash
         assert [point.label for point in rebuilt] == plan.labels()
-
-    def test_manifest_names_the_grid(self):
-        manifest = self.build().manifest()
-        assert manifest["name"] == "unit"
-        assert [entry["seed"] for entry in manifest["points"]] == [11, 11]
-        assert all(len(entry["content_hash"]) == 64
-                   for entry in manifest["points"])

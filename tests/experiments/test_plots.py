@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.plots import ascii_chart, render_all
+from repro.experiments.plots import ascii_chart
 from repro.experiments.reporting import ExperimentTable
 
 
@@ -66,10 +66,6 @@ class TestAsciiChart:
 
 
 class TestRenderAll:
-    def test_multiple_tables_are_separated(self):
-        rendered = render_all([figure_like_table(), figure_like_table()])
-        assert rendered.count("figure-7: Response time vs peers") == 2
-
     def test_runner_report_with_charts(self, tmp_path):
         import io
         from repro.experiments.runner import write_experiments_report

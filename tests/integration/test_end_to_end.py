@@ -26,7 +26,7 @@ class TestUmsVersusBrk:
         assert ums_result.trace.message_count < brk_result.trace.message_count
 
     def test_response_time_ordering_under_the_wan_cost_model(self, small_stack):
-        cost = NetworkCostModel.wide_area(seed=5)
+        cost = NetworkCostModel(rng=random.Random(5))
         small_stack.service("ums").insert("k-ums", "payload")
         small_stack.service("brk").insert("k-brk", "payload")
         ums_duration = cost.duration(small_stack.service("ums").retrieve("k-ums").trace)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+import zlib
 from typing import Optional
 
 import pytest
@@ -221,34 +222,45 @@ class TestRoundTrip:
 
     def test_only_an_equal_type_key_shares_its_counter(self):
         def packed_size(stamp_key):
-            return len(wire.pack_payload({"result": insert(
+            return len(tagged({"result": insert(
                 key=1, timestamp=Timestamp(stamp_key, 3))}))
 
         shared = packed_size(1)
         assert shared < packed_size(True) and shared < packed_size(1.0)
         # Equal strings share whichever object the key came in.
         spelled = "".join(["k", "ey"])
-        assert len(wire.pack_payload({"result": insert(
+        assert len(tagged({"result": insert(
             key="key", timestamp=Timestamp(spelled, 3))})) < len(
-                wire.pack_payload({"result": insert(
+                tagged({"result": insert(
                     key="key", timestamp=Timestamp("kez", 3))}))
 
 
 # --------------------------------------------------------------- corruption
-#: In the ``0x01`` body of ``{"result": record}`` — marker, ``d``, u32 count,
-#: the key code, the record tag — the record's fixed fields start here.
-FIELDS = 8
+#: In the tagged encoding of ``{"result": record}`` — ``d``, u32 count, the
+#: key code, the record tag — the record's fixed fields start here.
+FIELDS = 7
 
 
-def _refused(body: bytes, match: Optional[str]) -> None:
+def tagged(payload) -> bytes:
+    """The tagged encoding of ``payload``: its first-frame body, inflated."""
+    body = wire.pack_payload(payload)
+    return zlib.decompressobj(-zlib.MAX_WBITS).decompress(body[1:] + b"\x00\x00\xff\xff")
+
+
+def deflated(encoding) -> bytes:
+    """The ``0x02`` body carrying ``encoding`` as a fresh stream's first frame."""
+    return wire.DeflateStream().deflate(bytes(encoding))
+
+
+def _refused(encoding: bytes, match: Optional[str]) -> None:
     with pytest.raises(codec.CodecError, match=match):
-        wire.unpack_payload(bytes(body))
+        wire.unpack_payload(deflated(encoding))
 
 
 def summary_record(messages: int, total: int, timeouts: int, retry: int) -> bytes:
-    """The ``0x01`` body of ``{"result": <summary>}``, spelled out field by
+    """The tagged encoding of ``{"result": <summary>}``, spelled out field by
     field (the record's fields are not range-checked here)."""
-    return (wire.pack_payload({"result": None})[:FIELDS - 1] + b"o"
+    return (tagged({"result": None})[:FIELDS - 1] + b"o"
             + struct.pack(">iqiq", messages, total, timeouts, retry))
 
 
@@ -292,10 +304,9 @@ HOSTS = ("insert", "retrieve", "batch-insert", "batch-retrieve")
 class TestCorruptRecords:
     @pytest.mark.parametrize("value", CASES.values(), ids=CASES.keys())
     def test_a_cut_at_every_offset_is_refused(self, value):
-        body = wire.pack_payload({"result": value})
-        for end in range(1, len(body)):
-            with pytest.raises(codec.CodecError):
-                wire.unpack_payload(body[:end])
+        body = tagged({"result": value})
+        for end in range(len(body)):
+            _refused(body[:end], None)
 
     @given(name=st.sampled_from(sorted(CASES)),
            junk=st.binary(min_size=1, max_size=16),
@@ -303,29 +314,29 @@ class TestCorruptRecords:
     @settings(max_examples=300, deadline=None)
     def test_overwritten_bytes_only_ever_raise_codec_error(
             self, name, junk, position):
-        body = bytearray(wire.pack_payload({"result": CASES[name]}))
-        start = 1 + position % (len(body) - 1)
+        body = bytearray(tagged({"result": CASES[name]}))
+        start = position % len(body)
         body[start:start + len(junk)] = junk
         try:
-            wire.unpack_payload(bytes(body))
+            wire.unpack_payload(deflated(body))
         except codec.CodecError:
             pass
 
     def test_unknown_result_flags_are_refused(self):
-        body = bytearray(wire.pack_payload({"result": CASES["retrieve"]}))
+        body = bytearray(tagged({"result": CASES["retrieve"]}))
         body[FIELDS] |= 0x80
         _refused(body, "unknown retrieve record flags")
-        body = bytearray(wire.pack_payload({"result": CASES["insert"]}))
+        body = bytearray(tagged({"result": CASES["insert"]}))
         body[FIELDS] |= 0x02
         _refused(body, "unknown insert record flags")
 
     def test_an_unknown_consistency_code_is_refused(self):
-        body = bytearray(wire.pack_payload({"result": CASES["retrieve"]}))
+        body = bytearray(tagged({"result": CASES["retrieve"]}))
         body[FIELDS + 1] = 0x07
         _refused(body, "unknown consistency code")
 
     def test_a_negative_shared_counter_is_refused(self):
-        body = bytearray(wire.pack_payload({"result": CASES["retrieve"]}))
+        body = bytearray(tagged({"result": CASES["retrieve"]}))
         counter = FIELDS + 1 + 1 + 8  # flags, consistency, replicas inspected
         body[counter:counter + 8] = struct.pack(">q", -1)
         _refused(body, "negative timestamp counter")
@@ -333,8 +344,7 @@ class TestCorruptRecords:
     def test_the_spelled_out_record_is_the_encoders(self):
         made = trace()
         assert summary_record(6, 5 * 64 + 777, 1, 64) == \
-            wire.pack_payload({"result": made}) == \
-            wire.pack_payload({"result": made.summary()})
+            tagged({"result": made}) == tagged({"result": made.summary()})
 
     @pytest.mark.parametrize("fields, match", SUMMARY_CORRUPTIONS.values(),
                              ids=SUMMARY_CORRUPTIONS.keys())
@@ -348,13 +358,12 @@ class TestCorruptRecords:
             self, fields, match, host):
         # The encoder packs any fields that fit their widths; the receiver
         # checks them wherever the summary rides.
-        _refused(wire.pack_payload({"result": _hosted(host, TraceSummary(*fields))}),
-                 match)
+        _refused(tagged({"result": _hosted(host, TraceSummary(*fields))}), match)
 
     @pytest.mark.parametrize("fields", SUMMARY_EDGES.values(),
                              ids=SUMMARY_EDGES.keys())
     def test_a_summary_at_its_bounds_is_adopted(self, fields):
-        body = summary_record(*fields)
+        body = deflated(summary_record(*fields))
         assert wire.unpack_payload(body) == {"result": TraceSummary(*fields)}
         assert wire.pack_payload(wire.unpack_payload(body)) == body
 
@@ -364,6 +373,6 @@ class TestCorruptRecords:
             _refused(record[:-cut], "truncated")
 
     def test_a_batch_count_beyond_the_body_is_refused(self):
-        body = bytearray(wire.pack_payload({"result": CASES["batch-insert"]}))
+        body = bytearray(tagged({"result": CASES["batch-insert"]}))
         body[FIELDS:FIELDS + 4] = struct.pack(">I", 10 ** 6)
         _refused(body, "truncated")

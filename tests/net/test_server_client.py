@@ -15,6 +15,9 @@ from repro.net import codec
 from repro.net.client import NetClient, TransportError, connect
 from repro.net.server import NodeServer, ServerThread
 
+#: A ``0x02`` body whose tagged encoding stops inside a dict's count.
+TRUNCATED = codec.DeflateStream().deflate(b"d\x00")
+
 
 class TestServerBasics:
     def test_connect_handshake_and_ping(self, serve):
@@ -205,7 +208,7 @@ def _wait_until_stalled(server: NodeServer, quiet_s: float = 0.3) -> int:
 class TestMalformedRequests:
     @pytest.mark.parametrize("garbage", [
         struct.pack(">I", 5) + b"\x05junk",      # no such body marker
-        struct.pack(">I", 3) + b"\x01d\x00",     # truncated binary body
+        struct.pack(">I", len(TRUNCATED)) + TRUNCATED,  # truncated binary body
         struct.pack(">I", codec.MAX_FRAME_BYTES + 1),
     ], ids=["marker", "truncated", "oversize"])
     def test_requests_ahead_of_a_malformed_frame_are_answered(

@@ -159,18 +159,18 @@ class TestBrokenStream:
     def test_a_bad_stream_frame_breaks_the_stream_for_good(self, build,
                                                            small_frames):
         first, bad, third = build(PAYLOADS, small_frames)
-        plain_frame = codec.encode_frame({"id": 9, "op": "ping"})
+        fresh_frame = codec.encode_frame({"id": 9, "op": "ping"})
         decoder = codec.FrameDecoder()
         # The frame ahead of the bad one comes out of the same chunk ...
-        assert decoder.feed(first + bad + third + plain_frame) == [PAYLOADS[0]]
+        assert decoder.feed(first + bad + third + fresh_frame) == [PAYLOADS[0]]
         # ... the bad one is reported by the next call ...
         with pytest.raises(codec.CodecError):
             decoder.feed(b"")
-        # ... and the stream frame behind it is refused: there is no resync.
-        with pytest.raises(codec.CodecError, match=BROKEN):
-            decoder.feed(b"")
-        # Self-contained frames do not ride the stream and still decode.
-        assert decoder.feed(b"") == [{"id": 9, "op": "ping"}]
+        # ... and every frame behind it is refused, a fresh stream's first
+        # one included: there is no resync.
+        for _frame_behind in (third, fresh_frame):
+            with pytest.raises(codec.CodecError, match=BROKEN):
+                decoder.feed(b"")
         assert decoder.pending_bytes == 0
         with pytest.raises(codec.CodecError, match=BROKEN):
             decoder.feed(_frames(PAYLOADS[:1])[0])
@@ -202,9 +202,8 @@ _IDS = st.one_of(st.none(), st.integers(min_value=0, max_value=2 ** 16),
                  st.integers(min_value=2 ** 64, max_value=2 ** 160))
 
 #: What a step of the connection does with its trace: a stream frame, a
-#: batch reply, a self-contained ``0x01`` frame, or a payload that fails
-#: mid-pack (after its trace is packed).
-_MODES = ("stream", "batch", "plain", "refused")
+#: batch reply, or a payload that fails mid-pack (after its trace is packed).
+_MODES = ("stream", "batch", "refused")
 
 
 @st.composite
@@ -220,7 +219,9 @@ def _connections(draw):
 
 def _trace_of(messages) -> OperationTrace:
     trace = OperationTrace(sizes=MessageSizes(control_bytes=128))
-    trace.extend(messages)
+    for kind, size_bytes, source, dest, timed_out in messages:
+        trace.record(kind, source=source, dest=dest, size_bytes=size_bytes,
+                     timed_out=timed_out)
     return trace
 
 
@@ -243,8 +244,7 @@ class TestStreamOracle:
                 payload["b"] = BatchInsertResult(results=(InsertResult(
                     key="k", replicas_written=1, replicas_attempted=1,
                     trace=other),), trace=other)
-            frame = codec.encode_frame(
-                payload, stream=None if mode == "plain" else stream)
+            frame = codec.encode_frame(payload, stream=stream)
             (decoded,) = decoder.feed(frame)
             rebuilt = decoded["b"].trace if mode == "batch" else decoded["b"]
             assert decoded["a"] == trace.summary()

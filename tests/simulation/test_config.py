@@ -32,10 +32,6 @@ class TestTable1Defaults:
         assert parameters.latency_mean_s == pytest.approx(0.2)
         assert parameters.bandwidth_mean_bps == pytest.approx(56_000.0)
 
-    def test_update_rate_conversion(self):
-        parameters = SimulationParameters.table1(update_rate_per_hour=2.0)
-        assert parameters.update_rate_per_s == pytest.approx(2.0 / 3600.0)
-
     def test_describe_is_flat(self):
         description = SimulationParameters.quick().describe()
         assert description["algorithm"] == Algorithm.UMS_DIRECT

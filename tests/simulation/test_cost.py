@@ -19,12 +19,12 @@ def trace_with(count, kind=MessageKind.LOOKUP_HOP, timeouts=0):
 
 class TestDefaults:
     def test_wide_area_defaults_match_table1(self):
-        model = NetworkCostModel.wide_area(seed=1)
+        model = NetworkCostModel(rng=random.Random(1))
         assert model.latency_mean_s == pytest.approx(0.2)
         assert model.bandwidth_mean_bps == pytest.approx(56_000.0)
 
     def test_cluster_preset_is_much_faster(self):
-        wan = NetworkCostModel.wide_area(seed=1)
+        wan = NetworkCostModel(rng=random.Random(1))
         lan = NetworkCostModel.cluster(seed=1)
         assert lan.latency_mean_s < wan.latency_mean_s
         assert lan.bandwidth_mean_bps > wan.bandwidth_mean_bps
@@ -38,16 +38,17 @@ class TestDefaults:
 
 class TestDurations:
     def test_empty_trace_costs_nothing(self):
-        assert NetworkCostModel.wide_area(seed=1).duration(OperationTrace()) == 0.0
+        assert NetworkCostModel(rng=random.Random(1)).duration(OperationTrace()) == 0.0
 
     def test_duration_grows_with_message_count(self):
-        model = NetworkCostModel.wide_area(seed=2)
+        model = NetworkCostModel(rng=random.Random(2))
         assert model.duration(trace_with(20)) > model.duration(trace_with(2))
 
     def test_duration_close_to_expectation(self):
-        model = NetworkCostModel.wide_area(seed=3)
+        model = NetworkCostModel(rng=random.Random(3))
         trace = trace_with(100)
-        expected = 100 * model.expected_message_delay(trace.messages[0].size_bytes)
+        size_bytes = trace.messages[0].size_bytes
+        expected = 100 * (model.latency_mean_s + size_bytes * 8 / model.bandwidth_mean_bps)
         assert model.duration(trace) == pytest.approx(expected, rel=0.1)
 
     def test_timeouts_add_penalty(self):
@@ -66,8 +67,8 @@ class TestDurations:
 
     def test_same_seed_same_duration(self):
         trace = trace_with(10)
-        first = NetworkCostModel.wide_area(seed=9).duration(trace)
-        second = NetworkCostModel.wide_area(seed=9).duration(trace)
+        first = NetworkCostModel(rng=random.Random(9)).duration(trace)
+        second = NetworkCostModel(rng=random.Random(9)).duration(trace)
         assert first == second
 
 
@@ -85,11 +86,6 @@ class TestSampling:
     def test_zero_std_bandwidth_is_deterministic(self):
         model = NetworkCostModel(bandwidth_std_bps=0.0, rng=random.Random(6))
         assert model.sample_bandwidth() == model.bandwidth_mean_bps
-
-    def test_expected_message_delay_formula(self):
-        model = NetworkCostModel(latency_mean_s=0.2, bandwidth_mean_bps=56_000.0,
-                                 rng=random.Random(7))
-        assert model.expected_message_delay(700) == pytest.approx(0.2 + 5600 / 56_000.0)
 
 
 class TestGeoLatency:
@@ -128,32 +124,30 @@ class TestGeoLatency:
             model.link_latency_mean_s(dest, source)
 
     def test_single_region_matrix_degenerates_to_wide_area(self):
-        model = self._model(regions=1)
+        model = self._model(regions=1, latency_std_s=0.0, bandwidth_std_bps=0.0)
         assert model.rtt_matrix == ((pytest.approx(2 * model.latency_mean_s),),)
-        assert model.expected_message_delay(700) == pytest.approx(
-            NetworkCostModel(rng=random.Random(1)).expected_message_delay(700))
+        wide = NetworkCostModel(latency_std_s=0.0, bandwidth_std_bps=0.0,
+                                rng=random.Random(1))
+        trace = trace_with(3, kind=MessageKind.GET_REPLY)
+        assert model.duration(trace) == pytest.approx(wide.duration(trace))
 
     def test_message_delay_prices_the_regional_mean(self):
-        from repro.dht.messages import Message
-
         model = self._model(latency_std_s=0.0, bandwidth_std_bps=0.0)
-        message = Message(kind=MessageKind.LOOKUP_HOP, size_bytes=700,
-                          source=11, dest=42)
+        trace = OperationTrace()
+        trace.record(MessageKind.LOOKUP_HOP, source=11, dest=42, size_bytes=700)
         expected = (model.link_latency_mean_s(11, 42)
                     + (700 * 8) / model.bandwidth_mean_bps)
-        assert model.message_delay(message) == pytest.approx(expected)
+        assert model.duration(trace) == pytest.approx(expected)
 
     def test_degradation_factors_apply_to_geo_pricing(self):
-        from repro.dht.messages import Message
-
         model = self._model(latency_std_s=0.0, bandwidth_std_bps=0.0)
-        message = Message(kind=MessageKind.LOOKUP_HOP, size_bytes=0,
-                          source=11, dest=42)
-        base = model.message_delay(message)
+        trace = OperationTrace()
+        trace.record(MessageKind.LOOKUP_HOP, source=11, dest=42, size_bytes=0)
+        base = model.duration(trace)
         model.set_degradation(latency_factor=3.0)
-        assert model.message_delay(message) == pytest.approx(3.0 * base)
+        assert model.duration(trace) == pytest.approx(3.0 * base)
         model.clear_degradation()
-        assert model.message_delay(message) == pytest.approx(base)
+        assert model.duration(trace) == pytest.approx(base)
 
     @pytest.mark.parametrize("bad", [
         dict(regions=0),
@@ -172,11 +166,11 @@ class TestGeoLatency:
 
 class TestTrafficBytes:
     def test_empty_trace_costs_no_bytes(self):
-        model = NetworkCostModel.wide_area(seed=1)
+        model = NetworkCostModel(rng=random.Random(1))
         assert model.traffic_bytes(OperationTrace()) == 0
 
     def test_payload_plus_per_message_framing(self):
-        model = NetworkCostModel.wide_area(seed=1)
+        model = NetworkCostModel(rng=random.Random(1))
         trace = trace_with(5)
         assert model.traffic_bytes(trace) == \
             trace.total_bytes + 5 * model.frame_overhead_bytes
@@ -186,14 +180,14 @@ class TestTrafficBytes:
         # not import upward into repro.net); this pin keeps the two in sync.
         from repro.net.codec import FRAME_HEADER_BYTES
 
-        assert NetworkCostModel.wide_area(seed=1).frame_overhead_bytes == \
+        assert NetworkCostModel(rng=random.Random(1)).frame_overhead_bytes == \
             FRAME_HEADER_BYTES == 4
 
     def test_traffic_bytes_draws_no_randomness(self):
         # duration() samples; traffic_bytes must not, or byte accounting
         # would perturb seeded runs.
-        reference = NetworkCostModel.wide_area(seed=9)
-        probed = NetworkCostModel.wide_area(seed=9)
+        reference = NetworkCostModel(rng=random.Random(9))
+        probed = NetworkCostModel(rng=random.Random(9))
         trace = trace_with(8)
         for _ in range(3):
             probed.traffic_bytes(trace)
@@ -232,16 +226,3 @@ class TestDrawOrderIsPinned:
                               ).hexdigest()[:16] == digest
         assert result.avg_response_time_s == avg_response_time_s
         assert result.avg_messages == avg_messages
-
-    def test_duration_equals_the_sum_of_message_delays(self):
-        from repro.simulation.cost import GeoLatencyCostModel
-
-        trace = OperationTrace()
-        trace.record_route((3, 7, 9), retries=2, timeouts=1)
-        trace.record_request_reply(MessageKind.GET_REQUEST, MessageKind.GET_REPLY, dest=9)
-        for build in (lambda: NetworkCostModel.wide_area(seed=4),
-                      lambda: GeoLatencyCostModel(regions=3, assignment_seed=7,
-                                                  rng=random.Random(4))):
-            by_columns, by_views = build(), build()
-            assert by_columns.duration(trace) == \
-                sum(by_views.message_delay(message) for message in trace)

@@ -72,37 +72,11 @@ class TestScheduling:
     def test_step_on_empty_heap_returns_false(self):
         assert Simulator().step() is False
 
-    def test_processed_events_counter(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        assert sim.processed_events >= 2
-
 
 class TestEvents:
-    def test_event_succeeds_with_value(self):
-        sim = Simulator()
-        event = sim.event()
-        seen = []
-        event.add_callback(lambda fired: seen.append(fired.value))
-        event.succeed("payload", delay=2.0)
-        sim.run()
-        assert seen == ["payload"]
-        assert event.triggered
-
-    def test_event_cannot_succeed_twice(self):
-        sim = Simulator()
-        event = sim.event()
-        event.succeed()
-        sim.run()
-        with pytest.raises(SimulationError):
-            event.succeed()
-
     def test_callback_on_already_triggered_event_fires_immediately(self):
         sim = Simulator()
-        event = sim.event()
-        event.succeed("x")
+        event = sim.timeout(0.0, "x")
         sim.run()
         seen = []
         event.add_callback(lambda fired: seen.append(fired.value))
@@ -182,17 +156,3 @@ class TestProcesses:
         sim.run()
         assert trail == [("fast", 1.0), ("fast", 2.0), ("slow", 2.5),
                          ("fast", 3.0), ("slow", 5.0), ("slow", 7.5)]
-
-    def test_waiting_on_a_plain_event(self):
-        sim = Simulator()
-        gate = sim.event()
-        trail = []
-
-        def waiter():
-            value = yield gate
-            trail.append((sim.now, value))
-
-        sim.process(waiter())
-        sim.schedule(3.0, lambda: gate.succeed("open"))
-        sim.run()
-        assert trail == [(3.0, "open")]

@@ -15,7 +15,6 @@ class TestTimeSeries:
         assert series.samples() == ((0.0, 1.0), (5.0, 0.8))
         assert series.values() == (1.0, 0.8)
         assert series.times() == (0.0, 5.0)
-        assert series.last == (5.0, 0.8)
         assert len(series) == 2
 
     def test_out_of_order_samples_rejected(self):
@@ -26,5 +25,5 @@ class TestTimeSeries:
 
     def test_empty_series(self):
         series = TimeSeries()
-        assert series.last is None
+        assert series.samples() == ()
         assert len(series) == 0

@@ -9,7 +9,7 @@ from repro.dht import errors as dht_errors
 
 class TestTopLevelExports:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "14.0.0"
+        assert repro.__version__ == "15.0.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -74,28 +74,23 @@ class TestLazyExports:
 class TestErrorHierarchy:
     def test_dht_errors_share_a_base_class(self):
         for exception_type in (dht_errors.EmptyNetworkError, dht_errors.NoSuchPeerError,
-                               dht_errors.PeerUnreachableError,
                                dht_errors.NodeAlreadyPresentError,
                                dht_errors.InvalidConfigurationError):
             assert issubclass(exception_type, dht_errors.DHTError)
 
     def test_service_errors_share_a_base_class(self):
         for exception_type in (core_errors.IncomparableTimestampsError,
-                               core_errors.NoReplicaFoundError,
                                core_errors.ReplicationConfigurationError):
             assert issubclass(exception_type, core_errors.ServiceError)
 
     def test_error_messages_identify_the_offender(self):
         assert "42" in str(dht_errors.NoSuchPeerError(42))
-        assert "42" in str(dht_errors.PeerUnreachableError(42))
         assert "42" in str(dht_errors.NodeAlreadyPresentError(42))
-        assert "key" in str(core_errors.NoReplicaFoundError("key"))
         message = str(core_errors.IncomparableTimestampsError("a", "b"))
         assert "'a'" in message and "'b'" in message
 
     def test_errors_carry_structured_attributes(self):
         assert dht_errors.NoSuchPeerError(7).peer_id == 7
-        assert core_errors.NoReplicaFoundError("k").key == "k"
         error = core_errors.IncomparableTimestampsError("a", "b")
         assert (error.first_key, error.second_key) == ("a", "b")
 

@@ -35,6 +35,10 @@ REP006
 REP007
     The scanned tree stays within the pinned ``src/`` line budget
     (``SRC_LINE_BUDGET``); a change that raises it says why in CHANGES.md.
+REP008
+    Every public function, method and class of the scanned tree has a
+    caller: a reference from the tree or from the ``examples/`` beside it
+    (tests do not count), or a pragma whose reason names its caller.
 
 Usage
 -----

@@ -78,7 +78,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.reprolint",
         description="Static enforcement of the repo's determinism, async "
-                    "and layering invariants (REP001-REP007).")
+                    "and layering invariants, the src/ line budget and "
+                    "every public name's caller (REP001-REP008).")
     parser.add_argument("paths", nargs="*",
                         help="files or directories to lint (e.g. src)")
     parser.add_argument("--format", choices=("human", "json"),

@@ -3,10 +3,10 @@
 :func:`lint_paths` is the entry point the CLI and CI use; :func:`lint_source`
 lints a single in-memory snippet and is what the fixture tests in
 ``tests/analysis/`` drive.  Pragma application is uniform across rules (the
-pragma must name the finding's rule and cover its line) with two exceptions:
-REP006 (aggregate docstring coverage) and REP007 (the line budget) are
-tree-level properties and cannot be pragma'd away — fix the tree or change
-the pinned number.
+pragma must name the finding's rule and cover its line; a REP008 finding
+sits on its ``def``/``class`` line) with two exceptions: REP006 (aggregate
+docstring coverage) and REP007 (the line budget) are tree-level properties
+and cannot be pragma'd away — fix the tree or change the pinned number.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from tools.reprolint.rules import (
     Suppression,
     check_ambient_random,
     check_async_hygiene,
+    check_callers,
     check_docstring_coverage,
     check_layering,
     check_line_budget,
@@ -157,14 +158,28 @@ def _iter_python_files(paths: Sequence[Union[str, pathlib.Path]],
     return files
 
 
+def _examples_beside(paths: Sequence[Union[str, pathlib.Path]],
+                     ) -> List[ast.Module]:
+    """The parsed scripts of each ``examples/`` beside a scanned directory.
+
+    ``src`` finds the repository's ``examples/``, so REP008 counts the
+    example scripts as callers without a flag of its own.
+    """
+    roots = {pathlib.Path(entry).resolve().parent / "examples"
+             for entry in paths if pathlib.Path(entry).is_dir()}
+    return [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for root in sorted(roots) if root.is_dir()
+            for path in _iter_python_files([root])]
+
+
 def lint_source(source: str, module: Optional[str] = None,
                 path: str = "<string>",
                 layer_map: Optional[LayerMap] = None) -> LintResult:
     """Lint one in-memory snippet (fixture-test entry point).
 
-    REP006 is not evaluated here — aggregate coverage over a one-file
-    snippet is meaningless; the fixture tests exercise it through
-    :func:`lint_paths` on a temporary tree instead.
+    REP006, REP007 and REP008 are not evaluated here — coverage, size and
+    callers over a one-file snippet are meaningless; the fixture tests
+    exercise them through :func:`lint_paths` on a temporary tree instead.
     """
     ctx = _build_context(pathlib.Path(path), source, module=module)
     findings, suppressed = _apply_pragmas(
@@ -193,15 +208,18 @@ def lint_paths(paths: Sequence[Union[str, pathlib.Path]],
     for path in _iter_python_files(paths):
         source = path.read_text(encoding="utf-8")
         try:
-            ctx = _build_context(path, source)
+            contexts.append(_build_context(path, source))
         except SyntaxError as exc:
             result.findings.append(Finding(
                 rule="REP000", path=str(path), line=exc.lineno or 1, column=0,
                 message=f"file does not parse: {exc.msg}"))
-            continue
-        contexts.append(ctx)
+
+    uncalled: Dict[str, List[Finding]] = {}
+    for finding in check_callers(contexts, _examples_beside(paths)):
+        uncalled.setdefault(finding.path, []).append(finding)
+    for ctx in contexts:
         live, suppressed = _apply_pragmas(
-            ctx, _per_file_findings(ctx, layer_map))
+            ctx, _per_file_findings(ctx, layer_map) + uncalled.get(ctx.path, []))
         result.findings.extend(live)
         result.suppressed.extend(suppressed)
 

@@ -1,7 +1,7 @@
-"""The reprolint rule registry and the REP001–REP007 checkers.
+"""The reprolint rule registry and the REP001–REP008 checkers.
 
 Each rule is a pure function over a parsed :class:`~tools.reprolint.engine.
-FileContext` (REP006 and REP007 aggregate over the whole scanned tree).  Checkers are
+FileContext` (REP006, REP007 and REP008 read the whole scanned tree).  Checkers are
 deliberately syntactic: they resolve dotted call names through the module's
 import aliases (``import time as t`` still trips REP001) but do no type
 inference — the dynamic test suite remains the semantic backstop, and the
@@ -40,7 +40,7 @@ DOCSTRING_COVERAGE_THRESHOLD = 91.0
 
 #: Most lines the scanned ``repro`` tree may hold (REP007), pinned at the
 #: measured size of ``src/``.  Raising it needs a reason in CHANGES.md.
-SRC_LINE_BUDGET = 13186
+SRC_LINE_BUDGET = 12763
 
 #: Wall-clock reads forbidden by REP001 (resolved through import aliases).
 _WALL_CLOCK = frozenset({
@@ -445,8 +445,8 @@ def _base_names(class_node: ast.ClassDef) -> List[str]:
 
 
 def iter_public_objects(tree: ast.Module, module_label: str
-                        ) -> Iterator[Tuple[str, bool]]:
-    """Yield ``(qualified name, documented)`` for the module's public surface.
+                        ) -> Iterator[Tuple[str, bool, int]]:
+    """Yield ``(qualified name, documented, line)`` for the module's public surface.
 
     The surface is the module itself plus every public class, function and
     method defined at module or class level (names starting with ``_`` —
@@ -454,9 +454,10 @@ def iter_public_objects(tree: ast.Module, module_label: str
     method without its own docstring counts as documented when it overrides
     a documented method of a base class defined in the same module — the
     same resolution ``help()`` performs through the MRO, so overrides of a
-    documented contract are not flagged as missing documentation.
+    documented contract are not flagged as missing documentation.  ``line``
+    is the line of the ``def``/``class`` (0 for the module itself).
     """
-    yield module_label, ast.get_docstring(tree) is not None
+    yield module_label, ast.get_docstring(tree) is not None, 0
     # First pass: collect classes (any nesting level) and their methods.
     classes: dict = {}
     stack: List[Tuple[ast.AST, str]] = [(tree, module_label)]
@@ -471,36 +472,39 @@ def iter_public_objects(tree: ast.Module, module_label: str
             qualified = f"{prefix}:{child.name}"
             if isinstance(child, ast.ClassDef):
                 methods = {
-                    member.name: ast.get_docstring(member) is not None
+                    member.name: (ast.get_docstring(member) is not None,
+                                  member.lineno)
                     for member in child.body
                     if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
                 }
                 classes[child.name] = (qualified, _base_names(child),
                                        ast.get_docstring(child) is not None,
-                                       methods)
+                                       methods, child.lineno)
                 stack.append((child, qualified))
             elif isinstance(node, ast.Module):
                 # Module-level function; methods are handled with their class.
-                yield qualified, ast.get_docstring(child) is not None
+                yield qualified, ast.get_docstring(child) is not None, child.lineno
 
     def inherited(method: str, bases: List[str], seen: frozenset) -> bool:
         for base in bases:
             if base in seen or base not in classes:
                 continue
-            _, base_bases, _, base_methods = classes[base]
-            if base_methods.get(method):
+            _, base_bases, _, base_methods, _ = classes[base]
+            if base_methods.get(method, (False, 0))[0]:
                 return True
             if inherited(method, base_bases, seen | {base}):
                 return True
         return False
 
-    for name, (qualified, bases, class_documented, methods) in classes.items():
-        yield qualified, class_documented
-        for method, documented in methods.items():
+    for name, (qualified, bases, class_documented, methods,
+               line) in classes.items():
+        yield qualified, class_documented, line
+        for method, (documented, method_line) in methods.items():
             if method.startswith("_"):
                 continue
             yield (f"{qualified}:{method}",
-                   documented or inherited(method, bases, frozenset({name})))
+                   documented or inherited(method, bases, frozenset({name})),
+                   method_line)
 
 
 def coverage(root: pathlib.Path) -> Tuple[int, int, List[str]]:
@@ -510,7 +514,7 @@ def coverage(root: pathlib.Path) -> Tuple[int, int, List[str]]:
     missing: List[str] = []
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for name, has_docstring in iter_public_objects(tree, str(path)):
+        for name, has_docstring, _ in iter_public_objects(tree, str(path)):
             total += 1
             if has_docstring:
                 documented += 1
@@ -532,7 +536,7 @@ def check_docstring_coverage(contexts) -> Tuple[List[Finding], Dict[str, object]
     for ctx in contexts:
         if ctx.module is None:
             continue
-        for name, has_docstring in iter_public_objects(ctx.tree, ctx.path):
+        for name, has_docstring, _ in iter_public_objects(ctx.tree, ctx.path):
             total += 1
             if has_docstring:
                 documented += 1
@@ -578,6 +582,72 @@ def check_line_budget(contexts, root: str,
     return findings, summary
 
 
+# ---------------------------------------------------------------- REP008
+def referenced_names(tree: ast.Module, package: bool = False) -> Set[str]:
+    """Every name ``tree`` refers to, as REP008 counts references.
+
+    A reference is a ``Name``, an attribute name, an imported name or an
+    identifier string (a ``getattr`` target, a table key).  The strings of
+    ``__all__`` are not references, and neither are a package's imports and
+    strings (``package``: an ``__init__.py`` re-exports, it does not call).
+    """
+    exported: Set[int] = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                and node.value is not None
+                and any(isinstance(target, ast.Name) and target.id == "__all__"
+                        for target in (node.targets if isinstance(node, ast.Assign)
+                                       else [node.target]))):
+            exported.update(id(child) for child in ast.walk(node.value))
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias) and not package:
+            names.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and not package and id(node) not in exported
+                and node.value.isidentifier()):
+            names.add(node.value)
+    return names
+
+
+def check_callers(contexts, examples: List[ast.Module]) -> List[Finding]:
+    """REP008: every public def of the scanned tree has a caller.
+
+    A public function, method or class (the :func:`iter_public_objects`
+    surface, so dunders and the members of ``_private`` classes are out)
+    needs a reference from the scanned ``repro`` tree or from ``examples``
+    (the parsed ``examples/`` scripts); tests do not count.  Matching is by
+    name, so a call through a base class keeps every override alive.  The
+    same holds for any other def of that name, which is the rule's blind
+    spot: a method named like a builtin's (``extend``, ``get``) is never
+    flagged, since ``list.extend`` calls count for it.
+    """
+    referenced: Set[str] = set()
+    for ctx in contexts:
+        if ctx.module is not None:
+            referenced |= referenced_names(
+                ctx.tree, package=ctx.path.endswith("__init__.py"))
+    for tree in examples:
+        referenced |= referenced_names(tree)
+    findings: List[Finding] = []
+    for ctx in contexts:
+        if ctx.module is None:
+            continue
+        for qualified, _, line in iter_public_objects(ctx.tree, ctx.path):
+            name = qualified.rsplit(":", 1)[-1]
+            if line and name not in referenced:
+                findings.append(Finding(
+                    rule="REP008", path=ctx.path, line=line, column=0,
+                    message=f"public {name} has no reference from src/ or "
+                            "examples/ — delete it, or name its caller in "
+                            "a pragma"))
+    return findings
+
+
 # ----------------------------------------------------------------- registry
 _RULES: Tuple[Rule, ...] = (
     Rule(id="REP000",
@@ -617,6 +687,11 @@ _RULES: Tuple[Rule, ...] = (
          summary=f"source size <= {SRC_LINE_BUDGET} lines over the scanned "
                  "tree (the src/ line budget)",
          layers="all of repro (aggregate)"),
+    Rule(id="REP008",
+         summary="every public function, method and class has a reference "
+                 "from src/ or examples/ (tests do not count)",
+         layers="all of repro (references: the scanned tree and the "
+                "examples/ beside it)"),
 )
 
 
