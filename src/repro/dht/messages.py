@@ -271,7 +271,7 @@ class OperationTrace:
         self.dests.extend((dest, source))
         self._total_bytes += total
 
-    # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list; tests/dht/test_locate_oracle.py replays it
+    # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list; tests/dht/test_messages.py pins its two messages
     def record_request_reply(self, request_kind: MessageKind, reply_kind: MessageKind, *,
                              source: Optional[int] = None, dest: Optional[int] = None,
                              entries: int = 1) -> None:

@@ -9,13 +9,16 @@ REP008 reads a whole tree, so its snippets are written to a temporary one.
 """
 
 import ast
+import pathlib
+import re
 import textwrap
 
 import pytest
 
 from tools.reprolint import FileContext, lint_paths, lint_source
 from tools.reprolint.cli import main
-from tools.reprolint.rules import check_line_budget
+from tools.reprolint.pragmas import parse_pragmas
+from tools.reprolint.rules import check_line_budget, referenced_names
 
 
 def rules_of(result):
@@ -377,6 +380,51 @@ REP008_BAD = {
         def reexported():
             return 1
         """}, (), (), ["reexported"]),
+    "annotated-all-only": ({"fixture.py": """
+        __all__: list = ["exported"]
+
+
+        def exported():
+            return 1
+        """}, (), (), ["exported"]),
+    "augmented-all-only": ({"fixture.py": """
+        __all__ = []
+        __all__ += ["exported"]
+
+
+        def exported():
+            return 1
+        """}, (), (), ["exported"]),
+    "package-string-only": ({
+        "__init__.py": 'LOADERS = ("loaded",)\n',
+        "fixture.py": """
+        def loaded():
+            return 1
+        """}, (), (), ["loaded"]),
+    "mention-in-prose-only": ({"fixture.py": """
+        # orphan is kept for a later caller.
+        USAGE = "call orphan() to start"
+
+
+        def orphan():
+            return 1
+        """}, (), (), ["orphan"]),
+    "unused-method-of-a-used-class": ({"fixture.py": """
+        class Used:
+            def spare(self):
+                return 1
+
+
+        INSTANCE = Used()
+        """}, (), (), ["spare"]),
+    "unreferenced-class": ({"fixture.py": """
+        class Orphan:
+            pass
+        """}, (), (), ["Orphan"]),
+    "async-def": ({"fixture.py": """
+        async def serve():
+            return 1
+        """}, (), (), ["serve"]),
 }
 
 REP008_GOOD = {
@@ -416,6 +464,61 @@ REP008_GOOD = {
 
 
         DRIVEN = drive(Child())
+        """},
+    "import-alias": {"fixture.py": """
+        def helper():
+            return 1
+        """, "user.py": """
+        from repro.fixture import helper as aliased
+
+        VALUE = aliased()
+        """},
+    "module-attribute": {"fixture.py": """
+        def helper():
+            return 1
+        """, "user.py": """
+        import repro.fixture as fixture_module
+
+        VALUE = fixture_module.helper()
+        """},
+    "getattr-string": {"fixture.py": """
+        class Thing:
+            def handle(self):
+                return 1
+
+
+        HANDLER = getattr(Thing(), "handle")
+        """},
+    "base-class-only": {"fixture.py": """
+        class Base:
+            pass
+
+
+        class Child(Base):
+            pass
+
+
+        CHILD = Child()
+        """},
+    "annotation-only": {"fixture.py": """
+        class Model:
+            pass
+
+
+        def build() -> Model:
+            return None
+
+
+        BUILD = build
+        """},
+    "function-local-helper": {"fixture.py": """
+        def outer():
+            def inner():
+                return 1
+            return 1
+
+
+        VALUE = outer()
         """},
 }
 
@@ -465,3 +568,103 @@ def test_rep008_pragma_needs_a_reason(tmp_path):
 def test_rep008_is_listed(repo_root, capsys):
     assert main([str(repo_root / "src"), "--list-rules"]) == 0
     assert "REP008" in capsys.readouterr().out
+
+
+def test_rep008_does_not_flag_defs_outside_the_package(tmp_path):
+    result = lint_tree(tmp_path, {}, examples=("""
+        def show():
+            return 1
+        """,), tests=("""
+        def helper():
+            return 1
+        """,))
+    assert uncalled(result) == []
+
+
+def test_rep008_finding_points_at_the_def(tmp_path):
+    result = lint_tree(tmp_path, {"fixture.py": """
+        VALUE = 1
+
+
+        class Holder:
+            @property
+            def spare(self):
+                return 1
+
+
+        HOLDER = Holder()
+        """})
+    [finding] = [f for f in result.findings if f.rule == "REP008"]
+    assert finding.path.endswith("fixture.py") and finding.line == 7
+
+
+@pytest.mark.parametrize("placement, suppressed", [
+    ("trailing", True),
+    ("between-decorator-and-def", True),
+    ("above-the-decorator", False),
+])
+def test_rep008_pragma_covers_the_def_line_only(tmp_path, placement, suppressed):
+    pragma = "# reprolint: allow[REP008] reason=bench/layers.py wraps it"
+    lines = {
+        "trailing": ["@staticmethod", f"def kept():  {pragma}"],
+        "between-decorator-and-def": ["@staticmethod", pragma, "def kept():"],
+        "above-the-decorator": [pragma, "@staticmethod", "def kept():"],
+    }[placement]
+    body = "\n".join("    " + line for line in lines + ["    return 1"])
+    result = lint_tree(tmp_path, {"fixture.py": (
+        f"class Holder:\n{body}\n\n\nHOLDER = Holder()\n")})
+    assert uncalled(result) == ([] if suppressed else ["kept"])
+
+
+def test_rep008_failure_fails_the_cli(tmp_path, capsys):
+    lint_tree(tmp_path, {"fixture.py": """
+        def orphan():
+            return 1
+        """})
+    assert main([str(tmp_path / "src")]) == 1
+    assert "REP008" in capsys.readouterr().out
+
+
+# REP008 pragmas of the real tree: each must still excuse a name that has no
+# caller in src/ or examples/, and each caller its reason names must exist and
+# still use the name, so a pragma cannot outlive its caller.
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+CALLER_PATH = re.compile(r"\b((?:bench|examples|tests)/[\w/]+\.py)\b")
+
+
+def rep008_pragmas():
+    """``(src path, def line, name, reason)`` for every REP008 pragma in src/."""
+    found = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for pragma in parse_pragmas(lines):
+            if "REP008" in pragma.rules:
+                match = re.search(r"(?:def|class)\s+(\w+)", lines[pragma.line])
+                found.append((path.relative_to(REPO_ROOT).as_posix(),
+                              pragma.line + 1, match.group(1), pragma.reason))
+    return found
+
+
+REP008_PRAGMAS = rep008_pragmas()
+
+
+def test_every_rep008_pragma_in_src_suppresses_a_finding(repo_root):
+    result = lint_paths([repo_root / "src"])
+    excused = {(pathlib.Path(s.finding.path).resolve(), s.finding.line)
+               for s in result.suppressed if s.finding.rule == "REP008"}
+    assert excused == {((repo_root / path).resolve(), line)
+                       for path, line, _, _ in REP008_PRAGMAS}
+
+
+@pytest.mark.parametrize(
+    "path, name, reason",
+    [(path, name, reason) for path, _, name, reason in REP008_PRAGMAS],
+    ids=[f"{path[len('src/repro/'):]}:{name}"
+         for path, _, name, _ in REP008_PRAGMAS])
+def test_rep008_pragma_names_a_caller_that_uses_the_name(repo_root, path,
+                                                          name, reason):
+    callers = CALLER_PATH.findall(reason)
+    assert callers, f"{path}: the reason names no caller file: {reason}"
+    for caller in callers:
+        tree = ast.parse((repo_root / caller).read_text(encoding="utf-8"))
+        assert name in referenced_names(tree), f"{caller} does not use {name}"

@@ -251,6 +251,18 @@ class TestStaleFingers:
                       for _ in range(40))
         assert retries == 0
 
+    def test_finger_table_entries_are_live_after_refresh(self):
+        ring = build_ring(random.Random(21).sample(range(65536), 128), bits=16,
+                          stabilization_interval=30.0)
+        node = ring.nodes()[0]
+        ring.finger_table(node, now=0.0)
+        for victim in ring.nodes()[50:70]:
+            ring.remove_node(victim, reason=DepartureReason.FAIL, now=1.0)
+        # Inside the interval the table is the stale snapshot; past it, the
+        # lazy stabilisation recomputes it over live members only.
+        assert not all(f in ring for f in ring.finger_table(node, now=2.0))
+        assert all(f in ring for f in ring.finger_table(node, now=31.0))
+
     def test_zero_stabilization_interval_always_fresh(self):
         ring = build_ring(random.Random(18).sample(range(65536), 64), bits=16,
                           stabilization_interval=0.0)

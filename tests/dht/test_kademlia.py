@@ -109,6 +109,17 @@ class TestRoutingTable:
         assert set(table.contacts()) == {1, 2, 3, 128, 129}
         assert table.bucket(7) == [128, 129]
 
+    def test_bucket_index_is_the_distance_magnitude(self):
+        table = RoutingTable(owner=0b1010_0000, bits=8, k=256)
+        rng = random.Random(4)
+        contacts = rng.sample([c for c in range(256) if c != table.owner], 40)
+        for contact in contacts:
+            table.observe(contact, lambda c: True)
+        for contact in contacts:
+            # Bucket i holds the contacts at XOR distance [2^i, 2^(i+1)).
+            index = (table.owner ^ contact).bit_length() - 1
+            assert contact in table.bucket(index)
+
     def test_bucket_is_a_detached_snapshot(self):
         table = RoutingTable(owner=0, bits=8, k=4)
         for contact in (3, 5, 9, 130):

@@ -192,6 +192,14 @@ class TestPointIndex:
         assert store.points() == [10]
         assert len(store.entries_at(10)) == 1
 
+    def test_accepted_put_replaces_the_indexed_entry(self):
+        store = LocalStore()
+        store.put(point_entry("a", 10, version=3))
+        assert store.put(point_entry("a", 10, version=5))
+        assert store.points() == [10]
+        assert [entry.version for entry in store.entries_at(10)] == [5]
+        assert [entry.version for entry in store.entries_in_span(9, 10)] == [5]
+
 
 class TestDeltaSyncPrimitives:
     def test_reconciliation_tokens_by_kind(self):

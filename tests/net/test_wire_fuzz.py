@@ -227,6 +227,24 @@ class TestArraysAreRefused:
         with pytest.raises(codec.CodecError, match="unknown binary value tag"):
             wire.unpack_payload(_deflated(tagged))
 
+    @pytest.mark.parametrize("count", [
+        3,                                  # 24 bytes wanted, 16 there
+        codec.MAX_FRAME_BYTES // 8 + 1,     # count x 8 over the frame limit
+        2 ** 32 - 1,                        # the largest count a header holds
+    ])
+    def test_a_retired_array_frame_is_refused_unallocated(self, count):
+        # The self-contained ``0x01`` body that once carried ``q`` arrays: its
+        # marker is refused before the array count is read, and the decoder
+        # goes on with the next frame.
+        body = (b"\x01" + b"d" + struct.pack(">I", 1) + b"\xff"
+                + struct.pack(">I", 1) + b"c" + b"q" + struct.pack(">I", count)
+                + bytes(16))
+        decoder = codec.FrameDecoder()
+        with pytest.raises(codec.CodecError, match="unknown body marker"):
+            decoder.feed(struct.pack(">I", len(body)) + body)
+        assert decoder.pending_bytes == 0
+        assert decoder.feed(codec.encode_frame({"id": 1})) == [{"id": 1}]
+
 
 # ------------------------------------------------------------ trace summaries
 _ids = st.one_of(st.none(),

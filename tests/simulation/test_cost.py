@@ -87,6 +87,14 @@ class TestSampling:
         model = NetworkCostModel(bandwidth_std_bps=0.0, rng=random.Random(6))
         assert model.sample_bandwidth() == model.bandwidth_mean_bps
 
+    def test_expected_message_delay_formula(self):
+        model = NetworkCostModel(latency_mean_s=0.2, latency_std_s=0.0,
+                                 bandwidth_mean_bps=56_000.0, bandwidth_std_bps=0.0,
+                                 rng=random.Random(7))
+        trace = OperationTrace()
+        trace.record(MessageKind.GET_REPLY, size_bytes=700)
+        assert model.duration(trace) == pytest.approx(0.2 + 5600 / 56_000.0)
+
 
 class TestGeoLatency:
     def _model(self, **overrides):
@@ -201,6 +209,24 @@ class TestDrawOrderIsPinned:
     ``message_delay`` over ``Message`` objects: one latency then one
     bandwidth draw per message in message order, timeouts included.
     """
+
+    def test_duration_equals_the_sum_of_message_delays(self):
+        from repro.simulation.cost import GeoLatencyCostModel
+
+        trace = OperationTrace()
+        trace.record_route((3, 7, 9), retries=2, timeouts=1)
+        trace.record_request_reply(MessageKind.GET_REQUEST, MessageKind.GET_REPLY, dest=9)
+        for build in (lambda: NetworkCostModel(rng=random.Random(4)),
+                      lambda: GeoLatencyCostModel(regions=3, assignment_seed=7,
+                                                  rng=random.Random(4))):
+            whole, one_by_one = build(), build()
+            delays = []
+            for message in trace:
+                single = OperationTrace()
+                single.record(message.kind, source=message.source, dest=message.dest,
+                              size_bytes=message.size_bytes, timed_out=message.timed_out)
+                delays.append(one_by_one.duration(single))
+            assert whole.duration(trace) == sum(delays)
 
     @pytest.mark.parametrize("preset,protocol,digest,avg_response_time_s,avg_messages", [
         ("wide-area", "chord", "e51c96cda5b43100", 4.300603953172324, 17.541666666666668),
