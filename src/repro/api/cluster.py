@@ -53,9 +53,9 @@ from repro.api.results import (
     Consistency,
     InsertResult,
     RetrieveResult,
-    Trace,
 )
 from repro.api.services import SERVICES, CurrencyService, create_service
+from repro.dht.messages import Trace
 from repro.dht.registry import lookup
 
 if TYPE_CHECKING:

@@ -8,8 +8,10 @@ costs field by field:
 
 * :class:`InsertResult` — outcome of a write: how many replicas accepted the
   new value, the KTS timestamp (UMS) or the version number (BRK) it carries,
-  and the trace — the full :class:`~repro.dht.messages.OperationTrace` in
-  process, its :class:`~repro.dht.messages.TraceSummary` over the wire;
+  and the trace — a :class:`~repro.dht.messages.TraceSummary` of its
+  messages, in process and over the wire alike, or the columns of an
+  :class:`~repro.dht.messages.OperationTrace` where a cost model prices
+  them (the simulation harness);
 * :class:`RetrieveResult` — outcome of a read: the data, whether a replica was
   found, whether it is *certified current* (only UMS can certify), how many
   replicas were probed, and the trace;
@@ -23,15 +25,15 @@ read, and a bounded-probe best effort).
 
 This module sits *below* :mod:`repro.core` in the layering — the services
 import the result types from here — and has no dependency on the service or
-network layers beyond the message-trace type.
+network layers beyond the message-trace types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Tuple, Union
+from typing import Any, Iterator, Optional, Tuple
 
-from repro.dht.messages import OperationTrace, TraceSummary
+from repro.dht.messages import Trace
 from repro.dht.model import slotted_init
 
 __all__ = [
@@ -41,9 +43,6 @@ __all__ = [
     "InsertResult",
     "RetrieveResult",
 ]
-
-#: A result's trace: the full trace in process, its summary off the wire.
-Trace = Union[OperationTrace, TraceSummary]
 
 
 class Consistency:

@@ -28,6 +28,7 @@ from repro.dht.messages import (
     MessageKind,
     MessageSizes,
     OperationTrace,
+    Trace,
     TraceSummary,
 )
 from repro.dht.model import (
@@ -64,6 +65,7 @@ __all__ = [
     "PeerState",
     "RouteResult",
     "StoredValue",
+    "Trace",
     "TraceSummary",
     "create_overlay",
     "key_digest",

@@ -9,23 +9,23 @@ The paper's evaluation reports two quantities for every algorithm:
   (Figures 6, 7, 9, 11, 12).
 
 Rather than duplicating the UMS/KTS/BRK algorithms for an "analytical" and an
-"event-driven" mode, every public operation of the services records the exact
-sequence of messages it caused into an :class:`OperationTrace`.  A cost model
-(:mod:`repro.simulation.cost`) then converts a trace into a duration, and the
-simulation harness schedules the completion of the operation accordingly.
-
-Off the process, a trace travels as its :class:`TraceSummary` — the counts a
-client reads of it — since only the cost model needs the columns.
+"event-driven" mode, every public operation of the services records the
+messages it caused into one :data:`Trace` through four calls (``record``,
+``record_hop``, ``record_route``, ``record_exchange``).  A
+:class:`TraceSummary` keeps only the counts, in O(1) memory: what a network
+records by default and a reply carries.  An :class:`OperationTrace` keeps
+one column per message field for the cost model (:mod:`repro.simulation.cost`)
+to price, when the harness sets ``DHTNetwork.column_traces``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 __all__ = ["KIND_CODES", "Message", "MessageKind", "MessageSizes", "OperationTrace",
-           "TraceSummary"]
+           "Trace", "TraceSummary"]
 
 
 class MessageKind(str, enum.Enum):
@@ -121,42 +121,77 @@ Exchange = Tuple[MessageKind, MessageKind]
 ExchangeRow = Tuple[bytes, Tuple[int, int], int]
 
 
+#: The sizes of a :class:`TraceSummary` built without (one off the wire).
+_DEFAULT_SIZES = MessageSizes()
+
+
 @dataclass(slots=True)
 class TraceSummary:
-    """What a remote result carries of its trace: the counts its reader needs.
+    """The counts of an operation's messages: a trace in O(1) memory.
 
     ``message_count``, ``total_bytes`` and ``timeout_count`` answer as the
-    same properties of the :class:`OperationTrace` it summarises
-    (:meth:`OperationTrace.summary`); ``retry_bytes`` is the size a
-    ``LOOKUP_RETRY`` message has on that trace, so the network client can add
-    its re-sends (:meth:`record_retries`) exactly as the simulator's
-    ``record_route([], retries=r, timeouts=r)`` would have.  Mutable like a
-    trace: the items of a batch share their batch's one summary.
+    same properties of an :class:`OperationTrace` fed the same calls
+    (:meth:`OperationTrace.summary`); ``retry_bytes`` is the size of a
+    ``LOOKUP_RETRY`` message, so the network client adds its re-sends with
+    ``record_route((), retries=r, timeouts=r)`` exactly as the simulator
+    records its routing retries.  ``sizes`` prices the other messages; it
+    is left out of equality and off the wire (a decoded summary prices with
+    the defaults).  Mutable like a trace: the items of a batch share their
+    batch's one summary.
     """
 
     message_count: int
     total_bytes: int
     timeout_count: int
     retry_bytes: int
+    sizes: MessageSizes = field(default=_DEFAULT_SIZES, compare=False, repr=False)
 
     def summary(self) -> "TraceSummary":
         """The summary itself (a trace and its summary answer alike)."""
         return self
 
-    def record_retries(self, retries: int, timeouts: int) -> None:
-        """Count ``retries`` ``LOOKUP_RETRY`` messages, ``timeouts`` of them
-        timed out, as :meth:`OperationTrace.record_route` with an empty path."""
+    def record(self, kind: MessageKind, *, source: Optional[int] = None,
+               dest: Optional[int] = None, size_bytes: Optional[int] = None,
+               timed_out: bool = False) -> None:
+        """Count a single message, as :meth:`OperationTrace.record`."""
+        self.message_count += 1
+        self.total_bytes += self.sizes.size_of(kind) if size_bytes is None else size_bytes
+        if timed_out:
+            self.timeout_count += 1
+
+    def record_hop(self, source: int, dest: int) -> None:
+        """Count one routing hop, as :meth:`OperationTrace.record_hop`."""
+        self.message_count += 1
+        self.total_bytes += self.sizes.control_bytes
+
+    def record_route(self, path: Iterable[int], *, retries: int = 0,
+                     timeouts: int = 0) -> None:
+        """Count a route's hops, then ``retries`` sized ``retry_bytes``, ``timeouts``
+        of them timed out, as :meth:`OperationTrace.record_route`."""
+        hops = len(tuple(path)) - 1
+        if hops > 0:
+            self.message_count += hops
+            self.total_bytes += self.sizes.control_bytes * hops
         if retries > 0:
             self.message_count += retries
             self.total_bytes += self.retry_bytes * retries
-            self.timeout_count += min(timeouts, retries)
+            self.timeout_count += min(max(timeouts, 0), retries)
+
+    def record_exchange(self, exchange: Exchange, source: int, dest: int, entries: int = 1) -> None:
+        """Count ``exchange`` carrying ``entries``, as :meth:`OperationTrace.record_exchange`."""
+        row = self.sizes._rows.get((exchange, entries)) or self.sizes.exchange_row(exchange, entries)
+        self.message_count += 2
+        self.total_bytes += row[2]
 
 
 class OperationTrace:
-    """Accumulates the messages (and timeouts) caused by one service operation.
+    """Records every message (and timeout) of one service operation, in columns.
 
-    Traces compose: a UMS ``retrieve`` merges the trace of its embedded KTS
-    ``last_ts`` call with the traces of the ``get_h`` probes it performs.
+    One trace threads through an operation: a UMS ``retrieve`` records its
+    embedded KTS ``last_ts`` call and the ``get_h`` probes it performs on
+    the same trace.  The network builds these only when asked to
+    (``DHTNetwork.column_traces``); otherwise it records a
+    :class:`TraceSummary`.
 
     One column per message field, row ``i`` of each describing message ``i``:
     ``kinds`` a ``bytearray`` of :data:`KIND_CODES` bytes, ``size_bytes`` /
@@ -200,7 +235,7 @@ class OperationTrace:
     def summary(self) -> TraceSummary:
         """The counts of this trace, as a remote result carries them."""
         return TraceSummary(len(self.kinds), self._total_bytes, len(self.timed_out),
-                            self.sizes.size_of(MessageKind.LOOKUP_RETRY))
+                            self.sizes.size_of(MessageKind.LOOKUP_RETRY), self.sizes)
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -293,3 +328,7 @@ class OperationTrace:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"OperationTrace(messages={self.message_count}, "
                 f"timeouts={self.timeout_count}, bytes={self.total_bytes})")
+
+
+#: What an operation records into: its columns, or only their counts.
+Trace = Union[OperationTrace, TraceSummary]

@@ -13,9 +13,11 @@ behaviour of a *Responsibility Loss Aware* DHT: on joins and normal leaves the
 previous responsible hands its pairs to the new responsible, while failures
 lose the failed peer's replicas.
 
-Every operation can record its messages in an
-:class:`~repro.dht.messages.OperationTrace`, which the services and the
-simulation harness use for communication-cost and response-time accounting.
+Every operation can record its messages in a :data:`~repro.dht.messages.Trace`,
+which the services use for communication-cost accounting: the counts of a
+:class:`~repro.dht.messages.TraceSummary` by default, the columns of an
+:class:`~repro.dht.messages.OperationTrace` when :attr:`DHTNetwork.column_traces`
+is set, as the simulation harness sets it to price response times.
 Services that need to react to churn (notably KTS, for counter transfer and
 Rule 3 of the Valid Counter Set) register a :class:`NetworkObserver`.
 """
@@ -33,7 +35,7 @@ from repro.dht.errors import (
     NoSuchPeerError,
 )
 from repro.dht.hashing import PairwiseIndependentHash
-from repro.dht.messages import MessageKind, MessageSizes, OperationTrace
+from repro.dht.messages import MessageKind, MessageSizes, OperationTrace, Trace, TraceSummary
 from repro.dht.model import (
     DepartureReason,
     DHTProtocol,
@@ -181,6 +183,7 @@ class DHTNetwork:
         self.protocol = protocol
         self.bits = protocol.bits
         self.message_sizes = MessageSizes()
+        self.column_traces = False
         self.now: float = 0.0
         self.stats = NetworkStats()
         self._peers: Dict[int, PeerState] = {}
@@ -354,7 +357,7 @@ class DHTNetwork:
 
     def lookup(self, key: Any, hash_fn: PairwiseIndependentHash, *,
                origin: Optional[int] = None,
-               trace: Optional[OperationTrace] = None,
+               trace: Optional[Trace] = None,
                exchange: Optional[Tuple[MessageKind, MessageKind]] = None
                ) -> LookupResult:
         """Locate ``rsp(k, h)`` from ``origin`` through the overlay's routing.
@@ -376,7 +379,7 @@ class DHTNetwork:
 
     def locate(self, key: Any, hash_fn: PairwiseIndependentHash,
                exchange: Tuple[MessageKind, MessageKind], *, origin: Optional[int] = None,
-               trace: Optional[OperationTrace] = None) -> int:
+               trace: Optional[Trace] = None) -> int:
         """``rsp(k, h)``, routed and traced as :meth:`lookup` does, without its result."""
         return self._locate(self._resolve_origin(origin), hash_fn(key), trace, exchange)[0]
 
@@ -395,7 +398,7 @@ class DHTNetwork:
             index = getrandbits(bits)
         return nodes[index]
 
-    def _locate(self, origin: int, point: int, trace: Optional[OperationTrace],
+    def _locate(self, origin: int, point: int, trace: Optional[Trace],
                 exchange: Optional[Tuple[MessageKind, MessageKind]] = None,
                 unreachable: FrozenSet[int] = frozenset(), *,
                 source: Optional[int] = None, entries: int = 1
@@ -429,7 +432,7 @@ class DHTNetwork:
     # --------------------------------------------------------------------- put
     def put(self, key: Any, hash_fn: PairwiseIndependentHash, data: Any, *,
             timestamp: Any = None, version: Optional[int] = None,
-            origin: Optional[int] = None, trace: Optional[OperationTrace] = None,
+            origin: Optional[int] = None, trace: Optional[Trace] = None,
             unreachable: FrozenSet[int] = frozenset()) -> bool:
         """The paper's ``put_h(k, data)``: store a replica at ``rsp(k, h)``.
 
@@ -448,7 +451,7 @@ class DHTNetwork:
 
     # --------------------------------------------------------------------- get
     def get(self, key: Any, hash_fn: PairwiseIndependentHash, *,
-            origin: Optional[int] = None, trace: Optional[OperationTrace] = None,
+            origin: Optional[int] = None, trace: Optional[Trace] = None,
             unreachable: FrozenSet[int] = frozenset()) -> Optional[StoredValue]:
         """The paper's ``get_h(k)``: fetch the replica stored at ``rsp(k, h)``."""
         origin = self._resolve_origin(origin)
@@ -459,7 +462,7 @@ class DHTNetwork:
 
     # ------------------------------------------------------------ batched ops
     def _batched_exchanges(self, points: Sequence[int], origin: int,
-                           trace: Optional[OperationTrace],
+                           trace: Optional[Trace],
                            unreachable: FrozenSet[int],
                            exchange: Tuple[MessageKind, MessageKind]):
         """Shared skeleton of the batched operations.
@@ -484,7 +487,7 @@ class DHTNetwork:
 
     def get_many(self, requests: Sequence[tuple], *,
                  origin: Optional[int] = None,
-                 trace: Optional[OperationTrace] = None,
+                 trace: Optional[Trace] = None,
                  unreachable: FrozenSet[int] = frozenset()
                  ) -> List[Optional[StoredValue]]:
         """Batched ``get_h``: fetch several ``(key, hash_fn)`` replicas at once.
@@ -510,7 +513,7 @@ class DHTNetwork:
 
     def put_many(self, requests: Sequence[tuple], *,
                  origin: Optional[int] = None,
-                 trace: Optional[OperationTrace] = None,
+                 trace: Optional[Trace] = None,
                  unreachable: FrozenSet[int] = frozenset()) -> List[bool]:
         """Batched ``put_h``: store several replicas at once.
 
@@ -536,7 +539,7 @@ class DHTNetwork:
     # -------------------------------------------------------------- delta sync
     # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list
     def sync_span(self, source: int, dest: int, lo: int, hi: int, *,
-                  trace: Optional[OperationTrace] = None) -> SyncReport:
+                  trace: Optional[Trace] = None) -> SyncReport:
         """One pull-based delta-sync exchange over the span ``(lo, hi]``.
 
         The anti-entropy primitive behind replica reconciliation: ``dest``
@@ -598,9 +601,13 @@ class DHTNetwork:
                 replicas.append(entry)
         return replicas
 
-    def new_trace(self) -> OperationTrace:
-        """A fresh :class:`OperationTrace` using the network's message sizes."""
-        return OperationTrace(sizes=self.message_sizes)
+    def new_trace(self) -> Trace:
+        """A fresh trace in the network's message sizes: an :class:`OperationTrace`
+        when :attr:`column_traces` is set, a :class:`TraceSummary` otherwise."""
+        sizes = self.message_sizes
+        if self.column_traces:
+            return OperationTrace(sizes=sizes)
+        return TraceSummary(0, 0, 0, sizes.size_of(MessageKind.LOOKUP_RETRY), sizes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DHTNetwork(protocol={type(self.protocol).__name__}, "

@@ -28,11 +28,11 @@ The transport internals:
   fresh streams, and ``bytes_sent`` adds up the frames actually sent.
 
 Retries map onto the existing accounting: a remote result's trace is the
-:class:`~repro.dht.messages.TraceSummary` of the server's trace, and each
-timeout-retry adds one timed-out ``LOOKUP_RETRY`` message to it
-(:meth:`TraceSummary.record_retries`) — the counts and bytes
-:meth:`OperationTrace.record_route` gives the simulator's routing retries —
-and is tallied in :class:`TransportCounters`.  Note the
+:class:`~repro.dht.messages.TraceSummary` the server recorded, and each
+timeout-retry adds one timed-out ``LOOKUP_RETRY`` message to it with the
+call the overlays make for their routing retries
+(``record_route((), retries=r, timeouts=r)``, priced at the summary's
+``retry_bytes``) — and is tallied in :class:`TransportCounters`.  Note the
 at-least-once consequence: a dropped *reply* does not undo the executed
 request, so a retried insert simply stamps a newer timestamp (newest-wins
 makes inserts idempotent in effect).
@@ -373,7 +373,7 @@ class RemoteService:
                                  f"{result_type.__name__}")
         # Same convention as the simulator's routing retries: one
         # LOOKUP_RETRY message, flagged timed out, per re-send.
-        result.trace.record_retries(stats.retries, stats.retries)
+        result.trace.record_route((), retries=stats.retries, timeouts=stats.retries)
         return result
 
     def insert(self, key: Any, data: Any, *, origin: Optional[int] = None,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.api.results import (
     BatchInsertResult,
@@ -39,7 +39,7 @@ from repro.api.results import (
     RetrieveResult,
 )
 from repro.core.timestamps import Timestamp
-from repro.dht.messages import OperationTrace, TraceSummary
+from repro.dht.messages import Trace, TraceSummary
 from repro.net.wire import (
     MARKER_COMPRESSED,
     MAX_FRAME_BYTES,
@@ -219,7 +219,7 @@ def _stamp(stamp: Optional[Timestamp]) -> Optional[Dict[str, Any]]:
     return None if stamp is None else {"key": stamp.key, "value": stamp.value}
 
 
-def trace_to_dict(trace: Union[OperationTrace, TraceSummary]) -> Dict[str, Any]:
+def trace_to_dict(trace: Trace) -> Dict[str, Any]:
     """The view of a trace: its :class:`~repro.dht.messages.TraceSummary`,
     which is all of it the wire carries."""
     summary = trace.summary()

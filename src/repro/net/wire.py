@@ -77,7 +77,7 @@ from repro.api.results import (
     RetrieveResult,
 )
 from repro.core.timestamps import Timestamp
-from repro.dht.messages import OperationTrace, TraceSummary
+from repro.dht.messages import OperationTrace, Trace, TraceSummary
 
 __all__ = [
     "CodecError",
@@ -257,8 +257,7 @@ def _own_counter(stamp: Any, key: Any) -> Optional[int]:
     return None
 
 
-def _encode_summary(trace: Union[OperationTrace, TraceSummary],
-                    out: bytearray) -> None:
+def _encode_summary(trace: Trace, out: bytearray) -> None:
     """Append a trace's summary record (untagged)."""
     kind = type(trace)
     if kind is OperationTrace:

@@ -7,6 +7,10 @@ an operation is the accumulation of its messages' latency plus transfer
 delays; messages that hit a failed peer additionally wait for a timeout before
 the sender retries.
 
+:meth:`NetworkCostModel.duration` prices the columns of an
+:class:`~repro.dht.messages.OperationTrace`, which a network records only
+when its ``column_traces`` is set (the simulation harness sets it).
+
 The defaults are Table 1 (the SimJava simulation); the
 :meth:`NetworkCostModel.cluster` preset is the 64-node, 1 Gbps cluster of
 Section 5.2, modelled as a small per-message processing latency and LAN
@@ -20,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.dht.messages import OperationTrace
+from repro.dht.messages import OperationTrace, Trace
 
 __all__ = ["GeoLatencyCostModel", "NetworkCostModel"]
 
@@ -155,7 +159,7 @@ class NetworkCostModel:
     #: the simulation layer does not import upward into ``repro.net``.
     frame_overhead_bytes: int = 4
 
-    def traffic_bytes(self, trace: OperationTrace) -> int:
+    def traffic_bytes(self, trace: Trace) -> int:
         """Total wire bytes of an operation: payloads plus framing overhead.
 
         Deterministic (no sampling): the byte-denominated twin of the

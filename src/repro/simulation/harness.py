@@ -96,6 +96,8 @@ class SimulationHarness:
             rng=self._master_rng,
             service_options={"ums": {"detector": self.detector}})
         self.network = self.cluster.network
+        # The cost model prices every message of a retrieve: record columns.
+        self.network.column_traces = True
         self.replication = self.cluster.replication
         self.kts = self.cluster.kts
         # A floating session: every operation starts at a fresh random origin,

@@ -18,7 +18,7 @@ by the harness and figures stay comparable:
 * UMS's retrieval decomposes exactly into the KTS exchange plus the probes;
   at ``Consistency.ANY`` the two services are message-for-message identical;
 * ``message_count`` equals the trace length on every result of both services;
-* the trace-free fast path (no ``OperationTrace`` attached) changes neither
+* the trace-free fast path (no trace attached) changes neither
   any operation result nor the accounting of traced operations: both services
   always trace, so every message the harness and figures count still comes
   from the hop-simulated ``route(...)`` walk.
@@ -32,9 +32,16 @@ from repro.api import Cluster, Consistency
 from repro.dht.messages import MessageKind
 
 
+def column_cluster():
+    """The suite's cluster, recording column traces: it counts messages by kind."""
+    cluster = Cluster.build(peers=48, replicas=8, seed=3)
+    cluster.network.column_traces = True
+    return cluster
+
+
 @pytest.fixture
 def cluster():
-    return Cluster.build(peers=48, replicas=8, seed=3)
+    return column_cluster()
 
 
 @pytest.fixture
@@ -143,7 +150,7 @@ class TestFastPathParity:
     """
 
     def _twin(self):
-        return Cluster.build(peers=48, replicas=8, seed=3)
+        return column_cluster()
 
     def test_interleaved_untraced_ops_do_not_change_traced_accounting(self):
         plain, interleaved = self._twin(), self._twin()

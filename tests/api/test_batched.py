@@ -228,6 +228,7 @@ class TestKtsBatching:
         with cluster.session() as session:
             session.insert_many((key, key) for key in KEYS)
         responsibles = {kts.responsible_of_timestamping(key) for key in KEYS}
+        cluster.network.column_traces = True
         trace = cluster.network.new_trace()
         kts.last_ts_many(KEYS, trace=trace)
         kinds = trace.count_by_kind()
@@ -258,6 +259,7 @@ class TestNetworkBatching:
             session.insert_many((key, {"k": key}) for key in KEYS)
         requests = [(key, h) for key in KEYS for h in replication]
         responsibles = {network.responsible_peer(key, h) for key, h in requests}
+        network.column_traces = True
         trace = network.new_trace()
         network.get_many(requests, trace=trace)
         from repro.dht.messages import MessageKind
@@ -272,6 +274,7 @@ class TestNetworkBatching:
         with cluster.session() as session:
             session.insert_many((key, {"k": key}) for key in KEYS)
         requests = [(key, h) for key in KEYS for h in replication]
+        network.column_traces = True
         trace = network.new_trace()
         network.get_many(requests, trace=trace)
         from repro.dht.messages import MessageKind

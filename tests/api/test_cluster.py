@@ -159,6 +159,7 @@ class TestSession:
 
     def test_origin_bound_session_uses_the_origin(self, cluster):
         origin = cluster.network.alive_peer_ids()[0]
+        cluster.network.column_traces = True  # reads the hops' sources
         with cluster.session(origin) as session:
             session.insert("k", "v")
             result = session.retrieve("k")

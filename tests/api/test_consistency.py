@@ -23,6 +23,7 @@ class TestUmsConsistency:
     def test_any_skips_the_kts_lookup(self, cluster):
         from repro.dht.messages import MessageKind
 
+        cluster.network.column_traces = True
         with cluster.session() as session:
             session.insert("k", "v")
             result = session.retrieve("k", consistency=Consistency.ANY)

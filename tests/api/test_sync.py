@@ -154,6 +154,7 @@ class TestDeltaEfficiency:
         hash_fn, holder = _stale_holder(cluster, "k")
         cluster.network.peer(holder).store.delete(hash_fn.name, "k")
 
+        cluster.network.column_traces = True
         trace = cluster.network.new_trace()
         report = cluster.replication.sync_replicas(cluster.network,
                                                    trace=trace)

@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.api import Cluster
 from repro.dht.messages import MessageKind
+
+
+@pytest.fixture
+def small_stack(small_stack):
+    """The shared stack, recording column traces: these tests read message kinds."""
+    small_stack.network.column_traces = True
+    return small_stack
 
 
 class TestInsert:

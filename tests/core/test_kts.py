@@ -50,6 +50,7 @@ class TestGenTs:
 
     def test_gen_ts_records_routing_and_tsr_messages(self):
         network, _, kts = build_kts()
+        network.column_traces = True
         trace = network.new_trace()
         kts.gen_ts("k", trace=trace)
         kinds = [message.kind for message in trace]
@@ -84,6 +85,7 @@ class TestLastTs:
     def test_last_ts_records_request_messages(self):
         network, _, kts = build_kts()
         kts.gen_ts("k")
+        network.column_traces = True
         trace = network.new_trace()
         kts.last_ts("k", trace=trace)
         kinds = [message.kind for message in trace]
@@ -157,6 +159,7 @@ class TestIndirectInitialization:
         for hash_fn in replication:
             network.put("k", hash_fn, "payload", timestamp=latest)
         network.leave_peer(kts.responsible_of_timestamping("k"))
+        network.column_traces = True
         trace = network.new_trace()
         kts.last_ts("k", trace=trace)
         kinds = [message.kind for message in trace]

@@ -37,6 +37,7 @@ class TestInsert:
         assert result.replicas_written < result.replicas_attempted
 
     def test_insert_trace_contains_puts_and_timestamping(self, small_stack):
+        small_stack.network.column_traces = True
         result = small_stack.service("ums").insert("k", "payload")
         kinds = [message.kind for message in result.trace]
         assert kinds.count(MessageKind.PUT_REQUEST) == small_stack.replication.factor

@@ -250,6 +250,7 @@ def test_seeded_chord_cluster_under_churn_repeats_its_trace_digest(monkeypatch):
     monkeypatch.setattr(ChordRing, "_finger_snapshot", counting_snapshot)
     cluster = Cluster.build(peers=1000, protocol="chord", seed=2007)
     network, rng, digest = cluster.network, random.Random(23), hashlib.sha1()
+    network.column_traces = True  # the pin digests every column
     retried_calls = 0
     with cluster.session() as session:
         for event in range(120):

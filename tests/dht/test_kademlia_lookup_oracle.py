@@ -480,6 +480,7 @@ def test_seeded_cluster_under_churn_repeats_its_per_call_digest():
     # lookup order must fail here, not merely shift messages_per_key_op.
     cluster = Cluster.build(peers=1000, protocol="kademlia", seed=2007)
     network, rng, digest = cluster.network, random.Random(23), hashlib.sha1()
+    network.column_traces = True  # retries are counted by kind
     total_retries = 0
     with cluster.session() as session:
         for event in range(200):

@@ -95,9 +95,12 @@ def reference_resolve_origin(network, origin):
 
 
 def build_pair(name, seed):
-    """The cluster under test and its twin running the reference locate."""
+    """The cluster under test and its twin running the reference locate, both
+    recording column traces (the reference writes the columns itself)."""
     pair = [Cluster.build(peers=24, protocol=name, seed=seed,
                           stabilization_interval=30.0) for _ in range(2)]
+    for cluster in pair:
+        cluster.network.column_traces = True
     twin = pair[1].network
     twin._locate = reference_locate.__get__(twin, DHTNetwork)
     twin._resolve_origin = reference_resolve_origin.__get__(twin, DHTNetwork)

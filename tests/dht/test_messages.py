@@ -116,28 +116,46 @@ route_calls = st.tuples(st.just("route"),
                         st.integers(-1, 4), st.integers(-1, 5))
 exchange_calls = st.tuples(st.just("exchange"), kinds, kinds, ids, ids,
                            st.integers(1, 9))
-calls = st.lists(st.one_of(record_calls, route_calls, exchange_calls), max_size=12)
+hop_calls = st.tuples(st.just("hop"), st.integers(0, 2 ** 64), st.integers(0, 2 ** 64))
+calls = st.lists(st.one_of(record_calls, route_calls, exchange_calls, hop_calls),
+                 max_size=12)
 
 
-def play(trace, model, call):
-    """Apply one recording call to ``trace`` and to the list ``model``."""
+def feed(trace, call):
+    """Apply one recording call to ``trace``, through the calls the data path
+    makes: either class of trace takes each of them."""
     if call[0] == "record":
         _, kind, source, dest, size, timed_out = call
         trace.record(kind, source=source, dest=dest, size_bytes=size,
                      timed_out=timed_out)
+    elif call[0] == "route":
+        _, path, retries, timeouts = call
+        trace.record_route(path, retries=retries, timeouts=timeouts)
+    elif call[0] == "hop":
+        trace.record_hop(call[1], call[2])
+    else:
+        _, request, reply, source, dest, entries = call
+        trace.record_exchange((request, reply), -1 if source is None else source,
+                              -1 if dest is None else dest, entries)
+
+
+def play(trace, model, call):
+    """Apply one recording call to ``trace`` and to the list ``model``."""
+    feed(trace, call)
+    if call[0] == "record":
+        _, kind, source, dest, size, timed_out = call
         model.append(Message(kind, SIZES.size_of(kind) if size is None else size,
                              source, dest, timed_out))
     elif call[0] == "route":
         _, path, retries, timeouts = call
-        trace.record_route(path, retries=retries, timeouts=timeouts)
         model.extend(Message(MessageKind.LOOKUP_HOP, 10, source, dest)
                      for source, dest in zip(path, path[1:]))
         model.extend(Message(MessageKind.LOOKUP_RETRY, 10, timed_out=index < timeouts)
                      for index in range(retries))
+    elif call[0] == "hop":
+        model.append(Message(MessageKind.LOOKUP_HOP, 10, call[1], call[2]))
     else:
         _, request, reply, source, dest, entries = call
-        trace.record_request_reply(request, reply, source=source, dest=dest,
-                                   entries=entries)
         model.append(Message(request, SIZES.size_of(request, entries), source, dest))
         model.append(Message(reply, SIZES.size_of(reply, entries), dest, source))
 
@@ -197,9 +215,9 @@ class TestColumns:
 
 
 class TestTraceSummary:
-    """A summary answers as its trace does, and the client's retries add up
-    as the simulator records its own: ``record_route([], retries=r,
-    timeouts=t)``."""
+    """A summary fed a trace's recording calls answers as the trace does, and
+    the client's retries add up as the simulator records its own:
+    ``record_route((), retries=r, timeouts=t)``."""
 
     @given(parts=st.lists(calls, max_size=3),
            retries=st.integers(min_value=-1, max_value=5),
@@ -211,15 +229,31 @@ class TestTraceSummary:
         for part in parts:
             for call in part:
                 play(trace, [], call)
-        summary = trace.summary()
-        assert summary == TraceSummary(trace.message_count, trace.total_bytes,
-                                       trace.timeout_count, SIZES.control_bytes)
-        summary.record_retries(retries, timeouts)
-        trace.record_route([], retries=retries, timeouts=timeouts)
-        assert summary == trace.summary()
+        # As a client receives it: no sizes travel, so the carried
+        # ``retry_bytes`` alone prices the retries.
+        received = TraceSummary(trace.message_count, trace.total_bytes,
+                                trace.timeout_count, SIZES.control_bytes)
+        assert received == trace.summary()
+        received.record_route((), retries=retries, timeouts=timeouts)
+        trace.record_route((), retries=retries, timeouts=timeouts)
+        assert received == trace.summary()
+
+    @given(part=calls)
+    @settings(max_examples=150, deadline=None)
+    def test_a_summary_fed_a_traces_calls_equals_its_summary(self, part):
+        trace = OperationTrace(sizes=SIZES)
+        summary = TraceSummary(0, 0, 0, SIZES.control_bytes, SIZES)
+        for call in part:
+            for target in (trace, summary):
+                feed(target, call)
+            assert summary == trace.summary()
+        assert summary.sizes is trace.summary().sizes is SIZES
+
+    def test_the_sizes_stay_out_of_equality(self):
+        assert TraceSummary(1, 2, 0, 3, SIZES) == TraceSummary(1, 2, 0, 3)
+        assert "sizes" not in repr(TraceSummary(1, 2, 0, 3, SIZES))
 
     def test_a_summary_is_its_own_summary(self):
         summary = OperationTrace().summary()
         assert summary.summary() is summary
         assert summary == TraceSummary(0, 0, 0, MessageSizes().control_bytes)
-

@@ -138,6 +138,7 @@ class TestPutGet:
         assert network.get("k", hash_fn, unreachable=frozenset({responsible})) is None
 
     def test_trace_records_route_and_request_reply(self, network, hash_fn):
+        network.column_traces = True
         trace = network.new_trace()
         lookup = network.lookup("k", hash_fn, trace=trace)
         assert trace.message_count == lookup.hops
@@ -173,6 +174,7 @@ class TestPutGet:
         assert network.is_alive(result.route.path[0])
 
     def test_lookup_records_the_named_exchange_after_the_hops(self, network, hash_fn):
+        network.column_traces = True
         trace = network.new_trace()
         result = network.lookup("k", hash_fn, trace=trace,
                                 exchange=(MessageKind.TSR, MessageKind.TSR_REPLY))

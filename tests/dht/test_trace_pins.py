@@ -1,8 +1,8 @@
 """Full-column trace digests of seeded clusters, per overlay.
 
-Each test replays a seeded session and hashes every column of every call's
-trace — kinds, sizes, hop endpoints and timed-out indices, which is also what
-the wire ships — so a change to how a message is found or recorded must fail
+Each test replays a seeded session on a network recording column traces and
+hashes every column of every call's trace — kinds, sizes, hop endpoints and
+timed-out indices — so a change to how a message is found or recorded must fail
 here, not merely shift ``messages_per_key_op``.  Chord's churn pin lives in
 ``test_chord_next_hop_oracle.py`` and Kademlia's per-call and routing-table
 pins in ``test_kademlia_lookup_oracle.py``; these add the churn pins of
@@ -43,6 +43,7 @@ def churn_digest(protocol, peers, events):
     """
     cluster = Cluster.build(peers=peers, protocol=protocol, seed=2007)
     network, rng, digest = cluster.network, random.Random(23), hashlib.sha1()
+    network.column_traces = True
     retries = 0
     with cluster.session() as session:
         for event in range(events):
@@ -86,6 +87,7 @@ def test_a_seeded_batched_stream_repeats_its_trace_digest(protocol):
     cluster = Cluster.build(peers=200, protocol=protocol, seed=2007,
                             stabilization_interval=30.0)
     network, rng, digest = cluster.network, random.Random(29), hashlib.sha1()
+    network.column_traces = True
     hashes = list(cluster.replication)
     keys = [f"key-{index}" for index in range(64)]
     timeouts = multi_entry = 0   # timed-out requests, multi-entry messages

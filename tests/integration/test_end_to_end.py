@@ -27,6 +27,7 @@ class TestUmsVersusBrk:
 
     def test_response_time_ordering_under_the_wan_cost_model(self, small_stack):
         cost = NetworkCostModel(rng=random.Random(5))
+        small_stack.network.column_traces = True  # the cost model prices columns
         small_stack.service("ums").insert("k-ums", "payload")
         small_stack.service("brk").insert("k-brk", "payload")
         ums_duration = cost.duration(small_stack.service("ums").retrieve("k-ums").trace)

@@ -386,7 +386,7 @@ class TestTraceEncoding:
     def test_the_clients_retries_add_up_on_a_received_summary(self):
         trace = sample_trace()
         rebuilt = via_wire(trace)
-        rebuilt.record_retries(2, 2)
+        rebuilt.record_route((), retries=2, timeouts=2)
         assert (rebuilt.message_count, rebuilt.timeout_count) == (8, 3)
         trace.record_route([], retries=2, timeouts=2)
         assert rebuilt == trace.summary()

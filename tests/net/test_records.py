@@ -150,8 +150,10 @@ def summaries(draw) -> TraceSummary:
 
 @pytest.fixture(scope="module", params=[32, 64, 160], ids=lambda bits: f"bits{bits}")
 def served_results(request):
-    """Real results of each type from an in-process cluster of ``bits``."""
+    """Real results of each type from an in-process cluster of ``bits``,
+    recording column traces: those carry the peer ids the summary leaves out."""
     cluster = Cluster.build(peers=16, replicas=4, seed=5, bits=request.param)
+    cluster.network.column_traces = True
     with cluster.session() as session:
         made = [session.insert("k", {"v": 1}), session.retrieve("k"),
                 session.insert_many([("a", {"n": 1}), ("b", {"n": 2})]),
