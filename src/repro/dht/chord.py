@@ -158,8 +158,8 @@ class ChordRing(DHTProtocol):
         """The wrapping interval ``(predecessor, node_id]`` owned by ``node_id``.
 
         Chord responsibility is contiguous on the ring, which lets the network
-        layer hand over data with a range scan of the store's point index
-        instead of sweeping every entry.  Returns ``None`` when the node owns
+        layer hand over the entries of this interval instead of asking the
+        responsibility memo about every entry.  Returns ``None`` when the node owns
         the whole ring (single member), meaning "no range filter applies".
         """
         if node_id not in self._member_set:

@@ -150,17 +150,22 @@ class PairwiseIndependentHash:
         # Per-(function, key) memoisation: the placement of a key never
         # changes, so the 521-bit Carter-Wegman reduction runs once per hot
         # key.  Only types whose payload is a function of type + equality are
-        # cached (see ``_CACHEABLE_KEY_TYPES``); the memo key is type-tagged
-        # because ``True == 1`` but their digests differ.
-        if not isinstance(key, _CACHEABLE_KEY_TYPES):
+        # cached (see ``_CACHEABLE_KEY_TYPES``).  The memo key is type-tagged
+        # because ``True == 1`` but their digests differ; an exact ``str``
+        # keys by itself, since no str equals a tag tuple.
+        if type(key) is str:
+            memo_key: Any = key
+        elif isinstance(key, _CACHEABLE_KEY_TYPES):
+            memo_key = (type(key), key)
+        else:
             return self._evaluate(key)
         points = self._points
-        cached = points.get((type(key), key))
+        cached = points.get(memo_key)
         if cached is None:
             cached = self._evaluate(key)
             if len(points) >= _POINT_CACHE_SIZE:
                 points.clear()
-            points[(type(key), key)] = cached
+            points[memo_key] = cached
         return cached
 
     # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list

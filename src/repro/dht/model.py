@@ -230,11 +230,10 @@ class DHTProtocol(abc.ABC):
 
         Overlays whose responsibility regions are contiguous in the integer
         identifier space (Chord) return the wrapping interval
-        ``(predecessor, node_id]`` so the network layer can hand data over
-        with a range scan of the stores' point indexes.  Overlays with
-        non-contiguous regions (CAN's packed coordinates, Kademlia's XOR
-        balls) return ``None`` and the network falls back to a per-point
-        responsibility check.
+        ``(predecessor, node_id]`` so the network layer can hand over the
+        entries of that interval.  Overlays with non-contiguous regions
+        (CAN's packed coordinates, Kademlia's XOR balls) return ``None`` and
+        the network falls back to a per-entry responsibility check.
         """
         return None
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.dht import registry
@@ -98,6 +99,9 @@ class NetworkStats:
 #: The ``(request, reply)`` message kinds of the two data exchanges.
 _GET = (MessageKind.GET_REQUEST, MessageKind.GET_REPLY)
 _PUT = (MessageKind.PUT_REQUEST, MessageKind.PUT_ACK)
+
+#: Sort key of the handover order: ascending identifier point.
+_BY_POINT = attrgetter("point")
 
 #: Modeled size of one per-entry token inside a SYNC_SUMMARY message: a key
 #: digest plus a timestamp/version counter.  Tiny next to ``data_bytes``,
@@ -274,11 +278,14 @@ class DHTNetwork:
         return peer_id
 
     def leave_peer(self, peer_id: int) -> None:
-        """Remove a peer *normally*: its replicas are handed to the new owners."""
+        """Remove a peer *normally*: its replicas are handed to the new owners.
+
+        The replicas ship in ascending point order, as a join's do.
+        """
         state = self.peer(peer_id)
         for observer in self._observers:
             observer.peer_leaving(self, peer_id)
-        entries = state.store.values()
+        entries = sorted(state.store.values(), key=_BY_POINT)
         self.protocol.remove_node(peer_id, reason=DepartureReason.LEAVE, now=self.now)
         state.alive = False
         del self._peers[peer_id]
@@ -310,12 +317,11 @@ class DHTNetwork:
         """Move entries from ``previous_owner`` that now belong to ``to_peer``.
 
         On overlays with contiguous responsibility (Chord) the moving entries
-        are found with a range scan of the store's point index over the
-        newcomer's claimed interval, so the cost scales with the data moving.
-        Otherwise (Kademlia, CAN) every distinct point in the previous owner's
-        store is checked against the responsibility memo: the cost scales
-        with that store's size, though a Kademlia join has already moved the
-        memoised points it stole to the newcomer, so those checks hit.
+        are those of the newcomer's claimed interval.  Otherwise (Kademlia,
+        CAN) each entry of the previous owner's store is checked against the
+        responsibility memo; a Kademlia join has already moved the memoised
+        points it stole to the newcomer, so those checks hit.  Either way the
+        entries ship in ascending point order, insertion order within a point.
         """
         if previous_owner not in self._peers or previous_owner == to_peer:
             return
@@ -327,10 +333,9 @@ class DHTNetwork:
             moving = source.entries_in_span(span[0], span[1])
         else:
             responsible_for = self.protocol.responsible_for
-            moving = []
-            for point in source.points():
-                if responsible_for(point) == to_peer:
-                    moving.extend(source.entries_at(point))
+            moving = [entry for entry in source.values()
+                      if responsible_for(entry.point) == to_peer]
+            moving.sort(key=_BY_POINT)
         for entry in moving:
             source.delete(entry.hash_name, entry.key)
             self._ship(entry, to_peer)
@@ -446,7 +451,7 @@ class DHTNetwork:
         responsible, _ = self._locate(origin, point, trace, _PUT, unreachable)
         if responsible in unreachable:
             return False
-        entry = StoredValue(key, data, timestamp, version, hash_fn.name, point, self.now)
+        entry = StoredValue(key, data, timestamp, version, hash_fn.name, point)
         return self._peers[responsible].store.put(entry)
 
     # --------------------------------------------------------------------- get
@@ -532,7 +537,7 @@ class DHTNetwork:
             for index in indices:
                 key, hash_fn, data, timestamp, version = requests[index]
                 entry = StoredValue(key, data, timestamp, version, hash_fn.name,
-                                    points[index], self.now)
+                                    points[index])
                 results[index] = self._peers[responsible].store.put(entry)
         return results
 

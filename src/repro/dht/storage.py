@@ -11,9 +11,9 @@ one if it carries a strictly newer timestamp (respectively a newer version).
 from __future__ import annotations
 
 import bisect
-from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dht.model import slotted_init
 
@@ -43,9 +43,6 @@ class StoredValue:
     point:
         The identifier-space point ``h(k)``; kept so churn-induced rebalancing
         does not need to re-hash keys.
-    stored_at:
-        Simulated time at which the replica was last written (0.0 when no
-        clock is in use).
     """
 
     key: Any
@@ -54,7 +51,6 @@ class StoredValue:
     version: Optional[int] = None
     hash_name: str = ""
     point: int = 0
-    stored_at: float = 0.0
 
     def is_newer_than(self, other: Optional["StoredValue"]) -> bool:
         """Peer-side reconciliation rule (Section 3.2).
@@ -79,6 +75,9 @@ class StoredValue:
         # Mixing stamped and un-stamped replicas for the same key: keep the
         # stamped one.
         return self.timestamp is not None or self.version is not None
+
+
+_point = attrgetter("point")
 
 
 def reconciliation_token(entry: StoredValue) -> Tuple[str, Any]:
@@ -115,40 +114,19 @@ def advanced_past(entry: StoredValue, token: Tuple[str, Any]) -> bool:
 
 
 class LocalStore:
-    """Storage of one peer, indexed by ``(hash_name, key)``.
+    """Storage of one peer: one insertion-ordered dict ``(hash_name, key) -> entry``.
 
     A peer may hold several replicas of the same key when it happens to be
     responsible for the key under more than one replication hash function, so
-    the hash function name is part of the index.
-
-    Entries live in a *slab*: a flat list of :class:`StoredValue` slots with a
-    free list, so deletes and overwrites recycle slots instead of churning
-    dictionary-of-dictionary buckets.  Two indexes point into the slab:
-
-    * ``(hash_name, key) -> slot`` for point reads (insertion-ordered, which
-      fixes the iteration order of :meth:`values`/:meth:`keys`);
-    * ``point -> array('I', slots)`` so churn-induced rebalancing can locate
-      the entries of a moving identifier interval with a range scan
-      (:meth:`entries_in_span`) instead of sweeping the whole store.  The
-      per-point slot arrays are packed machine integers, not objects, keeping
-      the index a few bytes per entry at 100k+-peer populations.
+    the hash function name is part of the index.  The dict's insertion order
+    fixes the iteration order of :meth:`values`.  A store holds a few dozen
+    entries at the simulated populations, so the span queries behind
+    handover and delta sync scan every entry.  A point index over a slab of
+    slots held about 130 B more per replica (tracemalloc, Python 3.11).
     """
 
     def __init__(self) -> None:
-        self._slab: List[Optional[StoredValue]] = []
-        self._free: List[int] = []
-        self._index: Dict[Tuple[str, Any], int] = {}
-        self._point_slots: Dict[int, "array[int]"] = {}
-        self._sorted_points: Optional[List[int]] = None  # rebuilt lazily
-
-    def _allocate(self, value: StoredValue) -> int:
-        """Place ``value`` in a free slab slot (extending the slab if full)."""
-        if self._free:
-            slot = self._free.pop()
-            self._slab[slot] = value
-            return slot
-        self._slab.append(value)
-        return len(self._slab) - 1
+        self._entries: Dict[Tuple[str, Any], StoredValue] = {}
 
     # ------------------------------------------------------------------ write
     def put(self, value: StoredValue, *, reconcile: bool = True) -> bool:
@@ -159,136 +137,59 @@ class LocalStore:
         :meth:`StoredValue.is_newer_than` says so.
         """
         index = (value.hash_name, value.key)
-        slot = self._index.get(index)
-        existing = self._slab[slot] if slot is not None else None
-        if reconcile and not value.is_newer_than(existing):
+        if reconcile and not value.is_newer_than(self._entries.get(index)):
             return False
-        if slot is None:
-            self._index[index] = self._allocate(value)
-            self._index_point(value.point, self._index[index])
-            return True
-        self._slab[slot] = value
-        if existing is not None and existing.point != value.point:
-            self._unindex_point(existing.point, slot)
-            self._index_point(value.point, slot)
+        self._entries[index] = value
         return True
 
     def delete(self, hash_name: str, key: Any) -> Optional[StoredValue]:
         """Remove and return the replica of ``key`` under ``hash_name``."""
-        slot = self._index.pop((hash_name, key), None)
-        if slot is None:
-            return None
-        entry = self._slab[slot]
-        self._slab[slot] = None
-        self._free.append(slot)
-        assert entry is not None
-        self._unindex_point(entry.point, slot)
-        return entry
-
-    def _index_point(self, point: int, slot: int) -> None:
-        slots = self._point_slots.get(point)
-        if slots is None:
-            self._point_slots[point] = array("I", (slot,))
-            self._sorted_points = None
-        else:
-            slots.append(slot)
-
-    def _unindex_point(self, point: int, slot: int) -> None:
-        slots = self._point_slots.get(point)
-        if slots is None:
-            return
-        try:
-            slots.remove(slot)
-        except ValueError:
-            return
-        if not slots:
-            del self._point_slots[point]
-            self._sorted_points = None
+        return self._entries.pop((hash_name, key), None)
 
     def clear(self) -> None:
         """Drop every replica (used when a peer's data is lost on failure)."""
-        self._slab.clear()
-        self._free.clear()
-        self._index.clear()
-        self._point_slots.clear()
-        self._sorted_points = None
+        self._entries.clear()
 
     # ------------------------------------------------------------------- read
     def get(self, hash_name: str, key: Any) -> Optional[StoredValue]:
         """Return the replica of ``key`` placed by ``hash_name``, if any."""
-        slot = self._index.get((hash_name, key))
-        return self._slab[slot] if slot is not None else None
-
-    def contains(self, hash_name: str, key: Any) -> bool:
-        """Whether a replica of ``key`` under ``hash_name`` is present."""
-        return (hash_name, key) in self._index
+        return self._entries.get((hash_name, key))
 
     def values(self) -> List[StoredValue]:
         """All replicas held by the peer, in first-insertion order."""
-        slab = self._slab
-        return [slab[slot] for slot in self._index.values()]  # type: ignore[misc]
-
-    def keys(self) -> List[Tuple[str, Any]]:
-        """All ``(hash_name, key)`` indexes currently stored."""
-        return list(self._index.keys())
+        return list(self._entries.values())
 
     def __len__(self) -> int:
-        return len(self._index)
-
-    def __iter__(self) -> Iterator[StoredValue]:
-        return iter(self.values())
-
-    def __contains__(self, index: Tuple[str, Any]) -> bool:
-        return index in self._index
+        return len(self._entries)
 
     # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list
     def replicas_of(self, key: Any) -> List[StoredValue]:
         """All replicas of ``key`` held by this peer, across hash functions."""
-        slab = self._slab
-        return [slab[slot] for (_, stored_key), slot in self._index.items()  # type: ignore[misc]
+        return [entry for (_, stored_key), entry in self._entries.items()
                 if stored_key == key]
-
-    # ------------------------------------------------------------- point index
-    def _points_sorted(self) -> List[int]:
-        """The lazily-maintained sorted point list (internal: do not mutate)."""
-        if self._sorted_points is None:
-            self._sorted_points = sorted(self._point_slots)
-        return self._sorted_points
-
-    def points(self) -> List[int]:
-        """The distinct identifier points present in the store, sorted."""
-        return list(self._points_sorted())
-
-    def entries_at(self, point: int) -> List[StoredValue]:
-        """All entries whose identifier point equals ``point``."""
-        slots = self._point_slots.get(point)
-        if slots is None:
-            return []
-        slab = self._slab
-        return [slab[slot] for slot in slots]  # type: ignore[misc]
 
     def entries_in_span(self, lo: int, hi: int) -> List[StoredValue]:
         """Entries whose point lies in the wrapping interval ``(lo, hi]``.
 
-        This is the range scan behind join/leave handover on overlays with
-        contiguous responsibility (Chord's ``claimed_span``): only the entries
-        of the moving interval are visited, in point order.  ``lo == hi``
-        denotes the whole space.
+        This is the scan behind join/leave handover on overlays with
+        contiguous responsibility (Chord's ``claimed_span``) and behind delta
+        sync.  Entries come in point order, walking up from ``lo`` (so a
+        wrapping interval yields the part past ``lo`` first), and in
+        insertion order within one point.  ``lo == hi`` denotes the whole
+        space, in point order from 0.
         """
-        points = self._points_sorted()
-        selected: List[int]
-        if lo == hi:
-            selected = points
-        elif lo < hi:
-            selected = points[bisect.bisect_right(points, lo):
-                              bisect.bisect_right(points, hi)]
-        else:  # interval wraps past the top of the identifier space
-            selected = (points[bisect.bisect_right(points, lo):]
-                        + points[:bisect.bisect_right(points, hi)])
-        slab = self._slab
-        entries: List[StoredValue] = []
-        for point in selected:
-            entries.extend(slab[slot] for slot in self._point_slots[point])  # type: ignore[misc]
+        if lo < hi:
+            entries = [entry for entry in self._entries.values()
+                       if lo < entry.point <= hi]
+        elif lo > hi:  # interval wraps past the top of the identifier space
+            entries = [entry for entry in self._entries.values()
+                       if entry.point > lo or entry.point <= hi]
+        else:
+            entries = list(self._entries.values())
+        entries.sort(key=_point)
+        if lo > hi:
+            split = bisect.bisect_right(entries, lo, key=_point)
+            entries = entries[split:] + entries[:split]
         return entries
 
     # ------------------------------------------------------------- delta sync
@@ -326,4 +227,4 @@ class LocalStore:
         return selected
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LocalStore(entries={len(self._index)})"
+        return f"LocalStore(entries={len(self._entries)})"

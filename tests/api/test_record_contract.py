@@ -43,7 +43,7 @@ RETRIEVE = dict(key="k", data={"v": 1}, found=True, is_current=True,
 #: (class, every field by keyword, a field to replace and its new value)
 CASES = [
     (StoredValue, dict(key="k", data={"v": 1}, timestamp=Timestamp("k", 2), version=None,
-                       hash_name="hr-0", point=17, stored_at=3.5), "point", 18),
+                       hash_name="hr-0", point=17), "point", 18),
     (Timestamp, dict(key="k", value=4), "value", 5),
     (InsertResult, INSERT, "replicas_written", 10),
     (RetrieveResult, RETRIEVE, "data", {"v": 2}),

@@ -154,6 +154,18 @@ class TestMemoisation:
         assert fn(True) == fn(True) and fn(1) == fn(1)
         assert len(points) >= 2  # collisions possible in principle, not conflation
 
+    def test_str_keys_and_type_tagged_keys_share_one_memo(self):
+        # An exact str is memoised under itself and every other cacheable
+        # type under a (type, key) tag: in any query order, each answer is
+        # the fresh evaluation of its own key.
+        class Name(str):
+            pass
+
+        keys = ["1", b"1", 1, True, Name("1"), "True", str(int)]
+        for order in (keys, keys[::-1]):
+            fn = PairwiseIndependentHash(name="h", a=31, b=17, bits=64)
+            assert [fn(key) for key in order * 2] == [fn._evaluate(key) for key in order * 2]
+
     def test_unhashable_keys_bypass_the_cache(self):
         fn = PairwiseIndependentHash(name="h", a=31, b=17, bits=32)
         assert fn(["a", "b"]) == fn(["a", "b"])

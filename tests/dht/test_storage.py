@@ -92,19 +92,18 @@ class TestLocalStore:
         assert store.delete("hr-0", "k") is None
         assert len(store) == 0
 
-    def test_contains_and_in_operator(self):
+    def test_get_misses_other_hash_functions(self):
         store = LocalStore()
         store.put(ts_entry())
-        assert store.contains("hr-0", "k")
-        assert ("hr-0", "k") in store
-        assert not store.contains("hr-9", "k")
+        assert store.get("hr-0", "k") is not None
+        assert store.get("hr-9", "k") is None
 
-    def test_values_and_keys_snapshot(self):
+    def test_values_snapshot(self):
         store = LocalStore()
         store.put(ts_entry(hash_name="hr-0"))
         store.put(ts_entry(hash_name="hr-1"))
-        assert len(store.values()) == 2
-        assert set(store.keys()) == {("hr-0", "k"), ("hr-1", "k")}
+        assert [(entry.hash_name, entry.key) for entry in store.values()] == \
+            [("hr-0", "k"), ("hr-1", "k")]
 
     def test_replicas_of_filters_by_key(self):
         store = LocalStore()
@@ -118,17 +117,20 @@ class TestLocalStore:
         store.clear()
         assert len(store) == 0
 
-    def test_iteration_yields_entries(self):
-        store = LocalStore()
-        store.put(ts_entry(hash_name="hr-0"))
-        store.put(ts_entry(hash_name="hr-1"))
-        assert sorted(entry.hash_name for entry in store) == ["hr-0", "hr-1"]
-
-
 
 def point_entry(key, point, hash_name="hr-0", version=1):
     return StoredValue(key=key, data=f"data-{key}", version=version,
                        hash_name=hash_name, point=point)
+
+
+def points(store):
+    """The distinct points present in ``store``, sorted."""
+    return sorted({entry.point for entry in store.values()})
+
+
+def entries_at(store, point):
+    """The entries of ``store`` at ``point``."""
+    return store.entries_in_span(point - 1, point)
 
 
 class TestPointIndex:
@@ -136,15 +138,16 @@ class TestPointIndex:
         store = LocalStore()
         for key, point in (("a", 30), ("b", 10), ("c", 10), ("d", 20)):
             store.put(point_entry(key, point))
-        assert store.points() == [10, 20, 30]
+        assert points(store) == [10, 20, 30]
+        assert [entry.point for entry in store.entries_in_span(0, 0)] == [10, 10, 20, 30]
 
     def test_entries_at_groups_by_point(self):
         store = LocalStore()
         store.put(point_entry("a", 10))
         store.put(point_entry("b", 10, hash_name="hr-1"))
         store.put(point_entry("c", 20))
-        assert sorted(entry.key for entry in store.entries_at(10)) == ["a", "b"]
-        assert store.entries_at(99) == []
+        assert sorted(entry.key for entry in entries_at(store, 10)) == ["a", "b"]
+        assert entries_at(store, 99) == []
 
     def test_entries_in_span_simple_interval(self):
         store = LocalStore()
@@ -162,6 +165,15 @@ class TestPointIndex:
         assert sorted(entry.key for entry in store.entries_in_span(200, 10)) == \
             ["a", "b", "d"]
 
+    def test_entries_in_span_walks_up_from_the_lower_bound(self):
+        store = LocalStore()
+        for key, point in (("a", 250), ("b", 10), ("c", 5), ("d", 10), ("e", 200)):
+            store.put(point_entry(key, point))
+        assert [entry.key for entry in store.entries_in_span(100, 10)] == \
+            ["e", "a", "c", "b", "d"]
+        assert [entry.key for entry in store.entries_in_span(0, 255)] == \
+            ["c", "b", "d", "e", "a"]
+
     def test_entries_in_span_degenerate_interval_is_whole_space(self):
         store = LocalStore()
         for key, point in (("a", 5), ("b", 10)):
@@ -174,30 +186,30 @@ class TestPointIndex:
         store.put(point_entry("a", 10))
         store.put(point_entry("b", 10, hash_name="hr-1"))
         store.delete("hr-0", "a")
-        assert store.points() == [10]
+        assert points(store) == [10]
         store.delete("hr-1", "b")
-        assert store.points() == []
+        assert points(store) == []
 
     def test_clear_resets_point_index(self):
         store = LocalStore()
         store.put(point_entry("a", 10))
         store.clear()
-        assert store.points() == []
-        assert store.entries_at(10) == []
+        assert points(store) == []
+        assert entries_at(store, 10) == []
 
     def test_rejected_put_leaves_index_unchanged(self):
         store = LocalStore()
         store.put(point_entry("a", 10, version=5))
         assert not store.put(point_entry("a", 10, version=3))
-        assert store.points() == [10]
-        assert len(store.entries_at(10)) == 1
+        assert points(store) == [10]
+        assert len(entries_at(store, 10)) == 1
 
     def test_accepted_put_replaces_the_indexed_entry(self):
         store = LocalStore()
         store.put(point_entry("a", 10, version=3))
         assert store.put(point_entry("a", 10, version=5))
-        assert store.points() == [10]
-        assert [entry.version for entry in store.entries_at(10)] == [5]
+        assert points(store) == [10]
+        assert [entry.version for entry in entries_at(store, 10)] == [5]
         assert [entry.version for entry in store.entries_in_span(9, 10)] == [5]
 
 

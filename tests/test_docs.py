@@ -196,7 +196,7 @@ class TestNamesResolve:
         assert len(paths) >= 30
         assert len({pair for pair in pairs if pair[0] in classes}) >= 30
         local_store = classes["LocalStore"][0]
-        assert _has_attribute(local_store, "_point_slots")      # set in __init__
+        assert _has_attribute(local_store, "_entries")          # set in __init__
         assert not _has_attribute(local_store, "_by_point")     # renamed away
         assert _resolves("repro.dht.kademlia.RoutingTable.closest")
         assert not _resolves("repro.dht.kademlia.KBucket")      # deleted in 6.0.0
