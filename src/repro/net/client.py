@@ -25,7 +25,9 @@ The transport internals:
   (:class:`~repro.net.wire.DeflateStream` out, the
   :class:`~repro.net.codec.FrameDecoder` in), so a request is encoded per
   attempt, on the connection that sends it: a retry on a fresh link starts
-  fresh streams, and ``bytes_sent`` adds up the frames actually sent.
+  fresh streams, and ``bytes_sent`` adds up the frames actually sent;
+* a reply's records leave out the keys the request named, so its frame is
+  decoded with the request's :func:`~repro.net.codec.request_keys`.
 
 Retries map onto the existing accounting: a remote result's trace is the
 :class:`~repro.dht.messages.TraceSummary` the server recorded, and each
@@ -117,9 +119,11 @@ class _Connection:
         self.stream = codec.DeflateStream()
         self.decoder = codec.FrameDecoder()
 
-    def request(self, frame: bytes,
-                timeout_s: float) -> Tuple[Dict[str, Any], int]:
+    def request(self, frame: bytes, timeout_s: float,
+                keys: Optional[Sequence[Any]]) -> Tuple[Dict[str, Any], int]:
         """Send one encoded frame; return the reply payload and its wire bytes.
+
+        ``keys`` are the keys the request named (its reply leaves them out).
 
         ``timeout_s`` bounds the whole exchange: the deadline is carried
         across ``recv`` calls, so a reply dribbling in cannot stretch the
@@ -138,7 +142,7 @@ class _Connection:
                 if not chunk:
                     raise TransportError("server closed the connection")
                 received += len(chunk)
-                frames = self.decoder.feed(chunk)
+                frames = self.decoder.feed(chunk, keys=keys)
                 if frames:
                     break
                 # reprolint: allow[REP001] reason=remaining share of the same wall-clock request deadline (tests/net/test_client_transport.py)
@@ -278,6 +282,7 @@ class NetClient:
             self.counters.requests += 1
         payload = {"id": request_id, "op": op}
         payload.update(params)
+        keys = codec.request_keys(payload)
         stats = RequestStats(attempts=0)
         while True:
             stats.attempts += 1
@@ -293,7 +298,7 @@ class NetClient:
                 raise
             stats.bytes_sent += len(frame)
             try:
-                reply, received = connection.request(frame, self.timeout_s)
+                reply, received = connection.request(frame, self.timeout_s, keys)
             except socket.timeout:
                 retrying = stats.attempts <= self.max_retries
                 stats.timeouts += 1

@@ -1,6 +1,7 @@
 """Length-prefixed wire codec for the service-mode transport.
 
-Frames are ``4-byte big-endian length || body``, and a body is the tagged
+Frames are ``length || body``, the length an RFC 9000 §16 varint in its
+shortest form: 1 byte below 64, 2 below 16 384, else 4.  A body is the tagged
 binary encoding of :mod:`repro.net.wire` behind the one-byte marker
 ``0x02``: the next piece of the connection's deflate stream (every frame a
 connection writes).  The four result types of :mod:`repro.api.results`
@@ -9,16 +10,16 @@ backend produces, and keys and data come back as the values they were —
 all but the trace, which travels as its
 :class:`~repro.dht.messages.TraceSummary`: the message count, byte total and
 timeouts a client reads, without the per-message columns only the
-simulator's cost model needs.
+simulator's cost model needs.  A reply leaves out the keys its request
+named: both ends pass that request's :func:`request_keys`.
 
 :func:`frame_size` *measures* the serialised size of any payload as the first
 frame of a fresh stream, giving the bytes-per-op accounting the simulator's
 :class:`~repro.dht.messages.MessageSizes` only models.
 
 **Size convention**: :func:`frame_size` reports the full on-the-wire cost of
-a frame — the 4-byte length prefix *plus* the body — matching what the
-transport counters in :mod:`repro.net.client` accumulate.  Code that needs
-the body alone subtracts ``FRAME_HEADER_BYTES``.
+a frame — the length prefix *plus* the body — matching what the transport
+counters in :mod:`repro.net.client` accumulate.
 
 JSON is a view, not a protocol: :func:`describe` renders any frame as
 indented JSON for humans, records in the dict forms of the ``*_to_dict``
@@ -28,9 +29,8 @@ functions.
 from __future__ import annotations
 
 import json
-import struct
 import zlib
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.results import (
     BatchInsertResult,
@@ -52,38 +52,77 @@ from repro.net.wire import (
 __all__ = [
     "CodecError",
     "DeflateStream",
-    "FRAME_HEADER_BYTES",
     "FrameDecoder",
     "MAX_FRAME_BYTES",
+    "MAX_FRAME_HEADER_BYTES",
     "batch_insert_result_to_dict",
     "batch_retrieve_result_to_dict",
     "decode_frame",
     "describe",
     "encode_frame",
+    "frame_header",
     "frame_size",
     "insert_result_to_dict",
+    "request_keys",
     "retrieve_result_to_dict",
     "trace_to_dict",
 ]
 
-_HEADER = struct.Struct(">I")
-
-#: Size of the length prefix every frame carries; :func:`frame_size`
-#: includes it (the header-inclusive convention).
-FRAME_HEADER_BYTES = _HEADER.size
+#: The largest length prefix the wire writes (for 16 384 body bytes or more).
+MAX_FRAME_HEADER_BYTES = 4
 
 
 # ------------------------------------------------------------------- framing
+def frame_header(length: int) -> bytes:
+    """The shortest prefix of a ``length``-byte body (below 2**30): 1, 2 or
+    4 bytes whose top two bits give the size."""
+    size = 1 if length < 0x40 else 2 if length < 0x4000 else 4
+    return ((size.bit_length() - 1) << (8 * size - 2) | length).to_bytes(size, "big")
+
+
+def _body_extent(buffer: bytearray) -> Optional[Tuple[int, int]]:
+    """Where the head frame's body starts and ends, once its header is whole;
+    a header over the limit or not in its shortest form is refused."""
+    size = 1 << (buffer[0] >> 6)
+    if len(buffer) < size:
+        return None
+    length = int.from_bytes(buffer[:size], "big") & ((1 << (8 * size - 2)) - 1)
+    if length > MAX_FRAME_BYTES:
+        raise CodecError(f"frame header announces {length} bytes, over "
+                         f"the {MAX_FRAME_BYTES}-byte limit")
+    if size > 1 and length >> (4 * size - 2) == 0:
+        raise CodecError(f"a {size}-byte frame length of {length} is not minimal")
+    return size, size + length
+
+
+def request_keys(request: Dict[str, Any]) -> Optional[Sequence[Any]]:
+    """The keys a data request names, in order (``(key,)`` for a point
+    operation), or ``None``.  Only lists and tuples are read: a dict's
+    order is not the same at both ends."""
+    op = request.get("op")
+    if op == "insert" or op == "retrieve":
+        return (request.get("key"),)
+    if op == "retrieve_many":
+        keys = request.get("keys")
+        return keys if isinstance(keys, (list, tuple)) else None
+    items = request.get("items")
+    if op == "insert_many" and isinstance(items, (list, tuple)) and all(
+            isinstance(item, (list, tuple)) and len(item) == 2 for item in items):
+        return [item[0] for item in items]
+    return None
+
+
 def encode_frame(payload: Dict[str, Any], *,
-                 stream: Optional[DeflateStream] = None) -> bytes:
+                 stream: Optional[DeflateStream] = None,
+                 keys: Optional[Sequence[Any]] = None) -> bytes:
     """Serialise ``payload`` as one length-prefixed frame.
 
     The body is the next piece of ``stream``, the sending connection's
     :class:`~repro.net.wire.DeflateStream` — or, without one, the first
-    frame of a fresh stream.
+    frame of a fresh stream; a reply leaves out its request's ``keys``.
     """
-    body = pack_payload(payload, stream=stream)
-    return _HEADER.pack(len(body)) + body
+    body = pack_payload(payload, stream=stream, keys=keys)
+    return frame_header(len(body)) + body
 
 
 # reprolint: allow[REP008] reason=read view: the wire tests (tests/net/test_codec.py, tests/net/test_records.py) decode one frame through it
@@ -92,8 +131,9 @@ def decode_frame(data: bytes) -> Dict[str, Any]:
     return _only_frame(FrameDecoder(), data)
 
 
-def _only_frame(decoder: "FrameDecoder", data: bytes) -> Dict[str, Any]:
-    frames = decoder.feed(data)
+def _only_frame(decoder: "FrameDecoder", data: bytes,
+                keys: Optional[Sequence[Any]] = None) -> Dict[str, Any]:
+    frames = decoder.feed(data, keys=keys)
     if len(frames) != 1 or decoder.pending_bytes:
         raise CodecError(f"expected exactly one complete frame, decoded "
                          f"{len(frames)} with {decoder.pending_bytes} bytes left")
@@ -101,15 +141,16 @@ def _only_frame(decoder: "FrameDecoder", data: bytes) -> Dict[str, Any]:
 
 
 # reprolint: allow[REP008] reason=read view: tests/net/test_frame_sizes.py pins the golden frame sizes through it
-def frame_size(payload: Dict[str, Any]) -> int:
-    """The measured wire size of ``payload``, in bytes.
+def frame_size(payload: Dict[str, Any], *,
+               keys: Optional[Sequence[Any]] = None) -> int:
+    """The measured wire size of ``payload`` (answering ``keys``), in bytes.
 
-    Header-inclusive by convention: the 4-byte length prefix
-    (:data:`FRAME_HEADER_BYTES`) is counted, so the result is exactly the
-    byte count a transport would put on the wire for this payload as a
-    connection's first frame.
+    Header-inclusive by convention: the length prefix (1 to
+    :data:`MAX_FRAME_HEADER_BYTES` bytes) is counted, so the result is
+    exactly the byte count a transport would put on the wire for this
+    payload as a connection's first frame.
     """
-    return len(encode_frame(payload))
+    return len(encode_frame(payload, keys=keys))
 
 
 class FrameDecoder:
@@ -122,7 +163,8 @@ class FrameDecoder:
     arrive, in order.
 
     A malformed frame is consumed from the buffer *before* its
-    :class:`CodecError` is raised.  One refused before inflating (an empty
+    :class:`CodecError` is raised (a refused header stays: where its frame
+    ends is unknown).  One refused before inflating (an empty
     body, an unknown marker) leaves the stream as it was; a bad ``0x02``
     frame breaks it, and every later frame is refused (there is no resync).
     Frames completed ahead of it in the same call are not lost to it: the call
@@ -140,23 +182,25 @@ class FrameDecoder:
         """How many buffered bytes are waiting for the rest of their frame."""
         return len(self._buffer)
 
-    def feed(self, data: bytes) -> List[Dict[str, Any]]:
-        """Append ``data`` to the buffer and return every completed payload."""
+    def feed(self, data: bytes, *,
+             keys: Optional[Sequence[Any]] = None) -> List[Dict[str, Any]]:
+        """Append ``data`` to the buffer and return every completed payload
+        (replies to a request naming ``keys``)."""
         buffer = self._buffer
         buffer += data
         frames: List[Dict[str, Any]] = []
-        while len(buffer) >= _HEADER.size:
-            (length,) = _HEADER.unpack_from(buffer)
-            if length > MAX_FRAME_BYTES:
+        while buffer:
+            try:
+                extent = _body_extent(buffer)
+            except CodecError:
                 if frames:
                     break  # what arrived intact first; the next call raises
-                raise CodecError(f"frame header announces {length} bytes, over "
-                                 f"the {MAX_FRAME_BYTES}-byte limit")
-            end = _HEADER.size + length
-            if len(buffer) < end:
+                raise
+            if extent is None or len(buffer) < extent[1]:
                 break
+            start, end = extent
             try:
-                frame = self._decode_body(bytes(buffer[_HEADER.size:end]))
+                frame = self._decode_body(bytes(buffer[start:end]), keys)
             except CodecError:
                 if frames:
                     break  # as above: it stays put until the next call
@@ -166,7 +210,8 @@ class FrameDecoder:
             frames.append(frame)
         return frames
 
-    def _decode_body(self, body: bytes) -> Dict[str, Any]:
+    def _decode_body(self, body: bytes,
+                     keys: Optional[Sequence[Any]]) -> Dict[str, Any]:
         if not body or body[0] != MARKER_COMPRESSED:
             return unpack_payload(body)  # refuses it, the stream untouched
         if self._stream_error is not None:
@@ -175,7 +220,7 @@ class FrameDecoder:
         if self._inflate is None:
             self._inflate = zlib.decompressobj(-zlib.MAX_WBITS)
         try:
-            return unpack_payload(body, stream=self._inflate)
+            return unpack_payload(body, stream=self._inflate, keys=keys)
         except CodecError as error:
             self._stream_error = error
             raise
@@ -193,15 +238,18 @@ FrameDecoder.feed_with_formats = _retired  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------- the view
-def describe(frame: bytes, decoder: Optional[FrameDecoder] = None) -> str:
+def describe(frame: bytes, decoder: Optional[FrameDecoder] = None, *,
+             keys: Optional[Sequence[Any]] = None) -> str:
     """``frame`` (header + body) as indented, key-sorted JSON, for humans.
 
     Trace summaries and results appear in their ``*_to_dict`` forms and
     timestamps as ``{"key": ..., "value": ...}``.  A mid-stream
     ``0x02`` frame needs ``decoder``, the :class:`FrameDecoder` that read
-    its connection's frames before it; the decoder is fed the frame.
+    its connection's frames before it; the decoder is fed the frame.  A
+    reply needs the ``keys`` its request named.
     """
-    payload = _only_frame(FrameDecoder() if decoder is None else decoder, frame)
+    payload = _only_frame(FrameDecoder() if decoder is None else decoder,
+                          frame, keys)
     return json.dumps(payload, indent=2, sort_keys=True, default=_view)
 
 

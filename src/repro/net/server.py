@@ -6,7 +6,8 @@ in-process — an overlay population with per-peer
 and the registered currency services (UMS/BRK handlers) — behind
 length-prefixed frames (:mod:`repro.net.codec`) over TCP and/or a Unix
 domain socket.  Every request and every reply is the next piece of its
-connection's deflate stream, one per direction.
+connection's deflate stream, one per direction, and a reply's records leave
+out the keys its request named (:func:`~repro.net.codec.request_keys`).
 
 A connection is an :class:`asyncio.Protocol`, not a pair of streams: the
 loop hands ``data_received`` the bytes it read, the frames they complete are
@@ -372,7 +373,8 @@ class _Connection(asyncio.Protocol):
             delay = schedule.delay_for(fault_index)
         # Encoding here, in execution order, keeps the stream in write order.
         try:
-            frame = codec.encode_frame(reply, stream=self._stream)
+            frame = codec.encode_frame(reply, stream=self._stream,
+                                       keys=codec.request_keys(request))
         except codec.CodecError as error:
             # Refused before it touched the stream: answer, keep the link.
             frame = codec.encode_frame(

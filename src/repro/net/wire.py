@@ -1,8 +1,8 @@
 """The binary frame bodies of the service-mode wire protocol.
 
-The transport's frames are ``4-byte big-endian length || body`` (see
-:mod:`repro.net.codec`).  A body is the tagged encoding of one payload
-dict, behind a one-byte marker:
+The transport's frames are ``length || body``, the length a 1- to 4-byte
+varint (see :mod:`repro.net.codec`).  A body is the tagged encoding of one
+payload dict, behind a one-byte marker:
 
 ========  =============================================================
 marker    body
@@ -43,7 +43,11 @@ does: ``w`` an :class:`~repro.api.results.InsertResult`, ``r`` a
 and ``o`` a trace.  A result record packs its fixed fields (flags, counts,
 the consistency code) in one ``struct`` call; a timestamp of the result's
 own key carries only its counter; key, data and the other optional fields
-follow in the tagged encoding.  A trace travels as its
+follow in the tagged encoding.  Given the keys of the request a reply
+answers (``keys=``, one per record), a record whose key is the request's at
+its position, by the rule a timestamp shares it, sets ``_OWN_KEY`` instead
+of packing it.  Decoding a flagged record without keys, or a batch whose
+count is not the request's, is a :class:`CodecError`.  A trace travels as its
 :class:`~repro.dht.messages.TraceSummary` — what a client reads of it — in
 one fixed-size record: the message count, the total bytes, the timeout count
 and the retry size, as int32, int64, int32 and int64.  An
@@ -67,7 +71,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.api.results import (
     BatchInsertResult,
@@ -130,9 +135,12 @@ _SUMMARY = struct.Struct(">iqiq")
 _BATCH_HEAD = struct.Struct(">BI")
 
 #: Result flag bits; a record with any other bit set is refused.
-_FOUND, _CURRENT, _AMBIGUOUS, _OWN_STAMP, _OWN_LATEST = 1, 2, 4, 8, 16
-_INSERT_FLAGS = _OWN_STAMP
-_RETRIEVE_FLAGS = _FOUND | _CURRENT | _AMBIGUOUS | _OWN_STAMP | _OWN_LATEST
+_FOUND, _CURRENT, _AMBIGUOUS, _OWN_STAMP, _OWN_LATEST, _OWN_KEY = 1, 2, 4, 8, 16, 32
+_INSERT_FLAGS = _OWN_STAMP | _OWN_KEY
+_RETRIEVE_FLAGS = _FOUND | _CURRENT | _AMBIGUOUS | _OWN_STAMP | _OWN_LATEST | _OWN_KEY
+
+#: The request key of a record no request named: never a result's own.
+_UNNAMED: Any = object()
 
 #: Consistency levels as one-byte codes, append-only like the key codes;
 #: ``0xFF`` escapes to a tagged value for any other level.
@@ -219,7 +227,9 @@ def _encode_list(values: Sequence[Any], out: bytearray) -> None:
         _pack(item, out)
 
 
-def _encode_dict(value: Dict[Any, Any], out: bytearray) -> None:
+def _encode_dict(value: Dict[Any, Any], out: bytearray,
+                 request_keys: Optional[Sequence[Any]] = None) -> None:
+    """Append a dict; with ``request_keys``, a reply (its ``result`` gets them)."""
     out += _TAG_U32.pack(b"d", len(value))
     try:
         keys = sorted(value)
@@ -234,7 +244,12 @@ def _encode_dict(value: Dict[Any, Any], out: bytearray) -> None:
         else:
             raise CodecError(f"binary payload dict keys must be strings, "
                              f"got {type(key).__name__}")
-        _pack(value[key], out)
+        item = value[key]
+        if request_keys is not None and key == "result" and type(item) in _RESULTS:
+            out.append(_RECORDS[type(item)][0])
+            _RESULTS[type(item)](item, out, request_keys)
+        else:
+            _pack(item, out)
 
 
 def _encode_timestamp(stamp: Timestamp, out: bytearray) -> None:
@@ -242,19 +257,28 @@ def _encode_timestamp(stamp: Timestamp, out: bytearray) -> None:
     out += _I64.pack(stamp.value)
 
 
-def _own_counter(stamp: Any, key: Any) -> Optional[int]:
-    """``stamp``'s counter if it is a timestamp of ``key`` itself.
+def _is_own(own: Any, key: Any) -> bool:
+    """Whether ``own`` need not travel to a receiver that has ``key``: the same
+    object, or an equal str or int of its type (``1``, ``True``, ``1.0`` differ)."""
+    return own is key or (type(own) is type(key) and type(key) in (str, int)
+                          and own == key)
 
-    Its key then need not travel: it *is* the result's key — the same
-    object, or an equal string or int (equal type and value, so ``1``,
-    ``True`` and ``1.0`` never stand in for one another).
-    """
-    if type(stamp) is Timestamp:
-        own = stamp.key
-        if own is key or (type(own) is type(key) and type(key) in (str, int)
-                          and own == key):
-            return stamp.value
+
+def _own_counter(stamp: Any, key: Any) -> Optional[int]:
+    """``stamp``'s counter if it is a timestamp of ``key`` itself."""
+    if type(stamp) is Timestamp and _is_own(stamp.key, key):
+        return stamp.value
     return None
+
+
+def _named(keys: Optional[Sequence[Any]], count: int) -> Iterable[Any]:
+    """The request's key of each of ``count`` records, in order."""
+    if keys is None:
+        return repeat(_UNNAMED, count)
+    if len(keys) != count:
+        raise CodecError(f"{count} result records answer a request for "
+                         f"{len(keys)} keys")
+    return keys
 
 
 def _encode_summary(trace: Trace, out: bytearray) -> None:
@@ -269,15 +293,19 @@ def _encode_summary(trace: Trace, out: bytearray) -> None:
                          trace.timeout_count, trace.retry_bytes)
 
 
-def _encode_insert(result: InsertResult, out: bytearray, *,
-                   with_trace: bool = True) -> None:
-    """Append an insert record (untagged; a batch's records carry no trace)."""
+def _encode_insert(result: InsertResult, out: bytearray, named: Any = _UNNAMED,
+                   *, with_trace: bool = True) -> None:
+    """Append an insert record (untagged; a batch's carry no trace), answering
+    a request that ``named`` a key."""
     key = result.key
     stamp = _own_counter(result.timestamp, key)
-    out += _INSERT_HEAD.pack(0 if stamp is None else _OWN_STAMP,
+    own = _is_own(key, named)
+    out += _INSERT_HEAD.pack((0 if stamp is None else _OWN_STAMP)
+                             | (_OWN_KEY if own else 0),
                              result.replicas_written, result.replicas_attempted,
                              stamp or 0)
-    _pack(key, out)
+    if not own:
+        _pack(key, out)
     if stamp is None:
         _pack(result.timestamp, out)
     _pack(result.version, out)
@@ -286,21 +314,25 @@ def _encode_insert(result: InsertResult, out: bytearray, *,
         _encode_summary(result.trace, out)
 
 
-def _encode_retrieve(result: RetrieveResult, out: bytearray, *,
-                     with_trace: bool = True) -> None:
-    """Append a retrieve record (untagged; a batch's records carry no trace)."""
+def _encode_retrieve(result: RetrieveResult, out: bytearray,
+                     named: Any = _UNNAMED, *, with_trace: bool = True) -> None:
+    """Append a retrieve record (untagged; a batch's carry no trace),
+    answering a request that ``named`` a key."""
     key = result.key
     stamp = _own_counter(result.timestamp, key)
     latest = _own_counter(result.latest_timestamp, key)
+    own = _is_own(key, named)
     code = _CONSISTENCY_CODES.get(result.consistency, _OTHER_LEVEL)
     flags = ((_FOUND if result.found else 0)
              | (_CURRENT if result.is_current else 0)
              | (_AMBIGUOUS if result.ambiguous else 0)
              | (0 if stamp is None else _OWN_STAMP)
-             | (0 if latest is None else _OWN_LATEST))
+             | (0 if latest is None else _OWN_LATEST)
+             | (_OWN_KEY if own else 0))
     out += _RETRIEVE_HEAD.pack(flags, code, result.replicas_inspected,
                                stamp or 0, latest or 0)
-    _pack(key, out)
+    if not own:
+        _pack(key, out)
     _pack(result.data, out)
     if stamp is None:
         _pack(result.timestamp, out)
@@ -314,22 +346,38 @@ def _encode_retrieve(result: RetrieveResult, out: bytearray, *,
         _encode_summary(result.trace, out)
 
 
-def _encode_batch_insert(batch: BatchInsertResult, out: bytearray) -> None:
-    out += _U32.pack(len(batch.results))
+def _encode_batch_insert(batch: BatchInsertResult, out: bytearray,
+                         keys: Optional[Sequence[Any]] = None) -> None:
+    results = batch.results
+    named = _named(keys, len(results))
+    out += _U32.pack(len(results))
     _encode_summary(batch.trace, out)
-    for result in batch.results:
-        _encode_insert(result, out, with_trace=False)
+    for result, key in zip(results, named):
+        _encode_insert(result, out, key, with_trace=False)
 
 
-def _encode_batch_retrieve(batch: BatchRetrieveResult, out: bytearray) -> None:
+def _encode_batch_retrieve(batch: BatchRetrieveResult, out: bytearray,
+                           keys: Optional[Sequence[Any]] = None) -> None:
+    results = batch.results
+    named = _named(keys, len(results))
     code = _CONSISTENCY_CODES.get(batch.consistency, _OTHER_LEVEL)
-    out += _BATCH_HEAD.pack(code, len(batch.results))
+    out += _BATCH_HEAD.pack(code, len(results))
     if code == _OTHER_LEVEL:
         _pack(batch.consistency, out)
     _encode_summary(batch.trace, out)
-    for result in batch.results:
-        _encode_retrieve(result, out, with_trace=False)
+    for result, key in zip(results, named):
+        _encode_retrieve(result, out, key, with_trace=False)
 
+
+#: The result records' encoders given their request's keys, by exact type.
+_RESULTS: Dict[type, Callable[..., None]] = {
+    InsertResult: lambda result, out, keys: _encode_insert(
+        result, out, *_named(keys, 1)),
+    RetrieveResult: lambda result, out, keys: _encode_retrieve(
+        result, out, *_named(keys, 1)),
+    BatchInsertResult: _encode_batch_insert,
+    BatchRetrieveResult: _encode_batch_retrieve,
+}
 
 #: The objects with a tag of their own, by exact type: the tag and the
 #: encoder of what follows it.
@@ -391,11 +439,13 @@ def _pack(value: Any, out: bytearray) -> None:
 
 
 def pack_payload(payload: Dict[str, Any], *,
-                 stream: Optional[DeflateStream] = None) -> bytes:
+                 stream: Optional[DeflateStream] = None,
+                 keys: Optional[Sequence[Any]] = None) -> bytes:
     """Encode ``payload`` as one frame body (marker included).
 
     The body is the next piece of ``stream`` — or, without one, the first
-    frame of a fresh stream.  A payload whose packed encoding could not
+    frame of a fresh stream; a reply's result leaves out its request's
+    ``keys``.  A payload whose packed encoding could not
     fit :data:`MAX_FRAME_BYTES` once deflated (the receiver's bound on both
     the wire body and its inflated size) is refused before it is deflated,
     so the stream stays usable; so is one that fails mid-pack.
@@ -405,7 +455,7 @@ def pack_payload(payload: Dict[str, Any], *,
                          f"got {type(payload).__name__}")
     packed = bytearray()
     try:
-        _pack(payload, packed)
+        _encode_dict(payload, packed, keys)
     except (struct.error, OverflowError, TypeError) as error:
         raise CodecError(f"payload is not wire-serialisable: {error}") from error
     except RecursionError as error:
@@ -448,6 +498,17 @@ def _timestamp(key: Any, counter: int) -> Timestamp:
     return Timestamp(key=key, value=counter)
 
 
+def _record_key(data: bytes, pos: int, flags: int,
+                named: Any) -> Tuple[Any, int]:
+    """A record's key: tagged, or (``_OWN_KEY``) the one its request ``named``."""
+    if not flags & _OWN_KEY:
+        return _unpack(data, pos)
+    if named is _UNNAMED:
+        raise CodecError("a record leaves out its key, but no request keys "
+                         "were given")
+    return named, pos
+
+
 def _stamp(data: bytes, pos: int, key: Any, own: int,
            counter: int) -> Tuple[Any, int]:
     """A record's timestamp field: of its own key (``own``), or tagged."""
@@ -485,12 +546,13 @@ def _decode_summary(data: bytes, pos: int) -> Tuple[TraceSummary, int]:
     return TraceSummary(messages, total, timeouts, retry), pos + _SUMMARY.size
 
 
-def _decode_insert(data: bytes, pos: int,
-                   trace: Optional[TraceSummary]) -> Tuple[InsertResult, int]:
-    """The insert record at ``pos``; ``trace`` is its batch's shared summary."""
+def _decode_insert(data: bytes, pos: int, trace: Optional[TraceSummary],
+                   named: Any = _UNNAMED) -> Tuple[InsertResult, int]:
+    """The insert record at ``pos``; ``trace`` is its batch's shared summary,
+    ``named`` its request's key."""
     flags, written, attempted, counter = _INSERT_HEAD.unpack_from(data, pos)
     _check_flags(flags, _INSERT_FLAGS, "insert")
-    key, pos = _unpack(data, pos + _INSERT_HEAD.size)
+    key, pos = _record_key(data, pos + _INSERT_HEAD.size, flags, named)
     stamp, pos = _stamp(data, pos, key, flags & _OWN_STAMP, counter)
     version, pos = _unpack(data, pos)
     service, pos = _unpack(data, pos)
@@ -501,13 +563,14 @@ def _decode_insert(data: bytes, pos: int,
                         timestamp=stamp, version=version, service=service), pos
 
 
-def _decode_retrieve(data: bytes, pos: int, trace: Optional[TraceSummary]
-                     ) -> Tuple[RetrieveResult, int]:
-    """The retrieve record at ``pos``; ``trace`` is its batch's shared summary."""
+def _decode_retrieve(data: bytes, pos: int, trace: Optional[TraceSummary],
+                     named: Any = _UNNAMED) -> Tuple[RetrieveResult, int]:
+    """The retrieve record at ``pos``; ``trace`` is its batch's shared
+    summary, ``named`` its request's key."""
     flags, code, inspected, counter, latest_counter = \
         _RETRIEVE_HEAD.unpack_from(data, pos)
     _check_flags(flags, _RETRIEVE_FLAGS, "retrieve")
-    key, pos = _unpack(data, pos + _RETRIEVE_HEAD.size)
+    key, pos = _record_key(data, pos + _RETRIEVE_HEAD.size, flags, named)
     value, pos = _unpack(data, pos)
     stamp, pos = _stamp(data, pos, key, flags & _OWN_STAMP, counter)
     latest, pos = _stamp(data, pos, key, flags & _OWN_LATEST, latest_counter)
@@ -524,24 +587,29 @@ def _decode_retrieve(data: bytes, pos: int, trace: Optional[TraceSummary]
                           consistency=consistency, service=service), pos
 
 
-def _decode_batch_insert(data: bytes, pos: int) -> Tuple[BatchInsertResult, int]:
+def _decode_batch_insert(data: bytes, pos: int,
+                         keys: Optional[Sequence[Any]] = None
+                         ) -> Tuple[BatchInsertResult, int]:
     count = _U32_AT(data, pos)[0]
+    named = _named(keys, count)
     trace, pos = _decode_summary(data, pos + 4)
     results = []
-    for _ in range(count):
-        result, pos = _decode_insert(data, pos, trace)
+    for key in named:
+        result, pos = _decode_insert(data, pos, trace, key)
         results.append(result)
     return BatchInsertResult(results=tuple(results), trace=trace), pos
 
 
-def _decode_batch_retrieve(data: bytes, pos: int
+def _decode_batch_retrieve(data: bytes, pos: int,
+                           keys: Optional[Sequence[Any]] = None
                            ) -> Tuple[BatchRetrieveResult, int]:
     code, count = _BATCH_HEAD.unpack_from(data, pos)
+    named = _named(keys, count)
     consistency, pos = _level(data, pos + _BATCH_HEAD.size, code)
     trace, pos = _decode_summary(data, pos)
     results = []
-    for _ in range(count):
-        result, pos = _decode_retrieve(data, pos, trace)
+    for key in named:
+        result, pos = _decode_retrieve(data, pos, trace, key)
         results.append(result)
     return BatchRetrieveResult(results=tuple(results), trace=trace,
                                consistency=consistency), pos
@@ -563,21 +631,7 @@ def _unpack(data: bytes, pos: int) -> Tuple[Any, int]:
     if tag == _TAG_INT:
         return _I64_AT(data, pos)[0], pos + 8
     if tag == _TAG_DICT:
-        count = _U32_AT(data, pos)[0]
-        pos += 4
-        result: Dict[str, Any] = {}
-        for _ in range(count):
-            code = data[pos]
-            if code < _KEY_COUNT:
-                key = WIRE_KEYS[code]
-                pos += 1
-            elif code == _RAW_KEY_CODE:
-                key, pos = _decode_str(data, pos + 1)
-            else:
-                raise CodecError(f"unknown dict key code {code:#04x} at "
-                                 f"offset {pos}")
-            result[key], pos = _unpack(data, pos)
-        return result, pos
+        return _decode_dict(data, pos)
     if tag == _TAG_LIST:
         count = _U32_AT(data, pos)[0]
         pos += 4
@@ -592,14 +646,8 @@ def _unpack(data: bytes, pos: int) -> Tuple[Any, int]:
         return True, pos
     if tag == _TAG_FALSE:
         return False, pos
-    if tag == _TAG_RETRIEVE:
-        return _decode_retrieve(data, pos, None)
-    if tag == _TAG_INSERT:
-        return _decode_insert(data, pos, None)
-    if tag == _TAG_BATCH_RETRIEVE:
-        return _decode_batch_retrieve(data, pos)
-    if tag == _TAG_BATCH_INSERT:
-        return _decode_batch_insert(data, pos)
+    if tag in _RESULT_DECODERS:
+        return _RESULT_DECODERS[tag](data, pos, None)
     if tag == _TAG_TRACE:
         return _decode_summary(data, pos)
     if tag == _TAG_TIMESTAMP:
@@ -615,6 +663,44 @@ def _unpack(data: bytes, pos: int) -> Tuple[Any, int]:
             raise CodecError(f"malformed big integer: {error}") from error
     raise CodecError(f"unknown binary value tag {bytes((tag,))!r} at "
                      f"offset {pos - 1}")
+
+
+#: The result records' decoders given their request's keys, by tag.
+_RESULT_DECODERS: Dict[int, Callable[..., Tuple[Any, int]]] = {
+    _TAG_INSERT: lambda data, pos, keys: _decode_insert(
+        data, pos, None, *_named(keys, 1)),
+    _TAG_RETRIEVE: lambda data, pos, keys: _decode_retrieve(
+        data, pos, None, *_named(keys, 1)),
+    _TAG_BATCH_INSERT: _decode_batch_insert,
+    _TAG_BATCH_RETRIEVE: _decode_batch_retrieve,
+}
+
+
+def _decode_dict(data: bytes, pos: int,
+                 request_keys: Optional[Sequence[Any]] = None
+                 ) -> Tuple[Dict[str, Any], int]:
+    """The dict behind its tag; with ``request_keys``, a reply's (its
+    ``result`` gets them)."""
+    count = _U32_AT(data, pos)[0]
+    pos += 4
+    result: Dict[str, Any] = {}
+    for _ in range(count):
+        code = data[pos]
+        if code < _KEY_COUNT:
+            key = WIRE_KEYS[code]
+            pos += 1
+        elif code == _RAW_KEY_CODE:
+            key, pos = _decode_str(data, pos + 1)
+        else:
+            raise CodecError(f"unknown dict key code {code:#04x} at "
+                             f"offset {pos}")
+        if request_keys is not None and key == "result" \
+                and data[pos] in _RESULT_DECODERS:
+            result[key], pos = _RESULT_DECODERS[data[pos]](data, pos + 1,
+                                                            request_keys)
+        else:
+            result[key], pos = _unpack(data, pos)
+    return result, pos
 
 
 def _inflate(body: bytes, stream: "zlib._Decompress") -> bytes:
@@ -637,11 +723,13 @@ def _inflate(body: bytes, stream: "zlib._Decompress") -> bytes:
 
 
 def unpack_payload(body: bytes, *,
-                   stream: Optional["zlib._Decompress"] = None) -> Dict[str, Any]:
+                   stream: Optional["zlib._Decompress"] = None,
+                   keys: Optional[Sequence[Any]] = None) -> Dict[str, Any]:
     """Decode one ``0x02`` frame body to its payload.
 
     The body is inflated by ``stream``, its connection's raw-deflate
-    inflater — or, without one, as the first frame of a fresh stream.
+    inflater — or, without one, as the first frame of a fresh stream.  A
+    reply's result gets back the ``keys`` its request named.
     """
     if not body:
         raise CodecError("empty frame body")
@@ -650,14 +738,13 @@ def unpack_payload(body: bytes, *,
     body = _inflate(body, zlib.decompressobj(-zlib.MAX_WBITS)
                     if stream is None else stream)
     try:
-        payload, end = _unpack(body, 0)
+        if body[0] != _TAG_DICT:
+            raise CodecError("frame body must decode to an object")
+        payload, end = _decode_dict(body, 1, keys)
     except (IndexError, struct.error) as error:
         raise CodecError(f"truncated binary body: {error}") from error
     except RecursionError as error:
         raise CodecError("binary body nests too deeply") from error
     if end != len(body):
         raise CodecError("trailing bytes after the binary payload")
-    if not isinstance(payload, dict):
-        raise CodecError(f"frame body must decode to an object, "
-                         f"got {type(payload).__name__}")
     return payload

@@ -153,10 +153,10 @@ class NetworkCostModel:
                    for index, (size_bytes, source, dest)
                    in enumerate(zip(trace.size_bytes, trace.sources, trace.dests)))
 
-    #: Per-message framing overhead charged by :meth:`traffic_bytes`.  Matches
-    #: the 4-byte length prefix of the wire codec's frame format
-    #: (``repro.net.codec.FRAME_HEADER_BYTES``) — kept as a local constant so
-    #: the simulation layer does not import upward into ``repro.net``.
+    #: Per-message framing overhead charged by :meth:`traffic_bytes`: the
+    #: largest length prefix the wire codec writes
+    #: (``repro.net.codec.MAX_FRAME_HEADER_BYTES``) — kept as a local constant
+    #: so the simulation layer does not import upward into ``repro.net``.
     frame_overhead_bytes: int = 4
 
     def traffic_bytes(self, trace: Trace) -> int:

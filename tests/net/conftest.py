@@ -61,10 +61,13 @@ def read_replies():
 
     The replies on one socket are one deflate stream, so every call on a
     socket reads on with that socket's one :class:`~repro.net.codec.FrameDecoder`.
+    A data reply leaves out the keys its request named: ``keys`` are those
+    keys (``("k",)`` for point requests on ``"k"``; a ping's reply has no
+    record to give them to).
     """
     decoders: dict = {}
 
-    def _read(sock: socket.socket, count=None) -> list:
+    def _read(sock: socket.socket, count=None, *, keys=None) -> list:
         decoder = decoders.setdefault(sock, codec.FrameDecoder())
         replies: list = []
         while count is None or len(replies) < count:
@@ -73,7 +76,7 @@ def read_replies():
                 assert count is None, \
                     f"server closed after {len(replies)} of {count} replies"
                 break
-            replies.extend(decoder.feed(chunk))
+            replies.extend(decoder.feed(chunk, keys=keys))
         return replies
 
     return _read

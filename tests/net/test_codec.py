@@ -28,6 +28,22 @@ def stream_frame(payload) -> bytes:
     return codec.encode_frame(payload, stream=codec.DeflateStream())
 
 
+def header_size(frame: bytes) -> int:
+    """The size of ``frame``'s length prefix: its first two bits' form."""
+    return 1 << (frame[0] >> 6)
+
+
+def varint(frame: bytes) -> int:
+    """The body length ``frame``'s prefix announces (RFC 9000 §16)."""
+    size = header_size(frame)
+    return int.from_bytes(frame[:size], "big") & ((1 << (8 * size - 2)) - 1)
+
+
+def body_of(frame: bytes) -> bytes:
+    """``frame`` without its length prefix."""
+    return frame[header_size(frame):]
+
+
 def deflated(tagged: bytes) -> bytes:
     """The ``0x02`` body carrying the tagged encoding ``tagged``, as the
     first frame of a fresh stream."""
@@ -48,7 +64,7 @@ class TestFraming:
 
     def test_a_frame_without_a_stream_is_a_fresh_streams_first_frame(self):
         assert codec.encode_frame({"op": "ping"}) == stream_frame({"op": "ping"})
-        assert stream_frame({"op": "ping"})[codec.FRAME_HEADER_BYTES] == 0x02
+        assert body_of(stream_frame({"op": "ping"}))[0] == 0x02
         assert not hasattr(codec, "COMPRESS_MIN_BYTES")
 
     def test_many_frames_in_one_chunk(self):
@@ -82,7 +98,7 @@ class TestFraming:
             codec.decode_frame(frame + frame)
 
     def test_oversize_header_is_rejected(self):
-        header = struct.pack(">I", codec.MAX_FRAME_BYTES + 1)
+        header = codec.frame_header(codec.MAX_FRAME_BYTES + 1)
         with pytest.raises(codec.CodecError, match="limit"):
             codec.FrameDecoder().feed(header)
 
@@ -93,12 +109,12 @@ class TestFraming:
     def test_a_json_body_is_an_unknown_marker(self):
         body = b'{"id":1,"op":"ping"}'
         with pytest.raises(codec.CodecError, match="marker 0x7b"):
-            codec.FrameDecoder().feed(struct.pack(">I", len(body)) + body)
+            codec.FrameDecoder().feed(codec.frame_header(len(body)) + body)
 
     def test_non_object_body_is_rejected(self):
         body = deflated(b"l" + struct.pack(">I", 0))
         with pytest.raises(codec.CodecError, match="decode to an object"):
-            codec.FrameDecoder().feed(struct.pack(">I", len(body)) + body)
+            codec.FrameDecoder().feed(codec.frame_header(len(body)) + body)
 
     def test_non_serialisable_payload_is_rejected(self):
         with pytest.raises(codec.CodecError, match="not wire-serialisable"):
@@ -110,19 +126,31 @@ class TestFraming:
         frame = stream_frame(payload)
         assert codec.decode_frame(frame) == payload
         inflater = zlib.decompressobj(-zlib.MAX_WBITS)
-        packed = inflater.decompress(frame[codec.FRAME_HEADER_BYTES + 1:]
+        packed = inflater.decompress(body_of(frame)[1:]
                                      + b"\x00\x00\xff\xff")
         assert len(frame) * 2 < len(packed)
 
     def test_header_convention_is_pinned(self):
-        # The 4-byte length prefix is part of every reported size.  This is
-        # the convention the transport counters, the simulator's
-        # frame_overhead_bytes, and the bench artifacts all assume.
-        assert codec.FRAME_HEADER_BYTES == 4
+        # The length prefix is part of every reported size.  This is the
+        # convention the transport counters, the simulator's
+        # frame_overhead_bytes (the largest prefix), and the bench artifacts
+        # all assume.
+        assert codec.MAX_FRAME_HEADER_BYTES == 4
         for frame in (codec.encode_frame({"op": "ping"}),
-                      stream_frame({"op": "ping"})):
-            body_len = struct.unpack(">I", frame[:4])[0]
-            assert len(frame) == codec.FRAME_HEADER_BYTES + body_len
+                      stream_frame({"op": "ping"}),
+                      stream_frame({"pad": "x" * 200}),
+                      stream_frame({"pad": bytes(range(256)).hex() * 40})):
+            assert len(frame) == header_size(frame) + varint(frame)
+            assert header_size(frame) <= codec.MAX_FRAME_HEADER_BYTES
+
+    @pytest.mark.parametrize("length, header", [
+        (0, b"\x00"), (63, b"\x3f"), (64, b"\x40\x40"), (16383, b"\x7f\xff"),
+        (16384, b"\x80\x00\x40\x00"), (2 ** 24, b"\x81\x00\x00\x00"),
+        (2 ** 30 - 1, b"\xbf\xff\xff\xff"),
+    ])
+    def test_a_length_travels_as_its_shortest_rfc9000_varint(self, length, header):
+        assert codec.frame_header(length) == header
+        assert varint(header) == length
 
     def test_timestamps_travel_natively_at_any_depth(self):
         payload = {"stamps": [Timestamp(key="a", value=1),
@@ -147,25 +175,25 @@ class TestFraming:
     ], ids=["0x05", "0x01"])
     def test_unknown_marker_is_rejected(self, body):
         with pytest.raises(codec.CodecError, match="marker"):
-            codec.FrameDecoder().feed(struct.pack(">I", len(body)) + body)
+            codec.FrameDecoder().feed(codec.frame_header(len(body)) + body)
 
     def test_truncated_body_is_rejected(self):
         frame = codec.encode_frame({"id": 1, "op": "ping"})
-        body = frame[4:-3]  # drop the tail of the tagged body
+        body = body_of(frame)[:-3]  # drop the tail of the tagged body
         with pytest.raises(codec.CodecError, match="truncated|trailing"):
-            codec.FrameDecoder().feed(struct.pack(">I", len(body)) + body)
+            codec.FrameDecoder().feed(codec.frame_header(len(body)) + body)
 
     def test_corrupt_compressed_body_is_rejected(self):
         body = bytes((0x02,)) + b"not-zlib-data"
         with pytest.raises(codec.CodecError, match="compressed"):
-            codec.FrameDecoder().feed(struct.pack(">I", len(body)) + body)
+            codec.FrameDecoder().feed(codec.frame_header(len(body)) + body)
 
     def test_decoder_survives_a_malformed_frame(self):
         bad_body = b"\x05junk"
         good = {"id": 2, "op": "ping"}
         decoder = codec.FrameDecoder()
         with pytest.raises(codec.CodecError):
-            decoder.feed(struct.pack(">I", len(bad_body)) + bad_body
+            decoder.feed(codec.frame_header(len(bad_body)) + bad_body
                          + codec.encode_frame(good))
         # The malformed frame was consumed; the following frame decodes.
         assert decoder.feed(b"") == [good]
@@ -178,7 +206,7 @@ class TestFraming:
     ], ids=["marker", "truncated", "json"])
     def test_frames_ahead_of_a_malformed_one_are_not_lost(self, bad_body,
                                                           stream_survives):
-        bad_frame = struct.pack(">I", len(bad_body)) + bad_body
+        bad_frame = codec.frame_header(len(bad_body)) + bad_body
         first, third = {"id": 1, "op": "ping"}, {"id": 3, "op": "ping"}
         decoder = codec.FrameDecoder()
         # The intact frame comes out; the bad one waits at the buffer's head,
@@ -200,8 +228,8 @@ class TestFraming:
     def test_frames_ahead_of_an_oversize_header_are_not_lost(self):
         first = {"id": 1, "op": "ping"}
         decoder = codec.FrameDecoder()
-        assert decoder.feed(codec.encode_frame(first) + struct.pack(
-            ">I", codec.MAX_FRAME_BYTES + 1)) == [first]
+        assert decoder.feed(codec.encode_frame(first) + codec.frame_header(
+            codec.MAX_FRAME_BYTES + 1)) == [first]
         with pytest.raises(codec.CodecError, match="limit"):
             decoder.feed(b"")
 
@@ -225,7 +253,7 @@ class TestFraming:
             + bytes((wire.WIRE_KEYS.index("id"),)) + b"i" + struct.pack(">q", 7)
             + b"\xff" + struct.pack(">I", 2) + b"zz" + b"N")
         assert wire.unpack_payload(body) == {"id": 7, "zz": None}
-        assert wire.unpack_payload(stream_frame({"id": 7, "zz": None})[4:]) == \
+        assert wire.unpack_payload(body_of(stream_frame({"id": 7, "zz": None}))) == \
             {"id": 7, "zz": None}
 
     @pytest.mark.parametrize("code", [len(wire.WIRE_KEYS), 0x80, 0xFE])
@@ -420,6 +448,18 @@ class TestDescribe:
         frame = codec.encode_frame({"data": {"when": Timestamp("k", 3)}})
         assert json.loads(codec.describe(frame)) == {"data": {
             "when": {"key": "k", "value": 3}}}
+
+    def test_a_reply_renders_with_its_requests_keys(self):
+        cluster = Cluster.build(peers=16, replicas=4, seed=5)
+        with cluster.session() as session:
+            session.insert("k", {"v": 1})
+            result = session.retrieve_many(["k", "missing"])
+        reply = {"id": 3, "ok": True, "result": result}
+        frame = codec.encode_frame(reply, keys=["k", "missing"])
+        assert json.loads(codec.describe(frame, keys=["k", "missing"])) == \
+            json.loads(codec.describe(codec.encode_frame(reply)))
+        with pytest.raises(codec.CodecError, match="no request keys"):
+            codec.describe(frame)
 
     def test_a_mid_stream_frame_needs_its_decoder(self):
         stream = codec.DeflateStream()

@@ -2,10 +2,10 @@
 
 Deterministic payloads shaped like the protocol's real traffic (single ops,
 batched ops, delta-sync entry lists, and the point replies that dominate a
-point workload, each with its trace's summary) are encoded with
-:mod:`repro.net.codec`.  Frame sizes are pure functions of the payloads and
-the seeded sequence, so they are pinned exactly: a codec change that moves
-one byte fails here.
+point workload, each with its trace's summary and leaving out the key its
+request named) are encoded with :mod:`repro.net.codec`.  Frame sizes are
+pure functions of the payloads and the seeded sequence, so they are pinned
+exactly: a codec change that moves one byte fails here.
 
 A frame is the next piece of its connection's deflate stream, so its size
 depends on the frames before it.  The plain rows measure each payload as
@@ -34,16 +34,16 @@ MID_STREAM_OPS = 20
 WARM_OPS, WARM_TAIL = 200, 20
 
 FRAME_BYTES = {
-    "insert_many": 1214,
-    "insert_reply": 57,
-    "ping": 29,
-    "point_replies_warm": 412,
-    "retrieve": 62,
-    "retrieve_many_reply": 1862,
-    "retrieve_mid_stream": 14,
-    "retrieve_reply": 92,
-    "retrieve_reply_mid_stream": 19,
-    "sync_delta": 1988,
+    "insert_many": 1212,
+    "insert_reply": 43,
+    "ping": 26,
+    "point_replies_warm": 312,
+    "retrieve": 59,
+    "retrieve_many_reply": 1860,
+    "retrieve_mid_stream": 11,
+    "retrieve_reply": 81,
+    "retrieve_reply_mid_stream": 16,
+    "sync_delta": 1986,
 }
 
 
@@ -69,6 +69,10 @@ def point_trace(routes: list) -> OperationTrace:
         trace.record_route(path)
         trace.record_request_reply(request, reply, source=path[0], dest=path[-1])
     return trace
+
+
+#: The keys of the request each reply row answers: its records leave them out.
+REPLY_KEYS = {"retrieve_reply": ("key-042",), "insert_reply": ("key-042",)}
 
 
 def point_replies() -> dict:
@@ -157,7 +161,8 @@ def connection_sizes(ops: int, *, seed: int = 2007) -> list:
                 result = session.insert(key, data)
             reply = {"id": index, "ok": True, "result": result}
             sizes.append((len(codec.encode_frame(request, stream=requests)),
-                          len(codec.encode_frame(reply, stream=replies))))
+                          len(codec.encode_frame(reply, stream=replies,
+                                                 keys=(key,)))))
     return sizes
 
 
@@ -171,7 +176,8 @@ def mid_stream_sizes() -> dict:
 
 
 def test_every_frame_size_is_pinned():
-    assert codec.FRAME_HEADER_BYTES == 4
-    sizes = {name: codec.frame_size(payload) for name, payload in payloads().items()}
+    assert codec.MAX_FRAME_HEADER_BYTES == 4
+    sizes = {name: codec.frame_size(payload, keys=REPLY_KEYS.get(name))
+             for name, payload in payloads().items()}
     sizes.update(mid_stream_sizes())
     assert sizes == FRAME_BYTES

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import socket
-import struct
 import threading
 import time
 
@@ -165,7 +164,7 @@ class TestBackpressure:
         with dial(server)() as raw:
             raw.sendall(codec.encode_frame(
                 {"id": -1, "op": "insert", "key": "k", "data": blob}))
-            assert read_replies(raw, 1)[0]["ok"]
+            assert read_replies(raw, 1, keys=("k",))[0]["ok"]
             flood = b"".join(
                 codec.encode_frame({"id": index, "op": "retrieve", "key": "k"})
                 for index in range(requests))
@@ -183,7 +182,7 @@ class TestBackpressure:
             assert not transport.is_reading()
             assert server.max_inflight <= len(connection._backlog)
             # Once the client reads, everything is delivered, in order.
-            replies = read_replies(raw, requests)
+            replies = read_replies(raw, requests, keys=("k",))
             sender.join(timeout=10)
             assert not sender.is_alive()
         assert [reply["id"] for reply in replies] == list(range(requests))
@@ -207,9 +206,9 @@ def _wait_until_stalled(server: NodeServer, quiet_s: float = 0.3) -> int:
 
 class TestMalformedRequests:
     @pytest.mark.parametrize("garbage", [
-        struct.pack(">I", 5) + b"\x05junk",      # no such body marker
-        struct.pack(">I", len(TRUNCATED)) + TRUNCATED,  # truncated binary body
-        struct.pack(">I", codec.MAX_FRAME_BYTES + 1),
+        codec.frame_header(5) + b"\x05junk",     # no such body marker
+        codec.frame_header(len(TRUNCATED)) + TRUNCATED,  # truncated binary body
+        codec.frame_header(codec.MAX_FRAME_BYTES + 1),
     ], ids=["marker", "truncated", "oversize"])
     def test_requests_ahead_of_a_malformed_frame_are_answered(
             self, dial, read_replies, garbage):
@@ -227,7 +226,7 @@ class TestMalformedRequests:
                                                           read_replies):
         server = NodeServer(peers=16, replicas=4, seed=11)
         with dial(server)() as raw:
-            raw.sendall(struct.pack(">I", 2) + b"{]"
+            raw.sendall(codec.frame_header(2) + b"{]"
                         + codec.encode_frame({"id": 2, "op": "ping"}))
             assert read_replies(raw) == []
         assert server.requests_served == 0

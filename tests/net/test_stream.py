@@ -15,7 +15,6 @@ Unix socket.
 from __future__ import annotations
 
 import random
-import struct
 import zlib
 
 import pytest
@@ -63,7 +62,12 @@ def _frames(payloads, stream=None):
 
 
 def _frame(body: bytes) -> bytes:
-    return struct.pack(">I", len(body)) + body
+    return codec.frame_header(len(body)) + body
+
+
+def _body(frame: bytes) -> bytes:
+    """``frame`` without its length prefix (its first two bits' form)."""
+    return frame[1 << (frame[0] >> 6):]
 
 
 PAYLOADS = [{"id": index, "op": "ping", "pad": "x" * (index * 40)}
@@ -124,7 +128,7 @@ def _stream_ending(payloads, small_frames):
     frames = _frames(payloads)
     final = zlib.compressobj(3, zlib.DEFLATED, -zlib.MAX_WBITS)
     packed = zlib.decompressobj(-zlib.MAX_WBITS).decompress(
-        _frames(payloads[1:2])[0][5:] + b"\x00\x00\xff\xff")
+        _body(_frames(payloads[1:2])[0])[1:] + b"\x00\x00\xff\xff")
     frames[1] = _frame(b"\x02" + final.compress(packed) + final.flush())
     return frames
 
@@ -138,7 +142,7 @@ def _corrupt(payloads, small_frames):
 def _truncated(cut):
     def build(payloads, small_frames):
         frames = _frames(payloads)
-        frames[1] = _frame(frames[1][4:-cut])
+        frames[1] = _frame(_body(frames[1])[:-cut])
         return frames
     return build
 
@@ -180,11 +184,11 @@ class TestBrokenStream:
         # header: the payload still inflates whole, but the inflater is left
         # inside a block, where the next frame would not decode.
         first, second, _third = _frames(PAYLOADS)
-        body = second[4:-1]
+        body = _body(second)[:-1]
         inflated = []
-        for piece in (second[5:], body[1:]):
+        for piece in (_body(second)[1:], body[1:]):
             inflater = zlib.decompressobj(-zlib.MAX_WBITS)
-            inflater.decompress(first[5:] + b"\x00\x00\xff\xff")
+            inflater.decompress(_body(first)[1:] + b"\x00\x00\xff\xff")
             inflated.append(inflater.decompress(piece + b"\x00\x00\xff\xff"))
         assert inflated[0] == inflated[1]
         decoder = codec.FrameDecoder()
@@ -315,7 +319,7 @@ class TestTransport:
                     {"id": 4, "op": "retrieve", "key": "k"}]
         with dial(server)() as raw:
             raw.sendall(b"".join(_frames(requests)))
-            replies = read_replies(raw, len(requests))
+            replies = read_replies(raw, len(requests), keys=("k",))
         assert [reply["id"] for reply in replies] == list(range(len(requests)))
         assert replies[1]["result"] == "pong"
         assert [replies[index]["result"].data for index in (2, 4)] == \

@@ -206,7 +206,7 @@ class TestDelayedReplies:
             # the first got nothing -- not even the ping's undelayed reply.
             assert time.monotonic() - started < delay
             assert select.select([held], [], [], 0)[0] == []
-            replies = read_replies(held, 2)
+            replies = read_replies(held, 2, keys=("k",))
             assert time.monotonic() - started >= delay
         assert [reply["id"] for reply in replies] == [0, 1]
         assert replies[1]["result"] == "pong"
@@ -232,7 +232,8 @@ class TestDelayedReplies:
             other.sendall(codec.encode_frame({"id": 9, "op": "shutdown"}))
             assert [reply["result"] for reply in read_replies(other)] == \
                 ["stopping"]
-            assert [reply["id"] for reply in read_replies(held)] == [0, 1, 2, 3]
+            assert [reply["id"] for reply in read_replies(held, keys=("k",))] \
+                == [0, 1, 2, 3]
         assert server.requests_served == 5
 
     @pytest.mark.parametrize("family", ["tcp", "uds"])

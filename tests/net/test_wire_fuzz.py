@@ -10,11 +10,16 @@ is refused.  Any trace comes back as its summary, and every
 single-byte mutation of a summary record is refused or round-trips.  So do
 the one-byte dict-key codes: any mix of table keys and escaped keys
 round-trips, byte-for-byte the same whatever order the keys were inserted
-in.
+in.  A reply's records leave out the keys its request named: one decoded
+without those keys, or with a different number of them, is refused like any
+bad stream frame; so is a length prefix that is not the shortest form or
+announces more than the frame limit, while a prefix split across ``feed()``
+calls at any offset still decodes.
 """
 
 from __future__ import annotations
 
+import random
 import struct
 import zlib
 from array import array
@@ -23,7 +28,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.api.results import BatchInsertResult, InsertResult
+from repro.api.results import (
+    BatchInsertResult,
+    BatchRetrieveResult,
+    InsertResult,
+    RetrieveResult,
+)
 from repro.core.timestamps import Timestamp
 from repro.dht.messages import (
     Message,
@@ -69,6 +79,20 @@ def _tagged(payload) -> bytes:
 def _deflated(tagged) -> bytes:
     """The ``0x02`` body carrying ``tagged`` as a fresh stream's first frame."""
     return wire.DeflateStream().deflate(bytes(tagged))
+
+
+def _header(length: int) -> bytes:
+    """The shortest RFC 9000 §16 varint of ``length``: the 8-byte form
+    past the 4-byte one's 2**30 - 1, which the wire never writes."""
+    for size, prefix in ((1, 0), (2, 0x40), (4, 0x80), (8, 0xC0)):
+        if length < 1 << (8 * size - 2):
+            return ((prefix << (8 * size - 8)) | length).to_bytes(size, "big")
+    raise ValueError(f"{length} does not fit a varint")
+
+
+def _header_size(frame: bytes) -> int:
+    """The size of ``frame``'s length prefix: its first two bits' form."""
+    return 1 << (frame[0] >> 6)
 
 
 def _split_points(data, offsets):
@@ -176,7 +200,7 @@ class TestMalformedFrames:
     def test_bad_frame_does_not_corrupt_decoder_state(self, junk, payload):
         """A malformed body raises, then the next good frame still decodes."""
         assume(junk[0] != 0x02)  # a bad stream frame ends the stream for good
-        bad_frame = struct.pack(">I", len(junk)) + junk
+        bad_frame = codec.frame_header(len(junk)) + junk
         good_frame = codec.encode_frame(payload)
         decoder = codec.FrameDecoder()
         try:
@@ -195,7 +219,7 @@ class TestMalformedFrames:
     def test_oversized_header_raises_and_is_not_buffered(self, length, tail):
         decoder = codec.FrameDecoder()
         with pytest.raises(codec.CodecError, match="limit"):
-            decoder.feed(struct.pack(">I", length) + tail)
+            decoder.feed(_header(length) + tail)
 
     @given(payload=_payloads,
            drop=st.integers(min_value=1, max_value=8))
@@ -203,7 +227,7 @@ class TestMalformedFrames:
     def test_truncated_stream_yields_no_phantom_frames(self, payload,
                                                        drop):
         frame = codec.encode_frame(payload)
-        truncated = frame[:-min(drop, len(frame) - codec.FRAME_HEADER_BYTES)]
+        truncated = frame[:-min(drop, len(frame) - _header_size(frame))]
         decoder = codec.FrameDecoder()
         assert decoder.feed(truncated) == []
         assert decoder.pending_bytes == len(truncated)
@@ -241,7 +265,7 @@ class TestArraysAreRefused:
                 + bytes(16))
         decoder = codec.FrameDecoder()
         with pytest.raises(codec.CodecError, match="unknown body marker"):
-            decoder.feed(struct.pack(">I", len(body)) + body)
+            decoder.feed(codec.frame_header(len(body)) + body)
         assert decoder.pending_bytes == 0
         assert decoder.feed(codec.encode_frame({"id": 1})) == [{"id": 1}]
 
@@ -363,3 +387,173 @@ class TestSummaryRecord:
         body = _tagged({"t": SUMMARIES[1]})
         with pytest.raises(codec.CodecError, match="truncated"):
             wire.unpack_payload(_deflated(body[:-cut]))
+
+
+# ------------------------------------------------------------ reply keys
+#: Request keys: strings and ints of every width the wire carries.
+_request_keys = st.one_of(st.text(max_size=8),
+                          st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
+                          st.integers(min_value=2 ** 63, max_value=2 ** 160))
+
+_SHARED = TraceSummary(5, 640, 1, 128)
+
+
+def _result(kind: str, keys: list):
+    """A result of ``kind`` answering a request for ``keys``."""
+    def insert(index, key):
+        return InsertResult(key=key, replicas_written=2, replicas_attempted=3,
+                            trace=_SHARED, timestamp=Timestamp(key, index))
+
+    def retrieve(index, key):
+        return RetrieveResult(key=key, data={"n": index}, found=True,
+                              is_current=bool(index % 2), replicas_inspected=1,
+                              trace=_SHARED, timestamp=Timestamp(key, index),
+                              latest_timestamp=Timestamp(key, index + 1))
+
+    if kind == "insert":
+        return insert(0, keys[0])
+    if kind == "retrieve":
+        return retrieve(0, keys[0])
+    if kind == "insert_many":
+        return BatchInsertResult(results=tuple(
+            insert(index, key) for index, key in enumerate(keys)), trace=_SHARED)
+    return BatchRetrieveResult(results=tuple(
+        retrieve(index, key) for index, key in enumerate(keys)), trace=_SHARED)
+
+
+@st.composite
+def _replies(draw):
+    """``(kind, keys)``: a point reply names one key, a batch 0–6."""
+    kind = draw(st.sampled_from(["insert", "retrieve", "insert_many",
+                                 "retrieve_many"]))
+    size = (1, 1) if kind in ("insert", "retrieve") else (0, 6)
+    return kind, draw(st.lists(_request_keys, min_size=size[0], max_size=size[1]))
+
+
+def _key_bytes(key) -> int:
+    """The tagged size of a key: a string, an int64, or a wider int's digits."""
+    if isinstance(key, str):
+        return 5 + len(key.encode("utf-8"))
+    return 9 if -(2 ** 63) <= key < 2 ** 63 else 5 + len(str(key))
+
+
+def _inflated(frame: bytes) -> bytes:
+    """The tagged encoding a fresh stream's first ``frame`` carries."""
+    body = frame[_header_size(frame):]
+    return zlib.decompressobj(-zlib.MAX_WBITS).decompress(body[1:] + b"\x00\x00\xff\xff")
+
+
+def _answered(kind, keys, stream=None):
+    """The reply frame answering ``keys``, its keys left out."""
+    return codec.encode_frame({"id": 1, "ok": True, "result": _result(kind, keys)},
+                              stream=stream, keys=keys)
+
+
+class TestReplyKeys:
+    @given(reply=_replies())
+    @settings(max_examples=200, deadline=None)
+    def test_a_reply_decodes_with_its_requests_keys_and_omits_them(self, reply):
+        kind, keys = reply
+        frame = _answered(kind, keys)
+        # Every key is the request's own: none travels, and nothing else goes.
+        spelled = codec.encode_frame({"id": 1, "ok": True,
+                                      "result": _result(kind, keys)})
+        assert len(_inflated(spelled)) - len(_inflated(frame)) == \
+            sum(map(_key_bytes, keys))
+        decoded = codec.FrameDecoder().feed(frame, keys=keys)
+        assert decoded == [{"id": 1, "ok": True, "result": _result(kind, keys)}]
+
+    @given(reply=_replies())
+    @settings(max_examples=200, deadline=None)
+    def test_a_flagged_record_without_keys_breaks_the_stream(self, reply):
+        """Decoded without keys, a record that left its key out is refused
+        -- consumed, and the stream it inflated is broken -- while the frame
+        ahead of it still comes out."""
+        kind, keys = reply
+        if not keys:
+            return  # an empty batch has no record to flag
+        stream = codec.DeflateStream()
+        first = codec.encode_frame({"id": 0, "op": "ping"}, stream=stream)
+        flagged = _answered(kind, keys, stream)
+        third = codec.encode_frame({"id": 2, "op": "ping"}, stream=stream)
+        decoder = codec.FrameDecoder()
+        assert decoder.feed(first + flagged + third) == [{"id": 0, "op": "ping"}]
+        with pytest.raises(codec.CodecError, match="no request keys"):
+            decoder.feed(b"")
+        with pytest.raises(codec.CodecError, match="no resync"):
+            decoder.feed(b"")
+        assert decoder.pending_bytes == 0
+
+    @given(reply=_replies(), extra=st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=200, deadline=None)
+    def test_a_record_count_that_is_not_the_requests_is_refused(self, reply, extra):
+        kind, keys = reply
+        assume(extra and len(keys) + extra >= 0)
+        wrong = (keys + keys[:1] * 4 + ["pad"] * 4)[:len(keys) + extra]
+        # At decode: consumed, the stream broken ...
+        decoder = codec.FrameDecoder()
+        with pytest.raises(codec.CodecError, match="answer a request for"):
+            decoder.feed(_answered(kind, keys), keys=wrong)
+        assert decoder.pending_bytes == 0
+        with pytest.raises(codec.CodecError, match="no resync"):
+            decoder.feed(codec.encode_frame({"id": 3}))
+        # ... and at encode, before the reply touches its stream.
+        stream = codec.DeflateStream()
+        with pytest.raises(codec.CodecError, match="answer a request for"):
+            codec.encode_frame({"result": _result(kind, keys)}, stream=stream,
+                               keys=wrong)
+        assert codec.FrameDecoder().feed(
+            codec.encode_frame({"id": 4}, stream=stream)) == [{"id": 4}]
+
+
+# ------------------------------------------------------------ length prefixes
+#: A prefix of each size, for a length it may hold but is not the shortest
+#: form of, and the 8-byte form the wire never writes.
+_NOT_MINIMAL = st.one_of(
+    st.integers(min_value=0, max_value=63).map(
+        lambda length: (0x4000 | length).to_bytes(2, "big")),
+    st.integers(min_value=0, max_value=16383).map(
+        lambda length: (0x8000_0000 | length).to_bytes(4, "big")),
+    st.integers(min_value=0, max_value=2 ** 62 - 1).map(
+        lambda length: ((0xC0 << 56) | length).to_bytes(8, "big")))
+
+
+class TestLengthPrefix:
+    @given(header=_NOT_MINIMAL, tail=st.binary(max_size=32))
+    @settings(max_examples=200, deadline=None)
+    def test_a_prefix_that_is_not_the_shortest_form_is_refused(self, header, tail):
+        """Refused like an oversized header: a frame ahead of it comes out,
+        and the refused prefix stays at the buffer's head."""
+        first = {"id": 1, "op": "ping"}
+        decoder = codec.FrameDecoder()
+        assert decoder.feed(codec.encode_frame(first) + header + tail) == [first]
+        with pytest.raises(codec.CodecError, match="not minimal|limit"):
+            decoder.feed(b"")
+        assert decoder.pending_bytes == len(header) + len(tail)
+
+    @given(length=st.integers(min_value=codec.MAX_FRAME_BYTES + 1,
+                              max_value=2 ** 30 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_a_minimal_prefix_over_the_limit_is_refused(self, length):
+        header = codec.frame_header(length)
+        assert len(header) == codec.MAX_FRAME_HEADER_BYTES
+        with pytest.raises(codec.CodecError, match="limit"):
+            codec.FrameDecoder().feed(header)
+
+    @pytest.mark.parametrize("pad, header_size", [(0, 1), (60, 2), (30000, 4)])
+    def test_a_prefix_split_at_every_offset_still_decodes(self, pad, header_size):
+        # Random bytes as hex: deflate halves them, no more.
+        payloads = [{"id": 1, "pad": random.Random(pad).randbytes(pad).hex()},
+                    {"id": 2, "op": "ping"}]
+        stream = codec.DeflateStream()
+        frames = [codec.encode_frame(payload, stream=stream) for payload in payloads]
+        assert _header_size(frames[0]) == header_size
+        data = b"".join(frames)
+        for cut in range(header_size + 2):
+            for second in range(cut, header_size + 2):
+                decoder = codec.FrameDecoder()
+                decoded = []
+                for chunk in (data[:cut], data[cut:second], data[second:]):
+                    decoded.extend(decoder.feed(chunk))
+                assert decoded == payloads
+                assert decoder.pending_bytes == 0

@@ -186,10 +186,10 @@ class TestTrafficBytes:
     def test_frame_overhead_matches_the_wire_codec(self):
         # The constant is duplicated on purpose (the simulation layer must
         # not import upward into repro.net); this pin keeps the two in sync.
-        from repro.net.codec import FRAME_HEADER_BYTES
+        from repro.net.codec import MAX_FRAME_HEADER_BYTES
 
         assert NetworkCostModel(rng=random.Random(1)).frame_overhead_bytes == \
-            FRAME_HEADER_BYTES == 4
+            MAX_FRAME_HEADER_BYTES == 4
 
     def test_traffic_bytes_draws_no_randomness(self):
         # duration() samples; traffic_bytes must not, or byte accounting
