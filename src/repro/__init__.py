@@ -54,7 +54,7 @@ from repro.core import (
 )
 from repro.dht import CanSpace, ChordRing, DHTNetwork, HashFamily
 
-__version__ = "18.0.0"
+__version__ = "19.0.0"
 
 __all__ = [
     "BricksService",

@@ -55,7 +55,7 @@ from repro.api.results import (
     RetrieveResult,
 )
 from repro.api.services import SERVICES, CurrencyService, create_service
-from repro.dht.messages import Trace
+from repro.dht.messages import TraceSummary
 from repro.dht.registry import lookup
 
 if TYPE_CHECKING:
@@ -124,7 +124,7 @@ class Session:
         if self._closed:
             raise RuntimeError("operation on a closed Session")
 
-    def _account(self, trace: Trace) -> None:
+    def _account(self, trace: TraceSummary) -> None:
         self.operations += 1
         self.messages_sent += trace.message_count
 

@@ -9,9 +9,7 @@ costs field by field:
 * :class:`InsertResult` — outcome of a write: how many replicas accepted the
   new value, the KTS timestamp (UMS) or the version number (BRK) it carries,
   and the trace — a :class:`~repro.dht.messages.TraceSummary` of its
-  messages, in process and over the wire alike, or the columns of an
-  :class:`~repro.dht.messages.OperationTrace` where a cost model prices
-  them (the simulation harness);
+  messages, in process and over the wire alike;
 * :class:`RetrieveResult` — outcome of a read: the data, whether a replica was
   found, whether it is *certified current* (only UMS can certify), how many
   replicas were probed, and the trace;
@@ -33,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Tuple
 
-from repro.dht.messages import Trace
+from repro.dht.messages import TraceSummary
 from repro.dht.model import slotted_init
 
 __all__ = [
@@ -113,7 +111,7 @@ class InsertResult:
     key: Any
     replicas_written: int
     replicas_attempted: int
-    trace: Trace
+    trace: TraceSummary
     timestamp: Any = None
     version: Optional[int] = None
     service: Optional[str] = None
@@ -146,7 +144,7 @@ class RetrieveResult:
     found: bool
     is_current: bool
     replicas_inspected: int
-    trace: Trace
+    trace: TraceSummary
     timestamp: Any = None
     latest_timestamp: Any = None
     version: Optional[int] = None
@@ -166,7 +164,7 @@ class _BatchResult:
     __slots__ = ()
 
     results: Tuple[Any, ...]
-    trace: Trace
+    trace: TraceSummary
 
     def __len__(self) -> int:
         return len(self.results)
@@ -199,7 +197,7 @@ class BatchInsertResult(_BatchResult):
     """
 
     results: Tuple[InsertResult, ...]
-    trace: Trace
+    trace: TraceSummary
 
     @property
     def fully_replicated(self) -> bool:
@@ -213,7 +211,7 @@ class BatchRetrieveResult(_BatchResult):
     """Outcome of ``retrieve_many``: per-key results plus the shared batch trace."""
 
     results: Tuple[RetrieveResult, ...]
-    trace: Trace
+    trace: TraceSummary
     consistency: str = Consistency.CURRENT
 
     @property

@@ -37,7 +37,7 @@ from repro.api.results import (
     RetrieveResult,
 )
 from repro.core.replication import ReplicationScheme
-from repro.dht.messages import Trace
+from repro.dht.messages import TraceSummary
 from repro.dht.network import DHTNetwork
 from repro.dht.storage import StoredValue
 
@@ -198,7 +198,7 @@ class BricksService:
                                    consistency=consistency)
 
     def _pick(self, key: Any, replicas: List[StoredValue], inspected: int,
-              trace: Trace, consistency: str) -> RetrieveResult:
+              trace: TraceSummary, consistency: str) -> RetrieveResult:
         if not replicas:
             return RetrieveResult(key=key, data=None, version=None, found=False,
                                   ambiguous=False, is_current=False,

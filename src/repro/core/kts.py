@@ -33,7 +33,7 @@ from repro.core.counters import KeyCounter, ValidCounterSet
 from repro.core.replication import ReplicationScheme
 from repro.core.timestamps import Timestamp
 from repro.dht.hashing import HashFamily, PairwiseIndependentHash
-from repro.dht.messages import MessageKind, Trace
+from repro.dht.messages import MessageKind, TraceSummary
 from repro.dht.network import DHTNetwork, NetworkObserver
 
 __all__ = ["CounterInitialization", "KeyBasedTimestampService", "KtsStats"]
@@ -180,7 +180,7 @@ class KeyBasedTimestampService(NetworkObserver):
 
     # ------------------------------------------------------------- main ops
     def gen_ts(self, key: Any, *, origin: Optional[int] = None,
-               trace: Optional[Trace] = None) -> Timestamp:
+               trace: Optional[TraceSummary] = None) -> Timestamp:
         """Generate a new timestamp for ``key`` (Figure 4).
 
         Routes a timestamp request to ``rsp(k, h_ts)``; the responsible
@@ -198,7 +198,7 @@ class KeyBasedTimestampService(NetworkObserver):
         return Timestamp(key=key, value=value)
 
     def last_ts(self, key: Any, *, origin: Optional[int] = None,
-                trace: Optional[Trace] = None) -> Optional[Timestamp]:
+                trace: Optional[TraceSummary] = None) -> Optional[Timestamp]:
         """The last timestamp generated for ``key``, or ``None`` if none is known."""
         responsible = self.network.locate(key, self.ts_hash, _LAST_TS, origin=origin, trace=trace)
         counter = self._counter_for(responsible, key, trace)
@@ -212,7 +212,7 @@ class KeyBasedTimestampService(NetworkObserver):
 
     # ------------------------------------------------------------- batched ops
     def gen_ts_many(self, keys: List[Any], *, origin: Optional[int] = None,
-                    trace: Optional[Trace] = None) -> List[Timestamp]:
+                    trace: Optional[TraceSummary] = None) -> List[Timestamp]:
         """Generate one timestamp per *occurrence* in ``keys``, amortising routing.
 
         Keys whose responsible of timestamping coincide share a single routed
@@ -234,7 +234,7 @@ class KeyBasedTimestampService(NetworkObserver):
         return out
 
     def last_ts_many(self, keys: List[Any], *, origin: Optional[int] = None,
-                     trace: Optional[Trace] = None
+                     trace: Optional[TraceSummary] = None
                      ) -> Dict[Any, Optional[Timestamp]]:
         """Batched :meth:`last_ts`: one routed exchange per distinct responsible.
 
@@ -257,7 +257,7 @@ class KeyBasedTimestampService(NetworkObserver):
         return out
 
     def _located_groups(self, keys: List[Any], kinds: Tuple[MessageKind, MessageKind],
-                        origin: Optional[int], trace: Optional[Trace]
+                        origin: Optional[int], trace: Optional[TraceSummary]
                         ) -> Iterator[Tuple[int, List[int]]]:
         """Input indices by the key's responsible of timestamping, each group located once."""
         grouped: Dict[int, List[int]] = {}
@@ -269,7 +269,7 @@ class KeyBasedTimestampService(NetworkObserver):
 
     # --------------------------------------------------------- counter handling
     def _counter_for(self, responsible: int, key: Any,
-                     trace: Optional[Trace]) -> KeyCounter:
+                     trace: Optional[TraceSummary]) -> KeyCounter:
         vcs = self.peer_state(responsible).vcs
         counter = vcs.get(key)
         if counter is not None:
@@ -279,7 +279,7 @@ class KeyBasedTimestampService(NetworkObserver):
         return counter
 
     def _initialize_counter(self, responsible: int, key: Any,
-                            trace: Optional[Trace]) -> KeyCounter:
+                            trace: Optional[TraceSummary]) -> KeyCounter:
         """Create the counter for ``key`` at ``responsible``.
 
         When the key has replicas in the DHT, this is the paper's indirect
@@ -296,7 +296,7 @@ class KeyBasedTimestampService(NetworkObserver):
                           exact=False, last_known=observed)
 
     def _max_stored_timestamp(self, responsible: int, key: Any,
-                              trace: Optional[Trace]) -> Optional[int]:
+                              trace: Optional[TraceSummary]) -> Optional[int]:
         """Highest timestamp stored with ``key``'s replicas (``ts_m``), if any."""
         best: Optional[int] = None
         for hash_fn in self.replication:
@@ -354,7 +354,7 @@ class KeyBasedTimestampService(NetworkObserver):
 
     # -------------------------------------------------- repair strategies (4.2.2)
     def recover(self, key: Any, reported_value: int, *,
-                trace: Optional[Trace] = None) -> bool:
+                trace: Optional[TraceSummary] = None) -> bool:
         """Recovery strategy: a restarted responsible reports its old counter.
 
         The *current* responsible of timestamping compares the reported value
@@ -369,7 +369,7 @@ class KeyBasedTimestampService(NetworkObserver):
         return corrected
 
     def inspect_counters(self, peer_id: Optional[int] = None, *,
-                         trace: Optional[Trace] = None) -> int:
+                         trace: Optional[TraceSummary] = None) -> int:
         """Periodic inspection: compare local counters with stored timestamps.
 
         For every counter in the VCS of ``peer_id`` (or of every peer when

@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.errors import ReplicationConfigurationError
 from repro.dht.hashing import PairwiseIndependentHash
-from repro.dht.messages import MessageKind, Trace
+from repro.dht.messages import MessageKind, TraceSummary
 from repro.dht.network import SYNC_SUMMARY_ENTRY_BYTES, DHTNetwork
 from repro.dht.storage import advanced_past, reconciliation_token
 
@@ -161,7 +161,7 @@ class ReplicationScheme:
     # -------------------------------------------------------------- delta sync
     def sync_replicas(self, network: DHTNetwork,
                       keys: Optional[Sequence[Any]] = None, *,
-                      trace: Optional[Trace] = None
+                      trace: Optional[TraceSummary] = None
                       ) -> ReplicaSyncReport:
         """One anti-entropy round over ``keys`` (default: every stored key).
 

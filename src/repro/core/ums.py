@@ -24,9 +24,10 @@ the probe rounds across keys; they are semantically equivalent to per-key
 loops but send measurably fewer messages.
 
 Every operation returns the shared result types of :mod:`repro.api.results`,
-carrying the operation's message trace (its counts, or its columns where the
-network records them for a cost model), so callers account for communication
-cost and response time uniformly across services.
+carrying the operation's message trace (its counts; the messages go to the
+network's ``on_message`` hook as they are counted, where a cost model prices
+them), so callers account for communication cost and response time
+uniformly across services.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.api.results import (
 from repro.core.detector import CrossCheckDetector
 from repro.core.kts import KeyBasedTimestampService
 from repro.core.replication import ReplicationScheme
-from repro.dht.messages import Trace
+from repro.dht.messages import TraceSummary
 from repro.dht.network import DHTNetwork
 from repro.dht.storage import StoredValue
 
@@ -270,7 +271,7 @@ class UpdateManagementService:
         self.detector.observe(key, claimed, observed)
 
     def _result(self, key: Any, entry: StoredValue, latest, inspected: int,
-                trace: Trace, consistency: str, *,
+                trace: TraceSummary, consistency: str, *,
                 is_current: bool) -> RetrieveResult:
         return RetrieveResult(key=key, data=entry.data, timestamp=entry.timestamp,
                               is_current=is_current, found=True,

@@ -23,14 +23,7 @@ from repro.dht.errors import (
     NoSuchPeerError,
 )
 from repro.dht.hashing import HashFamily, PairwiseIndependentHash, key_digest
-from repro.dht.messages import (
-    Message,
-    MessageKind,
-    MessageSizes,
-    OperationTrace,
-    Trace,
-    TraceSummary,
-)
+from repro.dht.messages import MessageKind, MessageSizes, TraceSummary
 from repro.dht.model import (
     DHTProtocol,
     LookupResult,
@@ -54,18 +47,15 @@ __all__ = [
     "KademliaOverlay",
     "LocalStore",
     "LookupResult",
-    "Message",
     "MessageKind",
     "MessageSizes",
     "NetworkObserver",
     "NoSuchPeerError",
     "OVERLAYS",
-    "OperationTrace",
     "PairwiseIndependentHash",
     "PeerState",
     "RouteResult",
     "StoredValue",
-    "Trace",
     "TraceSummary",
     "create_overlay",
     "key_digest",

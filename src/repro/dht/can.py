@@ -39,7 +39,7 @@ from repro.dht.errors import (
     NodeAlreadyPresentError,
     NoSuchPeerError,
 )
-from repro.dht.messages import Trace
+from repro.dht.messages import TraceSummary
 from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
 
 __all__ = ["CanSpace", "Zone"]
@@ -358,7 +358,7 @@ class CanSpace(DHTProtocol):
 
     # ------------------------------------------------------------------ routing
     def route(self, origin: int, point: int, *, now: float = 0.0,
-              trace: Optional[Trace] = None) -> RouteResult:
+              trace: Optional[TraceSummary] = None) -> RouteResult:
         if origin not in self._zones:
             raise NoSuchPeerError(origin)
         coords = self.coordinates(point)

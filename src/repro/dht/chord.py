@@ -30,7 +30,7 @@ from repro.dht.errors import (
     NodeAlreadyPresentError,
     NoSuchPeerError,
 )
-from repro.dht.messages import Trace
+from repro.dht.messages import TraceSummary
 from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
 
 __all__ = ["ChordRing"]
@@ -239,7 +239,7 @@ class ChordRing(DHTProtocol):
 
     # ------------------------------------------------------------------ routing
     def route(self, origin: int, point: int, *, now: float = 0.0,
-              trace: Optional[Trace] = None) -> RouteResult:
+              trace: Optional[TraceSummary] = None) -> RouteResult:
         if origin not in self._member_set:
             raise NoSuchPeerError(origin)
         size = self.space_size

@@ -60,7 +60,7 @@ from repro.dht.errors import (
     NodeAlreadyPresentError,
     NoSuchPeerError,
 )
-from repro.dht.messages import Trace
+from repro.dht.messages import TraceSummary
 from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
 
 __all__ = ["KademliaOverlay", "RoutingTable"]
@@ -443,7 +443,7 @@ class KademliaOverlay(DHTProtocol):
 
     # ------------------------------------------------------------------ routing
     def route(self, origin: int, point: int, *, now: float = 0.0,
-              trace: Optional[Trace] = None) -> RouteResult:
+              trace: Optional[TraceSummary] = None) -> RouteResult:
         if origin not in self._member_set:
             raise NoSuchPeerError(origin)
         point %= self.space_size
@@ -463,7 +463,7 @@ class KademliaOverlay(DHTProtocol):
         return RouteResult(tuple(path), responsible, retries, timeouts)
 
     def _iterative_lookup(self, origin: int, target: int, *, self_distance: Optional[int],
-                          trace: Optional[Trace] = None) -> Tuple[List[int], int, int]:
+                          trace: Optional[TraceSummary] = None) -> Tuple[List[int], int, int]:
         """Kademlia's iterative node lookup, with message accounting.
 
         Returns ``(path, retries, timeouts)``: the nodes queried in order

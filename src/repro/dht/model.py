@@ -20,7 +20,7 @@ from dataclasses import MISSING, fields
 from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set,
                     Tuple, Type, TypeVar, cast)
 
-from repro.dht.messages import Trace
+from repro.dht.messages import TraceSummary
 
 __all__ = [
     "DHTProtocol",
@@ -240,7 +240,7 @@ class DHTProtocol(abc.ABC):
     # ------------------------------------------------------------------ routing
     @abc.abstractmethod
     def route(self, origin: int, point: int, *, now: float = 0.0,
-              trace: Optional[Trace] = None) -> RouteResult:
+              trace: Optional[TraceSummary] = None) -> RouteResult:
         """Greedy-route from ``origin`` towards ``point``.
 
         The returned path ends at ``responsible_for(point)``.  Implementations

@@ -13,11 +13,11 @@ behaviour of a *Responsibility Loss Aware* DHT: on joins and normal leaves the
 previous responsible hands its pairs to the new responsible, while failures
 lose the failed peer's replicas.
 
-Every operation can record its messages in a :data:`~repro.dht.messages.Trace`,
-which the services use for communication-cost accounting: the counts of a
-:class:`~repro.dht.messages.TraceSummary` by default, the columns of an
-:class:`~repro.dht.messages.OperationTrace` when :attr:`DHTNetwork.column_traces`
-is set, as the simulation harness sets it to price response times.
+Every operation can record its messages in a
+:class:`~repro.dht.messages.TraceSummary`, which the services use for
+communication-cost accounting.  A trace from :meth:`DHTNetwork.new_trace`
+also hands each message to :attr:`DHTNetwork.on_message`, when it is set, as
+the simulation harness sets it to price a retrieve's response time.
 Services that need to react to churn (notably KTS, for counter transfer and
 Rule 3 of the Valid Counter Set) register a :class:`NetworkObserver`.
 """
@@ -36,7 +36,7 @@ from repro.dht.errors import (
     NoSuchPeerError,
 )
 from repro.dht.hashing import PairwiseIndependentHash
-from repro.dht.messages import MessageKind, MessageSizes, OperationTrace, Trace, TraceSummary
+from repro.dht.messages import MessageHook, MessageKind, MessageSizes, TraceSummary
 from repro.dht.model import (
     DepartureReason,
     DHTProtocol,
@@ -187,7 +187,8 @@ class DHTNetwork:
         self.protocol = protocol
         self.bits = protocol.bits
         self.message_sizes = MessageSizes()
-        self.column_traces = False
+        #: Handed to every trace :meth:`new_trace` makes (``None``: no hook).
+        self.on_message: Optional[MessageHook] = None
         self.now: float = 0.0
         self.stats = NetworkStats()
         self._peers: Dict[int, PeerState] = {}
@@ -362,7 +363,7 @@ class DHTNetwork:
 
     def lookup(self, key: Any, hash_fn: PairwiseIndependentHash, *,
                origin: Optional[int] = None,
-               trace: Optional[Trace] = None,
+               trace: Optional[TraceSummary] = None,
                exchange: Optional[Tuple[MessageKind, MessageKind]] = None
                ) -> LookupResult:
         """Locate ``rsp(k, h)`` from ``origin`` through the overlay's routing.
@@ -384,7 +385,7 @@ class DHTNetwork:
 
     def locate(self, key: Any, hash_fn: PairwiseIndependentHash,
                exchange: Tuple[MessageKind, MessageKind], *, origin: Optional[int] = None,
-               trace: Optional[Trace] = None) -> int:
+               trace: Optional[TraceSummary] = None) -> int:
         """``rsp(k, h)``, routed and traced as :meth:`lookup` does, without its result."""
         return self._locate(self._resolve_origin(origin), hash_fn(key), trace, exchange)[0]
 
@@ -403,7 +404,7 @@ class DHTNetwork:
             index = getrandbits(bits)
         return nodes[index]
 
-    def _locate(self, origin: int, point: int, trace: Optional[Trace],
+    def _locate(self, origin: int, point: int, trace: Optional[TraceSummary],
                 exchange: Optional[Tuple[MessageKind, MessageKind]] = None,
                 unreachable: FrozenSet[int] = frozenset(), *,
                 source: Optional[int] = None, entries: int = 1
@@ -437,7 +438,7 @@ class DHTNetwork:
     # --------------------------------------------------------------------- put
     def put(self, key: Any, hash_fn: PairwiseIndependentHash, data: Any, *,
             timestamp: Any = None, version: Optional[int] = None,
-            origin: Optional[int] = None, trace: Optional[Trace] = None,
+            origin: Optional[int] = None, trace: Optional[TraceSummary] = None,
             unreachable: FrozenSet[int] = frozenset()) -> bool:
         """The paper's ``put_h(k, data)``: store a replica at ``rsp(k, h)``.
 
@@ -456,7 +457,7 @@ class DHTNetwork:
 
     # --------------------------------------------------------------------- get
     def get(self, key: Any, hash_fn: PairwiseIndependentHash, *,
-            origin: Optional[int] = None, trace: Optional[Trace] = None,
+            origin: Optional[int] = None, trace: Optional[TraceSummary] = None,
             unreachable: FrozenSet[int] = frozenset()) -> Optional[StoredValue]:
         """The paper's ``get_h(k)``: fetch the replica stored at ``rsp(k, h)``."""
         origin = self._resolve_origin(origin)
@@ -467,7 +468,7 @@ class DHTNetwork:
 
     # ------------------------------------------------------------ batched ops
     def _batched_exchanges(self, points: Sequence[int], origin: int,
-                           trace: Optional[Trace],
+                           trace: Optional[TraceSummary],
                            unreachable: FrozenSet[int],
                            exchange: Tuple[MessageKind, MessageKind]):
         """Shared skeleton of the batched operations.
@@ -492,7 +493,7 @@ class DHTNetwork:
 
     def get_many(self, requests: Sequence[tuple], *,
                  origin: Optional[int] = None,
-                 trace: Optional[Trace] = None,
+                 trace: Optional[TraceSummary] = None,
                  unreachable: FrozenSet[int] = frozenset()
                  ) -> List[Optional[StoredValue]]:
         """Batched ``get_h``: fetch several ``(key, hash_fn)`` replicas at once.
@@ -518,7 +519,7 @@ class DHTNetwork:
 
     def put_many(self, requests: Sequence[tuple], *,
                  origin: Optional[int] = None,
-                 trace: Optional[Trace] = None,
+                 trace: Optional[TraceSummary] = None,
                  unreachable: FrozenSet[int] = frozenset()) -> List[bool]:
         """Batched ``put_h``: store several replicas at once.
 
@@ -544,7 +545,7 @@ class DHTNetwork:
     # -------------------------------------------------------------- delta sync
     # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list
     def sync_span(self, source: int, dest: int, lo: int, hi: int, *,
-                  trace: Optional[Trace] = None) -> SyncReport:
+                  trace: Optional[TraceSummary] = None) -> SyncReport:
         """One pull-based delta-sync exchange over the span ``(lo, hi]``.
 
         The anti-entropy primitive behind replica reconciliation: ``dest``
@@ -606,13 +607,11 @@ class DHTNetwork:
                 replicas.append(entry)
         return replicas
 
-    def new_trace(self) -> Trace:
-        """A fresh trace in the network's message sizes: an :class:`OperationTrace`
-        when :attr:`column_traces` is set, a :class:`TraceSummary` otherwise."""
+    def new_trace(self) -> TraceSummary:
+        """A fresh trace in the network's message sizes, carrying :attr:`on_message`."""
         sizes = self.message_sizes
-        if self.column_traces:
-            return OperationTrace(sizes=sizes)
-        return TraceSummary(0, 0, 0, sizes.size_of(MessageKind.LOOKUP_RETRY), sizes)
+        return TraceSummary(0, 0, 0, sizes.size_of(MessageKind.LOOKUP_RETRY), sizes,
+                            self.on_message)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DHTNetwork(protocol={type(self.protocol).__name__}, "

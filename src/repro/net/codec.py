@@ -7,10 +7,9 @@ binary encoding of :mod:`repro.net.wire` behind the one-byte marker
 connection writes).  The four result types of :mod:`repro.api.results`
 travel as records, so the client gets the result objects the simulation
 backend produces, and keys and data come back as the values they were —
-all but the trace, which travels as its
-:class:`~repro.dht.messages.TraceSummary`: the message count, byte total and
-timeouts a client reads, without the per-message columns only the
-simulator's cost model needs.  A reply leaves out the keys its request
+the trace, a :class:`~repro.dht.messages.TraceSummary`, as the message
+count, byte total and timeouts a client reads, without its sizes and its
+message hook.  A reply leaves out the keys its request
 named: both ends pass that request's :func:`request_keys`.
 
 :func:`frame_size` *measures* the serialised size of any payload as the first
@@ -39,7 +38,7 @@ from repro.api.results import (
     RetrieveResult,
 )
 from repro.core.timestamps import Timestamp
-from repro.dht.messages import Trace, TraceSummary
+from repro.dht.messages import TraceSummary
 from repro.net.wire import (
     MARKER_COMPRESSED,
     MAX_FRAME_BYTES,
@@ -267,14 +266,13 @@ def _stamp(stamp: Optional[Timestamp]) -> Optional[Dict[str, Any]]:
     return None if stamp is None else {"key": stamp.key, "value": stamp.value}
 
 
-def trace_to_dict(trace: Trace) -> Dict[str, Any]:
-    """The view of a trace: its :class:`~repro.dht.messages.TraceSummary`,
-    which is all of it the wire carries."""
-    summary = trace.summary()
-    return {"message_count": summary.message_count,
-            "total_bytes": summary.total_bytes,
-            "timeout_count": summary.timeout_count,
-            "retry_bytes": summary.retry_bytes}
+def trace_to_dict(trace: TraceSummary) -> Dict[str, Any]:
+    """The view of a :class:`~repro.dht.messages.TraceSummary`: its four
+    counts, which are all of it the wire carries."""
+    return {"message_count": trace.message_count,
+            "total_bytes": trace.total_bytes,
+            "timeout_count": trace.timeout_count,
+            "retry_bytes": trace.retry_bytes}
 
 
 def insert_result_to_dict(result: InsertResult, *,

@@ -47,15 +47,13 @@ follow in the tagged encoding.  Given the keys of the request a reply
 answers (``keys=``, one per record), a record whose key is the request's at
 its position, by the rule a timestamp shares it, sets ``_OWN_KEY`` instead
 of packing it.  Decoding a flagged record without keys, or a batch whose
-count is not the request's, is a :class:`CodecError`.  A trace travels as its
-:class:`~repro.dht.messages.TraceSummary` — what a client reads of it — in
-one fixed-size record: the message count, the total bytes, the timeout count
-and the retry size, as int32, int64, int32 and int64.  An
-:class:`~repro.dht.messages.OperationTrace` is packed as its summary and
-comes back as one; its columns stay with the process that recorded them.  A
-batch carries its one shared summary once and its per-key records without
-one.  A received summary is checked: no field below 0, and no more timeouts
-than messages.
+count is not the request's, is a :class:`CodecError`.  A trace, a
+:class:`~repro.dht.messages.TraceSummary`, travels in one fixed-size record:
+the message count, the total bytes, the timeout count and the retry size, as
+int32, int64, int32 and int64; its message sizes and hook stay with the
+process that recorded it.  A batch carries its one shared summary once and
+its per-key records without one.  A received summary is checked: no field
+below 0, and no more timeouts than messages.
 
 A dict is a u32 count, then ``count`` keys each followed by its value.  A
 key listed in :data:`WIRE_KEYS` — the envelope and request field names — is
@@ -82,7 +80,7 @@ from repro.api.results import (
     RetrieveResult,
 )
 from repro.core.timestamps import Timestamp
-from repro.dht.messages import OperationTrace, Trace, TraceSummary
+from repro.dht.messages import TraceSummary
 
 __all__ = [
     "CodecError",
@@ -281,14 +279,11 @@ def _named(keys: Optional[Sequence[Any]], count: int) -> Iterable[Any]:
     return keys
 
 
-def _encode_summary(trace: Trace, out: bytearray) -> None:
+def _encode_summary(trace: TraceSummary, out: bytearray) -> None:
     """Append a trace's summary record (untagged)."""
-    kind = type(trace)
-    if kind is OperationTrace:
-        trace = trace.summary()
-    elif kind is not TraceSummary:
-        raise CodecError(f"a result's trace must be an OperationTrace or a "
-                         f"TraceSummary, got {kind.__name__}")
+    if type(trace) is not TraceSummary:
+        raise CodecError(f"a result's trace must be a TraceSummary, "
+                         f"got {type(trace).__name__}")
     out += _SUMMARY.pack(trace.message_count, trace.total_bytes,
                          trace.timeout_count, trace.retry_bytes)
 
@@ -383,7 +378,6 @@ _RESULTS: Dict[type, Callable[..., None]] = {
 #: encoder of what follows it.
 _RECORDS: Dict[type, Tuple[int, Callable[[Any, bytearray], None]]] = {
     Timestamp: (_TAG_TIMESTAMP, _encode_timestamp),
-    OperationTrace: (_TAG_TRACE, _encode_summary),
     TraceSummary: (_TAG_TRACE, _encode_summary),
     InsertResult: (_TAG_INSERT, _encode_insert),
     RetrieveResult: (_TAG_RETRIEVE, _encode_retrieve),

@@ -7,9 +7,9 @@ an operation is the accumulation of its messages' latency plus transfer
 delays; messages that hit a failed peer additionally wait for a timeout before
 the sender retries.
 
-:meth:`NetworkCostModel.duration` prices the columns of an
-:class:`~repro.dht.messages.OperationTrace`, which a network records only
-when its ``column_traces`` is set (the simulation harness sets it).
+:meth:`NetworkCostModel.message_delay` prices one message, with the
+signature of a trace's ``on_message`` hook: the simulation harness sets it,
+through ``DHTNetwork.on_message``, around each retrieve and sums the delays.
 
 The defaults are Table 1 (the SimJava simulation); the
 :meth:`NetworkCostModel.cluster` preset is the 64-node, 1 Gbps cluster of
@@ -24,14 +24,14 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.dht.messages import OperationTrace, Trace
+from repro.dht.messages import MessageKind, TraceSummary
 
 __all__ = ["GeoLatencyCostModel", "NetworkCostModel"]
 
 
 @dataclass
 class NetworkCostModel:
-    """Converts message traces into durations.
+    """Prices messages as delays, and traces as wire bytes.
 
     Attributes
     ----------
@@ -130,28 +130,23 @@ class NetworkCostModel:
         """Mean latency from ``source`` to ``dest``: uniform in this model."""
         return self.latency_mean_s
 
-    def _delay(self, size_bytes: int, source: Optional[int],
-               dest: Optional[int], timed_out: bool) -> float:
+    def message_delay(self, kind: MessageKind, size_bytes: int, source: Optional[int],
+                      dest: Optional[int], timed_out: bool) -> float:
+        """The delay of one message: a trace's ``on_message`` hook.
+
+        One latency and one bandwidth draw per message, plus the timeout if
+        it hit a failed peer.  The services of the paper are sequential by
+        construction: UMS probes replicas one at a time (stopping at the
+        first current one) and KTS performs a lookup followed by a
+        request/reply exchange, so the sum of an operation's message delays,
+        in the order they are sent, is its response time as SimJava
+        accounts it.
+        """
         delay = self.sample_latency(self.link_latency_mean_s(source, dest))
         delay += (size_bytes * 8) / self.sample_bandwidth()
         if timed_out:
             delay += self.timeout_s * self._timeout_factor
         return delay
-
-    def duration(self, trace: OperationTrace) -> float:
-        """Total response time of an operation whose messages are sent sequentially.
-
-        The services of the paper are sequential by construction: UMS probes
-        replicas one at a time (stopping at the first current one) and KTS
-        performs a lookup followed by a request/reply exchange, so summing the
-        per-message delays reproduces the SimJava accounting — read off the
-        trace's columns, one latency and one bandwidth draw per message.
-        """
-        late = set(trace.timed_out)
-        delay = self._delay
-        return sum(delay(size_bytes, source, dest, index in late)
-                   for index, (size_bytes, source, dest)
-                   in enumerate(zip(trace.size_bytes, trace.sources, trace.dests)))
 
     #: Per-message framing overhead charged by :meth:`traffic_bytes`: the
     #: largest length prefix the wire codec writes
@@ -159,7 +154,7 @@ class NetworkCostModel:
     #: so the simulation layer does not import upward into ``repro.net``.
     frame_overhead_bytes: int = 4
 
-    def traffic_bytes(self, trace: Trace) -> int:
+    def traffic_bytes(self, trace: TraceSummary) -> int:
         """Total wire bytes of an operation: payloads plus framing overhead.
 
         Deterministic (no sampling): the byte-denominated twin of the
@@ -247,8 +242,8 @@ class GeoLatencyCostModel(NetworkCostModel):
     def region_of(self, peer: Optional[int]) -> int:
         """The region of ``peer``: a seeded hash, stable across the run.
 
-        ``None`` (a client-side endpoint with no peer id, ``-1`` in a trace
-        column) is pinned to region 0 so every message prices alike.
+        ``None`` or ``-1`` (an endpoint with no peer id, as a trace hands a
+        client-side one) is pinned to region 0 so every message prices alike.
         """
         if peer is None or peer < 0:
             return 0

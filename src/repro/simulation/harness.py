@@ -96,8 +96,6 @@ class SimulationHarness:
             rng=self._master_rng,
             service_options={"ums": {"detector": self.detector}})
         self.network = self.cluster.network
-        # The cost model prices every message of a retrieve: record columns.
-        self.network.column_traces = True
         self.replication = self.cluster.replication
         self.kts = self.cluster.kts
         # A floating session: every operation starts at a fresh random origin,
@@ -215,8 +213,15 @@ class SimulationHarness:
         def callback() -> None:
             self.network.now = self.sim.now
             flags_before = self.detector.flag_count
-            outcome = self._retrieve(key)
-            response_time = self.cost_model.duration(outcome.trace)
+            # The cost model prices each message of the retrieve as it is recorded.
+            delays: List[float] = []
+            price = self.cost_model.message_delay
+            self.network.on_message = lambda *message: delays.append(price(*message))
+            try:
+                outcome = self._retrieve(key)
+            finally:
+                self.network.on_message = None
+            response_time = sum(delays)
             # Ground truth only the harness knows: the latest committed
             # version of the key (the adversary can falsify timestamps, but
             # not the update sequence the harness itself drove).

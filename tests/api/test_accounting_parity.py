@@ -27,16 +27,22 @@ by the harness and figures stay comparable:
 from __future__ import annotations
 
 import pytest
+from trace_columns import record_columns
 
 from repro.api import Cluster, Consistency
 from repro.dht.messages import MessageKind
 
 
 def column_cluster():
-    """The suite's cluster, recording column traces: it counts messages by kind."""
+    """The suite's cluster, with a column recorder: it counts messages by kind."""
     cluster = Cluster.build(peers=48, replicas=8, seed=3)
-    cluster.network.column_traces = True
+    record_columns(cluster.network)
     return cluster
+
+
+def traced(cluster, operation, *args, **kwargs):
+    """``operation``'s result and the columns of the messages it sent."""
+    return cluster.network.on_message.run(operation, *args, **kwargs)
 
 
 @pytest.fixture
@@ -53,19 +59,19 @@ def services(cluster):
 
 
 class TestPerProbeParity:
-    def test_one_get_pair_per_inspected_replica_for_both_services(self, services):
+    def test_one_get_pair_per_inspected_replica_for_both_services(self, cluster, services):
         for service, key in zip(services, ("k-ums", "k-brk")):
-            result = service.retrieve(key)
-            kinds = result.trace.count_by_kind()
+            result, columns = traced(cluster, service.retrieve, key)
+            kinds = columns.count_by_kind()
             assert kinds[MessageKind.GET_REQUEST] == result.replicas_inspected
             assert kinds[MessageKind.GET_REPLY] == result.replicas_inspected
 
-    def test_any_level_is_message_for_message_identical(self, services):
+    def test_any_level_is_message_for_message_identical(self, cluster, services):
         ums, brk = services
-        ums_kinds = ums.retrieve("k-ums",
-                                 consistency=Consistency.ANY).trace.count_by_kind()
-        brk_kinds = brk.retrieve("k-brk",
-                                 consistency=Consistency.ANY).trace.count_by_kind()
+        ums_kinds = traced(cluster, ums.retrieve, "k-ums",
+                           consistency=Consistency.ANY)[1].count_by_kind()
+        brk_kinds = traced(cluster, brk.retrieve, "k-brk",
+                           consistency=Consistency.ANY)[1].count_by_kind()
         # Same shape: one routed probe, one GET pair, nothing else.
         assert set(ums_kinds) == set(brk_kinds)
         assert ums_kinds[MessageKind.GET_REQUEST] == \
@@ -73,10 +79,10 @@ class TestPerProbeParity:
         assert ums_kinds[MessageKind.GET_REPLY] == \
             brk_kinds[MessageKind.GET_REPLY] == 1
 
-    def test_ums_retrieve_decomposes_into_kts_plus_probes(self, services):
+    def test_ums_retrieve_decomposes_into_kts_plus_probes(self, cluster, services):
         ums, _brk = services
-        result = ums.retrieve("k-ums")
-        kinds = result.trace.count_by_kind()
+        result, columns = traced(cluster, ums.retrieve, "k-ums")
+        kinds = columns.count_by_kind()
         # Exactly one KTS exchange...
         assert kinds[MessageKind.LAST_TS_REQUEST] == 1
         assert kinds[MessageKind.LAST_TS_REPLY] == 1
@@ -87,10 +93,10 @@ class TestPerProbeParity:
                      + 2 * result.replicas_inspected)
         assert result.message_count == accounted
 
-    def test_brk_retrieve_is_probes_only(self, services):
+    def test_brk_retrieve_is_probes_only(self, cluster, services):
         _ums, brk = services
-        result = brk.retrieve("k-brk")
-        kinds = result.trace.count_by_kind()
+        result, columns = traced(cluster, brk.retrieve, "k-brk")
+        kinds = columns.count_by_kind()
         assert MessageKind.LAST_TS_REQUEST not in kinds
         assert MessageKind.TSR not in kinds
         accounted = (kinds.get(MessageKind.LOOKUP_HOP, 0)
@@ -106,8 +112,8 @@ class TestUnreachableParity:
         for service, key in ((ums, "k-ums"), (brk, "k-brk")):
             holders = frozenset(cluster.network.responsible_peer(key, h)
                                 for h in cluster.replication)
-            result = service.retrieve(key, unreachable=holders)
-            kinds = result.trace.count_by_kind()
+            result, columns = traced(cluster, service.retrieve, key, unreachable=holders)
+            kinds = columns.count_by_kind()
             # Every probe timed out: requests recorded, no replies at all.
             assert result.trace.timeout_count == result.replicas_inspected
             assert MessageKind.GET_REPLY not in kinds
@@ -118,11 +124,11 @@ class TestResultSurfaceParity:
     def test_message_count_equals_trace_length_everywhere(self, cluster):
         for name in ("ums", "brk"):
             with cluster.session(service=name) as session:
-                insert = session.insert(f"parity-{name}", "v")
-                retrieve = session.retrieve(f"parity-{name}")
-                batch = session.retrieve_many([f"parity-{name}"])
-            for result in (insert, retrieve, batch):
-                assert result.message_count == len(result.trace.messages)
+                for operation, argument in ((session.insert, (f"parity-{name}", "v")),
+                                            (session.retrieve, (f"parity-{name}",)),
+                                            (session.retrieve_many, ([f"parity-{name}"],))):
+                    result, columns = traced(cluster, operation, *argument)
+                    assert result.message_count == len(columns.messages) > 0
 
     def test_insert_results_expose_message_count_for_both_services(self, cluster):
         with cluster.session() as session:
@@ -165,11 +171,10 @@ class TestFastPathParity:
                         cluster.network.put(f"side-{index}", fn, index,
                                             version=index)
                         cluster.network.get(f"side-{index}", fn)
-                result = session.retrieve("k")
+                result, columns = traced(cluster, session.retrieve, "k")
                 assert result.found and result.is_current
                 counts[name] = (result.message_count,
-                                tuple(sorted(
-                                    result.trace.count_by_kind().items())))
+                                tuple(sorted(columns.count_by_kind().items())))
         assert counts["plain"] == counts["interleaved"]
 
     def test_untraced_service_results_match_traced_placement(self):

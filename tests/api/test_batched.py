@@ -5,6 +5,7 @@ from __future__ import annotations
 from functools import partial
 
 import pytest
+from trace_columns import record_columns
 
 from repro.api import Cluster, Consistency
 
@@ -228,10 +229,10 @@ class TestKtsBatching:
         with cluster.session() as session:
             session.insert_many((key, key) for key in KEYS)
         responsibles = {kts.responsible_of_timestamping(key) for key in KEYS}
-        cluster.network.column_traces = True
+        columns = record_columns(cluster.network)
         trace = cluster.network.new_trace()
         kts.last_ts_many(KEYS, trace=trace)
-        kinds = trace.count_by_kind()
+        kinds = columns.count_by_kind()
         from repro.dht.messages import MessageKind
 
         assert kinds[MessageKind.LAST_TS_REQUEST] == len(responsibles)
@@ -259,12 +260,12 @@ class TestNetworkBatching:
             session.insert_many((key, {"k": key}) for key in KEYS)
         requests = [(key, h) for key in KEYS for h in replication]
         responsibles = {network.responsible_peer(key, h) for key, h in requests}
-        network.column_traces = True
+        columns = record_columns(network)
         trace = network.new_trace()
         network.get_many(requests, trace=trace)
         from repro.dht.messages import MessageKind
 
-        kinds = trace.count_by_kind()
+        kinds = columns.count_by_kind()
         assert kinds[MessageKind.GET_REQUEST] == len(responsibles)
         assert kinds[MessageKind.GET_REPLY] == len(responsibles)
 
@@ -274,12 +275,12 @@ class TestNetworkBatching:
         with cluster.session() as session:
             session.insert_many((key, {"k": key}) for key in KEYS)
         requests = [(key, h) for key in KEYS for h in replication]
-        network.column_traces = True
+        columns = record_columns(network)
         trace = network.new_trace()
         network.get_many(requests, trace=trace)
         from repro.dht.messages import MessageKind
 
-        reply_bytes = sum(m.size_bytes for m in trace
+        reply_bytes = sum(m.size_bytes for m in columns
                           if m.kind == MessageKind.GET_REPLY)
         # One data payload per fetched entry: batching saves messages, not bytes.
         assert reply_bytes == network.message_sizes.data_bytes * len(requests)

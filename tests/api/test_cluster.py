@@ -6,6 +6,7 @@ import hashlib
 import random
 
 import pytest
+from trace_columns import record_columns
 
 from repro.api import Cluster, Consistency
 from repro.core import CounterInitialization
@@ -159,14 +160,14 @@ class TestSession:
 
     def test_origin_bound_session_uses_the_origin(self, cluster):
         origin = cluster.network.alive_peer_ids()[0]
-        cluster.network.column_traces = True  # reads the hops' sources
+        columns = record_columns(cluster.network)  # reads the hops' sources
         with cluster.session(origin) as session:
             session.insert("k", "v")
-            result = session.retrieve("k")
+            result, trace = columns.run(session.retrieve, "k")
         assert result.found
         # Every routed lookup starts at the bound origin, so whenever hops
         # were recorded at all, some of them leave from the origin.
-        hop_sources = {m.source for m in result.trace
+        hop_sources = {m.source for m in trace
                        if m.kind.value == "lookup-hop"}
         assert not hop_sources or origin in hop_sources
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from trace_columns import record_columns
 
 from repro.api import Cluster, Consistency
 
@@ -23,11 +24,11 @@ class TestUmsConsistency:
     def test_any_skips_the_kts_lookup(self, cluster):
         from repro.dht.messages import MessageKind
 
-        cluster.network.column_traces = True
+        columns = record_columns(cluster.network)
         with cluster.session() as session:
             session.insert("k", "v")
-            result = session.retrieve("k", consistency=Consistency.ANY)
-        kinds = result.trace.count_by_kind()
+            result, trace = columns.run(session.retrieve, "k", consistency=Consistency.ANY)
+        kinds = trace.count_by_kind()
         assert MessageKind.LAST_TS_REQUEST not in kinds
         assert result.found
         assert not result.is_current  # nothing was certified

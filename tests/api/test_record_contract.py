@@ -26,11 +26,11 @@ from repro.api.results import (
 )
 from repro.core.errors import IncomparableTimestampsError
 from repro.core.timestamps import Timestamp
-from repro.dht.messages import MessageKind, OperationTrace
+from repro.dht.messages import MessageKind, TraceSummary
 from repro.dht.model import slotted_init
 from repro.dht.storage import StoredValue
 
-TRACE = OperationTrace()
+TRACE = TraceSummary(0, 0, 0, 128)
 TRACE.record(MessageKind.GET_REQUEST, source=1, dest=2)
 
 INSERT = dict(key="k", replicas_written=9, replicas_attempted=10, trace=TRACE,
@@ -56,9 +56,7 @@ IDS = [case[0].__name__ for case in CASES]
 
 
 def _view(value):
-    """``value`` with every trace replaced by its messages (traces compare by identity)."""
-    if isinstance(value, OperationTrace):
-        return ("trace", value.messages)
+    """``value`` as nested tuples of its fields, a trace's included."""
     if dataclasses.is_dataclass(value):
         return (type(value), tuple(_view(getattr(value, field.name)) for field in fields(value)))
     if isinstance(value, tuple):

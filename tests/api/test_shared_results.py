@@ -11,11 +11,11 @@ from repro.api.results import (
     InsertResult,
     RetrieveResult,
 )
-from repro.dht.messages import MessageKind, OperationTrace
+from repro.dht.messages import MessageKind, TraceSummary
 
 
-def _trace(messages: int = 0) -> OperationTrace:
-    trace = OperationTrace()
+def _trace(messages: int = 0) -> TraceSummary:
+    trace = TraceSummary(0, 0, 0, 128)
     for _ in range(messages):
         trace.record(MessageKind.CONTROL)
     return trace

@@ -8,6 +8,8 @@ small fraction of a full-state push.
 
 from __future__ import annotations
 
+from trace_columns import record_columns
+
 from repro.api.cluster import Cluster
 from repro.core.replication import ReplicaSyncReport
 from repro.dht.messages import MessageKind
@@ -154,15 +156,15 @@ class TestDeltaEfficiency:
         hash_fn, holder = _stale_holder(cluster, "k")
         cluster.network.peer(holder).store.delete(hash_fn.name, "k")
 
-        cluster.network.column_traces = True
+        columns = record_columns(cluster.network)
         trace = cluster.network.new_trace()
         report = cluster.replication.sync_replicas(cluster.network,
                                                    trace=trace)
-        kinds = [message.kind for message in trace.messages]
+        kinds = [message.kind for message in columns.messages]
         assert MessageKind.SYNC_SUMMARY in kinds
         assert MessageKind.SYNC_DELTA in kinds
-        assert sum(message.size_bytes for message in trace.messages) == \
-            report.transfer_bytes
+        assert sum(message.size_bytes for message in columns.messages) == \
+            report.transfer_bytes == trace.total_bytes
 
     def test_sync_draws_no_randomness(self):
         # Interleaving sync rounds with a seeded workload must not disturb

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from trace_columns import record_columns
 
 from repro.api import Cluster
 from repro.dht.messages import MessageKind
@@ -10,9 +11,15 @@ from repro.dht.messages import MessageKind
 
 @pytest.fixture
 def small_stack(small_stack):
-    """The shared stack, recording column traces: these tests read message kinds."""
-    small_stack.network.column_traces = True
+    """The shared stack, with a column recorder: these tests read message kinds."""
+    record_columns(small_stack.network)
     return small_stack
+
+
+def kinds_of(stack, operation, *args, **kwargs):
+    """``operation``'s result and the kinds of the messages it sent."""
+    result, columns = stack.network.on_message.run(operation, *args, **kwargs)
+    return result, [message.kind for message in columns]
 
 
 class TestInsert:
@@ -29,15 +36,14 @@ class TestInsert:
         assert all(entry.version == 1 for entry in replicas)
 
     def test_insert_reads_before_writing(self, small_stack):
-        result = small_stack.service("brk").insert("k", "a")
-        kinds = [message.kind for message in result.trace]
+        result, kinds = kinds_of(small_stack, small_stack.service("brk").insert, "k", "a")
         assert kinds.count(MessageKind.GET_REQUEST) == small_stack.replication.factor
         assert kinds.count(MessageKind.PUT_REQUEST) == small_stack.replication.factor
 
     def test_observed_version_skips_the_read_phase(self, small_stack):
         small_stack.service("brk").insert("k", "a")
-        result = small_stack.service("brk").insert("k", "b", observed_version=1)
-        kinds = [message.kind for message in result.trace]
+        result, kinds = kinds_of(small_stack, small_stack.service("brk").insert, "k", "b",
+                                 observed_version=1)
         assert kinds.count(MessageKind.GET_REQUEST) == 0
         assert result.version == 2
 
@@ -60,9 +66,8 @@ class TestRetrieve:
 
     def test_retrieve_always_reads_every_replica(self, small_stack):
         small_stack.service("brk").insert("k", "v")
-        result = small_stack.service("brk").retrieve("k")
+        result, kinds = kinds_of(small_stack, small_stack.service("brk").retrieve, "k")
         assert result.replicas_inspected == small_stack.replication.factor
-        kinds = [message.kind for message in result.trace]
         assert kinds.count(MessageKind.GET_REQUEST) == small_stack.replication.factor
 
     def test_retrieve_unknown_key(self, small_stack):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from trace_columns import record_columns
 
 from repro.api import Cluster
 from repro.core.kts import CounterInitialization, KeyBasedTimestampService
@@ -50,10 +51,9 @@ class TestGenTs:
 
     def test_gen_ts_records_routing_and_tsr_messages(self):
         network, _, kts = build_kts()
-        network.column_traces = True
-        trace = network.new_trace()
-        kts.gen_ts("k", trace=trace)
-        kinds = [message.kind for message in trace]
+        columns = record_columns(network)
+        kts.gen_ts("k", trace=network.new_trace())
+        kinds = [message.kind for message in columns]
         assert MessageKind.TSR in kinds
         assert MessageKind.TSR_REPLY in kinds
 
@@ -85,10 +85,9 @@ class TestLastTs:
     def test_last_ts_records_request_messages(self):
         network, _, kts = build_kts()
         kts.gen_ts("k")
-        network.column_traces = True
-        trace = network.new_trace()
-        kts.last_ts("k", trace=trace)
-        kinds = [message.kind for message in trace]
+        columns = record_columns(network)
+        kts.last_ts("k", trace=network.new_trace())
+        kinds = [message.kind for message in columns]
         assert MessageKind.LAST_TS_REQUEST in kinds
         assert MessageKind.LAST_TS_REPLY in kinds
         assert kts.stats.last_ts_requests == 1
@@ -159,10 +158,9 @@ class TestIndirectInitialization:
         for hash_fn in replication:
             network.put("k", hash_fn, "payload", timestamp=latest)
         network.leave_peer(kts.responsible_of_timestamping("k"))
-        network.column_traces = True
-        trace = network.new_trace()
-        kts.last_ts("k", trace=trace)
-        kinds = [message.kind for message in trace]
+        columns = record_columns(network)
+        kts.last_ts("k", trace=network.new_trace())
+        kinds = [message.kind for message in columns]
         assert kinds.count(MessageKind.GET_REQUEST) == replication.factor
 
     def test_last_ts_after_indirect_init_reports_committed_value(self):

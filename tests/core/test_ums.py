@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from trace_columns import record_columns
 
 from repro.api import Cluster
 from repro.core.audit import audit_key
@@ -37,9 +38,9 @@ class TestInsert:
         assert result.replicas_written < result.replicas_attempted
 
     def test_insert_trace_contains_puts_and_timestamping(self, small_stack):
-        small_stack.network.column_traces = True
-        result = small_stack.service("ums").insert("k", "payload")
-        kinds = [message.kind for message in result.trace]
+        columns = record_columns(small_stack.network)
+        small_stack.service("ums").insert("k", "payload")
+        kinds = [message.kind for message in columns]
         assert kinds.count(MessageKind.PUT_REQUEST) == small_stack.replication.factor
         assert MessageKind.TSR in kinds
 

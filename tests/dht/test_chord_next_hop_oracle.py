@@ -16,6 +16,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from trace_columns import record_columns
 
 from repro.api import Cluster
 from repro.dht.chord import ChordRing
@@ -250,7 +251,7 @@ def test_seeded_chord_cluster_under_churn_repeats_its_trace_digest(monkeypatch):
     monkeypatch.setattr(ChordRing, "_finger_snapshot", counting_snapshot)
     cluster = Cluster.build(peers=1000, protocol="chord", seed=2007)
     network, rng, digest = cluster.network, random.Random(23), hashlib.sha1()
-    network.column_traces = True  # the pin digests every column
+    columns = record_columns(network)  # the pin digests every column
     retried_calls = 0
     with cluster.session() as session:
         for event in range(120):
@@ -261,9 +262,11 @@ def test_seeded_chord_cluster_under_churn_repeats_its_trace_digest(monkeypatch):
             network.now += 12.0
             for call in range(3):
                 key = f"key-{rng.randrange(48)}"
-                result = (session.retrieve(key) if call else
-                          session.insert(key, {"event": event}))
-                trace = result.trace
+                if call:
+                    session.retrieve(key)
+                else:
+                    session.insert(key, {"event": event})
+                trace = columns.take()
                 retried_calls += MessageKind.LOOKUP_RETRY in trace.count_by_kind()
                 digest.update(bytes(trace.kinds))
                 for column in (trace.size_bytes, trace.sources, trace.dests,

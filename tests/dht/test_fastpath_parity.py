@@ -1,7 +1,7 @@
 """Cross-overlay agreement of the three operation paths.
 
 The network exposes one logical ``put_h``/``get_h`` semantics through three
-code paths: the trace-free fast path (no ``OperationTrace`` attached, no hop
+code paths: the trace-free fast path (no trace attached, no hop
 simulation), the traced ``route(...)`` walk, and the batched
 ``get_many``/``put_many`` entry points.  These property tests drive all three
 against identically-seeded networks — including under interleaved joins,

@@ -27,6 +27,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from trace_columns import record_columns
 
 from repro.api import Cluster
 from repro.dht.kademlia import RoutingTable
@@ -480,7 +481,7 @@ def test_seeded_cluster_under_churn_repeats_its_per_call_digest():
     # lookup order must fail here, not merely shift messages_per_key_op.
     cluster = Cluster.build(peers=1000, protocol="kademlia", seed=2007)
     network, rng, digest = cluster.network, random.Random(23), hashlib.sha1()
-    network.column_traces = True  # retries are counted by kind
+    columns = record_columns(network)  # retries are counted by kind
     total_retries = 0
     with cluster.session() as session:
         for event in range(200):
@@ -491,7 +492,7 @@ def test_seeded_cluster_under_churn_repeats_its_per_call_digest():
                 key = f"key-{rng.randrange(48)}"
                 result = (session.retrieve(key) if call else
                           session.insert(key, {"event": event}))
-                retries = result.trace.count_by_kind().get(MessageKind.LOOKUP_RETRY, 0)
+                retries = columns.take().count_by_kind().get(MessageKind.LOOKUP_RETRY, 0)
                 total_retries += retries
                 digest.update(f"{result.message_count}:{retries};".encode("ascii"))
     assert total_retries == 827

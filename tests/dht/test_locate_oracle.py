@@ -4,13 +4,16 @@
 each hop as its walk takes it — and replays each exchange from the row
 the trace's ``MessageSizes`` computed once for it.  The reference kept here is the two-step locate it
 replaced: route without a trace, then record the path and the exchange
-(``record_route`` and ``record_request_reply`` verbatim as they were), with
-the origin drawn as ``rng.choice(protocol.nodes())``.  Two clusters are built from one
-seed and the reference is patched into one of them; one stream of point and
-batched operations, ``unreachable`` sets, joins, leaves, failures and clock
-advances drives both, and after every step the two traces must be equal
-column for column, byte tally included — and for Kademlia, whose lookups
-update routing tables as they go, every routing table too.  Stale Chord
+(``record_route`` and ``record_request_reply`` as they were, writing the
+columns of the trace's recorder and the trace's counts), with the origin
+drawn as ``rng.choice(protocol.nodes())``.  Two clusters are built from one
+seed, each with the column recorder of ``tests/trace_columns.py`` as its
+message hook, and the reference is patched into one of them; one stream of
+point and batched operations, ``unreachable`` sets, joins, leaves, failures
+and clock advances drives both, and after every step the two recorders must
+be equal column for column, and the two summaries count for count — and for
+Kademlia, whose lookups update routing tables as they go, every routing
+table too.  Stale Chord
 fingers (the stabilisation interval is 30 simulated seconds) make retries.
 """
 
@@ -21,10 +24,11 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from trace_columns import KIND_CODES, record_columns
 
 from repro.api import Cluster
 from repro.dht.errors import EmptyNetworkError
-from repro.dht.messages import KIND_CODES, MessageKind
+from repro.dht.messages import MessageKind
 from repro.dht.network import DHTNetwork
 
 OVERLAYS = ["chord", "kademlia", "can"]
@@ -33,39 +37,47 @@ _RETRY = KIND_CODES[MessageKind.LOOKUP_RETRY].encode("ascii")
 
 
 def reference_record_route(trace, path, *, retries=0, timeouts=0):
-    """9.0.0 ``OperationTrace.record_route``, verbatim."""
+    """9.0.0 ``OperationTrace.record_route``, on the columns of the trace's
+    recorder and the trace's counts."""
+    columns = trace.on_message
     nodes = tuple(path)
     hops = max(0, len(nodes) - 1)
     hop_bytes = trace.sizes.size_of(MessageKind.LOOKUP_HOP)
     if retries <= 0:
-        trace.kinds.extend(_HOP * hops)
-        trace.size_bytes.extend([hop_bytes] * hops)
-        trace.sources.extend(nodes[:hops])
-        trace.dests.extend(nodes[1:])
-        trace._total_bytes += hop_bytes * hops
+        columns.kinds.extend(_HOP * hops)
+        columns.size_bytes.extend([hop_bytes] * hops)
+        columns.sources.extend(nodes[:hops])
+        columns.dests.extend(nodes[1:])
+        trace.message_count += hops
+        trace.total_bytes += hop_bytes * hops
         return
     retry_bytes = trace.sizes.size_of(MessageKind.LOOKUP_RETRY)
-    first_retry = len(trace.kinds) + hops
-    trace.timed_out.extend(range(first_retry, first_retry + min(timeouts, retries)))
-    trace.kinds.extend(_HOP * hops + _RETRY * retries)
-    trace.size_bytes.extend([hop_bytes] * hops + [retry_bytes] * retries)
-    trace.sources.extend(nodes[:hops] + (-1,) * retries)
-    trace.dests.extend(nodes[1:] + (-1,) * retries)
-    trace._total_bytes += hop_bytes * hops + retry_bytes * retries
+    first_retry = len(columns.kinds) + hops
+    columns.timed_out.extend(range(first_retry, first_retry + min(timeouts, retries)))
+    columns.kinds.extend(_HOP * hops + _RETRY * retries)
+    columns.size_bytes.extend([hop_bytes] * hops + [retry_bytes] * retries)
+    columns.sources.extend(nodes[:hops] + (-1,) * retries)
+    columns.dests.extend(nodes[1:] + (-1,) * retries)
+    trace.message_count += hops + retries
+    trace.total_bytes += hop_bytes * hops + retry_bytes * retries
+    trace.timeout_count += max(0, min(timeouts, retries))
 
 
 def reference_record_request_reply(trace, request_kind, reply_kind, *, source=None,
                                     dest=None, entries=1):
-    """9.0.0 ``OperationTrace.record_request_reply``, verbatim."""
+    """9.0.0 ``OperationTrace.record_request_reply``, on the columns of the
+    trace's recorder and the trace's counts."""
+    columns = trace.on_message
     request_bytes = trace.sizes.size_of(request_kind, entries)
     reply_bytes = trace.sizes.size_of(reply_kind, entries)
     source = -1 if source is None else source
     dest = -1 if dest is None else dest
-    trace.kinds.extend((ord(KIND_CODES[request_kind]), ord(KIND_CODES[reply_kind])))
-    trace.size_bytes.extend((request_bytes, reply_bytes))
-    trace.sources.extend((source, dest))
-    trace.dests.extend((dest, source))
-    trace._total_bytes += request_bytes + reply_bytes
+    columns.kinds.extend((ord(KIND_CODES[request_kind]), ord(KIND_CODES[reply_kind])))
+    columns.size_bytes.extend((request_bytes, reply_bytes))
+    columns.sources.extend((source, dest))
+    columns.dests.extend((dest, source))
+    trace.message_count += 2
+    trace.total_bytes += request_bytes + reply_bytes
 
 
 def reference_locate(network, origin, point, trace, exchange=None,
@@ -95,21 +107,24 @@ def reference_resolve_origin(network, origin):
 
 
 def build_pair(name, seed):
-    """The cluster under test and its twin running the reference locate, both
-    recording column traces (the reference writes the columns itself)."""
+    """The cluster under test and its twin running the reference locate, each
+    with a column recorder (the reference writes the columns itself)."""
     pair = [Cluster.build(peers=24, protocol=name, seed=seed,
                           stabilization_interval=30.0) for _ in range(2)]
     for cluster in pair:
-        cluster.network.column_traces = True
+        record_columns(cluster.network)
     twin = pair[1].network
     twin._locate = reference_locate.__get__(twin, DHTNetwork)
     twin._resolve_origin = reference_resolve_origin.__get__(twin, DHTNetwork)
     return pair
 
 
-def columns(trace):
-    return (bytes(trace.kinds), list(trace.size_bytes), list(trace.sources),
-            list(trace.dests), list(trace.timed_out), trace.total_bytes)
+def recorded(cluster, trace):
+    """The columns ``cluster``'s recorder took for one step, and ``trace``'s counts."""
+    columns = cluster.network.on_message.take()
+    return columns, (bytes(columns.kinds), columns.size_bytes, columns.sources,
+                     columns.dests, columns.timed_out, trace.message_count,
+                     trace.total_bytes, trace.timeout_count)
 
 
 def assert_twins_agree(name, cluster, twin):
@@ -177,7 +192,7 @@ def test_the_one_pass_locate_equals_the_two_step_reference(name, steps, seed):
     for action, number in steps:
         traces = [run_step(each, action, number, keys) for each in (cluster, twin)]
         if traces[0] is not None:
-            assert columns(traces[0]) == columns(traces[1]), action
+            assert recorded(cluster, traces[0])[1] == recorded(twin, traces[1])[1], action
         assert_twins_agree(name, cluster, twin)
 
 
@@ -195,8 +210,8 @@ def test_a_seeded_churn_stream_runs_every_branch_of_the_locate(name):
         action, number = rng.choice(actions), rng.getrandbits(48)
         traces = [run_step(each, action, number, keys) for each in (cluster, twin)]
         if traces[0] is not None:
-            trace = traces[0]
-            assert columns(trace) == columns(traces[1]), action
+            trace, rows = recorded(cluster, traces[0])
+            assert rows == recorded(twin, traces[1])[1], action
             kinds = trace.count_by_kind()
             retries += kinds.get(MessageKind.LOOKUP_RETRY, 0)
             timeouts += sum(message.timed_out

@@ -1,4 +1,4 @@
-"""Unit tests for message traces and message-size accounting."""
+"""Unit tests for the counting trace, its message hook and message-size accounting."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from trace_columns import Columns, Message
 
-from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrace, TraceSummary
+from repro.dht.messages import MessageKind, MessageSizes, OperationTrace, TraceSummary
 
 
 class TestMessageSizes:
@@ -34,76 +35,8 @@ class TestMessageSizes:
         assert sizes.size_of(MessageKind.PUT_ACK, 7) == 10
 
 
-class TestOperationTrace:
-    def test_empty_trace(self):
-        trace = OperationTrace()
-        assert trace.message_count == 0
-        assert trace.total_bytes == 0
-        assert trace.timeout_count == 0
-        assert len(trace) == 0
-
-    def test_record_defaults_size_from_kind(self):
-        trace = OperationTrace()
-        assert trace.record(MessageKind.GET_REPLY) is None
-        assert trace.messages[-1].size_bytes == trace.sizes.data_bytes
-        assert trace.total_bytes == trace.sizes.data_bytes
-
-    def test_record_explicit_size(self):
-        trace = OperationTrace()
-        trace.record(MessageKind.CONTROL, size_bytes=7)
-        assert trace.total_bytes == 7
-
-    def test_record_route_counts_hops(self):
-        trace = OperationTrace()
-        trace.record_route([1, 2, 3, 4])
-        assert trace.message_count == 3
-        assert all(message.kind is MessageKind.LOOKUP_HOP for message in trace)
-
-    def test_record_route_single_node_is_free(self):
-        trace = OperationTrace()
-        trace.record_route([42])
-        assert trace.message_count == 0
-
-    def test_record_route_retries_and_timeouts(self):
-        trace = OperationTrace()
-        trace.record_route([1, 2], retries=3, timeouts=2)
-        assert trace.message_count == 1 + 3
-        assert trace.timeout_count == 2
-
-    def test_record_request_reply(self):
-        trace = OperationTrace()
-        trace.record_request_reply(MessageKind.GET_REQUEST, MessageKind.GET_REPLY,
-                                   source=1, dest=9)
-        assert trace.message_count == 2
-        kinds = [message.kind for message in trace]
-        assert kinds == [MessageKind.GET_REQUEST, MessageKind.GET_REPLY]
-        assert trace.messages[1].source == 9 and trace.messages[1].dest == 1
-
-    def test_count_by_kind(self):
-        trace = OperationTrace()
-        trace.record(MessageKind.TSR)
-        trace.record(MessageKind.TSR)
-        trace.record(MessageKind.TSR_REPLY)
-        histogram = trace.count_by_kind()
-        assert histogram[MessageKind.TSR] == 2
-        assert histogram[MessageKind.TSR_REPLY] == 1
-
-    def test_messages_property_is_a_snapshot(self):
-        trace = OperationTrace()
-        trace.record(MessageKind.TSR)
-        snapshot = trace.messages
-        trace.record(MessageKind.TSR)
-        assert len(snapshot) == 1
-        assert trace.message_count == 2
-
-    def test_messages_are_frozen(self):
-        message = Message(kind=MessageKind.TSR, size_bytes=10)
-        with pytest.raises(AttributeError):
-            message.size_bytes = 20  # type: ignore[misc]
-
-
 # --------------------------------------------------------------------------
-# The columns against a list-of-messages model.
+# The hook against a list-of-messages model.
 # --------------------------------------------------------------------------
 SIZES = MessageSizes(control_bytes=10, data_bytes=500)
 ids = st.one_of(st.none(), st.integers(min_value=0, max_value=2 ** 64))
@@ -121,9 +54,12 @@ calls = st.lists(st.one_of(record_calls, route_calls, exchange_calls, hop_calls)
                  max_size=12)
 
 
+def new_summary(hook=None):
+    return TraceSummary(0, 0, 0, SIZES.control_bytes, SIZES, hook)
+
+
 def feed(trace, call):
-    """Apply one recording call to ``trace``, through the calls the data path
-    makes: either class of trace takes each of them."""
+    """Apply one recording call to ``trace``, through the calls the data path makes."""
     if call[0] == "record":
         _, kind, source, dest, size, timed_out = call
         trace.record(kind, source=source, dest=dest, size_bytes=size,
@@ -139,57 +75,76 @@ def feed(trace, call):
                               -1 if dest is None else dest, entries)
 
 
-def play(trace, model, call):
-    """Apply one recording call to ``trace`` and to the list ``model``."""
-    feed(trace, call)
+def model_of(call):
+    """The messages one recording call sends, as a list model."""
     if call[0] == "record":
         _, kind, source, dest, size, timed_out = call
-        model.append(Message(kind, SIZES.size_of(kind) if size is None else size,
-                             source, dest, timed_out))
-    elif call[0] == "route":
+        return [Message(kind, SIZES.size_of(kind) if size is None else size,
+                        source, dest, timed_out)]
+    if call[0] == "route":
         _, path, retries, timeouts = call
-        model.extend(Message(MessageKind.LOOKUP_HOP, 10, source, dest)
-                     for source, dest in zip(path, path[1:]))
-        model.extend(Message(MessageKind.LOOKUP_RETRY, 10, timed_out=index < timeouts)
-                     for index in range(retries))
-    elif call[0] == "hop":
-        model.append(Message(MessageKind.LOOKUP_HOP, 10, call[1], call[2]))
-    else:
-        _, request, reply, source, dest, entries = call
-        model.append(Message(request, SIZES.size_of(request, entries), source, dest))
-        model.append(Message(reply, SIZES.size_of(reply, entries), dest, source))
+        return ([Message(MessageKind.LOOKUP_HOP, 10, source, dest)
+                 for source, dest in zip(path, path[1:])]
+                + [Message(MessageKind.LOOKUP_RETRY, 10, timed_out=index < timeouts)
+                   for index in range(retries)])
+    if call[0] == "hop":
+        return [Message(MessageKind.LOOKUP_HOP, 10, call[1], call[2])]
+    _, request, reply, source, dest, entries = call
+    return [Message(request, SIZES.size_of(request, entries), source, dest),
+            Message(reply, SIZES.size_of(reply, entries), dest, source)]
 
 
-def assert_trace_equals(trace, model):
-    assert trace.messages == tuple(model) == tuple(trace)
-    assert trace.message_count == len(trace) == len(model)
-    assert trace.total_bytes == sum(message.size_bytes for message in model)
-    assert trace.timeout_count == sum(message.timed_out for message in model)
-    assert trace.count_by_kind() == Counter(message.kind for message in model)
-    assert len(trace.kinds) == len(trace.size_bytes) == len(trace.sources) \
-        == len(trace.dests) == len(model)
+class TestTheHook:
+    """A summary hands each message it counts to its hook: the hook sees the
+    summary's counts, message by message, and changes none of them."""
 
-
-class TestColumns:
     @given(part=calls)
     @settings(max_examples=150, deadline=None)
-    def test_tallies_and_views_match_the_model_after_any_mix(self, part):
-        trace, model = OperationTrace(sizes=SIZES), []
+    def test_the_hook_sees_every_message_the_summary_counts(self, part):
+        seen = []
+        summary = new_summary(lambda *message: seen.append(message))
         for call in part:
-            play(trace, model, call)
-            assert_trace_equals(trace, model)
+            feed(summary, call)
+            assert len(seen) == summary.message_count
+            assert sum(message[1] for message in seen) == summary.total_bytes
+            assert sum(message[4] for message in seen) == summary.timeout_count
 
-    def test_scripted_operation_materialises_the_golden_messages(self):
-        trace = OperationTrace(sizes=SIZES)
-        trace.record_route((3, 7, 9), retries=2, timeouts=1)
-        trace.record_request_reply(MessageKind.LAST_TS_REQUEST,
-                                   MessageKind.LAST_TS_REPLY, dest=9)
-        trace.record_route((3, 4))
-        trace.record(MessageKind.GET_REQUEST, dest=4, timed_out=True)
-        trace.record_request_reply(MessageKind.GET_REQUEST, MessageKind.GET_REPLY,
-                                   source=3, dest=8, entries=3)
+    @given(part=calls)
+    @settings(max_examples=150, deadline=None)
+    def test_setting_a_hook_changes_no_count(self, part):
+        hooked, bare = new_summary(Columns()), new_summary()
+        for call in part:
+            for target in (hooked, bare):
+                feed(target, call)
+            assert hooked == bare
+        assert (hooked.message_count, hooked.total_bytes, hooked.timeout_count) == \
+            hooked.on_message.counts()
+
+    @given(part=calls)
+    @settings(max_examples=150, deadline=None)
+    def test_the_columns_match_the_model_after_any_mix(self, part):
+        columns, model = Columns(), []
+        summary = new_summary(columns)
+        for call in part:
+            feed(summary, call)
+            model.extend(model_of(call))
+            assert columns.messages == tuple(model) == tuple(columns)
+            assert columns.count_by_kind() == Counter(message.kind for message in model)
+            assert len(columns.kinds) == len(columns.size_bytes) == len(columns.sources) \
+                == len(columns.dests) == len(model)
+
+    def test_a_scripted_operation_hands_over_the_golden_messages(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        summary.record_route((3, 7, 9), retries=2, timeouts=1)
+        summary.record_exchange((MessageKind.LAST_TS_REQUEST, MessageKind.LAST_TS_REPLY),
+                                -1, 9)
+        summary.record_route((3, 4))
+        summary.record(MessageKind.GET_REQUEST, dest=4, timed_out=True)
+        summary.record_exchange((MessageKind.GET_REQUEST, MessageKind.GET_REPLY), 3, 8,
+                                entries=3)
         hop, retry = MessageKind.LOOKUP_HOP, MessageKind.LOOKUP_RETRY
-        assert trace.messages == (
+        assert columns.messages == (
             Message(hop, 10, source=3, dest=7),
             Message(hop, 10, source=7, dest=9),
             Message(retry, 10, timed_out=True),
@@ -200,23 +155,28 @@ class TestColumns:
             Message(MessageKind.GET_REQUEST, 10, dest=4, timed_out=True),
             Message(MessageKind.GET_REQUEST, 10, source=3, dest=8),
             Message(MessageKind.GET_REPLY, 1500, source=8, dest=3))
-        assert trace.kinds == bytearray(b"hhrrlLhggG")
-        assert trace.timed_out == [2, 7]
-        assert (trace.message_count, trace.total_bytes, trace.timeout_count) == \
-            (10, 9 * 10 + 1500, 2)
+        assert columns.kinds == bytearray(b"hhrrlLhggG")
+        assert columns.timed_out == [2, 7]
+        assert summary == TraceSummary(10, 9 * 10 + 1500, 2, 10)
 
-    def test_views_are_built_on_demand_not_stored(self):
-        trace = OperationTrace()
-        trace.record(MessageKind.TSR, source=1, dest=2)
-        first, second = trace.messages[0], trace.messages[0]
-        assert first == second == Message(kind=MessageKind.TSR, size_bytes=128,
-                                          source=1, dest=2, timed_out=False)
-        assert first is not second
+    def test_a_take_hands_over_one_operation_and_starts_the_next(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        summary.record(MessageKind.TSR, timed_out=True)
+        first = columns.take()
+        summary.record(MessageKind.TSR_REPLY, timed_out=True)
+        assert first.timed_out == columns.timed_out == [0]
+        assert first.count_by_kind() == {MessageKind.TSR: 1}
+        assert columns.count_by_kind() == {MessageKind.TSR_REPLY: 1}
+
+    def test_messages_are_frozen(self):
+        message = Message(kind=MessageKind.TSR, size_bytes=10)
+        with pytest.raises(AttributeError):
+            message.size_bytes = 20  # type: ignore[misc]
 
 
 class TestTraceSummary:
-    """A summary fed a trace's recording calls answers as the trace does, and
-    the client's retries add up as the simulator records its own:
+    """The client's retries add up as the simulator records its own:
     ``record_route((), retries=r, timeouts=t)``."""
 
     @given(parts=st.lists(calls, max_size=3),
@@ -225,35 +185,24 @@ class TestTraceSummary:
     @settings(max_examples=150, deadline=None)
     def test_retries_add_up_as_the_simulators_record_route(self, parts, retries,
                                                           timeouts):
-        trace = OperationTrace(sizes=SIZES)
+        recorded = new_summary()
         for part in parts:
             for call in part:
-                play(trace, [], call)
+                feed(recorded, call)
         # As a client receives it: no sizes travel, so the carried
         # ``retry_bytes`` alone prices the retries.
-        received = TraceSummary(trace.message_count, trace.total_bytes,
-                                trace.timeout_count, SIZES.control_bytes)
-        assert received == trace.summary()
+        received = TraceSummary(recorded.message_count, recorded.total_bytes,
+                                recorded.timeout_count, SIZES.control_bytes)
+        assert received == recorded
         received.record_route((), retries=retries, timeouts=timeouts)
-        trace.record_route((), retries=retries, timeouts=timeouts)
-        assert received == trace.summary()
+        recorded.record_route((), retries=retries, timeouts=timeouts)
+        assert received == recorded
 
-    @given(part=calls)
-    @settings(max_examples=150, deadline=None)
-    def test_a_summary_fed_a_traces_calls_equals_its_summary(self, part):
-        trace = OperationTrace(sizes=SIZES)
-        summary = TraceSummary(0, 0, 0, SIZES.control_bytes, SIZES)
-        for call in part:
-            for target in (trace, summary):
-                feed(target, call)
-            assert summary == trace.summary()
-        assert summary.sizes is trace.summary().sizes is SIZES
+    def test_the_sizes_and_the_hook_stay_out_of_equality_and_repr(self):
+        hooked = TraceSummary(1, 2, 0, 3, SIZES, Columns())
+        assert hooked == TraceSummary(1, 2, 0, 3)
+        assert "sizes" not in repr(hooked) and "on_message" not in repr(hooked)
 
-    def test_the_sizes_stay_out_of_equality(self):
-        assert TraceSummary(1, 2, 0, 3, SIZES) == TraceSummary(1, 2, 0, 3)
-        assert "sizes" not in repr(TraceSummary(1, 2, 0, 3, SIZES))
-
-    def test_a_summary_is_its_own_summary(self):
-        summary = OperationTrace().summary()
-        assert summary.summary() is summary
-        assert summary == TraceSummary(0, 0, 0, MessageSizes().control_bytes)
+    def test_the_retired_column_trace_refuses_to_record(self):
+        with pytest.raises(NotImplementedError):
+            OperationTrace.record(None, MessageKind.TSR)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from trace_columns import Columns, record_columns
 
 from repro.core.timestamps import Timestamp
 from repro.dht.errors import (
@@ -13,7 +14,7 @@ from repro.dht.errors import (
     NoSuchPeerError,
 )
 from repro.dht.hashing import HashFamily
-from repro.dht.messages import MessageKind, MessageSizes, OperationTrace
+from repro.dht.messages import MessageKind, MessageSizes, TraceSummary
 from repro.dht.network import DHTNetwork, NetworkObserver
 
 
@@ -138,13 +139,13 @@ class TestPutGet:
         assert network.get("k", hash_fn, unreachable=frozenset({responsible})) is None
 
     def test_trace_records_route_and_request_reply(self, network, hash_fn):
-        network.column_traces = True
+        columns = record_columns(network)
         trace = network.new_trace()
         lookup = network.lookup("k", hash_fn, trace=trace)
-        assert trace.message_count == lookup.hops
+        assert trace.message_count == lookup.hops == len(columns.take())
         trace = network.new_trace()
         network.get("k", hash_fn, trace=trace)
-        kinds = [message.kind for message in trace]
+        kinds = [message.kind for message in columns.take()]
         assert kinds.count(MessageKind.GET_REQUEST) == 1
         assert kinds.count(MessageKind.GET_REPLY) == 1
 
@@ -153,12 +154,13 @@ class TestPutGet:
         # caller's trace of other sizes is priced at its own.
         sizes = MessageSizes(control_bytes=64, data_bytes=512)
         for entries in (1, 3):
-            trace = OperationTrace(sizes=sizes)
+            columns = Columns()
+            trace = TraceSummary(0, 0, 0, sizes.control_bytes, sizes, columns)
             if entries == 1:
                 network.get("k", hash_fn, trace=trace)
             else:
                 network.get_many([("k", hash_fn)] * entries, trace=trace)
-            priced = [message.size_bytes for message in trace]
+            priced = columns.size_bytes
             assert priced == [64] * (len(priced) - 1) + [512 * entries]
             assert trace.total_bytes == sum(priced)
 
@@ -174,13 +176,13 @@ class TestPutGet:
         assert network.is_alive(result.route.path[0])
 
     def test_lookup_records_the_named_exchange_after_the_hops(self, network, hash_fn):
-        network.column_traces = True
+        columns = record_columns(network)
         trace = network.new_trace()
         result = network.lookup("k", hash_fn, trace=trace,
                                 exchange=(MessageKind.TSR, MessageKind.TSR_REPLY))
         hops = result.route.hops + result.route.retries
-        assert trace.message_count == hops + 2
-        request, reply = trace.messages[-2:]
+        assert trace.message_count == hops + 2 == len(columns)
+        request, reply = columns.messages[-2:]
         assert (request.kind, request.source, request.dest) == \
             (MessageKind.TSR, None, result.responsible)
         assert (reply.kind, reply.source, reply.dest) == \

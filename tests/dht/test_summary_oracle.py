@@ -1,19 +1,19 @@
-"""The counting trace against the column trace it stands in for.
+"""The counting trace against the test recorder of its messages.
 
-A network records a :class:`~repro.dht.messages.TraceSummary` by default and
-an :class:`~repro.dht.messages.OperationTrace` only when its
-``column_traces`` is set, as the simulation harness sets it for the cost
-model.  The column trace is the reference kept here.  Two clusters are built
-from one seed, one recording summaries and its twin recording columns; one
-stream of point and batched UMS and BRK operations, ``unreachable`` sets,
-joins, leaves, failures, clock advances and anti-entropy rounds drives both.
-After every step:
+A network records a :class:`~repro.dht.messages.TraceSummary`, and hands
+each message it counts to ``DHTNetwork.on_message`` when one is set, as the
+simulation harness sets it to price a retrieve.  The column recorder of
+``tests/trace_columns.py``, set as that hook, is the reference kept here.
+Two clusters are built from one seed, one with no hook and its twin with
+the recorder; one stream of point and batched UMS and BRK operations,
+``unreachable`` sets, joins, leaves, failures, clock advances and
+anti-entropy rounds drives both.  After every step:
 
-* every result's summary equals its twin's column trace summarised, and the
-  rest of the two results is equal;
+* every result's summary counts what the twin's recorder recorded, equals
+  the twin's summary, and the rest of the two results is equal;
 * every live peer's store is equal on both;
-* every random stream of both is in the same state: which trace records a
-  message changes no draw and no route.
+* every random stream of both is in the same state: a hook changes no draw
+  and no route.
 """
 
 from __future__ import annotations
@@ -24,23 +24,24 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from trace_columns import record_columns
 
 from repro.api import Cluster
-from repro.dht.messages import MessageKind, OperationTrace, TraceSummary
+from repro.dht.messages import MessageKind, TraceSummary
 
 OVERLAYS = ["chord", "kademlia", "can"]
 SERVICES = ["ums", "brk"]
 
 
 def build_twins(name, seed):
-    """A cluster recording summaries, and its twin recording columns."""
+    """A cluster with no hook, its twin with a column recorder, and the recorder."""
     pair = [Cluster.build(peers=24, protocol=name, seed=seed, stabilization_interval=30.0)
             for _ in range(2)]
-    pair[1].network.column_traces = True
+    columns = record_columns(pair[1].network)
     for cluster in pair:
         for service in SERVICES:
             cluster.service(service)
-    return pair
+    return (*pair, columns)
 
 
 def without_traces(result):
@@ -101,17 +102,24 @@ def run_step(cluster, action, number, keys):
     return without_traces(result), result.trace
 
 
-def step_twins(cluster, twin, action, number, keys):
-    """One step on both: the column trace it recorded, if any."""
+def step_twins(cluster, twin, recorder, action, number, keys):
+    """One step on both: the columns the twin recorded, if it made a trace."""
     counted, reference = (run_step(each, action, number, keys) for each in (cluster, twin))
-    if counted is not None:
-        (result, summary), (twin_result, columns) = counted, reference
-        assert type(summary) is TraceSummary and type(columns) is OperationTrace
-        assert summary == columns.summary(), action
+    columns = recorder.take()
+    if counted is None:
+        assert columns.message_count == 0, action
+        columns = None
+    else:
+        (result, summary), (twin_result, twin_summary) = counted, reference
+        assert type(summary) is TraceSummary and summary.on_message is None
+        assert twin_summary.on_message is recorder
+        assert summary == twin_summary, action
+        assert (summary.message_count, summary.total_bytes, summary.timeout_count) == \
+            columns.counts(), action
         assert result == twin_result, action
     assert stores(cluster.network) == stores(twin.network)
     assert random_states(cluster) == random_states(twin)
-    return None if reference is None else reference[1]
+    return columns
 
 
 #: One step: an action and a number it reads bits and remainders of.
@@ -127,10 +135,10 @@ steps = st.lists(
 @given(steps=steps, seed=st.integers(min_value=0, max_value=1 << 16))
 @settings(max_examples=25, deadline=None)
 def test_a_summary_counts_what_the_column_trace_records(name, steps, seed):
-    cluster, twin = build_twins(name, seed)
+    cluster, twin, recorder = build_twins(name, seed)
     keys = [f"key-{index}" for index in range(12)]
     for action, number in steps:
-        step_twins(cluster, twin, action, number, keys)
+        step_twins(cluster, twin, recorder, action, number, keys)
 
 
 @pytest.mark.parametrize("name", OVERLAYS)
@@ -139,14 +147,14 @@ def test_a_seeded_churn_stream_counts_every_kind_of_message(name):
     # message is recorded is taken: timed-out requests, multi-entry
     # exchanges, sync messages and routing retries (not on CAN, which keeps
     # no stale state).
-    cluster, twin = build_twins(name, 7)
+    cluster, twin, recorder = build_twins(name, 7)
     rng, keys = random.Random(11), [f"key-{index}" for index in range(12)]
     actions = ["insert", "retrieve", "retrieve", "insert_many", "retrieve_many",
                "sync", "join", "leave", "fail", "tick", "tick"]
     seen = {}
     for _ in range(300):
         action, number = rng.choice(actions), rng.getrandbits(48)
-        columns = step_twins(cluster, twin, action, number, keys)
+        columns = step_twins(cluster, twin, recorder, action, number, keys)
         if columns is not None:
             for kind, count in columns.count_by_kind().items():
                 seen[kind] = seen.get(kind, 0) + count

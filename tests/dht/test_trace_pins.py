@@ -1,7 +1,8 @@
 """Full-column trace digests of seeded clusters, per overlay.
 
-Each test replays a seeded session on a network recording column traces and
-hashes every column of every call's trace — kinds, sizes, hop endpoints and
+Each test replays a seeded session on a network whose message hook is the
+column recorder of ``tests/trace_columns.py`` and hashes every column of
+every call's messages — kinds, sizes, hop endpoints and
 timed-out indices — so a change to how a message is found or recorded must fail
 here, not merely shift ``messages_per_key_op``.  Chord's churn pin lives in
 ``test_chord_next_hop_oracle.py`` and Kademlia's per-call and routing-table
@@ -21,6 +22,7 @@ import hashlib
 import random
 
 import pytest
+from trace_columns import record_columns
 
 from repro.api import Cluster
 from repro.dht.messages import MessageKind
@@ -43,7 +45,7 @@ def churn_digest(protocol, peers, events):
     """
     cluster = Cluster.build(peers=peers, protocol=protocol, seed=2007)
     network, rng, digest = cluster.network, random.Random(23), hashlib.sha1()
-    network.column_traces = True
+    columns = record_columns(network)
     retries = 0
     with cluster.session() as session:
         for event in range(events):
@@ -53,10 +55,13 @@ def churn_digest(protocol, peers, events):
             network.now += 12.0
             for call in range(3):
                 key = f"key-{rng.randrange(48)}"
-                result = (session.retrieve(key) if call else
-                          session.insert(key, {"event": event}))
-                retries += result.trace.count_by_kind().get(MessageKind.LOOKUP_RETRY, 0)
-                digest_trace(digest, result.trace)
+                if call:
+                    session.retrieve(key)
+                else:
+                    session.insert(key, {"event": event})
+                trace = columns.take()
+                retries += trace.count_by_kind().get(MessageKind.LOOKUP_RETRY, 0)
+                digest_trace(digest, trace)
     return digest.hexdigest(), retries
 
 
@@ -87,7 +92,7 @@ def test_a_seeded_batched_stream_repeats_its_trace_digest(protocol):
     cluster = Cluster.build(peers=200, protocol=protocol, seed=2007,
                             stabilization_interval=30.0)
     network, rng, digest = cluster.network, random.Random(29), hashlib.sha1()
-    network.column_traces = True
+    columns = record_columns(network)
     hashes = list(cluster.replication)
     keys = [f"key-{index}" for index in range(64)]
     timeouts = multi_entry = 0   # timed-out requests, multi-entry messages
@@ -105,13 +110,13 @@ def test_a_seeded_batched_stream_repeats_its_trace_digest(protocol):
                     network.responsible_peer(key, hash_fn)
                     for key in batch[:6] for hash_fn in rng.sample(hashes, 3))
             point = batch[0]
-            for result in (
-                    session.insert_many([(key, {"step": step}) for key in batch],
-                                        unreachable=unreachable),
-                    session.retrieve_many(batch, unreachable=unreachable),
-                    session.insert(point, {"step": step}, unreachable=unreachable),
-                    session.retrieve(point, unreachable=unreachable)):
-                trace = result.trace
+            for call, *arguments in (
+                    (session.insert_many, [(key, {"step": step}) for key in batch]),
+                    (session.retrieve_many, batch),
+                    (session.insert, point, {"step": step}),
+                    (session.retrieve, point)):
+                call(*arguments, unreachable=unreachable)
+                trace = columns.take()
                 timeouts += sum(message.timed_out
                                 and message.kind is not MessageKind.LOOKUP_RETRY
                                 for message in trace)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from trace_columns import record_columns
+
 from repro.api import Cluster
 from repro.core import CounterInitialization
 from repro.simulation.cost import NetworkCostModel
@@ -27,11 +29,13 @@ class TestUmsVersusBrk:
 
     def test_response_time_ordering_under_the_wan_cost_model(self, small_stack):
         cost = NetworkCostModel(rng=random.Random(5))
-        small_stack.network.column_traces = True  # the cost model prices columns
         small_stack.service("ums").insert("k-ums", "payload")
         small_stack.service("brk").insert("k-brk", "payload")
-        ums_duration = cost.duration(small_stack.service("ums").retrieve("k-ums").trace)
-        brk_duration = cost.duration(small_stack.service("brk").retrieve("k-brk").trace)
+        columns = record_columns(small_stack.network)
+        ums_duration, brk_duration = (
+            sum(cost.message_delay(*message)
+                for message in columns.run(small_stack.service(name).retrieve, key)[1])
+            for name, key in (("ums", "k-ums"), ("brk", "k-brk")))
         assert ums_duration < brk_duration
 
 

@@ -60,12 +60,12 @@ def assert_results_identical(expected, actual):
     for want, got in zip(expected, actual):
         if hasattr(want, "results"):  # batched: compare element-wise
             assert len(want.results) == len(got.results)
-            assert want.trace.summary() == got.trace
+            assert want.trace == got.trace
             for item_want, item_got in zip(want.results, got.results):
                 assert_single_identical(item_want, item_got)
                 assert item_got.trace is got.trace
             continue
-        assert want.trace.summary() == got.trace
+        assert want.trace == got.trace
         assert_single_identical(want, got)
 
 
@@ -174,4 +174,4 @@ def test_consistency_levels_survive_the_wire():
 
     assert actual.consistency == expected.consistency == "best-effort"
     assert_single_identical(expected, actual)
-    assert actual.trace == expected.trace.summary()
+    assert actual.trace == expected.trace

@@ -1,9 +1,10 @@
 """Golden frame sizes: the exact bytes of the protocol's typical frames.
 
 Deterministic payloads shaped like the protocol's real traffic (single ops,
-batched ops, delta-sync entry lists, and the point replies that dominate a
-point workload, each with its trace's summary and leaving out the key its
-request named) are encoded with :mod:`repro.net.codec`.  Frame sizes are
+batched ops, delta-sync entry lists, the point replies that dominate a point
+workload, and the result records of 16-key batch replies, each with its
+trace's summary and leaving out the keys its request named) are encoded with
+:mod:`repro.net.codec`.  Frame sizes are
 pure functions of the payloads and the seeded sequence, so they are pinned
 exactly: a codec change that moves one byte fails here.
 
@@ -22,18 +23,27 @@ import itertools
 import random
 
 from repro.api.cluster import Cluster
-from repro.api.results import InsertResult, RetrieveResult
+from repro.api.results import (
+    BatchInsertResult,
+    BatchRetrieveResult,
+    InsertResult,
+    RetrieveResult,
+)
 from repro.core.timestamps import Timestamp
-from repro.dht.messages import MessageKind, OperationTrace
+from repro.dht.messages import MessageKind, TraceSummary
 from repro.net import codec
 
 #: Items per bulk payload, operations on the mid-stream connection, and on
 #: the warm one with the replies of its last ``WARM_TAIL`` operations pinned.
 BATCH = 64
+#: Keys per batch reply row (``batch_*_reply``).
+BATCH_REPLY_KEYS = 16
 MID_STREAM_OPS = 20
 WARM_OPS, WARM_TAIL = 200, 20
 
 FRAME_BYTES = {
+    "batch_insert_reply": 100,
+    "batch_retrieve_reply": 443,
     "insert_many": 1212,
     "insert_reply": 43,
     "ping": 26,
@@ -56,23 +66,27 @@ def bulk_items(count: int, *, seed: int = 2007) -> list:
             for index in range(count)]
 
 
-def point_trace(routes: list) -> OperationTrace:
+def point_trace(routes: list) -> TraceSummary:
     """A hand-built trace: one lookup per ``(hops, request, reply)`` route.
 
     Peer ids are a fixed multiplicative sequence over the 32-bit id space,
-    so the columns hold realistic bytes without any RNG.
+    as a routed trace records them without any RNG.
     """
     ids = ((2654435761 * index) % (2 ** 32) for index in itertools.count(1))
-    trace = OperationTrace()
+    trace = TraceSummary(0, 0, 0, 128)
     for hops, request, reply in routes:
         path = [next(ids) for _ in range(hops + 1)]
         trace.record_route(path)
-        trace.record_request_reply(request, reply, source=path[0], dest=path[-1])
+        trace.record_exchange((request, reply), path[0], path[-1])
     return trace
 
 
+#: The keys of the 16-key batch requests the ``batch_*_reply`` rows answer.
+BATCH_KEYS = tuple(key for key, _data in bulk_items(BATCH_REPLY_KEYS))
+
 #: The keys of the request each reply row answers: its records leave them out.
-REPLY_KEYS = {"retrieve_reply": ("key-042",), "insert_reply": ("key-042",)}
+REPLY_KEYS = {"retrieve_reply": ("key-042",), "insert_reply": ("key-042",),
+              "batch_retrieve_reply": BATCH_KEYS, "batch_insert_reply": BATCH_KEYS}
 
 
 def point_replies() -> dict:
@@ -90,7 +104,7 @@ def point_replies() -> dict:
         + [(6 if replica < 6 else 5, MessageKind.PUT_REQUEST, MessageKind.PUT_ACK)
            for replica in range(10)])
     insert_trace.record_route([], retries=2, timeouts=1)
-    assert (len(retrieve_trace), len(insert_trace)) == (16, 86)
+    assert (retrieve_trace.message_count, insert_trace.message_count) == (16, 86)
     stamp = Timestamp(key="key-042", value=17)
     retrieve = RetrieveResult(
         key="key-042", data={"op": 17, "payload": "value-0017" * 4},
@@ -105,11 +119,40 @@ def point_replies() -> dict:
     }
 
 
+def batch_replies() -> dict:
+    """The replies of a 16-key ``retrieve_many`` and ``insert_many``: result
+    records sharing one trace, each leaving out the key its request named.
+
+    The shared trace routes once per key, to the KTS and then to a replica
+    for a read, to the KTS and then to ten replicas for a write.
+    """
+    items = bulk_items(BATCH_REPLY_KEYS)
+    stamps = [Timestamp(key=key, value=index + 1) for index, (key, _data) in enumerate(items)]
+    read_trace = point_trace(
+        [(6, MessageKind.LAST_TS_REQUEST, MessageKind.LAST_TS_REPLY),
+         (6, MessageKind.GET_REQUEST, MessageKind.GET_REPLY)] * BATCH_REPLY_KEYS)
+    write_trace = point_trace(
+        ([(6, MessageKind.TSR, MessageKind.TSR_REPLY)]
+         + [(6, MessageKind.PUT_REQUEST, MessageKind.PUT_ACK)] * 10) * BATCH_REPLY_KEYS)
+    reads = BatchRetrieveResult(results=tuple(
+        RetrieveResult(key=key, data=data, found=True, is_current=True,
+                       replicas_inspected=1, trace=read_trace, timestamp=stamp,
+                       latest_timestamp=stamp, service="ums")
+        for (key, data), stamp in zip(items, stamps)), trace=read_trace)
+    writes = BatchInsertResult(results=tuple(
+        InsertResult(key=key, replicas_written=10, replicas_attempted=10,
+                     trace=write_trace, timestamp=stamp, service="ums")
+        for (key, _data), stamp in zip(items, stamps)), trace=write_trace)
+    return {"batch_retrieve_reply": {"id": 29, "ok": True, "result": reads},
+            "batch_insert_reply": {"id": 31, "ok": True, "result": writes}}
+
+
 def payloads() -> dict:
     """The first-frame payload shapes, keyed by row name."""
     items = bulk_items(BATCH)
     return {
         **point_replies(),
+        **batch_replies(),
         "ping": {"id": 7, "op": "ping", "service": None},
         "retrieve": {"id": 11, "op": "retrieve", "key": "key-042",
                      "service": None, "origin": None, "unreachable": [],

@@ -6,8 +6,8 @@ as :func:`~repro.net.codec.describe` renders it, leaf types included (a
 timestamp shares its result's key only when type and value are equal) — is
 what the ``*_to_dict`` view of the object itself says, first on a connection
 or behind another frame; a rebuilt object packs to the bytes it came from; a
-trace comes back as its :class:`~repro.dht.messages.TraceSummary`, and a
-batch still rebuilds one shared summary; and a corrupted record — a count
+:class:`~repro.dht.messages.TraceSummary` comes back without its sizes and
+its hook, and a batch still rebuilds one shared summary; and a corrupted record — a count
 beyond the body, a cut at any offset, an unknown flag or code, a summary
 field below 0 or more timeouts than messages — only ever raises
 :class:`~repro.net.codec.CodecError`.
@@ -24,6 +24,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from trace_columns import Columns, record_columns
 
 from repro.api.cluster import Cluster
 from repro.api.results import (
@@ -33,11 +34,10 @@ from repro.api.results import (
     RetrieveResult,
 )
 from repro.core.timestamps import Timestamp
-from repro.dht.messages import MessageKind, MessageSizes, OperationTrace, TraceSummary
+from repro.dht.messages import MessageKind, MessageSizes, TraceSummary
 from repro.net import codec, wire
 
 _VIEWS = {
-    OperationTrace: codec.trace_to_dict,
     TraceSummary: codec.trace_to_dict,
     InsertResult: codec.insert_result_to_dict,
     RetrieveResult: codec.retrieve_result_to_dict,
@@ -49,11 +49,6 @@ _VIEWS = {
 def via_wire(value):
     frame = codec.encode_frame({"result": value}, stream=codec.DeflateStream())
     return codec.decode_frame(frame)["result"]
-
-
-def wire_type(value) -> type:
-    """The type ``value`` comes back as: a trace as its summary."""
-    return TraceSummary if type(value) is OperationTrace else type(value)
 
 
 def described(value) -> str:
@@ -68,8 +63,10 @@ def viewed(value) -> str:
                       sort_keys=True)
 
 
-def trace(*, timeouts: int = 1) -> OperationTrace:
-    made = OperationTrace(sizes=MessageSizes(control_bytes=64, data_bytes=512))
+def trace(*, timeouts: int = 1) -> TraceSummary:
+    """A recorded trace of its own sizes, with a hook: neither travels."""
+    made = TraceSummary(0, 0, 0, 64, MessageSizes(control_bytes=64, data_bytes=512),
+                        Columns())
     made.record_route([3, 7, 9], retries=2, timeouts=timeouts)
     made.record(MessageKind.GET_REQUEST, source=9, dest=4)
     made.record(MessageKind.GET_REPLY, source=4, dest=None, size_bytes=777)
@@ -103,7 +100,7 @@ def _batches():
                  retrieve(key="missing", data=None, found=False,
                           is_current=False, timestamp=None, trace=shared)),
         trace=shared, consistency="best-effort")
-    unlisted = BatchRetrieveResult(results=(), trace=OperationTrace(),
+    unlisted = BatchRetrieveResult(results=(), trace=TraceSummary(0, 0, 0, 128),
                                    consistency="eventual")
     return {"batch-insert": inserts, "batch-retrieve": reads,
             "batch-unlisted-level": unlisted}
@@ -129,7 +126,7 @@ CASES = {
                                       is_current=False, timestamp=None,
                                       latest_timestamp=None),
     "insert-version": insert(version=3, service="brk", timestamp=None),
-    "empty-trace": insert(trace=OperationTrace()),
+    "empty-trace": insert(trace=TraceSummary(0, 0, 0, 128)),
     "timed-out-messages": retrieve(trace=trace(timeouts=2)),
     "summary-trace": insert(trace=TraceSummary(7, 2 ** 40, 7, 0)),
     "trace-alone": trace(),
@@ -150,21 +147,22 @@ def summaries(draw) -> TraceSummary:
 
 @pytest.fixture(scope="module", params=[32, 64, 160], ids=lambda bits: f"bits{bits}")
 def served_results(request):
-    """Real results of each type from an in-process cluster of ``bits``,
-    recording column traces: those carry the peer ids the summary leaves out."""
+    """Real results of each type from an in-process cluster of ``bits``, and
+    the columns its recorder took: those carry the peer ids the summary
+    leaves out."""
     cluster = Cluster.build(peers=16, replicas=4, seed=5, bits=request.param)
-    cluster.network.column_traces = True
+    columns = record_columns(cluster.network)
     with cluster.session() as session:
         made = [session.insert("k", {"v": 1}), session.retrieve("k"),
                 session.insert_many([("a", {"n": 1}), ("b", {"n": 2})]),
                 session.retrieve_many(["a", "b", "missing"])]
-    return request.param, made
+    return request.param, made, columns
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("value", CASES.values(), ids=CASES.keys())
     def test_the_wire_rebuilds_the_same_objects(self, value):
-        assert type(via_wire(value)) is wire_type(value)
+        assert type(via_wire(value)) is type(value)
         assert described(value) == viewed(value)
 
     @pytest.mark.parametrize("value", CASES.values(), ids=CASES.keys())
@@ -175,7 +173,7 @@ class TestRoundTrip:
         first = codec.encode_frame({"result": CASES["retrieve"]}, stream=stream)
         second = codec.encode_frame({"result": value}, stream=stream)
         rebuilt = codec.FrameDecoder().feed(first + second)[1]["result"]
-        assert type(rebuilt) is wire_type(value)
+        assert type(rebuilt) is type(value)
         decoder = codec.FrameDecoder()
         decoder.feed(first)
         assert codec.describe(second, decoder) == viewed(value)
@@ -188,17 +186,16 @@ class TestRoundTrip:
             wire.pack_payload({"result": value})
 
     def test_served_results_rebuild_the_same_objects(self, served_results):
-        bits, made = served_results
+        bits, made, columns = served_results
         for value in made:
             rebuilt = via_wire(value)
             assert type(rebuilt) is type(value)
-            assert rebuilt.trace == value.trace.summary()
+            assert rebuilt.trace == value.trace
             assert described(value) == viewed(value)
             assert wire.pack_payload({"result": rebuilt}) == \
                 wire.pack_payload({"result": value})
-        if bits > 63:  # peer ids past int64 stay with the trace that has them
-            assert any(peer >= 2 ** 63 for value in made
-                       for peer in value.trace.sources)
+        if bits > 63:  # peer ids past int64 stay with the recorder that has them
+            assert any(peer >= 2 ** 63 for peer in columns.sources)
 
     @given(made=summaries())
     @settings(max_examples=200, deadline=None)
@@ -213,10 +210,10 @@ class TestRoundTrip:
         rebuilt = via_wire(CASES[name])
         assert len(rebuilt.results) == 2
         assert all(item.trace is rebuilt.trace for item in rebuilt.results)
-        assert rebuilt.trace == CASES[name].trace.summary()
+        assert rebuilt.trace == CASES[name].trace
 
     def test_a_trace_field_that_is_no_trace_is_refused_at_encode(self):
-        with pytest.raises(codec.CodecError, match="must be an OperationTrace"):
+        with pytest.raises(codec.CodecError, match="must be a TraceSummary"):
             wire.pack_payload({"result": insert(trace={"message_count": 3})})
         # A field beyond its record width: the int32 message count.
         with pytest.raises(codec.CodecError, match="not wire-serialisable"):
@@ -346,7 +343,9 @@ class TestCorruptRecords:
     def test_the_spelled_out_record_is_the_encoders(self):
         made = trace()
         assert summary_record(6, 5 * 64 + 777, 1, 64) == \
-            tagged({"result": made}) == tagged({"result": made.summary()})
+            tagged({"result": made}) == \
+            tagged({"result": TraceSummary(made.message_count, made.total_bytes,
+                                           made.timeout_count, made.retry_bytes)})
 
     @pytest.mark.parametrize("fields, match", SUMMARY_CORRUPTIONS.values(),
                              ids=SUMMARY_CORRUPTIONS.keys())

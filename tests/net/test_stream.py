@@ -20,9 +20,10 @@ import zlib
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from trace_columns import Message
 
 from repro.api.results import BatchInsertResult, InsertResult, RetrieveResult
-from repro.dht.messages import Message, MessageKind, MessageSizes, OperationTrace
+from repro.dht.messages import MessageKind, MessageSizes, TraceSummary
 from repro.net import codec, wire
 from repro.net.client import TransportError, connect
 from repro.net.server import FaultSchedule, NodeServer
@@ -221,8 +222,8 @@ def _connections(draw):
                          min_size=1, max_size=16))
 
 
-def _trace_of(messages) -> OperationTrace:
-    trace = OperationTrace(sizes=MessageSizes(control_bytes=128))
+def _trace_of(messages) -> TraceSummary:
+    trace = TraceSummary(0, 0, 0, 128, MessageSizes(control_bytes=128))
     for kind, size_bytes, source, dest, timed_out in messages:
         trace.record(kind, source=source, dest=dest, size_bytes=size_bytes,
                      timed_out=timed_out)
@@ -251,8 +252,8 @@ class TestStreamOracle:
             frame = codec.encode_frame(payload, stream=stream)
             (decoded,) = decoder.feed(frame)
             rebuilt = decoded["b"].trace if mode == "batch" else decoded["b"]
-            assert decoded["a"] == trace.summary()
-            assert rebuilt == other.summary()
+            assert decoded["a"] == trace
+            assert rebuilt == other
         assert decoder.pending_bytes == 0
 
 

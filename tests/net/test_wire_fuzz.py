@@ -27,6 +27,7 @@ from array import array
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from trace_columns import Message
 
 from repro.api.results import (
     BatchInsertResult,
@@ -35,13 +36,7 @@ from repro.api.results import (
     RetrieveResult,
 )
 from repro.core.timestamps import Timestamp
-from repro.dht.messages import (
-    Message,
-    MessageKind,
-    MessageSizes,
-    OperationTrace,
-    TraceSummary,
-)
+from repro.dht.messages import MessageKind, MessageSizes, TraceSummary
 from repro.net import codec, wire
 
 # Payload values; ints kept within int64 (bigger ints are tested in
@@ -283,7 +278,7 @@ _messages = st.builds(
 
 
 def _trace_of(messages, control_bytes=128):
-    trace = OperationTrace(sizes=MessageSizes(control_bytes=control_bytes))
+    trace = TraceSummary(0, 0, 0, control_bytes, MessageSizes(control_bytes=control_bytes))
     for kind, size_bytes, source, dest, timed_out in messages:
         trace.record(kind, source=source, dest=dest, size_bytes=size_bytes,
                      timed_out=timed_out)
@@ -297,10 +292,10 @@ class TestTraceRoundTrip:
     def test_any_trace_comes_back_as_its_summary(
             self, messages, control_bytes):
         """None endpoints, timed-out messages, overridden sizes, ids >= 2**63
-        and the empty trace: whatever the columns, the counts survive."""
+        and the empty trace: whatever the messages, the counts survive."""
         trace = _trace_of(messages, control_bytes)
         rebuilt = codec.decode_frame(codec.encode_frame({"trace": trace}))["trace"]
-        assert rebuilt == trace.summary()
+        assert rebuilt == trace
 
     @given(messages=st.lists(_messages, min_size=1, max_size=12),
            junk=st.binary(min_size=1, max_size=24),
@@ -329,7 +324,7 @@ class TestTraceRoundTrip:
             trace=trace)
         rebuilt = codec.decode_frame(codec.encode_frame({"result": batch}))["result"]
         assert all(item.trace is rebuilt.trace for item in rebuilt.results)
-        assert rebuilt.trace == trace.summary()
+        assert rebuilt.trace == trace
 
 
 # ------------------------------------------------------- summary records

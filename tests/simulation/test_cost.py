@@ -5,16 +5,27 @@ from __future__ import annotations
 import random
 
 import pytest
+from trace_columns import Columns
 
-from repro.dht.messages import MessageKind, OperationTrace
+from repro.dht.messages import MessageKind, TraceSummary
 from repro.simulation.cost import NetworkCostModel
 
 
+def new_trace():
+    """An empty trace in the default sizes whose hook is a column recorder."""
+    return TraceSummary(0, 0, 0, 128, on_message=Columns())
+
+
 def trace_with(count, kind=MessageKind.LOOKUP_HOP, timeouts=0):
-    trace = OperationTrace()
+    trace = new_trace()
     for index in range(count):
         trace.record(kind, timed_out=index < timeouts)
     return trace
+
+
+def duration(model, trace):
+    """The sum of ``model``'s delays over the messages ``trace`` recorded, in order."""
+    return sum(model.message_delay(*message) for message in trace.on_message)
 
 
 class TestDefaults:
@@ -38,37 +49,37 @@ class TestDefaults:
 
 class TestDurations:
     def test_empty_trace_costs_nothing(self):
-        assert NetworkCostModel(rng=random.Random(1)).duration(OperationTrace()) == 0.0
+        assert duration(NetworkCostModel(rng=random.Random(1)), new_trace()) == 0.0
 
     def test_duration_grows_with_message_count(self):
         model = NetworkCostModel(rng=random.Random(2))
-        assert model.duration(trace_with(20)) > model.duration(trace_with(2))
+        assert duration(model, trace_with(20)) > duration(model, trace_with(2))
 
     def test_duration_close_to_expectation(self):
         model = NetworkCostModel(rng=random.Random(3))
         trace = trace_with(100)
-        size_bytes = trace.messages[0].size_bytes
+        size_bytes = trace.on_message.messages[0].size_bytes
         expected = 100 * (model.latency_mean_s + size_bytes * 8 / model.bandwidth_mean_bps)
-        assert model.duration(trace) == pytest.approx(expected, rel=0.1)
+        assert duration(model, trace) == pytest.approx(expected, rel=0.1)
 
     def test_timeouts_add_penalty(self):
         model = NetworkCostModel(latency_std_s=0.0, bandwidth_std_bps=0.0,
                                  timeout_s=5.0, rng=random.Random(1))
-        without = model.duration(trace_with(4))
-        with_timeouts = model.duration(trace_with(4, timeouts=2))
+        without = duration(model, trace_with(4))
+        with_timeouts = duration(model, trace_with(4, timeouts=2))
         assert with_timeouts == pytest.approx(without + 10.0)
 
     def test_data_messages_cost_more_than_control(self):
         model = NetworkCostModel(latency_std_s=0.0, bandwidth_std_bps=0.0,
                                  rng=random.Random(1))
-        control = model.duration(trace_with(1, kind=MessageKind.GET_REQUEST))
-        data = model.duration(trace_with(1, kind=MessageKind.GET_REPLY))
+        control = duration(model, trace_with(1, kind=MessageKind.GET_REQUEST))
+        data = duration(model, trace_with(1, kind=MessageKind.GET_REPLY))
         assert data > control
 
     def test_same_seed_same_duration(self):
         trace = trace_with(10)
-        first = NetworkCostModel(rng=random.Random(9)).duration(trace)
-        second = NetworkCostModel(rng=random.Random(9)).duration(trace)
+        first = duration(NetworkCostModel(rng=random.Random(9)), trace)
+        second = duration(NetworkCostModel(rng=random.Random(9)), trace)
         assert first == second
 
 
@@ -91,9 +102,9 @@ class TestSampling:
         model = NetworkCostModel(latency_mean_s=0.2, latency_std_s=0.0,
                                  bandwidth_mean_bps=56_000.0, bandwidth_std_bps=0.0,
                                  rng=random.Random(7))
-        trace = OperationTrace()
+        trace = new_trace()
         trace.record(MessageKind.GET_REPLY, size_bytes=700)
-        assert model.duration(trace) == pytest.approx(0.2 + 5600 / 56_000.0)
+        assert duration(model, trace) == pytest.approx(0.2 + 5600 / 56_000.0)
 
 
 class TestGeoLatency:
@@ -137,25 +148,25 @@ class TestGeoLatency:
         wide = NetworkCostModel(latency_std_s=0.0, bandwidth_std_bps=0.0,
                                 rng=random.Random(1))
         trace = trace_with(3, kind=MessageKind.GET_REPLY)
-        assert model.duration(trace) == pytest.approx(wide.duration(trace))
+        assert duration(model, trace) == pytest.approx(duration(wide, trace))
 
     def test_message_delay_prices_the_regional_mean(self):
         model = self._model(latency_std_s=0.0, bandwidth_std_bps=0.0)
-        trace = OperationTrace()
+        trace = new_trace()
         trace.record(MessageKind.LOOKUP_HOP, source=11, dest=42, size_bytes=700)
         expected = (model.link_latency_mean_s(11, 42)
                     + (700 * 8) / model.bandwidth_mean_bps)
-        assert model.duration(trace) == pytest.approx(expected)
+        assert duration(model, trace) == pytest.approx(expected)
 
     def test_degradation_factors_apply_to_geo_pricing(self):
         model = self._model(latency_std_s=0.0, bandwidth_std_bps=0.0)
-        trace = OperationTrace()
+        trace = new_trace()
         trace.record(MessageKind.LOOKUP_HOP, source=11, dest=42, size_bytes=0)
-        base = model.duration(trace)
+        base = duration(model, trace)
         model.set_degradation(latency_factor=3.0)
-        assert model.duration(trace) == pytest.approx(3.0 * base)
+        assert duration(model, trace) == pytest.approx(3.0 * base)
         model.clear_degradation()
-        assert model.duration(trace) == pytest.approx(base)
+        assert duration(model, trace) == pytest.approx(base)
 
     @pytest.mark.parametrize("bad", [
         dict(regions=0),
@@ -175,7 +186,7 @@ class TestGeoLatency:
 class TestTrafficBytes:
     def test_empty_trace_costs_no_bytes(self):
         model = NetworkCostModel(rng=random.Random(1))
-        assert model.traffic_bytes(OperationTrace()) == 0
+        assert model.traffic_bytes(TraceSummary(0, 0, 0, 128)) == 0
 
     def test_payload_plus_per_message_framing(self):
         model = NetworkCostModel(rng=random.Random(1))
@@ -192,41 +203,42 @@ class TestTrafficBytes:
             MAX_FRAME_HEADER_BYTES == 4
 
     def test_traffic_bytes_draws_no_randomness(self):
-        # duration() samples; traffic_bytes must not, or byte accounting
+        # message_delay() samples; traffic_bytes must not, or byte accounting
         # would perturb seeded runs.
         reference = NetworkCostModel(rng=random.Random(9))
         probed = NetworkCostModel(rng=random.Random(9))
         trace = trace_with(8)
         for _ in range(3):
             probed.traffic_bytes(trace)
-        assert probed.duration(trace) == reference.duration(trace)
+        assert duration(probed, trace) == duration(reference, trace)
 
 
 class TestDrawOrderIsPinned:
-    """``duration`` reads the trace's columns; its RNG draws must not move.
+    """The harness prices a retrieve as it is recorded; its RNG draws must not move.
 
     The digests were taken at 1.8.0, where ``duration`` summed
     ``message_delay`` over ``Message`` objects: one latency then one
     bandwidth draw per message in message order, timeouts included.
     """
 
-    def test_duration_equals_the_sum_of_message_delays(self):
+    def test_pricing_as_recorded_equals_pricing_the_recorded_messages(self):
         from repro.simulation.cost import GeoLatencyCostModel
 
-        trace = OperationTrace()
-        trace.record_route((3, 7, 9), retries=2, timeouts=1)
-        trace.record_request_reply(MessageKind.GET_REQUEST, MessageKind.GET_REPLY, dest=9)
         for build in (lambda: NetworkCostModel(rng=random.Random(4)),
                       lambda: GeoLatencyCostModel(regions=3, assignment_seed=7,
                                                   rng=random.Random(4))):
-            whole, one_by_one = build(), build()
-            delays = []
-            for message in trace:
-                single = OperationTrace()
-                single.record(message.kind, source=message.source, dest=message.dest,
-                              size_bytes=message.size_bytes, timed_out=message.timed_out)
-                delays.append(one_by_one.duration(single))
-            assert whole.duration(trace) == sum(delays)
+            live, after = build(), build()
+            delays, columns = [], Columns()
+
+            def hook(*message, live=live, delays=delays, columns=columns):
+                delays.append(live.message_delay(*message))
+                columns(*message)
+
+            trace = TraceSummary(0, 0, 0, 128, on_message=hook)
+            trace.record_route((3, 7, 9), retries=2, timeouts=1)
+            trace.record_exchange((MessageKind.GET_REQUEST, MessageKind.GET_REPLY), -1, 9)
+            assert len(delays) == trace.message_count == 6
+            assert sum(delays) == sum(after.message_delay(*message) for message in columns)
 
     @pytest.mark.parametrize("preset,protocol,digest,avg_response_time_s,avg_messages", [
         ("wide-area", "chord", "e51c96cda5b43100", 4.300603953172324, 17.541666666666668),

@@ -9,7 +9,7 @@ from repro.dht import errors as dht_errors
 
 class TestTopLevelExports:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "18.0.0"
+        assert repro.__version__ == "19.0.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
