@@ -94,6 +94,127 @@ def model_of(call):
             Message(reply, SIZES.size_of(reply, entries), dest, source)]
 
 
+class TestRecordingCalls:
+    """Each recording call, one at a time: what it counts and what it hands
+    to the hook."""
+
+    def test_empty_trace(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        assert summary == TraceSummary(0, 0, 0, SIZES.control_bytes)
+        assert columns.counts() == (0, 0, 0)
+        assert len(columns) == 0
+
+    def test_a_summary_built_without_sizes_prices_with_the_defaults(self):
+        summary = TraceSummary(0, 0, 0, 3)
+        summary.record(MessageKind.GET_REPLY)
+        summary.record_hop(1, 2)
+        defaults = MessageSizes()
+        assert summary.sizes == defaults
+        assert summary.total_bytes == defaults.data_bytes + defaults.control_bytes
+
+    def test_record_defaults_size_from_kind(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        assert summary.record(MessageKind.GET_REPLY) is None
+        assert columns.messages[-1].size_bytes == SIZES.data_bytes
+        assert summary.total_bytes == SIZES.data_bytes
+
+    def test_record_explicit_size(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        summary.record(MessageKind.CONTROL, size_bytes=7)
+        assert summary.total_bytes == 7
+        assert columns.size_bytes == [7]
+
+    def test_record_hop_is_one_control_message(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        summary.record_hop(5, 6)
+        assert summary == TraceSummary(1, SIZES.control_bytes, 0, SIZES.control_bytes)
+        assert columns.messages == (Message(MessageKind.LOOKUP_HOP, 10, source=5, dest=6),)
+
+    def test_record_route_counts_hops(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        summary.record_route([1, 2, 3, 4])
+        assert summary.message_count == 3
+        assert all(message.kind is MessageKind.LOOKUP_HOP for message in columns)
+        assert (columns.sources, columns.dests) == ([1, 2, 3], [2, 3, 4])
+
+    def test_record_route_single_node_is_free(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        summary.record_route([42])
+        summary.record_route(())
+        assert summary.message_count == 0
+        assert len(columns) == 0
+
+    def test_record_route_retries_and_timeouts(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        summary.record_route([1, 2], retries=3, timeouts=2)
+        assert summary.message_count == 1 + 3
+        assert summary.timeout_count == 2
+        assert columns.timed_out == [1, 2]
+        assert columns.kinds == bytearray(b"hrrr")
+
+    def test_record_route_clamps_timeouts_to_the_retries(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        summary.record_route((), retries=2, timeouts=5)
+        summary.record_route((), retries=-1, timeouts=3)
+        summary.record_route((), retries=2, timeouts=-1)
+        assert (summary.message_count, summary.timeout_count) == (4, 2)
+        assert columns.counts() == (4, 40, 2)
+        assert columns.timed_out == [0, 1]
+
+    def test_record_exchange(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        summary.record_exchange((MessageKind.GET_REQUEST, MessageKind.GET_REPLY), 1, 9)
+        assert summary.message_count == 2
+        kinds = [message.kind for message in columns]
+        assert kinds == [MessageKind.GET_REQUEST, MessageKind.GET_REPLY]
+        assert columns.messages[1].source == 9 and columns.messages[1].dest == 1
+
+    def test_record_exchange_scales_the_data_bearing_side_with_the_entries(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        exchange = (MessageKind.PUT_REQUEST, MessageKind.PUT_ACK)
+        summary.record_exchange(exchange, 1, 2, entries=4)
+        summary.record_exchange(exchange, 1, 2, entries=4)
+        assert columns.size_bytes == [2000, 10, 2000, 10]
+        assert summary.total_bytes == 2 * SIZES.exchange_row(exchange, 4)[2] == 4020
+
+    def test_count_by_kind(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        summary.record(MessageKind.TSR)
+        summary.record(MessageKind.TSR)
+        summary.record(MessageKind.TSR_REPLY)
+        histogram = columns.count_by_kind()
+        assert histogram[MessageKind.TSR] == 2
+        assert histogram[MessageKind.TSR_REPLY] == 1
+
+    def test_messages_property_is_a_snapshot(self):
+        columns = Columns()
+        summary = new_summary(columns)
+        summary.record(MessageKind.TSR)
+        snapshot = columns.messages
+        summary.record(MessageKind.TSR)
+        assert len(snapshot) == 1
+        assert summary.message_count == 2 == len(columns.messages)
+
+    def test_views_are_built_on_demand_not_stored(self):
+        columns = Columns()
+        new_summary(columns).record(MessageKind.TSR, source=1, dest=2)
+        first, second = columns.messages[0], columns.messages[0]
+        assert first == second == Message(kind=MessageKind.TSR, size_bytes=10,
+                                          source=1, dest=2, timed_out=False)
+        assert first is not second
+
+
 class TestTheHook:
     """A summary hands each message it counts to its hook: the hook sees the
     summary's counts, message by message, and changes none of them."""
