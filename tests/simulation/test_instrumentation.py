@@ -3,6 +3,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.simulation import Algorithm, SimulationParameters, run_scenario
@@ -71,3 +74,36 @@ class TestCurrencySampling:
         summary = result.summary()
         assert summary["inspections"] == float(result.inspections_performed)
         assert "counter_corrections" in summary
+
+
+class TestLoopPins:
+    """Both loops on, pinned by the hash of the whole ``RunResult.to_dict()``.
+
+    Inspection every 70 s and sampling every 105 s meet at 210 s and 420 s,
+    the two ``correlated-failures`` bursts, so the pins also fix the order of
+    callbacks due at the same simulated time.
+    """
+
+    @pytest.mark.parametrize("scenario,algorithm,digest", [
+        ("uniform", Algorithm.UMS_DIRECT, "281143e3de68545e"),
+        ("uniform", Algorithm.UMS_INDIRECT, "397351b4f4c55bd4"),
+        ("uniform", Algorithm.BRK, "a563feb42f0dd07d"),
+        ("correlated-failures", Algorithm.UMS_DIRECT, "ded525235c46e71c"),
+        ("correlated-failures", Algorithm.UMS_INDIRECT, "8af22ea2a32669df"),
+        ("correlated-failures", Algorithm.BRK, "aad000ba0d5c8ec1"),
+        ("partition", Algorithm.UMS_DIRECT, "d3c8bbcefd15c429"),
+        ("partition", Algorithm.UMS_INDIRECT, "da5785f02cfade58"),
+        ("partition", Algorithm.BRK, "f96372b7ae2b299b"),
+        ("lossy-network", Algorithm.UMS_DIRECT, "2bd89525e20f3a9f"),
+        ("lossy-network", Algorithm.UMS_INDIRECT, "8b82a04fa28e89a6"),
+        ("lossy-network", Algorithm.BRK, "4a2d46a55f423591"),
+    ])
+    def test_seeded_run_with_both_loops_is_bit_identical(self, scenario, algorithm,
+                                                         digest):
+        result = run_scenario(scenario, parameters(
+            algorithm=algorithm, inspection_interval_s=70.0,
+            currency_sample_interval_s=105.0))
+        assert result.inspections_performed == (0 if algorithm == Algorithm.BRK else 8)
+        assert len(result.currency_series) == 5
+        assert hashlib.sha256(json.dumps(result.to_dict(), sort_keys=True).encode()
+                              ).hexdigest()[:16] == digest
