@@ -13,7 +13,7 @@ replayable from recorded specs (``repro scenario run`` and ``list`` on the
 CLI).
 
 The discrete-event substrate (the SimJava substitute) lives here too:
-:mod:`repro.simulation.engine` (event heap + generator processes),
+:mod:`repro.simulation.engine` (a clock plus a heap of timed callbacks),
 :mod:`repro.simulation.processes` (Poisson arrivals),
 :mod:`repro.simulation.cost` (the Table 1 network cost model) and
 :mod:`repro.simulation.metrics` (the sampled ``p_t`` time series).  The stack
@@ -23,9 +23,8 @@ reads engine → workload/scenarios → harness → :mod:`repro.execution`.
 from repro.simulation.config import Algorithm, SimulationParameters
 from repro.simulation.churn import ChurnEvent, ChurnProcess
 from repro.simulation.cost import GeoLatencyCostModel, NetworkCostModel
-from repro.simulation.engine import Event, Process, SimulationError, Simulator, Timeout
+from repro.simulation.engine import SimulationError, Simulator
 from repro.simulation.metrics import TimeSeries
-from repro.simulation.processes import PoissonProcess, poisson_arrival_times
 from repro.simulation.harness import SimulationHarness
 from repro.simulation.results import QueryObservation, RunResult
 from repro.simulation.scenarios import SCENARIOS, Scenario, ScenarioSpec, run_scenario
@@ -35,11 +34,8 @@ __all__ = [
     "Algorithm",
     "ChurnEvent",
     "ChurnProcess",
-    "Event",
     "GeoLatencyCostModel",
     "NetworkCostModel",
-    "PoissonProcess",
-    "Process",
     "QueryObservation",
     "RunResult",
     "SCENARIOS",
@@ -51,7 +47,6 @@ __all__ = [
     "SimulationParameters",
     "Simulator",
     "TimeSeries",
-    "Timeout",
     "payload_for",
     "run_scenario",
 ]

@@ -1,12 +1,13 @@
 """Churn model (Section 5.1).
 
 Peer departures are timed by a Poisson process with rate λ (Table 1:
-1/second).  At each departure a peer chosen uniformly at random leaves the
-network; with probability ``failure_rate`` the departure is a failure (the
-peer's replicas and counters are lost), otherwise it is a normal leave (data
-and counters are handed over).  Each departure is compensated by the join of a
-fresh peer, keeping the population constant as in the paper (following Rhea et
-al.'s churn methodology).
+1/second): each departure is a simulator callback that draws the interval to
+the next one and schedules it.  At each departure a peer chosen uniformly at
+random leaves the network; with probability ``failure_rate`` the departure is
+a failure (the peer's replicas and counters are lost), otherwise it is a
+normal leave (data and counters are handed over).  Each departure is
+compensated by the join of a fresh peer, keeping the population constant as
+in the paper (following Rhea et al.'s churn methodology).
 
 Churn is a **crash-stop** fault model: departed peers stop answering, but
 every surviving peer answers honestly.  The **byzantine** regime — peers
@@ -22,7 +23,7 @@ from typing import List, Optional
 
 from repro.dht.network import DHTNetwork
 from repro.simulation.engine import Simulator
-from repro.simulation.processes import PoissonProcess
+from repro.simulation.processes import exponential_interval
 
 __all__ = ["ChurnEvent", "ChurnProcess"]
 
@@ -52,6 +53,8 @@ class ChurnProcess:
         Departure rate (Table 1: 1 departure/second network-wide).
     failure_rate:
         Fraction of departures that are failures rather than normal leaves.
+    until:
+        Optional end time: no departure is scheduled after it.
     min_population:
         Safety floor: departures are skipped when the network would drop below
         this size (keeps degenerate configurations well-defined).
@@ -67,11 +70,11 @@ class ChurnProcess:
         self.failure_rate = failure_rate
         self.rng = rng
         self.min_population = min_population
+        self.rate_per_s = rate_per_s
+        self.until = until
         self.events: List[ChurnEvent] = []
-        self._process: Optional[PoissonProcess] = None
         if rate_per_s > 0:
-            self._process = PoissonProcess(sim, rate_per_s, self._churn_once,
-                                           rng=rng, until=until)
+            self._schedule_next()
 
     @property
     def event_count(self) -> int:
@@ -82,11 +85,6 @@ class ChurnProcess:
     def failure_count(self) -> int:
         """Number of those events that were failures."""
         return sum(1 for event in self.events if event.failed)
-
-    def stop(self) -> None:
-        """Stop generating further churn events."""
-        if self._process is not None:
-            self._process.stop()
 
     # ------------------------------------------------------ correlated faults
     def fail_together(self, victims, *, rejoin: bool = True) -> List[ChurnEvent]:
@@ -135,16 +133,24 @@ class ChurnProcess:
         return self.fail_together(victims, rejoin=rejoin)
 
     # ------------------------------------------------------------------ action
+    def _schedule_next(self) -> None:
+        """Draw the interval to the next departure and schedule it, unless
+        it falls after ``until``."""
+        interval = exponential_interval(self.rate_per_s, self.rng)
+        if self.until is None or self.sim.now + interval <= self.until:
+            self.sim.schedule(interval, self._churn_once)
+
     def _churn_once(self) -> None:
+        """One departure compensated by a join, then the next departure."""
         self.network.now = self.sim.now
-        if self.network.size <= self.min_population:
-            return
-        departing = self.network.random_alive_peer()
-        failed = self.rng.random() * 100.0 < self.failure_rate * 100.0
-        if failed:
-            self.network.fail_peer(departing)
-        else:
-            self.network.leave_peer(departing)
-        joined = self.network.join_peer()
-        self.events.append(ChurnEvent(time=self.sim.now, departed_peer=departing,
-                                      joined_peer=joined, failed=failed))
+        if self.network.size > self.min_population:
+            departing = self.network.random_alive_peer()
+            failed = self.rng.random() * 100.0 < self.failure_rate * 100.0
+            if failed:
+                self.network.fail_peer(departing)
+            else:
+                self.network.leave_peer(departing)
+            joined = self.network.join_peer()
+            self.events.append(ChurnEvent(time=self.sim.now, departed_peer=departing,
+                                          joined_peer=joined, failed=failed))
+        self._schedule_next()

@@ -6,8 +6,9 @@ A run proceeds exactly as described in Section 5.1:
    (:meth:`repro.api.Cluster.build` — overlay and currency service both
    resolved through their registries);
 2. insert the initial version of every data item;
-3. start the churn process (Poisson departures, 5 % failures, compensated by
-   joins) and the per-key Poisson update workload;
+3. schedule the churn (Poisson departures, 5 % failures, compensated by
+   joins, each departure scheduling the next) and the per-key Poisson update
+   workload as simulator callbacks;
 4. issue ``num_queries`` retrieve operations at uniformly distributed times
    through a :class:`repro.api.Session` and record, for each, the response
    time (via the network cost model) and the number of messages;
@@ -166,14 +167,12 @@ class SimulationHarness:
                                      duration_s=parameters.duration_s,
                                      churn=self.churn, cluster=self.cluster)
 
-        # Optional maintenance / instrumentation processes.
+        # Optional maintenance / instrumentation loops.
         if parameters.inspection_interval_s > 0 and parameters.algorithm != Algorithm.BRK:
-            self.sim.process(self._inspection_process(parameters.inspection_interval_s),
-                             name="periodic-inspection")
+            self._every(parameters.inspection_interval_s, self._inspect)
         if parameters.currency_sample_interval_s > 0:
             result.currency_series = TimeSeries("p_t")
-            self.sim.process(self._currency_sampling_process(
-                parameters.currency_sample_interval_s), name="currency-sampling")
+            self._every(parameters.currency_sample_interval_s, self._sample_currency)
 
         self.sim.run(until=parameters.duration_s)
 
@@ -184,24 +183,25 @@ class SimulationHarness:
         result.fault_events = len(self.scenario.fault_log)
         return result
 
-    def _inspection_process(self, interval_s: float):
-        """Periodic inspection (Section 4.2.2): responsibles re-check their counters."""
-        while True:
-            yield self.sim.timeout(interval_s)
+    def _every(self, interval_s: float, action: Callable[[], None]) -> None:
+        """Run ``action`` every ``interval_s`` seconds, first at ``interval_s``."""
+        def tick() -> None:
             self.network.now = self.sim.now
-            corrections = self.kts.inspect_counters()
-            self._result.inspections_performed += 1
-            self._result.counter_corrections += corrections
+            action()
+            self.sim.schedule(interval_s, tick)
+        self.sim.schedule(interval_s, tick)
 
-    def _currency_sampling_process(self, interval_s: float):
+    def _inspect(self) -> None:
+        """Periodic inspection (Section 4.2.2): responsibles re-check their counters."""
+        corrections = self.kts.inspect_counters()
+        self._result.inspections_performed += 1
+        self._result.counter_corrections += corrections
+
+    def _sample_currency(self) -> None:
         """Sample the mean probability of currency and availability over all keys."""
-        while True:
-            yield self.sim.timeout(interval_s)
-            self.network.now = self.sim.now
-            probabilities = [self.cluster.currency_probability(key)
-                             for key in self.keys]
-            self._result.currency_series.record(
-                self.sim.now, sum(probabilities) / len(probabilities))
+        probabilities = [self.cluster.currency_probability(key) for key in self.keys]
+        self._result.currency_series.record(
+            self.sim.now, sum(probabilities) / len(probabilities))
 
     def _make_update_callback(self, key: str) -> Callable[[], None]:
         def callback() -> None:

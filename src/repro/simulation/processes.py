@@ -1,21 +1,20 @@
-"""Stochastic arrival processes used by the simulation harness.
+"""Poisson arrivals used by the simulation harness.
 
 The paper times both peer departures and data updates with Poisson processes
 (Table 1): departures at ``λ = 1/second`` over the whole network, updates at
-``λ = 1/hour`` per data item.  :class:`PoissonProcess` wires such a process
-into the event engine; :func:`poisson_arrival_times` generates a static
-schedule of arrival times (useful for reproducible workloads and tests).
+``λ = 1/hour`` per data item.  :func:`exponential_interval` draws one
+inter-arrival interval (churn draws each next departure with it);
+:func:`poisson_arrival_times` generates a static schedule of arrival times
+(the scenarios' update and query schedules).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Generator, List, Optional
+from typing import List
 
-from repro.simulation.engine import Event, Simulator
-
-__all__ = ["PoissonProcess", "exponential_interval", "poisson_arrival_times"]
+__all__ = ["exponential_interval", "poisson_arrival_times"]
 
 
 def exponential_interval(rate: float, rng: random.Random) -> float:
@@ -42,52 +41,3 @@ def poisson_arrival_times(rate: float, duration: float,
             return times
         times.append(clock)
 
-
-class PoissonProcess:
-    """A recurring event source attached to a :class:`Simulator`.
-
-    Parameters
-    ----------
-    sim:
-        The simulation engine.
-    rate:
-        Expected number of events per simulated second.
-    action:
-        Callable invoked at every arrival (no arguments).  Exceptions
-        propagate and stop the simulation, which is what we want in tests.
-    rng:
-        Random source for the exponential inter-arrival times.
-    until:
-        Optional end time after which no further arrivals are scheduled.
-    """
-
-    def __init__(self, sim: Simulator, rate: float, action: Callable[[], None], *,
-                 rng: Optional[random.Random] = None,
-                 until: Optional[float] = None) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
-        self.sim = sim
-        self.rate = rate
-        self.action = action
-        # reprolint: allow[REP002] reason=documented convenience default for ad-hoc use; scenario runs inject a seeded rng (tests/simulation/test_processes.py)
-        self.rng = rng if rng is not None else random.Random()
-        self.until = until
-        self.arrivals = 0
-        self._stopped = False
-        self.process = sim.process(self._run(), name=f"poisson(rate={rate})")
-
-    def stop(self) -> None:
-        """Stop scheduling further arrivals (already scheduled ones still fire)."""
-        self._stopped = True
-
-    def _run(self) -> Generator[Event, None, None]:
-        while not self._stopped:
-            interval = exponential_interval(self.rate, self.rng)
-            next_time = self.sim.now + interval
-            if self.until is not None and next_time > self.until:
-                return
-            yield self.sim.timeout(interval)
-            if self._stopped:
-                return
-            self.arrivals += 1
-            self.action()

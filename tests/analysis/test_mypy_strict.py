@@ -16,7 +16,8 @@ import pytest
 STRICT_TARGETS = ["-p", "repro.api", "-p", "repro.execution",
                   "-m", "repro.dht.model", "-m", "repro.dht.messages",
                   "-m", "repro.dht.kademlia", "-m", "repro.dht.registry",
-                  "-m", "repro.net.codec", "-m", "repro.net.wire"]
+                  "-m", "repro.net.codec", "-m", "repro.net.wire",
+                  "-m", "repro.simulation.engine"]
 
 
 def test_typed_islands_pass_mypy_strict(repo_root):

@@ -9,6 +9,7 @@ import pytest
 from repro.dht.network import DHTNetwork
 from repro.simulation.engine import Simulator
 from repro.simulation.churn import ChurnProcess
+from repro.simulation.processes import exponential_interval
 
 
 def run_churn(rate=0.5, failure_rate=0.2, duration=200.0, num_peers=40, seed=1,
@@ -62,16 +63,25 @@ class TestChurnProcess:
         assert network.size == 3
         assert churn.event_count == 0
 
-    def test_stop_halts_future_events(self):
-        network = DHTNetwork.build(20, seed=5)
-        sim = Simulator()
-        churn = ChurnProcess(sim, network, rate_per_s=1.0, failure_rate=0.0,
-                             rng=random.Random(6))
-        sim.run(until=10.0)
-        churn.stop()
-        count = churn.event_count
-        sim.run(until=100.0)
-        assert churn.event_count <= count + 1
+    def test_no_departure_after_the_horizon(self):
+        _, churn = run_churn(rate=0.5, duration=100.0)
+        assert churn.events
+        assert all(event.time <= 100.0 for event in churn.events)
+        churn.sim.run(until=1000.0)
+        assert all(event.time <= 100.0 for event in churn.events)
+
+    def test_seeded_schedule_matches_a_hand_drawn_reference(self):
+        _, churn = run_churn(rate=0.5, failure_rate=0.3, duration=200.0, seed=3)
+        # Reference: the churn stream draws an interval, then a failure flag
+        # at each departure, then the next interval, and so on.
+        rng, clock, expected = random.Random(4), 0.0, []
+        while True:
+            clock += exponential_interval(0.5, rng)
+            if clock > 200.0:
+                break
+            expected.append((clock, rng.random() < 0.3))
+        assert [(event.time, event.failed) for event in churn.events] == expected
+        assert len(expected) > 50
 
     def test_zero_rate_schedules_nothing(self):
         network = DHTNetwork.build(10, seed=7)

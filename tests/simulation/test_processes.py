@@ -1,4 +1,4 @@
-"""Unit tests for the Poisson arrival processes."""
+"""Unit tests for the Poisson arrival helpers."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from repro.simulation.engine import Simulator
-from repro.simulation.processes import PoissonProcess, exponential_interval, poisson_arrival_times
+from repro.simulation.processes import exponential_interval, poisson_arrival_times
 
 
 class TestExponentialInterval:
@@ -44,38 +43,3 @@ class TestPoissonArrivalTimes:
         with pytest.raises(ValueError):
             poisson_arrival_times(1.0, -1.0, random.Random(5))
 
-
-class TestPoissonProcess:
-    def test_actions_fire_until_the_horizon(self):
-        sim = Simulator()
-        fired = []
-        PoissonProcess(sim, rate=0.1, action=lambda: fired.append(sim.now),
-                       rng=random.Random(6), until=500.0)
-        sim.run(until=500.0)
-        assert fired
-        assert all(time <= 500.0 for time in fired)
-        # With rate 0.1 over 500s we expect about 50 arrivals.
-        assert 25 <= len(fired) <= 85
-
-    def test_arrival_counter_matches_actions(self):
-        sim = Simulator()
-        fired = []
-        process = PoissonProcess(sim, rate=0.05, action=lambda: fired.append(1),
-                                 rng=random.Random(7), until=400.0)
-        sim.run(until=400.0)
-        assert process.arrivals == len(fired)
-
-    def test_stop_prevents_future_arrivals(self):
-        sim = Simulator()
-        fired = []
-        process = PoissonProcess(sim, rate=1.0, action=lambda: fired.append(sim.now),
-                                 rng=random.Random(8))
-        sim.run(until=5.0)
-        count_at_stop = len(fired)
-        process.stop()
-        sim.run(until=50.0)
-        assert len(fired) <= count_at_stop + 1
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            PoissonProcess(Simulator(), rate=0.0, action=lambda: None)
