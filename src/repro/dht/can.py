@@ -382,15 +382,13 @@ class CanSpace(DHTProtocol):
                     best_distance = distance
             if best is None:
                 break
-            if trace is not None:
-                trace.record_hop(current, best)
             path.append(best)
             visited.add(best)
             current = best
         if current != responsible:
-            if trace is not None:
-                trace.record_hop(current, responsible)
             path.append(responsible)
+        if trace is not None:
+            trace.record_route(path)
         return RouteResult(tuple(path), responsible)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

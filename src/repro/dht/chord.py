@@ -267,18 +267,14 @@ class ChordRing(DHTProtocol):
                 timeouts += hop_timeouts
             if next_hop == current:
                 break
-            if trace is not None:
-                trace.record_hop(current, next_hop)
             path.append(next_hop)
             current = next_hop
         if current != responsible:
             # Safety net: should not trigger, but guarantees a valid route even
             # if stale state confused the greedy walk.
-            if trace is not None:
-                trace.record_hop(current, responsible)
             path.append(responsible)
-        if trace is not None and retries:
-            trace.record_route((), retries=retries, timeouts=timeouts)
+        if trace is not None:
+            trace.record_route(path, retries=retries, timeouts=timeouts)
         return RouteResult(tuple(path), responsible, retries, timeouts)
 
     def _next_hop(self, current: int, point: int, now: float) -> Tuple[int, int, int]:

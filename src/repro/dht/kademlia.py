@@ -7,6 +7,14 @@ metric is symmetric, satisfies the triangle inequality and is *unidirectional*
 responsible for a key is simply the live node whose identifier is XOR-closest
 to ``h(k)``.
 
+The XOR-closest member is found in the sorted member list by bisection.
+The members sharing any prefix with a point form one contiguous slice that
+the point falls inside, so the member sharing the *longest* prefix is always
+one of the point's two sorted neighbours — whichever is XOR-nearer.  Among
+the members sharing that prefix, XOR order ignores the bit where they all
+differ from the point, so flipping that bit moves the point inside their
+slice and the search repeats there, one differing bit per step.
+
 The paper's UMS/KTS design (Section 2) is deliberately DHT-agnostic: it only
 needs the lookup service, ``put_h``/``get_h`` and responsibility-change
 notifications.  This module provides the third overlay (after Chord and CAN)
@@ -52,6 +60,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from heapq import heapify, heappop
 from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.dht.errors import (
@@ -76,6 +85,8 @@ class RoutingTable:
     :meth:`observe`/:meth:`learn`/:meth:`discard`.  Rows are created lazily,
     never deleted, and most of the ``bits`` buckets stay empty.
     """
+
+    __slots__ = ("owner", "bits", "k", "_rows", "_indices")
 
     def __init__(self, owner: int, bits: int, k: int) -> None:
         self.owner = owner
@@ -113,10 +124,12 @@ class RoutingTable:
         """
         if contact == self.owner:
             return False
-        row = self._row((self.owner ^ contact).bit_length() - 1)
+        index = (self.owner ^ contact).bit_length() - 1
+        row = self._rows.get(index) or self._row(index)
         if contact in row:
-            row.remove(contact)
-            row.append(contact)
+            if row[-1] != contact:
+                row.remove(contact)
+                row.append(contact)
             return True
         if len(row) < self.k:
             row.append(contact)
@@ -182,8 +195,11 @@ class RoutingTable:
         of the buckets at the set bits of ``owner ^ point``.
         """
         rows, delta = self._rows, self.owner ^ point
+        above = delta.bit_length()
         entries: List[int] = []
         for index in self._indices:
+            if index >= above:
+                break
             if delta >> index & 1:
                 entries += rows[index]
         return entries
@@ -313,26 +329,18 @@ class KademliaOverlay(DHTProtocol):
         Viewing the membership as a binary trie, these are the occupants of
         the sibling subtree at ``node_id``'s attach point — exactly the nodes
         a join can steal identifier points from (see the module docstring).
-        Found by descending the sorted member list as a trie: follow
-        ``node_id``'s bits while members still share the prefix; the interval
-        reached when no member shares the next bit is the deepest bucket.
+        The XOR-nearest member is one of them, and they are the slice of
+        members that agree with it above the top bit where it differs from
+        ``node_id``.
         """
-        if not self._members:
-            return set()
         members = self._members
-        lo, hi, prefix = 0, len(members), 0
-        for bit in range(self.bits - 1, -1, -1):
-            mid_value = prefix | (1 << bit)
-            split = bisect.bisect_left(members, mid_value, lo, hi)
-            if node_id & (1 << bit):
-                if split == hi:
-                    break  # nobody shares the next bit: [lo, hi) is the bucket
-                lo, prefix = split, mid_value
-            else:
-                if split == lo:
-                    break
-                hi = split
-        return set(members[lo:hi])
+        if not members:
+            return set()
+        nearest = self._nearest(node_id)
+        width = 1 << (nearest ^ node_id).bit_length() - 1
+        base = nearest & -width
+        return set(members[bisect.bisect_left(members, base):
+                           bisect.bisect_left(members, base + width)])
 
     def _reassign_memo(self, node_id: int, affected: Set[int]) -> None:
         """Move the memoised points that the newcomer ``node_id`` now owns.
@@ -372,53 +380,39 @@ class KademliaOverlay(DHTProtocol):
         # lookup runs into it (stale-state realism; there is no oracle purge).
 
     # ----------------------------------------------------------- responsibility
-    def _descend(self, point: int, lo: int, hi: int
-                 ) -> Tuple[int, Optional[Tuple[int, int]]]:
-        """Trie-descend the sorted member slice ``[lo, hi)`` towards ``point``.
+    def _nearest(self, point: int, lo: int = 0, hi: Optional[int] = None) -> int:
+        """The member of the sorted slice ``[lo, hi)`` XOR-nearest to ``point``.
 
-        The members sharing any given prefix form a contiguous slice, so the
-        binary trie over the membership can be walked with two bisects per
-        bit, narrowing to the half matching ``point``'s next bit (falling
-        back to the other half when it is empty) — ``O(bits · log n)``
-        instead of a linear scan.
-
-        Returns ``(index, sibling)``: the index of the XOR-closest member and
-        the deepest non-empty sibling slice passed on the way down (or
-        ``None`` when the slice was a single member).  The runner-up in XOR
-        distance always lives in that deepest sibling — it shares the longest
-        prefix with ``point`` among all non-winners — which is what answers
-        ``nrsp``.
+        The slice must not be empty.  Each step bisects ``point`` into the
+        slice: of its two sorted neighbours, the one at the smaller XOR
+        distance shares the longest prefix with ``point`` (see the module
+        docstring), and the members sharing that prefix are the slice of the
+        trie block below it, found by two more bisects.  Every member of that
+        block differs from ``point`` at the same top bit, so flipping that
+        bit of ``point`` leaves their order by distance unchanged and puts
+        ``point`` inside the block: the next step starts there.
         """
-        members = self._members
-        prefix = 0
-        sibling: Optional[Tuple[int, int]] = None
-        for bit in range(self.bits - 1, -1, -1):
-            if hi - lo == 1:
-                break
-            mid_value = prefix | (1 << bit)
-            split = bisect.bisect_left(members, mid_value, lo, hi)
-            if point & (1 << bit):
-                if split < hi:
-                    if split > lo:
-                        sibling = (lo, split)
-                    lo, prefix = split, mid_value
-                # else: every member has this bit clear; the prefix keeps a 0.
-            else:
-                if split > lo:
-                    if split < hi:
-                        sibling = (split, hi)
-                    hi = split
-                else:
-                    prefix = mid_value  # every member has this bit set
-        return lo, sibling
+        members, bisect_left = self._members, bisect.bisect_left
+        if hi is None:
+            hi = len(members)
+        while hi - lo > 1:
+            at = bisect_left(members, point, lo, hi)
+            if at == hi or at > lo and members[at - 1] ^ point < members[at] ^ point:
+                at -= 1
+            distance = members[at] ^ point
+            if not distance:
+                return point
+            width = 1 << distance.bit_length() - 1
+            base = members[at] & -width
+            lo = bisect_left(members, base, lo, at)
+            hi = bisect_left(members, base + width, at + 1, hi)
+            point ^= width
+        return members[lo]
 
     def responsible_for(self, point: int) -> int:
         if not self._members:
             raise EmptyNetworkError("the Kademlia overlay has no live nodes")
-        point %= self.space_size
-        return self._memoised_responsible(
-            point,
-            lambda p: self._members[self._descend(p, 0, len(self._members))[0]])
+        return self._memoised_responsible(point % self.space_size, self._nearest)
 
     # reprolint: allow[REP008] reason=bench/layers.py wraps it by attribute; ROADMAP item 1 deletes it with that list
     def next_responsible(self, point: int) -> Optional[int]:
@@ -426,15 +420,17 @@ class KademliaOverlay(DHTProtocol):
 
         The XOR metric is static (unlike zone splits in CAN), so the node that
         takes over after the responsible departs is always the current
-        runner-up in distance.
+        runner-up in distance: the nearer of the nearest members on either
+        side of the nearest one.
         """
-        if len(self._members) < 2:
+        members = self._members
+        if len(members) < 2:
             return None
         point %= self.space_size
-        _, sibling = self._descend(point, 0, len(self._members))
-        if sibling is None:  # pragma: no cover - unreachable with >= 2 members
-            return None
-        return self._members[self._descend(point, sibling[0], sibling[1])[0]]
+        winner = bisect.bisect_left(members, self._nearest(point))
+        return min((self._nearest(point, lo, hi)
+                    for lo, hi in ((0, winner), (winner + 1, len(members))) if lo < hi),
+                   key=point.__xor__)
 
     def neighbors(self, node_id: int) -> Set[int]:
         """The live contacts currently held in ``node_id``'s k-buckets."""
@@ -449,27 +445,24 @@ class KademliaOverlay(DHTProtocol):
         point %= self.space_size
         responsible = self.responsible_for(point)
         path, retries, timeouts = self._iterative_lookup(
-            origin, point, self_distance=origin ^ point, trace=trace)
+            origin, point, self_distance=origin ^ point)
         if path[-1] != responsible:
             # Safety net (as in the other overlays): very sparse or very stale
             # tables may leave the iterative search short of the true closest
             # node; the final forced hop keeps the route well-defined and is
             # charged as a normal message.
-            if trace is not None:
-                trace.record_hop(path[-1], responsible)
             path.append(responsible)
-        if trace is not None and retries:
-            trace.record_route((), retries=retries, timeouts=timeouts)
+        if trace is not None:
+            trace.record_route(path, retries=retries, timeouts=timeouts)
         return RouteResult(tuple(path), responsible, retries, timeouts)
 
-    def _iterative_lookup(self, origin: int, target: int, *, self_distance: Optional[int],
-                          trace: Optional[TraceSummary] = None) -> Tuple[List[int], int, int]:
+    def _iterative_lookup(self, origin: int, target: int, *, self_distance: Optional[int]
+                          ) -> Tuple[List[int], int, int]:
         """Kademlia's iterative node lookup, with message accounting.
 
         Returns ``(path, retries, timeouts)``: the nodes queried in order
         (starting at ``origin``), the number of queries that hit departed
-        contacts, and how many of those had *failed* (timeout cost).  Each
-        query is a hop recorded into ``trace``, if given, as it is sent.
+        contacts, and how many of those had *failed* (timeout cost).
 
         ``self_distance`` is the origin's own distance to the target
         (``origin ^ target``); a lookup stops once no known contact improves
@@ -481,20 +474,23 @@ class KademliaOverlay(DHTProtocol):
         is_live = self._member_set.__contains__
         table = tables[origin]
         rows, top = table._rows, (origin ^ target).bit_length() - 1
-        # The shortlist is a run of XOR distances, farthest first (distances
-        # to one target are unique, and ``distance ^ target`` is the contact).
+        # The shortlist is a run of XOR distances, a min-heap (distances to
+        # one target are unique, and ``distance ^ target`` is the contact).
         # A lookup stops at the first contact not nearer than the best node
         # queried, so only contacts nearer than that are worth keeping.  At
         # the start these are the rows at the set bits of ``self_distance``
         # (every contact for a bootstrap), whose distance ranges are disjoint
-        # and ordered, nearest last in ``groups``: the next row is sorted in
-        # only when the run is empty, and until a node answers, the lookup
-        # changes no row but the one it runs.  A node that answers is the
-        # nearest contact left, so the run becomes its reply's contacts
-        # nearer than itself, and once those are spent the lookup is over.
-        groups = ([table.contacts()] if self_distance is None else
-                  [rows[index] for index in table._indices if self_distance >> index & 1])
-        run: List[int] = []
+        # and ordered, nearest first from the top set bit of ``pending``: the
+        # next row is read in only when the run is empty, and until a node
+        # answers, the lookup changes no row but the one it runs.  A node that
+        # answers is the nearest contact left, so the run becomes its reply's
+        # contacts nearer than itself, nearest first (a sorted list is a
+        # heap), and once those are spent the lookup is over.
+        if self_distance is None:
+            pending, run = 0, [contact ^ target for contact in table.contacts()]
+            heapify(run)
+        else:
+            pending, run = self_distance, []
         # Never queried (again): the origin and the contacts found dead.
         skip: Set[int] = {origin}
         path: List[int] = [origin]
@@ -503,11 +499,14 @@ class KademliaOverlay(DHTProtocol):
         limit = 4 * self.bits + len(self._members)
         while len(path) + retries <= limit:
             if not run:
-                if len(path) > 1 or not groups:
+                if len(path) > 1 or not pending:
                     break
-                run = sorted([contact ^ target for contact in groups.pop()], reverse=True)
+                index = pending.bit_length() - 1
+                pending ^= 1 << index
+                run = [contact ^ target for contact in rows.get(index, ())]
+                heapify(run)
                 continue
-            distance = run.pop()
+            distance = heappop(run)
             candidate = distance ^ target
             if not is_live(candidate):
                 # Stale bucket entry: the query is wasted (a retry); failures
@@ -520,8 +519,6 @@ class KademliaOverlay(DHTProtocol):
                 skip.add(candidate)
                 table.discard(candidate)
                 continue
-            if trace is not None:
-                trace.record_hop(path[-1], candidate)
             path.append(candidate)
             # Direct communication updates both parties' buckets (both are
             # live, and the origin is never in the run)...
@@ -548,12 +545,14 @@ class KademliaOverlay(DHTProtocol):
             if count < k:
                 reply = queried.closest(target, k)
                 table.learn_many(reply, skip)
+                run = [nearer for contact in reply
+                       if (nearer := contact ^ target) < distance and contact not in skip]
             else:
-                reply = queried.nearer_than_owner(target)
-                reply.sort(key=target.__xor__)
-                del reply[k:]
-            run = [nearer for contact in reversed(reply)
-                   if (nearer := contact ^ target) < distance and contact not in skip]
+                # Every contact nearer than the queried node is nearer than
+                # ``distance``: only the dead ones are left out.
+                nearer = [contact ^ target for contact in queried.nearer_than_owner(target)]
+                nearer.sort()
+                run = [each for each in nearer[:k] if each ^ target not in skip]
         return path, retries, timeouts
 
     def _observe(self, node_id: int, contact: int) -> None:

@@ -10,8 +10,8 @@ The paper's evaluation reports two quantities for every algorithm:
 
 Rather than duplicating the UMS/KTS/BRK algorithms for an "analytical" and an
 "event-driven" mode, every public operation of the services records the
-messages it caused into one :class:`TraceSummary` through four calls
-(``record``, ``record_hop``, ``record_route``, ``record_exchange``).  The
+messages it caused into one :class:`TraceSummary` through three calls
+(``record``, ``record_route`` for a whole route, ``record_exchange``).  The
 summary keeps only the counts, in O(1) memory, and hands each message to its
 ``on_message`` hook, when one is set, as it counts it: the simulation
 harness sets a hook that prices each message of a retrieve with the cost
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 __all__ = ["MessageHook", "MessageKind", "MessageSizes", "TraceSummary"]
 
@@ -141,27 +141,18 @@ class TraceSummary:
         if self.on_message is not None:
             self.on_message(kind, size_bytes, source, dest, timed_out)
 
-    def record_hop(self, source: int, dest: int) -> None:
-        """Count one routing hop, a control message: the primitive of a route's walk."""
-        self.message_count += 1
-        self.total_bytes += self.sizes.control_bytes
-        if self.on_message is not None:
-            self.on_message(MessageKind.LOOKUP_HOP, self.sizes.control_bytes, source, dest,
-                            False)
-
-    def record_route(self, path: Iterable[int], *, retries: int = 0,
+    def record_route(self, path: Sequence[int], *, retries: int = 0,
                      timeouts: int = 0) -> None:
         """Count the hops of a routing ``path`` (origin first), then retries.
 
         A path of ``n`` nodes costs ``n - 1`` hop messages; ``retries`` are
-        the extra messages spent re-routing around departed fingers, each
+        the extra messages spent re-routing around departed contacts, each
         sized ``retry_bytes``, and the first ``timeouts`` of them waited for
-        a timeout (failed peers).  The overlays' walks record their own hops
-        and pass an empty path for their retries, as the network client does
+        a timeout (failed peers).  Each overlay walk records its whole route
+        in one call once it ends; the network client passes an empty path
         for its re-sends.
         """
-        nodes = tuple(path)
-        hops = len(nodes) - 1
+        hops = len(path) - 1
         if hops > 0:
             self.message_count += hops
             self.total_bytes += self.sizes.control_bytes * hops
@@ -171,8 +162,8 @@ class TraceSummary:
             self.timeout_count += min(max(timeouts, 0), retries)
         if self.on_message is not None:
             hook, hop_bytes = self.on_message, self.sizes.control_bytes
-            for source, dest in zip(nodes, nodes[1:]):
-                hook(MessageKind.LOOKUP_HOP, hop_bytes, source, dest, False)
+            for index in range(hops):
+                hook(MessageKind.LOOKUP_HOP, hop_bytes, path[index], path[index + 1], False)
             for index in range(retries):
                 hook(MessageKind.LOOKUP_RETRY, self.retry_bytes, None, None, index < timeouts)
 

@@ -246,7 +246,8 @@ class DHTProtocol(abc.ABC):
         The returned path ends at ``responsible_for(point)``.  Implementations
         model routing-state staleness (e.g. Chord fingers pointing at departed
         peers) through the ``retries``/``timeouts`` fields of the result.
-        Given a ``trace``, the walk records its hops as it goes, then retries.
+        Given a ``trace``, the finished walk records its path, then its
+        retries, in one ``trace.record_route`` call.
         """
 
     # ---------------------------------------------------------------- utilities

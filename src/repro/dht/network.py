@@ -412,7 +412,7 @@ class DHTNetwork:
         """The one place an operation finds its responsible — and is traced.
 
         With a ``trace``, routes from ``origin`` to ``point`` (the route
-        records its hops as it walks) and records the named ``exchange`` of
+        records itself once it ends) and records the named ``exchange`` of
         ``(request, reply)`` kinds between ``source`` and the responsible,
         carrying ``entries`` items, in its sizes' memoised ``exchange_row`` —
         or a single timed-out request when the responsible is ``unreachable``.

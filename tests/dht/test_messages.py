@@ -68,7 +68,7 @@ def feed(trace, call):
         _, path, retries, timeouts = call
         trace.record_route(path, retries=retries, timeouts=timeouts)
     elif call[0] == "hop":
-        trace.record_hop(call[1], call[2])
+        trace.record_route((call[1], call[2]))
     else:
         _, request, reply, source, dest, entries = call
         trace.record_exchange((request, reply), -1 if source is None else source,
@@ -108,7 +108,7 @@ class TestRecordingCalls:
     def test_a_summary_built_without_sizes_prices_with_the_defaults(self):
         summary = TraceSummary(0, 0, 0, 3)
         summary.record(MessageKind.GET_REPLY)
-        summary.record_hop(1, 2)
+        summary.record_route((1, 2))
         defaults = MessageSizes()
         assert summary.sizes == defaults
         assert summary.total_bytes == defaults.data_bytes + defaults.control_bytes
@@ -127,10 +127,10 @@ class TestRecordingCalls:
         assert summary.total_bytes == 7
         assert columns.size_bytes == [7]
 
-    def test_record_hop_is_one_control_message(self):
+    def test_a_one_hop_route_is_one_control_message(self):
         columns = Columns()
         summary = new_summary(columns)
-        summary.record_hop(5, 6)
+        summary.record_route([5, 6])
         assert summary == TraceSummary(1, SIZES.control_bytes, 0, SIZES.control_bytes)
         assert columns.messages == (Message(MessageKind.LOOKUP_HOP, 10, source=5, dest=6),)
 
