@@ -19,10 +19,10 @@ execution behind it:
   (one loop turn per request), with backpressure on both sides (reading
   pauses at ``max_inflight`` waiting requests, execution pauses while the
   client leaves its replies unread) and graceful shutdown;
-* :mod:`repro.net.client` — the client transport: pooled blocking sockets
-  used in the caller's thread, request deadlines and bounded retries mapped
-  onto the existing retry/timeout accounting (`LOOKUP_RETRY` trace messages
-  + :class:`TransportCounters`).
+* :mod:`repro.net.client` — the client transport: a retry policy over
+  pooled links (blocking sockets, used in the caller's thread), request
+  deadlines and bounded retries mapped onto the existing retry/timeout
+  accounting (`LOOKUP_RETRY` trace messages + :class:`TransportCounters`).
 
 :func:`connect` (a :class:`RemoteCluster`) and
 :meth:`repro.api.cluster.Cluster.build` are the two constructors; both hand
@@ -44,7 +44,6 @@ from __future__ import annotations
 from typing import Any, Tuple
 
 __all__ = [
-    "FaultSchedule",
     "NetClient",
     "NodeServer",
     "RemoteCluster",
@@ -62,7 +61,7 @@ _EXPORTS = {name: module for module, names in (
     ("repro.net.client", ("NetClient", "RemoteCluster", "RemoteService",
                           "RequestTimeout", "TransportCounters",
                           "TransportError", "connect")),
-    ("repro.net.server", ("FaultSchedule", "NodeServer", "ServerThread")),
+    ("repro.net.server", ("NodeServer", "ServerThread")),
 ) for name in names}
 
 

@@ -10,7 +10,16 @@ sockets without changing a line.
 
 The transport internals:
 
-* every caller is synchronous, so the transport is too: a request is one
+* the client sends through a **link**, any object with a deflate ``stream``
+  for what it sends, ``request(frame, timeout_s, keys)`` returning the reply
+  payload and its wire bytes (raising ``TimeoutError`` once ``timeout_s``
+  passed without one) and ``close()``.  :class:`NetClient` is the policy over
+  it — attempts, retries, timeouts, the pool and the counters — and never
+  reads a clock; which link it uses is decided by the opener it is built
+  with.  :func:`connect` passes a socket opener, and the socket link is the
+  only production one (a test may pass an in-memory link on a simulated
+  clock);
+* every caller is synchronous, so the socket link is too: a request is one
   ``sendall`` and a ``recv`` loop on a blocking socket (``TCP_NODELAY``), run
   in the caller's own thread — no event loop, no helper thread, no hand-over;
 * a thread-safe **connection pool** of ``pool_size`` slots, each opened
@@ -46,7 +55,9 @@ import socket
 import threading
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.api.cluster import Session
 from repro.api.results import (
@@ -111,8 +122,8 @@ class RequestStats:
 
 
 class _Connection:
-    """One pooled connection: a blocking socket, the deflate stream of what
-    it sends and the frame decoder of what it receives."""
+    """The socket link: a blocking socket, the deflate stream of what it
+    sends and the frame decoder of what it receives."""
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
@@ -127,11 +138,11 @@ class _Connection:
 
         ``timeout_s`` bounds the whole exchange: the deadline is carried
         across ``recv`` calls, so a reply dribbling in cannot stretch the
-        attempt (``socket.timeout`` is raised once the deadline passes).
+        attempt (``TimeoutError`` is raised once the deadline passes).
         The byte count is *measured* (bytes read off the socket for this
         reply, header included), not recomputed from the payload.
         """
-        # reprolint: allow[REP001] reason=a request timeout is wall-clock by definition and never reaches a result or a trace; the deadline semantics are pinned by tests/net/test_client_transport.py
+        # reprolint: allow[REP001] reason=the socket link's request deadline is wall-clock by definition and never reaches a result or a trace; its semantics are pinned by tests/net/test_client_transport.py
         deadline = time.monotonic() + timeout_s
         received = 0
         try:
@@ -145,12 +156,12 @@ class _Connection:
                 frames = self.decoder.feed(chunk, keys=keys)
                 if frames:
                     break
-                # reprolint: allow[REP001] reason=remaining share of the same wall-clock request deadline (tests/net/test_client_transport.py)
+                # reprolint: allow[REP001] reason=remaining share of the socket link's wall-clock request deadline (tests/net/test_client_transport.py)
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    raise socket.timeout("request deadline passed")
+                    raise TimeoutError("request deadline passed")
                 self.sock.settimeout(remaining)
-        except socket.timeout:
+        except TimeoutError:
             raise
         except (OSError, codec.CodecError) as error:
             raise TransportError(f"connection failed: {error}") from error
@@ -165,25 +176,47 @@ class _Connection:
         self.sock.close()
 
 
+def _open_socket(address: Address, timeout_s: float) -> _Connection:
+    """Open a socket link to ``address``: ``(host, port)`` or a UDS path."""
+    try:
+        if isinstance(address, str):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                sock.settimeout(timeout_s)
+                sock.connect(address)
+            except OSError:
+                sock.close()
+                raise
+        else:
+            sock = socket.create_connection(address, timeout=timeout_s)
+            # One small frame per direction per request: Nagle would only
+            # ever delay it.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError as error:
+        raise TransportError(f"cannot connect to {address!r}: {error}") from error
+    return _Connection(sock)
+
+
 class NetClient:
-    """Synchronous, thread-safe request facade over pooled blocking sockets.
+    """Synchronous, thread-safe request policy over a pool of links.
 
     Parameters
     ----------
-    address:
-        ``(host, port)`` for TCP or a socket path (``str``) for UDS.
+    open_link:
+        Opens one link (see the module docstring); :func:`connect` passes
+        one that opens a socket to the server's address.
     pool_size:
         Upper bound on open connections (each slot is opened lazily); a
         thread that finds every slot in use waits for one to come back.
     timeout_s:
-        Per-attempt reply timeout (also bounds opening a connection).
+        Per-attempt reply timeout.
     max_retries:
         How many times a timed-out request is re-sent before
         :class:`RequestTimeout` is raised (total attempts =
         ``max_retries + 1``).
     """
 
-    def __init__(self, address: Address, *, pool_size: int = 2,
+    def __init__(self, open_link: Callable[[], Any], *, pool_size: int = 2,
                  timeout_s: float = 5.0, max_retries: int = 2) -> None:
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
@@ -191,7 +224,7 @@ class NetClient:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
-        self.address = address
+        self.open_link = open_link
         self.pool_size = pool_size
         self.timeout_s = timeout_s
         self.max_retries = max_retries
@@ -203,32 +236,11 @@ class NetClient:
         # is using, ``_leased`` counts the slots handed out, and
         # ``len(_idle) + _leased`` never exceeds ``pool_size``.
         self._slot_free = threading.Condition()
-        self._idle: List[_Connection] = []
+        self._idle: List[Any] = []
         self._leased = 0
 
     # ---------------------------------------------------------------- pool
-    def _open_connection(self) -> _Connection:
-        try:
-            if isinstance(self.address, str):
-                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                try:
-                    sock.settimeout(self.timeout_s)
-                    sock.connect(self.address)
-                except OSError:
-                    sock.close()
-                    raise
-            else:
-                sock = socket.create_connection(self.address,
-                                                timeout=self.timeout_s)
-                # One small frame per direction per request: Nagle would
-                # only ever delay it.
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError as error:
-            raise TransportError(f"cannot connect to {self.address!r}: "
-                                 f"{error}") from error
-        return _Connection(sock)
-
-    def _acquire(self) -> _Connection:
+    def _acquire(self) -> Any:
         """Lease a slot: an idle connection, or a new one opened in it."""
         with self._slot_free:
             while True:
@@ -242,12 +254,12 @@ class NetClient:
                     break
                 self._slot_free.wait()
         try:
-            return self._open_connection()
+            return self.open_link()
         except TransportError:
             self._release(None)
             raise
 
-    def _release(self, connection: Optional[_Connection], *,
+    def _release(self, connection: Optional[Any], *,
                  reuse: bool = True) -> None:
         """Give a slot back (``None``: it never opened), pooling or closing it.
 
@@ -299,7 +311,7 @@ class NetClient:
             stats.bytes_sent += len(frame)
             try:
                 reply, received = connection.request(frame, self.timeout_s, keys)
-            except socket.timeout:
+            except TimeoutError:
                 retrying = stats.attempts <= self.max_retries
                 stats.timeouts += 1
                 stats.retries += retrying
@@ -484,19 +496,20 @@ class RemoteCluster:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"RemoteCluster(address={self.client.address!r}, "
-                f"peers={self.size}, service={self.service_name!r})")
+        return f"RemoteCluster(peers={self.size}, service={self.service_name!r})"
 
 
 def connect(address: Address, *, pool_size: int = 2, timeout_s: float = 5.0,
             max_retries: int = 2) -> RemoteCluster:
     """Connect to a :class:`~repro.net.server.NodeServer` and return a cluster.
 
-    ``address`` is ``(host, port)`` for TCP or a socket path for UDS.  The
+    ``address`` is ``(host, port)`` for TCP or a socket path for UDS; the
+    client's links are sockets to it, opened with ``timeout_s`` too.  The
     handshake issues one ``info`` request, so a bad address fails fast here
     rather than on the first operation.
     """
-    client = NetClient(address, pool_size=pool_size, timeout_s=timeout_s,
+    client = NetClient(partial(_open_socket, address, timeout_s),
+                       pool_size=pool_size, timeout_s=timeout_s,
                        max_retries=max_retries)
     try:
         info, _stats = client.request("info")

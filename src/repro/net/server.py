@@ -14,37 +14,32 @@ loop hands ``data_received`` the bytes it read, the frames they complete are
 decoded, and each request is executed **inline, in strict arrival order**,
 its reply written with ``transport.write`` before the callback returns — one
 event-loop turn per request, no queue hand-over, no per-connection task.
-Requests only *wait* while the line is held: a delayed reply is pending
-(``loop.call_later``; nothing behind it runs, so nothing overtakes it) or the
-transport called ``pause_writing`` because the client is not reading its
-replies.  Flow control is on both sides of that backlog: once ``max_inflight``
-requests wait the socket is no longer read (``pause_reading``, resumed below
-the bound), and backpressure propagates through the kernel socket buffers to
-the sender; while the write buffer is over its high-water mark nothing is
-executed, so replies never pile up either.  A chunk already read is decoded
-whole, so the backlog can exceed ``max_inflight`` by what one read held — the
-server's memory stays bounded no matter how fast clients write or how slowly
-they read.
+Requests only *wait* while the transport called ``pause_writing`` because the
+client is not reading its replies.  Flow control is on both sides of that
+backlog: once ``max_inflight`` requests wait the socket is no longer read
+(``pause_reading``, resumed below the bound), and backpressure propagates
+through the kernel socket buffers to the sender; while the write buffer is
+over its high-water mark nothing is executed, so replies never pile up
+either.  A chunk already read is decoded whole, so the backlog can exceed
+``max_inflight`` by what one read held — the server's memory stays bounded
+no matter how fast clients write or how slowly they read.
 
 Shutdown is graceful: :meth:`NodeServer.stop` (or a client ``shutdown``
 request) stops accepting connections and stops reading; every connection
 answers the requests it had already read, flushes the replies and only then
 closes.  A malformed frame closes its connection the same way — after the
-intact requests ahead of it are answered.
+intact requests ahead of it are answered.  A reply that cannot be encoded
+(over the frame limit, say) is refused before it touches the stream and
+answered with a ``CodecError`` error reply instead.
+
+The connection touches nothing but its transport's ``write``, ``close``,
+``is_closing`` and ``pause_reading``/``resume_reading``, so a test can drive
+it through a fake transport on a simulated clock; lost, late or reset
+replies are faults of the link a client talks through, not of the server.
 
 :class:`ServerThread` runs a server on a private event loop in a daemon
-thread — the harness tests, the load generator and the fault-injection suite
-all drive a real socket server through it without an async caller.
-
-:class:`FaultSchedule` injects transport faults for the accounting tests:
-dropping a reply makes the client time out and retry (the request *was*
-executed — delivery, not execution, is what fails, exactly the semantics of
-the simulator's timed-out messages), delaying one models a slow peer.  A
-dropped reply is never encoded, so it leaves no gap in the connection's
-deflate stream; a delayed one is encoded when its request executes and goes
-out before anything behind it, because it holds the line.  A reply that
-cannot be encoded (over the frame limit, say) is refused before it touches
-the stream and answered with a ``CodecError`` error reply instead.
+thread — the harness tests and the socket suites drive a real socket server
+through it without an async caller.
 """
 
 from __future__ import annotations
@@ -52,56 +47,16 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import deque
-from typing import (Any, Deque, Dict, Iterable, List, Mapping, Optional, Tuple,
-                    cast)
+from typing import Any, Deque, Dict, List, Optional, Tuple, cast
 
 from repro import __version__
 from repro.api.cluster import Cluster
 from repro.net import codec
 
-__all__ = ["FaultSchedule", "NodeServer", "ServerThread"]
+__all__ = ["NodeServer", "ServerThread"]
 
-#: Requests counted by a :class:`FaultSchedule` (the data-plane operations);
-#: control requests (``ping``/``info``/``shutdown``) are never faulted.
+#: The data-plane operations, each served by the cluster's currency service.
 _DATA_OPS = ("insert", "retrieve", "insert_many", "retrieve_many")
-
-
-class FaultSchedule:
-    """Deterministic transport faults, indexed by data-plane request number.
-
-    Parameters
-    ----------
-    drop_replies:
-        0-based indices (counting executed data-plane requests) whose reply is
-        silently dropped: the request executes, the client sees a timeout.
-    delay_replies:
-        Index → seconds: the reply is sent after an extra delay.
-
-    The schedule is the transport-level analogue of the simulator's fault
-    injection (``unreachable`` sets, timed-out messages): it makes the
-    client's retry/timeout accounting testable against a known fault plan.
-    """
-
-    def __init__(self, drop_replies: Iterable[int] = (),
-                 delay_replies: Optional[Mapping[int, float]] = None) -> None:
-        self.drop_replies = frozenset(int(index) for index in drop_replies)
-        self.delay_replies = {int(index): float(delay)
-                              for index, delay in (delay_replies or {}).items()}
-        self._sequence = 0
-
-    def next_index(self) -> int:
-        """Allocate the index of the data-plane request being executed."""
-        index = self._sequence
-        self._sequence += 1
-        return index
-
-    def should_drop(self, index: int) -> bool:
-        """Whether the reply to data-plane request ``index`` is dropped."""
-        return index in self.drop_replies
-
-    def delay_for(self, index: int) -> float:
-        """Extra reply delay (seconds) for data-plane request ``index``."""
-        return self.delay_replies.get(index, 0.0)
 
 
 class NodeServer:
@@ -117,15 +72,12 @@ class NodeServer:
     max_inflight:
         How many decoded requests may wait on one connection before its
         socket stops being read (the backpressure knob).
-    fault_schedule:
-        Optional :class:`FaultSchedule` for transport-fault tests.
     """
 
     def __init__(self, cluster: Optional[Cluster] = None, *, peers: int = 64,
                  protocol: str = "chord", service: str = "ums",
                  replicas: int = 10, seed: Optional[int] = None,
-                 max_inflight: int = 32,
-                 fault_schedule: Optional[FaultSchedule] = None) -> None:
+                 max_inflight: int = 32) -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if cluster is None:
@@ -134,7 +86,6 @@ class NodeServer:
                                     seed=seed)
         self.cluster = cluster
         self.max_inflight = max_inflight
-        self.fault_schedule = fault_schedule
         self.requests_served = 0
         self.max_observed_inflight = 0
         self._servers: list = []
@@ -271,8 +222,8 @@ class NodeServer:
 class _Connection(asyncio.Protocol):
     """One client connection: requests run inline, in arrival order.
 
-    They only *wait* (in ``_backlog``) while the line is held: a delayed
-    reply is pending, or the transport asked the writer to pause.
+    They only *wait* (in ``_backlog``) while the transport asked the writer
+    to pause.
     """
 
     def __init__(self, server: NodeServer) -> None:
@@ -281,7 +232,6 @@ class _Connection(asyncio.Protocol):
         self._stream = codec.DeflateStream()
         self._backlog: Deque[Dict[str, Any]] = deque()
         self._transport: asyncio.Transport  # set by connection_made
-        self._delayed: Optional[asyncio.TimerHandle] = None
         self._write_paused = False
         self._finishing = False
 
@@ -329,9 +279,6 @@ class _Connection(asyncio.Protocol):
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self._backlog.clear()
-        if self._delayed is not None:
-            self._delayed.cancel()
-            self._delayed = None
         self.server._connection_closed(self)
 
     # -------------------------------------------------------------- execution
@@ -341,15 +288,14 @@ class _Connection(asyncio.Protocol):
         self._pump()
 
     def _pump(self) -> None:
-        """Run waiting requests while the line is free; then set flow control."""
+        """Run waiting requests while writing may go on; then set flow control."""
         transport = self._transport
         backlog = self._backlog
-        while backlog and self._delayed is None and not self._write_paused \
-                and not transport.is_closing():
+        while backlog and not self._write_paused and not transport.is_closing():
             self._execute(backlog.popleft())
         if transport.is_closing():
             backlog.clear()  # reset under us: nobody is left to answer
-        elif self._finishing and not backlog and self._delayed is None:
+        elif self._finishing and not backlog:
             transport.close()  # flushes the write buffer, then drops the link
         elif self._finishing or len(backlog) >= self.server.max_inflight:
             # Backpressure point: the socket is no longer read, and the
@@ -360,17 +306,8 @@ class _Connection(asyncio.Protocol):
 
     def _execute(self, request: Dict[str, Any]) -> None:
         server = self.server
-        schedule = server.fault_schedule
-        fault_index = None
-        if schedule is not None and request.get("op") in _DATA_OPS:
-            fault_index = schedule.next_index()
         reply = server.handle_request(request)
         server.requests_served += 1
-        delay = 0.0
-        if fault_index is not None:
-            if schedule.should_drop(fault_index):
-                return  # executed, but the reply never leaves the server
-            delay = schedule.delay_for(fault_index)
         # Encoding here, in execution order, keeps the stream in write order.
         try:
             frame = codec.encode_frame(reply, stream=self._stream,
@@ -380,19 +317,7 @@ class _Connection(asyncio.Protocol):
             frame = codec.encode_frame(
                 {"id": reply.get("id"), "ok": False,
                  "error": f"CodecError: {error}"}, stream=self._stream)
-        if delay > 0:
-            # The line is held until the timer fires: nothing behind this
-            # request runs, so no later reply can overtake the delayed one.
-            self._delayed = asyncio.get_running_loop().call_later(
-                delay, self._send_delayed, frame)
-        else:
-            self._transport.write(frame)
-
-    def _send_delayed(self, frame: bytes) -> None:
-        self._delayed = None
-        if not self._transport.is_closing():
-            self._transport.write(frame)
-        self._pump()
+        self._transport.write(frame)
 
 
 class ServerThread:

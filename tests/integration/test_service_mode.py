@@ -8,14 +8,19 @@ overlay.  Both substrates are built by the same ``Cluster.build`` path with
 the same seed, and the server executes requests in strict arrival order, so
 the server-side RNG stream matches the in-process run operation for
 operation: timestamps, payloads, currency flags and per-op trace summaries
-(message count, byte total, timeouts) must all be equal.
+(message count, byte total, timeouts) must all be equal.  The workload and
+sync parity also run over the in-memory link of ``tests/net/memory_link.py``
+(the same server connection, on a simulated clock) with the same
+expectations.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
+from net.memory_link import MemoryNet
 
 from repro.api.cluster import Cluster
 from repro.dht.registry import OVERLAYS
@@ -86,22 +91,42 @@ def assert_single_identical(want, got):
         assert got.replicas_attempted == want.replicas_attempted
 
 
-@pytest.mark.parametrize("protocol", sorted(OVERLAYS))
-def test_sim_and_tcp_backends_are_value_identical(protocol):
+@contextmanager
+def served(server, link):
+    """A :class:`RemoteCluster` on ``server``: over a TCP socket to a server
+    thread (``link="tcp"``), or over the in-memory link (``"memory"``)."""
+    if link == "memory":
+        with MemoryNet(server).connect() as remote:
+            yield remote
+        return
+    with ServerThread(server) as thread:
+        with connect(thread.server.tcp_address) as remote:
+            yield remote
+
+
+def check_workload_parity(protocol, link):
     sim = Cluster.build(protocol=protocol, **BUILD)
     with sim.session() as session:
         expected = run_workload(session)
         expected_messages = session.messages_sent
 
-    server = NodeServer(protocol=protocol, **BUILD)
-    with ServerThread(server) as thread:
-        with connect(thread.server.tcp_address) as remote:
-            with remote.session() as session:
-                actual = run_workload(session)
-                actual_messages = session.messages_sent
+    with served(NodeServer(protocol=protocol, **BUILD), link) as remote:
+        with remote.session() as session:
+            actual = run_workload(session)
+            actual_messages = session.messages_sent
 
     assert_results_identical(expected, actual)
     assert actual_messages == expected_messages
+
+
+@pytest.mark.parametrize("protocol", sorted(OVERLAYS))
+def test_sim_and_tcp_backends_are_value_identical(protocol):
+    check_workload_parity(protocol, "tcp")
+
+
+@pytest.mark.parametrize("protocol", sorted(OVERLAYS))
+def test_sim_and_memory_link_backends_are_value_identical(protocol):
+    check_workload_parity(protocol, "memory")
 
 
 def run_seeded_stream(session, seed=2007, ops=120, keys=16):
@@ -122,9 +147,7 @@ def drop_first_replica(cluster, key):
     cluster.network.peer(holder).store.delete(hash_fn.name, key)
 
 
-@pytest.mark.parametrize("keys", [None, ["k0", "k5"]], ids=["all", "subset"])
-@pytest.mark.parametrize("protocol", sorted(OVERLAYS))
-def test_sim_and_tcp_sync_rounds_report_the_same(protocol, keys):
+def check_sync_parity(protocol, keys, link):
     build = dict(protocol=protocol, peers=64, replicas=10, seed=2007)
     sim = Cluster.build(**build)
     with sim.session() as session:
@@ -132,18 +155,30 @@ def test_sim_and_tcp_sync_rounds_report_the_same(protocol, keys):
     drop_first_replica(sim, "k0")
     expected = sim.sync_replicas(keys)
 
-    with ServerThread(NodeServer(**build)) as thread:
-        with connect(thread.server.tcp_address) as remote:
-            with remote.session() as session:
-                run_seeded_stream(session)
-            # Every reply is in, so the server's loop is idle.
-            drop_first_replica(thread.server.cluster, "k0")
-            actual = remote.sync_replicas(keys)
+    server = NodeServer(**build)
+    with served(server, link) as remote:
+        with remote.session() as session:
+            run_seeded_stream(session)
+        # Every reply is in, so the server's loop is idle.
+        drop_first_replica(server.cluster, "k0")
+        actual = remote.sync_replicas(keys)
 
     assert actual == expected
     assert expected.entries_shipped > 0 and expected.entries_skipped > 0
     if keys is not None:
         assert expected.keys == len(keys)
+
+
+@pytest.mark.parametrize("keys", [None, ["k0", "k5"]], ids=["all", "subset"])
+@pytest.mark.parametrize("protocol", sorted(OVERLAYS))
+def test_sim_and_tcp_sync_rounds_report_the_same(protocol, keys):
+    check_sync_parity(protocol, keys, "tcp")
+
+
+@pytest.mark.parametrize("keys", [None, ["k0", "k5"]], ids=["all", "subset"])
+@pytest.mark.parametrize("protocol", sorted(OVERLAYS))
+def test_sim_and_memory_link_sync_rounds_report_the_same(protocol, keys):
+    check_sync_parity(protocol, keys, "memory")
 
 
 def test_both_services_agree_across_backends():

@@ -2,10 +2,13 @@
 
 The client runs every request in the caller's thread on a pooled blocking
 socket.  Pinned here: the per-attempt timeout is a deadline over the whole
-exchange (not a per-``recv`` allowance), the pool is safe to share between
-threads and never opens more than ``pool_size`` connections, the transport
-counters stay exact under sharing, and ``close()`` behaves whether the pool
-is idle, leased or waited on.
+exchange (not a per-``recv`` allowance), a swallowed reply is timed out,
+torn down and retried on a fresh socket over TCP and a Unix socket, the pool
+is safe to share between threads and never opens more than ``pool_size``
+connections, the transport counters stay exact under sharing, and
+``close()`` behaves whether the pool is idle, leased or waited on (the last
+on the in-memory link of ``tests/net/memory_link.py``, which holds the
+leased request on a simulated clock).
 """
 
 from __future__ import annotations
@@ -17,14 +20,17 @@ import sys
 import threading
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import pytest
+from net.memory_link import MemoryNet
 
 from repro.net import client as client_module
 from repro.net import codec
-from repro.net.client import NetClient, RequestTimeout, TransportError, connect
-from repro.net.server import FaultSchedule, NodeServer, ServerThread
+from repro.net.client import (NetClient, RequestTimeout, TransportError,
+                              _open_socket, connect)
+from repro.net.server import NodeServer, ServerThread
 
 #: Upper bound on every join/wait in this file.
 JOIN_S = 20
@@ -96,7 +102,8 @@ class TestDeadline:
         timeout_s = 0.3
         server = DribblingServer(gap_s=timeout_s / 3)
         try:
-            with NetClient(server.address, pool_size=1, timeout_s=timeout_s,
+            with NetClient(partial(_open_socket, server.address, timeout_s),
+                           pool_size=1, timeout_s=timeout_s,
                            max_retries=0) as client:
                 started = time.monotonic()
                 with pytest.raises(RequestTimeout, match="1 attempts"):
@@ -117,7 +124,8 @@ class TestDeadline:
         timeout_s = 0.2
         server = DribblingServer(gap_s=timeout_s / 3)
         try:
-            with NetClient(server.address, pool_size=1, timeout_s=timeout_s,
+            with NetClient(partial(_open_socket, server.address, timeout_s),
+                           pool_size=1, timeout_s=timeout_s,
                            max_retries=2) as client:
                 started = time.monotonic()
                 with pytest.raises(RequestTimeout, match="3 attempts"):
@@ -136,14 +144,14 @@ class TestSharedPool:
         server = serve(NodeServer(peers=16, replicas=4, seed=11))
         threads, rounds = 6, 15
         opened = []
-        real_open = NetClient._open_connection
+        real_open = client_module._open_socket
 
-        def counting_open(self):
-            connection = real_open(self)
+        def counting_open(address, timeout_s):
+            connection = real_open(address, timeout_s)
             opened.append(connection)
             return connection
 
-        monkeypatch.setattr(NetClient, "_open_connection", counting_open)
+        monkeypatch.setattr(client_module, "_open_socket", counting_open)
         cluster = connect(server.tcp_address, pool_size=2)
         client = cluster.client
         handshake = client.counters.as_dict()
@@ -216,22 +224,72 @@ class TestSharedPool:
         assert "Thread(" not in Path(client_module.__file__).read_text()
 
 
-class TestUnixSocket:
-    def test_timeout_retry_reconnects_over_uds(self, serve, tmp_path):
-        path = str(tmp_path / "node.sock")
-        server = serve(NodeServer(peers=16, replicas=4, seed=11,
-                                  fault_schedule=FaultSchedule(
-                                      drop_replies={0})),
-                       host=None, uds=path)
-        with connect(path, pool_size=1, timeout_s=0.2,
-                     max_retries=1) as cluster:
-            with cluster.session() as session:
-                session.insert("k", {"via": "uds"})
-                assert session.retrieve("k").data == {"via": "uds"}
-            counters = cluster.client.counters
+class SwallowingServer:
+    """Answers every request with a pong, except the first reply of the
+    first connection, which it never sends: the raw-socket reply drop."""
+
+    def __init__(self, path=None) -> None:
+        if path is None:
+            self._listener = socket.create_server(("127.0.0.1", 0))
+            self.address = self._listener.getsockname()[:2]
+        else:
+            self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            self._listener.bind(path)
+            self._listener.listen()
+            self.address = path
+        self.accepted = 0
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        with self._listener:
+            while self.accepted < 2:
+                connection, _peer = self._listener.accept()
+                self.accepted += 1
+                with connection:
+                    self._answer(connection, swallow=self.accepted == 1)
+
+    @staticmethod
+    def _answer(connection: socket.socket, swallow: bool) -> None:
+        decoder, stream = codec.FrameDecoder(), codec.DeflateStream()
+        while chunk := connection.recv(4096):  # until the client closes
+            for request in decoder.feed(chunk):
+                if swallow:
+                    swallow = False
+                    continue
+                connection.sendall(codec.encode_frame(
+                    {"id": request["id"], "ok": True, "result": "pong"},
+                    stream=stream))
+
+    def join(self) -> None:
+        self._thread.join(timeout=JOIN_S)
+        assert not self._thread.is_alive()
+
+
+class TestSwallowedReply:
+    @pytest.mark.parametrize("family", ["tcp", "uds"])
+    def test_timeout_retry_reconnects_over_a_socket(self, family, tmp_path):
+        """A reply the server never sends: the socket link's deadline ends
+        the attempt, the socket is torn down, and the retry on a fresh one
+        is answered — over a real kernel socket of either family."""
+        timeout_s = 0.2
+        server = SwallowingServer(None if family == "tcp"
+                                  else str(tmp_path / "node.sock"))
+        with NetClient(partial(_open_socket, server.address, timeout_s),
+                       pool_size=1, timeout_s=timeout_s,
+                       max_retries=1) as client:
+            started = time.monotonic()
+            result, stats = client.request("ping")
+            assert timeout_s <= time.monotonic() - started < JOIN_S
+            assert result == "pong"
+            assert (stats.attempts, stats.retries, stats.timeouts) == (2, 1, 1)
+            counters = client.counters
             assert (counters.timeouts, counters.retries,
                     counters.reconnects) == (1, 1, 1)
-        assert server.fault_schedule._sequence == 3  # insert x2 + retrieve
+            assert counters.bytes_sent == stats.bytes_sent
+            assert counters.bytes_received == stats.bytes_received > 0
+        server.join()
+        assert server.accepted == 2
 
 
 class TestClose:
@@ -248,17 +306,15 @@ class TestClose:
         with pytest.raises(TransportError, match="closed"):
             cluster.client.request("ping")
 
-    def test_close_wakes_a_waiter_and_lets_the_leased_request_finish(
-            self, serve):
-        server = serve(NodeServer(
-            peers=16, replicas=4, seed=11,
-            fault_schedule=FaultSchedule(delay_replies={0: 0.4})))
-        cluster = connect(server.tcp_address, pool_size=1)
-        outcomes = {}
-
-        def slow_insert() -> None:
-            with cluster.session() as session:
-                outcomes["leased"] = session.insert("k", {"v": 1})
+    def test_close_wakes_a_waiter_and_lets_the_leased_request_finish(self):
+        """While a stalled reply holds the only slot, a second thread waits
+        for it and ``close()`` is called: the waiter wakes to a closed
+        client, and the leased request still completes."""
+        net = MemoryNet(NodeServer(peers=16, replicas=4, seed=11),
+                        stall={1: 0.4})
+        cluster = net.connect(pool_size=1)
+        client, outcomes = cluster.client, {}
+        client._slot_free = slot_free = AnnouncingCondition()
 
         def waiting_ping() -> None:
             try:
@@ -266,35 +322,55 @@ class TestClose:
             except TransportError as error:
                 outcomes["waiter"] = error
 
-        leased = threading.Thread(target=slow_insert)
-        leased.start()
-        deadline = time.monotonic() + JOIN_S
-        while cluster.client._leased == 0 and time.monotonic() < deadline:
-            time.sleep(0.005)
         waiter = threading.Thread(target=waiting_ping)
-        waiter.start()
-        time.sleep(0.05)  # let the waiter block on the only slot
-        cluster.close()
+
+        def close_while_leased() -> None:
+            # The insert holds the slot: the waiter blocks on it, and only
+            # then is the client closed under both.
+            assert client._leased == 1
+            waiter.start()
+            assert slot_free.waiting.wait(timeout=JOIN_S)
+            cluster.close()
+
+        net.sim.schedule(0.1, close_while_leased)
+        with cluster.session() as session:
+            outcomes["leased"] = session.insert("k", {"v": 1})
         waiter.join(timeout=JOIN_S)
-        leased.join(timeout=JOIN_S)
-        assert not waiter.is_alive() and not leased.is_alive()
+        assert not waiter.is_alive()
         assert isinstance(outcomes["waiter"], TransportError)
         assert "closed" in str(outcomes["waiter"])
         # The request that held the slot was not interrupted by close() ...
         assert outcomes["leased"].replicas_written == 4
         # ... and its connection was closed, not pooled, when it came back.
         assert cluster.client._idle == [] and cluster.client._leased == 0
+        assert net.links[0].closed
 
     def test_a_failed_open_gives_the_slot_back(self):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             dead_address = probe.getsockname()
-        client = NetClient(dead_address, pool_size=1, timeout_s=0.2)
+        client = NetClient(partial(_open_socket, dead_address, 0.2),
+                           pool_size=1, timeout_s=0.2)
         for _ in range(3):  # would block for ever if the slot leaked
             with pytest.raises(TransportError, match="cannot connect"):
                 client.request("ping")
         assert client._leased == 0
         client.close()
+
+
+class AnnouncingCondition(threading.Condition):
+    """A condition that sets ``waiting`` when a thread starts to wait on it.
+
+    It is set with the lock held, so whoever sees it and then takes the
+    lock knows the waiter is parked in ``wait()``."""
+
+    def __init__(self) -> None:
+        super().__init__(threading.RLock())
+        self.waiting = threading.Event()
+
+    def wait(self, timeout=None):
+        self.waiting.set()
+        return super().wait(timeout)
 
 
 class _ClosedLoop:

@@ -6,12 +6,13 @@ import random
 import socket
 import threading
 import time
+from functools import partial
 
 import pytest
 
 from repro.api.cluster import Cluster
 from repro.net import codec
-from repro.net.client import NetClient, TransportError, connect
+from repro.net.client import NetClient, TransportError, _open_socket, connect
 from repro.net.server import NodeServer, ServerThread
 
 #: A ``0x02`` body whose tagged encoding stops inside a dict's count.
@@ -280,12 +281,13 @@ class TestShutdown:
 
 class TestClientValidation:
     def test_constructor_rejects_bad_knobs(self):
+        open_link = partial(_open_socket, ("127.0.0.1", 1), 1.0)
         with pytest.raises(ValueError, match="pool_size"):
-            NetClient(("127.0.0.1", 1), pool_size=0)
+            NetClient(open_link, pool_size=0)
         with pytest.raises(ValueError, match="max_retries"):
-            NetClient(("127.0.0.1", 1), max_retries=-1)
+            NetClient(open_link, max_retries=-1)
         with pytest.raises(ValueError, match="timeout_s"):
-            NetClient(("127.0.0.1", 1), timeout_s=0)
+            NetClient(open_link, timeout_s=0)
 
     def test_connecting_to_a_dead_address_fails_fast(self):
         with socket.socket() as probe:

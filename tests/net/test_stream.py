@@ -7,9 +7,10 @@ stream for good, with the frames ahead of it still delivered), the sender's
 size bound (checked before deflating, so a refused payload never advances the
 stream), the stream oracle (many frames through one sender and receiver,
 each decoding to what was sent), and what the transport does around the
-streams — a reply that cannot be encoded is answered, a retry starts fresh
-streams on a fresh link, a delayed reply keeps its place — over TCP and a
-Unix socket.
+streams — a reply that cannot be encoded is answered over TCP and a Unix
+socket, while a retry that starts fresh streams on a fresh link and a delayed
+reply that keeps its place run on the in-memory link of
+``tests/net/memory_link.py``, on a simulated clock.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ import zlib
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from net.memory_link import MemoryNet
 from trace_columns import Message
 
 from repro.api.results import BatchInsertResult, InsertResult, RetrieveResult
 from repro.dht.messages import MessageKind, MessageSizes, TraceSummary
 from repro.net import codec, wire
 from repro.net.client import TransportError, connect
-from repro.net.server import FaultSchedule, NodeServer
+from repro.net.server import NodeServer
 
 #: The decoder-side view of a stream frame that breaks the stream.
 BROKEN = "no resync"
@@ -280,11 +282,10 @@ class TestTransport:
         # info, insert, retrieve, insert, retrieve, ping
         assert server.requests_served == 6
 
-    def test_a_dropped_reply_is_retried_with_fresh_streams(self, listen):
-        server = NodeServer(peers=16, replicas=4, seed=11,
-                            fault_schedule=FaultSchedule(drop_replies={1}))
-        with connect(listen(server), pool_size=1, timeout_s=0.3,
-                     max_retries=1) as cluster:
+    def test_a_dropped_reply_is_retried_with_fresh_streams(self):
+        # Replies: the handshake's 0, the retrieve's 1, the insert's 2.
+        net = MemoryNet(NodeServer(peers=16, replicas=4, seed=11), drop={2})
+        with net.connect(pool_size=1, timeout_s=0.3, max_retries=1) as cluster:
             client = cluster.client
             client.request("retrieve", key="k")  # frame 1 of the first link
             before = client.counters.bytes_sent
@@ -307,20 +308,24 @@ class TestTransport:
             assert isinstance(read, RetrieveResult)
             assert read.data == {"v": 1} and read.is_current
             assert client.counters.reconnects == 1
+        # What each link carried: the old one's three requests, the new one's
+        # retry and read, frame for frame.
+        old, new = net.links
+        assert bytes(old.sent).endswith(dropped)
+        assert bytes(new.sent).startswith(retried)
 
-    def test_a_delayed_reply_and_those_behind_it_decode_in_order(
-            self, dial, read_replies):
-        server = NodeServer(peers=16, replicas=4, seed=11,
-                            fault_schedule=FaultSchedule(
-                                delay_replies={0: 0.2}))
+    def test_a_delayed_reply_and_those_behind_it_decode_in_order(self):
+        net = MemoryNet(NodeServer(peers=16, replicas=4, seed=11),
+                        seed=3, jitter_s=0.01, delay={0: 0.2})
         requests = [{"id": 0, "op": "insert", "key": "k", "data": {"v": 1}},
                     {"id": 1, "op": "ping"},
                     {"id": 2, "op": "retrieve", "key": "k"},
                     {"id": 3, "op": "insert", "key": "k", "data": {"v": 2}},
                     {"id": 4, "op": "retrieve", "key": "k"}]
-        with dial(server)() as raw:
-            raw.sendall(b"".join(_frames(requests)))
-            replies = read_replies(raw, len(requests), keys=("k",))
+        raw = net.open()
+        raw.send(b"".join(_frames(requests)))
+        net.sim.run()
+        replies = raw.take(keys=("k",))
         assert [reply["id"] for reply in replies] == list(range(len(requests)))
         assert replies[1]["result"] == "pong"
         assert [replies[index]["result"].data for index in (2, 4)] == \

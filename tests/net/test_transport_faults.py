@@ -1,38 +1,43 @@
-"""Timeout/retry accounting under injected transport faults (repro.net).
+"""Timeout/retry accounting under link faults, on a simulated clock (repro.net).
 
 The contract under test: the net client's bounded retries must land in the
 **same accounting** the simulator uses for routing retries — one timed-out
 ``LOOKUP_RETRY`` message per retry added to the result's trace summary,
 exactly the counts and bytes :meth:`TraceSummary.record_route(retries=k,
 timeouts=k)` adds to a trace the simulator records — so ``Session.messages_sent`` and the
-transport counters stay comparable across backends for a known fault
-schedule.
+transport counters stay comparable across backends for a known fault plan.
 
-Fault-index semantics (see :class:`FaultSchedule`): indices count *executed*
-data-plane requests, retried executions included.  Dropping a reply does not
-undo the execution (at-least-once), so after the first drop the server-side
-RNG stream diverges from a fault-free run — drop tests therefore assert
-accounting parity, while *delay-only* schedules (no re-execution) preserve
-full value parity with the in-process backend.
+Every test here talks to a real :class:`NodeServer` connection through the
+in-memory link of ``tests/net/memory_link.py``: each is seeded, runs on a
+:class:`~repro.simulation.engine.Simulator` clock and reads no wall clock.
+Fault indices count the replies the server writes through one net's links,
+the handshake's ``info`` reply first (index 0) and retried executions
+included.  Dropping a reply does not undo the execution (at-least-once), so
+after the first drop the server-side RNG stream diverges from a fault-free
+run — drop tests therefore assert accounting parity, while *delay-only*
+plans (no re-execution) preserve full value parity with the in-process
+backend.  One real-socket test per fault class stays with the socket link's
+own suites (``tests/net/test_client_transport.py``,
+``tests/net/test_server_client.py``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import select
-import socket
-import struct
-import time
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from net.memory_link import MemoryNet
 
 from repro.api.cluster import Cluster
 from repro.dht.messages import MessageKind, MessageSizes, TraceSummary
 from repro.net import codec
-from repro.net.client import RequestTimeout, connect
-from repro.net.server import FaultSchedule, NodeServer
+from repro.net.client import RequestTimeout, TransportError
+from repro.net.server import NodeServer
 
-#: Fast transport knobs so a dropped reply costs ~0.2s, not the 5s default.
+#: Fast transport knobs: a lost reply costs 0.2 simulated seconds.
 FAST = dict(timeout_s=0.2, max_retries=2)
 
 
@@ -63,13 +68,27 @@ def with_retries(summary: TraceSummary, retries: int) -> TraceSummary:
                         summary.retry_bytes)
 
 
+def frames(*payloads) -> bytes:
+    """``payloads`` as consecutive frames of one fresh request stream."""
+    stream = codec.DeflateStream()
+    return b"".join(codec.encode_frame(payload, stream=stream)
+                    for payload in payloads)
+
+
+def insert(request_id: int) -> dict:
+    return {"id": request_id, "op": "insert", "key": "k", "data": {"v": 1}}
+
+
+def ping(request_id: int) -> dict:
+    return {"id": request_id, "op": "ping"}
+
+
 class TestDroppedReplies:
-    def test_single_drop_is_one_retry_one_timeout(self, serve):
-        # Data-plane execution index 0 is dropped; the retry (index 1) lands.
-        server = serve(Recording(peers=16, replicas=4, seed=11,
-                                 fault_schedule=FaultSchedule(
-                                     drop_replies={0})))
-        with connect(server.tcp_address, **FAST) as cluster:
+    def test_single_drop_is_one_retry_one_timeout(self):
+        # The insert's first reply (index 1) is dropped; the retry lands.
+        server = Recording(peers=16, replicas=4, seed=11)
+        net = MemoryNet(server, drop={1})
+        with net.connect(**FAST) as cluster:
             with cluster.session() as session:
                 result = session.insert("k", {"v": 1})
             counters = cluster.client.counters
@@ -82,15 +101,16 @@ class TestDroppedReplies:
         assert result.trace == with_retries(delivered, 1)
         assert result.trace.timeout_count == delivered.timeout_count + 1
         # At-least-once: both executions ran on the server.
-        assert server.fault_schedule._sequence == 2
+        assert len(server.summaries) == 2
+        # Handshake, the lost attempt's deadline, the retry's round trip.
+        assert net.sim.now == pytest.approx(0.01 + 0.2 + 0.01)
 
-    def test_multi_drop_schedule_accounts_every_retry(self, serve):
-        # Executed-request indices: op0 -> 0 (ok), op1 -> 1 (dropped),
-        # retry of op1 -> 2 (ok), op2 -> 3 (dropped), retry -> 4 (ok).
-        server = serve(Recording(peers=16, replicas=4, seed=11,
-                                 fault_schedule=FaultSchedule(
-                                     drop_replies={1, 3})))
-        with connect(server.tcp_address, **FAST) as cluster:
+    def test_multi_drop_schedule_accounts_every_retry(self):
+        # Replies: info 0, op0 1 (ok), op1 2 (dropped), its retry 3 (ok),
+        # op2 4 (dropped), its retry 5 (ok).
+        server = Recording(peers=16, replicas=4, seed=11)
+        net = MemoryNet(server, drop={2, 4})
+        with net.connect(**FAST) as cluster:
             with cluster.session() as session:
                 results = [session.insert(f"k{index}", {"op": index})
                            for index in range(3)]
@@ -103,17 +123,15 @@ class TestDroppedReplies:
             with_retries(summary, retries)
             for summary, retries in zip(delivered, (0, 1, 1))]
         # The retried operations still completed and are readable.
-        with connect(server.tcp_address, **FAST) as cluster:
+        with net.connect(**FAST) as cluster:
             with cluster.session() as session:
                 for index in range(3):
                     assert session.retrieve(f"k{index}").data == {"op": index}
 
-    def test_retries_count_into_session_accounting(self, serve):
+    def test_retries_count_into_session_accounting(self):
         """Session totals include the transport retries, trace-accounted."""
-        server = serve(Recording(peers=16, replicas=4, seed=11,
-                                 fault_schedule=FaultSchedule(
-                                     drop_replies={0})))
-        with connect(server.tcp_address, **FAST) as cluster:
+        server = Recording(peers=16, replicas=4, seed=11)
+        with MemoryNet(server, drop={1}).connect(**FAST) as cluster:
             with cluster.session() as session:
                 result = session.insert("k", {"v": 1})
                 # The session counts exactly what the summary counts — the
@@ -123,12 +141,10 @@ class TestDroppedReplies:
             assert retries == 1
             assert result.trace == with_retries(server.summaries[-1], retries)
 
-    def test_exhausted_retries_raise_request_timeout(self, serve):
-        server = serve(NodeServer(peers=16, replicas=4, seed=11,
-                                  fault_schedule=FaultSchedule(
-                                      drop_replies={0, 1, 2})))
-        with connect(server.tcp_address, timeout_s=0.15,
-                     max_retries=2) as cluster:
+    def test_exhausted_retries_raise_request_timeout(self):
+        server = NodeServer(peers=16, replicas=4, seed=11)
+        net = MemoryNet(server, drop={1, 2, 3})
+        with net.connect(timeout_s=0.15, max_retries=2) as cluster:
             with cluster.session() as session:
                 with pytest.raises(RequestTimeout, match="3 attempts"):
                     session.insert("k", {"v": 1})
@@ -136,12 +152,10 @@ class TestDroppedReplies:
             # retries <= timeouts: the final attempt raises instead.
             assert cluster.client.counters.retries == 2
 
-    def test_zero_retries_fail_on_first_drop(self, serve):
-        server = serve(NodeServer(peers=16, replicas=4, seed=11,
-                                  fault_schedule=FaultSchedule(
-                                      drop_replies={0})))
-        with connect(server.tcp_address, timeout_s=0.15,
-                     max_retries=0) as cluster:
+    def test_zero_retries_fail_on_first_drop(self):
+        server = NodeServer(peers=16, replicas=4, seed=11)
+        net = MemoryNet(server, drop={1})
+        with net.connect(timeout_s=0.15, max_retries=0) as cluster:
             with cluster.session() as session:
                 with pytest.raises(RequestTimeout):
                     session.insert("k", {"v": 1})
@@ -150,7 +164,7 @@ class TestDroppedReplies:
 
 
 class TestDelayedReplies:
-    def test_delay_only_schedule_preserves_value_parity_with_sim(self, serve):
+    def test_delay_only_schedule_preserves_value_parity_with_sim(self):
         """A slow reply is *not* a fault: no retries, identical results."""
         seed, build = 11, dict(peers=16, replicas=4)
         operations = [("insert", "a", {"v": 1}), ("insert", "b", {"v": 2}),
@@ -163,9 +177,9 @@ class TestDelayedReplies:
                         for op, key, data in operations]
             expected_messages = session.messages_sent
 
-        server = serve(NodeServer(seed=seed, fault_schedule=FaultSchedule(
-            delay_replies={0: 0.05, 2: 0.08}), **build))
-        with connect(server.tcp_address, timeout_s=5.0) as cluster:
+        net = MemoryNet(NodeServer(seed=seed, **build),
+                        delay={1: 0.05, 3: 0.08})
+        with net.connect(timeout_s=5.0) as cluster:
             with cluster.session() as session:
                 actual = [session.insert(key, data) if op == "insert"
                           else session.retrieve(key)
@@ -181,103 +195,156 @@ class TestDelayedReplies:
                 assert got.data == want.data
                 assert got.is_current == want.is_current
         assert actual_messages == expected_messages
+        assert net.sim.now == pytest.approx(5 * 0.01 + 0.05 + 0.08)
+
+    def test_a_reply_delayed_past_the_deadline_is_a_timeout(self):
+        """Late is lost to the client: the attempt times out, the request
+        runs again on a fresh link, and the late reply is never read."""
+        server = Recording(peers=16, replicas=4, seed=11)
+        net = MemoryNet(server, delay={1: 0.5})
+        with net.connect(timeout_s=0.2, max_retries=1) as cluster:
+            with cluster.session() as session:
+                result = session.insert("k", {"v": 1})
+                assert session.retrieve("k").data == {"v": 1}
+            counters = cluster.client.counters
+            assert (counters.timeouts, counters.retries,
+                    counters.reconnects) == (1, 1, 1)
+        assert result.trace == with_retries(server.summaries[1], 1)
+        net.sim.run()  # the late reply reaches a link the client closed
+        late = net.links[0]
+        assert late.closed and late.unread == b""
+        assert not server._connections
 
 
-    def test_a_delayed_reply_holds_its_line_and_only_its_line(
-            self, dial, read_replies):
-        """The request behind a delayed reply does not overtake it, and the
-        loop goes on serving a second connection while the first one waits."""
-        delay = 0.8
-        server = NodeServer(peers=16, replicas=4, seed=11,
-                            fault_schedule=FaultSchedule(
-                                delay_replies={0: delay}))
-        connect_raw = dial(server)
-        with connect_raw() as held, connect_raw() as other:
-            started = time.monotonic()
-            held.sendall(
-                codec.encode_frame({"id": 0, "op": "insert", "key": "k",
-                                    "data": {"v": 1}})
-                + codec.encode_frame({"id": 1, "op": "ping"}))
-            for index in range(5):
-                other.sendall(codec.encode_frame({"id": index, "op": "ping"}))
-                assert read_replies(other, 1)[0]["id"] == index
-            # The second connection was served inside the delay, during which
-            # the first got nothing -- not even the ping's undelayed reply.
-            assert time.monotonic() - started < delay
-            assert select.select([held], [], [], 0)[0] == []
-            replies = read_replies(held, 2, keys=("k",))
-            assert time.monotonic() - started >= delay
-        assert [reply["id"] for reply in replies] == [0, 1]
-        assert replies[1]["result"] == "pong"
+class TestLinkFaults:
+    def test_a_reset_mid_frame_fails_the_request_and_the_link(self):
+        """Half the reply arrives, then the link is gone: the client reports
+        a transport error (no retry: the request may have run), the slot is
+        re-opened, and the server keeps nothing of the dead connection."""
+        server = NodeServer(peers=16, replicas=4, seed=11)
+        net = MemoryNet(server, reset={1})
+        with net.connect(**FAST) as cluster:
+            with cluster.session() as session:
+                with pytest.raises(TransportError, match="closed the connection"):
+                    session.insert("k", {"v": 1})
+                assert session.retrieve("k").data == {"v": 1}
+            counters = cluster.client.counters
+            assert (counters.timeouts, counters.retries,
+                    counters.reconnects) == (0, 0, 1)
+        dead = net.links[0]
+        assert 0 < len(dead.received) and dead.eof
+        assert dead.transport.gone and not dead.connection._backlog
+        net.sim.run()
+        assert not server._connections
 
-    def test_stop_waits_for_a_held_backlog(self, dial, read_replies):
-        """``stop()`` finds a connection whose line a delayed reply holds: the
-        delayed reply and the requests queued behind it still go out, in
+    def test_a_request_reset_mid_frame_runs_nothing(self):
+        server = NodeServer(peers=16, replicas=4, seed=11)
+        net = MemoryNet(server)
+        link = net.open()
+        request = frames(insert(0))
+        link.send(request[:len(request) // 2])
+        link.reset()
+        net.sim.run()
+        assert server.requests_served == 0
+        assert link.connection._decoder.pending_bytes == len(request) // 2
+        assert not server._connections and link.received == b""
+
+    @pytest.mark.parametrize("garbage", [
+        codec.frame_header(5) + b"\x05junk",     # no such body marker
+        codec.frame_header(6) + b"\x02junk!",    # not a deflate stream piece
+    ], ids=["marker", "stream"])
+    def test_requests_ahead_of_a_corrupt_frame_are_answered(self, garbage):
+        """[insert, ping, ping, garbage, ping]: the three intact requests
+        ahead of the garbage are answered in order, then the link closes."""
+        server = NodeServer(peers=16, replicas=4, seed=11)
+        net = MemoryNet(server, seed=5, jitter_s=0.01)
+        link = net.open()
+        stream = codec.DeflateStream()
+        head = b"".join(codec.encode_frame(payload, stream=stream)
+                        for payload in (insert(1), ping(2), ping(3)))
+        link.send(head[:7])  # frames and garbage split across three sends
+        link.send(head[7:] + garbage[:3])
+        link.send(garbage[3:] + codec.encode_frame(ping(4), stream=stream))
+        net.sim.run()
+        replies = link.take(keys=("k",))
+        assert [reply["id"] for reply in replies] == [1, 2, 3]
+        assert replies[0]["result"].replicas_written == 4
+        assert link.eof and server.requests_served == 3
+        assert not server._connections
+
+    def test_a_stalled_reader_stops_execution_until_it_reads(self):
+        """The reader stops reading after the first reply: the transport
+        calls ``pause_writing``, nothing behind it runs, and
+        ``resume_writing`` drains the backlog in order."""
+        server = NodeServer(peers=16, replicas=4, seed=11)
+        net = MemoryNet(server, stall={0: 1.0})
+        link = net.open()
+        link.send(frames(insert(0), ping(1), {"id": 2, "op": "retrieve", "key": "k"},
+                         ping(3)))
+        net.sim.run(until=0.5)
+        assert link.connection._write_paused
+        assert server.requests_served == 1
+        assert [request["id"] for request in link.connection._backlog] == [1, 2, 3]
+        assert link.received == b""  # the stalled reply sits unread
+        net.sim.run()
+        assert not link.connection._write_paused
+        replies = link.take(keys=("k",))
+        assert [reply["id"] for reply in replies] == [0, 1, 2, 3]
+        assert replies[2]["result"].data == {"v": 1}
+        assert server.requests_served == 4 and not link.connection._backlog
+
+    def test_stop_waits_for_a_held_backlog(self):
+        """``stop()`` finds a connection whose line a stalled reader holds:
+        the held reply and the requests queued behind it still go out, in
         order, before the link closes."""
-        server = NodeServer(peers=16, replicas=4, seed=11,
-                            fault_schedule=FaultSchedule(
-                                delay_replies={0: 0.3}))
-        connect_raw = dial(server)
-        with connect_raw() as held, connect_raw() as other:
-            held.sendall(
-                codec.encode_frame({"id": 0, "op": "insert", "key": "k",
-                                    "data": {"v": 1}})
-                + b"".join(codec.encode_frame({"id": index, "op": "ping"})
-                           for index in (1, 2, 3)))
-            deadline = time.monotonic() + 5
-            while not server.requests_served:  # the insert ran: line is held
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
-            other.sendall(codec.encode_frame({"id": 9, "op": "shutdown"}))
-            assert [reply["result"] for reply in read_replies(other)] == \
-                ["stopping"]
-            assert [reply["id"] for reply in read_replies(held, keys=("k",))] \
-                == [0, 1, 2, 3]
-        assert server.requests_served == 5
+        server = NodeServer(peers=16, replicas=4, seed=11)
+        net = MemoryNet(server, stall={0: 0.3})
+        held, other = net.open(), net.open()
+        held.send(frames(insert(0), ping(1), ping(2), ping(3)))
+        net.sim.run(until=0.1)
+        assert server.requests_served == 1  # the insert ran: line is held
 
-    @pytest.mark.parametrize("family", ["tcp", "uds"])
-    def test_a_reset_mid_backlog_leaves_nothing_behind(self, family, tmp_path):
-        """The client vanishes while a delayed reply holds fifty requests in
-        the backlog: they are dropped with the link, the timer is cancelled,
-        and no task, transport or un-retrieved exception outlives it."""
-        delay, loop_errors = 0.3, []
+        async def scenario():
+            reply, _bytes = other.request(
+                codec.encode_frame({"id": 9, "op": "shutdown"},
+                                   stream=other.stream), 5.0, None)
+            assert reply["result"] == "stopping"
+            # The stop task takes its first step, then the simulator delivers
+            # what comes next, as a socket server's loop would.
+            asyncio.get_running_loop().call_soon(net.sim.run)
+            await server._shutdown_task
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+
+        asyncio.run(scenario())
+        assert [reply["id"] for reply in held.take(keys=("k",))] == [0, 1, 2, 3]
+        assert held.eof and other.eof
+        assert server.requests_served == 5
+        assert not server._connections
+
+    def test_a_reset_mid_backlog_leaves_nothing_behind(self):
+        """The client vanishes while a stalled reader holds fifty requests in
+        the backlog: they are dropped with the link, and no task, transport
+        or un-retrieved exception outlives it."""
+        loop_errors = []
+        server = NodeServer(peers=16, replicas=4, seed=11)
+        net = MemoryNet(server, stall={0: 0.3})
+        link = net.open()
+        link.send(frames(insert(0), *(ping(index) for index in range(1, 51))))
+        net.sim.run(until=0.1)
+        (connection,) = server._connections
+        assert len(connection._backlog) == 50
+        assert connection._write_paused
+        link.reset()
 
         async def scenario():
             loop = asyncio.get_running_loop()
             loop.set_exception_handler(
                 lambda _loop, context: loop_errors.append(context))
-            server = NodeServer(peers=16, replicas=4, seed=11,
-                                fault_schedule=FaultSchedule(
-                                    delay_replies={0: delay}))
-            if family == "tcp":
-                await server.start()
-                raw = socket.create_connection(server.tcp_address)
-            else:
-                path = str(tmp_path / "node.sock")
-                await server.start(host=None, uds=path)
-                raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                raw.connect(path)
-            raw.sendall(
-                codec.encode_frame({"id": 0, "op": "insert", "key": "k",
-                                    "data": {"v": 1}})
-                + b"".join(codec.encode_frame({"id": index, "op": "ping"})
-                           for index in range(1, 51)))
-            await asyncio.sleep(0.1)
-            (connection,) = server._connections
-            assert len(connection._backlog) == 50
-            assert connection._delayed is not None
-            # Close with a reset, not a FIN (SO_LINGER 0); a Unix socket has
-            # no reset, the server sees the link go as it writes.
-            raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                           struct.pack("ii", 1, 0))
-            raw.close()
-            await asyncio.sleep(delay + 0.2)
+            net.sim.run()  # the reset, then the stall's end on a dead link
             assert not server._connections
             assert not connection._backlog
-            assert connection._delayed is None
             assert connection._transport.is_closing()
-            if family == "tcp":
-                assert server.requests_served == 1
+            assert server.requests_served == 1
             await server.stop()
             assert asyncio.all_tasks() == {asyncio.current_task()}
 
@@ -285,24 +352,82 @@ class TestDelayedReplies:
         assert loop_errors == []
 
 
-class TestFaultSchedule:
-    def test_indices_count_only_data_plane_requests(self, serve):
-        server = serve(NodeServer(peers=16, replicas=4, seed=11,
-                                  fault_schedule=FaultSchedule(
-                                      drop_replies={0})))
-        with connect(server.tcp_address, **FAST) as cluster:
-            # info (handshake) and ping are control requests: never faulted,
-            # and they must not consume fault indices.
-            assert cluster.ping()
-            assert cluster.client.counters.timeouts == 0
-            with cluster.session() as session:
-                session.insert("k", {"v": 1})  # index 0: dropped, retried
-            assert cluster.client.counters.timeouts == 1
+class TestDeterminism:
+    def run_stream(self, seed: int):
+        """A seeded op stream over two pooled links with a faulty net."""
+        server = NodeServer(peers=16, replicas=4, seed=seed)
+        net = MemoryNet(server, seed=seed, jitter_s=0.004,
+                        drop={7}, delay={12: 0.05}, stall={20: 0.02})
+        rng = random.Random(seed)
+        with net.connect(pool_size=2, **FAST) as one, net.connect(**FAST) as two:
+            with one.session() as first, two.session() as second:
+                for index in range(40):
+                    session = first if rng.random() < 0.5 else second
+                    key = f"k{rng.randrange(6)}"
+                    if rng.random() < 0.7:
+                        session.retrieve(key)
+                    else:
+                        session.insert(key, {"op": index})
+        net.sim.run()
+        return [(bytes(link.sent), bytes(link.received)) for link in net.links]
 
-    def test_schedule_accessors(self):
-        schedule = FaultSchedule(drop_replies=(2,), delay_replies={5: 0.5})
-        assert [schedule.next_index() for _ in range(3)] == [0, 1, 2]
-        assert not schedule.should_drop(1)
-        assert schedule.should_drop(2)
-        assert schedule.delay_for(5) == 0.5
-        assert schedule.delay_for(0) == 0.0
+    def test_one_seed_gives_the_same_bytes_on_every_link_twice(self):
+        first, second = self.run_stream(7), self.run_stream(7)
+        assert len(first) == 3  # two handshakes and the dropped reply's retry
+        assert first == second
+        assert all(sent and received for sent, received in first)
+
+
+#: One attempt's fate: answered, lost, late inside or past the deadline,
+#: or reset mid-frame.
+FATES = st.sampled_from(["ok", "drop", "late", "lost-late", "reset"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(fates=st.lists(FATES, min_size=1, max_size=12),
+       max_retries=st.integers(min_value=0, max_value=2),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_random_fault_plans_keep_the_retry_accounting(fates, max_retries, seed):
+    """Attempt ``a`` of the run writes reply ``a + 1`` (the handshake's is
+    0), so a plan of fates per attempt predicts every counter and trace."""
+    plan = dict(drop=set(), delay={}, reset=set())
+    for attempt, fate in enumerate(fates, start=1):
+        if fate == "drop":
+            plan["drop"].add(attempt)
+        elif fate in ("late", "lost-late"):
+            plan["delay"][attempt] = 0.05 if fate == "late" else 0.5
+        elif fate == "reset":
+            plan["reset"].add(attempt)
+    server = Recording(peers=8, replicas=3, seed=seed % 97)
+    net = MemoryNet(server, seed=seed, jitter_s=0.002, **plan)
+    expected = dict(timeouts=0, retries=0, reconnects=0)
+    with net.connect(timeout_s=0.2, max_retries=max_retries) as cluster:
+        with cluster.session() as session:
+            attempt = 0
+            while attempt < len(fates):
+                tries, outcome = 0, None
+                while outcome is None:
+                    fate = fates[attempt] if attempt < len(fates) else "ok"
+                    attempt, tries = attempt + 1, tries + 1
+                    if fate in ("ok", "late"):
+                        outcome = "ok"
+                    elif fate == "reset":
+                        outcome = TransportError
+                        expected["reconnects"] += 1
+                    else:
+                        expected["timeouts"] += 1
+                        expected["reconnects"] += 1
+                        if tries > max_retries:
+                            outcome = RequestTimeout
+                        else:
+                            expected["retries"] += 1
+                if outcome == "ok":
+                    result = session.insert(f"k{attempt}", {"a": attempt})
+                    assert result.trace == with_retries(server.summaries[-1],
+                                                        tries - 1)
+                else:
+                    with pytest.raises(outcome):
+                        session.insert(f"k{attempt}", {"a": attempt})
+        counters = cluster.client.counters
+        assert {name: getattr(counters, name) for name in expected} == expected
+    assert len(server.summaries) == attempt  # every attempt ran once
