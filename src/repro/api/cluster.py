@@ -19,10 +19,11 @@ algorithm through their name tables::
     assert ums.retrieve("meeting-room").is_current
     assert brk.network is cluster.network
 
-Sessions are the operation handles: they bind an origin peer (or float on a
-random live peer per operation), default a consistency level, expose the
-batched ``insert_many``/``retrieve_many`` operations, and keep running
-message/operation tallies so applications can account for their own traffic.
+Sessions are the operation handles: they bind an origin peer (or float, each
+network call drawing its own random live origin), default a consistency
+level, expose the batched ``insert_many``/``retrieve_many`` operations, and
+keep running message/operation tallies so applications can account for
+their own traffic.
 
 ``Cluster.build`` draws its random stream in a fixed order (network, hash
 family, KTS, then one seed per built-in service): the experiment digests
@@ -78,10 +79,10 @@ class Session:
         The resolved currency service instance.
     origin:
         The peer all operations originate from.  ``None`` (the default for
-        harness-style workloads) floats the session: every operation starts
-        at a fresh uniformly random live peer, matching the paper's query
-        model.  When the bound origin departs the network, routing falls back
-        to a random live peer automatically.
+        harness-style workloads) floats the session: every network call — the
+        KTS lookup, each replica probe or write, a batch's one exchange set —
+        starts at its own uniformly random live peer.  When the bound origin
+        departs the network, each call falls back to a random live peer.
     consistency:
         The default consistency level for retrievals (overridable per call).
 
@@ -306,8 +307,9 @@ class Cluster:
         """Open a session: the operation handle applications work through.
 
         ``origin`` binds every operation to one peer (pass a peer id) or
-        floats the session on random live peers (the default).  ``service``
-        selects a non-primary algorithm for this session only.
+        floats the session (the default): each network call then starts at
+        its own random live peer.  ``service`` selects a non-primary
+        algorithm for this session only.
         """
         if origin is not None and not self.network.is_alive(origin):
             raise ValueError(f"origin peer {origin} is not a live member "

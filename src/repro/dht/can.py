@@ -39,8 +39,7 @@ from repro.dht.errors import (
     NodeAlreadyPresentError,
     NoSuchPeerError,
 )
-from repro.dht.messages import TraceSummary
-from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
+from repro.dht.model import DepartureReason, DHTProtocol, Walk
 
 __all__ = ["CanSpace", "Zone"]
 
@@ -357,8 +356,7 @@ class CanSpace(DHTProtocol):
         return set(neighbor_set)
 
     # ------------------------------------------------------------------ routing
-    def route(self, origin: int, point: int, *, now: float = 0.0,
-              trace: Optional[TraceSummary] = None) -> RouteResult:
+    def walk(self, origin: int, point: int, now: float) -> Walk:
         if origin not in self._zones:
             raise NoSuchPeerError(origin)
         coords = self.coordinates(point)
@@ -387,9 +385,7 @@ class CanSpace(DHTProtocol):
             current = best
         if current != responsible:
             path.append(responsible)
-        if trace is not None:
-            trace.record_route(path)
-        return RouteResult(tuple(path), responsible)
+        return path, responsible, 0, 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CanSpace(bits={self.bits}, dimensions={self.dimensions}, "

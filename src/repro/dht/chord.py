@@ -6,6 +6,11 @@ the classic greedy finger-table walk: each node forwards a lookup to the
 closest finger preceding the target, reaching the responsible node in
 ``O(log n)`` hops.
 
+A node's fingers are one list, ``jumps[e] = successor(node + 2^e)`` (Stoica et
+al.'s finger ``e``, not deduplicated).  Through a fresh table the closest
+preceding finger is the jump at the top bit of the clockwise distance from
+the current node to the responsible's predecessor: no search.
+
 Churn realism
 -------------
 The paper's Figure 11 shows response time degrading with the failure rate
@@ -30,8 +35,7 @@ from repro.dht.errors import (
     NodeAlreadyPresentError,
     NoSuchPeerError,
 )
-from repro.dht.messages import TraceSummary
-from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
+from repro.dht.model import DepartureReason, DHTProtocol, Walk
 
 __all__ = ["ChordRing"]
 
@@ -39,20 +43,18 @@ __all__ = ["ChordRing"]
 class _FingerTable:
     """Snapshot of a node's fingers plus the time it was last refreshed.
 
-    ``offsets`` holds ``(entry - node) mod 2^bits`` per entry, strictly
-    ascending.  ``version`` is the membership version the entries were
-    computed at: a refresh with an unchanged membership would recompute
-    identical entries, so stabilisation only pays the finger scan (one
-    successor search per distinct finger) when the ring actually changed
-    since the snapshot.
+    ``jumps[e]`` is the successor of ``node + 2^e`` for every exponent below
+    ``bits`` (the node itself past its last finger).  ``version`` is the
+    membership version the jumps were computed at: a refresh with an
+    unchanged membership would recompute identical jumps, so stabilisation
+    only pays the finger scan (one successor search per distinct finger)
+    when the ring actually changed since the snapshot.
     """
 
-    __slots__ = ("entries", "offsets", "refreshed_at", "version")
+    __slots__ = ("jumps", "refreshed_at", "version")
 
-    def __init__(self, entries: List[int], offsets: List[int],
-                 refreshed_at: float, version: int) -> None:
-        self.entries, self.offsets = entries, offsets
-        self.refreshed_at, self.version = refreshed_at, version
+    def __init__(self, jumps: List[int], refreshed_at: float, version: int) -> None:
+        self.jumps, self.refreshed_at, self.version = jumps, refreshed_at, version
 
 
 class ChordRing(DHTProtocol):
@@ -67,8 +69,8 @@ class ChordRing(DHTProtocol):
         Simulated seconds between refreshes of a node's finger table.  ``0``
         models perfectly fresh routing state (no failure penalty).
     rng:
-        Random source used only for tie-breaking utilities; routing itself is
-        deterministic.
+        Accepted for the overlay factory contract and unused: joins, routing
+        and responsibility on the ring are deterministic.
     """
 
     def __init__(self, bits: int = 32, *, stabilization_interval: float = 30.0,
@@ -82,7 +84,6 @@ class ChordRing(DHTProtocol):
         #: Number of identifier points on the ring.
         self.space_size = 1 << bits
         self.stabilization_interval = stabilization_interval
-        self._rng = rng if rng is not None else random.Random(0)
         # Sorted node identifiers.
         self._members: List[int] = []
         self._member_set: Set[int] = set()
@@ -184,41 +185,37 @@ class ChordRing(DHTProtocol):
             return set()
         neighbor_set = {self.successor(self._next_point(node_id)),
                         self.predecessor(node_id)}
-        neighbor_set.update(self._compute_fingers(node_id)[0])
+        neighbor_set.update(self._compute_jumps(node_id))
         neighbor_set.discard(node_id)
         return neighbor_set
 
     # ------------------------------------------------------------------ fingers
     # reprolint: allow[REP008] reason=read view: tests/dht/test_chord_next_hop_oracle.py reads finger state through it
     def finger_table(self, node_id: int, *, now: float = 0.0) -> List[int]:
-        """The (possibly stale) finger entries of ``node_id`` at time ``now``."""
-        return list(self._finger_snapshot(node_id, now).entries)
+        """The (possibly stale) distinct fingers of ``node_id`` at time ``now``."""
+        jumps = dict.fromkeys(self._finger_snapshot(node_id, now).jumps)
+        return [finger for finger in jumps if finger != node_id]
 
-    def _compute_fingers(self, node_id: int) -> Tuple[List[int], List[int]]:
-        """The fingers of ``node_id`` over live members, and their offsets.
+    def _compute_jumps(self, node_id: int) -> List[int]:
+        """``[successor(node_id + 2^e) for e in range(bits)]`` over live members.
 
-        Finger ``i`` is the successor of ``node_id + 2^i``, deduplicated and
-        never ``node_id`` itself.  The targets climb clockwise from the node,
-        so do their successors: the clockwise offsets ``(finger - node_id)
-        mod 2^bits`` are strictly ascending, which is what lets
-        :meth:`_next_hop` bisect them.  A finger at offset ``o`` is also the
-        successor of every target up to ``o``, so the scan jumps to exponent
-        ``o.bit_length()``; once a target's successor is the node itself, so
-        is every later one's.
+        The targets climb clockwise from the node, and so do their
+        successors.  A finger at offset ``o = (finger - node_id) mod 2^bits``
+        is also the successor of every target up to ``o``, so the scan fills
+        the exponents up to ``o.bit_length()`` with it and jumps there; once a
+        target's successor is the node itself, so is every later one's.
         """
-        size = self.space_size
-        entries: List[int] = []
-        offsets: List[int] = []
+        size, bits = self.space_size, self.bits
+        jumps = [node_id] * bits
         exponent = 0
-        while exponent < self.bits:
+        while exponent < bits:
             finger = self.successor((node_id + (1 << exponent)) % size)
             if finger == node_id:
                 break
-            offset = (finger - node_id) % size
-            entries.append(finger)
-            offsets.append(offset)
-            exponent = offset.bit_length()
-        return entries, offsets
+            reach = ((finger - node_id) % size).bit_length()
+            jumps[exponent:reach] = [finger] * (reach - exponent)
+            exponent = reach
+        return jumps
 
     def _finger_snapshot(self, node_id: int, now: float) -> _FingerTable:
         table = self._fingers.get(node_id)
@@ -227,40 +224,39 @@ class ChordRing(DHTProtocol):
         if node_id not in self._member_set:
             raise NoSuchPeerError(node_id)
         if table is not None and table.version == self.version:
-            # The membership is unchanged since the entries were computed: a
+            # The membership is unchanged since the jumps were computed: a
             # recompute would produce the same fingers, so only the refresh
             # clock moves.
             table.refreshed_at = now
         else:
-            entries, offsets = self._compute_fingers(node_id)
             table = self._fingers[node_id] = _FingerTable(
-                entries, offsets, now, self.version)
+                self._compute_jumps(node_id), now, self.version)
         return table
 
     # ------------------------------------------------------------------ routing
-    def route(self, origin: int, point: int, *, now: float = 0.0,
-              trace: Optional[TraceSummary] = None) -> RouteResult:
+    def walk(self, origin: int, point: int, now: float) -> Walk:
         if origin not in self._member_set:
             raise NoSuchPeerError(origin)
         size = self.space_size
         point %= size
         responsible = self.responsible_for(point)
         path: List[int] = [origin]
+        # The nodes strictly between a hop and the point are those up to the
+        # responsible's predecessor, so the closest preceding finger is the
+        # jump at the top bit of the distance to it (jumps[0] from it).
+        last = self.predecessor(responsible)
         retries = timeouts = 0
         current = origin
         max_hops = 4 * self.bits + len(self._members)
-        fingers, version = self._fingers, self.version
-        interval, bisect_left = self.stabilization_interval, bisect.bisect_left
+        fingers, version, interval = self._fingers, self.version, self.stabilization_interval
         while current != responsible and len(path) <= max_hops:
             # A table at the current version and inside its refresh window is
-            # read inline: _next_hop would neither refresh nor retry there, and
-            # its empty-prefix fallback, successor(current + 1), is finger 0.
+            # read inline: _next_hop would neither refresh nor retry there.
             # Any other table goes through _next_hop and its bookkeeping.
             table = fingers.get(current)
             if (table is not None and table.version == version
                     and now - table.refreshed_at < interval):
-                inside = bisect_left(table.offsets, (point - current) % size or size)
-                next_hop = table.entries[inside - 1 if inside else 0]
+                next_hop = table.jumps[((last - current) % size or 1).bit_length() - 1]
             else:
                 next_hop, hop_retries, hop_timeouts = self._next_hop(current, point, now)
                 retries += hop_retries
@@ -273,39 +269,33 @@ class ChordRing(DHTProtocol):
             # Safety net: should not trigger, but guarantees a valid route even
             # if stale state confused the greedy walk.
             path.append(responsible)
-        if trace is not None:
-            trace.record_route(path, retries=retries, timeouts=timeouts)
-        return RouteResult(tuple(path), responsible, retries, timeouts)
+        return path, responsible, retries, timeouts
 
     def _next_hop(self, current: int, point: int, now: float) -> Tuple[int, int, int]:
         """Choose the next hop from ``current`` towards ``point``.
 
         Returns ``(next_hop, retries, timeouts)`` where retries count fingers
-        that turned out to be departed.
-
-        The candidates are the fingers strictly inside the clockwise interval
-        ``(current, point)`` — the whole ring but ``current`` when the two
-        coincide.  Offsets ascend, so they are exactly the prefix below the
-        target's own offset, and the closest preceding one is that prefix's
-        last live entry.  A table computed at the ring's current membership
-        version holds live members only: nothing to check there.
+        that turned out to be departed.  The candidates are the distinct
+        fingers strictly inside the clockwise interval ``(current, point)`` —
+        the whole ring but ``current`` when the two coincide.  Jump offsets
+        never descend, so they are the distinct jumps below the target's own
+        offset, and the closest preceding one is the last live one.
         """
         table = self._finger_snapshot(current, now)
         size = self.space_size
-        inside = bisect.bisect_left(table.offsets, (point - current) % size or size)
+        target = (point - current) % size or size
+        members = self._member_set
         retries = timeouts = 0
         best: Optional[int] = None
-        if table.version == self.version:
-            if inside:
-                best = table.entries[inside - 1]
-        else:
-            for finger in table.entries[:inside]:
-                if finger in self._member_set:
-                    best = finger
-                else:
-                    retries += 1
-                    if self.departure_reason(finger) == DepartureReason.FAIL:
-                        timeouts += 1
+        for finger in dict.fromkeys(table.jumps):
+            if finger == current or (finger - current) % size >= target:
+                break
+            if finger in members:
+                best = finger
+            else:
+                retries += 1
+                if self.departure_reason(finger) == DepartureReason.FAIL:
+                    timeouts += 1
         if best is None:
             # No usable finger strictly before the target: the live successor
             # of current is the responsible (or at least strictly closer).

@@ -69,8 +69,7 @@ from repro.dht.errors import (
     NodeAlreadyPresentError,
     NoSuchPeerError,
 )
-from repro.dht.messages import TraceSummary
-from repro.dht.model import DepartureReason, DHTProtocol, RouteResult
+from repro.dht.model import DepartureReason, DHTProtocol, Walk
 
 __all__ = ["KademliaOverlay", "RoutingTable"]
 
@@ -438,8 +437,7 @@ class KademliaOverlay(DHTProtocol):
         return {contact for contact in table.contacts() if contact in self._member_set}
 
     # ------------------------------------------------------------------ routing
-    def route(self, origin: int, point: int, *, now: float = 0.0,
-              trace: Optional[TraceSummary] = None) -> RouteResult:
+    def walk(self, origin: int, point: int, now: float) -> Walk:
         if origin not in self._member_set:
             raise NoSuchPeerError(origin)
         point %= self.space_size
@@ -452,9 +450,7 @@ class KademliaOverlay(DHTProtocol):
             # node; the final forced hop keeps the route well-defined and is
             # charged as a normal message.
             path.append(responsible)
-        if trace is not None:
-            trace.record_route(path, retries=retries, timeouts=timeouts)
-        return RouteResult(tuple(path), responsible, retries, timeouts)
+        return path, responsible, retries, timeouts
 
     def _iterative_lookup(self, origin: int, target: int, *, self_distance: Optional[int]
                           ) -> Tuple[List[int], int, int]:

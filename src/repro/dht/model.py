@@ -5,10 +5,12 @@ is responsible for key ``k`` with respect to hash function ``h`` at time ``t``.
 This module provides:
 
 * :class:`DHTProtocol` — the interface the overlay implementations (Chord,
-  CAN) provide to the network layer: membership changes, responsibility
-  resolution (``rsp(k, h)``) and greedy routing paths;
-* :class:`RouteResult` and :class:`LookupResult`, the tuples the overlays and
-  the network layer return from a route and a lookup;
+  CAN, Kademlia) provide to the network layer: membership changes,
+  responsibility resolution (``rsp(k, h)``) and one routing walk,
+  :meth:`~DHTProtocol.walk`, which returns a bare tuple;
+* :class:`RouteResult` and :class:`LookupResult`, the tuples
+  :meth:`DHTProtocol.route` and the network layer's ``lookup`` build around a
+  walk (the data path reads the walk itself and builds neither);
 * :func:`slotted_init`, the cheaper ``__init__`` every frozen record on the
   core path (stored replicas, timestamps, service results) is built through.
 """
@@ -76,6 +78,10 @@ class RouteResult(NamedTuple):
         return self.hops + self.retries
 
 
+#: What :meth:`DHTProtocol.walk` returns: ``(path, responsible, retries, timeouts)``.
+Walk = Tuple[List[int], int, int, int]
+
+
 class LookupResult(NamedTuple):
     """Result of the DHT lookup service for ``rsp(k, h)`` seen from a peer."""
 
@@ -91,7 +97,7 @@ class LookupResult(NamedTuple):
 
 
 class DHTProtocol(abc.ABC):
-    """Interface of an overlay protocol (Chord, CAN).
+    """Interface of an overlay protocol (Chord, CAN, Kademlia).
 
     The overlay tracks only membership and responsibility over the identifier
     space ``[0, 2^bits)``; data placement, replication and services live above
@@ -239,16 +245,21 @@ class DHTProtocol(abc.ABC):
 
     # ------------------------------------------------------------------ routing
     @abc.abstractmethod
+    def walk(self, origin: int, point: int, now: float) -> Walk:
+        """Greedy-route from ``origin`` towards ``point``, recording nothing:
+        ``(path, responsible, retries, timeouts)``, the nodes visited from the
+        origin to ``responsible_for(point)``, then the extra messages spent on
+        stale routing state and how many of those hit a *failed* peer."""
+
     def route(self, origin: int, point: int, *, now: float = 0.0,
               trace: Optional[TraceSummary] = None) -> RouteResult:
-        """Greedy-route from ``origin`` towards ``point``.
-
-        The returned path ends at ``responsible_for(point)``.  Implementations
-        model routing-state staleness (e.g. Chord fingers pointing at departed
-        peers) through the ``retries``/``timeouts`` fields of the result.
-        Given a ``trace``, the finished walk records its path, then its
-        retries, in one ``trace.record_route`` call.
-        """
+        """:meth:`walk` as a :class:`RouteResult`; given a ``trace``, the
+        finished walk records its path, then its retries, in one
+        ``trace.record_route`` call."""
+        path, responsible, retries, timeouts = self.walk(origin, point, now)
+        if trace is not None:
+            trace.record_route(path, retries=retries, timeouts=timeouts)
+        return RouteResult(tuple(path), responsible, retries, timeouts)
 
     # ---------------------------------------------------------------- utilities
 

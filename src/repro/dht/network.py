@@ -15,9 +15,11 @@ lose the failed peer's replicas.
 
 Every operation can record its messages in a
 :class:`~repro.dht.messages.TraceSummary`, which the services use for
-communication-cost accounting.  A trace from :meth:`DHTNetwork.new_trace`
-also hands each message to :attr:`DHTNetwork.on_message`, when it is set, as
-the simulation harness sets it to price a retrieve's response time.
+communication-cost accounting: :meth:`DHTNetwork._locate` records the
+overlay's bare ``walk`` and the exchange.  A trace from
+:meth:`DHTNetwork.new_trace` also hands each message to
+:attr:`DHTNetwork.on_message`, when it is set, as the simulation harness sets
+it to price a retrieve's response time.
 Services that need to react to churn (notably KTS, for counter transfer and
 Rule 3 of the Valid Counter Set) register a :class:`NetworkObserver`.
 """
@@ -376,10 +378,10 @@ class DHTNetwork:
         """
         origin = self._resolve_origin(origin)
         point = hash_fn(key)
-        responsible, route = self._locate(origin, point, trace, exchange)
-        if route is None:
-            route = RouteResult((origin,) if origin == responsible
-                                else (origin, responsible), responsible)
+        path, responsible, retries, timeouts = self._locate(origin, point, trace, exchange)
+        if path is None:
+            path = [origin] if origin == responsible else [origin, responsible]
+        route = RouteResult(tuple(path), responsible, retries, timeouts)
         return LookupResult(key=key, hash_name=hash_fn.name, point=point,
                             responsible=responsible, route=route)
 
@@ -387,7 +389,7 @@ class DHTNetwork:
                exchange: Tuple[MessageKind, MessageKind], *, origin: Optional[int] = None,
                trace: Optional[TraceSummary] = None) -> int:
         """``rsp(k, h)``, routed and traced as :meth:`lookup` does, without its result."""
-        return self._locate(self._resolve_origin(origin), hash_fn(key), trace, exchange)[0]
+        return self._locate(self._resolve_origin(origin), hash_fn(key), trace, exchange)[1]
 
     def _resolve_origin(self, origin: Optional[int]) -> int:
         if origin is not None and origin in self._peers:
@@ -408,32 +410,34 @@ class DHTNetwork:
                 exchange: Optional[Tuple[MessageKind, MessageKind]] = None,
                 unreachable: FrozenSet[int] = frozenset(), *,
                 source: Optional[int] = None, entries: int = 1
-                ) -> Tuple[int, Optional[RouteResult]]:
+                ) -> Tuple[Optional[List[int]], int, int, int]:
         """The one place an operation finds its responsible — and is traced.
 
-        With a ``trace``, routes from ``origin`` to ``point`` (the route
-        records itself once it ends) and records the named ``exchange`` of
+        With a ``trace``, walks from ``origin`` to ``point``, records the
+        walk in one ``record_route`` call, then the named ``exchange`` of
         ``(request, reply)`` kinds between ``source`` and the responsible,
         carrying ``entries`` items, in its sizes' memoised ``exchange_row`` —
         or a single timed-out request when the responsible is ``unreachable``.
 
-        Returns the responsible and the route.  Without a trace the route is
-        ``None`` and the responsible comes from the overlay's memoised map:
-        no walk, so no routing-state upkeep (Kademlia lookups evict and learn
-        contacts), and experiments that *measure* stale state must not mix
-        untraced traffic into traced operations; the services always trace.
+        Returns the overlay's bare walk ``(path, responsible, retries,
+        timeouts)``.  Without a trace the path is ``None`` and the responsible
+        comes from the overlay's memoised map: no walk, so no routing-state
+        upkeep (Kademlia lookups evict and learn contacts), and experiments
+        that *measure* stale state must not mix untraced traffic into traced
+        operations; the services always trace.
         """
         if trace is None:
-            return self.protocol.responsible_for(point), None
-        route = self.protocol.route(origin, point, now=self.now, trace=trace)
-        responsible = route.responsible
+            return None, self.protocol.responsible_for(point), 0, 0
+        walk = self.protocol.walk(origin, point, self.now)
+        path, responsible, retries, timeouts = walk
+        trace.record_route(path, retries=retries, timeouts=timeouts)
         if exchange is not None:
             if responsible in unreachable:
                 trace.record(exchange[0], dest=responsible, timed_out=True)
             else:
                 trace.record_exchange(exchange, -1 if source is None else source,
                                       responsible, entries)
-        return responsible, route
+        return walk
 
     # --------------------------------------------------------------------- put
     def put(self, key: Any, hash_fn: PairwiseIndependentHash, data: Any, *,
@@ -449,7 +453,7 @@ class DHTNetwork:
         """
         origin = self._resolve_origin(origin)
         point = hash_fn(key)
-        responsible, _ = self._locate(origin, point, trace, _PUT, unreachable)
+        responsible = self._locate(origin, point, trace, _PUT, unreachable)[1]
         if responsible in unreachable:
             return False
         entry = StoredValue(key, data, timestamp, version, hash_fn.name, point)
@@ -461,7 +465,7 @@ class DHTNetwork:
             unreachable: FrozenSet[int] = frozenset()) -> Optional[StoredValue]:
         """The paper's ``get_h(k)``: fetch the replica stored at ``rsp(k, h)``."""
         origin = self._resolve_origin(origin)
-        responsible, _ = self._locate(origin, hash_fn(key), trace, _GET, unreachable)
+        responsible = self._locate(origin, hash_fn(key), trace, _GET, unreachable)[1]
         if responsible in unreachable:
             return None
         return self._peers[responsible].store.get(hash_fn.name, key)

@@ -10,6 +10,7 @@ from trace_columns import record_columns
 
 from repro.api import Cluster, Consistency
 from repro.core import CounterInitialization
+from repro.dht.network import DHTNetwork
 
 
 class TestClusterBuild:
@@ -170,6 +171,29 @@ class TestSession:
         hop_sources = {m.source for m in trace
                        if m.kind.value == "lookup-hop"}
         assert not hop_sources or origin in hop_sources
+
+    def test_a_floating_session_draws_an_origin_per_network_call(self, monkeypatch):
+        # Not one origin per operation: the KTS lookup and each of the ten
+        # replica writes draw their own (11), and a retrieve that is current
+        # at its first probe draws for the KTS lookup and that probe (2).
+        cluster = Cluster.build(peers=32, replicas=10, seed=5)
+        drawn = []
+        resolve = DHTNetwork._resolve_origin
+
+        def counting_resolve(network, origin):
+            peer = resolve(network, origin)
+            if origin is None:
+                drawn.append(peer)
+            return peer
+
+        monkeypatch.setattr(DHTNetwork, "_resolve_origin", counting_resolve)
+        with cluster.session() as session:
+            session.insert("k", "v")
+            assert len(drawn) == 11
+            drawn.clear()
+            result = session.retrieve("k")
+        assert (result.is_current, result.replicas_inspected) == (True, 1)
+        assert len(drawn) == 2
 
     def test_dead_origin_is_rejected_at_session_open(self, cluster):
         dead = cluster.network.random_alive_peer()

@@ -1,9 +1,10 @@
-"""The bisect ``ChordRing._next_hop`` against the retained linear-scan oracle.
+"""``ChordRing._next_hop`` and its walk against the retained linear-scan oracle.
 
 The oracle below is the finger scan the ring shipped until 1.8.0: test every
 finger for membership of the clockwise-open interval ``(current, point)``,
 count the departed ones as retries/timeouts, keep the live one closest to the
-point.  The ring itself now bisects a per-table offset column; these tests
+point.  The ring itself reads a fresh table's hop by finger exponent and
+scans a stale table's distinct jumps below the target; these tests
 drive churn with a positive stabilisation interval (so tables go stale and
 point at departed or re-joined ids) and require the two to agree hop for hop.
 """
@@ -181,8 +182,8 @@ def test_route_paths_equal_the_oracle_walk_on_a_seeded_1000_peer_ring():
 
 
 def table_states(ring):
-    """Every finger table's ``(entries, offsets, refreshed_at, version)``."""
-    return {node: (table.entries, table.offsets, table.refreshed_at, table.version)
+    """Every finger table's ``(jumps, refreshed_at, version)``."""
+    return {node: (table.jumps, table.refreshed_at, table.version)
             for node, table in ring._fingers.items()}
 
 

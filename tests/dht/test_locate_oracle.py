@@ -82,9 +82,10 @@ def reference_record_request_reply(trace, request_kind, reply_kind, *, source=No
 
 def reference_locate(network, origin, point, trace, exchange=None,
                      unreachable=frozenset(), *, source=None, entries=1):
-    """9.0.0 ``DHTNetwork._locate``, verbatim: route, then record what it walked."""
+    """9.0.0 ``DHTNetwork._locate``, verbatim but for the return shape:
+    route, then record what it walked."""
     if trace is None:
-        return network.protocol.responsible_for(point), None
+        return None, network.protocol.responsible_for(point), 0, 0
     route = network.protocol.route(origin, point, now=network.now)
     path, responsible, retries, timeouts = route
     reference_record_route(trace, path, retries=retries, timeouts=timeouts)
@@ -94,7 +95,7 @@ def reference_locate(network, origin, point, trace, exchange=None,
         else:
             reference_record_request_reply(trace, *exchange, source=source,
                                            dest=responsible, entries=entries)
-    return responsible, route
+    return route
 
 
 def reference_resolve_origin(network, origin):

@@ -9,7 +9,7 @@ will automatically cover any overlay registered later).
 Covered here, per overlay:
 
 * lookup correctness — routes start at the origin and end at the node the
-  overlay reports responsible;
+  overlay reports responsible, and ``route`` is ``walk`` recorded;
 * churn handover — joins and normal leaves move every stored replica to its
   new responsible (Responsibility Loss Aware behaviour, Section 4.3);
 * responsibility transitions — ``nrsp`` predicts the post-departure owner;
@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from trace_columns import record_columns
 
 from repro.api import Cluster
 from repro.dht.hashing import HashFamily
@@ -99,6 +100,37 @@ class TestLookupCorrectness:
         for _ in range(1000):
             assert network.random_alive_peer() == nodes[twin.randrange(len(nodes))]
         assert network.rng.getstate() == twin.getstate()
+
+
+class TestWalkAndRoute:
+    def test_route_is_the_walk_recorded(self, protocol_name, bits):
+        # ``route`` wraps ``walk``: twins fed one history of failures, joins
+        # and clock ticks (stale routing state, so retries) must agree on
+        # every path, responsible, retries and timeouts, and ``route``'s
+        # trace must record what recording the bare walk records.
+        pair = [DHTNetwork.build(24, protocol=protocol_name, bits=bits, seed=404)
+                for _ in range(2)]
+        routed, walked = (record_columns(each) for each in pair)
+        rng, retried = random.Random(31), 0
+        for step in range(120):
+            if step % 12 == 0:
+                victim = rng.choice(pair[0].alive_peer_ids())
+                for each in pair:
+                    each.fail_peer(victim)
+                    each.join_peer()
+                    each.now += 7.0
+            origin = rng.choice(pair[0].alive_peer_ids())
+            point = rng.randrange(1 << bits)
+            traces = [each.new_trace() for each in pair]
+            route = pair[0].protocol.route(origin, point, now=pair[0].now, trace=traces[0])
+            path, responsible, retries, timeouts = pair[1].protocol.walk(
+                origin, point, pair[1].now)
+            traces[1].record_route(path, retries=retries, timeouts=timeouts)
+            assert route == (tuple(path), responsible, retries, timeouts)
+            assert list(routed.take()) == list(walked.take())
+            assert traces[0] == traces[1]
+            retried += retries
+        assert retried or protocol_name == "can"
 
 
 class TestPutGet:

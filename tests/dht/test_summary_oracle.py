@@ -54,7 +54,8 @@ def without_traces(result):
 
 def random_states(cluster):
     network = cluster.network
-    return [network.rng.getstate(), network.protocol._rng.getstate(),
+    overlay_rng = getattr(network.protocol, "_rng", None)    # Chord keeps none
+    return [network.rng.getstate(), None if overlay_rng is None else overlay_rng.getstate(),
             cluster.kts.rng.getstate(),
             *(cluster.service(name).rng.getstate() for name in SERVICES)]
 
