@@ -8,10 +8,11 @@ execution behind it:
 
 * :mod:`repro.net.codec` — the length-prefixed wire codec, with measured
   frame sizes and a JSON view of any frame for humans (``describe``);
-  :mod:`repro.net.wire` is the frame body: tagged values, native records
-  for the results (each trace as its summary), one-byte codes for the
-  envelope and request keys, and every frame a piece of one deflate stream
-  per connection and direction;
+  :mod:`repro.net.wire` is the frame body: each request and reply as a
+  record (op code, presence flags and varint id; answer or error), native
+  records for the results (each trace as its summary), tagged values for
+  the rest, every integer a LEB128 varint, and every frame a piece of one
+  deflate stream per connection and direction;
 * :mod:`repro.net.server` — the asyncio node server hosting an overlay
   population + :class:`~repro.dht.storage.LocalStore` replicas + KTS/UMS
   handlers over TCP and Unix domain sockets; a connection is an

@@ -35,8 +35,11 @@ The transport internals:
   :class:`~repro.net.codec.FrameDecoder` in), so a request is encoded per
   attempt, on the connection that sends it: a retry on a fresh link starts
   fresh streams, and ``bytes_sent`` adds up the frames actually sent;
-* a reply's records leave out the keys the request named, so its frame is
-  decoded with the request's :func:`~repro.net.codec.request_keys`.
+* the request dict (``id``, ``op`` and the op's fields) travels as a
+  request record and its reply as an answer or error record
+  (:mod:`repro.net.wire`); a reply's result records leave out the keys the
+  request named, so its frame is decoded with the request's
+  :func:`~repro.net.codec.request_keys`.
 
 Retries map onto the existing accounting: a remote result's trace is the
 :class:`~repro.dht.messages.TraceSummary` the server recorded, and each

@@ -1,10 +1,13 @@
 """Length-prefixed wire codec for the service-mode transport.
 
 Frames are ``length || body``, the length an RFC 9000 §16 varint in its
-shortest form: 1 byte below 64, 2 below 16 384, else 4.  A body is the tagged
-binary encoding of :mod:`repro.net.wire` behind the one-byte marker
-``0x02``: the next piece of the connection's deflate stream (every frame a
-connection writes).  The four result types of :mod:`repro.api.results`
+shortest form: 1 byte below 64, 2 below 16 384, else 4.  A body is the packed
+encoding of :mod:`repro.net.wire` behind the one-byte marker ``0x02``: the
+next piece of the connection's deflate stream (every frame a connection
+writes).  A request travels as a request record (op code, presence flags,
+varint id, its fields), a reply as an answer or error record, any other
+payload as a tagged dict, and every integer in them as a LEB128 varint.
+The four result types of :mod:`repro.api.results`
 travel as records, so the client gets the result objects the simulation
 backend produces, and keys and data come back as the values they were —
 the trace, a :class:`~repro.dht.messages.TraceSummary`, as the message
@@ -118,7 +121,8 @@ def encode_frame(payload: Dict[str, Any], *,
 
     The body is the next piece of ``stream``, the sending connection's
     :class:`~repro.net.wire.DeflateStream` — or, without one, the first
-    frame of a fresh stream; a reply leaves out its request's ``keys``.
+    frame of a fresh stream; an answer's result records leave out its
+    request's ``keys``.
     """
     body = pack_payload(payload, stream=stream, keys=keys)
     return frame_header(len(body)) + body

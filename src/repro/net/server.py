@@ -6,8 +6,10 @@ in-process — an overlay population with per-peer
 and the registered currency services (UMS/BRK handlers) — behind
 length-prefixed frames (:mod:`repro.net.codec`) over TCP and/or a Unix
 domain socket.  Every request and every reply is the next piece of its
-connection's deflate stream, one per direction, and a reply's records leave
-out the keys its request named (:func:`~repro.net.codec.request_keys`).
+connection's deflate stream, one per direction; a request arrives as a
+request record and its reply leaves as an answer or error record
+(:mod:`repro.net.wire`), whose result records leave out the keys its
+request named (:func:`~repro.net.codec.request_keys`).
 
 A connection is an :class:`asyncio.Protocol`, not a pair of streams: the
 loop hands ``data_received`` the bytes it read, the frames they complete are

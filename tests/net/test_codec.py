@@ -34,6 +34,12 @@ def varint(frame: bytes) -> int:
     return int.from_bytes(frame[:size], "big") & ((1 << (8 * size - 2)) - 1)
 
 
+def inflated(body: bytes) -> bytes:
+    """The packed payload a fresh stream's first ``0x02`` body carries."""
+    return zlib.decompressobj(-zlib.MAX_WBITS).decompress(body[1:]
+                                                          + b"\x00\x00\xff\xff")
+
+
 def body_of(frame: bytes) -> bytes:
     """``frame`` without its length prefix."""
     return frame[header_size(frame):]
@@ -107,7 +113,7 @@ class TestFraming:
             codec.FrameDecoder().feed(codec.frame_header(len(body)) + body)
 
     def test_non_object_body_is_rejected(self):
-        body = deflated(b"l" + struct.pack(">I", 0))
+        body = deflated(b"l\x00")
         with pytest.raises(codec.CodecError, match="decode to an object"):
             codec.FrameDecoder().feed(codec.frame_header(len(body)) + body)
 
@@ -196,7 +202,7 @@ class TestFraming:
 
     @pytest.mark.parametrize("bad_body,stream_survives", [
         (b"\x05junk", True),                      # unknown body marker
-        (deflated(b"d\x00"), False),              # truncated body
+        (deflated(b"d\x01"), False),              # truncated body
         (b"{]", True),                            # the old JSON marker
     ], ids=["marker", "truncated", "json"])
     def test_frames_ahead_of_a_malformed_one_are_not_lost(self, bad_body,
@@ -241,49 +247,38 @@ class TestFraming:
         with pytest.raises(codec.CodecError, match="keys must be strings"):
             codec.encode_frame({"outer": {1: "x", "id": 2}})
 
-    def test_table_keys_travel_as_one_byte_and_others_escaped(self):
+    def test_dict_keys_travel_as_length_prefixed_strings(self):
         body = wire.pack_payload({"id": 7, "zz": None})
-        assert body == deflated(
-            b"d" + struct.pack(">I", 2)
-            + bytes((wire.WIRE_KEYS.index("id"),)) + b"i" + struct.pack(">q", 7)
-            + b"\xff" + struct.pack(">I", 2) + b"zz" + b"N")
+        assert body == deflated(b"d\x02" + b"\x02id" + b"i\x0e"
+                                + b"\x02zz" + b"N")
         assert wire.unpack_payload(body) == {"id": 7, "zz": None}
         assert wire.unpack_payload(body_of(stream_frame({"id": 7, "zz": None}))) == \
             {"id": 7, "zz": None}
 
-    @pytest.mark.parametrize("code", [len(wire.WIRE_KEYS), 0x80, 0xFE])
-    def test_key_code_outside_the_table_is_rejected(self, code):
-        body = deflated(b"d" + struct.pack(">I", 1) + bytes((code,)) + b"N")
-        with pytest.raises(codec.CodecError, match="key code"):
-            wire.unpack_payload(body)
-
     @pytest.mark.parametrize("tail", [
         b"",                                          # no key at all
-        b"\x00",                                      # right after a key code
-        b"\xff",                                      # right after the escape
-        b"\xff\x00\x00",                              # inside the key length
-        b"\xff" + struct.pack(">I", 5) + b"abc",      # inside the raw key
-        b"\xff" + struct.pack(">I", 2 ** 32 - 1),     # hostile key length
-    ], ids=["no-key", "after-code", "after-escape", "in-length", "in-key",
-            "hostile-length"])
+        b"\x80",                                      # inside the key length
+        b"\x05abc",                                   # inside the key
+        b"\xff\xff\xff\xff\x0f",                      # hostile key length
+        b"\x01k",                                     # after the key
+    ], ids=["no-key", "in-length", "in-key", "hostile-length", "after-key"])
     def test_body_truncated_at_a_dict_key_is_rejected(self, tail):
-        body = deflated(b"d" + struct.pack(">I", 1) + tail)
+        body = deflated(b"d\x01" + tail)
         with pytest.raises(codec.CodecError, match="truncated"):
             wire.unpack_payload(body)
 
-    def test_malformed_utf8_in_a_raw_key_is_rejected(self):
-        body = deflated(b"d" + struct.pack(">I", 1)
-                        + b"\xff" + struct.pack(">I", 1) + b"\xfe" + b"N")
+    def test_malformed_utf8_in_a_key_is_rejected(self):
+        body = deflated(b"d\x01" + b"\x01\xfe" + b"N")
         with pytest.raises(codec.CodecError, match="UTF-8"):
             wire.unpack_payload(body)
 
     @pytest.mark.parametrize("key", ["id", "c", "a-key-outside-the-table"])
     def test_a_dict_in_the_1_10_layout_fails_cleanly(self, key):
         # The old layout put a u32 key length first: a new decoder reads its
-        # leading 0x00 as key code 0 and the next 0x00 as a value tag, which
+        # leading 0x00 as an empty key and the next 0x00 as a value tag, which
         # is not one -- a mismatched peer is refused at its first key.
-        body = deflated(b"d" + struct.pack(">I", 1)
-                        + struct.pack(">I", len(key)) + key.encode() + b"N")
+        body = deflated(b"d\x01" + struct.pack(">I", len(key)) + key.encode()
+                        + b"N")
         with pytest.raises(codec.CodecError, match="unknown binary value tag"):
             wire.unpack_payload(body)
 
@@ -297,29 +292,6 @@ PINNED_KIND_CODES = {
     "last-ts-reply": "L", "counter-transfer": "c", "data-transfer": "d",
     "control": "x", "sync-summary": "s", "sync-delta": "S",
 }
-
-
-#: The one-byte dict-key codes, in code order: the envelope and request
-#: field names (codes 0-13, unchanged since 1.11.0).
-PINNED_WIRE_KEYS = (
-    "id", "ok", "result", "error", "op",
-    "service", "key", "data", "origin", "unreachable", "consistency",
-    "max_probes", "items", "keys",
-)
-
-#: Request fields whose *values* are the application's, not protocol.
-_USER_FIELDS = frozenset({"key", "data", "items", "keys"})
-
-
-def _protocol_keys(payload: dict) -> set:
-    """Every dict key of ``payload`` outside the application's own values."""
-    keys = set(payload)
-    for key, value in payload.items():
-        if key not in _USER_FIELDS:
-            for item in value if isinstance(value, list) else [value]:
-                if isinstance(item, dict):
-                    keys |= _protocol_keys(item)
-    return keys
 
 
 def sample_trace() -> TraceSummary:
@@ -365,27 +337,17 @@ class TestTraceEncoding:
         assert list(codes.items())[:len(PINNED_KIND_CODES)] == \
             list(PINNED_KIND_CODES.items())
 
-    def test_wire_key_table_is_pinned(self):
-        # A key's index is its wire code: a reorder renames every field a
-        # peer reads, so the shipped table stays a prefix.
-        assert wire.WIRE_KEYS[:len(PINNED_WIRE_KEYS)] == PINNED_WIRE_KEYS
-        assert len(set(wire.WIRE_KEYS)) == len(wire.WIRE_KEYS)
-        assert len(wire.WIRE_KEYS) <= 0xFF  # 0xFF escapes to a raw key
-        assert all(isinstance(key, str) for key in wire.WIRE_KEYS)
-
-    def test_every_protocol_key_on_the_data_path_has_a_code(self, serve):
+    def test_every_frame_of_a_session_is_a_record(self, serve):
         """What ``NetClient``/``RemoteService`` send and ``handle_request``
-        answers, for the four data operations, ``ping`` and an error reply:
-        the envelope and request keys, the results being records.
-        ``info`` and ``sync`` replies are free-form reports sent once and
-        stay spelled out."""
+        answers — the handshake, the four data operations, ``ping``,
+        ``sync`` and an error reply — packs as a request, answer or error
+        record, never as a tagged dict, and comes back equal."""
         seen = []
 
         class Recording(NodeServer):
             def handle_request(self, request):
                 reply = super().handle_request(request)
-                if request.get("op") not in ("info", "sync"):
-                    seen.extend((request, reply))
+                seen.append((request, reply))
                 return reply
 
         server = serve(Recording(peers=16, replicas=4, seed=5))
@@ -396,14 +358,20 @@ class TestTraceEncoding:
                 session.insert_many([("a", {"n": 1}), ("b", {"n": 2})])
                 session.retrieve_many(["a", "missing"])
             cluster.ping()
+            cluster.sync_replicas(["a"])
             with pytest.raises(TransportError, match="unknown service"):
                 cluster.client.request("insert", key="k", data={},
                                        service="paxos")
-        assert len(seen) == 12
-        emitted = set().union(*map(_protocol_keys, seen))
-        assert emitted - set(wire.WIRE_KEYS) == set()
-        # ... and the table carries nothing the protocol does not use.
-        assert set(wire.WIRE_KEYS) - emitted == set()
+        assert len(seen) == 8
+        for request, reply in seen:
+            keys = codec.request_keys(request)
+            assert inflated(wire.pack_payload(request))[:1] == b"Q"
+            assert inflated(wire.pack_payload(reply, keys=keys))[:1] == \
+                (b"A" if reply["ok"] else b"E")
+            assert wire.unpack_payload(wire.pack_payload(request)) == request
+            assert wire.unpack_payload(wire.pack_payload(reply, keys=keys),
+                                       keys=keys) == reply
+        assert not seen[-1][1]["ok"]
 
     def test_the_clients_retries_add_up_on_a_received_summary(self):
         trace = sample_trace()

@@ -42,18 +42,18 @@ MID_STREAM_OPS = 20
 WARM_OPS, WARM_TAIL = 200, 20
 
 FRAME_BYTES = {
-    "batch_insert_reply": 100,
-    "batch_retrieve_reply": 443,
-    "insert_many": 1212,
-    "insert_reply": 43,
-    "ping": 26,
-    "point_replies_warm": 312,
-    "retrieve": 59,
-    "retrieve_many_reply": 1860,
-    "retrieve_mid_stream": 11,
-    "retrieve_reply": 81,
-    "retrieve_reply_mid_stream": 16,
-    "sync_delta": 1986,
+    "batch_insert_reply": 70,
+    "batch_retrieve_reply": 372,
+    "insert_many": 1116,
+    "insert_reply": 24,
+    "ping": 10,
+    "point_replies_warm": 240,
+    "retrieve": 23,
+    "retrieve_many_reply": 1632,
+    "retrieve_mid_stream": 10,
+    "retrieve_reply": 53,
+    "retrieve_reply_mid_stream": 15,
+    "sync_delta": 1761,
 }
 
 

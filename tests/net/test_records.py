@@ -8,16 +8,17 @@ what the ``*_to_dict`` view of the object itself says, first on a connection
 or behind another frame; a rebuilt object packs to the bytes it came from; a
 :class:`~repro.dht.messages.TraceSummary` comes back without its sizes and
 its hook, and a batch still rebuilds one shared summary; and a corrupted record — a count
-beyond the body, a cut at any offset, an unknown flag or code, a summary
-field below 0 or more timeouts than messages — only ever raises
-:class:`~repro.net.codec.CodecError`.
+beyond the body, a cut at any offset, an unknown flag or code, or more
+timeouts than messages — only ever raises
+:class:`~repro.net.codec.CodecError`.  Record fields are unsigned varints: a
+negative counter or summary field, and a field past int32 or int64, cannot be
+written at all.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import struct
 import zlib
 from typing import Optional
 
@@ -131,18 +132,20 @@ CASES = {
     "summary-trace": insert(trace=TraceSummary(7, 2 ** 40, 7, 0)),
     "trace-alone": trace(),
     "summary-alone": TraceSummary(2 ** 31 - 1, 2 ** 63 - 1, 0, 2 ** 63 - 1),
+    "widest-summary": TraceSummary(2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 1,
+                                   2 ** 64 - 1),
     **_batches(),
 }
 
 
 @st.composite
 def summaries(draw) -> TraceSummary:
-    """Any summary a record can carry: fields within their widths, none
+    """Any summary a record can carry: fields of at most 64 bits, none
     below 0, no more timeouts than messages."""
-    messages = draw(st.integers(min_value=0, max_value=2 ** 31 - 1))
-    return TraceSummary(messages, draw(st.integers(0, 2 ** 63 - 1)),
+    messages = draw(st.integers(min_value=0, max_value=2 ** 64 - 1))
+    return TraceSummary(messages, draw(st.integers(0, 2 ** 64 - 1)),
                         draw(st.integers(0, messages)),
-                        draw(st.integers(0, 2 ** 63 - 1)))
+                        draw(st.integers(0, 2 ** 64 - 1)))
 
 
 @pytest.fixture(scope="module", params=[32, 64, 160], ids=lambda bits: f"bits{bits}")
@@ -215,9 +218,10 @@ class TestRoundTrip:
     def test_a_trace_field_that_is_no_trace_is_refused_at_encode(self):
         with pytest.raises(codec.CodecError, match="must be a TraceSummary"):
             wire.pack_payload({"result": insert(trace={"message_count": 3})})
-        # A field beyond its record width: the int32 message count.
-        with pytest.raises(codec.CodecError, match="not wire-serialisable"):
-            wire.pack_payload({"result": TraceSummary(2 ** 31, 0, 0, 0)})
+        # A field no varint holds: below 0, or past 64 bits.
+        for fields in ((-1, 0, 0, 0), (0, 2 ** 64, 0, 0), (0, 0, 0, -64)):
+            with pytest.raises(codec.CodecError, match="unsigned 64-bit varint"):
+                wire.pack_payload({"result": TraceSummary(*fields)})
 
     def test_only_an_equal_type_key_shares_its_counter(self):
         def packed_size(stamp_key):
@@ -235,9 +239,27 @@ class TestRoundTrip:
 
 
 # --------------------------------------------------------------- corruption
-#: In the tagged encoding of ``{"result": record}`` — ``d``, u32 count, the
-#: key code, the record tag — the record's fixed fields start here.
-FIELDS = 7
+#: In the tagged encoding of ``{"result": record}`` — ``d``, its count, the
+#: length-prefixed key, the record tag — the record's fields start here.
+FIELDS = 10
+
+
+def varints(*values: int) -> bytes:
+    """``values`` as unsigned LEB128 varints, spelled out."""
+    out = bytearray()
+    for value in values:
+        while value > 0x7F:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        out.append(value)
+    return bytes(out)
+
+
+def flags_at(value) -> int:
+    """Where the flags of the point record ``value`` sit: behind its summary."""
+    trace = value.trace
+    return FIELDS + len(varints(trace.message_count, trace.total_bytes,
+                                trace.timeout_count, trace.retry_bytes))
 
 
 def tagged(payload) -> bytes:
@@ -258,28 +280,26 @@ def _refused(encoding: bytes, match: Optional[str]) -> None:
 
 def summary_record(messages: int, total: int, timeouts: int, retry: int) -> bytes:
     """The tagged encoding of ``{"result": <summary>}``, spelled out field by
-    field (the record's fields are not range-checked here)."""
+    field (the record's fields are not checked here)."""
     return (tagged({"result": None})[:FIELDS - 1] + b"o"
-            + struct.pack(">iqiq", messages, total, timeouts, retry))
+            + varints(messages, total, timeouts, retry))
 
 
-#: Summary records that are not a trace's, and what refuses each.
+#: Summary records that are not a trace's, and what refuses each.  A field
+#: below 0 (once refused here) has no varint.
 SUMMARY_CORRUPTIONS = {
-    "negative-messages": ((-1, 64, 0, 64), "below 0"),
-    "negative-total": ((3, -1, 0, 64), "below 0"),
-    "negative-timeouts": ((3, 192, -1, 64), "below 0"),
-    "negative-retry": ((3, 192, 1, -64), "below 0"),
     "more-timeouts-than-messages": ((2, 128, 3, 64), "3 timeouts in 2 messages"),
     "timeouts-without-messages": ((0, 0, 1, 64), "1 timeouts in 0 messages"),
-    "lowest-messages": ((-2 ** 31, 0, 0, 64), "below 0"),
-    "lowest-retry": ((0, 0, 0, -2 ** 63), "below 0"),
+    "widest-timeouts": ((2 ** 64 - 2, 0, 2 ** 64 - 1, 0),
+                        f"{2 ** 64 - 1} timeouts in {2 ** 64 - 2} messages"),
 }
 
 #: Summary records at the edges of what a trace's may be: each is adopted.
 SUMMARY_EDGES = {
     "all-zero": (0, 0, 0, 0),
     "every-message-timed-out": (5, 320, 5, 64),
-    "widest": (2 ** 31 - 1, 2 ** 63 - 1, 2 ** 31 - 1, 2 ** 63 - 1),
+    "past-int32-and-int64": (2 ** 31, 2 ** 63, 2 ** 31, 2 ** 63),
+    "widest": (2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 1),
 }
 
 
@@ -323,22 +343,26 @@ class TestCorruptRecords:
 
     def test_unknown_result_flags_are_refused(self):
         body = bytearray(tagged({"result": CASES["retrieve"]}))
-        body[FIELDS] |= 0x80
+        body[flags_at(CASES["retrieve"])] |= 0x80
         _refused(body, "unknown retrieve record flags")
         body = bytearray(tagged({"result": CASES["insert"]}))
-        body[FIELDS] |= 0x02
+        body[flags_at(CASES["insert"])] |= 0x02
         _refused(body, "unknown insert record flags")
 
     def test_an_unknown_consistency_code_is_refused(self):
         body = bytearray(tagged({"result": CASES["retrieve"]}))
-        body[FIELDS + 1] = 0x07
+        body[flags_at(CASES["retrieve"]) + 1] = 0x07
         _refused(body, "unknown consistency code")
 
-    def test_a_negative_shared_counter_is_refused(self):
-        body = bytearray(tagged({"result": CASES["retrieve"]}))
-        counter = FIELDS + 1 + 1 + 8  # flags, consistency, replicas inspected
-        body[counter:counter + 8] = struct.pack(">q", -1)
-        _refused(body, "negative timestamp counter")
+    def test_the_spelled_out_point_records_are_the_encoders(self):
+        # A point record opens with its summary, then its flags, the
+        # consistency code (a retrieve's), its counts and own-key counters.
+        made = CASES["retrieve"]
+        assert tagged({"result": made})[FIELDS:flags_at(made) + 5] == \
+            varints(6, 5 * 64 + 777, 1, 64) + bytes((0x1B, 0x00)) + varints(2, 5, 5)
+        made = CASES["insert"]
+        assert tagged({"result": made})[flags_at(made):flags_at(made) + 4] == \
+            bytes((0x08,)) + varints(3, 4, 5)
 
     def test_the_spelled_out_record_is_the_encoders(self):
         made = trace()
@@ -370,10 +394,11 @@ class TestCorruptRecords:
 
     def test_a_summary_cut_short_is_refused(self):
         record = summary_record(6, 5 * 64 + 777, 1, 64)
-        for cut in range(1, struct.calcsize(">iqiq") + 1):
+        for cut in range(1, len(varints(6, 5 * 64 + 777, 1, 64)) + 1):
             _refused(record[:-cut], "truncated")
 
     def test_a_batch_count_beyond_the_body_is_refused(self):
         body = bytearray(tagged({"result": CASES["batch-insert"]}))
-        body[FIELDS:FIELDS + 4] = struct.pack(">I", 10 ** 6)
+        assert body[FIELDS] == 2
+        body[FIELDS:FIELDS + 1] = varints(10 ** 6)
         _refused(body, "truncated")

@@ -15,8 +15,8 @@ from repro.net import codec
 from repro.net.client import NetClient, TransportError, _open_socket, connect
 from repro.net.server import NodeServer, ServerThread
 
-#: A ``0x02`` body whose tagged encoding stops inside a dict's count.
-TRUNCATED = codec.DeflateStream().deflate(b"d\x00")
+#: A ``0x02`` body whose packed dict announces a key and stops.
+TRUNCATED = codec.DeflateStream().deflate(b"d\x01")
 
 
 class TestServerBasics:

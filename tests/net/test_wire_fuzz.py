@@ -7,10 +7,13 @@ oversized header) must raise :class:`~repro.net.codec.CodecError` without
 corrupting the decoder's state for the frames that follow (a bad *stream*
 frame ends the stream: see ``test_stream.py``).  An ``array`` has no tag and
 is refused.  Any trace comes back as its summary, and every
-single-byte mutation of a summary record is refused or round-trips.  So do
-the one-byte dict-key codes: any mix of table keys and escaped keys
+single-byte mutation of a summary record is refused or round-trips.  So
+does any mix of dict keys, the protocol's field names among them: it
 round-trips, byte-for-byte the same whatever order the keys were inserted
-in.  A reply's records leave out the keys its request named: one decoded
+in.  Every varint the decoder reads — a length, a count, an id, a record or
+summary field, a counter, an int — is refused when it is not in its shortest
+form, holds more than 64 bits or is cut short; a negative one is refused at
+encode, before the stream moves.  A reply's records leave out the keys its request named: one decoded
 without those keys, or with a different number of them, is refused like any
 bad stream frame; so is a length prefix that is not the shortest form or
 announces more than the frame limit, while a prefix split across ``feed()``
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import random
 import struct
+import sys
 import zlib
 from array import array
 
@@ -28,6 +32,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from trace_columns import Message
+
+import repro.net.wire as wire_module
 
 from repro.api.results import (
     BatchInsertResult,
@@ -65,9 +71,10 @@ def _encode_stream(payloads):
                     for payload in payloads)
 
 
-def _tagged(payload) -> bytes:
-    """The tagged encoding of ``payload``: its first-frame body, inflated."""
-    body = wire.pack_payload(payload)
+def _tagged(payload, keys=None) -> bytes:
+    """The packed encoding of ``payload`` (answering ``keys``): its
+    first-frame body, inflated."""
+    body = wire.pack_payload(payload, keys=keys)
     return zlib.decompressobj(-zlib.MAX_WBITS).decompress(body[1:] + b"\x00\x00\xff\xff")
 
 
@@ -130,9 +137,15 @@ class TestReassembly:
         assert codec.decode_frame(codec.encode_frame({"v": stamp})) == {"v": stamp}
 
 
-# ------------------------------------------------------------ one-byte keys
+# ------------------------------------------------------------------ dict keys
+#: The request and reply field names: a dict of a record's shape packs as
+#: that record, any other as a tagged dict.
+PROTOCOL_KEYS = ("id", "ok", "result", "error", "op", "service", "key", "data",
+                 "origin", "unreachable", "consistency", "max_probes", "items",
+                 "keys")
+
 _dict_keys = st.one_of(
-    st.sampled_from(wire.WIRE_KEYS),                   # travel as their code
+    st.sampled_from(PROTOCOL_KEYS),
     st.text(max_size=8),                               # escaped, "" included
     st.text(alphabet="äßπ鍵🔑", min_size=1, max_size=6),
     st.text(alphabet="k", min_size=255, max_size=300),  # longer than a byte
@@ -159,7 +172,7 @@ def _reordered(value, rng):
     return value
 
 
-class TestKeyCodes:
+class TestDictKeys:
     @given(payload=_keyed_payloads, seed=st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
     def test_any_mix_of_keys_round_trips_deterministically(self, payload, seed):
@@ -241,8 +254,8 @@ class TestArraysAreRefused:
             codec.encode_frame({"c": array("q", values)})
 
     def test_a_hand_packed_array_is_an_unknown_tag(self):
-        tagged = (b"d" + struct.pack(">I", 1) + b"\xff" + struct.pack(">I", 1)
-                  + b"c" + b"q" + struct.pack(">I", 2) + struct.pack(">qq", 7, -7))
+        tagged = (b"d\x01" + b"\x01c" + b"q" + b"\x02"
+                  + struct.pack(">qq", 7, -7))
         with pytest.raises(codec.CodecError, match="unknown binary value tag"):
             wire.unpack_payload(_deflated(tagged))
 
@@ -329,30 +342,41 @@ class TestTraceRoundTrip:
 
 # ------------------------------------------------------- summary records
 #: The packed ``{"t": <summary>}`` up to the summary record's fields.
-_SUMMARY_PREFIX = (b"d" + struct.pack(">I", 1) + b"\xff" + struct.pack(">I", 1)
-                   + b"to")
-_SUMMARY = struct.Struct(">iqiq")
+_SUMMARY_PREFIX = b"d\x01" + b"\x01t" + b"o"
 
 
-def _sane(fields) -> bool:
-    messages, total, timeouts, retry = fields
-    return min(fields) >= 0 and timeouts <= messages
+def _varints(*values: int) -> bytes:
+    """``values`` as unsigned LEB128 varints, spelled out."""
+    out = bytearray()
+    for value in values:
+        while value > 0x7F:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        out.append(value)
+    return bytes(out)
+
+
+def _fields(summary: TraceSummary) -> tuple:
+    return (summary.message_count, summary.total_bytes, summary.timeout_count,
+            summary.retry_bytes)
 
 
 #: Summaries whose records hold every kind of byte: zeros, small and large
-#: counts, fields at their widths' limits.
+#: counts, every varint width up to the widest.
 SUMMARIES = [TraceSummary(0, 0, 0, 0), TraceSummary(16, 4224, 2, 128),
              TraceSummary(2 ** 31 - 1, 2 ** 63 - 1, 2 ** 31 - 1, 2 ** 63 - 1),
+             TraceSummary(2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 1),
              TraceSummary(700, 0x7F00FF80, 255, 0x80)]
+
+#: A summary field: often small, so timeouts and messages tie.
+_summary_field = st.one_of(st.integers(0, 8), st.integers(0, 2 ** 64 - 1))
 
 
 class TestSummaryRecord:
     @pytest.mark.parametrize("summary", SUMMARIES, ids=repr)
     def test_every_single_byte_mutation_is_refused_or_round_trips(self, summary):
         body = _tagged({"t": summary})
-        assert body == _SUMMARY_PREFIX + _SUMMARY.pack(
-            summary.message_count, summary.total_bytes, summary.timeout_count,
-            summary.retry_bytes)
+        assert body == _SUMMARY_PREFIX + _varints(*_fields(summary))
         for offset in range(len(body)):
             for value in range(256):
                 mutated = bytearray(body)
@@ -363,20 +387,19 @@ class TestSummaryRecord:
                     continue
                 assert _tagged(payload) == mutated
 
-    @given(fields=st.tuples(st.integers(-(2 ** 31), 2 ** 31 - 1),
-                            st.integers(-(2 ** 63), 2 ** 63 - 1),
-                            st.integers(-(2 ** 31), 2 ** 31 - 1),
-                            st.integers(-(2 ** 63), 2 ** 63 - 1)))
+    @given(fields=st.tuples(_summary_field, _summary_field, _summary_field,
+                            _summary_field))
     @settings(max_examples=300, deadline=None)
     def test_a_record_decodes_exactly_when_it_is_a_summarys(self, fields):
-        body = _deflated(_SUMMARY_PREFIX + _SUMMARY.pack(*fields))
-        if _sane(fields):
+        body = _deflated(_SUMMARY_PREFIX + _varints(*fields))
+        if fields[2] <= fields[0]:
             assert wire.unpack_payload(body) == {"t": TraceSummary(*fields)}
         else:
             with pytest.raises(codec.CodecError, match="malformed trace summary"):
                 wire.unpack_payload(body)
 
-    @given(cut=st.integers(min_value=1, max_value=_SUMMARY.size))
+    @given(cut=st.integers(min_value=1,
+                           max_value=len(_varints(*_fields(SUMMARIES[1])))))
     @settings(max_examples=50, deadline=None)
     def test_a_truncated_record_is_refused(self, cut):
         body = _tagged({"t": SUMMARIES[1]})
@@ -426,10 +449,14 @@ def _replies(draw):
 
 
 def _key_bytes(key) -> int:
-    """The tagged size of a key: a string, an int64, or a wider int's digits."""
+    """The tagged size of a key: a string, a zigzagged int64, or a wider
+    int's digits, each length a varint."""
     if isinstance(key, str):
-        return 5 + len(key.encode("utf-8"))
-    return 9 if -(2 ** 63) <= key < 2 ** 63 else 5 + len(str(key))
+        size = len(key.encode("utf-8"))
+        return 1 + len(_varints(size)) + size
+    if -(2 ** 63) <= key < 2 ** 63:
+        return 1 + len(_varints(key * 2 if key >= 0 else -key * 2 - 1))
+    return 1 + len(_varints(len(str(key)))) + len(str(key))
 
 
 def _inflated(frame: bytes) -> bytes:
@@ -495,8 +522,8 @@ class TestReplyKeys:
         # ... and at encode, before the reply touches its stream.
         stream = codec.DeflateStream()
         with pytest.raises(codec.CodecError, match="answer a request for"):
-            codec.encode_frame({"result": _result(kind, keys)}, stream=stream,
-                               keys=wrong)
+            codec.encode_frame({"id": 1, "ok": True, "result": _result(kind, keys)},
+                               stream=stream, keys=wrong)
         assert codec.FrameDecoder().feed(
             codec.encode_frame({"id": 4}, stream=stream)) == [{"id": 4}]
 
@@ -552,3 +579,141 @@ class TestLengthPrefix:
                     decoded.extend(decoder.feed(chunk))
                 assert decoded == payloads
                 assert decoder.pending_bytes == 0
+
+
+# ------------------------------------------------------------------ varints
+_WIDE = "w" * 200  # a string whose length takes two varint bytes
+_WIDE_TRACE = TraceSummary(200, 2 ** 40, 150, 128)
+
+
+def _wide_insert(key, counter=200):
+    return InsertResult(key=key, replicas_written=300, replicas_attempted=400,
+                        trace=_WIDE_TRACE, timestamp=Timestamp(key, counter))
+
+
+def _wide_retrieve(key, counter=200):
+    return RetrieveResult(key=key, data=[None] * 130, found=True, is_current=True,
+                          replicas_inspected=300, trace=_WIDE_TRACE,
+                          timestamp=Timestamp(key, counter),
+                          latest_timestamp=Timestamp(key, counter + 100))
+
+
+_BATCH_KEYS = [f"k{index}" for index in range(130)]
+
+#: ``(payload, keys)`` whose varints take two bytes or more, between them at
+#: every place a varint sits: ids, lengths, counts, ints, counters, record
+#: and summary fields.
+WIDE_PAYLOADS = {
+    "request": ({"id": 300, "op": "retrieve", "key": _WIDE, "service": None,
+                 "origin": 500, "unreachable": list(range(1000, 1130)),
+                 "consistency": "any", "max_probes": 1000}, None),
+    "answer-retrieve": ({"id": 300, "ok": True,
+                         "result": _wide_retrieve(_WIDE)}, (_WIDE,)),
+    "answer-insert": ({"id": 300, "ok": True, "result": _wide_insert(_WIDE)}, None),
+    "answer-batch-insert": ({"id": 300, "ok": True, "result": BatchInsertResult(
+        results=tuple(_wide_insert(key) for key in _BATCH_KEYS),
+        trace=_WIDE_TRACE)}, _BATCH_KEYS),
+    "answer-batch-retrieve": ({"id": 300, "ok": True, "result": BatchRetrieveResult(
+        results=tuple(_wide_retrieve(key) for key in _BATCH_KEYS[:2]) * 65,
+        trace=_WIDE_TRACE)}, None),
+    "error": ({"id": 300, "ok": False, "error": _WIDE}, None),
+    "tagged": ({"dict": {f"{index:03d}": None for index in range(130)},
+                _WIDE: Timestamp("x", 1000), "big": 10 ** 130, "int": -1000,
+                "trace": _WIDE_TRACE}, None),
+}
+
+#: Where the decoder reads a varint, by the function reading it.
+VARINT_READERS = {"_decode_text", "_unpack", "_decode_dict", "_decode_summary",
+                  "_decode_insert", "_decode_retrieve", "_record_count",
+                  "_decode_request", "_decode_answer", "_decode_error"}
+
+
+def _varint_offsets(packed: bytes, keys, monkeypatch) -> dict:
+    """Each offset of ``packed`` where the decoder reads a varint of two or
+    more bytes, and the function reading it."""
+    seen = {}
+    read = wire_module._varint
+
+    def spy(data, pos):
+        if data[pos] & 0x80:
+            seen[pos] = sys._getframe(1).f_code.co_name
+        return read(data, pos)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wire_module, "_varint", spy)
+        wire.unpack_payload(_deflated(packed), keys=keys)
+    return seen
+
+
+def _varint_end(packed: bytes, start: int) -> int:
+    end = start
+    while packed[end] & 0x80:
+        end += 1
+    return end + 1
+
+
+class TestVarints:
+    @pytest.mark.parametrize("name", WIDE_PAYLOADS)
+    def test_a_bad_varint_is_refused_wherever_it_sits(self, name, monkeypatch):
+        """At each varint: a longer form than the shortest, a varint of
+        more than 64 bits (10 bytes with 70 bits set, or 11 bytes) and a body
+        cut after its first byte are each a ``CodecError``."""
+        payload, keys = WIDE_PAYLOADS[name]
+        packed = _tagged(payload, keys)
+        offsets = _varint_offsets(packed, keys, monkeypatch)
+        assert offsets
+        for start in offsets:
+            end = _varint_end(packed, start)
+            head, tail = packed[:start], packed[end:]
+            longer = packed[start:end - 1] + bytes((packed[end - 1] | 0x80, 0))
+            for varint, match in ((longer, "shortest form"),
+                                  (b"\xff" * 9 + b"\x7f", "wider than 64 bits"),
+                                  (b"\x80" * 10 + b"\x01", "wider than 64 bits")):
+                with pytest.raises(codec.CodecError, match=match):
+                    wire.unpack_payload(_deflated(head + varint + tail), keys=keys)
+            with pytest.raises(codec.CodecError, match="truncated"):
+                wire.unpack_payload(_deflated(packed[:start + 1]), keys=keys)
+
+    def test_every_varint_reader_is_exercised(self, monkeypatch):
+        readers = set()
+        for payload, keys in WIDE_PAYLOADS.values():
+            readers |= set(_varint_offsets(_tagged(payload, keys), keys,
+                                           monkeypatch).values())
+        assert readers == VARINT_READERS
+
+    @pytest.mark.parametrize("length", [1, 2, 9, 10])
+    def test_a_one_byte_varint_cut_or_lengthened_is_refused(self, length):
+        """The one-byte form (every id below 128): a continuation bit on its
+        byte with nothing behind it is a cut varint, and a tail of zero
+        groups is a longer form than the shortest."""
+        packed = _tagged({"id": 5, "op": "ping"})
+        assert packed[4] == 5  # tag, op code, flags, consistency code, id
+        with pytest.raises(codec.CodecError, match="truncated"):
+            wire.unpack_payload(_deflated(packed[:4] + b"\x85"))
+        longer = b"\x85" + b"\x80" * (length - 1) + b"\x00"
+        with pytest.raises(codec.CodecError,
+                           match="shortest form" if length < 10 else "wider"):
+            wire.unpack_payload(_deflated(packed[:4] + longer))
+
+    @pytest.mark.parametrize("bad", [
+        {"id": 1, "ok": True, "result": TraceSummary(-1, 0, 0, 0)},
+        {"id": 1, "ok": True, "result": TraceSummary(3, 0, 1, -128)},
+        {"id": 1, "ok": True, "result": TraceSummary(0, 2 ** 64, 0, 0)},
+        {"id": 1, "ok": True, "result": InsertResult(
+            key="k", replicas_written=-1, replicas_attempted=1, trace=_SHARED)},
+        {"id": 1, "ok": True, "result": RetrieveResult(
+            key="k", data=None, found=False, is_current=False,
+            replicas_inspected=-3, trace=_SHARED)},
+        {"stamp": Timestamp("k", 2 ** 64)},
+    ], ids=["messages", "retry", "total-past-64-bits", "written", "inspected",
+            "counter-past-64-bits"])
+    def test_a_negative_or_too_wide_field_is_refused_at_encode(self, bad):
+        """Refused before the stream moves: the sender's next frame still
+        decodes on the receiver's side."""
+        stream, decoder = codec.DeflateStream(), codec.FrameDecoder()
+        first = {"id": 0, "op": "ping"}
+        assert decoder.feed(codec.encode_frame(first, stream=stream)) == [first]
+        with pytest.raises(codec.CodecError, match="unsigned 64-bit varint"):
+            codec.encode_frame(bad, stream=stream, keys=("k",))
+        after = {"id": 2, "ok": True, "result": "pong"}
+        assert decoder.feed(codec.encode_frame(after, stream=stream)) == [after]
