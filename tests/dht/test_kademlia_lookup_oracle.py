@@ -353,6 +353,67 @@ def test_k_minus_one_contacts_within_2_to_the_t_learn_the_reply(bits, k):
     assert overlay.routing_table(0).bucket(bits - 2) == [outside]
 
 
+@pytest.mark.parametrize("k", [4, 16])
+@pytest.mark.parametrize("bits", BITS)
+def test_a_k_cut_across_two_buckets_leaves_the_next_nearer_contact(bits, k):
+    # The queried node (distance 48) is nearer than 2^t, the origin's bucket
+    # t is full and the queried node's buckets below t hold k + 1 contacts, so
+    # its reply cannot change the table.  Its k nearest nearer contacts span
+    # its two set-bit buckets: half at distances 1.. in bucket 5, the rest at
+    # 32.. in bucket 4, all departed.  The live (k+1)-th, next in bucket 4, is
+    # cut from the reply: the route ends with a forced hop to the target.
+    target, at = lookup_from_zero(bits)
+    queried, live = at(48), at(32 + k - k // 2)
+    dead = ([at(1 + index) for index in range(k // 2)]
+            + [at(32 + index) for index in range(k - k // 2)])
+    others = [at(64 + index) for index in range(k - 1)]   # fill bucket t
+    overlay, twin = hand_built_pair(
+        bits, k, {0: others + [queried], queried: [live] + dead[::-1], target: []},
+        departed=dead)
+    route = route_both(overlay, twin, target)
+    assert (route.path, route.retries, route.timeouts) == ((0, queried, target), k, k // 2)
+    assert overlay.routing_table(0).contacts() == others + [queried]
+
+
+@pytest.mark.parametrize("k", [4, 16])
+@pytest.mark.parametrize("bits", BITS)
+def test_an_origin_row_read_in_place_past_two_departures(bits, k):
+    # The origin's bucket t holds, out of distance order, its two nearest
+    # contacts departed (the first gracefully, the second by failure) and a
+    # live one after them that knows the target.  The lookup pays one retry
+    # for each, one timeout for the failure, drops both from the row, and
+    # goes on in the same row.
+    target, at = lookup_from_zero(bits)
+    first, second, live, far = at(1), at(2), at(5), at(9)
+    overlay, twin = hand_built_pair(
+        bits, k, {0: [far, second, live, first], live: [target], target: []},
+        departed=[first, second])
+    route = route_both(overlay, twin, target)
+    assert (route.path, route.retries, route.timeouts) == ((0, live, target), 2, 1)
+    assert overlay.routing_table(0).bucket(bits - 1) == [far, live, target]
+
+
+@pytest.mark.parametrize("k", [4, 16])
+@pytest.mark.parametrize("bits", BITS)
+def test_a_learned_reply_is_read_only_while_nearer(bits, k):
+    # The origin's bucket t has room, so the reply of the queried node
+    # (distance 48) is learned.  Its nearer prefix, two departed contacts at
+    # distances 20 and 21, ends inside the origin's bucket t: the live
+    # contacts after them (distances 96..) fall in that same bucket but are
+    # farther than the queried node, so they are learned, never queried.
+    target, at = lookup_from_zero(bits)
+    queried, dead = at(48), [at(20), at(21)]
+    farther = [at(96 + index) for index in range(k)]
+    overlay, twin = hand_built_pair(
+        bits, k, {0: [queried], queried: farther + dead[::-1]}, departed=dead)
+    route = route_both(overlay, twin, target)
+    assert (route.path, route.retries, route.timeouts) == ((0, queried), 2, 1)
+    # The row learns the reply up to k, then drops the departed contacts.
+    learned = ([queried, *dead] + farther)[:k]
+    assert overlay.routing_table(0).bucket(bits - 1) == \
+        [each for each in learned if each not in dead]
+
+
 def test_routes_equal_the_oracle_on_a_seeded_1000_peer_overlay():
     rng = random.Random(2007)
     overlay, twin = build_pair(32, 16)
@@ -482,7 +543,7 @@ def test_seeded_cluster_under_churn_repeats_its_per_call_digest():
     cluster = Cluster.build(peers=1000, protocol="kademlia", seed=2007)
     network, rng, digest = cluster.network, random.Random(23), hashlib.sha1()
     columns = record_columns(network)  # retries are counted by kind
-    total_retries = 0
+    total_retries = total_timeouts = 0
     with cluster.session() as session:
         for event in range(200):
             victim = network.random_alive_peer()
@@ -492,10 +553,13 @@ def test_seeded_cluster_under_churn_repeats_its_per_call_digest():
                 key = f"key-{rng.randrange(48)}"
                 result = (session.retrieve(key) if call else
                           session.insert(key, {"event": event}))
-                retries = columns.take().count_by_kind().get(MessageKind.LOOKUP_RETRY, 0)
+                taken = columns.take()
+                retries = taken.count_by_kind().get(MessageKind.LOOKUP_RETRY, 0)
                 total_retries += retries
+                total_timeouts += taken.timeout_count
                 digest.update(f"{result.message_count}:{retries};".encode("ascii"))
     assert total_retries == 827
+    assert total_timeouts == 413   # the FAIL share of those retries
     assert digest.hexdigest() == "9d1156e117eaaf13b61a93ad0f930f5bada1753a"
 
 
