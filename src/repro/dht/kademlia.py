@@ -38,11 +38,13 @@ evicted and the newcomer appended.
 Lookups are *iterative*: the origin repeatedly queries the closest contact it
 knows of, each queried node answers with the ``k`` closest contacts from its
 own buckets, and the search stops when no contact closer than the best node
-already queried remains.  Tables are only updated through this traffic (there
-is no global stabilisation), so after churn they may still hold departed
-contacts; querying one costs a retry message — plus a timeout when the
-contact *failed* rather than left — exactly the staleness mechanism behind
-the paper's Figure 11.
+already queried remains.  No shortlist is built: candidates are read where
+they lie, nearest first — the origin's rows in place until a node answers,
+then that node's reply up to the first contact not nearer than it.  Tables
+are only updated through this traffic (there is no global stabilisation), so
+after churn they may still hold departed contacts; querying one costs a retry
+message — plus a timeout when the contact *failed* rather than left — exactly
+the staleness mechanism behind the paper's Figure 11.
 
 Responsibility handover
 -----------------------
@@ -60,7 +62,6 @@ from __future__ import annotations
 
 import bisect
 import random
-from heapq import heapify, heappop
 from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.dht.errors import (
@@ -187,21 +188,22 @@ class RoutingTable:
             entries += rows[index]
         return entries
 
-    def nearer_than_owner(self, point: int) -> List[int]:
-        """Every contact XOR-nearer to ``point`` than the owner, in bucket order.
+    def nearer(self, point: int, count: int) -> List[int]:
+        """The ``count`` contacts nearest to ``point`` of those nearer to it than the owner.
 
-        By the bucket order of :meth:`closest` these are exactly the contacts
-        of the buckets at the set bits of ``owner ^ point``.
+        Nearest first: the buckets at the set bits of ``owner ^ point`` (see
+        :meth:`closest`), read from the top down until ``count`` are found.
         """
-        rows, delta = self._rows, self.owner ^ point
-        above = delta.bit_length()
-        entries: List[int] = []
-        for index in self._indices:
-            if index >= above:
-                break
+        rows, indices, delta = self._rows, self._indices, self.owner ^ point
+        found: List[int] = []
+        for index in reversed(indices[:bisect.bisect_left(indices, delta.bit_length())]):
             if delta >> index & 1:
-                entries += rows[index]
-        return entries
+                found += rows[index]
+                if len(found) >= count:
+                    break
+        found.sort(key=point.__xor__)
+        del found[count:]
+        return found
 
     def closest(self, point: int, count: int) -> List[int]:
         """The ``count`` known contacts closest (XOR) to ``point``, nearest first.
@@ -211,27 +213,22 @@ class RoutingTable:
         ``d`` with bit ``i`` flipped and the lower bits free.  Where bit ``i``
         of ``d`` is set the flip clears it, so bucket ``i`` is nearer than
         every lower bucket; elsewhere the flip sets it, so bucket ``i`` is
-        farther than every lower one.  Hence: set bits from the top down, then
-        the other buckets from the bottom up, stopping at ``count``.  Every
-        contact of a bucket read earlier is nearer than every contact of one
-        read later, so one sort of the rows read (fewer than ``count + k``
-        contacts) orders them.
+        farther than every lower one.  Hence: set bits from the top down
+        (:meth:`nearer`), then the other buckets from the bottom up, stopping
+        at ``count``.  Every contact of a bucket read earlier is nearer than
+        every contact of one read later, so each group is sorted on its own.
         """
-        rows, indices, delta = self._rows, self._indices, self.owner ^ point
-        found: List[int] = []
-        for index in reversed(indices):
-            if delta >> index & 1:
-                found += rows[index]
-                if len(found) >= count:
-                    break
-        else:
-            for index in indices:
+        found = self.nearer(point, count)
+        if len(found) < count:
+            rows, delta = self._rows, self.owner ^ point
+            farther: List[int] = []
+            for index in self._indices:
                 if not delta >> index & 1:
-                    found += rows[index]
-                    if len(found) >= count:
+                    farther += rows[index]
+                    if len(found) + len(farther) >= count:
                         break
-        found.sort(key=point.__xor__)
-        return found[:count]
+            found += sorted(farther, key=point.__xor__)[:count - len(found)]
+        return found
 
     def __len__(self) -> int:
         return sum(len(row) for row in self._rows.values())
@@ -470,23 +467,19 @@ class KademliaOverlay(DHTProtocol):
         is_live = self._member_set.__contains__
         table = tables[origin]
         rows, top = table._rows, (origin ^ target).bit_length() - 1
-        # The shortlist is a run of XOR distances, a min-heap (distances to
-        # one target are unique, and ``distance ^ target`` is the contact).
-        # A lookup stops at the first contact not nearer than the best node
-        # queried, so only contacts nearer than that are worth keeping.  At
-        # the start these are the rows at the set bits of ``self_distance``
-        # (every contact for a bootstrap), whose distance ranges are disjoint
-        # and ordered, nearest first from the top set bit of ``pending``: the
-        # next row is read in only when the run is empty, and until a node
-        # answers, the lookup changes no row but the one it runs.  A node that
-        # answers is the nearest contact left, so the run becomes its reply's
-        # contacts nearer than itself, nearest first (a sorted list is a
-        # heap), and once those are spent the lookup is over.
-        if self_distance is None:
-            pending, run = 0, [contact ^ target for contact in table.contacts()]
-            heapify(run)
-        else:
-            pending, run = self_distance, []
+        by_distance = target.__xor__
+        # Candidates are read where they lie, nearest first.  Until a node
+        # answers, they are the origin's rows at the set bits of
+        # ``self_distance`` (disjoint distance ranges, nearest first from the
+        # top set bit of ``pending``), each read in place by ``min``: the
+        # lookup changes no row but that one, by discarding the dead contacts
+        # it reads.  A node that answers is the nearest contact left, so from
+        # then on they are ``run``, its reply's contacts nearer than itself,
+        # nearest first, read by index; once those are spent the lookup is
+        # over.  A bootstrap self-lookup reads every contact as its run.
+        run = None if self_distance is not None else sorted(table.contacts(), key=by_distance)
+        row: Optional[List[int]] = None
+        pending, at = self_distance or 0, 0
         # Never queried (again): the origin and the contacts found dead.
         skip: Set[int] = {origin}
         path: List[int] = [origin]
@@ -494,30 +487,35 @@ class KademliaOverlay(DHTProtocol):
         timeouts = 0
         limit = 4 * self.bits + len(self._members)
         while len(path) + retries <= limit:
-            if not run:
-                if len(path) > 1 or not pending:
+            if run is not None:
+                if at == len(run):
                     break
+                candidate = run[at]
+                at += 1
+                if candidate in skip:
+                    continue
+            elif row:
+                candidate = min(row, key=by_distance)
+            elif pending:
                 index = pending.bit_length() - 1
                 pending ^= 1 << index
-                run = [contact ^ target for contact in rows.get(index, ())]
-                heapify(run)
+                row = rows.get(index)
                 continue
-            distance = heappop(run)
-            candidate = distance ^ target
+            else:
+                break
             if not is_live(candidate):
                 # Stale bucket entry: the query is wasted (a retry); failures
                 # additionally cost a timeout in the cost model.  The origin
                 # drops the unresponsive contact from its table.
-                reason = self._departed.get(candidate, (DepartureReason.LEAVE, 0.0))[0]
                 retries += 1
-                if reason == DepartureReason.FAIL:
+                if self.departure_reason(candidate) == DepartureReason.FAIL:
                     timeouts += 1
                 skip.add(candidate)
                 table.discard(candidate)
                 continue
             path.append(candidate)
             # Direct communication updates both parties' buckets (both are
-            # live, and the origin is never in the run)...
+            # live, and the origin is never a candidate)...
             table.observe(candidate, is_live)
             queried = tables[candidate]
             queried.observe(origin, is_live)
@@ -531,24 +529,20 @@ class KademliaOverlay(DHTProtocol):
             # hold k contacts, the whole reply falls in the full bucket, so
             # learning is a no-op and the run needs only the k nearest
             # contacts nearer than the queried node.
-            held, count = queried._rows, 0
+            count = 0
             if len(rows.get(top, ())) >= k:
-                for index in reversed(queried._indices):
-                    if index < top:
-                        count += len(held[index])
-                        if count >= k:
-                            break
+                held, indices = queried._rows, queried._indices
+                for index in reversed(indices[:bisect.bisect_left(indices, top)]):
+                    count += len(held[index])
+                    if count >= k:
+                        break
+            at = 0
             if count < k:
-                reply = queried.closest(target, k)
-                table.learn_many(reply, skip)
-                run = [nearer for contact in reply
-                       if (nearer := contact ^ target) < distance and contact not in skip]
+                run = queried.closest(target, k)
+                table.learn_many(run, skip)
+                del run[bisect.bisect_left(run, candidate ^ target, key=by_distance):]
             else:
-                # Every contact nearer than the queried node is nearer than
-                # ``distance``: only the dead ones are left out.
-                nearer = [contact ^ target for contact in queried.nearer_than_owner(target)]
-                nearer.sort()
-                run = [each for each in nearer[:k] if each ^ target not in skip]
+                run = queried.nearer(target, k)
         return path, retries, timeouts
 
     def _observe(self, node_id: int, contact: int) -> None:

@@ -17,6 +17,7 @@ from typing import Optional
 from repro.api.results import Consistency
 from repro.dht.registry import OVERLAYS, lookup
 from repro.simulation.cost import GeoLatencyCostModel, NetworkCostModel
+from repro.simulation.results import without_inert_fields
 
 __all__ = ["Algorithm", "SimulationParameters", "table1_churn_rate"]
 
@@ -256,5 +257,8 @@ class SimulationParameters:
                                 timeout_s=self.timeout_s, rng=rng)
 
     def describe(self) -> dict:
-        """A flat dictionary of the parameters (used by Table 1 reporting)."""
-        return dataclasses.asdict(self)
+        """A flat dictionary of the parameters (used by Table 1 reporting).
+
+        A field marked ``AFTER_PINS`` is left out while it holds its default.
+        """
+        return without_inert_fields(self, dataclasses.asdict(self))

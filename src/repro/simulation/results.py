@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from repro.simulation.metrics import TimeSeries
 
-__all__ = ["QueryObservation", "RunResult"]
+__all__ = ["AFTER_PINS", "QueryObservation", "RunResult", "without_inert_fields"]
+
+#: ``dataclasses.field`` metadata of a field added after the recorded pins:
+#: :func:`without_inert_fields` leaves it out of a record while it holds its
+#: (plain) default, so a field added at its default moves no pinned hash.
+AFTER_PINS = {"after_pins": True}
+
+
+def without_inert_fields(instance: Any, record: Dict[str, Any]) -> Dict[str, Any]:
+    """``record`` of the dataclass ``instance`` less its marked fields at their default."""
+    for each in fields(instance):
+        if each.metadata.get("after_pins") and getattr(instance, each.name) == each.default:
+            record.pop(each.name, None)
+    return record
 
 
 def _mean(values: List[float]) -> float:
@@ -184,7 +197,7 @@ class RunResult:
         preserved, so a cached result is bit-identical (all aggregates are
         recomputed from the same observations) to the freshly executed one.
         """
-        return {
+        return without_inert_fields(self, {
             "algorithm": self.algorithm,
             "num_peers": self.num_peers,
             "num_replicas": self.num_replicas,
@@ -199,29 +212,17 @@ class RunResult:
             "parameters": self.parameters,
             "scenario": self.scenario,
             "fault_events": self.fault_events,
-        }
+        })
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunResult":
-        """Rebuild a run result recorded by :meth:`to_dict`."""
-        series = payload.get("currency_series")
-        return cls(
-            algorithm=payload["algorithm"],
-            num_peers=payload["num_peers"],
-            num_replicas=payload["num_replicas"],
-            queries=[QueryObservation.from_dict(observation)
-                     for observation in payload.get("queries", [])],
-            updates_performed=payload.get("updates_performed", 0),
-            churn_events=payload.get("churn_events", 0),
-            failures=payload.get("failures", 0),
-            inspections_performed=payload.get("inspections_performed", 0),
-            counter_corrections=payload.get("counter_corrections", 0),
-            currency_series=(TimeSeries.from_dict(series)
-                            if series is not None else None),
-            parameters=payload.get("parameters"),
-            scenario=payload.get("scenario"),
-            fault_events=payload.get("fault_events", 0),
-        )
+        """Rebuild a run result recorded by :meth:`to_dict`; a missing field takes its default."""
+        record = {each.name: payload[each.name] for each in fields(cls) if each.name in payload}
+        record["queries"] = [QueryObservation.from_dict(observation)
+                             for observation in payload.get("queries", [])]
+        if record.get("currency_series") is not None:
+            record["currency_series"] = TimeSeries.from_dict(record["currency_series"])
+        return cls(**record)
 
     def summary(self) -> Dict[str, float]:
         """Flat summary used by the experiment tables and benchmarks."""

@@ -1,12 +1,14 @@
-"""The heap-shortlist Kademlia lookup against the retained scan-and-``min`` oracle.
+"""The in-place Kademlia lookup against the retained scan-and-``min`` oracle.
 
 The oracle below is the lookup the overlay shipped until 1.9.0: keep every
 contact ever heard of in a set, rescan it for the unqueried minimum each
 iteration, learn a reply one contact at a time, and answer ``closest`` by
-sorting the whole table.  The overlay itself now keeps a sorted run of the
-distances that can still improve the lookup, seeded one bucket row at a time,
-reads its buckets in XOR order, and learns a reply in one pass or, when that
-cannot change the table, not at all; these tests feed two identically seeded
+sorting the whole table.  The overlay itself builds no shortlist: it reads
+the nearest contact of the origin's own bucket row in place until a node
+answers, then that node's reply by index, up to the first contact not nearer
+than the node; it reads buckets in XOR order, and learns a reply in one pass
+or, when that cannot change the table, not at all, reading then only the k
+nearest contacts nearer than the node.  These tests feed two identically seeded
 overlays the same churn — one routed by the overlay, one by the oracle — and
 require equal routes *and* equal bucket contents, in order, for every live
 node after every step.
@@ -441,7 +443,7 @@ def test_routes_equal_the_oracle_on_a_seeded_1000_peer_overlay():
     assert_tables_agree(overlay, twin)
 
 
-# ------------------------------------------------------------ closest()
+# ------------------------------------------------------------ closest() and nearer()
 @pytest.mark.parametrize("bits", BITS)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
@@ -459,11 +461,14 @@ def test_closest_equals_the_full_sort(bits, data):
     for contact in data.draw(st.lists(ids, max_size=4)):
         table.discard(contact)          # may leave an empty row behind
     contacts = table.contacts()
+    # ``nearer`` is the part of that sort nearer to the point than the owner.
     for point in (owner, data.draw(ids), data.draw(near) ^ owner,
                   contacts[0] if contacts else 0):
+        by_distance = sorted(contacts, key=lambda contact: contact ^ point)
+        nearer = [contact for contact in by_distance if contact ^ point < owner ^ point]
         for count in (0, 1, k, len(contacts) + 3):
-            assert table.closest(point, count) == \
-                sorted(contacts, key=lambda contact: contact ^ point)[:count]
+            assert table.closest(point, count) == by_distance[:count]
+            assert table.nearer(point, count) == nearer[:count]
 
 
 # ------------------------------------------------------------ bucket rules
