@@ -515,7 +515,7 @@ class KademliaOverlay(DHTProtocol):
                 continue
             path.append(candidate)
             # Direct communication updates both parties' buckets (both are
-            # live, and the origin is never a candidate)...
+            # live, and the origin is skipped as a candidate)...
             table.observe(candidate, is_live)
             queried = tables[candidate]
             queried.observe(origin, is_live)
