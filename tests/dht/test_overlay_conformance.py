@@ -13,6 +13,9 @@ Covered here, per overlay:
 * churn handover — joins and normal leaves move every stored replica to its
   new responsible (Responsibility Loss Aware behaviour, Section 4.3);
 * responsibility transitions — ``nrsp`` predicts the post-departure owner;
+* membership — ``nodes()``, ``in``, ``len`` and ``departure_reason`` agree
+  with a reference record under random joins, leaves, failures and
+  rejoins, and the three refused changes leave the state as it was;
 * message accounting — every operation records its messages in the trace;
 * service integration — a UMS insert/retrieve round-trip over a churning
   network returns the current replica with a recorded trace.
@@ -28,10 +31,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from trace_columns import record_columns
 
 from repro.api import Cluster
+from repro.dht.errors import InvalidConfigurationError, NodeAlreadyPresentError, NoSuchPeerError
 from repro.dht.hashing import HashFamily
+from repro.dht.model import DepartureReason
 from repro.dht.network import DHTNetwork
 from repro.dht.registry import OVERLAYS, create_overlay
 
@@ -206,6 +213,65 @@ class TestChurnHandover:
             assert node_id not in affected
             assert affected <= members
             members.add(node_id)
+
+
+#: One membership step: an action and a number it reads modulo what it needs.
+membership_steps = st.lists(
+    st.tuples(st.sampled_from(["join", "join", "leave", "fail", "rejoin",
+                               "out-of-range", "duplicate", "unknown"]),
+              st.integers(min_value=0, max_value=(1 << 160) - 1)),
+    min_size=1, max_size=40)
+
+
+@pytest.mark.parametrize("name", BUILTIN_OVERLAYS)
+@pytest.mark.parametrize("width", WIDTHS)
+@given(steps=membership_steps)
+@settings(max_examples=60, deadline=None)
+def test_membership_agrees_with_a_reference_record(name, width, steps):
+    # ``record`` maps every id the overlay has seen to ``None`` while it is
+    # live and to how it left once it departs.
+    overlay = create_overlay(name, bits=width, rng=random.Random(6))
+    size = 1 << width
+    record = {}
+
+    def check():
+        live = sorted(node for node, reason in record.items() if reason is None)
+        assert list(overlay.nodes()) == live
+        assert len(overlay) == len(live)
+        for node, reason in record.items():
+            assert (node in overlay) == (reason is None), node
+            assert overlay.departure_reason(node) == reason, node
+
+    def refused(error, change, node):
+        version = overlay.version
+        with pytest.raises(error):
+            change(node)
+        assert overlay.version == version
+        check()
+
+    for step, (action, number) in enumerate(steps):
+        live = [node for node, reason in record.items() if reason is None]
+        departed = [node for node, reason in record.items() if reason is not None]
+        if action in ("leave", "fail") and live:
+            reason = DepartureReason.LEAVE if action == "leave" else DepartureReason.FAIL
+            node = live[number % len(live)]
+            overlay.remove_node(node, reason=reason, now=float(step))
+            record[node] = reason
+        elif action == "rejoin" and departed:
+            node = departed[number % len(departed)]
+            overlay.add_node(node, now=float(step))
+            record[node] = None
+        elif action == "join" and record.get(number % size, "") is not None:
+            overlay.add_node(number % size, now=float(step))
+            record[number % size] = None
+        elif action == "out-of-range":
+            refused(InvalidConfigurationError, overlay.add_node,
+                    size + number if number % 2 else -1 - number)
+        elif action == "duplicate" and live:
+            refused(NodeAlreadyPresentError, overlay.add_node, live[number % len(live)])
+        elif action == "unknown" and record.get(number % size, "") is not None:
+            refused(NoSuchPeerError, overlay.remove_node, number % size)
+        check()
 
 
 class TestMessageAccounting:
