@@ -54,7 +54,7 @@ from repro.core import (
 )
 from repro.dht import CanSpace, ChordRing, DHTNetwork, HashFamily
 
-__version__ = "25.0.0"
+__version__ = "26.0.0"
 
 __all__ = [
     "BricksService",

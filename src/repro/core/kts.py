@@ -26,7 +26,8 @@ it and running churn on the network keeps the counters placed correctly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.counters import KeyCounter, ValidCounterSet
@@ -63,13 +64,6 @@ class KtsStats:
     fresh_counters: int = 0
     corrections: int = 0
     maintenance_messages: int = 0
-
-
-@dataclass
-class _PeerTimestampState:
-    """Per-peer KTS state: the peer's Valid Counter Set."""
-
-    vcs: ValidCounterSet = field(default_factory=ValidCounterSet)
 
 
 class KeyBasedTimestampService(NetworkObserver):
@@ -121,61 +115,44 @@ class KeyBasedTimestampService(NetworkObserver):
             ts_hash = family.sample("h-ts")
         self.ts_hash = ts_hash
         self.stats = KtsStats()
-        self._states: Dict[int, _PeerTimestampState] = {}
-        self._reply_interceptor: Optional[Callable[[int, Any, Optional[int]],
-                                                   Optional[int]]] = None
+        # Each peer's Valid Counter Set, created empty on first use (Rule 1).
+        self._states: Dict[int, ValidCounterSet] = defaultdict(ValidCounterSet)
+        #: The ``last_ts`` reply filter, ``None`` while every responsible is
+        #: honest; assign one to install it and ``None`` to remove it.  It is
+        #: called as ``interceptor(responsible, key, value)`` after the true
+        #: last-generated value is computed, and its return value is what the
+        #: caller sees — a *value-only* seam used by the byzantine fault
+        #: profiles of :mod:`repro.simulation.adversary` to model responsibles
+        #: that lie about a key's currency.  Interception never changes
+        #: routing, message accounting or any RNG stream (the honest counters
+        #: are untouched), so runs with an inert interceptor stay bit-identical
+        #: to uninstrumented ones.  ``gen_ts`` is deliberately not
+        #: interceptable: the modelled attack targets the retrieval-side
+        #: currency check, not timestamp generation.
+        self.reply_interceptor: Optional[Callable[[int, Any, Optional[int]], Optional[int]]] = None
         network.add_observer(self)
-
-    # ------------------------------------------------------- adversarial seam
-    @property
-    def reply_interceptor(self) -> Optional[Callable[[int, Any, Optional[int]],
-                                                     Optional[int]]]:
-        """The installed ``last_ts`` reply interceptor, or ``None`` (honest)."""
-        return self._reply_interceptor
-
-    def set_reply_interceptor(
-            self, interceptor: Optional[Callable[[int, Any, Optional[int]],
-                                                 Optional[int]]]) -> None:
-        """Install (or, with ``None``, remove) a ``last_ts`` reply filter.
-
-        The interceptor is called as ``interceptor(responsible, key, value)``
-        after the true last-generated value is computed, and its return value
-        is what the caller sees — a *value-only* seam used by the byzantine
-        fault profiles of :mod:`repro.simulation.adversary` to model
-        responsibles that lie about a key's currency.  Interception never
-        changes routing, message accounting or any RNG stream (the honest
-        counters are untouched), so runs with an inert interceptor stay
-        bit-identical to uninstrumented ones.  ``gen_ts`` is deliberately
-        not interceptable: the modelled attack targets the retrieval-side
-        currency check, not timestamp generation.
-        """
-        self._reply_interceptor = interceptor
 
     # ------------------------------------------------------------------ lookup
     def responsible_of_timestamping(self, key: Any) -> int:
         """``rsp(k, h_ts)``: the current responsible of timestamping for ``key``."""
         return self.network.responsible_peer(key, self.ts_hash)
 
-    def peer_state(self, peer_id: int) -> _PeerTimestampState:
-        """The KTS state (VCS) of a peer, created lazily (Rule 1: empty)."""
-        state = self._states.get(peer_id)
-        if state is None:
-            state = _PeerTimestampState()
-            self._states[peer_id] = state
-        return state
+    def peer_state(self, peer_id: int) -> ValidCounterSet:
+        """The Valid Counter Set of a peer, created lazily (Rule 1: empty)."""
+        return self._states[peer_id]
 
     # reprolint: allow[REP008] reason=read view: tests/core/test_kts.py observes counter transfer through it
     def counters_at(self, peer_id: int) -> List[KeyCounter]:
         """Snapshot of the counters currently valid at ``peer_id``."""
-        return self.peer_state(peer_id).vcs.counters()
+        return self.peer_state(peer_id).counters()
 
     def peek_last_ts(self, key: Any) -> Optional[int]:
         """``last_generated()`` of ``key``'s counter at ``rsp(k, h_ts)``, if it holds one.
 
         The honest ``last_ts``, read in place: no KTS state, message or random draw.
         """
-        state = self._states.get(self.responsible_of_timestamping(key))
-        counter = None if state is None else state.vcs.get(key)
+        vcs = self._states.get(self.responsible_of_timestamping(key))
+        counter = None if vcs is None else vcs.get(key)
         return None if counter is None else counter.last_generated()
 
     # ------------------------------------------------------------- main ops
@@ -188,27 +165,13 @@ class KeyBasedTimestampService(NetworkObserver):
         value.  It locates the responsible through :meth:`DHTNetwork.locate`.
         """
         responsible = self.network.locate(key, self.ts_hash, _TSR, origin=origin, trace=trace)
-        counter = self._counter_for(responsible, key, trace)
-        value = counter.generate()
-        self.stats.timestamps_generated += 1
-        if not self.dht_is_rla:
-            # RLU counter-measure: assume responsibility may have been lost,
-            # so the counter must be re-initialised before the next generation.
-            self.peer_state(responsible).vcs.remove(key)
-        return Timestamp(key=key, value=value)
+        return self._generate(responsible, key, trace)
 
     def last_ts(self, key: Any, *, origin: Optional[int] = None,
                 trace: Optional[TraceSummary] = None) -> Optional[Timestamp]:
         """The last timestamp generated for ``key``, or ``None`` if none is known."""
         responsible = self.network.locate(key, self.ts_hash, _LAST_TS, origin=origin, trace=trace)
-        counter = self._counter_for(responsible, key, trace)
-        self.stats.last_ts_requests += 1
-        value = counter.last_generated()
-        if self._reply_interceptor is not None:
-            value = self._reply_interceptor(responsible, key, value)
-        if value is None:
-            return None
-        return Timestamp(key=key, value=value)
+        return self._read(responsible, key, trace)
 
     # ------------------------------------------------------------- batched ops
     def gen_ts_many(self, keys: List[Any], *, origin: Optional[int] = None,
@@ -225,12 +188,7 @@ class KeyBasedTimestampService(NetworkObserver):
         out: List[Optional[Timestamp]] = [None] * len(keys)
         for responsible, indices in self._located_groups(keys, _TSR, origin, trace):
             for index in indices:
-                key = keys[index]
-                counter = self._counter_for(responsible, key, trace)
-                out[index] = Timestamp(key=key, value=counter.generate())
-                self.stats.timestamps_generated += 1
-                if not self.dht_is_rla:
-                    self.peer_state(responsible).vcs.remove(key)
+                out[index] = self._generate(responsible, keys[index], trace)
         return out
 
     def last_ts_many(self, keys: List[Any], *, origin: Optional[int] = None,
@@ -246,14 +204,8 @@ class KeyBasedTimestampService(NetworkObserver):
         for responsible, indices in self._located_groups(keys, _LAST_TS, origin, trace):
             for index in indices:
                 key = keys[index]
-                if key in out:
-                    continue
-                counter = self._counter_for(responsible, key, trace)
-                self.stats.last_ts_requests += 1
-                value = counter.last_generated()
-                if self._reply_interceptor is not None:
-                    value = self._reply_interceptor(responsible, key, value)
-                out[key] = None if value is None else Timestamp(key=key, value=value)
+                if key not in out:
+                    out[key] = self._read(responsible, key, trace)
         return out
 
     def _located_groups(self, keys: List[Any], kinds: Tuple[MessageKind, MessageKind],
@@ -268,9 +220,29 @@ class KeyBasedTimestampService(NetworkObserver):
             yield responsible, indices
 
     # --------------------------------------------------------- counter handling
+    def _generate(self, responsible: int, key: Any,
+                  trace: Optional[TraceSummary]) -> Timestamp:
+        """``responsible``'s next timestamp for ``key`` (the reply to one TSR)."""
+        value = self._counter_for(responsible, key, trace).generate()
+        self.stats.timestamps_generated += 1
+        if not self.dht_is_rla:
+            # RLU counter-measure: assume responsibility may have been lost,
+            # so the counter must be re-initialised before the next generation.
+            self._states[responsible].remove(key)
+        return Timestamp(key=key, value=value)
+
+    def _read(self, responsible: int, key: Any,
+              trace: Optional[TraceSummary]) -> Optional[Timestamp]:
+        """``responsible``'s reply to one ``last_ts`` request for ``key``."""
+        value = self._counter_for(responsible, key, trace).last_generated()
+        self.stats.last_ts_requests += 1
+        if self.reply_interceptor is not None:
+            value = self.reply_interceptor(responsible, key, value)
+        return None if value is None else Timestamp(key=key, value=value)
+
     def _counter_for(self, responsible: int, key: Any,
                      trace: Optional[TraceSummary]) -> KeyCounter:
-        vcs = self.peer_state(responsible).vcs
+        vcs = self._states[responsible]
         counter = vcs.get(key)
         if counter is not None:
             return counter
@@ -312,20 +284,20 @@ class KeyBasedTimestampService(NetworkObserver):
     def peer_joined(self, network: DHTNetwork, peer_id: int,
                     affected: set) -> None:
         """A join displaced part of the key space (Rule 3 + direct transfer)."""
-        self.peer_state(peer_id).vcs.clear()  # Rule 1
+        self._states[peer_id].clear()  # Rule 1
         for previous_owner in affected:
             self._transfer_displaced_counters(previous_owner, peer_id)
 
     def peer_left(self, network: DHTNetwork, peer_id: int) -> None:
         """A normal leave: direct transfer of the leaver's counters (Section 4.2.1)."""
-        state = self._states.pop(peer_id, None)
-        if state is None or not self.network.size:
+        vcs = self._states.pop(peer_id, None)
+        if vcs is None or not self.network.size:
             return
         transferred = 0
-        for counter in state.vcs.counters():
+        for counter in vcs.counters():
             new_responsible = self.responsible_of_timestamping(counter.key)
             if self.initialization == CounterInitialization.DIRECT:
-                self.peer_state(new_responsible).vcs.add(counter.copy_for_transfer())
+                self._states[new_responsible].add(counter.copy_for_transfer())
                 transferred += 1
         if transferred:
             self.stats.direct_transfers += transferred
@@ -336,17 +308,17 @@ class KeyBasedTimestampService(NetworkObserver):
         self._states.pop(peer_id, None)
 
     def _transfer_displaced_counters(self, previous_owner: int, new_owner: int) -> None:
-        previous_state = self._states.get(previous_owner)
-        if previous_state is None:
+        previous = self._states.get(previous_owner)
+        if previous is None:
             return
         transferred = 0
-        for counter in previous_state.vcs.counters():
+        for counter in previous.counters():
             if self.responsible_of_timestamping(counter.key) != new_owner:
                 continue
             # Rule 3: the previous owner lost responsibility for this key.
-            previous_state.vcs.remove(counter.key)
+            previous.remove(counter.key)
             if self.initialization == CounterInitialization.DIRECT:
-                self.peer_state(new_owner).vcs.add(counter.copy_for_transfer())
+                self._states[new_owner].add(counter.copy_for_transfer())
                 transferred += 1
         if transferred:
             self.stats.direct_transfers += transferred
@@ -380,10 +352,10 @@ class KeyBasedTimestampService(NetworkObserver):
         peer_ids = [peer_id] if peer_id is not None else list(self._states.keys())
         corrections = 0
         for current_peer in peer_ids:
-            state = self._states.get(current_peer)
-            if state is None or not self.network.is_alive(current_peer):
+            vcs = self._states.get(current_peer)
+            if vcs is None or not self.network.is_alive(current_peer):
                 continue
-            for counter in state.vcs.counters():
+            for counter in vcs.counters():
                 observed = self._max_stored_timestamp(current_peer, counter.key, trace)
                 if observed is not None and counter.correct_to(observed):
                     corrections += 1

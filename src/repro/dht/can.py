@@ -33,12 +33,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dht.errors import (
-    EmptyNetworkError,
-    InvalidConfigurationError,
-    NodeAlreadyPresentError,
-    NoSuchPeerError,
-)
+from repro.dht.errors import EmptyNetworkError, InvalidConfigurationError, NoSuchPeerError
 from repro.dht.model import DepartureReason, DHTProtocol, Walk
 
 __all__ = ["CanSpace", "Zone"]
@@ -72,9 +67,6 @@ class Zone:
     def contains(self, coords: Sequence[int]) -> bool:
         return all(low <= value < high
                    for value, low, high in zip(coords, self.lo, self.hi))
-
-    def center(self) -> Tuple[float, ...]:
-        return tuple((low + high) / 2.0 for low, high in zip(self.lo, self.hi))
 
     def split(self) -> Tuple["Zone", "Zone"]:
         """Split the zone in half along its longest dimension."""
@@ -130,17 +122,13 @@ class CanSpace(DHTProtocol):
         if bits < dimensions or bits // dimensions < 2:
             raise InvalidConfigurationError(
                 f"need at least 2 bits per dimension, got {bits} bits / {dimensions} dims")
-        self.bits = bits
-        #: Number of points in the identifier space.
-        self.space_size = 1 << bits
+        super().__init__(bits)
         self.dimensions = dimensions
         self.bits_per_dimension = bits // dimensions
         self._rng = rng if rng is not None else random.Random(0)
         self._zones: Dict[int, List[Zone]] = {}
         # Packed bounds of every live zone -> its owner (see _pack_zone).
         self._zone_owner: Dict[int, int] = {}
-        self._departed: Dict[int, Tuple[str, float]] = {}
-        self._init_version_caches()
         self._neighbors_cache: Dict[int, Set[int]] = {}
 
     def _clear_version_caches(self) -> None:
@@ -176,17 +164,6 @@ class CanSpace(DHTProtocol):
         return packed
 
     # ------------------------------------------------------------------ topology
-    def nodes(self) -> Sequence[int]:
-        if self._nodes_cache is None:
-            self._nodes_cache = tuple(sorted(self._zones))
-        return self._nodes_cache
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._zones
-
-    def __len__(self) -> int:
-        return len(self._zones)
-
     def zones_of(self, node_id: int) -> List[Zone]:
         """The zones currently owned by ``node_id``."""
         if node_id not in self._zones:
@@ -199,46 +176,41 @@ class CanSpace(DHTProtocol):
         return sum(zone.volume for zone in self.zones_of(node_id))
 
     def add_node(self, node_id: int, *, now: float = 0.0) -> Set[int]:
-        if node_id in self._zones:
-            raise NodeAlreadyPresentError(node_id)
-        if not 0 <= node_id < self.space_size:
-            raise InvalidConfigurationError(
-                f"node id {node_id} outside identifier space [0, 2^{self.bits})")
-        self._departed.pop(node_id, None)
+        self._check_join(node_id)
+        affected: Set[int] = set()
         if not self._zones:
             self._grant_zone(node_id, self._whole_space())
-            self._membership_changed(())
-            return set()
-        # The newcomer picks a random point; the owner of the zone containing
-        # that point splits it in half and keeps one half.
-        join_point = self.coordinates(self._rng.randrange(self.space_size))
-        owner = self._owner_of(join_point)
-        zone = self._zone_containing(owner, join_point)
-        try:
-            first, second = zone.split()
-        except InvalidConfigurationError:
-            # The chosen zone is already minimal; split the owner's largest
-            # splittable zone instead.
-            zone = self._largest_splittable_zone(owner)
-            first, second = zone.split()
-        self._revoke_zone(owner, zone)
-        if first.contains(join_point):
-            newcomer_zone, owner_zone = first, second
         else:
-            newcomer_zone, owner_zone = second, first
-        self._grant_zone(owner, owner_zone)
-        self._grant_zone(node_id, newcomer_zone)
-        self._membership_changed((owner,))
-        return {owner}
+            # The newcomer picks a random point; the owner of the zone
+            # containing that point splits it in half and keeps one half.
+            join_point = self.coordinates(self._rng.randrange(self.space_size))
+            owner = self._owner_of(join_point)
+            zone = self._zone_containing(owner, join_point)
+            try:
+                first, second = zone.split()
+            except InvalidConfigurationError:
+                # The chosen zone is already minimal; split the owner's
+                # largest splittable zone instead.
+                zone = self._largest_splittable_zone(owner)
+                first, second = zone.split()
+            self._revoke_zone(owner, zone)
+            if first.contains(join_point):
+                newcomer_zone, owner_zone = first, second
+            else:
+                newcomer_zone, owner_zone = second, first
+            self._grant_zone(owner, owner_zone)
+            self._grant_zone(node_id, newcomer_zone)
+            affected.add(owner)
+        # Entered once its zone is granted: a failed split leaves no trace.
+        self._enter(node_id)
+        self._membership_changed(affected)
+        return affected
 
     def remove_node(self, node_id: int, *, reason: str = DepartureReason.LEAVE,
                     now: float = 0.0) -> None:
-        if node_id not in self._zones:
-            raise NoSuchPeerError(node_id)
+        self._exit(node_id, reason, now)
         takeovers = self._takeovers(node_id)
         self._drop_node_zones(node_id)
-        self._departed[node_id] = (reason, now)
-        self._membership_changed((node_id,))
         for zone, takeover in takeovers:
             self._grant_zone(takeover, zone)
 

@@ -27,14 +27,9 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.dht.errors import (
-    EmptyNetworkError,
-    InvalidConfigurationError,
-    NodeAlreadyPresentError,
-    NoSuchPeerError,
-)
+from repro.dht.errors import EmptyNetworkError, InvalidConfigurationError, NoSuchPeerError
 from repro.dht.model import DepartureReason, DHTProtocol, Walk
 
 __all__ = ["ChordRing"]
@@ -80,39 +75,14 @@ class ChordRing(DHTProtocol):
                 f"chord identifier space must use between 3 and 160 bits, got {bits}")
         if stabilization_interval < 0:
             raise InvalidConfigurationError("stabilization_interval must be >= 0")
-        self.bits = bits
-        #: Number of identifier points on the ring.
-        self.space_size = 1 << bits
+        super().__init__(bits)
         self.stabilization_interval = stabilization_interval
-        # Sorted node identifiers.
-        self._members: List[int] = []
-        self._member_set: Set[int] = set()
-        self._departed: Dict[int, Tuple[str, float]] = {}
         self._fingers: Dict[int, _FingerTable] = {}
-        self._init_version_caches()
-
-    # ------------------------------------------------------------------ sizing
-    def nodes(self) -> Sequence[int]:
-        if self._nodes_cache is None:
-            self._nodes_cache = tuple(self._members)
-        return self._nodes_cache
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._member_set
-
-    def __len__(self) -> int:
-        return len(self._members)
 
     # -------------------------------------------------------------- membership
     def add_node(self, node_id: int, *, now: float = 0.0) -> Set[int]:
-        if not 0 <= node_id < self.space_size:
-            raise InvalidConfigurationError(
-                f"node id {node_id} outside identifier space [0, 2^{self.bits})")
-        if node_id in self._member_set:
-            raise NodeAlreadyPresentError(node_id)
-        bisect.insort(self._members, node_id)
-        self._member_set.add(node_id)
-        self._departed.pop(node_id, None)
+        self._check_join(node_id)
+        self._enter(node_id)
         # The only node that can lose responsibility to the newcomer is its
         # successor: keys in (predecessor(new), new] move from it to the new
         # node (Section 4.2.1, the Chord join argument).
@@ -123,14 +93,8 @@ class ChordRing(DHTProtocol):
 
     def remove_node(self, node_id: int, *, reason: str = DepartureReason.LEAVE,
                     now: float = 0.0) -> None:
-        if node_id not in self._member_set:
-            raise NoSuchPeerError(node_id)
-        index = bisect.bisect_left(self._members, node_id)
-        self._members.pop(index)
-        self._member_set.discard(node_id)
+        self._exit(node_id, reason, now)
         self._fingers.pop(node_id, None)
-        self._departed[node_id] = (reason, now)
-        self._membership_changed((node_id,))
 
     # ----------------------------------------------------------- responsibility
     def successor(self, point: int) -> int:

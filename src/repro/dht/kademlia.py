@@ -62,14 +62,9 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Container, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.dht.errors import (
-    EmptyNetworkError,
-    InvalidConfigurationError,
-    NodeAlreadyPresentError,
-    NoSuchPeerError,
-)
+from repro.dht.errors import EmptyNetworkError, InvalidConfigurationError, NoSuchPeerError
 from repro.dht.model import DepartureReason, DHTProtocol, Walk
 
 __all__ = ["KademliaOverlay", "RoutingTable"]
@@ -262,45 +257,19 @@ class KademliaOverlay(DHTProtocol):
                 f"kademlia identifier space must use between 3 and 160 bits, got {bits}")
         if k < 1:
             raise InvalidConfigurationError("bucket capacity k must be >= 1")
-        self.bits = bits
-        #: Number of points in the identifier space.
-        self.space_size = 1 << bits
+        # Routing *tables* mutate continuously with lookup traffic, but XOR
+        # responsibility depends only on the live membership, so the base
+        # class's point -> closest-member memo changes only with it.
+        super().__init__(bits)
         self.k = k
         self._rng = rng if rng is not None else random.Random(0)
-        # Sorted live node identifiers.
-        self._members: List[int] = []
-        self._member_set: Set[int] = set()
-        self._departed: Dict[int, Tuple[str, float]] = {}
         self._tables: Dict[int, RoutingTable] = {}
-        # Routing *tables* mutate continuously with lookup traffic, but XOR
-        # responsibility depends only on the live membership, so the
-        # point -> closest-member memo changes only with it.
-        self._init_version_caches()
-
-    # ------------------------------------------------------------------ sizing
-    def nodes(self) -> Sequence[int]:
-        if self._nodes_cache is None:
-            self._nodes_cache = tuple(self._members)
-        return self._nodes_cache
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._member_set
-
-    def __len__(self) -> int:
-        return len(self._members)
 
     # -------------------------------------------------------------- membership
     def add_node(self, node_id: int, *, now: float = 0.0) -> Set[int]:
-        if not 0 <= node_id < self.space_size:
-            raise InvalidConfigurationError(
-                f"node id {node_id} outside identifier space [0, 2^{self.bits})")
-        if node_id in self._member_set:
-            raise NodeAlreadyPresentError(node_id)
+        self._check_join(node_id)
         affected = self._deepest_bucket_members(node_id)
-        index = bisect.bisect_left(self._members, node_id)
-        self._members.insert(index, node_id)
-        self._member_set.add(node_id)
-        self._departed.pop(node_id, None)
+        index = self._enter(node_id)
         self._reassign_memo(node_id, affected)
         self._membership_changed(())
         table = self._tables[node_id] = RoutingTable(node_id, self.bits, self.k)
@@ -364,14 +333,8 @@ class KademliaOverlay(DHTProtocol):
 
     def remove_node(self, node_id: int, *, reason: str = DepartureReason.LEAVE,
                     now: float = 0.0) -> None:
-        if node_id not in self._member_set:
-            raise NoSuchPeerError(node_id)
-        index = bisect.bisect_left(self._members, node_id)
-        self._members.pop(index)
-        self._member_set.discard(node_id)
+        self._exit(node_id, reason, now)
         self._tables.pop(node_id, None)
-        self._departed[node_id] = (reason, now)
-        self._membership_changed((node_id,))
         # Other nodes keep the departed contact in their buckets until a
         # lookup runs into it (stale-state realism; there is no oracle purge).
 

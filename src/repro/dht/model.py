@@ -7,7 +7,9 @@ This module provides:
 * :class:`DHTProtocol` — the interface the overlay implementations (Chord,
   CAN, Kademlia) provide to the network layer: membership changes,
   responsibility resolution (``rsp(k, h)``) and one routing walk,
-  :meth:`~DHTProtocol.walk`, which returns a bare tuple;
+  :meth:`~DHTProtocol.walk`, which returns a bare tuple.  The base class
+  keeps the one membership record (who is live, how each departed node
+  left) that every overlay and the network read;
 * :class:`RouteResult` and :class:`LookupResult`, the tuples
   :meth:`DHTProtocol.route` and the network layer's ``lookup`` build around a
   walk (the data path reads the walk itself and builds neither);
@@ -18,10 +20,12 @@ This module provides:
 from __future__ import annotations
 
 import abc
+import bisect
 from dataclasses import MISSING, fields
 from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set,
                     Tuple, Type, TypeVar, cast)
 
+from repro.dht.errors import InvalidConfigurationError, NodeAlreadyPresentError, NoSuchPeerError
 from repro.dht.messages import TraceSummary
 
 __all__ = [
@@ -102,20 +106,39 @@ class DHTProtocol(abc.ABC):
     The overlay tracks only membership and responsibility over the identifier
     space ``[0, 2^bits)``; data placement, replication and services live above
     it (in :class:`repro.dht.network.DHTNetwork` and :mod:`repro.core`).
+
+    Membership lives here, once for every overlay: the sorted live ids
+    (:meth:`nodes`, ``in``, ``len``) and how each departed id left
+    (:meth:`departure_reason`).  A subclass keeps only its routing state
+    (fingers, k-buckets, zones): its ``add_node`` calls :meth:`_check_join`
+    and :meth:`_enter`, its ``remove_node`` calls :meth:`_exit`.
     """
 
-    #: number of bits of the identifier space
+    #: Number of bits of the identifier space.
     bits: int
 
-    #: Membership version counter.  Implementations increment it on every
-    #: ``add_node``/``remove_node`` (via :meth:`_membership_changed`) so that
-    #: responsibility and routing-state caches (both the overlay's own and any
-    #: held by callers) can be keyed on the version and invalidated
-    #: incrementally instead of recomputed per query.  Overlays that never
-    #: change membership may leave it at 0.
-    version: int = 0
+    #: Membership version counter.  :meth:`_membership_changed` increments it
+    #: on every ``add_node``/``remove_node`` so that responsibility and
+    #: routing-state caches (both the overlay's own and any held by callers)
+    #: can be keyed on the version and invalidated incrementally instead of
+    #: recomputed per query.
+    version: int
 
-    _departed: Dict[int, Tuple[str, float]]  # departed node -> (reason, time)
+    def __init__(self, bits: int) -> None:
+        self.bits = bits
+        #: Number of points in the identifier space.
+        self.space_size = 1 << bits
+        # The membership record: the live ids, sorted and as a set, and how
+        # each departed id left, ``(reason, time)``, until it rejoins.
+        self._members: List[int] = []
+        self._member_set: Set[int] = set()
+        self._departed: Dict[int, Tuple[str, float]] = {}
+        self.version = 0
+        self._rsp_cache: Dict[int, int] = {}
+        # The reverse index of ``_rsp_cache``: responsible -> its memoised
+        # points, each point listed once, so eviction costs what it evicts.
+        self._rsp_points: Dict[int, List[int]] = {}
+        self._nodes_cache: Optional[Tuple[int, ...]] = None
 
     @property
     def protocol_name(self) -> str:
@@ -126,22 +149,55 @@ class DHTProtocol(abc.ABC):
         """
         return type(self).__name__
 
-    # --------------------------------------------- versioned-cache plumbing
-    # Shared by the overlay implementations so the invalidation protocol
-    # lives in exactly one place: call ``_init_version_caches()`` during
-    # construction, ``_membership_changed(moved)`` after every membership
-    # mutation, serve ``responsible_for`` through the memo helper and
-    # ``nodes`` from ``_nodes_cache`` (read inline: every random origin draw
-    # calls it).  Subclasses with additional version-keyed caches clear them
-    # in ``_clear_version_caches``.
+    # ------------------------------------------------------------- membership
+    # The versioned caches live with the membership record: ``nodes`` is
+    # served from ``_nodes_cache`` (every random origin draw calls it), every
+    # change ends with ``_membership_changed(moved)`` (``_exit`` calls it; a
+    # join calls it once its affected set is known), and ``responsible_for``
+    # goes through the memo helper.  Subclasses with additional version-keyed
+    # caches clear them in ``_clear_version_caches``.
 
-    def _init_version_caches(self) -> None:
-        self.version = 0
-        self._rsp_cache: Dict[int, int] = {}
-        # The reverse index of ``_rsp_cache``: responsible -> its memoised
-        # points, each point listed once, so eviction costs what it evicts.
-        self._rsp_points: Dict[int, List[int]] = {}
-        self._nodes_cache: Optional[Tuple[int, ...]] = None
+    def nodes(self) -> Sequence[int]:
+        """Identifiers of the live nodes, ascending."""
+        if self._nodes_cache is None:
+            self._nodes_cache = tuple(self._members)
+        return self._nodes_cache
+
+    def __contains__(self, node_id: int) -> bool:
+        """Whether ``node_id`` is a live overlay node."""
+        return node_id in self._member_set
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def _check_join(self, node_id: int) -> None:
+        """Refuse a join of an id outside ``[0, 2^bits)`` or already live."""
+        if not 0 <= node_id < self.space_size:
+            raise InvalidConfigurationError(
+                f"node id {node_id} outside identifier space [0, 2^{self.bits})")
+        if node_id in self._member_set:
+            raise NodeAlreadyPresentError(node_id)
+
+    def _enter(self, node_id: int) -> int:
+        """Add a checked ``node_id`` to the live ids; returns its sorted index."""
+        index = bisect.bisect_left(self._members, node_id)
+        self._members.insert(index, node_id)
+        self._member_set.add(node_id)
+        self._departed.pop(node_id, None)
+        return index
+
+    def _exit(self, node_id: int, reason: str, now: float) -> None:
+        """Record that the live ``node_id`` left by ``reason`` at ``now``.
+
+        Raises :class:`NoSuchPeerError` for a node that is not live, changing
+        nothing; otherwise ends with :meth:`_membership_changed` for it.
+        """
+        if node_id not in self._member_set:
+            raise NoSuchPeerError(node_id)
+        del self._members[bisect.bisect_left(self._members, node_id)]
+        self._member_set.discard(node_id)
+        self._departed[node_id] = (reason, now)
+        self._membership_changed((node_id,))
 
     def _membership_changed(self, moved: Iterable[int]) -> None:
         """Advance the membership version and evict the moved nodes' points.
@@ -191,17 +247,6 @@ class DHTProtocol(abc.ABC):
     def remove_node(self, node_id: int, *, reason: str = DepartureReason.LEAVE,
                     now: float = 0.0) -> None:
         """Remove ``node_id`` from the overlay (normal leave or failure)."""
-
-    @abc.abstractmethod
-    def nodes(self) -> Sequence[int]:
-        """Identifiers of the live nodes, in protocol-defined order."""
-
-    @abc.abstractmethod
-    def __contains__(self, node_id: int) -> bool:
-        """Whether ``node_id`` is a live overlay node."""
-
-    def __len__(self) -> int:
-        return len(self.nodes())
 
     # ----------------------------------------------------------- responsibility
     @abc.abstractmethod

@@ -21,7 +21,10 @@ overlay's bare ``walk`` and the exchange.  A trace from
 :attr:`DHTNetwork.on_message`, when it is set, as the simulation harness sets
 it to price a retrieve's response time.
 Services that need to react to churn (notably KTS, for counter transfer and
-Rule 3 of the Valid Counter Set) register a :class:`NetworkObserver`.
+Rule 3 of the Valid Counter Set) register a :class:`NetworkObserver`.  Who is
+live, and how a departed peer left, is the overlay's record
+(:class:`~repro.dht.model.DHTProtocol`); the network keeps only each live
+peer's store.
 """
 
 from __future__ import annotations
@@ -52,17 +55,18 @@ __all__ = ["DHTNetwork", "NetworkObserver", "NetworkStats", "PeerState",
 
 
 class NetworkObserver:
-    """Callbacks invoked by the network when membership changes.
+    """Callbacks invoked by the network after each membership change.
 
     Subclasses override the hooks they care about; the defaults are no-ops.
+    Every hook runs once the overlay and the stores reflect the change: a
+    joined peer already holds the entries handed over to it, a departed
+    peer is already out of the overlay, its replicas handed over (a leave)
+    or lost (a failure).  Observers are called in registration order.
     """
 
     def peer_joined(self, network: "DHTNetwork", peer_id: int,
                     affected: Set[int]) -> None:
         """A new peer joined; ``affected`` are peers that may have lost keys to it."""
-
-    def peer_leaving(self, network: "DHTNetwork", peer_id: int) -> None:
-        """A peer is about to leave normally (still part of the overlay)."""
 
     def peer_left(self, network: "DHTNetwork", peer_id: int) -> None:
         """A peer has left normally (already removed from the overlay)."""
@@ -73,12 +77,10 @@ class NetworkObserver:
 
 @dataclass
 class PeerState:
-    """Mutable state of one peer: its local replica store and liveness."""
+    """Mutable state of one live peer: its local replica store."""
 
     peer_id: int
     store: LocalStore = field(default_factory=LocalStore)
-    joined_at: float = 0.0
-    alive: bool = True
 
 
 @dataclass
@@ -194,7 +196,6 @@ class DHTNetwork:
         self.now: float = 0.0
         self.stats = NetworkStats()
         self._peers: Dict[int, PeerState] = {}
-        self._departed_peers: Dict[int, PeerState] = {}
         self._observers: List[NetworkObserver] = []
 
     # ------------------------------------------------------------- construction
@@ -221,19 +222,15 @@ class DHTNetwork:
         return len(self._peers)
 
     def alive_peer_ids(self) -> List[int]:
-        """Identifiers of the live peers (overlay order)."""
+        """Identifiers of the live peers, ascending."""
         return list(self.protocol.nodes())
 
     def peer(self, peer_id: int) -> PeerState:
         """The state of a live peer (raises :class:`NoSuchPeerError` otherwise)."""
         state = self._peers.get(peer_id)
-        if state is None or not state.alive:
+        if state is None:
             raise NoSuchPeerError(peer_id)
         return state
-
-    def departed_peer(self, peer_id: int) -> Optional[PeerState]:
-        """The final state of a departed peer, if it ever existed."""
-        return self._departed_peers.get(peer_id)
 
     def is_alive(self, peer_id: int) -> bool:
         """Whether ``peer_id`` designates a live peer."""
@@ -251,14 +248,14 @@ class DHTNetwork:
         forever.  The check happens before any RNG draw, so seeded runs
         consume the same random stream as before the guard existed.
         """
-        space = 1 << self.bits
-        if len(self._peers) >= space or len(self.protocol) >= space:
+        space, protocol = 1 << self.bits, self.protocol
+        if len(protocol) >= space:
             raise InvalidConfigurationError(
                 f"identifier space of 2^{self.bits} points is exhausted by "
-                f"{len(self._peers)} peers; increase 'bits'")
+                f"{len(protocol)} peers; increase 'bits'")
         while True:
             candidate = self.rng.randrange(space)
-            if candidate not in self.protocol and candidate not in self._peers:
+            if candidate not in protocol:
                 return candidate
 
     def add_observer(self, observer: NetworkObserver) -> None:
@@ -271,8 +268,7 @@ class DHTNetwork:
         if peer_id is None:
             peer_id = self.new_peer_id()
         affected = self.protocol.add_node(peer_id, now=self.now)
-        state = PeerState(peer_id=peer_id, joined_at=self.now)
-        self._peers[peer_id] = state
+        self._peers[peer_id] = PeerState(peer_id)
         self.stats.joins += 1
         for previous_owner in affected:
             self._hand_over_entries(previous_owner, to_peer=peer_id)
@@ -285,12 +281,8 @@ class DHTNetwork:
 
         The replicas ship in ascending point order, as a join's do.
         """
-        state = self.peer(peer_id)
-        for observer in self._observers:
-            observer.peer_leaving(self, peer_id)
-        entries = sorted(state.store.values(), key=_BY_POINT)
+        entries = sorted(self.peer(peer_id).store.values(), key=_BY_POINT)
         self.protocol.remove_node(peer_id, reason=DepartureReason.LEAVE, now=self.now)
-        state.alive = False
         del self._peers[peer_id]
         self.stats.leaves += 1
         if self._peers:
@@ -298,8 +290,6 @@ class DHTNetwork:
                 self._ship(entry, self.protocol.responsible_for(entry.point))
         else:
             self.stats.lost_entries += len(entries)
-        state.store.clear()
-        self._departed_peers[peer_id] = state
         for observer in self._observers:
             observer.peer_left(self, peer_id)
 
@@ -307,12 +297,9 @@ class DHTNetwork:
         """Remove a peer *abruptly*: its replicas and counters are lost."""
         state = self.peer(peer_id)
         self.protocol.remove_node(peer_id, reason=DepartureReason.FAIL, now=self.now)
-        state.alive = False
         del self._peers[peer_id]
         self.stats.failures += 1
         self.stats.lost_entries += len(state.store)
-        state.store.clear()
-        self._departed_peers[peer_id] = state
         for observer in self._observers:
             observer.peer_failed(self, peer_id)
 

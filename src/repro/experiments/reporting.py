@@ -46,10 +46,6 @@ class ExperimentTable:
             raise KeyError(f"unknown series {name!r}; expected one of {self.series}")
         return [row.get(name) for row in self.rows]
 
-    def column(self, name: str) -> List[Any]:
-        """Alias of :meth:`series_values` (reads better for table-style data)."""
-        return self.series_values(name)
-
     # --------------------------------------------------------------- rendering
     def _format_value(self, value: Any, float_format: str) -> str:
         if isinstance(value, bool) or value is None:

@@ -25,7 +25,7 @@ crash-stop ones) implement that regime:
   region a key's timestamp requests route into.
 
 Both profiles act through the value-only reply interceptor of
-:meth:`repro.core.kts.KeyBasedTimestampService.set_reply_interceptor`:
+:attr:`repro.core.kts.KeyBasedTimestampService.reply_interceptor`:
 message counts, routing and every RNG stream are untouched, which is what
 keeps an adversarial run at byzantine ``fraction=0`` bit-identical to its
 honest twin (pinned by ``tests/adversary/test_honest_parity.py``).  Lies
@@ -76,7 +76,7 @@ class TimestampLiar:
     """Falsifies ``last_ts`` replies of a set of byzantine peers.
 
     One liar instance is installed per run as the KTS reply interceptor
-    (:meth:`~repro.core.kts.KeyBasedTimestampService.set_reply_interceptor`);
+    (:attr:`~repro.core.kts.KeyBasedTimestampService.reply_interceptor`);
     several adversarial profiles in one scenario share it, each corrupting
     its own peer set.  For an honest responsible the true value passes
     through unchanged.
@@ -155,7 +155,7 @@ def _install_liar(cluster) -> TimestampLiar:
     if isinstance(interceptor, TimestampLiar):
         return interceptor
     liar = TimestampLiar()
-    cluster.kts.set_reply_interceptor(liar)
+    cluster.kts.reply_interceptor = liar
     return liar
 
 

@@ -115,21 +115,20 @@ class ChurnProcess:
         self.events.extend(executed)
         return executed
 
-    def burst(self, count: int, *, rng: Optional[random.Random] = None,
+    def burst(self, count: int, *, rng: random.Random,
               rejoin: bool = True) -> List[ChurnEvent]:
         """A correlated failure burst: ``count`` random peers fail at once.
 
-        ``rng`` defaults to the process's own stream; fault profiles pass
-        their dedicated stream so bursts never perturb the background churn
-        schedule of a seeded run.
+        The victims are drawn from ``rng``, never from the process's own
+        stream: fault profiles pass their dedicated one, so bursts never
+        perturb the background churn schedule of a seeded run.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
-        draw = rng if rng is not None else self.rng
         alive = self.network.alive_peer_ids()
         budget = max(0, len(alive) - self.min_population)
         size = min(count, budget)
-        victims = draw.sample(alive, size) if size else []
+        victims = rng.sample(alive, size) if size else []
         return self.fail_together(victims, rejoin=rejoin)
 
     # ------------------------------------------------------------------ action

@@ -94,11 +94,11 @@ class Scenario:
 
     # --------------------------------------------------------------- faults
     def install_faults(self, sim, *, network, cost_model, rng,
-                       duration_s: float, churn=None, cluster=None) -> None:
+                       duration_s: float, churn, cluster=None) -> None:
         """Schedule every fault profile on ``sim``; resets the fault log.
 
         ``churn`` (the run's :class:`~repro.simulation.churn.ChurnProcess`)
-        lets failure-style profiles execute through the churn accounting;
+        is how failure-style profiles fail peers, inside the churn accounting;
         ``cluster`` (the run's :class:`~repro.api.cluster.Cluster`) gives the
         byzantine profiles of :mod:`repro.simulation.adversary` access to
         the KTS reply seam.

@@ -55,36 +55,25 @@ class FaultProfile:
     kind: str = "base"
 
     def install(self, sim, *, network, cost_model, rng, duration_s: float,
-                log: List[Dict[str, Any]], churn=None, cluster=None) -> None:
+                log: List[Dict[str, Any]], churn, cluster=None) -> None:
         """Schedule this profile's events on ``sim``.
 
         ``network`` is the :class:`~repro.dht.network.DHTNetwork` under test,
         ``cost_model`` the run's :class:`~repro.simulation.cost.NetworkCostModel`,
         ``rng`` the dedicated fault random stream and ``log`` the shared list
         fired events are appended to.  ``churn`` is the run's
-        :class:`~repro.simulation.churn.ChurnProcess` when one is active:
-        failure-style profiles execute through it
-        (:meth:`~repro.simulation.churn.ChurnProcess.fail_together`) so
-        correlated failures appear in the churn accounting; without one they
-        fall back to direct network operations.  ``cluster`` is the run's
-        :class:`~repro.api.cluster.Cluster` when available: byzantine
-        profiles (:mod:`repro.simulation.adversary`) reach the KTS reply
-        seam through it, while crash-stop profiles ignore it.
+        :class:`~repro.simulation.churn.ChurnProcess`, the one way a profile
+        fails peers: through
+        :meth:`~repro.simulation.churn.ChurnProcess.burst` and
+        :meth:`~repro.simulation.churn.ChurnProcess.fail_together`, so
+        correlated failures keep its population floor and appear in its
+        accounting (profiles that fail no peer take ``churn=None``).
+        ``cluster`` is the run's :class:`~repro.api.cluster.Cluster` when
+        available: byzantine profiles (:mod:`repro.simulation.adversary`)
+        reach the KTS reply seam through it, while crash-stop profiles
+        ignore it.
         """
         raise NotImplementedError
-
-    @staticmethod
-    def _fail_batch(network, victims, *, rejoin: bool) -> int:
-        """Fail ``victims`` together, then (optionally) join replacements."""
-        failed = 0
-        for peer_id in victims:
-            if network.is_alive(peer_id):
-                network.fail_peer(peer_id)
-                failed += 1
-        if rejoin:
-            for _ in range(failed):
-                network.join_peer()
-        return failed
 
 
 @dataclass
@@ -102,15 +91,15 @@ class CorrelatedFailureBurst(FaultProfile):
     rejoin:
         Whether an equal number of fresh peers joins immediately after the
         burst (keeps the population constant, as the paper's churn does).
-    min_population:
-        Safety floor: the burst never shrinks the network below this size.
+
+    The burst never shrinks the network below the churn process's
+    ``min_population``.
     """
 
     at: float = 0.5
     size: Optional[int] = None
     fraction: Optional[float] = None
     rejoin: bool = True
-    min_population: int = 2
 
     kind = "correlated-burst"
 
@@ -127,19 +116,11 @@ class CorrelatedFailureBurst(FaultProfile):
             raise ValueError("fraction must be in (0, 1]")
 
     def install(self, sim, *, network, cost_model, rng, duration_s: float,
-                log: List[Dict[str, Any]], churn=None, cluster=None) -> None:
+                log: List[Dict[str, Any]], churn, cluster=None) -> None:
         def fire() -> None:
-            network.now = sim.now
-            alive = network.alive_peer_ids()
             requested = (self.size if self.size is not None
-                         else max(1, round(len(alive) * self.fraction)))
-            if churn is not None:
-                failed = len(churn.burst(requested, rng=rng, rejoin=self.rejoin))
-            else:
-                budget = max(0, len(alive) - self.min_population)
-                count = min(requested, budget)
-                victims = rng.sample(alive, count) if count else []
-                failed = self._fail_batch(network, victims, rejoin=self.rejoin)
+                         else max(1, round(network.size * self.fraction)))
+            failed = len(churn.burst(requested, rng=rng, rejoin=self.rejoin))
             log.append({"kind": self.kind, "time": sim.now, "failed": failed,
                         "rejoined": failed if self.rejoin else 0})
 
@@ -157,13 +138,14 @@ class RegionalPartition(FaultProfile):
     run duration *after* the partition fires), an equal number of fresh peers
     joins at that later instant (the region's *data* is still lost, as in the
     paper's failure model); ``at + heal_after`` should stay within the run.
+    The partition never shrinks the network below the churn process's
+    ``min_population``.
     """
 
     at: float = 0.5
     start: float = 0.0
     span: float = 0.25
     heal_after: Optional[float] = None
-    min_population: int = 2
 
     kind = "partition"
 
@@ -178,20 +160,14 @@ class RegionalPartition(FaultProfile):
             raise ValueError("heal_after must be > 0 when given")
 
     def install(self, sim, *, network, cost_model, rng, duration_s: float,
-                log: List[Dict[str, Any]], churn=None, cluster=None) -> None:
+                log: List[Dict[str, Any]], churn, cluster=None) -> None:
         def fire() -> None:
-            network.now = sim.now
             space = 1 << network.bits
             lower = int(self.start * space)
             width = max(1, int(self.span * space))
             in_region = [peer_id for peer_id in network.alive_peer_ids()
                          if (peer_id - lower) % space < width]
-            if churn is not None:
-                failed = len(churn.fail_together(in_region, rejoin=False))
-            else:
-                budget = max(0, network.size - self.min_population)
-                victims = in_region[:budget]
-                failed = self._fail_batch(network, victims, rejoin=False)
+            failed = len(churn.fail_together(in_region, rejoin=False))
             log.append({"kind": self.kind, "time": sim.now, "failed": failed,
                         "region": [self.start, self.span]})
             if self.heal_after is not None and failed:

@@ -269,7 +269,7 @@ class TestRepairStrategies:
             network.put("k", hash_fn, "payload", timestamp=latest)
         responsible = kts.responsible_of_timestamping("k")
         # Simulate a counter that was initialised too low (e.g. a lost update).
-        counter = kts.peer_state(responsible).vcs.get("k")
+        counter = kts.peer_state(responsible).get("k")
         counter.value = 0
         counter.exact = True
         counter.last_known = None

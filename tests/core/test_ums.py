@@ -209,13 +209,13 @@ class TestCurrencyProbability:
         ums.insert("k", "v0")
         states = dict(kts._states)
         rngs = [each.rng.getstate() for each in (network, kts, ums)]
-        counters = {peer: list(state.vcs.keys()) for peer, state in kts._states.items()}
+        counters = {peer: list(vcs.keys()) for peer, vcs in kts._states.items()}
         maintenance = network.stats.maintenance_messages
         for key in ("k", "never-inserted"):
             ums.currency_probability(key)
         assert network.stats.maintenance_messages == maintenance
         assert kts._states == states
-        assert {peer: list(state.vcs.keys()) for peer, state in kts._states.items()} == counters
+        assert {peer: list(vcs.keys()) for peer, vcs in kts._states.items()} == counters
         assert [each.rng.getstate() for each in (network, kts, ums)] == rngs
 
     def test_without_a_counter_the_newest_stored_stamp_stands_in(self, small_stack):

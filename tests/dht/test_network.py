@@ -15,6 +15,7 @@ from repro.dht.errors import (
 )
 from repro.dht.hashing import HashFamily
 from repro.dht.messages import MessageKind, MessageSizes, TraceSummary
+from repro.dht.model import DepartureReason
 from repro.dht.network import DHTNetwork, NetworkObserver
 
 
@@ -68,7 +69,7 @@ class TestPeerAccess:
         peer_id = network.random_alive_peer()
         state = network.peer(peer_id)
         assert state.peer_id == peer_id
-        assert state.alive
+        assert network.is_alive(peer_id)
 
     def test_peer_unknown_raises(self, network):
         with pytest.raises(NoSuchPeerError):
@@ -241,8 +242,8 @@ class TestChurn:
     def test_departed_peer_state_is_kept(self, network):
         peer_id = network.random_alive_peer()
         network.fail_peer(peer_id)
-        assert network.departed_peer(peer_id) is not None
-        assert not network.departed_peer(peer_id).alive
+        assert network.protocol.departure_reason(peer_id) == DepartureReason.FAIL
+        assert not network.is_alive(peer_id)
 
     def test_churn_counters(self, network):
         first = network.random_alive_peer()
@@ -261,9 +262,6 @@ class RecordingObserver(NetworkObserver):
 
     def peer_joined(self, network, peer_id, affected):
         self.events.append(("joined", peer_id, frozenset(affected)))
-
-    def peer_leaving(self, network, peer_id):
-        self.events.append(("leaving", peer_id))
 
     def peer_left(self, network, peer_id):
         self.events.append(("left", peer_id))
@@ -284,7 +282,7 @@ class TestObservers:
         network.add_observer(observer)
         peer_id = network.random_alive_peer()
         network.leave_peer(peer_id)
-        assert [event[0] for event in observer.events] == ["leaving", "left"]
+        assert observer.events == [("left", peer_id)]
 
     def test_fail_notifies(self, network):
         observer = RecordingObserver()

@@ -21,7 +21,7 @@ class TestExperimentTable:
         assert len(table) == 2
         assert table.x_values() == [100, 200]
         assert table.series_values("BRK") == [10.0, 12.0]
-        assert table.column("UMS-Direct") == [2.5, 3.0]
+        assert table.series_values("UMS-Direct") == [2.5, 3.0]
 
     def test_add_row_rejects_unknown_series(self):
         table = sample_table()

@@ -53,7 +53,7 @@ class TestTimestampingResponsibleFailures:
         ums.insert("k", "v0")
         ums.insert("k", "v1")
         responsible = kts.responsible_of_timestamping("k")
-        counter = kts.peer_state(responsible).vcs.get("k")
+        counter = kts.peer_state(responsible).get("k")
         counter.value = 0
         counter.last_known = None
         assert kts.inspect_counters(responsible) == 1

@@ -53,7 +53,7 @@ class TestChurnProcess:
         network, churn = run_churn()
         for event in churn.events:
             assert network.is_alive(event.joined_peer) or \
-                network.departed_peer(event.joined_peer) is not None
+                network.protocol.departure_reason(event.joined_peer) is not None
             assert not network.is_alive(event.departed_peer) or \
                 event.departed_peer != event.joined_peer
 

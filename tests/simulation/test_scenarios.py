@@ -129,9 +129,12 @@ class TestFaultProfiles:
         network = DHTNetwork.build(peers, seed=seed)
         sim = Simulator()
         cost_model = NetworkCostModel(rng=random.Random(seed))
+        churn = ChurnProcess(sim, network, rate_per_s=0.0, failure_rate=1.0,
+                             rng=random.Random(seed))
         log = []
         fault.install(sim, network=network, cost_model=cost_model,
-                      rng=random.Random(seed), duration_s=duration, log=log)
+                      rng=random.Random(seed), duration_s=duration, log=log,
+                      churn=churn)
         sim.run(until=duration)
         return network, cost_model, log
 

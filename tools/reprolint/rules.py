@@ -40,7 +40,7 @@ DOCSTRING_COVERAGE_THRESHOLD = 91.0
 
 #: Most lines the scanned ``repro`` tree may hold (REP007), pinned at the
 #: measured size of ``src/``.  Raising it needs a reason in CHANGES.md.
-SRC_LINE_BUDGET = 12663
+SRC_LINE_BUDGET = 12537
 
 #: Wall-clock reads forbidden by REP001 (resolved through import aliases).
 _WALL_CLOCK = frozenset({
